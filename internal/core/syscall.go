@@ -138,6 +138,9 @@ func (e *SyscallDeniedError) Is(target error) bool {
 type QuotaLedger struct {
 	policy    *SyscallPolicy
 	remaining map[ACID]map[SyscallKind]int
+	// denials holds one error per distinct denial, handed out again on
+	// every repeat, so a subject retrying a denied call allocates nothing.
+	denials map[SyscallDeniedError]*SyscallDeniedError
 }
 
 // NewQuotaLedger creates a ledger over a sealed policy.
@@ -153,11 +156,11 @@ func NewQuotaLedger(policy *SyscallPolicy) *QuotaLedger {
 
 // Charge authorises one invocation of kind by subject, decrementing the
 // budget when one applies. It returns a *SyscallDeniedError on deny or
-// exhaustion.
+// exhaustion; repeats of one denial return the same error value.
 func (l *QuotaLedger) Charge(subject ACID, kind SyscallKind) error {
 	rule := l.policy.Rule(subject, kind)
 	if !rule.Allowed {
-		return &SyscallDeniedError{Subject: subject, Kind: kind}
+		return l.denied(SyscallDeniedError{Subject: subject, Kind: kind})
 	}
 	if rule.Quota == QuotaUnlimited {
 		return nil
@@ -172,10 +175,23 @@ func (l *QuotaLedger) Charge(subject ACID, kind SyscallKind) error {
 		rem = rule.Quota
 	}
 	if rem <= 0 {
-		return &SyscallDeniedError{Subject: subject, Kind: kind, Exhausted: true}
+		return l.denied(SyscallDeniedError{Subject: subject, Kind: kind, Exhausted: true})
 	}
 	row[kind] = rem - 1
 	return nil
+}
+
+// denied returns the ledger's error value for one distinct denial.
+func (l *QuotaLedger) denied(d SyscallDeniedError) *SyscallDeniedError {
+	if err, ok := l.denials[d]; ok {
+		return err
+	}
+	if l.denials == nil {
+		l.denials = make(map[SyscallDeniedError]*SyscallDeniedError)
+	}
+	err := &d
+	l.denials[d] = err
+	return err
 }
 
 // Remaining reports the unspent budget for (subject, kind);

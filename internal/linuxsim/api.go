@@ -12,16 +12,33 @@ import (
 type API struct {
 	ctx *machine.Context
 
-	// Scratch requests for the hot syscalls. Boxing a pointer into the
-	// trap's any costs no heap allocation, and the kernel consumes each
-	// request synchronously inside HandleTrap, so one scratch value per
-	// request type is enough.
-	sendScratch   mqSendReq
-	recvScratch   mqReceiveReq
-	recvTOScratch mqReceiveTimeoutReq
-	sleepScratch  sleepReq
-	devRdScratch  devReadReq
-	devWrScratch  devWriteReq
+	// Scratch requests, one per trap. Boxing a pointer into the trap's any
+	// costs no heap allocation, and the kernel consumes each request
+	// synchronously inside HandleTrap, so one scratch value per request type
+	// is enough. Every trap goes through its scratch value, the rarely used
+	// ones included, so an attacker looping on any of them allocates
+	// nothing per call.
+	sendScratch    mqSendReq
+	recvScratch    mqReceiveReq
+	recvTOScratch  mqReceiveTimeoutReq
+	sleepScratch   sleepReq
+	devRdScratch   devReadReq
+	devWrScratch   devWriteReq
+	openScratch    mqOpenReq
+	unlinkScratch  mqUnlinkReq
+	closeScratch   mqCloseReq
+	killScratch    killReq
+	forkScratch    forkReq
+	respawnScratch respawnReq
+	pidScratch     getPIDReq
+	uidScratch     getUIDReq
+	traceScratch   traceReq
+	exitScratch    exitReq
+	listenScratch  netListenReq
+	acceptScratch  netAcceptReq
+	netRdScratch   netReadReq
+	netWrScratch   netWriteReq
+	netClScratch   netCloseReq
 }
 
 // Now returns the current virtual time (free, no trap).
@@ -40,7 +57,7 @@ type MQOpenFlags struct {
 
 // MQOpen implements mq_open.
 func (a *API) MQOpen(name string, flags MQOpenFlags) (int32, error) {
-	reply := a.ctx.Trap(mqOpenReq{
+	a.openScratch = mqOpenReq{
 		name:     name,
 		create:   flags.Create,
 		excl:     flags.Excl,
@@ -49,7 +66,8 @@ func (a *API) MQOpen(name string, flags MQOpenFlags) (int32, error) {
 		read:     flags.Read,
 		write:    flags.Write,
 		nonblock: flags.NonBlock,
-	}).(fdReply)
+	}
+	reply := a.ctx.Trap(&a.openScratch).(*fdReply)
 	return reply.fd, reply.err
 }
 
@@ -82,22 +100,26 @@ func (a *API) MQReceiveTimeout(fd int32, d time.Duration) (MQMsg, error) {
 
 // MQUnlink implements mq_unlink.
 func (a *API) MQUnlink(name string) error {
-	return a.ctx.Trap(mqUnlinkReq{name: name}).(errReply).err
+	a.unlinkScratch = mqUnlinkReq{name: name}
+	return a.ctx.Trap(&a.unlinkScratch).(*errReply).err
 }
 
 // MQClose implements mq_close.
 func (a *API) MQClose(fd int32) error {
-	return a.ctx.Trap(mqCloseReq{fd: fd}).(errReply).err
+	a.closeScratch = mqCloseReq{fd: fd}
+	return a.ctx.Trap(&a.closeScratch).(*errReply).err
 }
 
 // Kill implements kill(2).
 func (a *API) Kill(unixPID, sig int) error {
-	return a.ctx.Trap(killReq{unixPID: unixPID, sig: sig}).(errReply).err
+	a.killScratch = killReq{unixPID: unixPID, sig: sig}
+	return a.ctx.Trap(&a.killScratch).(*errReply).err
 }
 
 // Fork spawns a registered image under the caller's credentials.
 func (a *API) Fork(image string) (int, error) {
-	reply := a.ctx.Trap(forkReq{image: image}).(intReply)
+	a.forkScratch = forkReq{image: image}
+	reply := a.ctx.Trap(&a.forkScratch).(*intReply)
 	return reply.value, reply.err
 }
 
@@ -105,18 +127,19 @@ func (a *API) Fork(image string) (int, error) {
 // supervisor primitive. Root only; fails with ErrExist while the image is
 // still running.
 func (a *API) Respawn(image string) (int, error) {
-	reply := a.ctx.Trap(respawnReq{image: image}).(intReply)
+	a.respawnScratch = respawnReq{image: image}
+	reply := a.ctx.Trap(&a.respawnScratch).(*intReply)
 	return reply.value, reply.err
 }
 
 // GetPID returns the caller's unix pid.
 func (a *API) GetPID() int {
-	return a.ctx.Trap(getPIDReq{}).(intReply).value
+	return a.ctx.Trap(&a.pidScratch).(*intReply).value
 }
 
 // GetUID returns the caller's uid.
 func (a *API) GetUID() int {
-	return a.ctx.Trap(getUIDReq{}).(intReply).value
+	return a.ctx.Trap(&a.uidScratch).(*intReply).value
 }
 
 // Sleep blocks for a virtual duration.
@@ -140,39 +163,47 @@ func (a *API) DevWrite(dev machine.DeviceID, reg uint32, value uint32) error {
 
 // Trace writes to the board trace console.
 func (a *API) Trace(tag, text string) {
-	a.ctx.Trap(traceReq{tag: tag, text: text})
+	a.traceScratch = traceReq{tag: tag, text: text}
+	a.ctx.Trap(&a.traceScratch)
 }
 
 // Exit terminates the caller. It does not return.
 func (a *API) Exit() {
-	a.ctx.Trap(exitReq{})
+	a.ctx.Trap(&a.exitScratch)
 	panic("linuxsim: Exit returned")
 }
 
 // NetListen binds a port.
 func (a *API) NetListen(port vnet.Port) (int32, error) {
-	reply := a.ctx.Trap(netListenReq{port: port}).(handleReply)
+	a.listenScratch = netListenReq{port: port}
+	reply := a.ctx.Trap(&a.listenScratch).(*handleReply)
 	return reply.handle, reply.err
 }
 
 // NetAccept blocks until a connection arrives.
 func (a *API) NetAccept(listener int32) (int32, error) {
-	reply := a.ctx.Trap(netAcceptReq{listener: listener}).(handleReply)
+	a.acceptScratch = netAcceptReq{listener: listener}
+	reply := a.ctx.Trap(&a.acceptScratch).(*handleReply)
 	return reply.handle, reply.err
 }
 
 // NetRead blocks until data or EOF is available.
 func (a *API) NetRead(conn int32, max int) ([]byte, error) {
-	reply := a.ctx.Trap(netReadReq{conn: conn, max: max}).(bytesReply)
+	a.netRdScratch = netReadReq{conn: conn, max: max}
+	reply := a.ctx.Trap(&a.netRdScratch).(*bytesReply)
 	return reply.data, reply.err
 }
 
 // NetWrite sends bytes on a connection.
 func (a *API) NetWrite(conn int32, data []byte) error {
-	return a.ctx.Trap(netWriteReq{conn: conn, data: data}).(errReply).err
+	a.netWrScratch = netWriteReq{conn: conn, data: data}
+	err := a.ctx.Trap(&a.netWrScratch).(*errReply).err
+	a.netWrScratch.data = nil
+	return err
 }
 
 // NetClose closes a connection.
 func (a *API) NetClose(conn int32) error {
-	return a.ctx.Trap(netCloseReq{conn: conn}).(errReply).err
+	a.netClScratch = netCloseReq{conn: conn}
+	return a.ctx.Trap(&a.netClScratch).(*errReply).err
 }

@@ -133,12 +133,26 @@ type proc struct {
 	listeners map[int32]*vnet.Listener
 	conns     map[int32]*vnet.Conn
 
-	// Reply scratch for the hot trap paths. The engine serialises all
-	// kernel work and a blocked process receives at most one wake-up value,
-	// so boxing pointers to these per-process values costs no allocation.
-	errR errReply
-	msgR msgReply
-	u32R u32Reply
+	// Reply scratch, one per reply type. The engine serialises all kernel
+	// work and a blocked process receives at most one wake-up value, so
+	// boxing pointers to these per-process values costs no allocation.
+	errR    errReply
+	msgR    msgReply
+	u32R    u32Reply
+	fdR     fdReply
+	intR    intReply
+	handleR handleReply
+	bytesR  bytesReply
+
+	// onSleep and onRecvTimeout are the process's timer callbacks, built
+	// once at spawn and re-armed for every sleep and mq_timedreceive with
+	// the wait's token (machine.Clock.AfterToken). A firing whose token is
+	// no longer the process's waitToken belongs to a finished wait, or to a
+	// dead process, and does nothing. waitQ is the queue a timed receive is
+	// blocked on.
+	onSleep       func(token uint64)
+	onRecvTimeout func(token uint64)
+	waitQ         *mqueue
 
 	// lastMQBuf is the payload buffer of the most recent message delivered
 	// to this process; it is recycled into the kernel's pool on the next
@@ -163,6 +177,32 @@ func (p *proc) msgErr(err error) any {
 func (p *proc) u32Out(v uint32, err error) any {
 	p.u32R = u32Reply{value: v, err: err}
 	return &p.u32R
+}
+
+// fdOut fills the process's descriptor reply scratch and returns it boxed.
+func (p *proc) fdOut(fd int32, err error) any {
+	p.fdR = fdReply{fd: fd, err: err}
+	return &p.fdR
+}
+
+// intOut fills the process's int reply scratch and returns it boxed.
+func (p *proc) intOut(v int, err error) any {
+	p.intR = intReply{value: v, err: err}
+	return &p.intR
+}
+
+// handleOut fills the process's network-handle reply scratch and returns it
+// boxed.
+func (p *proc) handleOut(h int32, err error) any {
+	p.handleR = handleReply{handle: h, err: err}
+	return &p.handleR
+}
+
+// bytesOut fills the process's byte-slice reply scratch and returns it
+// boxed.
+func (p *proc) bytesOut(data []byte, err error) any {
+	p.bytesR = bytesReply{data: data, err: err}
+	return &p.bytesR
 }
 
 type procPhase int
@@ -237,6 +277,17 @@ type Kernel struct {
 	// receiving process performs its next mq_receive (see deliverMsg).
 	bufPool [][]byte
 
+	// limitDetail and limitErr are the process-limit denial's event detail
+	// and error, built once at boot: a fork bomb hits the limit on every
+	// attempt, and the text depends only on MaxProcs.
+	limitDetail string
+	limitErr    error
+
+	// denials memoises the event detail, trace line and error of each
+	// distinct mq_open and kill denial, the two an attacker loops on: the
+	// text depends only on the key.
+	denials map[denialKey]*denial
+
 	// Observability hooks, resolved once at boot.
 	reg        *obs.Registry
 	tracer     *obs.Tracer
@@ -269,6 +320,8 @@ func Boot(m *machine.Machine, cfg Config) *Kernel {
 		devs:        make(map[machine.DeviceID]*devFile),
 		spawnCounts: make(map[string]int),
 		nextPID:     100,
+		limitDetail: fmt.Sprintf("process limit %d reached", cfg.MaxProcs),
+		limitErr:    fmt.Errorf("%w: process limit %d reached", ErrAgain, cfg.MaxProcs),
 	}
 	board := m.Obs()
 	board.Events().SetPlatform("linux")
@@ -283,6 +336,35 @@ func Boot(m *machine.Machine, cfg Config) *Kernel {
 	k.mMQWaitNs = k.reg.Histogram("linux_mq_wait_ns", nil)
 	m.Engine().SetHandler(k)
 	return k
+}
+
+// denialKey identifies one distinct mq_open or kill denial by everything
+// its text mentions.
+type denialKey struct {
+	op, src, queue string
+	uid            int
+	mode           Mode
+	pid, sig       int
+}
+
+// denial is the memoised text of one distinct denial.
+type denial struct {
+	detail, trace string
+	err           error
+}
+
+// denialFor returns the memoised text of one denial, building it with build
+// on the first occurrence.
+func (k *Kernel) denialFor(key denialKey, build func() denial) *denial {
+	if d, ok := k.denials[key]; ok {
+		return d
+	}
+	d := build()
+	if k.denials == nil {
+		k.denials = make(map[denialKey]*denial)
+	}
+	k.denials[key] = &d
+	return &d
 }
 
 // dacDeny books one DAC denial on the counters and the security-event
@@ -350,9 +432,9 @@ func (k *Kernel) spawn(img Image) (int, error) {
 			Mechanism: obs.MechKernel,
 			Denied:    true,
 			Src:       img.Name,
-			Detail:    fmt.Sprintf("process limit %d reached", k.cfg.MaxProcs),
+			Detail:    k.limitDetail,
 		})
-		return 0, fmt.Errorf("%w: process limit %d reached", ErrAgain, k.cfg.MaxProcs)
+		return 0, k.limitErr
 	}
 	p := &proc{
 		name:      img.Name,
@@ -363,6 +445,7 @@ func (k *Kernel) spawn(img Image) (int, error) {
 		listeners: make(map[int32]*vnet.Listener),
 		conns:     make(map[int32]*vnet.Conn),
 	}
+	k.buildWakers(p)
 	k.nextPID++
 	body := img.Body
 	mp, err := k.m.Engine().Spawn(img.Name, img.Priority, func(ctx *machine.Context) {

@@ -438,3 +438,68 @@ func TestNonTerminatingSignalAbsorbed(t *testing.T) {
 		t.Fatal("victim died from non-terminating signal")
 	}
 }
+
+// TestStaleTimersNeverWake pins the token check behind the reused sleep and
+// mq_timedreceive callbacks. A killed sleeper's pending timer must not wake
+// the process spawned after it, and a timed receive answered early must not
+// time out the next timed receive when its old deadline passes.
+func TestStaleTimersNeverWake(t *testing.T) {
+	m, k := newBoard(t)
+	k.RegisterImage(Image{Name: "victim", UID: 1, Priority: 8, Body: func(api *API) {
+		api.Sleep(time.Second)
+		t.Error("killed sleeper woke")
+	}})
+	var heirWoke machine.Time
+	k.RegisterImage(Image{Name: "heir", UID: 1, Priority: 8, Body: func(api *API) {
+		api.Sleep(10 * time.Second)
+		heirWoke = api.Now()
+	}})
+	var firstErr, secondErr error
+	var secondAt machine.Time
+	k.RegisterImage(Image{Name: "waiter", UID: 1, Priority: 8, Body: func(api *API) {
+		fd, err := api.MQOpen("/q", MQOpenFlags{Create: true, Read: true, Mode: 0o600})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_, firstErr = api.MQReceiveTimeout(fd, time.Second)
+		_, secondErr = api.MQReceiveTimeout(fd, 5*time.Second)
+		secondAt = api.Now()
+	}})
+	k.RegisterImage(Image{Name: "poker", UID: 1, Priority: 8, Body: func(api *API) {
+		api.Sleep(100 * time.Millisecond)
+		fd, err := api.MQOpen("/q", MQOpenFlags{Write: true})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_ = api.MQSend(fd, []byte("poke"), 0)
+	}})
+	for _, name := range []string{"victim", "waiter", "poker"} {
+		if _, err := k.SpawnImage(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Run(500 * time.Millisecond)
+	if err := k.CrashProcess("victim"); err != nil {
+		t.Fatal(err)
+	}
+	start := m.Clock().Now()
+	if _, err := k.SpawnImage("heir"); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(20 * time.Second)
+
+	if woke := heirWoke.Sub(start); woke < 10*time.Second || woke > 10*time.Second+time.Millisecond {
+		t.Fatalf("heir woke %v after spawn, want its own 10s deadline", woke)
+	}
+	if firstErr != nil {
+		t.Fatalf("first timed receive = %v, want the poke", firstErr)
+	}
+	if !errors.Is(secondErr, ErrTimeout) {
+		t.Fatalf("second timed receive = %v, want ErrTimeout", secondErr)
+	}
+	if secondAt < machine.Time(5*time.Second) {
+		t.Fatalf("second timed receive returned at %v, before its own 5s deadline", secondAt)
+	}
+}

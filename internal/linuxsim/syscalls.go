@@ -111,7 +111,7 @@ type (
 func (k *Kernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition) {
 	self := k.procOf(pid)
 	switch r := req.(type) {
-	case mqOpenReq:
+	case *mqOpenReq:
 		return k.doMQOpen(self, r)
 	case *mqSendReq:
 		return k.doMQSend(self, r)
@@ -119,33 +119,33 @@ func (k *Kernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition)
 		return k.doMQReceive(self, r.fd)
 	case *mqReceiveTimeoutReq:
 		return k.doMQReceiveTimeout(self, r)
-	case mqUnlinkReq:
+	case *mqUnlinkReq:
 		return k.doMQUnlink(self, r)
-	case mqCloseReq:
+	case *mqCloseReq:
 		if _, ok := self.fds[r.fd]; !ok {
-			return errReply{err: ErrBadFD}, machine.DispositionContinue
+			return self.errOut(ErrBadFD), machine.DispositionContinue
 		}
 		delete(self.fds, r.fd)
-		return errReply{}, machine.DispositionContinue
-	case killReq:
+		return self.errOut(nil), machine.DispositionContinue
+	case *killReq:
 		return k.doKill(self, r)
-	case forkReq:
+	case *forkReq:
 		img, ok := k.images[r.image]
 		if !ok {
-			return intReply{err: fmt.Errorf("%w: %q", ErrUnknownImage, r.image)}, machine.DispositionContinue
+			return self.intOut(0, fmt.Errorf("%w: %q", ErrUnknownImage, r.image)), machine.DispositionContinue
 		}
 		// fork/exec inherits the caller's credentials, not the image's
 		// declared ones.
 		img.UID = self.uid
 		img.GID = self.gid
 		unixPID, err := k.spawn(img)
-		return intReply{value: unixPID, err: err}, machine.DispositionContinue
-	case respawnReq:
+		return self.intOut(unixPID, err), machine.DispositionContinue
+	case *respawnReq:
 		return k.doRespawn(self, r)
-	case getPIDReq:
-		return intReply{value: self.unixPID}, machine.DispositionContinue
-	case getUIDReq:
-		return intReply{value: self.uid}, machine.DispositionContinue
+	case *getPIDReq:
+		return self.intOut(self.unixPID, nil), machine.DispositionContinue
+	case *getUIDReq:
+		return self.intOut(self.uid, nil), machine.DispositionContinue
 	case *sleepReq:
 		return k.doSleep(self, r)
 	case *devReadReq:
@@ -169,37 +169,37 @@ func (k *Kernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition)
 			return self.errOut(fmt.Errorf("%w: write %q", ErrPerm, r.dev)), machine.DispositionContinue
 		}
 		return self.errOut(k.m.Bus().Write(r.dev, r.reg, r.value)), machine.DispositionContinue
-	case traceReq:
-		k.m.Trace().Logf(r.tag, "%s", r.text)
-		return errReply{}, machine.DispositionContinue
-	case exitReq:
+	case *traceReq:
+		k.m.Trace().Log(r.tag, r.text)
+		return self.errOut(nil), machine.DispositionContinue
+	case *exitReq:
 		if err := k.m.Engine().Kill(pid); err != nil {
-			return errReply{err: err}, machine.DispositionContinue
+			return self.errOut(err), machine.DispositionContinue
 		}
-		return errReply{}, machine.DispositionContinue
-	case netListenReq:
+		return self.errOut(nil), machine.DispositionContinue
+	case *netListenReq:
 		return k.doNetListen(self, r)
-	case netAcceptReq:
+	case *netAcceptReq:
 		return k.doNetAccept(self, r)
-	case netReadReq:
+	case *netReadReq:
 		return k.doNetRead(self, r)
-	case netWriteReq:
+	case *netWriteReq:
 		return k.doNetWrite(self, r)
-	case netCloseReq:
+	case *netCloseReq:
 		return k.doNetClose(self, r)
 	default:
-		return errReply{err: fmt.Errorf("linuxsim: unknown trap %T", req)}, machine.DispositionContinue
+		return self.errOut(fmt.Errorf("linuxsim: unknown trap %T", req)), machine.DispositionContinue
 	}
 }
 
 // doMQOpen implements mq_open with O_CREAT/O_EXCL and access-mode flags.
-func (k *Kernel) doMQOpen(self *proc, r mqOpenReq) (any, machine.Disposition) {
+func (k *Kernel) doMQOpen(self *proc, r *mqOpenReq) (any, machine.Disposition) {
 	q, exists := k.mqs[r.name]
 	switch {
 	case exists && r.create && r.excl:
-		return fdReply{err: fmt.Errorf("%w: queue %q", ErrExist, r.name)}, machine.DispositionContinue
+		return self.fdOut(0, fmt.Errorf("%w: queue %q", ErrExist, r.name)), machine.DispositionContinue
 	case !exists && !r.create:
-		return fdReply{err: fmt.Errorf("%w: queue %q", ErrNoEnt, r.name)}, machine.DispositionContinue
+		return self.fdOut(0, fmt.Errorf("%w: queue %q", ErrNoEnt, r.name)), machine.DispositionContinue
 	case !exists:
 		maxMsgs := r.maxMsgs
 		if maxMsgs <= 0 {
@@ -216,15 +216,22 @@ func (k *Kernel) doMQOpen(self *proc, r mqOpenReq) (any, machine.Disposition) {
 		k.mqs[r.name] = q
 	}
 	if !allowed(self.uid, self.gid, q.ownerUID, q.ownerGID, q.mode, r.read, r.write) {
-		k.dacDeny(obs.EventIPCDenied, self.name, r.name, fmt.Sprintf("mq_open uid=%d mode=%04o", self.uid, q.mode))
+		d := k.denialFor(denialKey{op: "mq_open", src: self.name, queue: r.name, uid: self.uid, mode: q.mode}, func() denial {
+			return denial{
+				detail: fmt.Sprintf("mq_open uid=%d mode=%04o", self.uid, q.mode),
+				trace:  fmt.Sprintf("DENY mq_open %s by %s (uid %d)", r.name, self.name, self.uid),
+				err:    fmt.Errorf("%w: queue %q", ErrPerm, r.name),
+			}
+		})
+		k.dacDeny(obs.EventIPCDenied, self.name, r.name, d.detail)
 		k.tracer.Emit(self.name, r.name, "mq_open", obs.OutcomeDACDenied)
-		k.m.Trace().Logf("linux-dac", "DENY mq_open %s by %s (uid %d)", r.name, self.name, self.uid)
-		return fdReply{err: fmt.Errorf("%w: queue %q", ErrPerm, r.name)}, machine.DispositionContinue
+		k.m.Trace().Log("linux-dac", d.trace)
+		return self.fdOut(0, d.err), machine.DispositionContinue
 	}
 	self.nextFD++
 	handle := self.nextFD
 	self.fds[handle] = &fd{q: q, canRead: r.read, canWrite: r.write, nonblock: r.nonblock}
-	return fdReply{fd: handle}, machine.DispositionContinue
+	return self.fdOut(handle, nil), machine.DispositionContinue
 }
 
 // getBuf pops a recycled payload buffer (zero length, retained capacity),
@@ -369,26 +376,9 @@ func (k *Kernel) doMQReceiveTimeout(self *proc, r *mqReceiveTimeoutReq) (any, ma
 		return reply, disp
 	}
 	// Blocked: doMQReceive queued the reader; arm the expiry alongside.
-	q := self.fds[r.fd].q
+	self.waitQ = self.fds[r.fd].q
 	self.waitToken++
-	token := self.waitToken
-	pid := self.pid
-	k.m.Clock().After(r.d, func() {
-		p := k.procs[pid]
-		if p != self || p.waitToken != token || p.phase != phaseMQRecv {
-			return
-		}
-		p.phase = phaseIdle
-		p.waitToken++
-		for i, rp := range q.readers {
-			if rp == pid {
-				q.readers = append(q.readers[:i], q.readers[i+1:]...)
-				break
-			}
-		}
-		k.endSpan(p, obs.OutcomeAborted)
-		k.mustReady(pid, p.msgErr(ErrTimeout))
-	})
+	k.m.Clock().AfterToken(r.d, self.onRecvTimeout, self.waitToken)
 	return nil, machine.DispositionBlock
 }
 
@@ -420,23 +410,23 @@ func (k *Kernel) deliverToQueue(sender string, q *mqueue, msg MQMsg) {
 // under its *declared* credentials (unlike fork, which inherits the
 // caller's). Root only — supervision is a privileged duty, the way
 // supervisord runs as root; unprivileged callers are denied and audited.
-func (k *Kernel) doRespawn(self *proc, r respawnReq) (any, machine.Disposition) {
+func (k *Kernel) doRespawn(self *proc, r *respawnReq) (any, machine.Disposition) {
 	if self.uid != 0 {
 		k.dacDeny(obs.EventSyscallDenied, self.name, r.image, fmt.Sprintf("respawn uid=%d", self.uid))
-		return intReply{err: fmt.Errorf("%w: respawn %q", ErrPerm, r.image)}, machine.DispositionContinue
+		return self.intOut(0, fmt.Errorf("%w: respawn %q", ErrPerm, r.image)), machine.DispositionContinue
 	}
 	img, ok := k.images[r.image]
 	if !ok {
-		return intReply{err: fmt.Errorf("%w: %q", ErrUnknownImage, r.image)}, machine.DispositionContinue
+		return self.intOut(0, fmt.Errorf("%w: %q", ErrUnknownImage, r.image)), machine.DispositionContinue
 	}
 	for _, p := range k.byUnix {
 		if p.name == r.image {
-			return intReply{err: fmt.Errorf("%w: %q is running", ErrExist, r.image)}, machine.DispositionContinue
+			return self.intOut(0, fmt.Errorf("%w: %q is running", ErrExist, r.image)), machine.DispositionContinue
 		}
 	}
 	unixPID, err := k.spawn(img)
 	if err != nil {
-		return intReply{err: err}, machine.DispositionContinue
+		return self.intOut(0, err), machine.DispositionContinue
 	}
 	k.events.Emit(obs.SecurityEvent{
 		Kind:      obs.EventRestart,
@@ -445,18 +435,18 @@ func (k *Kernel) doRespawn(self *proc, r respawnReq) (any, machine.Disposition) 
 		Dst:       r.image,
 		Detail:    fmt.Sprintf("respawn #%d", k.spawnCounts[r.image]-1),
 	})
-	return intReply{value: unixPID}, machine.DispositionContinue
+	return self.intOut(unixPID, nil), machine.DispositionContinue
 }
 
 // doMQUnlink implements mq_unlink: owner or root only.
-func (k *Kernel) doMQUnlink(self *proc, r mqUnlinkReq) (any, machine.Disposition) {
+func (k *Kernel) doMQUnlink(self *proc, r *mqUnlinkReq) (any, machine.Disposition) {
 	q, ok := k.mqs[r.name]
 	if !ok {
-		return errReply{err: fmt.Errorf("%w: queue %q", ErrNoEnt, r.name)}, machine.DispositionContinue
+		return self.errOut(fmt.Errorf("%w: queue %q", ErrNoEnt, r.name)), machine.DispositionContinue
 	}
 	if self.uid != 0 && self.uid != q.ownerUID {
 		k.dacDeny(obs.EventSyscallDenied, self.name, r.name, fmt.Sprintf("mq_unlink uid=%d owner=%d", self.uid, q.ownerUID))
-		return errReply{err: fmt.Errorf("%w: unlink %q", ErrPerm, r.name)}, machine.DispositionContinue
+		return self.errOut(fmt.Errorf("%w: unlink %q", ErrPerm, r.name)), machine.DispositionContinue
 	}
 	delete(k.mqs, r.name)
 	q.depth.Set(0)
@@ -476,23 +466,30 @@ func (k *Kernel) doMQUnlink(self *proc, r mqUnlinkReq) (any, machine.Disposition
 		}
 	}
 	q.readers, q.writers = nil, nil
-	return errReply{}, machine.DispositionContinue
+	return self.errOut(nil), machine.DispositionContinue
 }
 
 // doKill implements kill(2): same-uid or root.
-func (k *Kernel) doKill(self *proc, r killReq) (any, machine.Disposition) {
+func (k *Kernel) doKill(self *proc, r *killReq) (any, machine.Disposition) {
 	victim, ok := k.byUnix[r.unixPID]
 	if !ok {
-		return errReply{err: fmt.Errorf("%w: pid %d", ErrNoEnt, r.unixPID)}, machine.DispositionContinue
+		return self.errOut(fmt.Errorf("%w: pid %d", ErrNoEnt, r.unixPID)), machine.DispositionContinue
 	}
 	if self.uid != 0 && self.uid != victim.uid {
-		k.dacDeny(obs.EventKillDenied, self.name, victim.name, fmt.Sprintf("kill pid %d sig %d uid=%d", r.unixPID, r.sig, self.uid))
-		k.m.Trace().Logf("linux-dac", "DENY kill %d by %s (uid %d)", r.unixPID, self.name, self.uid)
-		return errReply{err: fmt.Errorf("%w: kill %d", ErrPerm, r.unixPID)}, machine.DispositionContinue
+		d := k.denialFor(denialKey{op: "kill", src: self.name, uid: self.uid, pid: r.unixPID, sig: r.sig}, func() denial {
+			return denial{
+				detail: fmt.Sprintf("kill pid %d sig %d uid=%d", r.unixPID, r.sig, self.uid),
+				trace:  fmt.Sprintf("DENY kill %d by %s (uid %d)", r.unixPID, self.name, self.uid),
+				err:    fmt.Errorf("%w: kill %d", ErrPerm, r.unixPID),
+			}
+		})
+		k.dacDeny(obs.EventKillDenied, self.name, victim.name, d.detail)
+		k.m.Trace().Log("linux-dac", d.trace)
+		return self.errOut(d.err), machine.DispositionContinue
 	}
 	if r.sig != SIGKILL && r.sig != SIGTERM {
 		// Non-terminating signals are absorbed.
-		return errReply{}, machine.DispositionContinue
+		return self.errOut(nil), machine.DispositionContinue
 	}
 	k.stats.Kills++
 	k.mKills.Inc()
@@ -505,25 +502,47 @@ func (k *Kernel) doKill(self *proc, r killReq) (any, machine.Disposition) {
 	})
 	k.m.Trace().Logf("linux", "kill %s (pid %d) by %s sig=%d", victim.name, victim.unixPID, self.name, r.sig)
 	if err := k.m.Engine().Kill(victim.pid); err != nil {
-		return errReply{err: err}, machine.DispositionContinue
+		return self.errOut(err), machine.DispositionContinue
 	}
-	return errReply{}, machine.DispositionContinue
+	return self.errOut(nil), machine.DispositionContinue
 }
 
 func (k *Kernel) doSleep(self *proc, r *sleepReq) (any, machine.Disposition) {
 	self.phase = phaseSleeping
 	self.waitToken++
-	token := self.waitToken
-	pid := self.pid
-	k.m.Clock().After(r.d, func() {
-		p := k.procs[pid]
-		if p != self || p.waitToken != token || p.phase != phaseSleeping {
+	k.m.Clock().AfterToken(r.d, self.onSleep, self.waitToken)
+	return nil, machine.DispositionBlock
+}
+
+// buildWakers builds p's reusable sleep and mq_timedreceive timer
+// callbacks. Each firing carries the token of the wait that armed it; a
+// token that is no longer p's waitToken, or a p no longer in the process
+// table (it died, and OnProcExit bumped the token too), makes the firing a
+// no-op, so a pending timer of a dead process never wakes another.
+func (k *Kernel) buildWakers(p *proc) {
+	p.onSleep = func(token uint64) {
+		if k.procs[p.pid] != p || p.waitToken != token || p.phase != phaseSleeping {
 			return
 		}
 		p.phase = phaseIdle
-		k.mustReady(pid, p.errOut(nil))
-	})
-	return nil, machine.DispositionBlock
+		k.mustReady(p.pid, p.errOut(nil))
+	}
+	p.onRecvTimeout = func(token uint64) {
+		if k.procs[p.pid] != p || p.waitToken != token || p.phase != phaseMQRecv {
+			return
+		}
+		p.phase = phaseIdle
+		p.waitToken++
+		q := p.waitQ
+		for i, rp := range q.readers {
+			if rp == p.pid {
+				q.readers = append(q.readers[:i], q.readers[i+1:]...)
+				break
+			}
+		}
+		k.endSpan(p, obs.OutcomeAborted)
+		k.mustReady(p.pid, p.msgErr(ErrTimeout))
+	}
 }
 
 // popReader dequeues the next still-blocked reader.
@@ -611,24 +630,24 @@ func (k *Kernel) mustReady(pid machine.PID, reply any) {
 
 // --- Network ----------------------------------------------------------------
 
-func (k *Kernel) doNetListen(self *proc, r netListenReq) (any, machine.Disposition) {
+func (k *Kernel) doNetListen(self *proc, r *netListenReq) (any, machine.Disposition) {
 	if k.cfg.Net == nil {
-		return handleReply{err: fmt.Errorf("%w: no network", ErrNoEnt)}, machine.DispositionContinue
+		return self.handleOut(0, fmt.Errorf("%w: no network", ErrNoEnt)), machine.DispositionContinue
 	}
 	l, err := k.cfg.Net.Listen(r.port)
 	if err != nil {
-		return handleReply{err: err}, machine.DispositionContinue
+		return self.handleOut(0, err), machine.DispositionContinue
 	}
 	self.nextFD++
 	h := self.nextFD
 	self.listeners[h] = l
-	return handleReply{handle: h}, machine.DispositionContinue
+	return self.handleOut(h, nil), machine.DispositionContinue
 }
 
-func (k *Kernel) doNetAccept(self *proc, r netAcceptReq) (any, machine.Disposition) {
+func (k *Kernel) doNetAccept(self *proc, r *netAcceptReq) (any, machine.Disposition) {
 	l, ok := self.listeners[r.listener]
 	if !ok {
-		return handleReply{err: ErrBadFD}, machine.DispositionContinue
+		return self.handleOut(0, ErrBadFD), machine.DispositionContinue
 	}
 	conn, err := k.cfg.Net.Accept(l)
 	switch {
@@ -636,7 +655,7 @@ func (k *Kernel) doNetAccept(self *proc, r netAcceptReq) (any, machine.Dispositi
 		self.nextFD++
 		h := self.nextFD
 		self.conns[h] = conn
-		return handleReply{handle: h}, machine.DispositionContinue
+		return self.handleOut(h, nil), machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
 		self.phase = phaseNet
 		self.waitToken++
@@ -650,29 +669,29 @@ func (k *Kernel) doNetAccept(self *proc, r netAcceptReq) (any, machine.Dispositi
 			p.phase = phaseIdle
 			conn, acceptErr := k.cfg.Net.Accept(l)
 			if acceptErr != nil {
-				k.mustReady(pid, handleReply{err: acceptErr})
+				k.mustReady(pid, p.handleOut(0, acceptErr))
 				return
 			}
 			p.nextFD++
 			h := p.nextFD
 			p.conns[h] = conn
-			k.mustReady(pid, handleReply{handle: h})
+			k.mustReady(pid, p.handleOut(h, nil))
 		})
 		return nil, machine.DispositionBlock
 	default:
-		return handleReply{err: err}, machine.DispositionContinue
+		return self.handleOut(0, err), machine.DispositionContinue
 	}
 }
 
-func (k *Kernel) doNetRead(self *proc, r netReadReq) (any, machine.Disposition) {
+func (k *Kernel) doNetRead(self *proc, r *netReadReq) (any, machine.Disposition) {
 	conn, ok := self.conns[r.conn]
 	if !ok {
-		return bytesReply{err: ErrBadFD}, machine.DispositionContinue
+		return self.bytesOut(nil, ErrBadFD), machine.DispositionContinue
 	}
 	data, err := k.cfg.Net.BoardRead(conn, r.max)
 	switch {
 	case err == nil:
-		return bytesReply{data: data}, machine.DispositionContinue
+		return self.bytesOut(data, nil), machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
 		self.phase = phaseNet
 		self.waitToken++
@@ -686,28 +705,28 @@ func (k *Kernel) doNetRead(self *proc, r netReadReq) (any, machine.Disposition) 
 			}
 			p.phase = phaseIdle
 			data, readErr := k.cfg.Net.BoardRead(conn, maxBytes)
-			k.mustReady(pid, bytesReply{data: data, err: readErr})
+			k.mustReady(pid, p.bytesOut(data, readErr))
 		})
 		return nil, machine.DispositionBlock
 	default:
-		return bytesReply{err: err}, machine.DispositionContinue
+		return self.bytesOut(nil, err), machine.DispositionContinue
 	}
 }
 
-func (k *Kernel) doNetWrite(self *proc, r netWriteReq) (any, machine.Disposition) {
+func (k *Kernel) doNetWrite(self *proc, r *netWriteReq) (any, machine.Disposition) {
 	conn, ok := self.conns[r.conn]
 	if !ok {
-		return errReply{err: ErrBadFD}, machine.DispositionContinue
+		return self.errOut(ErrBadFD), machine.DispositionContinue
 	}
-	return errReply{err: k.cfg.Net.BoardWrite(conn, r.data)}, machine.DispositionContinue
+	return self.errOut(k.cfg.Net.BoardWrite(conn, r.data)), machine.DispositionContinue
 }
 
-func (k *Kernel) doNetClose(self *proc, r netCloseReq) (any, machine.Disposition) {
+func (k *Kernel) doNetClose(self *proc, r *netCloseReq) (any, machine.Disposition) {
 	conn, ok := self.conns[r.conn]
 	if !ok {
-		return errReply{err: ErrBadFD}, machine.DispositionContinue
+		return self.errOut(ErrBadFD), machine.DispositionContinue
 	}
 	delete(self.conns, r.conn)
 	k.cfg.Net.BoardClose(conn)
-	return errReply{}, machine.DispositionContinue
+	return self.errOut(nil), machine.DispositionContinue
 }

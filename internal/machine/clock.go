@@ -34,6 +34,11 @@ type timer struct {
 	fn  func()
 	gen uint64
 
+	// tfn, when fn is nil, is a token callback: it fires with tok (see
+	// AfterToken).
+	tfn func(uint64)
+	tok uint64
+
 	canceled bool
 }
 
@@ -73,23 +78,58 @@ func (c *Clock) At(at Time, fn func()) TimerID {
 	if fn == nil {
 		panic("machine: Clock.At with nil callback")
 	}
-	var t *timer
-	if n := len(c.free); n > 0 {
-		t = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		t.at, t.seq, t.fn, t.canceled = at, c.seq, fn, false
-	} else {
-		t = &timer{at: at, seq: c.seq, fn: fn}
-	}
-	c.seq++
-	c.push(t)
+	t := c.schedule(at)
+	t.fn = fn
 	return TimerID{t: t, gen: t.gen}
 }
 
 // After schedules fn to run d after the current instant.
 func (c *Clock) After(d time.Duration, fn func()) TimerID {
 	return c.At(c.now.Add(d), fn)
+}
+
+// AfterToken schedules fn(token) to run d after the current instant. The
+// token travels with the timer rather than in a closure, so a kernel can
+// build one wake-up callback per process and re-arm it for every wait
+// without allocating: each firing carries the token of the wait that armed
+// it, and the callback ignores tokens that no longer match the process's
+// current wait.
+func (c *Clock) AfterToken(d time.Duration, fn func(token uint64), token uint64) TimerID {
+	if fn == nil {
+		panic("machine: Clock.AfterToken with nil callback")
+	}
+	t := c.schedule(c.now.Add(d))
+	t.tfn, t.tok = fn, token
+	return TimerID{t: t, gen: t.gen}
+}
+
+// schedule queues a callback-less timer for instant at, reusing a recycled
+// timer when one is free; the caller sets the callback.
+func (c *Clock) schedule(at Time) *timer {
+	var t *timer
+	if n := len(c.free); n > 0 {
+		t = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		t.at, t.seq, t.canceled = at, c.seq, false
+	} else {
+		t = &timer{at: at, seq: c.seq}
+	}
+	c.seq++
+	c.push(t)
+	return t
+}
+
+// fire runs a popped timer's callback after recycling the timer, so the
+// callback can re-arm without allocating.
+func (c *Clock) fire(t *timer) {
+	fn, tfn, tok := t.fn, t.tfn, t.tok
+	c.recycle(t)
+	if fn != nil {
+		fn()
+		return
+	}
+	tfn(tok)
 }
 
 // Cancel prevents a scheduled callback from firing. Canceling an already
@@ -142,8 +182,8 @@ func (c *Clock) hasDue() bool {
 }
 
 // popDue removes and returns the earliest live timer due at or before the
-// current instant, or nil if none are due. The caller runs t.fn and must
-// then return the timer with recycle.
+// current instant, or nil if none are due. The caller runs it with fire,
+// which returns the timer to the free list.
 func (c *Clock) popDue() *timer {
 	for len(c.timers) > 0 {
 		top := c.timers[0]
@@ -162,7 +202,7 @@ func (c *Clock) popDue() *timer {
 // recycle returns a popped timer to the free list for reuse by At. Bumping
 // the generation invalidates any TimerID still pointing at it.
 func (c *Clock) recycle(t *timer) {
-	t.fn = nil
+	t.fn, t.tfn = nil, nil
 	t.gen++
 	c.free = append(c.free, t)
 }

@@ -526,9 +526,7 @@ func (e *Engine) fireDueTimers() {
 		if t == nil {
 			return
 		}
-		fn := t.fn
-		e.clock.recycle(t)
-		fn()
+		e.clock.fire(t)
 	}
 }
 

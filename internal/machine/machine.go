@@ -138,7 +138,14 @@ func NewTrace(clock *Clock, capacity int) *Trace {
 // Logf appends a formatted line under tag. When the buffer is full the
 // oldest line is dropped.
 func (t *Trace) Logf(tag, format string, args ...any) {
-	line := TraceLine{At: t.clock.Now(), Tag: tag, Text: fmt.Sprintf(format, args...)}
+	t.Log(tag, fmt.Sprintf(format, args...))
+}
+
+// Log appends text verbatim under tag, with no formatting. Kernels use it
+// on repeated paths (denials, forwarded process traces) where the text is
+// already built, so a line costs no allocation beyond the ring's growth.
+func (t *Trace) Log(tag, text string) {
+	line := TraceLine{At: t.clock.Now(), Tag: tag, Text: text}
 	if len(t.lines) == t.cap {
 		t.lines[t.head] = line
 		t.head = (t.head + 1) % t.cap

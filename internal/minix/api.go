@@ -20,11 +20,13 @@ type API struct {
 	ctx  *machine.Context
 	self Endpoint
 
-	// Scratch requests for the hot syscalls. Boxing a pointer into the
-	// trap's any costs no heap allocation, and the kernel consumes each
-	// request synchronously inside HandleTrap, so one scratch value per
-	// request type is enough: by the time the trap returns (or blocks), the
-	// kernel no longer reads it.
+	// Scratch requests, one per trap. Boxing a pointer into the trap's any
+	// costs no heap allocation, and the kernel consumes each request
+	// synchronously inside HandleTrap, so one scratch value per request type
+	// is enough: by the time the trap returns (or blocks), the kernel no
+	// longer reads it. Every trap goes through its scratch value, the rarely
+	// used ones included, so an attacker looping on any of them allocates
+	// nothing per call.
 	sendScratch    sendReq
 	recvScratch    receiveReq
 	recvTOScratch  receiveTimeoutReq
@@ -34,6 +36,19 @@ type API struct {
 	sleepScratch   sleepReq
 	devRdScratch   devReadReq
 	devWrScratch   devWriteReq
+	lookupScratch  lookupReq
+	traceScratch   traceReq
+	exitScratch    exitReq
+	listenScratch  netListenReq
+	acceptScratch  netAcceptReq
+	netRdScratch   netReadReq
+	netWrScratch   netWriteReq
+	closeScratch   netCloseReq
+	grantScratch   grantCreateReq
+	revokeScratch  grantRevokeReq
+	copyScratch    safeCopyReq
+	kSpawnScratch  kSpawnReq
+	kKillScratch   kKillReq
 }
 
 // Self returns the calling process's endpoint.
@@ -111,49 +126,58 @@ func (a *API) DevWrite(dev machine.DeviceID, reg uint32, value uint32) error {
 // Lookup resolves a published process name to its current endpoint (the
 // kernel directory service; processes are auto-published at spawn).
 func (a *API) Lookup(name string) (Endpoint, error) {
-	reply := a.ctx.Trap(lookupReq{name: name}).(epReply)
+	a.lookupScratch = lookupReq{name: name}
+	reply := a.ctx.Trap(&a.lookupScratch).(*epReply)
 	return reply.ep, reply.err
 }
 
 // Trace writes a line to the board trace console.
 func (a *API) Trace(tag, text string) {
-	a.ctx.Trap(traceReq{tag: tag, text: text})
+	a.traceScratch = traceReq{tag: tag, text: text}
+	a.ctx.Trap(&a.traceScratch)
 }
 
 // Exit terminates the calling process voluntarily. It does not return.
 func (a *API) Exit() {
-	a.ctx.Trap(exitReq{})
+	a.ctx.Trap(&a.exitScratch)
 	panic("minix: Exit returned")
 }
 
 // NetListen binds a port (network privilege required) and returns a
 // listener handle.
 func (a *API) NetListen(port vnet.Port) (int32, error) {
-	reply := a.ctx.Trap(netListenReq{port: port}).(handleReply)
+	a.listenScratch = netListenReq{port: port}
+	reply := a.ctx.Trap(&a.listenScratch).(*handleReply)
 	return reply.handle, reply.err
 }
 
 // NetAccept blocks until a connection arrives and returns its handle.
 func (a *API) NetAccept(listener int32) (int32, error) {
-	reply := a.ctx.Trap(netAcceptReq{listener: listener}).(handleReply)
+	a.acceptScratch = netAcceptReq{listener: listener}
+	reply := a.ctx.Trap(&a.acceptScratch).(*handleReply)
 	return reply.handle, reply.err
 }
 
 // NetRead blocks until data (or EOF) is available and returns up to max
 // bytes; max <= 0 means "whatever is buffered".
 func (a *API) NetRead(conn int32, max int) ([]byte, error) {
-	reply := a.ctx.Trap(netReadReq{conn: conn, max: max}).(bytesReply)
+	a.netRdScratch = netReadReq{conn: conn, max: max}
+	reply := a.ctx.Trap(&a.netRdScratch).(*bytesReply)
 	return reply.data, reply.err
 }
 
 // NetWrite sends bytes on a connection.
 func (a *API) NetWrite(conn int32, data []byte) error {
-	return a.ctx.Trap(netWriteReq{conn: conn, data: data}).(errReply).err
+	a.netWrScratch = netWriteReq{conn: conn, data: data}
+	err := a.ctx.Trap(&a.netWrScratch).(*errReply).err
+	a.netWrScratch.data = nil
+	return err
 }
 
 // NetClose closes a connection handle.
 func (a *API) NetClose(conn int32) error {
-	return a.ctx.Trap(netCloseReq{conn: conn}).(errReply).err
+	a.closeScratch = netCloseReq{conn: conn}
+	return a.ctx.Trap(&a.closeScratch).(*errReply).err
 }
 
 // PM protocol message types (the POSIX-ish call surface the process manager

@@ -82,36 +82,42 @@ type grantReply struct {
 // reference to buf, so writes through the grant are visible to the grantor —
 // the shared-memory semantics of real grants.
 func (a *API) GrantCreate(buf []byte, access GrantAccess, grantee Endpoint) (GrantID, error) {
-	reply := a.ctx.Trap(grantCreateReq{buf: buf, access: access, grantee: grantee}).(grantReply)
+	a.grantScratch = grantCreateReq{buf: buf, access: access, grantee: grantee}
+	reply := a.ctx.Trap(&a.grantScratch).(*grantReply)
+	a.grantScratch.buf = nil
 	return reply.id, reply.err
 }
 
 // GrantRevoke invalidates a grant immediately.
 func (a *API) GrantRevoke(id GrantID) error {
-	return a.ctx.Trap(grantRevokeReq{id: id}).(errReply).err
+	a.revokeScratch = grantRevokeReq{id: id}
+	return a.ctx.Trap(&a.revokeScratch).(*errReply).err
 }
 
 // SafeCopyFrom copies length bytes from the granted region at offset into a
 // new slice. The caller must be the grantee and the grant must permit reads.
 func (a *API) SafeCopyFrom(granter Endpoint, id GrantID, offset, length int) ([]byte, error) {
-	reply := a.ctx.Trap(safeCopyReq{granter: granter, id: id, offset: offset, length: length}).(bytesReply)
+	a.copyScratch = safeCopyReq{granter: granter, id: id, offset: offset, length: length}
+	reply := a.ctx.Trap(&a.copyScratch).(*bytesReply)
 	return reply.data, reply.err
 }
 
 // SafeCopyTo copies src into the granted region at offset. The caller must
 // be the grantee and the grant must permit writes.
 func (a *API) SafeCopyTo(granter Endpoint, id GrantID, offset int, src []byte) error {
-	reply := a.ctx.Trap(safeCopyReq{granter: granter, id: id, offset: offset, length: len(src), src: src}).(bytesReply)
-	return reply.err
+	a.copyScratch = safeCopyReq{granter: granter, id: id, offset: offset, length: len(src), src: src}
+	err := a.ctx.Trap(&a.copyScratch).(*bytesReply).err
+	a.copyScratch.src = nil
+	return err
 }
 
 // doGrantCreate handles grant creation.
-func (k *Kernel) doGrantCreate(self *procEntry, r grantCreateReq) (any, machine.Disposition) {
+func (k *Kernel) doGrantCreate(self *procEntry, r *grantCreateReq) (any, machine.Disposition) {
 	if len(self.grants) >= maxGrantsPerProc {
-		return grantReply{err: ErrGrantExceeded}, machine.DispositionContinue
+		return self.grantOut(0, ErrGrantExceeded), machine.DispositionContinue
 	}
 	if r.buf == nil || r.access == 0 {
-		return grantReply{err: fmt.Errorf("%w: empty buffer or no access bits", ErrBadGrant)}, machine.DispositionContinue
+		return self.grantOut(0, fmt.Errorf("%w: empty buffer or no access bits", ErrBadGrant)), machine.DispositionContinue
 	}
 	self.nextGrant++
 	g := &grant{id: self.nextGrant, buf: r.buf, access: r.access, grantee: r.grantee}
@@ -119,47 +125,47 @@ func (k *Kernel) doGrantCreate(self *procEntry, r grantCreateReq) (any, machine.
 		self.grants = make(map[GrantID]*grant)
 	}
 	self.grants[g.id] = g
-	return grantReply{id: g.id}, machine.DispositionContinue
+	return self.grantOut(g.id, nil), machine.DispositionContinue
 }
 
 // doGrantRevoke handles revocation.
-func (k *Kernel) doGrantRevoke(self *procEntry, r grantRevokeReq) (any, machine.Disposition) {
+func (k *Kernel) doGrantRevoke(self *procEntry, r *grantRevokeReq) (any, machine.Disposition) {
 	g, ok := self.grants[r.id]
 	if !ok || g.revoked {
-		return errReply{err: fmt.Errorf("%w: id %d", ErrBadGrant, r.id)}, machine.DispositionContinue
+		return self.errOut(fmt.Errorf("%w: id %d", ErrBadGrant, r.id)), machine.DispositionContinue
 	}
 	g.revoked = true
 	delete(self.grants, r.id)
-	return errReply{}, machine.DispositionContinue
+	return self.errOut(nil), machine.DispositionContinue
 }
 
 // doSafeCopy handles both copy directions with full checking.
-func (k *Kernel) doSafeCopy(self *procEntry, r safeCopyReq) (any, machine.Disposition) {
+func (k *Kernel) doSafeCopy(self *procEntry, r *safeCopyReq) (any, machine.Disposition) {
 	granter := k.resolve(r.granter)
 	if granter == nil {
-		return bytesReply{err: fmt.Errorf("%w: %v", ErrDeadSrcDst, r.granter)}, machine.DispositionContinue
+		return self.bytesOut(nil, fmt.Errorf("%w: %v", ErrDeadSrcDst, r.granter)), machine.DispositionContinue
 	}
 	g, ok := granter.grants[r.id]
 	if !ok || g.revoked {
-		return bytesReply{err: fmt.Errorf("%w: id %d", ErrBadGrant, r.id)}, machine.DispositionContinue
+		return self.bytesOut(nil, fmt.Errorf("%w: id %d", ErrBadGrant, r.id)), machine.DispositionContinue
 	}
 	if g.grantee != self.ep {
-		return bytesReply{err: fmt.Errorf("%w: grant %d belongs to %v", ErrNotGrantee, r.id, g.grantee)}, machine.DispositionContinue
+		return self.bytesOut(nil, fmt.Errorf("%w: grant %d belongs to %v", ErrNotGrantee, r.id, g.grantee)), machine.DispositionContinue
 	}
 	if r.offset < 0 || r.length < 0 || r.offset+r.length > len(g.buf) {
-		return bytesReply{err: fmt.Errorf("%w: [%d,%d) of %d", ErrGrantBounds, r.offset, r.offset+r.length, len(g.buf))}, machine.DispositionContinue
+		return self.bytesOut(nil, fmt.Errorf("%w: [%d,%d) of %d", ErrGrantBounds, r.offset, r.offset+r.length, len(g.buf))), machine.DispositionContinue
 	}
 	if r.src == nil {
 		if g.access&GrantRead == 0 {
-			return bytesReply{err: fmt.Errorf("%w: read", ErrGrantAccess)}, machine.DispositionContinue
+			return self.bytesOut(nil, fmt.Errorf("%w: read", ErrGrantAccess)), machine.DispositionContinue
 		}
 		out := make([]byte, r.length)
 		copy(out, g.buf[r.offset:])
-		return bytesReply{data: out}, machine.DispositionContinue
+		return self.bytesOut(out, nil), machine.DispositionContinue
 	}
 	if g.access&GrantWrite == 0 {
-		return bytesReply{err: fmt.Errorf("%w: write", ErrGrantAccess)}, machine.DispositionContinue
+		return self.bytesOut(nil, fmt.Errorf("%w: write", ErrGrantAccess)), machine.DispositionContinue
 	}
 	copy(g.buf[r.offset:r.offset+r.length], r.src)
-	return bytesReply{}, machine.DispositionContinue
+	return self.bytesOut(nil, nil), machine.DispositionContinue
 }

@@ -131,14 +131,26 @@ type procEntry struct {
 	grants    map[GrantID]*grant
 	nextGrant GrantID
 
-	// Reply scratch for the hot trap paths. The engine serialises all
-	// kernel work, a blocked process receives at most one wake-up value,
-	// and the API wrappers copy the fields out before the next trap, so
-	// returning &e.ipcR / &e.errR / &e.u32R boxes a pointer (no per-call
-	// heap allocation) without aliasing hazards.
-	ipcR ipcReply
-	errR errReply
-	u32R u32Reply
+	// Reply scratch, one per reply type. The engine serialises all kernel
+	// work, a blocked process receives at most one wake-up value, and the
+	// API wrappers copy the fields out before the next trap, so returning
+	// &e.ipcR (and the rest) boxes a pointer (no per-call heap allocation)
+	// without aliasing hazards.
+	ipcR    ipcReply
+	errR    errReply
+	u32R    u32Reply
+	epR     epReply
+	handleR handleReply
+	bytesR  bytesReply
+	grantR  grantReply
+
+	// onSleep and onRecvTimeout are the process's timer callbacks, built
+	// once at spawn and re-armed for every Sleep and ReceiveTimeout with the
+	// wait's token (machine.Clock.AfterToken). A firing whose token is no
+	// longer the process's waitToken belongs to a finished wait, or to a
+	// dead process, and does nothing.
+	onSleep       func(token uint64)
+	onRecvTimeout func(token uint64)
 }
 
 // ipcOut fills the entry's IPC reply scratch and returns it boxed. A nil err
@@ -160,6 +172,31 @@ func (e *procEntry) u32Out(v uint32, err error) any {
 	return &e.u32R
 }
 
+// epOut fills the entry's endpoint reply scratch and returns it boxed.
+func (e *procEntry) epOut(ep Endpoint, err error) any {
+	e.epR = epReply{ep: ep, err: err}
+	return &e.epR
+}
+
+// handleOut fills the entry's network-handle reply scratch and returns it
+// boxed.
+func (e *procEntry) handleOut(h int32, err error) any {
+	e.handleR = handleReply{handle: h, err: err}
+	return &e.handleR
+}
+
+// bytesOut fills the entry's byte-slice reply scratch and returns it boxed.
+func (e *procEntry) bytesOut(data []byte, err error) any {
+	e.bytesR = bytesReply{data: data, err: err}
+	return &e.bytesR
+}
+
+// grantOut fills the entry's grant reply scratch and returns it boxed.
+func (e *procEntry) grantOut(id GrantID, err error) any {
+	e.grantR = grantReply{id: id, err: err}
+	return &e.grantR
+}
+
 // Kernel is the simulated security-enhanced MINIX 3 kernel: the board's
 // machine.TrapHandler plus the process table, directory service, ACM
 // enforcement, and device/network mediation.
@@ -173,6 +210,13 @@ type Kernel struct {
 	gens   []int
 	byPID  map[machine.PID]*procEntry
 	names  map[string]Endpoint
+
+	// used counts occupied slots and freeLow is a lower bound on the lowest
+	// free one: every slot below it is occupied. A full table is then
+	// refused in O(1), and a spawn still takes the lowest free slot, the one
+	// a scan from slot 0 would find.
+	used    int
+	freeLow int
 
 	pm *pmServer
 	rs *rsServer
@@ -201,6 +245,26 @@ type Kernel struct {
 	// ipcFault is the fault-injection filter, consulted after ACM checks on
 	// every send path. nil when no campaign is armed (the common case).
 	ipcFault func(src, dst string) (drop bool, delay time.Duration)
+
+	// denials memoises each distinct ACM denial's error, event detail and
+	// trace line, so an attacker repeating a denied send costs no
+	// formatting: the text depends only on the key.
+	denials map[denialKey]*denial
+}
+
+// denialKey identifies one distinct ACM denial.
+type denialKey struct {
+	src, dst string
+	srcACID  core.ACID
+	dstACID  core.ACID
+	msgType  int32
+}
+
+// denial is the memoised output of one distinct ACM denial.
+type denial struct {
+	err    error
+	detail string
+	trace  string
 }
 
 var _ machine.TrapHandler = (*Kernel)(nil)
@@ -350,6 +414,16 @@ func (k *Kernel) LiveProcs() []string {
 	return out
 }
 
+// imageName reads the image name stored in msg at offset off. A registered
+// name comes back as the registry's own string, so the lookup copies
+// nothing; an unknown name is copied out of the payload.
+func (k *Kernel) imageName(msg *Message, off int) string {
+	if img, ok := k.images[string(msg.stringBytes(off))]; ok {
+		return img.Name
+	}
+	return msg.GetString(off)
+}
+
 // SpawnImage instantiates a registered image with the given access-control
 // identity (NoACID spawns an identity-less process). It is the host/boot
 // path; running processes go through PM's fork2 instead.
@@ -363,15 +437,12 @@ func (k *Kernel) SpawnImage(image string, acid core.ACID) (Endpoint, error) {
 
 // spawn allocates a slot and starts the image body.
 func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
-	slot := -1
-	for i, e := range k.slots {
-		if e == nil {
-			slot = i
-			break
-		}
-	}
-	if slot < 0 {
+	if k.used == maxSlots {
 		return EndpointNone, ErrTableFull
+	}
+	slot := k.freeLow
+	for k.slots[slot] != nil {
+		slot++
 	}
 	ep := makeEndpoint(slot, k.gens[slot])
 	entry := &procEntry{
@@ -391,6 +462,7 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 	for _, d := range img.Devices {
 		entry.devs[d] = true
 	}
+	k.buildWakers(entry)
 	body := img.Body
 	proc, err := k.m.Engine().Spawn(img.Name, img.Priority, func(ctx *machine.Context) {
 		body(&API{ctx: ctx, self: ep})
@@ -400,6 +472,8 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 	}
 	entry.pid = proc.PID()
 	k.slots[slot] = entry
+	k.used++
+	k.freeLow = slot + 1
 	k.byPID[proc.PID()] = entry
 	k.names[img.Name] = ep
 	k.stats.Spawns++
@@ -444,13 +518,9 @@ func (k *Kernel) checkIPC(src, dst *procEntry, msgType int32) error {
 		return nil
 	}
 	if !k.cfg.DisableACM {
-		if msgType < 0 || int64(msgType) > int64(core.MaxMsgType) {
-			k.auditDeny(src, dst, msgType)
-			return &core.DeniedError{Src: src.acID, Dst: dst.acID, Type: core.MaxMsgType}
-		}
-		if err := k.policy.IPC.Check(src.acID, dst.acID, core.MsgType(msgType)); err != nil {
-			k.auditDeny(src, dst, msgType)
-			return err
+		inRange := msgType >= 0 && int64(msgType) <= int64(core.MaxMsgType)
+		if !inRange || !k.policy.IPC.Allows(src.acID, dst.acID, core.MsgType(msgType)) {
+			return k.auditDeny(src, dst, msgType)
 		}
 	}
 	// Record the exercised grant for the least-privilege audit
@@ -461,8 +531,9 @@ func (k *Kernel) checkIPC(src, dst *procEntry, msgType int32) error {
 }
 
 // auditDeny records one ACM denial in the board trace, counters, and the
-// unified security-event stream.
-func (k *Kernel) auditDeny(src, dst *procEntry, msgType int32) {
+// unified security-event stream, and returns the denial error.
+func (k *Kernel) auditDeny(src, dst *procEntry, msgType int32) error {
+	d := k.denialFor(src, dst, msgType)
 	k.stats.IPCDenied++
 	k.mDenied.Inc()
 	k.events.Emit(obs.SecurityEvent{
@@ -471,10 +542,35 @@ func (k *Kernel) auditDeny(src, dst *procEntry, msgType int32) {
 		Denied:    true,
 		Src:       src.name,
 		Dst:       dst.name,
-		Detail:    fmt.Sprintf("m_type=%d acid=%d->%d", msgType, src.acID, dst.acID),
+		Detail:    d.detail,
 	})
-	k.m.Trace().Logf("minix-acm", "DENY %s(acid=%d) -> %s(acid=%d) m_type=%d",
-		src.name, src.acID, dst.name, dst.acID, msgType)
+	k.m.Trace().Log("minix-acm", d.trace)
+	return d.err
+}
+
+// denialFor returns the memoised error and text of one ACM denial, building
+// them on the first occurrence. An out-of-range type is reported as
+// MaxMsgType, the largest type the matrix can express.
+func (k *Kernel) denialFor(src, dst *procEntry, msgType int32) *denial {
+	key := denialKey{src: src.name, dst: dst.name, srcACID: src.acID, dstACID: dst.acID, msgType: msgType}
+	if d, ok := k.denials[key]; ok {
+		return d
+	}
+	t := core.MaxMsgType
+	if msgType >= 0 && int64(msgType) <= int64(core.MaxMsgType) {
+		t = core.MsgType(msgType)
+	}
+	d := &denial{
+		err:    &core.DeniedError{Src: src.acID, Dst: dst.acID, Type: t},
+		detail: fmt.Sprintf("m_type=%d acid=%d->%d", msgType, src.acID, dst.acID),
+		trace: fmt.Sprintf("DENY %s(acid=%d) -> %s(acid=%d) m_type=%d",
+			src.name, src.acID, dst.name, dst.acID, msgType),
+	}
+	if k.denials == nil {
+		k.denials = make(map[denialKey]*denial)
+	}
+	k.denials[key] = d
+	return d
 }
 
 // mtLabel returns the cached IPC-usage label for one message type,
@@ -538,16 +634,7 @@ func (k *Kernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition)
 		// Blocked: arm the timeout. Delivery bumps waitToken, so a reply
 		// racing the timer wins and the timer callback becomes a no-op.
 		self.waitToken++
-		token := self.waitToken
-		k.m.Clock().After(r.d, func() {
-			e := k.byPID[pid]
-			if e != self || e.waitToken != token || e.phase != phaseRecvBlocked {
-				return
-			}
-			e.phase = phaseIdle
-			e.waitToken++
-			k.mustReady(pid, e.ipcOut(Message{}, ErrTimeout))
-		})
+		k.m.Clock().AfterToken(r.d, self.onRecvTimeout, self.waitToken)
 		return nil, machine.DispositionBlock
 	case *notifyReq:
 		return k.doNotify(self, r.dst)
@@ -568,42 +655,42 @@ func (k *Kernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition)
 		}
 		k.stats.DevWrites++
 		return self.errOut(k.m.Bus().Write(r.dev, r.reg, r.value)), machine.DispositionContinue
-	case lookupReq:
+	case *lookupReq:
 		ep, err := k.EndpointOf(r.name)
-		return epReply{ep: ep, err: err}, machine.DispositionContinue
-	case traceReq:
-		k.m.Trace().Logf(r.tag, "%s", r.text)
-		return errReply{}, machine.DispositionContinue
-	case netListenReq:
+		return self.epOut(ep, err), machine.DispositionContinue
+	case *traceReq:
+		k.m.Trace().Log(r.tag, r.text)
+		return self.errOut(nil), machine.DispositionContinue
+	case *netListenReq:
 		return k.doNetListen(self, r)
-	case netAcceptReq:
+	case *netAcceptReq:
 		return k.doNetAccept(self, r)
-	case netReadReq:
+	case *netReadReq:
 		return k.doNetRead(self, r)
-	case netWriteReq:
+	case *netWriteReq:
 		return k.doNetWrite(self, r)
-	case netCloseReq:
+	case *netCloseReq:
 		return k.doNetClose(self, r)
-	case grantCreateReq:
+	case *grantCreateReq:
 		return k.doGrantCreate(self, r)
-	case grantRevokeReq:
+	case *grantRevokeReq:
 		return k.doGrantRevoke(self, r)
-	case safeCopyReq:
+	case *safeCopyReq:
 		return k.doSafeCopy(self, r)
-	case exitReq:
+	case *exitReq:
 		self.exiting = true
 		if err := k.m.Engine().Kill(pid); err != nil {
-			return errReply{err: err}, machine.DispositionContinue
+			return self.errOut(err), machine.DispositionContinue
 		}
 		// Unreachable: Kill unwound the goroutine.
-		return errReply{}, machine.DispositionContinue
-	case kSpawnReq:
+		return self.errOut(nil), machine.DispositionContinue
+	case *kSpawnReq:
 		if !self.isServer {
-			return epReply{err: ErrNoPrivilege}, machine.DispositionContinue
+			return self.epOut(EndpointNone, ErrNoPrivilege), machine.DispositionContinue
 		}
 		ep, err := k.SpawnImage(r.image, core.ACID(r.acid))
-		return epReply{ep: ep, err: err}, machine.DispositionContinue
-	case kKillReq:
+		return self.epOut(ep, err), machine.DispositionContinue
+	case *kKillReq:
 		if !self.isServer {
 			k.events.Emit(obs.SecurityEvent{
 				Kind:      obs.EventKillDenied,
@@ -612,11 +699,11 @@ func (k *Kernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition)
 				Src:       self.name,
 				Detail:    "kernel kill requires server privilege",
 			})
-			return errReply{err: ErrNoPrivilege}, machine.DispositionContinue
+			return self.errOut(ErrNoPrivilege), machine.DispositionContinue
 		}
 		victim := k.resolve(r.target)
 		if victim == nil {
-			return errReply{err: fmt.Errorf("%w: %v", ErrDeadSrcDst, r.target)}, machine.DispositionContinue
+			return self.errOut(fmt.Errorf("%w: %v", ErrDeadSrcDst, r.target)), machine.DispositionContinue
 		}
 		k.stats.Kills++
 		k.mKills.Inc()
@@ -629,11 +716,11 @@ func (k *Kernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition)
 		})
 		victim.exiting = true // killed by policy decision, not a fault
 		if err := k.m.Engine().Kill(victim.pid); err != nil {
-			return errReply{err: err}, machine.DispositionContinue
+			return self.errOut(err), machine.DispositionContinue
 		}
-		return errReply{}, machine.DispositionContinue
+		return self.errOut(nil), machine.DispositionContinue
 	default:
-		return errReply{err: fmt.Errorf("minix: unknown trap %T", req)}, machine.DispositionContinue
+		return self.errOut(fmt.Errorf("minix: unknown trap %T", req)), machine.DispositionContinue
 	}
 }
 
@@ -911,19 +998,33 @@ func (k *Kernel) deliverSystem(target *procEntry, msg Message) {
 func (k *Kernel) doSleep(self *procEntry, r *sleepReq) (any, machine.Disposition) {
 	self.phase = phaseSleeping
 	self.waitToken++
-	token := self.waitToken
-	pid := self.pid
-	k.m.Clock().After(r.d, func() {
-		e := k.byPID[pid]
-		if e != self || e.waitToken != token || e.phase != phaseSleeping {
+	k.m.Clock().AfterToken(r.d, self.onSleep, self.waitToken)
+	return nil, machine.DispositionBlock
+}
+
+// buildWakers builds e's reusable Sleep and ReceiveTimeout timer callbacks.
+// Each firing carries the token of the wait that armed it; a token that is
+// no longer e's waitToken, or an e no longer in the process table (it died,
+// and OnProcExit bumped the token too), makes the firing a no-op, so a
+// pending timer of a dead process never wakes whatever reuses its slot.
+func (k *Kernel) buildWakers(e *procEntry) {
+	e.onSleep = func(token uint64) {
+		if k.byPID[e.pid] != e || e.waitToken != token || e.phase != phaseSleeping {
 			return
 		}
 		e.phase = phaseIdle
-		if err := k.m.Engine().Ready(pid, e.errOut(nil)); err != nil {
+		if err := k.m.Engine().Ready(e.pid, e.errOut(nil)); err != nil {
 			panic(fmt.Sprintf("minix: waking sleeper %s: %v", e.name, err))
 		}
-	})
-	return nil, machine.DispositionBlock
+	}
+	e.onRecvTimeout = func(token uint64) {
+		if k.byPID[e.pid] != e || e.waitToken != token || e.phase != phaseRecvBlocked {
+			return
+		}
+		e.phase = phaseIdle
+		e.waitToken++
+		k.mustReady(e.pid, e.ipcOut(Message{}, ErrTimeout))
+	}
 }
 
 // matches implements the Receive source filter.
@@ -951,6 +1052,10 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 	slot := e.ep.Slot()
 	k.slots[slot] = nil
 	k.gens[slot]++
+	k.used--
+	if slot < k.freeLow {
+		k.freeLow = slot
+	}
 	delete(k.byPID, pid)
 	if k.names[e.name] == e.ep {
 		delete(k.names, e.name)

@@ -244,3 +244,111 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 }
+
+// TestProcessTableReusesLowestFreeSlot pins the slot allocator: with the
+// table full, freeing slots out of order must hand them back lowest first,
+// each under a bumped generation, exactly as a scan from slot 0 would, and
+// a full table must still refuse with ErrTableFull.
+func TestProcessTableReusesLowestFreeSlot(t *testing.T) {
+	m, k := testBoard(t, testPolicy(), Config{})
+	k.RegisterImage(Image{Name: "drone", Priority: 9, Body: func(api *API) {
+		api.Sleep(time.Hour)
+	}})
+	for {
+		if _, err := k.SpawnImage("drone", acidA); err != nil {
+			if !errors.Is(err, ErrTableFull) {
+				t.Fatalf("filling the table: %v", err)
+			}
+			break
+		}
+	}
+	if _, err := k.SpawnImage("drone", acidA); !errors.Is(err, ErrTableFull) {
+		t.Fatalf("spawn into a full table = %v, want ErrTableFull", err)
+	}
+	m.Run(time.Second)
+
+	free := func(slot int) {
+		t.Helper()
+		if err := m.Engine().Kill(k.slots[slot].pid); err != nil {
+			t.Fatalf("freeing slot %d: %v", slot, err)
+		}
+	}
+	want := func(slot, gen int) {
+		t.Helper()
+		ep, err := k.SpawnImage("drone", acidA)
+		if err != nil {
+			t.Fatalf("spawn: %v, want slot %d", err, slot)
+		}
+		if ep != EndpointAt(slot, gen) {
+			t.Fatalf("spawn took %v, want %v", ep, EndpointAt(slot, gen))
+		}
+	}
+	free(100)
+	free(50)
+	want(50, 2)
+	free(10)
+	want(10, 2)
+	want(100, 2)
+	if _, err := k.SpawnImage("drone", acidA); !errors.Is(err, ErrTableFull) {
+		t.Fatalf("spawn into a refilled table = %v, want ErrTableFull", err)
+	}
+	free(100)
+	want(100, 3)
+}
+
+// TestStaleTimersNeverWake pins the token check behind the reused Sleep and
+// ReceiveTimeout callbacks. A killed sleeper's pending timer must not wake
+// the process that reuses its slot, and a ReceiveTimeout answered early must
+// not time out the next ReceiveTimeout when its old deadline passes.
+func TestStaleTimersNeverWake(t *testing.T) {
+	m, k := testBoard(t, testPolicy(), Config{})
+	k.RegisterImage(Image{Name: "victim", Priority: 8, Body: func(api *API) {
+		api.Sleep(time.Second)
+		t.Error("killed sleeper woke")
+	}})
+	var heirEP Endpoint
+	var heirWoke machine.Time
+	k.RegisterImage(Image{Name: "heir", Priority: 8, Body: func(api *API) {
+		heirEP = api.Self()
+		api.Sleep(10 * time.Second)
+		heirWoke = api.Now()
+	}})
+	var firstErr, secondErr error
+	var secondAt machine.Time
+	k.RegisterImage(Image{Name: "waiter", Priority: 8, Body: func(api *API) {
+		_, firstErr = api.ReceiveTimeout(EndpointAny, time.Second)
+		_, secondErr = api.ReceiveTimeout(EndpointAny, 5*time.Second)
+		secondAt = api.Now()
+	}})
+	k.RegisterImage(Image{Name: "poker", Priority: 8, Body: func(api *API) {
+		api.Sleep(100 * time.Millisecond)
+		waiter, _ := api.Lookup("waiter")
+		_ = api.SendNB(waiter, NewMessage(1))
+	}})
+	victimEP := spawnOrFatal(t, k, "victim", acidA)
+	spawnOrFatal(t, k, "waiter", acidB)
+	spawnOrFatal(t, k, "poker", acidA)
+	m.Run(500 * time.Millisecond)
+	if err := k.CrashProcess("victim"); err != nil {
+		t.Fatal(err)
+	}
+	start := m.Clock().Now()
+	spawnOrFatal(t, k, "heir", acidA)
+	m.Run(20 * time.Second)
+
+	if heirEP.Slot() != victimEP.Slot() {
+		t.Fatalf("heir took slot %d, want the victim's slot %d", heirEP.Slot(), victimEP.Slot())
+	}
+	if woke := heirWoke.Sub(start); woke < 10*time.Second || woke > 10*time.Second+time.Millisecond {
+		t.Fatalf("heir woke %v after spawn, want its own 10s deadline", woke)
+	}
+	if firstErr != nil {
+		t.Fatalf("first ReceiveTimeout = %v, want the poke", firstErr)
+	}
+	if !errors.Is(secondErr, ErrTimeout) {
+		t.Fatalf("second ReceiveTimeout = %v, want ErrTimeout", secondErr)
+	}
+	if secondAt < machine.Time(5*time.Second) {
+		t.Fatalf("second ReceiveTimeout returned at %v, before its own 5s deadline", secondAt)
+	}
+}

@@ -25,29 +25,29 @@ func (k *Kernel) netStack(self *procEntry) (*vnet.Stack, error) {
 	return k.cfg.Net, nil
 }
 
-func (k *Kernel) doNetListen(self *procEntry, r netListenReq) (any, machine.Disposition) {
+func (k *Kernel) doNetListen(self *procEntry, r *netListenReq) (any, machine.Disposition) {
 	stack, err := k.netStack(self)
 	if err != nil {
-		return handleReply{err: err}, machine.DispositionContinue
+		return self.handleOut(0, err), machine.DispositionContinue
 	}
 	l, err := stack.Listen(r.port)
 	if err != nil {
-		return handleReply{err: err}, machine.DispositionContinue
+		return self.handleOut(0, err), machine.DispositionContinue
 	}
 	self.nextHandle++
 	h := self.nextHandle
 	self.listeners[h] = l
-	return handleReply{handle: h}, machine.DispositionContinue
+	return self.handleOut(h, nil), machine.DispositionContinue
 }
 
-func (k *Kernel) doNetAccept(self *procEntry, r netAcceptReq) (any, machine.Disposition) {
+func (k *Kernel) doNetAccept(self *procEntry, r *netAcceptReq) (any, machine.Disposition) {
 	stack, err := k.netStack(self)
 	if err != nil {
-		return handleReply{err: err}, machine.DispositionContinue
+		return self.handleOut(0, err), machine.DispositionContinue
 	}
 	l, ok := self.listeners[r.listener]
 	if !ok {
-		return handleReply{err: ErrBadHandle}, machine.DispositionContinue
+		return self.handleOut(0, ErrBadHandle), machine.DispositionContinue
 	}
 	conn, err := stack.Accept(l)
 	switch {
@@ -55,7 +55,7 @@ func (k *Kernel) doNetAccept(self *procEntry, r netAcceptReq) (any, machine.Disp
 		self.nextHandle++
 		h := self.nextHandle
 		self.conns[h] = conn
-		return handleReply{handle: h}, machine.DispositionContinue
+		return self.handleOut(h, nil), machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
 		self.phase = phaseNetBlocked
 		self.waitToken++
@@ -69,33 +69,33 @@ func (k *Kernel) doNetAccept(self *procEntry, r netAcceptReq) (any, machine.Disp
 			conn, acceptErr := stack.Accept(l)
 			e.phase = phaseIdle
 			if acceptErr != nil {
-				k.mustReady(pid, handleReply{err: acceptErr})
+				k.mustReady(pid, e.handleOut(0, acceptErr))
 				return
 			}
 			e.nextHandle++
 			h := e.nextHandle
 			e.conns[h] = conn
-			k.mustReady(pid, handleReply{handle: h})
+			k.mustReady(pid, e.handleOut(h, nil))
 		})
 		return nil, machine.DispositionBlock
 	default:
-		return handleReply{err: err}, machine.DispositionContinue
+		return self.handleOut(0, err), machine.DispositionContinue
 	}
 }
 
-func (k *Kernel) doNetRead(self *procEntry, r netReadReq) (any, machine.Disposition) {
+func (k *Kernel) doNetRead(self *procEntry, r *netReadReq) (any, machine.Disposition) {
 	stack, err := k.netStack(self)
 	if err != nil {
-		return bytesReply{err: err}, machine.DispositionContinue
+		return self.bytesOut(nil, err), machine.DispositionContinue
 	}
 	conn, ok := self.conns[r.conn]
 	if !ok {
-		return bytesReply{err: ErrBadHandle}, machine.DispositionContinue
+		return self.bytesOut(nil, ErrBadHandle), machine.DispositionContinue
 	}
 	data, err := stack.BoardRead(conn, r.max)
 	switch {
 	case err == nil:
-		return bytesReply{data: data}, machine.DispositionContinue
+		return self.bytesOut(data, nil), machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
 		self.phase = phaseNetBlocked
 		self.waitToken++
@@ -109,38 +109,38 @@ func (k *Kernel) doNetRead(self *procEntry, r netReadReq) (any, machine.Disposit
 			}
 			e.phase = phaseIdle
 			data, readErr := stack.BoardRead(conn, maxBytes)
-			k.mustReady(pid, bytesReply{data: data, err: readErr})
+			k.mustReady(pid, e.bytesOut(data, readErr))
 		})
 		return nil, machine.DispositionBlock
 	default:
-		return bytesReply{err: err}, machine.DispositionContinue
+		return self.bytesOut(nil, err), machine.DispositionContinue
 	}
 }
 
-func (k *Kernel) doNetWrite(self *procEntry, r netWriteReq) (any, machine.Disposition) {
+func (k *Kernel) doNetWrite(self *procEntry, r *netWriteReq) (any, machine.Disposition) {
 	stack, err := k.netStack(self)
 	if err != nil {
-		return errReply{err: err}, machine.DispositionContinue
+		return self.errOut(err), machine.DispositionContinue
 	}
 	conn, ok := self.conns[r.conn]
 	if !ok {
-		return errReply{err: ErrBadHandle}, machine.DispositionContinue
+		return self.errOut(ErrBadHandle), machine.DispositionContinue
 	}
-	return errReply{err: stack.BoardWrite(conn, r.data)}, machine.DispositionContinue
+	return self.errOut(stack.BoardWrite(conn, r.data)), machine.DispositionContinue
 }
 
-func (k *Kernel) doNetClose(self *procEntry, r netCloseReq) (any, machine.Disposition) {
+func (k *Kernel) doNetClose(self *procEntry, r *netCloseReq) (any, machine.Disposition) {
 	stack, err := k.netStack(self)
 	if err != nil {
-		return errReply{err: err}, machine.DispositionContinue
+		return self.errOut(err), machine.DispositionContinue
 	}
 	conn, ok := self.conns[r.conn]
 	if !ok {
-		return errReply{err: ErrBadHandle}, machine.DispositionContinue
+		return self.errOut(ErrBadHandle), machine.DispositionContinue
 	}
 	delete(self.conns, r.conn)
 	stack.BoardClose(conn)
-	return errReply{}, machine.DispositionContinue
+	return self.errOut(nil), machine.DispositionContinue
 }
 
 // mustReady wakes a process the kernel knows is blocked; failure is a kernel

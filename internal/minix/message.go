@@ -77,11 +77,17 @@ func (m *Message) PutString(off int, s string) {
 
 // GetString loads a length-prefixed string from byte offset off.
 func (m *Message) GetString(off int) string {
+	return string(m.stringBytes(off))
+}
+
+// stringBytes returns the bytes of the length-prefixed string at offset off
+// without copying them out of the payload.
+func (m *Message) stringBytes(off int) []byte {
 	n := int(m.Payload[off])
 	if off+1+n > PayloadSize {
 		n = PayloadSize - off - 1
 	}
-	return string(m.Payload[off+1 : off+1+n])
+	return m.Payload[off+1 : off+1+n]
 }
 
 // NewMessage builds a message with the given type; Source is left for the

@@ -19,6 +19,10 @@ type pmServer struct {
 	k      *Kernel
 	ledger *core.QuotaLedger
 
+	// audits memoises the event detail and trace line of each distinct
+	// denial, so a caller retrying a denied call costs no formatting.
+	audits map[pmAuditKey]pmAudit
+
 	// Audit counters for the experiments.
 	forksGranted int64
 	forksDenied  int64
@@ -70,7 +74,7 @@ func (pm *pmServer) run(api *API) {
 // handleFork2 audits and executes a fork2 request.
 func (pm *pmServer) handleFork2(api *API, msg Message) Message {
 	caller := pm.callerACID(msg.Source)
-	image := msg.GetString(0)
+	image := pm.k.imageName(&msg, 0)
 	requested := core.ACID(msg.U32(40))
 
 	if err := pm.ledger.Charge(caller, core.SysFork); err != nil {
@@ -125,24 +129,53 @@ func (pm *pmServer) callerACID(src Endpoint) core.ACID {
 	return core.NoACID
 }
 
+// pmAuditKey identifies one distinct PM denial. The ledger hands out one
+// error value per (subject, call, exhausted), so err compares by identity.
+type pmAuditKey struct {
+	op     string
+	src    string // the caller's name, empty when it is no longer live
+	caller core.ACID
+	err    error
+}
+
+// pmAudit is the memoised text of one distinct PM denial.
+type pmAudit struct {
+	name, detail, trace string
+}
+
 // audit logs one PM denial on the board trace and the security-event
 // stream. PM runs as a simulated process, so the engine is parked while
 // this executes — touching the event log here is race-free by the same
 // argument that lets PM read kernel tables.
 func (pm *pmServer) audit(api *API, op string, src Endpoint, caller core.ACID, kind obs.EventKind, err error) {
-	name := fmt.Sprintf("acid=%d", caller)
+	key := pmAuditKey{op: op, caller: caller, err: err}
 	if e := pm.k.resolve(src); e != nil {
-		name = e.name
+		key.src = e.name
+	}
+	a, ok := pm.audits[key]
+	if !ok {
+		a = pmAudit{
+			name:   key.src,
+			detail: fmt.Sprintf("%s: %v", op, err),
+			trace:  fmt.Sprintf("DENY %s by acid=%d: %v", op, caller, err),
+		}
+		if a.name == "" {
+			a.name = fmt.Sprintf("acid=%d", caller)
+		}
+		if pm.audits == nil {
+			pm.audits = make(map[pmAuditKey]pmAudit)
+		}
+		pm.audits[key] = a
 	}
 	pm.k.events.Emit(obs.SecurityEvent{
 		Kind:      kind,
 		Mechanism: obs.MechSyscallMask,
 		Denied:    true,
-		Src:       name,
+		Src:       a.name,
 		Dst:       PMName,
-		Detail:    fmt.Sprintf("%s: %v", op, err),
+		Detail:    a.detail,
 	})
-	api.Trace("minix-pm", fmt.Sprintf("DENY %s by acid=%d: %v", op, caller, err))
+	api.Trace("minix-pm", a.trace)
 }
 
 // pmDenyCode distinguishes quota exhaustion from plain policy denial on the
@@ -165,12 +198,14 @@ func pmReply(code int32, ep Endpoint) Message {
 // kSpawn and kKill are the privileged kernel calls system servers use.
 
 func (a *API) kSpawn(image string, acid core.ACID) (Endpoint, error) {
-	reply := a.ctx.Trap(kSpawnReq{image: image, acid: acidArg(acid)}).(epReply)
+	a.kSpawnScratch = kSpawnReq{image: image, acid: acidArg(acid)}
+	reply := a.ctx.Trap(&a.kSpawnScratch).(*epReply)
 	return reply.ep, reply.err
 }
 
 func (a *API) kKill(target Endpoint) error {
-	return a.ctx.Trap(kKillReq{target: target}).(errReply).err
+	a.kKillScratch = kKillReq{target: target}
+	return a.ctx.Trap(&a.kKillScratch).(*errReply).err
 }
 
 // PMView exposes PM audit state to experiments without letting them mutate

@@ -13,19 +13,31 @@ type API struct {
 	ctx *machine.Context
 	k   *Kernel
 
-	// Scratch requests for the hot syscalls: boxing a pointer into the
-	// trap's any costs no heap allocation, and the kernel consumes each
-	// request synchronously inside HandleTrap, so one scratch value per
-	// request type suffices.
-	sendScratch   sendTrap
-	recvScratch   recvTrap
-	callScratch   callTrap
-	replyScratch  replyTrap
-	sleepScratch  sleepTrap
-	devRdScratch  devReadTrap
-	devWrScratch  devWriteTrap
-	signalScratch signalTrap
-	waitScratch   waitTrap
+	// Scratch requests, one per trap: boxing a pointer into the trap's any
+	// costs no heap allocation, and the kernel consumes each request
+	// synchronously inside HandleTrap, so one scratch value per request type
+	// suffices. Every trap goes through its scratch value, the rarely used
+	// ones included, so a thread probing its CSpace with any of them
+	// allocates nothing per call.
+	sendScratch    sendTrap
+	recvScratch    recvTrap
+	callScratch    callTrap
+	replyScratch   replyTrap
+	sleepScratch   sleepTrap
+	devRdScratch   devReadTrap
+	devWrScratch   devWriteTrap
+	signalScratch  signalTrap
+	waitScratch    waitTrap
+	suspendScratch tcbSuspendTrap
+	copyScratch    capCopyTrap
+	mintScratch    capMintTrap
+	deleteScratch  capDeleteTrap
+	traceScratch   traceTrap
+	listenScratch  netListenTrap
+	acceptScratch  netAcceptTrap
+	netRdScratch   netReadTrap
+	netWrScratch   netWriteTrap
+	closeScratch   netCloseTrap
 }
 
 // Now returns the current virtual time (free, no trap).
@@ -80,23 +92,27 @@ func (a *API) Reply(msg Msg) error {
 // TCBSuspend invokes TCB_Suspend on the thread referenced by a TCB
 // capability (write right required). The suspended thread never runs again.
 func (a *API) TCBSuspend(cptr CPtr) error {
-	return a.ctx.Trap(tcbSuspendTrap{cptr: cptr}).(errResult).err
+	a.suspendScratch = tcbSuspendTrap{cptr: cptr}
+	return a.ctx.Trap(&a.suspendScratch).(*errResult).err
 }
 
 // CapCopy copies a capability between two of the caller's own slots.
 func (a *API) CapCopy(src, dst CPtr) error {
-	return a.ctx.Trap(capCopyTrap{src: src, dst: dst}).(errResult).err
+	a.copyScratch = capCopyTrap{src: src, dst: dst}
+	return a.ctx.Trap(&a.copyScratch).(*errResult).err
 }
 
 // CapMint copies a capability with a (possibly) narrowed rights mask and a
 // new badge. Rights can never be widened.
 func (a *API) CapMint(src, dst CPtr, badge Badge, rights Rights) error {
-	return a.ctx.Trap(capMintTrap{src: src, dst: dst, badge: badge, rights: rights}).(errResult).err
+	a.mintScratch = capMintTrap{src: src, dst: dst, badge: badge, rights: rights}
+	return a.ctx.Trap(&a.mintScratch).(*errResult).err
 }
 
 // CapDelete empties one of the caller's slots.
 func (a *API) CapDelete(slot CPtr) error {
-	return a.ctx.Trap(capDeleteTrap{slot: slot}).(errResult).err
+	a.deleteScratch = capDeleteTrap{slot: slot}
+	return a.ctx.Trap(&a.deleteScratch).(*errResult).err
 }
 
 // DevRead reads a device register through a device capability (read right).
@@ -121,34 +137,42 @@ func (a *API) Sleep(d time.Duration) {
 
 // Trace writes a line to the board trace console.
 func (a *API) Trace(tag, text string) {
-	a.ctx.Trap(traceTrap{tag: tag, text: text})
+	a.traceScratch = traceTrap{tag: tag, text: text}
+	a.ctx.Trap(&a.traceScratch)
 }
 
 // NetListen binds the port referenced by a net-port capability (read right)
 // and returns a listener handle.
 func (a *API) NetListen(cptr CPtr) (int32, error) {
-	reply := a.ctx.Trap(netListenTrap{cptr: cptr}).(handleResult)
+	a.listenScratch = netListenTrap{cptr: cptr}
+	reply := a.ctx.Trap(&a.listenScratch).(*handleResult)
 	return reply.handle, reply.err
 }
 
 // NetAccept blocks until a connection arrives on the listener handle.
 func (a *API) NetAccept(listener int32) (int32, error) {
-	reply := a.ctx.Trap(netAcceptTrap{listener: listener}).(handleResult)
+	a.acceptScratch = netAcceptTrap{listener: listener}
+	reply := a.ctx.Trap(&a.acceptScratch).(*handleResult)
 	return reply.handle, reply.err
 }
 
 // NetRead blocks until data (or EOF) is available on the connection handle.
 func (a *API) NetRead(conn int32, max int) ([]byte, error) {
-	reply := a.ctx.Trap(netReadTrap{conn: conn, max: max}).(bytesResult)
+	a.netRdScratch = netReadTrap{conn: conn, max: max}
+	reply := a.ctx.Trap(&a.netRdScratch).(*bytesResult)
 	return reply.data, reply.err
 }
 
 // NetWrite sends bytes on the connection handle.
 func (a *API) NetWrite(conn int32, data []byte) error {
-	return a.ctx.Trap(netWriteTrap{conn: conn, data: data}).(errResult).err
+	a.netWrScratch = netWriteTrap{conn: conn, data: data}
+	err := a.ctx.Trap(&a.netWrScratch).(*errResult).err
+	a.netWrScratch.data = nil
+	return err
 }
 
 // NetClose closes the connection handle.
 func (a *API) NetClose(conn int32) error {
-	return a.ctx.Trap(netCloseTrap{conn: conn}).(errResult).err
+	a.closeScratch = netCloseTrap{conn: conn}
+	return a.ctx.Trap(&a.closeScratch).(*errResult).err
 }

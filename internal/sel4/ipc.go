@@ -114,22 +114,22 @@ func (k *Kernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition)
 		return k.doCall(t, r)
 	case *replyTrap:
 		return k.doReply(t, r)
-	case tcbSuspendTrap:
+	case *tcbSuspendTrap:
 		return k.doSuspend(t, r)
 	case *signalTrap:
 		return k.doSignal(t, r)
 	case *waitTrap:
 		return k.doWait(t, r)
-	case capCopyTrap:
+	case *capCopyTrap:
 		return k.doCapCopy(t, r.src, r.dst, nil, nil)
-	case capMintTrap:
+	case *capMintTrap:
 		return k.doCapCopy(t, r.src, r.dst, &r.badge, &r.rights)
-	case capDeleteTrap:
+	case *capDeleteTrap:
 		if int(r.slot) >= CSpaceSize {
-			return errResult{err: fmt.Errorf("%w: %d", ErrBadSlot, r.slot)}, machine.DispositionContinue
+			return t.errOut(fmt.Errorf("%w: %d", ErrBadSlot, r.slot)), machine.DispositionContinue
 		}
 		t.cspace[r.slot] = Capability{}
-		return errResult{}, machine.DispositionContinue
+		return t.errOut(nil), machine.DispositionContinue
 	case *devReadTrap:
 		c, err := k.lookupCap(t, r.cptr, KindDevice, CapRead)
 		if err != nil {
@@ -145,21 +145,21 @@ func (k *Kernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition)
 		return t.errOut(k.m.Bus().Write(k.devs[c.Object].dev, r.reg, r.value)), machine.DispositionContinue
 	case *sleepTrap:
 		return k.doSleep(t, r)
-	case traceTrap:
-		k.m.Trace().Logf(r.tag, "%s", r.text)
-		return errResult{}, machine.DispositionContinue
-	case netListenTrap:
+	case *traceTrap:
+		k.m.Trace().Log(r.tag, r.text)
+		return t.errOut(nil), machine.DispositionContinue
+	case *netListenTrap:
 		return k.doNetListen(t, r)
-	case netAcceptTrap:
+	case *netAcceptTrap:
 		return k.doNetAccept(t, r)
-	case netReadTrap:
+	case *netReadTrap:
 		return k.doNetRead(t, r)
-	case netWriteTrap:
+	case *netWriteTrap:
 		return k.doNetWrite(t, r)
-	case netCloseTrap:
+	case *netCloseTrap:
 		return k.doNetClose(t, r)
 	default:
-		return errResult{err: fmt.Errorf("sel4: unknown trap %T", req)}, machine.DispositionContinue
+		return t.errOut(fmt.Errorf("sel4: unknown trap %T", req)), machine.DispositionContinue
 	}
 }
 
@@ -378,23 +378,26 @@ func (k *Kernel) buildDelivery(sender *tcb, senderCap Capability, receiver *tcb,
 // doSuspend implements the TCB_Suspend invocation: the "kill" of the seL4
 // world. It requires a TCB capability with write rights — which the CAmkES
 // scenario never distributes to the web interface.
-func (k *Kernel) doSuspend(t *tcb, r tcbSuspendTrap) (any, machine.Disposition) {
-	c, err := k.lookupCap(t, r.cptr, KindTCB, CapWrite)
-	if err != nil {
-		// lookupCap emitted the cap-fault; this event classifies the
-		// attempt as a blocked kill for the attack reports.
+func (k *Kernel) doSuspend(t *tcb, r *tcbSuspendTrap) (any, machine.Disposition) {
+	c, f := k.lookup(t, r.cptr, KindTCB, CapWrite)
+	if f != nil {
+		// lookup emitted the cap-fault; this event classifies the attempt
+		// as a blocked kill for the attack reports.
+		if f.kill == "" {
+			f.kill = fmt.Sprintf("TCB_Suspend: %v", f.err)
+		}
 		k.events.Emit(obs.SecurityEvent{
 			Kind:      obs.EventKillDenied,
 			Mechanism: obs.MechCapability,
 			Denied:    true,
 			Src:       t.name,
-			Detail:    fmt.Sprintf("TCB_Suspend: %v", err),
+			Detail:    f.kill,
 		})
-		return errResult{err: err}, machine.DispositionContinue
+		return t.errOut(f.err), machine.DispositionContinue
 	}
 	victim, ok := k.tcbs[c.Object]
 	if !ok || !victim.started || victim.suspended {
-		return errResult{err: ErrSuspended}, machine.DispositionContinue
+		return t.errOut(ErrSuspended), machine.DispositionContinue
 	}
 	k.stats.Suspends++
 	k.mSuspends.Inc()
@@ -408,24 +411,24 @@ func (k *Kernel) doSuspend(t *tcb, r tcbSuspendTrap) (any, machine.Disposition) 
 	victim.suspended = true
 	k.m.Trace().Logf("sel4", "suspend %s by %s", victim.name, t.name)
 	if err := k.m.Engine().Kill(victim.pid); err != nil {
-		return errResult{err: err}, machine.DispositionContinue
+		return t.errOut(err), machine.DispositionContinue
 	}
-	return errResult{}, machine.DispositionContinue
+	return t.errOut(nil), machine.DispositionContinue
 }
 
 // doCapCopy implements CNode copy/mint within the caller's own CSpace.
 // Minting may narrow rights and set a badge; it can never widen rights.
 func (k *Kernel) doCapCopy(t *tcb, src, dst CPtr, badge *Badge, rights *Rights) (any, machine.Disposition) {
 	if int(src) >= CSpaceSize || int(dst) >= CSpaceSize {
-		return errResult{err: fmt.Errorf("%w: %d/%d", ErrBadSlot, src, dst)}, machine.DispositionContinue
+		return t.errOut(fmt.Errorf("%w: %d/%d", ErrBadSlot, src, dst)), machine.DispositionContinue
 	}
 	c := t.cspace[src]
 	if c.IsNull() {
 		k.stats.InvalidCapErrs++
-		return errResult{err: fmt.Errorf("%w: slot %d", ErrInvalidCap, src)}, machine.DispositionContinue
+		return t.errOut(fmt.Errorf("%w: slot %d", ErrInvalidCap, src)), machine.DispositionContinue
 	}
 	if !t.cspace[dst].IsNull() {
-		return errResult{err: fmt.Errorf("%w: destination %d occupied", ErrBadSlot, dst)}, machine.DispositionContinue
+		return t.errOut(fmt.Errorf("%w: destination %d occupied", ErrBadSlot, dst)), machine.DispositionContinue
 	}
 	out := c
 	if rights != nil {
@@ -435,7 +438,7 @@ func (k *Kernel) doCapCopy(t *tcb, src, dst CPtr, badge *Badge, rights *Rights) 
 		out.Badge = *badge
 	}
 	t.cspace[dst] = out
-	return errResult{}, machine.DispositionContinue
+	return t.errOut(nil), machine.DispositionContinue
 }
 
 // doSleep parks the thread on the timer service (the paper's added timer
@@ -443,17 +446,22 @@ func (k *Kernel) doCapCopy(t *tcb, src, dst CPtr, badge *Badge, rights *Rights) 
 func (k *Kernel) doSleep(t *tcb, r *sleepTrap) (any, machine.Disposition) {
 	t.state = stateSleeping
 	t.waitToken++
-	token := t.waitToken
-	pid := t.pid
-	k.m.Clock().After(r.d, func() {
-		cur := k.byPID[pid]
-		if cur != t || cur.waitToken != token || cur.state != stateSleeping {
+	k.m.Clock().AfterToken(r.d, t.onSleep, t.waitToken)
+	return nil, machine.DispositionBlock
+}
+
+// buildWaker builds t's reusable sleep timer callback. Each firing carries
+// the token of the sleep that armed it; a token that is no longer t's
+// waitToken, or a t no longer running under its PID, makes the firing a
+// no-op.
+func (k *Kernel) buildWaker(t *tcb) {
+	t.onSleep = func(token uint64) {
+		if k.byPID[t.pid] != t || t.waitToken != token || t.state != stateSleeping {
 			return
 		}
-		cur.state = stateReady
-		k.mustReady(pid, cur.errOut(nil))
-	})
-	return nil, machine.DispositionBlock
+		t.state = stateReady
+		k.mustReady(t.pid, t.errOut(nil))
+	}
 }
 
 // popReceiver dequeues the next live receiver from an endpoint. Every
@@ -555,28 +563,28 @@ func (k *Kernel) mustReady(pid machine.PID, reply any) {
 
 // --- Network mediation ------------------------------------------------------
 
-func (k *Kernel) doNetListen(t *tcb, r netListenTrap) (any, machine.Disposition) {
+func (k *Kernel) doNetListen(t *tcb, r *netListenTrap) (any, machine.Disposition) {
 	c, err := k.lookupCap(t, r.cptr, KindNetPort, CapRead)
 	if err != nil {
-		return handleResult{err: err}, machine.DispositionContinue
+		return t.handleOut(0, err), machine.DispositionContinue
 	}
 	if k.cfg.Net == nil {
-		return handleResult{err: fmt.Errorf("%w: board has no network", ErrInvalidCap)}, machine.DispositionContinue
+		return t.handleOut(0, fmt.Errorf("%w: board has no network", ErrInvalidCap)), machine.DispositionContinue
 	}
 	l, err := k.cfg.Net.Listen(k.ports[c.Object].port)
 	if err != nil {
-		return handleResult{err: err}, machine.DispositionContinue
+		return t.handleOut(0, err), machine.DispositionContinue
 	}
 	t.nextHandle++
 	h := t.nextHandle
 	t.listeners[h] = l
-	return handleResult{handle: h}, machine.DispositionContinue
+	return t.handleOut(h, nil), machine.DispositionContinue
 }
 
-func (k *Kernel) doNetAccept(t *tcb, r netAcceptTrap) (any, machine.Disposition) {
+func (k *Kernel) doNetAccept(t *tcb, r *netAcceptTrap) (any, machine.Disposition) {
 	l, ok := t.listeners[r.listener]
 	if !ok {
-		return handleResult{err: ErrBadHandle}, machine.DispositionContinue
+		return t.handleOut(0, ErrBadHandle), machine.DispositionContinue
 	}
 	conn, err := k.cfg.Net.Accept(l)
 	switch {
@@ -584,7 +592,7 @@ func (k *Kernel) doNetAccept(t *tcb, r netAcceptTrap) (any, machine.Disposition)
 		t.nextHandle++
 		h := t.nextHandle
 		t.conns[h] = conn
-		return handleResult{handle: h}, machine.DispositionContinue
+		return t.handleOut(h, nil), machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
 		t.state = stateNetBlocked
 		t.waitToken++
@@ -598,29 +606,29 @@ func (k *Kernel) doNetAccept(t *tcb, r netAcceptTrap) (any, machine.Disposition)
 			cur.state = stateReady
 			conn, acceptErr := k.cfg.Net.Accept(l)
 			if acceptErr != nil {
-				k.mustReady(pid, handleResult{err: acceptErr})
+				k.mustReady(pid, cur.handleOut(0, acceptErr))
 				return
 			}
 			cur.nextHandle++
 			h := cur.nextHandle
 			cur.conns[h] = conn
-			k.mustReady(pid, handleResult{handle: h})
+			k.mustReady(pid, cur.handleOut(h, nil))
 		})
 		return nil, machine.DispositionBlock
 	default:
-		return handleResult{err: err}, machine.DispositionContinue
+		return t.handleOut(0, err), machine.DispositionContinue
 	}
 }
 
-func (k *Kernel) doNetRead(t *tcb, r netReadTrap) (any, machine.Disposition) {
+func (k *Kernel) doNetRead(t *tcb, r *netReadTrap) (any, machine.Disposition) {
 	conn, ok := t.conns[r.conn]
 	if !ok {
-		return bytesResult{err: ErrBadHandle}, machine.DispositionContinue
+		return t.bytesOut(nil, ErrBadHandle), machine.DispositionContinue
 	}
 	data, err := k.cfg.Net.BoardRead(conn, r.max)
 	switch {
 	case err == nil:
-		return bytesResult{data: data}, machine.DispositionContinue
+		return t.bytesOut(data, nil), machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
 		t.state = stateNetBlocked
 		t.waitToken++
@@ -634,28 +642,28 @@ func (k *Kernel) doNetRead(t *tcb, r netReadTrap) (any, machine.Disposition) {
 			}
 			cur.state = stateReady
 			data, readErr := k.cfg.Net.BoardRead(conn, maxBytes)
-			k.mustReady(pid, bytesResult{data: data, err: readErr})
+			k.mustReady(pid, cur.bytesOut(data, readErr))
 		})
 		return nil, machine.DispositionBlock
 	default:
-		return bytesResult{err: err}, machine.DispositionContinue
+		return t.bytesOut(nil, err), machine.DispositionContinue
 	}
 }
 
-func (k *Kernel) doNetWrite(t *tcb, r netWriteTrap) (any, machine.Disposition) {
+func (k *Kernel) doNetWrite(t *tcb, r *netWriteTrap) (any, machine.Disposition) {
 	conn, ok := t.conns[r.conn]
 	if !ok {
-		return errResult{err: ErrBadHandle}, machine.DispositionContinue
+		return t.errOut(ErrBadHandle), machine.DispositionContinue
 	}
-	return errResult{err: k.cfg.Net.BoardWrite(conn, r.data)}, machine.DispositionContinue
+	return t.errOut(k.cfg.Net.BoardWrite(conn, r.data)), machine.DispositionContinue
 }
 
-func (k *Kernel) doNetClose(t *tcb, r netCloseTrap) (any, machine.Disposition) {
+func (k *Kernel) doNetClose(t *tcb, r *netCloseTrap) (any, machine.Disposition) {
 	conn, ok := t.conns[r.conn]
 	if !ok {
-		return errResult{err: ErrBadHandle}, machine.DispositionContinue
+		return t.errOut(ErrBadHandle), machine.DispositionContinue
 	}
 	delete(t.conns, r.conn)
 	k.cfg.Net.BoardClose(conn)
-	return errResult{}, machine.DispositionContinue
+	return t.errOut(nil), machine.DispositionContinue
 }

@@ -101,11 +101,18 @@ type tcb struct {
 	// kernel work and a blocked thread receives at most one wake-up value,
 	// so boxing pointers to these per-thread values costs no allocation and
 	// cannot alias: a wake always writes the blocked thread's own scratch.
-	errR  errResult
-	recvR recvResultReply
-	callR callResultReply
-	u32R  u32Result
-	waitR waitResult
+	errR    errResult
+	recvR   recvResultReply
+	callR   callResultReply
+	u32R    u32Result
+	waitR   waitResult
+	handleR handleResult
+	bytesR  bytesResult
+
+	// onSleep is the thread's sleep timer callback, built once at Start and
+	// re-armed for every Sleep with the sleep's token
+	// (machine.Clock.AfterToken).
+	onSleep func(token uint64)
 
 	// replyScratch backs replyCap: at most one reply capability is live per
 	// receiver (a newer Call delivery replaces the pointer), so the object
@@ -141,6 +148,19 @@ func (t *tcb) u32Out(v uint32, err error) any {
 func (t *tcb) waitOut(word Badge, err error) any {
 	t.waitR = waitResult{word: word, err: err}
 	return &t.waitR
+}
+
+// handleOut fills the thread's network-handle reply scratch and returns it
+// boxed.
+func (t *tcb) handleOut(h int32, err error) any {
+	t.handleR = handleResult{handle: h, err: err}
+	return &t.handleR
+}
+
+// bytesOut fills the thread's byte-slice reply scratch and returns it boxed.
+func (t *tcb) bytesOut(data []byte, err error) any {
+	t.bytesR = bytesResult{data: data, err: err}
+	return &t.bytesR
 }
 
 // endpointObj is a rendezvous endpoint: "endpoints are implemented as wait
@@ -210,6 +230,32 @@ type Kernel struct {
 	// checks on Send and Call with (thread name, endpoint name). nil when
 	// no campaign is armed.
 	ipcFault func(src, dst string) (drop bool, delay time.Duration)
+
+	// faults memoises each distinct capability fault's error and event
+	// text, so a thread brute-forcing its CSpace costs no formatting: the
+	// text depends only on the key.
+	faults map[capFaultKey]*capFault
+}
+
+// capFaultKey identifies one distinct capability-lookup failure: an
+// invalid slot (out of range, empty, or of the wrong kind) or a slot whose
+// rights fall short.
+type capFaultKey struct {
+	cptr       CPtr
+	kind       ObjKind
+	rights     bool
+	have, need Rights
+	obj        ObjID
+}
+
+// capFault is the memoised output of one distinct capability fault.
+type capFault struct {
+	err    error
+	detail string
+	dst    string // the object a rights fault names, empty otherwise
+	// kill is the blocked-kill event detail, built when a TCB_Suspend
+	// first hits this fault.
+	kill string
 }
 
 var _ machine.TrapHandler = (*Kernel)(nil)
@@ -324,6 +370,7 @@ func (k *Kernel) Start(tcbID ObjID) error {
 	}
 	t.pid = proc.PID()
 	t.started = true
+	k.buildWaker(t)
 	k.byPID[proc.PID()] = t
 	k.m.Trace().Logf("sel4", "start %s tcb=%d", t.name, t.id)
 	return nil
@@ -432,43 +479,74 @@ func (k *Kernel) allocID() ObjID {
 // security-event stream (this is what an attacker brute-forcing CPtrs
 // looks like in the unified view).
 func (k *Kernel) lookupCap(t *tcb, cptr CPtr, kind ObjKind, rights Rights) (Capability, error) {
-	if int(cptr) >= CSpaceSize {
-		k.stats.InvalidCapErrs++
-		k.capFault(t, fmt.Sprintf("slot %d out of range", cptr))
-		return Capability{}, fmt.Errorf("%w: slot %d", ErrInvalidCap, cptr)
+	c, f := k.lookup(t, cptr, kind, rights)
+	if f != nil {
+		return Capability{}, f.err
 	}
-	c := t.cspace[cptr]
+	return c, nil
+}
+
+// lookup is lookupCap returning the memoised fault itself, for callers that
+// describe the failure further.
+func (k *Kernel) lookup(t *tcb, cptr CPtr, kind ObjKind, rights Rights) (Capability, *capFault) {
+	var c Capability
+	if int(cptr) < CSpaceSize {
+		c = t.cspace[cptr]
+	}
 	if c.IsNull() || c.Kind != kind {
 		k.stats.InvalidCapErrs++
-		k.capFault(t, fmt.Sprintf("slot %d empty or not %v", cptr, kind))
-		return Capability{}, fmt.Errorf("%w: slot %d", ErrInvalidCap, cptr)
-	}
-	if !c.Rights.Has(rights) {
-		k.stats.RightsDenied++
-		k.mRightsDenied.Inc()
+		k.mCapFaults.Inc()
+		f := k.capFaultFor(capFaultKey{cptr: cptr, kind: kind})
 		k.events.Emit(obs.SecurityEvent{
 			Kind:      obs.EventCapFault,
 			Mechanism: obs.MechCapability,
 			Denied:    true,
 			Src:       t.name,
-			Dst:       k.objName(c.Object),
-			Detail:    fmt.Sprintf("slot %d has %v, needs %v", cptr, c.Rights, rights),
+			Detail:    f.detail,
 		})
-		return Capability{}, fmt.Errorf("%w: slot %d has %v, needs %v", ErrNoRights, cptr, c.Rights, rights)
+		return Capability{}, f
+	}
+	if !c.Rights.Has(rights) {
+		k.stats.RightsDenied++
+		k.mRightsDenied.Inc()
+		f := k.capFaultFor(capFaultKey{cptr: cptr, rights: true, have: c.Rights, need: rights, obj: c.Object})
+		k.events.Emit(obs.SecurityEvent{
+			Kind:      obs.EventCapFault,
+			Mechanism: obs.MechCapability,
+			Denied:    true,
+			Src:       t.name,
+			Dst:       f.dst,
+			Detail:    f.detail,
+		})
+		return Capability{}, f
 	}
 	return c, nil
 }
 
-// capFault books one invalid-capability fault.
-func (k *Kernel) capFault(t *tcb, detail string) {
-	k.mCapFaults.Inc()
-	k.events.Emit(obs.SecurityEvent{
-		Kind:      obs.EventCapFault,
-		Mechanism: obs.MechCapability,
-		Denied:    true,
-		Src:       t.name,
-		Detail:    detail,
-	})
+// capFaultFor returns the memoised error and text of one capability fault,
+// building them on the first occurrence.
+func (k *Kernel) capFaultFor(key capFaultKey) *capFault {
+	if f, ok := k.faults[key]; ok {
+		return f
+	}
+	f := &capFault{}
+	switch {
+	case key.rights:
+		f.err = fmt.Errorf("%w: slot %d has %v, needs %v", ErrNoRights, key.cptr, key.have, key.need)
+		f.detail = fmt.Sprintf("slot %d has %v, needs %v", key.cptr, key.have, key.need)
+		f.dst = k.objName(key.obj)
+	case int(key.cptr) >= CSpaceSize:
+		f.err = fmt.Errorf("%w: slot %d", ErrInvalidCap, key.cptr)
+		f.detail = fmt.Sprintf("slot %d out of range", key.cptr)
+	default:
+		f.err = fmt.Errorf("%w: slot %d", ErrInvalidCap, key.cptr)
+		f.detail = fmt.Sprintf("slot %d empty or not %v", key.cptr, key.kind)
+	}
+	if k.faults == nil {
+		k.faults = make(map[capFaultKey]*capFault)
+	}
+	k.faults[key] = f
+	return f
 }
 
 // objName best-effort resolves an object ID to a human name for events.
