@@ -192,8 +192,7 @@ var deployers = map[Platform]deployer{
 }
 
 // Deploy boots cfg on tb under the named platform — the single entry point
-// the per-platform Deploy* wrappers and every orchestration layer route
-// through.
+// every orchestration layer routes through.
 func Deploy(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
 	deploy, ok := deployers[platform]
 	if !ok {

@@ -54,27 +54,6 @@ const (
 	hardTenantUID = 107
 )
 
-// LinuxOptions configures DeployLinux.
-type LinuxOptions struct {
-	// Hardened runs each process under a unique account with restrictive
-	// queue modes — the configuration the paper says is required to blunt
-	// the user-level attack ("unless each process runs under a unique user
-	// account, and the message queue is specifically configured ... the
-	// problem will still remain"). Even hardened, DAC cannot express
-	// per-pair, per-message-type policy, and root bypasses it entirely.
-	Hardened bool
-	// WebBody replaces the legitimate web interface with attacker code.
-	WebBody func(api *linuxsim.API)
-	// SkipPolicyCheck disables the pre-deploy static policy gate; see
-	// DeployOptions.SkipPolicyCheck for the shared semantics. On Linux the
-	// gate certifies the hardened unique-account DAC model; the
-	// same-account default deploys no per-process policy (every process is
-	// one DAC principal, the paper's baseline finding), so — like
-	// DisableACM on MINIX — there is nothing to certify and the gate is
-	// skipped regardless of this field.
-	SkipPolicyCheck bool
-}
-
 // account pairs a uid and gid.
 type account struct{ uid, gid int }
 
@@ -156,26 +135,6 @@ func (d *LinuxDeployment) ControllerAlive() bool {
 	return err == nil
 }
 
-// DeployLinux boots the Linux platform on a testbed. It is a thin wrapper
-// over the Deploy registry, kept so existing callers compile unchanged.
-//
-// Deprecated: use Deploy(PlatformLinux, ...) (or PlatformLinuxHardened for
-// Hardened) with DeployOptions instead.
-func DeployLinux(tb *Testbed, cfg ScenarioConfig, opts LinuxOptions) (*LinuxDeployment, error) {
-	platform := PlatformLinux
-	if opts.Hardened {
-		platform = PlatformLinuxHardened
-	}
-	dep, err := Deploy(platform, tb, cfg, DeployOptions{
-		SkipPolicyCheck: opts.SkipPolicyCheck,
-		LinuxWeb:        opts.WebBody,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dep.(*LinuxDeployment), nil
-}
-
 // deployLinux is the Linux backend of the Deploy registry. platform selects
 // the same-account default (PlatformLinux) or the unique-account hardened
 // configuration (PlatformLinuxHardened).
@@ -184,7 +143,7 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 	// Pre-deploy gate: the hardened configuration claims the scenario's
 	// security contract, so prove its DAC model satisfies it before boot.
 	// The same-account default deploys no per-process policy and skips the
-	// gate (see LinuxOptions.SkipPolicyCheck).
+	// gate (see DeployOptions.SkipPolicyCheck).
 	if hardened && !opts.SkipPolicyCheck {
 		if err := checkDeployPolicy(polcheck.FromDAC(LinuxScenarioDAC(true, false))); err != nil {
 			return nil, err

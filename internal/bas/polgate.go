@@ -38,7 +38,7 @@ func ScenarioProperties() []polcheck.Property {
 	}
 }
 
-// LinuxScenarioDAC builds the static DAC model of the DeployLinux
+// LinuxScenarioDAC builds the static DAC model of the PlatformLinux
 // deployment — same account, mode, and ownership tables the boot path uses,
 // so the analysis cannot drift from the running system. hardened selects the
 // unique-accounts variant; webRoot models the paper's privilege-escalation

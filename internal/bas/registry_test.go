@@ -58,21 +58,15 @@ func TestDeployUnknownPlatform(t *testing.T) {
 	}
 }
 
-// TestWrappersMatchRegistry: the per-platform Deploy* wrappers and the
-// registry produce deployments of the same concrete type, so legacy callers
-// and registry callers observe identical behaviour.
-func TestWrappersMatchRegistry(t *testing.T) {
+// TestRegistryDeploymentTypes: the registry hands back each backend's
+// concrete deployment type, and the vanilla ablation reports its own
+// platform.
+func TestRegistryDeploymentTypes(t *testing.T) {
 	cfg := DefaultScenario()
 
-	tb1 := NewTestbed(cfg)
-	defer tb1.Machine.Shutdown()
-	if _, err := DeployMinix(tb1, cfg, MinixOptions{}); err != nil {
-		t.Fatalf("DeployMinix: %v", err)
-	}
-
-	tb2 := NewTestbed(cfg)
-	defer tb2.Machine.Shutdown()
-	dep, err := Deploy(PlatformMinix, tb2, cfg, DeployOptions{})
+	tb := NewTestbed(cfg)
+	defer tb.Machine.Shutdown()
+	dep, err := Deploy(PlatformMinix, tb, cfg, DeployOptions{})
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
@@ -80,9 +74,9 @@ func TestWrappersMatchRegistry(t *testing.T) {
 		t.Errorf("registry returned %T, want *MinixDeployment", dep)
 	}
 
-	tb3 := NewTestbed(cfg)
-	defer tb3.Machine.Shutdown()
-	depV, err := Deploy(PlatformMinixVanilla, tb3, cfg, DeployOptions{})
+	tbV := NewTestbed(cfg)
+	defer tbV.Machine.Shutdown()
+	depV, err := Deploy(PlatformMinixVanilla, tbV, cfg, DeployOptions{})
 	if err != nil {
 		t.Fatalf("Deploy(vanilla): %v", err)
 	}

@@ -33,17 +33,6 @@ const (
 	rpcCodeRange uint64 = 2
 )
 
-// Sel4Options configures DeploySel4.
-type Sel4Options struct {
-	// WebRun replaces the legitimate web interface's control thread with
-	// attacker code.
-	WebRun func(rt *camkes.Runtime)
-	// SkipPolicyCheck disables the pre-deploy static policy gate over the
-	// generated CapDL spec; see DeployOptions.SkipPolicyCheck for the
-	// shared semantics.
-	SkipPolicyCheck bool
-}
-
 // Sel4Deployment is the booted seL4/CAmkES platform.
 type Sel4Deployment struct {
 	deploymentBase
@@ -204,22 +193,6 @@ func ScenarioAssembly(cfg ScenarioConfig, webRun func(rt *camkes.Runtime)) *camk
 			{FromComp: NameWebInterface, FromIface: IfaceMgmt, ToComp: NameTempControl, ToIface: IfaceMgmt},
 		},
 	}
-}
-
-// DeploySel4 boots the seL4/CAmkES platform on a testbed. It is a thin
-// wrapper over the Deploy registry, kept so existing callers compile
-// unchanged.
-//
-// Deprecated: use Deploy(PlatformSel4, ...) with DeployOptions instead.
-func DeploySel4(tb *Testbed, cfg ScenarioConfig, opts Sel4Options) (*Sel4Deployment, error) {
-	dep, err := Deploy(PlatformSel4, tb, cfg, DeployOptions{
-		SkipPolicyCheck: opts.SkipPolicyCheck,
-		Sel4Web:         opts.WebRun,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dep.(*Sel4Deployment), nil
 }
 
 // deploySel4 is the seL4 backend of the Deploy registry.

@@ -148,8 +148,12 @@ type Building struct {
 	busRefused []int64 // uncertified dials refused under Demote, by room
 	demoted    []bool  // room's web subject has been demoted
 
+	// Round dispatch: Step wakes every worker once on wake, and the workers
+	// claim boards through claim, an index into Rooms, until it passes the
+	// end; wg is the round barrier.
 	target machine.Time
-	jobs   chan int
+	wake   chan struct{}
+	claim  atomic.Int64
 	wg     sync.WaitGroup
 	closed bool
 
@@ -216,7 +220,7 @@ func New(cfg Config) (*Building, error) {
 		slice:   slice,
 		Bus:     vnet.NewBus(),
 		workers: workers,
-		jobs:    make(chan int),
+		wake:    make(chan struct{}),
 		prof:    cfg.Profiler,
 		phRound: cfg.Profiler.HotPhase("building.round"),
 		phBoard: cfg.Profiler.HotPhase("building.board_step"),
@@ -292,23 +296,9 @@ func New(cfg Config) (*Building, error) {
 		if cfg.Profiler.TimelineEnabled() {
 			st.track = cfg.Profiler.Track(fmt.Sprintf("building-worker-%02d", w))
 		}
-		timed := cfg.Profiler != nil
 		go func() {
-			for i := range b.jobs {
-				var label string
-				if st.track != nil {
-					label = b.Rooms[i].label
-				}
-				sc := b.phBoard.BeginOn(st.track, label)
-				if timed {
-					start := time.Now()
-					b.Rooms[i].Dep.Machine().RunUntil(b.target)
-					atomic.AddInt64(&st.busyNs, int64(time.Since(start)))
-				} else {
-					b.Rooms[i].Dep.Machine().RunUntil(b.target)
-				}
-				atomic.AddInt64(&st.jobs, 1)
-				sc.End()
+			for range b.wake {
+				b.stepClaimed(st)
 				b.wg.Done()
 			}
 		}()
@@ -316,8 +306,35 @@ func New(cfg Config) (*Building, error) {
 	return b, nil
 }
 
+// stepClaimed runs one worker's share of a round: it claims boards from the
+// shared index and steps each to the round deadline until every room has
+// been claimed. Boards are independent within a round, so which worker
+// claims which board cannot reach the report.
+func (b *Building) stepClaimed(st *workerStat) {
+	for {
+		i := int(b.claim.Add(1) - 1)
+		if i >= len(b.Rooms) {
+			return
+		}
+		var label string
+		if st.track != nil {
+			label = b.Rooms[i].label
+		}
+		sc := b.phBoard.BeginOn(st.track, label)
+		if b.prof != nil {
+			start := time.Now()
+			b.Rooms[i].Dep.Machine().RunUntil(b.target)
+			atomic.AddInt64(&st.busyNs, int64(time.Since(start)))
+		} else {
+			b.Rooms[i].Dep.Machine().RunUntil(b.target)
+		}
+		atomic.AddInt64(&st.jobs, 1)
+		sc.End()
+	}
+}
+
 // StepWallNs is the cumulative host wall-clock the coordinator spent in the
-// board-stepping window (job dispatch to barrier) across all rounds so far.
+// board-stepping window (worker wake to barrier) across all rounds so far.
 func (b *Building) StepWallNs() int64 { return atomic.LoadInt64(&b.stepWallNs) }
 
 // WorkerStats exports each worker's busy/idle account. Idle is defined
@@ -542,8 +559,9 @@ func (b *Building) Failovers() int { return b.failovers }
 // Step advances the whole building by one lockstep round:
 //
 //  1. every board runs to the round deadline, in parallel across the worker
-//     pool (each board's engine is touched by exactly one goroutine, and the
-//     WaitGroup barrier orders each round's work against the coordinator);
+//     pool: each worker is woken once and claims boards from a shared index,
+//     so each board's engine is touched by exactly one goroutine, and the
+//     WaitGroup barrier orders each round's work against the coordinator;
 //  2. the first bus barrier delivers everything the boards queued — room
 //     gateway responses, and any on-board attacker's frames;
 //  3. the head-end harvests responses, advances its schedule, and queues the
@@ -569,9 +587,10 @@ func (b *Building) Step() {
 	if b.prof != nil {
 		stepStart = time.Now()
 	}
-	b.wg.Add(len(b.Rooms))
-	for i := range b.Rooms {
-		b.jobs <- i
+	b.claim.Store(0)
+	b.wg.Add(b.workers)
+	for w := 0; w < b.workers; w++ {
+		b.wake <- struct{}{}
 	}
 	b.wg.Wait()
 	if b.prof != nil {
@@ -622,7 +641,7 @@ func (b *Building) Close() {
 		return
 	}
 	b.closed = true
-	close(b.jobs)
+	close(b.wake)
 	for _, room := range b.Rooms {
 		if room != nil {
 			room.Testbed.Machine.Shutdown()

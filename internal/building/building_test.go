@@ -2,6 +2,7 @@ package building
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -70,11 +71,11 @@ func TestBuildingPollsSchedulesAndStaysInBand(t *testing.T) {
 }
 
 func TestBuildingByteDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) []byte {
+	run := func(rooms, workers int) []byte {
 		b, err := New(Config{
-			Rooms:   16,
+			Rooms:   rooms,
 			Mix:     paperMix(),
-			Secure:  evenSecure(16),
+			Secure:  evenSecure(rooms),
 			Workers: workers,
 			HeadEnd: HeadEndConfig{
 				Schedule: []SetpointEvent{{At: 10 * time.Minute, Value: 23}},
@@ -91,10 +92,35 @@ func TestBuildingByteDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return out
 	}
-	serial := run(1)
-	parallel := run(8)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("16-room building diverged between 1 and 8 workers:\n1: %d bytes\n8: %d bytes", len(serial), len(parallel))
+	// 16 rooms on 8 workers claim boards under contention; 4 rooms ask for a
+	// pool wider than the building.
+	for _, rooms := range []int{16, 4} {
+		serial := run(rooms, 1)
+		parallel := run(rooms, 8)
+		if !bytes.Equal(serial, parallel) {
+			t.Fatalf("%d-room building diverged between 1 and 8 workers:\n1: %d bytes\n8: %d bytes", rooms, len(serial), len(parallel))
+		}
+	}
+}
+
+func TestCloseReleasesWorkersAndBoards(t *testing.T) {
+	before := runtime.NumGoroutine()
+	b, err := New(Config{Rooms: 4, Mix: paperMix(), Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Run(2 * time.Minute)
+	// Every worker is parked on the round wake here; Close must release
+	// them and unwind every board's processes.
+	b.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	// Other tests' leftovers may exit meanwhile, so the count can fall
+	// below before; it must never stay above it.
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines after Close = %d, want <= %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -6,9 +6,11 @@
 //
 //   - a virtual Clock that only advances under kernel control, so every run
 //     is reproducible byte-for-byte;
-//   - an Engine that runs simulated processes as goroutines under a strictly
-//     cooperative, single-core discipline: exactly one process executes at a
-//     time, and every system call is a scheduling point (a "trap");
+//   - an Engine that runs simulated processes as coroutines (iter.Pull)
+//     under a strictly cooperative, single-core discipline: exactly one
+//     process executes at a time, every system call is a scheduling point
+//     (a "trap"), and Engine.Run is the one loop that switches between
+//     processes, without entering the Go scheduler;
 //   - a memory-mapped device Bus connecting drivers to simulated hardware
 //     (the thermal plant in internal/plant);
 //   - cycle and context-switch accounting, used by the E4 experiments to

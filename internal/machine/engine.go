@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"time"
 
 	"mkbas/internal/obs"
@@ -25,10 +26,11 @@ const (
 // TrapHandler is the kernel personality of a board. Exactly one handler is
 // attached to an Engine; it receives every trap and every process exit.
 //
-// Handlers run while holding the engine token (see Engine) and may call back
-// into the engine (Spawn, Ready, Kill, clock scheduling) synchronously. A
-// handler that kills the trapping process during HandleTrap may return any
-// disposition; the engine notices the death and discards the reply.
+// Handlers run on the engine's single thread of control (see Engine) and may
+// call back into the engine (Spawn, Ready, Kill, clock scheduling)
+// synchronously. A handler that kills the trapping process during HandleTrap
+// may return any disposition; the engine notices the death and discards the
+// reply.
 type TrapHandler interface {
 	// HandleTrap processes one system call from process pid.
 	HandleTrap(pid PID, req any) (reply any, disposition Disposition)
@@ -160,15 +162,17 @@ func (r *pidRing) grow() {
 }
 
 // Engine schedules simulated processes over a virtual clock and routes their
-// traps to the attached kernel. It is single-threaded in the token-passing
-// sense: at any instant exactly one goroutine — the host inside Run, or one
-// process goroutine — holds the engine token, and only the token holder may
-// touch engine, clock, or kernel state. Traps are therefore plain function
-// calls: Context.Trap runs the kernel handler and the scheduler inline on
-// the trapping process's goroutine, and only pays a channel handoff when the
-// next runnable process is a different one. Every cross-goroutine transfer
-// of the token goes through a channel operation, which is what keeps the
-// design race-detector clean.
+// traps to the attached kernel. Every process body runs as an iter.Pull
+// coroutine, and Run is the only dispatcher: it resumes the process the
+// scheduler picked and waits until that process yields or ends. At any
+// instant exactly one of them — Run, or one process — executes, and only it
+// touches engine, clock, or kernel state. Traps are therefore plain function
+// calls: Context.Trap runs the kernel handler and the scheduler inline, and
+// returns straight to the caller when it is the next runnable process. Only
+// a switch to a different process records the decision and yields to Run.
+// A coroutine switch never enters the Go scheduler, and it is a
+// synchronisation edge for the race detector, which keeps the design
+// race-clean.
 type Engine struct {
 	clock   *Clock
 	handler TrapHandler
@@ -186,17 +190,16 @@ type Engine struct {
 	current PID
 	lastRun PID
 
-	// Token-passing run state. active is the process whose goroutine holds
-	// the engine token (nil while the host holds it); until is the horizon
-	// of the Run call in progress; hostDone returns the token to the host
-	// when a stop condition is reached.
-	active   *Proc
-	until    Time
-	hostDone chan RunResult
+	// Run state. active is the process executing, or the one that last
+	// yielded while Run books the next switch (nil between Run calls);
+	// until is the horizon of the Run call in progress.
+	active *Proc
+	until  Time
 
-	// Stashed scheduling decision for token-held unwinds: when a kill hits
-	// the process whose goroutine is executing the scheduler, the decision
-	// already made must survive the unwind (see Kill and Context.Trap).
+	// The scheduling decision record: the next process to dispatch, or why
+	// the run stops. The process that yields to Run (or ends) records it, and
+	// Run executes it. stashValid tells a process unwinding from a kill on
+	// its own call stack whether Context.Trap decided before the unwind.
 	stashNext    *Proc
 	stashStop    RunResult
 	stashStopped bool
@@ -227,10 +230,9 @@ type Engine struct {
 // SetHandler before the first Spawn.
 func NewEngine(clock *Clock, costs Costs) *Engine {
 	return &Engine{
-		clock:    clock,
-		costs:    costs,
-		hostDone: make(chan RunResult),
-		nextPID:  1,
+		clock:   clock,
+		costs:   costs,
+		nextPID: 1,
 	}
 }
 
@@ -326,9 +328,8 @@ func (e *Engine) Spawn(name string, prio int, body func(ctx *Context)) (*Proc, e
 		state:  StateNew,
 		engine: e,
 		body:   body,
-		resume: make(chan any),
-		done:   make(chan struct{}),
 	}
+	p.next, p.stop = iter.Pull(p.run)
 	e.nextPID++
 	e.procs = append(e.procs, p)
 	e.live++
@@ -336,26 +337,20 @@ func (e *Engine) Spawn(name string, prio int, body func(ctx *Context)) (*Proc, e
 	e.mSpawns.Inc()
 	e.mLive.Set(int64(e.live))
 	e.enqueue(p)
-	go runBody(p)
 	return p, nil
 }
 
-// runBody hosts one process goroutine: it waits for the first dispatch, runs
-// the body, and on exit books the death inline (it holds the engine token)
-// before handing the token on. A kill sentinel received at a parking point
-// unwinds the goroutine without any engine access (the killer holds the
-// token and is synchronously waiting on done); a kill issued from this
-// goroutine's own call stack leaves the token here, so the unwound goroutine
-// passes it on after user-level deferred cleanup has finished.
-func runBody(p *Proc) {
-	defer close(p.done)
+// run is the body of p's coroutine. A body that returns or crashes ends in
+// the body-exit "trap", which books the death and records the next
+// scheduling decision for Run. A body killed while suspended (Kill or
+// Shutdown called stop) unwinds out of its yield and records nothing: its
+// killer is still running. A body killed on its own call stack (the kernel
+// killed its caller, or a timer killed the process running the scheduler)
+// had its exit booked by Kill; once user-level deferred cleanup has
+// finished it records the decision, unless Trap made one before the unwind.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
 	e := p.engine
-
-	first := <-p.resume
-	if _, killed := first.(killSentinel); killed {
-		return
-	}
-
 	var (
 		crashed bool
 		killed  bool
@@ -377,25 +372,14 @@ func runBody(p *Proc) {
 		p.body(&Context{proc: p})
 	}()
 	if killed {
-		if p.tokenUnwind {
-			// Self-kill (or a timer kill while scheduling): the exit was
-			// booked by Kill, the body and its defers have unwound, and this
-			// goroutine still holds the token. Hand it on — resuming the
-			// decision stashed before the unwind, if one was made.
-			if e.stashValid {
-				next, stop, stopped := e.stashNext, e.stashStop, e.stashStopped
-				e.stashNext, e.stashValid = nil, false
-				e.handoff(next, stop, stopped)
-			} else {
-				e.handoff(e.schedule())
-			}
+		if p.selfUnwind && !e.stashValid {
+			e.decide(e.schedule())
 		}
 		return
 	}
 
-	// The body returned or crashed while holding the token: book the exit
-	// inline — this is the body-exit "trap" of the old channel design, so it
-	// pays the same trap cost and dispatch count — then hand the token on.
+	// The body returned or crashed: book the exit inline as one more kernel
+	// entry, with its trap cost and dispatch count.
 	sc := e.trapEnter(p)
 	p.state = StateDead
 	e.live--
@@ -405,7 +389,7 @@ func runBody(p *Proc) {
 	e.current = NoPID
 	e.handler.OnProcExit(p.pid, ExitInfo{Crashed: crashed, PanicValue: pv})
 	sc.End()
-	e.handoff(e.schedule())
+	e.decide(e.schedule())
 }
 
 // Ready wakes a blocked process, delivering reply as the return value of the
@@ -431,12 +415,13 @@ func (e *Engine) Ready(pid PID, reply any) error {
 }
 
 // Kill destroys a process in any live state, including the process whose trap
-// is currently being handled. For a parked victim the goroutine is fully
-// unwound before Kill returns; for the process executing this very call (the
-// kernel killing its caller, or a timer callback killing the scheduler's
-// host process) the exit is booked immediately and the unwind happens when
-// control returns to Context.Trap. In both cases the kernel's OnProcExit
-// hook fires with Killed set before the next dispatch.
+// is currently being handled. A suspended victim is fully unwound before Kill
+// returns: stop makes its pending yield return false (or discards a body that
+// never ran). For the process executing this very call (the kernel killing
+// its caller, or a timer callback killing the process running the scheduler)
+// the exit is booked immediately and the unwind happens when control returns
+// to Context.Trap. In both cases the kernel's OnProcExit hook fires with
+// Killed set before the next dispatch.
 func (e *Engine) Kill(pid PID) error {
 	p := e.lookup(pid)
 	if p == nil {
@@ -445,27 +430,11 @@ func (e *Engine) Kill(pid PID) error {
 	if p.state == StateDead {
 		return fmt.Errorf("%w: %d", ErrProcDead, pid)
 	}
-	if p == e.active {
-		// The victim's goroutine is the one executing this Kill. It cannot
-		// be parked on its resume channel, so book the exit here and let
-		// Context.Trap (or runBody) unwind the goroutine and pass the token
-		// on once user-level deferred cleanup has finished.
-		e.dequeue(p)
-		p.state = StateDead
-		e.live--
-		e.stats.Exits++
-		e.mExits.Inc()
-		e.mLive.Set(int64(e.live))
-		e.handler.OnProcExit(pid, ExitInfo{Killed: true})
-		return nil
-	}
-	// Every other live process is parked on its resume channel (New: awaiting
-	// first dispatch; Ready: awaiting reply delivery; Blocked: awaiting
-	// wake-up), so the sentinel handoff below cannot block.
-	p.state = StateDead
 	e.dequeue(p)
-	p.resume <- killSentinel{}
-	<-p.done
+	p.state = StateDead
+	if p != e.active {
+		p.stop()
+	}
 	e.live--
 	e.stats.Exits++
 	e.mExits.Inc()
@@ -478,9 +447,10 @@ func (e *Engine) Kill(pid PID) error {
 // exit, or the board deadlocks. It may be called repeatedly to run a
 // simulation in slices; all state is preserved between calls.
 //
-// Run hands the engine token to the first runnable process and then parks;
-// processes pass the token among themselves (see Context.Trap) until a stop
-// condition returns it here.
+// Run is the engine's one dispatch loop: it switches to the process the
+// scheduler picked and resumes its coroutine, which runs until it records
+// the next decision — on a trap that switches to another process, or on
+// exit. A process body that calls runtime.Goexit ends Run's caller too.
 func (e *Engine) Run(until Time) RunResult {
 	if e.handler == nil {
 		panic("machine: Run before SetHandler")
@@ -491,12 +461,15 @@ func (e *Engine) Run(until Time) RunResult {
 	sc := e.phRun.Begin()
 	defer sc.End()
 	e.until = until
-	next, stop, stopped := e.schedule()
-	if stopped {
-		return stop
+	e.decide(e.schedule())
+	for !e.stashStopped {
+		p := e.stashNext
+		e.stashNext, e.stashValid = nil, false
+		e.switchTo(p)
+		p.next()
 	}
-	e.dispatchTo(next)
-	return <-e.hostDone
+	e.active = nil
+	return e.stashStop
 }
 
 // Shutdown kills every live process so no goroutines outlive the simulation.
@@ -508,8 +481,7 @@ func (e *Engine) Shutdown() {
 		}
 		p.state = StateDead
 		e.dequeue(p)
-		p.resume <- killSentinel{}
-		<-p.done
+		p.stop()
 		e.live--
 	}
 	e.shutdown = true
@@ -530,9 +502,8 @@ func (e *Engine) fireDueTimers() {
 	}
 }
 
-// schedule advances the board to its next action while the calling goroutine
-// holds the engine token: fire due timers, then either pick the next ready
-// process or decide why the run stops.
+// schedule advances the board to its next action: fire due timers, then
+// either pick the next ready process or decide why the run stops.
 func (e *Engine) schedule() (next *Proc, stop RunResult, stopped bool) {
 	for {
 		e.fireDueTimers()
@@ -557,31 +528,16 @@ func (e *Engine) schedule() (next *Proc, stop RunResult, stopped bool) {
 	}
 }
 
-// handoff executes a scheduling decision while holding the token: resume the
-// next process, or return the token to the host goroutine parked in Run.
-// After handoff returns the caller no longer holds the token and must not
-// touch engine state.
-func (e *Engine) handoff(next *Proc, stop RunResult, stopped bool) {
-	if stopped {
-		e.active = nil
-		e.hostDone <- stop
-		return
-	}
-	e.dispatchTo(next)
+// decide records a scheduling decision for Run to execute once the deciding
+// process has yielded or ended.
+func (e *Engine) decide(next *Proc, stop RunResult, stopped bool) {
+	e.stashNext, e.stashStop, e.stashStopped, e.stashValid = next, stop, stopped, true
 }
 
-// dispatchTo hands the engine token to p by delivering its pending reply on
-// its resume channel. The channel rendezvous is the context switch — and the
-// happens-before edge the race detector needs.
-func (e *Engine) dispatchTo(p *Proc) {
-	reply := e.switchTo(p)
-	p.resume <- reply
-}
-
-// switchTo books the scheduling of p (context-switch accounting, run state,
-// token ownership) and returns the reply to deliver. Shared by the channel
-// handoff and the same-process fast path in Context.Trap.
-func (e *Engine) switchTo(p *Proc) any {
+// switchTo books the dispatch of p: context-switch accounting and run state.
+// p collects its pending reply when it resumes. Shared by Run and the
+// same-process fast path in Context.Trap.
+func (e *Engine) switchTo(p *Proc) {
 	if e.lastRun != p.pid {
 		e.stats.ContextSwitches++
 		p.switches++
@@ -591,16 +547,13 @@ func (e *Engine) switchTo(p *Proc) any {
 	e.lastRun = p.pid
 	p.state = StateRunning
 	e.active = p
-	reply := p.pendingReply
-	p.pendingReply = nil
-	return reply
 }
 
 // trapEnter books one kernel entry for p: the dispatch and trap counters and
 // the trap cost. The returned scope is the engine.dispatch phase entry; the
 // caller ends it when the kernel work for this entry is done. One scope is
-// booked per trap and per body exit — the same count the channel design's
-// dispatch loop produced — which keeps the perf skeleton deterministic.
+// booked per trap and per body exit, which keeps the perf skeleton
+// deterministic.
 func (e *Engine) trapEnter(p *Proc) perf.Scope {
 	sc := e.phDispatch.Begin()
 	e.mDispatches.Inc()

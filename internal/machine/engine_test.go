@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -489,26 +490,125 @@ func mustSpawnNoT(e *Engine, name string, prio int, body func(ctx *Context)) PID
 }
 
 func TestShutdownUnwindsAllGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
 	m := New(Config{})
 	e := m.Engine()
 	newToyKernel(e)
-	var procs []*Proc
 	for i := 0; i < 8; i++ {
-		procs = append(procs, mustSpawn(t, e, fmt.Sprintf("p%d", i), 7, func(ctx *Context) {
+		mustSpawn(t, e, fmt.Sprintf("blocked%d", i), 7, func(ctx *Context) {
 			ctx.Trap(recvReq{})
-		}))
+		})
 	}
-	m.Run(time.Second)
+	if res := m.Run(time.Second); res.Reason != StopIdle {
+		t.Fatalf("Run reason = %v, want idle-deadlock", res.Reason)
+	}
+	ran := false
+	for i := 0; i < 4; i++ {
+		mustSpawn(t, e, fmt.Sprintf("new%d", i), 7, func(ctx *Context) { ran = true })
+	}
+	if got := runtime.NumGoroutine(); got <= before {
+		t.Fatalf("goroutines with 12 live processes = %d, want > %d", got, before)
+	}
 	m.Shutdown()
-	for _, p := range procs {
-		select {
-		case <-p.done:
-		default:
-			t.Fatalf("process %s goroutine not unwound", p.Name())
-		}
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("goroutines after Shutdown = %d, want %d", got, before)
+	}
+	if ran {
+		t.Fatal("Shutdown ran a never-dispatched body")
 	}
 	if _, err := e.Spawn("late", 7, func(ctx *Context) {}); err == nil {
 		t.Fatal("Spawn after Shutdown succeeded")
+	}
+}
+
+func TestTimerKillsTrappingProcessWhileScheduling(t *testing.T) {
+	m, k := newTestBoard(t)
+	e := m.Engine()
+	var victimPID PID
+	defers, after, otherRan := 0, false, false
+	victim := mustSpawn(t, e, "victim", 7, func(ctx *Context) {
+		defer func() { defers++ }()
+		// Due within the trap's own cost, so the timer fires inside the
+		// scheduler that this very trap runs.
+		m.Clock().After(time.Nanosecond, func() {
+			if err := e.Kill(victimPID); err != nil {
+				t.Errorf("kill: %v", err)
+			}
+		})
+		ctx.Trap(yieldReq{})
+		after = true
+	})
+	victimPID = victim.PID()
+	mustSpawn(t, e, "other", 7, func(ctx *Context) { otherRan = true })
+	if res := m.Run(time.Second); res.Reason != StopAllExited {
+		t.Fatalf("Run reason = %v, want all-exited", res.Reason)
+	}
+	if after {
+		t.Fatal("victim continued past the kill")
+	}
+	if defers != 1 {
+		t.Fatalf("victim defers ran %d times, want 1", defers)
+	}
+	if !otherRan {
+		t.Fatal("the next ready process never ran")
+	}
+	if len(k.exits) != 2 || k.exits[0].pid != victimPID || !k.exits[0].info.Killed {
+		t.Fatalf("exits = %+v, want victim killed first, then other", k.exits)
+	}
+}
+
+func TestKillNeverDispatchedProcess(t *testing.T) {
+	m, k := newTestBoard(t)
+	e := m.Engine()
+	ran := false
+	victim := mustSpawn(t, e, "victim", 9, func(ctx *Context) { ran = true })
+	mustSpawn(t, e, "killer", 2, func(ctx *Context) {
+		if err, _ := ctx.Trap(killReq{pid: victim.PID()}).(error); err != nil {
+			t.Errorf("kill: %v", err)
+		}
+	})
+	if res := m.Run(time.Second); res.Reason != StopAllExited {
+		t.Fatalf("Run reason = %v, want all-exited", res.Reason)
+	}
+	if ran {
+		t.Fatal("killed process's body ran")
+	}
+	if len(k.exits) != 2 || k.exits[0].pid != victim.PID() || !k.exits[0].info.Killed {
+		t.Fatalf("exits = %+v, want victim killed first", k.exits)
+	}
+}
+
+// BenchmarkContextSwitch times one simulated context switch: two
+// same-priority processes alternate yield traps, so every trap hands the
+// CPU to the other process. The switch loop must not allocate.
+func BenchmarkContextSwitch(b *testing.B) {
+	m := New(Config{})
+	e := m.Engine()
+	newToyKernel(e)
+	defer m.Shutdown()
+	for i := 0; i < 2; i++ {
+		mustSpawnNoT(e, fmt.Sprintf("p%d", i), 7, func(ctx *Context) {
+			for {
+				ctx.Trap(yieldReq{})
+			}
+		})
+	}
+	// One trap plus one switch of virtual time per iteration.
+	// The warm-up dispatches both processes, whose first runs allocate.
+	perSwitch := DefaultCosts().Trap + DefaultCosts().Switch
+	m.Run(10 * perSwitch)
+	if allocs := testing.AllocsPerRun(100, func() { m.Run(8 * perSwitch) }); allocs != 0 {
+		b.Fatalf("%v allocations per 8 switches, want 0", allocs)
+	}
+	start := e.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.Run(time.Duration(b.N) * perSwitch)
+	b.StopTimer()
+	end := e.Stats()
+	traps, switches := end.Traps-start.Traps, end.ContextSwitches-start.ContextSwitches
+	if traps != switches || traps < int64(b.N)-1 || traps > int64(b.N)+1 {
+		b.Fatalf("b.N=%d: %d traps, %d switches, want one switch per trap", b.N, traps, switches)
 	}
 }
 

@@ -101,7 +101,7 @@ func (m *Machine) RunUntil(at Time) RunResult {
 	return m.engine.Run(at)
 }
 
-// Shutdown tears down all process goroutines.
+// Shutdown unwinds every live process's coroutine.
 func (m *Machine) Shutdown() { m.engine.Shutdown() }
 
 // TraceLine is one timestamped console line.

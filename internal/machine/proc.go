@@ -15,7 +15,7 @@ type ProcState int
 
 // Process lifecycle states.
 const (
-	// StateNew means the goroutine exists but has never been scheduled.
+	// StateNew means the coroutine exists but has never been scheduled.
 	StateNew ProcState = iota + 1
 	// StateReady means the process has a pending trap reply and is waiting
 	// for CPU.
@@ -48,9 +48,8 @@ func (s ProcState) String() string {
 	}
 }
 
-// killSentinel is delivered on a process's resume channel to force it to
-// unwind. The body wrapper recognises the resulting panic and treats it as a
-// kill rather than a crash.
+// killSentinel is the panic value that unwinds a killed process. The body
+// wrapper recognises it and treats it as a kill rather than a crash.
 type killSentinel struct{}
 
 // ExitInfo describes how a process left the system.
@@ -73,27 +72,27 @@ type Proc struct {
 	engine *Engine
 	body   func(ctx *Context)
 
-	// resume carries trap replies (and the kill sentinel) from the engine to
-	// the parked goroutine. It is unbuffered: a handoff is a context switch.
-	resume chan any
-	// done is closed by the body wrapper when the goroutine has fully
-	// unwound.
-	done chan struct{}
+	// next resumes the process's coroutine until it yields back to Run or
+	// ends; stop unwinds a suspended coroutine (its yield returns false) or
+	// discards one that never ran. yield is the coroutine's side of next.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// pendingReply is delivered at the next dispatch while the proc is Ready.
 	pendingReply any
 
-	// dying is set (by the process's own goroutine) when the kill sentinel
-	// arrives, so deferred cleanup running during unwinding cannot trap into
+	// dying is set (on the process's own coroutine) when the kill unwind
+	// starts, so deferred cleanup running during unwinding cannot trap into
 	// a kernel that is no longer listening.
 	dying bool
 
-	// tokenUnwind is set when a kill hit this process on its own call stack
+	// selfUnwind is set when a kill hit this process on its own call stack
 	// (the kernel killed its caller during HandleTrap, or a timer callback
-	// killed the process running the scheduler). The unwinding goroutine
-	// still holds the engine token and must pass it on from runBody once
-	// user-level deferred cleanup has finished.
-	tokenUnwind bool
+	// killed the process running the scheduler). The unwinding coroutine is
+	// still the one executing, so run must record the next scheduling
+	// decision once user-level deferred cleanup has finished.
+	selfUnwind bool
 
 	// Accounting.
 	traps    int64
@@ -136,19 +135,18 @@ func (c *Context) Name() string { return c.proc.name }
 func (c *Context) Now() Time { return c.proc.engine.clock.Now() }
 
 // Trap synchronously invokes the kernel with an arbitrary request and returns
-// the kernel's reply. The calling goroutine yields the virtual CPU until the
+// the kernel's reply. The calling process yields the virtual CPU until the
 // kernel schedules it again; from the process's perspective the call simply
 // blocks.
 //
-// Under the token-passing engine this is a direct function call: the calling
-// goroutine holds the engine token, so it runs the kernel handler and the
-// scheduler inline. When the next runnable process is the caller itself the
-// reply is returned without touching a channel; otherwise the token is handed
-// to the next process (or back to the host) and the caller parks until its
-// next dispatch.
+// Trap is a direct function call: the calling process is the one executing,
+// so it runs the kernel handler and the scheduler inline. When the next
+// runnable process is the caller itself the reply is returned without any
+// switch; otherwise Trap records the decision and yields to Engine.Run,
+// which resumes the caller at its next dispatch.
 //
-// If the process is killed while parked inside Trap — or kills itself via the
-// kernel — the call never returns: the goroutine unwinds via an internal
+// If the process is killed while suspended inside Trap — or kills itself via
+// the kernel — the call never returns: the body unwinds via an internal
 // panic that the engine recovers. Deferred cleanup that traps during that
 // unwinding re-panics immediately — a dead process gets no more system calls.
 func (c *Context) Trap(req any) any {
@@ -167,9 +165,9 @@ func (c *Context) Trap(req any) any {
 	if p.state == StateDead {
 		// The kernel killed the calling process while handling its trap;
 		// Kill already booked the exit. Unwind before any other process
-		// runs; runBody hands the token on afterwards.
+		// runs; run records the next decision afterwards.
 		sc.End()
-		p.tokenUnwind = true
+		p.selfUnwind = true
 		p.dying = true
 		panic(killSentinel{})
 	}
@@ -185,29 +183,29 @@ func (c *Context) Trap(req any) any {
 	}
 	next, stop, stopped := e.schedule()
 	if p.state == StateDead {
-		// A timer callback killed us while scheduling. Stash the decision —
-		// nextReady may already have popped the next process — and let
-		// runBody perform the handoff once the goroutine has unwound.
-		e.stashNext, e.stashStop, e.stashStopped = next, stop, stopped
-		e.stashValid = true
+		// A timer callback killed us while scheduling. Record the decision —
+		// nextReady may already have popped the next process — before the
+		// unwind, so run leaves it for Run.
+		e.decide(next, stop, stopped)
 		sc.End()
-		p.tokenUnwind = true
+		p.selfUnwind = true
 		p.dying = true
 		panic(killSentinel{})
 	}
 	if next == p {
-		// Fast path: the caller is the next runnable process — keep the
-		// token and return the reply with zero channel operations.
-		out := e.switchTo(p)
+		// Fast path: the caller is the next runnable process — return the
+		// reply without leaving the coroutine.
+		e.switchTo(p)
 		sc.End()
-		return out
+	} else {
+		e.decide(next, stop, stopped)
+		sc.End()
+		if !p.yield(struct{}{}) {
+			p.dying = true
+			panic(killSentinel{})
+		}
 	}
-	sc.End()
-	e.handoff(next, stop, stopped)
-	parked := <-p.resume
-	if _, killed := parked.(killSentinel); killed {
-		p.dying = true
-		panic(killSentinel{})
-	}
-	return parked
+	out := p.pendingReply
+	p.pendingReply = nil
+	return out
 }

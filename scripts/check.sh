@@ -10,11 +10,12 @@ go build ./...
 test -z "$(gofmt -l .)"
 go vet ./...
 go test -race ./...
-# The lab and building runners are the repo's multi-goroutine hot paths;
-# vet and race them explicitly (twice, for scheduling variety) so the
+# The lab and building runners are the repo's multi-goroutine hot paths,
+# and the machine engine's coroutine discipline is what every board runs
+# on; vet and race them explicitly (twice, for scheduling variety) so the
 # parallel suites stay standing gates even if the global pass is narrowed.
-go vet ./internal/lab ./internal/building
-go test -race -count=2 ./internal/lab ./internal/building
+go vet ./internal/machine ./internal/lab ./internal/building
+go test -race -count=2 ./internal/machine ./internal/lab ./internal/building
 go run ./cmd/polcheck -scenario tempcontrol
 # Least-privilege lint: every static grant the scenario never exercises must
 # be covered by the checked-in allowlist; unknown or stale entries fail. The
