@@ -9,6 +9,7 @@
 //	bascontrol -platform minix -duration 40m
 //	bascontrol -platform sel4 -setpoint 25 -setpoint-at 10m
 //	bascontrol -platform linux -fail-heater-at 20m -duration 90m
+//	bascontrol -platform sel4 -bacnet -bacnet-key s3cret
 package main
 
 import (
@@ -39,7 +40,7 @@ func run() error {
 	showTrace := flag.Bool("trace", true, "print the board trace")
 	showEvents := flag.Bool("events", false, "dump the unified security-event stream")
 	showMetrics := flag.Bool("metrics", false, "print board metrics in Prometheus text exposition")
-	withBACnet := flag.Bool("bacnet", false, "also run the BACnet gateway (MINIX only) and demo a field-bus read")
+	withBACnet := flag.Bool("bacnet", false, "also run the BACnet gateway and demo a field-bus read")
 	bacnetKey := flag.String("bacnet-key", "", "enable the secure proxy with this shared key")
 	flag.Parse()
 
@@ -47,16 +48,8 @@ func run() error {
 	tb := bas.NewTestbed(cfg)
 	defer tb.Machine.Shutdown()
 
-	if *withBACnet {
-		if *platform != "minix" {
-			return fmt.Errorf("-bacnet requires -platform minix")
-		}
-		if _, err := bas.Deploy(bas.PlatformMinix, tb, cfg, bas.DeployOptions{
-			BACnet: bas.BACnetOptions{Enabled: true, Key: []byte(*bacnetKey)},
-		}); err != nil {
-			return err
-		}
-	} else if err := deploy(tb, cfg, *platform); err != nil {
+	gw := bas.BACnetOptions{Enabled: *withBACnet, Key: []byte(*bacnetKey)}
+	if err := deploy(tb, cfg, *platform, gw); err != nil {
 		return err
 	}
 	mon := safety.Attach(tb.Machine.Clock(), tb.Room, safety.DefaultConfig())
@@ -167,12 +160,12 @@ func demoBACnet(tb *bas.Testbed, key string) {
 	fmt.Printf("BACnet ReadProperty(temperature), legacy mode -> %.2f°C\n", resp.Value)
 }
 
-func deploy(tb *bas.Testbed, cfg bas.ScenarioConfig, platform string) error {
+func deploy(tb *bas.Testbed, cfg bas.ScenarioConfig, platform string, gw bas.BACnetOptions) error {
 	p, err := cli.ParsePlatform(platform)
 	if err != nil {
 		return err
 	}
-	dep, err := bas.Deploy(p, tb, cfg, bas.DeployOptions{})
+	dep, err := bas.Deploy(p, tb, cfg, bas.DeployOptions{BACnet: gw})
 	if err != nil {
 		return err
 	}

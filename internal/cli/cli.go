@@ -1,9 +1,9 @@
 // Package cli holds the flag bundles and output epilogues shared by the
-// command-line front ends (baslab, basbuilding, basmon, bascontrol). Each
-// bundle registers its flags on a FlagSet with the same names, defaults, and
-// help text everywhere, so the tools stay mutually consistent as flags grow:
-// a -workers or -bench that means one thing in baslab cannot quietly mean
-// another in basbuilding.
+// command-line front ends (baslab, basbuilding, basload, basmon,
+// bascontrol). Each bundle registers its flags on a FlagSet with the same
+// names, defaults, and help text everywhere, so the tools stay mutually
+// consistent as flags grow: a -workers or -bench that means one thing in
+// baslab cannot quietly mean another in basbuilding or basload.
 package cli
 
 import (

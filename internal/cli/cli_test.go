@@ -2,10 +2,15 @@ package cli
 
 import (
 	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"mkbas/internal/bas"
+	"mkbas/internal/lab"
 )
 
 func TestBundlesRegisterCanonicalFlagNames(t *testing.T) {
@@ -71,5 +76,24 @@ func TestParsePlatform(t *testing.T) {
 	}
 	if _, err := ParsePlatform("plan9"); err == nil {
 		t.Error("unknown platform accepted")
+	}
+}
+
+// TestWriteBenchReportRejectsDivergence: a bench whose output differed at
+// one worker width is written out, then reported as a determinism error.
+func TestWriteBenchReportRejectsDivergence(t *testing.T) {
+	rep, err := lab.RunBench("t", []int{1, 2}, 1, func(w int) (lab.BenchRun, error) {
+		return lab.BenchRun{Out: []byte{byte(w)}, Elapsed: time.Millisecond, Workers: w, Shards: 2}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	err = WriteBenchReport(rep, path, "shards/s")
+	if err == nil || !strings.Contains(err.Error(), "determinism violated") {
+		t.Fatalf("WriteBenchReport error = %v, want the determinism violation", err)
+	}
+	if _, serr := os.Stat(path); serr != nil {
+		t.Fatalf("divergent report not written: %v", serr)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"time"
 
 	"mkbas/internal/attack"
 )
@@ -66,10 +67,10 @@ func speedupOf(baseNs, elapsedNs float64) float64 {
 	return baseNs / elapsedNs
 }
 
-// WarnIfSerial flags a degenerate bench host on stderr and reports whether
-// parallelism is effective. Bench writers outside the package (cmd/basload)
-// share it so every bench record carries the same honesty warning.
-func WarnIfSerial(kind string) bool {
+// warnIfSerial flags a degenerate bench host on stderr and reports whether
+// parallelism is effective, so every bench record carries the same honesty
+// warning.
+func warnIfSerial(kind string) bool {
 	if runtime.GOMAXPROCS(0) > 1 {
 		return true
 	}
@@ -77,11 +78,31 @@ func WarnIfSerial(kind string) bool {
 	return false
 }
 
-// Bench runs the sweep once per worker count, measuring wall-clock
-// throughput and verifying that every run's merged JSON is byte-identical
-// to the first. The first worker count is the speedup baseline, so pass 1
-// first for honest serial-relative numbers.
-func Bench(sweep Sweep, workerCounts []int, hostCPUs int) (*BenchReport, error) {
+// BenchRun is what one run of a scaling bench reports to RunBench.
+type BenchRun struct {
+	// Out is the run's deterministic output; every width must reproduce the
+	// first run's bytes.
+	Out []byte
+	// Elapsed is the run's wall-clock time.
+	Elapsed time.Duration
+	// Workers is the width that actually ran, after any clamp to the shard
+	// count.
+	Workers int
+	// Shards, BoardSecs, and Requests are the run's work: independent
+	// shards, board·virtual-seconds simulated, and tenant requests (zero
+	// for benches that are not request-oriented).
+	Shards    int
+	BoardSecs float64
+	Requests  int64
+}
+
+// RunBench is the one scaling-bench driver behind Bench, BenchBuilding, and
+// the tenant-API load generator's bench. It calls run once per worker count,
+// checks that every run's output is byte-identical to the first, and turns
+// each run's work and wall time into a BenchPoint. The first worker count is
+// the speedup baseline, so pass 1 first for honest serial-relative numbers.
+// kind names the bench in the serial-host warning.
+func RunBench(kind string, workerCounts []int, hostCPUs int, run func(workers int) (BenchRun, error)) (*BenchReport, error) {
 	if len(workerCounts) == 0 {
 		return nil, fmt.Errorf("lab: no worker counts to bench")
 	}
@@ -89,39 +110,52 @@ func Bench(sweep Sweep, workerCounts []int, hostCPUs int) (*BenchReport, error) 
 		Identical:            true,
 		HostCPUs:             hostCPUs,
 		GOMAXPROCS:           runtime.GOMAXPROCS(0),
-		ParallelismEffective: WarnIfSerial("lab"),
+		ParallelismEffective: warnIfSerial(kind),
 	}
 	var baseline []byte
-	var baseElapsed float64
-	// Every campaign shard is one board simulating the full attack timeline.
-	virtSecsPerShard := attack.RunDuration().Seconds()
+	var baseNs float64
 	for i, w := range workerCounts {
-		res, err := Run(sweep, Options{Workers: w})
+		r, err := run(w)
 		if err != nil {
 			return nil, err
 		}
-		out, err := res.JSON()
-		if err != nil {
-			return nil, err
-		}
+		ns := float64(r.Elapsed.Nanoseconds())
 		if i == 0 {
-			rep.Shards = len(res.Cases)
-			baseline = out
-			baseElapsed = float64(res.Elapsed.Nanoseconds())
-		} else if !bytes.Equal(out, baseline) {
+			rep.Shards, baseline, baseNs = r.Shards, r.Out, ns
+		} else if !bytes.Equal(r.Out, baseline) {
 			rep.Identical = false
 		}
-		elapsed := float64(res.Elapsed.Nanoseconds())
-		pt := BenchPoint{
-			Workers:          res.Workers,
-			ElapsedMS:        elapsed / 1e6,
-			ShardsPerSec:     perSec(float64(len(res.Cases)), elapsed),
-			BoardStepsPerSec: perSec(float64(len(res.Cases))*virtSecsPerShard, elapsed),
-			Speedup:          speedupOf(baseElapsed, elapsed),
-		}
-		rep.Points = append(rep.Points, pt)
+		rep.Points = append(rep.Points, BenchPoint{
+			Workers:          r.Workers,
+			ElapsedMS:        ns / 1e6,
+			ShardsPerSec:     perSec(float64(r.Shards), ns),
+			BoardStepsPerSec: perSec(r.BoardSecs, ns),
+			RequestsPerSec:   perSec(float64(r.Requests), ns),
+			Speedup:          speedupOf(baseNs, ns),
+		})
 	}
 	return rep, nil
+}
+
+// Bench runs the sweep once per worker count through RunBench; each run's
+// merged JSON is the determinism witness.
+func Bench(sweep Sweep, workerCounts []int, hostCPUs int) (*BenchReport, error) {
+	// Every campaign shard is one board simulating the full attack timeline.
+	virtSecsPerShard := attack.RunDuration().Seconds()
+	return RunBench("lab", workerCounts, hostCPUs, func(w int) (BenchRun, error) {
+		res, err := Run(sweep, Options{Workers: w})
+		if err != nil {
+			return BenchRun{}, err
+		}
+		out, err := res.JSON()
+		return BenchRun{
+			Out:       out,
+			Elapsed:   res.Elapsed,
+			Workers:   res.Workers,
+			Shards:    len(res.Cases),
+			BoardSecs: float64(len(res.Cases)) * virtSecsPerShard,
+		}, err
+	})
 }
 
 // JSON renders the bench report as indented JSON with a trailing newline.

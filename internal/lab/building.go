@@ -1,13 +1,10 @@
 package lab
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"mkbas/internal/attack"
@@ -456,87 +453,42 @@ type BuildingOptions struct {
 	Profiler *perf.Profiler
 }
 
-// RunBuilding executes every case of the building sweep across a worker
-// pool, mirroring Run's merge-by-shard determinism.
+// RunBuilding executes every case of the building sweep on the shard pool
+// (ForEachShard), with Run's merge-by-shard determinism.
 func RunBuilding(sweep BuildingSweep, opts BuildingOptions) (*BuildingResult, error) {
 	if err := sweep.Validate(); err != nil {
 		return nil, err
 	}
 	sweep = sweep.withDefaults()
 	cases := sweep.Expand()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(cases) {
-		workers = len(cases)
-	}
-
+	workers := max(opts.Workers, 1)
 	start := time.Now()
 	reports := make([]*attack.BuildingReport, len(cases))
-	errs := make([]error, len(cases))
-	jobs := make(chan int, len(cases))
-	pool := newPoolStats(opts.Profiler, workers)
-	phShard := opts.Profiler.Phase("lab.shard")
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		var track *perf.Track
-		if opts.Profiler.TimelineEnabled() {
-			track = opts.Profiler.Track(fmt.Sprintf("lab-worker-%02d", w))
-		}
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				pool.enter(len(jobs))
-				var label string
-				if track != nil {
-					label = fmt.Sprintf("shard-%02d", i)
-				}
-				sc := phShard.BeginOn(track, label)
-				jobStart := time.Now()
-				c := cases[i]
-				spec, err := c.Spec(sweep.Settle, sweep.Window)
-				if err != nil {
-					errs[i] = err
-					sc.End()
-					pool.exit(w, time.Since(jobStart))
-					continue
-				}
-				spec.Profiler = opts.Profiler
-				r, err := attack.ExecuteBuilding(spec)
-				if err != nil {
-					errs[i] = fmt.Errorf("lab: building shard %s: %w", c, err)
-					sc.End()
-					pool.exit(w, time.Since(jobStart))
-					continue
-				}
-				reports[i] = r
-				if opts.Progress != nil {
-					opts.Progress(c, r)
-				}
-				sc.End()
-				pool.exit(w, time.Since(jobStart))
-			}
-		}(w)
-	}
-	for i := range cases {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	pool.export("lab", int64(time.Since(start)))
-
-	for _, err := range errs {
+	err := ForEachShard("lab", len(cases), workers, opts.Profiler, func(i int) error {
+		c := cases[i]
+		spec, err := c.Spec(sweep.Settle, sweep.Window)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		spec.Profiler = opts.Profiler
+		r, err := attack.ExecuteBuilding(spec)
+		if err != nil {
+			return fmt.Errorf("lab: building shard %s: %w", c, err)
+		}
+		reports[i] = r
+		if opts.Progress != nil {
+			opts.Progress(c, r)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &BuildingResult{
 		Sweep:   sweep,
 		Cases:   make([]BuildingShard, len(cases)),
-		Workers: workers,
+		Workers: poolWidth(len(cases), workers),
 		Elapsed: time.Since(start),
 	}
 	for i, c := range cases {
@@ -550,51 +502,28 @@ func RunBuilding(sweep BuildingSweep, opts BuildingOptions) (*BuildingResult, er
 	return res, nil
 }
 
-// BenchBuilding measures one building's lockstep scaling: the same spec runs
-// once per worker count, and every run's report must be byte-identical to
-// the serial baseline (spec.Workers is excluded from the report JSON). It
-// reuses the campaign bench shapes, with rooms standing in for shards.
+// BenchBuilding measures one building's lockstep scaling through RunBench:
+// the same spec runs once per worker count, and every run's report must be
+// byte-identical to the serial baseline (spec.Workers is excluded from the
+// report JSON). Rooms stand in for shards.
 func BenchBuilding(spec attack.BuildingSpec, workerCounts []int, hostCPUs int) (*BenchReport, error) {
-	if len(workerCounts) == 0 {
-		return nil, fmt.Errorf("lab: no worker counts to bench")
-	}
-	rep := &BenchReport{
-		Shards:               spec.Rooms,
-		Identical:            true,
-		HostCPUs:             hostCPUs,
-		GOMAXPROCS:           runtime.GOMAXPROCS(0),
-		ParallelismEffective: WarnIfSerial("building"),
-	}
-	var baseline []byte
-	var baseElapsed float64
 	// Every room board simulates the spec's full virtual timeline.
 	virtSecsPerBoard := spec.Duration().Seconds()
-	for i, w := range workerCounts {
+	return RunBench("building", workerCounts, hostCPUs, func(w int) (BenchRun, error) {
 		spec.Workers = w
 		start := time.Now()
 		res, err := attack.ExecuteBuilding(spec)
 		if err != nil {
-			return nil, err
+			return BenchRun{}, err
 		}
 		wall := time.Since(start)
 		out, err := marshalIndent(res)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			baseline = out
-			baseElapsed = float64(wall.Nanoseconds())
-		} else if !bytes.Equal(out, baseline) {
-			rep.Identical = false
-		}
-		elapsed := float64(wall.Nanoseconds())
-		rep.Points = append(rep.Points, BenchPoint{
-			Workers:          w,
-			ElapsedMS:        elapsed / 1e6,
-			ShardsPerSec:     perSec(float64(spec.Rooms), elapsed),
-			BoardStepsPerSec: perSec(float64(spec.Rooms)*virtSecsPerBoard, elapsed),
-			Speedup:          speedupOf(baseElapsed, elapsed),
-		})
-	}
-	return rep, nil
+		return BenchRun{
+			Out:       out,
+			Elapsed:   wall,
+			Workers:   w,
+			Shards:    spec.Rooms,
+			BoardSecs: float64(spec.Rooms) * virtSecsPerBoard,
+		}, err
+	})
 }

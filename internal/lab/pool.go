@@ -4,36 +4,35 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mkbas/internal/perf"
 )
 
 // ForEachShard runs fn(shard) for shards 0..n-1 across a pool of workers
-// goroutines — the campaign runner's pool discipline, exported for other
-// shard-parallel drivers (the tenant-API load generator). The contract is
-// the same as Run's: each shard must be fully independent, results must land
-// in shard-indexed storage owned by the caller, and any merge must follow in
-// shard order, never completion order — that is what keeps output bytes
-// independent of the worker count.
+// goroutines. It is the repo's only worker pool: the attack campaign (Run),
+// the building campaign (RunBuilding), and the tenant-API load generator
+// all schedule through it. Each shard must be fully independent, results
+// must land in shard-indexed storage owned by the caller, and any merge must
+// follow in shard order, never completion order — that is what keeps output
+// bytes independent of the worker count.
 //
 // workers <= 0 means GOMAXPROCS. Shard wall time books into the
-// "<kind>.shard" profiler phase and the pool exports utilization and
-// queue-depth gauges under kind; a nil profiler records nothing. Every shard
-// runs even when one fails; the error of the lowest-numbered failing shard
-// is returned, independent of timing.
+// "<kind>.shard" profiler phase (with a timeline, as a "shard-NN" slice on
+// the worker's "<kind>-worker-NN" track) and the pool exports utilization
+// and queue-depth gauges under kind; a nil profiler records nothing. Every
+// shard runs even when one fails; the error of the lowest-numbered failing
+// shard is returned, independent of timing.
 func ForEachShard(kind string, n, workers int, prof *perf.Profiler, fn func(shard int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = poolWidth(n, workers)
 	start := time.Now()
 	errs := make([]error, n)
+	// The queue is buffered so its length is observable: sampling len(jobs)
+	// at each dequeue gives the queue-depth high-water gauge.
 	jobs := make(chan int, n)
 	pool := newPoolStats(prof, workers)
 	phShard := prof.Phase(kind + ".shard")
@@ -72,4 +71,67 @@ func ForEachShard(kind string, n, workers int, prof *perf.Profiler, fn func(shar
 		}
 	}
 	return nil
+}
+
+// poolWidth is the number of workers ForEachShard actually starts for n
+// shards: workers <= 0 means GOMAXPROCS, and no more workers than shards.
+func poolWidth(n, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, n)
+}
+
+// poolStats instruments one worker pool: in-flight high-water mark, queue
+// high-water mark, and per-worker busy time, exported as perf gauges.
+type poolStats struct {
+	prof     *perf.Profiler
+	inflight int64
+	maxIn    int64
+	maxQ     int64
+	busyNs   []int64
+}
+
+func newPoolStats(prof *perf.Profiler, workers int) *poolStats {
+	return &poolStats{prof: prof, busyNs: make([]int64, workers)}
+}
+
+// enter marks one job starting; depth is the queue length observed at
+// dequeue time.
+func (ps *poolStats) enter(depth int) {
+	in := atomic.AddInt64(&ps.inflight, 1)
+	atomicMax(&ps.maxIn, in)
+	atomicMax(&ps.maxQ, int64(depth))
+}
+
+// exit marks one job done, folding its wall time into the worker's account.
+func (ps *poolStats) exit(worker int, d time.Duration) {
+	atomic.AddInt64(&ps.inflight, -1)
+	atomic.AddInt64(&ps.busyNs[worker], int64(d))
+}
+
+// export publishes the pool gauges. wallNs is the pool's total wall-clock;
+// utilization is the busy share of workers × wall, in percent.
+func (ps *poolStats) export(prefix string, wallNs int64) {
+	ps.prof.SetGauge(prefix+".workers", int64(len(ps.busyNs)))
+	ps.prof.SetGauge(prefix+".max_inflight", atomic.LoadInt64(&ps.maxIn))
+	ps.prof.SetGauge(prefix+".queue_high_water", atomic.LoadInt64(&ps.maxQ))
+	var busy int64
+	for w := range ps.busyNs {
+		b := atomic.LoadInt64(&ps.busyNs[w])
+		busy += b
+		ps.prof.SetGauge(fmt.Sprintf("%s.worker%02d.busy_ns", prefix, w), b)
+	}
+	if total := int64(len(ps.busyNs)) * wallNs; total > 0 {
+		ps.prof.SetGauge(prefix+".utilization_pct", busy*100/total)
+	}
+}
+
+func atomicMax(addr *int64, v int64) {
+	for {
+		old := atomic.LoadInt64(addr)
+		if v <= old || atomic.CompareAndSwapInt64(addr, old, v) {
+			return
+		}
+	}
 }

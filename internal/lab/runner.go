@@ -2,9 +2,6 @@ package lab
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mkbas/internal/attack"
@@ -28,60 +25,6 @@ type Options struct {
 	Profiler *perf.Profiler
 }
 
-// poolStats instruments one worker pool: in-flight high-water mark, queue
-// high-water mark, and per-worker busy time, exported as perf gauges.
-type poolStats struct {
-	prof     *perf.Profiler
-	inflight int64
-	maxIn    int64
-	maxQ     int64
-	busyNs   []int64
-}
-
-func newPoolStats(prof *perf.Profiler, workers int) *poolStats {
-	return &poolStats{prof: prof, busyNs: make([]int64, workers)}
-}
-
-// enter marks one job starting; depth is the queue length observed at
-// dequeue time.
-func (ps *poolStats) enter(depth int) {
-	in := atomic.AddInt64(&ps.inflight, 1)
-	atomicMax(&ps.maxIn, in)
-	atomicMax(&ps.maxQ, int64(depth))
-}
-
-// exit marks one job done, folding its wall time into the worker's account.
-func (ps *poolStats) exit(worker int, d time.Duration) {
-	atomic.AddInt64(&ps.inflight, -1)
-	atomic.AddInt64(&ps.busyNs[worker], int64(d))
-}
-
-// export publishes the pool gauges. wallNs is the pool's total wall-clock;
-// utilization is the busy share of workers × wall, in percent.
-func (ps *poolStats) export(prefix string, wallNs int64) {
-	ps.prof.SetGauge(prefix+".workers", int64(len(ps.busyNs)))
-	ps.prof.SetGauge(prefix+".max_inflight", atomic.LoadInt64(&ps.maxIn))
-	ps.prof.SetGauge(prefix+".queue_high_water", atomic.LoadInt64(&ps.maxQ))
-	var busy int64
-	for w := range ps.busyNs {
-		b := atomic.LoadInt64(&ps.busyNs[w])
-		busy += b
-		ps.prof.SetGauge(fmt.Sprintf("%s.worker%02d.busy_ns", prefix, w), b)
-	}
-	if total := int64(len(ps.busyNs)) * wallNs; total > 0 {
-		ps.prof.SetGauge(prefix+".utilization_pct", busy*100/total)
-	}
-}
-
-func atomicMax(addr *int64, v int64) {
-	for {
-		old := atomic.LoadInt64(addr)
-		if v <= old || atomic.CompareAndSwapInt64(addr, old, v) {
-			return
-		}
-	}
-}
-
 // ShardResult is one case's outcome, in shard position.
 type ShardResult struct {
 	Case    Case           `json:"case"`
@@ -102,8 +45,8 @@ type Result struct {
 	Elapsed time.Duration `json:"-"`
 }
 
-// Run executes every case of the sweep across a pool of opts.Workers
-// goroutines. Each case boots a fresh, fully independent virtual board —
+// Run executes every case of the sweep on the shard pool (ForEachShard)
+// with opts.Workers goroutines. Each case boots a fresh, fully independent virtual board —
 // boards never share mutable state, so data-parallelism cannot perturb any
 // board's single-threaded determinism (DESIGN §7). Results land in a slice
 // indexed by shard; merge order is shard order, never completion order.
@@ -116,82 +59,34 @@ func Run(sweep Sweep, opts Options) (*Result, error) {
 		return nil, err
 	}
 	cases := sweep.Expand()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cases) {
-		workers = len(cases)
-	}
-
 	start := time.Now()
 	reports := make([]*attack.Report, len(cases))
-	errs := make([]error, len(cases))
-	// The queue is buffered so its length is observable: sampling len(jobs)
-	// at each dequeue gives the queue-depth high-water gauge.
-	jobs := make(chan int, len(cases))
-	pool := newPoolStats(opts.Profiler, workers)
-	phShard := opts.Profiler.Phase("lab.shard")
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		var track *perf.Track
-		if opts.Profiler.TimelineEnabled() {
-			track = opts.Profiler.Track(fmt.Sprintf("lab-worker-%02d", w))
-		}
-		go func(w int) {
-			defer wg.Done()
-			for i := range jobs {
-				pool.enter(len(jobs))
-				var label string
-				if track != nil {
-					label = fmt.Sprintf("shard-%02d", i)
-				}
-				sc := phShard.BeginOn(track, label)
-				jobStart := time.Now()
-				c := cases[i]
-				cfg, err := c.Plant.Scenario()
-				if err != nil {
-					errs[i] = err
-					sc.End()
-					pool.exit(w, time.Since(jobStart))
-					continue
-				}
-				spec := c.Spec()
-				spec.Profiler = opts.Profiler
-				r, err := attack.ExecuteScenario(spec, cfg)
-				if err != nil {
-					errs[i] = fmt.Errorf("lab: shard %s: %w", c, err)
-					sc.End()
-					pool.exit(w, time.Since(jobStart))
-					continue
-				}
-				reports[i] = r
-				if opts.Progress != nil {
-					opts.Progress(c, r)
-				}
-				sc.End()
-				pool.exit(w, time.Since(jobStart))
-			}
-		}(w)
-	}
-	for i := range cases {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	pool.export("lab", int64(time.Since(start)))
-
-	for _, err := range errs {
+	err := ForEachShard("lab", len(cases), opts.Workers, opts.Profiler, func(i int) error {
+		c := cases[i]
+		cfg, err := c.Plant.Scenario()
 		if err != nil {
-			return nil, err
+			return err
 		}
+		spec := c.Spec()
+		spec.Profiler = opts.Profiler
+		r, err := attack.ExecuteScenario(spec, cfg)
+		if err != nil {
+			return fmt.Errorf("lab: shard %s: %w", c, err)
+		}
+		reports[i] = r
+		if opts.Progress != nil {
+			opts.Progress(c, r)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{
 		Sweep:   sweep.withDefaults(),
 		Cases:   make([]ShardResult, len(cases)),
-		Workers: workers,
+		Workers: poolWidth(len(cases), opts.Workers),
 		Elapsed: time.Since(start),
 	}
 	for i, c := range cases {

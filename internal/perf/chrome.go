@@ -1,39 +1,23 @@
 package perf
 
 import (
-	"encoding/json"
 	"sort"
+
+	"mkbas/internal/obs"
 )
 
 // The Chrome host-trace export: the campaign's *host* execution as a
 // Perfetto/chrome://tracing timeline — worker goroutines as tracks, shards
-// and board-step rounds as slices. It complements obs.ChromeTrace, which
-// renders one board's *virtual* time: that trace answers "what did the
+// and board-step rounds as slices. It complements obs.Tracer.ChromeTrace,
+// which renders one board's *virtual* time: that trace answers "what did the
 // simulated system do", this one answers "where did the simulator's
-// wall-clock go".
-
-// chromeEvent mirrors the trace-event JSON shape obs uses; duplicated here
-// (rather than exported from obs) to keep perf free of virtual-time types.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
+// wall-clock go". Both go through the one encoder, obs.EncodeChrome.
 
 // ChromeTrace renders the retained timeline as Chrome trace-event JSON.
 // Tracks become threads, sorted by name for determinism; each tracked scope
 // becomes a complete ("X") event with its phase in args, timestamps in host
-// microseconds since the profiler was created.
+// microseconds since the profiler was created. Every event, metadata
+// included, carries a dur.
 //
 // normalize replaces host timestamps with each track's event ordinal (1µs
 // apart, 1µs long): the result is then a pure function of the recorded event
@@ -41,40 +25,33 @@ type chromeTrace struct {
 // interleaving is scheduling-dependent even normalized; byte-stable goldens
 // use a single worker.
 func (p *Profiler) ChromeTrace(normalize bool) ([]byte, error) {
-	trace := chromeTrace{DisplayTimeUnit: "ns", TraceEvents: []chromeEvent{}}
-	if p == nil {
-		return json.MarshalIndent(trace, "", " ")
+	var tracks []*Track
+	if p != nil {
+		p.mu.Lock()
+		tracks = append(tracks, p.tracks...)
+		p.mu.Unlock()
 	}
-	p.mu.Lock()
-	tracks := make([]*Track, len(p.tracks))
-	copy(tracks, p.tracks)
-	p.mu.Unlock()
 	sort.Slice(tracks, func(i, j int) bool { return tracks[i].name < tracks[j].name })
 
+	names := make([]string, len(tracks))
+	var events []obs.ChromeEvent
 	for i, tr := range tracks {
-		trace.TraceEvents = append(trace.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: 1, TID: i + 1,
-			Args: map[string]any{"name": tr.name},
-		})
-	}
-	for i, tr := range tracks {
+		names[i] = tr.name
 		for seq, ev := range tr.events {
-			e := chromeEvent{
+			ts, dur := float64(ev.startNs)/1e3, float64(ev.durNs)/1e3
+			if normalize {
+				ts, dur = float64(seq), 1
+			}
+			events = append(events, obs.ChromeEvent{
 				Name: ev.name,
 				Cat:  "host",
-				Ph:   "X",
-				Ts:   float64(ev.startNs) / 1e3,
-				Dur:  float64(ev.durNs) / 1e3,
-				PID:  1,
+				Ts:   ts,
+				Dur:  &dur,
 				TID:  i + 1,
 				Args: map[string]any{"phase": ev.phase},
-			}
-			if normalize {
-				e.Ts = float64(seq)
-				e.Dur = 1
-			}
-			trace.TraceEvents = append(trace.TraceEvents, e)
+			})
 		}
 	}
-	return json.MarshalIndent(trace, "", " ")
+	var metaDur float64
+	return obs.EncodeChrome(names, events, &metaDur)
 }

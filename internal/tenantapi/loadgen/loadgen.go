@@ -2,19 +2,17 @@
 // million-request campaign against shard-local gateways, in virtual time,
 // whose merged output is byte-identical at any worker count.
 //
-// The design mirrors the attack fleet runner (internal/lab): the campaign
-// splits into independent shards, each shard owns every piece of mutable
-// state it touches (clock, PRNG, directory, backend, gateway, metrics,
-// events), results land in shard-indexed storage, and the merge folds them
-// in shard order with the obs merge helpers. Worker count is therefore pure
+// The campaign runs on the attack fleet runner's shard pool
+// (lab.ForEachShard) under the same contract: it splits into independent
+// shards, each shard owns every piece of mutable state it touches (clock,
+// PRNG, directory, backend, gateway, metrics, events), results land in
+// shard-indexed storage, and the merge folds them in shard order with the
+// obs merge helpers. Worker count is therefore pure
 // wall-clock mechanics — it cannot reach the simulated world.
 package loadgen
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
-	"runtime"
 	"time"
 
 	"mkbas/internal/lab"
@@ -281,52 +279,23 @@ func runShard(plan Plan, shard, n int) *shardOut {
 	return out
 }
 
-// Bench runs the same plan once per worker count, verifying that every
-// merged report is byte-identical to the first and measuring wall-clock
-// request throughput. The first worker count is the speedup baseline; pass
-// 1 first for honest serial-relative numbers.
+// Bench runs the same plan once per worker count through lab.RunBench,
+// verifying that every merged report is byte-identical to the first and
+// measuring wall-clock request throughput.
 func Bench(plan Plan, workerCounts []int, hostCPUs int) (*lab.BenchReport, error) {
-	if len(workerCounts) == 0 {
-		return nil, fmt.Errorf("loadgen: no worker counts to bench")
-	}
-	rep := &lab.BenchReport{
-		Identical:            true,
-		HostCPUs:             hostCPUs,
-		GOMAXPROCS:           runtime.GOMAXPROCS(0),
-		ParallelismEffective: lab.WarnIfSerial("loadgen"),
-	}
-	var baseline []byte
-	var baseElapsed float64
-	for i, w := range workerCounts {
+	return lab.RunBench("loadgen", workerCounts, hostCPUs, func(w int) (lab.BenchRun, error) {
 		plan.Workers = w
 		res, err := Run(plan)
 		if err != nil {
-			return nil, err
+			return lab.BenchRun{}, err
 		}
 		out, err := res.JSON()
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			rep.Shards = res.Plan.Shards
-			baseline = out
-			baseElapsed = float64(res.Elapsed.Nanoseconds())
-		} else if !bytes.Equal(out, baseline) {
-			rep.Identical = false
-		}
-		elapsed := float64(res.Elapsed.Nanoseconds())
-		pt := lab.BenchPoint{
-			Workers:   w,
-			ElapsedMS: elapsed / 1e6,
-		}
-		if elapsed > 0 {
-			pt.ShardsPerSec = float64(res.Plan.Shards) / (elapsed / 1e9)
-			pt.RequestsPerSec = float64(res.Requests) / (elapsed / 1e9)
-		}
-		if elapsed > 0 && baseElapsed > 0 {
-			pt.Speedup = baseElapsed / elapsed
-		}
-		rep.Points = append(rep.Points, pt)
-	}
-	return rep, nil
+		return lab.BenchRun{
+			Out:      out,
+			Elapsed:  res.Elapsed,
+			Workers:  w,
+			Shards:   res.Plan.Shards,
+			Requests: res.Requests,
+		}, err
+	})
 }

@@ -33,6 +33,12 @@ trap 'rm -f "$out1" "$out2"' EXIT
 go run ./cmd/basmon -platform minix -json >"$out1"
 go run ./cmd/basmon -platform minix -json >"$out2"
 cmp "$out1" "$out2"
+# Chrome-export golden: the board's trace-event timeline (obs.EncodeChrome,
+# the encoder the host-side -perf-trace shares) is virtual-time only, so two
+# runs must produce byte-identical traces.
+go run ./cmd/basmon -platform minix -chrome - >"$out1"
+go run ./cmd/basmon -platform minix -chrome - >"$out2"
+cmp "$out1" "$out2"
 # Shard-merge determinism golden: the same campaign run serially and with 8
 # workers must produce byte-identical merged JSON (DESIGN.md §9).
 smoke='platforms=paper;actions=kill-controller;models=both'
