@@ -13,7 +13,6 @@
 //	basbuilding -busfaults bus-partition          # partition room 1 off the bus mid-run
 //	basbuilding -busfaults partition-failover -standby   # E15: partition + primary kill + failover
 //	basbuilding -sweep "rooms=4,16;mix=paper;attack=both" -workers 4
-//	basbuilding -bench 1,2,4,8 -bench-out BENCH_building.json
 //	basbuilding -rooms 64 -perf                   # host-side phase profile on stderr
 //	basbuilding -perf-trace trace.json            # per-worker timeline for chrome://tracing
 package main
@@ -23,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -104,15 +102,6 @@ func run() error {
 		}
 	}
 
-	if pool.Bench != "" {
-		if err := runBench(spec, &pool); err != nil {
-			return err
-		}
-		// Bench runs are not phase-profiled (each worker count would smear
-		// into one table), but -cpuprofile/-memprofile still apply.
-		return prof.Finish()
-	}
-
 	spec.Profiler = prof.Profiler()
 	rep, err := attack.ExecuteBuilding(spec)
 	if err != nil {
@@ -184,18 +173,6 @@ func runSweep(spec string, workers int, jsonOut, quiet bool, prof *perf.CLI) err
 		fmt.Printf("== %s\n%s\n", shard.Case, attack.FormatBuildingMatrix(shard.Report))
 	}
 	return nil
-}
-
-func runBench(spec attack.BuildingSpec, pool *cli.Pool) error {
-	workerCounts, err := pool.BenchCounts()
-	if err != nil {
-		return err
-	}
-	rep, err := lab.BenchBuilding(spec, workerCounts, runtime.NumCPU())
-	if err != nil {
-		return err
-	}
-	return cli.WriteBenchReport(rep, pool.BenchOut, "rooms/s")
 }
 
 // marshal renders a report as indented JSON with a trailing newline.

@@ -11,7 +11,6 @@
 //	baslab -sweep "platforms=minix3-acm;actions=fork-bomb;quotas=0,5" -json
 //	baslab -faults crash-sensor -sweep "platforms=paper;actions=none"   # E10 chaos
 //	baslab -faults plan.json                      # operator-authored fault plan
-//	baslab -bench 1,2,4,8 -bench-out BENCH_lab.json
 //	baslab -perf -workers 8                       # host-side phase profile on stderr
 //	baslab -perf-trace trace.json -cpuprofile cpu.pprof
 package main
@@ -20,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"mkbas/internal/attack"
@@ -67,15 +65,6 @@ func run() error {
 		if verr := sweep.Validate(); verr != nil {
 			return verr
 		}
-	}
-
-	if pool.Bench != "" {
-		if err := runBench(sweep, &pool); err != nil {
-			return err
-		}
-		// Bench runs are not phase-profiled (each worker count would smear
-		// into one table), but -cpuprofile/-memprofile still apply.
-		return prof.Finish()
 	}
 
 	opts := lab.Options{Workers: pool.Workers, Profiler: prof.Profiler()}
@@ -129,16 +118,4 @@ func resolveFaults(spec string) ([]string, error) {
 		names = append(names, item)
 	}
 	return names, nil
-}
-
-func runBench(sweep lab.Sweep, pool *cli.Pool) error {
-	workerCounts, err := pool.BenchCounts()
-	if err != nil {
-		return err
-	}
-	rep, err := lab.Bench(sweep, workerCounts, runtime.NumCPU())
-	if err != nil {
-		return err
-	}
-	return cli.WriteBenchReport(rep, pool.BenchOut, "shards/s")
 }

@@ -8,14 +8,12 @@
 //	basload                                   # 1,000,000 requests, 64 shards
 //	basload -requests 200000 -shards 16 -json
 //	basload -workers 8                        # same bytes, less wall-clock
-//	basload -bench 1,2,4,8 -bench-out BENCH_api.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 
 	"mkbas/internal/cli"
@@ -43,18 +41,6 @@ func run() error {
 	flag.Parse()
 
 	plan := loadgen.Plan{Seed: *seed, Requests: *requests, Shards: *shards}
-
-	if pool.Bench != "" {
-		workerCounts, err := pool.BenchCounts()
-		if err != nil {
-			return err
-		}
-		rep, err := loadgen.Bench(plan, workerCounts, runtime.NumCPU())
-		if err != nil {
-			return err
-		}
-		return cli.WriteBenchReport(rep, pool.BenchOut, "req/s")
-	}
 
 	if err := prof.Start(); err != nil {
 		return err

@@ -216,7 +216,7 @@ func minixBACnetGatewayBody(bopts BACnetOptions, state *bacnet.ProxyState, board
 			api.Trace("bacnet", fmt.Sprintf("listen failed: %v", err))
 			return
 		}
-		serveBACnet(minixListener{api: api, l: l}, gw)
+		serveBACnet(netListener{net: api, l: l}, gw)
 	}
 }
 
@@ -231,7 +231,7 @@ func sel4BACnetGatewayRun(bopts BACnetOptions, state *bacnet.ProxyState, board *
 			rt.Trace("bacnet", fmt.Sprintf("listen failed: %v", err))
 			return
 		}
-		serveBACnet(sel4Listener{rt: rt, l: l}, gw)
+		serveBACnet(netListener{net: rt, l: l}, gw)
 	}
 }
 
@@ -276,7 +276,7 @@ func linuxBACnetGatewayBody(bopts BACnetOptions, state *bacnet.ProxyState, board
 			api.Trace("bacnet", fmt.Sprintf("gateway: listen failed: %v", err))
 			return
 		}
-		serveBACnet(linuxListener{api: api, l: l}, gw)
+		serveBACnet(netListener{net: api, l: l}, gw)
 	}
 }
 

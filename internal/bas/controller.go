@@ -212,9 +212,11 @@ func (c *Controller) Failsafe() bool { return c.failsafe }
 
 // SetSetpoint applies an administrator update, clamped to the permitted
 // range. Out-of-range requests are rejected, not clamped, so a compromised
-// web interface cannot silently push the room to an extreme.
+// web interface cannot silently push the room to an extreme. The test is
+// written as "not inside" so NaN, which compares false both ways, is
+// rejected too: a NaN setpoint would keep the heater on forever.
 func (c *Controller) SetSetpoint(v float64) error {
-	if v < c.cfg.MinSetpoint || v > c.cfg.MaxSetpoint {
+	if !(v >= c.cfg.MinSetpoint && v <= c.cfg.MaxSetpoint) {
 		return fmt.Errorf("%w: %.2f not in [%.2f, %.2f]",
 			ErrSetpointRange, v, c.cfg.MinSetpoint, c.cfg.MaxSetpoint)
 	}

@@ -84,7 +84,7 @@ func TestSetpointClamping(t *testing.T) {
 	if c.Setpoint() != 25 {
 		t.Fatalf("setpoint = %v, want 25", c.Setpoint())
 	}
-	for _, bad := range []float64{14.9, 30.1, 99, -5} {
+	for _, bad := range []float64{14.9, 30.1, 99, -5, math.NaN()} {
 		if err := c.SetSetpoint(bad); !errors.Is(err, ErrSetpointRange) {
 			t.Fatalf("setpoint %v accepted, want range error", bad)
 		}

@@ -111,12 +111,19 @@ func TestOutOfRangeSetpointRejectedOnAllPlatforms(t *testing.T) {
 				t.Fatalf("deploy: %v", err)
 			}
 			tb.Machine.Run(5 * time.Second)
-			status, body, err := tb.HTTPPostSetpoint("99")
-			if err != nil {
-				t.Fatalf("POST: %v", err)
+			// "NaN" parses as a float but lies in no range.
+			for _, bad := range []string{"99", "NaN"} {
+				status, body, err := tb.HTTPPostSetpoint(bad)
+				if err != nil {
+					t.Fatalf("POST %s: %v", bad, err)
+				}
+				if status != 400 || !strings.Contains(body, "rejected") {
+					t.Fatalf("POST %s: resp = %d %q, want 400 rejected", bad, status, body)
+				}
 			}
-			if status != 400 || !strings.Contains(body, "rejected") {
-				t.Fatalf("resp = %d %q, want 400 rejected", status, body)
+			status, body, err := tb.HTTPGet("/status")
+			if err != nil || status != 200 || !strings.Contains(body, "setpoint=22.00") {
+				t.Fatalf("status after rejected posts = %d %q %v, want setpoint=22.00", status, body, err)
 			}
 		})
 	}

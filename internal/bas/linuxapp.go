@@ -603,29 +603,5 @@ func linuxWebBody(api *linuxsim.API, metrics MetricsSource) {
 		return
 	}
 	client := &linuxControlClient{api: api, reqFD: reqFD, respFD: respFD}
-	ServeWeb(linuxListener{api: api, l: l}, client, metrics)
+	ServeWeb(netListener{net: api, l: l}, client, metrics)
 }
-
-// Net adapters.
-
-type linuxListener struct {
-	api *linuxsim.API
-	l   int32
-}
-
-func (ll linuxListener) Accept() (NetConn, error) {
-	conn, err := ll.api.NetAccept(ll.l)
-	if err != nil {
-		return nil, err
-	}
-	return linuxConn{api: ll.api, fd: conn}, nil
-}
-
-type linuxConn struct {
-	api *linuxsim.API
-	fd  int32
-}
-
-func (lc linuxConn) Read(max int) ([]byte, error) { return lc.api.NetRead(lc.fd, max) }
-func (lc linuxConn) Write(data []byte) error      { return lc.api.NetWrite(lc.fd, data) }
-func (lc linuxConn) Close() error                 { return lc.api.NetClose(lc.fd) }

@@ -407,29 +407,5 @@ func minixWebBody(api *minix.API) {
 		api.Trace("bas", fmt.Sprintf("web: listen failed: %v", err))
 		return
 	}
-	ServeWeb(minixListener{api: api, l: l}, &minixControlClient{api: api, ctrl: ctrl}, nil)
+	ServeWeb(netListener{net: api, l: l}, &minixControlClient{api: api, ctrl: ctrl}, nil)
 }
-
-// Net adapters.
-
-type minixListener struct {
-	api *minix.API
-	l   int32
-}
-
-func (ml minixListener) Accept() (NetConn, error) {
-	conn, err := ml.api.NetAccept(ml.l)
-	if err != nil {
-		return nil, err
-	}
-	return minixConn{api: ml.api, fd: conn}, nil
-}
-
-type minixConn struct {
-	api *minix.API
-	fd  int32
-}
-
-func (mc minixConn) Read(max int) ([]byte, error) { return mc.api.NetRead(mc.fd, max) }
-func (mc minixConn) Write(data []byte) error      { return mc.api.NetWrite(mc.fd, data) }
-func (mc minixConn) Close() error                 { return mc.api.NetClose(mc.fd) }

@@ -339,29 +339,5 @@ func sel4WebBody(rt *camkes.Runtime) {
 		rt.Trace("bas", fmt.Sprintf("web: listen failed: %v", err))
 		return
 	}
-	ServeWeb(sel4Listener{rt: rt, l: l}, &sel4ControlClient{rt: rt}, nil)
+	ServeWeb(netListener{net: rt, l: l}, &sel4ControlClient{rt: rt}, nil)
 }
-
-// Net adapters.
-
-type sel4Listener struct {
-	rt *camkes.Runtime
-	l  int32
-}
-
-func (sl sel4Listener) Accept() (NetConn, error) {
-	conn, err := sl.rt.NetAccept(sl.l)
-	if err != nil {
-		return nil, err
-	}
-	return sel4Conn{rt: sl.rt, fd: conn}, nil
-}
-
-type sel4Conn struct {
-	rt *camkes.Runtime
-	fd int32
-}
-
-func (sc sel4Conn) Read(max int) ([]byte, error) { return sc.rt.NetRead(sc.fd, max) }
-func (sc sel4Conn) Write(data []byte) error      { return sc.rt.NetWrite(sc.fd, data) }
-func (sc sel4Conn) Close() error                 { return sc.rt.NetClose(sc.fd) }

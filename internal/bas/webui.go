@@ -79,6 +79,38 @@ type NetListener interface {
 	Accept() (NetConn, error)
 }
 
+// netSyscalls is the socket trap surface every platform's process API
+// shares (*minix.API, *camkes.Runtime, *linuxsim.API); one listener/conn
+// pair over it adapts any of them to NetListener.
+type netSyscalls interface {
+	NetAccept(listener int32) (int32, error)
+	NetRead(conn int32, max int) ([]byte, error)
+	NetWrite(conn int32, data []byte) error
+	NetClose(conn int32) error
+}
+
+type netListener struct {
+	net netSyscalls
+	l   int32
+}
+
+func (nl netListener) Accept() (NetConn, error) {
+	conn, err := nl.net.NetAccept(nl.l)
+	if err != nil {
+		return nil, err
+	}
+	return netConn{net: nl.net, fd: conn}, nil
+}
+
+type netConn struct {
+	net netSyscalls
+	fd  int32
+}
+
+func (nc netConn) Read(max int) ([]byte, error) { return nc.net.NetRead(nc.fd, max) }
+func (nc netConn) Write(data []byte) error      { return nc.net.NetWrite(nc.fd, data) }
+func (nc netConn) Close() error                 { return nc.net.NetClose(nc.fd) }
+
 // ServeWeb is the web interface's main loop, shared by all platforms: accept
 // a connection, parse one or more HTTP requests off it, answer each, close.
 // It returns when Accept fails (listener torn down).

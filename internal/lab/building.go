@@ -501,29 +501,3 @@ func RunBuilding(sweep BuildingSweep, opts BuildingOptions) (*BuildingResult, er
 	}
 	return res, nil
 }
-
-// BenchBuilding measures one building's lockstep scaling through RunBench:
-// the same spec runs once per worker count, and every run's report must be
-// byte-identical to the serial baseline (spec.Workers is excluded from the
-// report JSON). Rooms stand in for shards.
-func BenchBuilding(spec attack.BuildingSpec, workerCounts []int, hostCPUs int) (*BenchReport, error) {
-	// Every room board simulates the spec's full virtual timeline.
-	virtSecsPerBoard := spec.Duration().Seconds()
-	return RunBench("building", workerCounts, hostCPUs, func(w int) (BenchRun, error) {
-		spec.Workers = w
-		start := time.Now()
-		res, err := attack.ExecuteBuilding(spec)
-		if err != nil {
-			return BenchRun{}, err
-		}
-		wall := time.Since(start)
-		out, err := marshalIndent(res)
-		return BenchRun{
-			Out:       out,
-			Elapsed:   wall,
-			Workers:   w,
-			Shards:    spec.Rooms,
-			BoardSecs: float64(spec.Rooms) * virtSecsPerBoard,
-		}, err
-	})
-}

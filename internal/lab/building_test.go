@@ -123,25 +123,3 @@ func TestRunBuildingDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("building campaign diverged across worker counts: %d vs %d bytes", len(serial), len(parallel))
 	}
 }
-
-// TestBenchBuildingIdentical: the in-building worker bench reports identical
-// bytes at every worker count (the tentpole contract), with rooms as shards.
-func TestBenchBuildingIdentical(t *testing.T) {
-	spec, err := BuildingCase{Rooms: 4, Mix: "paper", Secure: "even", Attack: true}.Spec(8*time.Minute, 8*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := BenchBuilding(spec, []int{1, 2, 4}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Identical {
-		t.Fatal("building bench: runs diverged across worker counts")
-	}
-	if rep.Shards != 4 || len(rep.Points) != 3 {
-		t.Fatalf("bench shape: shards=%d points=%d", rep.Shards, len(rep.Points))
-	}
-	if rep.Points[0].Workers != 1 || rep.Points[0].Speedup != 1 {
-		t.Fatalf("serial baseline point: %+v", rep.Points[0])
-	}
-}

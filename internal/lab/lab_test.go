@@ -284,28 +284,3 @@ func TestRunValidates(t *testing.T) {
 		t.Error("unknown plant accepted")
 	}
 }
-
-// TestBenchIdentical runs the scaling bench on a tiny sweep and checks the
-// determinism bit survives the measurement path.
-func TestBenchIdentical(t *testing.T) {
-	sweep := Sweep{
-		Platforms: []attack.Platform{attack.PlatformMinix, attack.PlatformLinux},
-		Actions:   []attack.Action{attack.ActionKillController},
-	}
-	rep, err := Bench(sweep, []int{1, 2}, 1)
-	if err != nil {
-		t.Fatalf("bench: %v", err)
-	}
-	if !rep.Identical {
-		t.Error("bench runs were not byte-identical")
-	}
-	if rep.Shards != 2 {
-		t.Errorf("bench shards %d, want 2", rep.Shards)
-	}
-	if len(rep.Points) != 2 || rep.Points[0].Workers != 1 || rep.Points[1].Workers != 2 {
-		t.Errorf("bench points %+v", rep.Points)
-	}
-	if rep.Points[0].Speedup != 1 {
-		t.Errorf("serial speedup %f, want 1", rep.Points[0].Speedup)
-	}
-}

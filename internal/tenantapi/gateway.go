@@ -279,7 +279,8 @@ func (g *Gateway) Handle(req *Request, resp *Response) Outcome {
 		if req.Room < 0 || req.Room >= g.backend.Rooms() {
 			return g.finish(req, resp, OutcomeNotFound)
 		}
-		if req.Value < MinSetpoint || req.Value > MaxSetpoint {
+		// "Not inside" rather than "outside", so NaN is refused too.
+		if !(req.Value >= MinSetpoint && req.Value <= MaxSetpoint) {
 			return g.finish(req, resp, OutcomeBadRequest)
 		}
 		g.backend.WriteSetpoint(req.Room, req.Value)

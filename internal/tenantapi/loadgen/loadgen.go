@@ -111,9 +111,8 @@ type Report struct {
 	EventTotals []obs.EventTotal    `json:"event_totals"`
 	Mechanisms  []obs.Mechanism     `json:"mechanisms"`
 	Shards      []ShardStats        `json:"shards"`
-	// Workers and Elapsed describe this execution, not the experiment.
-	Workers int           `json:"-"`
-	Elapsed time.Duration `json:"-"`
+	// Workers describes this execution, not the experiment.
+	Workers int `json:"-"`
 }
 
 // JSON renders the report as indented JSON with a trailing newline.
@@ -149,7 +148,6 @@ type shardOut struct {
 // Run executes the campaign and merges the shards.
 func Run(plan Plan) (*Report, error) {
 	plan = plan.withDefaults()
-	start := time.Now()
 	outs := make([]*shardOut, plan.Shards)
 	// Requests split evenly; the first (Requests mod Shards) shards carry
 	// one extra.
@@ -194,7 +192,6 @@ func Run(plan Plan) (*Report, error) {
 	rep.Histograms = obs.MergeHistograms(histSets...)
 	rep.EventTotals = obs.MergeEventTotals(totalSets...)
 	rep.Mechanisms = obs.MergeMechanisms(mechSets...)
-	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
 
@@ -277,25 +274,4 @@ func runShard(plan Plan, shard, n int) *shardOut {
 	out.totals = events.Totals()
 	out.mechs = events.Mechanisms()
 	return out
-}
-
-// Bench runs the same plan once per worker count through lab.RunBench,
-// verifying that every merged report is byte-identical to the first and
-// measuring wall-clock request throughput.
-func Bench(plan Plan, workerCounts []int, hostCPUs int) (*lab.BenchReport, error) {
-	return lab.RunBench("loadgen", workerCounts, hostCPUs, func(w int) (lab.BenchRun, error) {
-		plan.Workers = w
-		res, err := Run(plan)
-		if err != nil {
-			return lab.BenchRun{}, err
-		}
-		out, err := res.JSON()
-		return lab.BenchRun{
-			Out:      out,
-			Elapsed:  res.Elapsed,
-			Workers:  w,
-			Shards:   res.Plan.Shards,
-			Requests: res.Requests,
-		}, err
-	})
 }

@@ -99,26 +99,3 @@ func TestSeedChangesOutcome(t *testing.T) {
 		t.Fatal("different seeds produced identical reports")
 	}
 }
-
-func TestBench(t *testing.T) {
-	plan := smallPlan()
-	plan.Requests = 8_000
-	rep, err := Bench(plan, []int{1, 2}, 4)
-	if err != nil {
-		t.Fatalf("Bench: %v", err)
-	}
-	if !rep.Identical {
-		t.Fatal("bench runs were not byte-identical")
-	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(rep.Points))
-	}
-	for _, pt := range rep.Points {
-		if pt.RequestsPerSec <= 0 {
-			t.Errorf("workers=%d requests_per_sec=%v, want > 0", pt.Workers, pt.RequestsPerSec)
-		}
-	}
-	if rep.Points[0].Workers != 1 || rep.Points[0].Speedup != 1 {
-		t.Fatalf("baseline point wrong: %+v", rep.Points[0])
-	}
-}

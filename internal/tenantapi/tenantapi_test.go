@@ -1,6 +1,7 @@
 package tenantapi
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +88,7 @@ func TestRoleMatrix(t *testing.T) {
 		{"manager reads any room", Request{Token: mgr.Token, Route: RouteStatus, Room: 3}, OutcomeOK},
 		{"manager writes setpoint", Request{Token: mgr.Token, Route: RouteSetpoint, Room: 2, Value: 23.5}, OutcomeOK},
 		{"manager out-of-band setpoint", Request{Token: mgr.Token, Route: RouteSetpoint, Room: 2, Value: 35}, OutcomeBadRequest},
+		{"manager NaN setpoint", Request{Token: mgr.Token, Route: RouteSetpoint, Room: 2, Value: math.NaN()}, OutcomeBadRequest},
 		{"manager diagnostics", Request{Token: mgr.Token, Route: RouteDiagnostics}, OutcomeOK},
 		{"vendor diagnostics", Request{Token: ven.Token, Route: RouteDiagnostics}, OutcomeOK},
 		{"vendor reads room", Request{Token: ven.Token, Route: RouteStatus, Room: 0}, OutcomeForbidden},
@@ -100,9 +102,9 @@ func TestRoleMatrix(t *testing.T) {
 			t.Errorf("%s: got %s, want %s", tc.name, out, tc.want)
 		}
 	}
-	// The accepted manager write reached the backend.
+	// The accepted manager write reached the backend; the refused ones did not.
 	if got := gw.backend.(*SimBackend).Setpoint(2); got != 23.5 {
-		t.Errorf("setpoint write did not land: room 2 at %.1f, want 23.5", got)
+		t.Errorf("room 2 setpoint = %.1f, want 23.5 from the one accepted write", got)
 	}
 }
 
