@@ -335,7 +335,7 @@ func monitoredRoundTrips(build func(testing.TB) (*machine.Machine, *int64), g *p
 	return func(b testing.TB) (*machine.Machine, *int64) {
 		m, rounds := build(b)
 		mon := monitor.New(g, monitor.Options{Events: m.Obs().Events()})
-		m.IPC().SetObserver(mon.Observe)
+		mon.Attach(m.IPC())
 		b.Cleanup(func() {
 			st := mon.Stats()
 			if st.Observed == 0 {

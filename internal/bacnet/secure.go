@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 )
 
 // The secure proxy of Fig. 1: a bump-in-the-wire in front of a legacy
@@ -30,21 +31,40 @@ const (
 	secureHeaderLen = clientIDLen + nonceLen + macLen
 )
 
+// frameMAC is one keyed HMAC-SHA256, built once per Proxy or SecureClient
+// and Reset for every frame; it sums into a fixed scratch, so computing a
+// MAC allocates nothing. It is not safe for concurrent use: each Proxy and
+// SecureClient is driven by one goroutine at a time.
+type frameMAC struct {
+	h   hash.Hash
+	sum [macLen]byte
+}
+
+func newFrameMAC(key []byte) *frameMAC {
+	return &frameMAC{h: hmac.New(sha256.New, key)}
+}
+
+// of returns the MAC over a frame's header and PDU. The result aliases the
+// scratch and is valid until the next call.
+func (m *frameMAC) of(header, pdu []byte) []byte {
+	m.h.Reset()
+	m.h.Write(header)
+	m.h.Write(pdu)
+	return m.h.Sum(m.sum[:0])
+}
+
 // sealFrame builds an authenticated frame.
-func sealFrame(key []byte, clientID uint32, nonce uint64, pdu []byte) []byte {
+func sealFrame(mac *frameMAC, clientID uint32, nonce uint64, pdu []byte) []byte {
 	out := make([]byte, secureHeaderLen+len(pdu))
 	binary.BigEndian.PutUint32(out, clientID)
 	binary.BigEndian.PutUint64(out[clientIDLen:], nonce)
 	copy(out[secureHeaderLen:], pdu)
-	mac := hmac.New(sha256.New, key)
-	mac.Write(out[:clientIDLen+nonceLen])
-	mac.Write(pdu)
-	copy(out[clientIDLen+nonceLen:], mac.Sum(nil))
+	copy(out[clientIDLen+nonceLen:], mac.of(out[:clientIDLen+nonceLen], pdu))
 	return out
 }
 
 // openFrame verifies and strips the security header.
-func openFrame(key []byte, frame []byte) (clientID uint32, nonce uint64, pdu []byte, err error) {
+func openFrame(mac *frameMAC, frame []byte) (clientID uint32, nonce uint64, pdu []byte, err error) {
 	if len(frame) < secureHeaderLen {
 		return 0, 0, nil, fmt.Errorf("%w: %d bytes", ErrShortSecure, len(frame))
 	}
@@ -52,10 +72,7 @@ func openFrame(key []byte, frame []byte) (clientID uint32, nonce uint64, pdu []b
 	nonce = binary.BigEndian.Uint64(frame[clientIDLen:])
 	gotMAC := frame[clientIDLen+nonceLen : secureHeaderLen]
 	pdu = frame[secureHeaderLen:]
-	mac := hmac.New(sha256.New, key)
-	mac.Write(frame[:clientIDLen+nonceLen])
-	mac.Write(pdu)
-	if !hmac.Equal(gotMAC, mac.Sum(nil)) {
+	if !hmac.Equal(gotMAC, mac.of(frame[:clientIDLen+nonceLen], pdu)) {
 		return 0, 0, nil, ErrBadMAC
 	}
 	return clientID, nonce, pdu, nil
@@ -78,7 +95,7 @@ func NewProxyState() *ProxyState {
 // Proxy authenticates secure frames and forwards the inner legacy PDUs to
 // the wrapped server.
 type Proxy struct {
-	key    []byte
+	mac    *frameMAC
 	server *Server
 	// state holds per-client freshness floors; shared with the deployment
 	// when the proxy was built with NewProxyResuming.
@@ -112,7 +129,7 @@ func NewProxyResuming(key []byte, server *Server, state *ProxyState) *Proxy {
 		state.LastNonce = make(map[uint32]uint64)
 	}
 	return &Proxy{
-		key:    append([]byte(nil), key...),
+		mac:    newFrameMAC(key),
 		server: server,
 		state:  state,
 	}
@@ -134,7 +151,7 @@ func (p *Proxy) Rejected() int64 { return p.rejected }
 // and nonce. On failure it returns an error and no response leaves the
 // proxy (fail-silent, like a firewall drop).
 func (p *Proxy) HandleFrame(frame []byte) ([]byte, error) {
-	clientID, nonce, pdu, err := openFrame(p.key, frame)
+	clientID, nonce, pdu, err := openFrame(p.mac, frame)
 	if err != nil {
 		p.rejected++
 		return nil, err
@@ -146,32 +163,32 @@ func (p *Proxy) HandleFrame(frame []byte) ([]byte, error) {
 	p.state.LastNonce[clientID] = nonce
 	p.accepted++
 	resp := p.server.HandleFrame(pdu)
-	return sealFrame(p.key, clientID, nonce, resp), nil
+	return sealFrame(p.mac, clientID, nonce, resp), nil
 }
 
 // SecureClient produces and consumes secure frames for one client identity.
 type SecureClient struct {
-	key      []byte
+	mac      *frameMAC
 	clientID uint32
 	nonce    uint64
 }
 
 // NewSecureClient builds a client with the shared key.
 func NewSecureClient(key []byte, clientID uint32) *SecureClient {
-	return &SecureClient{key: append([]byte(nil), key...), clientID: clientID}
+	return &SecureClient{mac: newFrameMAC(key), clientID: clientID}
 }
 
 // Seal wraps a request PDU in a fresh authenticated frame.
 func (c *SecureClient) Seal(req PDU) []byte {
 	c.nonce++
-	return sealFrame(c.key, c.clientID, c.nonce, req.Encode())
+	return sealFrame(c.mac, c.clientID, c.nonce, req.Encode())
 }
 
 // Open verifies a response frame and returns the inner PDU. Responses reuse
 // the request nonce; the client accepts only its own current nonce, closing
 // the response-replay direction too.
 func (c *SecureClient) Open(frame []byte) (PDU, error) {
-	clientID, nonce, pdu, err := openFrame(c.key, frame)
+	clientID, nonce, pdu, err := openFrame(c.mac, frame)
 	if err != nil {
 		return PDU{}, err
 	}

@@ -247,7 +247,7 @@ func (d *deploymentBase) attachMonitor(g *polcheck.Graph, opts monitor.Options) 
 		opts.Origins = scenarioOrigins()
 	}
 	d.mon = monitor.New(g, opts)
-	d.tb.Machine.IPC().SetObserver(d.mon.Observe)
+	d.mon.Attach(d.tb.Machine.IPC())
 }
 
 func (d *deploymentBase) PolicyMonitor() *monitor.Monitor { return d.mon }

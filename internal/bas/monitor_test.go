@@ -71,7 +71,8 @@ func TestMonitorFlagsInjectedIPCWithinOneTick(t *testing.T) {
 			defer cancel()
 
 			tb.Machine.Clock().After(injectAt, func() {
-				tb.Machine.IPC().Record("intruder", "nowhere", "mt63")
+				log := tb.Machine.IPC()
+				log.Record(log.Edges().Intern("intruder", "nowhere", "mt63"))
 			})
 			dep.Run(20 * time.Minute)
 

@@ -95,6 +95,9 @@ type mqueue struct {
 type blockedWriter struct {
 	pid machine.PID
 	msg MQMsg
+	// send is the writer's usage edge into the queue, booked when the
+	// message lands.
+	send obs.EdgeID
 }
 
 // devFile is a /dev node fronting a bus device.
@@ -105,12 +108,21 @@ type devFile struct {
 	mode     Mode
 }
 
-// fd is one file-descriptor table entry.
+// fd is one file-descriptor table entry. edges are the opener's IPC
+// edges through the queue, interned at mq_open.
 type fd struct {
 	q        *mqueue
 	canRead  bool
 	canWrite bool
 	nonblock bool
+	edges    mqEdges
+}
+
+// mqEdges are one process's interned edges through one queue: the usage
+// edges the IPC log books (send into the queue, recv out of it) and the
+// span edges the tracer records for mq_send and mq_receive.
+type mqEdges struct {
+	send, recv, mqSend, mqReceive obs.EdgeID
 }
 
 // proc is the kernel's process record.
@@ -127,8 +139,10 @@ type proc struct {
 	phase     procPhase
 	waitToken uint64
 
-	// span is the open mq_send/mq_receive span while blocked on a queue.
-	span obs.SpanID
+	// span is the open mq_send/mq_receive span while blocked on a queue;
+	// recvEdge is the blocked reader's usage edge out of that queue.
+	span     obs.SpanID
+	recvEdge obs.EdgeID
 
 	listeners map[int32]*vnet.Listener
 	conns     map[int32]*vnet.Conn
@@ -291,6 +305,7 @@ type Kernel struct {
 	// Observability hooks, resolved once at boot.
 	reg        *obs.Registry
 	tracer     *obs.Tracer
+	edges      *obs.Edges
 	events     *obs.EventLog
 	mSendsC    *obs.Counter
 	mRecvsC    *obs.Counter
@@ -327,6 +342,7 @@ func Boot(m *machine.Machine, cfg Config) *Kernel {
 	board.Events().SetPlatform("linux")
 	k.reg = board.Metrics()
 	k.tracer = board.Tracer()
+	k.edges = board.Edges()
 	k.events = board.Events()
 	k.mSendsC = k.reg.Counter("linux_mq_send_total")
 	k.mRecvsC = k.reg.Counter("linux_mq_receive_total")
@@ -387,10 +403,10 @@ func (k *Kernel) endSpan(p *proc, outcome obs.Outcome) {
 	if p.span == 0 {
 		return
 	}
-	s, ok := k.tracer.End(p.span, outcome)
+	d, ok := k.tracer.End(p.span, outcome)
 	p.span = 0
 	if ok && outcome == obs.OutcomeDelivered {
-		k.mMQWaitNs.Observe(time.Duration(s.Duration()))
+		k.mMQWaitNs.Observe(time.Duration(d))
 	}
 }
 

@@ -224,13 +224,18 @@ func (k *Kernel) doMQOpen(self *proc, r *mqOpenReq) (any, machine.Disposition) {
 			}
 		})
 		k.dacDeny(obs.EventIPCDenied, self.name, r.name, d.detail)
-		k.tracer.Emit(self.name, r.name, "mq_open", obs.OutcomeDACDenied)
+		k.tracer.Emit(k.edges.Intern(self.name, r.name, "mq_open"), obs.OutcomeDACDenied)
 		k.m.Trace().Log("linux-dac", d.trace)
 		return self.fdOut(0, d.err), machine.DispositionContinue
 	}
 	self.nextFD++
 	handle := self.nextFD
-	self.fds[handle] = &fd{q: q, canRead: r.read, canWrite: r.write, nonblock: r.nonblock}
+	self.fds[handle] = &fd{q: q, canRead: r.read, canWrite: r.write, nonblock: r.nonblock, edges: mqEdges{
+		send:      k.edges.Intern(self.name, q.name, "send"),
+		recv:      k.edges.Intern(q.name, self.name, "recv"),
+		mqSend:    k.edges.Intern(self.name, q.name, "mq_send"),
+		mqReceive: k.edges.Intern(self.name, q.name, "mq_receive"),
+	}}
 	return self.fdOut(handle, nil), machine.DispositionContinue
 }
 
@@ -275,7 +280,7 @@ func (k *Kernel) doMQSend(self *proc, r *mqSendReq) (any, machine.Disposition) {
 		return self.errOut(ErrBadFD), machine.DispositionContinue
 	}
 	msg := MQMsg{Data: append(k.getBuf(), r.data...), Prio: r.prio}
-	q := f.q
+	q, e := f.q, f.edges
 	drop, delay := k.faultFor(self.name, q.name)
 	if drop {
 		// mq_send reports only queue-level failures; a message lost in
@@ -291,7 +296,7 @@ func (k *Kernel) doMQSend(self *proc, r *mqSendReq) (any, machine.Disposition) {
 			if k.mqs[q.name] != q {
 				return
 			}
-			k.deliverToQueue(self.name, q, msg)
+			k.deliverToQueue(e.send, q, msg)
 		})
 		return self.errOut(nil), machine.DispositionContinue
 	}
@@ -299,9 +304,9 @@ func (k *Kernel) doMQSend(self *proc, r *mqSendReq) (any, machine.Disposition) {
 	if reader := k.popReader(q); reader != nil {
 		k.stats.MQSends++
 		k.stats.MQReceives++
-		k.m.IPC().Record(self.name, q.name, "send")
-		k.m.IPC().Record(q.name, reader.name, "recv")
-		k.tracer.Emit(self.name, q.name, "mq_send", obs.OutcomeDelivered)
+		k.m.IPC().Record(e.send)
+		k.m.IPC().Record(reader.recvEdge)
+		k.tracer.Emit(e.mqSend, obs.OutcomeDelivered)
 		k.endSpan(reader, obs.OutcomeDelivered)
 		reader.phase = phaseIdle
 		reader.waitToken++
@@ -314,13 +319,13 @@ func (k *Kernel) doMQSend(self *proc, r *mqSendReq) (any, machine.Disposition) {
 			return self.errOut(ErrAgain), machine.DispositionContinue
 		}
 		self.phase = phaseMQSend
-		self.span = k.tracer.Begin(self.name, q.name, "mq_send")
-		q.writers = append(q.writers, blockedWriter{pid: self.pid, msg: msg})
+		self.span = k.tracer.Begin(e.mqSend)
+		q.writers = append(q.writers, blockedWriter{pid: self.pid, msg: msg, send: e.send})
 		return nil, machine.DispositionBlock
 	}
 	k.stats.MQSends++
-	k.m.IPC().Record(self.name, q.name, "send")
-	k.tracer.Emit(self.name, q.name, "mq_send", obs.OutcomeDelivered)
+	k.m.IPC().Record(e.send)
+	k.tracer.Emit(e.mqSend, obs.OutcomeDelivered)
 	insertByPrio(q, msg)
 	q.depth.Set(int64(len(q.msgs)))
 	return self.errOut(nil), machine.DispositionContinue
@@ -343,14 +348,14 @@ func (k *Kernel) doMQReceive(self *proc, rfd int32) (any, machine.Disposition) {
 		q.msgs[len(q.msgs)-1] = MQMsg{}
 		q.msgs = q.msgs[:len(q.msgs)-1]
 		k.stats.MQReceives++
-		k.m.IPC().Record(q.name, self.name, "recv")
-		k.tracer.Emit(self.name, q.name, "mq_receive", obs.OutcomeDelivered)
+		k.m.IPC().Record(f.edges.recv)
+		k.tracer.Emit(f.edges.mqReceive, obs.OutcomeDelivered)
 		// Unblock one writer into the freed slot.
 		if w, ok := k.popWriter(q); ok {
 			insertByPrio(q, w.msg)
 			k.stats.MQSends++
 			wp := k.procs[w.pid]
-			k.m.IPC().Record(wp.name, q.name, "send")
+			k.m.IPC().Record(w.send)
 			k.endSpan(wp, obs.OutcomeDelivered)
 			wp.phase = phaseIdle
 			wp.waitToken++
@@ -363,7 +368,8 @@ func (k *Kernel) doMQReceive(self *proc, rfd int32) (any, machine.Disposition) {
 		return self.msgErr(ErrAgain), machine.DispositionContinue
 	}
 	self.phase = phaseMQRecv
-	self.span = k.tracer.Begin(self.name, q.name, "mq_receive")
+	self.span = k.tracer.Begin(f.edges.mqReceive)
+	self.recvEdge = f.edges.recv
 	q.readers = append(q.readers, self.pid)
 	return nil, machine.DispositionBlock
 }
@@ -385,12 +391,12 @@ func (k *Kernel) doMQReceiveTimeout(self *proc, r *mqReceiveTimeoutReq) (any, ma
 // deliverToQueue lands one message on a queue outside the sender's trap
 // (delayed delivery): a waiting reader gets it directly, otherwise it queues;
 // a full queue loses it.
-func (k *Kernel) deliverToQueue(sender string, q *mqueue, msg MQMsg) {
+func (k *Kernel) deliverToQueue(send obs.EdgeID, q *mqueue, msg MQMsg) {
 	if reader := k.popReader(q); reader != nil {
 		k.stats.MQSends++
 		k.stats.MQReceives++
-		k.m.IPC().Record(sender, q.name, "send")
-		k.m.IPC().Record(q.name, reader.name, "recv")
+		k.m.IPC().Record(send)
+		k.m.IPC().Record(reader.recvEdge)
 		k.endSpan(reader, obs.OutcomeDelivered)
 		reader.phase = phaseIdle
 		reader.waitToken++
@@ -401,7 +407,7 @@ func (k *Kernel) deliverToQueue(sender string, q *mqueue, msg MQMsg) {
 		return
 	}
 	k.stats.MQSends++
-	k.m.IPC().Record(sender, q.name, "send")
+	k.m.IPC().Record(send)
 	insertByPrio(q, msg)
 	q.depth.Set(int64(len(q.msgs)))
 }

@@ -185,9 +185,7 @@ type Engine struct {
 	nextPID PID
 	live    int
 
-	// current is the PID whose trap is being handled; lastRun drives
-	// context-switch accounting.
-	current PID
+	// lastRun drives context-switch accounting.
 	lastRun PID
 
 	// Run state. active is the process executing, or the one that last
@@ -282,10 +280,6 @@ func (e *Engine) lookup(pid PID) *Proc {
 
 // Proc returns the process control block for pid, or nil if it never existed.
 func (e *Engine) Proc(pid PID) *Proc { return e.lookup(pid) }
-
-// Current returns the PID whose trap is being handled, or NoPID outside
-// dispatch.
-func (e *Engine) Current() PID { return e.current }
 
 // LiveCount reports the number of processes that have not exited.
 func (e *Engine) LiveCount() int { return e.live }
@@ -386,7 +380,6 @@ func (p *Proc) run(yield func(struct{}) bool) {
 	e.stats.Exits++
 	e.mExits.Inc()
 	e.mLive.Set(int64(e.live))
-	e.current = NoPID
 	e.handler.OnProcExit(p.pid, ExitInfo{Crashed: crashed, PanicValue: pv})
 	sc.End()
 	e.decide(e.schedule())
@@ -540,7 +533,6 @@ func (e *Engine) decide(next *Proc, stop RunResult, stopped bool) {
 func (e *Engine) switchTo(p *Proc) {
 	if e.lastRun != p.pid {
 		e.stats.ContextSwitches++
-		p.switches++
 		e.mSwitches.Inc()
 		e.charge(e.costs.Switch)
 	}

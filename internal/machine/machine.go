@@ -52,7 +52,7 @@ func New(cfg Config) *Machine {
 		engine: NewEngine(clock, costs),
 		bus:    NewBus(),
 		trace:  NewTrace(clock, cfg.TraceCapacity),
-		ipc:    NewIPCLog(),
+		ipc:    newIPCLog(board.Edges()),
 		obs:    board,
 		rng:    rand.New(rand.NewSource(seed)),
 	}

@@ -95,8 +95,7 @@ type Proc struct {
 	selfUnwind bool
 
 	// Accounting.
-	traps    int64
-	switches int64
+	traps int64
 }
 
 // PID returns the process identifier.
@@ -113,9 +112,6 @@ func (p *Proc) State() ProcState { return p.state }
 
 // Traps returns the number of traps this process has taken.
 func (p *Proc) Traps() int64 { return p.traps }
-
-// Switches returns the number of times this process was context-switched in.
-func (p *Proc) Switches() int64 { return p.switches }
 
 // Context is the view of the board a process body receives. All interaction
 // with the outside world goes through Trap, which hands control to the
@@ -159,9 +155,7 @@ func (c *Context) Trap(req any) any {
 		panic(fmt.Sprintf("machine: trap from %d (%s) while %d running", p.pid, p.name, e.lastRun))
 	}
 	sc := e.trapEnter(p)
-	e.current = p.pid
 	reply, disposition := e.handler.HandleTrap(p.pid, req)
-	e.current = NoPID
 	if p.state == StateDead {
 		// The kernel killed the calling process while handling its trap;
 		// Kill already booked the exit. Unwind before any other process

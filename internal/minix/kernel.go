@@ -90,10 +90,12 @@ type procEntry struct {
 	ep   Endpoint
 	name string
 	acID core.ACID
-	// acName is the policy spelling of acID, resolved once at spawn so the
-	// per-delivery IPC accounting never formats a name on the hot path.
+	// acName is the policy spelling of acID, resolved once at spawn.
 	acName string
-	uid    int
+	// who is the process's (name, acID) identity as a small integer, the
+	// key half of the IPC cells its deliveries use.
+	who uint32
+	uid int
 
 	image     string
 	isServer  bool
@@ -235,12 +237,16 @@ type Kernel struct {
 	mDenied    *obs.Counter
 	mKills     *obs.Counter
 	mSendRecNs *obs.Histogram
-	// srLabels caches "sendrec mtN" span labels so the hot IPC path does
-	// not format strings per call.
-	srLabels map[int32]string
-	// mtLabels caches "mtN" IPC-usage labels, same reason.
-	mtLabels map[int32]string
-	mMailbox *obs.Gauge
+	mMailbox   *obs.Gauge
+
+	// edges is the board's IPC edge table. whos interns each process
+	// identity at spawn, and cells caches the interned edges of each
+	// (sender, receiver, message type) the first time it is used, so a
+	// delivery finds its edge ids by integer key without formatting or
+	// hashing a string.
+	edges *obs.Edges
+	whos  map[procIdent]uint32
+	cells map[cellKey]cellEdges
 
 	// ipcFault is the fault-injection filter, consulted after ACM checks on
 	// every send path. nil when no campaign is armed (the common case).
@@ -250,6 +256,27 @@ type Kernel struct {
 	// trace line, so an attacker repeating a denied send costs no
 	// formatting: the text depends only on the key.
 	denials map[denialKey]*denial
+}
+
+// procIdent is what names a process in its IPC edges: the span names it
+// by process name, the usage log by ACM identity.
+type procIdent struct {
+	name string
+	acID core.ACID
+}
+
+// cellKey names one (sender, receiver, message type) use of the IPC path
+// by the two processes' procEntry.who.
+type cellKey struct {
+	src, dst uint32
+	msgType  int32
+}
+
+// cellEdges are one cell's interned edges: use is the delivery the IPC log
+// books (ACM names, "mtN"), span the sendrec round trip the tracer records
+// (process names, "sendrec mtN").
+type cellEdges struct {
+	use, span obs.EdgeID
 }
 
 // denialKey identifies one distinct ACM denial.
@@ -288,6 +315,8 @@ func Boot(m *machine.Machine, policy *core.Policy, cfg Config) (*Kernel, error) 
 		gens:   make([]int, maxSlots),
 		byPID:  make(map[machine.PID]*procEntry),
 		names:  make(map[string]Endpoint),
+		whos:   make(map[procIdent]uint32),
+		cells:  make(map[cellKey]cellEdges),
 	}
 	for i := range k.gens {
 		k.gens[i] = 1
@@ -296,6 +325,7 @@ func Boot(m *machine.Machine, policy *core.Policy, cfg Config) (*Kernel, error) 
 	board.Events().SetPlatform("minix")
 	k.tracer = board.Tracer()
 	k.events = board.Events()
+	k.edges = board.Edges()
 	reg := board.Metrics()
 	k.mSends = reg.Counter("minix_ipc_send_total")
 	k.mSendRecs = reg.Counter("minix_ipc_sendrec_total")
@@ -450,6 +480,7 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 		name:      img.Name,
 		acID:      acid,
 		acName:    k.policy.IPC.NameOf(acid),
+		who:       k.whoOf(img.Name, acid),
 		uid:       img.UID,
 		image:     img.Name,
 		isServer:  img.Server,
@@ -481,6 +512,33 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 	return ep, nil
 }
 
+// whoOf returns the small integer naming the (name, acid) identity,
+// issuing the next one on first sight.
+func (k *Kernel) whoOf(name string, acid core.ACID) uint32 {
+	id := procIdent{name: name, acID: acid}
+	w, ok := k.whos[id]
+	if !ok {
+		w = uint32(len(k.whos))
+		k.whos[id] = w
+	}
+	return w
+}
+
+// cell returns the interned edges of src sending msgType to dst, interning
+// them the first time the cell is used.
+func (k *Kernel) cell(src, dst *procEntry, msgType int32) cellEdges {
+	key := cellKey{src: src.who, dst: dst.who, msgType: msgType}
+	c, ok := k.cells[key]
+	if !ok {
+		c = cellEdges{
+			use:  k.edges.Intern(src.acName, dst.acName, fmt.Sprintf("mt%d", msgType)),
+			span: k.edges.Intern(src.name, dst.name, fmt.Sprintf("sendrec mt%d", msgType)),
+		}
+		k.cells[key] = c
+	}
+	return c
+}
+
 // resolve maps an endpoint to its live process entry, nil when dead/invalid.
 func (k *Kernel) resolve(ep Endpoint) *procEntry {
 	if ep == EndpointNone || ep == EndpointAny || ep == EndpointSystem {
@@ -508,26 +566,29 @@ func (k *Kernel) entryOf(pid machine.PID) *procEntry {
 }
 
 // checkIPC is the access control matrix hook on every user-to-user IPC
-// operation. System servers bypass it (they audit their own protocols). A
-// kernel with the ACM disabled (the vanilla-MINIX ablation) skips the
-// permission check but still records the delivery: runtime verification is
-// most interesting exactly where enforcement is absent, and the online
-// policy monitor observes the recorded stream on both configurations.
-func (k *Kernel) checkIPC(src, dst *procEntry, msgType int32) error {
-	if src.isServer || dst.isServer {
-		return nil
-	}
-	if !k.cfg.DisableACM {
+// operation; a permitted operation gets its cell's edges back for the
+// caller's span. System servers bypass it (they audit their own
+// protocols). A kernel with the ACM disabled (the vanilla-MINIX ablation)
+// skips the permission check but still records the delivery: runtime
+// verification is most interesting exactly where enforcement is absent, and
+// the online policy monitor observes the recorded stream on both
+// configurations.
+func (k *Kernel) checkIPC(src, dst *procEntry, msgType int32) (cellEdges, error) {
+	user := !src.isServer && !dst.isServer
+	if user && !k.cfg.DisableACM {
 		inRange := msgType >= 0 && int64(msgType) <= int64(core.MaxMsgType)
 		if !inRange || !k.policy.IPC.Allows(src.acID, dst.acID, core.MsgType(msgType)) {
-			return k.auditDeny(src, dst, msgType)
+			return cellEdges{}, k.auditDeny(src, dst, msgType)
 		}
 	}
-	// Record the exercised grant for the least-privilege audit
-	// (polcheck.AuditMatrix): names match the matrix so the audit can diff
-	// cells against usage directly.
-	k.m.IPC().Record(src.acName, dst.acName, k.mtLabel(msgType))
-	return nil
+	c := k.cell(src, dst, msgType)
+	if user {
+		// Record the exercised grant for the least-privilege audit
+		// (polcheck.AuditMatrix): the usage edge is named like the matrix
+		// so the audit can diff cells against usage directly.
+		k.m.IPC().Record(c.use)
+	}
+	return c, nil
 }
 
 // auditDeny records one ACM denial in the board trace, counters, and the
@@ -573,46 +634,16 @@ func (k *Kernel) denialFor(src, dst *procEntry, msgType int32) *denial {
 	return d
 }
 
-// mtLabel returns the cached IPC-usage label for one message type,
-// mirroring sendRecLabel: fmt stays off the per-delivery hot path, which
-// the online policy monitor requires to stay allocation-free.
-func (k *Kernel) mtLabel(msgType int32) string {
-	if l, ok := k.mtLabels[msgType]; ok {
-		return l
-	}
-	if k.mtLabels == nil {
-		k.mtLabels = make(map[int32]string)
-	}
-	l := fmt.Sprintf("mt%d", msgType)
-	k.mtLabels[msgType] = l
-	return l
-}
-
-// sendRecLabel returns the cached span label for a sendrec of one message
-// type. The set of types is tiny and fixed by the scenario, so the cache
-// stays small while keeping fmt off the IPC hot path.
-func (k *Kernel) sendRecLabel(msgType int32) string {
-	if l, ok := k.srLabels[msgType]; ok {
-		return l
-	}
-	if k.srLabels == nil {
-		k.srLabels = make(map[int32]string)
-	}
-	l := fmt.Sprintf("sendrec mt%d", msgType)
-	k.srLabels[msgType] = l
-	return l
-}
-
 // endSpan closes e's open sendrec span, if any, observing the round-trip
 // latency on delivery.
 func (k *Kernel) endSpan(e *procEntry, outcome obs.Outcome) {
 	if e.span == 0 {
 		return
 	}
-	s, ok := k.tracer.End(e.span, outcome)
+	d, ok := k.tracer.End(e.span, outcome)
 	e.span = 0
 	if ok && outcome == obs.OutcomeDelivered {
-		k.mSendRecNs.Observe(time.Duration(s.Duration()))
+		k.mSendRecNs.Observe(time.Duration(d))
 	}
 }
 
@@ -738,16 +769,17 @@ func (k *Kernel) doSend(self *procEntry, dst Endpoint, msg Message, sendRec bool
 	if target == self {
 		return self.ipcOut(Message{}, ErrSelfSend), machine.DispositionContinue
 	}
-	if err := k.checkIPC(self, target, msg.Type); err != nil {
+	cell, err := k.checkIPC(self, target, msg.Type)
+	if err != nil {
 		if sendRec {
-			k.tracer.Emit(self.name, target.name, k.sendRecLabel(msg.Type), obs.OutcomeACMDenied)
+			k.tracer.Emit(k.cell(self, target, msg.Type).span, obs.OutcomeACMDenied)
 		}
 		return self.ipcOut(Message{}, err), machine.DispositionContinue
 	}
 	drop, delay := k.faultFor(self.name, target.name)
 	if drop {
 		if sendRec {
-			k.tracer.Emit(self.name, target.name, k.sendRecLabel(msg.Type), obs.OutcomeAborted)
+			k.tracer.Emit(cell.span, obs.OutcomeAborted)
 		}
 		return self.ipcOut(Message{}, ErrTimeout), machine.DispositionContinue
 	}
@@ -757,7 +789,7 @@ func (k *Kernel) doSend(self *procEntry, dst Endpoint, msg Message, sendRec bool
 	self.wantSendRec = sendRec
 	if sendRec {
 		// The round-trip span stays open until the reply wakes the caller.
-		self.span = k.tracer.Begin(self.name, target.name, k.sendRecLabel(msg.Type))
+		self.span = k.tracer.Begin(cell.span)
 	}
 	if delay > 0 {
 		return k.delaySend(self, dst, msg, sendRec, delay)
@@ -893,7 +925,7 @@ func (k *Kernel) doNotify(self *procEntry, dst Endpoint) (any, machine.Dispositi
 	if target == nil {
 		return self.errOut(fmt.Errorf("%w: %v", ErrDeadSrcDst, dst)), machine.DispositionContinue
 	}
-	if err := k.checkIPC(self, target, int32(core.MsgAck)); err != nil {
+	if _, err := k.checkIPC(self, target, int32(core.MsgAck)); err != nil {
 		return self.errOut(err), machine.DispositionContinue
 	}
 	drop, delay := k.faultFor(self.name, target.name)
@@ -941,7 +973,7 @@ func (k *Kernel) doSendNB(self *procEntry, dst Endpoint, msg Message) (any, mach
 	if target == self {
 		return self.errOut(ErrSelfSend), machine.DispositionContinue
 	}
-	if err := k.checkIPC(self, target, msg.Type); err != nil {
+	if _, err := k.checkIPC(self, target, msg.Type); err != nil {
 		return self.errOut(err), machine.DispositionContinue
 	}
 	drop, delay := k.faultFor(self.name, target.name)

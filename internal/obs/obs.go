@@ -24,11 +24,13 @@ type Time int64
 func (t Time) String() string { return time.Duration(t).String() }
 
 // Board bundles the three observability facilities for one virtual
-// controller board. All methods on a Board and its facilities must be
+// controller board, plus the IPC edge table the tracer, the board's IPC log
+// and the policy monitor share. All methods on a Board and its facilities must be
 // called from the engine goroutine (or while the engine is parked), the
 // same discipline machine.Trace follows.
 type Board struct {
 	now     func() Time
+	edges   *Edges
 	metrics *Registry
 	tracer  *Tracer
 	events  *EventLog
@@ -40,16 +42,21 @@ func NewBoard(now func() Time) *Board {
 	if now == nil {
 		now = func() Time { return 0 }
 	}
+	edges := NewEdges()
 	return &Board{
 		now:     now,
+		edges:   edges,
 		metrics: NewRegistry(),
-		tracer:  NewTracer(now, 0),
+		tracer:  NewTracer(now, edges, 0),
 		events:  NewEventLog(now, 0),
 	}
 }
 
 // Now reports the current virtual instant.
 func (b *Board) Now() Time { return b.now() }
+
+// Edges returns the board's IPC edge intern table.
+func (b *Board) Edges() *Edges { return b.edges }
 
 // Metrics returns the board's metrics registry.
 func (b *Board) Metrics() *Registry { return b.metrics }

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fakeClock is a settable virtual clock for tests.
@@ -43,8 +45,8 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(time.Second)
-	tr.Emit("a", "b", "x", OutcomeDelivered)
-	tr.End(tr.Begin("a", "b", "x"), OutcomeDelivered)
+	tr.Emit(0, OutcomeDelivered)
+	tr.End(tr.Begin(0), OutcomeDelivered)
 	l.Emit(SecurityEvent{Kind: EventKill})
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || l.Total() != 0 {
 		t.Fatal("nil receivers must observe nothing")
@@ -145,17 +147,18 @@ func TestHistogramRejectsUnsortedBounds(t *testing.T) {
 
 func TestSpanLifecycleAndOutcomes(t *testing.T) {
 	clk := &fakeClock{}
-	tr := NewTracer(clk.now, 8)
-	outer := tr.Begin("web", "pm", "sendrec mt4")
+	edges := NewEdges()
+	tr := NewTracer(clk.now, edges, 8)
+	outer := tr.Begin(edges.Intern("web", "pm", "sendrec mt4"))
 	clk.t = 10
-	inner := tr.Begin("pm", "kernel", "kSpawn")
+	inner := tr.Begin(edges.Intern("pm", "kernel", "kSpawn"))
 	clk.t = 20
-	if s, ok := tr.End(inner, OutcomeDelivered); !ok || s.Start != 10 || s.End != 20 {
-		t.Fatalf("inner = %+v ok=%v", s, ok)
+	if d, ok := tr.End(inner, OutcomeDelivered); !ok || d != 10 {
+		t.Fatalf("inner = %v ok=%v", d, ok)
 	}
 	clk.t = 30
-	if s, ok := tr.End(outer, OutcomeACMDenied); !ok || s.Duration() != 30 {
-		t.Fatalf("outer = %+v ok=%v", s, ok)
+	if d, ok := tr.End(outer, OutcomeACMDenied); !ok || d != 30 {
+		t.Fatalf("outer = %v ok=%v", d, ok)
 	}
 	if _, ok := tr.End(outer, OutcomeDelivered); ok {
 		t.Fatal("double End must fail")
@@ -163,10 +166,13 @@ func TestSpanLifecycleAndOutcomes(t *testing.T) {
 	if _, ok := tr.End(0, OutcomeDelivered); ok {
 		t.Fatal("zero id must fail")
 	}
-	tr.Emit("x", "y", "mq_open", OutcomeDACDenied)
+	tr.Emit(edges.Intern("x", "y", "mq_open"), OutcomeDACDenied)
 	spans := tr.Spans()
 	if len(spans) != 3 {
 		t.Fatalf("completed spans = %d, want 3", len(spans))
+	}
+	if s := spans[1]; s.Src != "pm" || s.Dst != "kernel" || s.Start != 10 || s.End != 20 || s.Outcome != OutcomeDelivered {
+		t.Fatalf("inner span = %+v", s)
 	}
 	// Sorted by start time: outer (0), inner (10), emit (30).
 	if spans[0].Label != "sendrec mt4" || spans[1].Label != "kSpawn" || spans[2].Label != "mq_open" {
@@ -184,10 +190,12 @@ func TestSpanLifecycleAndOutcomes(t *testing.T) {
 
 func TestSpanRingEviction(t *testing.T) {
 	clk := &fakeClock{}
-	tr := NewTracer(clk.now, 2)
+	edges := NewEdges()
+	tr := NewTracer(clk.now, edges, 2)
+	x := edges.Intern("a", "b", "x")
 	for i := 0; i < 5; i++ {
 		clk.t = Time(i)
-		tr.Emit("a", "b", "x", OutcomeDelivered)
+		tr.Emit(x, OutcomeDelivered)
 	}
 	if tr.Completed() != 5 || tr.Dropped() != 3 {
 		t.Fatalf("completed=%d dropped=%d", tr.Completed(), tr.Dropped())
@@ -195,6 +203,65 @@ func TestSpanRingEviction(t *testing.T) {
 	spans := tr.Spans()
 	if len(spans) != 2 || spans[0].Start != 3 || spans[1].Start != 4 {
 		t.Fatalf("ring should keep the newest spans: %+v", spans)
+	}
+}
+
+func TestSpanRingWrapResolvesEdges(t *testing.T) {
+	// Records store edge ids; after the ring wraps, the retained spans must
+	// still come back with their own names, in (Start, ID) order, and the
+	// lifetime counters must include the evicted ones.
+	clk := &fakeClock{}
+	edges := NewEdges()
+	tr := NewTracer(clk.now, edges, 3)
+	send := edges.Intern("web", "q", "mq_send")
+	recv := edges.Intern("ctrl", "q", "mq_receive")
+	deny := edges.Intern("web", "heater", "mq_open")
+	open := tr.Begin(recv)
+	for i := 1; i <= 4; i++ {
+		clk.t = Time(10 * i)
+		tr.Emit(send, OutcomeDelivered)
+	}
+	tr.Emit(deny, OutcomeDACDenied)
+	clk.t = 50
+	if d, ok := tr.End(open, OutcomeDelivered); !ok || d != 50 {
+		t.Fatalf("End = %v, %v", d, ok)
+	}
+	want := []Span{
+		{ID: 5, Src: "web", Dst: "q", Label: "mq_send", Start: 40, End: 40, Outcome: OutcomeDelivered},
+		{ID: 6, Src: "web", Dst: "heater", Label: "mq_open", Start: 40, End: 40, Outcome: OutcomeDACDenied},
+		{ID: 1, Src: "ctrl", Dst: "q", Label: "mq_receive", Start: 0, End: 50, Outcome: OutcomeDelivered},
+	}
+	want = append(want[2:], want[:2]...) // sorted by Start: the long span began first
+	if got := tr.Spans(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Spans after wrap:\n got %+v\nwant %+v", got, want)
+	}
+	if tr.Completed() != 6 || tr.Dropped() != 3 || tr.OpenCount() != 0 {
+		t.Fatalf("completed=%d dropped=%d open=%d", tr.Completed(), tr.Dropped(), tr.OpenCount())
+	}
+	wantOutcomes := []OutcomeCount{{OutcomeDelivered, 5}, {OutcomeDACDenied, 1}}
+	if got := tr.ByOutcome(); !reflect.DeepEqual(got, wantOutcomes) {
+		t.Fatalf("ByOutcome = %+v, want %+v", got, wantOutcomes)
+	}
+}
+
+func TestTracerHotPathAllocatesNothing(t *testing.T) {
+	// Every mediated round trip crosses Begin/End and every denial Emit;
+	// once the ring is full they must not allocate. The record stays 32
+	// pointer-free bytes, which is what the per-board ring's size rests on.
+	if n := unsafe.Sizeof(spanRec{}); n != 32 {
+		t.Fatalf("span record is %d bytes, want 32", n)
+	}
+	edges := NewEdges()
+	tr := NewTracer(nil, edges, 4)
+	e := edges.Intern("a", "b", "call")
+	for i := 0; i < 8; i++ {
+		tr.End(tr.Begin(e), OutcomeDelivered)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		tr.End(tr.Begin(e), OutcomeDelivered)
+		tr.Emit(e, OutcomeCapFault)
+	}); n != 0 {
+		t.Fatalf("Begin/End/Emit allocate %.1f/op, want 0", n)
 	}
 }
 
@@ -281,11 +348,12 @@ func TestPromTextEmitsTypeOncePerBase(t *testing.T) {
 func TestChromeTraceDeterministic(t *testing.T) {
 	build := func() []byte {
 		clk := &fakeClock{}
-		tr := NewTracer(clk.now, 8)
-		id := tr.Begin("web", "pm", "sendrec")
+		edges := NewEdges()
+		tr := NewTracer(clk.now, edges, 8)
+		id := tr.Begin(edges.Intern("web", "pm", "sendrec"))
 		clk.t = 3000
 		tr.End(id, OutcomeDelivered)
-		tr.Emit("temp", "heater", "send", OutcomeACMDenied)
+		tr.Emit(edges.Intern("temp", "heater", "send"), OutcomeACMDenied)
 		out, err := tr.ChromeTrace()
 		if err != nil {
 			t.Fatal(err)
@@ -310,7 +378,7 @@ func TestBoardReportJSONDeterministic(t *testing.T) {
 		b.Events().SetPlatform("test")
 		b.Metrics().Counter("c_total").Add(3)
 		b.Metrics().Histogram("h_ns", nil).Observe(4 * time.Microsecond)
-		id := b.Tracer().Begin("a", "b", "x")
+		id := b.Tracer().Begin(b.Edges().Intern("a", "b", "x"))
 		clk.t = 1000
 		b.Tracer().End(id, OutcomeDelivered)
 		b.Events().Emit(SecurityEvent{Kind: EventIPCDenied, Mechanism: MechACM, Denied: true, Src: "a", Dst: "b"})

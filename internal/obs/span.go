@@ -52,9 +52,9 @@ func (o Outcome) MarshalText() ([]byte, error) { return []byte(o.String()), nil 
 // use it as "no span open".
 type SpanID uint64
 
-// Span is one mediated IPC round trip: virtual start/end instants, the
-// source and destination names (in the recording kernel's namespace), a
-// message label, and the mediation outcome.
+// Span is one mediated IPC round trip as reports see it: virtual start/end
+// instants, the source and destination names (in the recording kernel's
+// namespace), a message label, and the mediation outcome.
 type Span struct {
 	ID      SpanID  `json:"id"`
 	Src     string  `json:"src"`
@@ -68,6 +68,17 @@ type Span struct {
 // Duration is the span's virtual length.
 func (s Span) Duration() Time { return s.End - s.Start }
 
+// spanRec is how the tracer stores a span: the edge stays an id until
+// Spans resolves it, so a record is 32 bytes with no pointers and the
+// per-board ring costs the garbage collector nothing to scan.
+type spanRec struct {
+	ID      SpanID
+	Edge    EdgeID
+	Outcome Outcome
+	Start   Time
+	End     Time
+}
+
 // Tracer records IPC spans. Completed spans live in a bounded ring buffer
 // (oldest dropped first); open spans are bounded by the number of blocked
 // processes, so they live in a slot slice with a freelist — this keeps
@@ -76,10 +87,11 @@ func (s Span) Duration() Time { return s.End - s.Start }
 // instrument unconditionally.
 type Tracer struct {
 	now     func() Time
+	edges   *Edges
 	cap     int
-	open    []Span // slot storage; a slot is free when its ID is zero
+	open    []spanRec // slot storage; a slot is free when its ID is zero
 	free    []int32
-	done    []Span
+	done    []spanRec
 	head    int
 	nextID  SpanID
 	total   int64
@@ -87,8 +99,9 @@ type Tracer struct {
 	counts  [OutcomeAborted + 1]int64
 }
 
-// NewTracer creates a tracer; capacity <= 0 means 16384 completed spans.
-func NewTracer(now func() Time, capacity int) *Tracer {
+// NewTracer creates a tracer whose spans name edges of edges; capacity <=
+// 0 means 16384 completed spans.
+func NewTracer(now func() Time, edges *Edges, capacity int) *Tracer {
 	if now == nil {
 		now = func() Time { return 0 }
 	}
@@ -97,10 +110,10 @@ func NewTracer(now func() Time, capacity int) *Tracer {
 	}
 	// The ring grows lazily via append toward cap rather than preallocating:
 	// a 64-board building would otherwise sit on cap·boards spans of mostly
-	// idle, pointer-laden memory that every GC cycle rescans. Growth copies
-	// are geometric (a handful per board lifetime), so the IPC hot path still
-	// pays amortized O(1); once len reaches cap the ring never reallocates.
-	return &Tracer{now: now, cap: capacity}
+	// idle memory. Growth copies are geometric (a handful per board
+	// lifetime), so the IPC hot path still pays amortized O(1); once len
+	// reaches cap the ring never reallocates.
+	return &Tracer{now: now, edges: edges, cap: capacity}
 }
 
 // Span handles pack (sequence, slot) so End can index the open slot
@@ -109,8 +122,8 @@ func NewTracer(now func() Time, capacity int) *Tracer {
 // far more than any simulated board can block at once.
 const spanSlotBits = 24
 
-// Begin opens a span starting now and returns its handle.
-func (t *Tracer) Begin(src, dst, label string) SpanID {
+// Begin opens a span on edge starting now and returns its handle.
+func (t *Tracer) Begin(edge EdgeID) SpanID {
 	if t == nil {
 		return 0
 	}
@@ -121,45 +134,45 @@ func (t *Tracer) Begin(src, dst, label string) SpanID {
 		t.free = t.free[:n-1]
 	} else {
 		slot = len(t.open)
-		t.open = append(t.open, Span{})
+		t.open = append(t.open, spanRec{})
 	}
-	t.open[slot] = Span{ID: t.nextID, Src: src, Dst: dst, Label: label, Start: t.now()}
+	t.open[slot] = spanRec{ID: t.nextID, Edge: edge, Start: t.now()}
 	return t.nextID<<spanSlotBits | SpanID(slot+1)
 }
 
 // End closes the span, stamping the end instant and outcome, and returns
-// the completed span. Unknown or zero IDs (including double-End) report
+// its virtual duration. Unknown or zero IDs (including double-End) report
 // ok=false and change nothing.
-func (t *Tracer) End(id SpanID, outcome Outcome) (Span, bool) {
+func (t *Tracer) End(id SpanID, outcome Outcome) (Time, bool) {
 	if t == nil || id == 0 {
-		return Span{}, false
+		return 0, false
 	}
 	slot := int(id&(1<<spanSlotBits-1)) - 1
 	if slot < 0 || slot >= len(t.open) || t.open[slot].ID != id>>spanSlotBits {
-		return Span{}, false
+		return 0, false
 	}
 	s := t.open[slot]
-	t.open[slot] = Span{}
+	t.open[slot] = spanRec{}
 	t.free = append(t.free, int32(slot))
 	s.End = t.now()
 	s.Outcome = outcome
 	t.push(s)
-	return s, true
+	return s.End - s.Start, true
 }
 
-// Emit records a complete zero-length span at the current instant — the
-// shape of a denial, which consumes no virtual time.
-func (t *Tracer) Emit(src, dst, label string, outcome Outcome) {
+// Emit records a complete zero-length span on edge at the current instant
+// — the shape of a denial, which consumes no virtual time.
+func (t *Tracer) Emit(edge EdgeID, outcome Outcome) {
 	if t == nil {
 		return
 	}
 	t.nextID++
 	now := t.now()
-	t.push(Span{ID: t.nextID, Src: src, Dst: dst, Label: label, Start: now, End: now, Outcome: outcome})
+	t.push(spanRec{ID: t.nextID, Edge: edge, Start: now, End: now, Outcome: outcome})
 }
 
 // push books a completed span into the ring.
-func (t *Tracer) push(s Span) {
+func (t *Tracer) push(s spanRec) {
 	t.total++
 	if int(s.Outcome) < len(t.counts) {
 		t.counts[s.Outcome]++
@@ -180,8 +193,12 @@ func (t *Tracer) Spans() []Span {
 		return nil
 	}
 	out := make([]Span, 0, len(t.done))
-	out = append(out, t.done[t.head:]...)
-	out = append(out, t.done[:t.head]...)
+	for _, r := range t.done[t.head:] {
+		out = append(out, t.span(r))
+	}
+	for _, r := range t.done[:t.head] {
+		out = append(out, t.span(r))
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
@@ -189,6 +206,12 @@ func (t *Tracer) Spans() []Span {
 		return out[i].ID < out[j].ID
 	})
 	return out
+}
+
+// span resolves a stored record's edge into report form.
+func (t *Tracer) span(r spanRec) Span {
+	e := t.edges.Edge(r.Edge)
+	return Span{ID: r.ID, Src: e.Src, Dst: e.Dst, Label: e.Label, Start: r.Start, End: r.End, Outcome: r.Outcome}
 }
 
 // OpenCount reports how many spans are still open (processes mid-round-trip).

@@ -14,15 +14,18 @@
 // origin-drift findings the moment it next uses them — the dynamically
 // shrunken access graph OAMAC argues for.
 //
-// The hot path is allocation-free: Observe performs struct-keyed map
-// lookups and integer comparisons only, so the monitor can stay attached
-// through million-event campaigns without disturbing the E4 overhead
-// numbers it is benchmarked against.
+// The hot path is allocation-free: Observe receives the board's interned
+// edge id and indexes a per-edge cache of the normalised names and the
+// certified edge, then compares two origin labels. The string-keyed lookup
+// runs once per edge, the first time it is observed, so the monitor can
+// stay attached through million-event campaigns without disturbing the E4
+// overhead numbers it is benchmarked against.
 package monitor
 
 import (
 	"fmt"
 
+	"mkbas/internal/machine"
 	"mkbas/internal/obs"
 	"mkbas/internal/perf"
 	"mkbas/internal/polcheck"
@@ -124,6 +127,17 @@ type edgeInfo struct {
 	min Origin
 }
 
+// edgeView is what Observe knows about one board edge id: its names in
+// the graph namespace and its certified edge (nil when the graph has none).
+// It holds no verdict — the origin check reads the governing subject's live
+// label on every delivery, so a Demote after the edge was cached still
+// takes effect.
+type edgeView struct {
+	src, dst, label string
+	info            *edgeInfo
+	resolved        bool
+}
+
 // Monitor is an online policy verifier for one board.
 type Monitor struct {
 	events       *obs.EventLog
@@ -135,6 +149,11 @@ type Monitor struct {
 	hasWildcard  bool
 	stats        Stats
 	phObserve    *perf.Phase
+
+	// table is the board edge table Observe's ids index; views caches one
+	// edgeView per id, filled the first time the id is observed.
+	table *obs.Edges
+	views []edgeView
 }
 
 // New builds a monitor from a certified access graph. The graph's flow
@@ -226,23 +245,46 @@ func (m *Monitor) lookup(src, dst, label string) (string, string, *edgeInfo) {
 	return s, d, info
 }
 
+// Attach subscribes the monitor to a board's IPC log: every delivery the
+// log records is observed, its edge id resolved against the log's table.
+func (m *Monitor) Attach(log *machine.IPCLog) {
+	m.table = log.Edges()
+	m.views = nil
+	log.SetObserver(m.Observe)
+}
+
+// view returns id's cached edgeView, resolving it on first sight.
+func (m *Monitor) view(id obs.EdgeID) *edgeView {
+	if int(id) < len(m.views) && m.views[id].resolved {
+		return &m.views[id]
+	}
+	if n := int(id) + 1 - len(m.views); n > 0 {
+		m.views = append(m.views, make([]edgeView, n)...)
+	}
+	e := m.table.Edge(id)
+	s, d, info := m.lookup(e.Src, e.Dst, e.Label)
+	m.views[id] = edgeView{src: s, dst: d, label: e.Label, info: info, resolved: true}
+	return &m.views[id]
+}
+
 // Observe checks one recorded delivery against the current graph. It is the
-// IPCLog observer callback: the in-graph path performs no allocation; drift
-// emits a typed security event (and may allocate — drift is the exceptional
-// path).
-func (m *Monitor) Observe(src, dst, label string) {
+// IPCLog observer Attach installs, and id must come from the attached log's
+// table. The in-graph path performs no allocation; drift emits a typed
+// security event (and may allocate — drift is the exceptional path).
+func (m *Monitor) Observe(id obs.EdgeID) {
 	sc := m.phObserve.Begin()
 	defer sc.End()
 	m.stats.Observed++
-	s, d, info := m.lookup(src, dst, label)
+	v := m.view(id)
+	info := v.info
 	if info == nil {
 		m.stats.PolicyDrifts++
 		m.events.Emit(obs.SecurityEvent{
 			Kind:      obs.EventPolicyDrift,
 			Mechanism: obs.MechPolicyMonitor,
-			Src:       s,
-			Dst:       d,
-			Detail:    label,
+			Src:       v.src,
+			Dst:       v.dst,
+			Detail:    v.label,
 		})
 		return
 	}
@@ -251,9 +293,9 @@ func (m *Monitor) Observe(src, dst, label string) {
 		m.events.Emit(obs.SecurityEvent{
 			Kind:      obs.EventOriginDrift,
 			Mechanism: obs.MechPolicyMonitor,
-			Src:       s,
-			Dst:       d,
-			Detail:    label + " requires origin " + info.min.String() + ", " + info.gov.name + " is " + info.gov.current.String(),
+			Src:       v.src,
+			Dst:       v.dst,
+			Detail:    v.label + " requires origin " + info.min.String() + ", " + info.gov.name + " is " + info.gov.current.String(),
 		})
 	}
 }

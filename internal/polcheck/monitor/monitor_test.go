@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mkbas/internal/machine"
 	"mkbas/internal/obs"
 	"mkbas/internal/polcheck"
 )
@@ -26,6 +27,19 @@ func testGraph() *polcheck.Graph {
 	return g
 }
 
+// attach subscribes m to a fresh IPC log, which tests drive the way a
+// kernel does: intern the edge, then record the delivery.
+func attach(m *Monitor) *machine.IPCLog {
+	log := machine.NewIPCLog()
+	m.Attach(log)
+	return log
+}
+
+// deliver records one delivery on (src, dst, label).
+func deliver(log *machine.IPCLog, src, dst, label string) {
+	log.Record(log.Edges().Intern(src, dst, label))
+}
+
 func testOrigins() map[string]Origin {
 	return map[string]Origin{"web": OriginWeb, "ctrl": OriginOperator}
 }
@@ -33,6 +47,7 @@ func testOrigins() map[string]Origin {
 func TestObserveInGraphIsClean(t *testing.T) {
 	events := obs.NewEventLog(nil, 0)
 	m := New(testGraph(), Options{Events: events, Origins: testOrigins()})
+	log := attach(m)
 	for _, d := range [][3]string{
 		{"ctrl", "heater", "mt1"},
 		{"ctrl", "heater", "mt2"},
@@ -40,7 +55,7 @@ func TestObserveInGraphIsClean(t *testing.T) {
 		{"web", "ep_cmd", "send"},
 		{"ep_cmd", "ctrl", "recv"},
 	} {
-		m.Observe(d[0], d[1], d[2])
+		deliver(log, d[0], d[1], d[2])
 	}
 	st := m.Stats()
 	if st.Observed != 5 || st.PolicyDrifts != 0 || st.OriginDrifts != 0 {
@@ -54,26 +69,36 @@ func TestObserveInGraphIsClean(t *testing.T) {
 func TestObserveInGraphAllocatesNothing(t *testing.T) {
 	// The monitor rides the IPC hot path of every kernel binding; the E4
 	// overhead budget only holds if in-graph observation is allocation-free
-	// (exact edges and wildcard pairs alike), with a live event log attached.
+	// (exact edges and wildcard pairs alike), with a live event log
+	// attached — both called alone and through the log's Record, which is
+	// how every kernel reaches it.
 	m := New(testGraph(), Options{Events: obs.NewEventLog(nil, 0), Origins: testOrigins()})
+	log := attach(m)
 	for _, d := range [][3]string{
 		{"ctrl", "heater", "mt1"},  // exact subject→subject
 		{"ctrl", "sensor", "mt9"},  // wildcard pair
 		{"web", "ep_cmd", "send"},  // subject→channel
 		{"ep_cmd", "ctrl", "recv"}, // channel→subject
 	} {
-		d := d
-		if n := testing.AllocsPerRun(200, func() { m.Observe(d[0], d[1], d[2]) }); n != 0 {
+		id := log.Edges().Intern(d[0], d[1], d[2])
+		if n := testing.AllocsPerRun(200, func() { m.Observe(id) }); n != 0 {
 			t.Errorf("Observe(%q, %q, %q) allocates %.1f/op, want 0", d[0], d[1], d[2], n)
 		}
+		if n := testing.AllocsPerRun(200, func() { log.Record(id) }); n != 0 {
+			t.Errorf("Record(%q, %q, %q) allocates %.1f/op, want 0", d[0], d[1], d[2], n)
+		}
+	}
+	if st := m.Stats(); st.PolicyDrifts != 0 || st.OriginDrifts != 0 {
+		t.Fatalf("in-graph traffic drifted: %+v", st)
 	}
 }
 
 func TestObservePolicyDrift(t *testing.T) {
 	events := obs.NewEventLog(nil, 0)
 	m := New(testGraph(), Options{Events: events, Origins: testOrigins()})
-	m.Observe("web", "heater", "mt2")  // never certified
-	m.Observe("ctrl", "heater", "mt3") // certified pair, uncertified type
+	log := attach(m)
+	deliver(log, "web", "heater", "mt2")  // never certified
+	deliver(log, "ctrl", "heater", "mt3") // certified pair, uncertified type
 
 	st := m.Stats()
 	if st.PolicyDrifts != 2 {
@@ -104,13 +129,14 @@ func TestObserveNameNormalisation(t *testing.T) {
 		ChannelNames: map[string]string{"cmd.iface": "ep_cmd"},
 		Origins:      testOrigins(),
 	})
-	m.Observe("web.t0", "cmd.iface", "send")
-	m.Observe("cmd.iface", "ctrl.t1", "recv")
+	log := attach(m)
+	deliver(log, "web.t0", "cmd.iface", "send")
+	deliver(log, "cmd.iface", "ctrl.t1", "recv")
 	if st := m.Stats(); st.PolicyDrifts != 0 || st.Observed != 2 {
 		t.Fatalf("normalised deliveries drifted: %+v", st)
 	}
 	// A channel name outside the map passes through unchanged — and misses.
-	m.Observe("web.t0", "other.iface", "send")
+	deliver(log, "web.t0", "other.iface", "send")
 	if st := m.Stats(); st.PolicyDrifts != 1 {
 		t.Fatalf("unmapped channel should miss: %+v", st)
 	}
@@ -119,8 +145,9 @@ func TestObserveNameNormalisation(t *testing.T) {
 func TestDemoteTurnsCertifiedEdgesIntoOriginDrift(t *testing.T) {
 	events := obs.NewEventLog(nil, 0)
 	m := New(testGraph(), Options{Events: events, Origins: testOrigins()})
+	log := attach(m)
 
-	m.Observe("web", "ep_cmd", "send")
+	deliver(log, "web", "ep_cmd", "send")
 	if st := m.Stats(); st.OriginDrifts != 0 {
 		t.Fatalf("pre-demotion traffic drifted: %+v", st)
 	}
@@ -133,10 +160,10 @@ func TestDemoteTurnsCertifiedEdgesIntoOriginDrift(t *testing.T) {
 	}
 
 	// The demoted subject's own certified edge now drifts...
-	m.Observe("web", "ep_cmd", "send")
+	deliver(log, "web", "ep_cmd", "send")
 	// ...while edges governed by other subjects stay clean.
-	m.Observe("ep_cmd", "ctrl", "recv")
-	m.Observe("ctrl", "heater", "mt1")
+	deliver(log, "ep_cmd", "ctrl", "recv")
+	deliver(log, "ctrl", "heater", "mt1")
 
 	st := m.Stats()
 	if st.OriginDrifts != 1 || st.PolicyDrifts != 0 || st.Demotions != 1 {
@@ -221,9 +248,10 @@ func TestUnlabelledSubjectsDefaultToBoot(t *testing.T) {
 
 func TestNilEventLogStillCounts(t *testing.T) {
 	m := New(testGraph(), Options{Origins: testOrigins()})
-	m.Observe("web", "heater", "mt1")
+	log := attach(m)
+	deliver(log, "web", "heater", "mt1")
 	m.Demote("web", OriginUntrusted)
-	m.Observe("web", "ep_cmd", "send")
+	deliver(log, "web", "ep_cmd", "send")
 	st := m.Stats()
 	if st.Observed != 2 || st.PolicyDrifts != 1 || st.OriginDrifts != 1 || st.Demotions != 1 {
 		t.Fatalf("stats with nil event log = %+v", st)
@@ -248,5 +276,62 @@ func TestOriginString(t *testing.T) {
 		if got := o.String(); got != want {
 			t.Errorf("Origin(%d).String() = %q, want %q", uint8(o), got, want)
 		}
+	}
+}
+
+func TestCachedPolicyDriftKeepsNormalisedAttribution(t *testing.T) {
+	// The per-edge cache must reproduce the drift event the string lookup
+	// produced, on the first delivery and on every cached one after it:
+	// graph-namespace Src/Dst, the kernel's label in Detail.
+	events := obs.NewEventLog(nil, 0)
+	m := New(testGraph(), Options{
+		Events:       events,
+		SubjectOf:    func(s string) string { base, _, _ := strings.Cut(s, "."); return base },
+		ChannelNames: map[string]string{"cmd.iface": "ep_cmd"},
+		Origins:      testOrigins(),
+	})
+	log := attach(m)
+	deliver(log, "web.t0", "heater.t0", "mt2")
+	deliver(log, "web.t0", "heater.t0", "mt2")
+	evs := events.Events()
+	if len(evs) != 2 || m.Stats().PolicyDrifts != 2 {
+		t.Fatalf("got %d events, stats %+v; want 2 drifts", len(evs), m.Stats())
+	}
+	for _, e := range evs {
+		if e.Kind != obs.EventPolicyDrift || e.Src != "web" || e.Dst != "heater" || e.Detail != "mt2" {
+			t.Fatalf("drift event = %+v", e)
+		}
+	}
+}
+
+func TestDemoteAfterEdgeCachedStillDrifts(t *testing.T) {
+	// The cache holds names and the certified edge, never a verdict: an
+	// edge observed clean many times must drift once its governing subject
+	// is demoted.
+	m := New(testGraph(), Options{Origins: testOrigins()})
+	log := attach(m)
+	for i := 0; i < 3; i++ {
+		deliver(log, "ep_cmd", "ctrl", "recv") // governed by ctrl
+		deliver(log, "ctrl", "heater", "mt1")
+	}
+	if st := m.Stats(); st.OriginDrifts != 0 || st.PolicyDrifts != 0 {
+		t.Fatalf("pre-demotion traffic drifted: %+v", st)
+	}
+	m.Demote("ctrl", OriginWeb)
+	deliver(log, "ep_cmd", "ctrl", "recv")
+	deliver(log, "ctrl", "heater", "mt1")
+	if st := m.Stats(); st.OriginDrifts != 2 || st.PolicyDrifts != 0 {
+		t.Fatalf("stats = %+v, want both cached edges to drift", st)
+	}
+}
+
+func TestAttachResolvesAgainstTheNewTable(t *testing.T) {
+	// Ids are per table: after Attach to another board's log, id 0 names a
+	// different triple and must not hit the first board's cache.
+	m := New(testGraph(), Options{Origins: testOrigins()})
+	deliver(attach(m), "ctrl", "heater", "mt1") // id 0: certified
+	deliver(attach(m), "web", "heater", "mt1")  // id 0 again: not certified
+	if st := m.Stats(); st.PolicyDrifts != 1 || st.Observed != 2 {
+		t.Fatalf("stats = %+v, want the second board's id 0 to drift", st)
 	}
 }

@@ -273,7 +273,7 @@ func TestAuditMatrix(t *testing.T) {
 	m.Allow(1, 2, 10, 11)
 	m.Seal()
 	log := machine.NewIPCLog()
-	log.Record("a", "b", "mt10")
+	log.Record(log.Edges().Intern("a", "b", "mt10"))
 
 	findings := AuditMatrix(m, log)
 	if len(findings) != 1 {
@@ -294,7 +294,7 @@ func TestAuditMatrixWildcardGrant(t *testing.T) {
 	m.AllowMask(1, 3, core.MaskAll)
 	m.Seal()
 	log := machine.NewIPCLog()
-	log.Record("a", "b", "mt7") // any traffic marks the wildcard used
+	log.Record(log.Edges().Intern("a", "b", "mt7")) // any traffic marks the wildcard used
 
 	findings := AuditMatrix(m, log)
 	if len(findings) != 1 || findings[0].Check != "unused_grant(a, c, mt*)" {

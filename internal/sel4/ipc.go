@@ -251,14 +251,14 @@ func (k *Kernel) doCall(t *tcb, r *callTrap) (any, machine.Disposition) {
 	k.mCalls.Inc()
 	c, err := k.lookupCap(t, r.cptr, KindEndpoint, CapWrite|CapGrant)
 	if err != nil {
-		k.tracer.Emit(t.name, "", "call", obs.OutcomeCapFault)
+		k.tracer.Emit(k.edges.Intern(t.name, "", "call"), obs.OutcomeCapFault)
 		return t.callOut(Msg{}, err), machine.DispositionContinue
 	}
 	k.stats.Calls++
 	ep := k.eps[c.Object]
 	// The round-trip span stays open until Reply (or abort) wakes the
 	// caller.
-	t.span = k.tracer.Begin(t.name, ep.name, "call")
+	t.span = k.tracer.Begin(k.edgesOf(t, c.Object).call)
 	t.sendMsg = r.msg
 	t.sendCap = c
 	t.wantsCall = true
@@ -350,10 +350,8 @@ func (k *Kernel) buildDelivery(sender *tcb, senderCap Capability, receiver *tcb,
 	k.mDelivered.Inc()
 	// Record the delivery through its endpoint for the least-privilege
 	// audit: the sender exercised its send cap, the receiver its recv cap.
-	if ep, ok := k.eps[senderCap.Object]; ok {
-		k.m.IPC().Record(sender.name, ep.name, "send")
-		k.m.IPC().Record(ep.name, receiver.name, "recv")
-	}
+	k.m.IPC().Record(k.edgesOf(sender, senderCap.Object).out)
+	k.m.IPC().Record(k.edgesOf(receiver, senderCap.Object).in)
 	res := RecvResult{Msg: msg, Badge: senderCap.Badge}
 	res.Msg.TransferCap = nil
 	if msg.TransferCap != nil {

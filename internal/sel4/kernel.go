@@ -92,6 +92,11 @@ type tcb struct {
 	// span is the open Call round-trip span, zero outside a Call.
 	span obs.SpanID
 
+	// edges holds, per object ID, the interned IPC edges this thread uses
+	// through a capability to that endpoint or notification: bound when
+	// the capability is installed, so a delivery books its edges by index.
+	edges []capEdges
+
 	// Network handles.
 	nextHandle int32
 	listeners  map[int32]*vnet.Listener
@@ -163,6 +168,14 @@ func (t *tcb) bytesOut(data []byte, err error) any {
 	return &t.bytesR
 }
 
+// capEdges are a thread's interned edges through one endpoint or
+// notification object: out is its send (signal) edge into the object, in
+// its recv (wait) edge out of it, and call its Call span's edge.
+type capEdges struct {
+	out, in, call obs.EdgeID
+	bound         bool
+}
+
 // endpointObj is a rendezvous endpoint: "endpoints are implemented as wait
 // queues".
 type endpointObj struct {
@@ -214,6 +227,7 @@ type Kernel struct {
 
 	// Observability hooks, resolved once at construction.
 	tracer        *obs.Tracer
+	edges         *obs.Edges
 	events        *obs.EventLog
 	mSends        *obs.Counter
 	mRecvs        *obs.Counter
@@ -278,6 +292,7 @@ func NewKernel(m *machine.Machine, cfg Config) *Kernel {
 	board := m.Obs()
 	board.Events().SetPlatform("sel4")
 	k.tracer = board.Tracer()
+	k.edges = board.Edges()
 	k.events = board.Events()
 	reg := board.Metrics()
 	k.mSends = reg.Counter("sel4_ipc_send_total")
@@ -352,7 +367,38 @@ func (k *Kernel) InstallCap(tcbID ObjID, slot CPtr, cap Capability) error {
 		return fmt.Errorf("%w: %d", ErrBadSlot, slot)
 	}
 	t.cspace[slot] = cap
+	k.edgesOf(t, cap.Object)
 	return nil
+}
+
+// edgesOf returns t's interned edges through object obj, binding them on
+// first use. Root-task installs bind eagerly, so only a capability that
+// arrived by transfer binds on its first delivery.
+func (k *Kernel) edgesOf(t *tcb, obj ObjID) capEdges {
+	if int(obj) < len(t.edges) && t.edges[obj].bound {
+		return t.edges[obj]
+	}
+	var e capEdges
+	if ep, ok := k.eps[obj]; ok {
+		e = capEdges{
+			out:  k.edges.Intern(t.name, ep.name, "send"),
+			in:   k.edges.Intern(ep.name, t.name, "recv"),
+			call: k.edges.Intern(t.name, ep.name, "call"),
+		}
+	} else if n, ok := k.notifs[obj]; ok {
+		e = capEdges{
+			out: k.edges.Intern(t.name, n.name, "signal"),
+			in:  k.edges.Intern(n.name, t.name, "wait"),
+		}
+	} else {
+		return e
+	}
+	e.bound = true
+	if n := int(obj) + 1 - len(t.edges); n > 0 {
+		t.edges = append(t.edges, make([]capEdges, n)...)
+	}
+	t.edges[obj] = e
+	return e
 }
 
 // Start launches a created thread.
@@ -566,10 +612,10 @@ func (k *Kernel) endSpan(t *tcb, outcome obs.Outcome) {
 	if t.span == 0 {
 		return
 	}
-	s, ok := k.tracer.End(t.span, outcome)
+	d, ok := k.tracer.End(t.span, outcome)
 	t.span = 0
 	if ok && outcome == obs.OutcomeDelivered {
-		k.mCallNs.Observe(time.Duration(s.Duration()))
+		k.mCallNs.Observe(time.Duration(d))
 	}
 }
 

@@ -55,7 +55,7 @@ func (k *Kernel) doSignal(t *tcb, r *signalTrap) (any, machine.Disposition) {
 	}
 	n := k.notifs[c.Object]
 	k.stats.Signals++
-	k.m.IPC().Record(t.name, n.name, "signal")
+	k.m.IPC().Record(k.edgesOf(t, c.Object).out)
 	if waiter := popWaiter(n); waiter != nil {
 		// Deliver directly: the waiter gets this signal's badge plus any
 		// already-accumulated bits.
@@ -63,7 +63,7 @@ func (k *Kernel) doSignal(t *tcb, r *signalTrap) (any, machine.Disposition) {
 		n.word = 0
 		waiter.state = stateReady
 		waiter.waitToken++
-		k.m.IPC().Record(n.name, waiter.name, "wait")
+		k.m.IPC().Record(k.edgesOf(waiter, n.id).in)
 		k.mustReady(waiter.pid, waiter.waitOut(word, nil))
 		return t.errOut(nil), machine.DispositionContinue
 	}
@@ -81,7 +81,7 @@ func (k *Kernel) doWait(t *tcb, r *waitTrap) (any, machine.Disposition) {
 	if n.word != 0 {
 		word := n.word
 		n.word = 0
-		k.m.IPC().Record(n.name, t.name, "wait")
+		k.m.IPC().Record(k.edgesOf(t, c.Object).in)
 		return t.waitOut(word, nil), machine.DispositionContinue
 	}
 	if r.nb {

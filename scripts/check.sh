@@ -17,6 +17,9 @@ go test -race ./...
 # parallel suites stay standing gates even if the global pass is narrowed.
 go vet ./internal/machine ./internal/lab ./internal/building
 go test -race -count=2 ./internal/machine ./internal/lab ./internal/building
+# Fuzz smoke: the BACnet secure-frame opener is the first code a forged bus
+# frame reaches. A short run from the checked-in seeds must find nothing.
+go test -run '^$' -fuzz '^FuzzOpenFrame$' -fuzztime 10s ./internal/bacnet
 go run ./cmd/polcheck -scenario tempcontrol
 # Least-privilege lint: every static grant the scenario never exercises must
 # be covered by the checked-in allowlist; unknown or stale entries fail. The
