@@ -97,12 +97,12 @@ func run() error {
 		fmt.Println(attack.FormatMatrix(reports))
 		fmt.Println("mediation (from the security-event stream):")
 		for _, r := range reports {
-			if len(r.SecurityEvents) == 0 {
+			if r.SecurityEvents.Len() == 0 {
 				fmt.Printf("  %-20s %-20s no denial events\n", r.Spec.Platform, r.Spec.Action)
 				continue
 			}
 			fmt.Printf("  %-20s %-20s stopped by %-14s (%d denial events)\n",
-				r.Spec.Platform, r.Spec.Action, r.BlockedBy(), len(r.SecurityEvents))
+				r.Spec.Platform, r.Spec.Action, r.BlockedBy(), r.SecurityEvents.Len())
 		}
 		fmt.Println()
 	}

@@ -194,12 +194,12 @@ func runAttack(platform string, action attack.Action, root, jsonOut bool, faults
 		fmt.Printf("policy monitor: %d deliveries observed, %d policy drifts, %d origin drifts, %d demotions\n",
 			ms.Observed, ms.PolicyDrifts, ms.OriginDrifts, ms.Demotions)
 	}
-	if len(report.SecurityEvents) == 0 {
+	if report.SecurityEvents.Len() == 0 {
 		fmt.Println("security events: none recorded")
 		return nil
 	}
-	fmt.Printf("security events (%d):\n", len(report.SecurityEvents))
-	for _, e := range report.SecurityEvents {
+	fmt.Printf("security events (%d):\n", report.SecurityEvents.Len())
+	for e := range report.SecurityEvents.All() {
 		fmt.Printf("  [%s] %s\n", e.At, e)
 	}
 	return nil

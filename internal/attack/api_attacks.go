@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"mkbas/internal/bas"
-	"mkbas/internal/obs"
 	"mkbas/internal/polcheck/monitor"
 	"mkbas/internal/safety"
 	"mkbas/internal/tenantapi"
@@ -134,12 +133,6 @@ func executeAPIScenario(spec Spec, cfg bas.ScenarioConfig) (*Report, error) {
 		tier.Gateway.Denied(tenantapi.OutcomeOverload), tierStats.OriginDrifts)
 
 	eventLog := tb.Machine.Obs().Events()
-	var denied []obs.SecurityEvent
-	for _, e := range eventLog.Events() {
-		if e.Denied {
-			denied = append(denied, e)
-		}
-	}
 	violations := mon.Violations()
 	alive := dep.ControllerAlive()
 	report := &Report{
@@ -152,7 +145,7 @@ func executeAPIScenario(spec Spec, cfg bas.ScenarioConfig) (*Report, error) {
 		Violations:         violations,
 		PhysicalCompromise: len(violations) > 0 || !alive,
 		Notes:              prog.notes,
-		SecurityEvents:     denied,
+		SecurityEvents:     eventLog.Denied(),
 		Mechanisms:         eventLog.Mechanisms(),
 		Obs:                dep.Report(false),
 		IPCUsages:          tb.Machine.IPC().Usages(),

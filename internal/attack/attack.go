@@ -147,8 +147,9 @@ type Report struct {
 	// Notes carries attacker- and harness-observations.
 	Notes []string
 	// SecurityEvents are the denial events the platform's mediation layers
-	// emitted during the run, in virtual-time order.
-	SecurityEvents []obs.SecurityEvent
+	// emitted during the run that the board's event ring retained, in
+	// virtual-time order, kept compactly and resolved when read or exported.
+	SecurityEvents obs.EventList
 	// Mechanisms lists the distinct mediation mechanisms that denied at
 	// least one operation (sorted; empty when nothing was denied).
 	Mechanisms []obs.Mechanism
@@ -212,11 +213,6 @@ const (
 	attackTime = 3 * time.Hour
 )
 
-// RunDuration is the total virtual time one attack run drives its board
-// (settle phase plus attack window). Bench writers use it to convert
-// shards/sec into a per-board virtual-step rate.
-func RunDuration() time.Duration { return settleTime + attackTime }
-
 // Execute runs one attack end to end on a fresh testbed with the default
 // scenario.
 func Execute(spec Spec) (*Report, error) {
@@ -265,12 +261,6 @@ func ExecuteScenario(spec Spec, cfg bas.ScenarioConfig) (*Report, error) {
 	dep.Run(settleTime + attackTime)
 
 	eventLog := tb.Machine.Obs().Events()
-	var denied []obs.SecurityEvent
-	for _, e := range eventLog.Events() {
-		if e.Denied {
-			denied = append(denied, e)
-		}
-	}
 
 	violations := mon.Violations()
 	var faultRep *faultinject.Report
@@ -290,7 +280,7 @@ func ExecuteScenario(spec Spec, cfg bas.ScenarioConfig) (*Report, error) {
 		Violations:         violations,
 		PhysicalCompromise: len(violations) > 0 || !alive,
 		Notes:              prog.notes,
-		SecurityEvents:     denied,
+		SecurityEvents:     eventLog.Denied(),
 		Mechanisms:         eventLog.Mechanisms(),
 		Obs:                dep.Report(false),
 		IPCUsages:          tb.Machine.IPC().Usages(),

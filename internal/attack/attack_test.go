@@ -25,7 +25,7 @@ func mustExecute(t *testing.T, spec Spec) *Report {
 // expected mediation mechanism for a blocked attack.
 func assertDeniedBy(t *testing.T, r *Report, mech obs.Mechanism) {
 	t.Helper()
-	if len(r.SecurityEvents) == 0 {
+	if r.SecurityEvents.Len() == 0 {
 		t.Fatalf("%s/%s blocked but emitted no security events", r.Spec.Platform, r.Spec.Action)
 	}
 	for _, m := range r.Mechanisms {

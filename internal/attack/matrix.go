@@ -76,8 +76,8 @@ func Summarize(r *Report) string {
 	fmt.Fprintf(&b, "%s on %s (root=%v): %s\n", r.Spec.Action, r.Spec.Platform, r.Spec.Root, r.Verdict())
 	fmt.Fprintf(&b, "  operations: %d attempted, %d accepted, %d denied\n", r.Attempts, r.Successes, r.Denials)
 	fmt.Fprintf(&b, "  controller alive: %v, safety violations: %d\n", r.ControllerAlive, len(r.Violations))
-	if len(r.SecurityEvents) > 0 {
-		fmt.Fprintf(&b, "  mediation: %d security events, denied by %s\n", len(r.SecurityEvents), r.BlockedBy())
+	if r.SecurityEvents.Len() > 0 {
+		fmt.Fprintf(&b, "  mediation: %d security events, denied by %s\n", r.SecurityEvents.Len(), r.BlockedBy())
 	}
 	max := len(r.Notes)
 	if max > 3 {

@@ -1,8 +1,12 @@
 package bacnet
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -100,6 +104,61 @@ func TestDeframer(t *testing.T) {
 	if len(got) != 2 || got[0] != "hello" || got[1] != "world!" {
 		t.Fatalf("frames = %q", got)
 	}
+}
+
+// FuzzDecodePDU feeds arbitrary stream bytes to the PDU decoder, which
+// parses every frame a lateral attacker forges on the bus. The bytes are
+// decoded directly and as the frames a Deframer cuts from them. Decoding
+// must never panic, and an accepted PDU must re-encode to exactly the bytes
+// it came from, its value bit for bit (a NaN included). Feeding the stream in
+// the chunks splits describes must yield the frames feeding it whole does.
+func FuzzDecodePDU(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data, splits []byte) {
+		checkDecode(t, data)
+		whole := deframeAll(slices.Clone(data), nil)
+		split := deframeAll(slices.Clone(data), splits)
+		if !slices.EqualFunc(whole, split, bytes.Equal) {
+			t.Fatalf("split feed %v yields frames %x, whole feed %x", splits, split, whole)
+		}
+		for _, frame := range whole {
+			checkDecode(t, frame)
+		}
+	})
+}
+
+// checkDecode asserts that an accepted PDU re-encodes to its input.
+func checkDecode(t *testing.T, data []byte) {
+	p, err := DecodePDU(data)
+	if err != nil {
+		return
+	}
+	if enc := p.AppendEncode(nil); !bytes.Equal(enc, data[:pduSize]) {
+		t.Fatalf("PDU %+v decoded from %x re-encodes as %x", p, data[:pduSize], enc)
+	}
+	if got, want := math.Float64bits(p.Value), binary.BigEndian.Uint64(data[8:]); got != want {
+		t.Fatalf("value bits %#x, encoded %#x", got, want)
+	}
+}
+
+// deframeAll feeds data to a fresh Deframer in chunks of 1+splits[i]%8
+// bytes, cycling through splits (one chunk when splits is empty), and
+// returns every frame it yields. Each chunk is clipped so the deframer's
+// appends never reach into the next one.
+func deframeAll(data, splits []byte) [][]byte {
+	var d Deframer
+	var frames [][]byte
+	for i := 0; len(data) > 0; i++ {
+		n := len(data)
+		if len(splits) > 0 {
+			n = min(n, 1+int(splits[i%len(splits)]%8))
+		}
+		d.Feed(data[:n:n])
+		data = data[n:]
+		for f := d.Next(); f != nil; f = d.Next() {
+			frames = append(frames, f)
+		}
+	}
+	return frames
 }
 
 func TestLegacyServerReadWrite(t *testing.T) {

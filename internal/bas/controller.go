@@ -206,10 +206,6 @@ func (c *Controller) OnTick(now machine.Time) (heaterChanged, alarmChanged bool)
 	return heaterChanged, alarmChanged
 }
 
-// Failsafe reports whether the staleness watchdog has the controller in its
-// degraded mode.
-func (c *Controller) Failsafe() bool { return c.failsafe }
-
 // SetSetpoint applies an administrator update, clamped to the permitted
 // range. Out-of-range requests are rejected, not clamped, so a compromised
 // web interface cannot silently push the room to an extreme. The test is

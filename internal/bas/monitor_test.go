@@ -62,20 +62,22 @@ func TestMonitorFlagsInjectedIPCWithinOneTick(t *testing.T) {
 				t.Fatalf("deploy: %v", err)
 			}
 
-			var drifts []obs.SecurityEvent
-			cancel := tb.Machine.Obs().Events().Subscribe(func(e obs.SecurityEvent) {
-				if e.Kind == obs.EventPolicyDrift {
-					drifts = append(drifts, e)
-				}
-			})
-			defer cancel()
-
 			tb.Machine.Clock().After(injectAt, func() {
 				log := tb.Machine.IPC()
 				log.Record(log.Edges().Intern("intruder", "nowhere", "mt63"))
 			})
 			dep.Run(20 * time.Minute)
 
+			events := tb.Machine.Obs().Events()
+			if events.Dropped() != 0 {
+				t.Fatalf("event ring evicted %d events; the drift may be gone", events.Dropped())
+			}
+			var drifts []obs.SecurityEvent
+			for _, e := range events.Events() {
+				if e.Kind == obs.EventPolicyDrift {
+					drifts = append(drifts, e)
+				}
+			}
 			if len(drifts) != 1 {
 				t.Fatalf("got %d policy-drift events, want exactly the injected one: %+v", len(drifts), drifts)
 			}

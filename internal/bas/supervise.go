@@ -131,11 +131,3 @@ func (s *Supervision) Check(now machine.Time) (fallback float64, degraded bool) 
 
 // Degraded reports whether the room is currently in degraded mode.
 func (s *Supervision) Degraded() bool { return s != nil && s.degraded }
-
-// Committed reports the fallback setpoint.
-func (s *Supervision) Committed() float64 {
-	if s == nil {
-		return 0
-	}
-	return s.committed
-}

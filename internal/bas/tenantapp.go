@@ -35,10 +35,6 @@ func (b *TestbedBackend) Rooms() int { return 1 }
 // Writes reports setpoint writes the board accepted (HTTP 200).
 func (b *TestbedBackend) Writes() int64 { return b.writes }
 
-// WriteFailures reports setpoint writes the board refused or that failed in
-// transport.
-func (b *TestbedBackend) WriteFailures() int64 { return b.writeFailures }
-
 // ReadRoom appends the plant's live state.
 func (b *TestbedBackend) ReadRoom(_ int, resp *tenantapi.Response) {
 	r := b.tb.Room

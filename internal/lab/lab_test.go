@@ -2,6 +2,8 @@ package lab
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -282,5 +284,32 @@ func TestRunValidates(t *testing.T) {
 	}
 	if _, err := Run(Sweep{Plants: []Plant{"lava"}}, Options{Workers: 1}); err == nil {
 		t.Error("unknown plant accepted")
+	}
+}
+
+// TestCampaignJSONGolden pins the SHA-256 of a small campaign's merged JSON.
+// The sweep covers every denied-event shape a report carries: seL4
+// capability faults with a thousand distinct details (enumerate-handles) and
+// a wrapped 16,384-event ring (kill-controller), MINIX fork-quota denials,
+// hardened-Linux DAC denials, and the tenant tier's four denial layers
+// (api-flood). Any change to how reports store or export their events must
+// leave these bytes alone.
+func TestCampaignJSONGolden(t *testing.T) {
+	const want = "79f80d60e98769b3f48097ab6ec2dbc2f4a9f7fcc53e21935eb8a7caa7bfed5c"
+	sweep, err := ParseSweep("platforms=minix3-acm,sel4,linux-hardened;" +
+		"actions=enumerate-handles,fork-bomb,kill-controller,api-flood;models=user;quotas=8")
+	if err != nil {
+		t.Fatalf("ParseSweep: %v", err)
+	}
+	res, err := Run(sweep, Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	out, err := res.JSON()
+	if err != nil {
+		t.Fatalf("JSON: %v", err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != want {
+		t.Fatalf("campaign JSON sha256 = %s, want %s (%d bytes)", got, want, len(out))
 	}
 }

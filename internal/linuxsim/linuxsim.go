@@ -530,15 +530,6 @@ func (k *Kernel) GrantRoot(unixPID int) error {
 	return nil
 }
 
-// UIDOf reports a process's current uid.
-func (k *Kernel) UIDOf(unixPID int) (int, error) {
-	p, ok := k.byUnix[unixPID]
-	if !ok {
-		return 0, fmt.Errorf("%w: pid %d", ErrNoEnt, unixPID)
-	}
-	return p.uid, nil
-}
-
 // Alive reports whether a unix pid is live.
 func (k *Kernel) Alive(unixPID int) bool {
 	_, ok := k.byUnix[unixPID]
@@ -553,18 +544,6 @@ func (k *Kernel) PIDOf(name string) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("%w: process %q", ErrNoEnt, name)
-}
-
-// Queue inspection for experiments.
-
-// QueueDepth reports the number of queued messages, or an error if the
-// queue does not exist.
-func (k *Kernel) QueueDepth(name string) (int, error) {
-	q, ok := k.mqs[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: queue %q", ErrNoEnt, name)
-	}
-	return len(q.msgs), nil
 }
 
 // Allowed exposes the kernel's DAC predicate so the static policy analyzer

@@ -433,17 +433,6 @@ func (k *Kernel) ACIDOf(ep Endpoint) (core.ACID, error) {
 // Alive reports whether an endpoint currently addresses a live process.
 func (k *Kernel) Alive(ep Endpoint) bool { return k.resolve(ep) != nil }
 
-// LiveProcs lists the published names of live processes, for tests.
-func (k *Kernel) LiveProcs() []string {
-	var out []string
-	for _, e := range k.slots {
-		if e != nil {
-			out = append(out, e.name)
-		}
-	}
-	return out
-}
-
 // imageName reads the image name stored in msg at offset off. A registered
 // name comes back as the registry's own string, so the lookup copies
 // nothing; an unknown name is copied out of the payload.

@@ -26,7 +26,6 @@ type pmServer struct {
 	// Audit counters for the experiments.
 	forksGranted int64
 	forksDenied  int64
-	killsGranted int64
 	killsDenied  int64
 }
 
@@ -116,7 +115,6 @@ func (pm *pmServer) handleKill(api *API, msg Message) Message {
 		pm.killsDenied++
 		return pmReply(codeFromErr(err), EndpointNone)
 	}
-	pm.killsGranted++
 	return pmReply(codeOK, EndpointNone)
 }
 
@@ -219,9 +217,6 @@ func (v *PMView) ForksGranted() int64 { return v.pm.forksGranted }
 
 // ForksDenied returns the number of fork2 requests PM has denied.
 func (v *PMView) ForksDenied() int64 { return v.pm.forksDenied }
-
-// KillsGranted returns the number of kill requests PM has allowed.
-func (v *PMView) KillsGranted() int64 { return v.pm.killsGranted }
 
 // KillsDenied returns the number of kill requests PM has denied.
 func (v *PMView) KillsDenied() int64 { return v.pm.killsDenied }

@@ -142,8 +142,8 @@ type SecurityEvent struct {
 
 // EventLog is the unified security-event stream: a bounded ring of recent
 // events plus lifetime totals per (kind, mechanism, denied) that survive
-// ring eviction. Subscribers observe every event synchronously at emit
-// time, before it can be dropped. The nil EventLog discards everything.
+// ring eviction. Denied snapshots the ring's denials compactly for reports.
+// The nil EventLog discards everything.
 type EventLog struct {
 	now      func() Time
 	platform string
@@ -153,7 +153,6 @@ type EventLog struct {
 	total    int64
 	dropped  int64
 	totals   map[eventKey]int64
-	subs     []func(SecurityEvent)
 }
 
 type eventKey struct {
@@ -183,8 +182,7 @@ func (l *EventLog) SetPlatform(p string) {
 }
 
 // Emit stamps e with the current virtual instant (and the default platform,
-// if e carries none), stores it, and notifies subscribers in registration
-// order.
+// if e carries none) and stores it.
 func (l *EventLog) Emit(e SecurityEvent) {
 	if l == nil {
 		return
@@ -201,25 +199,6 @@ func (l *EventLog) Emit(e SecurityEvent) {
 		l.events[l.head] = e
 		l.head = (l.head + 1) % l.cap
 		l.dropped++
-	}
-	for _, fn := range l.subs {
-		fn(e)
-	}
-}
-
-// Subscribe registers fn to observe every subsequent event. The returned
-// cancel detaches it. Subscribers run synchronously on the emitting
-// goroutine and must not emit events themselves.
-func (l *EventLog) Subscribe(fn func(SecurityEvent)) (cancel func()) {
-	if l == nil || fn == nil {
-		return func() {}
-	}
-	idx := len(l.subs)
-	l.subs = append(l.subs, fn)
-	return func() {
-		if idx < len(l.subs) {
-			l.subs[idx] = func(SecurityEvent) {}
-		}
 	}
 }
 

@@ -265,23 +265,17 @@ func TestTracerHotPathAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestEventLogTotalsAndSubscribe(t *testing.T) {
+func TestEventLogTotals(t *testing.T) {
 	clk := &fakeClock{t: 42}
 	l := NewEventLog(clk.now, 16)
 	l.SetPlatform("minix")
-	var seen []SecurityEvent
-	cancel := l.Subscribe(func(e SecurityEvent) { seen = append(seen, e) })
 	l.Emit(SecurityEvent{Kind: EventIPCDenied, Mechanism: MechACM, Denied: true, Src: "web", Dst: "temp"})
 	l.Emit(SecurityEvent{Kind: EventIPCDenied, Mechanism: MechACM, Denied: true, Src: "web", Dst: "heater"})
 	l.Emit(SecurityEvent{Kind: EventKill, Mechanism: MechSyscallMask, Src: "pm", Dst: "web"})
-	cancel()
 	l.Emit(SecurityEvent{Kind: EventKillDenied, Mechanism: MechKernel, Denied: true})
 
-	if len(seen) != 3 {
-		t.Fatalf("subscriber saw %d events, want 3 (cancel must stop delivery)", len(seen))
-	}
-	if seen[0].At != 42 || seen[0].Platform != "minix" {
-		t.Fatalf("event not stamped: %+v", seen[0])
+	if first := l.Events()[0]; first.At != 42 || first.Platform != "minix" {
+		t.Fatalf("event not stamped: %+v", first)
 	}
 	if l.Total() != 4 || l.DeniedTotal() != 3 {
 		t.Fatalf("total=%d denied=%d", l.Total(), l.DeniedTotal())

@@ -161,12 +161,6 @@ func (r *Room) Temperature() float64 {
 	return r.temp
 }
 
-// SetTemperature overrides the room temperature (test and scenario setup).
-func (r *Room) SetTemperature(temp float64) {
-	r.sync()
-	r.temp = temp
-}
-
 // SetAmbient changes the outside temperature (disturbance injection).
 func (r *Room) SetAmbient(ambient float64) {
 	r.sync()
@@ -252,9 +246,6 @@ func (r *Room) SetSensorDrift(rate float64) {
 	r.driftRate = rate
 	r.driftSince = r.clock.Now()
 }
-
-// SensorFaulted reports whether a stuck-at or drift fault is active.
-func (r *Room) SensorFaulted() bool { return r.sensorStuck || r.driftRate != 0 }
 
 // SetSensorReadHook registers fn to observe every sensor device read with the
 // reported value and whether a sensor fault distorted it. One hook only; nil

@@ -69,13 +69,6 @@ type Edge struct {
 	Origin string
 }
 
-// KillEdge records destroy authority of one subject over another.
-type KillEdge struct {
-	Src    string
-	Dst    string
-	Origin string
-}
-
 // Graph is the unified directed access graph every policy source normalises
 // into.
 type Graph struct {
@@ -202,23 +195,6 @@ func (g *Graph) SendTargets(subject string) []Node {
 			out = append(out, e.To)
 		}
 	}
-	return out
-}
-
-// KillEdges lists every destroy-authority edge, sorted.
-func (g *Graph) KillEdges() []KillEdge {
-	var out []KillEdge
-	for src, row := range g.kills {
-		for dst, origin := range row {
-			out = append(out, KillEdge{Src: src, Dst: dst, Origin: origin})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
 	return out
 }
 
