@@ -3,6 +3,8 @@ package bas
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -152,6 +154,40 @@ func TestParseStatusLineRoundTrip(t *testing.T) {
 	}
 	if _, err := parseStatusLine("garbage"); err == nil {
 		t.Fatal("garbage parsed")
+	}
+}
+
+func TestCutFieldMatchesStringsFields(t *testing.T) {
+	// cutField must split exactly as strings.Fields does, on any input: the
+	// ASCII spaces, the Latin-1 and wider Unicode spaces, invalid UTF-8 and
+	// empty or space-only lines.
+	alphabet := []string{" ", "\t", "\n", "\v", "\f", "\r", "\u0085", "\u00a0", "\u2003", "\u3000",
+		"\xc2", "\xa0", "\xff", "=", "temp", "setpoint", "heater", "on", "1", ".", "é", "x"}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 20000; n++ {
+		var b strings.Builder
+		for k := rng.Intn(12); k > 0; k-- {
+			b.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		line := b.String()
+		var got []string
+		for f, rest := cutField(line); f != ""; f, rest = cutField(rest) {
+			got = append(got, f)
+		}
+		if want := strings.Fields(line); !slices.Equal(got, want) {
+			t.Fatalf("cutField(%q) fields = %q, strings.Fields = %q", line, got, want)
+		}
+	}
+}
+
+func TestParseStatusLineAllocatesNothing(t *testing.T) {
+	line := Status{Temp: 21.37, Setpoint: 22, HeaterOn: true, Samples: 719997}.String()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := parseStatusLine(line); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("parseStatusLine allocates %.1f/op, want 0", n)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"mkbas/internal/bacnet"
 	"mkbas/internal/linuxsim"
@@ -558,10 +559,12 @@ func (c *linuxControlClient) SetSetpoint(v float64) error {
 	return nil
 }
 
-// parseStatusLine decodes Status.String() back into a Status.
+// parseStatusLine decodes Status.String() back into a Status. It walks the
+// line's fields in place rather than collecting them, so a poll's status
+// decode allocates nothing.
 func parseStatusLine(line string) (Status, error) {
 	var st Status
-	for _, field := range strings.Fields(line) {
+	for field, rest := cutField(line); field != ""; field, rest = cutField(rest) {
 		key, val, ok := strings.Cut(field, "=")
 		if !ok {
 			continue
@@ -583,6 +586,17 @@ func parseStatusLine(line string) (Status, error) {
 		return st, fmt.Errorf("bas: malformed status line %q", line)
 	}
 	return st, nil
+}
+
+// cutField cuts the first field off s and returns it with the rest of s. A
+// field is what strings.Fields yields: a maximal run of runes that are not
+// unicode.IsSpace. The field is empty only when s holds no more fields.
+func cutField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }
 
 // linuxWebBody is the legitimate web interface on Linux.

@@ -98,96 +98,3 @@ func TestIncrementalFeedAndPipelining(t *testing.T) {
 		t.Fatalf("%d bytes left buffered", p.Buffered())
 	}
 }
-
-func TestConnTableLimitRefusal(t *testing.T) {
-	ct := NewConnTable(4, 0)
-	for id := int64(0); id < 4; id++ {
-		if !ct.Acquire(id, 0) {
-			t.Fatalf("conn %d refused below the cap", id)
-		}
-	}
-	if ct.Acquire(99, 0) {
-		t.Fatal("5th concurrent connection admitted past a 4-conn table")
-	}
-	// Re-acquiring a live id is a keep-alive touch, not a new slot.
-	if !ct.Acquire(2, 1) {
-		t.Fatal("live connection refused on re-acquire")
-	}
-	ct.Release(0)
-	if !ct.Acquire(99, 2) {
-		t.Fatal("slot freed by Release not reusable")
-	}
-	if ct.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", ct.Len())
-	}
-}
-
-func TestConnTableSlowClientBackpressure(t *testing.T) {
-	const idle = int64(5e9) // 5s budget
-	ct := NewConnTable(8, idle)
-	ct.Acquire(1, 0)
-	ct.Acquire(2, 0)
-	ct.Acquire(3, 0)
-	// Connection 2 keeps making progress; 1 and 3 go silent.
-	ct.Touch(2, 4e9)
-	ct.Touch(2, 8e9)
-	evicted := ct.SweepStale(9e9)
-	if len(evicted) != 2 || evicted[0] != 1 || evicted[1] != 3 {
-		t.Fatalf("evicted %v, want [1 3]", evicted)
-	}
-	if ct.Len() != 1 {
-		t.Fatalf("Len after sweep = %d, want 1", ct.Len())
-	}
-	// The evicted slow client must re-acquire like a fresh connection.
-	if !ct.Acquire(1, 10e9) {
-		t.Fatal("evicted client could not reconnect")
-	}
-	// A zero idle budget disables sweeping.
-	ct0 := NewConnTable(2, 0)
-	ct0.Acquire(7, 0)
-	if ev := ct0.SweepStale(1e18); ev != nil {
-		t.Fatalf("sweep with disabled budget evicted %v", ev)
-	}
-}
-
-func TestRouterDispatch(t *testing.T) {
-	var r Router
-	r.Handle("GET", "/api/rooms/:room/status", func(_ *Request, params []string) *Response {
-		return Text(200, "room="+params[0])
-	})
-	r.Handle("POST", "/api/rooms/:room/setpoint", func(_ *Request, params []string) *Response {
-		return Text(200, "set="+params[0])
-	})
-	r.Handle("GET", "/api/whoami", func(*Request, []string) *Response { return Text(200, "me") })
-
-	serve := func(method, path string) (int, string) {
-		resp := r.Dispatch(&Request{Method: method, Path: path})
-		return resp.Status, string(resp.Body)
-	}
-	if st, body := serve("GET", "/api/rooms/7/status"); st != 200 || body != "room=7" {
-		t.Fatalf("param route: %d %q", st, body)
-	}
-	if st, _ := serve("GET", "/api/rooms/7"); st != 404 {
-		t.Fatalf("short path: %d, want 404", st)
-	}
-	if st, _ := serve("GET", "/api/rooms/7/setpoint"); st != 405 {
-		t.Fatalf("wrong method on matched path: %d, want 405", st)
-	}
-	if st, _ := serve("GET", "/nope"); st != 404 {
-		t.Fatalf("unknown path: %d, want 404", st)
-	}
-	// The auth hook short-circuits before any handler.
-	r.Auth = func(req *Request) *Response {
-		if req.Headers["authorization"] == "" {
-			return Text(401, "no token")
-		}
-		return nil
-	}
-	if st, _ := serve("GET", "/api/whoami"); st != 401 {
-		t.Fatalf("auth hook bypassed: %d, want 401", st)
-	}
-	resp := r.Dispatch(&Request{Method: "GET", Path: "/api/whoami", Headers: map[string]string{"authorization": "Bearer x"}})
-	if resp.Status != 200 {
-		t.Fatalf("authed request: %d, want 200", resp.Status)
-	}
-}

@@ -10,6 +10,7 @@
 package httpmini
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -69,14 +70,14 @@ func (p *Parser) Buffered() int { return len(p.buf) }
 
 // Next attempts to parse one complete request from the buffered bytes.
 // It returns (nil, nil) when more data is needed, and a non-nil error when
-// the stream is unrecoverably malformed.
+// the stream is unrecoverably malformed. The header and body limits judge
+// the request, never how much of it has arrived, so the outcome does not
+// depend on how the stream was chunked; while Next waits for more data the
+// parser holds less than one maximal request.
 func (p *Parser) Next() (*Request, error) {
 	req, rest, err := parseOne(p.buf)
 	switch {
 	case errors.Is(err, errNeedMoreData):
-		if len(p.buf) > maxHeaderBytes+maxBodyBytes {
-			return nil, ErrTooLarge
-		}
 		return nil, nil
 	case err != nil:
 		return nil, err
@@ -86,11 +87,15 @@ func (p *Parser) Next() (*Request, error) {
 	}
 }
 
-// parseOne parses a single request from data, returning unconsumed bytes.
+// parseOne parses a single request from data, returning the unconsumed
+// bytes as a subslice of data. It copies out only what the request keeps,
+// so a long pipelined stream costs linear time however it is fed.
 func parseOne(data []byte) (*Request, []byte, error) {
-	headerEnd := strings.Index(string(data), "\r\n\r\n")
+	headerEnd := bytes.Index(data, headerTerminator)
 	if headerEnd < 0 {
-		if len(data) > maxHeaderBytes {
+		// The terminator may still arrive straddling the bytes held: refuse
+		// only once it could no longer start within the cap.
+		if len(data)-3 > maxHeaderBytes {
 			return nil, nil, ErrTooLarge
 		}
 		return nil, nil, errNeedMoreData
@@ -159,10 +164,11 @@ func parseOne(data []byte) (*Request, []byte, error) {
 		Headers: headers,
 		Body:    body,
 	}
-	rest := make([]byte, len(data)-bodyStart-bodyLen)
-	copy(rest, data[bodyStart+bodyLen:])
-	return req, rest, nil
+	return req, data[bodyStart+bodyLen:], nil
 }
+
+// headerTerminator ends a request's header block.
+var headerTerminator = []byte("\r\n\r\n")
 
 // parseURLEncoded decodes k=v&k2=v2 pairs with %XX and '+' decoding.
 func parseURLEncoded(s string) map[string]string {

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -118,21 +119,24 @@ func (l TraceLine) String() string {
 
 // Trace is a bounded, timestamped console log. Kernels and applications use
 // it for the experiment traces printed by cmd/bascontrol; tests assert on it.
-// Once full it is a circular buffer: head indexes the oldest line, so an
-// append overwrites in place instead of shifting the whole backlog.
+// Lines are block-encoded into an obs.BlockRing that keeps the newest cap
+// of them, each as uvarint(At − the previous line's At), then the tag and
+// the text, each as uvarint(length) and its bytes. A line costs its text
+// plus a few bytes and no heap object of its own; Lines, Grep and String
+// decode on read.
 type Trace struct {
-	clock *Clock
-	cap   int
-	lines []TraceLine
-	head  int
+	clock  *Clock
+	ring   *obs.BlockRing
+	lastAt Time // the newest line's instant, the base of the next delta
 }
 
-// NewTrace creates a trace console; capacity <= 0 means 4096 lines.
+// NewTrace creates a trace console; capacity <= 0 means 4096 lines. The
+// ring allocates its first block with the first line.
 func NewTrace(clock *Clock, capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Trace{clock: clock, cap: capacity}
+	return &Trace{clock: clock, ring: obs.NewBlockRing(capacity)}
 }
 
 // Logf appends a formatted line under tag. When the buffer is full the
@@ -143,30 +147,50 @@ func (t *Trace) Logf(tag, format string, args ...any) {
 
 // Log appends text verbatim under tag, with no formatting. Kernels use it
 // on repeated paths (denials, forwarded process traces) where the text is
-// already built, so a line costs no allocation beyond the ring's growth.
+// already built; once the ring is full a line allocates nothing.
 func (t *Trace) Log(tag, text string) {
-	line := TraceLine{At: t.clock.Now(), Tag: tag, Text: text}
-	if len(t.lines) == t.cap {
-		t.lines[t.head] = line
-		t.head = (t.head + 1) % t.cap
-		return
+	at := t.clock.Now()
+	b, first := t.ring.Grow(3*binary.MaxVarintLen64 + len(tag) + len(text))
+	prev := t.lastAt
+	if first {
+		prev = 0
 	}
-	t.lines = append(t.lines, line)
+	b = binary.AppendUvarint(b, uint64(at-prev))
+	b = binary.AppendUvarint(b, uint64(len(tag)))
+	b = append(b, tag...)
+	b = binary.AppendUvarint(b, uint64(len(text)))
+	b = append(b, text...)
+	t.ring.Commit(b)
+	t.lastAt = at
 }
 
-// each calls fn on every buffered line, oldest first.
+// each calls fn on every retained line, oldest first.
 func (t *Trace) each(fn func(TraceLine)) {
-	for _, l := range t.lines[t.head:] {
-		fn(l)
+	for b, skip := range t.ring.Blocks() {
+		var at Time
+		for i := 0; len(b) > 0; i++ {
+			d, n := binary.Uvarint(b)
+			at += Time(d)
+			var tag, text []byte
+			tag, b = traceField(b[n:])
+			text, b = traceField(b)
+			if i >= skip {
+				fn(TraceLine{At: at, Tag: string(tag), Text: string(text)})
+			}
+		}
 	}
-	for _, l := range t.lines[:t.head] {
-		fn(l)
-	}
+}
+
+// traceField splits a uvarint-length-prefixed field off the front of b.
+func traceField(b []byte) (field, rest []byte) {
+	l, n := binary.Uvarint(b)
+	end := n + int(l)
+	return b[n:end], b[end:]
 }
 
 // Lines returns a copy of the buffered lines, oldest first.
 func (t *Trace) Lines() []TraceLine {
-	out := make([]TraceLine, 0, len(t.lines))
+	out := make([]TraceLine, 0, t.ring.Len())
 	t.each(func(l TraceLine) { out = append(out, l) })
 	return out
 }

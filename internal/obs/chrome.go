@@ -50,8 +50,11 @@ func EncodeChrome(threads []string, spans []ChromeEvent, metaDur *float64) ([]by
 // JSON. Each source name becomes a "thread" (sorted for determinism), each
 // span a complete event with src/dst/outcome in args, timestamps in
 // virtual microseconds since boot. A zero-length span carries no dur.
-func (t *Tracer) ChromeTrace() ([]byte, error) {
-	spans := t.Spans()
+func (t *Tracer) ChromeTrace() ([]byte, error) { return chromeSpans(t.Spans()) }
+
+// chromeSpans renders spans, sorted as Tracer.Spans returns them, as
+// ChromeTrace does.
+func chromeSpans(spans []Span) ([]byte, error) {
 	names := map[string]int{}
 	for _, s := range spans {
 		names[s.Src] = 0

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -246,8 +248,9 @@ func TestSpanRingWrapResolvesEdges(t *testing.T) {
 
 func TestTracerHotPathAllocatesNothing(t *testing.T) {
 	// Every mediated round trip crosses Begin/End and every denial Emit;
-	// once the ring is full they must not allocate. The record stays 32
-	// pointer-free bytes, which is what the per-board ring's size rests on.
+	// once the ring is full (its evicted blocks recycling) they must not
+	// allocate. An open span stays in a 32-byte pointer-free slot; the
+	// completed-span ring's budget is TestSpanRingByteBudget's.
 	if n := unsafe.Sizeof(spanRec{}); n != 32 {
 		t.Fatalf("span record is %d bytes, want 32", n)
 	}
@@ -263,6 +266,39 @@ func TestTracerHotPathAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Begin/End/Emit allocate %.1f/op, want 0", n)
 	}
+}
+
+func TestSpanRingByteBudget(t *testing.T) {
+	// A full default ring of mediated round trips — µs long, seconds apart,
+	// over a board's worth of edges — must retain at most 12 bytes a span
+	// plus one block: the block encoding is what the buildings' heap rests
+	// on (the fixed-record ring it replaced took 32).
+	clk := &fakeClock{}
+	edges := NewEdges()
+	var ids []EdgeID
+	for i := 0; i < 40; i++ {
+		ids = append(ids, edges.Intern(fmt.Sprintf("p%d", i%6), fmt.Sprintf("p%d", i%7), fmt.Sprintf("mt%d", i)))
+	}
+	tr := NewTracer(clk.now, edges, 0)
+	rng := rand.New(rand.NewSource(1))
+	const spans = 16384
+	for i := 0; i < 2*spans; i++ {
+		clk.t += Time(1e9 + rng.Int63n(2e9))
+		id := tr.Begin(ids[rng.Intn(len(ids))])
+		clk.t += Time(1e3 + rng.Int63n(20e3))
+		tr.End(id, OutcomeDelivered)
+	}
+	if n := len(tr.Spans()); n != spans {
+		t.Fatalf("ring retains %d spans, want %d", n, spans)
+	}
+	held := cap(tr.done.spare)
+	for _, blk := range tr.done.blocks {
+		held += cap(blk.buf)
+	}
+	if budget := 12*spans + RingBlockSize; held > budget {
+		t.Fatalf("ring holds %d bytes (%.1f B/span), budget %d", held, float64(held)/spans, budget)
+	}
+	t.Logf("%d spans in %d bytes: %.2f B/span", spans, held, float64(held)/spans)
 }
 
 func TestEventLogTotals(t *testing.T) {

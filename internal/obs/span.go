@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -68,9 +69,8 @@ type Span struct {
 // Duration is the span's virtual length.
 func (s Span) Duration() Time { return s.End - s.Start }
 
-// spanRec is how the tracer stores a span: the edge stays an id until
-// Spans resolves it, so a record is 32 bytes with no pointers and the
-// per-board ring costs the garbage collector nothing to scan.
+// spanRec is a span in the tracer's own form: the edge stays an id until
+// Spans resolves it, so an open slot is 32 bytes with no pointers.
 type spanRec struct {
 	ID      SpanID
 	Edge    EdgeID
@@ -79,28 +79,28 @@ type spanRec struct {
 	End     Time
 }
 
-// Tracer records IPC spans. Completed spans live in a bounded ring buffer
-// (oldest dropped first); open spans are bounded by the number of blocked
+// Tracer records IPC spans. Open spans are bounded by the number of blocked
 // processes, so they live in a slot slice with a freelist — this keeps
 // Begin/End off the map path, which matters because every mediated round
-// trip crosses them. The nil Tracer discards everything, so kernels can
-// instrument unconditionally.
+// trip crosses them. Completed spans are block-encoded into a BlockRing
+// that keeps the newest cap of them (see appendSpan for the record), so a
+// full board history costs a few bytes a span and nothing to scan. The nil
+// Tracer discards everything, so kernels can instrument unconditionally.
 type Tracer struct {
-	now     func() Time
-	edges   *Edges
-	cap     int
-	open    []spanRec // slot storage; a slot is free when its ID is zero
-	free    []int32
-	done    []spanRec
-	head    int
-	nextID  SpanID
-	total   int64
-	dropped int64
-	counts  [OutcomeAborted + 1]int64
+	now    func() Time
+	edges  *Edges
+	open   []spanRec // slot storage; a slot is free when its ID is zero
+	free   []int32
+	done   *BlockRing
+	last   spanRec // the newest completed span, the base of the next delta
+	nextID SpanID
+	total  int64
+	counts [OutcomeAborted + 1]int64
 }
 
 // NewTracer creates a tracer whose spans name edges of edges; capacity <=
-// 0 means 16384 completed spans.
+// 0 means 16384 completed spans. The ring allocates its first block with
+// the first completed span.
 func NewTracer(now func() Time, edges *Edges, capacity int) *Tracer {
 	if now == nil {
 		now = func() Time { return 0 }
@@ -108,12 +108,7 @@ func NewTracer(now func() Time, edges *Edges, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 16384
 	}
-	// The ring grows lazily via append toward cap rather than preallocating:
-	// a 64-board building would otherwise sit on cap·boards spans of mostly
-	// idle memory. Growth copies are geometric (a handful per board
-	// lifetime), so the IPC hot path still pays amortized O(1); once len
-	// reaches cap the ring never reallocates.
-	return &Tracer{now: now, edges: edges, cap: capacity}
+	return &Tracer{now: now, edges: edges, done: NewBlockRing(capacity)}
 }
 
 // Span handles pack (sequence, slot) so End can index the open slot
@@ -177,13 +172,59 @@ func (t *Tracer) push(s spanRec) {
 	if int(s.Outcome) < len(t.counts) {
 		t.counts[s.Outcome]++
 	}
-	if len(t.done) < t.cap {
-		t.done = append(t.done, s)
-		return
+	b, first := t.done.Grow(maxSpanRecLen)
+	prev := t.last
+	if first {
+		prev = spanRec{}
 	}
-	t.done[t.head] = s
-	t.head = (t.head + 1) % t.cap
-	t.dropped++
+	t.done.Commit(appendSpan(b, s, prev))
+	t.last = s
+}
+
+// maxSpanRecLen bounds one encoded span: four varints and an escaped
+// outcome byte.
+const maxSpanRecLen = 4*binary.MaxVarintLen64 + 1
+
+// spanOutcomeEscape in the outcome bits means the outcome did not fit in
+// them and follows as a byte of its own.
+const spanOutcomeEscape = 1<<3 - 1
+
+// appendSpan appends s encoded against prev, the span completed before it
+// in the same block (the zero spanRec for a block's first span):
+// zigzag(ID − prev.ID), uvarint(Edge<<3 | Outcome), zigzag(End − prev.End)
+// and uvarint(End − Start). Completion order makes the ID and End deltas
+// small and mediated round trips are short, so a span is typically 5–9
+// bytes.
+func appendSpan(b []byte, s, prev spanRec) []byte {
+	b = binary.AppendVarint(b, int64(s.ID-prev.ID))
+	o := min(s.Outcome, spanOutcomeEscape)
+	b = binary.AppendUvarint(b, uint64(s.Edge)<<3|uint64(o))
+	if o == spanOutcomeEscape {
+		b = append(b, byte(s.Outcome))
+	}
+	b = binary.AppendVarint(b, int64(s.End-prev.End))
+	return binary.AppendUvarint(b, uint64(s.End-s.Start))
+}
+
+// decodeSpan reads the span appendSpan encoded against prev from the front
+// of b and returns it with the rest of b.
+func decodeSpan(b []byte, prev spanRec) (spanRec, []byte) {
+	var s spanRec
+	id, n := binary.Varint(b)
+	b = b[n:]
+	s.ID = prev.ID + SpanID(id)
+	eo, n := binary.Uvarint(b)
+	b = b[n:]
+	s.Edge, s.Outcome = EdgeID(eo>>3), Outcome(eo&spanOutcomeEscape)
+	if s.Outcome == spanOutcomeEscape {
+		s.Outcome, b = Outcome(b[0]), b[1:]
+	}
+	end, n := binary.Varint(b)
+	b = b[n:]
+	s.End = prev.End + Time(end)
+	d, n := binary.Uvarint(b)
+	s.Start = s.End - Time(d)
+	return s, b[n:]
 }
 
 // Spans returns the retained completed spans sorted by (Start, ID) for
@@ -192,12 +233,15 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(t.done))
-	for _, r := range t.done[t.head:] {
-		out = append(out, t.span(r))
-	}
-	for _, r := range t.done[:t.head] {
-		out = append(out, t.span(r))
+	out := make([]Span, 0, t.done.Len())
+	for b, skip := range t.done.Blocks() {
+		var r spanRec
+		for i := 0; len(b) > 0; i++ {
+			r, b = decodeSpan(b, r)
+			if i >= skip {
+				out = append(out, t.span(r))
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
@@ -236,7 +280,7 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.dropped
+	return t.done.Dropped()
 }
 
 // OutcomeCount is one (outcome, lifetime count) row.

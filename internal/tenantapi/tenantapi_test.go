@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mkbas/internal/httpmini"
 	"mkbas/internal/obs"
 	"mkbas/internal/polcheck/monitor"
 )
@@ -265,59 +264,31 @@ func TestAccessGraphShape(t *testing.T) {
 	}
 }
 
-func TestHTTPFrontend(t *testing.T) {
+func TestGatewayHandleBodiesAndStatuses(t *testing.T) {
+	// The JSON bodies and HTTP status codes a client of the tier sees: a
+	// status read and a setpoint write render their rooms' values, and
+	// refusals map to 403 and 401.
 	clk := &testClock{ns: int64(time.Hour)}
 	gw, dir, _ := newTestGateway(t, clk)
-	fe := NewFrontend(gw)
 	mgr := dir.Find("manager-0000")
-
-	serve := func(raw string) (int, string) {
-		t.Helper()
-		var p httpmini.Parser
-		p.Feed([]byte(raw))
-		req, err := p.Next()
-		if err != nil || req == nil {
-			t.Fatalf("parse: %v", err)
-		}
-		resp := fe.Serve(req)
-		status, body, err := httpmini.ParseResponse(resp.Render())
-		if err != nil {
-			t.Fatalf("parse response: %v", err)
-		}
-		return status, string(body)
-	}
-
-	status, body := serve("GET /api/rooms/1/status HTTP/1.0\r\nAuthorization: Bearer " + mgr.Token + "\r\n\r\n")
-	if status != 200 || !strings.Contains(body, `"temp_c":`) {
-		t.Fatalf("status read: %d %q", status, body)
-	}
-	clk.step(time.Second)
-	form := "value=24.5"
-	status, body = serve("POST /api/rooms/1/setpoint HTTP/1.0\r\nAuthorization: Bearer " + mgr.Token +
-		"\r\nContent-Type: application/x-www-form-urlencoded\r\nContent-Length: 10\r\n\r\n" + form)
-	if status != 200 || !strings.Contains(body, `"setpoint":24.5`) {
-		t.Fatalf("setpoint write: %d %q", status, body)
-	}
-	clk.step(time.Second)
 	occ := dir.Find("occupant-0000")
-	if status, _ = serve("POST /api/rooms/1/setpoint HTTP/1.0\r\nAuthorization: Bearer " + occ.Token +
-		"\r\nContent-Length: 10\r\nContent-Type: application/x-www-form-urlencoded\r\n\r\n" + form); status != 403 {
-		t.Fatalf("occupant setpoint write over HTTP: %d, want 403", status)
+	cases := []struct {
+		name   string
+		req    Request
+		status int
+		body   string
+	}{
+		{"manager status read", Request{Token: mgr.Token, Route: RouteStatus, Room: 1}, 200, `"temp_c":`},
+		{"manager setpoint write", Request{Token: mgr.Token, Route: RouteSetpoint, Room: 1, Value: 24.5}, 200, `"setpoint":24.5`},
+		{"occupant setpoint write", Request{Token: occ.Token, Route: RouteSetpoint, Room: 1, Value: 24.5}, 403, ""},
+		{"tokenless whoami", Request{Route: RouteWhoAmI}, 401, ""},
+		{"manager whoami", Request{Token: mgr.Token, Route: RouteWhoAmI}, 200, ""},
 	}
-	clk.step(time.Second)
-	if status, _ = serve("GET /api/whoami HTTP/1.0\r\n\r\n"); status != 401 {
-		t.Fatalf("tokenless request: %d, want 401", status)
-	}
-	if status, _ = serve("GET /api/whoami?token=" + mgr.Token + " HTTP/1.0\r\n\r\n"); status != 200 {
-		t.Fatalf("query-token request: %d, want 200", status)
-	}
-	if status, _ = serve("GET /api/nosuch HTTP/1.0\r\nAuthorization: Bearer " + mgr.Token + "\r\n\r\n"); status != 404 {
-		t.Fatalf("unknown route: %d, want 404", status)
-	}
-	if status, _ = serve("POST /api/whoami HTTP/1.0\r\nAuthorization: Bearer " + mgr.Token + "\r\nContent-Length: 0\r\n\r\n"); status != 405 {
-		t.Fatalf("wrong method: %d, want 405", status)
-	}
-	if status, _ = serve("GET /api/rooms/xx/status HTTP/1.0\r\nAuthorization: Bearer " + mgr.Token + "\r\n\r\n"); status != 400 {
-		t.Fatalf("non-numeric room: %d, want 400", status)
+	for _, tc := range cases {
+		clk.step(time.Second)
+		out, resp := handle(gw, tc.req)
+		if out.Status() != tc.status || !strings.Contains(string(resp.Body), tc.body) {
+			t.Errorf("%s: %d %q, want %d with %q", tc.name, out.Status(), resp.Body, tc.status, tc.body)
+		}
 	}
 }

@@ -22,6 +22,9 @@ go test -race -count=2 ./internal/machine ./internal/lab ./internal/building
 # off the bus. Short runs from the checked-in seeds must find nothing.
 go test -run '^$' -fuzz '^FuzzOpenFrame$' -fuzztime 10s ./internal/bacnet
 go test -run '^$' -fuzz '^FuzzDecodePDU$' -fuzztime 10s ./internal/bacnet
+# The web UI's request parser is what every board exposes to the network:
+# whatever the bytes and however they are chunked, it must parse alike.
+go test -run '^$' -fuzz '^FuzzParser$' -fuzztime 10s ./internal/httpmini
 go run ./cmd/polcheck -scenario tempcontrol
 # Least-privilege lint: every static grant the scenario never exercises must
 # be covered by the checked-in allowlist; unknown or stale entries fail. The
