@@ -1,13 +1,9 @@
 package bas
 
 import (
-	"fmt"
 	"time"
 
 	"mkbas/internal/bacnet"
-	"mkbas/internal/camkes"
-	"mkbas/internal/linuxsim"
-	"mkbas/internal/minix"
 	"mkbas/internal/obs"
 	"mkbas/internal/vnet"
 )
@@ -95,9 +91,9 @@ func boolPoint(b bool) float64 {
 	return 0
 }
 
-// bacnetGateway is the platform-neutral half of the gateway process: frame
-// handling, the optional secure proxy, and the observability wiring. The
-// per-platform bodies supply only the ControlClient and the NetListener.
+// bacnetGateway is the gateway process's frame handling, optional secure
+// proxy, and observability wiring; bacnetGatewayBody runs it on every
+// kernel.
 type bacnetGateway struct {
 	server   *bacnet.Server
 	proxy    *bacnet.Proxy
@@ -131,27 +127,15 @@ func newBACnetGateway(bopts BACnetOptions, ctrl ControlClient, state *bacnet.Pro
 	return gw
 }
 
-// serveBACnet is the gateway main loop, shared by all platforms: accept a
-// connection, answer the frames on it until EOF, close, accept the next.
-// The transport is connection-per-exchange — clients (the building head-end,
-// the host harness) dial, exchange, and close, mirroring BACnet/IP's
-// datagram nature — so a serial accept loop never starves a peer behind a
-// long-lived connection.
-func serveBACnet(l NetListener, gw *bacnetGateway) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		gw.serveConn(conn)
-	}
-}
-
-// serveConn handles one connection until EOF. Legacy mode answers every
-// frame; proxy mode silently drops unauthenticated or stale frames — and
-// records each drop as a security event, so the mediation layer that stopped
-// a bus attack shows up in reports exactly like an ACM or capability denial.
-func (gw *bacnetGateway) serveConn(conn NetConn) {
+// serveConn handles one connection until EOF. The transport is
+// connection-per-exchange — clients (the building head-end, the host
+// harness) dial, exchange, and close, mirroring BACnet/IP's datagram nature
+// — so a serial accept loop never starves a peer behind a long-lived
+// connection. Legacy mode answers every frame; proxy mode silently drops
+// unauthenticated or stale frames — and records each drop as a security
+// event, so the mediation layer that stopped a bus attack shows up in
+// reports exactly like an ACM or capability denial.
+func (gw *bacnetGateway) serveConn(conn netConn) {
 	defer conn.Close()
 	var d bacnet.Deframer
 	// Reply frames are framed into a reused buffer: every platform's net
@@ -199,84 +183,6 @@ func (gw *bacnetGateway) serveConn(conn NetConn) {
 			return
 		}
 		d.Feed(data)
-	}
-}
-
-// minixBACnetGatewayBody serves the (optionally proxied) protocol on
-// BACnetPort as a MINIX process.
-func minixBACnetGatewayBody(bopts BACnetOptions, state *bacnet.ProxyState, board *obs.Board, sup *Supervision) func(api *minix.API) {
-	return func(api *minix.API) {
-		ctrl, ok := minixLookupWait(api, NameTempControl)
-		if !ok {
-			return
-		}
-		gw := newBACnetGateway(bopts, &minixControlClient{api: api, ctrl: ctrl}, state, board, sup)
-		l, err := api.NetListen(BACnetPort)
-		if err != nil {
-			api.Trace("bacnet", fmt.Sprintf("listen failed: %v", err))
-			return
-		}
-		serveBACnet(netListener{net: api, l: l}, gw)
-	}
-}
-
-// sel4BACnetGatewayRun is the gateway's control thread on seL4: the CAmkES
-// component holds exactly one connection, to the controller's management
-// interface, so the capability system bounds what any bus frame can reach.
-func sel4BACnetGatewayRun(bopts BACnetOptions, state *bacnet.ProxyState, board *obs.Board, sup *Supervision) func(rt *camkes.Runtime) {
-	return func(rt *camkes.Runtime) {
-		gw := newBACnetGateway(bopts, &sel4ControlClient{rt: rt}, state, board, sup)
-		l, err := rt.NetListen(BACnetPort)
-		if err != nil {
-			rt.Trace("bacnet", fmt.Sprintf("listen failed: %v", err))
-			return
-		}
-		serveBACnet(netListener{net: rt, l: l}, gw)
-	}
-}
-
-// addSel4BACnetGateway appends the gateway component to the scenario
-// assembly. Like the web interface it uses only the controller's mgmt
-// interface; the controller distinguishes the two clients by badge.
-func addSel4BACnetGateway(assembly *camkes.Assembly, bopts BACnetOptions, state *bacnet.ProxyState, board *obs.Board, sup *Supervision) {
-	assembly.Components = append(assembly.Components, &camkes.Component{
-		Name:     NameBACnetGateway,
-		Priority: 7,
-		Uses:     []string{IfaceMgmt},
-		NetPorts: []vnet.Port{BACnetPort},
-		Run:      sel4BACnetGatewayRun(bopts, state, board, sup),
-	})
-	assembly.Connections = append(assembly.Connections, camkes.Connection{
-		FromComp: NameBACnetGateway, FromIface: IfaceMgmt,
-		ToComp: NameTempControl, ToIface: IfaceMgmt,
-	})
-}
-
-// linuxBACnetGatewayBody serves the protocol as a Linux process speaking to
-// the controller over the web request/response queue pair — the only IPC the
-// DAC modes grant a non-control-group account. The gateway and the web
-// interface share those queues; in building deployments the web interface is
-// idle, so responses never interleave.
-func linuxBACnetGatewayBody(bopts BACnetOptions, state *bacnet.ProxyState, board *obs.Board, sup *Supervision) func(api *linuxsim.API) {
-	return func(api *linuxsim.API) {
-		reqFD, err := linuxOpenRetry(api, QWebReq, linuxsim.MQOpenFlags{Write: true})
-		if err != nil {
-			api.Trace("bacnet", fmt.Sprintf("gateway: %v", err))
-			return
-		}
-		respFD, err := linuxOpenRetry(api, QWebResp, linuxsim.MQOpenFlags{Read: true})
-		if err != nil {
-			api.Trace("bacnet", fmt.Sprintf("gateway: %v", err))
-			return
-		}
-		ctrl := &linuxControlClient{api: api, reqFD: reqFD, respFD: respFD}
-		gw := newBACnetGateway(bopts, ctrl, state, board, sup)
-		l, err := api.NetListen(BACnetPort)
-		if err != nil {
-			api.Trace("bacnet", fmt.Sprintf("gateway: listen failed: %v", err))
-			return
-		}
-		serveBACnet(netListener{net: api, l: l}, gw)
 	}
 }
 

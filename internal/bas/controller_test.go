@@ -1,6 +1,8 @@
 package bas
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -10,6 +12,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"mkbas/internal/core"
 	"mkbas/internal/httpmini"
 	"mkbas/internal/machine"
 	"mkbas/internal/obs"
@@ -154,6 +157,50 @@ func TestParseStatusLineRoundTrip(t *testing.T) {
 	}
 	if _, err := parseStatusLine("garbage"); err == nil {
 		t.Fatal("garbage parsed")
+	}
+}
+
+// TestStatusCodecMatchesWireLayouts pins the binary status codec to the MINIX
+// payload layout in the minixapp.go header — temp f64@0, setpoint f64@8,
+// flags u32@16 with bytes 20–23 zero, samples i64@24 — and round-trips it
+// through both microkernels' wire forms, so it cannot drift from either.
+func TestStatusCodecMatchesWireLayouts(t *testing.T) {
+	for _, st := range []Status{
+		{Temp: 21.37, Setpoint: 22.5, HeaterOn: true, AlarmOn: true, Samples: 1<<40 + 7},
+		{Temp: -3.25, Setpoint: 15, HeaterOn: true, Samples: 60},
+		{Temp: 30.5, Setpoint: 30, AlarmOn: true, Samples: math.MaxInt64},
+	} {
+		ack := encodeStatusAck(st)
+		p := ack.Payload[:]
+		var flags uint32
+		if st.HeaterOn {
+			flags |= 1
+		}
+		if st.AlarmOn {
+			flags |= 2
+		}
+		if ack.Type != int32(core.MsgAck) ||
+			math.Float64frombits(binary.LittleEndian.Uint64(p[0:])) != st.Temp ||
+			math.Float64frombits(binary.LittleEndian.Uint64(p[8:])) != st.Setpoint ||
+			binary.LittleEndian.Uint32(p[16:]) != flags ||
+			int64(binary.LittleEndian.Uint64(p[24:])) != st.Samples {
+			t.Fatalf("%+v: ack type %d payload % x breaks the documented layout", st, ack.Type, p)
+		}
+		if !bytes.Equal(p[20:24], make([]byte, 4)) || !bytes.Equal(p[32:], make([]byte, len(p)-32)) {
+			t.Fatalf("%+v: payload % x has bytes outside the layout set", st, p)
+		}
+		if got := decodeStatusAck(ack); got != st {
+			t.Fatalf("MINIX round trip: %+v, want %+v", got, st)
+		}
+		words := st.words()
+		for i, w := range words {
+			if got := binary.LittleEndian.Uint64(p[8*i:]); got != w {
+				t.Fatalf("%+v: seL4 word %d = %#x, MINIX payload holds %#x", st, i, w, got)
+			}
+		}
+		if got := statusFromWords(words); got != st {
+			t.Fatalf("seL4 round trip: %+v, want %+v", got, st)
+		}
 	}
 }
 

@@ -168,27 +168,17 @@ type DeployOptions struct {
 	Profiler *perf.Profiler `json:"-"`
 }
 
-// deployer is one registry entry: boot cfg on tb under opts.
-type deployer func(tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error)
+// deployer is one registry entry: boot cfg on tb as platform under opts.
+type deployer func(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error)
 
 // deployers is the platform registry. Variants share a backend: the
 // platform value tells the backend which configuration to boot.
 var deployers = map[Platform]deployer{
-	PlatformMinix: func(tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
-		return deployMinix(PlatformMinix, tb, cfg, opts)
-	},
-	PlatformMinixVanilla: func(tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
-		return deployMinix(PlatformMinixVanilla, tb, cfg, opts)
-	},
-	PlatformSel4: func(tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
-		return deploySel4(tb, cfg, opts)
-	},
-	PlatformLinux: func(tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
-		return deployLinux(PlatformLinux, tb, cfg, opts)
-	},
-	PlatformLinuxHardened: func(tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
-		return deployLinux(PlatformLinuxHardened, tb, cfg, opts)
-	},
+	PlatformMinix:         deployMinix,
+	PlatformMinixVanilla:  deployMinix,
+	PlatformSel4:          deploySel4,
+	PlatformLinux:         deployLinux,
+	PlatformLinuxHardened: deployLinux,
 }
 
 // Deploy boots cfg on tb under the named platform — the single entry point
@@ -209,7 +199,7 @@ func Deploy(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptio
 	sc := opts.Profiler.Phase("bas.deploy").Begin()
 	defer sc.End()
 	tb.Machine.SetProfiler(opts.Profiler)
-	return deploy(tb, cfg, opts)
+	return deploy(platform, tb, cfg, opts)
 }
 
 // deploymentBase carries the platform-independent half of every Deployment.

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mkbas/internal/bacnet"
 )
 
 // deployment abstracts the platforms for the shared closed-loop tests
@@ -124,6 +126,44 @@ func TestOutOfRangeSetpointRejectedOnAllPlatforms(t *testing.T) {
 			status, body, err := tb.HTTPGet("/status")
 			if err != nil || status != 200 || !strings.Contains(body, "setpoint=22.00") {
 				t.Fatalf("status after rejected posts = %d %q %v, want setpoint=22.00", status, body, err)
+			}
+		})
+	}
+}
+
+// TestSetpointEdgesAgreeOnAllPlatforms pins the range check to the value the
+// administrator sent, on every platform: a value just outside [15, 30] is
+// refused over HTTP and over BACnet, and one with more than four decimals is
+// accepted. The Linux client once sent setpoints rounded to four decimals,
+// so Linux alone accepted 30.00004 and 14.99996.
+func TestSetpointEdgesAgreeOnAllPlatforms(t *testing.T) {
+	for _, p := range KnownPlatforms() {
+		t.Run(string(p), func(t *testing.T) {
+			cfg := DefaultScenario()
+			tb := NewTestbed(cfg)
+			defer tb.Machine.Shutdown()
+			if _, err := Deploy(p, tb, cfg, DeployOptions{BACnet: BACnetOptions{Enabled: true}}); err != nil {
+				t.Fatalf("deploy: %v", err)
+			}
+			tb.Machine.Run(5 * time.Second)
+			for _, tc := range []struct {
+				value string
+				want  int
+			}{{"30.00004", 400}, {"14.99996", 400}, {"22.123456", 200}} {
+				status, body, err := tb.HTTPPostSetpoint(tc.value)
+				if err != nil || status != tc.want {
+					t.Errorf("POST %s: %d %q %v, want %d", tc.value, status, body, err, tc.want)
+				}
+			}
+			resp, err := bacnet.DecodePDU(tb.BACnetExchange(bacnet.PDU{
+				Type: bacnet.WriteProperty, Device: 1, Object: bacnet.ObjSetpoint, Value: 30.00004,
+			}.Encode()))
+			if err != nil || resp.Type != bacnet.ErrorPDU || resp.Code != bacnet.CodeWriteDenied {
+				t.Errorf("BACnet write 30.00004: %+v %v, want write-denied", resp, err)
+			}
+			status, body, err := tb.HTTPGet("/status")
+			if err != nil || status != 200 || !strings.Contains(body, "setpoint=22.12") {
+				t.Errorf("status = %d %q %v, want setpoint=22.12", status, body, err)
 			}
 		})
 	}

@@ -138,19 +138,15 @@ func (b linuxBoard) SetIPCFault(fn func(src, dst string) (bool, time.Duration)) 
 }
 
 // linuxQueueConsumer maps a queue to the process that reads it, the
-// process-level "destination" of a message on that queue.
+// process-level "destination" of a message on that queue. A queue without a
+// consumer (the audit log) maps to its own name, which no plan targets.
 func linuxQueueConsumer(queue string) string {
-	switch queue {
-	case QSensorData, QWebReq:
-		return NameTempControl
-	case QHeaterCmd:
-		return NameHeaterAct
-	case QAlarmCmd:
-		return NameAlarmAct
-	case QWebResp:
-		return NameWebInterface
+	for _, q := range linuxQueues {
+		if q.name == queue && q.consumer != "" {
+			return q.consumer
+		}
 	}
-	return queue // no consumer (e.g. the audit log): never matched by name
+	return queue
 }
 
 // ArmFaults schedules a fault plan against this board.
@@ -158,17 +154,12 @@ func (d *LinuxDeployment) ArmFaults(plan *faultinject.Plan) (*faultinject.Inject
 	return faultinject.Arm(linuxBoard{boardCommon{d.tb}, d.Kernel}, plan)
 }
 
-// supervisedImages lists the scenario processes a supervisor watches.
-func supervisedImages() []string {
-	return []string{NameHeaterAct, NameAlarmAct, NameTempControl, NameTempSensor, NameWebInterface}
-}
-
 // ControllerRestarts reports respawns (spawns beyond the first) across the
 // scenario processes.
 func (d *LinuxDeployment) ControllerRestarts() int {
 	n := 0
-	for _, name := range supervisedImages() {
-		if c := d.Kernel.SpawnCount(name); c > 1 {
+	for _, r := range scenarioRoles {
+		if c := d.Kernel.SpawnCount(r.name); c > 1 {
 			n += c - 1
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"mkbas/internal/bacnet"
 	"mkbas/internal/linuxsim"
+	"mkbas/internal/machine"
 	"mkbas/internal/plant"
 	"mkbas/internal/polcheck"
 	"mkbas/internal/polcheck/monitor"
@@ -30,88 +31,71 @@ const (
 // Wire format on Linux: newline-less text commands, e.g. "temp 21.50",
 // "heater on", "setpoint 23", "status".
 
-// Unix accounts. The paper's default deployment runs every process under the
-// same account; the Hardened variant gives each a unique account, which the
-// paper notes as the (insufficient) DAC mitigation.
+// linuxQueues is the deployment's queue table, shared with the static DAC
+// model and the fault adapter. A queue's creator is its DAC owner:
+// actuators create their command queues, the controller everything else.
+// Its consumer is the process-level destination of a message on it; the
+// audit log has none. hardenedMode is its mode under the unique accounts;
+// the same-account default makes every queue 0o600.
+var linuxQueues = [...]struct {
+	name, creator, consumer string
+	hardenedMode            linuxsim.Mode
+}{
+	{QSensorData, NameTempControl, NameTempControl, 0o620}, // control group may write (sensor)
+	{QHeaterCmd, NameHeaterAct, NameHeaterAct, 0o620},      // control group may write (controller)
+	{QAlarmCmd, NameAlarmAct, NameAlarmAct, 0o620},
+	{QWebReq, NameTempControl, NameTempControl, 0o602},   // web (other) may submit requests
+	{QWebResp, NameTempControl, NameWebInterface, 0o604}, // web (other) may read responses
+	{QAuditLog, NameTempControl, "", 0o600},
+}
+
+// linuxQueueMode is the named queue's mode.
+func linuxQueueMode(name string, hardened bool) linuxsim.Mode {
+	if hardened {
+		for _, q := range linuxQueues {
+			if q.name == name {
+				return q.hardenedMode
+			}
+		}
+	}
+	return 0o600
+}
+
+// Unix accounts. The paper's default deployment runs every process under
+// one account, baseUID:baseGID; the hardened variant gives each process its
+// own, which the paper notes as the (insufficient) DAC mitigation.
 const (
 	baseUID = 1000
 	baseGID = 1000
-
-	hardScenarioUID = 100
-	hardSensorUID   = 101
-	hardCtrlUID     = 102
-	hardHeaterUID   = 103
-	hardAlarmUID    = 104
-	hardWebUID      = 105
-	hardCtrlGID     = 50 // control-plane group
-	hardWebGID      = 60
-
-	// The gateway account sits outside the control group, like the web
-	// interface: the 0o602/0o604 web-queue modes already admit "other"
-	// writers/readers, so no DAC table change is needed to host it.
-	hardGatewayUID = 106
-	// The tenant API gateway account mirrors the field-bus gateway's
-	// placement: outside the control group, web-queue access only.
-	hardTenantUID = 107
 )
 
 // account pairs a uid and gid.
 type account struct{ uid, gid int }
 
-// linuxAccounts is the deployment's account table, shared with the static
-// DAC model (LinuxScenarioDAC) so the analyzer sees exactly what boots.
-func linuxAccounts(hardened bool) map[string]account {
-	if hardened {
-		return map[string]account{
-			NameScenario:     {hardScenarioUID, hardCtrlGID},
-			NameTempSensor:   {hardSensorUID, hardCtrlGID},
-			NameTempControl:  {hardCtrlUID, hardCtrlGID},
-			NameHeaterAct:    {hardHeaterUID, hardCtrlGID},
-			NameAlarmAct:     {hardAlarmUID, hardCtrlGID},
-			NameWebInterface: {hardWebUID, hardWebGID},
-		}
-	}
-	return map[string]account{
-		NameScenario:     {baseUID, baseGID},
-		NameTempSensor:   {baseUID, baseGID},
-		NameTempControl:  {baseUID, baseGID},
-		NameHeaterAct:    {baseUID, baseGID},
-		NameAlarmAct:     {baseUID, baseGID},
-		NameWebInterface: {baseUID, baseGID},
-	}
+// linuxHardenedAccounts is the hardened deployment's account table, shared
+// with the static DAC model (LinuxScenarioDAC) and the monitor graph so the
+// analyzer sees exactly what boots. The loader, sensor, controller and
+// drivers share the control-plane group 50. The web interface and both
+// gateways sit outside it in group 60: the 0o602/0o604 web-queue modes
+// already admit them as "other" writers and readers, so hosting a gateway
+// needs no queue table change.
+var linuxHardenedAccounts = map[string]account{
+	NameScenario:      {100, 50},
+	NameTempSensor:    {101, 50},
+	NameTempControl:   {102, 50},
+	NameHeaterAct:     {103, 50},
+	NameAlarmAct:      {104, 50},
+	NameWebInterface:  {105, 60},
+	NameBACnetGateway: {106, 60},
+	NameTenantGateway: {107, 60},
 }
 
-// linuxQueueModes is the deployment's queue permission table, shared with
-// the static DAC model.
-func linuxQueueModes(hardened bool) map[string]linuxsim.Mode {
-	if hardened {
-		return map[string]linuxsim.Mode{
-			QSensorData: 0o620, // control group may write (sensor)
-			QHeaterCmd:  0o620, // control group may write (controller)
-			QAlarmCmd:   0o620,
-			QWebReq:     0o602, // web (other) may submit requests
-			QWebResp:    0o604, // web (other) may read responses
-			QAuditLog:   0o600,
-		}
+// linuxAccount is the account the named process runs under.
+func linuxAccount(name string, hardened bool) account {
+	if !hardened {
+		return account{baseUID, baseGID}
 	}
-	return map[string]linuxsim.Mode{
-		QSensorData: 0o600, QHeaterCmd: 0o600, QAlarmCmd: 0o600,
-		QWebReq: 0o600, QWebResp: 0o600, QAuditLog: 0o600,
-	}
-}
-
-// linuxQueueCreators maps each queue to the process whose MQOpen(Create)
-// establishes it — the queue's DAC owner: actuators create their command
-// queues, the controller everything else.
-func linuxQueueCreators() map[string]string {
-	return map[string]string{
-		QSensorData: NameTempControl,
-		QHeaterCmd:  NameHeaterAct,
-		QAlarmCmd:   NameAlarmAct,
-		QWebReq:     NameTempControl,
-		QWebResp:    NameTempControl,
-		QAuditLog:   NameTempControl,
-	}
+	return linuxHardenedAccounts[name]
 }
 
 // LinuxDeployment is the booted Linux platform.
@@ -139,7 +123,7 @@ func (d *LinuxDeployment) ControllerAlive() bool {
 // deployLinux is the Linux backend of the Deploy registry. platform selects
 // the same-account default (PlatformLinux) or the unique-account hardened
 // configuration (PlatformLinuxHardened).
-func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (*LinuxDeployment, error) {
+func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
 	hardened := platform == PlatformLinuxHardened
 	// Pre-deploy gate: the hardened configuration claims the scenario's
 	// security contract, so prove its DAC model satisfies it before boot.
@@ -157,81 +141,57 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 		// The Linux deployment exports board metrics over its own web
 		// interface, the way a real Linux controller would run node_exporter.
 		metrics := tb.Machine.Obs().Metrics()
-		webBody = func(api *linuxsim.API) { linuxWebBody(api, metrics) }
+		webBody = func(api *linuxsim.API) { webInterfaceBody(api, linuxDial(api, "web"), metrics) }
 	}
-
-	acct := linuxAccounts(hardened)
-	qmode := linuxQueueModes(hardened)
-
-	// Device files: same-account deployment puts everything under one
-	// owner; hardened gives each driver its device.
-	if hardened {
-		k.RegisterDeviceFile(plant.DevTempSensor, hardSensorUID, hardCtrlGID, 0o600)
-		k.RegisterDeviceFile(plant.DevHeater, hardHeaterUID, hardCtrlGID, 0o600)
-		k.RegisterDeviceFile(plant.DevAlarm, hardAlarmUID, hardCtrlGID, 0o600)
-	} else {
-		k.RegisterDeviceFile(plant.DevTempSensor, baseUID, baseGID, 0o600)
-		k.RegisterDeviceFile(plant.DevHeater, baseUID, baseGID, 0o600)
-		k.RegisterDeviceFile(plant.DevAlarm, baseUID, baseGID, 0o600)
-	}
-
-	k.RegisterImage(linuxsim.Image{
-		Name: NameHeaterAct, Priority: 4,
-		UID: acct[NameHeaterAct].uid, GID: acct[NameHeaterAct].gid,
-		Body: linuxActuatorBody(QHeaterCmd, "heater", plant.DevHeater, qmode[QHeaterCmd]),
-	})
-	k.RegisterImage(linuxsim.Image{
-		Name: NameAlarmAct, Priority: 4,
-		UID: acct[NameAlarmAct].uid, GID: acct[NameAlarmAct].gid,
-		Body: linuxActuatorBody(QAlarmCmd, "alarm", plant.DevAlarm, qmode[QAlarmCmd]),
-	})
-	k.RegisterImage(linuxsim.Image{
-		Name: NameTempControl, Priority: 5,
-		UID: acct[NameTempControl].uid, GID: acct[NameTempControl].gid,
-		Body: linuxControllerBody(cfg.Controller, qmode),
-	})
-	k.RegisterImage(linuxsim.Image{
-		Name: NameTempSensor, Priority: 6,
-		UID: acct[NameTempSensor].uid, GID: acct[NameTempSensor].gid,
-		Body: linuxSensorBody(cfg.SamplePeriod),
-	})
-	k.RegisterImage(linuxsim.Image{
-		Name: NameWebInterface, Priority: 7,
-		UID: acct[NameWebInterface].uid, GID: acct[NameWebInterface].gid,
-		Body: webBody,
-	})
-
-	if hardened && opts.Recovery {
-		// Recovery on Linux is a root supervisord-style daemon, only offered
-		// with the hardened configuration. The same-account default never gets
-		// one: the paper's deployment has no supervisor, which is the gap the
-		// chaos experiment (E10) measures.
-		k.RegisterImage(linuxsim.Image{
-			Name: NameSupervisor, Priority: 2, UID: 0, GID: 0,
-			Body: linuxSupervisorBody(supervisedImages()),
-		})
+	for _, r := range scenarioRoles {
+		acct := linuxAccount(r.name, hardened)
+		img := linuxsim.Image{Name: r.name, Priority: r.priority, UID: acct.uid, GID: acct.gid, Body: webBody}
+		switch r.name {
+		case NameHeaterAct:
+			img.Body = linuxActuatorBody(actHeater, r.device, hardened)
+		case NameAlarmAct:
+			img.Body = linuxActuatorBody(actAlarm, r.device, hardened)
+		case NameTempControl:
+			img.Body = linuxControllerBody(cfg.Controller, hardened)
+		case NameTempSensor:
+			img.Body = linuxSensorBody(cfg.SamplePeriod)
+		}
+		k.RegisterImage(img)
+		if r.device != "" {
+			// Each driver's account owns its device file.
+			k.RegisterDeviceFile(r.device, acct.uid, acct.gid, 0o600)
+		}
 	}
 
 	if hardened {
-		// Unique accounts cannot be reached through fork (children inherit
-		// credentials), so the deployment spawns each process directly.
 		if opts.Recovery {
+			// Recovery on Linux is a root supervisord-style daemon, only
+			// offered with the hardened configuration. The same-account
+			// default never gets one: the paper's deployment has no
+			// supervisor, which is the gap the chaos experiment (E10)
+			// measures.
+			k.RegisterImage(linuxsim.Image{
+				Name: NameSupervisor, Priority: 2, UID: 0, GID: 0,
+				Body: linuxSupervisorBody,
+			})
 			if _, err := k.SpawnImage(NameSupervisor); err != nil {
 				return nil, fmt.Errorf("bas: spawning %s: %w", NameSupervisor, err)
 			}
 		}
-		for _, name := range []string{NameHeaterAct, NameAlarmAct, NameTempControl, NameTempSensor, NameWebInterface} {
-			if _, err := k.SpawnImage(name); err != nil {
-				return nil, fmt.Errorf("bas: spawning %s: %w", name, err)
+		// Unique accounts cannot be reached through fork (children inherit
+		// credentials), so the deployment spawns each process directly.
+		for _, r := range scenarioRoles {
+			if _, err := k.SpawnImage(r.name); err != nil {
+				return nil, fmt.Errorf("bas: spawning %s: %w", r.name, err)
 			}
 		}
 	} else {
 		k.RegisterImage(linuxsim.Image{
 			Name: NameScenario, Priority: 3, UID: baseUID, GID: baseGID,
 			Body: func(api *linuxsim.API) {
-				for _, name := range []string{NameHeaterAct, NameAlarmAct, NameTempControl, NameTempSensor, NameWebInterface} {
-					if _, err := api.Fork(name); err != nil {
-						api.Trace("bas", fmt.Sprintf("loader: fork %s failed: %v", name, err))
+				for _, r := range scenarioRoles {
+					if _, err := api.Fork(r.name); err != nil {
+						api.Trace("bas", fmt.Sprintf("loader: fork %s failed: %v", r.name, err))
 					}
 				}
 				api.Exit()
@@ -242,18 +202,17 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 		}
 	}
 	if opts.BACnet.Enabled {
-		gwUID, gwGID := baseUID, baseGID
-		if hardened {
-			gwUID, gwGID = hardGatewayUID, hardWebGID
-		}
 		// The deployment owns the proxy's anti-replay state so a respawned
 		// gateway resumes its nonce floor. Spawned directly (not through the
 		// loader) on both DAC configurations: unique accounts cannot be
 		// reached through fork anyway.
-		state := bacnet.NewProxyState()
+		acct := linuxAccount(NameBACnetGateway, hardened)
+		state, board := bacnet.NewProxyState(), tb.Machine.Obs()
 		k.RegisterImage(linuxsim.Image{
-			Name: NameBACnetGateway, Priority: 7, UID: gwUID, GID: gwGID,
-			Body: linuxBACnetGatewayBody(opts.BACnet, state, tb.Machine.Obs(), sup),
+			Name: NameBACnetGateway, Priority: gatewayPriority, UID: acct.uid, GID: acct.gid,
+			Body: func(api *linuxsim.API) {
+				bacnetGatewayBody(api, linuxDial(api, "gateway"), opts.BACnet, state, board, sup)
+			},
 		})
 		if _, err := k.SpawnImage(NameBACnetGateway); err != nil {
 			return nil, fmt.Errorf("bas: spawning bacnet gateway: %w", err)
@@ -279,19 +238,15 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 // same-account DAC cannot forbid (writing /heater-cmd directly). When the
 // BACnet gateway is deployed it joins the model with its hardened account;
 // like the web interface it sits outside the control group, so the
-// 0o602/0o604 web-queue modes already derive its legitimate edges.
+// 0o602/0o604 web-queue modes already derive its legitimate edges. The
 // tenant API gateway subject joins the same way, under its own account.
 func linuxMonitorGraph(withGateway, withTenant bool) *polcheck.Graph {
 	model := LinuxScenarioDAC(true, false)
 	if withGateway {
-		model.Subjects = append(model.Subjects, polcheck.DACSubject{
-			Name: NameBACnetGateway, UID: hardGatewayUID, GID: hardWebGID,
-		})
+		model.Subjects = append(model.Subjects, linuxSubject(NameBACnetGateway, true))
 	}
 	if withTenant {
-		model.Subjects = append(model.Subjects, polcheck.DACSubject{
-			Name: NameTenantGateway, UID: hardTenantUID, GID: hardWebGID,
-		})
+		model.Subjects = append(model.Subjects, linuxSubject(NameTenantGateway, true))
 	}
 	return polcheck.FromDAC(model)
 }
@@ -314,9 +269,10 @@ func linuxOpenRetry(api *linuxsim.API, name string, flags linuxsim.MQOpenFlags) 
 
 // linuxActuatorBody creates its command queue and passively applies
 // commands ("<verb> on|off").
-func linuxActuatorBody(queue, verb string, dev plantDevice, mode linuxsim.Mode) func(api *linuxsim.API) {
+func linuxActuatorBody(a actuator, dev machine.DeviceID, hardened bool) func(api *linuxsim.API) {
+	queue, verb := actuators[a].queue, actuators[a].verb
 	return func(api *linuxsim.API) {
-		fd, err := api.MQOpen(queue, linuxsim.MQOpenFlags{Create: true, Read: true, Mode: mode})
+		fd, err := api.MQOpen(queue, linuxsim.MQOpenFlags{Create: true, Read: true, Mode: linuxQueueMode(queue, hardened)})
 		if err != nil {
 			api.Trace("bas", fmt.Sprintf("%s driver: open: %v", verb, err))
 			return
@@ -352,18 +308,11 @@ func linuxSensorBody(period time.Duration) func(api *linuxsim.API) {
 		// line is rebuilt in place each tick; MQSend copies the payload, so
 		// the steady-state sample path allocates nothing.
 		var line []byte
-		for {
-			api.Sleep(period)
-			raw, err := api.DevRead(plant.DevTempSensor, plant.RegTempMilliC)
-			if err != nil {
-				continue
-			}
+		runSensor(api, period, func(raw uint32) bool {
 			line = append(line[:0], "temp "...)
 			line = plant.AppendTempFixed4(line, raw)
-			if err := api.MQSend(fd, line, 0); err != nil {
-				return
-			}
-		}
+			return api.MQSend(fd, line, 0) == nil
+		})
 	}
 }
 
@@ -372,54 +321,39 @@ func linuxSensorBody(period time.Duration) func(api *linuxsim.API) {
 // process will check if there are pending messages from web interface
 // process for updating new setpoint. At the end of the while loop,
 // environment information will be written in a log").
-func linuxControllerBody(cfg ControllerConfig, qmode map[string]linuxsim.Mode) func(api *linuxsim.API) {
+func linuxControllerBody(cfg ControllerConfig, hardened bool) func(api *linuxsim.API) {
 	return func(api *linuxsim.API) {
 		ctrl := NewController(cfg)
-		sensorFD, err := api.MQOpen(QSensorData, linuxsim.MQOpenFlags{Create: true, Read: true, Mode: qmode[QSensorData]})
+		open := func(queue string, flags linuxsim.MQOpenFlags) (int32, error) {
+			flags.Create, flags.Mode = true, linuxQueueMode(queue, hardened)
+			return api.MQOpen(queue, flags)
+		}
+		sensorFD, err := open(QSensorData, linuxsim.MQOpenFlags{Read: true})
 		if err != nil {
 			return
 		}
-		webReqFD, err := api.MQOpen(QWebReq, linuxsim.MQOpenFlags{Create: true, Read: true, NonBlock: true, Mode: qmode[QWebReq]})
+		webReqFD, err := open(QWebReq, linuxsim.MQOpenFlags{Read: true, NonBlock: true})
 		if err != nil {
 			return
 		}
-		webRespFD, err := api.MQOpen(QWebResp, linuxsim.MQOpenFlags{Create: true, Write: true, Mode: qmode[QWebResp]})
+		webRespFD, err := open(QWebResp, linuxsim.MQOpenFlags{Write: true})
 		if err != nil {
 			return
 		}
-		auditFD, err := api.MQOpen(QAuditLog, linuxsim.MQOpenFlags{Create: true, Write: true, NonBlock: true, Mode: qmode[QAuditLog], MaxMsgs: 64})
+		auditFD, err := open(QAuditLog, linuxsim.MQOpenFlags{Write: true, NonBlock: true, MaxMsgs: 64})
 		if err != nil {
 			return
 		}
-		heaterFD, err := linuxOpenRetry(api, QHeaterCmd, linuxsim.MQOpenFlags{Write: true})
-		if err != nil {
-			return
-		}
-		alarmFD, err := linuxOpenRetry(api, QAlarmCmd, linuxsim.MQOpenFlags{Write: true})
-		if err != nil {
-			return
-		}
-
-		command := func(fd int32, verb string, on bool) {
-			state := "off"
-			if on {
-				state = "on"
-			}
-			_ = api.MQSend(fd, []byte(verb+" "+state), 1)
-		}
-		// watchdog runs the staleness check and pushes failsafe decisions.
-		watchdog := func() {
-			heaterChanged, alarmChanged := ctrl.OnTick(api.Now())
-			if heaterChanged || alarmChanged {
-				api.Trace("bas", "controller: failsafe engaged, sensor readings stale")
-			}
-			if heaterChanged {
-				command(heaterFD, "heater", ctrl.HeaterOn())
-			}
-			if alarmChanged {
-				command(alarmFD, "alarm", ctrl.AlarmOn())
+		var cmdFDs [2]int32
+		for a, act := range actuators {
+			if cmdFDs[a], err = linuxOpenRetry(api, act.queue, linuxsim.MQOpenFlags{Write: true}); err != nil {
+				return
 			}
 		}
+		loop := controlLoop[*linuxsim.API]{Controller: ctrl,
+			actuate: func(api *linuxsim.API, a actuator, on bool) {
+				_ = api.MQSend(cmdFDs[a], []byte(actuators[a].verb+" "+onOff(on)), 1)
+			}}
 		// drainWeb answers pending web requests.
 		drainWeb := func() {
 			for {
@@ -449,7 +383,7 @@ func linuxControllerBody(cfg ControllerConfig, qmode map[string]linuxsim.Mode) f
 				}
 				// Sensor silence: run the watchdog, and keep the web UI
 				// responsive while the sensor path is down.
-				watchdog()
+				loop.watchdog(api)
 				drainWeb()
 				continue
 			}
@@ -459,17 +393,11 @@ func linuxControllerBody(cfg ControllerConfig, qmode map[string]linuxsim.Mode) f
 				if perr == nil {
 					// Design flaw preserved: no sender authentication — any
 					// process that can write the queue is believed.
-					heaterChanged, alarmChanged := ctrl.OnSample(api.Now(), temp)
-					if heaterChanged {
-						command(heaterFD, "heater", ctrl.HeaterOn())
-					}
-					if alarmChanged {
-						command(alarmFD, "alarm", ctrl.AlarmOn())
-					}
+					loop.onSample(api, temp)
 				}
 			}
 			// Non-sensor traffic must not starve the watchdog.
-			watchdog()
+			loop.watchdog(api)
 			drainWeb()
 			// Environment log; drop lines when the log is full.
 			auditLine = ctrl.Snapshot().AppendText(auditLine[:0])
@@ -485,15 +413,13 @@ const linuxSupervisorPeriod = time.Second
 // daemon that respawns any scenario process found dead. Only the hardened
 // deployment runs one — the paper's default Linux deployment has no
 // supervisor, which is what the chaos experiment (E10) measures.
-func linuxSupervisorBody(images []string) func(api *linuxsim.API) {
-	return func(api *linuxsim.API) {
-		for {
-			api.Sleep(linuxSupervisorPeriod)
-			for _, name := range images {
-				_, err := api.Respawn(name)
-				if err != nil && !errors.Is(err, linuxsim.ErrExist) {
-					api.Trace("supervisord", fmt.Sprintf("respawn %s: %v", name, err))
-				}
+func linuxSupervisorBody(api *linuxsim.API) {
+	for {
+		api.Sleep(linuxSupervisorPeriod)
+		for _, r := range scenarioRoles {
+			_, err := api.Respawn(r.name)
+			if err != nil && !errors.Is(err, linuxsim.ErrExist) {
+				api.Trace("supervisord", fmt.Sprintf("respawn %s: %v", r.name, err))
 			}
 		}
 	}
@@ -519,18 +445,39 @@ func handleLinuxWebReq(ctrl *Controller, req string) string {
 	}
 }
 
+// linuxDial reaches the controller over the web request/response queue
+// pair, the only IPC the DAC modes grant a non-control-group account; who
+// names the caller in trace lines. The web interface and the BACnet gateway
+// share the pair; in building deployments the web interface is idle, so
+// responses never interleave. nil if either queue never appears.
+func linuxDial(api *linuxsim.API, who string) ControlClient {
+	reqFD, err := linuxOpenRetry(api, QWebReq, linuxsim.MQOpenFlags{Write: true})
+	if err != nil {
+		api.Trace("bas", who+": "+err.Error())
+		return nil
+	}
+	respFD, err := linuxOpenRetry(api, QWebResp, linuxsim.MQOpenFlags{Read: true})
+	if err != nil {
+		api.Trace("bas", who+": "+err.Error())
+		return nil
+	}
+	return &linuxControlClient{api: api, reqFD: reqFD, respFD: respFD}
+}
+
 // linuxControlClient adapts the request/response queue pair to
-// ControlClient.
+// ControlClient. req is the request line, rebuilt in place per request:
+// MQSend copies the payload.
 type linuxControlClient struct {
 	api    *linuxsim.API
 	reqFD  int32
 	respFD int32
+	req    []byte
 }
 
 var _ ControlClient = (*linuxControlClient)(nil)
 
-func (c *linuxControlClient) roundTrip(req string) (string, error) {
-	if err := c.api.MQSend(c.reqFD, []byte(req), 0); err != nil {
+func (c *linuxControlClient) roundTrip(req []byte) (string, error) {
+	if err := c.api.MQSend(c.reqFD, req, 0); err != nil {
 		return "", err
 	}
 	resp, err := c.api.MQReceive(c.respFD)
@@ -541,15 +488,20 @@ func (c *linuxControlClient) roundTrip(req string) (string, error) {
 }
 
 func (c *linuxControlClient) Status() (Status, error) {
-	line, err := c.roundTrip("status")
+	c.req = append(c.req[:0], "status"...)
+	line, err := c.roundTrip(c.req)
 	if err != nil {
 		return Status{}, err
 	}
 	return parseStatusLine(line)
 }
 
+// SetSetpoint sends the shortest text that parses back to v, so the
+// controller range-checks the value the caller gave, as on the other
+// kernels.
 func (c *linuxControlClient) SetSetpoint(v float64) error {
-	resp, err := c.roundTrip(fmt.Sprintf("setpoint %.4f", v))
+	c.req = strconv.AppendFloat(append(c.req[:0], "setpoint "...), v, 'g', -1, 64)
+	resp, err := c.roundTrip(c.req)
 	if err != nil {
 		return err
 	}
@@ -597,25 +549,4 @@ func cutField(s string) (field, rest string) {
 		return s[:i], s[i:]
 	}
 	return s, ""
-}
-
-// linuxWebBody is the legitimate web interface on Linux.
-func linuxWebBody(api *linuxsim.API, metrics MetricsSource) {
-	reqFD, err := linuxOpenRetry(api, QWebReq, linuxsim.MQOpenFlags{Write: true})
-	if err != nil {
-		api.Trace("bas", fmt.Sprintf("web: %v", err))
-		return
-	}
-	respFD, err := linuxOpenRetry(api, QWebResp, linuxsim.MQOpenFlags{Read: true})
-	if err != nil {
-		api.Trace("bas", fmt.Sprintf("web: %v", err))
-		return
-	}
-	l, err := api.NetListen(WebPort)
-	if err != nil {
-		api.Trace("bas", fmt.Sprintf("web: listen: %v", err))
-		return
-	}
-	client := &linuxControlClient{api: api, reqFD: reqFD, respFD: respFD}
-	ServeWeb(netListener{net: api, l: l}, client, metrics)
 }

@@ -7,6 +7,7 @@ import (
 
 	"mkbas/internal/bacnet"
 	"mkbas/internal/core"
+	"mkbas/internal/machine"
 	"mkbas/internal/minix"
 	"mkbas/internal/plant"
 	"mkbas/internal/polcheck"
@@ -23,10 +24,9 @@ import (
 //	MsgStatusQuery    —                   → ack: temp f64@0, setpoint f64@8,
 //	                                        flags u32@16 (bit0 heater,
 //	                                        bit1 alarm), samples i64@24
-const (
-	statusFlagHeater = 1 << 0
-	statusFlagAlarm  = 1 << 1
-)
+//
+// The status ack is Status.words at offsets 0/8/16/24; the flags word's
+// upper half, bytes 20–23, is always zero.
 
 // MinixDeployment is the booted MINIX platform.
 type MinixDeployment struct {
@@ -48,23 +48,14 @@ func (d *MinixDeployment) ControllerAlive() bool {
 // kernel and starts the scenario loader, which forks the five application
 // processes with their ac_ids (Section IV-A). platform selects whether the
 // ACM is enforced (PlatformMinix) or ablated (PlatformMinixVanilla).
-func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (*MinixDeployment, error) {
+func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
 	disableACM := platform == PlatformMinixVanilla
 	policy := opts.Policy
 	if policy == nil {
 		// Optional gateways each need their own ACM row; select the policy
 		// before the gate below so the certified matrix is the deployed
 		// matrix.
-		switch {
-		case opts.BACnet.Enabled && opts.TenantAPI:
-			policy = core.ScenarioPolicyWithGateways()
-		case opts.BACnet.Enabled:
-			policy = core.ScenarioPolicyWithGateway()
-		case opts.TenantAPI:
-			policy = core.ScenarioPolicyWithTenantGateway()
-		default:
-			policy = core.ScenarioPolicy()
-		}
+		policy = core.ScenarioPolicyWithGateways(opts.BACnet.Enabled, opts.TenantAPI)
 	}
 	// Pre-deploy gate: prove the matrix satisfies the scenario's security
 	// contract before any process runs. The vanilla ablation skips it —
@@ -83,42 +74,35 @@ func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 	}
 	sup := newDeploySupervision(tb, &cfg, opts)
 
-	webUID := 1000
-	if opts.WebRoot {
-		webUID = 0
-	}
 	webBody := opts.MinixWeb
 	if webBody == nil {
-		webBody = minixWebBody
+		webBody = func(api *minix.API) { webInterfaceBody(api, minixDial(api), nil) }
 	}
-
-	k.RegisterImage(minix.Image{
-		Name: NameHeaterAct, Priority: 4, Restart: true,
-		Devices: []plantDevice{plant.DevHeater},
-		Body:    minixActuatorBody(plant.DevHeater, int32(core.MsgHeaterCmd)),
-	})
-	k.RegisterImage(minix.Image{
-		Name: NameAlarmAct, Priority: 4, Restart: true,
-		Devices: []plantDevice{plant.DevAlarm},
-		Body:    minixActuatorBody(plant.DevAlarm, int32(core.MsgAlarmCmd)),
-	})
-	k.RegisterImage(minix.Image{
-		Name: NameTempControl, Priority: 5,
-		Body: minixControllerBody(cfg.Controller),
-	})
-	k.RegisterImage(minix.Image{
-		Name: NameTempSensor, Priority: 6, Restart: true,
-		Devices: []plantDevice{plant.DevTempSensor},
-		Body:    minixSensorBody(cfg.SamplePeriod),
-	})
-	k.RegisterImage(minix.Image{
-		Name: NameWebInterface, Priority: 7, Net: true, UID: webUID,
-		Body: webBody,
-	})
-	k.RegisterImage(minix.Image{
-		Name: NameScenario, Priority: 3,
-		Body: minixLoaderBody,
-	})
+	for _, r := range scenarioRoles {
+		img := minix.Image{Name: r.name, Priority: r.priority}
+		if r.device != "" {
+			// Drivers are reincarnated by RS.
+			img.Restart = true
+			img.Devices = []machine.DeviceID{r.device}
+		}
+		switch r.name {
+		case NameHeaterAct:
+			img.Body = minixActuatorBody(actHeater, r.device)
+		case NameAlarmAct:
+			img.Body = minixActuatorBody(actAlarm, r.device)
+		case NameTempControl:
+			img.Body = minixControllerBody(cfg.Controller)
+		case NameTempSensor:
+			img.Body = minixSensorBody(cfg.SamplePeriod)
+		case NameWebInterface:
+			img.Net, img.UID, img.Body = true, 1000, webBody
+			if opts.WebRoot {
+				img.UID = 0
+			}
+		}
+		k.RegisterImage(img)
+	}
+	k.RegisterImage(minix.Image{Name: NameScenario, Priority: 3, Body: minixLoaderBody})
 	if _, err := k.SpawnImage(NameScenario, core.ACIDScenario); err != nil {
 		return nil, fmt.Errorf("bas: spawning loader: %w", err)
 	}
@@ -127,9 +111,12 @@ func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 		// rebuilds the proxy from it on every (re)spawn, so a gateway
 		// reincarnated by RS keeps its nonce floor.
 		state := bacnet.NewProxyState()
+		board := tb.Machine.Obs()
 		k.RegisterImage(minix.Image{
-			Name: NameBACnetGateway, Priority: 7, Net: true, Restart: true,
-			Body: minixBACnetGatewayBody(opts.BACnet, state, tb.Machine.Obs(), sup),
+			Name: NameBACnetGateway, Priority: gatewayPriority, Net: true, Restart: true,
+			Body: func(api *minix.API) {
+				bacnetGatewayBody(api, minixDial(api), opts.BACnet, state, board, sup)
+			},
 		})
 		if _, err := k.SpawnImage(NameBACnetGateway, core.ACIDBACnetGateway); err != nil {
 			return nil, fmt.Errorf("bas: spawning bacnet gateway: %w", err)
@@ -150,26 +137,13 @@ func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 	return dep, nil
 }
 
-// plantDevice aliases the device ID type for terse image declarations.
-type plantDevice = machineDeviceID
-
 // minixLoaderBody is the scenario process: "a process loader that forks the
 // other five processes, tells kernel each process's ac_id, and loads the
 // correct binaries for each of them".
 func minixLoaderBody(api *minix.API) {
-	order := []struct {
-		image string
-		acid  core.ACID
-	}{
-		{NameHeaterAct, core.ACIDHeaterAct},
-		{NameAlarmAct, core.ACIDAlarmAct},
-		{NameTempControl, core.ACIDTempControl},
-		{NameTempSensor, core.ACIDTempSensor},
-		{NameWebInterface, core.ACIDWebInterface},
-	}
-	for _, spec := range order {
-		if _, err := api.Fork2(spec.image, uint32(spec.acid)); err != nil {
-			api.Trace("bas", fmt.Sprintf("loader: fork2 %s failed: %v", spec.image, err))
+	for _, r := range scenarioRoles {
+		if _, err := api.Fork2(r.name, uint32(r.acid)); err != nil {
+			api.Trace("bas", fmt.Sprintf("loader: fork2 %s failed: %v", r.name, err))
 		}
 	}
 	api.Exit()
@@ -191,7 +165,7 @@ func minixLookupWait(api *minix.API, name string) (minix.Endpoint, bool) {
 
 // minixActuatorBody is the heater/alarm driver: "passively wait for commands
 // from temperature control process".
-func minixActuatorBody(dev plantDevice, cmdType int32) func(api *minix.API) {
+func minixActuatorBody(a actuator, dev machine.DeviceID) func(api *minix.API) {
 	return func(api *minix.API) {
 		for {
 			msg, err := api.Receive(minix.EndpointAny)
@@ -199,7 +173,7 @@ func minixActuatorBody(dev plantDevice, cmdType int32) func(api *minix.API) {
 				continue
 			}
 			ack := minix.NewMessage(int32(core.MsgAck))
-			if msg.Type == cmdType {
+			if msg.Type == int32(actuators[a].cmd) {
 				if err := api.DevWrite(dev, plant.RegActuate, msg.U32(0)); err != nil {
 					ack.PutU32(0, 1)
 				}
@@ -221,12 +195,7 @@ func minixSensorBody(period time.Duration) func(api *minix.API) {
 		if !ok {
 			return
 		}
-		for {
-			api.Sleep(period)
-			raw, err := api.DevRead(plant.DevTempSensor, plant.RegTempMilliC)
-			if err != nil {
-				continue
-			}
+		runSensor(api, period, func(raw uint32) bool {
 			msg := minix.NewMessage(int32(core.MsgSensorData))
 			msg.PutF64(0, plant.DecodeTemp(raw))
 			if err := api.SendNB(ctrl, msg); errors.Is(err, minix.ErrDeadSrcDst) {
@@ -235,7 +204,8 @@ func minixSensorBody(period time.Duration) func(api *minix.API) {
 					ctrl = fresh
 				}
 			}
-		}
+			return true
+		})
 	}
 }
 
@@ -250,45 +220,25 @@ func minixControllerBody(cfg ControllerConfig) func(api *minix.API) {
 			api.Trace("bas", "controller: actuators missing, cannot start")
 			return
 		}
-		// sendCmd is a bounded retry-with-backoff RPC to an actuator driver:
-		// a driver mid-reincarnation answers ErrDeadSrcDst (stale endpoint)
-		// or times out, so each attempt refreshes the endpoint and backs off
-		// before giving up for this command cycle.
-		sendCmd := func(dst *minix.Endpoint, name string, cmdType int32, on bool) {
-			cmd := minix.NewMessage(cmdType)
-			if on {
-				cmd.PutU32(0, 1)
-			}
-			backoff := 10 * time.Millisecond
-			for attempt := 0; attempt < 3; attempt++ {
-				_, err := api.SendRec(*dst, cmd)
-				if err == nil {
-					return
+		drivers := [...]minix.Endpoint{actHeater: heater, actAlarm: alarm}
+		loop := controlLoop[*minix.API]{Controller: ctrl, traceStatus: true,
+			actuate: func(api *minix.API, a actuator, on bool) {
+				cmd := minix.NewMessage(int32(actuators[a].cmd))
+				if on {
+					cmd.PutU32(0, 1)
 				}
-				if errors.Is(err, minix.ErrDeadSrcDst) {
-					if fresh, found := minixLookupWait(api, name); found {
-						*dst = fresh
+				retryCommand(api, a, func() error {
+					_, err := api.SendRec(drivers[a], cmd)
+					if errors.Is(err, minix.ErrDeadSrcDst) {
+						// The driver is mid-reincarnation: refresh its
+						// endpoint before the next try.
+						if fresh, found := minixLookupWait(api, actuators[a].driver); found {
+							drivers[a] = fresh
+						}
 					}
-				}
-				api.Sleep(backoff)
-				backoff *= 2
-			}
-			api.Trace("bas", "controller: giving up on command to "+name)
-		}
-		// watchdog runs the staleness check and pushes failsafe decisions to
-		// the actuators.
-		watchdog := func() {
-			heaterChanged, alarmChanged := ctrl.OnTick(api.Now())
-			if heaterChanged || alarmChanged {
-				api.Trace("bas", "controller: failsafe engaged, sensor readings stale")
-			}
-			if heaterChanged {
-				sendCmd(&heater, NameHeaterAct, int32(core.MsgHeaterCmd), ctrl.HeaterOn())
-			}
-			if alarmChanged {
-				sendCmd(&alarm, NameAlarmAct, int32(core.MsgAlarmCmd), ctrl.AlarmOn())
-			}
-		}
+					return err
+				})
+			}}
 		for {
 			var msg minix.Message
 			var err error
@@ -299,7 +249,7 @@ func minixControllerBody(cfg ControllerConfig) func(api *minix.API) {
 			}
 			if err != nil {
 				if errors.Is(err, minix.ErrTimeout) {
-					watchdog()
+					loop.watchdog(api)
 				}
 				continue
 			}
@@ -308,16 +258,7 @@ func minixControllerBody(cfg ControllerConfig) func(api *minix.API) {
 			// spoofing defence.
 			switch core.MsgType(msg.Type) {
 			case core.MsgSensorData:
-				heaterChanged, alarmChanged := ctrl.OnSample(api.Now(), msg.F64(0))
-				if heaterChanged {
-					sendCmd(&heater, NameHeaterAct, int32(core.MsgHeaterCmd), ctrl.HeaterOn())
-				}
-				if alarmChanged {
-					sendCmd(&alarm, NameAlarmAct, int32(core.MsgAlarmCmd), ctrl.AlarmOn())
-				}
-				if ctrl.Snapshot().Samples%60 == 0 || heaterChanged || alarmChanged {
-					api.Trace("bas", ctrl.Snapshot().String())
-				}
+				loop.onSample(api, msg.F64(0))
 			case core.MsgSetpointUpdate:
 				ack := minix.NewMessage(int32(core.MsgAck))
 				if err := ctrl.SetSetpoint(msg.F64(0)); err != nil {
@@ -332,7 +273,7 @@ func minixControllerBody(cfg ControllerConfig) func(api *minix.API) {
 			}
 			// Non-sensor traffic must not starve the watchdog: check
 			// staleness after every message, not only on timeouts.
-			watchdog()
+			loop.watchdog(api)
 		}
 	}
 }
@@ -340,30 +281,29 @@ func minixControllerBody(cfg ControllerConfig) func(api *minix.API) {
 // encodeStatusAck packs a Status into the ack payload.
 func encodeStatusAck(st Status) minix.Message {
 	ack := minix.NewMessage(int32(core.MsgAck))
-	ack.PutF64(0, st.Temp)
-	ack.PutF64(8, st.Setpoint)
-	var flags uint32
-	if st.HeaterOn {
-		flags |= statusFlagHeater
+	for i, w := range st.words() {
+		ack.PutU64(8*i, w)
 	}
-	if st.AlarmOn {
-		flags |= statusFlagAlarm
-	}
-	ack.PutU32(16, flags)
-	ack.PutI64(24, st.Samples)
 	return ack
 }
 
 // decodeStatusAck unpacks encodeStatusAck.
 func decodeStatusAck(msg minix.Message) Status {
-	flags := msg.U32(16)
-	return Status{
-		Temp:     msg.F64(0),
-		Setpoint: msg.F64(8),
-		HeaterOn: flags&statusFlagHeater != 0,
-		AlarmOn:  flags&statusFlagAlarm != 0,
-		Samples:  msg.I64(24),
+	var w [4]uint64
+	for i := range w {
+		w[i] = msg.U64(8 * i)
 	}
+	return statusFromWords(w)
+}
+
+// minixDial reaches the controller over rendezvous IPC; nil if it never
+// published its endpoint.
+func minixDial(api *minix.API) ControlClient {
+	ctrl, ok := minixLookupWait(api, NameTempControl)
+	if !ok {
+		return nil
+	}
+	return &minixControlClient{api: api, ctrl: ctrl}
 }
 
 // minixControlClient adapts the controller RPC protocol to ControlClient.
@@ -393,19 +333,4 @@ func (c *minixControlClient) SetSetpoint(v float64) error {
 		return ErrSetpointRange
 	}
 	return nil
-}
-
-// minixWebBody is the legitimate web interface: an HTTP server on port 8080
-// relaying administrator requests to the controller over IPC.
-func minixWebBody(api *minix.API) {
-	ctrl, ok := minixLookupWait(api, NameTempControl)
-	if !ok {
-		return
-	}
-	l, err := api.NetListen(WebPort)
-	if err != nil {
-		api.Trace("bas", fmt.Sprintf("web: listen failed: %v", err))
-		return
-	}
-	ServeWeb(netListener{net: api, l: l}, &minixControlClient{api: api, ctrl: ctrl}, nil)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mkbas/internal/linuxsim"
-	"mkbas/internal/plant"
 	"mkbas/internal/polcheck"
 )
 
@@ -44,52 +43,42 @@ func ScenarioProperties() []polcheck.Property {
 // unique-accounts variant; webRoot models the paper's privilege-escalation
 // assumption by running the web interface as uid 0.
 func LinuxScenarioDAC(hardened, webRoot bool) *polcheck.DACModel {
-	acct := linuxAccounts(hardened)
-	qmode := linuxQueueModes(hardened)
-	creators := linuxQueueCreators()
-
 	model := &polcheck.DACModel{}
-	names := []string{
-		NameTempSensor, NameTempControl, NameHeaterAct, NameAlarmAct, NameWebInterface,
-	}
 	if !hardened {
 		// The loader only exists in the same-account deployment (unique
 		// accounts cannot be reached through fork).
-		names = append([]string{NameScenario}, names...)
+		model.Subjects = append(model.Subjects, linuxSubject(NameScenario, false))
 	}
-	for _, name := range names {
-		a := acct[name]
-		if webRoot && name == NameWebInterface {
-			a = account{0, 0}
+	for _, r := range scenarioRoles {
+		s := linuxSubject(r.name, hardened)
+		if webRoot && r.name == NameWebInterface {
+			s.UID, s.GID = 0, 0
 		}
-		model.Subjects = append(model.Subjects, polcheck.DACSubject{
-			Name: name, UID: a.uid, GID: a.gid,
-		})
+		model.Subjects = append(model.Subjects, s)
 	}
-	for _, q := range []string{QSensorData, QHeaterCmd, QAlarmCmd, QWebReq, QWebResp, QAuditLog} {
-		owner := acct[creators[q]]
+	for _, q := range linuxQueues {
+		owner := linuxAccount(q.creator, hardened)
 		model.Queues = append(model.Queues, polcheck.DACObject{
-			Name: q, OwnerUID: owner.uid, OwnerGID: owner.gid, Mode: qmode[q],
+			Name: q.name, OwnerUID: owner.uid, OwnerGID: owner.gid, Mode: linuxQueueMode(q.name, hardened),
 		})
 	}
-	devOwner := map[plantDevice]account{
-		plant.DevTempSensor: acct[NameTempSensor],
-		plant.DevHeater:     acct[NameHeaterAct],
-		plant.DevAlarm:      acct[NameAlarmAct],
-	}
-	if !hardened {
-		for dev := range devOwner {
-			devOwner[dev] = account{baseUID, baseGID}
+	for _, r := range scenarioRoles {
+		if r.device == "" {
+			continue
 		}
-	}
-	for _, dev := range []plantDevice{plant.DevTempSensor, plant.DevHeater, plant.DevAlarm} {
-		o := devOwner[dev]
+		owner := linuxAccount(r.name, hardened)
 		model.Devices = append(model.Devices, polcheck.DACObject{
-			Name: "/dev/" + string(dev), OwnerUID: o.uid, OwnerGID: o.gid,
+			Name: "/dev/" + string(r.device), OwnerUID: owner.uid, OwnerGID: owner.gid,
 			Mode: linuxsim.Mode(0o600),
 		})
 	}
 	return model
+}
+
+// linuxSubject is the named process as a DAC subject.
+func linuxSubject(name string, hardened bool) polcheck.DACSubject {
+	a := linuxAccount(name, hardened)
+	return polcheck.DACSubject{Name: name, UID: a.uid, GID: a.gid}
 }
 
 // checkDeployPolicy is the pre-deploy gate: the platform's policy graph must

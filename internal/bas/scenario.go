@@ -15,10 +15,6 @@ import (
 // experiments use it to detect an incapacitated web process.
 var errNoResponse = errors.New("bas: no HTTP response from web interface")
 
-// machineDeviceID aliases the device ID type for terse image declarations in
-// the platform bindings.
-type machineDeviceID = machine.DeviceID
-
 // WebPort is the scenario web interface's TCP port (the paper's 8080).
 const WebPort vnet.Port = 8080
 

@@ -9,6 +9,7 @@ import (
 	"mkbas/internal/bacnet"
 	"mkbas/internal/camkes"
 	"mkbas/internal/capdl"
+	"mkbas/internal/machine"
 	"mkbas/internal/plant"
 	"mkbas/internal/polcheck"
 	"mkbas/internal/polcheck/monitor"
@@ -57,49 +58,33 @@ func (d *Sel4Deployment) ControllerAlive() bool {
 // assembly against the hand-written one, as the authors did while their
 // source-to-source compiler was in development.
 func ScenarioAssembly(cfg ScenarioConfig, webRun func(rt *camkes.Runtime)) *camkes.Assembly {
-	ctrl := NewController(cfg.Controller)
+	loop := controlLoop[*camkes.Runtime]{Controller: NewController(cfg.Controller), traceStatus: true,
+		actuate: func(rt *camkes.Runtime, a actuator, on bool) {
+			retryCommand(rt, a, func() error {
+				_, err := rt.Call(actuators[a].verb, methodActuate, b2u(on))
+				return err
+			})
+		}}
 
 	controller := &camkes.Component{
 		Name:     NameTempControl,
-		Priority: 5,
-		Uses:     []string{"heater", "alarm"},
+		Priority: roleOf(NameTempControl).priority,
+		Uses:     []string{actuators[actHeater].verb, actuators[actAlarm].verb},
 		Provides: map[string]camkes.Handler{
 			IfaceSensorIn: func(rt *camkes.Runtime, method uint64, args []uint64, badge sel4.Badge) ([]uint64, error) {
 				if method != methodSample {
 					return nil, errors.New("bas: unknown sensor method")
 				}
-				temp := math.Float64frombits(args[0])
-				heaterChanged, alarmChanged := ctrl.OnSample(rt.Now(), temp)
-				if heaterChanged {
-					sel4Actuate(rt, "heater", ctrl.HeaterOn())
-				}
-				if alarmChanged {
-					sel4Actuate(rt, "alarm", ctrl.AlarmOn())
-				}
-				if ctrl.Snapshot().Samples%60 == 0 || heaterChanged || alarmChanged {
-					rt.Trace("bas", ctrl.Snapshot().String())
-				}
+				loop.onSample(rt, math.Float64frombits(args[0]))
 				return nil, nil
 			},
 			IfaceMgmt: func(rt *camkes.Runtime, method uint64, args []uint64, badge sel4.Badge) ([]uint64, error) {
 				switch method {
 				case methodStatus:
-					st := ctrl.Snapshot()
-					var flags uint64
-					if st.HeaterOn {
-						flags |= statusFlagHeater
-					}
-					if st.AlarmOn {
-						flags |= statusFlagAlarm
-					}
-					return []uint64{
-						math.Float64bits(st.Temp),
-						math.Float64bits(st.Setpoint),
-						flags,
-						uint64(st.Samples),
-					}, nil
+					w := loop.Snapshot().words()
+					return w[:], nil
 				case methodSetSetpoint:
-					if err := ctrl.SetSetpoint(math.Float64frombits(args[0])); err != nil {
+					if err := loop.SetSetpoint(math.Float64frombits(args[0])); err != nil {
 						return nil, &camkes.RPCError{Iface: IfaceMgmt, Code: rpcCodeRange}
 					}
 					return nil, nil
@@ -117,31 +102,23 @@ func ScenarioAssembly(cfg ScenarioConfig, webRun func(rt *camkes.Runtime)) *camk
 		controller.Run = func(rt *camkes.Runtime) {
 			for {
 				rt.Sleep(window / 2)
-				heaterChanged, alarmChanged := ctrl.OnTick(rt.Now())
-				if heaterChanged || alarmChanged {
-					rt.Trace("bas", "controller: failsafe engaged, sensor readings stale")
-				}
-				if heaterChanged {
-					sel4Actuate(rt, "heater", ctrl.HeaterOn())
-				}
-				if alarmChanged {
-					sel4Actuate(rt, "alarm", ctrl.AlarmOn())
-				}
+				loop.watchdog(rt)
 			}
 		}
 	}
 
-	actuator := func(name string, dev machineDeviceID) *camkes.Component {
+	driver := func(name string) *camkes.Component {
+		r := roleOf(name)
 		return &camkes.Component{
 			Name:     name,
-			Priority: 4,
-			Devices:  []machineDeviceID{dev},
+			Priority: r.priority,
+			Devices:  []machine.DeviceID{r.device},
 			Provides: map[string]camkes.Handler{
 				IfaceCmd: func(rt *camkes.Runtime, method uint64, args []uint64, badge sel4.Badge) ([]uint64, error) {
 					if method != methodActuate {
 						return nil, errors.New("bas: unknown cmd method")
 					}
-					return nil, rt.DevWrite(dev, plant.RegActuate, uint32(args[0]))
+					return nil, rt.DevWrite(r.device, plant.RegActuate, uint32(args[0]))
 				},
 			},
 		}
@@ -149,30 +126,25 @@ func ScenarioAssembly(cfg ScenarioConfig, webRun func(rt *camkes.Runtime)) *camk
 
 	sensor := &camkes.Component{
 		Name:     NameTempSensor,
-		Priority: 6,
+		Priority: roleOf(NameTempSensor).priority,
 		Uses:     []string{"ctrl"},
-		Devices:  []machineDeviceID{plant.DevTempSensor},
+		Devices:  []machine.DeviceID{plant.DevTempSensor},
 		Run: func(rt *camkes.Runtime) {
-			for {
-				rt.Sleep(cfg.SamplePeriod)
-				raw, err := rt.DevRead(plant.DevTempSensor, plant.RegTempMilliC)
-				if err != nil {
-					continue
-				}
-				temp := plant.DecodeTemp(raw)
-				if _, err := rt.Call("ctrl", methodSample, math.Float64bits(temp)); err != nil {
+			runSensor(rt, cfg.SamplePeriod, func(raw uint32) bool {
+				if _, err := rt.Call("ctrl", methodSample, math.Float64bits(plant.DecodeTemp(raw))); err != nil {
 					rt.Trace("bas", fmt.Sprintf("sensor: sample delivery failed: %v", err))
 				}
-			}
+				return true
+			})
 		},
 	}
 
 	if webRun == nil {
-		webRun = sel4WebBody
+		webRun = func(rt *camkes.Runtime) { webInterfaceBody(rt, &sel4ControlClient{rt: rt}, nil) }
 	}
 	web := &camkes.Component{
 		Name:     NameWebInterface,
-		Priority: 7,
+		Priority: roleOf(NameWebInterface).priority,
 		Uses:     []string{IfaceMgmt},
 		NetPorts: []vnet.Port{WebPort},
 		Run:      webRun,
@@ -181,22 +153,22 @@ func ScenarioAssembly(cfg ScenarioConfig, webRun func(rt *camkes.Runtime)) *camk
 	return &camkes.Assembly{
 		Components: []*camkes.Component{
 			controller,
-			actuator(NameHeaterAct, plant.DevHeater),
-			actuator(NameAlarmAct, plant.DevAlarm),
+			driver(NameHeaterAct),
+			driver(NameAlarmAct),
 			sensor,
 			web,
 		},
 		Connections: []camkes.Connection{
 			{FromComp: NameTempSensor, FromIface: "ctrl", ToComp: NameTempControl, ToIface: IfaceSensorIn},
-			{FromComp: NameTempControl, FromIface: "heater", ToComp: NameHeaterAct, ToIface: IfaceCmd},
-			{FromComp: NameTempControl, FromIface: "alarm", ToComp: NameAlarmAct, ToIface: IfaceCmd},
+			{FromComp: NameTempControl, FromIface: actuators[actHeater].verb, ToComp: NameHeaterAct, ToIface: IfaceCmd},
+			{FromComp: NameTempControl, FromIface: actuators[actAlarm].verb, ToComp: NameAlarmAct, ToIface: IfaceCmd},
 			{FromComp: NameWebInterface, FromIface: IfaceMgmt, ToComp: NameTempControl, ToIface: IfaceMgmt},
 		},
 	}
 }
 
 // deploySel4 is the seL4 backend of the Deploy registry.
-func deploySel4(tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (*Sel4Deployment, error) {
+func deploySel4(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
 	sup := newDeploySupervision(tb, &cfg, opts)
 	assembly := ScenarioAssembly(cfg, opts.Sel4Web)
 	if opts.BACnet.Enabled {
@@ -204,7 +176,22 @@ func deploySel4(tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (*Sel4Deplo
 		// assembly the AADL compiler tests compare against stays the five-
 		// component Fig. 2 scenario. The deployment owns the proxy's
 		// anti-replay state; a monitor-respawned gateway resumes from it.
-		addSel4BACnetGateway(assembly, opts.BACnet, bacnet.NewProxyState(), tb.Machine.Obs(), sup)
+		state, board := bacnet.NewProxyState(), tb.Machine.Obs()
+		assembly.Components = append(assembly.Components, &camkes.Component{
+			Name:     NameBACnetGateway,
+			Priority: gatewayPriority,
+			Uses:     []string{IfaceMgmt},
+			NetPorts: []vnet.Port{BACnetPort},
+			Run: func(rt *camkes.Runtime) {
+				bacnetGatewayBody(rt, &sel4ControlClient{rt: rt}, opts.BACnet, state, board, sup)
+			},
+		})
+		// Like the web interface the gateway uses only the controller's mgmt
+		// interface; the controller tells the two clients apart by badge.
+		assembly.Connections = append(assembly.Connections, camkes.Connection{
+			FromComp: NameBACnetGateway, FromIface: IfaceMgmt,
+			ToComp: NameTempControl, ToIface: IfaceMgmt,
+		})
 	}
 	// The capability distribution doubles as the monitor's certified graph,
 	// so it is generated whenever either consumer needs it.
@@ -232,7 +219,7 @@ func deploySel4(tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (*Sel4Deplo
 		startSel4Monitor(tb, sys)
 	}
 	dep := &Sel4Deployment{
-		deploymentBase: deploymentBase{platform: PlatformSel4, tb: tb},
+		deploymentBase: deploymentBase{platform: platform, tb: tb},
 		System:         sys,
 		Testbed:        tb,
 	}
@@ -279,22 +266,6 @@ func startSel4Monitor(tb *Testbed, sys *camkes.System) {
 	clock.After(sel4MonitorPeriod, sweep)
 }
 
-// sel4Actuate is the controller's bounded retry-with-backoff actuator RPC: a
-// call aborted by a driver mid-respawn (or lost to injected faults) is
-// retried briefly before this command cycle is abandoned.
-func sel4Actuate(rt *camkes.Runtime, iface string, on bool) {
-	backoff := 10 * time.Millisecond
-	for attempt := 0; attempt < 3; attempt++ {
-		_, err := rt.Call(iface, methodActuate, b2u(on))
-		if err == nil {
-			return
-		}
-		rt.Sleep(backoff)
-		backoff *= 2
-	}
-	rt.Trace("bas", "controller: giving up on "+iface+" command")
-}
-
 func b2u(b bool) uint64 {
 	if b {
 		return 1
@@ -314,13 +285,7 @@ func (c *sel4ControlClient) Status() (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	return Status{
-		Temp:     math.Float64frombits(words[0]),
-		Setpoint: math.Float64frombits(words[1]),
-		HeaterOn: words[2]&statusFlagHeater != 0,
-		AlarmOn:  words[2]&statusFlagAlarm != 0,
-		Samples:  int64(words[3]),
-	}, nil
+	return statusFromWords([4]uint64(words)), nil
 }
 
 func (c *sel4ControlClient) SetSetpoint(v float64) error {
@@ -330,14 +295,4 @@ func (c *sel4ControlClient) SetSetpoint(v float64) error {
 		return ErrSetpointRange
 	}
 	return err
-}
-
-// sel4WebBody is the legitimate web interface control thread.
-func sel4WebBody(rt *camkes.Runtime) {
-	l, err := rt.NetListen(WebPort)
-	if err != nil {
-		rt.Trace("bas", fmt.Sprintf("web: listen failed: %v", err))
-		return
-	}
-	ServeWeb(netListener{net: rt, l: l}, &sel4ControlClient{rt: rt}, nil)
 }

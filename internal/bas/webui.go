@@ -67,43 +67,9 @@ func HandleRequest(req *httpmini.Request, ctrl ControlClient, metrics MetricsSou
 	}
 }
 
-// NetConn abstracts one accepted connection for the shared server loop.
-type NetConn interface {
-	Read(max int) ([]byte, error)
-	Write(data []byte) error
-	Close() error
-}
-
-// NetListener abstracts the platform listener.
-type NetListener interface {
-	Accept() (NetConn, error)
-}
-
-// netSyscalls is the socket trap surface every platform's process API
-// shares (*minix.API, *camkes.Runtime, *linuxsim.API); one listener/conn
-// pair over it adapts any of them to NetListener.
-type netSyscalls interface {
-	NetAccept(listener int32) (int32, error)
-	NetRead(conn int32, max int) ([]byte, error)
-	NetWrite(conn int32, data []byte) error
-	NetClose(conn int32) error
-}
-
-type netListener struct {
-	net netSyscalls
-	l   int32
-}
-
-func (nl netListener) Accept() (NetConn, error) {
-	conn, err := nl.net.NetAccept(nl.l)
-	if err != nil {
-		return nil, err
-	}
-	return netConn{net: nl.net, fd: conn}, nil
-}
-
+// netConn is one accepted connection, over any kernel's socket traps.
 type netConn struct {
-	net netSyscalls
+	net processPort
 	fd  int32
 }
 
@@ -111,21 +77,9 @@ func (nc netConn) Read(max int) ([]byte, error) { return nc.net.NetRead(nc.fd, m
 func (nc netConn) Write(data []byte) error      { return nc.net.NetWrite(nc.fd, data) }
 func (nc netConn) Close() error                 { return nc.net.NetClose(nc.fd) }
 
-// ServeWeb is the web interface's main loop, shared by all platforms: accept
-// a connection, parse one or more HTTP requests off it, answer each, close.
-// It returns when Accept fails (listener torn down).
-func ServeWeb(l NetListener, ctrl ControlClient, metrics MetricsSource) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		serveConn(conn, ctrl, metrics)
-	}
-}
-
-// serveConn handles one connection until EOF or a protocol error.
-func serveConn(conn NetConn, ctrl ControlClient, metrics MetricsSource) {
+// serveConn is the web interface's handling of one connection: parse one or
+// more HTTP requests off it and answer each, until EOF or a protocol error.
+func serveConn(conn netConn, ctrl ControlClient, metrics MetricsSource) {
 	defer conn.Close()
 	var parser httpmini.Parser
 	for {

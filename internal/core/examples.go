@@ -86,7 +86,51 @@ const (
 //
 // The same structure is produced by compiling testdata/tempcontrol.aadl with
 // internal/aadl; TestScenarioPolicyMatchesAADL pins the two together.
-func ScenarioPolicy() *Policy {
+func ScenarioPolicy() *Policy { return scenarioPolicy(false, false, QuotaUnlimited) }
+
+// ACIDBACnetGateway identifies the optional BACnet gateway process (the
+// Fig. 1 "secure proxy" extension): a field-bus bridge with exactly the web
+// interface's authority — setpoint updates and status queries, nothing more.
+const ACIDBACnetGateway ACID = 106
+
+// ACIDTenantGateway identifies the tenant API gateway subject: the
+// occupant-scale API tier's board-side identity. Like the BACnet gateway it
+// holds exactly the web interface's authority — setpoint updates and status
+// queries toward the controller — so even a fully compromised tenant tier
+// can never reach the actuator drivers or kill anything.
+const ACIDTenantGateway ACID = 107
+
+// ScenarioPolicyWithGateway extends the scenario policy with the BACnet
+// gateway subject. The gateway gets the same two message types as the web
+// interface; even a fully spoofable field protocol therefore cannot reach
+// the actuator drivers through it.
+func ScenarioPolicyWithGateway() *Policy { return ScenarioPolicyWithGateways(true, false) }
+
+// ScenarioPolicyWithTenantGateway extends the scenario policy with the
+// tenant API gateway subject, the certified row the online monitor verifies
+// tenant→head-end traffic against.
+func ScenarioPolicyWithTenantGateway() *Policy { return ScenarioPolicyWithGateways(false, true) }
+
+// ScenarioPolicyWithGateways is the scenario policy with the optional
+// gateway rows a deployment asks for: the BACnet field-bus proxy, the tenant
+// API gateway, or both, for a board that serves a supervisory network and an
+// occupant API at once. Each row is the same whatever else is present;
+// neither gateway can reach the other.
+func ScenarioPolicyWithGateways(bacnet, tenant bool) *Policy {
+	return scenarioPolicy(bacnet, tenant, QuotaUnlimited)
+}
+
+// ScenarioPolicyWithForkQuota is the E8 variant: identical, except the web
+// interface may fork (it runs worker threads in the paper) under a hard
+// quota, defeating fork bombs.
+func ScenarioPolicyWithForkQuota(webForkQuota int) *Policy {
+	return scenarioPolicy(false, false, webForkQuota)
+}
+
+// scenarioPolicy writes the scenario's rows and grants once. bacnet and
+// tenant add the optional gateway rows; webForkQuota budgets the web
+// interface's fork grant.
+func scenarioPolicy(bacnet, tenant bool, webForkQuota int) *Policy {
 	p := NewPolicy()
 	m := p.IPC
 	m.Name(ACIDTempSensor, "tempSensProc").
@@ -105,9 +149,23 @@ func ScenarioPolicy() *Policy {
 	m.Allow(ACIDTempControl, ACIDAlarmAct, MsgAlarmCmd)
 	m.AllowBidirectionalAck(ACIDTempControl, ACIDAlarmAct)
 	// Web interface may only talk to the controller: setpoint updates and
-	// status queries.
+	// status queries. Each gateway gets exactly the same row.
 	m.Allow(ACIDWebInterface, ACIDTempControl, MsgSetpointUpdate, MsgStatusQuery)
 	m.AllowBidirectionalAck(ACIDWebInterface, ACIDTempControl)
+	for _, gw := range []struct {
+		on   bool
+		id   ACID
+		name string
+	}{
+		{bacnet, ACIDBACnetGateway, "bacnetGateway"},
+		{tenant, ACIDTenantGateway, "tenantApiGw"},
+	} {
+		if gw.on {
+			m.Name(gw.id, gw.name)
+			m.Allow(gw.id, ACIDTempControl, MsgSetpointUpdate, MsgStatusQuery)
+			m.AllowBidirectionalAck(gw.id, ACIDTempControl)
+		}
+	}
 
 	s := p.Syscalls
 	// The scenario loader builds the world.
@@ -116,99 +174,10 @@ func ScenarioPolicy() *Policy {
 	s.Grant(ACIDScenario, SysKill)
 	s.Grant(ACIDScenario, SysSetACID)
 	// The web interface runs worker children ("5 fixed child threads"), so it
-	// holds an *unbudgeted* fork grant — the residual weakness the paper
-	// notes ("it can potentially launch a fork bomb"). Nobody besides the
-	// loader is granted kill — in particular not the web interface.
-	s.Grant(ACIDWebInterface, SysFork)
-	return p.Seal()
-}
-
-// ACIDBACnetGateway identifies the optional BACnet gateway process (the
-// Fig. 1 "secure proxy" extension): a field-bus bridge with exactly the web
-// interface's authority — setpoint updates and status queries, nothing more.
-const ACIDBACnetGateway ACID = 106
-
-// ScenarioPolicyWithGateway extends the scenario policy with the BACnet
-// gateway subject. The gateway gets the same two message types as the web
-// interface; even a fully spoofable field protocol therefore cannot reach
-// the actuator drivers through it.
-func ScenarioPolicyWithGateway() *Policy {
-	base := ScenarioPolicy()
-	p := NewPolicy()
-	p.IPC = base.IPC.Clone()
-	p.IPC.Name(ACIDBACnetGateway, "bacnetGateway")
-	p.IPC.Allow(ACIDBACnetGateway, ACIDTempControl, MsgSetpointUpdate, MsgStatusQuery)
-	p.IPC.AllowBidirectionalAck(ACIDBACnetGateway, ACIDTempControl)
-	s := p.Syscalls
-	s.Grant(ACIDScenario, SysFork)
-	s.Grant(ACIDScenario, SysExec)
-	s.Grant(ACIDScenario, SysKill)
-	s.Grant(ACIDScenario, SysSetACID)
-	s.Grant(ACIDWebInterface, SysFork)
-	return p.Seal()
-}
-
-// ACIDTenantGateway identifies the tenant API gateway subject: the
-// occupant-scale API tier's board-side identity. Like the BACnet gateway it
-// holds exactly the web interface's authority — setpoint updates and status
-// queries toward the controller — so even a fully compromised tenant tier
-// can never reach the actuator drivers or kill anything.
-const ACIDTenantGateway ACID = 107
-
-// ScenarioPolicyWithTenantGateway extends the scenario policy with the
-// tenant API gateway subject, the certified row the online monitor verifies
-// tenant→head-end traffic against.
-func ScenarioPolicyWithTenantGateway() *Policy {
-	base := ScenarioPolicy()
-	p := NewPolicy()
-	p.IPC = base.IPC.Clone()
-	p.IPC.Name(ACIDTenantGateway, "tenantApiGw")
-	p.IPC.Allow(ACIDTenantGateway, ACIDTempControl, MsgSetpointUpdate, MsgStatusQuery)
-	p.IPC.AllowBidirectionalAck(ACIDTenantGateway, ACIDTempControl)
-	s := p.Syscalls
-	s.Grant(ACIDScenario, SysFork)
-	s.Grant(ACIDScenario, SysExec)
-	s.Grant(ACIDScenario, SysKill)
-	s.Grant(ACIDScenario, SysSetACID)
-	s.Grant(ACIDWebInterface, SysFork)
-	return p.Seal()
-}
-
-// ScenarioPolicyWithGateways carries both optional gateway rows — the BACnet
-// field-bus proxy and the tenant API gateway — for deployments that serve a
-// supervisory network and an occupant API at once. Each row is identical to
-// its single-gateway variant; neither gateway can reach the other.
-func ScenarioPolicyWithGateways() *Policy {
-	base := ScenarioPolicy()
-	p := NewPolicy()
-	p.IPC = base.IPC.Clone()
-	p.IPC.Name(ACIDBACnetGateway, "bacnetGateway")
-	p.IPC.Allow(ACIDBACnetGateway, ACIDTempControl, MsgSetpointUpdate, MsgStatusQuery)
-	p.IPC.AllowBidirectionalAck(ACIDBACnetGateway, ACIDTempControl)
-	p.IPC.Name(ACIDTenantGateway, "tenantApiGw")
-	p.IPC.Allow(ACIDTenantGateway, ACIDTempControl, MsgSetpointUpdate, MsgStatusQuery)
-	p.IPC.AllowBidirectionalAck(ACIDTenantGateway, ACIDTempControl)
-	s := p.Syscalls
-	s.Grant(ACIDScenario, SysFork)
-	s.Grant(ACIDScenario, SysExec)
-	s.Grant(ACIDScenario, SysKill)
-	s.Grant(ACIDScenario, SysSetACID)
-	s.Grant(ACIDWebInterface, SysFork)
-	return p.Seal()
-}
-
-// ScenarioPolicyWithForkQuota is the E8 variant: identical, except the web
-// interface may fork (it runs worker threads in the paper) under a hard
-// quota, defeating fork bombs.
-func ScenarioPolicyWithForkQuota(webForkQuota int) *Policy {
-	p := NewPolicy()
-	base := ScenarioPolicy()
-	p.IPC = base.IPC.Clone()
-	s := p.Syscalls
-	s.Grant(ACIDScenario, SysFork)
-	s.Grant(ACIDScenario, SysExec)
-	s.Grant(ACIDScenario, SysKill)
-	s.Grant(ACIDScenario, SysSetACID)
+	// holds a fork grant — unbudgeted in the paper's policy, the residual
+	// weakness the paper notes ("it can potentially launch a fork bomb").
+	// Nobody besides the loader is granted kill — in particular not the web
+	// interface.
 	s.GrantQuota(ACIDWebInterface, SysFork, webForkQuota)
 	return p.Seal()
 }

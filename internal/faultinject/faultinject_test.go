@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -286,4 +287,34 @@ func TestViolationsDuring(t *testing.T) {
 	if got := ViolationsDuring(t0, nil, times); got != 0 {
 		t.Errorf("nil report: %d, want 0", got)
 	}
+}
+
+// FuzzParsePlan feeds operator plan files to ParsePlan. Whatever the bytes,
+// it must not panic; a plan it accepts has its faults in arming order with
+// no negative offset, and re-encodes through Plan.JSON to a plan that parses
+// back deep-equal. The seeds under testdata/fuzz/FuzzParsePlan are the
+// builtin plans' JSON.
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePlan(data)
+		if err != nil {
+			return
+		}
+		for i, fault := range p.Faults {
+			if fault.At < 0 || (i > 0 && fault.At < p.Faults[i-1].At) {
+				t.Fatalf("accepted plan has fault %d at %s after %v", i, fault.At, p.Faults)
+			}
+		}
+		enc, err := p.JSON()
+		if err != nil {
+			t.Fatalf("accepted plan %+v does not encode: %v", p, err)
+		}
+		again, err := ParsePlan(enc)
+		if err != nil {
+			t.Fatalf("re-encoded plan %s rejected: %v", enc, err)
+		}
+		if !reflect.DeepEqual(again, p) {
+			t.Fatalf("plan %+v re-parses as %+v", p, again)
+		}
+	})
 }

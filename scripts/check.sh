@@ -25,6 +25,9 @@ go test -run '^$' -fuzz '^FuzzDecodePDU$' -fuzztime 10s ./internal/bacnet
 # The web UI's request parser is what every board exposes to the network:
 # whatever the bytes and however they are chunked, it must parse alike.
 go test -run '^$' -fuzz '^FuzzParser$' -fuzztime 10s ./internal/httpmini
+# Operators load fault plans from JSON files: whatever the bytes, the plan
+# parser must not panic, and an accepted plan must round-trip.
+go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 10s ./internal/faultinject
 go run ./cmd/polcheck -scenario tempcontrol
 # Least-privilege lint: every static grant the scenario never exercises must
 # be covered by the checked-in allowlist; unknown or stale entries fail. The
