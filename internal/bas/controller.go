@@ -18,6 +18,7 @@ package bas
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -95,15 +96,52 @@ func (s Status) String() string {
 // output is byte-identical to String.
 func (s Status) AppendText(buf []byte) []byte {
 	buf = append(buf, "temp="...)
-	buf = strconv.AppendFloat(buf, s.Temp, 'f', 2, 64)
+	buf = appendFixed2(buf, s.Temp)
 	buf = append(buf, " setpoint="...)
-	buf = strconv.AppendFloat(buf, s.Setpoint, 'f', 2, 64)
+	buf = appendFixed2(buf, s.Setpoint)
 	buf = append(buf, " heater="...)
 	buf = append(buf, onOff(s.HeaterOn)...)
 	buf = append(buf, " alarm="...)
 	buf = append(buf, onOff(s.AlarmOn)...)
 	buf = append(buf, " samples="...)
 	return strconv.AppendInt(buf, s.Samples, 10)
+}
+
+// fixed2Limit bounds the magnitudes appendFixed2 formats itself.
+const fixed2Limit = 1 << 53 / 100.0
+
+// appendFixed2 appends x exactly as strconv.AppendFloat(buf, x, 'f', 2, 64)
+// does, without strconv's arbitrary-precision path, which every fixed
+// precision 'f' takes. Below fixed2Limit, x is mant/2^shift with shift > 0
+// and mant < 2^53, so x×100 rounds to the nearest integer, ties to even,
+// from the exact 64-bit product mant×100. A negative x keeps its sign even
+// when it rounds to zero, as strconv's -0.00 does. NaN, the infinities and
+// larger magnitudes go to strconv.
+func appendFixed2(buf []byte, x float64) []byte {
+	if !(math.Abs(x) < fixed2Limit) {
+		return strconv.AppendFloat(buf, x, 'f', 2, 64)
+	}
+	b := math.Float64bits(x)
+	mant, exp := b&(1<<52-1), int(b>>52&0x7ff)
+	if exp == 0 {
+		exp = 1 // subnormal: no implicit bit
+	} else {
+		mant |= 1 << 52
+	}
+	var n uint64
+	if shift := uint(1075 - exp); shift < 64 {
+		p := mant * 100
+		n = p >> shift
+		rem, half := p&(1<<shift-1), uint64(1)<<(shift-1)
+		if rem > half || rem == half && n&1 == 1 {
+			n++
+		}
+	}
+	if b>>63 != 0 {
+		buf = append(buf, '-')
+	}
+	buf = strconv.AppendUint(buf, n/100, 10)
+	return append(buf, '.', byte('0'+n/10%10), byte('0'+n%10))
 }
 
 func onOff(b bool) string {

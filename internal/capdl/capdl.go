@@ -112,7 +112,9 @@ func (s *Spec) Render() string {
 	return b.String()
 }
 
-// Parse reads the Render format back into a Spec.
+// Parse reads the Render format back into a Spec. Section headers are
+// recognised only between sections, so a thread may be named objects or
+// caps; a slot must be a decimal CPtr.
 func Parse(text string) (*Spec, error) {
 	s := &Spec{}
 	const (
@@ -127,9 +129,9 @@ func Parse(text string) (*Spec, error) {
 		switch {
 		case line == "" || strings.HasPrefix(line, "#"):
 			continue
-		case line == "objects {":
+		case section == secNone && line == "objects {":
 			section = secObjects
-		case line == "caps {":
+		case section == secNone && line == "caps {":
 			section = secCaps
 		case line == "}":
 			if curTCB != "" && section == secCaps {
@@ -180,7 +182,7 @@ func parseCapLine(line string) (CapSpec, error) {
 	if !ok {
 		return CapSpec{}, fmt.Errorf("no slot separator in %q", line)
 	}
-	slot, err := strconv.Atoi(strings.TrimSpace(slotStr))
+	slot, err := strconv.ParseUint(strings.TrimSpace(slotStr), 10, 32)
 	if err != nil {
 		return CapSpec{}, fmt.Errorf("bad slot in %q", line)
 	}

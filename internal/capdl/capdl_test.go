@@ -82,6 +82,8 @@ func TestParseErrors(t *testing.T) {
 		"caps {\n  t {\n    1: obj (zz-, badge: 0)\n  }\n}",
 		"caps {\n  t {\n    1: obj (rw-, badge: abc)\n  }\n}",
 		"caps {\n  t {\n    1: obj missingparens\n  }\n}",
+		"caps {\n  t {\n    -1: obj (rw-, badge: 0)\n  }\n}",
+		"caps {\n  t {\n    4294967296: obj (rw-, badge: 0)\n  }\n}",
 		"floating text",
 	}
 	for _, text := range cases {
@@ -235,4 +237,25 @@ func TestVerifyMismatchNamesExpectation(t *testing.T) {
 			t.Errorf("verify error missing %q: %v", want, err)
 		}
 	}
+}
+
+// FuzzParse feeds spec text to Parse. Whatever the text, it must not panic,
+// and a spec it accepts must round-trip: its rendering parses again and
+// renders to the same text. The seeds under testdata/fuzz/FuzzParse are the
+// seL4 scenario's rendered spec and malformed cap lines.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		spec, err := Parse(text)
+		if err != nil {
+			return
+		}
+		out := spec.Render()
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("rendering of an accepted spec rejected: %v\n%s", err, out)
+		}
+		if got := again.Render(); got != out {
+			t.Fatalf("rendering re-parses to a different spec:\n--- first\n%s\n--- again\n%s", out, got)
+		}
+	})
 }

@@ -489,8 +489,26 @@ func mustSpawnNoT(e *Engine, name string, prio int, body func(ctx *Context)) PID
 	return p.PID()
 }
 
+// settledGoroutines returns the goroutine count once it has held still for
+// a while. The testing package starts a test as soon as the one before it
+// signals that it is done, and that test's goroutine exits only after the
+// signal; a baseline taken at once can count it, and it vanishes later as
+// if the test under way had unwound it.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); still < 20 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
 func TestShutdownUnwindsAllGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	m := New(Config{})
 	e := m.Engine()
 	newToyKernel(e)

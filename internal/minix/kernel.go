@@ -475,12 +475,14 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 		isServer:  img.Server,
 		restart:   img.Restart,
 		netAccess: img.Net,
-		devs:      make(map[machine.DeviceID]bool, len(img.Devices)),
-		listeners: make(map[int32]*vnet.Listener),
-		conns:     make(map[int32]*vnet.Conn),
 	}
-	for _, d := range img.Devices {
-		entry.devs[d] = true
+	// The device, listener and connection tables are allocated on first
+	// write: most processes (every fork-bomb child) never touch them.
+	if len(img.Devices) > 0 {
+		entry.devs = make(map[machine.DeviceID]bool, len(img.Devices))
+		for _, d := range img.Devices {
+			entry.devs[d] = true
+		}
 	}
 	k.buildWakers(entry)
 	body := img.Body

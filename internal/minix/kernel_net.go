@@ -25,6 +25,28 @@ func (k *Kernel) netStack(self *procEntry) (*vnet.Stack, error) {
 	return k.cfg.Net, nil
 }
 
+// addListener stores l under a fresh handle, allocating the table on first
+// use, and returns the handle.
+func (e *procEntry) addListener(l *vnet.Listener) int32 {
+	if e.listeners == nil {
+		e.listeners = make(map[int32]*vnet.Listener)
+	}
+	e.nextHandle++
+	e.listeners[e.nextHandle] = l
+	return e.nextHandle
+}
+
+// addConn stores conn under a fresh handle, allocating the table on first
+// use, and returns the handle.
+func (e *procEntry) addConn(conn *vnet.Conn) int32 {
+	if e.conns == nil {
+		e.conns = make(map[int32]*vnet.Conn)
+	}
+	e.nextHandle++
+	e.conns[e.nextHandle] = conn
+	return e.nextHandle
+}
+
 func (k *Kernel) doNetListen(self *procEntry, r *netListenReq) (any, machine.Disposition) {
 	stack, err := k.netStack(self)
 	if err != nil {
@@ -34,10 +56,7 @@ func (k *Kernel) doNetListen(self *procEntry, r *netListenReq) (any, machine.Dis
 	if err != nil {
 		return self.handleOut(0, err), machine.DispositionContinue
 	}
-	self.nextHandle++
-	h := self.nextHandle
-	self.listeners[h] = l
-	return self.handleOut(h, nil), machine.DispositionContinue
+	return self.handleOut(self.addListener(l), nil), machine.DispositionContinue
 }
 
 func (k *Kernel) doNetAccept(self *procEntry, r *netAcceptReq) (any, machine.Disposition) {
@@ -52,10 +71,7 @@ func (k *Kernel) doNetAccept(self *procEntry, r *netAcceptReq) (any, machine.Dis
 	conn, err := stack.Accept(l)
 	switch {
 	case err == nil:
-		self.nextHandle++
-		h := self.nextHandle
-		self.conns[h] = conn
-		return self.handleOut(h, nil), machine.DispositionContinue
+		return self.handleOut(self.addConn(conn), nil), machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
 		self.phase = phaseNetBlocked
 		self.waitToken++
@@ -72,10 +88,7 @@ func (k *Kernel) doNetAccept(self *procEntry, r *netAcceptReq) (any, machine.Dis
 				k.mustReady(pid, e.handleOut(0, acceptErr))
 				return
 			}
-			e.nextHandle++
-			h := e.nextHandle
-			e.conns[h] = conn
-			k.mustReady(pid, e.handleOut(h, nil))
+			k.mustReady(pid, e.handleOut(e.addConn(conn), nil))
 		})
 		return nil, machine.DispositionBlock
 	default:

@@ -3,8 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -94,9 +97,18 @@ func TestEventListDeniedAfterWrap(t *testing.T) {
 	if got := slices.Collect(list.All()); !slices.Equal(got, want) {
 		t.Fatalf("All = %+v\nwant %+v", got, want)
 	}
-	for i := range want {
-		if list.At(i) != want[i] {
-			t.Fatalf("At(%d) = %+v, want %+v", i, list.At(i), want[i])
+	// Every prefix of All is the same prefix of the reference: stopping
+	// early leaves nothing half decoded.
+	for n := range want {
+		var got []SecurityEvent
+		for e := range list.All() {
+			if len(got) == n {
+				break
+			}
+			got = append(got, e)
+		}
+		if !slices.Equal(got, want[:n]) {
+			t.Fatalf("All stopped after %d = %+v\nwant %+v", n, got, want[:n])
 		}
 	}
 }
@@ -139,14 +151,115 @@ func hasPointers(t reflect.Type) bool {
 	return false
 }
 
-func TestEventRecordIsPointerFree(t *testing.T) {
-	rt := reflect.TypeOf(eventRec{})
-	if rt.Size() != 24 {
-		t.Errorf("eventRec is %d bytes, want 24", rt.Size())
+// TestEventListByteBudget gates the codec's size on the shape attack
+// campaigns retain most: a full ring of one periodic denial. Every event
+// after the second repeats the one before it, so it should cost its flag
+// byte alone; the gate leaves room for a few bytes more.
+func TestEventListByteBudget(t *testing.T) {
+	const capacity = 16384
+	for _, period := range []Time{200_000_000, 1_000_000_000} {
+		clk := &fakeClock{}
+		l := NewEventLog(clk.now, capacity)
+		l.SetPlatform("minix")
+		for i := 0; i < capacity+1000; i++ {
+			clk.t = Time(i) * period
+			l.Emit(SecurityEvent{Kind: EventIPCDenied, Mechanism: MechACM, Denied: true,
+				Src: "web", Dst: "heater", Detail: "send mt=3 refused by ACM"})
+		}
+		list := l.Denied()
+		if list.Len() != capacity {
+			t.Fatalf("period %v: Len = %d, want %d", period, list.Len(), capacity)
+		}
+		if per := float64(len(list.enc)) / float64(list.Len()); per > 4 {
+			t.Errorf("period %v: %d events encode in %d bytes, %.2f B/event, want <= 4",
+				period, list.Len(), len(list.enc), per)
+		}
+		if cap(list.enc) != len(list.enc) {
+			t.Errorf("period %v: encoding has cap %d for %d bytes, want exact size",
+				period, cap(list.enc), len(list.enc))
+		}
 	}
+	// Only the tables hold pointers, and they grow with distinct values;
+	// the per-event storage is the encoding alone.
+	rt := reflect.TypeOf(EventList{})
 	for i := 0; i < rt.NumField(); i++ {
-		if f := rt.Field(i); hasPointers(f.Type) {
-			t.Errorf("eventRec.%s (%s) holds a pointer", f.Name, f.Type)
+		f := rt.Field(i)
+		switch f.Name {
+		case "heads", "strs":
+		case "enc":
+			if hasPointers(f.Type.Elem()) {
+				t.Errorf("EventList.enc (%s) holds pointers", f.Type)
+			}
+		default:
+			if hasPointers(f.Type) {
+				t.Errorf("EventList.%s (%s) holds a pointer", f.Name, f.Type)
+			}
+		}
+	}
+}
+
+// TestEventListMatchesOracle drives random event streams through an
+// EventLog and checks the encoded list against the reference filter, event
+// by event and as JSON. The streams wrap the ring and mix periodic,
+// irregular, zero and backward time steps, repeated and fresh strings, and
+// long details.
+func TestEventListMatchesOracle(t *testing.T) {
+	kinds := []EventKind{EventIPCDenied, EventCapFault, EventKillDenied, EventKill, EventForkDenied}
+	mechs := []Mechanism{MechACM, MechCapability, MechDAC, MechKernel}
+	names := []string{"web", "temp", "heater", "alarm", "sensor", "", "wéb ☃", `q"<&>`}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(300)
+		clk := &fakeClock{t: Time(rng.Int63n(1 << 50))}
+		l := NewEventLog(clk.now, capacity)
+		l.SetPlatform("minix")
+		period := Time(1 + rng.Int63n(2_000_000_000))
+		for i, n := 0, rng.Intn(4*capacity); i < n; i++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				clk.t += period
+			case r < 6:
+				// the same instant as the event before
+			case r < 7:
+				clk.t -= Time(rng.Int63n(1 << 40))
+			case r < 8:
+				clk.t = Time(rng.Uint64())
+			default:
+				clk.t += Time(rng.Int63n(1 << 20))
+			}
+			e := SecurityEvent{Kind: kinds[rng.Intn(len(kinds))], Mechanism: mechs[rng.Intn(len(mechs))],
+				Denied: rng.Intn(4) != 0, Src: names[rng.Intn(len(names))], Dst: names[rng.Intn(len(names))]}
+			if rng.Intn(8) == 0 {
+				e.Platform = "linux"
+			}
+			switch rng.Intn(4) {
+			case 0:
+				e.Detail = fmt.Sprintf("pid %d", rng.Intn(5000))
+			case 1:
+				e.Detail = strings.Repeat("long detail \t\x00 ", 1+rng.Intn(200))
+			case 2:
+				e.Detail = names[rng.Intn(len(names))]
+			}
+			l.Emit(e)
+		}
+		list, want := l.Denied(), deniedOf(l)
+		if list.Len() != len(want) {
+			t.Fatalf("seed %d: Len = %d, want %d", seed, list.Len(), len(want))
+		}
+		if got := slices.Collect(list.All()); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: All differs from the reference\n got %+v\nwant %+v", seed, got, want)
+		}
+		// MarshalJSON's own bytes, before encoding/json compacts them.
+		got, err := list.MarshalJSON()
+		if err != nil {
+			t.Fatalf("seed %d: marshal list: %v", seed, err)
+		}
+		ref, err := json.Marshal(want)
+		if err != nil {
+			t.Fatalf("seed %d: marshal slice: %v", seed, err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("seed %d: list JSON\n%s\nwant\n%s", seed, got, ref)
 		}
 	}
 }

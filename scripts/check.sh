@@ -28,6 +28,10 @@ go test -run '^$' -fuzz '^FuzzParser$' -fuzztime 10s ./internal/httpmini
 # Operators load fault plans from JSON files: whatever the bytes, the plan
 # parser must not panic, and an accepted plan must round-trip.
 go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 10s ./internal/faultinject
+# The seL4 build's capability distribution is written and read back as
+# CapDL text: the parser must not panic, and an accepted spec must
+# round-trip through Render.
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/capdl
 go run ./cmd/polcheck -scenario tempcontrol
 # Least-privilege lint: every static grant the scenario never exercises must
 # be covered by the checked-in allowlist; unknown or stale entries fail. The
