@@ -17,8 +17,8 @@ import (
 // the injector only needs the clock, bus, and obs sinks.
 type nopKernel struct{}
 
-func (nopKernel) HandleTrap(machine.PID, any) (any, machine.Disposition) {
-	return nil, machine.DispositionContinue
+func (nopKernel) HandleTrap(machine.PID, *machine.Frame) machine.Disposition {
+	return machine.DispositionContinue
 }
 func (nopKernel) OnProcExit(machine.PID, machine.ExitInfo) {}
 

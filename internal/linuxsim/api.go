@@ -8,37 +8,12 @@ import (
 )
 
 // API is the POSIX-ish system-call surface a simulated Linux process
-// programs against.
+// programs against. Each wrapper writes its arguments into the process's
+// trap frame, traps with its number (see the table in syscalls.go), and
+// reads the reply back from the frame.
 type API struct {
 	ctx *machine.Context
-
-	// Scratch requests, one per trap. Boxing a pointer into the trap's any
-	// costs no heap allocation, and the kernel consumes each request
-	// synchronously inside HandleTrap, so one scratch value per request type
-	// is enough. Every trap goes through its scratch value, the rarely used
-	// ones included, so an attacker looping on any of them allocates
-	// nothing per call.
-	sendScratch    mqSendReq
-	recvScratch    mqReceiveReq
-	recvTOScratch  mqReceiveTimeoutReq
-	sleepScratch   sleepReq
-	devRdScratch   devReadReq
-	devWrScratch   devWriteReq
-	openScratch    mqOpenReq
-	unlinkScratch  mqUnlinkReq
-	closeScratch   mqCloseReq
-	killScratch    killReq
-	forkScratch    forkReq
-	respawnScratch respawnReq
-	pidScratch     getPIDReq
-	uidScratch     getUIDReq
-	traceScratch   traceReq
-	exitScratch    exitReq
-	listenScratch  netListenReq
-	acceptScratch  netAcceptReq
-	netRdScratch   netReadReq
-	netWrScratch   netWriteReq
-	netClScratch   netCloseReq
+	f   *machine.Frame
 }
 
 // Now returns the current virtual time (free, no trap).
@@ -55,28 +30,41 @@ type MQOpenFlags struct {
 	MaxMsgs  int
 }
 
+// The mq_open flag bits of the trap frame's R0.
+const (
+	openCreate uint64 = 1 << iota
+	openExcl
+	openRead
+	openWrite
+	openNonBlock
+)
+
 // MQOpen implements mq_open.
 func (a *API) MQOpen(name string, flags MQOpenFlags) (int32, error) {
-	a.openScratch = mqOpenReq{
-		name:     name,
-		create:   flags.Create,
-		excl:     flags.Excl,
-		mode:     flags.Mode,
-		maxMsgs:  flags.MaxMsgs,
-		read:     flags.Read,
-		write:    flags.Write,
-		nonblock: flags.NonBlock,
+	bits := flagBit(flags.Create, openCreate) | flagBit(flags.Excl, openExcl) |
+		flagBit(flags.Read, openRead) | flagBit(flags.Write, openWrite) |
+		flagBit(flags.NonBlock, openNonBlock)
+	a.f.S0, a.f.R[0], a.f.R[1], a.f.R[2] = name, bits, uint64(flags.Mode), uint64(flags.MaxMsgs)
+	if err := a.ctx.Trap(trapMQOpen); err != nil {
+		return 0, err
 	}
-	reply := a.ctx.Trap(&a.openScratch).(*fdReply)
-	return reply.fd, reply.err
+	return int32(a.f.R[0]), nil
+}
+
+// flagBit returns bit when set, else 0.
+func flagBit(set bool, bit uint64) uint64 {
+	if set {
+		return bit
+	}
+	return 0
 }
 
 // MQSend implements mq_send. The kernel copies data before returning, so
 // the caller may reuse the buffer immediately.
 func (a *API) MQSend(fd int32, data []byte, prio uint32) error {
-	a.sendScratch = mqSendReq{fd: fd, data: data, prio: prio}
-	err := a.ctx.Trap(&a.sendScratch).(*errReply).err
-	a.sendScratch.data = nil
+	a.f.R[0], a.f.R[1], a.f.Buf = uint64(fd), uint64(prio), data
+	err := a.ctx.Trap(trapMQSend)
+	a.f.Buf = nil
 	return err
 }
 
@@ -84,126 +72,155 @@ func (a *API) MQSend(fd int32, data []byte, prio uint32) error {
 // until the process's next MQReceive/MQReceiveTimeout (the kernel recycles
 // payload buffers); callers that keep a payload must copy it.
 func (a *API) MQReceive(fd int32) (MQMsg, error) {
-	a.recvScratch = mqReceiveReq{fd: fd}
-	reply := a.ctx.Trap(&a.recvScratch).(*msgReply)
-	return reply.msg, reply.err
+	a.f.R[0] = uint64(fd)
+	return a.msgReply(a.ctx.Trap(trapMQReceive))
 }
 
 // MQReceiveTimeout implements mq_timedreceive: it returns ErrTimeout if no
 // message arrives within d of virtual time. Hardened control loops use it as
 // a liveness watchdog on their input queues.
 func (a *API) MQReceiveTimeout(fd int32, d time.Duration) (MQMsg, error) {
-	a.recvTOScratch = mqReceiveTimeoutReq{fd: fd, d: d}
-	reply := a.ctx.Trap(&a.recvTOScratch).(*msgReply)
-	return reply.msg, reply.err
+	a.f.R[0], a.f.R[1] = uint64(fd), uint64(d)
+	return a.msgReply(a.ctx.Trap(trapMQReceiveTimeout))
+}
+
+// msgReply returns the message a receive left in the frame (payload in Buf,
+// priority in R0), or the zero message when the receive failed.
+func (a *API) msgReply(err error) (MQMsg, error) {
+	data := a.f.Buf
+	a.f.Buf = nil
+	if err != nil {
+		return MQMsg{}, err
+	}
+	return MQMsg{Data: data, Prio: uint32(a.f.R[0])}, nil
 }
 
 // MQUnlink implements mq_unlink.
 func (a *API) MQUnlink(name string) error {
-	a.unlinkScratch = mqUnlinkReq{name: name}
-	return a.ctx.Trap(&a.unlinkScratch).(*errReply).err
+	a.f.S0 = name
+	return a.ctx.Trap(trapMQUnlink)
 }
 
 // MQClose implements mq_close.
 func (a *API) MQClose(fd int32) error {
-	a.closeScratch = mqCloseReq{fd: fd}
-	return a.ctx.Trap(&a.closeScratch).(*errReply).err
+	a.f.R[0] = uint64(fd)
+	return a.ctx.Trap(trapMQClose)
 }
 
 // Kill implements kill(2).
 func (a *API) Kill(unixPID, sig int) error {
-	a.killScratch = killReq{unixPID: unixPID, sig: sig}
-	return a.ctx.Trap(&a.killScratch).(*errReply).err
+	a.f.R[0], a.f.R[1] = uint64(unixPID), uint64(sig)
+	return a.ctx.Trap(trapKill)
 }
 
 // Fork spawns a registered image under the caller's credentials.
 func (a *API) Fork(image string) (int, error) {
-	a.forkScratch = forkReq{image: image}
-	reply := a.ctx.Trap(&a.forkScratch).(*intReply)
-	return reply.value, reply.err
+	a.f.S0 = image
+	return a.intReply(a.ctx.Trap(trapFork))
 }
 
 // Respawn spawns a registered image under its declared credentials — the
 // supervisor primitive. Root only; fails with ErrExist while the image is
 // still running.
 func (a *API) Respawn(image string) (int, error) {
-	a.respawnScratch = respawnReq{image: image}
-	reply := a.ctx.Trap(&a.respawnScratch).(*intReply)
-	return reply.value, reply.err
+	a.f.S0 = image
+	return a.intReply(a.ctx.Trap(trapRespawn))
+}
+
+// intReply returns the integer a trap left in R0, or 0 when the trap
+// failed.
+func (a *API) intReply(err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	return int(a.f.R[0]), nil
 }
 
 // GetPID returns the caller's unix pid.
 func (a *API) GetPID() int {
-	return a.ctx.Trap(&a.pidScratch).(*intReply).value
+	a.ctx.Trap(trapGetPID)
+	return int(a.f.R[0])
 }
 
 // GetUID returns the caller's uid.
 func (a *API) GetUID() int {
-	return a.ctx.Trap(&a.uidScratch).(*intReply).value
+	a.ctx.Trap(trapGetUID)
+	return int(a.f.R[0])
 }
 
 // Sleep blocks for a virtual duration.
 func (a *API) Sleep(d time.Duration) {
-	a.sleepScratch = sleepReq{d: d}
-	a.ctx.Trap(&a.sleepScratch)
+	a.f.R[0] = uint64(d)
+	a.ctx.Trap(trapSleep)
 }
 
 // DevRead reads a device register through its /dev node (DAC applies).
 func (a *API) DevRead(dev machine.DeviceID, reg uint32) (uint32, error) {
-	a.devRdScratch = devReadReq{dev: dev, reg: reg}
-	reply := a.ctx.Trap(&a.devRdScratch).(*u32Reply)
-	return reply.value, reply.err
+	a.f.S0, a.f.R[0] = string(dev), uint64(reg)
+	if err := a.ctx.Trap(trapDevRead); err != nil {
+		return 0, err
+	}
+	return uint32(a.f.R[0]), nil
 }
 
 // DevWrite writes a device register through its /dev node (DAC applies).
 func (a *API) DevWrite(dev machine.DeviceID, reg uint32, value uint32) error {
-	a.devWrScratch = devWriteReq{dev: dev, reg: reg, value: value}
-	return a.ctx.Trap(&a.devWrScratch).(*errReply).err
+	a.f.S0, a.f.R[0], a.f.R[1] = string(dev), uint64(reg), uint64(value)
+	return a.ctx.Trap(trapDevWrite)
 }
 
 // Trace writes to the board trace console.
 func (a *API) Trace(tag, text string) {
-	a.traceScratch = traceReq{tag: tag, text: text}
-	a.ctx.Trap(&a.traceScratch)
+	a.f.S0, a.f.S1 = tag, text
+	a.ctx.Trap(trapTrace)
 }
 
 // Exit terminates the caller. It does not return.
 func (a *API) Exit() {
-	a.ctx.Trap(&a.exitScratch)
+	a.ctx.Trap(trapExit)
 	panic("linuxsim: Exit returned")
 }
 
 // NetListen binds a port.
 func (a *API) NetListen(port vnet.Port) (int32, error) {
-	a.listenScratch = netListenReq{port: port}
-	reply := a.ctx.Trap(&a.listenScratch).(*handleReply)
-	return reply.handle, reply.err
+	a.f.R[0] = uint64(port)
+	return a.handleReply(a.ctx.Trap(trapNetListen))
 }
 
 // NetAccept blocks until a connection arrives.
 func (a *API) NetAccept(listener int32) (int32, error) {
-	a.acceptScratch = netAcceptReq{listener: listener}
-	reply := a.ctx.Trap(&a.acceptScratch).(*handleReply)
-	return reply.handle, reply.err
+	a.f.R[0] = uint64(listener)
+	return a.handleReply(a.ctx.Trap(trapNetAccept))
+}
+
+// handleReply returns the handle a trap left in R0, or 0 when the trap
+// failed.
+func (a *API) handleReply(err error) (int32, error) {
+	if err != nil {
+		return 0, err
+	}
+	return int32(a.f.R[0]), nil
 }
 
 // NetRead blocks until data or EOF is available.
 func (a *API) NetRead(conn int32, max int) ([]byte, error) {
-	a.netRdScratch = netReadReq{conn: conn, max: max}
-	reply := a.ctx.Trap(&a.netRdScratch).(*bytesReply)
-	return reply.data, reply.err
+	a.f.R[0], a.f.R[1] = uint64(conn), uint64(max)
+	err := a.ctx.Trap(trapNetRead)
+	data := a.f.Buf
+	a.f.Buf = nil
+	return data, err
 }
 
 // NetWrite sends bytes on a connection.
 func (a *API) NetWrite(conn int32, data []byte) error {
-	a.netWrScratch = netWriteReq{conn: conn, data: data}
-	err := a.ctx.Trap(&a.netWrScratch).(*errReply).err
-	a.netWrScratch.data = nil
+	a.f.R[0], a.f.Buf = uint64(conn), data
+	err := a.ctx.Trap(trapNetWrite)
+	a.f.Buf = nil
 	return err
 }
 
 // NetClose closes a connection.
 func (a *API) NetClose(conn int32) error {
-	a.netClScratch = netCloseReq{conn: conn}
-	return a.ctx.Trap(&a.netClScratch).(*errReply).err
+	a.f.R[0] = uint64(conn)
+	return a.ctx.Trap(trapNetClose)
 }

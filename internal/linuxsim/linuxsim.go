@@ -147,16 +147,9 @@ type proc struct {
 	listeners map[int32]*vnet.Listener
 	conns     map[int32]*vnet.Conn
 
-	// Reply scratch, one per reply type. The engine serialises all kernel
-	// work and a blocked process receives at most one wake-up value, so
-	// boxing pointers to these per-process values costs no allocation.
-	errR    errReply
-	msgR    msgReply
-	u32R    u32Reply
-	fdR     fdReply
-	intR    intReply
-	handleR handleReply
-	bytesR  bytesReply
+	// frame is the process's trap frame: a blocked trap's reply is written
+	// into it before the process is woken.
+	frame *machine.Frame
 
 	// onSleep and onRecvTimeout are the process's timer callbacks, built
 	// once at spawn and re-armed for every sleep and mq_timedreceive with
@@ -172,51 +165,6 @@ type proc struct {
 	// to this process; it is recycled into the kernel's pool on the next
 	// delivery (a received MQMsg's Data is valid until then).
 	lastMQBuf []byte
-}
-
-// errOut fills the process's error reply scratch and returns it boxed.
-func (p *proc) errOut(err error) any {
-	p.errR = errReply{err: err}
-	return &p.errR
-}
-
-// msgErr fills the process's message reply scratch with an error and
-// returns it boxed (no delivery, so no buffer recycling).
-func (p *proc) msgErr(err error) any {
-	p.msgR = msgReply{err: err}
-	return &p.msgR
-}
-
-// u32Out fills the process's u32 reply scratch and returns it boxed.
-func (p *proc) u32Out(v uint32, err error) any {
-	p.u32R = u32Reply{value: v, err: err}
-	return &p.u32R
-}
-
-// fdOut fills the process's descriptor reply scratch and returns it boxed.
-func (p *proc) fdOut(fd int32, err error) any {
-	p.fdR = fdReply{fd: fd, err: err}
-	return &p.fdR
-}
-
-// intOut fills the process's int reply scratch and returns it boxed.
-func (p *proc) intOut(v int, err error) any {
-	p.intR = intReply{value: v, err: err}
-	return &p.intR
-}
-
-// handleOut fills the process's network-handle reply scratch and returns it
-// boxed.
-func (p *proc) handleOut(h int32, err error) any {
-	p.handleR = handleReply{handle: h, err: err}
-	return &p.handleR
-}
-
-// bytesOut fills the process's byte-slice reply scratch and returns it
-// boxed.
-func (p *proc) bytesOut(data []byte, err error) any {
-	p.bytesR = bytesReply{data: data, err: err}
-	return &p.bytesR
 }
 
 type procPhase int
@@ -465,12 +413,13 @@ func (k *Kernel) spawn(img Image) (int, error) {
 	k.nextPID++
 	body := img.Body
 	mp, err := k.m.Engine().Spawn(img.Name, img.Priority, func(ctx *machine.Context) {
-		body(&API{ctx: ctx})
+		body(&API{ctx: ctx, f: ctx.Frame()})
 	})
 	if err != nil {
 		return 0, fmt.Errorf("linuxsim: spawning %q: %w", img.Name, err)
 	}
 	p.pid = mp.PID()
+	p.frame = mp.Frame()
 	k.procs[p.pid] = p
 	k.byUnix[p.unixPID] = p
 	k.spawnCounts[img.Name]++

@@ -10,233 +10,199 @@ import (
 	"mkbas/internal/vnet"
 )
 
-// Trap request types.
-type (
-	mqOpenReq struct {
-		name     string
-		create   bool
-		excl     bool
-		mode     Mode
-		maxMsgs  int
-		read     bool
-		write    bool
-		nonblock bool
-	}
-	mqSendReq struct {
-		fd   int32
-		data []byte
-		prio uint32
-	}
-	mqReceiveReq struct {
-		fd int32
-	}
-	mqReceiveTimeoutReq struct {
-		fd int32
-		d  time.Duration
-	}
-	mqUnlinkReq struct {
-		name string
-	}
-	mqCloseReq struct {
-		fd int32
-	}
-	killReq struct {
-		unixPID int
-		sig     int
-	}
-	forkReq struct {
-		image string
-	}
-	respawnReq struct {
-		image string
-	}
-	getPIDReq  struct{}
-	getUIDReq  struct{}
-	sleepReq   struct{ d time.Duration }
-	devReadReq struct {
-		dev machine.DeviceID
-		reg uint32
-	}
-	devWriteReq struct {
-		dev   machine.DeviceID
-		reg   uint32
-		value uint32
-	}
-	traceReq struct{ tag, text string }
-	exitReq  struct{}
+// Trap numbers. Each trap reads its arguments from, and writes its reply
+// into, the caller's frame as listed; every trap can fail with an error in
+// the frame's error slot.
+const (
+	trapMQOpen           uint32 = iota + 1 // S0 name, R0 open* flags, R1 mode, R2 max messages → R0 fd
+	trapMQSend                             // R0 fd, R1 priority, Buf payload
+	trapMQReceive                          // R0 fd → Buf payload, R0 priority
+	trapMQReceiveTimeout                   // R0 fd, R1 timeout → as trapMQReceive
+	trapMQUnlink                           // S0 name
+	trapMQClose                            // R0 fd
+	trapKill                               // R0 unix pid, R1 signal
+	trapFork                               // S0 image → R0 unix pid
+	trapRespawn                            // S0 image → R0 unix pid
+	trapGetPID                             // → R0 unix pid
+	trapGetUID                             // → R0 uid
+	trapSleep                              // R0 duration
+	trapDevRead                            // S0 device, R0 register → R0 value
+	trapDevWrite                           // S0 device, R0 register, R1 value
+	trapTrace                              // S0 tag, S1 text
+	trapExit                               // does not return
+	trapNetListen                          // R0 port → R0 listener
+	trapNetAccept                          // R0 listener → R0 connection
+	trapNetRead                            // R0 connection, R1 max → Buf data
+	trapNetWrite                           // R0 connection, Buf data
+	trapNetClose                           // R0 connection
 
-	netListenReq struct{ port vnet.Port }
-	netAcceptReq struct{ listener int32 }
-	netReadReq   struct {
-		conn int32
-		max  int
-	}
-	netWriteReq struct {
-		conn int32
-		data []byte
-	}
-	netCloseReq struct{ conn int32 }
+	trapLimit // one past the highest trap number
 )
 
-// Trap reply types.
-type (
-	errReply struct{ err error }
-	fdReply  struct {
-		fd  int32
-		err error
-	}
-	msgReply struct {
-		msg MQMsg
-		err error
-	}
-	intReply struct {
-		value int
-		err   error
-	}
-	u32Reply struct {
-		value uint32
-		err   error
-	}
-	handleReply struct {
-		handle int32
-		err    error
-	}
-	bytesReply struct {
-		data []byte
-		err  error
-	}
-)
-
-// HandleTrap implements machine.TrapHandler.
-func (k *Kernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition) {
+// HandleTrap implements machine.TrapHandler: it dispatches on the trap
+// number, reading the arguments from and writing the reply into f, the
+// caller's frame.
+func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Disposition {
 	self := k.procOf(pid)
-	switch r := req.(type) {
-	case *mqOpenReq:
-		return k.doMQOpen(self, r)
-	case *mqSendReq:
-		return k.doMQSend(self, r)
-	case *mqReceiveReq:
-		return k.doMQReceive(self, r.fd)
-	case *mqReceiveTimeoutReq:
-		return k.doMQReceiveTimeout(self, r)
-	case *mqUnlinkReq:
-		return k.doMQUnlink(self, r)
-	case *mqCloseReq:
-		if _, ok := self.fds[r.fd]; !ok {
-			return self.errOut(ErrBadFD), machine.DispositionContinue
+	switch f.Nr {
+	case trapMQOpen:
+		f.Err = k.doMQOpen(self, f)
+	case trapMQSend:
+		return k.doMQSend(self, f)
+	case trapMQReceive:
+		return k.doMQReceive(self, int32(f.R[0]))
+	case trapMQReceiveTimeout:
+		fd, d := int32(f.R[0]), time.Duration(f.R[1])
+		if k.doMQReceive(self, fd) == machine.DispositionContinue {
+			return machine.DispositionContinue
 		}
-		delete(self.fds, r.fd)
-		return self.errOut(nil), machine.DispositionContinue
-	case *killReq:
-		return k.doKill(self, r)
-	case *forkReq:
-		img, ok := k.images[r.image]
+		// Blocked: doMQReceive queued the reader; arm the expiry alongside.
+		self.waitQ = self.fds[fd].q
+		self.waitToken++
+		k.m.Clock().AfterToken(d, self.onRecvTimeout, self.waitToken)
+		return machine.DispositionBlock
+	case trapMQUnlink:
+		f.Err = k.doMQUnlink(self, f.S0)
+	case trapMQClose:
+		fd := int32(f.R[0])
+		if _, ok := self.fds[fd]; !ok {
+			f.Err = ErrBadFD
+			break
+		}
+		delete(self.fds, fd)
+	case trapKill:
+		f.Err = k.doKill(self, int(f.R[0]), int(f.R[1]))
+	case trapFork:
+		img, ok := k.images[f.S0]
 		if !ok {
-			return self.intOut(0, fmt.Errorf("%w: %q", ErrUnknownImage, r.image)), machine.DispositionContinue
+			f.Err = fmt.Errorf("%w: %q", ErrUnknownImage, f.S0)
+			break
 		}
 		// fork/exec inherits the caller's credentials, not the image's
 		// declared ones.
 		img.UID = self.uid
 		img.GID = self.gid
 		unixPID, err := k.spawn(img)
-		return self.intOut(unixPID, err), machine.DispositionContinue
-	case *respawnReq:
-		return k.doRespawn(self, r)
-	case *getPIDReq:
-		return self.intOut(self.unixPID, nil), machine.DispositionContinue
-	case *getUIDReq:
-		return self.intOut(self.uid, nil), machine.DispositionContinue
-	case *sleepReq:
-		return k.doSleep(self, r)
-	case *devReadReq:
-		df, ok := k.devs[r.dev]
+		f.R[0], f.Err = uint64(unixPID), err
+	case trapRespawn:
+		f.Err = k.doRespawn(self, f)
+	case trapGetPID:
+		f.R[0] = uint64(self.unixPID)
+	case trapGetUID:
+		f.R[0] = uint64(self.uid)
+	case trapSleep:
+		self.phase = phaseSleeping
+		self.waitToken++
+		k.m.Clock().AfterToken(time.Duration(f.R[0]), self.onSleep, self.waitToken)
+		return machine.DispositionBlock
+	case trapDevRead:
+		dev, reg := machine.DeviceID(f.S0), uint32(f.R[0])
+		df, ok := k.devs[dev]
 		if !ok {
-			return self.u32Out(0, fmt.Errorf("%w: device %q", ErrNoEnt, r.dev)), machine.DispositionContinue
+			f.Err = fmt.Errorf("%w: device %q", ErrNoEnt, dev)
+			break
 		}
 		if !allowed(self.uid, self.gid, df.ownerUID, df.ownerGID, df.mode, true, false) {
-			k.dacDeny(obs.EventSyscallDenied, self.name, string(r.dev), fmt.Sprintf("read /dev/%s reg %d", r.dev, r.reg))
-			return self.u32Out(0, fmt.Errorf("%w: read %q", ErrPerm, r.dev)), machine.DispositionContinue
+			k.dacDeny(obs.EventSyscallDenied, self.name, string(dev), fmt.Sprintf("read /dev/%s reg %d", dev, reg))
+			f.Err = fmt.Errorf("%w: read %q", ErrPerm, dev)
+			break
 		}
-		v, err := k.m.Bus().Read(r.dev, r.reg)
-		return self.u32Out(v, err), machine.DispositionContinue
-	case *devWriteReq:
-		df, ok := k.devs[r.dev]
+		v, err := k.m.Bus().Read(dev, reg)
+		f.R[0], f.Err = uint64(v), err
+	case trapDevWrite:
+		dev, reg := machine.DeviceID(f.S0), uint32(f.R[0])
+		df, ok := k.devs[dev]
 		if !ok {
-			return self.errOut(fmt.Errorf("%w: device %q", ErrNoEnt, r.dev)), machine.DispositionContinue
+			f.Err = fmt.Errorf("%w: device %q", ErrNoEnt, dev)
+			break
 		}
 		if !allowed(self.uid, self.gid, df.ownerUID, df.ownerGID, df.mode, false, true) {
-			k.dacDeny(obs.EventSyscallDenied, self.name, string(r.dev), fmt.Sprintf("write /dev/%s reg %d", r.dev, r.reg))
-			return self.errOut(fmt.Errorf("%w: write %q", ErrPerm, r.dev)), machine.DispositionContinue
+			k.dacDeny(obs.EventSyscallDenied, self.name, string(dev), fmt.Sprintf("write /dev/%s reg %d", dev, reg))
+			f.Err = fmt.Errorf("%w: write %q", ErrPerm, dev)
+			break
 		}
-		return self.errOut(k.m.Bus().Write(r.dev, r.reg, r.value)), machine.DispositionContinue
-	case *traceReq:
-		k.m.Trace().Log(r.tag, r.text)
-		return self.errOut(nil), machine.DispositionContinue
-	case *exitReq:
-		if err := k.m.Engine().Kill(pid); err != nil {
-			return self.errOut(err), machine.DispositionContinue
+		f.Err = k.m.Bus().Write(dev, reg, uint32(f.R[1]))
+	case trapTrace:
+		k.m.Trace().Log(f.S0, f.S1)
+	case trapExit:
+		// Kill unwinds the caller: the error slot is read only if it fails.
+		f.Err = k.m.Engine().Kill(pid)
+	case trapNetListen:
+		f.Err = k.doNetListen(self, f)
+	case trapNetAccept:
+		return k.doNetAccept(self, f)
+	case trapNetRead:
+		return k.doNetRead(self, f)
+	case trapNetWrite:
+		conn, ok := self.conns[int32(f.R[0])]
+		if !ok {
+			f.Err = ErrBadFD
+			break
 		}
-		return self.errOut(nil), machine.DispositionContinue
-	case *netListenReq:
-		return k.doNetListen(self, r)
-	case *netAcceptReq:
-		return k.doNetAccept(self, r)
-	case *netReadReq:
-		return k.doNetRead(self, r)
-	case *netWriteReq:
-		return k.doNetWrite(self, r)
-	case *netCloseReq:
-		return k.doNetClose(self, r)
+		f.Err = k.cfg.Net.BoardWrite(conn, f.Buf)
+	case trapNetClose:
+		h := int32(f.R[0])
+		conn, ok := self.conns[h]
+		if !ok {
+			f.Err = ErrBadFD
+			break
+		}
+		delete(self.conns, h)
+		k.cfg.Net.BoardClose(conn)
 	default:
-		return self.errOut(fmt.Errorf("linuxsim: unknown trap %T", req)), machine.DispositionContinue
+		f.Err = fmt.Errorf("linuxsim: unknown trap %d", f.Nr)
 	}
+	return machine.DispositionContinue
 }
 
 // doMQOpen implements mq_open with O_CREAT/O_EXCL and access-mode flags.
-func (k *Kernel) doMQOpen(self *proc, r *mqOpenReq) (any, machine.Disposition) {
-	q, exists := k.mqs[r.name]
+func (k *Kernel) doMQOpen(self *proc, f *machine.Frame) error {
+	name, flags, mode, maxMsgs := f.S0, f.R[0], Mode(f.R[1]), int(f.R[2])
+	create, excl := flags&openCreate != 0, flags&openExcl != 0
+	read, write := flags&openRead != 0, flags&openWrite != 0
+	q, exists := k.mqs[name]
 	switch {
-	case exists && r.create && r.excl:
-		return self.fdOut(0, fmt.Errorf("%w: queue %q", ErrExist, r.name)), machine.DispositionContinue
-	case !exists && !r.create:
-		return self.fdOut(0, fmt.Errorf("%w: queue %q", ErrNoEnt, r.name)), machine.DispositionContinue
+	case exists && create && excl:
+		return fmt.Errorf("%w: queue %q", ErrExist, name)
+	case !exists && !create:
+		return fmt.Errorf("%w: queue %q", ErrNoEnt, name)
 	case !exists:
-		maxMsgs := r.maxMsgs
 		if maxMsgs <= 0 {
 			maxMsgs = k.cfg.DefaultMaxMsgs
 		}
 		q = &mqueue{
-			name:     r.name,
+			name:     name,
 			ownerUID: self.uid,
 			ownerGID: self.gid,
-			mode:     r.mode,
+			mode:     mode,
 			maxMsgs:  maxMsgs,
-			depth:    k.reg.Gauge(fmt.Sprintf("linux_mq_depth{queue=%q}", r.name)),
+			depth:    k.reg.Gauge(fmt.Sprintf("linux_mq_depth{queue=%q}", name)),
 		}
-		k.mqs[r.name] = q
+		k.mqs[name] = q
 	}
-	if !allowed(self.uid, self.gid, q.ownerUID, q.ownerGID, q.mode, r.read, r.write) {
-		d := k.denialFor(denialKey{op: "mq_open", src: self.name, queue: r.name, uid: self.uid, mode: q.mode}, func() denial {
+	if !allowed(self.uid, self.gid, q.ownerUID, q.ownerGID, q.mode, read, write) {
+		d := k.denialFor(denialKey{op: "mq_open", src: self.name, queue: name, uid: self.uid, mode: q.mode}, func() denial {
 			return denial{
 				detail: fmt.Sprintf("mq_open uid=%d mode=%04o", self.uid, q.mode),
-				trace:  fmt.Sprintf("DENY mq_open %s by %s (uid %d)", r.name, self.name, self.uid),
-				err:    fmt.Errorf("%w: queue %q", ErrPerm, r.name),
+				trace:  fmt.Sprintf("DENY mq_open %s by %s (uid %d)", name, self.name, self.uid),
+				err:    fmt.Errorf("%w: queue %q", ErrPerm, name),
 			}
 		})
-		k.dacDeny(obs.EventIPCDenied, self.name, r.name, d.detail)
-		k.tracer.Emit(k.edges.Intern(self.name, r.name, "mq_open"), obs.OutcomeDACDenied)
+		k.dacDeny(obs.EventIPCDenied, self.name, name, d.detail)
+		k.tracer.Emit(k.edges.Intern(self.name, name, "mq_open"), obs.OutcomeDACDenied)
 		k.m.Trace().Log("linux-dac", d.trace)
-		return self.fdOut(0, d.err), machine.DispositionContinue
+		return d.err
 	}
 	self.nextFD++
 	handle := self.nextFD
-	self.fds[handle] = &fd{q: q, canRead: r.read, canWrite: r.write, nonblock: r.nonblock, edges: mqEdges{
+	self.fds[handle] = &fd{q: q, canRead: read, canWrite: write, nonblock: flags&openNonBlock != 0, edges: mqEdges{
 		send:      k.edges.Intern(self.name, q.name, "send"),
 		recv:      k.edges.Intern(q.name, self.name, "recv"),
 		mqSend:    k.edges.Intern(self.name, q.name, "mq_send"),
 		mqReceive: k.edges.Intern(self.name, q.name, "mq_receive"),
 	}}
-	return self.fdOut(handle, nil), machine.DispositionContinue
+	f.R[0] = uint64(handle)
+	return nil
 }
 
 // getBuf pops a recycled payload buffer (zero length, retained capacity),
@@ -258,35 +224,35 @@ func (k *Kernel) putBuf(b []byte) {
 	}
 }
 
-// deliverMsg boxes a delivered message for p and recycles the payload of
-// p's previous delivery. A received MQMsg's Data is therefore valid until
-// the process's next mq_receive on any descriptor — the contract that lets
-// the kernel pool payload copies instead of allocating one per send.
-func (k *Kernel) deliverMsg(p *proc, msg MQMsg) any {
+// deliverMsg writes a delivered message into p's frame (payload in Buf,
+// priority in R0) and recycles the payload of p's previous delivery. A
+// received MQMsg's Data is therefore valid until the process's next
+// mq_receive on any descriptor — the contract that lets the kernel pool
+// payload copies instead of allocating one per send.
+func (k *Kernel) deliverMsg(p *proc, msg MQMsg) {
 	if p.lastMQBuf != nil {
 		k.putBuf(p.lastMQBuf)
-		p.lastMQBuf = nil
 	}
 	p.lastMQBuf = msg.Data
-	p.msgR = msgReply{msg: msg}
-	return &p.msgR
+	p.frame.Buf, p.frame.R[0] = msg.Data, uint64(msg.Prio)
 }
 
 // doMQSend implements mq_send: insert by priority, block when full.
-func (k *Kernel) doMQSend(self *proc, r *mqSendReq) (any, machine.Disposition) {
+func (k *Kernel) doMQSend(self *proc, f *machine.Frame) machine.Disposition {
 	k.mSendsC.Inc()
-	f, ok := self.fds[r.fd]
-	if !ok || !f.canWrite {
-		return self.errOut(ErrBadFD), machine.DispositionContinue
+	fdesc, ok := self.fds[int32(f.R[0])]
+	if !ok || !fdesc.canWrite {
+		f.Err = ErrBadFD
+		return machine.DispositionContinue
 	}
-	msg := MQMsg{Data: append(k.getBuf(), r.data...), Prio: r.prio}
-	q, e := f.q, f.edges
+	msg := MQMsg{Data: append(k.getBuf(), f.Buf...), Prio: uint32(f.R[1])}
+	q, e := fdesc.q, fdesc.edges
 	drop, delay := k.faultFor(self.name, q.name)
 	if drop {
 		// mq_send reports only queue-level failures; a message lost in
 		// transit looks like success to the sender.
 		k.putBuf(msg.Data)
-		return self.errOut(nil), machine.DispositionContinue
+		return machine.DispositionContinue
 	}
 	if delay > 0 {
 		// Delayed delivery is asynchronous: the sender continues, the
@@ -298,7 +264,7 @@ func (k *Kernel) doMQSend(self *proc, r *mqSendReq) (any, machine.Disposition) {
 			}
 			k.deliverToQueue(e.send, q, msg)
 		})
-		return self.errOut(nil), machine.DispositionContinue
+		return machine.DispositionContinue
 	}
 	// A blocked reader consumes the message directly.
 	if reader := k.popReader(q); reader != nil {
@@ -310,34 +276,37 @@ func (k *Kernel) doMQSend(self *proc, r *mqSendReq) (any, machine.Disposition) {
 		k.endSpan(reader, obs.OutcomeDelivered)
 		reader.phase = phaseIdle
 		reader.waitToken++
-		k.mustReady(reader.pid, k.deliverMsg(reader, msg))
-		return self.errOut(nil), machine.DispositionContinue
+		k.deliverMsg(reader, msg)
+		k.wake(reader, nil)
+		return machine.DispositionContinue
 	}
 	if len(q.msgs) >= q.maxMsgs {
-		if f.nonblock {
+		if fdesc.nonblock {
 			k.putBuf(msg.Data)
-			return self.errOut(ErrAgain), machine.DispositionContinue
+			f.Err = ErrAgain
+			return machine.DispositionContinue
 		}
 		self.phase = phaseMQSend
 		self.span = k.tracer.Begin(e.mqSend)
 		q.writers = append(q.writers, blockedWriter{pid: self.pid, msg: msg, send: e.send})
-		return nil, machine.DispositionBlock
+		return machine.DispositionBlock
 	}
 	k.stats.MQSends++
 	k.m.IPC().Record(e.send)
 	k.tracer.Emit(e.mqSend, obs.OutcomeDelivered)
 	insertByPrio(q, msg)
 	q.depth.Set(int64(len(q.msgs)))
-	return self.errOut(nil), machine.DispositionContinue
+	return machine.DispositionContinue
 }
 
 // doMQReceive implements mq_receive: highest priority first, block when
 // empty.
-func (k *Kernel) doMQReceive(self *proc, rfd int32) (any, machine.Disposition) {
+func (k *Kernel) doMQReceive(self *proc, rfd int32) machine.Disposition {
 	k.mRecvsC.Inc()
 	f, ok := self.fds[rfd]
 	if !ok || !f.canRead {
-		return self.msgErr(ErrBadFD), machine.DispositionContinue
+		self.frame.Err = ErrBadFD
+		return machine.DispositionContinue
 	}
 	q := f.q
 	if len(q.msgs) > 0 {
@@ -359,33 +328,21 @@ func (k *Kernel) doMQReceive(self *proc, rfd int32) (any, machine.Disposition) {
 			k.endSpan(wp, obs.OutcomeDelivered)
 			wp.phase = phaseIdle
 			wp.waitToken++
-			k.mustReady(w.pid, wp.errOut(nil))
+			k.wake(wp, nil)
 		}
 		q.depth.Set(int64(len(q.msgs)))
-		return k.deliverMsg(self, msg), machine.DispositionContinue
+		k.deliverMsg(self, msg)
+		return machine.DispositionContinue
 	}
 	if f.nonblock {
-		return self.msgErr(ErrAgain), machine.DispositionContinue
+		self.frame.Err = ErrAgain
+		return machine.DispositionContinue
 	}
 	self.phase = phaseMQRecv
 	self.span = k.tracer.Begin(f.edges.mqReceive)
 	self.recvEdge = f.edges.recv
 	q.readers = append(q.readers, self.pid)
-	return nil, machine.DispositionBlock
-}
-
-// doMQReceiveTimeout is mq_timedreceive: MQReceive that gives up with
-// ErrTimeout after d of virtual time with no message.
-func (k *Kernel) doMQReceiveTimeout(self *proc, r *mqReceiveTimeoutReq) (any, machine.Disposition) {
-	reply, disp := k.doMQReceive(self, r.fd)
-	if disp == machine.DispositionContinue {
-		return reply, disp
-	}
-	// Blocked: doMQReceive queued the reader; arm the expiry alongside.
-	self.waitQ = self.fds[r.fd].q
-	self.waitToken++
-	k.m.Clock().AfterToken(r.d, self.onRecvTimeout, self.waitToken)
-	return nil, machine.DispositionBlock
+	return machine.DispositionBlock
 }
 
 // deliverToQueue lands one message on a queue outside the sender's trap
@@ -400,7 +357,8 @@ func (k *Kernel) deliverToQueue(send obs.EdgeID, q *mqueue, msg MQMsg) {
 		k.endSpan(reader, obs.OutcomeDelivered)
 		reader.phase = phaseIdle
 		reader.waitToken++
-		k.mustReady(reader.pid, k.deliverMsg(reader, msg))
+		k.deliverMsg(reader, msg)
+		k.wake(reader, nil)
 		return
 	}
 	if len(q.msgs) >= q.maxMsgs {
@@ -416,86 +374,88 @@ func (k *Kernel) deliverToQueue(send obs.EdgeID, q *mqueue, msg MQMsg) {
 // under its *declared* credentials (unlike fork, which inherits the
 // caller's). Root only — supervision is a privileged duty, the way
 // supervisord runs as root; unprivileged callers are denied and audited.
-func (k *Kernel) doRespawn(self *proc, r *respawnReq) (any, machine.Disposition) {
+func (k *Kernel) doRespawn(self *proc, f *machine.Frame) error {
+	image := f.S0
 	if self.uid != 0 {
-		k.dacDeny(obs.EventSyscallDenied, self.name, r.image, fmt.Sprintf("respawn uid=%d", self.uid))
-		return self.intOut(0, fmt.Errorf("%w: respawn %q", ErrPerm, r.image)), machine.DispositionContinue
+		k.dacDeny(obs.EventSyscallDenied, self.name, image, fmt.Sprintf("respawn uid=%d", self.uid))
+		return fmt.Errorf("%w: respawn %q", ErrPerm, image)
 	}
-	img, ok := k.images[r.image]
+	img, ok := k.images[image]
 	if !ok {
-		return self.intOut(0, fmt.Errorf("%w: %q", ErrUnknownImage, r.image)), machine.DispositionContinue
+		return fmt.Errorf("%w: %q", ErrUnknownImage, image)
 	}
 	for _, p := range k.byUnix {
-		if p.name == r.image {
-			return self.intOut(0, fmt.Errorf("%w: %q is running", ErrExist, r.image)), machine.DispositionContinue
+		if p.name == image {
+			return fmt.Errorf("%w: %q is running", ErrExist, image)
 		}
 	}
 	unixPID, err := k.spawn(img)
 	if err != nil {
-		return self.intOut(0, err), machine.DispositionContinue
+		return err
 	}
 	k.events.Emit(obs.SecurityEvent{
 		Kind:      obs.EventRestart,
 		Mechanism: obs.MechRecovery,
 		Src:       self.name,
-		Dst:       r.image,
-		Detail:    fmt.Sprintf("respawn #%d", k.spawnCounts[r.image]-1),
+		Dst:       image,
+		Detail:    fmt.Sprintf("respawn #%d", k.spawnCounts[image]-1),
 	})
-	return self.intOut(unixPID, nil), machine.DispositionContinue
+	f.R[0] = uint64(unixPID)
+	return nil
 }
 
 // doMQUnlink implements mq_unlink: owner or root only.
-func (k *Kernel) doMQUnlink(self *proc, r *mqUnlinkReq) (any, machine.Disposition) {
-	q, ok := k.mqs[r.name]
+func (k *Kernel) doMQUnlink(self *proc, name string) error {
+	q, ok := k.mqs[name]
 	if !ok {
-		return self.errOut(fmt.Errorf("%w: queue %q", ErrNoEnt, r.name)), machine.DispositionContinue
+		return fmt.Errorf("%w: queue %q", ErrNoEnt, name)
 	}
 	if self.uid != 0 && self.uid != q.ownerUID {
-		k.dacDeny(obs.EventSyscallDenied, self.name, r.name, fmt.Sprintf("mq_unlink uid=%d owner=%d", self.uid, q.ownerUID))
-		return self.errOut(fmt.Errorf("%w: unlink %q", ErrPerm, r.name)), machine.DispositionContinue
+		k.dacDeny(obs.EventSyscallDenied, self.name, name, fmt.Sprintf("mq_unlink uid=%d owner=%d", self.uid, q.ownerUID))
+		return fmt.Errorf("%w: unlink %q", ErrPerm, name)
 	}
-	delete(k.mqs, r.name)
+	delete(k.mqs, name)
 	q.depth.Set(0)
 	// Blocked parties get ENOENT, like a destroyed queue.
 	for _, pid := range q.readers {
 		if p := k.procs[pid]; p != nil && p.phase == phaseMQRecv {
 			p.phase = phaseIdle
 			k.endSpan(p, obs.OutcomeAborted)
-			k.mustReady(pid, p.msgErr(fmt.Errorf("%w: queue %q unlinked", ErrNoEnt, r.name)))
+			k.wake(p, fmt.Errorf("%w: queue %q unlinked", ErrNoEnt, name))
 		}
 	}
 	for _, w := range q.writers {
 		if p := k.procs[w.pid]; p != nil && p.phase == phaseMQSend {
 			p.phase = phaseIdle
 			k.endSpan(p, obs.OutcomeAborted)
-			k.mustReady(w.pid, p.errOut(fmt.Errorf("%w: queue %q unlinked", ErrNoEnt, r.name)))
+			k.wake(p, fmt.Errorf("%w: queue %q unlinked", ErrNoEnt, name))
 		}
 	}
 	q.readers, q.writers = nil, nil
-	return self.errOut(nil), machine.DispositionContinue
+	return nil
 }
 
 // doKill implements kill(2): same-uid or root.
-func (k *Kernel) doKill(self *proc, r *killReq) (any, machine.Disposition) {
-	victim, ok := k.byUnix[r.unixPID]
+func (k *Kernel) doKill(self *proc, unixPID, sig int) error {
+	victim, ok := k.byUnix[unixPID]
 	if !ok {
-		return self.errOut(fmt.Errorf("%w: pid %d", ErrNoEnt, r.unixPID)), machine.DispositionContinue
+		return fmt.Errorf("%w: pid %d", ErrNoEnt, unixPID)
 	}
 	if self.uid != 0 && self.uid != victim.uid {
-		d := k.denialFor(denialKey{op: "kill", src: self.name, uid: self.uid, pid: r.unixPID, sig: r.sig}, func() denial {
+		d := k.denialFor(denialKey{op: "kill", src: self.name, uid: self.uid, pid: unixPID, sig: sig}, func() denial {
 			return denial{
-				detail: fmt.Sprintf("kill pid %d sig %d uid=%d", r.unixPID, r.sig, self.uid),
-				trace:  fmt.Sprintf("DENY kill %d by %s (uid %d)", r.unixPID, self.name, self.uid),
-				err:    fmt.Errorf("%w: kill %d", ErrPerm, r.unixPID),
+				detail: fmt.Sprintf("kill pid %d sig %d uid=%d", unixPID, sig, self.uid),
+				trace:  fmt.Sprintf("DENY kill %d by %s (uid %d)", unixPID, self.name, self.uid),
+				err:    fmt.Errorf("%w: kill %d", ErrPerm, unixPID),
 			}
 		})
 		k.dacDeny(obs.EventKillDenied, self.name, victim.name, d.detail)
 		k.m.Trace().Log("linux-dac", d.trace)
-		return self.errOut(d.err), machine.DispositionContinue
+		return d.err
 	}
-	if r.sig != SIGKILL && r.sig != SIGTERM {
+	if sig != SIGKILL && sig != SIGTERM {
 		// Non-terminating signals are absorbed.
-		return self.errOut(nil), machine.DispositionContinue
+		return nil
 	}
 	k.stats.Kills++
 	k.mKills.Inc()
@@ -504,20 +464,10 @@ func (k *Kernel) doKill(self *proc, r *killReq) (any, machine.Disposition) {
 		Mechanism: obs.MechDAC,
 		Src:       self.name,
 		Dst:       victim.name,
-		Detail:    fmt.Sprintf("uid-authorized kill sig=%d", r.sig),
+		Detail:    fmt.Sprintf("uid-authorized kill sig=%d", sig),
 	})
-	k.m.Trace().Logf("linux", "kill %s (pid %d) by %s sig=%d", victim.name, victim.unixPID, self.name, r.sig)
-	if err := k.m.Engine().Kill(victim.pid); err != nil {
-		return self.errOut(err), machine.DispositionContinue
-	}
-	return self.errOut(nil), machine.DispositionContinue
-}
-
-func (k *Kernel) doSleep(self *proc, r *sleepReq) (any, machine.Disposition) {
-	self.phase = phaseSleeping
-	self.waitToken++
-	k.m.Clock().AfterToken(r.d, self.onSleep, self.waitToken)
-	return nil, machine.DispositionBlock
+	k.m.Trace().Logf("linux", "kill %s (pid %d) by %s sig=%d", victim.name, victim.unixPID, self.name, sig)
+	return k.m.Engine().Kill(victim.pid)
 }
 
 // buildWakers builds p's reusable sleep and mq_timedreceive timer
@@ -531,7 +481,7 @@ func (k *Kernel) buildWakers(p *proc) {
 			return
 		}
 		p.phase = phaseIdle
-		k.mustReady(p.pid, p.errOut(nil))
+		k.wake(p, nil)
 	}
 	p.onRecvTimeout = func(token uint64) {
 		if k.procs[p.pid] != p || p.waitToken != token || p.phase != phaseMQRecv {
@@ -547,7 +497,7 @@ func (k *Kernel) buildWakers(p *proc) {
 			}
 		}
 		k.endSpan(p, obs.OutcomeAborted)
-		k.mustReady(p.pid, p.msgErr(ErrTimeout))
+		k.wake(p, ErrTimeout)
 	}
 }
 
@@ -628,40 +578,44 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 	}
 }
 
-func (k *Kernel) mustReady(pid machine.PID, reply any) {
-	if err := k.m.Engine().Ready(pid, reply); err != nil {
-		panic(fmt.Sprintf("linuxsim: Ready(%d): %v", pid, err))
+// wake writes err into the error slot of p, a process blocked in a trap
+// whose reply the caller has written into its frame, and readies it.
+func (k *Kernel) wake(p *proc, err error) {
+	p.frame.Err = err
+	if err := k.m.Engine().Ready(p.pid); err != nil {
+		panic(fmt.Sprintf("linuxsim: Ready(%d): %v", p.pid, err))
 	}
 }
 
 // --- Network ----------------------------------------------------------------
 
-func (k *Kernel) doNetListen(self *proc, r *netListenReq) (any, machine.Disposition) {
+func (k *Kernel) doNetListen(self *proc, f *machine.Frame) error {
 	if k.cfg.Net == nil {
-		return self.handleOut(0, fmt.Errorf("%w: no network", ErrNoEnt)), machine.DispositionContinue
+		return fmt.Errorf("%w: no network", ErrNoEnt)
 	}
-	l, err := k.cfg.Net.Listen(r.port)
+	l, err := k.cfg.Net.Listen(vnet.Port(f.R[0]))
 	if err != nil {
-		return self.handleOut(0, err), machine.DispositionContinue
+		return err
 	}
 	self.nextFD++
-	h := self.nextFD
-	self.listeners[h] = l
-	return self.handleOut(h, nil), machine.DispositionContinue
+	self.listeners[self.nextFD] = l
+	f.R[0] = uint64(self.nextFD)
+	return nil
 }
 
-func (k *Kernel) doNetAccept(self *proc, r *netAcceptReq) (any, machine.Disposition) {
-	l, ok := self.listeners[r.listener]
+func (k *Kernel) doNetAccept(self *proc, f *machine.Frame) machine.Disposition {
+	l, ok := self.listeners[int32(f.R[0])]
 	if !ok {
-		return self.handleOut(0, ErrBadFD), machine.DispositionContinue
+		f.Err = ErrBadFD
+		return machine.DispositionContinue
 	}
 	conn, err := k.cfg.Net.Accept(l)
 	switch {
 	case err == nil:
 		self.nextFD++
-		h := self.nextFD
-		self.conns[h] = conn
-		return self.handleOut(h, nil), machine.DispositionContinue
+		self.conns[self.nextFD] = conn
+		f.R[0] = uint64(self.nextFD)
+		return machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
 		self.phase = phaseNet
 		self.waitToken++
@@ -674,36 +628,37 @@ func (k *Kernel) doNetAccept(self *proc, r *netAcceptReq) (any, machine.Disposit
 			}
 			p.phase = phaseIdle
 			conn, acceptErr := k.cfg.Net.Accept(l)
-			if acceptErr != nil {
-				k.mustReady(pid, p.handleOut(0, acceptErr))
-				return
+			if acceptErr == nil {
+				p.nextFD++
+				p.conns[p.nextFD] = conn
+				p.frame.R[0] = uint64(p.nextFD)
 			}
-			p.nextFD++
-			h := p.nextFD
-			p.conns[h] = conn
-			k.mustReady(pid, p.handleOut(h, nil))
+			k.wake(p, acceptErr)
 		})
-		return nil, machine.DispositionBlock
+		return machine.DispositionBlock
 	default:
-		return self.handleOut(0, err), machine.DispositionContinue
+		f.Err = err
+		return machine.DispositionContinue
 	}
 }
 
-func (k *Kernel) doNetRead(self *proc, r *netReadReq) (any, machine.Disposition) {
-	conn, ok := self.conns[r.conn]
+func (k *Kernel) doNetRead(self *proc, f *machine.Frame) machine.Disposition {
+	conn, ok := self.conns[int32(f.R[0])]
 	if !ok {
-		return self.bytesOut(nil, ErrBadFD), machine.DispositionContinue
+		f.Err = ErrBadFD
+		return machine.DispositionContinue
 	}
-	data, err := k.cfg.Net.BoardRead(conn, r.max)
+	maxBytes := int(f.R[1])
+	data, err := k.cfg.Net.BoardRead(conn, maxBytes)
 	switch {
 	case err == nil:
-		return self.bytesOut(data, nil), machine.DispositionContinue
+		f.Buf = data
+		return machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
 		self.phase = phaseNet
 		self.waitToken++
 		token := self.waitToken
 		pid := self.pid
-		maxBytes := r.max
 		k.cfg.Net.WaitReadable(conn, func() {
 			p := k.procs[pid]
 			if p != self || p.waitToken != token || p.phase != phaseNet {
@@ -711,28 +666,12 @@ func (k *Kernel) doNetRead(self *proc, r *netReadReq) (any, machine.Disposition)
 			}
 			p.phase = phaseIdle
 			data, readErr := k.cfg.Net.BoardRead(conn, maxBytes)
-			k.mustReady(pid, p.bytesOut(data, readErr))
+			p.frame.Buf = data
+			k.wake(p, readErr)
 		})
-		return nil, machine.DispositionBlock
+		return machine.DispositionBlock
 	default:
-		return self.bytesOut(nil, err), machine.DispositionContinue
+		f.Err = err
+		return machine.DispositionContinue
 	}
-}
-
-func (k *Kernel) doNetWrite(self *proc, r *netWriteReq) (any, machine.Disposition) {
-	conn, ok := self.conns[r.conn]
-	if !ok {
-		return self.errOut(ErrBadFD), machine.DispositionContinue
-	}
-	return self.errOut(k.cfg.Net.BoardWrite(conn, r.data)), machine.DispositionContinue
-}
-
-func (k *Kernel) doNetClose(self *proc, r *netCloseReq) (any, machine.Disposition) {
-	conn, ok := self.conns[r.conn]
-	if !ok {
-		return self.errOut(ErrBadFD), machine.DispositionContinue
-	}
-	delete(self.conns, r.conn)
-	k.cfg.Net.BoardClose(conn)
-	return self.errOut(nil), machine.DispositionContinue
 }

@@ -17,8 +17,10 @@
 //     quantify the paper's microkernel-vs-monolithic IPC overhead remark.
 //
 // A kernel (internal/minix, internal/sel4, internal/linuxsim) is a
-// TrapHandler: the Engine delivers each process trap to the kernel, and the
-// kernel decides whether the process continues, blocks, or dies. Because the
+// TrapHandler: the Engine delivers each process trap to the kernel as the
+// process's Frame, a trap number with fixed argument registers, and the
+// kernel writes its reply into that frame and decides whether the process
+// continues, blocks, or dies. Because the
 // Engine is single-threaded and scheduling is FIFO within priority, attack
 // experiments built on top of it are fully deterministic.
 package machine

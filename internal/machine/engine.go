@@ -15,8 +15,8 @@ import (
 type Disposition int
 
 const (
-	// DispositionContinue delivers the reply and returns the process to the
-	// ready queue.
+	// DispositionContinue returns the process, its reply in its frame, to
+	// the ready queue.
 	DispositionContinue Disposition = iota + 1
 	// DispositionBlock parks the process; the kernel must later wake it with
 	// Engine.Ready (typically from another process's trap or a timer).
@@ -29,11 +29,13 @@ const (
 // Handlers run on the engine's single thread of control (see Engine) and may
 // call back into the engine (Spawn, Ready, Kill, clock scheduling)
 // synchronously. A handler that kills the trapping process during HandleTrap
-// may return any disposition; the engine notices the death and discards the
-// reply.
+// may return any disposition; the engine notices the death and the reply is
+// never read.
 type TrapHandler interface {
-	// HandleTrap processes one system call from process pid.
-	HandleTrap(pid PID, req any) (reply any, disposition Disposition)
+	// HandleTrap processes one system call from process pid. f is the
+	// caller's frame: the handler reads the trap number and arguments from
+	// it and writes the reply into it.
+	HandleTrap(pid PID, f *Frame) Disposition
 	// OnProcExit is invoked after a process dies for any reason (return,
 	// crash, kill). It runs before the next dispatch, so kernels can clean up
 	// or restart drivers (reincarnation) deterministically.
@@ -318,7 +320,7 @@ func (e *Engine) Spawn(name string, prio int, body func(ctx *Context)) (*Proc, e
 	p := &Proc{
 		pid:    e.nextPID,
 		name:   name,
-		prio:   prio,
+		prio:   int32(prio),
 		state:  StateNew,
 		engine: e,
 		body:   body,
@@ -374,7 +376,7 @@ func (p *Proc) run(yield func(struct{}) bool) {
 
 	// The body returned or crashed: book the exit inline as one more kernel
 	// entry, with its trap cost and dispatch count.
-	sc := e.trapEnter(p)
+	sc := e.trapEnter()
 	p.state = StateDead
 	e.live--
 	e.stats.Exits++
@@ -385,18 +387,18 @@ func (p *Proc) run(yield func(struct{}) bool) {
 	e.decide(e.schedule())
 }
 
-// Ready wakes a blocked process, delivering reply as the return value of the
-// Trap call it is parked in. Kernels call this from timers or from other
-// processes' traps. Waking the currently running process is a programming
-// error: return DispositionContinue instead.
-func (e *Engine) Ready(pid PID, reply any) error {
+// Ready wakes a blocked process: the Trap call it is parked in returns. The
+// kernel writes the reply into the process's frame (Proc.Frame) first.
+// Kernels call this from timers or from other processes' traps. Waking the
+// currently running process is a programming error: return
+// DispositionContinue instead.
+func (e *Engine) Ready(pid PID) error {
 	p := e.lookup(pid)
 	if p == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchProc, pid)
 	}
 	switch p.state {
 	case StateBlocked:
-		p.pendingReply = reply
 		p.state = StateReady
 		e.enqueue(p)
 		return nil
@@ -528,8 +530,7 @@ func (e *Engine) decide(next *Proc, stop RunResult, stopped bool) {
 }
 
 // switchTo books the dispatch of p: context-switch accounting and run state.
-// p collects its pending reply when it resumes. Shared by Run and the
-// same-process fast path in Context.Trap.
+// Shared by Run and the same-process fast path in Context.Trap.
 func (e *Engine) switchTo(p *Proc) {
 	if e.lastRun != p.pid {
 		e.stats.ContextSwitches++
@@ -541,16 +542,15 @@ func (e *Engine) switchTo(p *Proc) {
 	e.active = p
 }
 
-// trapEnter books one kernel entry for p: the dispatch and trap counters and
+// trapEnter books one kernel entry: the dispatch and trap counters and
 // the trap cost. The returned scope is the engine.dispatch phase entry; the
 // caller ends it when the kernel work for this entry is done. One scope is
 // booked per trap and per body exit, which keeps the perf skeleton
 // deterministic.
-func (e *Engine) trapEnter(p *Proc) perf.Scope {
+func (e *Engine) trapEnter() perf.Scope {
 	sc := e.phDispatch.Begin()
 	e.mDispatches.Inc()
 	e.stats.Traps++
-	p.traps++
 	e.mTraps.Inc()
 	e.charge(e.costs.Trap)
 	return sc

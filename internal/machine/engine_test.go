@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -8,14 +9,15 @@ import (
 	"time"
 )
 
-// toyKernel is a minimal TrapHandler for engine tests. It understands:
+// toyKernel is a minimal TrapHandler for engine tests. Its traps, with
+// their frame registers:
 //
-//	sleepReq{d}   — block the caller for d of virtual time
-//	yieldReq{}    — continue immediately
-//	sendReq{to,v} — rendezvous send (blocks until a matching recv)
-//	recvReq{}     — rendezvous receive (blocks until a matching send)
-//	spawnReq{...} — spawn a child
-//	killReq{pid}  — kill a process
+//	toySleep R0=d      — block the caller for d of virtual time
+//	toyYield           — continue immediately
+//	toySend  R0=to S0=v — rendezvous send (blocks until a matching recv)
+//	toyRecv  → S0=v    — rendezvous receive (blocks until a matching send)
+//	toySpawn S0=name R0=prio → R0=pid — spawn the body registered as name
+//	toyKill  R0=pid    — kill a process
 type toyKernel struct {
 	e *Engine
 
@@ -23,28 +25,24 @@ type toyKernel struct {
 	waitingRecv map[PID]bool
 	pendingSend map[PID][]pendingSend
 
+	// bodies are the programs toySpawn can start, by name.
+	bodies map[string]func(ctx *Context)
+
 	exits []exitRecord
 }
 
-type (
-	sleepReq struct{ d time.Duration }
-	yieldReq struct{}
-	sendReq  struct {
-		to PID
-		v  any
-	}
-	recvReq  struct{}
-	spawnReq struct {
-		name string
-		prio int
-		body func(ctx *Context)
-	}
-	killReq struct{ pid PID }
+const (
+	toySleep uint32 = iota + 1
+	toyYield
+	toySend
+	toyRecv
+	toySpawn
+	toyKill
 )
 
 type pendingSend struct {
 	from PID
-	v    any
+	v    string
 }
 
 type exitRecord struct {
@@ -57,56 +55,92 @@ func newToyKernel(e *Engine) *toyKernel {
 		e:           e,
 		waitingRecv: make(map[PID]bool),
 		pendingSend: make(map[PID][]pendingSend),
+		bodies:      make(map[string]func(ctx *Context)),
 	}
 	e.SetHandler(k)
 	return k
 }
 
-func (k *toyKernel) HandleTrap(pid PID, req any) (any, Disposition) {
-	switch r := req.(type) {
-	case sleepReq:
-		k.e.Clock().After(r.d, func() {
+func (k *toyKernel) HandleTrap(pid PID, f *Frame) Disposition {
+	switch f.Nr {
+	case toySleep:
+		k.e.Clock().After(time.Duration(f.R[0]), func() {
 			// The sleeper may have been killed while asleep.
 			if p := k.e.Proc(pid); p != nil && p.State() == StateBlocked {
-				if err := k.e.Ready(pid, nil); err != nil {
+				if err := k.e.Ready(pid); err != nil {
 					panic(err)
 				}
 			}
 		})
-		return nil, DispositionBlock
-	case yieldReq:
-		return nil, DispositionContinue
-	case sendReq:
-		if k.waitingRecv[r.to] {
-			k.waitingRecv[r.to] = false
-			if err := k.e.Ready(r.to, r.v); err != nil {
-				return err, DispositionContinue
-			}
-			return nil, DispositionContinue
+		return DispositionBlock
+	case toyYield:
+		return DispositionContinue
+	case toySend:
+		to := PID(f.R[0])
+		if k.waitingRecv[to] {
+			k.waitingRecv[to] = false
+			k.e.Proc(to).Frame().S0 = f.S0
+			f.Err = k.e.Ready(to)
+			return DispositionContinue
 		}
-		k.pendingSend[r.to] = append(k.pendingSend[r.to], pendingSend{from: pid, v: r.v})
-		return nil, DispositionBlock
-	case recvReq:
+		k.pendingSend[to] = append(k.pendingSend[to], pendingSend{from: pid, v: f.S0})
+		return DispositionBlock
+	case toyRecv:
 		if q := k.pendingSend[pid]; len(q) > 0 {
 			k.pendingSend[pid] = q[1:]
-			if err := k.e.Ready(q[0].from, nil); err != nil {
-				return err, DispositionContinue
-			}
-			return q[0].v, DispositionContinue
+			f.S0 = q[0].v
+			f.Err = k.e.Ready(q[0].from)
+			return DispositionContinue
 		}
 		k.waitingRecv[pid] = true
-		return nil, DispositionBlock
-	case spawnReq:
-		p, err := k.e.Spawn(r.name, r.prio, r.body)
+		return DispositionBlock
+	case toySpawn:
+		p, err := k.e.Spawn(f.S0, int(f.R[0]), k.bodies[f.S0])
 		if err != nil {
-			return err, DispositionContinue
+			f.Err = err
+			return DispositionContinue
 		}
-		return p.PID(), DispositionContinue
-	case killReq:
-		return k.e.Kill(r.pid), DispositionContinue
+		f.R[0] = uint64(p.PID())
+		return DispositionContinue
+	case toyKill:
+		f.Err = k.e.Kill(PID(f.R[0]))
+		return DispositionContinue
 	default:
-		return fmt.Errorf("toy: unknown trap %T", req), DispositionContinue
+		f.Err = fmt.Errorf("toy: unknown trap %d", f.Nr)
+		return DispositionContinue
 	}
+}
+
+// The toy kernel's system-call wrappers.
+
+func sleep(ctx *Context, d time.Duration) {
+	ctx.Frame().R[0] = uint64(d)
+	ctx.Trap(toySleep)
+}
+
+func yield(ctx *Context) { ctx.Trap(toyYield) }
+
+func send(ctx *Context, to PID, v string) error {
+	f := ctx.Frame()
+	f.R[0], f.S0 = uint64(to), v
+	return ctx.Trap(toySend)
+}
+
+func recv(ctx *Context) string {
+	ctx.Trap(toyRecv)
+	return ctx.Frame().S0
+}
+
+func spawn(ctx *Context, name string, prio int) (PID, error) {
+	f := ctx.Frame()
+	f.S0, f.R[0] = name, uint64(prio)
+	err := ctx.Trap(toySpawn)
+	return PID(f.R[0]), err
+}
+
+func kill(ctx *Context, pid PID) error {
+	ctx.Frame().R[0] = uint64(pid)
+	return ctx.Trap(toyKill)
 }
 
 func (k *toyKernel) OnProcExit(pid PID, info ExitInfo) {
@@ -158,7 +192,7 @@ func TestSleepAdvancesVirtualTime(t *testing.T) {
 	m, _ := newTestBoard(t)
 	var woke Time
 	mustSpawn(t, m.Engine(), "sleeper", 7, func(ctx *Context) {
-		ctx.Trap(sleepReq{d: 250 * time.Millisecond})
+		sleep(ctx, 250*time.Millisecond)
 		woke = ctx.Now()
 	})
 	m.Run(time.Second)
@@ -173,14 +207,14 @@ func TestSleepAdvancesVirtualTime(t *testing.T) {
 func TestRendezvousSendRecv(t *testing.T) {
 	m, _ := newTestBoard(t)
 	e := m.Engine()
-	var got any
-	recvPID := PID(0)
-	recv := mustSpawn(t, e, "recv", 7, func(ctx *Context) {
-		got = ctx.Trap(recvReq{})
-	})
-	recvPID = recv.PID()
+	var got string
+	recvPID := mustSpawn(t, e, "recv", 7, func(ctx *Context) {
+		got = recv(ctx)
+	}).PID()
 	mustSpawn(t, e, "send", 7, func(ctx *Context) {
-		ctx.Trap(sendReq{to: recvPID, v: "payload"})
+		if err := send(ctx, recvPID, "payload"); err != nil {
+			t.Errorf("send: %v", err)
+		}
 	})
 	res := m.Run(time.Second)
 	if res.Reason != StopAllExited {
@@ -197,13 +231,13 @@ func TestRendezvousSenderBlocksUntilReceiverReady(t *testing.T) {
 	var recvAt, sendDone Time
 	var recvPID PID
 	recvBody := func(ctx *Context) {
-		ctx.Trap(sleepReq{d: 100 * time.Millisecond})
+		sleep(ctx, 100*time.Millisecond)
 		recvAt = ctx.Now()
-		ctx.Trap(recvReq{})
+		recv(ctx)
 	}
 	recvPID = mustSpawn(t, e, "recv", 7, recvBody).PID()
 	mustSpawn(t, e, "send", 7, func(ctx *Context) {
-		ctx.Trap(sendReq{to: recvPID, v: 1})
+		send(ctx, recvPID, "1")
 		sendDone = ctx.Now()
 	})
 	m.Run(time.Second)
@@ -275,12 +309,12 @@ func TestKillBlockedProcess(t *testing.T) {
 	e := m.Engine()
 	reachedAfter := false
 	victim := mustSpawn(t, e, "victim", 7, func(ctx *Context) {
-		ctx.Trap(recvReq{}) // blocks forever
+		recv(ctx) // blocks forever
 		reachedAfter = true
 	})
 	mustSpawn(t, e, "killer", 7, func(ctx *Context) {
-		ctx.Trap(yieldReq{}) // let victim block first
-		if err, _ := ctx.Trap(killReq{pid: victim.PID()}).(error); err != nil {
+		yield(ctx) // let victim block first
+		if err := kill(ctx, victim.PID()); err != nil {
 			t.Errorf("kill: %v", err)
 		}
 	})
@@ -308,7 +342,7 @@ func TestKillSelfDuringTrap(t *testing.T) {
 	after := false
 	var selfPID PID
 	p := mustSpawn(t, e, "suicide", 7, func(ctx *Context) {
-		ctx.Trap(killReq{pid: selfPID})
+		kill(ctx, selfPID)
 		after = true
 	})
 	selfPID = p.PID()
@@ -334,28 +368,83 @@ func TestKillDeadProcessFails(t *testing.T) {
 	}
 }
 
-func TestSpawnFromRunningProcess(t *testing.T) {
+func TestReadyErrors(t *testing.T) {
 	m, _ := newTestBoard(t)
 	e := m.Engine()
-	childRan := false
+	var readyErr error
+	var selfPID PID
+	self := mustSpawn(t, e, "self", 7, func(ctx *Context) {
+		// The caller is running, not blocked.
+		readyErr = e.Ready(selfPID)
+	})
+	selfPID = self.PID()
+	blocked := mustSpawn(t, e, "blocked", 7, func(ctx *Context) { recv(ctx) })
+	m.Run(time.Second)
+	if !errors.Is(readyErr, ErrNotBlocked) {
+		t.Fatalf("Ready(running) = %v, want ErrNotBlocked", readyErr)
+	}
+	if err := e.Ready(selfPID); !errors.Is(err, ErrProcDead) {
+		t.Fatalf("Ready(dead) = %v, want ErrProcDead", err)
+	}
+	if err := e.Ready(99); !errors.Is(err, ErrNoSuchProc) {
+		t.Fatalf("Ready(never spawned) = %v, want ErrNoSuchProc", err)
+	}
+	if err := e.Ready(blocked.PID()); err != nil {
+		t.Fatalf("Ready(blocked) = %v", err)
+	}
+	if err := e.Ready(blocked.PID()); !errors.Is(err, ErrNotBlocked) {
+		t.Fatalf("Ready(already readied) = %v, want ErrNotBlocked", err)
+	}
+}
+
+// TestTrapClearsErrorSlot pins the frame's in-place reply rule: a trap's
+// error slot starts clear, so a kernel writes it only on failure, and a
+// failed trap's error does not leak into the next one.
+func TestTrapClearsErrorSlot(t *testing.T) {
+	m, _ := newTestBoard(t)
+	var unknown, next error
+	mustSpawn(t, m.Engine(), "p", 7, func(ctx *Context) {
+		unknown = ctx.Trap(0)
+		next = ctx.Trap(toyYield)
+	})
+	m.Run(time.Second)
+	if unknown == nil || unknown.Error() != "toy: unknown trap 0" {
+		t.Fatalf("trap 0 = %v, want toy: unknown trap 0", unknown)
+	}
+	if next != nil {
+		t.Fatalf("yield after a failed trap = %v, want nil", next)
+	}
+}
+
+func TestSpawnFromRunningProcess(t *testing.T) {
+	m, k := newTestBoard(t)
+	e := m.Engine()
+	var childPID PID
+	k.bodies["child"] = func(ctx *Context) { childPID = ctx.PID() }
+	var spawned PID
 	mustSpawn(t, e, "parent", 7, func(ctx *Context) {
-		reply := ctx.Trap(spawnReq{name: "child", prio: 7, body: func(ctx *Context) {
-			childRan = true
-		}})
-		if _, ok := reply.(PID); !ok {
-			t.Errorf("spawn reply = %v, want PID", reply)
+		pid, err := spawn(ctx, "child", 7)
+		if err != nil {
+			t.Errorf("spawn: %v", err)
+		}
+		spawned = pid
+		if _, err := spawn(ctx, "child", numPriorities); !errors.Is(err, ErrBadPriority) {
+			t.Errorf("spawn at a bad priority: err = %v, want ErrBadPriority", err)
 		}
 	})
 	m.Run(time.Second)
-	if !childRan {
+	if childPID == NoPID {
 		t.Fatal("child never ran")
+	}
+	if spawned != childPID {
+		t.Fatalf("spawn replied pid %d, child ran as %d", spawned, childPID)
 	}
 }
 
 func TestDeadlockDetected(t *testing.T) {
 	m, _ := newTestBoard(t)
 	mustSpawn(t, m.Engine(), "waiter", 7, func(ctx *Context) {
-		ctx.Trap(recvReq{})
+		recv(ctx)
 	})
 	res := m.Run(time.Second)
 	if res.Reason != StopIdle {
@@ -368,7 +457,7 @@ func TestRunInSlicesPreservesState(t *testing.T) {
 	wakes := 0
 	mustSpawn(t, m.Engine(), "ticker", 7, func(ctx *Context) {
 		for i := 0; i < 5; i++ {
-			ctx.Trap(sleepReq{d: 100 * time.Millisecond})
+			sleep(ctx, 100*time.Millisecond)
 			wakes++
 		}
 	})
@@ -419,11 +508,11 @@ func TestContextSwitchAccounting(t *testing.T) {
 	e := m.Engine()
 	var a, b PID
 	pa := mustSpawn(t, e, "a", 7, func(ctx *Context) {
-		ctx.Trap(recvReq{})
+		recv(ctx)
 	})
 	a = pa.PID()
 	pb := mustSpawn(t, e, "b", 7, func(ctx *Context) {
-		ctx.Trap(sendReq{to: a, v: 1})
+		send(ctx, a, "1")
 	})
 	b = pb.PID()
 	_ = b
@@ -446,8 +535,7 @@ func TestDeterministicReplay(t *testing.T) {
 		var consumerPID PID
 		consumer := func(ctx *Context) {
 			for i := 0; i < 20; i++ {
-				v := ctx.Trap(recvReq{})
-				events = append(events, fmt.Sprintf("recv %v", v))
+				events = append(events, "recv "+recv(ctx))
 			}
 		}
 		consumerPID = mustSpawnNoT(e, "consumer", 6, consumer)
@@ -455,8 +543,8 @@ func TestDeterministicReplay(t *testing.T) {
 			w := w
 			mustSpawnNoT(e, fmt.Sprintf("producer%d", w), 7, func(ctx *Context) {
 				for i := 0; i < 5; i++ {
-					ctx.Trap(sleepReq{d: time.Duration(w+1) * time.Millisecond})
-					ctx.Trap(sendReq{to: consumerPID, v: fmt.Sprintf("w%d-%d", w, i)})
+					sleep(ctx, time.Duration(w+1)*time.Millisecond)
+					send(ctx, consumerPID, fmt.Sprintf("w%d-%d", w, i))
 				}
 			})
 		}
@@ -514,7 +602,7 @@ func TestShutdownUnwindsAllGoroutines(t *testing.T) {
 	newToyKernel(e)
 	for i := 0; i < 8; i++ {
 		mustSpawn(t, e, fmt.Sprintf("blocked%d", i), 7, func(ctx *Context) {
-			ctx.Trap(recvReq{})
+			recv(ctx)
 		})
 	}
 	if res := m.Run(time.Second); res.Reason != StopIdle {
@@ -553,7 +641,7 @@ func TestTimerKillsTrappingProcessWhileScheduling(t *testing.T) {
 				t.Errorf("kill: %v", err)
 			}
 		})
-		ctx.Trap(yieldReq{})
+		yield(ctx)
 		after = true
 	})
 	victimPID = victim.PID()
@@ -581,7 +669,7 @@ func TestKillNeverDispatchedProcess(t *testing.T) {
 	ran := false
 	victim := mustSpawn(t, e, "victim", 9, func(ctx *Context) { ran = true })
 	mustSpawn(t, e, "killer", 2, func(ctx *Context) {
-		if err, _ := ctx.Trap(killReq{pid: victim.PID()}).(error); err != nil {
+		if err := kill(ctx, victim.PID()); err != nil {
 			t.Errorf("kill: %v", err)
 		}
 	})
@@ -607,7 +695,7 @@ func BenchmarkContextSwitch(b *testing.B) {
 	for i := 0; i < 2; i++ {
 		mustSpawnNoT(e, fmt.Sprintf("p%d", i), 7, func(ctx *Context) {
 			for {
-				ctx.Trap(yieldReq{})
+				yield(ctx)
 			}
 		})
 	}

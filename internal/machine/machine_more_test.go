@@ -11,7 +11,7 @@ func TestCostModelChargesVirtualTime(t *testing.T) {
 	defer m.Shutdown()
 	mustSpawn(t, m.Engine(), "p", 7, func(ctx *Context) {
 		for i := 0; i < 5; i++ {
-			ctx.Trap(yieldReq{})
+			yield(ctx)
 		}
 	})
 	m.Run(time.Hour)
@@ -53,7 +53,7 @@ func TestProcStateStrings(t *testing.T) {
 func TestEngineProcsListing(t *testing.T) {
 	m, _ := newTestBoard(t)
 	mustSpawn(t, m.Engine(), "a", 7, func(ctx *Context) {})
-	mustSpawn(t, m.Engine(), "b", 7, func(ctx *Context) { ctx.Trap(recvReq{}) })
+	mustSpawn(t, m.Engine(), "b", 7, func(ctx *Context) { recv(ctx) })
 	m.Run(time.Second)
 	procs := m.Engine().Procs()
 	if len(procs) != 2 || procs[0].Name() != "a" || procs[1].Name() != "b" {
@@ -94,7 +94,7 @@ func BenchmarkTrapRoundTrip(b *testing.B) {
 	count := 0
 	p, err := m.Engine().Spawn("spinner", 7, func(ctx *Context) {
 		for {
-			ctx.Trap(yieldReq{})
+			yield(ctx)
 			count++
 		}
 	})

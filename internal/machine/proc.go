@@ -62,11 +62,13 @@ type ExitInfo struct {
 	PanicValue any
 }
 
-// Proc is the engine-level process control block.
+// Proc is the engine-level process control block. Its fields are laid out
+// so that the record, trap frame included, fills a 256-byte allocation: a
+// fork bomb keeps thousands of them live.
 type Proc struct {
 	pid   PID
+	prio  int32
 	name  string
-	prio  int
 	state ProcState
 
 	engine *Engine
@@ -79,8 +81,9 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 
-	// pendingReply is delivered at the next dispatch while the proc is Ready.
-	pendingReply any
+	// frame is the process's trap frame: its arguments on the way into the
+	// kernel and its reply on the way out.
+	frame Frame
 
 	// dying is set (on the process's own coroutine) when the kill unwind
 	// starts, so deferred cleanup running during unwinding cannot trap into
@@ -93,9 +96,6 @@ type Proc struct {
 	// still the one executing, so run must record the next scheduling
 	// decision once user-level deferred cleanup has finished.
 	selfUnwind bool
-
-	// Accounting.
-	traps int64
 }
 
 // PID returns the process identifier.
@@ -105,13 +105,14 @@ func (p *Proc) PID() PID { return p.pid }
 func (p *Proc) Name() string { return p.name }
 
 // Priority returns the scheduling priority (lower is more urgent).
-func (p *Proc) Priority() int { return p.prio }
+func (p *Proc) Priority() int { return int(p.prio) }
 
 // State returns the engine-level lifecycle state.
 func (p *Proc) State() ProcState { return p.state }
 
-// Traps returns the number of traps this process has taken.
-func (p *Proc) Traps() int64 { return p.traps }
+// Frame returns the process's trap frame. A kernel keeps it to write the
+// reply of a trap that blocked before waking the process with Ready.
+func (p *Proc) Frame() *Frame { return &p.frame }
 
 // Context is the view of the board a process body receives. All interaction
 // with the outside world goes through Trap, which hands control to the
@@ -130,22 +131,27 @@ func (c *Context) Name() string { return c.proc.name }
 // not trap.
 func (c *Context) Now() Time { return c.proc.engine.clock.Now() }
 
-// Trap synchronously invokes the kernel with an arbitrary request and returns
-// the kernel's reply. The calling process yields the virtual CPU until the
-// kernel schedules it again; from the process's perspective the call simply
-// blocks.
+// Frame returns the calling process's trap frame. A system-call wrapper
+// writes its arguments into it, calls Trap, and reads the reply from it.
+func (c *Context) Frame() *Frame { return &c.proc.frame }
+
+// Trap synchronously invokes the kernel with trap number nr and the
+// arguments already in the caller's frame, and returns the frame's error
+// slot; the rest of the reply is in the frame. The calling process yields
+// the virtual CPU until the kernel schedules it again; from the process's
+// perspective the call simply blocks.
 //
 // Trap is a direct function call: the calling process is the one executing,
 // so it runs the kernel handler and the scheduler inline. When the next
-// runnable process is the caller itself the reply is returned without any
-// switch; otherwise Trap records the decision and yields to Engine.Run,
-// which resumes the caller at its next dispatch.
+// runnable process is the caller itself Trap returns without any switch;
+// otherwise it records the decision and yields to Engine.Run, which resumes
+// the caller at its next dispatch.
 //
 // If the process is killed while suspended inside Trap — or kills itself via
 // the kernel — the call never returns: the body unwinds via an internal
 // panic that the engine recovers. Deferred cleanup that traps during that
 // unwinding re-panics immediately — a dead process gets no more system calls.
-func (c *Context) Trap(req any) any {
+func (c *Context) Trap(nr uint32) error {
 	p := c.proc
 	e := p.engine
 	if p.dying {
@@ -154,8 +160,10 @@ func (c *Context) Trap(req any) any {
 	if e.active != p {
 		panic(fmt.Sprintf("machine: trap from %d (%s) while %d running", p.pid, p.name, e.lastRun))
 	}
-	sc := e.trapEnter(p)
-	reply, disposition := e.handler.HandleTrap(p.pid, req)
+	f := &p.frame
+	f.Nr, f.Err = nr, nil
+	sc := e.trapEnter()
+	disposition := e.handler.HandleTrap(p.pid, f)
 	if p.state == StateDead {
 		// The kernel killed the calling process while handling its trap;
 		// Kill already booked the exit. Unwind before any other process
@@ -167,7 +175,6 @@ func (c *Context) Trap(req any) any {
 	}
 	switch disposition {
 	case DispositionContinue:
-		p.pendingReply = reply
 		p.state = StateReady
 		e.enqueue(p)
 	case DispositionBlock:
@@ -187,8 +194,8 @@ func (c *Context) Trap(req any) any {
 		panic(killSentinel{})
 	}
 	if next == p {
-		// Fast path: the caller is the next runnable process — return the
-		// reply without leaving the coroutine.
+		// Fast path: the caller is the next runnable process — return
+		// without leaving the coroutine.
 		e.switchTo(p)
 		sc.End()
 	} else {
@@ -199,7 +206,5 @@ func (c *Context) Trap(req any) any {
 			panic(killSentinel{})
 		}
 	}
-	out := p.pendingReply
-	p.pendingReply = nil
-	return out
+	return f.Err
 }

@@ -7,48 +7,15 @@ import (
 	"mkbas/internal/vnet"
 )
 
-// traceReq is the trap behind API.Trace.
-type traceReq struct {
-	tag  string
-	text string
-}
-
 // API is the system-call interface a simulated MINIX process programs
 // against. One API value is handed to each Image body; all methods trap into
-// the kernel and may yield the virtual CPU.
+// the kernel and may yield the virtual CPU. Each wrapper writes its
+// arguments into the process's trap frame, traps with its number (see the
+// table in syscalls.go), and reads the reply back from the frame.
 type API struct {
 	ctx  *machine.Context
+	f    *machine.Frame
 	self Endpoint
-
-	// Scratch requests, one per trap. Boxing a pointer into the trap's any
-	// costs no heap allocation, and the kernel consumes each request
-	// synchronously inside HandleTrap, so one scratch value per request type
-	// is enough: by the time the trap returns (or blocks), the kernel no
-	// longer reads it. Every trap goes through its scratch value, the rarely
-	// used ones included, so an attacker looping on any of them allocates
-	// nothing per call.
-	sendScratch    sendReq
-	recvScratch    receiveReq
-	recvTOScratch  receiveTimeoutReq
-	sendRecScratch sendRecReq
-	notifyScratch  notifyReq
-	sendNBScratch  sendNBReq
-	sleepScratch   sleepReq
-	devRdScratch   devReadReq
-	devWrScratch   devWriteReq
-	lookupScratch  lookupReq
-	traceScratch   traceReq
-	exitScratch    exitReq
-	listenScratch  netListenReq
-	acceptScratch  netAcceptReq
-	netRdScratch   netReadReq
-	netWrScratch   netWriteReq
-	closeScratch   netCloseReq
-	grantScratch   grantCreateReq
-	revokeScratch  grantRevokeReq
-	copyScratch    safeCopyReq
-	kSpawnScratch  kSpawnReq
-	kKillScratch   kKillReq
 }
 
 // Self returns the calling process's endpoint.
@@ -60,124 +27,152 @@ func (a *API) Now() machine.Time { return a.ctx.Now() }
 // Send delivers msg to dst synchronously, blocking until the receiver picks
 // it up (rendezvous). The kernel stamps the source and consults the ACM.
 func (a *API) Send(dst Endpoint, msg Message) error {
-	a.sendScratch = sendReq{dst: dst, msg: msg}
-	return a.ctx.Trap(&a.sendScratch).(*ipcReply).err
+	a.f.R[0] = uint64(dst)
+	putMsg(a.f, &msg)
+	return a.ctx.Trap(trapSend)
 }
 
 // Receive blocks until a message from the given source (EndpointAny for any)
 // is available and returns it.
 func (a *API) Receive(from Endpoint) (Message, error) {
-	a.recvScratch = receiveReq{from: from}
-	reply := a.ctx.Trap(&a.recvScratch).(*ipcReply)
-	return reply.msg, reply.err
+	a.f.R[0] = uint64(from)
+	return a.msgReply(a.ctx.Trap(trapReceive))
 }
 
 // ReceiveTimeout is Receive with a watchdog: it returns ErrTimeout if no
 // matching message arrives within d of virtual time. Hardened drivers use
 // it to notice silent peers instead of blocking forever.
 func (a *API) ReceiveTimeout(from Endpoint, d time.Duration) (Message, error) {
-	a.recvTOScratch = receiveTimeoutReq{from: from, d: d}
-	reply := a.ctx.Trap(&a.recvTOScratch).(*ipcReply)
-	return reply.msg, reply.err
+	a.f.R[0], a.f.R[1] = uint64(from), uint64(d)
+	return a.msgReply(a.ctx.Trap(trapReceiveTimeout))
 }
 
 // SendRec performs the atomic send-then-receive used for RPC: it sends msg
 // to dst and blocks until dst sends a reply back.
 func (a *API) SendRec(dst Endpoint, msg Message) (Message, error) {
-	a.sendRecScratch = sendRecReq{dst: dst, msg: msg}
-	reply := a.ctx.Trap(&a.sendRecScratch).(*ipcReply)
-	return reply.msg, reply.err
+	a.f.R[0] = uint64(dst)
+	putMsg(a.f, &msg)
+	return a.msgReply(a.ctx.Trap(trapSendRec))
+}
+
+// msgReply returns the message a receiving trap left in the frame, or the
+// zero message when the trap failed.
+func (a *API) msgReply(err error) (Message, error) {
+	if err != nil {
+		return Message{}, err
+	}
+	return frameMsg(a.f), nil
 }
 
 // Notify posts a payload-less notification to dst without blocking.
 // Notifications are delivered ahead of ordinary messages and collapse like
 // bits; they are subject to the ACM's ACKNOWLEDGE (type 0) permission.
 func (a *API) Notify(dst Endpoint) error {
-	a.notifyScratch = notifyReq{dst: dst}
-	return a.ctx.Trap(&a.notifyScratch).(*errReply).err
+	a.f.R[0] = uint64(dst)
+	return a.ctx.Trap(trapNotify)
 }
 
 // SendNB sends msg asynchronously: delivered immediately if dst is waiting,
 // otherwise queued in dst's bounded mailbox. It never blocks the caller.
 func (a *API) SendNB(dst Endpoint, msg Message) error {
-	a.sendNBScratch = sendNBReq{dst: dst, msg: msg}
-	return a.ctx.Trap(&a.sendNBScratch).(*errReply).err
+	a.f.R[0] = uint64(dst)
+	putMsg(a.f, &msg)
+	return a.ctx.Trap(trapSendNB)
 }
 
 // Sleep blocks the process for a virtual duration.
 func (a *API) Sleep(d time.Duration) {
-	a.sleepScratch = sleepReq{d: d}
-	a.ctx.Trap(&a.sleepScratch)
+	a.f.R[0] = uint64(d)
+	a.ctx.Trap(trapSleep)
 }
 
 // DevRead reads a device register; the process must hold the device grant.
 func (a *API) DevRead(dev machine.DeviceID, reg uint32) (uint32, error) {
-	a.devRdScratch = devReadReq{dev: dev, reg: reg}
-	reply := a.ctx.Trap(&a.devRdScratch).(*u32Reply)
-	return reply.value, reply.err
+	a.f.S0, a.f.R[0] = string(dev), uint64(reg)
+	if err := a.ctx.Trap(trapDevRead); err != nil {
+		return 0, err
+	}
+	return uint32(a.f.R[0]), nil
 }
 
 // DevWrite writes a device register; the process must hold the device grant.
 func (a *API) DevWrite(dev machine.DeviceID, reg uint32, value uint32) error {
-	a.devWrScratch = devWriteReq{dev: dev, reg: reg, value: value}
-	return a.ctx.Trap(&a.devWrScratch).(*errReply).err
+	a.f.S0, a.f.R[0], a.f.R[1] = string(dev), uint64(reg), uint64(value)
+	return a.ctx.Trap(trapDevWrite)
 }
 
 // Lookup resolves a published process name to its current endpoint (the
 // kernel directory service; processes are auto-published at spawn).
 func (a *API) Lookup(name string) (Endpoint, error) {
-	a.lookupScratch = lookupReq{name: name}
-	reply := a.ctx.Trap(&a.lookupScratch).(*epReply)
-	return reply.ep, reply.err
+	a.f.S0 = name
+	return a.epReply(a.ctx.Trap(trapLookup))
+}
+
+// epReply returns the endpoint a trap left in R0, or EndpointNone when the
+// trap failed.
+func (a *API) epReply(err error) (Endpoint, error) {
+	if err != nil {
+		return EndpointNone, err
+	}
+	return Endpoint(a.f.R[0]), nil
 }
 
 // Trace writes a line to the board trace console.
 func (a *API) Trace(tag, text string) {
-	a.traceScratch = traceReq{tag: tag, text: text}
-	a.ctx.Trap(&a.traceScratch)
+	a.f.S0, a.f.S1 = tag, text
+	a.ctx.Trap(trapTrace)
 }
 
 // Exit terminates the calling process voluntarily. It does not return.
 func (a *API) Exit() {
-	a.ctx.Trap(&a.exitScratch)
+	a.ctx.Trap(trapExit)
 	panic("minix: Exit returned")
 }
 
 // NetListen binds a port (network privilege required) and returns a
 // listener handle.
 func (a *API) NetListen(port vnet.Port) (int32, error) {
-	a.listenScratch = netListenReq{port: port}
-	reply := a.ctx.Trap(&a.listenScratch).(*handleReply)
-	return reply.handle, reply.err
+	a.f.R[0] = uint64(port)
+	return a.handleReply(a.ctx.Trap(trapNetListen))
 }
 
 // NetAccept blocks until a connection arrives and returns its handle.
 func (a *API) NetAccept(listener int32) (int32, error) {
-	a.acceptScratch = netAcceptReq{listener: listener}
-	reply := a.ctx.Trap(&a.acceptScratch).(*handleReply)
-	return reply.handle, reply.err
+	a.f.R[0] = uint64(listener)
+	return a.handleReply(a.ctx.Trap(trapNetAccept))
+}
+
+// handleReply returns the handle a trap left in R0, or 0 when the trap
+// failed.
+func (a *API) handleReply(err error) (int32, error) {
+	if err != nil {
+		return 0, err
+	}
+	return int32(a.f.R[0]), nil
 }
 
 // NetRead blocks until data (or EOF) is available and returns up to max
 // bytes; max <= 0 means "whatever is buffered".
 func (a *API) NetRead(conn int32, max int) ([]byte, error) {
-	a.netRdScratch = netReadReq{conn: conn, max: max}
-	reply := a.ctx.Trap(&a.netRdScratch).(*bytesReply)
-	return reply.data, reply.err
+	a.f.R[0], a.f.R[1] = uint64(conn), uint64(max)
+	err := a.ctx.Trap(trapNetRead)
+	data := a.f.Buf
+	a.f.Buf = nil
+	return data, err
 }
 
 // NetWrite sends bytes on a connection.
 func (a *API) NetWrite(conn int32, data []byte) error {
-	a.netWrScratch = netWriteReq{conn: conn, data: data}
-	err := a.ctx.Trap(&a.netWrScratch).(*errReply).err
-	a.netWrScratch.data = nil
+	a.f.R[0], a.f.Buf = uint64(conn), data
+	err := a.ctx.Trap(trapNetWrite)
+	a.f.Buf = nil
 	return err
 }
 
 // NetClose closes a connection handle.
 func (a *API) NetClose(conn int32) error {
-	a.closeScratch = netCloseReq{conn: conn}
-	return a.ctx.Trap(&a.closeScratch).(*errReply).err
+	a.f.R[0] = uint64(conn)
+	return a.ctx.Trap(trapNetClose)
 }
 
 // PM protocol message types (the POSIX-ish call surface the process manager

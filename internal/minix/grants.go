@@ -54,118 +54,109 @@ type grant struct {
 	revoked bool
 }
 
-// Grant trap requests.
-type (
-	grantCreateReq struct {
-		buf     []byte
-		access  GrantAccess
-		grantee Endpoint
-	}
-	grantRevokeReq struct {
-		id GrantID
-	}
-	safeCopyReq struct {
-		granter Endpoint
-		id      GrantID
-		offset  int
-		length  int
-		src     []byte // nil for reads
-	}
-)
-
-type grantReply struct {
-	id  GrantID
-	err error
-}
-
 // GrantCreate grants grantee the given access to buf. The kernel retains a
 // reference to buf, so writes through the grant are visible to the grantor —
 // the shared-memory semantics of real grants.
 func (a *API) GrantCreate(buf []byte, access GrantAccess, grantee Endpoint) (GrantID, error) {
-	a.grantScratch = grantCreateReq{buf: buf, access: access, grantee: grantee}
-	reply := a.ctx.Trap(&a.grantScratch).(*grantReply)
-	a.grantScratch.buf = nil
-	return reply.id, reply.err
+	a.f.Buf, a.f.R[0], a.f.R[1] = buf, uint64(access), uint64(grantee)
+	err := a.ctx.Trap(trapGrantCreate)
+	a.f.Buf = nil
+	if err != nil {
+		return 0, err
+	}
+	return GrantID(a.f.R[0]), nil
 }
 
 // GrantRevoke invalidates a grant immediately.
 func (a *API) GrantRevoke(id GrantID) error {
-	a.revokeScratch = grantRevokeReq{id: id}
-	return a.ctx.Trap(&a.revokeScratch).(*errReply).err
+	a.f.R[0] = uint64(id)
+	return a.ctx.Trap(trapGrantRevoke)
 }
 
 // SafeCopyFrom copies length bytes from the granted region at offset into a
 // new slice. The caller must be the grantee and the grant must permit reads.
 func (a *API) SafeCopyFrom(granter Endpoint, id GrantID, offset, length int) ([]byte, error) {
-	a.copyScratch = safeCopyReq{granter: granter, id: id, offset: offset, length: length}
-	reply := a.ctx.Trap(&a.copyScratch).(*bytesReply)
-	return reply.data, reply.err
+	return a.safeCopy(granter, id, offset, length, nil)
 }
 
 // SafeCopyTo copies src into the granted region at offset. The caller must
 // be the grantee and the grant must permit writes.
 func (a *API) SafeCopyTo(granter Endpoint, id GrantID, offset int, src []byte) error {
-	a.copyScratch = safeCopyReq{granter: granter, id: id, offset: offset, length: len(src), src: src}
-	err := a.ctx.Trap(&a.copyScratch).(*bytesReply).err
-	a.copyScratch.src = nil
+	_, err := a.safeCopy(granter, id, offset, len(src), src)
 	return err
 }
 
+// safeCopy traps for either copy direction: a nil src reads.
+func (a *API) safeCopy(granter Endpoint, id GrantID, offset, length int, src []byte) ([]byte, error) {
+	f := a.f
+	f.R[0], f.R[1], f.R[2], f.R[3], f.Buf = uint64(granter), uint64(id), uint64(offset), uint64(length), src
+	err := a.ctx.Trap(trapSafeCopy)
+	data := f.Buf
+	f.Buf = nil
+	return data, err
+}
+
 // doGrantCreate handles grant creation.
-func (k *Kernel) doGrantCreate(self *procEntry, r *grantCreateReq) (any, machine.Disposition) {
+func (k *Kernel) doGrantCreate(self *procEntry, f *machine.Frame) error {
 	if len(self.grants) >= maxGrantsPerProc {
-		return self.grantOut(0, ErrGrantExceeded), machine.DispositionContinue
+		return ErrGrantExceeded
 	}
-	if r.buf == nil || r.access == 0 {
-		return self.grantOut(0, fmt.Errorf("%w: empty buffer or no access bits", ErrBadGrant)), machine.DispositionContinue
+	buf, access := f.Buf, GrantAccess(f.R[0])
+	if buf == nil || access == 0 {
+		return fmt.Errorf("%w: empty buffer or no access bits", ErrBadGrant)
 	}
 	self.nextGrant++
-	g := &grant{id: self.nextGrant, buf: r.buf, access: r.access, grantee: r.grantee}
+	g := &grant{id: self.nextGrant, buf: buf, access: access, grantee: Endpoint(f.R[1])}
 	if self.grants == nil {
 		self.grants = make(map[GrantID]*grant)
 	}
 	self.grants[g.id] = g
-	return self.grantOut(g.id, nil), machine.DispositionContinue
+	f.R[0] = uint64(g.id)
+	return nil
 }
 
 // doGrantRevoke handles revocation.
-func (k *Kernel) doGrantRevoke(self *procEntry, r *grantRevokeReq) (any, machine.Disposition) {
-	g, ok := self.grants[r.id]
+func (k *Kernel) doGrantRevoke(self *procEntry, id GrantID) error {
+	g, ok := self.grants[id]
 	if !ok || g.revoked {
-		return self.errOut(fmt.Errorf("%w: id %d", ErrBadGrant, r.id)), machine.DispositionContinue
+		return fmt.Errorf("%w: id %d", ErrBadGrant, id)
 	}
 	g.revoked = true
-	delete(self.grants, r.id)
-	return self.errOut(nil), machine.DispositionContinue
+	delete(self.grants, id)
+	return nil
 }
 
-// doSafeCopy handles both copy directions with full checking.
-func (k *Kernel) doSafeCopy(self *procEntry, r *safeCopyReq) (any, machine.Disposition) {
-	granter := k.resolve(r.granter)
+// doSafeCopy handles both copy directions with full checking; a read leaves
+// the copied bytes in the frame's Buf.
+func (k *Kernel) doSafeCopy(self *procEntry, f *machine.Frame) error {
+	from, id := Endpoint(f.R[0]), GrantID(f.R[1])
+	offset, length, src := int(f.R[2]), int(f.R[3]), f.Buf
+	f.Buf = nil
+	granter := k.resolve(from)
 	if granter == nil {
-		return self.bytesOut(nil, fmt.Errorf("%w: %v", ErrDeadSrcDst, r.granter)), machine.DispositionContinue
+		return fmt.Errorf("%w: %v", ErrDeadSrcDst, from)
 	}
-	g, ok := granter.grants[r.id]
+	g, ok := granter.grants[id]
 	if !ok || g.revoked {
-		return self.bytesOut(nil, fmt.Errorf("%w: id %d", ErrBadGrant, r.id)), machine.DispositionContinue
+		return fmt.Errorf("%w: id %d", ErrBadGrant, id)
 	}
 	if g.grantee != self.ep {
-		return self.bytesOut(nil, fmt.Errorf("%w: grant %d belongs to %v", ErrNotGrantee, r.id, g.grantee)), machine.DispositionContinue
+		return fmt.Errorf("%w: grant %d belongs to %v", ErrNotGrantee, id, g.grantee)
 	}
-	if r.offset < 0 || r.length < 0 || r.offset+r.length > len(g.buf) {
-		return self.bytesOut(nil, fmt.Errorf("%w: [%d,%d) of %d", ErrGrantBounds, r.offset, r.offset+r.length, len(g.buf))), machine.DispositionContinue
+	if offset < 0 || length < 0 || offset+length > len(g.buf) {
+		return fmt.Errorf("%w: [%d,%d) of %d", ErrGrantBounds, offset, offset+length, len(g.buf))
 	}
-	if r.src == nil {
+	if src == nil {
 		if g.access&GrantRead == 0 {
-			return self.bytesOut(nil, fmt.Errorf("%w: read", ErrGrantAccess)), machine.DispositionContinue
+			return fmt.Errorf("%w: read", ErrGrantAccess)
 		}
-		out := make([]byte, r.length)
-		copy(out, g.buf[r.offset:])
-		return self.bytesOut(out, nil), machine.DispositionContinue
+		f.Buf = make([]byte, length)
+		copy(f.Buf, g.buf[offset:])
+		return nil
 	}
 	if g.access&GrantWrite == 0 {
-		return self.bytesOut(nil, fmt.Errorf("%w: write", ErrGrantAccess)), machine.DispositionContinue
+		return fmt.Errorf("%w: write", ErrGrantAccess)
 	}
-	copy(g.buf[r.offset:r.offset+r.length], r.src)
-	return self.bytesOut(nil, nil), machine.DispositionContinue
+	copy(g.buf[offset:offset+length], src)
+	return nil
 }

@@ -73,7 +73,7 @@ type Stats struct {
 }
 
 // ipcPhase records why a process is blocked, if it is.
-type ipcPhase int
+type ipcPhase uint8
 
 const (
 	phaseIdle ipcPhase = iota
@@ -84,34 +84,39 @@ const (
 )
 
 // procEntry is the kernel-side process control block. The paper's ac_id
-// addition is the acID field.
+// addition is the acID field. Small fields sit together so the entry fills
+// a 224-byte allocation: a fork bomb keeps thousands of them live.
 type procEntry struct {
 	pid  machine.PID
 	ep   Endpoint
-	name string
 	acID core.ACID
-	// acName is the policy spelling of acID, resolved once at spawn.
-	acName string
 	// who is the process's (name, acID) identity as a small integer, the
 	// key half of the IPC cells its deliveries use.
-	who uint32
-	uid int
+	who  uint32
+	name string
+	// acName is the policy spelling of acID, resolved once at spawn.
+	acName string
 
-	image     string
 	isServer  bool
 	restart   bool
-	devs      map[machine.DeviceID]bool
 	netAccess bool
+	devs      map[machine.DeviceID]bool
+
+	// frame is the process's trap frame: a blocked trap's reply is written
+	// into it before the process is woken, and a blocked sender's message
+	// waits in it until a receiver takes it.
+	frame *machine.Frame
 
 	// IPC state.
 	phase       ipcPhase
 	wantSendRec bool
-	sendDst     Endpoint
-	outMsg      Message
-	recvFrom    Endpoint
-	senders     []machine.PID
-	notifies    []Endpoint
-	mailbox     []Message
+	// exiting marks a voluntary exit() so OnProcExit does not count it as a
+	// crash.
+	exiting  bool
+	recvFrom Endpoint
+	senders  []machine.PID
+	notifies []Endpoint
+	mailbox  []Message
 
 	// waitToken invalidates stale timer/network callbacks after the process
 	// unblocks or dies.
@@ -120,83 +125,21 @@ type procEntry struct {
 	// span is the open sendrec round-trip span, zero outside a sendrec.
 	span obs.SpanID
 
-	// exiting marks a voluntary exit() so OnProcExit does not count it as a
-	// crash.
-	exiting bool
-
-	// Network handles.
+	// Network handles and memory grants.
 	nextHandle int32
+	nextGrant  GrantID
 	listeners  map[int32]*vnet.Listener
 	conns      map[int32]*vnet.Conn
+	grants     map[GrantID]*grant
 
-	// Memory grants.
-	grants    map[GrantID]*grant
-	nextGrant GrantID
-
-	// Reply scratch, one per reply type. The engine serialises all kernel
-	// work, a blocked process receives at most one wake-up value, and the
-	// API wrappers copy the fields out before the next trap, so returning
-	// &e.ipcR (and the rest) boxes a pointer (no per-call heap allocation)
-	// without aliasing hazards.
-	ipcR    ipcReply
-	errR    errReply
-	u32R    u32Reply
-	epR     epReply
-	handleR handleReply
-	bytesR  bytesReply
-	grantR  grantReply
-
-	// onSleep and onRecvTimeout are the process's timer callbacks, built
-	// once at spawn and re-armed for every Sleep and ReceiveTimeout with the
-	// wait's token (machine.Clock.AfterToken). A firing whose token is no
-	// longer the process's waitToken belongs to a finished wait, or to a
-	// dead process, and does nothing.
+	// onSleep and onRecvTimeout are the process's timer callbacks, built on
+	// its first Sleep or ReceiveTimeout (most processes, every fork-bomb
+	// child among them, never arm one) and re-armed for every later wait
+	// with the wait's token (machine.Clock.AfterToken). A firing whose token
+	// is no longer the process's waitToken belongs to a finished wait, or to
+	// a dead process, and does nothing.
 	onSleep       func(token uint64)
 	onRecvTimeout func(token uint64)
-}
-
-// ipcOut fills the entry's IPC reply scratch and returns it boxed. A nil err
-// with a zero msg is the bare success reply.
-func (e *procEntry) ipcOut(msg Message, err error) any {
-	e.ipcR = ipcReply{msg: msg, err: err}
-	return &e.ipcR
-}
-
-// errOut fills the entry's error reply scratch and returns it boxed.
-func (e *procEntry) errOut(err error) any {
-	e.errR = errReply{err: err}
-	return &e.errR
-}
-
-// u32Out fills the entry's u32 reply scratch and returns it boxed.
-func (e *procEntry) u32Out(v uint32, err error) any {
-	e.u32R = u32Reply{value: v, err: err}
-	return &e.u32R
-}
-
-// epOut fills the entry's endpoint reply scratch and returns it boxed.
-func (e *procEntry) epOut(ep Endpoint, err error) any {
-	e.epR = epReply{ep: ep, err: err}
-	return &e.epR
-}
-
-// handleOut fills the entry's network-handle reply scratch and returns it
-// boxed.
-func (e *procEntry) handleOut(h int32, err error) any {
-	e.handleR = handleReply{handle: h, err: err}
-	return &e.handleR
-}
-
-// bytesOut fills the entry's byte-slice reply scratch and returns it boxed.
-func (e *procEntry) bytesOut(data []byte, err error) any {
-	e.bytesR = bytesReply{data: data, err: err}
-	return &e.bytesR
-}
-
-// grantOut fills the entry's grant reply scratch and returns it boxed.
-func (e *procEntry) grantOut(id GrantID, err error) any {
-	e.grantR = grantReply{id: id, err: err}
-	return &e.grantR
 }
 
 // Kernel is the simulated security-enhanced MINIX 3 kernel: the board's
@@ -210,8 +153,10 @@ type Kernel struct {
 	images map[string]Image
 	slots  []*procEntry
 	gens   []int
-	byPID  map[machine.PID]*procEntry
-	names  map[string]Endpoint
+	// byPID maps each live process's engine PID to its entry: PIDs are
+	// dense from 1 and never reused, so a slice indexed by PID serves.
+	byPID []*procEntry
+	names map[string]Endpoint
 
 	// used counts occupied slots and freeLow is a lower bound on the lowest
 	// free one: every slot below it is occupied. A full table is then
@@ -313,7 +258,6 @@ func Boot(m *machine.Machine, policy *core.Policy, cfg Config) (*Kernel, error) 
 		images: make(map[string]Image),
 		slots:  make([]*procEntry, maxSlots),
 		gens:   make([]int, maxSlots),
-		byPID:  make(map[machine.PID]*procEntry),
 		names:  make(map[string]Endpoint),
 		whos:   make(map[procIdent]uint32),
 		cells:  make(map[cellKey]cellEdges),
@@ -470,8 +414,6 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 		acID:      acid,
 		acName:    k.policy.IPC.NameOf(acid),
 		who:       k.whoOf(img.Name, acid),
-		uid:       img.UID,
-		image:     img.Name,
 		isServer:  img.Server,
 		restart:   img.Restart,
 		netAccess: img.Net,
@@ -484,18 +426,21 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 			entry.devs[d] = true
 		}
 	}
-	k.buildWakers(entry)
 	body := img.Body
 	proc, err := k.m.Engine().Spawn(img.Name, img.Priority, func(ctx *machine.Context) {
-		body(&API{ctx: ctx, self: ep})
+		body(&API{ctx: ctx, f: ctx.Frame(), self: ep})
 	})
 	if err != nil {
 		return EndpointNone, fmt.Errorf("minix: spawning %q: %w", img.Name, err)
 	}
 	entry.pid = proc.PID()
+	entry.frame = proc.Frame()
 	k.slots[slot] = entry
 	k.used++
 	k.freeLow = slot + 1
+	for int(proc.PID()) >= len(k.byPID) {
+		k.byPID = append(k.byPID, nil)
+	}
 	k.byPID[proc.PID()] = entry
 	k.names[img.Name] = ep
 	k.stats.Spawns++
@@ -549,11 +494,19 @@ func (k *Kernel) resolve(ep Endpoint) *procEntry {
 // entryOf maps a trapping PID to its entry; every trapping process was
 // spawned by this kernel, so a miss is a kernel bug.
 func (k *Kernel) entryOf(pid machine.PID) *procEntry {
-	e, ok := k.byPID[pid]
-	if !ok {
+	e := k.live(pid)
+	if e == nil {
 		panic(fmt.Sprintf("minix: trap from unknown pid %d", pid))
 	}
 	return e
+}
+
+// live returns the entry of pid while the process lives, nil otherwise.
+func (k *Kernel) live(pid machine.PID) *procEntry {
+	if int(pid) >= len(k.byPID) {
+		return nil
+	}
+	return k.byPID[pid]
 }
 
 // checkIPC is the access control matrix hook on every user-to-user IPC
@@ -638,145 +591,163 @@ func (k *Kernel) endSpan(e *procEntry, outcome obs.Outcome) {
 	}
 }
 
-// HandleTrap implements machine.TrapHandler.
-func (k *Kernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition) {
+// HandleTrap implements machine.TrapHandler: it dispatches on the trap
+// number, reading the arguments from and writing the reply into f, the
+// caller's frame (the layouts are in syscalls.go).
+func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Disposition {
 	self := k.entryOf(pid)
-	switch r := req.(type) {
-	case *sendReq:
-		return k.doSend(self, r.dst, r.msg, false)
-	case *sendRecReq:
-		return k.doSend(self, r.dst, r.msg, true)
-	case *receiveReq:
-		return k.doReceive(self, r.from)
-	case *receiveTimeoutReq:
-		reply, disp := k.doReceive(self, r.from)
-		if disp == machine.DispositionContinue {
-			return reply, disp
+	switch f.Nr {
+	case trapSend, trapSendRec:
+		return k.doSend(self, Endpoint(f.R[0]), frameMsg(f), f.Nr == trapSendRec)
+	case trapReceive:
+		return k.doReceive(self, Endpoint(f.R[0]))
+	case trapReceiveTimeout:
+		d := time.Duration(f.R[1])
+		if k.doReceive(self, Endpoint(f.R[0])) == machine.DispositionContinue {
+			return machine.DispositionContinue
 		}
 		// Blocked: arm the timeout. Delivery bumps waitToken, so a reply
 		// racing the timer wins and the timer callback becomes a no-op.
+		if self.onRecvTimeout == nil {
+			k.buildWakers(self)
+		}
 		self.waitToken++
-		k.m.Clock().AfterToken(r.d, self.onRecvTimeout, self.waitToken)
-		return nil, machine.DispositionBlock
-	case *notifyReq:
-		return k.doNotify(self, r.dst)
-	case *sendNBReq:
-		return k.doSendNB(self, r.dst, r.msg)
-	case *sleepReq:
-		return k.doSleep(self, r)
-	case *devReadReq:
-		if !self.devs[r.dev] {
-			return self.u32Out(0, fmt.Errorf("%w: device %q", ErrNoPrivilege, r.dev)), machine.DispositionContinue
+		k.m.Clock().AfterToken(d, self.onRecvTimeout, self.waitToken)
+		return machine.DispositionBlock
+	case trapNotify:
+		f.Err = k.doNotify(self, Endpoint(f.R[0]))
+	case trapSendNB:
+		f.Err = k.doSendNB(self, Endpoint(f.R[0]), frameMsg(f))
+	case trapSleep:
+		if self.onSleep == nil {
+			k.buildWakers(self)
+		}
+		self.phase = phaseSleeping
+		self.waitToken++
+		k.m.Clock().AfterToken(time.Duration(f.R[0]), self.onSleep, self.waitToken)
+		return machine.DispositionBlock
+	case trapDevRead:
+		dev := machine.DeviceID(f.S0)
+		if !self.devs[dev] {
+			f.Err = fmt.Errorf("%w: device %q", ErrNoPrivilege, dev)
+			break
 		}
 		k.stats.DevReads++
-		v, err := k.m.Bus().Read(r.dev, r.reg)
-		return self.u32Out(v, err), machine.DispositionContinue
-	case *devWriteReq:
-		if !self.devs[r.dev] {
-			return self.errOut(fmt.Errorf("%w: device %q", ErrNoPrivilege, r.dev)), machine.DispositionContinue
+		v, err := k.m.Bus().Read(dev, uint32(f.R[0]))
+		f.R[0], f.Err = uint64(v), err
+	case trapDevWrite:
+		dev := machine.DeviceID(f.S0)
+		if !self.devs[dev] {
+			f.Err = fmt.Errorf("%w: device %q", ErrNoPrivilege, dev)
+			break
 		}
 		k.stats.DevWrites++
-		return self.errOut(k.m.Bus().Write(r.dev, r.reg, r.value)), machine.DispositionContinue
-	case *lookupReq:
-		ep, err := k.EndpointOf(r.name)
-		return self.epOut(ep, err), machine.DispositionContinue
-	case *traceReq:
-		k.m.Trace().Log(r.tag, r.text)
-		return self.errOut(nil), machine.DispositionContinue
-	case *netListenReq:
-		return k.doNetListen(self, r)
-	case *netAcceptReq:
-		return k.doNetAccept(self, r)
-	case *netReadReq:
-		return k.doNetRead(self, r)
-	case *netWriteReq:
-		return k.doNetWrite(self, r)
-	case *netCloseReq:
-		return k.doNetClose(self, r)
-	case *grantCreateReq:
-		return k.doGrantCreate(self, r)
-	case *grantRevokeReq:
-		return k.doGrantRevoke(self, r)
-	case *safeCopyReq:
-		return k.doSafeCopy(self, r)
-	case *exitReq:
+		f.Err = k.m.Bus().Write(dev, uint32(f.R[0]), uint32(f.R[1]))
+	case trapLookup:
+		ep, err := k.EndpointOf(f.S0)
+		f.R[0], f.Err = uint64(ep), err
+	case trapTrace:
+		k.m.Trace().Log(f.S0, f.S1)
+	case trapNetListen:
+		f.Err = k.doNetListen(self, f)
+	case trapNetAccept:
+		return k.doNetAccept(self, f)
+	case trapNetRead:
+		return k.doNetRead(self, f)
+	case trapNetWrite:
+		f.Err = k.doNetWrite(self, f)
+	case trapNetClose:
+		f.Err = k.doNetClose(self, f)
+	case trapGrantCreate:
+		f.Err = k.doGrantCreate(self, f)
+	case trapGrantRevoke:
+		f.Err = k.doGrantRevoke(self, GrantID(f.R[0]))
+	case trapSafeCopy:
+		f.Err = k.doSafeCopy(self, f)
+	case trapExit:
 		self.exiting = true
-		if err := k.m.Engine().Kill(pid); err != nil {
-			return self.errOut(err), machine.DispositionContinue
-		}
-		// Unreachable: Kill unwound the goroutine.
-		return self.errOut(nil), machine.DispositionContinue
-	case *kSpawnReq:
+		// Kill unwinds the caller: the error slot is read only if it fails.
+		f.Err = k.m.Engine().Kill(pid)
+	case trapKSpawn:
 		if !self.isServer {
-			return self.epOut(EndpointNone, ErrNoPrivilege), machine.DispositionContinue
+			f.Err = ErrNoPrivilege
+			break
 		}
-		ep, err := k.SpawnImage(r.image, core.ACID(r.acid))
-		return self.epOut(ep, err), machine.DispositionContinue
-	case *kKillReq:
-		if !self.isServer {
-			k.events.Emit(obs.SecurityEvent{
-				Kind:      obs.EventKillDenied,
-				Mechanism: obs.MechKernel,
-				Denied:    true,
-				Src:       self.name,
-				Detail:    "kernel kill requires server privilege",
-			})
-			return self.errOut(ErrNoPrivilege), machine.DispositionContinue
-		}
-		victim := k.resolve(r.target)
-		if victim == nil {
-			return self.errOut(fmt.Errorf("%w: %v", ErrDeadSrcDst, r.target)), machine.DispositionContinue
-		}
-		k.stats.Kills++
-		k.mKills.Inc()
-		k.events.Emit(obs.SecurityEvent{
-			Kind:      obs.EventKill,
-			Mechanism: obs.MechSyscallMask,
-			Src:       self.name,
-			Dst:       victim.name,
-			Detail:    "pm-authorized kill",
-		})
-		victim.exiting = true // killed by policy decision, not a fault
-		if err := k.m.Engine().Kill(victim.pid); err != nil {
-			return self.errOut(err), machine.DispositionContinue
-		}
-		return self.errOut(nil), machine.DispositionContinue
+		ep, err := k.SpawnImage(f.S0, core.ACID(f.R[0]))
+		f.R[0], f.Err = uint64(ep), err
+	case trapKKill:
+		f.Err = k.doKKill(self, Endpoint(f.R[0]))
 	default:
-		return self.errOut(fmt.Errorf("minix: unknown trap %T", req)), machine.DispositionContinue
+		f.Err = fmt.Errorf("minix: unknown trap %d", f.Nr)
 	}
+	return machine.DispositionContinue
 }
 
-// doSend implements synchronous send and the send half of sendrec.
-func (k *Kernel) doSend(self *procEntry, dst Endpoint, msg Message, sendRec bool) (any, machine.Disposition) {
+// doKKill is the privileged kernel kill PM issues once it has audited a
+// kill request.
+func (k *Kernel) doKKill(self *procEntry, target Endpoint) error {
+	if !self.isServer {
+		k.events.Emit(obs.SecurityEvent{
+			Kind:      obs.EventKillDenied,
+			Mechanism: obs.MechKernel,
+			Denied:    true,
+			Src:       self.name,
+			Detail:    "kernel kill requires server privilege",
+		})
+		return ErrNoPrivilege
+	}
+	victim := k.resolve(target)
+	if victim == nil {
+		return fmt.Errorf("%w: %v", ErrDeadSrcDst, target)
+	}
+	k.stats.Kills++
+	k.mKills.Inc()
+	k.events.Emit(obs.SecurityEvent{
+		Kind:      obs.EventKill,
+		Mechanism: obs.MechSyscallMask,
+		Src:       self.name,
+		Dst:       victim.name,
+		Detail:    "pm-authorized kill",
+	})
+	victim.exiting = true // killed by policy decision, not a fault
+	return k.m.Engine().Kill(victim.pid)
+}
+
+// doSend implements synchronous send and the send half of sendrec. A sender
+// that blocks leaves msg in its frame, where the receiver takes it.
+func (k *Kernel) doSend(self *procEntry, dst Endpoint, msg Message, sendRec bool) machine.Disposition {
 	if sendRec {
 		k.mSendRecs.Inc()
 	} else {
 		k.mSends.Inc()
 	}
+	f := self.frame
 	target := k.resolve(dst)
 	if target == nil {
-		return self.ipcOut(Message{}, fmt.Errorf("%w: %v", ErrDeadSrcDst, dst)), machine.DispositionContinue
+		f.Err = fmt.Errorf("%w: %v", ErrDeadSrcDst, dst)
+		return machine.DispositionContinue
 	}
 	if target == self {
-		return self.ipcOut(Message{}, ErrSelfSend), machine.DispositionContinue
+		f.Err = ErrSelfSend
+		return machine.DispositionContinue
 	}
 	cell, err := k.checkIPC(self, target, msg.Type)
 	if err != nil {
 		if sendRec {
 			k.tracer.Emit(k.cell(self, target, msg.Type).span, obs.OutcomeACMDenied)
 		}
-		return self.ipcOut(Message{}, err), machine.DispositionContinue
+		f.Err = err
+		return machine.DispositionContinue
 	}
 	drop, delay := k.faultFor(self.name, target.name)
 	if drop {
 		if sendRec {
 			k.tracer.Emit(cell.span, obs.OutcomeAborted)
 		}
-		return self.ipcOut(Message{}, ErrTimeout), machine.DispositionContinue
+		f.Err = ErrTimeout
+		return machine.DispositionContinue
 	}
 	msg.Source = self.ep // kernel stamp: spoofing-proof sender identity
-	self.outMsg = msg
-	self.sendDst = dst
 	self.wantSendRec = sendRec
 	if sendRec {
 		// The round-trip span stays open until the reply wakes the caller.
@@ -792,27 +763,27 @@ func (k *Kernel) doSend(self *procEntry, dst Endpoint, msg Message, sendRec bool
 		if sendRec {
 			self.phase = phaseRecvBlocked
 			self.recvFrom = dst
-			return nil, machine.DispositionBlock
+			return machine.DispositionBlock
 		}
-		return self.ipcOut(Message{}, nil), machine.DispositionContinue
+		return machine.DispositionContinue
 	}
 	// Receiver not ready: queue and block (rendezvous semantics).
 	target.senders = append(target.senders, self.pid)
 	self.phase = phaseSendBlocked
-	return nil, machine.DispositionBlock
+	return machine.DispositionBlock
 }
 
 // delaySend parks a sender whose delivery is being delayed by fault
 // injection. The sender blocks as in a normal rendezvous, but joins the
 // receiver's sender queue only when the delay elapses, so the message is
 // invisible in transit.
-func (k *Kernel) delaySend(self *procEntry, dst Endpoint, msg Message, sendRec bool, delay time.Duration) (any, machine.Disposition) {
+func (k *Kernel) delaySend(self *procEntry, dst Endpoint, msg Message, sendRec bool, delay time.Duration) machine.Disposition {
 	self.phase = phaseSendBlocked
 	self.waitToken++
 	token := self.waitToken
 	pid := self.pid
 	k.m.Clock().After(delay, func() {
-		e := k.byPID[pid]
+		e := k.live(pid)
 		if e != self || e.waitToken != token || e.phase != phaseSendBlocked {
 			return
 		}
@@ -820,7 +791,7 @@ func (k *Kernel) delaySend(self *procEntry, dst Endpoint, msg Message, sendRec b
 		if target == nil {
 			e.phase = phaseIdle
 			k.endSpan(e, obs.OutcomeAborted)
-			k.mustReady(pid, e.ipcOut(Message{}, fmt.Errorf("%w: %v", ErrDeadSrcDst, dst)))
+			k.wake(e, fmt.Errorf("%w: %v", ErrDeadSrcDst, dst))
 			return
 		}
 		if target.phase == phaseRecvBlocked && matches(target.recvFrom, e.ep) {
@@ -831,12 +802,12 @@ func (k *Kernel) delaySend(self *procEntry, dst Endpoint, msg Message, sendRec b
 				return
 			}
 			e.phase = phaseIdle
-			k.mustReady(pid, e.ipcOut(Message{}, nil))
+			k.wake(e, nil)
 			return
 		}
 		target.senders = append(target.senders, pid)
 	})
-	return nil, machine.DispositionBlock
+	return machine.DispositionBlock
 }
 
 // completeReceive hands msg to a receiver blocked in Receive and wakes it.
@@ -846,17 +817,18 @@ func (k *Kernel) completeReceive(receiver *procEntry, msg Message) {
 	k.stats.IPCDelivered++
 	k.mDelivered.Inc()
 	k.endSpan(receiver, obs.OutcomeDelivered)
-	if err := k.m.Engine().Ready(receiver.pid, receiver.ipcOut(msg, nil)); err != nil {
-		panic(fmt.Sprintf("minix: waking receiver %s: %v", receiver.name, err))
-	}
+	putMsg(receiver.frame, &msg)
+	k.wake(receiver, nil)
 }
 
 // doReceive implements Receive(from).
-func (k *Kernel) doReceive(self *procEntry, from Endpoint) (any, machine.Disposition) {
+func (k *Kernel) doReceive(self *procEntry, from Endpoint) machine.Disposition {
 	k.mReceives.Inc()
+	f := self.frame
 	// Specific receive from a dead endpoint can never complete.
 	if from != EndpointAny && k.resolve(from) == nil && from != EndpointSystem {
-		return self.ipcOut(Message{}, fmt.Errorf("%w: %v", ErrDeadSrcDst, from)), machine.DispositionContinue
+		f.Err = fmt.Errorf("%w: %v", ErrDeadSrcDst, from)
+		return machine.DispositionContinue
 	}
 	// Delivery priority: notifications, then the async mailbox, then blocked
 	// senders, mirroring MINIX's notify-before-message rule.
@@ -865,20 +837,22 @@ func (k *Kernel) doReceive(self *procEntry, from Endpoint) (any, machine.Disposi
 			self.notifies = append(self.notifies[:i], self.notifies[i+1:]...)
 			k.stats.IPCDelivered++
 			k.mDelivered.Inc()
-			return self.ipcOut(Message{Source: src, Type: int32(core.MsgAck)}, nil), machine.DispositionContinue
+			putMsg(f, &Message{Source: src, Type: int32(core.MsgAck)})
+			return machine.DispositionContinue
 		}
 	}
-	for i, msg := range self.mailbox {
-		if matches(from, msg.Source) {
+	for i := range self.mailbox {
+		if msg := &self.mailbox[i]; matches(from, msg.Source) {
+			putMsg(f, msg)
 			self.mailbox = append(self.mailbox[:i], self.mailbox[i+1:]...)
 			k.mMailbox.Add(-1)
 			k.stats.IPCDelivered++
 			k.mDelivered.Inc()
-			return self.ipcOut(msg, nil), machine.DispositionContinue
+			return machine.DispositionContinue
 		}
 	}
 	for i, senderPID := range self.senders {
-		sender := k.byPID[senderPID]
+		sender := k.live(senderPID)
 		if sender == nil || sender.phase != phaseSendBlocked {
 			continue
 		}
@@ -886,7 +860,10 @@ func (k *Kernel) doReceive(self *procEntry, from Endpoint) (any, machine.Disposi
 			continue
 		}
 		self.senders = append(self.senders[:i], self.senders[i+1:]...)
-		msg := sender.outMsg
+		// The sender's message waits in its frame; stamp its source.
+		msg := frameMsg(sender.frame)
+		msg.Source = sender.ep
+		putMsg(f, &msg)
 		k.stats.IPCDelivered++
 		k.mDelivered.Inc()
 		// Complete the sender's operation.
@@ -895,34 +872,32 @@ func (k *Kernel) doReceive(self *procEntry, from Endpoint) (any, machine.Disposi
 			sender.recvFrom = self.ep
 		} else {
 			sender.phase = phaseIdle
-			if err := k.m.Engine().Ready(sender.pid, sender.ipcOut(Message{}, nil)); err != nil {
-				panic(fmt.Sprintf("minix: waking sender %s: %v", sender.name, err))
-			}
+			k.wake(sender, nil)
 		}
-		return self.ipcOut(msg, nil), machine.DispositionContinue
+		return machine.DispositionContinue
 	}
 	// Nothing pending: block.
 	self.phase = phaseRecvBlocked
 	self.recvFrom = from
-	return nil, machine.DispositionBlock
+	return machine.DispositionBlock
 }
 
 // doNotify implements the non-blocking notification primitive. A
 // notification carries no payload and is delivered as a type-0
 // (ACKNOWLEDGE) message, so the ACM's ack bit governs it.
-func (k *Kernel) doNotify(self *procEntry, dst Endpoint) (any, machine.Disposition) {
+func (k *Kernel) doNotify(self *procEntry, dst Endpoint) error {
 	k.mNotifies.Inc()
 	target := k.resolve(dst)
 	if target == nil {
-		return self.errOut(fmt.Errorf("%w: %v", ErrDeadSrcDst, dst)), machine.DispositionContinue
+		return fmt.Errorf("%w: %v", ErrDeadSrcDst, dst)
 	}
 	if _, err := k.checkIPC(self, target, int32(core.MsgAck)); err != nil {
-		return self.errOut(err), machine.DispositionContinue
+		return err
 	}
 	drop, delay := k.faultFor(self.name, target.name)
 	if drop {
 		// Notifications are fire-and-forget: a lost one is a silent success.
-		return self.errOut(nil), machine.DispositionContinue
+		return nil
 	}
 	k.stats.Notifies++
 	if delay > 0 {
@@ -932,10 +907,10 @@ func (k *Kernel) doNotify(self *procEntry, dst Endpoint) (any, machine.Dispositi
 				k.queueNotify(tgt, src)
 			}
 		})
-		return self.errOut(nil), machine.DispositionContinue
+		return nil
 	}
 	k.queueNotify(target, self.ep)
-	return self.errOut(nil), machine.DispositionContinue
+	return nil
 }
 
 // queueNotify delivers or pends a notification from src.
@@ -955,22 +930,22 @@ func (k *Kernel) queueNotify(target *procEntry, src Endpoint) {
 
 // doSendNB implements the asynchronous non-blocking send the sensor driver
 // uses ("sends the fresh data using nonblocking send").
-func (k *Kernel) doSendNB(self *procEntry, dst Endpoint, msg Message) (any, machine.Disposition) {
+func (k *Kernel) doSendNB(self *procEntry, dst Endpoint, msg Message) error {
 	k.mSendNBs.Inc()
 	target := k.resolve(dst)
 	if target == nil {
-		return self.errOut(fmt.Errorf("%w: %v", ErrDeadSrcDst, dst)), machine.DispositionContinue
+		return fmt.Errorf("%w: %v", ErrDeadSrcDst, dst)
 	}
 	if target == self {
-		return self.errOut(ErrSelfSend), machine.DispositionContinue
+		return ErrSelfSend
 	}
 	if _, err := k.checkIPC(self, target, msg.Type); err != nil {
-		return self.errOut(err), machine.DispositionContinue
+		return err
 	}
 	drop, delay := k.faultFor(self.name, target.name)
 	if drop {
 		// Async sends report success; the message is lost in transit.
-		return self.errOut(nil), machine.DispositionContinue
+		return nil
 	}
 	msg.Source = self.ep
 	if delay > 0 {
@@ -990,19 +965,19 @@ func (k *Kernel) doSendNB(self *procEntry, dst Endpoint, msg Message) (any, mach
 			k.mMailbox.Add(1)
 			k.stats.AsyncQueued++
 		})
-		return self.errOut(nil), machine.DispositionContinue
+		return nil
 	}
 	if target.phase == phaseRecvBlocked && matches(target.recvFrom, self.ep) {
 		k.completeReceive(target, msg)
-		return self.errOut(nil), machine.DispositionContinue
+		return nil
 	}
 	if len(target.mailbox) >= k.cfg.MailboxCap {
-		return self.errOut(ErrMailboxFull), machine.DispositionContinue
+		return ErrMailboxFull
 	}
 	target.mailbox = append(target.mailbox, msg)
 	k.mMailbox.Add(1)
 	k.stats.AsyncQueued++
-	return self.errOut(nil), machine.DispositionContinue
+	return nil
 }
 
 // deliverSystem queues a kernel-generated message to a server process,
@@ -1017,36 +992,27 @@ func (k *Kernel) deliverSystem(target *procEntry, msg Message) {
 	k.mMailbox.Add(1)
 }
 
-// doSleep blocks the caller for a virtual duration.
-func (k *Kernel) doSleep(self *procEntry, r *sleepReq) (any, machine.Disposition) {
-	self.phase = phaseSleeping
-	self.waitToken++
-	k.m.Clock().AfterToken(r.d, self.onSleep, self.waitToken)
-	return nil, machine.DispositionBlock
-}
-
-// buildWakers builds e's reusable Sleep and ReceiveTimeout timer callbacks.
+// buildWakers builds e's reusable Sleep and ReceiveTimeout timer callbacks,
+// on its first wait.
 // Each firing carries the token of the wait that armed it; a token that is
 // no longer e's waitToken, or an e no longer in the process table (it died,
 // and OnProcExit bumped the token too), makes the firing a no-op, so a
 // pending timer of a dead process never wakes whatever reuses its slot.
 func (k *Kernel) buildWakers(e *procEntry) {
 	e.onSleep = func(token uint64) {
-		if k.byPID[e.pid] != e || e.waitToken != token || e.phase != phaseSleeping {
+		if k.live(e.pid) != e || e.waitToken != token || e.phase != phaseSleeping {
 			return
 		}
 		e.phase = phaseIdle
-		if err := k.m.Engine().Ready(e.pid, e.errOut(nil)); err != nil {
-			panic(fmt.Sprintf("minix: waking sleeper %s: %v", e.name, err))
-		}
+		k.wake(e, nil)
 	}
 	e.onRecvTimeout = func(token uint64) {
-		if k.byPID[e.pid] != e || e.waitToken != token || e.phase != phaseRecvBlocked {
+		if k.live(e.pid) != e || e.waitToken != token || e.phase != phaseRecvBlocked {
 			return
 		}
 		e.phase = phaseIdle
 		e.waitToken++
-		k.mustReady(e.pid, e.ipcOut(Message{}, ErrTimeout))
+		k.wake(e, ErrTimeout)
 	}
 }
 
@@ -1059,8 +1025,8 @@ func matches(filter, src Endpoint) bool {
 // process's kernel state, errors out every peer blocked on it, and reports
 // driver crashes to the reincarnation server.
 func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
-	e, ok := k.byPID[pid]
-	if !ok {
+	e := k.live(pid)
+	if e == nil {
 		return
 	}
 	crashed := info.Crashed || (info.Killed && !e.exiting)
@@ -1079,7 +1045,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 	if slot < k.freeLow {
 		k.freeLow = slot
 	}
-	delete(k.byPID, pid)
+	k.byPID[pid] = nil
 	if k.names[e.name] == e.ep {
 		delete(k.names, e.name)
 	}
@@ -1089,15 +1055,13 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 
 	// Wake senders queued on the victim.
 	for _, senderPID := range e.senders {
-		sender := k.byPID[senderPID]
+		sender := k.live(senderPID)
 		if sender == nil || sender.phase != phaseSendBlocked {
 			continue
 		}
 		sender.phase = phaseIdle
 		k.endSpan(sender, obs.OutcomeAborted)
-		if err := k.m.Engine().Ready(senderPID, sender.ipcOut(Message{}, fmt.Errorf("%w: %v", ErrDeadSrcDst, e.ep))); err != nil {
-			panic(fmt.Sprintf("minix: waking sender of dead proc: %v", err))
-		}
+		k.wake(sender, fmt.Errorf("%w: %v", ErrDeadSrcDst, e.ep))
 	}
 	// Wake receivers waiting specifically on the victim, and drop the victim
 	// from other processes' sender queues.
@@ -1109,9 +1073,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 			other.phase = phaseIdle
 			other.waitToken++
 			k.endSpan(other, obs.OutcomeAborted)
-			if err := k.m.Engine().Ready(other.pid, other.ipcOut(Message{}, fmt.Errorf("%w: %v", ErrDeadSrcDst, e.ep))); err != nil {
-				panic(fmt.Sprintf("minix: waking receiver of dead proc: %v", err))
-			}
+			k.wake(other, fmt.Errorf("%w: %v", ErrDeadSrcDst, e.ep))
 		}
 		for i, senderPID := range other.senders {
 			if senderPID == pid {
@@ -1136,7 +1098,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 		if rsEntry := k.resolve(k.rs.ep); rsEntry != nil {
 			msg := NewMessage(TypeProcExit)
 			msg.PutU32(0, uint32(e.ep))
-			msg.PutString(8, e.image)
+			msg.PutString(8, e.name)
 			msg.PutU32(44, uint32(e.acID))
 			k.deliverSystem(rsEntry, msg)
 		}

@@ -2,6 +2,8 @@ package minix
 
 import (
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -351,4 +353,53 @@ func TestStaleTimersNeverWake(t *testing.T) {
 	if secondAt < machine.Time(5*time.Second) {
 		t.Fatalf("second ReceiveTimeout returned at %v, before its own 5s deadline", secondAt)
 	}
+}
+
+// TestForkChildByteBudget gates the live heap one parked process costs: the
+// MINIX fork-bomb cases keep 4,097 of them live at once. A child that never
+// sleeps, opens a device or a socket carries its process entry, the
+// engine's process record with its trap frame, and its coroutine.
+//
+// The Go runtime never returns a goroutine descriptor (about 440 B) to the
+// heap; it keeps it for the next goroutine. The probe first runs and ends
+// as many goroutines as it parks children, so their coroutines reuse
+// descriptors, as a campaign's later cases do, and the reading does not
+// depend on which tests ran before it.
+func TestForkChildByteBudget(t *testing.T) {
+	const children, budget = 2000, 1250
+	var wg sync.WaitGroup
+	release := make(chan struct{})
+	for range children {
+		wg.Add(1)
+		go func() {
+			<-release
+			wg.Done()
+		}()
+	}
+	close(release)
+	wg.Wait()
+	m, k := testBoard(t, testPolicy(), Config{})
+	k.RegisterImage(Image{Name: "child", Priority: 7, Body: func(api *API) {
+		api.Receive(EndpointAny)
+	}})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range children {
+		spawnOrFatal(t, k, "child", acidA)
+	}
+	m.Run(time.Second)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if live := m.Engine().LiveCount(); live != children+2 {
+		t.Fatalf("live processes = %d, want %d children plus PM and RS", live, children)
+	}
+	perChild := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / children
+	t.Logf("%d B of live heap per parked child", perChild)
+	if perChild > budget {
+		t.Fatalf("a parked child costs %d B of live heap, budget %d B", perChild, budget)
+	}
+	runtime.KeepAlive(k)
 }

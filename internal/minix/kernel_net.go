@@ -47,119 +47,131 @@ func (e *procEntry) addConn(conn *vnet.Conn) int32 {
 	return e.nextHandle
 }
 
-func (k *Kernel) doNetListen(self *procEntry, r *netListenReq) (any, machine.Disposition) {
+func (k *Kernel) doNetListen(self *procEntry, f *machine.Frame) error {
 	stack, err := k.netStack(self)
 	if err != nil {
-		return self.handleOut(0, err), machine.DispositionContinue
+		return err
 	}
-	l, err := stack.Listen(r.port)
+	l, err := stack.Listen(vnet.Port(f.R[0]))
 	if err != nil {
-		return self.handleOut(0, err), machine.DispositionContinue
+		return err
 	}
-	return self.handleOut(self.addListener(l), nil), machine.DispositionContinue
+	f.R[0] = uint64(self.addListener(l))
+	return nil
 }
 
-func (k *Kernel) doNetAccept(self *procEntry, r *netAcceptReq) (any, machine.Disposition) {
+func (k *Kernel) doNetAccept(self *procEntry, f *machine.Frame) machine.Disposition {
 	stack, err := k.netStack(self)
 	if err != nil {
-		return self.handleOut(0, err), machine.DispositionContinue
+		f.Err = err
+		return machine.DispositionContinue
 	}
-	l, ok := self.listeners[r.listener]
+	l, ok := self.listeners[int32(f.R[0])]
 	if !ok {
-		return self.handleOut(0, ErrBadHandle), machine.DispositionContinue
+		f.Err = ErrBadHandle
+		return machine.DispositionContinue
 	}
 	conn, err := stack.Accept(l)
 	switch {
 	case err == nil:
-		return self.handleOut(self.addConn(conn), nil), machine.DispositionContinue
+		f.R[0] = uint64(self.addConn(conn))
+		return machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
 		self.phase = phaseNetBlocked
 		self.waitToken++
 		token := self.waitToken
 		pid := self.pid
 		stack.WaitConn(l, func() {
-			e := k.byPID[pid]
+			e := k.live(pid)
 			if e != self || e.waitToken != token || e.phase != phaseNetBlocked {
 				return
 			}
 			conn, acceptErr := stack.Accept(l)
 			e.phase = phaseIdle
-			if acceptErr != nil {
-				k.mustReady(pid, e.handleOut(0, acceptErr))
-				return
+			if acceptErr == nil {
+				e.frame.R[0] = uint64(e.addConn(conn))
 			}
-			k.mustReady(pid, e.handleOut(e.addConn(conn), nil))
+			k.wake(e, acceptErr)
 		})
-		return nil, machine.DispositionBlock
+		return machine.DispositionBlock
 	default:
-		return self.handleOut(0, err), machine.DispositionContinue
+		f.Err = err
+		return machine.DispositionContinue
 	}
 }
 
-func (k *Kernel) doNetRead(self *procEntry, r *netReadReq) (any, machine.Disposition) {
+func (k *Kernel) doNetRead(self *procEntry, f *machine.Frame) machine.Disposition {
 	stack, err := k.netStack(self)
 	if err != nil {
-		return self.bytesOut(nil, err), machine.DispositionContinue
+		f.Err = err
+		return machine.DispositionContinue
 	}
-	conn, ok := self.conns[r.conn]
+	conn, ok := self.conns[int32(f.R[0])]
 	if !ok {
-		return self.bytesOut(nil, ErrBadHandle), machine.DispositionContinue
+		f.Err = ErrBadHandle
+		return machine.DispositionContinue
 	}
-	data, err := stack.BoardRead(conn, r.max)
+	maxBytes := int(f.R[1])
+	data, err := stack.BoardRead(conn, maxBytes)
 	switch {
 	case err == nil:
-		return self.bytesOut(data, nil), machine.DispositionContinue
+		f.Buf = data
+		return machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
 		self.phase = phaseNetBlocked
 		self.waitToken++
 		token := self.waitToken
 		pid := self.pid
-		maxBytes := r.max
 		stack.WaitReadable(conn, func() {
-			e := k.byPID[pid]
+			e := k.live(pid)
 			if e != self || e.waitToken != token || e.phase != phaseNetBlocked {
 				return
 			}
 			e.phase = phaseIdle
 			data, readErr := stack.BoardRead(conn, maxBytes)
-			k.mustReady(pid, e.bytesOut(data, readErr))
+			e.frame.Buf = data
+			k.wake(e, readErr)
 		})
-		return nil, machine.DispositionBlock
+		return machine.DispositionBlock
 	default:
-		return self.bytesOut(nil, err), machine.DispositionContinue
+		f.Err = err
+		return machine.DispositionContinue
 	}
 }
 
-func (k *Kernel) doNetWrite(self *procEntry, r *netWriteReq) (any, machine.Disposition) {
+func (k *Kernel) doNetWrite(self *procEntry, f *machine.Frame) error {
 	stack, err := k.netStack(self)
 	if err != nil {
-		return self.errOut(err), machine.DispositionContinue
+		return err
 	}
-	conn, ok := self.conns[r.conn]
+	conn, ok := self.conns[int32(f.R[0])]
 	if !ok {
-		return self.errOut(ErrBadHandle), machine.DispositionContinue
+		return ErrBadHandle
 	}
-	return self.errOut(stack.BoardWrite(conn, r.data)), machine.DispositionContinue
+	return stack.BoardWrite(conn, f.Buf)
 }
 
-func (k *Kernel) doNetClose(self *procEntry, r *netCloseReq) (any, machine.Disposition) {
+func (k *Kernel) doNetClose(self *procEntry, f *machine.Frame) error {
 	stack, err := k.netStack(self)
 	if err != nil {
-		return self.errOut(err), machine.DispositionContinue
+		return err
 	}
-	conn, ok := self.conns[r.conn]
+	h := int32(f.R[0])
+	conn, ok := self.conns[h]
 	if !ok {
-		return self.errOut(ErrBadHandle), machine.DispositionContinue
+		return ErrBadHandle
 	}
-	delete(self.conns, r.conn)
+	delete(self.conns, h)
 	stack.BoardClose(conn)
-	return self.errOut(nil), machine.DispositionContinue
+	return nil
 }
 
-// mustReady wakes a process the kernel knows is blocked; failure is a kernel
-// invariant violation.
-func (k *Kernel) mustReady(pid machine.PID, reply any) {
-	if err := k.m.Engine().Ready(pid, reply); err != nil {
-		panic(fmt.Sprintf("minix: Ready(%d): %v", pid, err))
+// wake writes err into the error slot of e, a process blocked in a trap
+// whose reply the caller has written into its frame, and readies it.
+// Failure is a kernel invariant violation.
+func (k *Kernel) wake(e *procEntry, err error) {
+	e.frame.Err = err
+	if err := k.m.Engine().Ready(e.pid); err != nil {
+		panic(fmt.Sprintf("minix: Ready(%d): %v", e.pid, err))
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"mkbas/internal/machine"
 )
 
 // PayloadSize is the fixed payload capacity: 64 bytes total minus the 4-byte
@@ -94,4 +96,26 @@ func (m *Message) stringBytes(off int) []byte {
 // kernel.
 func NewMessage(msgType int32) Message {
 	return Message{Type: msgType}
+}
+
+// A message travels in a trap frame's registers R1..R8: R1 holds the source
+// endpoint in its low half and the type in its high half, R2..R8 the
+// payload, little-endian. R0 stays free for the destination or the source
+// filter.
+
+// putMsg writes msg into f's message registers.
+func putMsg(f *machine.Frame, msg *Message) {
+	f.R[1] = uint64(msg.Source) | uint64(uint32(msg.Type))<<32
+	for i := range PayloadSize / 8 {
+		f.R[2+i] = binary.LittleEndian.Uint64(msg.Payload[8*i:])
+	}
+}
+
+// frameMsg reads the message in f's message registers.
+func frameMsg(f *machine.Frame) Message {
+	msg := Message{Source: Endpoint(f.R[1]), Type: int32(f.R[1] >> 32)}
+	for i := range PayloadSize / 8 {
+		binary.LittleEndian.PutUint64(msg.Payload[8*i:], f.R[2+i])
+	}
+	return msg
 }

@@ -196,14 +196,13 @@ func pmReply(code int32, ep Endpoint) Message {
 // kSpawn and kKill are the privileged kernel calls system servers use.
 
 func (a *API) kSpawn(image string, acid core.ACID) (Endpoint, error) {
-	a.kSpawnScratch = kSpawnReq{image: image, acid: acidArg(acid)}
-	reply := a.ctx.Trap(&a.kSpawnScratch).(*epReply)
-	return reply.ep, reply.err
+	a.f.S0, a.f.R[0] = image, uint64(acid)
+	return a.epReply(a.ctx.Trap(trapKSpawn))
 }
 
 func (a *API) kKill(target Endpoint) error {
-	a.kKillScratch = kKillReq{target: target}
-	return a.ctx.Trap(&a.kKillScratch).(*errReply).err
+	a.f.R[0] = uint64(target)
+	return a.ctx.Trap(trapKKill)
 }
 
 // PMView exposes PM audit state to experiments without letting them mutate

@@ -1,12 +1,6 @@
 package minix
 
-import (
-	"errors"
-	"time"
-
-	"mkbas/internal/machine"
-	"mkbas/internal/vnet"
-)
+import "errors"
 
 // IPC and kernel-call errors.
 var (
@@ -34,104 +28,38 @@ var (
 	ErrTimeout = errors.New("minix: IPC timed out")
 )
 
-// Trap request types. These are the wire format between a simulated process
-// and the kernel; user code uses the API wrappers instead.
-type (
-	sendReq struct {
-		dst Endpoint
-		msg Message
-	}
-	receiveReq struct {
-		from Endpoint
-	}
-	receiveTimeoutReq struct {
-		from Endpoint
-		d    time.Duration
-	}
-	sendRecReq struct {
-		dst Endpoint
-		msg Message
-	}
-	notifyReq struct {
-		dst Endpoint
-	}
-	sendNBReq struct {
-		dst Endpoint
-		msg Message
-	}
-	sleepReq struct {
-		d time.Duration
-	}
-	devReadReq struct {
-		dev machine.DeviceID
-		reg uint32
-	}
-	devWriteReq struct {
-		dev   machine.DeviceID
-		reg   uint32
-		value uint32
-	}
-	lookupReq struct {
-		name string
-	}
-	netListenReq struct {
-		port vnet.Port
-	}
-	netAcceptReq struct {
-		listener int32
-	}
-	netReadReq struct {
-		conn int32
-		max  int
-	}
-	netWriteReq struct {
-		conn int32
-		data []byte
-	}
-	netCloseReq struct {
-		conn int32
-	}
-	exitReq struct{}
+// Trap numbers: the wire format between a simulated process and the kernel;
+// user code uses the API wrappers instead. Each trap reads its arguments
+// from, and writes its reply into, the caller's frame as listed. A message
+// travels in the message registers R1..R8 (see putMsg); every trap can fail
+// with an error in the frame's error slot.
+const (
+	trapSend           uint32 = iota + 1 // R0 dst, R1..R8 msg
+	trapSendRec                          // R0 dst, R1..R8 msg → R1..R8 reply
+	trapReceive                          // R0 from → R1..R8 msg
+	trapReceiveTimeout                   // R0 from, R1 timeout → R1..R8 msg
+	trapNotify                           // R0 dst
+	trapSendNB                           // R0 dst, R1..R8 msg
+	trapSleep                            // R0 duration
+	trapDevRead                          // S0 device, R0 register → R0 value
+	trapDevWrite                         // S0 device, R0 register, R1 value
+	trapLookup                           // S0 name → R0 endpoint
+	trapTrace                            // S0 tag, S1 text
+	trapExit                             // does not return
+	trapNetListen                        // R0 port → R0 listener
+	trapNetAccept                        // R0 listener → R0 connection
+	trapNetRead                          // R0 connection, R1 max → Buf data
+	trapNetWrite                         // R0 connection, Buf data
+	trapNetClose                         // R0 connection
+	trapGrantCreate                      // Buf region, R0 access, R1 grantee → R0 grant
+	trapGrantRevoke                      // R0 grant
+	trapSafeCopy                         // R0 granter, R1 grant, R2 offset, R3 length, Buf source (nil reads) → Buf data
 
 	// Privileged kernel calls, usable only by system servers (PM, RS).
-	kSpawnReq struct {
-		image string
-		acid  acidArg
-	}
-	kKillReq struct {
-		target Endpoint
-	}
-)
+	trapKSpawn // S0 image, R0 ac_id (0 inherits) → R0 endpoint
+	trapKKill  // R0 target
 
-// acidArg carries an access-control identity across the PM protocol; the
-// zero value means "inherit the caller's".
-type acidArg uint32
-
-// Trap reply types.
-type (
-	errReply struct {
-		err error
-	}
-	ipcReply struct {
-		msg Message
-		err error
-	}
-	u32Reply struct {
-		value uint32
-		err   error
-	}
-	epReply struct {
-		ep  Endpoint
-		err error
-	}
-	handleReply struct {
-		handle int32
-		err    error
-	}
-	bytesReply struct {
-		data []byte
-		err  error
-	}
+	trapLimit // one past the highest trap number
 )
 
 // Wire error codes used inside PM protocol payloads.

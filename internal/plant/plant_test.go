@@ -237,7 +237,7 @@ func TestTimeConstant(t *testing.T) {
 // spawn no processes.
 type nopKernel struct{}
 
-func (nopKernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition) {
-	return nil, machine.DispositionContinue
+func (nopKernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Disposition {
+	return machine.DispositionContinue
 }
 func (nopKernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {}

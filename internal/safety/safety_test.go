@@ -221,7 +221,7 @@ func TestMonitorStop(t *testing.T) {
 // idleKernel satisfies machine.TrapHandler for plant-only boards.
 type idleKernel struct{}
 
-func (idleKernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition) {
-	return nil, machine.DispositionContinue
+func (idleKernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Disposition {
+	return machine.DispositionContinue
 }
 func (idleKernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {}

@@ -8,171 +8,194 @@ import (
 
 // API is the system-call interface a simulated seL4 thread programs against.
 // Every method that names a capability takes a CPtr into the calling
-// thread's own CSpace; the kernel validates possession and rights.
+// thread's own CSpace; the kernel validates possession and rights. Each
+// wrapper writes its arguments into the thread's trap frame, traps with its
+// number (see the table in ipc.go), and reads the reply back from the frame.
 type API struct {
 	ctx *machine.Context
-	k   *Kernel
-
-	// Scratch requests, one per trap: boxing a pointer into the trap's any
-	// costs no heap allocation, and the kernel consumes each request
-	// synchronously inside HandleTrap, so one scratch value per request type
-	// suffices. Every trap goes through its scratch value, the rarely used
-	// ones included, so a thread probing its CSpace with any of them
-	// allocates nothing per call.
-	sendScratch    sendTrap
-	recvScratch    recvTrap
-	callScratch    callTrap
-	replyScratch   replyTrap
-	sleepScratch   sleepTrap
-	devRdScratch   devReadTrap
-	devWrScratch   devWriteTrap
-	signalScratch  signalTrap
-	waitScratch    waitTrap
-	suspendScratch tcbSuspendTrap
-	copyScratch    capCopyTrap
-	mintScratch    capMintTrap
-	deleteScratch  capDeleteTrap
-	traceScratch   traceTrap
-	listenScratch  netListenTrap
-	acceptScratch  netAcceptTrap
-	netRdScratch   netReadTrap
-	netWrScratch   netWriteTrap
-	closeScratch   netCloseTrap
+	f   *machine.Frame
 }
 
 // Now returns the current virtual time (free, no trap).
 func (a *API) Now() machine.Time { return a.ctx.Now() }
 
+// A message travels in a trap frame's registers R1..R11, as seL4's message
+// registers: R1 the label, R2..R9 the words, and R10 and R11 a transferred
+// capability, as a presence flag and the slot. R0 stays free for the
+// capability pointer going in and the badge coming back.
+
+// putMsg writes msg into f's message registers.
+func putMsg(f *machine.Frame, msg *Msg) {
+	f.R[1] = msg.Label
+	copy(f.R[2:2+MsgWords], msg.Words[:])
+	f.R[10], f.R[11] = 0, 0
+	if msg.TransferCap != nil {
+		f.R[10], f.R[11] = 1, uint64(*msg.TransferCap)
+	}
+}
+
+// frameMsg reads the label and words in f's message registers.
+func frameMsg(f *machine.Frame) Msg {
+	msg := Msg{Label: f.R[1]}
+	copy(msg.Words[:], f.R[2:2+MsgWords])
+	return msg
+}
+
 // Send performs seL4_Send: blocking send through an endpoint capability
 // (write right required; grant required when msg transfers a capability).
 func (a *API) Send(cptr CPtr, msg Msg) error {
-	a.sendScratch = sendTrap{cptr: cptr, msg: msg}
-	return a.ctx.Trap(&a.sendScratch).(*errResult).err
+	return a.send(trapSend, cptr, &msg)
 }
 
 // NBSend performs seL4_NBSend: like Send, but silently dropped when no
 // receiver is waiting.
 func (a *API) NBSend(cptr CPtr, msg Msg) error {
-	a.sendScratch = sendTrap{cptr: cptr, msg: msg, nb: true}
-	return a.ctx.Trap(&a.sendScratch).(*errResult).err
+	return a.send(trapNBSend, cptr, &msg)
+}
+
+func (a *API) send(nr uint32, cptr CPtr, msg *Msg) error {
+	a.f.R[0] = uint64(cptr)
+	putMsg(a.f, msg)
+	return a.ctx.Trap(nr)
 }
 
 // Recv performs seL4_Recv: blocking receive on an endpoint capability (read
 // right required). The result carries the sender's badge and, if the sender
 // transferred a capability, the slot it landed in.
 func (a *API) Recv(cptr CPtr) (RecvResult, error) {
-	a.recvScratch = recvTrap{cptr: cptr}
-	reply := a.ctx.Trap(&a.recvScratch).(*recvResultReply)
-	return reply.res, reply.err
+	return a.recv(trapRecv, cptr)
 }
 
 // NBRecv performs seL4_NBRecv: ErrWouldBlock when no sender is queued.
 func (a *API) NBRecv(cptr CPtr) (RecvResult, error) {
-	a.recvScratch = recvTrap{cptr: cptr, nb: true}
-	reply := a.ctx.Trap(&a.recvScratch).(*recvResultReply)
-	return reply.res, reply.err
+	return a.recv(trapNBRecv, cptr)
+}
+
+func (a *API) recv(nr uint32, cptr CPtr) (RecvResult, error) {
+	a.f.R[0] = uint64(cptr)
+	if err := a.ctx.Trap(nr); err != nil {
+		return RecvResult{}, err
+	}
+	res := RecvResult{Msg: frameMsg(a.f), Badge: Badge(a.f.R[0])}
+	if a.f.R[10] != 0 {
+		slot := CPtr(a.f.R[11])
+		res.CapSlot = &slot
+	}
+	return res, nil
 }
 
 // Call performs seL4_Call: atomic send plus receive of the reply, using a
 // one-time reply capability the kernel mints for the receiver. Requires
 // write and grant rights on the endpoint capability.
 func (a *API) Call(cptr CPtr, msg Msg) (Msg, error) {
-	a.callScratch = callTrap{cptr: cptr, msg: msg}
-	reply := a.ctx.Trap(&a.callScratch).(*callResultReply)
-	return reply.msg, reply.err
+	if err := a.send(trapCall, cptr, &msg); err != nil {
+		return Msg{}, err
+	}
+	return frameMsg(a.f), nil
 }
 
 // Reply performs seL4_Reply, consuming the thread's pending reply
-// capability.
+// capability. The reply carries msg's label and words.
 func (a *API) Reply(msg Msg) error {
-	a.replyScratch = replyTrap{msg: msg}
-	return a.ctx.Trap(&a.replyScratch).(*errResult).err
+	putMsg(a.f, &msg)
+	return a.ctx.Trap(trapReply)
 }
 
 // TCBSuspend invokes TCB_Suspend on the thread referenced by a TCB
 // capability (write right required). The suspended thread never runs again.
 func (a *API) TCBSuspend(cptr CPtr) error {
-	a.suspendScratch = tcbSuspendTrap{cptr: cptr}
-	return a.ctx.Trap(&a.suspendScratch).(*errResult).err
+	a.f.R[0] = uint64(cptr)
+	return a.ctx.Trap(trapTCBSuspend)
 }
 
 // CapCopy copies a capability between two of the caller's own slots.
 func (a *API) CapCopy(src, dst CPtr) error {
-	a.copyScratch = capCopyTrap{src: src, dst: dst}
-	return a.ctx.Trap(&a.copyScratch).(*errResult).err
+	a.f.R[0], a.f.R[1] = uint64(src), uint64(dst)
+	return a.ctx.Trap(trapCapCopy)
 }
 
 // CapMint copies a capability with a (possibly) narrowed rights mask and a
 // new badge. Rights can never be widened.
 func (a *API) CapMint(src, dst CPtr, badge Badge, rights Rights) error {
-	a.mintScratch = capMintTrap{src: src, dst: dst, badge: badge, rights: rights}
-	return a.ctx.Trap(&a.mintScratch).(*errResult).err
+	a.f.R[0], a.f.R[1], a.f.R[2], a.f.R[3] = uint64(src), uint64(dst), uint64(badge), uint64(rights)
+	return a.ctx.Trap(trapCapMint)
 }
 
 // CapDelete empties one of the caller's slots.
 func (a *API) CapDelete(slot CPtr) error {
-	a.deleteScratch = capDeleteTrap{slot: slot}
-	return a.ctx.Trap(&a.deleteScratch).(*errResult).err
+	a.f.R[0] = uint64(slot)
+	return a.ctx.Trap(trapCapDelete)
 }
 
 // DevRead reads a device register through a device capability (read right).
 func (a *API) DevRead(cptr CPtr, reg uint32) (uint32, error) {
-	a.devRdScratch = devReadTrap{cptr: cptr, reg: reg}
-	reply := a.ctx.Trap(&a.devRdScratch).(*u32Result)
-	return reply.value, reply.err
+	a.f.R[0], a.f.R[1] = uint64(cptr), uint64(reg)
+	if err := a.ctx.Trap(trapDevRead); err != nil {
+		return 0, err
+	}
+	return uint32(a.f.R[0]), nil
 }
 
 // DevWrite writes a device register through a device capability (write
 // right).
 func (a *API) DevWrite(cptr CPtr, reg uint32, value uint32) error {
-	a.devWrScratch = devWriteTrap{cptr: cptr, reg: reg, value: value}
-	return a.ctx.Trap(&a.devWrScratch).(*errResult).err
+	a.f.R[0], a.f.R[1], a.f.R[2] = uint64(cptr), uint64(reg), uint64(value)
+	return a.ctx.Trap(trapDevWrite)
 }
 
 // Sleep parks the thread on the timer service for a virtual duration.
 func (a *API) Sleep(d time.Duration) {
-	a.sleepScratch = sleepTrap{d: d}
-	a.ctx.Trap(&a.sleepScratch)
+	a.f.R[0] = uint64(d)
+	a.ctx.Trap(trapSleep)
 }
 
 // Trace writes a line to the board trace console.
 func (a *API) Trace(tag, text string) {
-	a.traceScratch = traceTrap{tag: tag, text: text}
-	a.ctx.Trap(&a.traceScratch)
+	a.f.S0, a.f.S1 = tag, text
+	a.ctx.Trap(trapTrace)
 }
 
 // NetListen binds the port referenced by a net-port capability (read right)
 // and returns a listener handle.
 func (a *API) NetListen(cptr CPtr) (int32, error) {
-	a.listenScratch = netListenTrap{cptr: cptr}
-	reply := a.ctx.Trap(&a.listenScratch).(*handleResult)
-	return reply.handle, reply.err
+	a.f.R[0] = uint64(cptr)
+	return a.handleReply(a.ctx.Trap(trapNetListen))
 }
 
 // NetAccept blocks until a connection arrives on the listener handle.
 func (a *API) NetAccept(listener int32) (int32, error) {
-	a.acceptScratch = netAcceptTrap{listener: listener}
-	reply := a.ctx.Trap(&a.acceptScratch).(*handleResult)
-	return reply.handle, reply.err
+	a.f.R[0] = uint64(listener)
+	return a.handleReply(a.ctx.Trap(trapNetAccept))
+}
+
+// handleReply returns the handle a trap left in R0, or 0 when the trap
+// failed.
+func (a *API) handleReply(err error) (int32, error) {
+	if err != nil {
+		return 0, err
+	}
+	return int32(a.f.R[0]), nil
 }
 
 // NetRead blocks until data (or EOF) is available on the connection handle.
 func (a *API) NetRead(conn int32, max int) ([]byte, error) {
-	a.netRdScratch = netReadTrap{conn: conn, max: max}
-	reply := a.ctx.Trap(&a.netRdScratch).(*bytesResult)
-	return reply.data, reply.err
+	a.f.R[0], a.f.R[1] = uint64(conn), uint64(max)
+	err := a.ctx.Trap(trapNetRead)
+	data := a.f.Buf
+	a.f.Buf = nil
+	return data, err
 }
 
 // NetWrite sends bytes on the connection handle.
 func (a *API) NetWrite(conn int32, data []byte) error {
-	a.netWrScratch = netWriteTrap{conn: conn, data: data}
-	err := a.ctx.Trap(&a.netWrScratch).(*errResult).err
-	a.netWrScratch.data = nil
+	a.f.R[0], a.f.Buf = uint64(conn), data
+	err := a.ctx.Trap(trapNetWrite)
+	a.f.Buf = nil
 	return err
 }
 
 // NetClose closes the connection handle.
 func (a *API) NetClose(conn int32) error {
-	a.closeScratch = netCloseTrap{conn: conn}
-	return a.ctx.Trap(&a.closeScratch).(*errResult).err
+	a.f.R[0] = uint64(conn)
+	return a.ctx.Trap(trapNetClose)
 }

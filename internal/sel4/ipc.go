@@ -10,167 +10,127 @@ import (
 	"mkbas/internal/vnet"
 )
 
-// Trap request and reply types (the syscall wire format).
-type (
-	sendTrap struct {
-		cptr CPtr
-		msg  Msg
-		nb   bool
-	}
-	recvTrap struct {
-		cptr CPtr
-		nb   bool
-	}
-	callTrap struct {
-		cptr CPtr
-		msg  Msg
-	}
-	replyTrap struct {
-		msg Msg
-	}
-	tcbSuspendTrap struct {
-		cptr CPtr
-	}
-	capCopyTrap struct {
-		src, dst CPtr
-	}
-	capMintTrap struct {
-		src, dst CPtr
-		badge    Badge
-		rights   Rights
-	}
-	capDeleteTrap struct {
-		slot CPtr
-	}
-	devReadTrap struct {
-		cptr CPtr
-		reg  uint32
-	}
-	devWriteTrap struct {
-		cptr  CPtr
-		reg   uint32
-		value uint32
-	}
-	sleepTrap struct {
-		d time.Duration
-	}
-	traceTrap struct {
-		tag, text string
-	}
-	netListenTrap struct {
-		cptr CPtr
-	}
-	netAcceptTrap struct {
-		listener int32
-	}
-	netReadTrap struct {
-		conn int32
-		max  int
-	}
-	netWriteTrap struct {
-		conn int32
-		data []byte
-	}
-	netCloseTrap struct {
-		conn int32
-	}
+// Trap numbers: the syscall wire format. Each trap reads its arguments from,
+// and writes its reply into, the caller's frame as listed; a message travels
+// in the message registers R1..R11 (see putMsg). Every trap can fail with an
+// error in the frame's error slot.
+const (
+	trapSend       uint32 = iota + 1 // R0 endpoint cap, R1..R11 msg
+	trapNBSend                       // as trapSend
+	trapRecv                         // R0 endpoint cap → R0 badge, R1..R9 msg, R10 cap arrived, R11 its slot
+	trapNBRecv                       // as trapRecv
+	trapCall                         // R0 endpoint cap, R1..R11 msg → R1..R9 reply
+	trapReply                        // R1..R9 reply
+	trapTCBSuspend                   // R0 TCB cap
+	trapSignal                       // R0 notification cap
+	trapWait                         // R0 notification cap → R0 word
+	trapPoll                         // as trapWait
+	trapCapCopy                      // R0 source slot, R1 destination slot
+	trapCapMint                      // R0 source slot, R1 destination slot, R2 badge, R3 rights
+	trapCapDelete                    // R0 slot
+	trapDevRead                      // R0 device cap, R1 register → R0 value
+	trapDevWrite                     // R0 device cap, R1 register, R2 value
+	trapSleep                        // R0 duration
+	trapTrace                        // S0 tag, S1 text
+	trapNetListen                    // R0 net-port cap → R0 listener
+	trapNetAccept                    // R0 listener → R0 connection
+	trapNetRead                      // R0 connection, R1 max → Buf data
+	trapNetWrite                     // R0 connection, Buf data
+	trapNetClose                     // R0 connection
+
+	trapLimit // one past the highest trap number
 )
 
-type (
-	errResult struct {
-		err error
-	}
-	recvResultReply struct {
-		res RecvResult
-		err error
-	}
-	callResultReply struct {
-		msg Msg
-		err error
-	}
-	u32Result struct {
-		value uint32
-		err   error
-	}
-	handleResult struct {
-		handle int32
-		err    error
-	}
-	bytesResult struct {
-		data []byte
-		err  error
-	}
-)
-
-// HandleTrap implements machine.TrapHandler.
-func (k *Kernel) HandleTrap(pid machine.PID, req any) (any, machine.Disposition) {
+// HandleTrap implements machine.TrapHandler: it dispatches on the trap
+// number, reading the arguments from and writing the reply into f, the
+// caller's frame.
+func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Disposition {
 	t := k.tcbOf(pid)
-	switch r := req.(type) {
-	case *sendTrap:
-		return k.doSend(t, r)
-	case *recvTrap:
-		return k.doRecv(t, r)
-	case *callTrap:
-		return k.doCall(t, r)
-	case *replyTrap:
-		return k.doReply(t, r)
-	case *tcbSuspendTrap:
-		return k.doSuspend(t, r)
-	case *signalTrap:
-		return k.doSignal(t, r)
-	case *waitTrap:
-		return k.doWait(t, r)
-	case *capCopyTrap:
-		return k.doCapCopy(t, r.src, r.dst, nil, nil)
-	case *capMintTrap:
-		return k.doCapCopy(t, r.src, r.dst, &r.badge, &r.rights)
-	case *capDeleteTrap:
-		if int(r.slot) >= CSpaceSize {
-			return t.errOut(fmt.Errorf("%w: %d", ErrBadSlot, r.slot)), machine.DispositionContinue
+	switch f.Nr {
+	case trapSend, trapNBSend:
+		return k.doSend(t, f.Nr == trapNBSend)
+	case trapRecv, trapNBRecv:
+		return k.doRecv(t, f.Nr == trapNBRecv)
+	case trapCall:
+		return k.doCall(t)
+	case trapReply:
+		f.Err = k.doReply(t)
+	case trapTCBSuspend:
+		f.Err = k.doSuspend(t, CPtr(f.R[0]))
+	case trapSignal:
+		f.Err = k.doSignal(t, CPtr(f.R[0]))
+	case trapWait, trapPoll:
+		return k.doWait(t, f.Nr == trapPoll)
+	case trapCapCopy, trapCapMint:
+		f.Err = k.doCapCopy(t, CPtr(f.R[0]), CPtr(f.R[1]), f.Nr == trapCapMint, Badge(f.R[2]), Rights(f.R[3]))
+	case trapCapDelete:
+		slot := CPtr(f.R[0])
+		if int(slot) >= CSpaceSize {
+			f.Err = fmt.Errorf("%w: %d", ErrBadSlot, slot)
+			break
 		}
-		t.cspace[r.slot] = Capability{}
-		return t.errOut(nil), machine.DispositionContinue
-	case *devReadTrap:
-		c, err := k.lookupCap(t, r.cptr, KindDevice, CapRead)
+		t.cspace[slot] = Capability{}
+	case trapDevRead:
+		c, err := k.lookupCap(t, CPtr(f.R[0]), KindDevice, CapRead)
 		if err != nil {
-			return t.u32Out(0, err), machine.DispositionContinue
+			f.Err = err
+			break
 		}
-		v, err := k.m.Bus().Read(k.devs[c.Object].dev, r.reg)
-		return t.u32Out(v, err), machine.DispositionContinue
-	case *devWriteTrap:
-		c, err := k.lookupCap(t, r.cptr, KindDevice, CapWrite)
+		v, err := k.m.Bus().Read(k.devs[c.Object].dev, uint32(f.R[1]))
+		f.R[0], f.Err = uint64(v), err
+	case trapDevWrite:
+		c, err := k.lookupCap(t, CPtr(f.R[0]), KindDevice, CapWrite)
 		if err != nil {
-			return t.errOut(err), machine.DispositionContinue
+			f.Err = err
+			break
 		}
-		return t.errOut(k.m.Bus().Write(k.devs[c.Object].dev, r.reg, r.value)), machine.DispositionContinue
-	case *sleepTrap:
-		return k.doSleep(t, r)
-	case *traceTrap:
-		k.m.Trace().Log(r.tag, r.text)
-		return t.errOut(nil), machine.DispositionContinue
-	case *netListenTrap:
-		return k.doNetListen(t, r)
-	case *netAcceptTrap:
-		return k.doNetAccept(t, r)
-	case *netReadTrap:
-		return k.doNetRead(t, r)
-	case *netWriteTrap:
-		return k.doNetWrite(t, r)
-	case *netCloseTrap:
-		return k.doNetClose(t, r)
+		f.Err = k.m.Bus().Write(k.devs[c.Object].dev, uint32(f.R[1]), uint32(f.R[2]))
+	case trapSleep:
+		t.state = stateSleeping
+		t.waitToken++
+		k.m.Clock().AfterToken(time.Duration(f.R[0]), t.onSleep, t.waitToken)
+		return machine.DispositionBlock
+	case trapTrace:
+		k.m.Trace().Log(f.S0, f.S1)
+	case trapNetListen:
+		f.Err = k.doNetListen(t, f)
+	case trapNetAccept:
+		return k.doNetAccept(t, f)
+	case trapNetRead:
+		return k.doNetRead(t, f)
+	case trapNetWrite:
+		conn, ok := t.conns[int32(f.R[0])]
+		if !ok {
+			f.Err = ErrBadHandle
+			break
+		}
+		f.Err = k.cfg.Net.BoardWrite(conn, f.Buf)
+	case trapNetClose:
+		h := int32(f.R[0])
+		conn, ok := t.conns[h]
+		if !ok {
+			f.Err = ErrBadHandle
+			break
+		}
+		delete(t.conns, h)
+		k.cfg.Net.BoardClose(conn)
 	default:
-		return t.errOut(fmt.Errorf("sel4: unknown trap %T", req)), machine.DispositionContinue
+		f.Err = fmt.Errorf("sel4: unknown trap %d", f.Nr)
 	}
+	return machine.DispositionContinue
 }
 
-// doSend implements seL4_Send / seL4_NBSend.
-func (k *Kernel) doSend(t *tcb, r *sendTrap) (any, machine.Disposition) {
+// doSend implements seL4_Send / seL4_NBSend. A sender that blocks leaves
+// its message in its frame, where the receiver's delivery reads it.
+func (k *Kernel) doSend(t *tcb, nb bool) machine.Disposition {
 	k.mSends.Inc()
-	c, err := k.lookupCap(t, r.cptr, KindEndpoint, CapWrite)
+	f := t.frame
+	c, err := k.lookupCap(t, CPtr(f.R[0]), KindEndpoint, CapWrite)
 	if err != nil {
-		return t.errOut(err), machine.DispositionContinue
+		f.Err = err
+		return machine.DispositionContinue
 	}
-	if r.msg.TransferCap != nil && !c.Rights.Has(CapGrant) {
+	if f.R[10] != 0 && !c.Rights.Has(CapGrant) {
 		k.stats.RightsDenied++
 		k.mRightsDenied.Inc()
 		k.events.Emit(obs.SecurityEvent{
@@ -181,43 +141,40 @@ func (k *Kernel) doSend(t *tcb, r *sendTrap) (any, machine.Disposition) {
 			Dst:       k.objName(c.Object),
 			Detail:    "cap transfer needs grant",
 		})
-		return t.errOut(fmt.Errorf("%w: cap transfer needs grant", ErrNoRights)), machine.DispositionContinue
+		f.Err = fmt.Errorf("%w: cap transfer needs grant", ErrNoRights)
+		return machine.DispositionContinue
 	}
 	ep := k.eps[c.Object]
 	drop, delay := k.faultFor(t.name, ep.name)
 	if drop {
 		// Send has no delivery acknowledgment: a lost message is
 		// indistinguishable from a successful one on the sender side.
-		return t.errOut(nil), machine.DispositionContinue
+		return machine.DispositionContinue
 	}
-	if delay > 0 {
-		t.sendMsg = r.msg
-		t.sendCap = c
-		t.wantsCall = false
-		return k.delaySend(t, c, ep, r.msg, false, delay)
-	}
-	if receiver := k.popReceiver(ep); receiver != nil {
-		k.deliver(t, c, receiver, r.msg, false)
-		return t.errOut(nil), machine.DispositionContinue
-	}
-	if r.nb {
-		// seL4_NBSend silently drops when no receiver is waiting.
-		return t.errOut(nil), machine.DispositionContinue
-	}
-	t.state = stateBlockedSend
-	t.sendMsg = r.msg
 	t.sendCap = c
 	t.wantsCall = false
+	if delay > 0 {
+		return k.delaySend(t, c, ep, false, delay)
+	}
+	if receiver := k.popReceiver(ep); receiver != nil {
+		k.deliver(t, c, receiver, false)
+		return machine.DispositionContinue
+	}
+	if nb {
+		// seL4_NBSend silently drops when no receiver is waiting.
+		return machine.DispositionContinue
+	}
+	t.state = stateBlockedSend
 	ep.sendQ = append(ep.sendQ, t)
 	k.mEPQ.Add(1)
-	return nil, machine.DispositionBlock
+	return machine.DispositionBlock
 }
 
 // delaySend parks a sender whose message is being delayed in transit by
 // fault injection: the sender blocks as usual but joins the endpoint's send
 // queue only when the delay elapses, so receivers cannot see the message
 // early.
-func (k *Kernel) delaySend(t *tcb, c Capability, ep *endpointObj, msg Msg, isCall bool, delay time.Duration) (any, machine.Disposition) {
+func (k *Kernel) delaySend(t *tcb, c Capability, ep *endpointObj, isCall bool, delay time.Duration) machine.Disposition {
 	t.state = stateBlockedSend
 	t.waitToken++
 	token := t.waitToken
@@ -228,38 +185,39 @@ func (k *Kernel) delaySend(t *tcb, c Capability, ep *endpointObj, msg Msg, isCal
 			return
 		}
 		if receiver := k.popReceiver(ep); receiver != nil {
-			k.deliver(t, c, receiver, msg, isCall)
+			k.deliver(t, c, receiver, isCall)
 			if isCall {
 				t.state = stateBlockedCall
 				return
 			}
 			t.state = stateReady
-			k.mustReady(pid, t.errOut(nil))
+			k.wake(t, nil)
 			return
 		}
 		ep.sendQ = append(ep.sendQ, t)
 		k.mEPQ.Add(1)
 	})
-	return nil, machine.DispositionBlock
+	return machine.DispositionBlock
 }
 
 // doCall implements seL4_Call: atomic send + receive-reply. Per the paper,
 // Call requires the grant right ("if a thread is given grant access to an
 // endpoint it can use seL4_Call") because it attaches a one-time reply
 // capability to the message.
-func (k *Kernel) doCall(t *tcb, r *callTrap) (any, machine.Disposition) {
+func (k *Kernel) doCall(t *tcb) machine.Disposition {
 	k.mCalls.Inc()
-	c, err := k.lookupCap(t, r.cptr, KindEndpoint, CapWrite|CapGrant)
+	f := t.frame
+	c, err := k.lookupCap(t, CPtr(f.R[0]), KindEndpoint, CapWrite|CapGrant)
 	if err != nil {
 		k.tracer.Emit(k.edges.Intern(t.name, "", "call"), obs.OutcomeCapFault)
-		return t.callOut(Msg{}, err), machine.DispositionContinue
+		f.Err = err
+		return machine.DispositionContinue
 	}
 	k.stats.Calls++
 	ep := k.eps[c.Object]
 	// The round-trip span stays open until Reply (or abort) wakes the
 	// caller.
 	t.span = k.tracer.Begin(k.edgesOf(t, c.Object).call)
-	t.sendMsg = r.msg
 	t.sendCap = c
 	t.wantsCall = true
 	drop, delay := k.faultFor(t.name, ep.name)
@@ -268,61 +226,67 @@ func (k *Kernel) doCall(t *tcb, r *callTrap) (any, machine.Disposition) {
 		// never come, so it gets an error instead of blocking forever.
 		k.endSpan(t, obs.OutcomeAborted)
 		t.wantsCall = false
-		return t.callOut(Msg{}, ErrMsgLost), machine.DispositionContinue
+		f.Err = ErrMsgLost
+		return machine.DispositionContinue
 	}
 	if delay > 0 {
-		return k.delaySend(t, c, ep, r.msg, true, delay)
+		return k.delaySend(t, c, ep, true, delay)
 	}
 	if receiver := k.popReceiver(ep); receiver != nil {
-		k.deliver(t, c, receiver, r.msg, true)
+		k.deliver(t, c, receiver, true)
 		t.state = stateBlockedCall
-		return nil, machine.DispositionBlock
+		return machine.DispositionBlock
 	}
 	t.state = stateBlockedSend
 	ep.sendQ = append(ep.sendQ, t)
 	k.mEPQ.Add(1)
-	return nil, machine.DispositionBlock
+	return machine.DispositionBlock
 }
 
 // doRecv implements seL4_Recv / seL4_NBRecv.
-func (k *Kernel) doRecv(t *tcb, r *recvTrap) (any, machine.Disposition) {
+func (k *Kernel) doRecv(t *tcb, nb bool) machine.Disposition {
 	k.mRecvs.Inc()
-	c, err := k.lookupCap(t, r.cptr, KindEndpoint, CapRead)
+	f := t.frame
+	c, err := k.lookupCap(t, CPtr(f.R[0]), KindEndpoint, CapRead)
 	if err != nil {
-		return t.recvOut(RecvResult{}, err), machine.DispositionContinue
+		f.Err = err
+		return machine.DispositionContinue
 	}
 	ep := k.eps[c.Object]
 	if sender := k.popSender(ep); sender != nil {
-		res := k.buildDelivery(sender, sender.sendCap, t, sender.sendMsg, sender.wantsCall)
+		k.buildDelivery(sender, sender.sendCap, t, sender.wantsCall)
 		if sender.wantsCall {
 			sender.state = stateBlockedCall
 		} else {
 			sender.state = stateReady
-			k.mustReady(sender.pid, sender.errOut(nil))
+			k.wake(sender, nil)
 		}
-		return t.recvOut(res, nil), machine.DispositionContinue
+		return machine.DispositionContinue
 	}
-	if r.nb {
-		return t.recvOut(RecvResult{}, ErrWouldBlock), machine.DispositionContinue
+	if nb {
+		f.Err = ErrWouldBlock
+		return machine.DispositionContinue
 	}
 	t.state = stateBlockedRecv
 	ep.recvQ = append(ep.recvQ, t)
 	k.mEPQ.Add(1)
-	return nil, machine.DispositionBlock
+	return machine.DispositionBlock
 }
 
-// doReply implements seL4_Reply using the thread's one-time reply capability.
-func (k *Kernel) doReply(t *tcb, r *replyTrap) (any, machine.Disposition) {
+// doReply implements seL4_Reply using the thread's one-time reply
+// capability: the reply's label and words move from the replier's frame to
+// the caller's.
+func (k *Kernel) doReply(t *tcb) error {
 	rc := t.replyCap
 	if rc == nil || rc.used {
-		return t.errOut(ErrNoReplyCap), machine.DispositionContinue
+		return ErrNoReplyCap
 	}
 	rc.used = true
 	t.replyCap = nil
 	caller := rc.caller
 	if caller == nil || caller.state != stateBlockedCall {
 		// Caller died or was aborted; the reply evaporates.
-		return t.errOut(nil), machine.DispositionContinue
+		return nil
 	}
 	k.stats.Replies++
 	k.stats.IPCDelivered++
@@ -330,36 +294,39 @@ func (k *Kernel) doReply(t *tcb, r *replyTrap) (any, machine.Disposition) {
 	k.mDelivered.Inc()
 	caller.state = stateReady
 	k.endSpan(caller, obs.OutcomeDelivered)
-	k.mustReady(caller.pid, caller.callOut(r.msg, nil))
-	return t.errOut(nil), machine.DispositionContinue
+	copy(caller.frame.R[1:2+MsgWords], t.frame.R[1:2+MsgWords])
+	k.wake(caller, nil)
+	return nil
 }
 
 // deliver wakes a blocked receiver with the sender's message.
-func (k *Kernel) deliver(sender *tcb, senderCap Capability, receiver *tcb, msg Msg, isCall bool) {
-	res := k.buildDelivery(sender, senderCap, receiver, msg, isCall)
+func (k *Kernel) deliver(sender *tcb, senderCap Capability, receiver *tcb, isCall bool) {
+	k.buildDelivery(sender, senderCap, receiver, isCall)
 	receiver.state = stateReady
 	receiver.waitToken++
-	k.mustReady(receiver.pid, receiver.recvOut(res, nil))
+	k.wake(receiver, nil)
 }
 
-// buildDelivery constructs the receiver-side result: badge, transferred
-// capability, and (for calls) the reply capability installed on the
-// receiver.
-func (k *Kernel) buildDelivery(sender *tcb, senderCap Capability, receiver *tcb, msg Msg, isCall bool) RecvResult {
+// buildDelivery writes the receiver-side result into the receiver's frame:
+// the badge, the message from the sender's frame, a transferred capability,
+// and (for calls) the reply capability installed on the receiver.
+func (k *Kernel) buildDelivery(sender *tcb, senderCap Capability, receiver *tcb, isCall bool) {
 	k.stats.IPCDelivered++
 	k.mDelivered.Inc()
 	// Record the delivery through its endpoint for the least-privilege
 	// audit: the sender exercised its send cap, the receiver its recv cap.
 	k.m.IPC().Record(k.edgesOf(sender, senderCap.Object).out)
 	k.m.IPC().Record(k.edgesOf(receiver, senderCap.Object).in)
-	res := RecvResult{Msg: msg, Badge: senderCap.Badge}
-	res.Msg.TransferCap = nil
-	if msg.TransferCap != nil {
-		moved := sender.cspace[*msg.TransferCap]
+	in, out := sender.frame, receiver.frame
+	out.R[0] = uint64(senderCap.Badge)
+	copy(out.R[1:2+MsgWords], in.R[1:2+MsgWords])
+	out.R[10], out.R[11] = 0, 0
+	if in.R[10] != 0 {
+		moved := sender.cspace[CPtr(in.R[11])]
 		if !moved.IsNull() {
 			if slot, ok := freeSlot(receiver); ok {
 				receiver.cspace[slot] = moved
-				res.CapSlot = &slot
+				out.R[10], out.R[11] = 1, uint64(slot)
 				k.stats.CapsTransferred++
 				k.m.Trace().Logf("sel4", "cap transfer %v from %s to %s slot %d",
 					moved, sender.name, receiver.name, slot)
@@ -367,17 +334,16 @@ func (k *Kernel) buildDelivery(sender *tcb, senderCap Capability, receiver *tcb,
 		}
 	}
 	if isCall {
-		receiver.replyScratch = replyObj{caller: sender}
-		receiver.replyCap = &receiver.replyScratch
+		receiver.replyObject = replyObj{caller: sender}
+		receiver.replyCap = &receiver.replyObject
 	}
-	return res
 }
 
 // doSuspend implements the TCB_Suspend invocation: the "kill" of the seL4
 // world. It requires a TCB capability with write rights — which the CAmkES
 // scenario never distributes to the web interface.
-func (k *Kernel) doSuspend(t *tcb, r *tcbSuspendTrap) (any, machine.Disposition) {
-	c, f := k.lookup(t, r.cptr, KindTCB, CapWrite)
+func (k *Kernel) doSuspend(t *tcb, cptr CPtr) error {
+	c, f := k.lookup(t, cptr, KindTCB, CapWrite)
 	if f != nil {
 		// lookup emitted the cap-fault; this event classifies the attempt
 		// as a blocked kill for the attack reports.
@@ -391,11 +357,11 @@ func (k *Kernel) doSuspend(t *tcb, r *tcbSuspendTrap) (any, machine.Disposition)
 			Src:       t.name,
 			Detail:    f.kill,
 		})
-		return t.errOut(f.err), machine.DispositionContinue
+		return f.err
 	}
 	victim, ok := k.tcbs[c.Object]
 	if !ok || !victim.started || victim.suspended {
-		return t.errOut(ErrSuspended), machine.DispositionContinue
+		return ErrSuspended
 	}
 	k.stats.Suspends++
 	k.mSuspends.Inc()
@@ -408,44 +374,30 @@ func (k *Kernel) doSuspend(t *tcb, r *tcbSuspendTrap) (any, machine.Disposition)
 	})
 	victim.suspended = true
 	k.m.Trace().Logf("sel4", "suspend %s by %s", victim.name, t.name)
-	if err := k.m.Engine().Kill(victim.pid); err != nil {
-		return t.errOut(err), machine.DispositionContinue
-	}
-	return t.errOut(nil), machine.DispositionContinue
+	return k.m.Engine().Kill(victim.pid)
 }
 
-// doCapCopy implements CNode copy/mint within the caller's own CSpace.
-// Minting may narrow rights and set a badge; it can never widen rights.
-func (k *Kernel) doCapCopy(t *tcb, src, dst CPtr, badge *Badge, rights *Rights) (any, machine.Disposition) {
+// doCapCopy implements CNode copy and, with mint, mint within the caller's
+// own CSpace. Minting may narrow rights and set a badge; it can never widen
+// rights.
+func (k *Kernel) doCapCopy(t *tcb, src, dst CPtr, mint bool, badge Badge, rights Rights) error {
 	if int(src) >= CSpaceSize || int(dst) >= CSpaceSize {
-		return t.errOut(fmt.Errorf("%w: %d/%d", ErrBadSlot, src, dst)), machine.DispositionContinue
+		return fmt.Errorf("%w: %d/%d", ErrBadSlot, src, dst)
 	}
 	c := t.cspace[src]
 	if c.IsNull() {
 		k.stats.InvalidCapErrs++
-		return t.errOut(fmt.Errorf("%w: slot %d", ErrInvalidCap, src)), machine.DispositionContinue
+		return fmt.Errorf("%w: slot %d", ErrInvalidCap, src)
 	}
 	if !t.cspace[dst].IsNull() {
-		return t.errOut(fmt.Errorf("%w: destination %d occupied", ErrBadSlot, dst)), machine.DispositionContinue
+		return fmt.Errorf("%w: destination %d occupied", ErrBadSlot, dst)
 	}
-	out := c
-	if rights != nil {
-		out.Rights = c.Rights & *rights // narrow only
+	if mint {
+		c.Rights &= rights // narrow only
+		c.Badge = badge
 	}
-	if badge != nil {
-		out.Badge = *badge
-	}
-	t.cspace[dst] = out
-	return t.errOut(nil), machine.DispositionContinue
-}
-
-// doSleep parks the thread on the timer service (the paper's added timer
-// driver processes, collapsed into a kernel-provided service here).
-func (k *Kernel) doSleep(t *tcb, r *sleepTrap) (any, machine.Disposition) {
-	t.state = stateSleeping
-	t.waitToken++
-	k.m.Clock().AfterToken(r.d, t.onSleep, t.waitToken)
-	return nil, machine.DispositionBlock
+	t.cspace[dst] = c
+	return nil
 }
 
 // buildWaker builds t's reusable sleep timer callback. Each firing carries
@@ -458,7 +410,7 @@ func (k *Kernel) buildWaker(t *tcb) {
 			return
 		}
 		t.state = stateReady
-		k.mustReady(t.pid, t.errOut(nil))
+		k.wake(t, nil)
 	}
 }
 
@@ -528,7 +480,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 		if caller != nil && caller.state == stateBlockedCall {
 			caller.state = stateReady
 			k.endSpan(caller, obs.OutcomeAborted)
-			k.mustReady(caller.pid, caller.callOut(Msg{}, ErrCallAborted))
+			k.wake(caller, ErrCallAborted)
 		}
 		t.replyCap = nil
 	}
@@ -552,45 +504,48 @@ func removeTCB(q []*tcb, t *tcb) []*tcb {
 	return q
 }
 
-// mustReady wakes a thread the kernel knows is blocked.
-func (k *Kernel) mustReady(pid machine.PID, reply any) {
-	if err := k.m.Engine().Ready(pid, reply); err != nil {
-		panic(fmt.Sprintf("sel4: Ready(%d): %v", pid, err))
+// wake writes err into the error slot of t, a thread blocked in a trap
+// whose reply the caller has written into its frame, and readies it.
+func (k *Kernel) wake(t *tcb, err error) {
+	t.frame.Err = err
+	if err := k.m.Engine().Ready(t.pid); err != nil {
+		panic(fmt.Sprintf("sel4: Ready(%d): %v", t.pid, err))
 	}
 }
 
 // --- Network mediation ------------------------------------------------------
 
-func (k *Kernel) doNetListen(t *tcb, r *netListenTrap) (any, machine.Disposition) {
-	c, err := k.lookupCap(t, r.cptr, KindNetPort, CapRead)
+func (k *Kernel) doNetListen(t *tcb, f *machine.Frame) error {
+	c, err := k.lookupCap(t, CPtr(f.R[0]), KindNetPort, CapRead)
 	if err != nil {
-		return t.handleOut(0, err), machine.DispositionContinue
+		return err
 	}
 	if k.cfg.Net == nil {
-		return t.handleOut(0, fmt.Errorf("%w: board has no network", ErrInvalidCap)), machine.DispositionContinue
+		return fmt.Errorf("%w: board has no network", ErrInvalidCap)
 	}
 	l, err := k.cfg.Net.Listen(k.ports[c.Object].port)
 	if err != nil {
-		return t.handleOut(0, err), machine.DispositionContinue
+		return err
 	}
 	t.nextHandle++
-	h := t.nextHandle
-	t.listeners[h] = l
-	return t.handleOut(h, nil), machine.DispositionContinue
+	t.listeners[t.nextHandle] = l
+	f.R[0] = uint64(t.nextHandle)
+	return nil
 }
 
-func (k *Kernel) doNetAccept(t *tcb, r *netAcceptTrap) (any, machine.Disposition) {
-	l, ok := t.listeners[r.listener]
+func (k *Kernel) doNetAccept(t *tcb, f *machine.Frame) machine.Disposition {
+	l, ok := t.listeners[int32(f.R[0])]
 	if !ok {
-		return t.handleOut(0, ErrBadHandle), machine.DispositionContinue
+		f.Err = ErrBadHandle
+		return machine.DispositionContinue
 	}
 	conn, err := k.cfg.Net.Accept(l)
 	switch {
 	case err == nil:
 		t.nextHandle++
-		h := t.nextHandle
-		t.conns[h] = conn
-		return t.handleOut(h, nil), machine.DispositionContinue
+		t.conns[t.nextHandle] = conn
+		f.R[0] = uint64(t.nextHandle)
+		return machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
 		t.state = stateNetBlocked
 		t.waitToken++
@@ -603,36 +558,37 @@ func (k *Kernel) doNetAccept(t *tcb, r *netAcceptTrap) (any, machine.Disposition
 			}
 			cur.state = stateReady
 			conn, acceptErr := k.cfg.Net.Accept(l)
-			if acceptErr != nil {
-				k.mustReady(pid, cur.handleOut(0, acceptErr))
-				return
+			if acceptErr == nil {
+				cur.nextHandle++
+				cur.conns[cur.nextHandle] = conn
+				cur.frame.R[0] = uint64(cur.nextHandle)
 			}
-			cur.nextHandle++
-			h := cur.nextHandle
-			cur.conns[h] = conn
-			k.mustReady(pid, cur.handleOut(h, nil))
+			k.wake(cur, acceptErr)
 		})
-		return nil, machine.DispositionBlock
+		return machine.DispositionBlock
 	default:
-		return t.handleOut(0, err), machine.DispositionContinue
+		f.Err = err
+		return machine.DispositionContinue
 	}
 }
 
-func (k *Kernel) doNetRead(t *tcb, r *netReadTrap) (any, machine.Disposition) {
-	conn, ok := t.conns[r.conn]
+func (k *Kernel) doNetRead(t *tcb, f *machine.Frame) machine.Disposition {
+	conn, ok := t.conns[int32(f.R[0])]
 	if !ok {
-		return t.bytesOut(nil, ErrBadHandle), machine.DispositionContinue
+		f.Err = ErrBadHandle
+		return machine.DispositionContinue
 	}
-	data, err := k.cfg.Net.BoardRead(conn, r.max)
+	maxBytes := int(f.R[1])
+	data, err := k.cfg.Net.BoardRead(conn, maxBytes)
 	switch {
 	case err == nil:
-		return t.bytesOut(data, nil), machine.DispositionContinue
+		f.Buf = data
+		return machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
 		t.state = stateNetBlocked
 		t.waitToken++
 		token := t.waitToken
 		pid := t.pid
-		maxBytes := r.max
 		k.cfg.Net.WaitReadable(conn, func() {
 			cur := k.byPID[pid]
 			if cur != t || cur.waitToken != token || cur.state != stateNetBlocked {
@@ -640,28 +596,12 @@ func (k *Kernel) doNetRead(t *tcb, r *netReadTrap) (any, machine.Disposition) {
 			}
 			cur.state = stateReady
 			data, readErr := k.cfg.Net.BoardRead(conn, maxBytes)
-			k.mustReady(pid, cur.bytesOut(data, readErr))
+			cur.frame.Buf = data
+			k.wake(cur, readErr)
 		})
-		return nil, machine.DispositionBlock
+		return machine.DispositionBlock
 	default:
-		return t.bytesOut(nil, err), machine.DispositionContinue
+		f.Err = err
+		return machine.DispositionContinue
 	}
-}
-
-func (k *Kernel) doNetWrite(t *tcb, r *netWriteTrap) (any, machine.Disposition) {
-	conn, ok := t.conns[r.conn]
-	if !ok {
-		return t.errOut(ErrBadHandle), machine.DispositionContinue
-	}
-	return t.errOut(k.cfg.Net.BoardWrite(conn, r.data)), machine.DispositionContinue
-}
-
-func (k *Kernel) doNetClose(t *tcb, r *netCloseTrap) (any, machine.Disposition) {
-	conn, ok := t.conns[r.conn]
-	if !ok {
-		return t.errOut(ErrBadHandle), machine.DispositionContinue
-	}
-	delete(t.conns, r.conn)
-	k.cfg.Net.BoardClose(conn)
-	return t.errOut(nil), machine.DispositionContinue
 }

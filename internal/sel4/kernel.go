@@ -78,8 +78,12 @@ type tcb struct {
 	started   bool
 	suspended bool
 
+	// frame is the thread's trap frame: a blocked trap's reply is written
+	// into it before the thread is woken, and a blocked sender's message
+	// waits in it until a receiver takes it.
+	frame *machine.Frame
+
 	// Blocked-send context.
-	sendMsg   Msg
 	sendCap   Capability
 	wantsCall bool
 
@@ -102,70 +106,15 @@ type tcb struct {
 	listeners  map[int32]*vnet.Listener
 	conns      map[int32]*vnet.Conn
 
-	// Reply scratch for the hot trap paths. The engine serialises all
-	// kernel work and a blocked thread receives at most one wake-up value,
-	// so boxing pointers to these per-thread values costs no allocation and
-	// cannot alias: a wake always writes the blocked thread's own scratch.
-	errR    errResult
-	recvR   recvResultReply
-	callR   callResultReply
-	u32R    u32Result
-	waitR   waitResult
-	handleR handleResult
-	bytesR  bytesResult
-
 	// onSleep is the thread's sleep timer callback, built once at Start and
 	// re-armed for every Sleep with the sleep's token
 	// (machine.Clock.AfterToken).
 	onSleep func(token uint64)
 
-	// replyScratch backs replyCap: at most one reply capability is live per
+	// replyObject backs replyCap: at most one reply capability is live per
 	// receiver (a newer Call delivery replaces the pointer), so the object
 	// can live inline instead of a per-Call heap allocation.
-	replyScratch replyObj
-}
-
-// errOut fills the thread's error reply scratch and returns it boxed.
-func (t *tcb) errOut(err error) any {
-	t.errR = errResult{err: err}
-	return &t.errR
-}
-
-// recvOut fills the thread's Recv reply scratch and returns it boxed.
-func (t *tcb) recvOut(res RecvResult, err error) any {
-	t.recvR = recvResultReply{res: res, err: err}
-	return &t.recvR
-}
-
-// callOut fills the thread's Call reply scratch and returns it boxed.
-func (t *tcb) callOut(msg Msg, err error) any {
-	t.callR = callResultReply{msg: msg, err: err}
-	return &t.callR
-}
-
-// u32Out fills the thread's u32 reply scratch and returns it boxed.
-func (t *tcb) u32Out(v uint32, err error) any {
-	t.u32R = u32Result{value: v, err: err}
-	return &t.u32R
-}
-
-// waitOut fills the thread's Wait reply scratch and returns it boxed.
-func (t *tcb) waitOut(word Badge, err error) any {
-	t.waitR = waitResult{word: word, err: err}
-	return &t.waitR
-}
-
-// handleOut fills the thread's network-handle reply scratch and returns it
-// boxed.
-func (t *tcb) handleOut(h int32, err error) any {
-	t.handleR = handleResult{handle: h, err: err}
-	return &t.handleR
-}
-
-// bytesOut fills the thread's byte-slice reply scratch and returns it boxed.
-func (t *tcb) bytesOut(data []byte, err error) any {
-	t.bytesR = bytesResult{data: data, err: err}
-	return &t.bytesR
+	replyObject replyObj
 }
 
 // capEdges are a thread's interned edges through one endpoint or
@@ -409,12 +358,13 @@ func (k *Kernel) Start(tcbID ObjID) error {
 	}
 	body := t.body
 	proc, err := k.m.Engine().Spawn(t.name, t.prio, func(ctx *machine.Context) {
-		body(&API{ctx: ctx, k: k})
+		body(&API{ctx: ctx, f: ctx.Frame()})
 	})
 	if err != nil {
 		return fmt.Errorf("sel4: starting %q: %w", t.name, err)
 	}
 	t.pid = proc.PID()
+	t.frame = proc.Frame()
 	t.started = true
 	k.buildWaker(t)
 	k.byPID[proc.PID()] = t

@@ -31,27 +31,11 @@ func NotificationCap(obj ObjID, rights Rights, badge Badge) Capability {
 	return Capability{Object: obj, Kind: KindNotification, Rights: rights, Badge: badge}
 }
 
-// Notification trap types.
-type (
-	signalTrap struct {
-		cptr CPtr
-	}
-	waitTrap struct {
-		cptr CPtr
-		nb   bool
-	}
-)
-
-type waitResult struct {
-	word Badge
-	err  error
-}
-
 // doSignal implements seL4_Signal.
-func (k *Kernel) doSignal(t *tcb, r *signalTrap) (any, machine.Disposition) {
-	c, err := k.lookupCap(t, r.cptr, KindNotification, CapWrite)
+func (k *Kernel) doSignal(t *tcb, cptr CPtr) error {
+	c, err := k.lookupCap(t, cptr, KindNotification, CapWrite)
 	if err != nil {
-		return t.errOut(err), machine.DispositionContinue
+		return err
 	}
 	n := k.notifs[c.Object]
 	k.stats.Signals++
@@ -59,37 +43,40 @@ func (k *Kernel) doSignal(t *tcb, r *signalTrap) (any, machine.Disposition) {
 	if waiter := popWaiter(n); waiter != nil {
 		// Deliver directly: the waiter gets this signal's badge plus any
 		// already-accumulated bits.
-		word := n.word | c.Badge
+		waiter.frame.R[0] = uint64(n.word | c.Badge)
 		n.word = 0
 		waiter.state = stateReady
 		waiter.waitToken++
 		k.m.IPC().Record(k.edgesOf(waiter, n.id).in)
-		k.mustReady(waiter.pid, waiter.waitOut(word, nil))
-		return t.errOut(nil), machine.DispositionContinue
+		k.wake(waiter, nil)
+		return nil
 	}
 	n.word |= c.Badge
-	return t.errOut(nil), machine.DispositionContinue
+	return nil
 }
 
 // doWait implements seL4_Wait / seL4_Poll.
-func (k *Kernel) doWait(t *tcb, r *waitTrap) (any, machine.Disposition) {
-	c, err := k.lookupCap(t, r.cptr, KindNotification, CapRead)
+func (k *Kernel) doWait(t *tcb, poll bool) machine.Disposition {
+	f := t.frame
+	c, err := k.lookupCap(t, CPtr(f.R[0]), KindNotification, CapRead)
 	if err != nil {
-		return t.waitOut(0, err), machine.DispositionContinue
+		f.Err = err
+		return machine.DispositionContinue
 	}
 	n := k.notifs[c.Object]
 	if n.word != 0 {
-		word := n.word
+		f.R[0] = uint64(n.word)
 		n.word = 0
 		k.m.IPC().Record(k.edgesOf(t, c.Object).in)
-		return t.waitOut(word, nil), machine.DispositionContinue
+		return machine.DispositionContinue
 	}
-	if r.nb {
-		return t.waitOut(0, ErrWouldBlock), machine.DispositionContinue
+	if poll {
+		f.Err = ErrWouldBlock
+		return machine.DispositionContinue
 	}
 	t.state = stateBlockedNotif
 	n.waitQ = append(n.waitQ, t)
-	return nil, machine.DispositionBlock
+	return machine.DispositionBlock
 }
 
 // popWaiter dequeues the next live waiter.
@@ -107,22 +94,26 @@ func popWaiter(n *notificationObj) *tcb {
 
 // Signal performs seL4_Signal on a notification capability (write right).
 func (a *API) Signal(cptr CPtr) error {
-	a.signalScratch = signalTrap{cptr: cptr}
-	return a.ctx.Trap(&a.signalScratch).(*errResult).err
+	a.f.R[0] = uint64(cptr)
+	return a.ctx.Trap(trapSignal)
 }
 
 // Wait performs seL4_Wait: blocks until the notification word is non-zero
 // and returns it (clearing it).
 func (a *API) Wait(cptr CPtr) (Badge, error) {
-	a.waitScratch = waitTrap{cptr: cptr}
-	reply := a.ctx.Trap(&a.waitScratch).(*waitResult)
-	return reply.word, reply.err
+	return a.wait(trapWait, cptr)
 }
 
 // Poll performs seL4_Poll: like Wait but returns ErrWouldBlock when the word
 // is zero.
 func (a *API) Poll(cptr CPtr) (Badge, error) {
-	a.waitScratch = waitTrap{cptr: cptr, nb: true}
-	reply := a.ctx.Trap(&a.waitScratch).(*waitResult)
-	return reply.word, reply.err
+	return a.wait(trapPoll, cptr)
+}
+
+func (a *API) wait(nr uint32, cptr CPtr) (Badge, error) {
+	a.f.R[0] = uint64(cptr)
+	if err := a.ctx.Trap(nr); err != nil {
+		return 0, err
+	}
+	return Badge(a.f.R[0]), nil
 }

@@ -49,7 +49,8 @@ type Request struct {
 
 // Response is the reused per-connection response buffer.
 type Response struct {
-	// Outcome is the typed result; Outcome.Status() is the HTTP code.
+	// Outcome is the typed result; each Outcome constant documents the HTTP
+	// status it stands for.
 	Outcome Outcome
 	// Principal is the directory index of the authenticated caller, -1
 	// before authentication succeeds.

@@ -158,30 +158,12 @@ var outcomeNames = [NumOutcomes]string{
 	OutcomeOverload:     "overload",
 }
 
-var outcomeStatus = [NumOutcomes]int{
-	OutcomeOK:           200,
-	OutcomeBadRequest:   400,
-	OutcomeUnauthorized: 401,
-	OutcomeForbidden:    403,
-	OutcomeNotFound:     404,
-	OutcomeRateLimited:  429,
-	OutcomeOverload:     503,
-}
-
 // String names the outcome.
 func (o Outcome) String() string {
 	if int(o) < len(outcomeNames) {
 		return outcomeNames[o]
 	}
 	return "outcome-" + strconv.Itoa(int(o))
-}
-
-// Status maps the outcome to its HTTP status code.
-func (o Outcome) Status() int {
-	if int(o) < len(outcomeStatus) {
-		return outcomeStatus[o]
-	}
-	return 500
 }
 
 // Principal is one directory entry: a named identity with a role, a home

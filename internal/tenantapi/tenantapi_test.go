@@ -265,30 +265,30 @@ func TestAccessGraphShape(t *testing.T) {
 }
 
 func TestGatewayHandleBodiesAndStatuses(t *testing.T) {
-	// The JSON bodies and HTTP status codes a client of the tier sees: a
-	// status read and a setpoint write render their rooms' values, and
-	// refusals map to 403 and 401.
+	// The JSON bodies and outcomes a client of the tier sees: a status read
+	// and a setpoint write render their rooms' values, and refusals are
+	// forbidden (403) and unauthorized (401).
 	clk := &testClock{ns: int64(time.Hour)}
 	gw, dir, _ := newTestGateway(t, clk)
 	mgr := dir.Find("manager-0000")
 	occ := dir.Find("occupant-0000")
 	cases := []struct {
-		name   string
-		req    Request
-		status int
-		body   string
+		name string
+		req  Request
+		want Outcome
+		body string
 	}{
-		{"manager status read", Request{Token: mgr.Token, Route: RouteStatus, Room: 1}, 200, `"temp_c":`},
-		{"manager setpoint write", Request{Token: mgr.Token, Route: RouteSetpoint, Room: 1, Value: 24.5}, 200, `"setpoint":24.5`},
-		{"occupant setpoint write", Request{Token: occ.Token, Route: RouteSetpoint, Room: 1, Value: 24.5}, 403, ""},
-		{"tokenless whoami", Request{Route: RouteWhoAmI}, 401, ""},
-		{"manager whoami", Request{Token: mgr.Token, Route: RouteWhoAmI}, 200, ""},
+		{"manager status read", Request{Token: mgr.Token, Route: RouteStatus, Room: 1}, OutcomeOK, `"temp_c":`},
+		{"manager setpoint write", Request{Token: mgr.Token, Route: RouteSetpoint, Room: 1, Value: 24.5}, OutcomeOK, `"setpoint":24.5`},
+		{"occupant setpoint write", Request{Token: occ.Token, Route: RouteSetpoint, Room: 1, Value: 24.5}, OutcomeForbidden, ""},
+		{"tokenless whoami", Request{Route: RouteWhoAmI}, OutcomeUnauthorized, ""},
+		{"manager whoami", Request{Token: mgr.Token, Route: RouteWhoAmI}, OutcomeOK, ""},
 	}
 	for _, tc := range cases {
 		clk.step(time.Second)
 		out, resp := handle(gw, tc.req)
-		if out.Status() != tc.status || !strings.Contains(string(resp.Body), tc.body) {
-			t.Errorf("%s: %d %q, want %d with %q", tc.name, out.Status(), resp.Body, tc.status, tc.body)
+		if out != tc.want || !strings.Contains(string(resp.Body), tc.body) {
+			t.Errorf("%s: %v %q, want %v with %q", tc.name, out, resp.Body, tc.want, tc.body)
 		}
 	}
 }

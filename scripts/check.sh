@@ -32,6 +32,14 @@ go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 10s ./internal/faultinject
 # CapDL text: the parser must not panic, and an accepted spec must
 # round-trip through Render.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/capdl
+# The last three text parsers: AADL models feed the policy compiler,
+# property files feed polcheck -props, and sweep specs feed baslab -sweep.
+# Whatever the bytes, none may panic or allocate out of proportion to its
+# input, and whatever they accept must go through the AADL generators and
+# linter, or the sweep validator, without panicking.
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/aadl
+go test -run '^$' -fuzz '^FuzzParseProperties$' -fuzztime 10s ./internal/polcheck
+go test -run '^$' -fuzz '^FuzzParseSweep$' -fuzztime 10s ./internal/lab
 go run ./cmd/polcheck -scenario tempcontrol
 # Least-privilege lint: every static grant the scenario never exercises must
 # be covered by the checked-in allowlist; unknown or stale entries fail. The
