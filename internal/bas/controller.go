@@ -18,10 +18,10 @@ package bas
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"time"
 
+	"mkbas/internal/decfmt"
 	"mkbas/internal/machine"
 )
 
@@ -96,52 +96,15 @@ func (s Status) String() string {
 // output is byte-identical to String.
 func (s Status) AppendText(buf []byte) []byte {
 	buf = append(buf, "temp="...)
-	buf = appendFixed2(buf, s.Temp)
+	buf = decfmt.AppendFixed(buf, s.Temp, 2)
 	buf = append(buf, " setpoint="...)
-	buf = appendFixed2(buf, s.Setpoint)
+	buf = decfmt.AppendFixed(buf, s.Setpoint, 2)
 	buf = append(buf, " heater="...)
 	buf = append(buf, onOff(s.HeaterOn)...)
 	buf = append(buf, " alarm="...)
 	buf = append(buf, onOff(s.AlarmOn)...)
 	buf = append(buf, " samples="...)
 	return strconv.AppendInt(buf, s.Samples, 10)
-}
-
-// fixed2Limit bounds the magnitudes appendFixed2 formats itself.
-const fixed2Limit = 1 << 53 / 100.0
-
-// appendFixed2 appends x exactly as strconv.AppendFloat(buf, x, 'f', 2, 64)
-// does, without strconv's arbitrary-precision path, which every fixed
-// precision 'f' takes. Below fixed2Limit, x is mant/2^shift with shift > 0
-// and mant < 2^53, so x×100 rounds to the nearest integer, ties to even,
-// from the exact 64-bit product mant×100. A negative x keeps its sign even
-// when it rounds to zero, as strconv's -0.00 does. NaN, the infinities and
-// larger magnitudes go to strconv.
-func appendFixed2(buf []byte, x float64) []byte {
-	if !(math.Abs(x) < fixed2Limit) {
-		return strconv.AppendFloat(buf, x, 'f', 2, 64)
-	}
-	b := math.Float64bits(x)
-	mant, exp := b&(1<<52-1), int(b>>52&0x7ff)
-	if exp == 0 {
-		exp = 1 // subnormal: no implicit bit
-	} else {
-		mant |= 1 << 52
-	}
-	var n uint64
-	if shift := uint(1075 - exp); shift < 64 {
-		p := mant * 100
-		n = p >> shift
-		rem, half := p&(1<<shift-1), uint64(1)<<(shift-1)
-		if rem > half || rem == half && n&1 == 1 {
-			n++
-		}
-	}
-	if b>>63 != 0 {
-		buf = append(buf, '-')
-	}
-	buf = strconv.AppendUint(buf, n/100, 10)
-	return append(buf, '.', byte('0'+n/10%10), byte('0'+n%10))
 }
 
 func onOff(b bool) string {
@@ -251,8 +214,8 @@ func (c *Controller) OnTick(now machine.Time) (heaterChanged, alarmChanged bool)
 // rejected too: a NaN setpoint would keep the heater on forever.
 func (c *Controller) SetSetpoint(v float64) error {
 	if !(v >= c.cfg.MinSetpoint && v <= c.cfg.MaxSetpoint) {
-		return fmt.Errorf("%w: %.2f not in [%.2f, %.2f]",
-			ErrSetpointRange, v, c.cfg.MinSetpoint, c.cfg.MaxSetpoint)
+		return fmt.Errorf("%w: %s not in [%s, %s]", ErrSetpointRange, decfmt.AppendFixed(nil, v, 2),
+			decfmt.AppendFixed(nil, c.cfg.MinSetpoint, 2), decfmt.AppendFixed(nil, c.cfg.MaxSetpoint, 2))
 	}
 	c.setpoint = v
 	return nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"mkbas/internal/decfmt"
 	"mkbas/internal/tenantapi"
 )
 
@@ -39,7 +40,7 @@ func (b *TestbedBackend) Writes() int64 { return b.writes }
 func (b *TestbedBackend) ReadRoom(_ int, resp *tenantapi.Response) {
 	r := b.tb.Room
 	resp.Body = append(resp.Body, `,"temp_c":`...)
-	resp.Body = strconv.AppendFloat(resp.Body, r.Temperature(), 'f', 2, 64)
+	resp.Body = decfmt.AppendFixed(resp.Body, r.Temperature(), 2)
 	resp.Body = append(resp.Body, `,"heater_on":`...)
 	resp.Body = strconv.AppendBool(resp.Body, r.HeaterOn())
 	resp.Body = append(resp.Body, `,"alarm_on":`...)
@@ -49,7 +50,8 @@ func (b *TestbedBackend) ReadRoom(_ int, resp *tenantapi.Response) {
 // WriteSetpoint posts the (gateway-validated) setpoint through the web
 // interface's real HTTP endpoint.
 func (b *TestbedBackend) WriteSetpoint(_ int, value float64) {
-	status, _, err := b.tb.HTTPPostSetpoint(strconv.FormatFloat(value, 'f', 2, 64))
+	var num [24]byte
+	status, _, err := b.tb.HTTPPostSetpoint(string(decfmt.AppendFixed(num[:0], value, 2)))
 	if err != nil || status != 200 {
 		b.writeFailures++
 		return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"mkbas/internal/decfmt"
 	"mkbas/internal/httpmini"
 )
 
@@ -59,7 +60,8 @@ func HandleRequest(req *httpmini.Request, ctrl ControlClient, metrics MetricsSou
 		if err := ctrl.SetSetpoint(v); err != nil {
 			return httpmini.Text(400, fmt.Sprintf("rejected: %v\n", err))
 		}
-		return httpmini.Text(200, fmt.Sprintf("setpoint=%.2f\n", v))
+		echo := decfmt.AppendFixed([]byte("setpoint="), v, 2)
+		return httpmini.Text(200, string(append(echo, '\n')))
 	case req.Method == "GET":
 		return httpmini.Text(404, "not found\n")
 	default:

@@ -3,6 +3,7 @@ package building
 import (
 	"strconv"
 
+	"mkbas/internal/decfmt"
 	"mkbas/internal/obs"
 	"mkbas/internal/tenantapi"
 )
@@ -36,7 +37,7 @@ func (k *fleetBackend) Rooms() int { return len(k.b.Rooms) }
 func (k *fleetBackend) ReadRoom(room int, resp *tenantapi.Response) {
 	r := k.b.Rooms[room].Testbed.Room
 	resp.Body = append(resp.Body, `,"temp_c":`...)
-	resp.Body = strconv.AppendFloat(resp.Body, r.Temperature(), 'f', 2, 64)
+	resp.Body = decfmt.AppendFixed(resp.Body, r.Temperature(), 2)
 	resp.Body = append(resp.Body, `,"heater_on":`...)
 	resp.Body = strconv.AppendBool(resp.Body, r.HeaterOn())
 }
@@ -45,7 +46,8 @@ func (k *fleetBackend) ReadRoom(room int, resp *tenantapi.Response) {
 // room's web interface. Harness-context only: it steps that room's machine.
 func (k *fleetBackend) WriteSetpoint(room int, value float64) {
 	tb := k.b.Rooms[room].Testbed
-	status, _, err := tb.HTTPPostSetpoint(strconv.FormatFloat(value, 'f', 2, 64))
+	var num [24]byte
+	status, _, err := tb.HTTPPostSetpoint(string(decfmt.AppendFixed(num[:0], value, 2)))
 	if err == nil && status == 200 {
 		k.writes++
 	}

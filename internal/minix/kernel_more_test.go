@@ -366,7 +366,7 @@ func TestStaleTimersNeverWake(t *testing.T) {
 // descriptors, as a campaign's later cases do, and the reading does not
 // depend on which tests ran before it.
 func TestForkChildByteBudget(t *testing.T) {
-	const children, budget = 2000, 1250
+	const children, budget = 2000, 1100
 	var wg sync.WaitGroup
 	release := make(chan struct{})
 	for range children {

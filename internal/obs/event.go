@@ -1,6 +1,9 @@
 package obs
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Mechanism names the mediation layer that produced a security event —
 // the platform-neutral vocabulary the paper's outcome table compares.
@@ -152,13 +155,11 @@ type EventLog struct {
 	head     int
 	total    int64
 	dropped  int64
-	totals   map[eventKey]int64
-}
-
-type eventKey struct {
-	Kind      EventKind
-	Mechanism Mechanism
-	Denied    bool
+	// totals holds one row per distinct key, in first-seen order. A board
+	// or gateway sees a handful of distinct keys, so a linear scan, whose
+	// string compares mostly stop at a length mismatch or a shared
+	// constant's pointer, beats hashing two strings on every Emit.
+	totals []EventTotal
 }
 
 // NewEventLog creates an event stream; capacity <= 0 means 16384 retained
@@ -170,7 +171,7 @@ func NewEventLog(now func() Time, capacity int) *EventLog {
 	if capacity <= 0 {
 		capacity = 16384
 	}
-	return &EventLog{now: now, cap: capacity, totals: make(map[eventKey]int64)}
+	return &EventLog{now: now, cap: capacity}
 }
 
 // SetPlatform sets the default platform stamp applied to events emitted
@@ -192,7 +193,7 @@ func (l *EventLog) Emit(e SecurityEvent) {
 		e.Platform = l.platform
 	}
 	l.total++
-	l.totals[eventKey{Kind: e.Kind, Mechanism: e.Mechanism, Denied: e.Denied}]++
+	l.count(e.Kind, e.Mechanism, e.Denied)
 	if len(l.events) < l.cap {
 		l.events = append(l.events, e)
 	} else {
@@ -200,6 +201,19 @@ func (l *EventLog) Emit(e SecurityEvent) {
 		l.head = (l.head + 1) % l.cap
 		l.dropped++
 	}
+}
+
+// count adds one to the (kind, mech, denied) row, appending it on first
+// sight.
+func (l *EventLog) count(kind EventKind, mech Mechanism, denied bool) {
+	for i := range l.totals {
+		t := &l.totals[i]
+		if t.Kind == kind && t.Mechanism == mech && t.Denied == denied {
+			t.Count++
+			return
+		}
+	}
+	l.totals = append(l.totals, EventTotal{Kind: kind, Mechanism: mech, Denied: denied, Count: 1})
 }
 
 // Events returns the retained events, oldest first.
@@ -243,10 +257,12 @@ func (l *EventLog) Totals() []EventTotal {
 	if l == nil {
 		return nil
 	}
-	out := make([]EventTotal, 0, len(l.totals))
-	for k, n := range l.totals {
-		out = append(out, EventTotal{Kind: k.Kind, Mechanism: k.Mechanism, Denied: k.Denied, Count: n})
-	}
+	return sortTotals(append(make([]EventTotal, 0, len(l.totals)), l.totals...))
+}
+
+// sortTotals sorts rows by kind, then mechanism, allowed before denied —
+// the order every totals report shares.
+func sortTotals(out []EventTotal) []EventTotal {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Kind != b.Kind {
@@ -267,9 +283,9 @@ func (l *EventLog) DeniedTotal() int64 {
 		return 0
 	}
 	var n int64
-	for k, c := range l.totals {
-		if k.Denied {
-			n += c
+	for _, t := range l.totals {
+		if t.Denied {
+			n += t.Count
 		}
 	}
 	return n
@@ -281,16 +297,12 @@ func (l *EventLog) Mechanisms() []Mechanism {
 	if l == nil {
 		return nil
 	}
-	seen := map[Mechanism]bool{}
-	for k, c := range l.totals {
-		if k.Denied && c > 0 {
-			seen[k.Mechanism] = true
+	out := make([]Mechanism, 0, len(l.totals))
+	for _, t := range l.totals {
+		if t.Denied {
+			out = append(out, t.Mechanism)
 		}
 	}
-	out := make([]Mechanism, 0, len(seen))
-	for m := range seen {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

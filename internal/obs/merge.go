@@ -27,35 +27,27 @@ func MergeCounters(sets ...[]CounterSnap) []CounterSnap {
 	return out
 }
 
+// eventKey is the (kind, mechanism, denied) triple totals are summed by.
+type eventKey struct {
+	Kind      EventKind
+	Mechanism Mechanism
+	Denied    bool
+}
+
 // MergeEventTotals sums event totals from many boards by (kind, mechanism,
 // denied). The result is sorted exactly like EventLog.Totals.
 func MergeEventTotals(sets ...[]EventTotal) []EventTotal {
-	type key struct {
-		Kind      EventKind
-		Mechanism Mechanism
-		Denied    bool
-	}
-	sums := make(map[key]int64)
+	sums := make(map[eventKey]int64)
 	for _, set := range sets {
 		for _, t := range set {
-			sums[key{t.Kind, t.Mechanism, t.Denied}] += t.Count
+			sums[eventKey{t.Kind, t.Mechanism, t.Denied}] += t.Count
 		}
 	}
 	out := make([]EventTotal, 0, len(sums))
 	for k, n := range sums {
 		out = append(out, EventTotal{Kind: k.Kind, Mechanism: k.Mechanism, Denied: k.Denied, Count: n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Mechanism != b.Mechanism {
-			return a.Mechanism < b.Mechanism
-		}
-		return !a.Denied && b.Denied
-	})
-	return out
+	return sortTotals(out)
 }
 
 // MergeMechanisms unions sorted mechanism lists from many boards.

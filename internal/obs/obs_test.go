@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -328,6 +329,97 @@ func TestEventLogTotals(t *testing.T) {
 	}
 	if acmDenied == nil || acmDenied.Count != 2 {
 		t.Fatalf("acm ipc-denied total wrong: %+v", l.Totals())
+	}
+}
+
+// TestEventLogTotalsMatchMapOracle emits 18 distinct (kind, mechanism,
+// denied) keys in scrambled order, with scrambled multiplicities, and
+// checks Totals, Mechanisms and DeniedTotal against a map-keyed oracle: the
+// aggregation the row scan replaced, sorted the same way.
+func TestEventLogTotalsMatchMapOracle(t *testing.T) {
+	type key struct {
+		kind   EventKind
+		mech   Mechanism
+		denied bool
+	}
+	kinds := []EventKind{EventIPCDenied, EventKill, EventAuthzDenied, EventOverload}
+	mechs := []Mechanism{MechRBAC, MechACM, MechPolicyMonitor, MechKernel}
+	// Some (kind, mechanism) pairs come allowed and denied, some one way.
+	var keys []key
+	for i, k := range kinds {
+		for j, m := range mechs {
+			if (i+j)%3 != 0 {
+				keys = append(keys, key{k, m, true})
+			}
+			if (i+j)%2 == 0 {
+				keys = append(keys, key{k, m, false})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	var stream []key
+	for _, k := range keys {
+		for n := 1 + rng.Intn(9); n > 0; n-- {
+			stream = append(stream, k)
+		}
+	}
+	rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+
+	l := NewEventLog(nil, 8)
+	oracle := map[key]int64{}
+	for _, k := range stream {
+		l.Emit(SecurityEvent{Kind: k.kind, Mechanism: k.mech, Denied: k.denied, Src: "s"})
+		oracle[k]++
+	}
+	if len(oracle) != 18 {
+		t.Fatalf("%d distinct keys emitted, want 18", len(oracle))
+	}
+
+	want := []EventTotal{}
+	var wantDenied int64
+	deniedBy := map[Mechanism]bool{}
+	for k, n := range oracle {
+		want = append(want, EventTotal{Kind: k.kind, Mechanism: k.mech, Denied: k.denied, Count: n})
+		if k.denied {
+			wantDenied += n
+			deniedBy[k.mech] = true
+		}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		if a.Mechanism != b.Mechanism {
+			return a.Mechanism < b.Mechanism
+		}
+		return !a.Denied && b.Denied
+	})
+	wantMechs := []Mechanism{}
+	for m := range deniedBy {
+		wantMechs = append(wantMechs, m)
+	}
+	sort.Slice(wantMechs, func(i, j int) bool { return wantMechs[i] < wantMechs[j] })
+
+	got := l.Totals()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Totals:\n got %+v\nwant %+v", got, want)
+	}
+	if got := l.Mechanisms(); !reflect.DeepEqual(got, wantMechs) {
+		t.Fatalf("Mechanisms = %v, want %v", got, wantMechs)
+	}
+	if got := l.DeniedTotal(); got != wantDenied {
+		t.Fatalf("DeniedTotal = %d, want %d", got, wantDenied)
+	}
+	// Totals is a copy: editing it leaves the log's rows alone.
+	got[0].Count = -1
+	if !reflect.DeepEqual(l.Totals(), want) {
+		t.Fatal("Totals aliases the log's rows")
+	}
+	// An empty log reports empty, non-nil lists, as reports marshal them.
+	empty := NewEventLog(nil, 0)
+	if tot, ms := empty.Totals(), empty.Mechanisms(); tot == nil || len(tot) != 0 || ms == nil || len(ms) != 0 {
+		t.Fatalf("empty log: Totals %#v, Mechanisms %#v", tot, ms)
 	}
 }
 

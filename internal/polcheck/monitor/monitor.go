@@ -300,12 +300,30 @@ func (m *Monitor) Observe(id obs.EdgeID) {
 	}
 }
 
-// Check reports whether (src, dst, label) is inside the current graph:
-// certified, and not governed by a subject demoted below the edge's
-// required origin. It emits nothing — callers that enforce (the building
-// bus guard) emit their own events.
-func (m *Monitor) Check(src, dst, label string) bool {
+// EdgeRef is one (src, dst, label) triple resolved against the certified
+// graph once, so an enforcement point that asks about the same edge on
+// every request (the tenant gateway, per role and route) pays the
+// string-keyed lookup at construction, not per request. The monitor's edge
+// tables are built only in New, so a resolved EdgeRef never goes stale.
+// The zero EdgeRef is an uncertified edge.
+type EdgeRef struct {
+	info *edgeInfo
+}
+
+// Edge resolves (src, dst, label) to its certified edge, if any, with the
+// same normalisation Observe applies to recorded deliveries.
+func (m *Monitor) Edge(src, dst, label string) EdgeRef {
 	_, _, info := m.lookup(src, dst, label)
+	return EdgeRef{info: info}
+}
+
+// Live reports whether the edge is inside the current graph: certified,
+// and not governed by a subject demoted below the edge's required origin.
+// It reads the governing subject's live label, so a Demote after the edge
+// was resolved takes effect at once. It emits nothing — callers that
+// enforce (the tenant gateway) emit their own events.
+func (r EdgeRef) Live() bool {
+	info := r.info
 	if info == nil {
 		return false
 	}

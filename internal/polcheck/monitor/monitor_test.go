@@ -216,24 +216,33 @@ func TestDemoteIsMonotone(t *testing.T) {
 	}
 }
 
-func TestCheck(t *testing.T) {
+func TestEdgeLive(t *testing.T) {
 	m := New(testGraph(), Options{Origins: testOrigins()})
-	if !m.Check("ctrl", "heater", "mt1") || !m.Check("ctrl", "sensor", "mt42") {
-		t.Fatal("certified deliveries failed Check")
+	if !m.Edge("ctrl", "heater", "mt1").Live() || !m.Edge("ctrl", "sensor", "mt42").Live() {
+		t.Fatal("certified deliveries are not live")
 	}
-	if m.Check("web", "heater", "mt1") {
-		t.Fatal("uncertified delivery passed Check")
+	if m.Edge("web", "heater", "mt1").Live() {
+		t.Fatal("uncertified delivery is live")
+	}
+	if (EdgeRef{}).Live() {
+		t.Fatal("zero EdgeRef is live")
+	}
+	// A handle resolved before a demotion reads the live label after it.
+	webSend := m.Edge("web", "ep_cmd", "send")
+	if !webSend.Live() {
+		t.Fatal("web's certified edge is not live before demotion")
 	}
 	m.Demote("web", OriginUntrusted)
-	if m.Check("web", "ep_cmd", "send") {
-		t.Fatal("demoted subject's edge passed Check")
+	if webSend.Live() || m.Edge("web", "ep_cmd", "send").Live() {
+		t.Fatal("demoted subject's edge is live")
 	}
-	if !m.Check("ep_cmd", "ctrl", "recv") {
+	if !m.Edge("ep_cmd", "ctrl", "recv").Live() {
 		t.Fatal("receiver-governed edge should be unaffected by web's demotion")
 	}
-	// Check never emits or counts: it is the enforcement-side predicate.
+	// Edge and Live never emit or count: they are the enforcement-side
+	// predicate.
 	if st := m.Stats(); st.Observed != 0 || st.PolicyDrifts != 0 {
-		t.Fatalf("Check mutated stats: %+v", st)
+		t.Fatalf("Edge/Live mutated stats: %+v", st)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"time"
 
+	"mkbas/internal/decfmt"
 	"mkbas/internal/obs"
 	"mkbas/internal/polcheck/monitor"
 )
@@ -134,9 +135,12 @@ type Gateway struct {
 	events  *obs.EventLog
 
 	// allowed is the static role×route matrix, derived from the certified
-	// graph at construction so the two can never drift apart.
-	allowed  [numRoles][NumRoutes]bool
-	roleSubj [numRoles]string
+	// graph at construction so the two can never drift apart. edges holds
+	// the monitor's handle on each allowed role→gateway route edge,
+	// resolved once; its Live check reads the role's current origin label
+	// per request.
+	allowed [numRoles][NumRoutes]bool
+	edges   [numRoles][NumRoutes]monitor.EdgeRef
 
 	admitWindow int64
 	admitted    int
@@ -163,14 +167,12 @@ func NewGateway(dir *Directory, backend Backend, cfg GatewayConfig) *Gateway {
 	if g.mon == nil {
 		g.mon = NewMonitor(cfg.Events)
 	}
-	for r := Role(0); r < numRoles; r++ {
-		g.roleSubj[r] = r.Subject()
-	}
 	// Derive the role matrix from the certified graph: an edge label grants
 	// the route.
 	graph := AccessGraph()
 	for r := Role(0); r < numRoles; r++ {
-		for _, e := range graph.FlowsFrom(pSubject(g.roleSubj[r])) {
+		subj := r.Subject()
+		for _, e := range graph.FlowsFrom(pSubject(subj)) {
 			if e.To.Name != SubjectGateway {
 				continue
 			}
@@ -178,6 +180,7 @@ func NewGateway(dir *Directory, backend Backend, cfg GatewayConfig) *Gateway {
 				for rt := Route(0); rt < NumRoutes; rt++ {
 					if routeLabels[rt] == label {
 						g.allowed[r][rt] = true
+						g.edges[r][rt] = g.mon.Edge(subj, SubjectGateway, label)
 					}
 				}
 			}
@@ -257,7 +260,7 @@ func (g *Gateway) Handle(req *Request, resp *Response) Outcome {
 		g.deny(obs.EventAuthzDenied, obs.MechRBAC, p.Name, "role holds no edge for route")
 		return g.finish(req, resp, OutcomeForbidden)
 	}
-	if !g.mon.Check(g.roleSubj[p.Role], SubjectGateway, routeLabels[req.Route]) {
+	if !g.edges[p.Role][req.Route].Live() {
 		g.deny(obs.EventAuthzDenied, obs.MechPolicyMonitor, p.Name, "origin demoted below certified edge")
 		return g.finish(req, resp, OutcomeForbidden)
 	}
@@ -288,7 +291,7 @@ func (g *Gateway) Handle(req *Request, resp *Response) Outcome {
 		resp.Body = append(resp.Body, `{"room":`...)
 		resp.Body = strconv.AppendInt(resp.Body, int64(req.Room), 10)
 		resp.Body = append(resp.Body, `,"setpoint":`...)
-		resp.Body = strconv.AppendFloat(resp.Body, req.Value, 'f', 1, 64)
+		resp.Body = decfmt.AppendFixed(resp.Body, req.Value, 1)
 		resp.Body = append(resp.Body, '}')
 	case RouteDiagnostics:
 		resp.Body = append(resp.Body, `{"served":`...)

@@ -220,7 +220,7 @@ func runShard(plan Plan, shard, n int) *shardOut {
 	r := &rng{state: plan.Seed ^ 0xc0ffee ^ (uint64(shard) << 20)}
 	dirLen := dir.Len()
 
-	out := &shardOut{stats: ShardStats{Shard: shard, Outcomes: make(map[string]int64)}}
+	var tally [tenantapi.NumOutcomes]int64
 	var req tenantapi.Request
 	var resp tenantapi.Response
 	for k := 0; k < n; k++ {
@@ -264,9 +264,13 @@ func runShard(plan Plan, shard, n int) *shardOut {
 			req.Route = tenantapi.RouteStatus
 			req.Room = rooms + int(r.next()%4)
 		}
-		outc := gw.Handle(&req, &resp)
-		out.stats.Requests++
-		out.stats.Outcomes[outc.String()]++
+		tally[gw.Handle(&req, &resp)]++
+	}
+	out := &shardOut{stats: ShardStats{Shard: shard, Requests: int64(n), Outcomes: make(map[string]int64)}}
+	for o, c := range tally {
+		if c != 0 {
+			out.stats.Outcomes[tenantapi.Outcome(o).String()] = c
+		}
 	}
 	out.stats.BackendWrites = backend.Writes()
 	out.counters = reg.Counters()

@@ -3,6 +3,7 @@ package tenantapi
 import (
 	"strconv"
 
+	"mkbas/internal/decfmt"
 	"mkbas/internal/obs"
 )
 
@@ -43,9 +44,9 @@ func (b *SimBackend) ReadRoom(room int, resp *Response) {
 	minute := int64(b.now()) / int64(60e9)
 	ripple := float64(int64(splitmix64(uint64(minute)^uint64(room)*0x9e37)&1023))/1024.0 - 0.5
 	resp.Body = append(resp.Body, `,"temp_c":`...)
-	resp.Body = strconv.AppendFloat(resp.Body, b.setpoints[room]+ripple, 'f', 2, 64)
+	resp.Body = decfmt.AppendFixed(resp.Body, b.setpoints[room]+ripple, 2)
 	resp.Body = append(resp.Body, `,"setpoint":`...)
-	resp.Body = strconv.AppendFloat(resp.Body, b.setpoints[room], 'f', 1, 64)
+	resp.Body = decfmt.AppendFixed(resp.Body, b.setpoints[room], 1)
 }
 
 // WriteSetpoint applies the (gateway-validated) write immediately.

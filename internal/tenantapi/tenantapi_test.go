@@ -197,22 +197,46 @@ func TestBackpressureShedsBeforeAuth(t *testing.T) {
 	}
 }
 
-// TestDemotionShrinksReachableSet is the satellite-2 contract: demoting a
-// compromised tenant origin turns its certified edges off, so the role's
-// reachable set (the routes the monitor admits) shrinks to nothing while
-// other roles keep their certified edges.
+// TestDemotionShrinksReachableSet pins the origin-demotion contract:
+// demoting a compromised tenant origin turns its certified edges off, so
+// the role's reachable set (the routes the monitor admits) shrinks to
+// nothing while other roles keep their certified edges. The gateway resolves its edge
+// handles once, at construction, so this also pins that they read the live
+// origin label: after Demote, every route the role held is refused through
+// Handle and booked to the policy monitor.
 func TestDemotionShrinksReachableSet(t *testing.T) {
 	clk := &testClock{ns: int64(time.Hour)}
 	gw, dir, events := newTestGateway(t, clk)
 	occ := dir.Find("occupant-0004")
 	mon := gw.Monitor()
+	monitorDenials := func() int64 {
+		for _, tot := range events.Totals() {
+			if tot.Kind == obs.EventAuthzDenied && tot.Mechanism == obs.MechPolicyMonitor && tot.Denied {
+				return tot.Count
+			}
+		}
+		return 0
+	}
 
-	// Certified pre-state: the occupant edge admits room-status.
-	if !mon.Check(SubjectOccupant, SubjectGateway, RouteStatus.Label()) {
+	// Certified pre-state: the occupant edge admits room-status, and the
+	// role holds more than one route.
+	if !mon.Edge(SubjectOccupant, SubjectGateway, RouteStatus.Label()).Live() {
 		t.Fatal("certified occupant edge missing before demotion")
 	}
-	if out, _ := handle(gw, Request{Token: occ.Token, Route: RouteStatus, Room: occ.Room}); out != OutcomeOK {
-		t.Fatal("occupant read refused before demotion")
+	var held []Route
+	for rt := Route(0); rt < NumRoutes; rt++ {
+		if gw.allowed[RoleOccupant][rt] {
+			held = append(held, rt)
+		}
+	}
+	if len(held) < 2 {
+		t.Fatalf("occupant holds routes %v, want at least two", held)
+	}
+	for _, rt := range held {
+		clk.step(time.Second)
+		if out, _ := handle(gw, Request{Token: occ.Token, Route: rt, Room: occ.Room}); out != OutcomeOK {
+			t.Fatalf("occupant %s refused before demotion: %v", rt.Label(), out)
+		}
 	}
 
 	if !mon.Demote(SubjectOccupant, monitor.OriginUntrusted) {
@@ -220,31 +244,29 @@ func TestDemotionShrinksReachableSet(t *testing.T) {
 	}
 	// Every occupant route is now off: the reachable set shrank to zero.
 	for rt := Route(0); rt < NumRoutes; rt++ {
-		if mon.Check(SubjectOccupant, SubjectGateway, rt.Label()) {
+		if mon.Edge(SubjectOccupant, SubjectGateway, rt.Label()).Live() {
 			t.Fatalf("demoted occupant still reaches %s", rt.Label())
 		}
 	}
-	clk.step(time.Second)
-	if out, _ := handle(gw, Request{Token: occ.Token, Route: RouteStatus, Room: occ.Room}); out != OutcomeForbidden {
-		t.Fatal("demoted occupant request not refused")
+	// Through the gateway's pre-resolved handles too: each held route is
+	// refused, and each refusal is the policy monitor's, not static rbac's.
+	for _, rt := range held {
+		clk.step(time.Second)
+		before := monitorDenials()
+		if out, _ := handle(gw, Request{Token: occ.Token, Route: rt, Room: occ.Room}); out != OutcomeForbidden {
+			t.Fatalf("demoted occupant %s: outcome %v, want forbidden", rt.Label(), out)
+		}
+		if got := monitorDenials() - before; got != 1 {
+			t.Fatalf("demoted occupant %s: %d policy-monitor denials booked, want 1", rt.Label(), got)
+		}
 	}
 	// The manager's edges are untouched.
-	if !mon.Check(SubjectManager, SubjectGateway, RouteSetpoint.Label()) {
+	if !mon.Edge(SubjectManager, SubjectGateway, RouteSetpoint.Label()).Live() {
 		t.Fatal("manager edge lost after occupant demotion")
 	}
 	clk.step(time.Second)
 	if out, _ := handle(gw, Request{Token: dir.Find("manager-0000").Token, Route: RouteStatus, Room: 0}); out != OutcomeOK {
 		t.Fatal("manager refused after occupant demotion")
-	}
-	// The refusal names the policy monitor, not static rbac.
-	foundPM := false
-	for _, tot := range events.Totals() {
-		if tot.Kind == obs.EventAuthzDenied && tot.Mechanism == obs.MechPolicyMonitor {
-			foundPM = true
-		}
-	}
-	if !foundPM {
-		t.Fatal("demotion refusal did not name the policy monitor")
 	}
 }
 

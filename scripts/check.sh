@@ -40,6 +40,10 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/capdl
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/aadl
 go test -run '^$' -fuzz '^FuzzParseProperties$' -fuzztime 10s ./internal/polcheck
 go test -run '^$' -fuzz '^FuzzParseSweep$' -fuzztime 10s ./internal/lab
+# Value-level: every status line, API body and setpoint echo formats its
+# numbers with decfmt.AppendFixed, which must write strconv's bytes for any
+# 64-bit pattern at either precision it handles.
+go test -run '^$' -fuzz '^FuzzAppendFixed$' -fuzztime 10s ./internal/decfmt
 go run ./cmd/polcheck -scenario tempcontrol
 # Least-privilege lint: every static grant the scenario never exercises must
 # be covered by the checked-in allowlist; unknown or stale entries fail. The
