@@ -8,7 +8,7 @@ package building
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -133,7 +133,6 @@ type Building struct {
 	standbyNode   vnet.NodeID
 	round         int
 	elapsed       time.Duration
-	workers       int
 	supWindow     time.Duration
 	failoverRound int
 	failovers     int
@@ -148,18 +147,22 @@ type Building struct {
 	busRefused []int64 // uncertified dials refused under Demote, by room
 	demoted    []bool  // room's web subject has been demoted
 
-	// Round dispatch: Step wakes every worker once on wake, and the workers
-	// claim boards through claim, an index into Rooms, until it passes the
-	// end; wg is the round barrier.
-	target machine.Time
-	wake   chan struct{}
-	claim  atomic.Int64
-	wg     sync.WaitGroup
-	closed bool
+	// Round dispatch: the round pool. Worker 0 is Step's own goroutine and
+	// workers 1.. are helper goroutines; worker w owns blocks[w]. Step resets
+	// the cursors, sets target and pending, then publishes the round by
+	// bumping gen; each helper decrements pending when it has run dry. The
+	// atomics order each round's board work against the coordinator.
+	target  machine.Time
+	pool    []worker
+	blocks  []block
+	gen     atomic.Uint64
+	pending atomic.Int64
+	spin    bool        // this round's handoffs may busy-wait; read by helpers after gen
+	quit    atomic.Bool // set by Close before its final gen bump
 
 	// Host-side profiling. The phases are nil (discarding) without a
-	// profiler; the per-worker busy/jobs counters always run. stepWallNs
-	// accumulates the coordinator's board-stepping window (dispatch to
+	// profiler; the per-worker jobs counters always run. stepWallNs
+	// accumulates the coordinator's board-stepping window (publish to
 	// barrier) per round; every worker busy interval nests strictly inside
 	// that window, which is what makes busy+idle == stepWall an exact
 	// invariant rather than a racy approximation.
@@ -167,16 +170,70 @@ type Building struct {
 	phRound    *perf.Phase
 	phBoard    *perf.Phase
 	phHead     *perf.Phase
-	stepWallNs int64
-	wstats     []workerStat
+	stepWallNs atomic.Int64
 }
 
-// workerStat is one worker goroutine's host-time account.
-type workerStat struct {
-	busyNs int64 // atomic: summed board-step time on this worker
-	jobs   int64 // atomic: board steps executed on this worker
+// spinBudget bounds how long either side of a round handoff busy-waits
+// before it parks: a helper waiting for the next round, or the coordinator
+// waiting for the helpers. It covers the coordinator's serial section
+// between two stepping windows (two bus flushes, the head-end, the tenant
+// batch) on both bench building workloads: about 10 µs a round under 30 s
+// polls, about 100 µs when every room is polled every round. So a building
+// stepped back to back never pays a wake-up, and one that is no longer
+// stepped has every helper parked after one budget.
+const spinBudget = 500 * time.Microsecond
+
+// worker is one member of the round pool: its host-time account, its
+// timeline track, and its side of the spin-then-park handoff.
+type worker struct {
+	busyNs atomic.Int64 // summed board-step time on this worker
+	jobs   atomic.Int64 // board steps executed on this worker
 	track  *perf.Track
-	_      [4]int64 // pad to a cache line so workers don't false-share
+	parked atomic.Bool   // gave up spinning and waits on wake
+	wake   chan struct{} // capacity 1: unpark never blocks
+	_      [24]byte      // pad to a cache line so workers don't false-share
+}
+
+// unpark wakes w if it is parked. Call it after publishing what w waits
+// for: w marks itself parked before its last check, and the publisher
+// checks the mark after publishing, so one of the two sees the other and
+// no wake-up is lost. Exactly one side takes the mark, so at most one
+// token is ever in flight.
+func (w *worker) unpark() {
+	if w.parked.Load() && w.parked.Swap(false) {
+		w.wake <- struct{}{}
+	}
+}
+
+// await returns once ready reports true. With spin it polls ready for up
+// to spinBudget first; then it parks until an unpark. A late unpark, meant
+// for a wait that ready already ended, only sends it round the loop again.
+func (w *worker) await(spin bool, ready func() bool) {
+	if spin {
+		deadline := time.Now().Add(spinBudget)
+		for !time.Now().After(deadline) {
+			for i := 0; i < 64; i++ {
+				if ready() {
+					return
+				}
+			}
+		}
+	}
+	for !ready() {
+		w.parked.Store(true)
+		if ready() && w.parked.Swap(false) {
+			return
+		}
+		<-w.wake
+	}
+}
+
+// block is one worker's contiguous share of the rooms, [start, end), and
+// its claim cursor; the padding keeps each cursor on its own cache line.
+type block struct {
+	next       atomic.Int64
+	start, end int64
+	_          [40]byte
 }
 
 // WorkerStats is one worker's exported busy/idle account, relative to the
@@ -219,13 +276,23 @@ func New(cfg Config) (*Building, error) {
 		cfg:     cfg,
 		slice:   slice,
 		Bus:     vnet.NewBus(),
-		workers: workers,
-		wake:    make(chan struct{}),
+		pool:    make([]worker, workers),
+		blocks:  make([]block, workers),
 		prof:    cfg.Profiler,
 		phRound: cfg.Profiler.HotPhase("building.round"),
 		phBoard: cfg.Profiler.HotPhase("building.board_step"),
 		phHead:  cfg.Profiler.HotPhase("building.headend"),
-		wstats:  make([]workerStat, workers),
+	}
+	for w := range b.pool {
+		b.pool[w].wake = make(chan struct{}, 1)
+		if cfg.Profiler.TimelineEnabled() {
+			b.pool[w].track = cfg.Profiler.Track(fmt.Sprintf("building-worker-%02d", w))
+		}
+		b.blocks[w].start = int64(w * cfg.Rooms / workers)
+		b.blocks[w].end = int64((w + 1) * cfg.Rooms / workers)
+		if w > 0 {
+			go b.help(w)
+		}
 	}
 	b.Bus.Instrument(cfg.Profiler)
 	cfg.Profiler.SetGauge("building.workers", int64(workers))
@@ -291,51 +358,89 @@ func New(cfg Config) (*Building, error) {
 		b.Bus.SetDialGuard(b.guardDial)
 	}
 
-	for w := 0; w < workers; w++ {
-		st := &b.wstats[w]
-		if cfg.Profiler.TimelineEnabled() {
-			st.track = cfg.Profiler.Track(fmt.Sprintf("building-worker-%02d", w))
-		}
-		go func() {
-			for range b.wake {
-				b.stepClaimed(st)
-				b.wg.Done()
-			}
-		}()
-	}
 	return b, nil
 }
 
-// stepClaimed runs one worker's share of a round: it claims boards from the
-// shared index and steps each to the round deadline until every room has
-// been claimed. Boards are independent within a round, so which worker
-// claims which board cannot reach the report.
-func (b *Building) stepClaimed(st *workerStat) {
+// help is helper w's loop. It starts parked, so nothing spins before the
+// first round. After each round it waits for the next one, spinning only
+// if that round allowed it; Close's final round makes it leave.
+func (b *Building) help(w int) {
+	var seen uint64
+	spin := false
+	newRound := func() bool { return b.gen.Load() != seen }
 	for {
-		i := int(b.claim.Add(1) - 1)
-		if i >= len(b.Rooms) {
+		b.pool[w].await(spin, newRound)
+		seen = b.gen.Load()
+		quit := b.quit.Load()
+		if !quit {
+			spin = b.spin
+			b.stepShare(w)
+		}
+		if b.pending.Add(-1) == 0 {
+			b.pool[0].unpark()
+		}
+		if quit {
 			return
 		}
-		var label string
-		if st.track != nil {
-			label = b.Rooms[i].label
-		}
-		sc := b.phBoard.BeginOn(st.track, label)
-		if b.prof != nil {
-			start := time.Now()
-			b.Rooms[i].Dep.Machine().RunUntil(b.target)
-			atomic.AddInt64(&st.busyNs, int64(time.Since(start)))
-		} else {
-			b.Rooms[i].Dep.Machine().RunUntil(b.target)
-		}
-		atomic.AddInt64(&st.jobs, 1)
-		sc.End()
 	}
 }
 
+// stepShare runs worker w's share of a round. It claims rooms from its own
+// block first, then steals from the other blocks in a fixed order (w+1,
+// w+2, ...), until every block is claimed. In steady state each board is
+// stepped by the same worker every round, and a heavy block is still
+// finished by the others. Every room is claimed exactly once, through its
+// block's cursor, so each board's engine is touched by one goroutine per
+// round; boards are independent within a round, so which worker steps a
+// board cannot reach the report.
+func (b *Building) stepShare(w int) {
+	st := &b.pool[w]
+	for k := range b.blocks {
+		blk := &b.blocks[(w+k)%len(b.blocks)]
+		if blk.next.Load() >= blk.end {
+			continue
+		}
+		for i := blk.next.Add(1) - 1; i < blk.end; i = blk.next.Add(1) - 1 {
+			b.stepRoom(st, b.Rooms[i])
+		}
+	}
+}
+
+// stepRoom runs one board to the round deadline on worker st.
+func (b *Building) stepRoom(st *worker, room *Room) {
+	var label string
+	if st.track != nil {
+		label = room.label
+	}
+	sc := b.phBoard.BeginOn(st.track, label)
+	if b.prof != nil {
+		start := time.Now()
+		room.Dep.Machine().RunUntil(b.target)
+		st.busyNs.Add(int64(time.Since(start)))
+	} else {
+		room.Dep.Machine().RunUntil(b.target)
+	}
+	st.jobs.Add(1)
+	sc.End()
+}
+
+// release publishes a round (or, with quit set, the exit) to the helpers:
+// pending counts them down, the gen bump is what they wait for, and only
+// parked ones are woken.
+func (b *Building) release() {
+	b.pending.Store(int64(len(b.pool) - 1))
+	b.gen.Add(1)
+	for w := 1; w < len(b.pool); w++ {
+		b.pool[w].unpark()
+	}
+}
+
+// helpersDone reports whether every helper has finished the published round.
+func (b *Building) helpersDone() bool { return b.pending.Load() == 0 }
+
 // StepWallNs is the cumulative host wall-clock the coordinator spent in the
-// board-stepping window (worker wake to barrier) across all rounds so far.
-func (b *Building) StepWallNs() int64 { return atomic.LoadInt64(&b.stepWallNs) }
+// board-stepping window (round publish to barrier) across all rounds so far.
+func (b *Building) StepWallNs() int64 { return b.stepWallNs.Load() }
 
 // WorkerStats exports each worker's busy/idle account. Idle is defined
 // against the coordinator's stepping window: IdleNs = StepWallNs - BusyNs,
@@ -343,13 +448,13 @@ func (b *Building) StepWallNs() int64 { return atomic.LoadInt64(&b.stepWallNs) }
 // nest inside the window). Call between rounds (the coordinator's context),
 // not while a Step is in flight.
 func (b *Building) WorkerStats() []WorkerStats {
-	wall := atomic.LoadInt64(&b.stepWallNs)
-	out := make([]WorkerStats, len(b.wstats))
-	for w := range b.wstats {
-		busy := atomic.LoadInt64(&b.wstats[w].busyNs)
+	wall := b.stepWallNs.Load()
+	out := make([]WorkerStats, len(b.pool))
+	for w := range b.pool {
+		busy := b.pool[w].busyNs.Load()
 		out[w] = WorkerStats{
 			Worker: w,
-			Jobs:   atomic.LoadInt64(&b.wstats[w].jobs),
+			Jobs:   b.pool[w].jobs.Load(),
 			BusyNs: busy,
 			IdleNs: wall - busy,
 		}
@@ -558,10 +663,16 @@ func (b *Building) Failovers() int { return b.failovers }
 
 // Step advances the whole building by one lockstep round:
 //
-//  1. every board runs to the round deadline, in parallel across the worker
-//     pool: each worker is woken once and claims boards from a shared index,
-//     so each board's engine is touched by exactly one goroutine, and the
-//     WaitGroup barrier orders each round's work against the coordinator;
+//  1. every board runs to the round deadline, in parallel across the round
+//     pool. Step's own goroutine is worker 0; each worker steps the rooms
+//     of its own contiguous block, then steals from the other blocks, so
+//     each board's engine is touched by exactly one goroutine and in steady
+//     state by the same one every round. The round is published by an
+//     atomic generation bump and completed by an atomic pending count.
+//     Either side of that handoff spins for a bounded budget, then parks;
+//     Step wakes only parked helpers. Nobody spins unless
+//     runtime.GOMAXPROCS(0) >= Workers, so a pool wider than the Ps
+//     parks at once;
 //  2. the first bus barrier delivers everything the boards queued — room
 //     gateway responses, and any on-board attacker's frames;
 //  3. the head-end harvests responses, advances its schedule, and queues the
@@ -570,8 +681,12 @@ func (b *Building) Failovers() int { return b.failovers }
 //     when the next round starts.
 //
 // Nothing in the sequence depends on goroutine scheduling, which is why the
-// building's report is byte-identical at any worker count.
+// building's report is byte-identical at any worker count. Step panics
+// after Close.
 func (b *Building) Step() {
+	if b.quit.Load() {
+		panic("building: Step after Close")
+	}
 	rsc := b.phRound.Begin()
 	b.round++
 	b.elapsed += b.slice
@@ -587,14 +702,15 @@ func (b *Building) Step() {
 	if b.prof != nil {
 		stepStart = time.Now()
 	}
-	b.claim.Store(0)
-	b.wg.Add(b.workers)
-	for w := 0; w < b.workers; w++ {
-		b.wake <- struct{}{}
+	for i := range b.blocks {
+		b.blocks[i].next.Store(b.blocks[i].start)
 	}
-	b.wg.Wait()
+	b.spin = runtime.GOMAXPROCS(0) >= len(b.pool)
+	b.release()
+	b.stepShare(0)
+	b.pool[0].await(b.spin, b.helpersDone)
 	if b.prof != nil {
-		atomic.AddInt64(&b.stepWallNs, int64(time.Since(stepStart)))
+		b.stepWallNs.Add(int64(time.Since(stepStart)))
 	}
 	b.Bus.Flush()
 	hsc := b.phHead.Begin()
@@ -635,13 +751,14 @@ func (b *Building) Slice() time.Duration { return b.slice }
 // taps by it).
 func (b *Building) HeadNode() vnet.NodeID { return b.headNode }
 
-// Close stops the worker pool and tears down every board.
+// Close stops the round pool and tears down every board. It returns once
+// every helper has left its loop.
 func (b *Building) Close() {
-	if b.closed {
+	if b.quit.Swap(true) {
 		return
 	}
-	b.closed = true
-	close(b.wake)
+	b.release()
+	b.pool[0].await(false, b.helpersDone)
 	for _, room := range b.Rooms {
 		if room != nil {
 			room.Testbed.Machine.Shutdown()

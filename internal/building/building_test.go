@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mkbas/internal/bas"
+	"mkbas/internal/machine"
 )
 
 func paperMix() []bas.Platform {
@@ -103,24 +104,196 @@ func TestBuildingByteDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestCloseReleasesWorkersAndBoards(t *testing.T) {
-	before := runtime.NumGoroutine()
-	b, err := New(Config{Rooms: 4, Mix: paperMix(), Workers: 8})
+// stepChecked runs cfg for d one Step at a time and, after every Step,
+// checks that each board stood exactly at the round deadline and that the
+// workers' job counts add up to one board step per room per round. It
+// returns the report JSON.
+func stepChecked(t *testing.T, cfg Config, d time.Duration) []byte {
+	t.Helper()
+	b, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Run(2 * time.Minute)
-	// Every worker is parked on the round wake here; Close must release
-	// them and unwind every board's processes.
-	b.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	// Other tests' leftovers may exit meanwhile, so the count can fall
-	// below before; it must never stay above it.
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines after Close = %d, want <= %d", runtime.NumGoroutine(), before)
+	defer b.Close()
+	for r := 1; b.Elapsed() < d; r++ {
+		b.Step()
+		deadline := machine.Time(0).Add(b.Elapsed())
+		for _, room := range b.Rooms {
+			if now := room.Testbed.Machine.Clock().Now(); now != deadline {
+				t.Fatalf("round %d: room %d clock %v, want the deadline %v", r, room.Index, now, deadline)
+			}
 		}
-		time.Sleep(time.Millisecond)
+		var jobs int64
+		for _, st := range b.WorkerStats() {
+			jobs += st.Jobs
+		}
+		if want := int64(len(b.Rooms) * r); jobs != want {
+			t.Fatalf("round %d: workers stepped %d boards, want rooms*rounds = %d", r, jobs, want)
+		}
+	}
+	out, err := b.Report().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRoundPoolStepsEveryRoomOnce checks the round pool's claim discipline
+// where blocks are uneven (rooms not a multiple of workers) and where the
+// heavy rooms all sit in block 0, so the other workers finish it by
+// stealing: every room is stepped exactly once per round, and the report
+// matches the serial one byte for byte.
+func TestRoundPoolStepsEveryRoomOnce(t *testing.T) {
+	// Block 0 of 12 rooms on 3 workers is rooms 0-3: hardened Linux behind
+	// the secure proxy, sealed polls every round. The rest run legacy
+	// MINIX.
+	heavyMix := make([]bas.Platform, 12)
+	for i := range heavyMix {
+		heavyMix[i] = bas.PlatformMinix
+		if i < 4 {
+			heavyMix[i] = bas.PlatformLinuxHardened
+		}
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		d    time.Duration
+	}{
+		{"7x3", Config{Rooms: 7, Workers: 3, Mix: paperMix(), Secure: evenSecure(7)}, 15 * time.Minute},
+		{"5x4", Config{Rooms: 5, Workers: 4, Mix: paperMix(), Secure: evenSecure(5)}, 15 * time.Minute},
+		{"64x2", Config{Rooms: 64, Workers: 2, Mix: bas.KnownPlatforms(), Secure: evenSecure(64)}, 5 * time.Minute},
+		{"heavy-block-0", Config{
+			Rooms: 12, Workers: 3, Mix: heavyMix, Secure: []bool{true, true, true, true},
+			HeadEnd: HeadEndConfig{PollPeriod: time.Second},
+		}, 15 * time.Minute},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			parallel := stepChecked(t, tc.cfg, tc.d)
+			serialCfg := tc.cfg
+			serialCfg.Workers = 1
+			if serial := stepChecked(t, serialCfg, tc.d); !bytes.Equal(serial, parallel) {
+				t.Fatalf("report diverged from the serial one:\n1: %d bytes\n%d: %d bytes",
+					len(serial), tc.cfg.Workers, len(parallel))
+			}
+		})
+	}
+}
+
+// TestRoundPoolParksWithoutEnoughPs runs 4 workers on fewer Ps. Nothing
+// may spin there (a spinning side would hold a P its peer needs), so every
+// handoff parks, and no wake-up may be lost. On one P the 8-room building
+// runs 10 virtual minutes; on two, one room per worker keeps the rounds
+// short for an hour, so helpers parking keep racing Step publishing the
+// next round.
+func TestRoundPoolParksWithoutEnoughPs(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		procs, rooms int
+		d            time.Duration
+	}{
+		{"1P", 1, 8, 10 * time.Minute},
+		{"2P", 2, 4, time.Hour},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Rooms: tc.rooms, Workers: 4, Mix: paperMix(), Secure: evenSecure(tc.rooms)}
+			serialCfg := cfg
+			serialCfg.Workers = 1
+			serial := stepChecked(t, serialCfg, tc.d)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			done := make(chan []byte, 1)
+			go func() {
+				b, err := New(cfg)
+				if err != nil {
+					t.Error(err)
+					done <- nil
+					return
+				}
+				defer b.Close()
+				b.Run(tc.d)
+				if b.spin {
+					t.Errorf("round pool spun with GOMAXPROCS=%d < 4 workers", tc.procs)
+				}
+				out, err := b.Report().JSON()
+				if err != nil {
+					t.Error(err)
+				}
+				done <- out
+			}()
+			var parallel []byte
+			select {
+			case parallel = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("4 workers on %d P(s) did not finish %v within 30 s", tc.procs, tc.d)
+			}
+			if !t.Failed() && !bytes.Equal(serial, parallel) {
+				t.Fatalf("4 workers on %d P(s) diverged from 1 worker:\n1: %d bytes\n4: %d bytes",
+					tc.procs, len(serial), len(parallel))
+			}
+		})
+	}
+}
+
+// TestCloseReleasesWorkersAndBoards closes the building at each point of
+// the helpers' life: before they ran any round, right after a Step (while
+// they spin for the next one), and once the spin budget has passed (all
+// parked). Each time Close must release every goroutine, and a later Step
+// must fail loudly rather than touch the torn-down pool.
+func TestCloseReleasesWorkersAndBoards(t *testing.T) {
+	// The helpers spin only with a P for every worker.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	allParked := func(b *Building) bool {
+		for w := 1; w < len(b.pool); w++ {
+			if !b.pool[w].parked.Load() {
+				return false
+			}
+		}
+		return true
+	}
+	for _, tc := range []struct {
+		name string
+		prep func(t *testing.T, b *Building)
+	}{
+		{"after New", func(*testing.T, *Building) {}},
+		{"after Step", func(_ *testing.T, b *Building) { b.Step() }},
+		{"after the spin budget", func(t *testing.T, b *Building) {
+			b.Step()
+			// A building no longer stepped must not keep a CPU busy.
+			deadline := time.Now().Add(5 * time.Second)
+			for !allParked(b) {
+				if time.Now().After(deadline) {
+					t.Fatal("helpers still spinning 5 s after the last Step")
+				}
+				time.Sleep(spinBudget)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			b, err := New(Config{Rooms: 4, Mix: paperMix(), Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.prep(t, b)
+			b.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			// Other tests' leftovers may exit meanwhile, so the count can
+			// fall below before; it must never stay above it.
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines after Close = %d, want <= %d", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			defer func() {
+				if r := recover(); r != "building: Step after Close" {
+					t.Fatalf("Step after Close: recovered %v, want the building: Step after Close panic", r)
+				}
+			}()
+			b.Step()
+		})
 	}
 }
 

@@ -104,6 +104,10 @@ bldg='-rooms 16 -mix paper -secure even -settle 10m -window 20m -faults 2=crash-
 go run ./cmd/basbuilding $bldg -workers 1 -json >"$out1"
 go run ./cmd/basbuilding $bldg -workers 8 -json >"$out2"
 cmp "$out1" "$out2"
+# The same 8-worker side on one P: the round pool never spins when Ps are
+# short, so this keeps its park-only handoff in the gate.
+GOMAXPROCS=1 go run ./cmd/basbuilding $bldg -workers 8 -json >"$out2"
+cmp "$out1" "$out2"
 # Building perf-skeleton golden: same contract as the lab one — counts per
 # phase derive from rounds and rooms, never from the worker pool.
 go run ./cmd/basbuilding $bldg -workers 1 -perf -perf-timings=false -perf-json -perf-out "$out1" >/dev/null
