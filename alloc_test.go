@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"mkbas/internal/bas"
+	"mkbas/internal/building"
 	"mkbas/internal/core"
 	"mkbas/internal/linuxsim"
 	"mkbas/internal/machine"
@@ -82,6 +84,65 @@ func TestSlowPathZeroAlloc(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { runZeroAlloc(t, tc.build, 20000) })
+	}
+}
+
+// TestBuildingStepZeroAlloc gates a whole building round the way
+// TestE4RoundTripZeroAlloc gates one IPC pair: once warm, Step allocates
+// nothing — every board's control cycle on all five platforms, and every
+// head-end poll from HeadEnd.send through the bus, the room's gateway and
+// controller and back to harvest. The building has five rooms, one per
+// platform, with the even rooms behind the secure proxy. Two shapes: every
+// room polled every round with the policy monitor on, and the bench's
+// control shape with 30 s polls. The tenant tier stays off: its setpoint
+// writes go through a room's HTTP web interface, which still allocates
+// about 37 objects per request, 2–3 per round at this size.
+//
+// AllocsPerRun reports whole allocations per Step, so 0 means fewer than
+// one per round. What is left is rare: the status line a microkernel
+// controller traces every 60th sample allocates its string, and the boards'
+// span and console rings still open a 4 KB block every few hundred records
+// (they hold 16384 spans and 4096 lines, which a five-room building fills
+// only after 10^5 rounds).
+func TestBuildingStepZeroAlloc(t *testing.T) {
+	cases := []struct {
+		name  string
+		shape func(*building.Config)
+	}{
+		{"polled-every-round-monitor", func(cfg *building.Config) {
+			cfg.HeadEnd.PollPeriod = time.Second
+			cfg.Monitor = true
+		}},
+		{"control-30s-polls", func(*building.Config) {}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			platforms := bas.KnownPlatforms()
+			secure := make([]bool, len(platforms))
+			for i := range secure {
+				secure[i] = i%2 == 0
+			}
+			cfg := building.Config{Rooms: len(platforms), Mix: platforms, Secure: secure, Scenario: bas.ScenarioConfig{Seed: 1}}
+			tc.shape(&cfg)
+			b, err := building.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			// Warm up past boot, the heat-up transient and every room's
+			// first exchanges: stream, deframer and reply buffers, the bus
+			// and stack free lists and the kernels' net wakers reach their
+			// steady state here.
+			for i := 0; i < 2000; i++ {
+				b.Step()
+			}
+			if allocs := testing.AllocsPerRun(200, b.Step); allocs != 0 {
+				t.Errorf("Step allocated %.0f times per round, want 0", allocs)
+			}
+			if rep := b.Report(); rep.PollsSent == 0 || rep.PollsMissed != 0 {
+				t.Fatalf("head-end sent %d polls, missed %d; the gate needs a polling, healthy building", rep.PollsSent, rep.PollsMissed)
+			}
+		})
 	}
 }
 

@@ -138,7 +138,7 @@ func demoBACnet(tb *bas.Testbed, key string) {
 	var raw []byte
 	if key != "" {
 		client := bacnet.NewSecureClient([]byte(key), 1)
-		respFrame := tb.BACnetExchange(client.Seal(req))
+		respFrame := tb.BACnetExchange(client.AppendSeal(nil, req))
 		if respFrame == nil {
 			fmt.Println("BACnet (proxied): no answer")
 			return
@@ -151,7 +151,7 @@ func demoBACnet(tb *bas.Testbed, key string) {
 		fmt.Printf("BACnet ReadProperty(temperature) via secure proxy -> %.2f°C\n", resp.Value)
 		return
 	}
-	raw = tb.BACnetExchange(req.Encode())
+	raw = tb.BACnetExchange(req.AppendEncode(nil))
 	resp, err := bacnet.DecodePDU(raw)
 	if err != nil {
 		fmt.Printf("BACnet (legacy): %v\n", err)

@@ -281,7 +281,7 @@ func (a *lateralAttacker) volley() {
 			Value:    attackSetpoint,
 		}
 		conn := a.b.Bus.Dial(self.Node, room.Node, bas.BACnetPort)
-		_ = conn.Write(bacnet.Frame(forged.Encode()))
+		_ = conn.Write(bacnet.AppendFrame(nil, forged.AppendEncode(nil)))
 		a.pending = append(a.pending, pendingProbe{room: room.Index, conn: conn})
 
 		if !room.Secure {

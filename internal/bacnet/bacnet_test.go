@@ -59,12 +59,12 @@ func TestPDUEncodeDecodeRoundTrip(t *testing.T) {
 			Value:    value,
 			Code:     code,
 		}
-		got, err := DecodePDU(p.Encode())
+		got, err := DecodePDU(p.AppendEncode(nil))
 		if err != nil {
 			return false
 		}
 		if p.Value != p.Value { // NaN: compare bitwise via re-encode
-			return string(got.Encode()) == string(p.Encode())
+			return string(got.AppendEncode(nil)) == string(p.AppendEncode(nil))
 		}
 		return got == p
 	}
@@ -77,7 +77,7 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := DecodePDU([]byte{1, 2, 3}); !errors.Is(err, ErrShortFrame) {
 		t.Fatalf("short err = %v", err)
 	}
-	bad := PDU{Type: Ack}.Encode()
+	bad := PDU{Type: Ack}.AppendEncode(nil)
 	bad[0] = 99
 	if _, err := DecodePDU(bad); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("bad type err = %v", err)
@@ -86,8 +86,8 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestDeframer(t *testing.T) {
 	var d Deframer
-	a := Frame([]byte("hello"))
-	b := Frame([]byte("world!"))
+	a := AppendFrame(nil, []byte("hello"))
+	b := AppendFrame(nil, []byte("world!"))
 	both := append(append([]byte{}, a...), b...)
 	// Feed byte by byte.
 	var got []string
@@ -115,8 +115,8 @@ func TestDeframer(t *testing.T) {
 func FuzzDecodePDU(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data, splits []byte) {
 		checkDecode(t, data)
-		whole := deframeAll(slices.Clone(data), nil)
-		split := deframeAll(slices.Clone(data), splits)
+		whole := deframeAll(data, nil)
+		split := deframeAll(data, splits)
 		if !slices.EqualFunc(whole, split, bytes.Equal) {
 			t.Fatalf("split feed %v yields frames %x, whole feed %x", splits, split, whole)
 		}
@@ -142,8 +142,8 @@ func checkDecode(t *testing.T, data []byte) {
 
 // deframeAll feeds data to a fresh Deframer in chunks of 1+splits[i]%8
 // bytes, cycling through splits (one chunk when splits is empty), and
-// returns every frame it yields. Each chunk is clipped so the deframer's
-// appends never reach into the next one.
+// returns a copy of every frame it yields (a frame is valid only until the
+// next Feed).
 func deframeAll(data, splits []byte) [][]byte {
 	var d Deframer
 	var frames [][]byte
@@ -152,10 +152,10 @@ func deframeAll(data, splits []byte) [][]byte {
 		if len(splits) > 0 {
 			n = min(n, 1+int(splits[i%len(splits)]%8))
 		}
-		d.Feed(data[:n:n])
+		d.Feed(data[:n])
 		data = data[n:]
 		for f := d.Next(); f != nil; f = d.Next() {
-			frames = append(frames, f)
+			frames = append(frames, slices.Clone(f))
 		}
 	}
 	return frames
@@ -200,9 +200,9 @@ func TestLegacyProtocolIsSpoofableAndReplayable(t *testing.T) {
 	}
 
 	// Replay: the captured raw frame applies again verbatim.
-	raw := PDU{Type: WriteProperty, Device: 7, Object: ObjSetpoint, Value: 30}.Encode()
+	raw := PDU{Type: WriteProperty, Device: 7, Object: ObjSetpoint, Value: 30}.AppendEncode(nil)
 	for i := 0; i < 3; i++ {
-		resp, err := DecodePDU(srv.HandleFrame(raw))
+		resp, err := DecodePDU(srv.AppendResponse(nil, raw))
 		if err != nil || resp.Type != Ack {
 			t.Fatalf("replay %d rejected: %+v %v", i, resp, err)
 		}
@@ -218,8 +218,8 @@ func TestSecureProxyHappyPath(t *testing.T) {
 	proxy := NewProxy(key, NewServer(7, store))
 	client := NewSecureClient(key, 1001)
 
-	frame := client.Seal(PDU{Type: ReadProperty, Device: 7, Object: ObjTemperature})
-	respFrame, err := proxy.HandleFrame(frame)
+	frame := client.AppendSeal(nil, PDU{Type: ReadProperty, Device: 7, Object: ObjTemperature})
+	respFrame, err := proxy.AppendResponse(nil, frame)
 	if err != nil {
 		t.Fatalf("proxy: %v", err)
 	}
@@ -231,8 +231,8 @@ func TestSecureProxyHappyPath(t *testing.T) {
 		t.Fatalf("resp = %+v", resp)
 	}
 	// A second request with the next nonce also works.
-	frame = client.Seal(PDU{Type: WriteProperty, Device: 7, Object: ObjSetpoint, Value: 23})
-	if _, err := proxy.HandleFrame(frame); err != nil {
+	frame = client.AppendSeal(nil, PDU{Type: WriteProperty, Device: 7, Object: ObjSetpoint, Value: 23})
+	if _, err := proxy.AppendResponse(nil, frame); err != nil {
 		t.Fatalf("second request: %v", err)
 	}
 	if store.setpoint != 23 {
@@ -248,12 +248,12 @@ func TestSecureProxyRejectsForgery(t *testing.T) {
 	proxy := NewProxy(key, NewServer(7, &memStore{}))
 
 	// No key at all: raw legacy frame.
-	if _, err := proxy.HandleFrame(PDU{Type: WriteProperty, Device: 7, Object: ObjHeater}.Encode()); err == nil {
+	if _, err := proxy.AppendResponse(nil, PDU{Type: WriteProperty, Device: 7, Object: ObjHeater}.AppendEncode(nil)); err == nil {
 		t.Fatal("raw legacy frame accepted")
 	}
 	// Wrong key.
 	wrong := NewSecureClient([]byte("guessed-key"), 1)
-	if _, err := proxy.HandleFrame(wrong.Seal(PDU{Type: WriteProperty, Device: 7, Object: ObjHeater})); !errors.Is(err, ErrBadMAC) {
+	if _, err := proxy.AppendResponse(nil, wrong.AppendSeal(nil, PDU{Type: WriteProperty, Device: 7, Object: ObjHeater})); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("wrong-key err = %v, want ErrBadMAC", err)
 	}
 	if proxy.Rejected() != 2 {
@@ -265,10 +265,10 @@ func TestSecureProxyRejectsTampering(t *testing.T) {
 	key := []byte("real-key")
 	proxy := NewProxy(key, NewServer(7, &memStore{}))
 	client := NewSecureClient(key, 1)
-	frame := client.Seal(PDU{Type: WriteProperty, Device: 7, Object: ObjSetpoint, Value: 22})
+	frame := client.AppendSeal(nil, PDU{Type: WriteProperty, Device: 7, Object: ObjSetpoint, Value: 22})
 	// Flip one bit of the value in flight.
 	frame[len(frame)-3] ^= 0x01
-	if _, err := proxy.HandleFrame(frame); !errors.Is(err, ErrBadMAC) {
+	if _, err := proxy.AppendResponse(nil, frame); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("tampered frame err = %v, want ErrBadMAC", err)
 	}
 }
@@ -279,12 +279,12 @@ func TestSecureProxyRejectsReplay(t *testing.T) {
 	proxy := NewProxy(key, NewServer(7, store))
 	client := NewSecureClient(key, 1)
 
-	frame := client.Seal(PDU{Type: WriteProperty, Device: 7, Object: ObjSetpoint, Value: 25})
-	if _, err := proxy.HandleFrame(frame); err != nil {
+	frame := client.AppendSeal(nil, PDU{Type: WriteProperty, Device: 7, Object: ObjSetpoint, Value: 25})
+	if _, err := proxy.AppendResponse(nil, frame); err != nil {
 		t.Fatalf("original: %v", err)
 	}
 	store.setpoint = 22 // operator restores it
-	if _, err := proxy.HandleFrame(frame); !errors.Is(err, ErrReplay) {
+	if _, err := proxy.AppendResponse(nil, frame); !errors.Is(err, ErrReplay) {
 		t.Fatalf("replay err = %v, want ErrReplay", err)
 	}
 	if store.setpoint != 22 {
@@ -292,7 +292,7 @@ func TestSecureProxyRejectsReplay(t *testing.T) {
 	}
 	// Old (lower) nonces from the same client are also dead.
 	c2 := NewSecureClient(key, 1) // fresh counter, reuses nonce 1
-	if _, err := proxy.HandleFrame(c2.Seal(PDU{Type: ReadProperty, Device: 7, Object: ObjTemperature})); !errors.Is(err, ErrReplay) {
+	if _, err := proxy.AppendResponse(nil, c2.AppendSeal(nil, PDU{Type: ReadProperty, Device: 7, Object: ObjTemperature})); !errors.Is(err, ErrReplay) {
 		t.Fatalf("stale nonce err = %v, want ErrReplay", err)
 	}
 }
@@ -302,12 +302,12 @@ func TestSecureClientsAreIndependent(t *testing.T) {
 	proxy := NewProxy(key, NewServer(7, &memStore{}))
 	a := NewSecureClient(key, 1)
 	b := NewSecureClient(key, 2)
-	if _, err := proxy.HandleFrame(a.Seal(PDU{Type: ReadProperty, Device: 7, Object: ObjTemperature})); err != nil {
+	if _, err := proxy.AppendResponse(nil, a.AppendSeal(nil, PDU{Type: ReadProperty, Device: 7, Object: ObjTemperature})); err != nil {
 		t.Fatalf("a: %v", err)
 	}
 	// b's first nonce is 1, same number as a's — but a different client id,
 	// so it is fresh.
-	if _, err := proxy.HandleFrame(b.Seal(PDU{Type: ReadProperty, Device: 7, Object: ObjTemperature})); err != nil {
+	if _, err := proxy.AppendResponse(nil, b.AppendSeal(nil, PDU{Type: ReadProperty, Device: 7, Object: ObjTemperature})); err != nil {
 		t.Fatalf("b: %v", err)
 	}
 }
@@ -316,7 +316,7 @@ func TestClientRejectsResponseReplay(t *testing.T) {
 	key := []byte("shared")
 	proxy := NewProxy(key, NewServer(7, &memStore{temp: 20}))
 	client := NewSecureClient(key, 1)
-	first, err := proxy.HandleFrame(client.Seal(PDU{Type: ReadProperty, Device: 7, Object: ObjTemperature}))
+	first, err := proxy.AppendResponse(nil, client.AppendSeal(nil, PDU{Type: ReadProperty, Device: 7, Object: ObjTemperature}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestClientRejectsResponseReplay(t *testing.T) {
 	}
 	// New request goes out; the attacker answers with the captured old
 	// response.
-	if _, err := proxy.HandleFrame(client.Seal(PDU{Type: ReadProperty, Device: 7, Object: ObjSetpoint})); err != nil {
+	if _, err := proxy.AppendResponse(nil, client.AppendSeal(nil, PDU{Type: ReadProperty, Device: 7, Object: ObjSetpoint})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Open(first); !errors.Is(err, ErrReplay) {
@@ -335,7 +335,7 @@ func TestClientRejectsResponseReplay(t *testing.T) {
 
 func TestSecureFrameTooShort(t *testing.T) {
 	proxy := NewProxy([]byte("k"), NewServer(7, &memStore{}))
-	if _, err := proxy.HandleFrame([]byte{1, 2, 3}); !errors.Is(err, ErrShortSecure) {
+	if _, err := proxy.AppendResponse(nil, []byte{1, 2, 3}); !errors.Is(err, ErrShortSecure) {
 		t.Fatalf("err = %v, want ErrShortSecure", err)
 	}
 }
@@ -347,8 +347,8 @@ func TestProxyRestartReplayWindow(t *testing.T) {
 	proxy := NewProxy(key, server)
 	client := NewSecureClient(key, 1)
 
-	frame := client.Seal(PDU{Type: WriteProperty, Device: 7, Object: ObjSetpoint, Value: 25})
-	if _, err := proxy.HandleFrame(frame); err != nil {
+	frame := client.AppendSeal(nil, PDU{Type: WriteProperty, Device: 7, Object: ObjSetpoint, Value: 25})
+	if _, err := proxy.AppendResponse(nil, frame); err != nil {
 		t.Fatalf("original: %v", err)
 	}
 	store.setpoint = 22 // operator restores it
@@ -356,14 +356,14 @@ func TestProxyRestartReplayWindow(t *testing.T) {
 	// The regression this guards against: a proxy restarted with a fresh
 	// in-memory nonce table accepts any captured pre-restart frame again.
 	fresh := NewProxy(key, server)
-	if _, err := fresh.HandleFrame(frame); err != nil {
+	if _, err := fresh.AppendResponse(nil, frame); err != nil {
 		t.Fatalf("fresh-table proxy rejected the replay; the reopened window this test documents is gone: %v", err)
 	}
 	store.setpoint = 22
 
 	// A proxy resumed from the previous incarnation's state keeps the floor.
 	resumed := NewProxyResuming(key, server, proxy.State())
-	if _, err := resumed.HandleFrame(frame); !errors.Is(err, ErrReplay) {
+	if _, err := resumed.AppendResponse(nil, frame); !errors.Is(err, ErrReplay) {
 		t.Fatalf("resumed proxy replay err = %v, want ErrReplay", err)
 	}
 	if store.setpoint != 22 {
@@ -374,8 +374,8 @@ func TestProxyRestartReplayWindow(t *testing.T) {
 	}
 
 	// Fresh traffic still flows, and advances the shared floor.
-	next := client.Seal(PDU{Type: ReadProperty, Device: 7, Object: ObjTemperature})
-	if _, err := resumed.HandleFrame(next); err != nil {
+	next := client.AppendSeal(nil, PDU{Type: ReadProperty, Device: 7, Object: ObjTemperature})
+	if _, err := resumed.AppendResponse(nil, next); err != nil {
 		t.Fatalf("post-restart frame: %v", err)
 	}
 	if got := proxy.State().LastNonce[1]; got != 2 {
@@ -389,8 +389,8 @@ func TestProxyStateSurvivesJSONPersistence(t *testing.T) {
 	server := NewServer(7, store)
 	proxy := NewProxy(key, server)
 	client := NewSecureClient(key, 44)
-	frame := client.Seal(PDU{Type: WriteProperty, Device: 7, Object: ObjSetpoint, Value: 25})
-	if _, err := proxy.HandleFrame(frame); err != nil {
+	frame := client.AppendSeal(nil, PDU{Type: WriteProperty, Device: 7, Object: ObjSetpoint, Value: 25})
+	if _, err := proxy.AppendResponse(nil, frame); err != nil {
 		t.Fatal(err)
 	}
 
@@ -405,7 +405,7 @@ func TestProxyStateSurvivesJSONPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	rebooted := NewProxyResuming(key, server, restored)
-	if _, err := rebooted.HandleFrame(frame); !errors.Is(err, ErrReplay) {
+	if _, err := rebooted.AppendResponse(nil, frame); !errors.Is(err, ErrReplay) {
 		t.Fatalf("replay after persisted restart err = %v, want ErrReplay", err)
 	}
 }
@@ -424,7 +424,7 @@ func TestPDUQuickRoundTripThroughFraming(t *testing.T) {
 			Code:     code,
 		}
 		var d Deframer
-		for _, b := range Frame(p.Encode()) {
+		for _, b := range AppendFrame(nil, p.AppendEncode(nil)) {
 			d.Feed([]byte{b})
 		}
 		raw := d.Next()

@@ -102,11 +102,6 @@ var (
 	ErrBadFrame   = errors.New("bacnet: malformed frame")
 )
 
-// Encode renders the PDU.
-func (p PDU) Encode() []byte {
-	return p.AppendEncode(nil)
-}
-
 // AppendEncode appends the encoded PDU to buf and returns the extended
 // slice. Hot paths (the head-end poller, gateway reply loops) pass a reused
 // scratch buffer so encoding allocates nothing.
@@ -140,13 +135,8 @@ func DecodePDU(data []byte) (PDU, error) {
 	return p, nil
 }
 
-// Frame length-prefixes a payload for stream transports.
-func Frame(payload []byte) []byte {
-	return AppendFrame(nil, payload)
-}
-
-// AppendFrame appends the length-prefixed payload to dst and returns the
-// extended slice — the allocation-free form of Frame for reused buffers.
+// AppendFrame length-prefixes a payload for stream transports: it appends
+// the frame to dst and returns the extended slice.
 func AppendFrame(dst, payload []byte) []byte {
 	var hdr [2]byte
 	binary.BigEndian.PutUint16(hdr[:], uint16(len(payload)))
@@ -155,38 +145,45 @@ func AppendFrame(dst, payload []byte) []byte {
 }
 
 // Deframer accumulates stream bytes and yields complete frames.
+//
+// It owns its buffer: Feed copies the caller's bytes in, so the caller may
+// reuse them at once (the transports here hand out read buffers that are
+// valid only until their next read), and the buffer is reused from exchange
+// to exchange. A frame from Next aliases that buffer and is valid until the
+// next Feed or Reset.
 type Deframer struct {
 	buf []byte
+	off int // bytes of buf already returned by Next
 }
 
-// Feed appends stream bytes. Ownership of data passes to the deframer: when
-// its buffer is empty it adopts the slice without copying (the transports
-// here — vnet reads, bus inboxes — hand over their buffers outright), so the
-// caller must not reuse or modify data afterwards.
+// Feed appends a copy of stream bytes. It first drops the bytes of frames
+// Next already returned, which invalidates those frames.
 func (d *Deframer) Feed(data []byte) {
-	if len(d.buf) == 0 {
-		d.buf = data
-		return
+	if d.off > 0 {
+		d.buf = d.buf[:copy(d.buf, d.buf[d.off:])]
+		d.off = 0
 	}
 	d.buf = append(d.buf, data...)
 }
 
 // Next returns the next complete frame payload, or nil when more bytes are
-// needed.
-//
-// The returned slice aliases the deframer's internal buffer — valid until
-// discarded, but callers must not modify it and should parse rather than
-// retain it. (The deframer only moves forward, and later Feeds append past
-// the returned region, so the bytes stay stable without a per-frame copy.)
+// needed. The frame aliases the deframer's buffer: callers must not modify
+// it, and it is valid until the next Feed or Reset.
 func (d *Deframer) Next() []byte {
-	if len(d.buf) < 2 {
+	rest := d.buf[d.off:]
+	if len(rest) < 2 {
 		return nil
 	}
-	n := int(binary.BigEndian.Uint16(d.buf))
-	if len(d.buf) < 2+n {
+	n := int(binary.BigEndian.Uint16(rest))
+	if len(rest) < 2+n {
 		return nil
 	}
-	frame := d.buf[2 : 2+n : 2+n]
-	d.buf = d.buf[2+n:]
-	return frame
+	d.off += 2 + n
+	return rest[2 : 2+n : 2+n]
+}
+
+// Reset discards any buffered bytes, keeping the buffer for reuse: a
+// deframer serving one connection after another starts each clean.
+func (d *Deframer) Reset() {
+	d.buf, d.off = d.buf[:0], 0
 }

@@ -53,14 +53,20 @@ func (m *frameMAC) of(header, pdu []byte) []byte {
 	return m.h.Sum(m.sum[:0])
 }
 
-// sealFrame builds an authenticated frame.
-func sealFrame(mac *frameMAC, clientID uint32, nonce uint64, pdu []byte) []byte {
-	out := make([]byte, secureHeaderLen+len(pdu))
-	binary.BigEndian.PutUint32(out, clientID)
-	binary.BigEndian.PutUint64(out[clientIDLen:], nonce)
-	copy(out[secureHeaderLen:], pdu)
-	copy(out[clientIDLen+nonceLen:], mac.of(out[:clientIDLen+nonceLen], pdu))
-	return out
+// reserveHeader appends a secure-header placeholder to dst. The caller
+// appends the PDU after it and seals the frame with sealFrame, so the PDU is
+// encoded straight into the frame instead of through a scratch copy.
+func reserveHeader(dst []byte) []byte {
+	var hdr [secureHeaderLen]byte
+	return append(dst, hdr[:]...)
+}
+
+// sealFrame fills in the security header of frame, a reserved header
+// followed by the PDU: client id, nonce, and the MAC over both and the PDU.
+func sealFrame(mac *frameMAC, frame []byte, clientID uint32, nonce uint64) {
+	binary.BigEndian.PutUint32(frame, clientID)
+	binary.BigEndian.PutUint64(frame[clientIDLen:], nonce)
+	copy(frame[clientIDLen+nonceLen:secureHeaderLen], mac.of(frame[:clientIDLen+nonceLen], frame[secureHeaderLen:]))
 }
 
 // openFrame verifies and strips the security header.
@@ -146,24 +152,27 @@ func (p *Proxy) Accepted() int64 { return p.accepted }
 // Rejected reports how many frames were dropped.
 func (p *Proxy) Rejected() int64 { return p.rejected }
 
-// HandleFrame verifies one secure frame; on success it forwards the inner
-// PDU to the legacy server and seals the response under the same client id
-// and nonce. On failure it returns an error and no response leaves the
-// proxy (fail-silent, like a firewall drop).
-func (p *Proxy) HandleFrame(frame []byte) ([]byte, error) {
+// AppendResponse verifies one secure frame; on success it forwards the
+// inner PDU to the legacy server and appends the response, sealed under the
+// same client id and nonce, to dst. On failure it returns dst unchanged and
+// an error, and no response leaves the proxy (fail-silent, like a firewall
+// drop). dst must not overlap frame.
+func (p *Proxy) AppendResponse(dst, frame []byte) ([]byte, error) {
 	clientID, nonce, pdu, err := openFrame(p.mac, frame)
 	if err != nil {
 		p.rejected++
-		return nil, err
+		return dst, err
 	}
 	if last, seen := p.state.LastNonce[clientID]; seen && nonce <= last {
 		p.rejected++
-		return nil, fmt.Errorf("%w: nonce %d <= %d", ErrReplay, nonce, last)
+		return dst, fmt.Errorf("%w: nonce %d <= %d", ErrReplay, nonce, last)
 	}
 	p.state.LastNonce[clientID] = nonce
 	p.accepted++
-	resp := p.server.HandleFrame(pdu)
-	return sealFrame(p.mac, clientID, nonce, resp), nil
+	start := len(dst)
+	dst = p.server.AppendResponse(reserveHeader(dst), pdu)
+	sealFrame(p.mac, dst[start:], clientID, nonce)
+	return dst, nil
 }
 
 // SecureClient produces and consumes secure frames for one client identity.
@@ -178,10 +187,14 @@ func NewSecureClient(key []byte, clientID uint32) *SecureClient {
 	return &SecureClient{mac: newFrameMAC(key), clientID: clientID}
 }
 
-// Seal wraps a request PDU in a fresh authenticated frame.
-func (c *SecureClient) Seal(req PDU) []byte {
+// AppendSeal wraps a request PDU in a fresh authenticated frame, appended
+// to dst.
+func (c *SecureClient) AppendSeal(dst []byte, req PDU) []byte {
 	c.nonce++
-	return sealFrame(c.mac, c.clientID, c.nonce, req.Encode())
+	start := len(dst)
+	dst = req.AppendEncode(reserveHeader(dst))
+	sealFrame(c.mac, dst[start:], c.clientID, c.nonce)
+	return dst
 }
 
 // Open verifies a response frame and returns the inner PDU. Responses reuse

@@ -9,6 +9,13 @@ import (
 	"testing"
 )
 
+// sealed returns a fresh secure frame around pdu.
+func sealed(mac *frameMAC, clientID uint32, nonce uint64, pdu []byte) []byte {
+	frame := append(reserveHeader(nil), pdu...)
+	sealFrame(mac, frame, clientID, nonce)
+	return frame
+}
+
 // referenceMAC is the MAC of a secure frame computed the straightforward
 // way, with a fresh keyed HMAC per frame.
 func referenceMAC(key []byte, frame []byte) []byte {
@@ -32,7 +39,7 @@ func TestFrameMACMatchesFreshHMAC(t *testing.T) {
 			pdu := make([]byte, rng.Intn(64))
 			rng.Read(pdu)
 			clientID, nonce := rng.Uint32(), rng.Uint64()
-			frame := sealFrame(mac, clientID, nonce, pdu)
+			frame := sealed(mac, clientID, nonce, pdu)
 			if got, want := frame[clientIDLen+nonceLen:secureHeaderLen], referenceMAC(key, frame); !bytes.Equal(got, want) {
 				t.Fatalf("key %d frame %d: MAC %x, fresh HMAC %x", k, f, got, want)
 			}
@@ -74,7 +81,7 @@ func FuzzOpenFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if resealed := sealFrame(mac, clientID, nonce, pdu); !bytes.Equal(resealed, frame) {
+		if resealed := sealed(mac, clientID, nonce, pdu); !bytes.Equal(resealed, frame) {
 			t.Fatalf("accepted frame %x reseals as %x", frame, resealed)
 		}
 	})

@@ -56,11 +56,12 @@ func (s *Server) Handle(req PDU) PDU {
 	return resp
 }
 
-// HandleFrame processes one raw request frame and returns the raw response.
-func (s *Server) HandleFrame(frame []byte) []byte {
+// AppendResponse processes one raw request PDU and appends the raw
+// response to dst.
+func (s *Server) AppendResponse(dst, frame []byte) []byte {
 	req, err := DecodePDU(frame)
 	if err != nil {
-		return PDU{Type: ErrorPDU, Code: CodeBadRequest, Device: s.deviceID}.Encode()
+		return PDU{Type: ErrorPDU, Code: CodeBadRequest, Device: s.deviceID}.AppendEncode(dst)
 	}
-	return s.Handle(req).Encode()
+	return s.Handle(req).AppendEncode(dst)
 }

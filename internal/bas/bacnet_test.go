@@ -28,7 +28,7 @@ func TestBACnetLegacyReadAndWrite(t *testing.T) {
 
 	raw := tb.BACnetExchange(bacnet.PDU{
 		Type: bacnet.ReadProperty, InvokeID: 1, Device: 7, Object: bacnet.ObjTemperature,
-	}.Encode())
+	}.AppendEncode(nil))
 	resp, err := bacnet.DecodePDU(raw)
 	if err != nil {
 		t.Fatalf("decode: %v (raw %v)", err, raw)
@@ -39,7 +39,7 @@ func TestBACnetLegacyReadAndWrite(t *testing.T) {
 
 	raw = tb.BACnetExchange(bacnet.PDU{
 		Type: bacnet.WriteProperty, InvokeID: 2, Device: 7, Object: bacnet.ObjSetpoint, Value: 25,
-	}.Encode())
+	}.AppendEncode(nil))
 	resp, err = bacnet.DecodePDU(raw)
 	if err != nil || resp.Type != bacnet.Ack {
 		t.Fatalf("setpoint write resp = %+v, %v", resp, err)
@@ -59,7 +59,7 @@ func TestBACnetLegacyIsSpoofableButActuatorsUnreachable(t *testing.T) {
 
 	raw := tb.BACnetExchange(bacnet.PDU{
 		Type: bacnet.WriteProperty, Device: 7, Object: bacnet.ObjHeater, Value: 0,
-	}.Encode())
+	}.AppendEncode(nil))
 	resp, err := bacnet.DecodePDU(raw)
 	if err != nil || resp.Type != bacnet.ErrorPDU || resp.Code != bacnet.CodeWriteDenied {
 		t.Fatalf("heater write resp = %+v, %v (want write-denied)", resp, err)
@@ -72,7 +72,7 @@ func TestBACnetLegacyIsSpoofableButActuatorsUnreachable(t *testing.T) {
 
 	// Replay on the legacy gateway works — the protocol-level weakness the
 	// paper's introduction describes.
-	frame := bacnet.PDU{Type: bacnet.WriteProperty, Device: 7, Object: bacnet.ObjSetpoint, Value: 27}.Encode()
+	frame := bacnet.PDU{Type: bacnet.WriteProperty, Device: 7, Object: bacnet.ObjSetpoint, Value: 27}.AppendEncode(nil)
 	first, err := bacnet.DecodePDU(tb.BACnetExchange(frame))
 	if err != nil || first.Type != bacnet.Ack {
 		t.Fatalf("first write: %+v %v", first, err)
@@ -89,7 +89,7 @@ func TestBACnetSecureProxyEndToEnd(t *testing.T) {
 	client := bacnet.NewSecureClient(key, 9001)
 
 	// Authenticated read.
-	respFrame := tb.BACnetExchange(client.Seal(bacnet.PDU{
+	respFrame := tb.BACnetExchange(client.AppendSeal(nil, bacnet.PDU{
 		Type: bacnet.ReadProperty, Device: 7, Object: bacnet.ObjSetpoint,
 	}))
 	if respFrame == nil {
@@ -103,12 +103,12 @@ func TestBACnetSecureProxyEndToEnd(t *testing.T) {
 	// Unauthenticated legacy frame: silently dropped.
 	if raw := tb.BACnetExchange(bacnet.PDU{
 		Type: bacnet.WriteProperty, Device: 7, Object: bacnet.ObjSetpoint, Value: 30,
-	}.Encode()); raw != nil {
+	}.AppendEncode(nil)); raw != nil {
 		t.Fatalf("proxy answered an unauthenticated frame: %v", raw)
 	}
 
 	// Replayed secure frame: dropped, and the setpoint stays put.
-	frame := client.Seal(bacnet.PDU{
+	frame := client.AppendSeal(nil, bacnet.PDU{
 		Type: bacnet.WriteProperty, Device: 7, Object: bacnet.ObjSetpoint, Value: 24,
 	})
 	if respFrame := tb.BACnetExchange(frame); respFrame == nil {
@@ -145,7 +145,7 @@ func TestBACnetGatewayOnEveryPlatform(t *testing.T) {
 			tb.Machine.Run(10 * time.Second)
 
 			client := bacnet.NewSecureClient(key, 77)
-			respFrame := tb.BACnetExchange(client.Seal(bacnet.PDU{
+			respFrame := tb.BACnetExchange(client.AppendSeal(nil, bacnet.PDU{
 				Type: bacnet.ReadProperty, Device: 3, Object: bacnet.ObjTemperature,
 			}))
 			if respFrame == nil {
@@ -159,7 +159,7 @@ func TestBACnetGatewayOnEveryPlatform(t *testing.T) {
 			// unified security-event schema.
 			if raw := tb.BACnetExchange(bacnet.PDU{
 				Type: bacnet.WriteProperty, Device: 3, Object: bacnet.ObjSetpoint, Value: 30,
-			}.Encode()); raw != nil {
+			}.AppendEncode(nil)); raw != nil {
 				t.Fatalf("proxy answered an unauthenticated frame: %v", raw)
 			}
 			if n := tb.Machine.Obs().Metrics().Counter("bacnet_frames_rejected_total").Value(); n != 1 {
@@ -177,7 +177,7 @@ func TestBACnetGatewayRestartKeepsNonceFloor(t *testing.T) {
 	tb, dep := deployGateway(t, key)
 	client := bacnet.NewSecureClient(key, 9001)
 
-	frame := client.Seal(bacnet.PDU{
+	frame := client.AppendSeal(nil, bacnet.PDU{
 		Type: bacnet.WriteProperty, Device: 7, Object: bacnet.ObjSetpoint, Value: 24,
 	})
 	if respFrame := tb.BACnetExchange(frame); respFrame == nil {
@@ -193,11 +193,11 @@ func TestBACnetGatewayRestartKeepsNonceFloor(t *testing.T) {
 	}
 
 	// The captured pre-restart frame must stay dead after the restart.
-	if respFrame := tb.BACnetExchangeFrame(bacnet.Frame(frame)); respFrame != nil {
+	if respFrame := tb.BACnetExchangeFrame(bacnet.AppendFrame(nil, frame)); respFrame != nil {
 		t.Fatal("reincarnated gateway accepted a pre-restart replay")
 	}
 	// Fresh traffic flows again.
-	respFrame := tb.BACnetExchange(client.Seal(bacnet.PDU{
+	respFrame := tb.BACnetExchange(client.AppendSeal(nil, bacnet.PDU{
 		Type: bacnet.ReadProperty, Device: 7, Object: bacnet.ObjSetpoint,
 	}))
 	if respFrame == nil {

@@ -94,6 +94,12 @@ func boolPoint(b bool) float64 {
 // bacnetGateway is the gateway process's frame handling, optional secure
 // proxy, and observability wiring; bacnetGatewayBody runs it on every
 // kernel.
+//
+// The deframer and the two reply buffers belong to the process, not to one
+// connection, so a connection-per-exchange poll reuses them instead of
+// growing fresh ones. Connections are served one at a time, and every
+// platform's net write syscall copies into the stack before it returns, so
+// the buffers are free again as soon as a reply is written.
 type bacnetGateway struct {
 	server   *bacnet.Server
 	proxy    *bacnet.Proxy
@@ -101,6 +107,10 @@ type bacnetGateway struct {
 	accepted *obs.Counter
 	rejected *obs.Counter
 	sup      *Supervision // nil outside building deployments
+
+	def      bacnet.Deframer
+	resp     []byte // the response PDU, sealed on proxied rooms
+	frameBuf []byte // resp, length-prefixed
 }
 
 // newBACnetGateway assembles the neutral gateway. state seeds the proxy's
@@ -137,20 +147,15 @@ func newBACnetGateway(bopts BACnetOptions, ctrl ControlClient, state *bacnet.Pro
 // reports exactly like an ACM or capability denial.
 func (gw *bacnetGateway) serveConn(conn netConn) {
 	defer conn.Close()
-	var d bacnet.Deframer
-	// Reply frames are framed into a reused buffer: every platform's net
-	// write syscall copies into the stack synchronously, so the buffer is
-	// free again as soon as Write returns.
-	var frameBuf []byte
+	gw.def.Reset()
 	for {
 		for {
-			frame := d.Next()
+			frame := gw.def.Next()
 			if frame == nil {
 				break
 			}
-			var resp []byte
 			if gw.proxy != nil {
-				secured, err := gw.proxy.HandleFrame(frame)
+				resp, err := gw.proxy.AppendResponse(gw.resp[:0], frame)
 				if err != nil {
 					gw.rejected.Inc()
 					gw.events.Emit(obs.SecurityEvent{
@@ -163,9 +168,9 @@ func (gw *bacnetGateway) serveConn(conn netConn) {
 					})
 					continue
 				}
-				resp = secured
+				gw.resp = resp
 			} else {
-				resp = gw.server.HandleFrame(frame)
+				gw.resp = gw.server.AppendResponse(gw.resp[:0], frame)
 			}
 			gw.accepted.Inc()
 			// Every frame that survived the checks above is supervisory
@@ -173,8 +178,8 @@ func (gw *bacnetGateway) serveConn(conn netConn) {
 			// on legacy rooms anything on the bus counts — degraded-mode
 			// detection inherits exactly the protocol's trust.
 			gw.sup.NoteFrame()
-			frameBuf = bacnet.AppendFrame(frameBuf[:0], resp)
-			if err := conn.Write(frameBuf); err != nil {
+			gw.frameBuf = bacnet.AppendFrame(gw.frameBuf[:0], gw.resp)
+			if err := conn.Write(gw.frameBuf); err != nil {
 				return
 			}
 		}
@@ -182,7 +187,7 @@ func (gw *bacnetGateway) serveConn(conn netConn) {
 		if err != nil {
 			return
 		}
-		d.Feed(data)
+		gw.def.Feed(data)
 	}
 }
 
@@ -190,7 +195,7 @@ func (gw *bacnetGateway) serveConn(conn netConn) {
 // the board until the response arrives; nil response means the gateway
 // dropped the frame (proxy mode) or never answered.
 func (tb *Testbed) BACnetExchange(raw []byte) []byte {
-	return tb.BACnetExchangeFrame(bacnet.Frame(raw))
+	return tb.BACnetExchangeFrame(bacnet.AppendFrame(nil, raw))
 }
 
 // BACnetExchangeFrame is BACnetExchange for a pre-framed (length-prefixed)

@@ -151,7 +151,7 @@ func TestStatusString(t *testing.T) {
 
 func TestParseStatusLineRoundTrip(t *testing.T) {
 	st := Status{Temp: 19.25, Setpoint: 23.5, HeaterOn: true, AlarmOn: true, Samples: 77}
-	got, err := parseStatusLine(st.String())
+	got, err := parseStatusLine(st.AppendText(nil))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestParseStatusLineRoundTrip(t *testing.T) {
 	if got.Temp != 19.25 {
 		t.Fatalf("temp = %v", got.Temp)
 	}
-	if _, err := parseStatusLine("garbage"); err == nil {
+	if _, err := parseStatusLine([]byte("garbage")); err == nil {
 		t.Fatal("garbage parsed")
 	}
 }
@@ -224,8 +224,8 @@ func TestCutFieldMatchesStringsFields(t *testing.T) {
 		}
 		line := b.String()
 		var got []string
-		for f, rest := cutField(line); f != ""; f, rest = cutField(rest) {
-			got = append(got, f)
+		for f, rest := cutField([]byte(line)); len(f) > 0; f, rest = cutField(rest) {
+			got = append(got, string(f))
 		}
 		if want := strings.Fields(line); !slices.Equal(got, want) {
 			t.Fatalf("cutField(%q) fields = %q, strings.Fields = %q", line, got, want)
@@ -234,7 +234,7 @@ func TestCutFieldMatchesStringsFields(t *testing.T) {
 }
 
 func TestParseStatusLineAllocatesNothing(t *testing.T) {
-	line := Status{Temp: 21.37, Setpoint: 22, HeaterOn: true, Samples: 719997}.String()
+	line := Status{Temp: 21.37, Setpoint: 22, HeaterOn: true, Samples: 719997}.AppendText(nil)
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := parseStatusLine(line); err != nil {
 			t.Fatal(err)

@@ -157,7 +157,7 @@ func TestSetpointEdgesAgreeOnAllPlatforms(t *testing.T) {
 			}
 			resp, err := bacnet.DecodePDU(tb.BACnetExchange(bacnet.PDU{
 				Type: bacnet.WriteProperty, Device: 1, Object: bacnet.ObjSetpoint, Value: 30.00004,
-			}.Encode()))
+			}.AppendEncode(nil)))
 			if err != nil || resp.Type != bacnet.ErrorPDU || resp.Code != bacnet.CodeWriteDenied {
 				t.Errorf("BACnet write 30.00004: %+v %v, want write-denied", resp, err)
 			}

@@ -1,14 +1,15 @@
 package bas
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 	"unicode"
 
 	"mkbas/internal/bacnet"
+	"mkbas/internal/decfmt"
 	"mkbas/internal/linuxsim"
 	"mkbas/internal/machine"
 	"mkbas/internal/plant"
@@ -282,12 +283,12 @@ func linuxActuatorBody(a actuator, dev machine.DeviceID, hardened bool) func(api
 			if err != nil {
 				return
 			}
-			fields := strings.Fields(string(msg.Data))
-			if len(fields) != 2 || fields[0] != verb {
+			name, state, ok := twoFields(msg.Data)
+			if !ok || string(name) != verb {
 				continue
 			}
 			var value uint32
-			if fields[1] == "on" {
+			if string(state) == "on" {
 				value = 1
 			}
 			if err := api.DevWrite(dev, plant.RegActuate, value); err != nil {
@@ -350,19 +351,31 @@ func linuxControllerBody(cfg ControllerConfig, hardened bool) func(api *linuxsim
 				return
 			}
 		}
+		// Each actuator's two command lines are built once: MQSend copies
+		// the payload.
+		var cmdLines [len(actuators)][2][]byte
+		for a, act := range actuators {
+			cmdLines[a] = [2][]byte{[]byte(act.verb + " off"), []byte(act.verb + " on")}
+		}
 		loop := controlLoop[*linuxsim.API]{Controller: ctrl,
 			actuate: func(api *linuxsim.API, a actuator, on bool) {
-				_ = api.MQSend(cmdFDs[a], []byte(actuators[a].verb+" "+onOff(on)), 1)
+				line := cmdLines[a][0]
+				if on {
+					line = cmdLines[a][1]
+				}
+				_ = api.MQSend(cmdFDs[a], line, 1)
 			}}
-		// drainWeb answers pending web requests.
+		// drainWeb answers pending web requests. Each response is built in
+		// resp, reused across requests (MQSend copies the payload).
+		var resp []byte
 		drainWeb := func() {
 			for {
 				req, rerr := api.MQReceive(webReqFD)
 				if rerr != nil {
 					break
 				}
-				resp := handleLinuxWebReq(ctrl, string(req.Data))
-				_ = api.MQSend(webRespFD, []byte(resp), 0)
+				resp = handleLinuxWebReq(resp[:0], ctrl, req.Data)
+				_ = api.MQSend(webRespFD, resp, 0)
 			}
 		}
 		// auditLine is reused across iterations: the status line is rebuilt
@@ -387,9 +400,8 @@ func linuxControllerBody(cfg ControllerConfig, hardened bool) func(api *linuxsim
 				drainWeb()
 				continue
 			}
-			fields := strings.Fields(string(msg.Data))
-			if len(fields) == 2 && fields[0] == "temp" {
-				temp, perr := strconv.ParseFloat(fields[1], 64)
+			if name, val, ok := twoFields(msg.Data); ok && string(name) == "temp" {
+				temp, perr := strconv.ParseFloat(string(val), 64)
 				if perr == nil {
 					// Design flaw preserved: no sender authentication — any
 					// process that can write the queue is believed.
@@ -425,24 +437,39 @@ func linuxSupervisorBody(api *linuxsim.API) {
 	}
 }
 
-// handleLinuxWebReq processes one text request from the web queue.
-func handleLinuxWebReq(ctrl *Controller, req string) string {
-	fields := strings.Fields(req)
+// handleLinuxWebReq processes one text request from the web queue and
+// appends the response line to out.
+func handleLinuxWebReq(out []byte, ctrl *Controller, req []byte) []byte {
+	verb, arg, pair := twoFields(req)
 	switch {
-	case len(fields) == 1 && fields[0] == "status":
-		return ctrl.Snapshot().String()
-	case len(fields) == 2 && fields[0] == "setpoint":
-		v, err := strconv.ParseFloat(fields[1], 64)
+	case string(verb) == "status" && len(arg) == 0:
+		st := ctrl.Snapshot()
+		return appendExactSetpoint(st.AppendText(out), st.Setpoint)
+	case string(verb) == "setpoint" && pair:
+		v, err := strconv.ParseFloat(string(arg), 64)
 		if err != nil {
-			return "err bad value"
+			return append(out, "err bad value"...)
 		}
 		if err := ctrl.SetSetpoint(v); err != nil {
-			return "err range"
+			return append(out, "err range"...)
 		}
-		return "ok"
+		return append(out, "ok"...)
 	default:
-		return "err unknown request"
+		return append(out, "err unknown request"...)
 	}
+}
+
+// appendExactSetpoint completes a status reply. The status line carries
+// two decimals, but a BACnet client may write any setpoint in range: one
+// the line cannot carry exactly is repeated at full precision, so every
+// platform reads back the setpoint its controller holds. parseStatusLine
+// keeps a key's last value.
+func appendExactSetpoint(out []byte, v float64) []byte {
+	var buf [32]byte
+	if two, err := strconv.ParseFloat(string(decfmt.AppendFixed(buf[:0], v, 2)), 64); err == nil && two == v {
+		return out
+	}
+	return strconv.AppendFloat(append(out, " setpoint="...), v, 'g', -1, 64)
 }
 
 // linuxDial reaches the controller over the web request/response queue
@@ -476,15 +503,18 @@ type linuxControlClient struct {
 
 var _ ControlClient = (*linuxControlClient)(nil)
 
-func (c *linuxControlClient) roundTrip(req []byte) (string, error) {
+// roundTrip sends req and returns the response line. The bytes are the
+// received message's payload, valid until this process's next queue
+// receive.
+func (c *linuxControlClient) roundTrip(req []byte) ([]byte, error) {
 	if err := c.api.MQSend(c.reqFD, req, 0); err != nil {
-		return "", err
+		return nil, err
 	}
 	resp, err := c.api.MQReceive(c.respFD)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return string(resp.Data), nil
+	return resp.Data, nil
 }
 
 func (c *linuxControlClient) Status() (Status, error) {
@@ -505,33 +535,34 @@ func (c *linuxControlClient) SetSetpoint(v float64) error {
 	if err != nil {
 		return err
 	}
-	if resp != "ok" {
+	if string(resp) != "ok" {
 		return ErrSetpointRange
 	}
 	return nil
 }
 
-// parseStatusLine decodes Status.String() back into a Status. It walks the
-// line's fields in place rather than collecting them, so a poll's status
-// decode allocates nothing.
-func parseStatusLine(line string) (Status, error) {
+// parseStatusLine decodes Status.AppendText's line back into a Status. It
+// walks the line's fields in place rather than collecting them, so a poll's
+// status decode allocates nothing.
+func parseStatusLine(line []byte) (Status, error) {
 	var st Status
-	for field, rest := cutField(line); field != ""; field, rest = cutField(rest) {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
+	for field, rest := cutField(line); len(field) > 0; field, rest = cutField(rest) {
+		eq := bytes.IndexByte(field, '=')
+		if eq < 0 {
 			continue
 		}
-		switch key {
+		key, val := field[:eq], field[eq+1:]
+		switch string(key) {
 		case "temp":
-			st.Temp, _ = strconv.ParseFloat(val, 64)
+			st.Temp, _ = strconv.ParseFloat(string(val), 64)
 		case "setpoint":
-			st.Setpoint, _ = strconv.ParseFloat(val, 64)
+			st.Setpoint, _ = strconv.ParseFloat(string(val), 64)
 		case "heater":
-			st.HeaterOn = val == "on"
+			st.HeaterOn = string(val) == "on"
 		case "alarm":
-			st.AlarmOn = val == "on"
+			st.AlarmOn = string(val) == "on"
 		case "samples":
-			st.Samples, _ = strconv.ParseInt(val, 10, 64)
+			st.Samples, _ = strconv.ParseInt(string(val), 10, 64)
 		}
 	}
 	if st.Setpoint == 0 {
@@ -543,10 +574,20 @@ func parseStatusLine(line string) (Status, error) {
 // cutField cuts the first field off s and returns it with the rest of s. A
 // field is what strings.Fields yields: a maximal run of runes that are not
 // unicode.IsSpace. The field is empty only when s holds no more fields.
-func cutField(s string) (field, rest string) {
-	s = strings.TrimLeftFunc(s, unicode.IsSpace)
-	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+func cutField(s []byte) (field, rest []byte) {
+	s = bytes.TrimLeftFunc(s, unicode.IsSpace)
+	if i := bytes.IndexFunc(s, unicode.IsSpace); i >= 0 {
 		return s[:i], s[i:]
 	}
-	return s, ""
+	return s, nil
+}
+
+// twoFields splits s into its two fields, reporting false when s does not
+// hold exactly two — the "<verb> <argument>" shape of every Linux command
+// and sample line.
+func twoFields(s []byte) (first, second []byte, ok bool) {
+	first, rest := cutField(s)
+	second, rest = cutField(rest)
+	extra, _ := cutField(rest)
+	return first, second, len(second) > 0 && len(extra) == 0
 }

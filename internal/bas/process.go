@@ -117,6 +117,9 @@ type controlLoop[P processPort] struct {
 	// traceStatus logs the status line every 60th sample and on every
 	// command change. Linux writes an audit line per sample instead.
 	traceStatus bool
+	// line is the traced status line, rebuilt in place; only the trace's
+	// own string is new per line.
+	line []byte
 }
 
 // onSample runs the control law on one reading and pushes the commands that
@@ -125,7 +128,8 @@ func (c *controlLoop[P]) onSample(p P, temp float64) {
 	heaterChanged, alarmChanged := c.OnSample(p.Now(), temp)
 	c.push(p, heaterChanged, alarmChanged)
 	if st := c.Snapshot(); c.traceStatus && (st.Samples%60 == 0 || heaterChanged || alarmChanged) {
-		p.Trace("bas", st.String())
+		c.line = st.AppendText(c.line[:0])
+		p.Trace("bas", string(c.line))
 	}
 }
 

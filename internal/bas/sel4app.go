@@ -71,25 +71,27 @@ func ScenarioAssembly(cfg ScenarioConfig, webRun func(rt *camkes.Runtime)) *camk
 		Priority: roleOf(NameTempControl).priority,
 		Uses:     []string{actuators[actHeater].verb, actuators[actAlarm].verb},
 		Provides: map[string]camkes.Handler{
-			IfaceSensorIn: func(rt *camkes.Runtime, method uint64, args []uint64, badge sel4.Badge) ([]uint64, error) {
+			IfaceSensorIn: func(rt *camkes.Runtime, method uint64, args camkes.Words, badge sel4.Badge) (camkes.Words, error) {
 				if method != methodSample {
-					return nil, errors.New("bas: unknown sensor method")
+					return camkes.Words{}, errors.New("bas: unknown sensor method")
 				}
 				loop.onSample(rt, math.Float64frombits(args[0]))
-				return nil, nil
+				return camkes.Words{}, nil
 			},
-			IfaceMgmt: func(rt *camkes.Runtime, method uint64, args []uint64, badge sel4.Badge) ([]uint64, error) {
+			IfaceMgmt: func(rt *camkes.Runtime, method uint64, args camkes.Words, badge sel4.Badge) (camkes.Words, error) {
 				switch method {
 				case methodStatus:
 					w := loop.Snapshot().words()
-					return w[:], nil
+					var out camkes.Words
+					copy(out[:], w[:])
+					return out, nil
 				case methodSetSetpoint:
 					if err := loop.SetSetpoint(math.Float64frombits(args[0])); err != nil {
-						return nil, &camkes.RPCError{Iface: IfaceMgmt, Code: rpcCodeRange}
+						return camkes.Words{}, &camkes.RPCError{Iface: IfaceMgmt, Code: rpcCodeRange}
 					}
-					return nil, nil
+					return camkes.Words{}, nil
 				default:
-					return nil, errors.New("bas: unknown mgmt method")
+					return camkes.Words{}, errors.New("bas: unknown mgmt method")
 				}
 			},
 		},
@@ -114,11 +116,11 @@ func ScenarioAssembly(cfg ScenarioConfig, webRun func(rt *camkes.Runtime)) *camk
 			Priority: r.priority,
 			Devices:  []machine.DeviceID{r.device},
 			Provides: map[string]camkes.Handler{
-				IfaceCmd: func(rt *camkes.Runtime, method uint64, args []uint64, badge sel4.Badge) ([]uint64, error) {
+				IfaceCmd: func(rt *camkes.Runtime, method uint64, args camkes.Words, badge sel4.Badge) (camkes.Words, error) {
 					if method != methodActuate {
-						return nil, errors.New("bas: unknown cmd method")
+						return camkes.Words{}, errors.New("bas: unknown cmd method")
 					}
-					return nil, rt.DevWrite(r.device, plant.RegActuate, uint32(args[0]))
+					return camkes.Words{}, rt.DevWrite(r.device, plant.RegActuate, uint32(args[0]))
 				},
 			},
 		}
@@ -285,7 +287,7 @@ func (c *sel4ControlClient) Status() (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	return statusFromWords([4]uint64(words)), nil
+	return statusFromWords([4]uint64(words[:4])), nil
 }
 
 func (c *sel4ControlClient) SetSetpoint(v float64) error {

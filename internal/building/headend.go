@@ -188,7 +188,8 @@ type HeadEnd struct {
 	onFailover   func(round int)
 
 	// Send-path scratch: BusConn.Write copies into a pooled chunk before
-	// returning, so one encode buffer and one frame buffer serve every room.
+	// returning, so one encode (or seal) buffer and one frame buffer serve
+	// every room.
 	encBuf   []byte
 	frameBuf []byte
 }
@@ -462,7 +463,7 @@ func (h *HeadEnd) miss(r *headRoom) {
 func (h *HeadEnd) closeExchange(r *headRoom) {
 	r.conn.Close()
 	r.conn = nil
-	r.def = bacnet.Deframer{}
+	r.def.Reset()
 }
 
 // issue queues one room's next request: a pending scheduled write wins over
@@ -505,14 +506,12 @@ func (h *HeadEnd) send(r *headRoom, round int, pdu bacnet.PDU) {
 	r.reqKind = pdu.Type
 	r.reqObj = pdu.Object
 	r.sentRound = round
-	var payload []byte
 	if r.secure != nil {
-		payload = r.secure.Seal(pdu)
+		h.encBuf = r.secure.AppendSeal(h.encBuf[:0], pdu)
 	} else {
 		h.encBuf = pdu.AppendEncode(h.encBuf[:0])
-		payload = h.encBuf
 	}
-	h.frameBuf = bacnet.AppendFrame(h.frameBuf[:0], payload)
+	h.frameBuf = bacnet.AppendFrame(h.frameBuf[:0], h.encBuf)
 	r.conn = h.bus.Dial(h.node, r.node, bas.BACnetPort)
 	_ = r.conn.Write(h.frameBuf)
 }

@@ -68,12 +68,12 @@ func (n *fakeRoomNode) serve() {
 				if pdu.Type == bacnet.ReadProperty && pdu.Object == bacnet.ObjTemperature {
 					resp.Value = n.temp
 				}
-				_ = n.stack.BoardWrite(c, bacnet.Frame(resp.Encode()))
+				_ = n.stack.BoardWrite(c, bacnet.AppendFrame(nil, resp.AppendEncode(nil)))
 			case "garbage":
 				// Three unverifiable frames per request: enough to trip the
 				// default QuarantineLimit in a single harvest.
 				for k := 0; k < 3; k++ {
-					_ = n.stack.BoardWrite(c, bacnet.Frame([]byte("not-a-sealed-frame")))
+					_ = n.stack.BoardWrite(c, bacnet.AppendFrame(nil, []byte("not-a-sealed-frame")))
 				}
 			}
 		}

@@ -72,6 +72,10 @@ type tenantTier struct {
 	rngState uint64
 	requests int64
 	outcomes map[string]int64
+	// req and resp are the driver's request and response, reused across
+	// batches so a response body keeps its grown buffer.
+	req  tenantapi.Request
+	resp tenantapi.Response
 }
 
 // attachTenant wires the tier during New (Config.TenantAPI).
@@ -107,15 +111,14 @@ func (t *tenantTier) next() uint64 {
 func (b *Building) driveTenant() {
 	t := b.tenant
 	rooms := len(b.Rooms)
-	var req tenantapi.Request
-	var resp tenantapi.Response
+	req := &t.req
 	for k := 0; k < tenantPerRound; k++ {
 		p := t.dir.At(int(t.next() % uint64(t.dir.Len())))
 		room := p.Room
 		if room < 0 { // building-scoped managers and vendors
 			room = int(t.next() % uint64(rooms))
 		}
-		req = tenantapi.Request{Token: p.Token, Route: tenantapi.RouteStatus, Room: room}
+		*req = tenantapi.Request{Token: p.Token, Route: tenantapi.RouteStatus, Room: room}
 		switch t.next() % 10 {
 		case 0:
 			req.Route = tenantapi.RouteSetpoint
@@ -128,7 +131,7 @@ func (b *Building) driveTenant() {
 		case 3:
 			req.Token = "tok-ffffffffffffffff" // stale credential noise
 		}
-		outc := t.gw.Handle(&req, &resp)
+		outc := t.gw.Handle(req, &t.resp)
 		t.requests++
 		t.outcomes[outc.String()]++
 	}

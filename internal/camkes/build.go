@@ -229,12 +229,12 @@ func serveInterface(rt *Runtime, handler Handler) {
 		if err != nil {
 			return
 		}
-		results, herr := handler(rt, res.Msg.Label, res.Msg.Words[:], res.Badge)
+		results, herr := handler(rt, res.Msg.Label, res.Msg.Words, res.Badge)
 		reply := sel4.Msg{}
 		if herr != nil {
 			reply.Label = rpcErrCode(herr)
 		} else {
-			copy(reply.Words[:], results)
+			reply.Words = results
 		}
 		if err := rt.api.Reply(reply); err != nil {
 			rt.api.Trace("camkes", "reply dropped: "+err.Error())

@@ -44,9 +44,15 @@ const (
 	SlotNetBase sel4.CPtr = 60
 )
 
+// Words holds an RPC's arguments or results: the message registers of one
+// IPC message, carried by value so no call or handler shares (or heap
+// allocates) a register block.
+type Words = [sel4.MsgWords]uint64
+
 // Handler serves one provided procedure interface. It runs on the
 // interface's dedicated thread; badge identifies the calling connection.
-type Handler func(rt *Runtime, method uint64, args []uint64, badge sel4.Badge) ([]uint64, error)
+// The results travel in the reply's message registers.
+type Handler func(rt *Runtime, method uint64, args Words, badge sel4.Badge) (Words, error)
 
 // Component is one CAmkES component definition/instance.
 type Component struct {
@@ -121,27 +127,28 @@ func (e *RPCError) Error() string {
 	return fmt.Sprintf("camkes: rpc on %q failed with code %d", e.Iface, e.Code)
 }
 
-// Call invokes method on the connected provider of a uses-interface.
-func (rt *Runtime) Call(iface string, method uint64, args ...uint64) ([]uint64, error) {
+// Call invokes method on the connected provider of a uses-interface and
+// returns the reply's message registers. The results are a value, a copy
+// the caller owns: a call allocates nothing, and no two calls share
+// storage.
+func (rt *Runtime) Call(iface string, method uint64, args ...uint64) (Words, error) {
 	slot, ok := rt.uses[iface]
 	if !ok {
-		return nil, fmt.Errorf("%w: component %q does not use %q", ErrBadAssembly, rt.comp.Name, iface)
+		return Words{}, fmt.Errorf("%w: component %q does not use %q", ErrBadAssembly, rt.comp.Name, iface)
 	}
 	if len(args) > sel4.MsgWords {
-		return nil, fmt.Errorf("camkes: too many arguments (%d)", len(args))
+		return Words{}, fmt.Errorf("camkes: too many arguments (%d)", len(args))
 	}
 	msg := sel4.Msg{Label: method}
 	copy(msg.Words[:], args)
 	reply, err := rt.api.Call(slot, msg)
 	if err != nil {
-		return nil, err
+		return Words{}, err
 	}
 	if reply.Label != 0 {
-		return nil, &RPCError{Iface: iface, Code: reply.Label}
+		return Words{}, &RPCError{Iface: iface, Code: reply.Label}
 	}
-	out := make([]uint64, sel4.MsgWords)
-	copy(out, reply.Words[:])
-	return out, nil
+	return reply.Words, nil
 }
 
 // DevRead reads a device register through the component's device capability.

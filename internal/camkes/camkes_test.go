@@ -13,20 +13,20 @@ import (
 
 // calcAssembly builds a tiny client/server assembly: an "adder" component
 // provides "math", a "user" control component calls it.
-func calcAssembly(calls *[]uint64, results *[][]uint64, errs *[]error) *Assembly {
+func calcAssembly(calls *[]uint64, results *[]Words, errs *[]error) *Assembly {
 	adder := &Component{
 		Name:     "adder",
 		Priority: 6,
 		Provides: map[string]Handler{
-			"math": func(rt *Runtime, method uint64, args []uint64, badge sel4.Badge) ([]uint64, error) {
+			"math": func(rt *Runtime, method uint64, args Words, badge sel4.Badge) (Words, error) {
 				*calls = append(*calls, method)
 				switch method {
 				case 1: // add
-					return []uint64{args[0] + args[1]}, nil
+					return Words{args[0] + args[1]}, nil
 				case 2: // badge echo
-					return []uint64{uint64(badge)}, nil
+					return Words{uint64(badge)}, nil
 				default:
-					return nil, errors.New("no such method")
+					return Words{}, errors.New("no such method")
 				}
 			},
 		},
@@ -57,7 +57,7 @@ func calcAssembly(calls *[]uint64, results *[][]uint64, errs *[]error) *Assembly
 func TestRPCCallThroughGlue(t *testing.T) {
 	m := machine.New(machine.Config{})
 	var calls []uint64
-	var results [][]uint64
+	var results []Words
 	var errs []error
 	sys, err := Build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
 	if err != nil {
@@ -90,7 +90,7 @@ func TestRPCCallThroughGlue(t *testing.T) {
 func TestGeneratedCapDLMatchesKernel(t *testing.T) {
 	m := machine.New(machine.Config{})
 	var calls []uint64
-	var results [][]uint64
+	var results []Words
 	var errs []error
 	sys, err := Build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
 	if err != nil {
@@ -109,7 +109,7 @@ func TestGeneratedCapDLMatchesKernel(t *testing.T) {
 func TestVerifyCatchesExtraCapability(t *testing.T) {
 	m := machine.New(machine.Config{})
 	var calls []uint64
-	var results [][]uint64
+	var results []Words
 	var errs []error
 	sys, err := Build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
 	if err != nil {
@@ -138,7 +138,7 @@ func TestVerifyCatchesExtraCapability(t *testing.T) {
 func TestCapDLRenderParseRoundTrip(t *testing.T) {
 	m := machine.New(machine.Config{})
 	var calls []uint64
-	var results [][]uint64
+	var results []Words
 	var errs []error
 	sys, err := Build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
 	if err != nil {
@@ -165,8 +165,8 @@ func sysBinding(sys *System) capdl.Binding {
 }
 
 func TestValidateRejectsBadAssemblies(t *testing.T) {
-	handler := func(rt *Runtime, method uint64, args []uint64, badge sel4.Badge) ([]uint64, error) {
-		return nil, nil
+	handler := func(rt *Runtime, method uint64, args Words, badge sel4.Badge) (Words, error) {
+		return Words{}, nil
 	}
 	run := func(rt *Runtime) {}
 	cases := []struct {
@@ -216,9 +216,9 @@ func TestTwoClientsDistinguishedByBadge(t *testing.T) {
 		Name:     "server",
 		Priority: 6,
 		Provides: map[string]Handler{
-			"svc": func(rt *Runtime, method uint64, args []uint64, badge sel4.Badge) ([]uint64, error) {
+			"svc": func(rt *Runtime, method uint64, args Words, badge sel4.Badge) (Words, error) {
 				badges[uint64(badge)]++
-				return nil, nil
+				return Words{}, nil
 			},
 		},
 	}
@@ -262,13 +262,13 @@ func TestInterfaceThreadIsolation(t *testing.T) {
 		Name:     "server",
 		Priority: 6,
 		Provides: map[string]Handler{
-			"slow": func(rt *Runtime, method uint64, args []uint64, badge sel4.Badge) ([]uint64, error) {
+			"slow": func(rt *Runtime, method uint64, args Words, badge sel4.Badge) (Words, error) {
 				slowEntered = true
 				rt.Sleep(time.Hour) // hog this interface thread
-				return nil, nil
+				return Words{}, nil
 			},
-			"fast": func(rt *Runtime, method uint64, args []uint64, badge sel4.Badge) ([]uint64, error) {
-				return []uint64{7}, nil
+			"fast": func(rt *Runtime, method uint64, args Words, badge sel4.Badge) (Words, error) {
+				return Words{7}, nil
 			},
 		},
 	}
@@ -310,7 +310,7 @@ func TestInterfaceThreadIsolation(t *testing.T) {
 func TestCapDLSpecRenderShape(t *testing.T) {
 	m := machine.New(machine.Config{})
 	var calls []uint64
-	var results [][]uint64
+	var results []Words
 	var errs []error
 	sys, err := Build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
 	if err != nil {

@@ -16,8 +16,8 @@ func richAssembly() *Assembly {
 		Name:     "server",
 		Priority: 6,
 		Provides: map[string]Handler{
-			"svc": func(rt *Runtime, method uint64, args []uint64, badge sel4.Badge) ([]uint64, error) {
-				return nil, nil
+			"svc": func(rt *Runtime, method uint64, args Words, badge sel4.Badge) (Words, error) {
+				return Words{}, nil
 			},
 		},
 		Consumes: []string{"tick"},

@@ -161,6 +161,15 @@ type proc struct {
 	onRecvTimeout func(token uint64)
 	waitQ         *mqueue
 
+	// onNet is the process's network waker, built on its first blocking
+	// accept or read and re-armed for every later one with the wait's token
+	// (vnet.Stack.WaitConn, WaitReadable). netListener, or netConn and
+	// netMax, name the operation the pending firing completes.
+	onNet       func(token uint64)
+	netListener *vnet.Listener
+	netConn     *vnet.Conn
+	netMax      int
+
 	// lastMQBuf is the payload buffer of the most recent message delivered
 	// to this process; it is recycled into the kernel's pool on the next
 	// delivery (a received MQMsg's Data is valid until then).

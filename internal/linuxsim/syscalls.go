@@ -501,6 +501,44 @@ func (k *Kernel) buildWakers(p *proc) {
 	}
 }
 
+// armNet blocks p on the network under a fresh wait token, building its
+// network waker on its first blocking accept or read: an accept on l or,
+// with l nil, a read of up to max bytes from conn. The caller registers
+// onNet with the wait's token.
+func (k *Kernel) armNet(p *proc, l *vnet.Listener, conn *vnet.Conn, max int) {
+	if p.onNet == nil {
+		k.buildNetWaker(p)
+	}
+	p.phase = phaseNet
+	p.waitToken++
+	p.netListener, p.netConn, p.netMax = l, conn, max
+}
+
+// buildNetWaker builds p's reusable network waker. A firing completes the
+// accept or read p blocked in; like the timer callbacks, a firing whose
+// token is stale, or whose p is dead, does nothing.
+func (k *Kernel) buildNetWaker(p *proc) {
+	p.onNet = func(token uint64) {
+		if k.procs[p.pid] != p || p.waitToken != token || p.phase != phaseNet {
+			return
+		}
+		p.phase = phaseIdle
+		var err error
+		if l := p.netListener; l != nil {
+			var conn *vnet.Conn
+			if conn, err = k.cfg.Net.Accept(l); err == nil {
+				p.nextFD++
+				p.conns[p.nextFD] = conn
+				p.frame.R[0] = uint64(p.nextFD)
+			}
+		} else {
+			p.frame.Buf, err = k.cfg.Net.BoardRead(p.netConn, p.netMax)
+		}
+		p.netListener, p.netConn = nil, nil
+		k.wake(p, err)
+	}
+}
+
 // popReader dequeues the next still-blocked reader.
 func (k *Kernel) popReader(q *mqueue) *proc {
 	for len(q.readers) > 0 {
@@ -617,24 +655,8 @@ func (k *Kernel) doNetAccept(self *proc, f *machine.Frame) machine.Disposition {
 		f.R[0] = uint64(self.nextFD)
 		return machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
-		self.phase = phaseNet
-		self.waitToken++
-		token := self.waitToken
-		pid := self.pid
-		k.cfg.Net.WaitConn(l, func() {
-			p := k.procs[pid]
-			if p != self || p.waitToken != token || p.phase != phaseNet {
-				return
-			}
-			p.phase = phaseIdle
-			conn, acceptErr := k.cfg.Net.Accept(l)
-			if acceptErr == nil {
-				p.nextFD++
-				p.conns[p.nextFD] = conn
-				p.frame.R[0] = uint64(p.nextFD)
-			}
-			k.wake(p, acceptErr)
-		})
+		k.armNet(self, l, nil, 0)
+		k.cfg.Net.WaitConn(l, self.onNet, self.waitToken)
 		return machine.DispositionBlock
 	default:
 		f.Err = err
@@ -655,20 +677,8 @@ func (k *Kernel) doNetRead(self *proc, f *machine.Frame) machine.Disposition {
 		f.Buf = data
 		return machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
-		self.phase = phaseNet
-		self.waitToken++
-		token := self.waitToken
-		pid := self.pid
-		k.cfg.Net.WaitReadable(conn, func() {
-			p := k.procs[pid]
-			if p != self || p.waitToken != token || p.phase != phaseNet {
-				return
-			}
-			p.phase = phaseIdle
-			data, readErr := k.cfg.Net.BoardRead(conn, maxBytes)
-			p.frame.Buf = data
-			k.wake(p, readErr)
-		})
+		k.armNet(self, nil, conn, maxBytes)
+		k.cfg.Net.WaitReadable(conn, self.onNet, self.waitToken)
 		return machine.DispositionBlock
 	default:
 		f.Err = err

@@ -140,6 +140,15 @@ type procEntry struct {
 	// a dead process, and does nothing.
 	onSleep       func(token uint64)
 	onRecvTimeout func(token uint64)
+
+	// onNet is the process's network waker, built on its first blocking
+	// accept or read and re-armed for every later one with the wait's token
+	// (vnet.Stack.WaitConn, WaitReadable). netListener, or netConn and
+	// netMax, name the operation the pending firing completes.
+	onNet       func(token uint64)
+	netListener *vnet.Listener
+	netConn     *vnet.Conn
+	netMax      int
 }
 
 // Kernel is the simulated security-enhanced MINIX 3 kernel: the board's

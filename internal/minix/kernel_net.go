@@ -77,22 +77,8 @@ func (k *Kernel) doNetAccept(self *procEntry, f *machine.Frame) machine.Disposit
 		f.R[0] = uint64(self.addConn(conn))
 		return machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
-		self.phase = phaseNetBlocked
-		self.waitToken++
-		token := self.waitToken
-		pid := self.pid
-		stack.WaitConn(l, func() {
-			e := k.live(pid)
-			if e != self || e.waitToken != token || e.phase != phaseNetBlocked {
-				return
-			}
-			conn, acceptErr := stack.Accept(l)
-			e.phase = phaseIdle
-			if acceptErr == nil {
-				e.frame.R[0] = uint64(e.addConn(conn))
-			}
-			k.wake(e, acceptErr)
-		})
+		k.armNet(self, l, nil, 0)
+		stack.WaitConn(l, self.onNet, self.waitToken)
 		return machine.DispositionBlock
 	default:
 		f.Err = err
@@ -118,20 +104,8 @@ func (k *Kernel) doNetRead(self *procEntry, f *machine.Frame) machine.Dispositio
 		f.Buf = data
 		return machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
-		self.phase = phaseNetBlocked
-		self.waitToken++
-		token := self.waitToken
-		pid := self.pid
-		stack.WaitReadable(conn, func() {
-			e := k.live(pid)
-			if e != self || e.waitToken != token || e.phase != phaseNetBlocked {
-				return
-			}
-			e.phase = phaseIdle
-			data, readErr := stack.BoardRead(conn, maxBytes)
-			e.frame.Buf = data
-			k.wake(e, readErr)
-		})
+		k.armNet(self, nil, conn, maxBytes)
+		stack.WaitReadable(conn, self.onNet, self.waitToken)
 		return machine.DispositionBlock
 	default:
 		f.Err = err
@@ -164,6 +138,42 @@ func (k *Kernel) doNetClose(self *procEntry, f *machine.Frame) error {
 	delete(self.conns, h)
 	stack.BoardClose(conn)
 	return nil
+}
+
+// armNet blocks self on the network under a fresh wait token, building its
+// network waker on its first blocking accept or read: an accept on l or,
+// with l nil, a read of up to max bytes from conn. The caller registers
+// onNet with the wait's token.
+func (k *Kernel) armNet(self *procEntry, l *vnet.Listener, conn *vnet.Conn, max int) {
+	if self.onNet == nil {
+		k.buildNetWaker(self)
+	}
+	self.phase = phaseNetBlocked
+	self.waitToken++
+	self.netListener, self.netConn, self.netMax = l, conn, max
+}
+
+// buildNetWaker builds e's reusable network waker. A firing completes the
+// accept or read e blocked in; like the timer callbacks, a firing whose
+// token is stale, or whose e is dead, does nothing.
+func (k *Kernel) buildNetWaker(e *procEntry) {
+	e.onNet = func(token uint64) {
+		if k.live(e.pid) != e || e.waitToken != token || e.phase != phaseNetBlocked {
+			return
+		}
+		e.phase = phaseIdle
+		var err error
+		if l := e.netListener; l != nil {
+			var conn *vnet.Conn
+			if conn, err = k.cfg.Net.Accept(l); err == nil {
+				e.frame.R[0] = uint64(e.addConn(conn))
+			}
+		} else {
+			e.frame.Buf, err = k.cfg.Net.BoardRead(e.netConn, e.netMax)
+		}
+		e.netListener, e.netConn = nil, nil
+		k.wake(e, err)
+	}
 }
 
 // wake writes err into the error slot of e, a process blocked in a trap

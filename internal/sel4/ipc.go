@@ -414,6 +414,44 @@ func (k *Kernel) buildWaker(t *tcb) {
 	}
 }
 
+// armNet blocks t on the network under a fresh wait token, building its
+// network waker on its first blocking accept or read: an accept on l or,
+// with l nil, a read of up to max bytes from conn. The caller registers
+// onNet with the wait's token.
+func (k *Kernel) armNet(t *tcb, l *vnet.Listener, conn *vnet.Conn, max int) {
+	if t.onNet == nil {
+		k.buildNetWaker(t)
+	}
+	t.state = stateNetBlocked
+	t.waitToken++
+	t.netListener, t.netConn, t.netMax = l, conn, max
+}
+
+// buildNetWaker builds t's reusable network waker. A firing completes the
+// accept or read t blocked in; a firing whose token is stale, or whose t no
+// longer runs under its PID, does nothing.
+func (k *Kernel) buildNetWaker(t *tcb) {
+	t.onNet = func(token uint64) {
+		if k.byPID[t.pid] != t || t.waitToken != token || t.state != stateNetBlocked {
+			return
+		}
+		t.state = stateReady
+		var err error
+		if l := t.netListener; l != nil {
+			var conn *vnet.Conn
+			if conn, err = k.cfg.Net.Accept(l); err == nil {
+				t.nextHandle++
+				t.conns[t.nextHandle] = conn
+				t.frame.R[0] = uint64(t.nextHandle)
+			}
+		} else {
+			t.frame.Buf, err = k.cfg.Net.BoardRead(t.netConn, t.netMax)
+		}
+		t.netListener, t.netConn = nil, nil
+		k.wake(t, err)
+	}
+}
+
 // popReceiver dequeues the next live receiver from an endpoint. Every
 // dequeued entry — live or stale — left the wait queues, so the depth
 // gauge drops per removal, mirroring the increment at append time.
@@ -547,24 +585,8 @@ func (k *Kernel) doNetAccept(t *tcb, f *machine.Frame) machine.Disposition {
 		f.R[0] = uint64(t.nextHandle)
 		return machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
-		t.state = stateNetBlocked
-		t.waitToken++
-		token := t.waitToken
-		pid := t.pid
-		k.cfg.Net.WaitConn(l, func() {
-			cur := k.byPID[pid]
-			if cur != t || cur.waitToken != token || cur.state != stateNetBlocked {
-				return
-			}
-			cur.state = stateReady
-			conn, acceptErr := k.cfg.Net.Accept(l)
-			if acceptErr == nil {
-				cur.nextHandle++
-				cur.conns[cur.nextHandle] = conn
-				cur.frame.R[0] = uint64(cur.nextHandle)
-			}
-			k.wake(cur, acceptErr)
-		})
+		k.armNet(t, l, nil, 0)
+		k.cfg.Net.WaitConn(l, t.onNet, t.waitToken)
 		return machine.DispositionBlock
 	default:
 		f.Err = err
@@ -585,20 +607,8 @@ func (k *Kernel) doNetRead(t *tcb, f *machine.Frame) machine.Disposition {
 		f.Buf = data
 		return machine.DispositionContinue
 	case errors.Is(err, vnet.ErrWouldBlock):
-		t.state = stateNetBlocked
-		t.waitToken++
-		token := t.waitToken
-		pid := t.pid
-		k.cfg.Net.WaitReadable(conn, func() {
-			cur := k.byPID[pid]
-			if cur != t || cur.waitToken != token || cur.state != stateNetBlocked {
-				return
-			}
-			cur.state = stateReady
-			data, readErr := k.cfg.Net.BoardRead(conn, maxBytes)
-			cur.frame.Buf = data
-			k.wake(cur, readErr)
-		})
+		k.armNet(t, nil, conn, maxBytes)
+		k.cfg.Net.WaitReadable(conn, t.onNet, t.waitToken)
 		return machine.DispositionBlock
 	default:
 		f.Err = err

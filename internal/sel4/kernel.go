@@ -111,6 +111,15 @@ type tcb struct {
 	// (machine.Clock.AfterToken).
 	onSleep func(token uint64)
 
+	// onNet is the thread's network waker, built on its first blocking
+	// accept or read and re-armed for every later one with the wait's token
+	// (vnet.Stack.WaitConn, WaitReadable). netListener, or netConn and
+	// netMax, name the operation the pending firing completes.
+	onNet       func(token uint64)
+	netListener *vnet.Listener
+	netConn     *vnet.Conn
+	netMax      int
+
 	// replyObject backs replyCap: at most one reply capability is live per
 	// receiver (a newer Call delivery replaces the pointer), so the object
 	// can live inline instead of a per-Call heap allocation.

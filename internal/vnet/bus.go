@@ -36,14 +36,17 @@ type NodeID int
 //
 // chunkFree is the node's frame-buffer free list: BusConn.Write copies the
 // caller's bytes into a recycled chunk, and Flush returns delivered chunks
-// here. It is per-node (not per-bus) because writes happen on the owning
-// node's goroutine mid-round, when nodes must not share mutable state; the
-// coordinator recycles at the barrier, when every board is parked.
+// here. connFree holds BusConns their owner closed, for the node's next
+// Dial. Both are per-node (not per-bus) because writes and dials happen on
+// the owning node's goroutine mid-round, when nodes must not share mutable
+// state; the coordinator recycles at the barrier, when every board is
+// parked. Neither list holds more than the node had in flight at once.
 type busNode struct {
 	name      string
 	stack     *Stack
 	conns     []*BusConn
 	chunkFree [][]byte
+	connFree  []*BusConn
 }
 
 // getChunk pops a recycled chunk (length 0, capacity whatever it grew to),
@@ -61,6 +64,18 @@ func (n *busNode) getChunk() []byte {
 // putChunk returns a delivered chunk to the free list.
 func (n *busNode) putChunk(c []byte) {
 	n.chunkFree = append(n.chunkFree, c)
+}
+
+// putConn resets a closed, finished connection and returns it to the free
+// list. Its buffers keep their capacity for the next exchange.
+func (n *busNode) putConn(c *BusConn) {
+	c.recycleOutbox(n)
+	c.recycleHeld(n)
+	c.host = HostConn{}
+	c.inbox, c.inboxRead = c.inbox[:0], false
+	c.refused, c.eof, c.closeReq, c.done = false, false, false, false
+	c.dialAge = 0
+	n.connFree = append(n.connFree, c)
 }
 
 // Bus is the building's shared field network.
@@ -166,9 +181,20 @@ func (b *Bus) SetDialGuard(fn func(from, to NodeID, port Port) bool) { b.guard =
 // connection afterwards. Call only from the owning node's goroutine (its
 // board engine) or, for originate-only nodes, from the coordinator between
 // rounds.
+//
+// The BusConn may be one its owner closed earlier, recycled: a handle must
+// not be used after Close.
 func (b *Bus) Dial(from, to NodeID, port Port) *BusConn {
 	node := b.nodes[from]
-	c := &BusConn{bus: b, from: from, to: to, port: port}
+	var c *BusConn
+	if k := len(node.connFree); k > 0 {
+		c = node.connFree[k-1]
+		node.connFree[k-1] = nil
+		node.connFree = node.connFree[:k-1]
+	} else {
+		c = &BusConn{bus: b}
+	}
+	c.from, c.to, c.port = from, to, port
 	node.conns = append(node.conns, c)
 	return c
 }
@@ -181,9 +207,11 @@ func (b *Bus) Dial(from, to NodeID, port Port) *BusConn {
 // Finished connections (refused, or torn down by Close) are compacted out of
 // the flush list here: they can never carry traffic again, and a building's
 // connection-per-exchange head-end would otherwise grow every node's list
-// without bound, turning the barrier O(rounds²). The owner keeps its BusConn
-// handle — Refused, ReadAll, and Closed keep answering from the conn's own
-// state after compaction.
+// without bound, turning the barrier O(rounds²). A finished connection its
+// owner has closed goes to the node's free list for reuse by a later Dial.
+// A refused one the owner has not closed stays with the owner — Refused,
+// ReadAll, and Closed keep answering from the conn's own state after
+// compaction — until the owner's Close recycles it.
 func (b *Bus) Flush() {
 	sc := b.phFlush.Begin()
 	defer sc.End()
@@ -196,6 +224,9 @@ func (b *Bus) Flush() {
 				b.flushConnFaulty(node, c)
 			}
 			if c.refused || c.done {
+				if c.closeReq {
+					node.putConn(c)
+				}
 				continue
 			}
 			live = append(live, c)
@@ -212,7 +243,7 @@ func (b *Bus) flushConn(node *busNode, c *BusConn) {
 		c.recycleOutbox(node)
 		return
 	}
-	if c.host == nil {
+	if c.host.c == nil {
 		if b.guard != nil && !b.guard(c.from, c.to, c.port) {
 			c.refused = true
 			c.recycleOutbox(node)
@@ -244,20 +275,24 @@ func (b *Bus) flushConn(node *busNode, c *BusConn) {
 		}
 	}
 	c.recycleOutbox(node)
-	if data := c.host.ReadAll(); len(data) > 0 {
-		if len(c.inbox) == 0 {
-			// ReadAll hands over ownership of its buffer; adopt it outright.
-			c.inbox = data
-		} else {
-			c.inbox = append(c.inbox, data...)
-		}
-	}
-	if c.host.Closed() {
-		c.eof = true
-	}
+	c.drainHost()
 	if c.closeReq {
 		c.host.Close()
 		c.done = true
+	}
+}
+
+// drainHost copies what the far side has written since the last barrier
+// into the inbox and notes its EOF. An inbox the owner has read is started
+// over first, which is why ReadAll's bytes are valid only until the next
+// Flush.
+func (c *BusConn) drainHost() {
+	if c.inboxRead {
+		c.inbox, c.inboxRead = c.inbox[:0], false
+	}
+	c.inbox = append(c.inbox, c.host.ReadAll()...)
+	if c.host.Closed() {
+		c.eof = true
 	}
 }
 
@@ -287,7 +322,7 @@ func (b *Bus) flushConnFaulty(node *busNode, c *BusConn) {
 		c.recycleOutbox(node)
 		return
 	}
-	if c.host == nil {
+	if c.host.c == nil {
 		v := b.fault(c.from, c.to, c.port, c.dialAge)
 		switch {
 		case v.Hold:
@@ -382,16 +417,7 @@ func (b *Bus) flushConnFaulty(node *busNode, c *BusConn) {
 	}
 	c.held = c.held[:kept]
 	c.heldAge = c.heldAge[:kept]
-	if data := c.host.ReadAll(); len(data) > 0 {
-		if len(c.inbox) == 0 {
-			c.inbox = data
-		} else {
-			c.inbox = append(c.inbox, data...)
-		}
-	}
-	if c.host.Closed() {
-		c.eof = true
-	}
+	c.drainHost()
 	if c.closeReq {
 		c.recycleHeld(node)
 		c.host.Close()
@@ -407,13 +433,14 @@ type BusConn struct {
 	from, to NodeID
 	port     Port
 
-	host     *HostConn // nil until the deferred dial succeeds
-	outbox   [][]byte  // chunks queued for the next Flush
-	inbox    []byte    // responses drained by the last Flush
-	refused  bool
-	eof      bool
-	closeReq bool
-	done     bool
+	host      HostConn // zero until the deferred dial succeeds
+	outbox    [][]byte // chunks queued for the next Flush
+	inbox     []byte   // responses copied in by Flush
+	inboxRead bool     // ReadAll handed the inbox out
+	refused   bool
+	eof       bool
+	closeReq  bool
+	done      bool
 
 	// Fault-hook state (untouched when no hook is installed): frames held
 	// across barriers with their per-frame ages, and how many barriers the
@@ -462,14 +489,14 @@ func (c *BusConn) recycleHeld(node *busNode) {
 }
 
 // ReadAll drains everything the far side has sent up to the last Flush.
-// It never blocks; nil means nothing pending.
+// It never blocks; nil means nothing pending. The bytes live in the
+// connection's own inbox and are valid until the next Flush.
 func (c *BusConn) ReadAll() []byte {
-	if len(c.inbox) == 0 {
+	if c.inboxRead || len(c.inbox) == 0 {
 		return nil
 	}
-	out := c.inbox
-	c.inbox = nil
-	return out
+	c.inboxRead = true
+	return c.inbox
 }
 
 // Refused reports that the target had no listener (or a full backlog) when
@@ -481,4 +508,17 @@ func (c *BusConn) Refused() bool { return c.refused }
 func (c *BusConn) Closed() bool { return c.eof || c.done }
 
 // Close requests teardown; the far side observes EOF at the next Flush.
-func (c *BusConn) Close() { c.closeReq = true }
+// Close hands the BusConn back to the bus: it is recycled once finished
+// (at the next Flush, or at once if it was refused), so the owner must drop
+// its handle and not use it again.
+func (c *BusConn) Close() {
+	if c.closeReq {
+		return
+	}
+	c.closeReq = true
+	if c.refused {
+		// Refused conns left the flush list at the barrier that refused
+		// them; nothing else will recycle this one.
+		c.bus.nodes[c.from].putConn(c)
+	}
+}

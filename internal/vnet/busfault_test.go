@@ -104,7 +104,9 @@ func TestBusFaultCloseDuringHoldDiscardsHeldFrames(t *testing.T) {
 	bus.Flush()
 	c.Close()
 	bus.Flush()
-	if !c.Closed() {
+	// A closed BusConn must not be used again; that the barrier finished it
+	// shows as its return to the node's free list.
+	if len(bus.nodes[0].connFree) != 1 {
 		t.Fatal("sender conn not done after Close during hold")
 	}
 
@@ -129,7 +131,7 @@ func TestBusFaultCloseDuringDialHold(t *testing.T) {
 	bus.Flush() // dial held
 	c.Close()
 	bus.Flush() // dialer hangs up while the dial is still in flight
-	if !c.Closed() {
+	if len(bus.nodes[0].connFree) != 1 {
 		t.Fatal("conn not done after Close during dial hold")
 	}
 
@@ -267,7 +269,7 @@ func TestBusFaultFIFOPinsFramesBehindFirstHold(t *testing.T) {
 	holdFirst := true
 	var c *BusConn
 	bus.SetFaultHook(func(from, to NodeID, port Port, age int) BusFault {
-		if c == nil || c.host == nil {
+		if c == nil || c.host.c == nil {
 			return BusFault{} // dial consult: release immediately
 		}
 		frameCalls++

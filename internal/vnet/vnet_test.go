@@ -64,7 +64,7 @@ func TestAcceptWouldBlockAndWaiter(t *testing.T) {
 		t.Fatalf("err = %v, want ErrWouldBlock", err)
 	}
 	fired := false
-	s.WaitConn(l, func() { fired = true })
+	s.WaitConn(l, func(token uint64) { fired = token == 7 }, 7)
 	if fired {
 		t.Fatal("waiter fired before connection")
 	}
@@ -86,7 +86,7 @@ func TestWaitConnImmediateWhenPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := false
-	s.WaitConn(l, func() { fired = true })
+	s.WaitConn(l, func(token uint64) { fired = token == 7 }, 7)
 	if !fired {
 		t.Fatal("waiter should fire immediately with pending backlog")
 	}
@@ -102,7 +102,7 @@ func TestReadWaiter(t *testing.T) {
 		t.Fatalf("err = %v, want ErrWouldBlock", err)
 	}
 	fired := false
-	s.WaitReadable(board, func() { fired = true })
+	s.WaitReadable(board, func(token uint64) { fired = token == 7 }, 7)
 	if err := host.Write([]byte("x")); err != nil {
 		t.Fatal(err)
 	}

@@ -15,13 +15,21 @@ go test -race ./...
 # and the machine engine's coroutine discipline is what every board runs
 # on; vet and race them explicitly (twice, for scheduling variety) so the
 # parallel suites stay standing gates even if the global pass is narrowed.
-go vet ./internal/machine ./internal/lab ./internal/building
-go test -race -count=2 ./internal/machine ./internal/lab ./internal/building
+# The vnet free lists and the bacnet buffers a poll reuses pass between room
+# workers and the coordinator across the bus flush barrier, so their
+# packages join the explicit pass.
+go vet ./internal/machine ./internal/lab ./internal/building ./internal/vnet ./internal/bacnet
+go test -race -count=2 ./internal/machine ./internal/lab ./internal/building ./internal/vnet ./internal/bacnet
 # Fuzz smoke: the BACnet secure-frame opener is the first code a forged bus
 # frame reaches, and the PDU decoder parses every frame a legacy room takes
 # off the bus. Short runs from the checked-in seeds must find nothing.
 go test -run '^$' -fuzz '^FuzzOpenFrame$' -fuzztime 10s ./internal/bacnet
 go test -run '^$' -fuzz '^FuzzDecodePDU$' -fuzztime 10s ./internal/bacnet
+# Value-level: arbitrary legacy PDUs through the BACnet gateway of all five
+# platforms. An acknowledged setpoint must be in band, and every platform
+# must read back the setpoint its controller holds, the Linux text path
+# included.
+go test -run '^$' -fuzz '^FuzzGatewayExchange$' -fuzztime 10s ./internal/bas
 # The web UI's request parser is what every board exposes to the network:
 # whatever the bytes and however they are chunked, it must parse alike.
 go test -run '^$' -fuzz '^FuzzParser$' -fuzztime 10s ./internal/httpmini
