@@ -85,8 +85,12 @@ func run() error {
 	fmt.Printf("\n--- plant ---\n")
 	fmt.Printf("temperature: %.2f°C  heater: %v  alarm: %v  heater-failed: %v\n",
 		tb.Room.Temperature(), tb.Room.HeaterOn(), tb.Room.AlarmOn(), tb.Room.HeaterFailed())
-	fmt.Printf("actuator events: %d\n", len(tb.Room.History()))
-	for _, ev := range tb.Room.History() {
+	history := tb.Room.History()
+	fmt.Printf("actuator events: %d\n", tb.Room.Transitions())
+	if n := tb.Room.Transitions(); n > int64(len(history)) {
+		fmt.Printf("  (the oldest %d are not kept; the newest %d follow)\n", n-int64(len(history)), len(history))
+	}
+	for _, ev := range history {
 		fmt.Printf("  [%s] %s (%.2f°C)\n", ev.At, ev.Kind, ev.Temp)
 	}
 

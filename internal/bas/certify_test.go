@@ -1,0 +1,287 @@
+package bas
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"mkbas/internal/camkes"
+	"mkbas/internal/core"
+	"mkbas/internal/polcheck"
+)
+
+// renderGraph writes out everything a graph holds, in a fixed order: its
+// nodes, each node's flow edges with labels and origin, and every kill
+// grant. Two graphs that render alike answer every query alike.
+func renderGraph(g *polcheck.Graph) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "platform %s\n", g.Platform)
+	for _, n := range g.Nodes() {
+		fmt.Fprintf(&b, "node %s\n", n)
+		for _, e := range g.FlowsFrom(n) {
+			fmt.Fprintf(&b, "  -> %s %q %s\n", e.To, e.Labels, e.Origin)
+		}
+	}
+	subjects := g.Subjects()
+	for _, src := range subjects {
+		for _, dst := range subjects {
+			if origin, ok := g.CanKill(src, dst); ok {
+				fmt.Fprintf(&b, "kill %s %s %s\n", src, dst, origin)
+			}
+		}
+	}
+	return b.String()
+}
+
+// monitoredGraph is the certified graph a deployment's monitor verifies
+// against.
+func monitoredGraph(t *testing.T, dep Deployment) *polcheck.Graph {
+	t.Helper()
+	switch d := dep.(type) {
+	case *MinixDeployment:
+		return d.graph
+	case *Sel4Deployment:
+		return d.graph
+	case *LinuxDeployment:
+		return d.graph
+	}
+	t.Fatalf("unknown deployment type %T", dep)
+	return nil
+}
+
+// overbroadPolicy is the default MINIX policy plus a grant that breaks the
+// scenario's contract: the web interface may command the heater.
+func overbroadPolicy() *core.Policy {
+	bad := core.ScenarioPolicy()
+	ipc := bad.IPC.Clone()
+	ipc.Allow(core.ACIDWebInterface, core.ACIDHeaterAct, core.MsgHeaterCmd)
+	bad.IPC = ipc.Seal()
+	return bad
+}
+
+func deployOrFatal(t *testing.T, p Platform, cfg ScenarioConfig, opts DeployOptions) Deployment {
+	t.Helper()
+	tb := NewTestbed(cfg)
+	t.Cleanup(tb.Machine.Shutdown)
+	dep, err := Deploy(p, tb, cfg, opts)
+	if err != nil {
+		t.Fatalf("Deploy(%s): %v", p, err)
+	}
+	return dep
+}
+
+// TestCustomPolicyGatedAfterTableFilled: once default deploys have filled
+// the table, a caller-supplied MINIX policy that breaks the contract is
+// still certified on the spot and refused, whatever the other options; the
+// table never answers for a policy it did not build.
+func TestCustomPolicyGatedAfterTableFilled(t *testing.T) {
+	cfg := DefaultScenario()
+	variants := []DeployOptions{
+		{},
+		{Monitor: true},
+		{BACnet: BACnetOptions{Enabled: true}, TenantAPI: true, Monitor: true},
+	}
+	for _, opts := range variants {
+		deployOrFatal(t, PlatformMinix, cfg, opts) // fills the entry for opts
+		opts.Policy = overbroadPolicy()
+		tb := NewTestbed(cfg)
+		_, err := Deploy(PlatformMinix, tb, cfg, opts)
+		tb.Machine.Shutdown()
+		if err == nil {
+			t.Fatalf("opts %+v: the gate passed an over-broad custom policy", opts)
+		}
+		if !strings.Contains(err.Error(), "deny_path(webInterface, heaterActProc)") {
+			t.Fatalf("gate error should name the violated property: %v", err)
+		}
+	}
+
+	// Skipping the gate boots the custom policy, and the monitor verifies
+	// against that policy's own graph, not the default's.
+	bad := overbroadPolicy()
+	dep := deployOrFatal(t, PlatformMinix, cfg, DeployOptions{Policy: bad, SkipPolicyCheck: true, Monitor: true})
+	got := monitoredGraph(t, dep)
+	if got == minixDefault(false, false).graph {
+		t.Fatal("a custom policy's monitor got the default policy's graph")
+	}
+	if renderGraph(got) != renderGraph(polcheck.FromPolicy(bad)) {
+		t.Fatal("the monitor's graph is not the custom policy's")
+	}
+}
+
+// TestDefaultDeploysShareCertification: two default deploys of a platform
+// verify against one graph, the very one the table's entry holds and whose
+// verdict the gate reads. A second build of the entry would hand out a
+// second graph.
+func TestDefaultDeploysShareCertification(t *testing.T) {
+	cfg := DefaultScenario()
+	table := map[Platform]func() certification{
+		PlatformMinix:         func() certification { return minixDefault(false, false).certification },
+		PlatformMinixVanilla:  func() certification { return minixDefault(false, false).certification },
+		PlatformSel4:          func() certification { return sel4Certified(ScenarioAssembly(cfg, nil)).certification },
+		PlatformLinux:         func() certification { return linuxContract(false, false) },
+		PlatformLinuxHardened: func() certification { return linuxContract(false, false) },
+	}
+	for _, p := range KnownPlatforms() {
+		first := monitoredGraph(t, deployOrFatal(t, p, cfg, DeployOptions{Monitor: true}))
+		second := monitoredGraph(t, deployOrFatal(t, p, cfg, DeployOptions{Monitor: true}))
+		if first == nil || first != second {
+			t.Fatalf("%s: two deploys verify against graphs %p and %p, want one shared graph", p, first, second)
+		}
+		entry := table[p]()
+		if entry.graph != first {
+			t.Fatalf("%s: deploys verify against %p, the table holds %p", p, first, entry.graph)
+		}
+		if entry.verdict != nil {
+			t.Fatalf("%s: default artifact fails the gate: %v", p, entry.verdict)
+		}
+		if again := table[p](); again.graph != entry.graph {
+			t.Fatalf("%s: the table built its entry twice", p)
+		}
+	}
+}
+
+// TestTableMatchesFreshArtifacts guards the keys: for every input tuple the
+// table's graph and verdict are those of an artifact built fresh from the
+// same inputs. For seL4 the fresh artifact is the spec the booted kernel
+// installed, so a structural input missing from the key would show here.
+func TestTableMatchesFreshArtifacts(t *testing.T) {
+	same := func(what string, c certification, fresh *polcheck.Graph) {
+		t.Helper()
+		if renderGraph(c.graph) != renderGraph(fresh) {
+			t.Fatalf("%s: table graph differs from a fresh build:\n%s\nfresh:\n%s", what, renderGraph(c.graph), renderGraph(fresh))
+		}
+		if got, want := fmt.Sprint(c.verdict), fmt.Sprint(checkDeployPolicy(fresh)); got != want {
+			t.Fatalf("%s: table verdict %q, fresh verdict %q", what, got, want)
+		}
+	}
+	for _, bacnet := range []bool{false, true} {
+		for _, tenant := range []bool{false, true} {
+			what := fmt.Sprintf("minix bacnet=%v tenant=%v", bacnet, tenant)
+			a := minixDefault(bacnet, tenant)
+			same(what, a.certification, polcheck.FromPolicy(core.ScenarioPolicyWithGateways(bacnet, tenant)))
+			if renderGraph(polcheck.FromPolicy(a.policy)) != renderGraph(a.graph) {
+				t.Fatalf("%s: the shared policy is not the certified one", what)
+			}
+			same(fmt.Sprintf("linux gateway=%v tenant=%v", bacnet, tenant),
+				linuxContract(bacnet, tenant), linuxContractGraph(bacnet, tenant))
+		}
+	}
+	// The hardened gate certifies the base contract: the DAC model of the
+	// hardened deployment as it boots.
+	same("linux-hardened gate", linuxContract(false, false), polcheck.FromDAC(LinuxScenarioDAC(true, false)))
+
+	attacker := func(rt *camkes.Runtime) { rt.Sleep(time.Hour) }
+	for _, window := range []time.Duration{0, DefaultScenario().Controller.StalenessWindow} {
+		for _, bacnet := range []bool{false, true} {
+			for _, web := range []func(*camkes.Runtime){nil, attacker} {
+				cfg := DefaultScenario()
+				cfg.Controller.StalenessWindow = window
+				what := fmt.Sprintf("sel4 window=%v bacnet=%v attacker=%v", window, bacnet, web != nil)
+				dep := deployOrFatal(t, PlatformSel4, cfg, DeployOptions{
+					Monitor: true, Sel4Web: web, BACnet: BACnetOptions{Enabled: bacnet},
+				})
+				sys := dep.(*Sel4Deployment).System
+				same(what, certification{graph: monitoredGraph(t, dep)}, polcheck.FromCapDL(sys.Spec()))
+			}
+		}
+	}
+}
+
+// TestConcurrentDeploysShareTable boots every platform from 8 goroutines at
+// once, over option sets that hit every table and several entries of each,
+// so first builds race with lookups. Run under -race.
+func TestConcurrentDeploysShareTable(t *testing.T) {
+	const workers = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, p := range KnownPlatforms() {
+				cfg := DefaultScenario()
+				cfg.Seed = int64(w + 1)
+				opts := DeployOptions{
+					Monitor:   (w+i)%2 == 0,
+					TenantAPI: w%3 == 0,
+					BACnet:    BACnetOptions{Enabled: w%2 == 1},
+				}
+				tb := NewTestbed(cfg)
+				dep, err := Deploy(p, tb, cfg, opts)
+				if err != nil {
+					errs <- fmt.Errorf("worker %d: Deploy(%s): %w", w, p, err)
+					tb.Machine.Shutdown()
+					return
+				}
+				dep.Run(5 * time.Minute)
+				alive := dep.ControllerAlive()
+				tb.Machine.Shutdown()
+				if !alive {
+					errs <- fmt.Errorf("worker %d: %s controller died", w, p)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestMemoBuildsOncePerKey: however many goroutines ask, each key is built
+// once and every caller gets that build.
+func TestMemoBuildsOncePerKey(t *testing.T) {
+	var m memo[int, *int]
+	var mu sync.Mutex
+	builds := map[int]int{}
+	got := make([][4]*int, 8)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < 4; k++ {
+				got[w][k] = m.get(k, func() *int {
+					mu.Lock()
+					builds[k]++
+					mu.Unlock()
+					v := k
+					return &v
+				})
+			}
+		}(w)
+	}
+	wg.Wait()
+	for k := 0; k < 4; k++ {
+		if builds[k] != 1 {
+			t.Fatalf("key %d built %d times", k, builds[k])
+		}
+		for w := range got {
+			if got[w][k] != got[0][k] || *got[w][k] != k {
+				t.Fatalf("key %d: caller %d got a different value", k, w)
+			}
+		}
+	}
+}
+
+// BenchmarkDeploy times one default deploy per platform: testbed, boot and
+// gate, with the table warm after the first iteration.
+func BenchmarkDeploy(b *testing.B) {
+	cfg := DefaultScenario()
+	for _, p := range KnownPlatforms() {
+		b.Run(string(p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tb := NewTestbed(cfg)
+				if _, err := Deploy(p, tb, cfg, DeployOptions{}); err != nil {
+					b.Fatal(err)
+				}
+				tb.Machine.Shutdown()
+			}
+		})
+	}
+}

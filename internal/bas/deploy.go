@@ -114,7 +114,8 @@ type DeployOptions struct {
 	// paths never should.
 	SkipPolicyCheck bool
 	// Policy overrides the default core.ScenarioPolicy(). MINIX platforms
-	// only.
+	// only. The default policies are certified once per process; a policy
+	// given here is certified by every deploy that boots it.
 	Policy *core.Policy
 	// WebRoot runs the web interface as uid 0 at boot, modelling the
 	// paper's root-escalated attacker. MINIX platforms only: seL4 has no
@@ -207,6 +208,9 @@ type deploymentBase struct {
 	platform Platform
 	tb       *Testbed
 	mon      *monitor.Monitor
+	// graph is the certified graph mon verifies against, shared read-only
+	// with every deployment of the same artifact.
+	graph *polcheck.Graph
 }
 
 // scenarioOrigins is the OAMAC-style provenance assignment shared by every
@@ -236,6 +240,7 @@ func (d *deploymentBase) attachMonitor(g *polcheck.Graph, opts monitor.Options) 
 	if opts.Origins == nil {
 		opts.Origins = scenarioOrigins()
 	}
+	d.graph = g
 	d.mon = monitor.New(g, opts)
 	d.mon.Attach(d.tb.Machine.IPC())
 }

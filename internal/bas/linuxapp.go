@@ -131,7 +131,7 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 	// The same-account default deploys no per-process policy and skips the
 	// gate (see DeployOptions.SkipPolicyCheck).
 	if hardened && !opts.SkipPolicyCheck {
-		if err := checkDeployPolicy(polcheck.FromDAC(LinuxScenarioDAC(true, false))); err != nil {
+		if err := linuxContract(false, false).verdict; err != nil {
 			return nil, err
 		}
 	}
@@ -225,14 +225,15 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 		Testbed:        tb,
 	}
 	if opts.Monitor {
-		dep.attachMonitor(linuxMonitorGraph(opts.BACnet.Enabled, opts.TenantAPI), monitor.Options{Profiler: opts.Profiler})
+		dep.attachMonitor(linuxContract(opts.BACnet.Enabled, opts.TenantAPI).graph, monitor.Options{Profiler: opts.Profiler})
 	}
 	return dep, nil
 }
 
-// linuxMonitorGraph builds the certified graph the online monitor verifies
-// against on BOTH Linux configurations: the hardened unique-account
-// contract, the deployment's intended least-privilege shape. The
+// linuxContractGraph builds the hardened unique-account contract, the
+// deployment's intended least-privilege shape. Without gateways it is the
+// graph the hardened gate certifies, and it is the certified graph the
+// online monitor verifies against on BOTH Linux configurations. The
 // same-account default deploys no per-process DAC policy, so there is no
 // enforced policy to mirror — the monitor checks the contract instead,
 // which is exactly how it flags a compromised web process doing what
@@ -241,7 +242,7 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 // like the web interface it sits outside the control group, so the
 // 0o602/0o604 web-queue modes already derive its legitimate edges. The
 // tenant API gateway subject joins the same way, under its own account.
-func linuxMonitorGraph(withGateway, withTenant bool) *polcheck.Graph {
+func linuxContractGraph(withGateway, withTenant bool) *polcheck.Graph {
 	model := LinuxScenarioDAC(true, false)
 	if withGateway {
 		model.Subjects = append(model.Subjects, linuxSubject(NameBACnetGateway, true))

@@ -50,20 +50,26 @@ func (d *MinixDeployment) ControllerAlive() bool {
 // ACM is enforced (PlatformMinix) or ablated (PlatformMinixVanilla).
 func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
 	disableACM := platform == PlatformMinixVanilla
-	policy := opts.Policy
-	if policy == nil {
-		// Optional gateways each need their own ACM row; select the policy
-		// before the gate below so the certified matrix is the deployed
-		// matrix.
-		policy = core.ScenarioPolicyWithGateways(opts.BACnet.Enabled, opts.TenantAPI)
-	}
 	// Pre-deploy gate: prove the matrix satisfies the scenario's security
 	// contract before any process runs. The vanilla ablation skips it —
 	// vanilla MINIX enforces nothing, so there is no policy to certify.
-	if !opts.SkipPolicyCheck && !disableACM {
-		if err := checkDeployPolicy(polcheck.FromPolicy(policy)); err != nil {
-			return nil, err
+	gate := !opts.SkipPolicyCheck && !disableACM
+	var cert certification
+	policy := opts.Policy
+	if policy == nil {
+		// Optional gateways each need their own ACM row; the certified
+		// matrix is the deployed matrix.
+		a := minixDefault(opts.BACnet.Enabled, opts.TenantAPI)
+		policy, cert = a.policy, a.certification
+	} else if gate || opts.Monitor {
+		// A caller-supplied policy is certified here, on every deploy.
+		cert.graph = polcheck.FromPolicy(policy)
+		if gate {
+			cert.verdict = checkDeployPolicy(cert.graph)
 		}
+	}
+	if gate && cert.verdict != nil {
+		return nil, cert.verdict
 	}
 	k, err := minix.Boot(tb.Machine, policy, minix.Config{
 		Net:        tb.Net,
@@ -132,7 +138,7 @@ func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 		// On the vanilla ablation the kernel enforces nothing, but deliveries
 		// are still recorded — the monitor is then the only policy check, the
 		// runtime-verification configuration.
-		dep.attachMonitor(polcheck.FromPolicy(policy), monitor.Options{Profiler: opts.Profiler})
+		dep.attachMonitor(cert.graph, monitor.Options{Profiler: opts.Profiler})
 	}
 	return dep, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"mkbas/internal/bacnet"
 	"mkbas/internal/camkes"
-	"mkbas/internal/capdl"
 	"mkbas/internal/machine"
 	"mkbas/internal/plant"
 	"mkbas/internal/polcheck"
@@ -195,23 +194,20 @@ func deploySel4(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployO
 			ToComp: NameTempControl, ToIface: IfaceMgmt,
 		})
 	}
-	// The capability distribution doubles as the monitor's certified graph,
-	// so it is generated whenever either consumer needs it.
-	var spec *capdl.Spec
+	// The certified capability distribution doubles as the monitor's graph,
+	// so it is looked up whenever either consumer needs it.
+	var art *sel4Artifact
 	if !opts.SkipPolicyCheck || opts.Monitor {
-		var err error
-		spec, err = camkes.GenerateSpec(assembly)
-		if err != nil {
-			return nil, fmt.Errorf("bas: generating capdl spec: %w", err)
+		art = sel4Certified(assembly)
+		if art.specErr != nil {
+			return nil, art.specErr
 		}
 	}
 	// Pre-deploy gate: analyze the capability distribution the builder is
 	// about to install. Attacker Sel4Web bodies run with the same caps — the
 	// paper's threat model — so the gate holds for attack deployments too.
-	if !opts.SkipPolicyCheck {
-		if err := checkDeployPolicy(polcheck.FromCapDL(spec)); err != nil {
-			return nil, err
-		}
+	if !opts.SkipPolicyCheck && art.verdict != nil {
+		return nil, art.verdict
 	}
 	sys, err := camkes.Build(tb.Machine, assembly, camkes.BuildConfig{Net: tb.Net})
 	if err != nil {
@@ -230,9 +226,9 @@ func deploySel4(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployO
 		// endpoints "comp.iface") while the spec graph uses CapDL names;
 		// CapDLSubjectOf collapses threads to components and ChannelNames
 		// translates the IPC objects.
-		dep.attachMonitor(polcheck.FromCapDL(spec), monitor.Options{
+		dep.attachMonitor(art.graph, monitor.Options{
 			SubjectOf:    polcheck.CapDLSubjectOf,
-			ChannelNames: camkes.ChannelNames(assembly),
+			ChannelNames: art.channels,
 			Profiler:     opts.Profiler,
 		})
 	}

@@ -2,6 +2,7 @@ package camkes
 
 import (
 	"fmt"
+	"strings"
 
 	"mkbas/internal/capdl"
 	"mkbas/internal/machine"
@@ -147,3 +148,34 @@ func epObjName(comp, iface string) string    { return "ep_" + comp + "_" + iface
 func ntfnObjName(comp, ev string) string     { return "ntfn_" + comp + "_" + ev }
 func devObjName(dev machine.DeviceID) string { return "dev_" + string(dev) }
 func portObjName(port vnet.Port) string      { return fmt.Sprintf("port_%d", port) }
+
+// Structure renders every part of the assembly that GenerateSpec and
+// ChannelNames read, and nothing else: per component its name, priority,
+// whether it has a control thread, its provided interfaces and those whose
+// handler is nil, uses, emits, consumes, devices and net ports; then the
+// procedure and event connections, all in declaration order. Handler and
+// Run bodies are left out, so assemblies that differ only in the code their
+// threads run render alike, and any two that render alike compile to the
+// same spec.
+func (a *Assembly) Structure() string {
+	var b strings.Builder
+	for _, comp := range a.Components {
+		ifaces := sortedIfaces(comp)
+		var nilHandlers []string
+		for _, iface := range ifaces {
+			if comp.Provides[iface] == nil {
+				nilHandlers = append(nilHandlers, iface)
+			}
+		}
+		fmt.Fprintf(&b, "comp %q prio=%d run=%t provides=%q nil=%q uses=%q emits=%q consumes=%q devices=%q ports=%v\n",
+			comp.Name, comp.Priority, comp.Run != nil, ifaces, nilHandlers,
+			comp.Uses, comp.Emits, comp.Consumes, comp.Devices, comp.NetPorts)
+	}
+	for _, c := range a.Connections {
+		fmt.Fprintf(&b, "conn %q\n", c)
+	}
+	for _, c := range a.EventConnections {
+		fmt.Fprintf(&b, "event %q\n", c)
+	}
+	return b.String()
+}

@@ -82,3 +82,54 @@ func TestBuildInstallsExactlyTheGeneratedSpec(t *testing.T) {
 	}
 	m.Run(100 * time.Millisecond)
 }
+
+// TestStructureCoversSpecInputs: Structure is a cache key for the spec, so
+// changing any structural field must change it, and changing only the code
+// threads run must not (nor the spec).
+func TestStructureCoversSpecInputs(t *testing.T) {
+	base := richAssembly().Structure()
+	handler := func(rt *Runtime, method uint64, args Words, badge sel4.Badge) (Words, error) {
+		return Words{1}, nil
+	}
+	mutations := map[string]func(a *Assembly){
+		"name":          func(a *Assembly) { a.Components[0].Name = "server2" },
+		"priority":      func(a *Assembly) { a.Components[0].Priority++ },
+		"control":       func(a *Assembly) { a.Components[0].Run = func(rt *Runtime) {} },
+		"provides":      func(a *Assembly) { a.Components[0].Provides["extra"] = handler },
+		"nil handler":   func(a *Assembly) { a.Components[0].Provides["svc"] = nil },
+		"uses":          func(a *Assembly) { a.Components[1].Uses = append(a.Components[1].Uses, "x") },
+		"emits":         func(a *Assembly) { a.Components[1].Emits = nil },
+		"consumes":      func(a *Assembly) { a.Components[0].Consumes = append(a.Components[0].Consumes, "y") },
+		"devices":       func(a *Assembly) { a.Components[0].Devices = []machine.DeviceID{"sensor1"} },
+		"ports":         func(a *Assembly) { a.Components[1].NetPorts = []vnet.Port{8081} },
+		"order":         func(a *Assembly) { a.Components[0], a.Components[1] = a.Components[1], a.Components[0] },
+		"connection":    func(a *Assembly) { a.Connections = append(a.Connections, a.Connections[0]) },
+		"event":         func(a *Assembly) { a.EventConnections = nil },
+		"quoted fields": func(a *Assembly) { a.Components[1].Uses = []string{`svc" uses["x`} },
+	}
+	for name, mutate := range mutations {
+		a := richAssembly()
+		mutate(a)
+		if a.Structure() == base {
+			t.Errorf("%s: a structural change left Structure unchanged", name)
+		}
+	}
+
+	bodies := richAssembly()
+	bodies.Components[0].Provides["svc"] = handler
+	bodies.Components[1].Run = func(rt *Runtime) { rt.Sleep(time.Second) }
+	if bodies.Structure() != base {
+		t.Fatalf("new thread bodies changed Structure:\n%s\nvs\n%s", bodies.Structure(), base)
+	}
+	want, err := GenerateSpec(richAssembly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := GenerateSpec(bodies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Render() != want.Render() {
+		t.Fatal("assemblies with one Structure compiled to different specs")
+	}
+}

@@ -33,7 +33,8 @@ type Machine struct {
 	trace  *Trace
 	ipc    *IPCLog
 	obs    *obs.Board
-	rng    *rand.Rand
+	seed   int64
+	rng    *rand.Rand // built by the first Rand call
 }
 
 // New assembles a board from cfg.
@@ -55,7 +56,7 @@ func New(cfg Config) *Machine {
 		trace:  NewTrace(clock, cfg.TraceCapacity),
 		ipc:    newIPCLog(board.Edges()),
 		obs:    board,
-		rng:    rand.New(rand.NewSource(seed)),
+		seed:   seed,
 	}
 	m.engine.instrument(board.Metrics())
 	return m
@@ -86,8 +87,15 @@ func (m *Machine) IPC() *IPCLog { return m.ipc }
 // tracer, and security-event stream.
 func (m *Machine) Obs() *obs.Board { return m.obs }
 
-// Rand returns the board's deterministic randomness source.
-func (m *Machine) Rand() *rand.Rand { return m.rng }
+// Rand returns the board's deterministic randomness source, seeding it on
+// the first call: seeding a source costs more than the rest of New, and
+// only a plant with sensor noise draws from it.
+func (m *Machine) Rand() *rand.Rand {
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(m.seed))
+	}
+	return m.rng
+}
 
 // Run drives the engine for a virtual duration from the current instant.
 func (m *Machine) Run(d time.Duration) RunResult {

@@ -160,8 +160,10 @@ type Kernel struct {
 	cfg    Config
 
 	images map[string]Image
-	slots  []*procEntry
-	gens   []int
+	// slots and gens are the process table and each slot's generation.
+	// Both grow on demand up to maxSlots; a slot's generation starts at 1.
+	slots []*procEntry
+	gens  []int
 	// byPID maps each live process's engine PID to its entry: PIDs are
 	// dense from 1 and never reused, so a slice indexed by PID serves.
 	byPID []*procEntry
@@ -265,14 +267,9 @@ func Boot(m *machine.Machine, policy *core.Policy, cfg Config) (*Kernel, error) 
 		policy: policy,
 		cfg:    cfg,
 		images: make(map[string]Image),
-		slots:  make([]*procEntry, maxSlots),
-		gens:   make([]int, maxSlots),
 		names:  make(map[string]Endpoint),
 		whos:   make(map[procIdent]uint32),
 		cells:  make(map[cellKey]cellEdges),
-	}
-	for i := range k.gens {
-		k.gens[i] = 1
 	}
 	board := m.Obs()
 	board.Events().SetPlatform("minix")
@@ -413,8 +410,11 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 		return EndpointNone, ErrTableFull
 	}
 	slot := k.freeLow
-	for k.slots[slot] != nil {
+	for slot < len(k.slots) && k.slots[slot] != nil {
 		slot++
+	}
+	if slot == len(k.slots) {
+		k.growTable()
 	}
 	ep := makeEndpoint(slot, k.gens[slot])
 	entry := &procEntry{
@@ -455,6 +455,19 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 	k.stats.Spawns++
 	k.m.Trace().Logf("minix", "spawn %s ep=%v acid=%d uid=%d", img.Name, ep, acid, img.UID)
 	return ep, nil
+}
+
+// growTable adds one free slot, at generation 1, to the process table. The
+// capacity doubles from 32, capped at maxSlots, so a board that runs a
+// dozen processes holds a table for 32 and a fork bomb's fills exactly.
+func (k *Kernel) growTable() {
+	if len(k.slots) == cap(k.slots) {
+		n := min(max(2*cap(k.slots), 32), maxSlots)
+		k.slots = append(make([]*procEntry, 0, n), k.slots...)
+		k.gens = append(make([]int, 0, n), k.gens...)
+	}
+	k.slots = append(k.slots, nil)
+	k.gens = append(k.gens, 1)
 }
 
 // whoOf returns the small integer naming the (name, acid) identity,

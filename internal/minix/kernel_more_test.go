@@ -403,3 +403,49 @@ func TestForkChildByteBudget(t *testing.T) {
 	}
 	runtime.KeepAlive(k)
 }
+
+// TestProcessTableGrowsOnDemand pins the on-demand table against the one
+// allocated whole at boot: a fresh board holds a small table, and forking to
+// the limit hands out slot after slot at generation 1, refuses at the same
+// count, and leaves the table exactly maxSlots long.
+func TestProcessTableGrowsOnDemand(t *testing.T) {
+	p := core.NewPolicy()
+	p.Syscalls.Grant(acidA, core.SysFork)
+	p.Seal()
+	m, k := testBoard(t, p, Config{})
+	if n := cap(k.slots); n >= maxSlots {
+		t.Fatalf("booted table holds %d slots, want it grown on demand", n)
+	}
+	k.RegisterImage(Image{Name: "drone", Priority: 9, Body: func(api *API) {
+		api.Sleep(time.Hour)
+	}})
+	var eps []Endpoint
+	var firstErr error
+	k.RegisterImage(Image{Name: "spawner", Priority: 7, Body: func(api *API) {
+		for i := 0; i < maxSlots+10; i++ {
+			ep, err := api.Fork2("drone", 0)
+			if err != nil {
+				firstErr = err
+				return
+			}
+			eps = append(eps, ep)
+		}
+	}})
+	spawnOrFatal(t, k, "spawner", acidA)
+	m.Run(10 * time.Minute)
+	if !errors.Is(firstErr, ErrTableFull) {
+		t.Fatalf("err = %v, want ErrTableFull", firstErr)
+	}
+	// PM, RS and the spawner hold slots 0-2; the drones take the rest in order.
+	if len(eps) != maxSlots-3 {
+		t.Fatalf("granted = %d, want %d", len(eps), maxSlots-3)
+	}
+	for i, ep := range eps {
+		if want := EndpointAt(i+3, 1); ep != want {
+			t.Fatalf("fork %d got %v, want %v", i, ep, want)
+		}
+	}
+	if len(k.slots) != maxSlots || cap(k.slots) != maxSlots || len(k.gens) != maxSlots {
+		t.Fatalf("full table: len %d cap %d gens %d, want %d", len(k.slots), cap(k.slots), len(k.gens), maxSlots)
+	}
+}

@@ -157,7 +157,15 @@ type Phase struct {
 }
 
 // Begin opens an untracked scope (aggregate statistics only).
-func (ph *Phase) Begin() Scope { return ph.BeginOn(nil, "") }
+//
+// Begin, BeginOn and End are a nil check the compiler inlines in front of an
+// out-of-line body, so an unprofiled scope costs no call.
+func (ph *Phase) Begin() Scope {
+	if ph == nil {
+		return Scope{}
+	}
+	return ph.begin(nil, "")
+}
 
 // BeginOn opens a scope that, when tr is non-nil and the profiler retains a
 // timeline, also records one timeline event labelled label (the phase name
@@ -167,6 +175,10 @@ func (ph *Phase) BeginOn(tr *Track, label string) Scope {
 	if ph == nil {
 		return Scope{}
 	}
+	return ph.begin(tr, label)
+}
+
+func (ph *Phase) begin(tr *Track, label string) Scope {
 	s := Scope{ph: ph, tr: tr, label: label, start: time.Now()}
 	if ph.allocs {
 		s.startAllocs = heapAllocs()
@@ -186,9 +198,12 @@ type Scope struct {
 // End closes the scope, folding its duration (and allocation delta) into the
 // phase and, for tracked scopes, appending a timeline event.
 func (s Scope) End() {
-	if s.ph == nil {
-		return
+	if s.ph != nil {
+		s.end()
 	}
+}
+
+func (s *Scope) end() {
 	d := time.Since(s.start)
 	ns := int64(d)
 	atomic.AddInt64(&s.ph.count, 1)

@@ -75,9 +75,17 @@ type Room struct {
 	// readHook observes every sensor read (the fault campaign's MTTR probe).
 	readHook func(at machine.Time, value float64, faulted bool)
 
-	// history records every actuator transition for experiment assertions.
-	history []Event
+	// history keeps the newest HistoryCap actuator transitions for
+	// experiment assertions: a ring once full, with histHead its oldest
+	// entry. transitions counts every transition ever recorded.
+	history     []Event
+	histHead    int
+	transitions int64
 }
+
+// HistoryCap bounds the actuator transitions a room keeps, like every other
+// board log: a run of any length holds at most this many.
+const HistoryCap = 1024
 
 // EventKind labels a plant history entry.
 type EventKind int
@@ -187,7 +195,7 @@ func (r *Room) setHeater(on bool) {
 	if on {
 		kind = EventHeaterOn
 	}
-	r.history = append(r.history, Event{At: r.clock.Now(), Kind: kind, Temp: r.temp})
+	r.record(kind)
 }
 
 // setAlarm applies an alarm command at the current instant.
@@ -201,7 +209,7 @@ func (r *Room) setAlarm(on bool) {
 	if on {
 		kind = EventAlarmOn
 	}
-	r.history = append(r.history, Event{At: r.clock.Now(), Kind: kind, Temp: r.temp})
+	r.record(kind)
 }
 
 // FailHeater injects or repairs a heater fault. While failed, commands are
@@ -217,18 +225,41 @@ func (r *Room) FailHeater(failed bool) {
 	if failed {
 		kind = EventHeaterFailed
 	}
-	r.history = append(r.history, Event{At: r.clock.Now(), Kind: kind, Temp: r.temp})
+	r.record(kind)
 }
 
 // HeaterFailed reports whether the heater fault is active.
 func (r *Room) HeaterFailed() bool { return r.heaterBad }
 
-// History returns a copy of all actuator transitions so far.
-func (r *Room) History() []Event {
-	out := make([]Event, len(r.history))
-	copy(out, r.history)
-	return out
+// record appends one transition at the current instant, overwriting the
+// oldest once HistoryCap are kept. The ring is allocated whole on the first
+// transition, so it is never copied to grow and leaves no garbage.
+func (r *Room) record(kind EventKind) {
+	ev := Event{At: r.clock.Now(), Kind: kind, Temp: r.temp}
+	if r.history == nil {
+		r.history = make([]Event, 0, HistoryCap)
+	}
+	if len(r.history) < HistoryCap {
+		r.history = append(r.history, ev)
+	} else {
+		r.history[r.histHead] = ev
+		r.histHead = (r.histHead + 1) % HistoryCap
+	}
+	r.transitions++
 }
+
+// History returns a copy of the newest actuator transitions, oldest first:
+// all of them until HistoryCap have happened, then the last HistoryCap.
+// Transitions counts the ones no longer kept too.
+func (r *Room) History() []Event {
+	out := make([]Event, 0, len(r.history))
+	out = append(out, r.history[r.histHead:]...)
+	return append(out, r.history[:r.histHead]...)
+}
+
+// Transitions returns how many actuator transitions the room has had since
+// boot, including those History no longer keeps.
+func (r *Room) Transitions() int64 { return r.transitions }
 
 // StickSensor freezes the sensor at value; Unstick releases it. While stuck
 // the device reports the frozen value regardless of the true temperature.

@@ -123,6 +123,41 @@ func TestHistoryRecordsTransitions(t *testing.T) {
 	}
 }
 
+// TestHistoryKeepsNewest pins the bounded history: past HistoryCap
+// transitions the oldest are dropped, the rest come back oldest first, and
+// Transitions still counts every one.
+func TestHistoryKeepsNewest(t *testing.T) {
+	m := machine.New(machine.Config{})
+	room := NewRoom(m.Clock(), DefaultConfig())
+	const total = HistoryCap + 300
+	m.Engine().SetHandler(nopKernel{})
+	at := make([]machine.Time, total)
+	for i := range at {
+		m.Clock().After(time.Duration(i+1)*time.Second, func() {
+			at[i] = m.Clock().Now()
+			room.setHeater(i%2 == 0)
+		})
+	}
+	m.Run(total * time.Second)
+	if got := room.Transitions(); got != total {
+		t.Fatalf("Transitions = %d, want %d", got, total)
+	}
+	h := room.History()
+	if len(h) != HistoryCap {
+		t.Fatalf("history holds %d, want %d", len(h), HistoryCap)
+	}
+	for i, ev := range h {
+		n := total - HistoryCap + i // index of the transition ev must be
+		want := EventHeaterOff
+		if n%2 == 0 {
+			want = EventHeaterOn
+		}
+		if ev.At != at[n] || ev.Kind != want {
+			t.Fatalf("history[%d] = %v at %v, want %v at %v", i, ev.Kind, ev.At, want, at[n])
+		}
+	}
+}
+
 func TestSensorNoiseDeterministic(t *testing.T) {
 	read := func() []float64 {
 		m := machine.New(machine.Config{})

@@ -17,9 +17,11 @@ go test -race ./...
 # parallel suites stay standing gates even if the global pass is narrowed.
 # The vnet free lists and the bacnet buffers a poll reuses pass between room
 # workers and the coordinator across the bus flush barrier, so their
-# packages join the explicit pass.
+# packages join the explicit pass. Concurrent deploys share the bas
+# certification table, and MINIX boards grow their process tables while
+# other boards boot, so those two packages race in the pass too.
 go vet ./internal/machine ./internal/lab ./internal/building ./internal/vnet ./internal/bacnet
-go test -race -count=2 ./internal/machine ./internal/lab ./internal/building ./internal/vnet ./internal/bacnet
+go test -race -count=2 ./internal/machine ./internal/lab ./internal/building ./internal/vnet ./internal/bacnet ./internal/bas ./internal/minix
 # Fuzz smoke: the BACnet secure-frame opener is the first code a forged bus
 # frame reaches, and the PDU decoder parses every frame a legacy room takes
 # off the bus. Short runs from the checked-in seeds must find nothing.
@@ -62,6 +64,9 @@ go run ./cmd/polcheck -scenario tempcontrol -tenant -audit -strict -allow polche
 # E4 must at least run; perf comparisons happen out of band. One iteration is
 # enough for the smoke — the bench bodies themselves assert invariants.
 go test -run XXX -bench BenchmarkE4 -benchtime 1x .
+# Deploy smoke: one default deploy per platform through the certification
+# table.
+go test -run '^$' -bench BenchmarkDeploy -benchtime 1x ./internal/bas
 # Determinism golden: two runs of the default MINIX scenario must produce
 # byte-identical observability reports (virtual time only, no map order).
 out1="$(mktemp)"; out2="$(mktemp)"
