@@ -46,27 +46,27 @@ func benchAttack(b *testing.B, spec attack.Spec, wantCompromise bool) {
 }
 
 func BenchmarkE1_SpoofSensor_Linux(b *testing.B) {
-	benchAttack(b, attack.Spec{Platform: attack.PlatformLinux, Action: attack.ActionSpoofSensor}, true)
+	benchAttack(b, attack.Spec{Platform: bas.PlatformLinux, Action: attack.ActionSpoofSensor}, true)
 }
 
 func BenchmarkE1_SpoofSensor_Minix(b *testing.B) {
-	benchAttack(b, attack.Spec{Platform: attack.PlatformMinix, Action: attack.ActionSpoofSensor}, false)
+	benchAttack(b, attack.Spec{Platform: bas.PlatformMinix, Action: attack.ActionSpoofSensor}, false)
 }
 
 func BenchmarkE1_SpoofSensor_Sel4(b *testing.B) {
-	benchAttack(b, attack.Spec{Platform: attack.PlatformSel4, Action: attack.ActionSpoofSensor}, false)
+	benchAttack(b, attack.Spec{Platform: bas.PlatformSel4, Action: attack.ActionSpoofSensor}, false)
 }
 
 func BenchmarkE1_KillController_Linux_Root(b *testing.B) {
-	benchAttack(b, attack.Spec{Platform: attack.PlatformLinux, Action: attack.ActionKillController, Root: true}, true)
+	benchAttack(b, attack.Spec{Platform: bas.PlatformLinux, Action: attack.ActionKillController, Root: true}, true)
 }
 
 func BenchmarkE1_KillController_Minix_Root(b *testing.B) {
-	benchAttack(b, attack.Spec{Platform: attack.PlatformMinix, Action: attack.ActionKillController, Root: true}, false)
+	benchAttack(b, attack.Spec{Platform: bas.PlatformMinix, Action: attack.ActionKillController, Root: true}, false)
 }
 
 func BenchmarkE1_KillController_Sel4(b *testing.B) {
-	benchAttack(b, attack.Spec{Platform: attack.PlatformSel4, Action: attack.ActionKillController}, false)
+	benchAttack(b, attack.Spec{Platform: bas.PlatformSel4, Action: attack.ActionKillController}, false)
 }
 
 // --- E2: Fig. 3 ACM lookup ----------------------------------------------------
@@ -520,7 +520,7 @@ func mustInstallCap(b testing.TB, k *sel4.Kernel, tcb sel4.ObjID, slot sel4.CPtr
 
 func BenchmarkE5_BruteForce(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report, err := attack.Execute(attack.Spec{Platform: attack.PlatformSel4, Action: attack.ActionEnumerate})
+		report, err := attack.Execute(attack.Spec{Platform: bas.PlatformSel4, Action: attack.ActionEnumerate})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -557,7 +557,7 @@ func BenchmarkE6_AADLCompile(b *testing.B) {
 func BenchmarkE8_ForkQuota(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		report, err := attack.Execute(attack.Spec{
-			Platform: attack.PlatformMinix, Action: attack.ActionForkBomb, ForkQuota: 5,
+			Platform: bas.PlatformMinix, Action: attack.ActionForkBomb, ForkQuota: 5,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"mkbas/internal/attack"
+	"mkbas/internal/bas"
 )
 
 func main() {
@@ -25,11 +26,11 @@ func run() error {
 	fmt.Println()
 
 	demos := []attack.Spec{
-		{Platform: attack.PlatformLinux, Action: attack.ActionSpoofSensor, Root: true},
-		{Platform: attack.PlatformMinix, Action: attack.ActionSpoofSensor, Root: true},
-		{Platform: attack.PlatformLinux, Action: attack.ActionKillController, Root: true},
-		{Platform: attack.PlatformMinix, Action: attack.ActionKillController, Root: true},
-		{Platform: attack.PlatformSel4, Action: attack.ActionEnumerate},
+		{Platform: bas.PlatformLinux, Action: attack.ActionSpoofSensor, Root: true},
+		{Platform: bas.PlatformMinix, Action: attack.ActionSpoofSensor, Root: true},
+		{Platform: bas.PlatformLinux, Action: attack.ActionKillController, Root: true},
+		{Platform: bas.PlatformMinix, Action: attack.ActionKillController, Root: true},
+		{Platform: bas.PlatformSel4, Action: attack.ActionEnumerate},
 	}
 	var reports []*attack.Report
 	for _, spec := range demos {

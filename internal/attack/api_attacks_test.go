@@ -3,6 +3,7 @@ package attack
 import (
 	"testing"
 
+	"mkbas/internal/bas"
 	"mkbas/internal/obs"
 )
 
@@ -23,24 +24,24 @@ func TestAPIAttackOutcomes(t *testing.T) {
 	}{
 		{
 			name:    "manager token replay compromises through certified path",
-			spec:    Spec{Platform: PlatformMinix, Action: ActionAPITokenReplay, Root: true},
+			spec:    Spec{Platform: bas.PlatformMinix, Action: ActionAPITokenReplay, Root: true},
 			verdict: "COMPROMISED",
 		},
 		{
 			name:    "revocation and demotion block the replayed manager token",
-			spec:    Spec{Platform: PlatformMinix, Action: ActionAPITokenReplay, Root: true, Demote: true},
+			spec:    Spec{Platform: bas.PlatformMinix, Action: ActionAPITokenReplay, Root: true, Demote: true},
 			verdict: "BLOCKED",
 			mechs:   []obs.Mechanism{obs.MechSession},
 		},
 		{
 			name:    "occupant cannot escalate to manager routes",
-			spec:    Spec{Platform: PlatformMinix, Action: ActionAPIRoleEscalation},
+			spec:    Spec{Platform: bas.PlatformMinix, Action: ActionAPIRoleEscalation},
 			verdict: "BLOCKED",
 			mechs:   []obs.Mechanism{obs.MechRBAC},
 		},
 		{
 			name:    "flood sheds at every layer without denying legitimate service",
-			spec:    Spec{Platform: PlatformMinix, Action: ActionAPIFlood},
+			spec:    Spec{Platform: bas.PlatformMinix, Action: ActionAPIFlood},
 			verdict: "BLOCKED",
 			mechs:   []obs.Mechanism{obs.MechBackpressure, obs.MechRateLimit, obs.MechSession},
 		},

@@ -32,27 +32,6 @@ import (
 	"mkbas/internal/safety"
 )
 
-// Platform selects the deployment under attack. It aliases the deploy
-// registry's platform names, so attack specs and bas.Deploy speak one
-// vocabulary.
-type Platform = bas.Platform
-
-// Platforms under comparison. MinixVanilla (ACM disabled) and LinuxHardened
-// (unique accounts + restrictive modes) are ablations beyond the paper's
-// three headline systems.
-const (
-	PlatformLinux         = bas.PlatformLinux
-	PlatformLinuxHardened = bas.PlatformLinuxHardened
-	PlatformMinix         = bas.PlatformMinix
-	PlatformMinixVanilla  = bas.PlatformMinixVanilla
-	PlatformSel4          = bas.PlatformSel4
-)
-
-// AllPlatforms lists the headline platforms in the paper's order.
-func AllPlatforms() []Platform {
-	return bas.AllPlatforms()
-}
-
 // Action selects the attack.
 type Action string
 
@@ -87,7 +66,7 @@ func AllActions() []Action {
 
 // Spec is one attack configuration.
 type Spec struct {
-	Platform Platform
+	Platform bas.Platform
 	Action   Action
 	// Root applies the second attacker model (privilege escalation). On
 	// seL4 there is no root to escalate to; the flag is accepted and noted.

@@ -1,9 +1,9 @@
 package attack
 
 import (
-	"strings"
 	"testing"
 
+	"mkbas/internal/bas"
 	"mkbas/internal/obs"
 )
 
@@ -39,7 +39,7 @@ func assertDeniedBy(t *testing.T, r *Report, mech obs.Mechanism) {
 // --- Linux: the attacks succeed -------------------------------------------
 
 func TestLinuxSpoofCompromisesPhysicalWorld(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformLinux, Action: ActionSpoofSensor})
+	r := mustExecute(t, Spec{Platform: bas.PlatformLinux, Action: ActionSpoofSensor})
 	if !r.OperationSucceeded {
 		t.Fatal("spoof operations were denied on Linux")
 	}
@@ -52,7 +52,7 @@ func TestLinuxSpoofCompromisesPhysicalWorld(t *testing.T) {
 }
 
 func TestLinuxCommandActuatorsCompromises(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformLinux, Action: ActionCommandActuators})
+	r := mustExecute(t, Spec{Platform: bas.PlatformLinux, Action: ActionCommandActuators})
 	if !r.OperationSucceeded || !r.PhysicalCompromise {
 		t.Fatalf("actuator takeover should succeed on Linux: %s", r.Verdict())
 	}
@@ -61,7 +61,7 @@ func TestLinuxCommandActuatorsCompromises(t *testing.T) {
 func TestLinuxKillControllerSucceedsEvenWithoutRoot(t *testing.T) {
 	// All five processes share one account, so kill(2) needs no root — a
 	// sharper statement than the paper's root-based kill.
-	r := mustExecute(t, Spec{Platform: PlatformLinux, Action: ActionKillController})
+	r := mustExecute(t, Spec{Platform: bas.PlatformLinux, Action: ActionKillController})
 	if r.ControllerAlive {
 		t.Fatal("controller survived same-uid kill")
 	}
@@ -71,14 +71,14 @@ func TestLinuxKillControllerSucceedsEvenWithoutRoot(t *testing.T) {
 }
 
 func TestLinuxRootKillCompromises(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformLinux, Action: ActionKillController, Root: true})
+	r := mustExecute(t, Spec{Platform: bas.PlatformLinux, Action: ActionKillController, Root: true})
 	if r.ControllerAlive || !r.PhysicalCompromise {
 		t.Fatalf("root kill must succeed: %s", r.Verdict())
 	}
 }
 
 func TestLinuxEnumerateFindsAllQueues(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformLinux, Action: ActionEnumerate})
+	r := mustExecute(t, Spec{Platform: bas.PlatformLinux, Action: ActionEnumerate})
 	if r.Successes != 4 {
 		t.Fatalf("unauthorized opens = %d, want all 4 shared-account queues", r.Successes)
 	}
@@ -87,7 +87,7 @@ func TestLinuxEnumerateFindsAllQueues(t *testing.T) {
 // --- Hardened Linux: DAC blunts the user attack, root defeats DAC ---------
 
 func TestHardenedLinuxBlocksUserSpoof(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformLinuxHardened, Action: ActionSpoofSensor})
+	r := mustExecute(t, Spec{Platform: bas.PlatformLinuxHardened, Action: ActionSpoofSensor})
 	if r.OperationSucceeded {
 		t.Fatal("hardened DAC accepted a spoof without root")
 	}
@@ -98,7 +98,7 @@ func TestHardenedLinuxBlocksUserSpoof(t *testing.T) {
 }
 
 func TestHardenedLinuxRootSpoofCompromises(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformLinuxHardened, Action: ActionSpoofSensor, Root: true})
+	r := mustExecute(t, Spec{Platform: bas.PlatformLinuxHardened, Action: ActionSpoofSensor, Root: true})
 	if !r.OperationSucceeded {
 		t.Fatal("root spoof denied; root must bypass DAC")
 	}
@@ -108,11 +108,11 @@ func TestHardenedLinuxRootSpoofCompromises(t *testing.T) {
 }
 
 func TestHardenedLinuxBlocksUserKillButNotRootKill(t *testing.T) {
-	user := mustExecute(t, Spec{Platform: PlatformLinuxHardened, Action: ActionKillController})
+	user := mustExecute(t, Spec{Platform: bas.PlatformLinuxHardened, Action: ActionKillController})
 	if !user.ControllerAlive {
 		t.Fatal("controller died to a non-root cross-uid kill")
 	}
-	root := mustExecute(t, Spec{Platform: PlatformLinuxHardened, Action: ActionKillController, Root: true})
+	root := mustExecute(t, Spec{Platform: bas.PlatformLinuxHardened, Action: ActionKillController, Root: true})
 	if root.ControllerAlive {
 		t.Fatal("controller survived root kill")
 	}
@@ -122,7 +122,7 @@ func TestHardenedLinuxBlocksUserKillButNotRootKill(t *testing.T) {
 
 func TestMinixBlocksSpoofBothModels(t *testing.T) {
 	for _, root := range []bool{false, true} {
-		r := mustExecute(t, Spec{Platform: PlatformMinix, Action: ActionSpoofSensor, Root: root})
+		r := mustExecute(t, Spec{Platform: bas.PlatformMinix, Action: ActionSpoofSensor, Root: root})
 		if r.OperationSucceeded {
 			t.Fatalf("root=%v: ACM accepted a spoofed sensor message", root)
 		}
@@ -137,7 +137,7 @@ func TestMinixBlocksSpoofBothModels(t *testing.T) {
 }
 
 func TestMinixBlocksActuatorCommands(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformMinix, Action: ActionCommandActuators, Root: true})
+	r := mustExecute(t, Spec{Platform: bas.PlatformMinix, Action: ActionCommandActuators, Root: true})
 	if r.OperationSucceeded || r.PhysicalCompromise {
 		t.Fatalf("actuator takeover on MINIX: %s", r.Verdict())
 	}
@@ -145,7 +145,7 @@ func TestMinixBlocksActuatorCommands(t *testing.T) {
 
 func TestMinixBlocksKillBothModels(t *testing.T) {
 	for _, root := range []bool{false, true} {
-		r := mustExecute(t, Spec{Platform: PlatformMinix, Action: ActionKillController, Root: root})
+		r := mustExecute(t, Spec{Platform: bas.PlatformMinix, Action: ActionKillController, Root: root})
 		if !r.ControllerAlive {
 			t.Fatalf("root=%v: controller killed on MINIX", root)
 		}
@@ -157,7 +157,7 @@ func TestMinixBlocksKillBothModels(t *testing.T) {
 }
 
 func TestMinixEndpointScanReachesOnlySystemServers(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformMinix, Action: ActionEnumerate})
+	r := mustExecute(t, Spec{Platform: bas.PlatformMinix, Action: ActionEnumerate})
 	// In MINIX any process may message PM and RS — that IS the syscall
 	// interface — so the scan's only accepted sends are the two system
 	// servers, which audit and refuse the requests. No application process
@@ -176,7 +176,7 @@ func TestMinixEndpointScanReachesOnlySystemServers(t *testing.T) {
 func TestMinixVanillaAblationSpoofSucceeds(t *testing.T) {
 	// Ablation: with the ACM disabled, the naive controller believes the
 	// spoofed data — the mandatory check is the load-bearing element.
-	r := mustExecute(t, Spec{Platform: PlatformMinixVanilla, Action: ActionSpoofSensor})
+	r := mustExecute(t, Spec{Platform: bas.PlatformMinixVanilla, Action: ActionSpoofSensor})
 	if !r.OperationSucceeded {
 		t.Fatal("vanilla MINIX denied the spoof; ACM should be the only defence")
 	}
@@ -186,7 +186,7 @@ func TestMinixVanillaAblationSpoofSucceeds(t *testing.T) {
 }
 
 func TestMinixForkBombUnboundedWithoutQuota(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformMinix, Action: ActionForkBomb})
+	r := mustExecute(t, Spec{Platform: bas.PlatformMinix, Action: ActionForkBomb})
 	if r.Successes < 50 {
 		t.Fatalf("fork bomb created only %d processes; expected a runaway", r.Successes)
 	}
@@ -199,7 +199,7 @@ func TestMinixForkBombUnboundedWithoutQuota(t *testing.T) {
 
 func TestMinixForkQuotaStopsBomb(t *testing.T) {
 	// E8: the paper's proposed future-work mitigation, implemented.
-	r := mustExecute(t, Spec{Platform: PlatformMinix, Action: ActionForkBomb, ForkQuota: 5})
+	r := mustExecute(t, Spec{Platform: bas.PlatformMinix, Action: ActionForkBomb, ForkQuota: 5})
 	if r.Successes != 5 {
 		t.Fatalf("quota of 5 allowed %d forks", r.Successes)
 	}
@@ -211,7 +211,7 @@ func TestMinixForkQuotaStopsBomb(t *testing.T) {
 // --- seL4/CAmkES: capabilities confine everything ---------------------------
 
 func TestSel4BlocksSpoof(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformSel4, Action: ActionSpoofSensor})
+	r := mustExecute(t, Spec{Platform: bas.PlatformSel4, Action: ActionSpoofSensor})
 	if r.PhysicalCompromise {
 		t.Fatalf("spoof compromised the plant on seL4: %v", r.Violations)
 	}
@@ -221,14 +221,14 @@ func TestSel4BlocksSpoof(t *testing.T) {
 }
 
 func TestSel4BlocksActuatorCommands(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformSel4, Action: ActionCommandActuators})
+	r := mustExecute(t, Spec{Platform: bas.PlatformSel4, Action: ActionCommandActuators})
 	if r.PhysicalCompromise {
 		t.Fatalf("actuator takeover on seL4: %v", r.Violations)
 	}
 }
 
 func TestSel4BlocksKill(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformSel4, Action: ActionKillController, Root: true})
+	r := mustExecute(t, Spec{Platform: bas.PlatformSel4, Action: ActionKillController, Root: true})
 	if !r.ControllerAlive {
 		t.Fatal("controller suspended without a TCB capability")
 	}
@@ -241,7 +241,7 @@ func TestSel4BlocksKill(t *testing.T) {
 func TestSel4BruteForceFindsOnlyGrantedSlots(t *testing.T) {
 	// "This brute-force program was unsuccessful in finding any additional
 	// capabilities": exactly the mgmt endpoint and the network port answer.
-	r := mustExecute(t, Spec{Platform: PlatformSel4, Action: ActionEnumerate})
+	r := mustExecute(t, Spec{Platform: bas.PlatformSel4, Action: ActionEnumerate})
 	if r.Successes != 2 {
 		t.Fatalf("usable slots = %d, want exactly 2 (mgmt endpoint + net port)", r.Successes)
 	}
@@ -251,38 +251,9 @@ func TestSel4BruteForceFindsOnlyGrantedSlots(t *testing.T) {
 }
 
 func TestSel4ForkBombImpossible(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformSel4, Action: ActionForkBomb})
+	r := mustExecute(t, Spec{Platform: bas.PlatformSel4, Action: ActionForkBomb})
 	if r.Successes != 0 {
 		t.Fatal("a CAmkES component created processes?")
-	}
-}
-
-// --- The matrix -------------------------------------------------------------
-
-func TestMatrixHeadlineShape(t *testing.T) {
-	// One row of the paper's headline comparison, both attacker models on
-	// the kill attack: Linux falls, both microkernels stand.
-	reports, err := RunMatrix(AllPlatforms(), []Action{ActionKillController}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := FormatMatrix(reports)
-	t.Logf("\n%s", table)
-	byPlatform := make(map[Platform]*Report)
-	for _, r := range reports {
-		byPlatform[r.Spec.Platform] = r
-	}
-	if byPlatform[PlatformLinux].ControllerAlive {
-		t.Error("linux controller survived")
-	}
-	if !byPlatform[PlatformMinix].ControllerAlive {
-		t.Error("minix controller died")
-	}
-	if !byPlatform[PlatformSel4].ControllerAlive {
-		t.Error("sel4 controller died")
-	}
-	if !strings.Contains(table, "COMPROMISED") || !strings.Contains(table, "BLOCKED") {
-		t.Errorf("table missing verdicts:\n%s", table)
 	}
 }
 

@@ -1,6 +1,10 @@
 package attack
 
-import "testing"
+import (
+	"testing"
+
+	"mkbas/internal/bas"
+)
 
 // BenchmarkForkBombCase times one whole fork-bomb case per platform: boot,
 // the 30-minute settle, and the 3-hour attack window. On MINIX the bomb
@@ -9,7 +13,7 @@ import "testing"
 // Those refusal paths are what the attack campaign spends most of its host
 // time on, so this is the number below the benchmark's end-to-end metric.
 func BenchmarkForkBombCase(b *testing.B) {
-	for _, pl := range []Platform{PlatformMinix, PlatformLinux} {
+	for _, pl := range []bas.Platform{bas.PlatformMinix, bas.PlatformLinux} {
 		b.Run(string(pl)+"/user", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

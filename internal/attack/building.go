@@ -376,7 +376,7 @@ func ExecuteBuilding(spec BuildingSpec) (*BuildingReport, error) {
 		},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("attack: building: %w", err)
+		return nil, fmt.Errorf("attack: %w", err)
 	}
 	defer b.Close()
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"mkbas/internal/bas"
 	"mkbas/internal/safety"
 )
 
@@ -14,12 +15,12 @@ import (
 // sensor back and the physical world degrades.
 func TestChaosVerdictTableE10(t *testing.T) {
 	cases := []struct {
-		platform Platform
+		platform bas.Platform
 		verdict  string
 	}{
-		{PlatformMinix, "RECOVERED"},
-		{PlatformSel4, "RECOVERED"},
-		{PlatformLinux, "COMPROMISED"},
+		{bas.PlatformMinix, "RECOVERED"},
+		{bas.PlatformSel4, "RECOVERED"},
+		{bas.PlatformLinux, "COMPROMISED"},
 	}
 	for _, c := range cases {
 		c := c
@@ -88,7 +89,7 @@ func TestChaosVerdictTableE10(t *testing.T) {
 // supervisor-less Linux ends the run healthy — failsafe held the room safe
 // and no verdict-worthy damage accrued.
 func TestChaosHangSelfHealsEverywhere(t *testing.T) {
-	for _, p := range AllPlatforms() {
+	for _, p := range bas.AllPlatforms() {
 		p := p
 		t.Run(string(p), func(t *testing.T) {
 			rep, err := Execute(Spec{Platform: p, Action: ActionNone, FaultPlan: "hang-sensor"})

@@ -3,31 +3,16 @@ package attack
 import (
 	"fmt"
 	"strings"
-)
 
-// RunMatrix executes every (platform, action) pair under one attacker model
-// and returns the reports in deterministic order. It regenerates the
-// Section IV-D comparison (experiment E1).
-func RunMatrix(platforms []Platform, actions []Action, root bool) ([]*Report, error) {
-	var out []*Report
-	for _, platform := range platforms {
-		for _, action := range actions {
-			report, err := Execute(Spec{Platform: platform, Action: action, Root: root})
-			if err != nil {
-				return nil, fmt.Errorf("attack: %s/%s: %w", platform, action, err)
-			}
-			out = append(out, report)
-		}
-	}
-	return out, nil
-}
+	"mkbas/internal/bas"
+)
 
 // FormatMatrix renders reports as the outcome table: one row per action, one
 // column per platform.
 func FormatMatrix(reports []*Report) string {
-	var platforms []Platform
+	var platforms []bas.Platform
 	var actions []Action
-	cell := make(map[Platform]map[Action]*Report)
+	cell := make(map[bas.Platform]map[Action]*Report)
 	for _, r := range reports {
 		if _, ok := cell[r.Spec.Platform]; !ok {
 			cell[r.Spec.Platform] = make(map[Action]*Report)

@@ -3,6 +3,8 @@ package attack
 import (
 	"testing"
 	"time"
+
+	"mkbas/internal/bas"
 )
 
 // E12: the online policy monitor under real attack traffic. The deployment
@@ -17,7 +19,7 @@ func TestMonitorDetectsVanillaMinixSpoofThroughKernelPath(t *testing.T) {
 	// delivered — and every delivery is recorded, so the monitor sees the
 	// attack the ACM would have blocked. Runtime verification is the only
 	// policy check this configuration has.
-	r := mustExecute(t, Spec{Platform: PlatformMinixVanilla, Action: ActionSpoofSensor, Monitor: true})
+	r := mustExecute(t, Spec{Platform: bas.PlatformMinixVanilla, Action: ActionSpoofSensor, Monitor: true})
 	if !r.OperationSucceeded {
 		t.Fatal("vanilla MINIX should deliver the spoof")
 	}
@@ -32,7 +34,7 @@ func TestMonitorDetectsVanillaMinixSpoofThroughKernelPath(t *testing.T) {
 func TestMonitorDetectsLinuxActuatorTakeover(t *testing.T) {
 	// Same-account Linux DAC delivers the forged actuator commands; the
 	// monitor checks them against the scenario contract and flags every one.
-	r := mustExecute(t, Spec{Platform: PlatformLinux, Action: ActionCommandActuators, Monitor: true})
+	r := mustExecute(t, Spec{Platform: bas.PlatformLinux, Action: ActionCommandActuators, Monitor: true})
 	if !r.OperationSucceeded {
 		t.Fatal("actuator takeover should succeed on Linux")
 	}
@@ -47,7 +49,7 @@ func TestMonitorSilentWhereKernelEnforces(t *testing.T) {
 	// sends go through the web component's own endpoint capability, which IS
 	// its certified edge. The kernel verdict and the monitor verdict must
 	// agree: zero drift between the static graph and the observed traffic.
-	for _, p := range []Platform{PlatformMinix, PlatformSel4} {
+	for _, p := range []bas.Platform{bas.PlatformMinix, bas.PlatformSel4} {
 		r := mustExecute(t, Spec{Platform: p, Action: ActionSpoofSensor, Monitor: true})
 		if r.PhysicalCompromise {
 			t.Fatalf("%s: spoof compromised the plant", p)
@@ -65,7 +67,7 @@ func TestMonitorSilentWhereKernelEnforces(t *testing.T) {
 }
 
 func TestDemoteSpecLowersWebOrigin(t *testing.T) {
-	r := mustExecute(t, Spec{Platform: PlatformLinux, Action: ActionSpoofSensor, Demote: true})
+	r := mustExecute(t, Spec{Platform: bas.PlatformLinux, Action: ActionSpoofSensor, Demote: true})
 	if r.MonitorStats == nil {
 		t.Fatal("Demote implies Monitor; stats missing")
 	}

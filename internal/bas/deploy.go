@@ -54,6 +54,24 @@ func KnownPlatforms() []Platform {
 	return out
 }
 
+// ParsePlatform resolves a platform name as a user spells it: any registry
+// name, or the short forms "minix" and "minix-vanilla", in any case. Every
+// command-line entry point (single platforms, attack lists, lab sweeps and
+// building mixes) resolves names through it.
+func ParsePlatform(name string) (Platform, error) {
+	p := Platform(strings.ToLower(strings.TrimSpace(name)))
+	switch p {
+	case "minix":
+		p = PlatformMinix
+	case "minix-vanilla":
+		p = PlatformMinixVanilla
+	}
+	if _, ok := deployers[p]; !ok {
+		return "", fmt.Errorf("unknown platform %q (known: minix, minix-vanilla, sel4, linux, linux-hardened)", name)
+	}
+	return p, nil
+}
+
 // Deployment is the platform-neutral handle on a booted board. Every
 // backend returns one, so orchestration layers (the attack harness, the
 // fleet runner) drive heterogeneous deployments through one shape.

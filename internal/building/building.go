@@ -252,6 +252,11 @@ func New(cfg Config) (*Building, error) {
 	if cfg.Rooms <= 0 {
 		return nil, fmt.Errorf("building: need at least one room, got %d", cfg.Rooms)
 	}
+	for room, plan := range cfg.Faults {
+		if room < 0 || room >= cfg.Rooms {
+			return nil, fmt.Errorf("building: fault plan %q targets room %d, outside the %d-room building", plan, room, cfg.Rooms)
+		}
+	}
 	scenario := cfg.Scenario
 	if scenario.SamplePeriod == 0 {
 		seed := scenario.Seed

@@ -297,6 +297,23 @@ func TestCloseReleasesWorkersAndBoards(t *testing.T) {
 	}
 }
 
+func TestBuildingRejectsFaultOutsideRooms(t *testing.T) {
+	// A fault aimed past the last room (or before the first) used to be
+	// dropped silently: the run reported the plan in its spec and injected
+	// nothing.
+	for _, room := range []int{2, 5, -1} {
+		b, err := New(Config{
+			Rooms:  2,
+			Mix:    []bas.Platform{bas.PlatformLinux},
+			Faults: map[int]string{room: "crash-sensor"},
+		})
+		if err == nil {
+			b.Close()
+			t.Errorf("room %d: fault outside a 2-room building accepted", room)
+		}
+	}
+}
+
 func TestBuildingSensorCrashFlagsExactlyThatRoom(t *testing.T) {
 	// The E11 fault scenario: one room's sensor driver crashes on a platform
 	// with no recovery; the controller's failsafe engages (heater off, local

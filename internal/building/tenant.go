@@ -69,7 +69,7 @@ type tenantTier struct {
 	backend  *fleetBackend
 	reg      *obs.Registry
 	events   *obs.EventLog
-	rngState uint64
+	rng      tenantapi.SplitMix64
 	requests int64
 	outcomes map[string]int64
 	// req and resp are the driver's request and response, reused across
@@ -93,17 +93,9 @@ func (b *Building) attachTenant() {
 	})
 	b.tenant = &tenantTier{
 		gw: gw, dir: dir, backend: backend, reg: reg, events: events,
-		rngState: tenantSeed,
+		rng:      tenantapi.SplitMix64{State: tenantSeed},
 		outcomes: make(map[string]int64),
 	}
-}
-
-func (t *tenantTier) next() uint64 {
-	t.rngState += 0x9e3779b97f4a7c15
-	z := t.rngState
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // driveTenant issues the round's occupant/manager/vendor batch. Runs on the
@@ -113,17 +105,17 @@ func (b *Building) driveTenant() {
 	rooms := len(b.Rooms)
 	req := &t.req
 	for k := 0; k < tenantPerRound; k++ {
-		p := t.dir.At(int(t.next() % uint64(t.dir.Len())))
+		p := t.dir.At(int(t.rng.Next() % uint64(t.dir.Len())))
 		room := p.Room
 		if room < 0 { // building-scoped managers and vendors
-			room = int(t.next() % uint64(rooms))
+			room = int(t.rng.Next() % uint64(rooms))
 		}
 		*req = tenantapi.Request{Token: p.Token, Route: tenantapi.RouteStatus, Room: room}
-		switch t.next() % 10 {
+		switch t.rng.Next() % 10 {
 		case 0:
 			req.Route = tenantapi.RouteSetpoint
-			req.Room = int(t.next() % uint64(rooms))
-			req.Value = 20 + float64(t.next()%60)/10
+			req.Room = int(t.rng.Next() % uint64(rooms))
+			req.Value = 20 + float64(t.rng.Next()%60)/10
 		case 1:
 			req.Route = tenantapi.RouteDiagnostics
 		case 2:

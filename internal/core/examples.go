@@ -100,12 +100,6 @@ const ACIDBACnetGateway ACID = 106
 // can never reach the actuator drivers or kill anything.
 const ACIDTenantGateway ACID = 107
 
-// ScenarioPolicyWithGateway extends the scenario policy with the BACnet
-// gateway subject. The gateway gets the same two message types as the web
-// interface; even a fully spoofable field protocol therefore cannot reach
-// the actuator drivers through it.
-func ScenarioPolicyWithGateway() *Policy { return ScenarioPolicyWithGateways(true, false) }
-
 // ScenarioPolicyWithTenantGateway extends the scenario policy with the
 // tenant API gateway subject, the certified row the online monitor verifies
 // tenant→head-end traffic against.

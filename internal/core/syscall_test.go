@@ -189,7 +189,7 @@ func TestSyscallKindString(t *testing.T) {
 }
 
 func TestScenarioPolicyWithGateway(t *testing.T) {
-	p := ScenarioPolicyWithGateway()
+	p := ScenarioPolicyWithGateways(true, false)
 	if !p.Sealed() {
 		t.Fatal("gateway policy must come sealed")
 	}

@@ -39,19 +39,15 @@ type Mix string
 func (m Mix) Platforms() ([]bas.Platform, error) {
 	switch m {
 	case "paper":
-		return attack.AllPlatforms(), nil
+		return bas.AllPlatforms(), nil
 	case "all":
 		return bas.KnownPlatforms(), nil
 	}
-	known := make(map[bas.Platform]bool)
-	for _, p := range bas.KnownPlatforms() {
-		known[p] = true
-	}
 	var out []bas.Platform
 	for _, part := range strings.Split(string(m), "+") {
-		p := bas.Platform(strings.TrimSpace(part))
-		if !known[p] {
-			return nil, fmt.Errorf("lab: unknown platform %q in mix %q", p, m)
+		p, err := bas.ParsePlatform(part)
+		if err != nil {
+			return nil, fmt.Errorf("lab: mix %q: %w", m, err)
 		}
 		out = append(out, p)
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzParseSweep drives the campaign-spec parser behind baslab -sweep.
+// FuzzParseSweep drives the campaign-spec parser behind bas lab -sweep.
 // Whatever the text, it must not panic and must allocate in proportion to
 // the text, and an accepted sweep's Validate must not panic.
 //

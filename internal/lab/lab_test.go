@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mkbas/internal/attack"
+	"mkbas/internal/bas"
 )
 
 // TestExpandOrder pins the expansion order: platform outermost, then model,
@@ -15,7 +16,7 @@ import (
 // order, so changing it silently changes every golden file.
 func TestExpandOrder(t *testing.T) {
 	s := Sweep{
-		Platforms: []attack.Platform{attack.PlatformMinix, attack.PlatformSel4},
+		Platforms: []bas.Platform{bas.PlatformMinix, bas.PlatformSel4},
 		Actions:   []attack.Action{attack.ActionSpoofSensor, attack.ActionForkBomb},
 		Models:    []Model{ModelUser, ModelRoot},
 		Plants:    []Plant{PlantDefault},
@@ -33,7 +34,7 @@ func TestExpandOrder(t *testing.T) {
 		}
 	}
 	first := cases[0]
-	if first.Platform != attack.PlatformMinix || first.Model != ModelUser ||
+	if first.Platform != bas.PlatformMinix || first.Model != ModelUser ||
 		first.Action != attack.ActionSpoofSensor || first.ForkQuota != 0 {
 		t.Errorf("unexpected first case: %+v", first)
 	}
@@ -41,7 +42,7 @@ func TestExpandOrder(t *testing.T) {
 		t.Errorf("quota must be the innermost axis, got %+v", cases[1])
 	}
 	for _, c := range cases[8:] {
-		if c.Platform != attack.PlatformSel4 {
+		if c.Platform != bas.PlatformSel4 {
 			t.Errorf("cases 8.. must be sel4, got %+v", c)
 		}
 		if c.ForkQuota != 0 {
@@ -94,7 +95,7 @@ func TestParseSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSweep(empty): %v", err)
 	}
-	if len(s.Expand()) != len(attack.AllPlatforms())*len(attack.AllActions()) {
+	if len(s.Expand()) != len(bas.AllPlatforms())*len(attack.AllActions()) {
 		t.Errorf("empty sweep expanded to %d cases", len(s.Expand()))
 	}
 }
@@ -140,11 +141,11 @@ func TestShardDeterminism(t *testing.T) {
 	// microkernels, controller dead on Linux.
 	for _, sr := range serial.Cases {
 		switch sr.Case.Platform {
-		case attack.PlatformMinix, attack.PlatformSel4:
+		case bas.PlatformMinix, bas.PlatformSel4:
 			if sr.Verdict != "BLOCKED" {
 				t.Errorf("%s: verdict %s, want BLOCKED", sr.Case, sr.Verdict)
 			}
-		case attack.PlatformLinux:
+		case bas.PlatformLinux:
 			if sr.Verdict != "COMPROMISED" {
 				t.Errorf("%s: verdict %s, want COMPROMISED", sr.Case, sr.Verdict)
 			}
@@ -198,7 +199,7 @@ func TestFaultSweepDeterminism(t *testing.T) {
 		want := "BLOCKED"
 		if sr.Case.Faults == "crash-sensor" {
 			want = "RECOVERED"
-			if sr.Case.Platform == attack.PlatformLinux {
+			if sr.Case.Platform == bas.PlatformLinux {
 				want = "COMPROMISED"
 			}
 		}
@@ -279,7 +280,7 @@ func TestAggregateMerge(t *testing.T) {
 
 // TestRunValidates rejects bad sweeps before booting anything.
 func TestRunValidates(t *testing.T) {
-	if _, err := Run(Sweep{Platforms: []attack.Platform{"os2-warp"}}, Options{Workers: 1}); err == nil {
+	if _, err := Run(Sweep{Platforms: []bas.Platform{"os2-warp"}}, Options{Workers: 1}); err == nil {
 		t.Error("unknown platform accepted")
 	}
 	if _, err := Run(Sweep{Plants: []Plant{"lava"}}, Options{Workers: 1}); err == nil {
@@ -311,5 +312,37 @@ func TestCampaignJSONGolden(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(out)); got != want {
 		t.Fatalf("campaign JSON sha256 = %s, want %s (%d bytes)", got, want, len(out))
+	}
+}
+
+func TestMatrixHeadlineShape(t *testing.T) {
+	// One row of the paper's headline comparison, the root attacker model on
+	// the kill attack: Linux falls, both microkernels stand.
+	res, err := Run(Sweep{
+		Actions: []attack.Action{attack.ActionKillController},
+		Models:  []Model{ModelRoot},
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []*attack.Report
+	byPlatform := make(map[bas.Platform]*attack.Report)
+	for _, sr := range res.Cases {
+		reports = append(reports, sr.Report)
+		byPlatform[sr.Case.Platform] = sr.Report
+	}
+	table := attack.FormatMatrix(reports)
+	t.Logf("\n%s", table)
+	if byPlatform[bas.PlatformLinux].ControllerAlive {
+		t.Error("linux controller survived")
+	}
+	if !byPlatform[bas.PlatformMinix].ControllerAlive {
+		t.Error("minix controller died")
+	}
+	if !byPlatform[bas.PlatformSel4].ControllerAlive {
+		t.Error("sel4 controller died")
+	}
+	if !strings.Contains(table, "COMPROMISED") || !strings.Contains(table, "BLOCKED") {
+		t.Errorf("table missing verdicts:\n%s", table)
 	}
 }

@@ -81,10 +81,10 @@ func (p Plant) Scenario() (bas.ScenarioConfig, error) {
 // axes: the three headline platforms, all actions, the user model, the
 // default plant, no quota ablation.
 type Sweep struct {
-	Platforms []attack.Platform `json:"platforms"`
-	Actions   []attack.Action   `json:"actions"`
-	Models    []Model           `json:"models"`
-	Plants    []Plant           `json:"plants"`
+	Platforms []bas.Platform  `json:"platforms"`
+	Actions   []attack.Action `json:"actions"`
+	Models    []Model         `json:"models"`
+	Plants    []Plant         `json:"plants"`
 	// Quotas are fork-quota ablations (E8). A quota applies only on MINIX
 	// platforms, where the PM policy enforces it; on every other platform
 	// the axis collapses to a single unquotaed case rather than running
@@ -115,13 +115,13 @@ func AllMonitors() []string { return []string{MonitorOff, MonitorOn, MonitorDemo
 type Case struct {
 	// Shard is the case's position in the sweep's deterministic expansion
 	// order — the merge key.
-	Shard     int             `json:"shard"`
-	Platform  attack.Platform `json:"platform"`
-	Action    attack.Action   `json:"action"`
-	Model     Model           `json:"model"`
-	Plant     Plant           `json:"plant"`
-	ForkQuota int             `json:"fork_quota,omitempty"`
-	Faults    string          `json:"faults,omitempty"`
+	Shard     int           `json:"shard"`
+	Platform  bas.Platform  `json:"platform"`
+	Action    attack.Action `json:"action"`
+	Model     Model         `json:"model"`
+	Plant     Plant         `json:"plant"`
+	ForkQuota int           `json:"fork_quota,omitempty"`
+	Faults    string        `json:"faults,omitempty"`
 	// Monitor is "" (off), MonitorOn, or MonitorDemote — kept empty for the
 	// off case so pre-monitor campaign reports stay byte-identical.
 	Monitor string `json:"monitor,omitempty"`
@@ -185,14 +185,14 @@ func (c Case) String() string {
 // faultPlanNone is the no-op fault plan name, the faults axis default.
 const faultPlanNone = "none"
 
-func minixPlatform(p attack.Platform) bool {
-	return p == attack.PlatformMinix || p == attack.PlatformMinixVanilla
+func minixPlatform(p bas.Platform) bool {
+	return p == bas.PlatformMinix || p == bas.PlatformMinixVanilla
 }
 
 // withDefaults fills empty axes.
 func (s Sweep) withDefaults() Sweep {
 	if len(s.Platforms) == 0 {
-		s.Platforms = attack.AllPlatforms()
+		s.Platforms = bas.AllPlatforms()
 	}
 	if len(s.Actions) == 0 {
 		s.Actions = attack.AllActions()
@@ -219,7 +219,7 @@ func (s Sweep) withDefaults() Sweep {
 // sweep fails in microseconds instead of at shard N.
 func (s Sweep) Validate() error {
 	s = s.withDefaults()
-	known := make(map[attack.Platform]bool)
+	known := make(map[bas.Platform]bool)
 	for _, p := range bas.KnownPlatforms() {
 		known[p] = true
 	}
@@ -320,13 +320,14 @@ func (s Sweep) Expand() []Case {
 	return cases
 }
 
-// ParseSweep parses the baslab sweep grammar: semicolon-separated
+// ParseSweep parses the bas lab sweep grammar: semicolon-separated
 // `axis=value[,value...]` clauses, e.g.
 //
 //	platforms=paper;actions=all;models=both;plants=default;quotas=0,8
 //
 // Axis keywords: platforms accepts "paper" (the three headline systems) and
-// "all" (every registered platform); actions accepts "all" (the board
+// "all" (every registered platform), and resolves other names with
+// bas.ParsePlatform; actions accepts "all" (the board
 // attacks) and "api" (the tenant-tier attack family); plants accepts "all";
 // models accepts "both". Unknown axes and values are rejected.
 func ParseSweep(spec string) (Sweep, error) {
@@ -358,11 +359,15 @@ func ParseSweep(spec string) (Sweep, error) {
 			for _, v := range vals {
 				switch v {
 				case "paper":
-					s.Platforms = append(s.Platforms, attack.AllPlatforms()...)
+					s.Platforms = append(s.Platforms, bas.AllPlatforms()...)
 				case "all":
 					s.Platforms = append(s.Platforms, bas.KnownPlatforms()...)
 				default:
-					s.Platforms = append(s.Platforms, attack.Platform(v))
+					p, err := bas.ParsePlatform(v)
+					if err != nil {
+						return Sweep{}, fmt.Errorf("lab: %w", err)
+					}
+					s.Platforms = append(s.Platforms, p)
 				}
 			}
 		case "actions":

@@ -101,7 +101,7 @@ func (l *IPCLog) Len() int {
 
 // Merge folds other's counts into l by (src, dst, label); the two logs may
 // index different edge tables. other is unchanged; a nil other is a no-op.
-// polcheck's -audit uses Merge with Reset to diff usage across multiple run
+// bas policy -audit uses Merge with Reset to diff usage across multiple run
 // slices of the same board.
 func (l *IPCLog) Merge(other *IPCLog) {
 	if other == nil {

@@ -126,7 +126,7 @@ func (l TraceLine) String() string {
 }
 
 // Trace is a bounded, timestamped console log. Kernels and applications use
-// it for the experiment traces printed by cmd/bascontrol; tests assert on it.
+// it for the experiment traces printed by bas control; tests assert on it.
 // Lines are block-encoded into an obs.BlockRing that keeps the newest cap
 // of them, each as uvarint(At − the previous line's At), then the tag and
 // the text, each as uvarint(length) and its bytes. A line costs its text

@@ -6,7 +6,7 @@
 // come from the board's virtual clock (never the wall clock), reports sort
 // every map-derived collection, and the package allocates no goroutines.
 // Two runs of the same scenario at the same seed therefore produce
-// byte-identical reports — the property cmd/basmon's golden check enforces.
+// byte-identical reports — the property the bas mon golden check enforces.
 //
 // The package deliberately does not import internal/machine: the machine
 // package hosts a Board on every Machine, so the dependency points the

@@ -1,22 +1,19 @@
 package perf
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"runtime/pprof"
 )
 
-// CLI bundles the standard profiling flag set shared by the campaign
-// commands (baslab, basbuilding, basmon): the -perf phase table, the Chrome
-// host-trace export, and Go pprof wiring. Usage:
+// CLI bundles the standard profiling options of the campaign commands
+// (bas lab, building, load and mon): the -perf phase table, the Chrome
+// host-trace export, and Go pprof wiring. The bas command's flag table
+// fills the fields; then:
 //
-//	var prof perf.CLI
-//	prof.RegisterFlags(flag.CommandLine)
-//	flag.Parse()
 //	if err := prof.Start(); err != nil { ... }
-//	defer prof.Finish()
 //	... pass prof.Profiler() into lab/building/attack options ...
+//	if err := prof.Finish(); err != nil { ... }
 //
 // The phase table goes to stderr by default so it never perturbs a
 // command's stdout report (the bytes check.sh goldens compare); -perf-out
@@ -33,18 +30,6 @@ type CLI struct {
 
 	prof    *Profiler
 	cpuFile *os.File
-}
-
-// RegisterFlags installs the profiling flags on fs.
-func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
-	fs.BoolVar(&c.Enabled, "perf", false, "collect a host-side per-phase time/alloc profile and print the table")
-	fs.StringVar(&c.Out, "perf-out", "", "write the perf table to this file instead of stderr")
-	fs.BoolVar(&c.Timings, "perf-timings", true, "include host-dependent columns (total/avg/max/allocs, gauges); false leaves only the deterministic phase skeleton")
-	fs.BoolVar(&c.JSON, "perf-json", false, "emit the perf profile as JSON instead of a table")
-	fs.StringVar(&c.TracePath, "perf-trace", "", "write a Chrome trace-event timeline of the host execution (workers as tracks) to this file; implies -perf collection")
-	fs.BoolVar(&c.TraceNorm, "perf-trace-normalize", false, "replace host timestamps in the trace with per-track event ordinals (byte-deterministic at workers=1)")
-	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a Go CPU profile to this file")
-	fs.StringVar(&c.MemProfile, "memprofile", "", "write a Go heap profile to this file")
 }
 
 // Active reports whether any perf collection was requested.

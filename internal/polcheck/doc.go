@@ -34,6 +34,6 @@
 // Findings render both human-readable (Report.Text) and machine-readable
 // (Report JSON marshalling). Integration points: internal/aadl lints
 // generated matrices post-compile, internal/bas gates deployments on the
-// scenario property set, and cmd/polcheck analyzes the shipped tempcontrol
+// scenario property set, and bas policy analyzes the shipped tempcontrol
 // scenario end-to-end.
 package polcheck

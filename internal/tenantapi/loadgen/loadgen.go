@@ -124,17 +124,6 @@ func (r *Report) JSON() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// rng is a splitmix64 stream.
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // shardOut is one shard's complete result: the tally plus the obs snapshots
 // the merge folds.
 type shardOut struct {
@@ -217,7 +206,7 @@ func runShard(plan Plan, shard, n int) *shardOut {
 		Events:       events,
 		Seed:         plan.Seed ^ (0x51ab << 32) ^ uint64(shard),
 	})
-	r := &rng{state: plan.Seed ^ 0xc0ffee ^ (uint64(shard) << 20)}
+	r := &tenantapi.SplitMix64{State: plan.Seed ^ 0xc0ffee ^ (uint64(shard) << 20)}
 	dirLen := dir.Len()
 
 	var tally [tenantapi.NumOutcomes]int64
@@ -229,30 +218,30 @@ func runShard(plan Plan, shard, n int) *shardOut {
 		if k%burstEvery < burstEvery-burstLen {
 			nowNs += plan.StepNs
 		}
-		p := dir.At(int(r.next() % uint64(dirLen)))
-		if r.next()%hotShare == 0 {
+		p := dir.At(int(r.Next() % uint64(dirLen)))
+		if r.Next()%hotShare == 0 {
 			p = dir.At(0) // the noisy client
 		}
 		req = tenantapi.Request{Token: p.Token}
-		roll := r.next() % 1000
+		roll := r.Next() % 1000
 		switch {
 		case roll < 20:
 			// Credential-stuffing noise: unknown tokens die at session auth.
 			req.Token = "tok-ffffffffffffffff"
 			req.Route = tenantapi.RouteStatus
-			req.Room = int(r.next() % uint64(rooms))
+			req.Room = int(r.Next() % uint64(rooms))
 		case roll < 570:
 			req.Route = tenantapi.RouteStatus
-			if p.Role == tenantapi.RoleOccupant && r.next()%10 != 0 {
+			if p.Role == tenantapi.RoleOccupant && r.Next()%10 != 0 {
 				req.Room = p.Room // occupants mostly read their own room
 			} else {
-				req.Room = int(r.next() % uint64(rooms))
+				req.Room = int(r.Next() % uint64(rooms))
 			}
 		case roll < 750:
 			req.Route = tenantapi.RouteSetpoint
-			req.Room = int(r.next() % uint64(rooms))
-			req.Value = 18 + float64(r.next()%120)/10 // 18.0–29.9 °C
-			if r.next()%10 == 0 {
+			req.Room = int(r.Next() % uint64(rooms))
+			req.Value = 18 + float64(r.Next()%120)/10 // 18.0–29.9 °C
+			if r.Next()%10 == 0 {
 				req.Value = 40 // out-of-band: 400 at validation
 			}
 		case roll < 850:
@@ -262,7 +251,7 @@ func runShard(plan Plan, shard, n int) *shardOut {
 		default:
 			// A room the building doesn't have: 404 (or an occupant's 403).
 			req.Route = tenantapi.RouteStatus
-			req.Room = rooms + int(r.next()%4)
+			req.Room = rooms + int(r.Next()%4)
 		}
 		tally[gw.Handle(&req, &resp)]++
 	}

@@ -180,12 +180,26 @@ type Principal struct {
 	Token string
 }
 
-// splitmix64 is the repo's standard deterministic bit mixer.
+// SplitMix64 is the repo's standard deterministic random stream: every
+// tenant traffic mix (the load generator's shards, the building tier, the
+// single-board driver) draws from one. The zero value is a valid stream;
+// State seeds it.
+type SplitMix64 struct{ State uint64 }
+
+// Next advances the stream and returns its next draw.
+func (s *SplitMix64) Next() uint64 {
+	s.State += 0x9e3779b97f4a7c15
+	z := s.State
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// splitmix64 mixes x into 64 well-spread bits: the first draw of a stream
+// seeded with x.
 func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	s := SplitMix64{State: x}
+	return s.Next()
 }
 
 // fnv64 hashes a string with FNV-1a.
