@@ -86,6 +86,10 @@ func TestGenerateCOutput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateC: %v", err)
 	}
+	header, _, _ := strings.Cut(src, "\n")
+	if want := "/* Generated by bas aadl from package TempControl, system temp_control.impl. DO NOT EDIT. */"; header != want {
+		t.Errorf("header line = %q, want %q", header, want)
+	}
 	for _, want := range []string{
 		"acm_table",
 		"ACM_NR_RULES",

@@ -83,7 +83,7 @@ func GenerateC(pkg *Package, sysName string) (string, error) {
 	})
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "/* Generated by aadlc from package %s, system %s. DO NOT EDIT. */\n", pkg.Name, sysName)
+	fmt.Fprintf(&b, "/* Generated by bas aadl from package %s, system %s. DO NOT EDIT. */\n", pkg.Name, sysName)
 	b.WriteString("#include \"acm.h\"\n\n")
 	fmt.Fprintf(&b, "#define ACM_NR_RULES %d\n\n", len(rows))
 	b.WriteString("/* src ac_id, dst ac_id, permitted m_type bitmask (bit n = m_type n) */\n")

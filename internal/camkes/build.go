@@ -193,13 +193,14 @@ func sortedIfaces(comp *Component) []string {
 // newRuntime builds the per-thread runtime: slot math mirrors Build exactly.
 func newRuntime(api *sel4.API, comp *Component) *Runtime {
 	rt := &Runtime{
-		api:      api,
-		comp:     comp,
-		uses:     make(map[string]sel4.CPtr, len(comp.Uses)),
-		devs:     make(map[machine.DeviceID]sel4.CPtr, len(comp.Devices)),
-		ports:    make(map[vnet.Port]sel4.CPtr, len(comp.NetPorts)),
-		emits:    make(map[string]sel4.CPtr, len(comp.Emits)),
-		consumes: make(map[string]sel4.CPtr, len(comp.Consumes)),
+		SocketAPI: api.SocketAPI,
+		api:       api,
+		comp:      comp,
+		uses:      make(map[string]sel4.CPtr, len(comp.Uses)),
+		devs:      make(map[machine.DeviceID]sel4.CPtr, len(comp.Devices)),
+		ports:     make(map[vnet.Port]sel4.CPtr, len(comp.NetPorts)),
+		emits:     make(map[string]sel4.CPtr, len(comp.Emits)),
+		consumes:  make(map[string]sel4.CPtr, len(comp.Consumes)),
 	}
 	for i, uses := range comp.Uses {
 		rt.uses[uses] = SlotUsesBase + sel4.CPtr(i)

@@ -105,8 +105,10 @@ var (
 
 // Runtime is the per-thread view a component's code receives: RPC client
 // stubs for its uses-interfaces plus device and network access through the
-// thread's capabilities.
+// thread's capabilities. Past NetListen, the socket calls are the thread's
+// own (the embedded SocketAPI).
 type Runtime struct {
+	vnet.SocketAPI
 	api  *sel4.API
 	comp *Component
 
@@ -178,19 +180,6 @@ func (rt *Runtime) NetListen(port vnet.Port) (int32, error) {
 	}
 	return rt.api.NetListen(slot)
 }
-
-// NetAccept / NetRead / NetWrite / NetClose wrap the thread's network
-// handles.
-func (rt *Runtime) NetAccept(listener int32) (int32, error) { return rt.api.NetAccept(listener) }
-
-// NetRead blocks until data or EOF is available.
-func (rt *Runtime) NetRead(conn int32, max int) ([]byte, error) { return rt.api.NetRead(conn, max) }
-
-// NetWrite sends bytes on a connection handle.
-func (rt *Runtime) NetWrite(conn int32, data []byte) error { return rt.api.NetWrite(conn, data) }
-
-// NetClose closes a connection handle.
-func (rt *Runtime) NetClose(conn int32) error { return rt.api.NetClose(conn) }
 
 // Sleep parks the thread for a virtual duration.
 func (rt *Runtime) Sleep(d time.Duration) { rt.api.Sleep(d) }

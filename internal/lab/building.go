@@ -426,9 +426,8 @@ type BuildingShard struct {
 type BuildingResult struct {
 	Sweep BuildingSweep   `json:"sweep"`
 	Cases []BuildingShard `json:"cases"`
-	// Workers and Elapsed describe this execution, not the experiment.
-	Workers int           `json:"-"`
-	Elapsed time.Duration `json:"-"`
+	// Workers describes this execution, not the experiment.
+	Workers int `json:"-"`
 }
 
 // JSON renders the campaign as indented JSON with a trailing newline.
@@ -458,7 +457,6 @@ func RunBuilding(sweep BuildingSweep, opts BuildingOptions) (*BuildingResult, er
 	sweep = sweep.withDefaults()
 	cases := sweep.Expand()
 	workers := max(opts.Workers, 1)
-	start := time.Now()
 	reports := make([]*attack.BuildingReport, len(cases))
 	err := ForEachShard("lab", len(cases), workers, opts.Profiler, func(i int) error {
 		c := cases[i]
@@ -485,7 +483,6 @@ func RunBuilding(sweep BuildingSweep, opts BuildingOptions) (*BuildingResult, er
 		Sweep:   sweep,
 		Cases:   make([]BuildingShard, len(cases)),
 		Workers: poolWidth(len(cases), workers),
-		Elapsed: time.Since(start),
 	}
 	for i, c := range cases {
 		res.Cases[i] = BuildingShard{

@@ -153,6 +153,23 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
+// TestCampaignTextDeterminism holds the text report to the JSON's rule: two
+// runs of one sweep at one worker count print the same bytes, so no host
+// wall-clock reading reaches it.
+func TestCampaignTextDeterminism(t *testing.T) {
+	var texts [2]string
+	for i := range texts {
+		res, err := Run(smallSweep(), Options{Workers: 2})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		texts[i] = res.Text()
+	}
+	if texts[0] != texts[1] {
+		t.Fatalf("text report differs between two runs:\n--- first ---\n%s\n--- second ---\n%s", texts[0], texts[1])
+	}
+}
+
 // chaosSweep is the E10 campaign the fault determinism tests run: no
 // attacker, one crash fault and one hang fault on every headline platform.
 func chaosSweep() Sweep {

@@ -124,7 +124,7 @@ func (r *Result) JSON() ([]byte, error) {
 // verdict table followed by the merged tallies.
 func (r *Result) Text() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== campaign: %d cases, %d workers, %s ==\n", len(r.Cases), r.Workers, r.Elapsed.Round(1_000_000))
+	fmt.Fprintf(&b, "== campaign: %d cases, %d workers ==\n", len(r.Cases), r.Workers)
 	for _, sr := range r.Cases {
 		note := ""
 		if blocked := sr.Report.BlockedBy(); blocked != "" {

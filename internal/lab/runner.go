@@ -2,7 +2,6 @@ package lab
 
 import (
 	"fmt"
-	"time"
 
 	"mkbas/internal/attack"
 	"mkbas/internal/perf"
@@ -33,16 +32,15 @@ type ShardResult struct {
 }
 
 // Result is a completed campaign. Its JSON form is a deterministic function
-// of the sweep alone: Workers and Elapsed are excluded from marshalling so
-// serial and parallel runs of the same sweep produce identical bytes.
+// of the sweep alone: Workers is excluded from marshalling so serial and
+// parallel runs of the same sweep produce identical bytes.
 type Result struct {
 	Sweep  Sweep         `json:"sweep"`
 	Cases  []ShardResult `json:"cases"`
 	Merged Aggregate     `json:"merged"`
-	// Workers and Elapsed describe this particular execution, not the
-	// experiment; they are deliberately unmarshalled (the determinism rule).
-	Workers int           `json:"-"`
-	Elapsed time.Duration `json:"-"`
+	// Workers describes this particular execution, not the experiment; it
+	// is deliberately unmarshalled (the determinism rule).
+	Workers int `json:"-"`
 }
 
 // Run executes every case of the sweep on the shard pool (ForEachShard)
@@ -59,7 +57,6 @@ func Run(sweep Sweep, opts Options) (*Result, error) {
 		return nil, err
 	}
 	cases := sweep.Expand()
-	start := time.Now()
 	reports := make([]*attack.Report, len(cases))
 	err := ForEachShard("lab", len(cases), opts.Workers, opts.Profiler, func(i int) error {
 		c := cases[i]
@@ -87,7 +84,6 @@ func Run(sweep Sweep, opts Options) (*Result, error) {
 		Sweep:   sweep.withDefaults(),
 		Cases:   make([]ShardResult, len(cases)),
 		Workers: poolWidth(len(cases), opts.Workers),
-		Elapsed: time.Since(start),
 	}
 	for i, c := range cases {
 		res.Cases[i] = ShardResult{Case: c, Verdict: reports[i].Verdict(), Report: reports[i]}

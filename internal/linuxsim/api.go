@@ -12,6 +12,7 @@ import (
 // trap frame, traps with its number (see the table in syscalls.go), and
 // reads the reply back from the frame.
 type API struct {
+	vnet.SocketAPI
 	ctx *machine.Context
 	f   *machine.Frame
 }
@@ -181,46 +182,12 @@ func (a *API) Exit() {
 	panic("linuxsim: Exit returned")
 }
 
-// NetListen binds a port.
+// NetListen binds a port and returns a listener handle. The other socket
+// calls are the embedded SocketAPI's.
 func (a *API) NetListen(port vnet.Port) (int32, error) {
 	a.f.R[0] = uint64(port)
-	return a.handleReply(a.ctx.Trap(trapNetListen))
-}
-
-// NetAccept blocks until a connection arrives.
-func (a *API) NetAccept(listener int32) (int32, error) {
-	a.f.R[0] = uint64(listener)
-	return a.handleReply(a.ctx.Trap(trapNetAccept))
-}
-
-// handleReply returns the handle a trap left in R0, or 0 when the trap
-// failed.
-func (a *API) handleReply(err error) (int32, error) {
-	if err != nil {
+	if err := a.ctx.Trap(trapNetListen); err != nil {
 		return 0, err
 	}
 	return int32(a.f.R[0]), nil
-}
-
-// NetRead blocks until data or EOF is available.
-func (a *API) NetRead(conn int32, max int) ([]byte, error) {
-	a.f.R[0], a.f.R[1] = uint64(conn), uint64(max)
-	err := a.ctx.Trap(trapNetRead)
-	data := a.f.Buf
-	a.f.Buf = nil
-	return data, err
-}
-
-// NetWrite sends bytes on a connection.
-func (a *API) NetWrite(conn int32, data []byte) error {
-	a.f.R[0], a.f.Buf = uint64(conn), data
-	err := a.ctx.Trap(trapNetWrite)
-	a.f.Buf = nil
-	return err
-}
-
-// NetClose closes a connection.
-func (a *API) NetClose(conn int32) error {
-	a.f.R[0] = uint64(conn)
-	return a.ctx.Trap(trapNetClose)
 }

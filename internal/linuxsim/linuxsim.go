@@ -144,8 +144,9 @@ type proc struct {
 	span     obs.SpanID
 	recvEdge obs.EdgeID
 
-	listeners map[int32]*vnet.Listener
-	conns     map[int32]*vnet.Conn
+	// socks is the process's socket table, made on its first listen.
+	// Sockets draw their descriptors from nextFD, as message queues do.
+	socks *vnet.Sockets
 
 	// frame is the process's trap frame: a blocked trap's reply is written
 	// into it before the process is woken.
@@ -160,15 +161,6 @@ type proc struct {
 	onSleep       func(token uint64)
 	onRecvTimeout func(token uint64)
 	waitQ         *mqueue
-
-	// onNet is the process's network waker, built on its first blocking
-	// accept or read and re-armed for every later one with the wait's token
-	// (vnet.Stack.WaitConn, WaitReadable). netListener, or netConn and
-	// netMax, name the operation the pending firing completes.
-	onNet       func(token uint64)
-	netListener *vnet.Listener
-	netConn     *vnet.Conn
-	netMax      int
 
 	// lastMQBuf is the payload buffer of the most recent message delivered
 	// to this process; it is recycled into the kernel's pool on the next
@@ -410,19 +402,17 @@ func (k *Kernel) spawn(img Image) (int, error) {
 		return 0, k.limitErr
 	}
 	p := &proc{
-		name:      img.Name,
-		uid:       img.UID,
-		gid:       img.GID,
-		unixPID:   k.nextPID,
-		fds:       make(map[int32]*fd),
-		listeners: make(map[int32]*vnet.Listener),
-		conns:     make(map[int32]*vnet.Conn),
+		name:    img.Name,
+		uid:     img.UID,
+		gid:     img.GID,
+		unixPID: k.nextPID,
+		fds:     make(map[int32]*fd),
 	}
 	k.buildWakers(p)
 	k.nextPID++
 	body := img.Body
 	mp, err := k.m.Engine().Spawn(img.Name, img.Priority, func(ctx *machine.Context) {
-		body(&API{ctx: ctx, f: ctx.Frame()})
+		body(&API{SocketAPI: vnet.NewSocketAPI(ctx, trapNetListen), ctx: ctx, f: ctx.Frame()})
 	})
 	if err != nil {
 		return 0, fmt.Errorf("linuxsim: spawning %q: %w", img.Name, err)

@@ -1,7 +1,6 @@
 package linuxsim
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -128,27 +127,24 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 		// Kill unwinds the caller: the error slot is read only if it fails.
 		f.Err = k.m.Engine().Kill(pid)
 	case trapNetListen:
-		f.Err = k.doNetListen(self, f)
-	case trapNetAccept:
-		return k.doNetAccept(self, f)
-	case trapNetRead:
-		return k.doNetRead(self, f)
-	case trapNetWrite:
-		conn, ok := self.conns[int32(f.R[0])]
-		if !ok {
-			f.Err = ErrBadFD
+		// Linux does not mediate the network: any process may bind an
+		// unprivileged port.
+		if k.cfg.Net == nil {
+			f.Err = fmt.Errorf("%w: no network", ErrNoEnt)
 			break
 		}
-		f.Err = k.cfg.Net.BoardWrite(conn, f.Buf)
-	case trapNetClose:
-		h := int32(f.R[0])
-		conn, ok := self.conns[h]
-		if !ok {
-			f.Err = ErrBadFD
-			break
+		if self.socks == nil {
+			self.socks = vnet.NewSockets(k.cfg.Net, &self.nextFD, k.netWaker(self))
 		}
-		delete(self.conns, h)
-		k.cfg.Net.BoardClose(conn)
+		self.socks.Listen(f, vnet.Port(f.R[0]))
+	case trapNetAccept, trapNetRead, trapNetWrite, trapNetClose:
+		d := self.socks.Trap(f, trapNetListen, ErrBadFD)
+		if d == machine.DispositionBlock {
+			self.phase = phaseNet
+			self.waitToken++
+			self.socks.Wait(self.waitToken)
+		}
+		return d
 	default:
 		f.Err = fmt.Errorf("linuxsim: unknown trap %d", f.Nr)
 	}
@@ -501,41 +497,16 @@ func (k *Kernel) buildWakers(p *proc) {
 	}
 }
 
-// armNet blocks p on the network under a fresh wait token, building its
-// network waker on its first blocking accept or read: an accept on l or,
-// with l nil, a read of up to max bytes from conn. The caller registers
-// onNet with the wait's token.
-func (k *Kernel) armNet(p *proc, l *vnet.Listener, conn *vnet.Conn, max int) {
-	if p.onNet == nil {
-		k.buildNetWaker(p)
-	}
-	p.phase = phaseNet
-	p.waitToken++
-	p.netListener, p.netConn, p.netMax = l, conn, max
-}
-
-// buildNetWaker builds p's reusable network waker. A firing completes the
-// accept or read p blocked in; like the timer callbacks, a firing whose
+// netWaker builds p's network waker, which its socket table registers for
+// every blocking accept or read. Like the timer callbacks, a firing whose
 // token is stale, or whose p is dead, does nothing.
-func (k *Kernel) buildNetWaker(p *proc) {
-	p.onNet = func(token uint64) {
+func (k *Kernel) netWaker(p *proc) func(token uint64) {
+	return func(token uint64) {
 		if k.procs[p.pid] != p || p.waitToken != token || p.phase != phaseNet {
 			return
 		}
 		p.phase = phaseIdle
-		var err error
-		if l := p.netListener; l != nil {
-			var conn *vnet.Conn
-			if conn, err = k.cfg.Net.Accept(l); err == nil {
-				p.nextFD++
-				p.conns[p.nextFD] = conn
-				p.frame.R[0] = uint64(p.nextFD)
-			}
-		} else {
-			p.frame.Buf, err = k.cfg.Net.BoardRead(p.netConn, p.netMax)
-		}
-		p.netListener, p.netConn = nil, nil
-		k.wake(p, err)
+		k.wake(p, p.socks.Complete(p.frame))
 	}
 }
 
@@ -606,14 +577,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 			}
 		}
 	}
-	if k.cfg.Net != nil {
-		for _, l := range p.listeners {
-			k.cfg.Net.CloseListener(l)
-		}
-		for _, c := range p.conns {
-			k.cfg.Net.BoardClose(c)
-		}
-	}
+	p.socks.Release()
 }
 
 // wake writes err into the error slot of p, a process blocked in a trap
@@ -622,66 +586,5 @@ func (k *Kernel) wake(p *proc, err error) {
 	p.frame.Err = err
 	if err := k.m.Engine().Ready(p.pid); err != nil {
 		panic(fmt.Sprintf("linuxsim: Ready(%d): %v", p.pid, err))
-	}
-}
-
-// --- Network ----------------------------------------------------------------
-
-func (k *Kernel) doNetListen(self *proc, f *machine.Frame) error {
-	if k.cfg.Net == nil {
-		return fmt.Errorf("%w: no network", ErrNoEnt)
-	}
-	l, err := k.cfg.Net.Listen(vnet.Port(f.R[0]))
-	if err != nil {
-		return err
-	}
-	self.nextFD++
-	self.listeners[self.nextFD] = l
-	f.R[0] = uint64(self.nextFD)
-	return nil
-}
-
-func (k *Kernel) doNetAccept(self *proc, f *machine.Frame) machine.Disposition {
-	l, ok := self.listeners[int32(f.R[0])]
-	if !ok {
-		f.Err = ErrBadFD
-		return machine.DispositionContinue
-	}
-	conn, err := k.cfg.Net.Accept(l)
-	switch {
-	case err == nil:
-		self.nextFD++
-		self.conns[self.nextFD] = conn
-		f.R[0] = uint64(self.nextFD)
-		return machine.DispositionContinue
-	case errors.Is(err, vnet.ErrWouldBlock):
-		k.armNet(self, l, nil, 0)
-		k.cfg.Net.WaitConn(l, self.onNet, self.waitToken)
-		return machine.DispositionBlock
-	default:
-		f.Err = err
-		return machine.DispositionContinue
-	}
-}
-
-func (k *Kernel) doNetRead(self *proc, f *machine.Frame) machine.Disposition {
-	conn, ok := self.conns[int32(f.R[0])]
-	if !ok {
-		f.Err = ErrBadFD
-		return machine.DispositionContinue
-	}
-	maxBytes := int(f.R[1])
-	data, err := k.cfg.Net.BoardRead(conn, maxBytes)
-	switch {
-	case err == nil:
-		f.Buf = data
-		return machine.DispositionContinue
-	case errors.Is(err, vnet.ErrWouldBlock):
-		k.armNet(self, nil, conn, maxBytes)
-		k.cfg.Net.WaitReadable(conn, self.onNet, self.waitToken)
-		return machine.DispositionBlock
-	default:
-		f.Err = err
-		return machine.DispositionContinue
 	}
 }

@@ -13,6 +13,7 @@ import (
 // arguments into the process's trap frame, traps with its number (see the
 // table in syscalls.go), and reads the reply back from the frame.
 type API struct {
+	vnet.SocketAPI
 	ctx  *machine.Context
 	f    *machine.Frame
 	self Endpoint
@@ -130,49 +131,13 @@ func (a *API) Exit() {
 }
 
 // NetListen binds a port (network privilege required) and returns a
-// listener handle.
+// listener handle. The other socket calls are the embedded SocketAPI's.
 func (a *API) NetListen(port vnet.Port) (int32, error) {
 	a.f.R[0] = uint64(port)
-	return a.handleReply(a.ctx.Trap(trapNetListen))
-}
-
-// NetAccept blocks until a connection arrives and returns its handle.
-func (a *API) NetAccept(listener int32) (int32, error) {
-	a.f.R[0] = uint64(listener)
-	return a.handleReply(a.ctx.Trap(trapNetAccept))
-}
-
-// handleReply returns the handle a trap left in R0, or 0 when the trap
-// failed.
-func (a *API) handleReply(err error) (int32, error) {
-	if err != nil {
+	if err := a.ctx.Trap(trapNetListen); err != nil {
 		return 0, err
 	}
 	return int32(a.f.R[0]), nil
-}
-
-// NetRead blocks until data (or EOF) is available and returns up to max
-// bytes; max <= 0 means "whatever is buffered".
-func (a *API) NetRead(conn int32, max int) ([]byte, error) {
-	a.f.R[0], a.f.R[1] = uint64(conn), uint64(max)
-	err := a.ctx.Trap(trapNetRead)
-	data := a.f.Buf
-	a.f.Buf = nil
-	return data, err
-}
-
-// NetWrite sends bytes on a connection.
-func (a *API) NetWrite(conn int32, data []byte) error {
-	a.f.R[0], a.f.Buf = uint64(conn), data
-	err := a.ctx.Trap(trapNetWrite)
-	a.f.Buf = nil
-	return err
-}
-
-// NetClose closes a connection handle.
-func (a *API) NetClose(conn int32) error {
-	a.f.R[0] = uint64(conn)
-	return a.ctx.Trap(trapNetClose)
 }
 
 // PM protocol message types (the POSIX-ish call surface the process manager

@@ -85,7 +85,7 @@ const (
 
 // procEntry is the kernel-side process control block. The paper's ac_id
 // addition is the acID field. Small fields sit together so the entry fills
-// a 224-byte allocation: a fork bomb keeps thousands of them live.
+// a 208-byte allocation: a fork bomb keeps thousands of them live.
 type procEntry struct {
 	pid  machine.PID
 	ep   Endpoint
@@ -125,12 +125,10 @@ type procEntry struct {
 	// span is the open sendrec round-trip span, zero outside a sendrec.
 	span obs.SpanID
 
-	// Network handles and memory grants.
-	nextHandle int32
-	nextGrant  GrantID
-	listeners  map[int32]*vnet.Listener
-	conns      map[int32]*vnet.Conn
-	grants     map[GrantID]*grant
+	// Memory grants, and the socket table, made on the first listen.
+	nextGrant GrantID
+	grants    map[GrantID]*grant
+	socks     *vnet.Sockets
 
 	// onSleep and onRecvTimeout are the process's timer callbacks, built on
 	// its first Sleep or ReceiveTimeout (most processes, every fork-bomb
@@ -140,15 +138,6 @@ type procEntry struct {
 	// a dead process, and does nothing.
 	onSleep       func(token uint64)
 	onRecvTimeout func(token uint64)
-
-	// onNet is the process's network waker, built on its first blocking
-	// accept or read and re-armed for every later one with the wait's token
-	// (vnet.Stack.WaitConn, WaitReadable). netListener, or netConn and
-	// netMax, name the operation the pending firing completes.
-	onNet       func(token uint64)
-	netListener *vnet.Listener
-	netConn     *vnet.Conn
-	netMax      int
 }
 
 // Kernel is the simulated security-enhanced MINIX 3 kernel: the board's
@@ -427,8 +416,9 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 		restart:   img.Restart,
 		netAccess: img.Net,
 	}
-	// The device, listener and connection tables are allocated on first
-	// write: most processes (every fork-bomb child) never touch them.
+	// The device table is allocated here only for an image with devices,
+	// and the socket table on the first listen: most processes (every
+	// fork-bomb child) never touch either.
 	if len(img.Devices) > 0 {
 		entry.devs = make(map[machine.DeviceID]bool, len(img.Devices))
 		for _, d := range img.Devices {
@@ -437,7 +427,7 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 	}
 	body := img.Body
 	proc, err := k.m.Engine().Spawn(img.Name, img.Priority, func(ctx *machine.Context) {
-		body(&API{ctx: ctx, f: ctx.Frame(), self: ep})
+		body(&API{SocketAPI: vnet.NewSocketAPI(ctx, trapNetListen), ctx: ctx, f: ctx.Frame(), self: ep})
 	})
 	if err != nil {
 		return EndpointNone, fmt.Errorf("minix: spawning %q: %w", img.Name, err)
@@ -670,16 +660,8 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 		f.R[0], f.Err = uint64(ep), err
 	case trapTrace:
 		k.m.Trace().Log(f.S0, f.S1)
-	case trapNetListen:
-		f.Err = k.doNetListen(self, f)
-	case trapNetAccept:
-		return k.doNetAccept(self, f)
-	case trapNetRead:
-		return k.doNetRead(self, f)
-	case trapNetWrite:
-		f.Err = k.doNetWrite(self, f)
-	case trapNetClose:
-		f.Err = k.doNetClose(self, f)
+	case trapNetListen, trapNetAccept, trapNetRead, trapNetWrite, trapNetClose:
+		return k.doNet(self, f)
 	case trapGrantCreate:
 		f.Err = k.doGrantCreate(self, f)
 	case trapGrantRevoke:
@@ -1038,6 +1020,57 @@ func (k *Kernel) buildWakers(e *procEntry) {
 	}
 }
 
+// doNet runs a network trap. This is the kernel's network mediation. In the
+// paper's scenario only the web interface process touches the network; the
+// kernel gates every network trap with a per-process privilege, checked
+// before the handle, and the caller's socket table (vnet.Sockets) does the
+// rest.
+func (k *Kernel) doNet(self *procEntry, f *machine.Frame) machine.Disposition {
+	switch {
+	case k.cfg.Net == nil:
+		f.Err = fmt.Errorf("%w: board has no network", ErrNoPrivilege)
+	case !self.netAccess:
+		f.Err = fmt.Errorf("%w: network access", ErrNoPrivilege)
+	case f.Nr == trapNetListen:
+		if self.socks == nil {
+			self.socks = vnet.NewSockets(k.cfg.Net, nil, k.netWaker(self))
+		}
+		self.socks.Listen(f, vnet.Port(f.R[0]))
+	default:
+		d := self.socks.Trap(f, trapNetListen, ErrBadHandle)
+		if d == machine.DispositionBlock {
+			self.phase = phaseNetBlocked
+			self.waitToken++
+			self.socks.Wait(self.waitToken)
+		}
+		return d
+	}
+	return machine.DispositionContinue
+}
+
+// netWaker builds e's network waker, which its socket table registers for
+// every blocking accept or read. Like the timer callbacks, a firing whose
+// token is stale, or whose e is dead, does nothing.
+func (k *Kernel) netWaker(e *procEntry) func(token uint64) {
+	return func(token uint64) {
+		if k.live(e.pid) != e || e.waitToken != token || e.phase != phaseNetBlocked {
+			return
+		}
+		e.phase = phaseIdle
+		k.wake(e, e.socks.Complete(e.frame))
+	}
+}
+
+// wake writes err into the error slot of e, a process blocked in a trap
+// whose reply the caller has written into its frame, and readies it.
+// Failure is a kernel invariant violation.
+func (k *Kernel) wake(e *procEntry, err error) {
+	e.frame.Err = err
+	if err := k.m.Engine().Ready(e.pid); err != nil {
+		panic(fmt.Sprintf("minix: Ready(%d): %v", e.pid, err))
+	}
+}
+
 // matches implements the Receive source filter.
 func matches(filter, src Endpoint) bool {
 	return filter == EndpointAny || filter == src
@@ -1105,15 +1138,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 		}
 	}
 
-	// Release network resources.
-	if k.cfg.Net != nil {
-		for _, l := range e.listeners {
-			k.cfg.Net.CloseListener(l)
-		}
-		for _, c := range e.conns {
-			k.cfg.Net.BoardClose(c)
-		}
-	}
+	e.socks.Release()
 
 	// Report to RS for driver reincarnation.
 	if k.rs != nil && e.restart && crashed {

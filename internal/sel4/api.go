@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"mkbas/internal/machine"
+	"mkbas/internal/vnet"
 )
 
 // API is the system-call interface a simulated seL4 thread programs against.
@@ -12,6 +13,7 @@ import (
 // wrapper writes its arguments into the thread's trap frame, traps with its
 // number (see the table in ipc.go), and reads the reply back from the frame.
 type API struct {
+	vnet.SocketAPI
 	ctx *machine.Context
 	f   *machine.Frame
 }
@@ -156,46 +158,12 @@ func (a *API) Trace(tag, text string) {
 }
 
 // NetListen binds the port referenced by a net-port capability (read right)
-// and returns a listener handle.
+// and returns a listener handle. The other socket calls are the embedded
+// SocketAPI's.
 func (a *API) NetListen(cptr CPtr) (int32, error) {
 	a.f.R[0] = uint64(cptr)
-	return a.handleReply(a.ctx.Trap(trapNetListen))
-}
-
-// NetAccept blocks until a connection arrives on the listener handle.
-func (a *API) NetAccept(listener int32) (int32, error) {
-	a.f.R[0] = uint64(listener)
-	return a.handleReply(a.ctx.Trap(trapNetAccept))
-}
-
-// handleReply returns the handle a trap left in R0, or 0 when the trap
-// failed.
-func (a *API) handleReply(err error) (int32, error) {
-	if err != nil {
+	if err := a.ctx.Trap(trapNetListen); err != nil {
 		return 0, err
 	}
 	return int32(a.f.R[0]), nil
-}
-
-// NetRead blocks until data (or EOF) is available on the connection handle.
-func (a *API) NetRead(conn int32, max int) ([]byte, error) {
-	a.f.R[0], a.f.R[1] = uint64(conn), uint64(max)
-	err := a.ctx.Trap(trapNetRead)
-	data := a.f.Buf
-	a.f.Buf = nil
-	return data, err
-}
-
-// NetWrite sends bytes on the connection handle.
-func (a *API) NetWrite(conn int32, data []byte) error {
-	a.f.R[0], a.f.Buf = uint64(conn), data
-	err := a.ctx.Trap(trapNetWrite)
-	a.f.Buf = nil
-	return err
-}
-
-// NetClose closes the connection handle.
-func (a *API) NetClose(conn int32) error {
-	a.f.R[0] = uint64(conn)
-	return a.ctx.Trap(trapNetClose)
 }

@@ -1,7 +1,6 @@
 package sel4
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -93,27 +92,15 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 	case trapTrace:
 		k.m.Trace().Log(f.S0, f.S1)
 	case trapNetListen:
-		f.Err = k.doNetListen(t, f)
-	case trapNetAccept:
-		return k.doNetAccept(t, f)
-	case trapNetRead:
-		return k.doNetRead(t, f)
-	case trapNetWrite:
-		conn, ok := t.conns[int32(f.R[0])]
-		if !ok {
-			f.Err = ErrBadHandle
-			break
+		k.doNetListen(t, f)
+	case trapNetAccept, trapNetRead, trapNetWrite, trapNetClose:
+		d := t.socks.Trap(f, trapNetListen, ErrBadHandle)
+		if d == machine.DispositionBlock {
+			t.state = stateNetBlocked
+			t.waitToken++
+			t.socks.Wait(t.waitToken)
 		}
-		f.Err = k.cfg.Net.BoardWrite(conn, f.Buf)
-	case trapNetClose:
-		h := int32(f.R[0])
-		conn, ok := t.conns[h]
-		if !ok {
-			f.Err = ErrBadHandle
-			break
-		}
-		delete(t.conns, h)
-		k.cfg.Net.BoardClose(conn)
+		return d
 	default:
 		f.Err = fmt.Errorf("sel4: unknown trap %d", f.Nr)
 	}
@@ -414,41 +401,16 @@ func (k *Kernel) buildWaker(t *tcb) {
 	}
 }
 
-// armNet blocks t on the network under a fresh wait token, building its
-// network waker on its first blocking accept or read: an accept on l or,
-// with l nil, a read of up to max bytes from conn. The caller registers
-// onNet with the wait's token.
-func (k *Kernel) armNet(t *tcb, l *vnet.Listener, conn *vnet.Conn, max int) {
-	if t.onNet == nil {
-		k.buildNetWaker(t)
-	}
-	t.state = stateNetBlocked
-	t.waitToken++
-	t.netListener, t.netConn, t.netMax = l, conn, max
-}
-
-// buildNetWaker builds t's reusable network waker. A firing completes the
-// accept or read t blocked in; a firing whose token is stale, or whose t no
-// longer runs under its PID, does nothing.
-func (k *Kernel) buildNetWaker(t *tcb) {
-	t.onNet = func(token uint64) {
+// netWaker builds t's network waker, which its socket table registers for
+// every blocking accept or read. A firing whose token is stale, or whose t
+// no longer runs under its PID, does nothing.
+func (k *Kernel) netWaker(t *tcb) func(token uint64) {
+	return func(token uint64) {
 		if k.byPID[t.pid] != t || t.waitToken != token || t.state != stateNetBlocked {
 			return
 		}
 		t.state = stateReady
-		var err error
-		if l := t.netListener; l != nil {
-			var conn *vnet.Conn
-			if conn, err = k.cfg.Net.Accept(l); err == nil {
-				t.nextHandle++
-				t.conns[t.nextHandle] = conn
-				t.frame.R[0] = uint64(t.nextHandle)
-			}
-		} else {
-			t.frame.Buf, err = k.cfg.Net.BoardRead(t.netConn, t.netMax)
-		}
-		t.netListener, t.netConn = nil, nil
-		k.wake(t, err)
+		k.wake(t, t.socks.Complete(t.frame))
 	}
 }
 
@@ -522,15 +484,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 		}
 		t.replyCap = nil
 	}
-	// Release network resources.
-	if k.cfg.Net != nil {
-		for _, l := range t.listeners {
-			k.cfg.Net.CloseListener(l)
-		}
-		for _, c := range t.conns {
-			k.cfg.Net.BoardClose(c)
-		}
-	}
+	t.socks.Release()
 }
 
 func removeTCB(q []*tcb, t *tcb) []*tcb {
@@ -551,67 +505,20 @@ func (k *Kernel) wake(t *tcb, err error) {
 	}
 }
 
-// --- Network mediation ------------------------------------------------------
-
-func (k *Kernel) doNetListen(t *tcb, f *machine.Frame) error {
+// doNetListen is the kernel's network mediation: binding a port takes a
+// capability to it, with the read right, and every later socket trap works
+// only on the handles that bind gave out.
+func (k *Kernel) doNetListen(t *tcb, f *machine.Frame) {
 	c, err := k.lookupCap(t, CPtr(f.R[0]), KindNetPort, CapRead)
-	if err != nil {
-		return err
-	}
-	if k.cfg.Net == nil {
-		return fmt.Errorf("%w: board has no network", ErrInvalidCap)
-	}
-	l, err := k.cfg.Net.Listen(k.ports[c.Object].port)
-	if err != nil {
-		return err
-	}
-	t.nextHandle++
-	t.listeners[t.nextHandle] = l
-	f.R[0] = uint64(t.nextHandle)
-	return nil
-}
-
-func (k *Kernel) doNetAccept(t *tcb, f *machine.Frame) machine.Disposition {
-	l, ok := t.listeners[int32(f.R[0])]
-	if !ok {
-		f.Err = ErrBadHandle
-		return machine.DispositionContinue
-	}
-	conn, err := k.cfg.Net.Accept(l)
 	switch {
-	case err == nil:
-		t.nextHandle++
-		t.conns[t.nextHandle] = conn
-		f.R[0] = uint64(t.nextHandle)
-		return machine.DispositionContinue
-	case errors.Is(err, vnet.ErrWouldBlock):
-		k.armNet(t, l, nil, 0)
-		k.cfg.Net.WaitConn(l, t.onNet, t.waitToken)
-		return machine.DispositionBlock
-	default:
+	case err != nil:
 		f.Err = err
-		return machine.DispositionContinue
-	}
-}
-
-func (k *Kernel) doNetRead(t *tcb, f *machine.Frame) machine.Disposition {
-	conn, ok := t.conns[int32(f.R[0])]
-	if !ok {
-		f.Err = ErrBadHandle
-		return machine.DispositionContinue
-	}
-	maxBytes := int(f.R[1])
-	data, err := k.cfg.Net.BoardRead(conn, maxBytes)
-	switch {
-	case err == nil:
-		f.Buf = data
-		return machine.DispositionContinue
-	case errors.Is(err, vnet.ErrWouldBlock):
-		k.armNet(t, nil, conn, maxBytes)
-		k.cfg.Net.WaitReadable(conn, t.onNet, t.waitToken)
-		return machine.DispositionBlock
+	case k.cfg.Net == nil:
+		f.Err = fmt.Errorf("%w: board has no network", ErrInvalidCap)
 	default:
-		f.Err = err
-		return machine.DispositionContinue
+		if t.socks == nil {
+			t.socks = vnet.NewSockets(k.cfg.Net, nil, k.netWaker(t))
+		}
+		t.socks.Listen(f, k.ports[c.Object].port)
 	}
 }

@@ -101,24 +101,13 @@ type tcb struct {
 	// the capability is installed, so a delivery books its edges by index.
 	edges []capEdges
 
-	// Network handles.
-	nextHandle int32
-	listeners  map[int32]*vnet.Listener
-	conns      map[int32]*vnet.Conn
+	// socks is the thread's socket table, made on its first listen.
+	socks *vnet.Sockets
 
 	// onSleep is the thread's sleep timer callback, built once at Start and
 	// re-armed for every Sleep with the sleep's token
 	// (machine.Clock.AfterToken).
 	onSleep func(token uint64)
-
-	// onNet is the thread's network waker, built on its first blocking
-	// accept or read and re-armed for every later one with the wait's token
-	// (vnet.Stack.WaitConn, WaitReadable). netListener, or netConn and
-	// netMax, name the operation the pending firing completes.
-	onNet       func(token uint64)
-	netListener *vnet.Listener
-	netConn     *vnet.Conn
-	netMax      int
 
 	// replyObject backs replyCap: at most one reply capability is live per
 	// receiver (a newer Call delivery replaces the pointer), so the object
@@ -304,12 +293,10 @@ func (k *Kernel) CreateNetPort(port vnet.Port) ObjID {
 func (k *Kernel) CreateThread(name string, prio int, body func(api *API)) ObjID {
 	id := k.allocID()
 	k.tcbs[id] = &tcb{
-		id:        id,
-		name:      name,
-		prio:      prio,
-		body:      body,
-		listeners: make(map[int32]*vnet.Listener),
-		conns:     make(map[int32]*vnet.Conn),
+		id:   id,
+		name: name,
+		prio: prio,
+		body: body,
 	}
 	return id
 }
@@ -367,7 +354,7 @@ func (k *Kernel) Start(tcbID ObjID) error {
 	}
 	body := t.body
 	proc, err := k.m.Engine().Spawn(t.name, t.prio, func(ctx *machine.Context) {
-		body(&API{ctx: ctx, f: ctx.Frame()})
+		body(&API{SocketAPI: vnet.NewSocketAPI(ctx, trapNetListen), ctx: ctx, f: ctx.Frame()})
 	})
 	if err != nil {
 		return fmt.Errorf("sel4: starting %q: %w", t.name, err)

@@ -86,6 +86,11 @@ smoke='platforms=paper;actions=kill-controller;models=both'
 go run ./cmd/bas lab -sweep "$smoke" -workers 1 -json -q >"$out1"
 go run ./cmd/bas lab -sweep "$smoke" -workers 8 -json -q >"$out2"
 cmp "$out1" "$out2"
+# The text report follows the same rule at one worker count: it prints the
+# pool width but no wall-clock reading, so two runs print the same bytes.
+go run ./cmd/bas lab -sweep "$smoke" -workers 8 -q >"$out1"
+go run ./cmd/bas lab -sweep "$smoke" -workers 8 -q >"$out2"
+cmp "$out1" "$out2"
 # Perf-skeleton determinism golden (DESIGN.md §13): the untimed phase profile
 # (phase set, ordering, per-phase counts) is a pure function of the campaign,
 # so it must be byte-identical at any worker count.
