@@ -22,9 +22,6 @@ import (
 	"mkbas/internal/polcheck/monitor"
 	"mkbas/internal/sel4"
 	"mkbas/internal/vnet"
-
-	"os"
-	"path/filepath"
 )
 
 // --- E1: Section IV-D attack outcomes ---------------------------------------
@@ -534,19 +531,13 @@ func BenchmarkE5_BruteForce(b *testing.B) {
 // --- E6: AADL -> ACM compilation -----------------------------------------------
 
 func BenchmarkE6_AADLCompile(b *testing.B) {
-	src, err := os.ReadFile(filepath.Join("internal", "aadl", "testdata", "tempcontrol.aadl"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	text := string(src)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pkg, err := aadl.Parse(text)
+		pkg, err := aadl.Parse(aadl.TempControl)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := aadl.GenerateACM(pkg, "temp_control.impl"); err != nil {
+		if _, err := aadl.GenerateACM(pkg, aadl.TempControlSystem); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,11 +29,11 @@ func attackCmd(fs *flag.FlagSet) func([]string) error {
 	demote := get[bool](fs, "demote")
 	verbose := get[bool](fs, "v")
 	return func([]string) error {
-		sweep, err := attackSweep(*platforms, *actions, *model, *quota, *demote)
+		sweep, err := attackSweep(*platforms, *actions, *model, *quota)
 		if err != nil {
 			return err
 		}
-		res, err := lab.Run(sweep, lab.Options{})
+		results, err := lab.RunCases(attackCases(sweep, *demote), lab.Options{})
 		if err != nil {
 			return err
 		}
@@ -53,8 +53,8 @@ func attackCmd(fs *flag.FlagSet) func([]string) error {
 			}
 			fmt.Printf("=== %s ===\n", label)
 			var reports []*attack.Report
-			for _, sr := range res.Cases {
-				if sr.Case.Model != m || !attackCase(sr.Case, *demote) {
+			for _, sr := range results {
+				if sr.Case.Model != m {
 					continue
 				}
 				reports = append(reports, sr.Report)
@@ -81,13 +81,11 @@ func attackCmd(fs *flag.FlagSet) func([]string) error {
 	}
 }
 
-// attackSweep expands the attack flags into one lab sweep; -actions and
-// -model take the sweep grammar's actions and models values. The fork quota
-// rides the sweep's quota axis, which reaches only MINIX board attacks.
-// -demote is incident response on the API attacks alone: an all-API list
-// runs demoted, and a mixed list runs both monitor modes, of which
-// attackCase keeps the undemoted board attacks and the demoted API ones.
-func attackSweep(platforms, actions, model string, quota int, demote bool) (lab.Sweep, error) {
+// attackSweep expands the attack flags into one validated lab sweep;
+// -actions and -model take the sweep grammar's actions and models values.
+// The fork quota rides the sweep's quota axis, which reaches only MINIX
+// board attacks.
+func attackSweep(platforms, actions, model string, quota int) (lab.Sweep, error) {
 	sweep, err := lab.ParseSweep("actions=" + actions + ";models=" + model)
 	if err != nil {
 		return lab.Sweep{}, err
@@ -96,26 +94,21 @@ func attackSweep(platforms, actions, model string, quota int, demote bool) (lab.
 		return lab.Sweep{}, err
 	}
 	sweep.Quotas = []int{quota}
-	api := 0
-	for _, a := range sweep.Actions {
-		if attack.IsAPIAction(a) {
-			api++
-		}
-	}
-	switch {
-	case !demote || api == 0:
-	case api == len(sweep.Actions):
-		sweep.Monitors = []string{lab.MonitorDemote}
-	default:
-		sweep.Monitors = []string{lab.MonitorOff, lab.MonitorDemote}
-	}
-	return sweep, nil
+	return sweep, sweep.Validate()
 }
 
-// attackCase reports whether shard c belongs in the matrix: demoted exactly
-// when -demote is on and c is an API attack.
-func attackCase(c lab.Case, demote bool) bool {
-	return (c.Monitor == lab.MonitorDemote) == (demote && attack.IsAPIAction(c.Action))
+// attackCases expands the sweep into the matrix's cases, one per
+// (platform, model, action). -demote is incident response on the API
+// attacks alone: with it each API case runs demoted, and the board cases
+// run as they would without it.
+func attackCases(sweep lab.Sweep, demote bool) []lab.Case {
+	cases := sweep.Expand()
+	for i, c := range cases {
+		if demote && attack.IsAPIAction(c.Action) {
+			cases[i].Monitor = lab.MonitorDemote
+		}
+	}
+	return cases
 }
 
 // attackPlatforms expands -platforms: "paper", "all" (each ablation beside

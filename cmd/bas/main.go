@@ -22,7 +22,7 @@
 //	bas load -requests 200000 -json               tenant API load campaign (E16)
 //	bas policy -scenario tempcontrol              static policy proofs
 //	bas policy -scenario tempcontrol -audit -strict -allow polcheck.allow
-//	bas aadl -emit c internal/aadl/testdata/tempcontrol.aadl   AADL compiler
+//	bas aadl -emit c internal/aadl/tempcontrol.aadl   AADL compiler
 //
 // Run "bas <subcommand> -h" for a subcommand's flags. The lab, building,
 // load and mon subcommands also take the host-side profiling flags (-perf,

@@ -122,32 +122,33 @@ func first(ps []bas.Platform, err error) (bas.Platform, error) {
 }
 
 // TestAttackDemoteReachesOnlyAPICases expands a mixed board/API action list
-// under -demote: each (platform, model, action) must appear once, demoted
-// exactly when it is an API attack.
+// under -demote: the run must boot exactly the matrix's cases, each
+// (platform, model, action) once, demoted exactly when it is an API attack.
 func TestAttackDemoteReachesOnlyAPICases(t *testing.T) {
 	for _, demote := range []bool{false, true} {
 		for _, actions := range []string{"all", "api", "kill-controller,api-token-replay,fork-bomb"} {
-			sweep, err := attackSweep("paper", actions, "both", 5, demote)
+			sweep, err := attackSweep("paper", actions, "both", 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := len(sweep.Platforms) * len(sweep.Models) * len(sweep.Actions)
-			got := 0
-			for _, c := range sweep.Expand() {
-				if !attackCase(c, demote) {
-					continue
+			cases := attackCases(sweep, demote)
+			if want := len(sweep.Platforms) * len(sweep.Models) * len(sweep.Actions); len(cases) != want {
+				t.Errorf("demote=%v actions=%s: the run expands %d cases, the matrix has %d", demote, actions, len(cases), want)
+			}
+			seen := make(map[string]bool)
+			for _, c := range cases {
+				key := fmt.Sprint(c.Platform, c.Model, c.Action)
+				if seen[key] {
+					t.Errorf("demote=%v: %s runs twice", demote, c)
 				}
-				got++
+				seen[key] = true
 				spec := c.Spec()
-				if spec.Demote != (demote && attack.IsAPIAction(c.Action)) {
-					t.Errorf("demote=%v %s: spec.Demote = %v", demote, c, spec.Demote)
+				if spec.Demote != (demote && attack.IsAPIAction(c.Action)) || spec.Monitor {
+					t.Errorf("demote=%v %s: spec.Demote = %v, spec.Monitor = %v", demote, c, spec.Demote, spec.Monitor)
 				}
 				if spec.ForkQuota != 0 && (attack.IsAPIAction(c.Action) || c.Platform != bas.PlatformMinix) {
 					t.Errorf("demote=%v %s: fork quota %d off a MINIX board attack", demote, c, spec.ForkQuota)
 				}
-			}
-			if got != want {
-				t.Errorf("demote=%v actions=%s: %d matrix cases, want %d", demote, actions, got, want)
 			}
 		}
 	}

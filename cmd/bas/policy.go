@@ -11,7 +11,6 @@ import (
 
 	"mkbas/internal/aadl"
 	"mkbas/internal/bas"
-	"mkbas/internal/camkes"
 	"mkbas/internal/core"
 	"mkbas/internal/machine"
 	"mkbas/internal/polcheck"
@@ -203,7 +202,7 @@ func policyCmd(fs *flag.FlagSet) func([]string) error {
 // them; the hardened unique-account deployment passes statically until root
 // bypasses DAC.
 func tempcontrolCases(tenant bool) ([]platformCase, error) {
-	spec, err := camkes.GenerateSpec(bas.ScenarioAssembly(bas.DefaultScenario(), nil))
+	spec, err := bas.Sel4Spec()
 	if err != nil {
 		return nil, fmt.Errorf("generating capdl spec: %w", err)
 	}
@@ -213,7 +212,7 @@ func tempcontrolCases(tenant bool) ([]platformCase, error) {
 		return platformCase{label: label, graph: g, expectPass: expectPass}
 	}
 	cases := []platformCase{
-		{label: "minix-acm", graph: polcheck.FromPolicy(core.ScenarioPolicy()), expectPass: true},
+		{label: "minix-acm", graph: polcheck.FromPolicy(bas.MinixPolicy(false, false, core.QuotaUnlimited)), expectPass: true},
 		{label: "sel4-capdl", graph: polcheck.FromCapDL(spec), expectPass: true},
 		dac("linux-dac-default", false, false, false),
 		dac("linux-dac-root", false, true, false),
@@ -225,7 +224,7 @@ func tempcontrolCases(tenant bool) ([]platformCase, error) {
 		// set: the gateway's in-band grants do not open web→plant paths.
 		cases = append(cases, platformCase{
 			label:      "minix-acm-tenant",
-			graph:      polcheck.FromPolicy(core.ScenarioPolicyWithTenantGateway()),
+			graph:      polcheck.FromPolicy(bas.MinixPolicy(false, true, core.QuotaUnlimited)),
 			expectPass: true,
 		})
 	}
@@ -245,14 +244,13 @@ func tempcontrolCases(tenant bool) ([]platformCase, error) {
 func runAudit(runFor time.Duration, jsonOut, strict bool, allowPath string, tenant bool) error {
 	cfg := bas.DefaultScenario()
 	tb := bas.NewTestbed(cfg)
-	policy := core.ScenarioPolicy()
+	// With tenant, audit under the tenant-gateway-extended matrix: the
+	// gateway is a host-side subject that never performs board IPC itself,
+	// so its grants audit as unused by construction — the allowlist records
+	// the rationale for each one.
+	policy := bas.MinixPolicy(false, tenant, core.QuotaUnlimited)
 	label := "minix scenario"
 	if tenant {
-		// Audit under the tenant-gateway-extended matrix: the gateway is a
-		// host-side subject that never performs board IPC itself, so its
-		// grants audit as unused by construction — the allowlist records the
-		// rationale for each one.
-		policy = core.ScenarioPolicyWithTenantGateway()
 		label = "minix scenario (tenant-gateway matrix)"
 	}
 	if _, err := bas.Deploy(bas.PlatformMinix, tb, cfg, bas.DeployOptions{Policy: policy}); err != nil {

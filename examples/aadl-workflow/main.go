@@ -1,11 +1,14 @@
 // AADL workflow: the paper's Fig. 1 top-down/bottom-up loop, end to end.
 //
-//  1. Parse the AADL model of the temperature-control architecture.
+//  1. Parse the AADL model of the temperature-control architecture: the
+//     embedded scenario model every scenario board boots from, or a model
+//     file given on the command line.
 //
-//  2. Compile it to the access control matrix (and show the C rendering the
-//     authors compiled into their MINIX kernel).
+//  2. Compile it to the access control matrix and the PM syscall grants
+//     (and show the C rendering the authors compiled into their MINIX
+//     kernel).
 //
-//  3. Boot the MINIX platform with the *generated* policy and prove the
+//  3. Boot the MINIX platform with the generated policy and prove the
 //     closed loop still works.
 //
 //  4. Compile the same model to a CAmkES topology, and verify the booted
@@ -32,21 +35,21 @@ func main() {
 }
 
 func run() error {
-	path := "internal/aadl/testdata/tempcontrol.aadl"
+	src := aadl.TempControl
 	if len(os.Args) > 1 {
-		path = os.Args[1]
-	}
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return err
+		text, err := os.ReadFile(os.Args[1])
+		if err != nil {
+			return err
+		}
+		src = string(text)
 	}
 
 	// Step 1: model.
-	pkg, err := aadl.Parse(string(src))
+	pkg, err := aadl.Parse(src)
 	if err != nil {
 		return err
 	}
-	const sysName = "temp_control.impl"
+	const sysName = aadl.TempControlSystem
 	fmt.Printf("parsed package %s: %d processes, %d system implementation(s)\n",
 		pkg.Name, len(pkg.Processes), len(pkg.Systems))
 
@@ -66,15 +69,11 @@ func run() error {
 	fmt.Print(cSrc)
 
 	// Step 3: boot MINIX with the generated policy.
-	policy := core.NewPolicy()
-	policy.IPC = matrix.Clone()
-	policy.Syscalls.
-		Grant(core.ACIDScenario, core.SysFork).
-		Grant(core.ACIDScenario, core.SysExec).
-		Grant(core.ACIDScenario, core.SysKill).
-		Grant(core.ACIDScenario, core.SysSetACID).
-		Grant(core.ACIDWebInterface, core.SysFork)
-	policy.Seal()
+	grants, err := aadl.GenerateSyscalls(pkg, sysName)
+	if err != nil {
+		return err
+	}
+	policy := (&core.Policy{IPC: matrix, Syscalls: grants}).Seal()
 
 	cfg := bas.DefaultScenario()
 	tb := bas.NewTestbed(cfg)
@@ -111,13 +110,7 @@ func run() error {
 	}
 	fmt.Println("capability distribution verified against the live kernel")
 
-	// Sanity: generated topology matches the hand-built assembly's shape.
-	hand := bas.ScenarioAssembly(cfg, nil)
-	if len(topo.Connections) != len(hand.Connections) {
-		return fmt.Errorf("generated topology has %d connections, hand-built %d",
-			len(topo.Connections), len(hand.Connections))
-	}
-	fmt.Printf("\ngenerated topology matches the hand-built assembly: %d components, %d connections\n",
+	fmt.Printf("\ngenerated topology: %d components, %d connections; the seL4 board above boots the embedded model's, without its optional BACnet gateway\n",
 		len(topo.Components), len(topo.Connections))
 	return nil
 }

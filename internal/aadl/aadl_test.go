@@ -2,8 +2,7 @@ package aadl
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,11 +11,7 @@ import (
 
 func loadScenario(t *testing.T) *Package {
 	t.Helper()
-	src, err := os.ReadFile(filepath.Join("testdata", "tempcontrol.aadl"))
-	if err != nil {
-		t.Fatalf("reading model: %v", err)
-	}
-	pkg, err := Parse(string(src))
+	pkg, err := Parse(TempControl)
 	if err != nil {
 		t.Fatalf("parsing model: %v", err)
 	}
@@ -28,22 +23,29 @@ func TestParseScenarioModel(t *testing.T) {
 	if pkg.Name != "TempControl" {
 		t.Fatalf("package = %q", pkg.Name)
 	}
-	if len(pkg.Processes) != 5 {
-		t.Fatalf("processes = %d, want 5", len(pkg.Processes))
+	if len(pkg.Processes) != 8 {
+		t.Fatalf("processes = %d, want 8", len(pkg.Processes))
 	}
-	sys, ok := pkg.System("temp_control.impl")
+	sys, ok := pkg.System(TempControlSystem)
 	if !ok {
 		t.Fatal("system implementation missing")
 	}
-	if len(sys.Subcomponents) != 5 || len(sys.Connections) != 4 {
-		t.Fatalf("subs=%d conns=%d, want 5/4", len(sys.Subcomponents), len(sys.Connections))
+	if len(sys.Subcomponents) != 8 || len(sys.Connections) != 6 {
+		t.Fatalf("subs=%d conns=%d, want 8/6", len(sys.Subcomponents), len(sys.Connections))
 	}
 	ctrl, _ := pkg.Process("tempProc")
 	if ctrl.ACID() != 101 {
 		t.Fatalf("tempProc AC_ID = %d, want 101", ctrl.ACID())
 	}
-	if port, ok := ctrl.Port("web_in"); !ok || port.Direction != DirIn {
-		t.Fatalf("web_in port wrong: %+v ok=%v", port, ok)
+	if port, ok := ctrl.Port("mgmt"); !ok || port.Direction != DirIn {
+		t.Fatalf("mgmt port wrong: %+v ok=%v", port, ok)
+	}
+	loader, _ := pkg.Process("scenario")
+	if got := loader.Syscalls(); !slices.Equal(got, []string{"fork", "exec", "kill", "set_acid"}) {
+		t.Fatalf("loader syscalls = %q", got)
+	}
+	if !loader.OnKernel("minix") || loader.OnKernel("sel4") || !ctrl.OnKernel("sel4") {
+		t.Fatal("Kernels property misread")
 	}
 	web := sys.Connections[3]
 	types := web.MessageTypes()
@@ -52,37 +54,56 @@ func TestParseScenarioModel(t *testing.T) {
 	}
 }
 
-// TestScenarioPolicyMatchesAADL pins the hand-written core.ScenarioPolicy to
-// the compiled model (experiment E6): the AADL→ACM compiler regenerates the
-// kernel's matrix exactly.
-func TestScenarioPolicyMatchesAADL(t *testing.T) {
+// TestGenerateSyscalls: the Syscalls properties compile to unbudgeted PM
+// grants, for processes on MINIX only.
+func TestGenerateSyscalls(t *testing.T) {
 	pkg := loadScenario(t)
-	generated, err := GenerateACM(pkg, "temp_control.impl")
+	s, err := GenerateSyscalls(pkg, TempControlSystem)
 	if err != nil {
-		t.Fatalf("GenerateACM: %v", err)
+		t.Fatal(err)
 	}
-	hand := core.ScenarioPolicy().IPC
-
-	subjects := make(map[core.ACID]bool)
-	for _, s := range generated.Subjects() {
-		subjects[s] = true
+	if got := s.Subjects(); !slices.Equal(got, []core.ACID{104, 105}) {
+		t.Fatalf("granted subjects = %v, want [104 105]", got)
 	}
-	for _, s := range hand.Subjects() {
-		subjects[s] = true
-	}
-	for src := range subjects {
-		for dst := range subjects {
-			g, h := generated.Mask(src, dst), hand.Mask(src, dst)
-			if g != h {
-				t.Errorf("cell %d->%d: generated %v, hand-written %v", src, dst, g.Types(), h.Types())
-			}
+	for _, kind := range []core.SyscallKind{core.SysFork, core.SysExec, core.SysKill, core.SysSetACID} {
+		if r := s.Rule(105, kind); !r.Allowed || r.Quota != core.QuotaUnlimited {
+			t.Errorf("loader %s = %+v, want unbudgeted grant", kind, r)
 		}
+		if r := s.Rule(104, kind); r.Allowed != (kind == core.SysFork) {
+			t.Errorf("web interface %s = %+v", kind, r)
+		}
+	}
+	if s.Sealed() {
+		t.Fatal("grants come back sealed; a deployment cannot budget them")
+	}
+}
+
+// TestOmit: an omitted subcomponent leaves every generator's output with
+// its connections.
+func TestOmit(t *testing.T) {
+	pkg := loadScenario(t)
+	m, err := GenerateACM(pkg, TempControlSystem, "bacnetGateway", "tenantApiGw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if subjects := m.Subjects(); !slices.Equal(subjects, []core.ACID{100, 101, 102, 103, 104, 105}) {
+		t.Fatalf("matrix subjects = %v, want the gateways left out:\n%s", subjects, m)
+	}
+	topo, err := GenerateCAmkES(pkg, TempControlSystem, "bacnetGateway")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(topo.Components) != 5 || len(topo.Connections) != 4 {
+		t.Fatalf("components=%d connections=%d, want 5/4", len(topo.Components), len(topo.Connections))
+	}
+	if s, _ := GenerateSyscalls(pkg, TempControlSystem, "scenario"); !slices.Equal(s.Subjects(), []core.ACID{104}) {
+		t.Fatalf("grants without the loader go to %v, want [104]", s.Subjects())
 	}
 }
 
 func TestGenerateCOutput(t *testing.T) {
 	pkg := loadScenario(t)
-	src, err := GenerateC(pkg, "temp_control.impl")
+	src, err := GenerateC(pkg, TempControlSystem)
 	if err != nil {
 		t.Fatalf("GenerateC: %v", err)
 	}
@@ -102,7 +123,7 @@ func TestGenerateCOutput(t *testing.T) {
 		}
 	}
 	// Deterministic output.
-	src2, _ := GenerateC(pkg, "temp_control.impl")
+	src2, _ := GenerateC(pkg, TempControlSystem)
 	if src != src2 {
 		t.Fatal("GenerateC not deterministic")
 	}
@@ -110,36 +131,42 @@ func TestGenerateCOutput(t *testing.T) {
 
 func TestGenerateCAmkESTopology(t *testing.T) {
 	pkg := loadScenario(t)
-	topo, err := GenerateCAmkES(pkg, "temp_control.impl")
+	topo, err := GenerateCAmkES(pkg, TempControlSystem)
 	if err != nil {
 		t.Fatalf("GenerateCAmkES: %v", err)
 	}
-	if len(topo.Connections) != 4 {
-		t.Fatalf("connections = %d, want 4", len(topo.Connections))
+	// The loader and the tenant gateway are not on seL4: no component, and
+	// no connection for the gateway.
+	var names []string
+	for _, c := range topo.Components {
+		names = append(names, c.Name)
 	}
-	ctrl := topo.Components["tempProc"]
-	if ctrl == nil {
-		t.Fatal("tempProc missing")
+	if want := []string{"tempProc", "heaterActProc", "alarmProc", "tempSensProc", "webInterface", "bacnetGateway"}; !slices.Equal(names, want) {
+		t.Fatalf("components = %q, want %q in model order", names, want)
 	}
-	if len(ctrl.Provides) != 2 { // sensor_in, web_in
-		t.Fatalf("tempProc provides %v, want 2 interfaces", ctrl.Provides)
+	if len(topo.Connections) != 5 {
+		t.Fatalf("connections = %d, want 5", len(topo.Connections))
 	}
-	if len(ctrl.Uses) != 2 { // heater_out, alarm_out
-		t.Fatalf("tempProc uses %v, want 2 interfaces", ctrl.Uses)
+	ctrl, _ := topo.Component("tempProc")
+	if !slices.Equal(ctrl.Provides, []string{"sensor", "mgmt"}) || !slices.Equal(ctrl.Uses, []string{"heater", "alarm"}) {
+		t.Fatalf("tempProc ifaces = %+v", ctrl)
 	}
-	web := topo.Components["webInterface"]
+	web, _ := topo.Component("webInterface")
 	if len(web.Uses) != 1 || len(web.Provides) != 0 {
 		t.Fatalf("webInterface ifaces = %+v, want exactly one uses", web)
 	}
 
-	adl := topo.RenderCAmkES("temp_control.impl")
+	adl := topo.RenderCAmkES(TempControlSystem)
 	for _, want := range []string{
-		"connection seL4RPCCall c1(from tempSensProc.sensor_out, to tempProc.sensor_in);",
+		"connection seL4RPCCall c1(from tempSensProc.ctrl, to tempProc.sensor);",
 		"component WebInterface webInterface;",
 	} {
 		if !strings.Contains(adl, want) {
 			t.Errorf("ADL missing %q:\n%s", want, adl)
 		}
+	}
+	if strings.Contains(adl, "scenario") || strings.Contains(adl, "tenantApiGw") {
+		t.Errorf("ADL names a process seL4 does not boot:\n%s", adl)
 	}
 }
 
@@ -212,6 +239,7 @@ func TestSyntaxErrors(t *testing.T) {
 		{"bad port", "package P\npublic\nprocess a\nfeatures\n x: sideways port;\nproperties\n AC_ID => 1;\nend a;\nend P;"},
 		{"bad char", "package P\npublic\n@\nend P;"},
 		{"unclosed list", "package P\npublic\nprocess a\nproperties\n AC_ID => (1, 2;\nend a;\nend P;"},
+		{"mixed list", "package P\npublic\nprocess a\nproperties\n Syscalls => (fork, 2);\nend a;\nend P;"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -254,6 +282,9 @@ end b;
 		{"unknown port", header + procs + "system implementation s.impl\nsubcomponents\n a: process a;\n b: process b;\nconnections\n c: port a.ghost -> b.i;\nend s.impl;\nend P;"},
 		{"direction mismatch", header + procs + "system implementation s.impl\nsubcomponents\n a: process a;\n b: process b;\nconnections\n c: port a.i -> b.i;\nend s.impl;\nend P;"},
 		{"type out of range", header + procs + "system implementation s.impl\nsubcomponents\n a: process a;\n b: process b;\nconnections\n c: port a.o -> b.i { Message_Type => 64; };\nend s.impl;\nend P;"},
+		{"unknown syscall", header + "process x\nproperties\n AC_ID => 5;\n Syscalls => (fork, reboot);\nend x;\nend P;"},
+		{"numeric syscalls", header + "process x\nproperties\n AC_ID => 5;\n Syscalls => (1, 2);\nend x;\nend P;"},
+		{"unknown kernel", header + "process x\nproperties\n AC_ID => 5;\n Kernels => (minix, windows);\nend x;\nend P;"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,9 @@
 package aadl
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PortDirection is an AADL port direction.
 type PortDirection int
@@ -26,11 +29,12 @@ type Port struct {
 	Line      int
 }
 
-// PropValue is a property association value: either a number or a list of
-// numbers.
+// PropValue is a property association value: a number, a list of numbers,
+// or a list of names ("(fork, exec)"), lower-cased.
 type PropValue struct {
 	Number int64
 	List   []int64
+	Names  []string
 	IsList bool
 }
 
@@ -58,6 +62,19 @@ func (p *Process) ACID() int64 {
 		return v.Number
 	}
 	return 0
+}
+
+// Syscalls returns the process's Syscalls property: the audited kernel
+// services the MINIX PM server grants it ("fork", "exec", "kill",
+// "set_acid").
+func (p *Process) Syscalls() []string { return p.Properties["syscalls"].Names }
+
+// OnKernel reports whether kernel's policy artifact includes the process:
+// the Kernels property names the kernels that do ("minix", "sel4",
+// "linux"), and a process without one is on every kernel.
+func (p *Process) OnKernel(kernel string) bool {
+	v, ok := p.Properties["kernels"]
+	return !ok || slices.Contains(v.Names, kernel)
 }
 
 // Subcomponent is one process instance inside a system implementation.

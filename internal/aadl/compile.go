@@ -2,31 +2,52 @@ package aadl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"mkbas/internal/core"
 )
 
-// GenerateACM compiles a system implementation into the access control
-// matrix: one Allow cell per connection (with its declared message types)
-// plus the acknowledgment convention in both directions between every
-// connected pair, exactly as the scenario policy is written by hand.
-func GenerateACM(pkg *Package, sysName string) (*core.Matrix, error) {
+// kernelView returns the part of system sysName that kernel's policy
+// artifact covers: the subcomponents whose process is on kernel, less those
+// omit names (optional processes a deployment leaves out), each mapped to
+// its process, and the connections between them.
+func kernelView(pkg *Package, sysName, kernel string, omit []string) (*SystemImpl, map[string]*Process, error) {
 	sys, ok := pkg.System(sysName)
 	if !ok {
-		return nil, fmt.Errorf("aadl: no system implementation %q", sysName)
+		return nil, nil, fmt.Errorf("aadl: no system implementation %q", sysName)
+	}
+	view, procs := &SystemImpl{Name: sys.Name, Line: sys.Line}, make(map[string]*Process)
+	for _, sub := range sys.Subcomponents {
+		if proc, _ := pkg.Process(sub.ProcessType); proc.OnKernel(kernel) && !slices.Contains(omit, sub.Name) {
+			view.Subcomponents, procs[sub.Name] = append(view.Subcomponents, sub), proc
+		}
+	}
+	for _, conn := range sys.Connections {
+		if procs[conn.Src.Component] != nil && procs[conn.Dst.Component] != nil {
+			view.Connections = append(view.Connections, conn)
+		}
+	}
+	return view, procs, nil
+}
+
+// GenerateACM compiles a system implementation into the MINIX access
+// control matrix: every subcomponent on MINIX named by its AC_ID, one Allow
+// cell per connection (with its declared message types), and the
+// acknowledgment convention in both directions between every connected
+// pair. omit names optional subcomponents to leave out.
+func GenerateACM(pkg *Package, sysName string, omit ...string) (*core.Matrix, error) {
+	sys, procs, err := kernelView(pkg, sysName, "minix", omit)
+	if err != nil {
+		return nil, err
 	}
 	m := core.NewMatrix()
 	for _, sub := range sys.Subcomponents {
-		proc, _ := pkg.Process(sub.ProcessType)
-		m.Name(core.ACID(proc.ACID()), sub.Name)
+		m.Name(core.ACID(procs[sub.Name].ACID()), sub.Name)
 	}
 	for _, conn := range sys.Connections {
-		src, dst, err := connACIDs(pkg, sys, conn)
-		if err != nil {
-			return nil, err
-		}
+		src, dst := core.ACID(procs[conn.Src.Component].ACID()), core.ACID(procs[conn.Dst.Component].ACID())
 		types := conn.MessageTypes()
 		if len(types) == 0 {
 			return nil, &SemanticError{Line: conn.Line, Msg: fmt.Sprintf("connection %q declares no message types", conn.Label)}
@@ -39,19 +60,24 @@ func GenerateACM(pkg *Package, sysName string) (*core.Matrix, error) {
 	return m.Seal(), nil
 }
 
-// connACIDs resolves a connection's endpoint identities.
-func connACIDs(pkg *Package, sys *SystemImpl, conn Connection) (core.ACID, core.ACID, error) {
-	srcSub, ok := sys.Sub(conn.Src.Component)
-	if !ok {
-		return 0, 0, &SemanticError{Line: conn.Line, Msg: fmt.Sprintf("unknown subcomponent %q", conn.Src.Component)}
+// GenerateSyscalls compiles the Syscalls properties of a system
+// implementation's processes on MINIX into the PM server's audited-service
+// grants, each without a budget, leaving out the subcomponents omit names.
+// The grants come back unsealed, so a deployment can budget one (E8's fork
+// quota) before it seals them.
+func GenerateSyscalls(pkg *Package, sysName string, omit ...string) (*core.SyscallPolicy, error) {
+	sys, procs, err := kernelView(pkg, sysName, "minix", omit)
+	if err != nil {
+		return nil, err
 	}
-	dstSub, ok := sys.Sub(conn.Dst.Component)
-	if !ok {
-		return 0, 0, &SemanticError{Line: conn.Line, Msg: fmt.Sprintf("unknown subcomponent %q", conn.Dst.Component)}
+	s := core.NewSyscallPolicy()
+	for _, sub := range sys.Subcomponents {
+		for _, name := range procs[sub.Name].Syscalls() {
+			kind, _ := syscallKind(name) // analyze rejected unknown names
+			s.Grant(core.ACID(procs[sub.Name].ACID()), kind)
+		}
 	}
-	srcProc, _ := pkg.Process(srcSub.ProcessType)
-	dstProc, _ := pkg.Process(dstSub.ProcessType)
-	return core.ACID(srcProc.ACID()), core.ACID(dstProc.ACID()), nil
+	return s, nil
 }
 
 // GenerateC renders the matrix as the C source the authors' AADL→C compiler
@@ -101,16 +127,27 @@ func GenerateC(pkg *Package, sysName string) (string, error) {
 // (handlers, run functions) is attached by application code, exactly as
 // CAmkES glue is joined with user components.
 type CamkesTopology struct {
-	// Components maps instance name to its interface lists.
-	Components map[string]*CamkesComponentSpec
-	// Connections are seL4RPCCall connections.
+	// Components are the component instances in subcomponent order.
+	Components []*CamkesComponentSpec
+	// Connections are seL4RPCCall connections, in model order.
 	Connections []CamkesConnectionSpec
+}
+
+// Component finds a component by instance name.
+func (t *CamkesTopology) Component(name string) (*CamkesComponentSpec, bool) {
+	for _, c := range t.Components {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return nil, false
 }
 
 // CamkesComponentSpec lists one component's interfaces.
 type CamkesComponentSpec struct {
-	Uses     []string // its own out-port names
-	Provides []string // its own in-port names
+	Name     string   // instance name
+	Uses     []string // its own out-port names, in connection order
+	Provides []string // its own in-port names, in connection order
 }
 
 // CamkesConnectionSpec is one seL4RPCCall connection in port terms.
@@ -123,23 +160,22 @@ type CamkesConnectionSpec struct {
 }
 
 // GenerateCAmkES compiles a system implementation into a CAmkES topology:
-// every AADL port connection becomes a seL4RPCCall connection, the source
-// port a uses-interface and the destination port a provides-interface.
-func GenerateCAmkES(pkg *Package, sysName string) (*CamkesTopology, error) {
-	sys, ok := pkg.System(sysName)
-	if !ok {
-		return nil, fmt.Errorf("aadl: no system implementation %q", sysName)
+// every subcomponent on seL4 becomes a component, every AADL port
+// connection between two of them a seL4RPCCall connection, the source port
+// a uses-interface and the destination port a provides-interface. omit
+// names optional subcomponents to leave out.
+func GenerateCAmkES(pkg *Package, sysName string, omit ...string) (*CamkesTopology, error) {
+	sys, _, err := kernelView(pkg, sysName, "sel4", omit)
+	if err != nil {
+		return nil, err
 	}
-	topo := &CamkesTopology{Components: make(map[string]*CamkesComponentSpec)}
+	topo := &CamkesTopology{}
 	for _, sub := range sys.Subcomponents {
-		topo.Components[sub.Name] = &CamkesComponentSpec{}
+		topo.Components = append(topo.Components, &CamkesComponentSpec{Name: sub.Name})
 	}
 	for _, conn := range sys.Connections {
-		from := topo.Components[conn.Src.Component]
-		to := topo.Components[conn.Dst.Component]
-		if from == nil || to == nil {
-			return nil, &SemanticError{Line: conn.Line, Msg: fmt.Sprintf("connection %q references unknown subcomponent", conn.Label)}
-		}
+		from, _ := topo.Component(conn.Src.Component)
+		to, _ := topo.Component(conn.Dst.Component)
 		appendUnique(&from.Uses, conn.Src.Port)
 		appendUnique(&to.Provides, conn.Dst.Port)
 		topo.Connections = append(topo.Connections, CamkesConnectionSpec{
@@ -167,13 +203,8 @@ func (t *CamkesTopology) RenderCAmkES(sysName string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "/* Generated from AADL system %s. DO NOT EDIT. */\n", sysName)
 	b.WriteString("assembly {\n    composition {\n")
-	names := make([]string, 0, len(t.Components))
-	for name := range t.Components {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "        component %s %s;\n", componentTypeName(name), name)
+	for _, c := range t.Components {
+		fmt.Fprintf(&b, "        component %s %s;\n", componentTypeName(c.Name), c.Name)
 	}
 	b.WriteByte('\n')
 	for _, conn := range t.Connections {

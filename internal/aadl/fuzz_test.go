@@ -7,11 +7,12 @@ import (
 
 // FuzzParse drives the AADL front end. Whatever the text, Parse must not
 // panic and must allocate in proportion to the text; every system
-// implementation of an accepted package must go through the ACM, C and
-// CAmkES generators and the linter without panicking (they may refuse it).
+// implementation of an accepted package must go through the ACM, syscall,
+// C and CAmkES generators and the linter without panicking (they may refuse
+// it).
 //
-// The seeds live in testdata/fuzz/FuzzParse: the scenario model and
-// fragments of it.
+// The seeds live in testdata/fuzz/FuzzParse: the scenario model, fragments
+// of it, and the name-valued Syscalls and Kernels property forms.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
 		var before, after runtime.MemStats
@@ -26,6 +27,7 @@ func FuzzParse(f *testing.F) {
 		}
 		for _, sys := range pkg.Systems {
 			GenerateACM(pkg, sys.Name)
+			GenerateSyscalls(pkg, sys.Name)
 			GenerateC(pkg, sys.Name)
 			if topo, err := GenerateCAmkES(pkg, sys.Name); err == nil {
 				topo.RenderCAmkES(sys.Name)

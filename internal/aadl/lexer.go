@@ -1,17 +1,22 @@
 // Package aadl implements the modeling front end of the paper's workflow
 // (Section IV): a parser for the AADL subset the scenario uses — processes
 // with event data ports, system implementations with subcomponents and port
-// connections, and property associations carrying each process's ac_id and
-// each connection's permitted message types — plus the two source-to-source
+// connections, and property associations carrying each process's ac_id,
+// its MINIX syscall grants and the kernels it runs on, and each
+// connection's permitted message types — plus the two source-to-source
 // compilers the authors describe:
 //
 //   - AADL → ACM ("this source-to-source compiler can automatically
-//     generate the ACM for the AADL specification"), emitting both a
-//     core.Matrix for the simulated kernel and a C rendering equivalent to
-//     what the authors compiled into their MINIX kernel;
+//     generate the ACM for the AADL specification"), emitting a
+//     core.Matrix and the PM server's syscall grants for the simulated
+//     kernel, and a C rendering equivalent to what the authors compiled
+//     into their MINIX kernel;
 //   - AADL → CAmkES ("we have begun development of an AADL to CAmkES
 //     source-to-source compiler"), emitting the assembly topology for
 //     internal/camkes and a CAmkES ADL text rendering.
+//
+// TempControl embeds the scenario's own model; every MINIX and seL4
+// scenario board boots what these compilers make of it.
 //
 // The grammar is a pragmatic subset of SAE AS5506 sufficient for the paper's
 // models; it is not a general AADL front end.

@@ -13,9 +13,9 @@ func Parse(src string) (*Package, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	pkg, err := p.parsePackage()
-	if err != nil {
-		return nil, err
+	pkg := p.parsePackage()
+	if p.err != nil {
+		return nil, p.err
 	}
 	if err := analyze(pkg); err != nil {
 		return nil, err
@@ -23,9 +23,13 @@ func Parse(src string) (*Package, error) {
 	return pkg, nil
 }
 
+// parser is a recursive-descent parser with a sticky error: the first
+// syntax error is recorded and every loop stops on it, so the productions
+// read straight through and Parse discards whatever they built after it.
 type parser struct {
 	toks []token
 	pos  int
+	err  error
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -38,124 +42,99 @@ func (p *parser) next() token {
 	return t
 }
 
-func (p *parser) errf(tok token, format string, args ...any) error {
-	return &SyntaxError{Line: tok.line, Msg: fmt.Sprintf(format, args...)}
+// more reports whether a list production should read another item: no
+// error yet and the next token is an identifier other than the keywords
+// that end the list.
+func (p *parser) more(stops ...string) bool {
+	if p.err != nil || p.peek().kind != tokIdent {
+		return false
+	}
+	for _, kw := range stops {
+		if keywordIs(p.peek(), kw) {
+			return false
+		}
+	}
+	return true
+}
+
+// fail records a syntax error at tok unless one is already recorded.
+func (p *parser) fail(tok token, format string, args ...any) {
+	if p.err == nil {
+		p.err = &SyntaxError{Line: tok.line, Msg: fmt.Sprintf(format, args...)}
+	}
 }
 
 // expect consumes a token of the given kind.
-func (p *parser) expect(kind tokenKind) (token, error) {
+func (p *parser) expect(kind tokenKind) token {
 	t := p.next()
 	if t.kind != kind {
-		return t, p.errf(t, "expected %v, found %q", kind, t.text)
+		p.fail(t, "expected %v, found %q", kind, t.text)
 	}
-	return t, nil
+	return t
 }
 
 // expectKeyword consumes a specific keyword identifier.
-func (p *parser) expectKeyword(kw string) (token, error) {
+func (p *parser) expectKeyword(kw string) token {
 	t := p.next()
 	if !keywordIs(t, kw) {
-		return t, p.errf(t, "expected %q, found %q", kw, t.text)
+		p.fail(t, "expected %q, found %q", kw, t.text)
 	}
-	return t, nil
+	return t
 }
 
 // parsePackage parses "package Name public ... end Name;".
-func (p *parser) parsePackage() (*Package, error) {
-	if _, err := p.expectKeyword("package"); err != nil {
-		return nil, err
-	}
-	nameTok, err := p.expect(tokIdent)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expectKeyword("public"); err != nil {
-		return nil, err
-	}
-	pkg := &Package{Name: nameTok.text}
-	for {
+func (p *parser) parsePackage() *Package {
+	p.expectKeyword("package")
+	pkg := &Package{Name: p.expect(tokIdent).text}
+	p.expectKeyword("public")
+	for p.err == nil {
 		t := p.peek()
 		switch {
 		case keywordIs(t, "process"):
-			proc, perr := p.parseProcess()
-			if perr != nil {
-				return nil, perr
-			}
-			pkg.Processes = append(pkg.Processes, *proc)
+			pkg.Processes = append(pkg.Processes, p.parseProcess())
 		case keywordIs(t, "system"):
-			sys, serr := p.parseSystem()
-			if serr != nil {
-				return nil, serr
-			}
-			pkg.Systems = append(pkg.Systems, *sys)
+			pkg.Systems = append(pkg.Systems, p.parseSystem())
 		case keywordIs(t, "end"):
 			p.next()
-			endName, eerr := p.expect(tokIdent)
-			if eerr != nil {
-				return nil, eerr
-			}
+			endName := p.expect(tokIdent)
 			if !strings.EqualFold(endName.text, pkg.Name) {
-				return nil, p.errf(endName, "end %q does not match package %q", endName.text, pkg.Name)
+				p.fail(endName, "end %q does not match package %q", endName.text, pkg.Name)
 			}
-			if _, eerr := p.expect(tokSemi); eerr != nil {
-				return nil, eerr
-			}
-			if _, eerr := p.expect(tokEOF); eerr != nil {
-				return nil, eerr
-			}
-			return pkg, nil
+			p.expect(tokSemi)
+			p.expect(tokEOF)
+			return pkg
 		default:
-			return nil, p.errf(t, "expected process, system, or end; found %q", t.text)
+			p.fail(t, "expected process, system, or end; found %q", t.text)
 		}
 	}
+	return pkg
 }
 
 // parseProcess parses "process Name [features ...] [properties ...] end Name;".
-func (p *parser) parseProcess() (*Process, error) {
-	start, err := p.expectKeyword("process")
-	if err != nil {
-		return nil, err
-	}
-	nameTok, err := p.expect(tokIdent)
-	if err != nil {
-		return nil, err
-	}
-	proc := &Process{Name: nameTok.text, Properties: map[string]PropValue{}, Line: start.line}
+func (p *parser) parseProcess() Process {
+	start := p.expectKeyword("process")
+	proc := Process{Name: p.expect(tokIdent).text, Properties: map[string]PropValue{}, Line: start.line}
 	if keywordIs(p.peek(), "features") {
 		p.next()
-		for p.peek().kind == tokIdent && !keywordIs(p.peek(), "properties") && !keywordIs(p.peek(), "end") {
-			port, perr := p.parsePort()
-			if perr != nil {
-				return nil, perr
-			}
-			proc.Ports = append(proc.Ports, *port)
+		for p.more("properties", "end") {
+			proc.Ports = append(proc.Ports, p.parsePort())
 		}
 	}
 	if keywordIs(p.peek(), "properties") {
 		p.next()
-		for p.peek().kind == tokIdent && !keywordIs(p.peek(), "end") {
-			key, val, perr := p.parseProperty()
-			if perr != nil {
-				return nil, perr
-			}
+		for p.more("end") {
+			key, val := p.parseProperty()
 			proc.Properties[key] = val
 		}
 	}
-	if err := p.parseEnd(proc.Name); err != nil {
-		return nil, err
-	}
-	return proc, nil
+	p.parseEnd(proc.Name)
+	return proc
 }
 
 // parsePort parses "name: in|out event data port;".
-func (p *parser) parsePort() (*Port, error) {
-	nameTok, err := p.expect(tokIdent)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokColon); err != nil {
-		return nil, err
-	}
+func (p *parser) parsePort() Port {
+	nameTok := p.expect(tokIdent)
+	p.expect(tokColon)
 	dirTok := p.next()
 	var dir PortDirection
 	switch {
@@ -164,255 +143,150 @@ func (p *parser) parsePort() (*Port, error) {
 	case keywordIs(dirTok, "out"):
 		dir = DirOut
 	default:
-		return nil, p.errf(dirTok, "expected in or out, found %q", dirTok.text)
+		p.fail(dirTok, "expected in or out, found %q", dirTok.text)
 	}
 	// "event data port" | "event port" | "data port"
-	sawCategory := false
-	for {
-		t := p.peek()
-		if keywordIs(t, "event") || keywordIs(t, "data") {
-			p.next()
-			continue
-		}
-		if keywordIs(t, "port") {
-			p.next()
-			sawCategory = true
-		}
-		break
+	for keywordIs(p.peek(), "event") || keywordIs(p.peek(), "data") {
+		p.next()
 	}
-	if !sawCategory {
-		return nil, p.errf(p.peek(), "expected port category")
+	if !keywordIs(p.peek(), "port") {
+		p.fail(p.peek(), "expected port category")
 	}
-	if _, err := p.expect(tokSemi); err != nil {
-		return nil, err
-	}
-	return &Port{Name: nameTok.text, Direction: dir, Line: nameTok.line}, nil
+	p.next()
+	p.expect(tokSemi)
+	return Port{Name: nameTok.text, Direction: dir, Line: nameTok.line}
 }
 
-// parseProperty parses "Key => value;" where value is a number or
-// "(n, n, ...)". Keys are normalised to lower case.
-func (p *parser) parseProperty() (string, PropValue, error) {
-	keyTok, err := p.expect(tokIdent)
-	if err != nil {
-		return "", PropValue{}, err
-	}
-	key := strings.ToLower(keyTok.text)
+// parseProperty parses "Key => value;" where value is a number or a
+// parenthesised list of numbers or of names: "(n, n, ...)" or
+// "(name, name, ...)". Keys and names are normalised to lower case.
+func (p *parser) parseProperty() (string, PropValue) {
+	key := p.expect(tokIdent).text
 	// Allow namespaced property names like BAS_Properties::AC_ID.
 	if p.peek().kind == tokDblColon {
 		p.next()
-		sub, serr := p.expect(tokIdent)
-		if serr != nil {
-			return "", PropValue{}, serr
-		}
-		key = strings.ToLower(sub.text)
+		key = p.expect(tokIdent).text
 	}
-	if _, err := p.expect(tokAssoc); err != nil {
-		return "", PropValue{}, err
-	}
-	val, err := p.parsePropValue()
-	if err != nil {
-		return "", PropValue{}, err
-	}
-	if _, err := p.expect(tokSemi); err != nil {
-		return "", PropValue{}, err
-	}
-	return key, val, nil
+	p.expect(tokAssoc)
+	val := p.parsePropValue()
+	p.expect(tokSemi)
+	return strings.ToLower(key), val
 }
 
-func (p *parser) parsePropValue() (PropValue, error) {
+func (p *parser) parsePropValue() PropValue {
 	t := p.next()
 	switch t.kind {
 	case tokNumber:
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return PropValue{}, p.errf(t, "bad number %q", t.text)
-		}
-		return PropValue{Number: n}, nil
+		return PropValue{Number: p.number(t)}
 	case tokLParen:
-		var list []int64
-		for {
-			numTok, err := p.expect(tokNumber)
-			if err != nil {
-				return PropValue{}, err
+		v := PropValue{IsList: true}
+		for p.err == nil {
+			switch item := p.next(); {
+			case item.kind == tokNumber && v.Names == nil:
+				v.List = append(v.List, p.number(item))
+			case item.kind == tokIdent && v.List == nil:
+				v.Names = append(v.Names, strings.ToLower(item.text))
+			default:
+				p.fail(item, "expected a list item like the first, found %q", item.text)
 			}
-			n, err := strconv.ParseInt(numTok.text, 10, 64)
-			if err != nil {
-				return PropValue{}, p.errf(numTok, "bad number %q", numTok.text)
+			if sep := p.next(); sep.kind == tokRParen {
+				break
+			} else if sep.kind != tokComma {
+				p.fail(sep, "expected ',' or ')', found %q", sep.text)
 			}
-			list = append(list, n)
-			sep := p.next()
-			if sep.kind == tokComma {
-				continue
-			}
-			if sep.kind == tokRParen {
-				return PropValue{List: list, IsList: true}, nil
-			}
-			return PropValue{}, p.errf(sep, "expected ',' or ')', found %q", sep.text)
 		}
+		return v
 	default:
-		return PropValue{}, p.errf(t, "expected number or list, found %q", t.text)
+		p.fail(t, "expected number or list, found %q", t.text)
+		return PropValue{}
 	}
+}
+
+// number parses a number token.
+func (p *parser) number(t token) int64 {
+	n, err := strconv.ParseInt(t.text, 10, 64)
+	if err != nil {
+		p.fail(t, "bad number %q", t.text)
+	}
+	return n
 }
 
 // parseSystem parses
 // "system implementation Name.Impl [subcomponents ...] [connections ...] end Name.Impl;".
-func (p *parser) parseSystem() (*SystemImpl, error) {
-	start, err := p.expectKeyword("system")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expectKeyword("implementation"); err != nil {
-		return nil, err
-	}
-	name, err := p.parseDottedName()
-	if err != nil {
-		return nil, err
-	}
-	sys := &SystemImpl{Name: name, Line: start.line}
+func (p *parser) parseSystem() SystemImpl {
+	start := p.expectKeyword("system")
+	p.expectKeyword("implementation")
+	sys := SystemImpl{Name: p.parseDottedName(), Line: start.line}
 	if keywordIs(p.peek(), "subcomponents") {
 		p.next()
-		for p.peek().kind == tokIdent && !keywordIs(p.peek(), "connections") && !keywordIs(p.peek(), "end") {
-			sub, serr := p.parseSubcomponent()
-			if serr != nil {
-				return nil, serr
-			}
-			sys.Subcomponents = append(sys.Subcomponents, *sub)
+		for p.more("connections", "end") {
+			sys.Subcomponents = append(sys.Subcomponents, p.parseSubcomponent())
 		}
 	}
 	if keywordIs(p.peek(), "connections") {
 		p.next()
-		for p.peek().kind == tokIdent && !keywordIs(p.peek(), "end") {
-			conn, cerr := p.parseConnection()
-			if cerr != nil {
-				return nil, cerr
-			}
-			sys.Connections = append(sys.Connections, *conn)
+		for p.more("end") {
+			sys.Connections = append(sys.Connections, p.parseConnection())
 		}
 	}
-	if err := p.parseEnd(sys.Name); err != nil {
-		return nil, err
-	}
-	return sys, nil
+	p.parseEnd(sys.Name)
+	return sys
 }
 
 // parseDottedName parses "name" or "name.impl".
-func (p *parser) parseDottedName() (string, error) {
-	first, err := p.expect(tokIdent)
-	if err != nil {
-		return "", err
-	}
-	name := first.text
+func (p *parser) parseDottedName() string {
+	name := p.expect(tokIdent).text
 	if p.peek().kind == tokDot {
 		p.next()
-		second, serr := p.expect(tokIdent)
-		if serr != nil {
-			return "", serr
-		}
-		name += "." + second.text
+		name += "." + p.expect(tokIdent).text
 	}
-	return name, nil
+	return name
 }
 
 // parseSubcomponent parses "instance: process TypeName;".
-func (p *parser) parseSubcomponent() (*Subcomponent, error) {
-	nameTok, err := p.expect(tokIdent)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokColon); err != nil {
-		return nil, err
-	}
-	if _, err := p.expectKeyword("process"); err != nil {
-		return nil, err
-	}
-	typeTok, err := p.expect(tokIdent)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokSemi); err != nil {
-		return nil, err
-	}
-	return &Subcomponent{Name: nameTok.text, ProcessType: typeTok.text, Line: nameTok.line}, nil
+func (p *parser) parseSubcomponent() Subcomponent {
+	nameTok := p.expect(tokIdent)
+	p.expect(tokColon)
+	p.expectKeyword("process")
+	typeTok := p.expect(tokIdent)
+	p.expect(tokSemi)
+	return Subcomponent{Name: nameTok.text, ProcessType: typeTok.text, Line: nameTok.line}
 }
 
 // parseConnection parses
 // "label: port a.x -> b.y [{ Props }];".
-func (p *parser) parseConnection() (*Connection, error) {
-	labelTok, err := p.expect(tokIdent)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokColon); err != nil {
-		return nil, err
-	}
-	if _, err := p.expectKeyword("port"); err != nil {
-		return nil, err
-	}
-	src, err := p.parsePortRef()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokArrow); err != nil {
-		return nil, err
-	}
-	dst, err := p.parsePortRef()
-	if err != nil {
-		return nil, err
-	}
-	conn := &Connection{
-		Label:      labelTok.text,
-		Src:        src,
-		Dst:        dst,
-		Properties: map[string]PropValue{},
-		Line:       labelTok.line,
-	}
+func (p *parser) parseConnection() Connection {
+	labelTok := p.expect(tokIdent)
+	p.expect(tokColon)
+	p.expectKeyword("port")
+	conn := Connection{Label: labelTok.text, Properties: map[string]PropValue{}, Line: labelTok.line}
+	conn.Src = p.parsePortRef()
+	p.expect(tokArrow)
+	conn.Dst = p.parsePortRef()
 	if p.peek().kind == tokLBrace {
 		p.next()
-		for p.peek().kind == tokIdent {
-			key, val, perr := p.parseProperty()
-			if perr != nil {
-				return nil, perr
-			}
+		for p.more() {
+			key, val := p.parseProperty()
 			conn.Properties[key] = val
 		}
-		if _, err := p.expect(tokRBrace); err != nil {
-			return nil, err
-		}
+		p.expect(tokRBrace)
 	}
-	if _, err := p.expect(tokSemi); err != nil {
-		return nil, err
-	}
-	return conn, nil
+	p.expect(tokSemi)
+	return conn
 }
 
 // parsePortRef parses "component.port".
-func (p *parser) parsePortRef() (PortRef, error) {
-	comp, err := p.expect(tokIdent)
-	if err != nil {
-		return PortRef{}, err
-	}
-	if _, err := p.expect(tokDot); err != nil {
-		return PortRef{}, err
-	}
-	port, err := p.expect(tokIdent)
-	if err != nil {
-		return PortRef{}, err
-	}
-	return PortRef{Component: comp.text, Port: port.text}, nil
+func (p *parser) parsePortRef() PortRef {
+	comp := p.expect(tokIdent)
+	p.expect(tokDot)
+	return PortRef{Component: comp.text, Port: p.expect(tokIdent).text}
 }
 
 // parseEnd parses "end Name;" verifying the name matches.
-func (p *parser) parseEnd(want string) error {
-	if _, err := p.expectKeyword("end"); err != nil {
-		return err
+func (p *parser) parseEnd(want string) {
+	p.expectKeyword("end")
+	if name := p.parseDottedName(); !strings.EqualFold(name, want) {
+		p.fail(p.peek(), "end %q does not match %q", name, want)
 	}
-	name, err := p.parseDottedName()
-	if err != nil {
-		return err
-	}
-	if !strings.EqualFold(name, want) {
-		return &SyntaxError{Line: p.peek().line, Msg: fmt.Sprintf("end %q does not match %q", name, want)}
-	}
-	_, err = p.expect(tokSemi)
-	return err
+	p.expect(tokSemi)
 }

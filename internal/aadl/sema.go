@@ -2,14 +2,19 @@ package aadl
 
 import (
 	"fmt"
+	"slices"
 
 	"mkbas/internal/core"
 )
 
+// kernels is every kernel a Kernels property may name.
+var kernels = []string{"minix", "sel4", "linux"}
+
 // analyze performs the semantic checks the AADL workbench would: every
 // subcomponent's process type exists, connections reference real ports with
-// compatible directions, every process carries a unique AC_ID, and message
-// types fit the ACM's 0..63 space.
+// compatible directions, every process carries a unique AC_ID, message
+// types fit the ACM's 0..63 space, and the Syscalls and Kernels properties
+// name known services and kernels.
 func analyze(pkg *Package) error {
 	seenProc := make(map[string]bool, len(pkg.Processes))
 	for _, proc := range pkg.Processes {
@@ -23,6 +28,12 @@ func analyze(pkg *Package) error {
 				return &SemanticError{Line: port.Line, Msg: fmt.Sprintf("duplicate port %q in %q", port.Name, proc.Name)}
 			}
 			seenPort[port.Name] = true
+		}
+		if err := checkNames(&proc, "syscalls", func(name string) bool { _, ok := syscallKind(name); return ok }); err != nil {
+			return err
+		}
+		if err := checkNames(&proc, "kernels", func(name string) bool { return slices.Contains(kernels, name) }); err != nil {
+			return err
 		}
 	}
 
@@ -76,6 +87,34 @@ func analyze(pkg *Package) error {
 		}
 	}
 	return nil
+}
+
+// checkNames rejects a name-valued property of proc that is not a list of
+// names known accepts.
+func checkNames(proc *Process, key string, known func(string) bool) error {
+	v, ok := proc.Properties[key]
+	if !ok {
+		return nil
+	}
+	if len(v.Names) == 0 {
+		return &SemanticError{Line: proc.Line, Msg: fmt.Sprintf("process %q property %s must list names", proc.Name, key)}
+	}
+	for _, name := range v.Names {
+		if !known(name) {
+			return &SemanticError{Line: proc.Line, Msg: fmt.Sprintf("process %q property %s: unknown name %q", proc.Name, key, name)}
+		}
+	}
+	return nil
+}
+
+// syscallKind maps a Syscalls name to the PM server's audited service.
+func syscallKind(name string) (core.SyscallKind, bool) {
+	for k := core.SysFork; k <= core.SysSetACID; k++ {
+		if k.String() == name {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // resolvePort maps a PortRef to its declared port.

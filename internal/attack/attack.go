@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"mkbas/internal/bas"
-	"mkbas/internal/core"
 	"mkbas/internal/faultinject"
 	"mkbas/internal/machine"
 	"mkbas/internal/obs"
@@ -314,7 +313,7 @@ func deployForSpec(tb *bas.Testbed, cfg bas.ScenarioConfig, spec Spec, prog *pro
 		opts.LinuxWeb = linuxAttackBody(spec.Action, prog)
 	}
 	if spec.ForkQuota > 0 {
-		opts.Policy = core.ScenarioPolicyWithForkQuota(spec.ForkQuota)
+		opts.Policy = bas.MinixPolicy(false, false, spec.ForkQuota)
 	}
 	dep, err := bas.Deploy(spec.Platform, tb, cfg, opts)
 	if err != nil {

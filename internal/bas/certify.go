@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"mkbas/internal/aadl"
 	"mkbas/internal/camkes"
 	"mkbas/internal/core"
 	"mkbas/internal/polcheck"
@@ -13,10 +14,15 @@ import (
 // MINIX ACM policy, the seL4 CapDL spec, the hardened Linux DAC model) is a
 // pure function of a few deploy inputs, so it is built, normalised into a
 // polcheck.Graph and proven against ScenarioProperties once per process per
-// distinct artifact, the way the paper compiles a platform's policy once
-// from its model. Every deployment of that artifact then shares the result:
-// the pre-deploy gate reads the verdict and the online monitor reads the
-// graph.
+// distinct artifact. Every deployment of that artifact then shares the
+// result: the pre-deploy gate reads the verdict and the online monitor reads
+// the graph.
+//
+// The microkernel artifacts are compiled from one source, the embedded
+// AADL model (aadl.TempControl), as the paper compiles each platform's
+// policy from its model: aadl.GenerateACM and aadl.GenerateSyscalls make
+// every MINIX policy, and aadl.GenerateCAmkES the components, interfaces
+// and connections of every seL4 assembly.
 //
 // Shared means read-only. The table holds only values nothing writes after
 // they are built: sealed policies, graphs, channel-name maps and verdicts.
@@ -62,29 +68,81 @@ func (m *memo[K, V]) get(k K, build func() V) V {
 	return entry()
 }
 
-// minixKey is every input that shapes the default MINIX policy.
-type minixKey struct{ bacnet, tenant bool }
+// scenarioModel is the embedded model, parsed once per process.
+var scenarioModel = sync.OnceValue(func() *aadl.Package {
+	return must(aadl.Parse(aadl.TempControl))
+})
 
-// minixArtifact is a default MINIX policy and its certification.
+// gatewaysOff lists the optional gateways a board leaves out of the model.
+func gatewaysOff(bacnet, tenant bool) (omit []string) {
+	if !bacnet {
+		omit = append(omit, NameBACnetGateway)
+	}
+	if !tenant {
+		omit = append(omit, NameTenantGateway)
+	}
+	return omit
+}
+
+// must unwraps a compile of the embedded model, which cannot fail unless
+// the model itself is broken.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic("bas: compiling the embedded scenario model: " + err.Error())
+	}
+	return v
+}
+
+// minixKey is every input that shapes a compiled MINIX policy.
+type minixKey struct {
+	bacnet, tenant bool
+	forkQuota      int
+}
+
+// minixArtifact is a compiled MINIX policy and its certification.
 type minixArtifact struct {
 	policy *core.Policy
 	certification
 }
 
-var minixTable memo[minixKey, *minixArtifact]
+var (
+	minixTable memo[minixKey, *minixArtifact]
+	// minixCompiled maps each compiled policy's value (its sealed matrix
+	// and grants) to its certification, so a deploy handed one through
+	// DeployOptions.Policy reads the table instead of certifying again.
+	minixCompiled sync.Map
+)
 
-// minixDefault returns the certified default policy for a MINIX board with
-// or without the optional gateway rows.
-func minixDefault(bacnet, tenant bool) *minixArtifact {
-	return minixTable.get(minixKey{bacnet, tenant}, func() *minixArtifact {
-		p := core.ScenarioPolicyWithGateways(bacnet, tenant)
-		if !p.Sealed() {
-			// Every board shares this policy: only a sealed one, whose
-			// matrix and grants panic on write, is safe to share.
-			panic("bas: default MINIX policy is not sealed")
+// minixDefault returns the certified policy the model compiles to for a
+// MINIX board with or without the optional gateways, the web interface's
+// fork grant budgeted by forkQuota (core.QuotaUnlimited: the paper's
+// policy).
+func minixDefault(bacnet, tenant bool, forkQuota int) *minixArtifact {
+	return minixTable.get(minixKey{bacnet, tenant, forkQuota}, func() *minixArtifact {
+		pkg, omit := scenarioModel(), gatewaysOff(bacnet, tenant)
+		grants := must(aadl.GenerateSyscalls(pkg, aadl.TempControlSystem, omit...))
+		if forkQuota != core.QuotaUnlimited {
+			// E8: the paper's proposed quota, on the web interface's fork.
+			grants.GrantQuota(core.ACIDWebInterface, core.SysFork, forkQuota)
 		}
-		return &minixArtifact{policy: p, certification: certify(polcheck.FromPolicy(p))}
+		// Every board shares this policy sealed: its matrix and grants panic
+		// on write.
+		p := (&core.Policy{IPC: must(aadl.GenerateACM(pkg, aadl.TempControlSystem, omit...)), Syscalls: grants}).Seal()
+		a := &minixArtifact{policy: p, certification: certify(polcheck.FromPolicy(p))}
+		minixCompiled.Store(*p, a.certification)
+		return a
 	})
+}
+
+// MinixPolicy returns the policy the embedded model compiles to for a MINIX
+// board with or without the optional gateways, the web interface's fork
+// grant budgeted by forkQuota (core.QuotaUnlimited for the paper's policy, a
+// budget for E8's). The matrix and grants are sealed and shared by every
+// board that boots them; a deploy handed this policy as DeployOptions.Policy
+// reads the certification the table made when it compiled it.
+func MinixPolicy(bacnet, tenant bool, forkQuota int) *core.Policy {
+	p := *minixDefault(bacnet, tenant, forkQuota).policy
+	return &p
 }
 
 // linuxKey is every input that shapes the hardened unique-account DAC model
@@ -100,6 +158,17 @@ var linuxTable memo[linuxKey, certification]
 func linuxContract(gateway, tenant bool) certification {
 	return linuxTable.get(linuxKey{gateway, tenant}, func() certification {
 		return certify(linuxContractGraph(gateway, tenant))
+	})
+}
+
+var sel4Topologies memo[bool, *aadl.CamkesTopology]
+
+// sel4Compiled returns the CAmkES topology the model compiles to for an seL4
+// board with or without the BACnet gateway, shared read-only by every
+// assembly of that board.
+func sel4Compiled(bacnet bool) *aadl.CamkesTopology {
+	return sel4Topologies.get(bacnet, func() *aadl.CamkesTopology {
+		return must(aadl.GenerateCAmkES(scenarioModel(), aadl.TempControlSystem, gatewaysOff(bacnet, false)...))
 	})
 }
 

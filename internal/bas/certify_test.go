@@ -54,7 +54,7 @@ func monitoredGraph(t *testing.T, dep Deployment) *polcheck.Graph {
 // overbroadPolicy is the default MINIX policy plus a grant that breaks the
 // scenario's contract: the web interface may command the heater.
 func overbroadPolicy() *core.Policy {
-	bad := core.ScenarioPolicy()
+	bad := MinixPolicy(false, false, core.QuotaUnlimited)
 	ipc := bad.IPC.Clone()
 	ipc.Allow(core.ACIDWebInterface, core.ACIDHeaterAct, core.MsgHeaterCmd)
 	bad.IPC = ipc.Seal()
@@ -102,7 +102,7 @@ func TestCustomPolicyGatedAfterTableFilled(t *testing.T) {
 	bad := overbroadPolicy()
 	dep := deployOrFatal(t, PlatformMinix, cfg, DeployOptions{Policy: bad, SkipPolicyCheck: true, Monitor: true})
 	got := monitoredGraph(t, dep)
-	if got == minixDefault(false, false).graph {
+	if got == minixDefault(false, false, core.QuotaUnlimited).graph {
 		t.Fatal("a custom policy's monitor got the default policy's graph")
 	}
 	if renderGraph(got) != renderGraph(polcheck.FromPolicy(bad)) {
@@ -117,9 +117,9 @@ func TestCustomPolicyGatedAfterTableFilled(t *testing.T) {
 func TestDefaultDeploysShareCertification(t *testing.T) {
 	cfg := DefaultScenario()
 	table := map[Platform]func() certification{
-		PlatformMinix:         func() certification { return minixDefault(false, false).certification },
-		PlatformMinixVanilla:  func() certification { return minixDefault(false, false).certification },
-		PlatformSel4:          func() certification { return sel4Certified(ScenarioAssembly(cfg, nil)).certification },
+		PlatformMinix:         func() certification { return minixDefault(false, false, core.QuotaUnlimited).certification },
+		PlatformMinixVanilla:  func() certification { return minixDefault(false, false, core.QuotaUnlimited).certification },
+		PlatformSel4:          func() certification { return sel4Certified(scenarioAssembly(cfg, nil, nil)).certification },
 		PlatformLinux:         func() certification { return linuxContract(false, false) },
 		PlatformLinuxHardened: func() certification { return linuxContract(false, false) },
 	}
@@ -159,8 +159,8 @@ func TestTableMatchesFreshArtifacts(t *testing.T) {
 	for _, bacnet := range []bool{false, true} {
 		for _, tenant := range []bool{false, true} {
 			what := fmt.Sprintf("minix bacnet=%v tenant=%v", bacnet, tenant)
-			a := minixDefault(bacnet, tenant)
-			same(what, a.certification, polcheck.FromPolicy(core.ScenarioPolicyWithGateways(bacnet, tenant)))
+			a := minixDefault(bacnet, tenant, core.QuotaUnlimited)
+			same(what, a.certification, polcheck.FromPolicy(a.policy))
 			if renderGraph(polcheck.FromPolicy(a.policy)) != renderGraph(a.graph) {
 				t.Fatalf("%s: the shared policy is not the certified one", what)
 			}
@@ -186,6 +186,30 @@ func TestTableMatchesFreshArtifacts(t *testing.T) {
 				same(what, certification{graph: monitoredGraph(t, dep)}, polcheck.FromCapDL(sys.Spec()))
 			}
 		}
+	}
+}
+
+// TestCompiledPolicyDeploysFromTable: a compiled policy handed to Deploy
+// (E8's quota variant) boots under the table's certification, its quota in
+// the key, while a copy with a replaced matrix is certified afresh.
+func TestCompiledPolicyDeploysFromTable(t *testing.T) {
+	cfg := DefaultScenario()
+	a := minixDefault(false, false, 5)
+	if r := a.policy.Syscalls.Rule(core.ACIDWebInterface, core.SysFork); !r.Allowed || r.Quota != 5 {
+		t.Fatalf("web fork rule = %+v, want a quota of 5", r)
+	}
+	if a == minixDefault(false, false, core.QuotaUnlimited) || a != minixDefault(false, false, 5) {
+		t.Fatal("the fork quota is not part of the table key")
+	}
+	dep := deployOrFatal(t, PlatformMinix, cfg, DeployOptions{Policy: MinixPolicy(false, false, 5), Monitor: true})
+	if monitoredGraph(t, dep) != a.graph {
+		t.Fatal("a compiled policy was certified again on deploy")
+	}
+	copied := MinixPolicy(false, false, 5)
+	copied.IPC = copied.IPC.Clone().Seal()
+	dep = deployOrFatal(t, PlatformMinix, cfg, DeployOptions{Policy: copied, Monitor: true})
+	if monitoredGraph(t, dep) == a.graph {
+		t.Fatal("a policy with a replaced matrix read the table's certification")
 	}
 }
 

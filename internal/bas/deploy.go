@@ -131,7 +131,7 @@ type DeployOptions struct {
 	// deliberately deploy over-permissive policies set it; production
 	// paths never should.
 	SkipPolicyCheck bool
-	// Policy overrides the default core.ScenarioPolicy(). MINIX platforms
+	// Policy overrides the default MinixPolicy(...). MINIX platforms
 	// only. The default policies are certified once per process; a policy
 	// given here is certified by every deploy that boots it.
 	Policy *core.Policy

@@ -59,8 +59,12 @@ func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 	if policy == nil {
 		// Optional gateways each need their own ACM row; the certified
 		// matrix is the deployed matrix.
-		a := minixDefault(opts.BACnet.Enabled, opts.TenantAPI)
+		a := minixDefault(opts.BACnet.Enabled, opts.TenantAPI, core.QuotaUnlimited)
 		policy, cert = a.policy, a.certification
+	} else if c, ok := minixCompiled.Load(*policy); ok {
+		// A policy the table compiled (E8's quota variant) was certified
+		// when it was built.
+		cert = c.(certification)
 	} else if gate || opts.Monitor {
 		// A caller-supplied policy is certified here, on every deploy.
 		cert.graph = polcheck.FromPolicy(policy)

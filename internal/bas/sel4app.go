@@ -8,6 +8,7 @@ import (
 
 	"mkbas/internal/bacnet"
 	"mkbas/internal/camkes"
+	"mkbas/internal/capdl"
 	"mkbas/internal/machine"
 	"mkbas/internal/plant"
 	"mkbas/internal/polcheck"
@@ -17,9 +18,10 @@ import (
 )
 
 // CAmkES interface names and RPC method numbers for the scenario assembly.
-// The assembly mirrors the AADL model: the web interface's ONLY connection
-// is mgmt on the controller ("the web interface has only one capability, to
-// communicate with the temperature controller process").
+// The interface names are the embedded model's port names: the web
+// interface's ONLY connection is mgmt on the controller ("the web interface
+// has only one capability, to communicate with the temperature controller
+// process").
 const (
 	IfaceSensorIn = "sensor" // provided by controller, used by sensor driver
 	IfaceMgmt     = "mgmt"   // provided by controller, used by web interface
@@ -52,11 +54,13 @@ func (d *Sel4Deployment) ControllerAlive() bool {
 		d.System.Kernel().ThreadAlive(mgmtTCB)
 }
 
-// ScenarioAssembly builds the CAmkES assembly for the Fig. 2 scenario. It is
-// exported so the AADL→CAmkES compiler tests can compare their generated
-// assembly against the hand-written one, as the authors did while their
-// source-to-source compiler was in development.
-func ScenarioAssembly(cfg ScenarioConfig, webRun func(rt *camkes.Runtime)) *camkes.Assembly {
+// scenarioAssembly is the Fig. 2 scenario's CAmkES assembly. Its
+// components, their interfaces and the connections between them are the
+// topology the embedded model compiles to; this function attaches each
+// component's priority, devices, net ports, handlers and run body. web, when
+// non-nil, replaces the web interface's body; gateway, when non-nil, is the
+// BACnet gateway's body and adds its component.
+func scenarioAssembly(cfg ScenarioConfig, web, gateway func(rt *camkes.Runtime)) *camkes.Assembly {
 	loop := controlLoop[*camkes.Runtime]{Controller: NewController(cfg.Controller), traceStatus: true,
 		actuate: func(rt *camkes.Runtime, a actuator, on bool) {
 			retryCommand(rt, a, func() error {
@@ -66,9 +70,7 @@ func ScenarioAssembly(cfg ScenarioConfig, webRun func(rt *camkes.Runtime)) *camk
 		}}
 
 	controller := &camkes.Component{
-		Name:     NameTempControl,
 		Priority: roleOf(NameTempControl).priority,
-		Uses:     []string{actuators[actHeater].verb, actuators[actAlarm].verb},
 		Provides: map[string]camkes.Handler{
 			IfaceSensorIn: func(rt *camkes.Runtime, method uint64, args camkes.Words, badge sel4.Badge) (camkes.Words, error) {
 				if method != methodSample {
@@ -111,7 +113,6 @@ func ScenarioAssembly(cfg ScenarioConfig, webRun func(rt *camkes.Runtime)) *camk
 	driver := func(name string) *camkes.Component {
 		r := roleOf(name)
 		return &camkes.Component{
-			Name:     name,
 			Priority: r.priority,
 			Devices:  []machine.DeviceID{r.device},
 			Provides: map[string]camkes.Handler{
@@ -125,75 +126,80 @@ func ScenarioAssembly(cfg ScenarioConfig, webRun func(rt *camkes.Runtime)) *camk
 		}
 	}
 
-	sensor := &camkes.Component{
-		Name:     NameTempSensor,
-		Priority: roleOf(NameTempSensor).priority,
-		Uses:     []string{"ctrl"},
-		Devices:  []machine.DeviceID{plant.DevTempSensor},
-		Run: func(rt *camkes.Runtime) {
-			runSensor(rt, cfg.SamplePeriod, func(raw uint32) bool {
-				if _, err := rt.Call("ctrl", methodSample, math.Float64bits(plant.DecodeTemp(raw))); err != nil {
-					rt.Trace("bas", fmt.Sprintf("sensor: sample delivery failed: %v", err))
-				}
-				return true
-			})
-		},
+	if web == nil {
+		web = func(rt *camkes.Runtime) { webInterfaceBody(rt, &sel4ControlClient{rt: rt}, nil) }
 	}
+	topo := sel4Compiled(gateway != nil)
+	assembly := &camkes.Assembly{Connections: make([]camkes.Connection, 0, len(topo.Connections))}
+	for _, c := range topo.Connections {
+		assembly.Connections = append(assembly.Connections, camkes.Connection{
+			FromComp: c.FromComp, FromIface: c.FromIface, ToComp: c.ToComp, ToIface: c.ToIface,
+		})
+	}
+	for _, spec := range topo.Components {
+		var comp *camkes.Component
+		switch spec.Name {
+		case NameTempControl:
+			comp = controller
+		case NameHeaterAct, NameAlarmAct:
+			comp = driver(spec.Name)
+		case NameTempSensor:
+			comp = &camkes.Component{
+				Priority: roleOf(NameTempSensor).priority,
+				Devices:  []machine.DeviceID{plant.DevTempSensor},
+				Run: func(rt *camkes.Runtime) {
+					runSensor(rt, cfg.SamplePeriod, func(raw uint32) bool {
+						if _, err := rt.Call("ctrl", methodSample, math.Float64bits(plant.DecodeTemp(raw))); err != nil {
+							rt.Trace("bas", fmt.Sprintf("sensor: sample delivery failed: %v", err))
+						}
+						return true
+					})
+				},
+			}
+		case NameWebInterface:
+			comp = &camkes.Component{Priority: roleOf(NameWebInterface).priority, NetPorts: []vnet.Port{WebPort}, Run: web}
+		case NameBACnetGateway:
+			// Like the web interface the gateway uses only the controller's
+			// mgmt interface; the controller tells the two clients apart by
+			// badge.
+			comp = &camkes.Component{Priority: gatewayPriority, NetPorts: []vnet.Port{BACnetPort}, Run: gateway}
+		default:
+			panic("bas: no behaviour for the model's seL4 component " + spec.Name)
+		}
+		// The model names the provided interfaces; this code only supplies
+		// a handler for each.
+		mismatch := len(comp.Provides) != len(spec.Provides)
+		for _, iface := range spec.Provides {
+			mismatch = mismatch || comp.Provides[iface] == nil
+		}
+		if mismatch {
+			panic("bas: scenario handlers do not match the model's interfaces of " + spec.Name)
+		}
+		comp.Name, comp.Uses = spec.Name, spec.Uses
+		assembly.Components = append(assembly.Components, comp)
+	}
+	return assembly
+}
 
-	if webRun == nil {
-		webRun = func(rt *camkes.Runtime) { webInterfaceBody(rt, &sel4ControlClient{rt: rt}, nil) }
-	}
-	web := &camkes.Component{
-		Name:     NameWebInterface,
-		Priority: roleOf(NameWebInterface).priority,
-		Uses:     []string{IfaceMgmt},
-		NetPorts: []vnet.Port{WebPort},
-		Run:      webRun,
-	}
-
-	return &camkes.Assembly{
-		Components: []*camkes.Component{
-			controller,
-			driver(NameHeaterAct),
-			driver(NameAlarmAct),
-			sensor,
-			web,
-		},
-		Connections: []camkes.Connection{
-			{FromComp: NameTempSensor, FromIface: "ctrl", ToComp: NameTempControl, ToIface: IfaceSensorIn},
-			{FromComp: NameTempControl, FromIface: actuators[actHeater].verb, ToComp: NameHeaterAct, ToIface: IfaceCmd},
-			{FromComp: NameTempControl, FromIface: actuators[actAlarm].verb, ToComp: NameAlarmAct, ToIface: IfaceCmd},
-			{FromComp: NameWebInterface, FromIface: IfaceMgmt, ToComp: NameTempControl, ToIface: IfaceMgmt},
-		},
-	}
+// Sel4Spec compiles the CapDL capability distribution a default seL4
+// scenario board installs, without booting one.
+func Sel4Spec() (*capdl.Spec, error) {
+	return camkes.GenerateSpec(scenarioAssembly(DefaultScenario(), nil, nil))
 }
 
 // deploySel4 is the seL4 backend of the Deploy registry.
 func deploySel4(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
 	sup := newDeploySupervision(tb, &cfg, opts)
-	assembly := ScenarioAssembly(cfg, opts.Sel4Web)
+	var gateway func(rt *camkes.Runtime)
 	if opts.BACnet.Enabled {
-		// Appended here rather than inside ScenarioAssembly so the exported
-		// assembly the AADL compiler tests compare against stays the five-
-		// component Fig. 2 scenario. The deployment owns the proxy's
-		// anti-replay state; a monitor-respawned gateway resumes from it.
+		// The deployment owns the proxy's anti-replay state; a
+		// monitor-respawned gateway resumes from it.
 		state, board := bacnet.NewProxyState(), tb.Machine.Obs()
-		assembly.Components = append(assembly.Components, &camkes.Component{
-			Name:     NameBACnetGateway,
-			Priority: gatewayPriority,
-			Uses:     []string{IfaceMgmt},
-			NetPorts: []vnet.Port{BACnetPort},
-			Run: func(rt *camkes.Runtime) {
-				bacnetGatewayBody(rt, &sel4ControlClient{rt: rt}, opts.BACnet, state, board, sup)
-			},
-		})
-		// Like the web interface the gateway uses only the controller's mgmt
-		// interface; the controller tells the two clients apart by badge.
-		assembly.Connections = append(assembly.Connections, camkes.Connection{
-			FromComp: NameBACnetGateway, FromIface: IfaceMgmt,
-			ToComp: NameTempControl, ToIface: IfaceMgmt,
-		})
+		gateway = func(rt *camkes.Runtime) {
+			bacnetGatewayBody(rt, &sel4ControlClient{rt: rt}, opts.BACnet, state, board, sup)
+		}
 	}
+	assembly := scenarioAssembly(cfg, opts.Sel4Web, gateway)
 	// The certified capability distribution doubles as the monitor's graph,
 	// so it is looked up whenever either consumer needs it.
 	var art *sel4Artifact

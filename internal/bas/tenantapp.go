@@ -9,7 +9,7 @@ import (
 )
 
 // NameTenantGateway is the tenant API gateway's subject name, shared between
-// the certified board policies (core.ScenarioPolicyWithTenantGateway), the
+// the certified board policies (the scenario model's tenantApiGw), the
 // monitor graphs, and the tenant tier's own access graph.
 const NameTenantGateway = tenantapi.SubjectGateway
 

@@ -3,11 +3,11 @@ package core
 import "testing"
 
 func BenchmarkMatrixAllows(b *testing.B) {
-	m := ScenarioPolicy().IPC
+	m := Fig3Matrix()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Allows(ACIDWebInterface, ACIDTempControl, MsgSetpointUpdate)
-		m.Allows(ACIDWebInterface, ACIDHeaterAct, MsgHeaterCmd)
+		m.Allows(Fig3App2, Fig3App1, 2) // granted
+		m.Allows(Fig3App2, Fig3App1, 1) // denied
 	}
 }
 
@@ -19,12 +19,5 @@ func BenchmarkQuotaLedgerCharge(b *testing.B) {
 		if err := l.Charge(1, SysFork); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkMatrixBuildScenario(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ScenarioPolicy()
 	}
 }

@@ -1,10 +1,11 @@
 package core
 
-// This file captures the paper's two concrete policies: the Fig. 3
-// three-application example (used verbatim by experiment E2) and the
-// temperature-control scenario policy of Fig. 2 / Section IV (experiments E1
-// and E3). Keeping them here, next to the mechanism, makes the experiments a
-// direct reading of the paper.
+// This file captures the paper's concrete identities: the Fig. 3
+// three-application example matrix (used verbatim by experiment E2), and
+// the subjects and message types of the Fig. 2 / Section IV
+// temperature-control scenario. The scenario's policy itself is compiled
+// from its AADL model (internal/aadl's TempControl, by internal/bas), never
+// written here.
 
 // Fig. 3 subjects.
 const (
@@ -48,7 +49,8 @@ func Fig3Matrix() *Matrix {
 }
 
 // Temperature-control scenario subjects (Section IV: "TempSensorProcess.imp
-// is 100, and TempControlProcess.imp is 101 etc.").
+// is 100, and TempControlProcess.imp is 101 etc."): the AC_ID properties of
+// the scenario model, named here for the MINIX loader that assigns them.
 const (
 	ACIDTempSensor   ACID = 100
 	ACIDTempControl  ACID = 101
@@ -78,16 +80,6 @@ const (
 	MsgStatusQuery MsgType = 5
 )
 
-// ScenarioPolicy is the compiled policy for the Fig. 2 temperature-control
-// scenario: exactly the connections of the AADL model, plus acknowledgments,
-// plus the PM-server grants (everyone may fork/exec during load via the
-// scenario process; only the scenario loader may kill or assign ACIDs; the
-// web interface is explicitly denied kill).
-//
-// The same structure is produced by compiling testdata/tempcontrol.aadl with
-// internal/aadl; TestScenarioPolicyMatchesAADL pins the two together.
-func ScenarioPolicy() *Policy { return scenarioPolicy(false, false, QuotaUnlimited) }
-
 // ACIDBACnetGateway identifies the optional BACnet gateway process (the
 // Fig. 1 "secure proxy" extension): a field-bus bridge with exactly the web
 // interface's authority — setpoint updates and status queries, nothing more.
@@ -99,79 +91,3 @@ const ACIDBACnetGateway ACID = 106
 // queries toward the controller — so even a fully compromised tenant tier
 // can never reach the actuator drivers or kill anything.
 const ACIDTenantGateway ACID = 107
-
-// ScenarioPolicyWithTenantGateway extends the scenario policy with the
-// tenant API gateway subject, the certified row the online monitor verifies
-// tenant→head-end traffic against.
-func ScenarioPolicyWithTenantGateway() *Policy { return ScenarioPolicyWithGateways(false, true) }
-
-// ScenarioPolicyWithGateways is the scenario policy with the optional
-// gateway rows a deployment asks for: the BACnet field-bus proxy, the tenant
-// API gateway, or both, for a board that serves a supervisory network and an
-// occupant API at once. Each row is the same whatever else is present;
-// neither gateway can reach the other.
-func ScenarioPolicyWithGateways(bacnet, tenant bool) *Policy {
-	return scenarioPolicy(bacnet, tenant, QuotaUnlimited)
-}
-
-// ScenarioPolicyWithForkQuota is the E8 variant: identical, except the web
-// interface may fork (it runs worker threads in the paper) under a hard
-// quota, defeating fork bombs.
-func ScenarioPolicyWithForkQuota(webForkQuota int) *Policy {
-	return scenarioPolicy(false, false, webForkQuota)
-}
-
-// scenarioPolicy writes the scenario's rows and grants once. bacnet and
-// tenant add the optional gateway rows; webForkQuota budgets the web
-// interface's fork grant.
-func scenarioPolicy(bacnet, tenant bool, webForkQuota int) *Policy {
-	p := NewPolicy()
-	m := p.IPC
-	m.Name(ACIDTempSensor, "tempSensProc").
-		Name(ACIDTempControl, "tempProc").
-		Name(ACIDHeaterAct, "heaterActProc").
-		Name(ACIDAlarmAct, "alarmProc").
-		Name(ACIDWebInterface, "webInterface").
-		Name(ACIDScenario, "scenario")
-
-	// Sensor pushes samples to the controller.
-	m.Allow(ACIDTempSensor, ACIDTempControl, MsgSensorData)
-	m.AllowBidirectionalAck(ACIDTempSensor, ACIDTempControl)
-	// Controller commands the two actuators.
-	m.Allow(ACIDTempControl, ACIDHeaterAct, MsgHeaterCmd)
-	m.AllowBidirectionalAck(ACIDTempControl, ACIDHeaterAct)
-	m.Allow(ACIDTempControl, ACIDAlarmAct, MsgAlarmCmd)
-	m.AllowBidirectionalAck(ACIDTempControl, ACIDAlarmAct)
-	// Web interface may only talk to the controller: setpoint updates and
-	// status queries. Each gateway gets exactly the same row.
-	m.Allow(ACIDWebInterface, ACIDTempControl, MsgSetpointUpdate, MsgStatusQuery)
-	m.AllowBidirectionalAck(ACIDWebInterface, ACIDTempControl)
-	for _, gw := range []struct {
-		on   bool
-		id   ACID
-		name string
-	}{
-		{bacnet, ACIDBACnetGateway, "bacnetGateway"},
-		{tenant, ACIDTenantGateway, "tenantApiGw"},
-	} {
-		if gw.on {
-			m.Name(gw.id, gw.name)
-			m.Allow(gw.id, ACIDTempControl, MsgSetpointUpdate, MsgStatusQuery)
-			m.AllowBidirectionalAck(gw.id, ACIDTempControl)
-		}
-	}
-
-	s := p.Syscalls
-	// The scenario loader builds the world.
-	s.Grant(ACIDScenario, SysFork)
-	s.Grant(ACIDScenario, SysExec)
-	s.Grant(ACIDScenario, SysKill)
-	s.Grant(ACIDScenario, SysSetACID)
-	// The web interface runs worker children ("5 fixed child threads"), so it
-	// holds a fork grant — unbudgeted in the paper's policy, the residual
-	// weakness the paper notes ("it can potentially launch a fork bomb").
-	// Nobody besides the loader is granted kill — in particular not the web
-	// interface.
-	s.GrantQuota(ACIDWebInterface, SysFork, webForkQuota)
-	return p.Seal()
-}

@@ -1,0 +1,119 @@
+package core_test
+
+// The scenario policy is compiled from the AADL model by internal/bas, which
+// imports core; these tests read it from there, in an external test package,
+// to pin its shape against the paper's Section IV attacks.
+
+import (
+	"testing"
+
+	"mkbas/internal/bas"
+	"mkbas/internal/core"
+)
+
+func TestScenarioPolicyShape(t *testing.T) {
+	p := bas.MinixPolicy(false, false, core.QuotaUnlimited)
+	if !p.Sealed() {
+		t.Fatal("scenario policy must come sealed")
+	}
+	m := p.IPC
+
+	allowed := []struct {
+		src, dst core.ACID
+		mt       core.MsgType
+	}{
+		{core.ACIDTempSensor, core.ACIDTempControl, core.MsgSensorData},
+		{core.ACIDTempControl, core.ACIDHeaterAct, core.MsgHeaterCmd},
+		{core.ACIDTempControl, core.ACIDAlarmAct, core.MsgAlarmCmd},
+		{core.ACIDWebInterface, core.ACIDTempControl, core.MsgSetpointUpdate},
+		{core.ACIDWebInterface, core.ACIDTempControl, core.MsgStatusQuery},
+		{core.ACIDTempControl, core.ACIDWebInterface, core.MsgAck},
+	}
+	for _, c := range allowed {
+		if !m.Allows(c.src, c.dst, c.mt) {
+			t.Errorf("%s -> %s type %d should be allowed",
+				m.NameOf(c.src), m.NameOf(c.dst), c.mt)
+		}
+	}
+
+	// The attacks of Section IV-D, as matrix lookups: the web interface must
+	// not be able to impersonate the sensor or command the actuators.
+	denied := []struct {
+		src, dst core.ACID
+		mt       core.MsgType
+	}{
+		{core.ACIDWebInterface, core.ACIDTempControl, core.MsgSensorData},
+		{core.ACIDWebInterface, core.ACIDHeaterAct, core.MsgHeaterCmd},
+		{core.ACIDWebInterface, core.ACIDAlarmAct, core.MsgAlarmCmd},
+		{core.ACIDWebInterface, core.ACIDHeaterAct, core.MsgAck},
+		{core.ACIDHeaterAct, core.ACIDTempControl, core.MsgSensorData},
+		{core.ACIDAlarmAct, core.ACIDHeaterAct, core.MsgHeaterCmd},
+	}
+	for _, c := range denied {
+		if m.Allows(c.src, c.dst, c.mt) {
+			t.Errorf("%s -> %s type %d should be denied",
+				m.NameOf(c.src), m.NameOf(c.dst), c.mt)
+		}
+	}
+
+	// Kill is granted only to the loader.
+	if !p.Syscalls.Rule(core.ACIDScenario, core.SysKill).Allowed {
+		t.Error("scenario loader should hold kill")
+	}
+	for _, id := range []core.ACID{core.ACIDTempSensor, core.ACIDTempControl, core.ACIDHeaterAct, core.ACIDAlarmAct, core.ACIDWebInterface} {
+		if p.Syscalls.Rule(id, core.SysKill).Allowed {
+			t.Errorf("acid %d should not hold kill", id)
+		}
+	}
+	// The web interface can fork (residual fork-bomb exposure).
+	if !p.Syscalls.Rule(core.ACIDWebInterface, core.SysFork).Allowed {
+		t.Error("web interface should hold fork in the baseline policy")
+	}
+}
+
+func TestScenarioPolicyWithForkQuota(t *testing.T) {
+	p := bas.MinixPolicy(false, false, 5)
+	rule := p.Syscalls.Rule(core.ACIDWebInterface, core.SysFork)
+	if !rule.Allowed || rule.Quota != 5 {
+		t.Fatalf("rule = %+v, want allowed with quota 5", rule)
+	}
+	// IPC surface identical to the baseline.
+	base := bas.MinixPolicy(false, false, core.QuotaUnlimited)
+	for _, src := range base.IPC.Subjects() {
+		for _, dst := range base.IPC.Subjects() {
+			if base.IPC.Mask(src, dst) != p.IPC.Mask(src, dst) {
+				t.Fatalf("IPC cell %d->%d differs from baseline", src, dst)
+			}
+		}
+	}
+}
+
+func TestScenarioPolicyWithGateway(t *testing.T) {
+	p := bas.MinixPolicy(true, false, core.QuotaUnlimited)
+	if !p.Sealed() {
+		t.Fatal("gateway policy must come sealed")
+	}
+	m := p.IPC
+	if !m.Allows(core.ACIDBACnetGateway, core.ACIDTempControl, core.MsgSetpointUpdate) ||
+		!m.Allows(core.ACIDBACnetGateway, core.ACIDTempControl, core.MsgStatusQuery) {
+		t.Fatal("gateway missing its management types")
+	}
+	// The gateway must have exactly the web interface's reach: nothing
+	// toward the drivers or the sensor.
+	for _, dst := range []core.ACID{core.ACIDHeaterAct, core.ACIDAlarmAct, core.ACIDTempSensor} {
+		for mt := core.MsgType(0); mt <= 10; mt++ {
+			if m.Allows(core.ACIDBACnetGateway, dst, mt) {
+				t.Fatalf("gateway may send type %d to acid %d", mt, dst)
+			}
+		}
+	}
+	// Base scenario cells unchanged.
+	base := bas.MinixPolicy(false, false, core.QuotaUnlimited).IPC
+	for _, src := range base.Subjects() {
+		for _, dst := range base.Subjects() {
+			if base.Mask(src, dst) != m.Mask(src, dst) {
+				t.Fatalf("cell %d->%d differs from baseline", src, dst)
+			}
+		}
+	}
+}

@@ -101,119 +101,12 @@ func TestSyscallProperty_QuotaNeverNegative(t *testing.T) {
 	}
 }
 
-func TestScenarioPolicyShape(t *testing.T) {
-	p := ScenarioPolicy()
-	if !p.Sealed() {
-		t.Fatal("scenario policy must come sealed")
-	}
-	m := p.IPC
-
-	allowed := []struct {
-		src, dst ACID
-		mt       MsgType
-	}{
-		{ACIDTempSensor, ACIDTempControl, MsgSensorData},
-		{ACIDTempControl, ACIDHeaterAct, MsgHeaterCmd},
-		{ACIDTempControl, ACIDAlarmAct, MsgAlarmCmd},
-		{ACIDWebInterface, ACIDTempControl, MsgSetpointUpdate},
-		{ACIDWebInterface, ACIDTempControl, MsgStatusQuery},
-		{ACIDTempControl, ACIDWebInterface, MsgAck},
-	}
-	for _, c := range allowed {
-		if !m.Allows(c.src, c.dst, c.mt) {
-			t.Errorf("%s -> %s type %d should be allowed",
-				m.NameOf(c.src), m.NameOf(c.dst), c.mt)
-		}
-	}
-
-	// The attacks of Section IV-D, as matrix lookups: the web interface must
-	// not be able to impersonate the sensor or command the actuators.
-	denied := []struct {
-		src, dst ACID
-		mt       MsgType
-	}{
-		{ACIDWebInterface, ACIDTempControl, MsgSensorData},
-		{ACIDWebInterface, ACIDHeaterAct, MsgHeaterCmd},
-		{ACIDWebInterface, ACIDAlarmAct, MsgAlarmCmd},
-		{ACIDWebInterface, ACIDHeaterAct, MsgAck},
-		{ACIDHeaterAct, ACIDTempControl, MsgSensorData},
-		{ACIDAlarmAct, ACIDHeaterAct, MsgHeaterCmd},
-	}
-	for _, c := range denied {
-		if m.Allows(c.src, c.dst, c.mt) {
-			t.Errorf("%s -> %s type %d should be denied",
-				m.NameOf(c.src), m.NameOf(c.dst), c.mt)
-		}
-	}
-
-	// Kill is granted only to the loader.
-	if !p.Syscalls.Rule(ACIDScenario, SysKill).Allowed {
-		t.Error("scenario loader should hold kill")
-	}
-	for _, id := range []ACID{ACIDTempSensor, ACIDTempControl, ACIDHeaterAct, ACIDAlarmAct, ACIDWebInterface} {
-		if p.Syscalls.Rule(id, SysKill).Allowed {
-			t.Errorf("acid %d should not hold kill", id)
-		}
-	}
-	// The web interface can fork (residual fork-bomb exposure).
-	if !p.Syscalls.Rule(ACIDWebInterface, SysFork).Allowed {
-		t.Error("web interface should hold fork in the baseline policy")
-	}
-}
-
-func TestScenarioPolicyWithForkQuota(t *testing.T) {
-	p := ScenarioPolicyWithForkQuota(5)
-	rule := p.Syscalls.Rule(ACIDWebInterface, SysFork)
-	if !rule.Allowed || rule.Quota != 5 {
-		t.Fatalf("rule = %+v, want allowed with quota 5", rule)
-	}
-	// IPC surface identical to the baseline.
-	base := ScenarioPolicy()
-	for _, src := range base.IPC.Subjects() {
-		for _, dst := range base.IPC.Subjects() {
-			if base.IPC.Mask(src, dst) != p.IPC.Mask(src, dst) {
-				t.Fatalf("IPC cell %d->%d differs from baseline", src, dst)
-			}
-		}
-	}
-}
-
 func TestSyscallKindString(t *testing.T) {
 	for k, want := range map[SyscallKind]string{
 		SysFork: "fork", SysKill: "kill", SysExec: "exec", SysSetACID: "set_acid",
 	} {
 		if k.String() != want {
 			t.Errorf("String(%d) = %q, want %q", int(k), k.String(), want)
-		}
-	}
-}
-
-func TestScenarioPolicyWithGateway(t *testing.T) {
-	p := ScenarioPolicyWithGateways(true, false)
-	if !p.Sealed() {
-		t.Fatal("gateway policy must come sealed")
-	}
-	m := p.IPC
-	if !m.Allows(ACIDBACnetGateway, ACIDTempControl, MsgSetpointUpdate) ||
-		!m.Allows(ACIDBACnetGateway, ACIDTempControl, MsgStatusQuery) {
-		t.Fatal("gateway missing its management types")
-	}
-	// The gateway must have exactly the web interface's reach: nothing
-	// toward the drivers or the sensor.
-	for _, dst := range []ACID{ACIDHeaterAct, ACIDAlarmAct, ACIDTempSensor} {
-		for mt := MsgType(0); mt <= 10; mt++ {
-			if m.Allows(ACIDBACnetGateway, dst, mt) {
-				t.Fatalf("gateway may send type %d to acid %d", mt, dst)
-			}
-		}
-	}
-	// Base scenario cells unchanged.
-	base := ScenarioPolicy().IPC
-	for _, src := range base.Subjects() {
-		for _, dst := range base.Subjects() {
-			if base.Mask(src, dst) != m.Mask(src, dst) {
-				t.Fatalf("cell %d->%d differs from baseline", src, dst)
-			}
 		}
 	}
 }

@@ -11,9 +11,11 @@ import (
 )
 
 // ForEachShard runs fn(shard) for shards 0..n-1 across a pool of workers
-// goroutines. It is the repo's only worker pool: the attack campaign (Run),
-// the building campaign (RunBuilding), and the tenant-API load generator
-// all schedule through it. Each shard must be fully independent, results
+// goroutines. It is the repo's shard pool, one of its two pool shapes: the
+// attack campaign (Run, RunCases), the building campaign (RunBuilding), and
+// the tenant-API load generator all schedule one-shot shards through it,
+// while one building's lockstep rounds run on internal/building's own
+// round pool (DESIGN §9). Each shard must be fully independent, results
 // must land in shard-indexed storage owned by the caller, and any merge must
 // follow in shard order, never completion order — that is what keeps output
 // bytes independent of the worker count.

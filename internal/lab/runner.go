@@ -56,8 +56,27 @@ func Run(sweep Sweep, opts Options) (*Result, error) {
 	if err := sweep.Validate(); err != nil {
 		return nil, err
 	}
-	cases := sweep.Expand()
-	reports := make([]*attack.Report, len(cases))
+	cases, err := RunCases(sweep.Expand(), opts)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Sweep:   sweep.withDefaults(),
+		Cases:   cases,
+		Workers: poolWidth(len(cases), opts.Workers),
+	}
+	msc := opts.Profiler.Phase("lab.merge").Begin()
+	res.Merged = aggregate(res.Cases)
+	msc.End()
+	return res, nil
+}
+
+// RunCases executes the given cases, each as one shard, the way Run
+// executes a sweep's, and returns their results in the order given. It
+// serves a caller that keeps only part of an expansion, so that the cases
+// it drops never boot.
+func RunCases(cases []Case, opts Options) ([]ShardResult, error) {
+	results := make([]ShardResult, len(cases))
 	err := ForEachShard("lab", len(cases), opts.Workers, opts.Profiler, func(i int) error {
 		c := cases[i]
 		cfg, err := c.Plant.Scenario()
@@ -70,7 +89,7 @@ func Run(sweep Sweep, opts Options) (*Result, error) {
 		if err != nil {
 			return fmt.Errorf("lab: shard %s: %w", c, err)
 		}
-		reports[i] = r
+		results[i] = ShardResult{Case: c, Verdict: r.Verdict(), Report: r}
 		if opts.Progress != nil {
 			opts.Progress(c, r)
 		}
@@ -79,17 +98,5 @@ func Run(sweep Sweep, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{
-		Sweep:   sweep.withDefaults(),
-		Cases:   make([]ShardResult, len(cases)),
-		Workers: poolWidth(len(cases), opts.Workers),
-	}
-	for i, c := range cases {
-		res.Cases[i] = ShardResult{Case: c, Verdict: reports[i].Verdict(), Report: reports[i]}
-	}
-	msc := opts.Profiler.Phase("lab.merge").Begin()
-	res.Merged = aggregate(res.Cases)
-	msc.End()
-	return res, nil
+	return results, nil
 }

@@ -615,49 +615,6 @@ func TestNetRequiresPrivilege(t *testing.T) {
 	}
 }
 
-func TestNetEchoServer(t *testing.T) {
-	stack := vnet.NewStack()
-	m, k := testBoard(t, testPolicy(), Config{Net: stack})
-	k.RegisterImage(Image{Name: "echo", Priority: 7, Net: true, Body: func(api *API) {
-		l, err := api.NetListen(8080)
-		if err != nil {
-			t.Errorf("listen: %v", err)
-			return
-		}
-		conn, err := api.NetAccept(l)
-		if err != nil {
-			t.Errorf("accept: %v", err)
-			return
-		}
-		data, err := api.NetRead(conn, 0)
-		if err != nil {
-			t.Errorf("read: %v", err)
-			return
-		}
-		if err := api.NetWrite(conn, append([]byte("echo:"), data...)); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		api.NetClose(conn)
-	}})
-	spawnOrFatal(t, k, "echo", acidA)
-	m.Run(10 * time.Millisecond) // let the server block in accept
-
-	host, err := stack.Dial(8080)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	if err := host.Write([]byte("ping")); err != nil {
-		t.Fatalf("host write: %v", err)
-	}
-	m.Run(time.Second)
-	if got := string(host.ReadAll()); got != "echo:ping" {
-		t.Fatalf("host read %q, want echo:ping", got)
-	}
-	if !host.Closed() {
-		t.Fatal("server did not close the connection")
-	}
-}
-
 func TestExitFreesSlotAndName(t *testing.T) {
 	m, k := testBoard(t, testPolicy(), Config{})
 	k.RegisterImage(Image{Name: "brief", Priority: 7, Body: func(api *API) {

@@ -11,18 +11,17 @@ import (
 	"time"
 
 	"mkbas/internal/bas"
-	"mkbas/internal/camkes"
 	"mkbas/internal/core"
 	"mkbas/internal/polcheck"
 )
 
 func scenarioGraphs(t *testing.T) (minix, sel4 *polcheck.Graph) {
 	t.Helper()
-	spec, err := camkes.GenerateSpec(bas.ScenarioAssembly(bas.DefaultScenario(), nil))
+	spec, err := bas.Sel4Spec()
 	if err != nil {
-		t.Fatalf("GenerateSpec: %v", err)
+		t.Fatalf("Sel4Spec: %v", err)
 	}
-	return polcheck.FromPolicy(core.ScenarioPolicy()), polcheck.FromCapDL(spec)
+	return polcheck.FromPolicy(bas.MinixPolicy(false, false, core.QuotaUnlimited)), polcheck.FromCapDL(spec)
 }
 
 // TestMicrokernelPoliciesSatisfyScenarioContract is the tentpole acceptance
@@ -97,7 +96,7 @@ func TestMediatedFlowIsNotAViolation(t *testing.T) {
 // TestDeployMinixGateRejectsOverbroadPolicy: the pre-deploy gate refuses a
 // matrix that hands the web interface direct actuator authority.
 func TestDeployMinixGateRejectsOverbroadPolicy(t *testing.T) {
-	bad := core.ScenarioPolicy()
+	bad := bas.MinixPolicy(false, false, core.QuotaUnlimited)
 	ipc := bad.IPC.Clone()
 	ipc.Allow(core.ACIDWebInterface, core.ACIDHeaterAct, core.MsgHeaterCmd)
 	ipc.Seal()
@@ -127,7 +126,7 @@ func TestDeployMinixGateRejectsOverbroadPolicy(t *testing.T) {
 func TestAuditAgainstLiveMinixRun(t *testing.T) {
 	cfg := bas.DefaultScenario()
 	tb := bas.NewTestbed(cfg)
-	policy := core.ScenarioPolicy()
+	policy := bas.MinixPolicy(false, false, core.QuotaUnlimited)
 	if _, err := bas.Deploy(bas.PlatformMinix, tb, cfg, bas.DeployOptions{Policy: policy}); err != nil {
 		t.Fatal(err)
 	}

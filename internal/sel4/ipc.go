@@ -455,12 +455,10 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 	}
 	delete(k.byPID, pid)
 	t.waitToken++
-	prevState := t.state
 	t.state = stateSuspendedDead
 	if info.Crashed {
 		k.m.Trace().Logf("sel4", "FAULT %s: %v", t.name, info.PanicValue)
 	}
-	_ = prevState
 	k.endSpan(t, obs.OutcomeAborted)
 
 	// Remove from endpoint and notification queues.
