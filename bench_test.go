@@ -331,7 +331,7 @@ func BenchmarkE4_IPCRoundTrip_LinuxMQ(b *testing.B) {
 func monitoredRoundTrips(build func(testing.TB) (*machine.Machine, *int64), g *polcheck.Graph) func(testing.TB) (*machine.Machine, *int64) {
 	return func(b testing.TB) (*machine.Machine, *int64) {
 		m, rounds := build(b)
-		mon := monitor.New(g, monitor.Options{Events: m.Obs().Events()})
+		mon := monitor.New(monitor.NewIndex(g, monitor.IndexOptions{}), monitor.Options{Events: m.Obs().Events()})
 		mon.Attach(m.IPC())
 		b.Cleanup(func() {
 			st := mon.Stats()

@@ -135,11 +135,11 @@ func policyCmd(fs *flag.FlagSet) func([]string) error {
 			if err != nil {
 				return err
 			}
-			m, err := aadl.GenerateACM(pkg, sysName)
+			p, err := aadl.GeneratePolicy(pkg, sysName)
 			if err != nil {
 				return err
 			}
-			g := polcheck.FromMatrix(m)
+			g := polcheck.FromPolicy(p)
 			g.Platform = "aadl-acm:" + sysName
 			cases = []platformCase{{label: g.Platform, graph: g, expectPass: true}}
 		case *scenario == "tempcontrol":

@@ -78,6 +78,21 @@ func TestGenerateSyscalls(t *testing.T) {
 	}
 }
 
+// TestLintScenarioHasNoIsolatedSubject: the loader's whole authority is
+// its PM grants (fork, exec, kill, set_acid), so a lint that reads the
+// model's grants with its matrix must not call it isolated.
+func TestLintScenarioHasNoIsolatedSubject(t *testing.T) {
+	findings, err := Lint(loadScenario(t), TempControlSystem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		if f.Property == "isolated_subject" {
+			t.Errorf("false positive: %s: %s", f.Check, f.Detail)
+		}
+	}
+}
+
 // TestOmit: an omitted subcomponent leaves every generator's output with
 // its connections.
 func TestOmit(t *testing.T) {

@@ -80,6 +80,22 @@ func GenerateSyscalls(pkg *Package, sysName string, omit ...string) (*core.Sysca
 	return s, nil
 }
 
+// GeneratePolicy compiles a system implementation's whole MINIX policy,
+// sealed: GenerateACM's matrix and GenerateSyscalls' PM grants. The static
+// analyzer and the linter read it, so a process whose authority is all PM
+// grants (a loader that forks, execs and kills) is seen with it.
+func GeneratePolicy(pkg *Package, sysName string, omit ...string) (*core.Policy, error) {
+	m, err := GenerateACM(pkg, sysName, omit...)
+	if err != nil {
+		return nil, err
+	}
+	grants, err := GenerateSyscalls(pkg, sysName, omit...)
+	if err != nil {
+		return nil, err
+	}
+	return (&core.Policy{IPC: m, Syscalls: grants}).Seal(), nil
+}
+
 // GenerateC renders the matrix as the C source the authors' AADL→C compiler
 // produced and compiled "together with kernel binary". The output is
 // deterministic.

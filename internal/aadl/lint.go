@@ -7,23 +7,24 @@ import (
 )
 
 // Lint runs the post-compile static policy checks over one system
-// implementation: the generated access control matrix is normalised into the
-// unified access graph and handed to polcheck's structural lint, and the
+// implementation: the generated policy, its access control matrix together
+// with its PM grants, is normalised into the unified access graph and
+// handed to polcheck's structural lint, and the
 // AADL model itself is checked for declared-but-unconnected ports — a port
 // with no connection generates no matrix cell, so the process cannot do what
 // its type declares, usually a dropped line in the model.
 func Lint(pkg *Package, sysName string) ([]polcheck.Finding, error) {
-	m, err := GenerateACM(pkg, sysName)
+	p, err := GeneratePolicy(pkg, sysName)
 	if err != nil {
 		return nil, err
 	}
-	findings := polcheck.StructuralFindings(polcheck.FromMatrix(m))
+	findings := polcheck.StructuralFindings(polcheck.FromPolicy(p))
 
-	sys, _ := pkg.System(sysName) // GenerateACM already validated it exists
+	sys, _ := pkg.System(sysName) // GeneratePolicy already validated it exists
 	for _, sub := range sys.Subcomponents {
 		proc, ok := pkg.Process(sub.ProcessType)
 		if !ok {
-			continue // unreachable after GenerateACM
+			continue // unreachable after GeneratePolicy
 		}
 		for _, port := range proc.Ports {
 			if portConnected(sys, sub.Name, port.Name) {

@@ -1,22 +1,28 @@
 package bas
 
 import (
-	"fmt"
 	"sync"
+	"time"
 
 	"mkbas/internal/aadl"
 	"mkbas/internal/camkes"
 	"mkbas/internal/core"
 	"mkbas/internal/polcheck"
+	"mkbas/internal/polcheck/monitor"
 )
 
-// The certification table. A default deployment's policy artifact (the
-// MINIX ACM policy, the seL4 CapDL spec, the hardened Linux DAC model) is a
-// pure function of a few deploy inputs, so it is built, normalised into a
-// polcheck.Graph and proven against ScenarioProperties once per process per
-// distinct artifact. Every deployment of that artifact then shares the
-// result: the pre-deploy gate reads the verdict and the online monitor reads
-// the graph.
+// The image table. A deploy splits into two parts. The image is what the
+// declarative phase compiles from a few deploy inputs, the deploy's shape:
+// the policy artifact (the MINIX ACM policy, the seL4 CAmkES image with its
+// CapDL spec, the hardened Linux DAC model), that artifact normalised into a
+// polcheck.Graph and proven against ScenarioProperties, and the online
+// monitor's static edge index over the graph. It is built once per process
+// per shape and never written again. The board is everything the execution
+// phase mutates, built per deploy: kernel tables, capability slots, quota
+// ledgers, monitor origin labels and counters, the proxy's anti-replay
+// state. Every board of a shape shares the shape's image: the pre-deploy
+// gate reads its verdict, the builder installs from its artifact and the
+// monitor reads its index.
 //
 // The microkernel artifacts are compiled from one source, the embedded
 // AADL model (aadl.TempControl), as the paper compiles each platform's
@@ -24,23 +30,23 @@ import (
 // every MINIX policy, and aadl.GenerateCAmkES the components, interfaces
 // and connections of every seL4 assembly.
 //
-// Shared means read-only. The table holds only values nothing writes after
-// they are built: sealed policies, graphs, channel-name maps and verdicts.
-// Everything a board mutates (kernel tables, quota ledgers, monitor subject
-// states, the proxy's anti-replay state) is built per board. A
-// caller-supplied DeployOptions.Policy never enters the table; it is
+// A caller-supplied DeployOptions.Policy never enters the table; it is
 // certified on the spot by every deploy that boots it.
 
-// certification is one artifact's certified graph and the pre-deploy gate's
-// verdict on it (nil passes).
-type certification struct {
+// image is a deploy shape's certified graph, the pre-deploy gate's verdict
+// on it (nil passes) and the monitor's static edge index over the graph.
+// Each platform's image adds the artifact its boards boot.
+type image struct {
 	graph   *polcheck.Graph
 	verdict error
+	index   *monitor.Index
 }
 
-// certify proves g against the scenario's contract.
-func certify(g *polcheck.Graph) certification {
-	return certification{graph: g, verdict: checkDeployPolicy(g)}
+// newImage certifies g against the scenario's contract and indexes it for
+// the monitor, every subject at its scenario origin.
+func newImage(g *polcheck.Graph, idx monitor.IndexOptions) image {
+	idx.Origins = scenarioOrigins()
+	return image{graph: g, verdict: checkDeployPolicy(g), index: monitor.NewIndex(g, idx)}
 }
 
 // memo builds one value per key, once per process. Each entry is built
@@ -52,16 +58,17 @@ type memo[K comparable, V any] struct {
 	entries map[K]func() V
 }
 
-// get returns k's value, calling build to make it if k is new. build must
-// depend on nothing but k.
-func (m *memo[K, V]) get(k K, build func() V) V {
+// get returns k's value, calling build(k) to make it if k is new. build
+// must depend on nothing but k. Builders are package-level functions, so a
+// lookup of a built key allocates nothing.
+func (m *memo[K, V]) get(k K, build func(K) V) V {
 	m.mu.Lock()
 	entry, ok := m.entries[k]
 	if !ok {
 		if m.entries == nil {
 			m.entries = make(map[K]func() V)
 		}
-		entry = sync.OnceValue(build)
+		entry = sync.OnceValue(func() V { return build(k) })
 		m.entries[k] = entry
 	}
 	m.mu.Unlock()
@@ -99,39 +106,41 @@ type minixKey struct {
 	forkQuota      int
 }
 
-// minixArtifact is a compiled MINIX policy and its certification.
-type minixArtifact struct {
+// minixImage is a compiled MINIX policy and its image.
+type minixImage struct {
 	policy *core.Policy
-	certification
+	image
 }
 
 var (
-	minixTable memo[minixKey, *minixArtifact]
+	minixTable memo[minixKey, *minixImage]
 	// minixCompiled maps each compiled policy's value (its sealed matrix
-	// and grants) to its certification, so a deploy handed one through
+	// and grants) to its image, so a deploy handed one through
 	// DeployOptions.Policy reads the table instead of certifying again.
 	minixCompiled sync.Map
 )
 
-// minixDefault returns the certified policy the model compiles to for a
+// minixDefault returns the image of the policy the model compiles to for a
 // MINIX board with or without the optional gateways, the web interface's
 // fork grant budgeted by forkQuota (core.QuotaUnlimited: the paper's
 // policy).
-func minixDefault(bacnet, tenant bool, forkQuota int) *minixArtifact {
-	return minixTable.get(minixKey{bacnet, tenant, forkQuota}, func() *minixArtifact {
-		pkg, omit := scenarioModel(), gatewaysOff(bacnet, tenant)
-		grants := must(aadl.GenerateSyscalls(pkg, aadl.TempControlSystem, omit...))
-		if forkQuota != core.QuotaUnlimited {
-			// E8: the paper's proposed quota, on the web interface's fork.
-			grants.GrantQuota(core.ACIDWebInterface, core.SysFork, forkQuota)
-		}
-		// Every board shares this policy sealed: its matrix and grants panic
-		// on write.
-		p := (&core.Policy{IPC: must(aadl.GenerateACM(pkg, aadl.TempControlSystem, omit...)), Syscalls: grants}).Seal()
-		a := &minixArtifact{policy: p, certification: certify(polcheck.FromPolicy(p))}
-		minixCompiled.Store(*p, a.certification)
-		return a
-	})
+func minixDefault(bacnet, tenant bool, forkQuota int) *minixImage {
+	return minixTable.get(minixKey{bacnet, tenant, forkQuota}, buildMinixImage)
+}
+
+func buildMinixImage(k minixKey) *minixImage {
+	pkg, omit := scenarioModel(), gatewaysOff(k.bacnet, k.tenant)
+	grants := must(aadl.GenerateSyscalls(pkg, aadl.TempControlSystem, omit...))
+	if k.forkQuota != core.QuotaUnlimited {
+		// E8: the paper's proposed quota, on the web interface's fork.
+		grants.GrantQuota(core.ACIDWebInterface, core.SysFork, k.forkQuota)
+	}
+	// Every board shares this policy sealed: its matrix and grants panic on
+	// write.
+	p := (&core.Policy{IPC: must(aadl.GenerateACM(pkg, aadl.TempControlSystem, omit...)), Syscalls: grants}).Seal()
+	a := &minixImage{policy: p, image: newImage(polcheck.FromPolicy(p), monitor.IndexOptions{})}
+	minixCompiled.Store(*p, a)
+	return a
 }
 
 // MinixPolicy returns the policy the embedded model compiles to for a MINIX
@@ -139,7 +148,7 @@ func minixDefault(bacnet, tenant bool, forkQuota int) *minixArtifact {
 // grant budgeted by forkQuota (core.QuotaUnlimited for the paper's policy, a
 // budget for E8's). The matrix and grants are sealed and shared by every
 // board that boots them; a deploy handed this policy as DeployOptions.Policy
-// reads the certification the table made when it compiled it.
+// boots from the image the table made when it compiled it.
 func MinixPolicy(bacnet, tenant bool, forkQuota int) *core.Policy {
 	p := *minixDefault(bacnet, tenant, forkQuota).policy
 	return &p
@@ -149,16 +158,61 @@ func MinixPolicy(bacnet, tenant bool, forkQuota int) *core.Policy {
 // (linuxContractGraph): which optional gateway subjects join it.
 type linuxKey struct{ gateway, tenant bool }
 
-var linuxTable memo[linuxKey, certification]
+var linuxTable memo[linuxKey, *image]
 
-// linuxContract returns the certified hardened DAC contract with the given
-// gateway subjects. The hardened gate certifies the base contract,
+// linuxContract returns the image of the hardened DAC contract with the
+// given gateway subjects. The hardened gate certifies the base contract,
 // linuxContract(false, false); the monitor on either Linux configuration
 // verifies against the contract matching the deployed gateways.
-func linuxContract(gateway, tenant bool) certification {
-	return linuxTable.get(linuxKey{gateway, tenant}, func() certification {
-		return certify(linuxContractGraph(gateway, tenant))
-	})
+func linuxContract(gateway, tenant bool) *image {
+	return linuxTable.get(linuxKey{gateway, tenant}, buildLinuxImage)
+}
+
+func buildLinuxImage(k linuxKey) *image {
+	img := newImage(linuxContractGraph(k.gateway, k.tenant), monitor.IndexOptions{})
+	return &img
+}
+
+// sel4Key is every input that shapes a scenario assembly's structure: the
+// BACnet gateway's component, and the controller's control thread that
+// runs the staleness watchdog. Thread bodies, attacker code and controller
+// parameters are not part of it.
+type sel4Key struct{ bacnet, watchdog bool }
+
+// sel4Image is an seL4 deploy shape's image: the camkes.Image compiled
+// from its assembly structure (the CapDL spec, what creates each object
+// and thread, the channel names) beside the graph, verdict and index.
+type sel4Image struct {
+	camkes *camkes.Image
+	image
+}
+
+var sel4Table memo[sel4Key, *sel4Image]
+
+// sel4Default returns the image every seL4 board of shape k boots from.
+func sel4Default(k sel4Key) *sel4Image {
+	return sel4Table.get(k, buildSel4Image)
+}
+
+func buildSel4Image(k sel4Key) *sel4Image {
+	cfg := DefaultScenario()
+	cfg.Controller.StalenessWindow = 0
+	if k.watchdog {
+		cfg.Controller.StalenessWindow = time.Second
+	}
+	var gateway func(*camkes.Runtime)
+	if k.bacnet {
+		gateway = func(*camkes.Runtime) {}
+	}
+	img := must(camkes.Compile(scenarioAssembly(cfg, nil, gateway)))
+	// Recorded traffic uses kernel names (threads "comp" / "comp.iface",
+	// endpoints "comp.iface") while the spec graph uses CapDL names:
+	// CapDLSubjectOf collapses threads to components and the image's
+	// channel names translate the IPC objects.
+	return &sel4Image{camkes: img, image: newImage(polcheck.FromCapDL(img.Spec()), monitor.IndexOptions{
+		SubjectOf:    polcheck.CapDLSubjectOf,
+		ChannelNames: img.ChannelNames(),
+	})}
 }
 
 var sel4Topologies memo[bool, *aadl.CamkesTopology]
@@ -167,37 +221,9 @@ var sel4Topologies memo[bool, *aadl.CamkesTopology]
 // board with or without the BACnet gateway, shared read-only by every
 // assembly of that board.
 func sel4Compiled(bacnet bool) *aadl.CamkesTopology {
-	return sel4Topologies.get(bacnet, func() *aadl.CamkesTopology {
-		return must(aadl.GenerateCAmkES(scenarioModel(), aadl.TempControlSystem, gatewaysOff(bacnet, false)...))
-	})
+	return sel4Topologies.get(bacnet, buildSel4Topology)
 }
 
-// sel4Artifact is the certification of one assembly structure's CapDL
-// spec, with the kernel-to-spec channel names the monitor translates
-// through. specErr is GenerateSpec's error; the other fields are unset when
-// it is non-nil.
-type sel4Artifact struct {
-	channels map[string]string
-	specErr  error
-	certification
-}
-
-var sel4Table memo[string, *sel4Artifact]
-
-// sel4Certified returns the certified capability distribution of
-// assembly. The key is the assembly's Structure, which renders everything
-// the spec and channel names are compiled from and no thread body, so
-// attacker web bodies and controller parameters share an entry while any
-// structural change gets its own.
-func sel4Certified(assembly *camkes.Assembly) *sel4Artifact {
-	return sel4Table.get(assembly.Structure(), func() *sel4Artifact {
-		spec, err := camkes.GenerateSpec(assembly)
-		if err != nil {
-			return &sel4Artifact{specErr: fmt.Errorf("bas: generating capdl spec: %w", err)}
-		}
-		return &sel4Artifact{
-			channels:      camkes.ChannelNames(assembly),
-			certification: certify(polcheck.FromCapDL(spec)),
-		}
-	})
+func buildSel4Topology(bacnet bool) *aadl.CamkesTopology {
+	return must(aadl.GenerateCAmkES(scenarioModel(), aadl.TempControlSystem, gatewaysOff(bacnet, false)...))
 }

@@ -10,6 +10,7 @@ import (
 	"mkbas/internal/camkes"
 	"mkbas/internal/core"
 	"mkbas/internal/polcheck"
+	"mkbas/internal/polcheck/monitor"
 )
 
 // renderGraph writes out everything a graph holds, in a fixed order: its
@@ -116,12 +117,12 @@ func TestCustomPolicyGatedAfterTableFilled(t *testing.T) {
 // second graph.
 func TestDefaultDeploysShareCertification(t *testing.T) {
 	cfg := DefaultScenario()
-	table := map[Platform]func() certification{
-		PlatformMinix:         func() certification { return minixDefault(false, false, core.QuotaUnlimited).certification },
-		PlatformMinixVanilla:  func() certification { return minixDefault(false, false, core.QuotaUnlimited).certification },
-		PlatformSel4:          func() certification { return sel4Certified(scenarioAssembly(cfg, nil, nil)).certification },
-		PlatformLinux:         func() certification { return linuxContract(false, false) },
-		PlatformLinuxHardened: func() certification { return linuxContract(false, false) },
+	table := map[Platform]func() *image{
+		PlatformMinix:         func() *image { return &minixDefault(false, false, core.QuotaUnlimited).image },
+		PlatformMinixVanilla:  func() *image { return &minixDefault(false, false, core.QuotaUnlimited).image },
+		PlatformSel4:          func() *image { return &sel4Default(sel4Key{watchdog: true}).image },
+		PlatformLinux:         func() *image { return linuxContract(false, false) },
+		PlatformLinuxHardened: func() *image { return linuxContract(false, false) },
 	}
 	for _, p := range KnownPlatforms() {
 		first := monitoredGraph(t, deployOrFatal(t, p, cfg, DeployOptions{Monitor: true}))
@@ -144,10 +145,11 @@ func TestDefaultDeploysShareCertification(t *testing.T) {
 
 // TestTableMatchesFreshArtifacts guards the keys: for every input tuple the
 // table's graph and verdict are those of an artifact built fresh from the
-// same inputs. For seL4 the fresh artifact is the spec the booted kernel
-// installed, so a structural input missing from the key would show here.
+// same inputs. For seL4 the fresh artifact is the spec of the booted
+// board's own assembly, so a structural input missing from the key would
+// show here.
 func TestTableMatchesFreshArtifacts(t *testing.T) {
-	same := func(what string, c certification, fresh *polcheck.Graph) {
+	same := func(what string, c *image, fresh *polcheck.Graph) {
 		t.Helper()
 		if renderGraph(c.graph) != renderGraph(fresh) {
 			t.Fatalf("%s: table graph differs from a fresh build:\n%s\nfresh:\n%s", what, renderGraph(c.graph), renderGraph(fresh))
@@ -160,7 +162,7 @@ func TestTableMatchesFreshArtifacts(t *testing.T) {
 		for _, tenant := range []bool{false, true} {
 			what := fmt.Sprintf("minix bacnet=%v tenant=%v", bacnet, tenant)
 			a := minixDefault(bacnet, tenant, core.QuotaUnlimited)
-			same(what, a.certification, polcheck.FromPolicy(a.policy))
+			same(what, &a.image, polcheck.FromPolicy(a.policy))
 			if renderGraph(polcheck.FromPolicy(a.policy)) != renderGraph(a.graph) {
 				t.Fatalf("%s: the shared policy is not the certified one", what)
 			}
@@ -172,7 +174,11 @@ func TestTableMatchesFreshArtifacts(t *testing.T) {
 	// hardened deployment as it boots.
 	same("linux-hardened gate", linuxContract(false, false), polcheck.FromDAC(LinuxScenarioDAC(true, false)))
 
+	// Every seL4 key: the shared spec a board installed renders as a fresh
+	// GenerateSpec of that board's own assembly, so no structural input is
+	// missing from the key.
 	attacker := func(rt *camkes.Runtime) { rt.Sleep(time.Hour) }
+	gateway := func(rt *camkes.Runtime) { rt.Sleep(time.Hour) }
 	for _, window := range []time.Duration{0, DefaultScenario().Controller.StalenessWindow} {
 		for _, bacnet := range []bool{false, true} {
 			for _, web := range []func(*camkes.Runtime){nil, attacker} {
@@ -182,8 +188,22 @@ func TestTableMatchesFreshArtifacts(t *testing.T) {
 				dep := deployOrFatal(t, PlatformSel4, cfg, DeployOptions{
 					Monitor: true, Sel4Web: web, BACnet: BACnetOptions{Enabled: bacnet},
 				})
+				var gw func(*camkes.Runtime)
+				if bacnet {
+					gw = gateway
+				}
+				fresh, err := camkes.GenerateSpec(scenarioAssembly(cfg, web, gw))
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
 				sys := dep.(*Sel4Deployment).System
-				same(what, certification{graph: monitoredGraph(t, dep)}, polcheck.FromCapDL(sys.Spec()))
+				if sys.Spec() != sel4Default(sel4Key{bacnet: bacnet, watchdog: window > 0}).camkes.Spec() {
+					t.Fatalf("%s: the board did not install its shape's shared spec", what)
+				}
+				if got, want := sys.Spec().Render(), fresh.Render(); got != want {
+					t.Fatalf("%s: shared spec differs from the board's own assembly:\n%s\nfresh:\n%s", what, got, want)
+				}
+				same(what, &image{graph: monitoredGraph(t, dep)}, polcheck.FromCapDL(fresh))
 			}
 		}
 	}
@@ -215,7 +235,9 @@ func TestCompiledPolicyDeploysFromTable(t *testing.T) {
 
 // TestConcurrentDeploysShareTable boots every platform from 8 goroutines at
 // once, over option sets that hit every table and several entries of each,
-// so first builds race with lookups. Run under -race.
+// so first builds race with lookups. Every board runs the monitor over its
+// shape's shared index and demotes its sensor driver mid-run, so a write
+// to shared state would show. Run under -race.
 func TestConcurrentDeploysShareTable(t *testing.T) {
 	const workers = 8
 	var wg sync.WaitGroup
@@ -224,11 +246,11 @@ func TestConcurrentDeploysShareTable(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i, p := range KnownPlatforms() {
+			for _, p := range KnownPlatforms() {
 				cfg := DefaultScenario()
 				cfg.Seed = int64(w + 1)
 				opts := DeployOptions{
-					Monitor:   (w+i)%2 == 0,
+					Monitor:   true,
 					TenantAPI: w%3 == 0,
 					BACnet:    BACnetOptions{Enabled: w%2 == 1},
 				}
@@ -239,13 +261,22 @@ func TestConcurrentDeploysShareTable(t *testing.T) {
 					tb.Machine.Shutdown()
 					return
 				}
-				dep.Run(5 * time.Minute)
+				dep.Run(3 * time.Minute)
+				mon := dep.PolicyMonitor()
+				demoted := mon.Demote(NameTempSensor, monitor.OriginWeb)
+				dep.Run(2 * time.Minute)
 				alive := dep.ControllerAlive()
+				st := mon.Stats()
 				tb.Machine.Shutdown()
-				if !alive {
+				switch {
+				case !alive:
 					errs <- fmt.Errorf("worker %d: %s controller died", w, p)
-					return
+				case !demoted || st.OriginDrifts == 0:
+					errs <- fmt.Errorf("worker %d: %s: demoted=%v, stats %+v, want the sensor's edges to drift", w, p, demoted, st)
+				default:
+					continue
 				}
+				return
 			}
 		}(w)
 	}
@@ -253,6 +284,53 @@ func TestConcurrentDeploysShareTable(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestBoardsShareImageReadOnly boots two boards of each platform from one
+// image and demotes the sensor driver on the first: the second board's
+// origin labels, its Observe verdicts and its resolved edges must not
+// change.
+func TestBoardsShareImageReadOnly(t *testing.T) {
+	cfg := DefaultScenario()
+	for _, p := range KnownPlatforms() {
+		a := deployOrFatal(t, p, cfg, DeployOptions{Monitor: true})
+		b := deployOrFatal(t, p, cfg, DeployOptions{Monitor: true})
+		if monitoredGraph(t, a) != monitoredGraph(t, b) {
+			t.Fatalf("%s: the two boards do not share one image", p)
+		}
+		monA, monB := a.PolicyMonitor(), b.PolicyMonitor()
+		// The sensor's sample delivery, as each kernel records it.
+		edge := [3]string{NameTempSensor, NameTempControl, fmt.Sprintf("mt%d", core.MsgSensorData)}
+		switch p {
+		case PlatformSel4:
+			edge = [3]string{NameTempSensor, NameTempControl + "." + IfaceSensorIn, "send"}
+		case PlatformLinux, PlatformLinuxHardened:
+			edge = [3]string{NameTempSensor, QSensorData, "send"}
+		}
+		refA, refB := monA.Edge(edge[0], edge[1], edge[2]), monB.Edge(edge[0], edge[1], edge[2])
+		if !refA.Live() || !refB.Live() {
+			t.Fatalf("%s: the sensor's edge %q is not certified", p, edge)
+		}
+		a.Run(time.Minute)
+		b.Run(time.Minute)
+		if !monA.Demote(NameTempSensor, monitor.OriginWeb) {
+			t.Fatalf("%s: Demote refused", p)
+		}
+		a.Run(time.Minute)
+		b.Run(time.Minute)
+		if o, _ := monB.CurrentOrigin(NameTempSensor); o != monitor.OriginBoot {
+			t.Fatalf("%s: second board's sensor origin = %v, want boot", p, o)
+		}
+		if refA.Live() || !refB.Live() {
+			t.Fatalf("%s: Live after demotion: first %v, second %v; want only the first dead", p, refA.Live(), refB.Live())
+		}
+		if st := monA.Stats(); st.OriginDrifts == 0 {
+			t.Fatalf("%s: the demoted board drifted nothing: %+v", p, st)
+		}
+		if st := monB.Stats(); st.OriginDrifts != 0 || st.PolicyDrifts != 0 || st.Demotions != 0 || st.Observed == 0 {
+			t.Fatalf("%s: second board's stats %+v, want clean observations only", p, st)
+		}
 	}
 }
 
@@ -269,12 +347,11 @@ func TestMemoBuildsOncePerKey(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for k := 0; k < 4; k++ {
-				got[w][k] = m.get(k, func() *int {
+				got[w][k] = m.get(k, func(k int) *int {
 					mu.Lock()
 					builds[k]++
 					mu.Unlock()
-					v := k
-					return &v
+					return &k
 				})
 			}
 		}(w)

@@ -227,7 +227,7 @@ type deploymentBase struct {
 	tb       *Testbed
 	mon      *monitor.Monitor
 	// graph is the certified graph mon verifies against, shared read-only
-	// with every deployment of the same artifact.
+	// with every deployment of the same image.
 	graph *polcheck.Graph
 }
 
@@ -249,17 +249,13 @@ func scenarioOrigins() map[string]monitor.Origin {
 	}
 }
 
-// attachMonitor builds the online verifier over the certified graph and
-// subscribes it to the board's IPC record stream. Drift events land in the
-// board's own event log, so they surface through Report like any mediation
-// event.
-func (d *deploymentBase) attachMonitor(g *polcheck.Graph, opts monitor.Options) {
-	opts.Events = d.tb.Machine.Obs().Events()
-	if opts.Origins == nil {
-		opts.Origins = scenarioOrigins()
-	}
-	d.graph = g
-	d.mon = monitor.New(g, opts)
+// attachMonitor builds the board's online verifier over img's shared edge
+// index and subscribes it to the board's IPC record stream. Drift events
+// land in the board's own event log, so they surface through Report like
+// any mediation event.
+func (d *deploymentBase) attachMonitor(img *image, prof *perf.Profiler) {
+	d.graph = img.graph
+	d.mon = monitor.New(img.index, monitor.Options{Events: d.tb.Machine.Obs().Events(), Profiler: prof})
 	d.mon.Attach(d.tb.Machine.IPC())
 }
 

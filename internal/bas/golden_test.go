@@ -15,7 +15,7 @@ var update = flag.Bool("update", false, "rewrite testdata/certified.golden from 
 
 // renderMinixPolicy writes a MINIX policy in full: its matrix cells, every
 // audited-syscall grant with its quota, and its certified graph and verdict.
-func renderMinixPolicy(b *strings.Builder, label string, p *core.Policy, c certification) {
+func renderMinixPolicy(b *strings.Builder, label string, p *core.Policy, c *image) {
 	fmt.Fprintf(b, "== %s\n-- matrix\n%s-- syscalls\n", label, p.IPC.String())
 	for _, id := range p.Syscalls.Subjects() {
 		for _, kind := range []core.SyscallKind{core.SysFork, core.SysKill, core.SysExec, core.SysSetACID} {
@@ -28,12 +28,12 @@ func renderMinixPolicy(b *strings.Builder, label string, p *core.Policy, c certi
 }
 
 // renderCertification writes a certified graph and the gate's verdict.
-func renderCertification(b *strings.Builder, c certification) {
+func renderCertification(b *strings.Builder, c *image) {
 	fmt.Fprintf(b, "-- graph\n%s-- verdict\n%v\n\n", renderGraph(c.graph), c.verdict)
 }
 
-// TestCertifiedGraphsGolden pins every artifact the certification table
-// hands a deploy: the MINIX policy of each gateway combination and of the
+// TestCertifiedGraphsGolden pins every artifact the image table hands a
+// deploy: the MINIX policy of each gateway combination and of the
 // E8 fork quota, the seL4 CapDL spec with and without the BACnet gateway,
 // and each hardened Linux DAC contract. What boots must stay byte-identical
 // to testdata/certified.golden; run with -update to rewrite it after a
@@ -43,16 +43,16 @@ func TestCertifiedGraphsGolden(t *testing.T) {
 	for _, bacnet := range []bool{false, true} {
 		for _, tenant := range []bool{false, true} {
 			a := minixDefault(bacnet, tenant, core.QuotaUnlimited)
-			renderMinixPolicy(&b, fmt.Sprintf("minix bacnet=%v tenant=%v", bacnet, tenant), a.policy, a.certification)
+			renderMinixPolicy(&b, fmt.Sprintf("minix bacnet=%v tenant=%v", bacnet, tenant), a.policy, &a.image)
 		}
 	}
 	quota := minixDefault(false, false, 5)
-	renderMinixPolicy(&b, "minix fork-quota=5", quota.policy, quota.certification)
+	renderMinixPolicy(&b, "minix fork-quota=5", quota.policy, &quota.image)
 
 	for _, bacnet := range []bool{false, true} {
 		dep := deployOrFatal(t, PlatformSel4, DefaultScenario(), DeployOptions{Monitor: true, BACnet: BACnetOptions{Enabled: bacnet}})
 		fmt.Fprintf(&b, "== sel4 bacnet=%v\n-- capdl\n%s", bacnet, dep.(*Sel4Deployment).System.Spec().Render())
-		renderCertification(&b, certification{graph: monitoredGraph(t, dep)})
+		renderCertification(&b, &image{graph: monitoredGraph(t, dep)})
 	}
 
 	for _, gateway := range []bool{false, true} {

@@ -14,7 +14,6 @@ import (
 	"mkbas/internal/machine"
 	"mkbas/internal/plant"
 	"mkbas/internal/polcheck"
-	"mkbas/internal/polcheck/monitor"
 )
 
 // POSIX message-queue names — "the scenario process in Linux spawns all
@@ -225,7 +224,7 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 		Testbed:        tb,
 	}
 	if opts.Monitor {
-		dep.attachMonitor(linuxContract(opts.BACnet.Enabled, opts.TenantAPI).graph, monitor.Options{Profiler: opts.Profiler})
+		dep.attachMonitor(linuxContract(opts.BACnet.Enabled, opts.TenantAPI), opts.Profiler)
 	}
 	return dep, nil
 }

@@ -54,26 +54,28 @@ func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 	// contract before any process runs. The vanilla ablation skips it —
 	// vanilla MINIX enforces nothing, so there is no policy to certify.
 	gate := !opts.SkipPolicyCheck && !disableACM
-	var cert certification
+	var img *image
 	policy := opts.Policy
 	if policy == nil {
 		// Optional gateways each need their own ACM row; the certified
 		// matrix is the deployed matrix.
 		a := minixDefault(opts.BACnet.Enabled, opts.TenantAPI, core.QuotaUnlimited)
-		policy, cert = a.policy, a.certification
-	} else if c, ok := minixCompiled.Load(*policy); ok {
-		// A policy the table compiled (E8's quota variant) was certified
-		// when it was built.
-		cert = c.(certification)
+		policy, img = a.policy, &a.image
+	} else if a, ok := minixCompiled.Load(*policy); ok {
+		// A policy the table compiled (E8's quota variant) has its image.
+		img = &a.(*minixImage).image
 	} else if gate || opts.Monitor {
 		// A caller-supplied policy is certified here, on every deploy.
-		cert.graph = polcheck.FromPolicy(policy)
+		img = &image{graph: polcheck.FromPolicy(policy)}
 		if gate {
-			cert.verdict = checkDeployPolicy(cert.graph)
+			img.verdict = checkDeployPolicy(img.graph)
+		}
+		if opts.Monitor {
+			img.index = monitor.NewIndex(img.graph, monitor.IndexOptions{Origins: scenarioOrigins()})
 		}
 	}
-	if gate && cert.verdict != nil {
-		return nil, cert.verdict
+	if gate && img.verdict != nil {
+		return nil, img.verdict
 	}
 	k, err := minix.Boot(tb.Machine, policy, minix.Config{
 		Net:        tb.Net,
@@ -142,7 +144,7 @@ func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 		// On the vanilla ablation the kernel enforces nothing, but deliveries
 		// are still recorded — the monitor is then the only policy check, the
 		// runtime-verification configuration.
-		dep.attachMonitor(cert.graph, monitor.Options{Profiler: opts.Profiler})
+		dep.attachMonitor(img, opts.Profiler)
 	}
 	return dep, nil
 }

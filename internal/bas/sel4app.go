@@ -11,8 +11,6 @@ import (
 	"mkbas/internal/capdl"
 	"mkbas/internal/machine"
 	"mkbas/internal/plant"
-	"mkbas/internal/polcheck"
-	"mkbas/internal/polcheck/monitor"
 	"mkbas/internal/sel4"
 	"mkbas/internal/vnet"
 )
@@ -200,22 +198,14 @@ func deploySel4(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployO
 		}
 	}
 	assembly := scenarioAssembly(cfg, opts.Sel4Web, gateway)
-	// The certified capability distribution doubles as the monitor's graph,
-	// so it is looked up whenever either consumer needs it.
-	var art *sel4Artifact
-	if !opts.SkipPolicyCheck || opts.Monitor {
-		art = sel4Certified(assembly)
-		if art.specErr != nil {
-			return nil, art.specErr
-		}
-	}
+	img := sel4Default(sel4Key{bacnet: gateway != nil, watchdog: cfg.Controller.StalenessWindow > 0})
 	// Pre-deploy gate: analyze the capability distribution the builder is
 	// about to install. Attacker Sel4Web bodies run with the same caps — the
 	// paper's threat model — so the gate holds for attack deployments too.
-	if !opts.SkipPolicyCheck && art.verdict != nil {
-		return nil, art.verdict
+	if !opts.SkipPolicyCheck && img.verdict != nil {
+		return nil, img.verdict
 	}
-	sys, err := camkes.Build(tb.Machine, assembly, camkes.BuildConfig{Net: tb.Net})
+	sys, err := camkes.Build(tb.Machine, img.camkes, assembly, camkes.BuildConfig{Net: tb.Net})
 	if err != nil {
 		return nil, fmt.Errorf("bas: building camkes assembly: %w", err)
 	}
@@ -228,15 +218,7 @@ func deploySel4(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployO
 		Testbed:        tb,
 	}
 	if opts.Monitor {
-		// Recorded traffic uses kernel names (threads "comp" / "comp.iface",
-		// endpoints "comp.iface") while the spec graph uses CapDL names;
-		// CapDLSubjectOf collapses threads to components and ChannelNames
-		// translates the IPC objects.
-		dep.attachMonitor(art.graph, monitor.Options{
-			SubjectOf:    polcheck.CapDLSubjectOf,
-			ChannelNames: art.channels,
-			Profiler:     opts.Profiler,
-		})
+		dep.attachMonitor(&img.image, opts.Profiler)
 	}
 	return dep, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mkbas/internal/capdl"
 	"mkbas/internal/machine"
 	"mkbas/internal/sel4"
 	"mkbas/internal/vnet"
@@ -18,97 +17,71 @@ type BuildConfig struct {
 }
 
 // Build boots an seL4 kernel on the board, creates all objects and threads,
-// installs the capability distribution that GenerateSpec compiled from the
-// assembly, and starts every thread. This is the bootstrap process of Section
-// III-C ("the kernel simply hands over all capabilities to the bootstrap
-// process ... this bootstrap process can create new processes and distribute
+// installs the capability distribution of the assembly's compiled Image,
+// and starts every thread. This is the bootstrap process of Section III-C
+// ("the kernel simply hands over all capabilities to the bootstrap process
+// ... this bootstrap process can create new processes and distribute
 // capabilities to them") driven by the component model, as CAmkES does.
 //
-// The running system's capabilities are installed FROM the generated spec —
+// The running system's capabilities are installed FROM the image's spec —
 // not built alongside it — so what internal/polcheck analyzes statically is,
-// by construction, what the kernel enforces dynamically.
-func Build(m *machine.Machine, assembly *Assembly, cfg BuildConfig) (*System, error) {
-	spec, err := GenerateSpec(assembly)
-	if err != nil {
+// by construction, what the kernel enforces dynamically. img must have been
+// compiled from an assembly of this one's structure (Build checks, without
+// allocating); the assembly supplies only the code each thread runs and the
+// components' priorities. Build reads img and never writes it, so boards
+// booting concurrently may share one.
+func Build(m *machine.Machine, img *Image, assembly *Assembly, cfg BuildConfig) (*System, error) {
+	if err := img.check(assembly); err != nil {
 		return nil, err
 	}
 	k := sel4.NewKernel(m, sel4.Config{Net: cfg.Net})
 	sys := &System{
 		kernel:   k,
-		spec:     spec,
+		img:      img,
 		assembly: assembly,
-		bind:     capdl.Binding{Objects: make(map[string]sel4.ObjID), TCBs: make(map[string]sel4.ObjID)},
-		ifaceEP:  make(map[string]sel4.ObjID),
-		tcbs:     make(map[string]sel4.ObjID),
-		restarts: make(map[string]int),
+		objs:     make([]sel4.ObjID, len(img.objects)),
+		tcbs:     make([]sel4.ObjID, len(img.threads)),
+		restarts: make([]int, len(img.threads)),
 	}
 
-	// Pass 1: kernel objects, bound to their spec names. One endpoint per
-	// provided interface; device and net-port objects shared across
-	// components that name them; one notification per consumed event.
-	for _, comp := range assembly.Components {
-		for _, iface := range sortedIfaces(comp) {
-			full := comp.Name + "." + iface
-			ep := k.CreateEndpoint(full)
-			sys.ifaceEP[full] = ep
-			sys.bind.Objects[epObjName(comp.Name, iface)] = ep
-		}
-	}
-	for _, comp := range assembly.Components {
-		for _, dev := range comp.Devices {
-			if _, ok := sys.bind.Objects[devObjName(dev)]; !ok {
-				sys.bind.Objects[devObjName(dev)] = k.CreateDevice(dev)
-			}
-		}
-		for _, port := range comp.NetPorts {
-			if _, ok := sys.bind.Objects[portObjName(port)]; !ok {
-				sys.bind.Objects[portObjName(port)] = k.CreateNetPort(port)
-			}
-		}
-	}
-	for _, comp := range assembly.Components {
-		for _, ev := range comp.Consumes {
-			sys.bind.Objects[ntfnObjName(comp.Name, ev)] = k.CreateNotification(comp.Name + "." + ev)
+	// Pass 1: kernel objects, in spec order: one endpoint per provided
+	// interface, device and net-port objects shared across components that
+	// name them, one notification per consumed event.
+	for i, o := range img.objects {
+		switch o.kind {
+		case sel4.KindEndpoint:
+			sys.objs[i] = k.CreateEndpoint(o.label)
+		case sel4.KindDevice:
+			sys.objs[i] = k.CreateDevice(o.dev)
+		case sel4.KindNetPort:
+			sys.objs[i] = k.CreateNetPort(o.port)
+		case sel4.KindNotification:
+			sys.objs[i] = k.CreateNotification(o.label)
 		}
 	}
 
 	// Pass 2: create threads.
-	for _, comp := range assembly.Components {
-		for _, th := range componentThreads(comp) {
-			tcbID := k.CreateThread(th.name, comp.Priority, threadBody(comp, th.iface))
-			sys.tcbs[th.name] = tcbID
-			sys.bind.TCBs[th.name] = tcbID
-		}
+	for i, th := range img.threads {
+		comp := assembly.Components[th.comp]
+		sys.tcbs[i] = k.CreateThread(th.name, comp.Priority, threadBody(comp, th.iface))
 	}
 
 	// Pass 3: install the generated capability distribution, slot by slot.
-	for _, t := range spec.TCBs {
-		tcbID, ok := sys.tcbs[t.Name]
-		if !ok {
-			return nil, fmt.Errorf("%w: spec thread %q was not created", ErrBadAssembly, t.Name)
-		}
-		if err := sys.installSpecCaps(tcbID, t); err != nil {
-			return nil, err
+	for i, ti := range img.threadTCB {
+		if ti >= 0 {
+			sys.installSpecCaps(sys.tcbs[i], ti)
 		}
 	}
 
 	// Pass 4: start everything, servers before control threads so RPC
 	// targets exist when Run bodies issue their first calls.
-	for _, comp := range assembly.Components {
-		for _, th := range componentThreads(comp) {
-			if th.iface != "" {
-				if err := k.Start(sys.tcbs[th.name]); err != nil {
-					return nil, err
-				}
+	for _, control := range []bool{false, true} {
+		for i, th := range img.threads {
+			if (th.iface == "") != control {
+				continue
 			}
-		}
-	}
-	for _, comp := range assembly.Components {
-		for _, th := range componentThreads(comp) {
-			if th.iface == "" {
-				if err := k.Start(sys.tcbs[th.name]); err != nil {
-					return nil, err
-				}
+			if err := k.Start(sys.tcbs[i]); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -131,19 +104,13 @@ func threadBody(comp *Component, iface string) func(api *sel4.API) {
 	}
 }
 
-// installSpecCaps installs one spec thread's capability rows into a live TCB.
-func (s *System) installSpecCaps(tcbID sel4.ObjID, t capdl.TCBSpec) error {
-	kinds := make(map[string]sel4.ObjKind, len(s.spec.Objects))
-	for _, o := range s.spec.Objects {
-		kinds[o.Name] = o.Kind
-	}
-	for _, c := range t.Caps {
-		objID, ok := s.bind.Objects[c.Object]
-		if !ok {
-			return fmt.Errorf("%w: spec object %q was not created", ErrBadAssembly, c.Object)
-		}
+// installSpecCaps installs spec TCB ti's capability rows into a live TCB.
+func (s *System) installSpecCaps(tcbID sel4.ObjID, ti int) {
+	for i, c := range s.img.spec.TCBs[ti].Caps {
+		obj := s.img.capObjects[ti][i]
+		objID := s.objs[obj]
 		var cap sel4.Capability
-		switch kinds[c.Object] {
+		switch s.img.objects[obj].kind {
 		case sel4.KindEndpoint:
 			cap = sel4.EndpointCap(objID, c.Rights, c.Badge)
 		case sel4.KindNotification:
@@ -152,19 +119,9 @@ func (s *System) installSpecCaps(tcbID sel4.ObjID, t capdl.TCBSpec) error {
 			cap = sel4.DeviceCap(objID, c.Rights)
 		case sel4.KindNetPort:
 			cap = sel4.NetPortCap(objID, c.Rights)
-		default:
-			return fmt.Errorf("%w: spec object %q has uninstallable kind %v",
-				ErrBadAssembly, c.Object, kinds[c.Object])
 		}
 		mustInstall(s.kernel, tcbID, c.Slot, cap)
 	}
-	return nil
-}
-
-// thread describes one generated thread of a component.
-type thread struct {
-	name  string // "comp" or "comp.iface"
-	iface string // "" for the control thread
 }
 
 // componentThreads lists the threads the glue generates for one component:

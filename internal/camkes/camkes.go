@@ -3,14 +3,17 @@
 //
 // A system is described as an Assembly: component instances plus
 // seL4RPCCall connections between "uses" (client) and "provides" (server)
-// procedure interfaces. Build plays the role of the CAmkES glue-code
-// generator and the CapDL-generated bootstrap process rolled into one: it
-// creates one endpoint per provided interface, one server thread per
-// provided interface (so "the malicious web interface could [not]
-// indefinitely block one of the temperature controller's threads"), mints
-// badged client capabilities for every connection, installs device and
-// network-port capabilities, and emits the capdl.Spec describing the
-// finished distribution so it can be verified against the kernel.
+// procedure interfaces. Compile plays the role of the CAmkES glue-code
+// generator: it turns an assembly's structure into an Image, the
+// capdl.Spec describing the capability distribution plus what creates each
+// object and thread. Build is the CapDL-generated bootstrap process: from
+// an Image it creates one endpoint per provided interface, one server
+// thread per provided interface (so "the malicious web interface could
+// [not] indefinitely block one of the temperature controller's threads"),
+// mints badged client capabilities for every connection and installs
+// device and network-port capabilities, so the running distribution can be
+// verified against the spec. One Image serves every board of its
+// structure.
 //
 // RPC wire format: request Label = method number, Words = arguments; reply
 // Label = 0 for success or an error code, Words = results.
@@ -19,7 +22,6 @@ package camkes
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"mkbas/internal/capdl"
@@ -201,57 +203,69 @@ func (rt *Runtime) UsesSlot(iface string) (sel4.CPtr, bool) {
 	return s, ok
 }
 
-// System is a built, running assembly.
+// System is a built, running assembly: one board's kernel objects and
+// threads over a shared Image.
 type System struct {
 	kernel   *sel4.Kernel
-	spec     *capdl.Spec
+	img      *Image
 	assembly *Assembly
-	bind     capdl.Binding
 
-	// ifaceEP maps "comp.iface" to its endpoint object.
-	ifaceEP map[string]sel4.ObjID
-	// tcbs maps thread names ("comp" for control, "comp.iface" for
-	// interface threads) to TCB ids.
-	tcbs map[string]sel4.ObjID
-	// restarts counts Respawn calls per thread name.
-	restarts map[string]int
+	// objs holds the kernel object of each image object, tcbs the live TCB
+	// of each image thread and restarts its Respawn count, all by index.
+	objs     []sel4.ObjID
+	tcbs     []sel4.ObjID
+	restarts []int
 }
 
 // Kernel returns the underlying seL4 kernel.
 func (s *System) Kernel() *sel4.Kernel { return s.kernel }
 
-// Spec returns the generated CapDL description.
-func (s *System) Spec() *capdl.Spec { return s.spec }
+// Spec returns the CapDL description the system was built from. It is the
+// image's, shared with every system built from it: callers must not modify
+// it.
+func (s *System) Spec() *capdl.Spec { return s.img.spec }
 
 // Verify checks the kernel's live capability distribution against the
 // generated CapDL spec.
-func (s *System) Verify() error { return capdl.Verify(s.spec, s.kernel, s.bind) }
+func (s *System) Verify() error { return capdl.Verify(s.img.spec, s.kernel, s.binding()) }
+
+// binding names the system's live kernel objects and TCBs by spec name.
+func (s *System) binding() capdl.Binding {
+	bind := capdl.Binding{
+		Objects: make(map[string]sel4.ObjID, len(s.objs)),
+		TCBs:    make(map[string]sel4.ObjID, len(s.tcbs)),
+	}
+	for i, o := range s.img.spec.Objects {
+		bind.Objects[o.Name] = s.objs[i]
+	}
+	for i, th := range s.img.threads {
+		bind.TCBs[th.name] = s.tcbs[i]
+	}
+	return bind
+}
 
 // TCB returns the TCB object id for a thread name ("comp" or "comp.iface").
 func (s *System) TCB(name string) (sel4.ObjID, bool) {
-	id, ok := s.tcbs[name]
-	return id, ok
+	i, ok := s.img.threadIndex[name]
+	if !ok {
+		return 0, false
+	}
+	return s.tcbs[i], true
 }
 
 // ThreadAlive reports whether the named thread is currently running.
 func (s *System) ThreadAlive(name string) bool {
-	id, ok := s.tcbs[name]
+	id, ok := s.TCB(name)
 	return ok && s.kernel.ThreadAlive(id)
 }
 
-// ThreadNames returns every generated thread name in stable order.
-func (s *System) ThreadNames() []string {
-	out := make([]string, 0, len(s.tcbs))
-	for name := range s.tcbs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// ThreadNames returns every generated thread name in stable order. The
+// slice is the image's: callers must not modify it.
+func (s *System) ThreadNames() []string { return s.img.names }
 
 // CrashThread kills a thread by name (fault injection).
 func (s *System) CrashThread(name string) error {
-	id, ok := s.tcbs[name]
+	id, ok := s.TCB(name)
 	if !ok {
 		return fmt.Errorf("%w: no thread %q", ErrBadAssembly, name)
 	}
@@ -259,7 +273,13 @@ func (s *System) CrashThread(name string) error {
 }
 
 // Restarts reports how many times a thread has been respawned.
-func (s *System) Restarts(name string) int { return s.restarts[name] }
+func (s *System) Restarts(name string) int {
+	i, ok := s.img.threadIndex[name]
+	if !ok {
+		return 0
+	}
+	return s.restarts[i]
+}
 
 // TotalRestarts sums Respawn counts over all threads.
 func (s *System) TotalRestarts() int {
@@ -279,49 +299,29 @@ func (s *System) Respawn(name string) error {
 	if s.ThreadAlive(name) {
 		return fmt.Errorf("camkes: thread %q is still alive", name)
 	}
-	comp, iface, err := s.findThread(name)
-	if err != nil {
-		return err
+	i, ok := s.img.threadIndex[name]
+	if !ok {
+		return fmt.Errorf("%w: no thread %q", ErrBadAssembly, name)
 	}
-	var specTCB *capdl.TCBSpec
-	for i := range s.spec.TCBs {
-		if s.spec.TCBs[i].Name == name {
-			specTCB = &s.spec.TCBs[i]
-			break
-		}
-	}
-	if specTCB == nil {
+	ti := s.img.threadTCB[i]
+	if ti < 0 {
 		return fmt.Errorf("%w: spec has no thread %q", ErrBadAssembly, name)
 	}
-	tcbID := s.kernel.CreateThread(name, comp.Priority, threadBody(comp, iface))
-	if err := s.installSpecCaps(tcbID, *specTCB); err != nil {
-		return err
-	}
+	th := s.img.threads[i]
+	comp := s.assembly.Components[th.comp]
+	tcbID := s.kernel.CreateThread(name, comp.Priority, threadBody(comp, th.iface))
+	s.installSpecCaps(tcbID, ti)
 	if err := s.kernel.Start(tcbID); err != nil {
 		return err
 	}
-	s.tcbs[name] = tcbID
-	s.bind.TCBs[name] = tcbID
-	s.restarts[name]++
+	s.tcbs[i] = tcbID
+	s.restarts[i]++
 	s.kernel.Events().Emit(obs.SecurityEvent{
 		Kind:      obs.EventRestart,
 		Mechanism: obs.MechRecovery,
 		Src:       "monitor",
 		Dst:       name,
-		Detail:    fmt.Sprintf("respawn #%d", s.restarts[name]),
+		Detail:    fmt.Sprintf("respawn #%d", s.restarts[i]),
 	})
 	return nil
-}
-
-// findThread resolves a generated thread name back to its component and
-// interface ("" for the control thread).
-func (s *System) findThread(name string) (*Component, string, error) {
-	for _, comp := range s.assembly.Components {
-		for _, th := range componentThreads(comp) {
-			if th.name == name {
-				return comp, th.iface, nil
-			}
-		}
-	}
-	return nil, "", fmt.Errorf("%w: no thread %q", ErrBadAssembly, name)
 }

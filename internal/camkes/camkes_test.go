@@ -59,7 +59,7 @@ func TestRPCCallThroughGlue(t *testing.T) {
 	var calls []uint64
 	var results []Words
 	var errs []error
-	sys, err := Build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
+	sys, err := build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestGeneratedCapDLMatchesKernel(t *testing.T) {
 	var calls []uint64
 	var results []Words
 	var errs []error
-	sys, err := Build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
+	sys, err := build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -111,7 +111,7 @@ func TestVerifyCatchesExtraCapability(t *testing.T) {
 	var calls []uint64
 	var results []Words
 	var errs []error
-	sys, err := Build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
+	sys, err := build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestCapDLRenderParseRoundTrip(t *testing.T) {
 	var calls []uint64
 	var results []Words
 	var errs []error
-	sys, err := Build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
+	sys, err := build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -159,9 +159,9 @@ func TestCapDLRenderParseRoundTrip(t *testing.T) {
 	}
 }
 
-// sysBinding rebuilds a Binding from the system's public accessors.
+// sysBinding names the system's live objects by spec name.
 func sysBinding(sys *System) capdl.Binding {
-	return sys.bind
+	return sys.binding()
 }
 
 func TestValidateRejectsBadAssemblies(t *testing.T) {
@@ -202,7 +202,7 @@ func TestValidateRejectsBadAssemblies(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := machine.New(machine.Config{})
 			defer m.Shutdown()
-			if _, err := Build(m, tc.assembly, BuildConfig{}); !errors.Is(err, ErrBadAssembly) {
+			if _, err := build(m, tc.assembly, BuildConfig{}); !errors.Is(err, ErrBadAssembly) {
 				t.Fatalf("Build = %v, want ErrBadAssembly", err)
 			}
 		})
@@ -241,7 +241,7 @@ func TestTwoClientsDistinguishedByBadge(t *testing.T) {
 			{FromComp: "bob", FromIface: "svc", ToComp: "server", ToIface: "svc"},
 		},
 	}
-	if _, err := Build(m, assembly, BuildConfig{}); err != nil {
+	if _, err := build(m, assembly, BuildConfig{}); err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	t.Cleanup(m.Shutdown)
@@ -294,7 +294,7 @@ func TestInterfaceThreadIsolation(t *testing.T) {
 			{FromComp: "prober", FromIface: "fast", ToComp: "server", ToIface: "fast"},
 		},
 	}
-	if _, err := Build(m, assembly, BuildConfig{}); err != nil {
+	if _, err := build(m, assembly, BuildConfig{}); err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	t.Cleanup(m.Shutdown)
@@ -312,7 +312,7 @@ func TestCapDLSpecRenderShape(t *testing.T) {
 	var calls []uint64
 	var results []Words
 	var errs []error
-	sys, err := Build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
+	sys, err := build(m, calcAssembly(&calls, &results, &errs), BuildConfig{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -329,4 +329,14 @@ func TestCapDLSpecRenderShape(t *testing.T) {
 			t.Errorf("spec missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// build compiles assembly's image and boots it, the way a deployment does
+// on its first board.
+func build(m *machine.Machine, assembly *Assembly, cfg BuildConfig) (*System, error) {
+	img, err := Compile(assembly)
+	if err != nil {
+		return nil, err
+	}
+	return Build(m, img, assembly, cfg)
 }

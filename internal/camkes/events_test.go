@@ -46,7 +46,7 @@ func TestEventConnectionDelivery(t *testing.T) {
 			{FromComp: "source", FromIface: "tick", ToComp: "sink", ToIface: "tick"},
 		},
 	}
-	sys, err := Build(m, assembly, BuildConfig{})
+	sys, err := build(m, assembly, BuildConfig{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestTwoEmittersDistinguishedByBadgeBits(t *testing.T) {
 			{FromComp: "b", FromIface: "ev", ToComp: "sink", ToIface: "ev"},
 		},
 	}
-	if _, err := Build(m, assembly, BuildConfig{}); err != nil {
+	if _, err := build(m, assembly, BuildConfig{}); err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	t.Cleanup(m.Shutdown)
@@ -125,7 +125,7 @@ func TestPollEventNonBlocking(t *testing.T) {
 			{FromComp: "source", FromIface: "ev", ToComp: "sink", ToIface: "ev"},
 		},
 	}
-	if _, err := Build(m, assembly, BuildConfig{}); err != nil {
+	if _, err := build(m, assembly, BuildConfig{}); err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	t.Cleanup(m.Shutdown)
@@ -166,7 +166,7 @@ func TestEventValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := machine.New(machine.Config{})
 			defer m.Shutdown()
-			if _, err := Build(m, tc.assembly, BuildConfig{}); !errors.Is(err, ErrBadAssembly) {
+			if _, err := build(m, tc.assembly, BuildConfig{}); !errors.Is(err, ErrBadAssembly) {
 				t.Fatalf("Build = %v, want ErrBadAssembly", err)
 			}
 		})
@@ -183,7 +183,7 @@ func TestRuntimeEventErrors(t *testing.T) {
 			_, waitErr = rt.WaitEvent("ghost")
 		},
 	}
-	if _, err := Build(m, &Assembly{Components: []*Component{comp}}, BuildConfig{}); err != nil {
+	if _, err := build(m, &Assembly{Components: []*Component{comp}}, BuildConfig{}); err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	t.Cleanup(m.Shutdown)

@@ -1,6 +1,7 @@
 package camkes
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -68,7 +69,7 @@ func TestBuildInstallsExactlyTheGeneratedSpec(t *testing.T) {
 	}
 	m := machine.New(machine.Config{})
 	t.Cleanup(m.Shutdown)
-	sys, err := Build(m, assembly, BuildConfig{})
+	sys, err := build(m, assembly, BuildConfig{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -83,17 +84,21 @@ func TestBuildInstallsExactlyTheGeneratedSpec(t *testing.T) {
 	m.Run(100 * time.Millisecond)
 }
 
-// TestStructureCoversSpecInputs: Structure is a cache key for the spec, so
-// changing any structural field must change it, and changing only the code
-// threads run must not (nor the spec).
+// TestStructureCoversSpecInputs: an Image serves every assembly of its
+// structure, so Build must refuse an assembly whose change to any
+// structural field would change the spec or its installation, and must
+// accept one that changes only the code threads run or their priorities
+// (and install the same spec for it).
 func TestStructureCoversSpecInputs(t *testing.T) {
-	base := richAssembly().Structure()
+	img, err := Compile(richAssembly())
+	if err != nil {
+		t.Fatal(err)
+	}
 	handler := func(rt *Runtime, method uint64, args Words, badge sel4.Badge) (Words, error) {
 		return Words{1}, nil
 	}
 	mutations := map[string]func(a *Assembly){
 		"name":          func(a *Assembly) { a.Components[0].Name = "server2" },
-		"priority":      func(a *Assembly) { a.Components[0].Priority++ },
 		"control":       func(a *Assembly) { a.Components[0].Run = func(rt *Runtime) {} },
 		"provides":      func(a *Assembly) { a.Components[0].Provides["extra"] = handler },
 		"nil handler":   func(a *Assembly) { a.Components[0].Provides["svc"] = nil },
@@ -110,26 +115,31 @@ func TestStructureCoversSpecInputs(t *testing.T) {
 	for name, mutate := range mutations {
 		a := richAssembly()
 		mutate(a)
-		if a.Structure() == base {
-			t.Errorf("%s: a structural change left Structure unchanged", name)
+		m := machine.New(machine.Config{})
+		if _, err := Build(m, img, a, BuildConfig{}); !errors.Is(err, ErrBadAssembly) {
+			t.Errorf("%s: Build on another structure's image = %v, want ErrBadAssembly", name, err)
 		}
+		m.Shutdown()
 	}
 
 	bodies := richAssembly()
 	bodies.Components[0].Provides["svc"] = handler
 	bodies.Components[1].Run = func(rt *Runtime) { rt.Sleep(time.Second) }
-	if bodies.Structure() != base {
-		t.Fatalf("new thread bodies changed Structure:\n%s\nvs\n%s", bodies.Structure(), base)
+	bodies.Components[0].Priority++
+	m := machine.New(machine.Config{})
+	t.Cleanup(m.Shutdown)
+	sys, err := Build(m, img, bodies, BuildConfig{})
+	if err != nil {
+		t.Fatalf("new thread bodies and priorities refused: %v", err)
 	}
-	want, err := GenerateSpec(richAssembly())
+	want, err := GenerateSpec(bodies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GenerateSpec(bodies)
-	if err != nil {
-		t.Fatal(err)
+	if sys.Spec().Render() != want.Render() {
+		t.Fatal("an image installed another spec than its structure compiles to")
 	}
-	if got.Render() != want.Render() {
-		t.Fatal("assemblies with one Structure compiled to different specs")
+	if err := sys.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 }

@@ -133,9 +133,10 @@ func (l TraceLine) String() string {
 // plus a few bytes and no heap object of its own; Lines, Grep and String
 // decode on read.
 type Trace struct {
-	clock  *Clock
-	ring   *obs.BlockRing
-	lastAt Time // the newest line's instant, the base of the next delta
+	clock   *Clock
+	ring    *obs.BlockRing
+	lastAt  Time   // the newest line's instant, the base of the next delta
+	scratch []byte // Logf formats into it, then appends it to the ring
 }
 
 // NewTrace creates a trace console; capacity <= 0 means 4096 lines. The
@@ -148,15 +149,21 @@ func NewTrace(clock *Clock, capacity int) *Trace {
 }
 
 // Logf appends a formatted line under tag. When the buffer is full the
-// oldest line is dropped.
+// oldest line is dropped. The text is formatted into the trace's scratch
+// buffer and copied into the ring from there, so it costs no string of its
+// own.
 func (t *Trace) Logf(tag, format string, args ...any) {
-	t.Log(tag, fmt.Sprintf(format, args...))
+	t.scratch = fmt.Appendf(t.scratch[:0], format, args...)
+	appendLine(t, tag, t.scratch)
 }
 
 // Log appends text verbatim under tag, with no formatting. Kernels use it
 // on repeated paths (denials, forwarded process traces) where the text is
 // already built; once the ring is full a line allocates nothing.
-func (t *Trace) Log(tag, text string) {
+func (t *Trace) Log(tag, text string) { appendLine(t, tag, text) }
+
+// appendLine encodes one line into the ring.
+func appendLine[S string | []byte](t *Trace, tag string, text S) {
 	at := t.clock.Now()
 	b, first := t.ring.Grow(3*binary.MaxVarintLen64 + len(tag) + len(text))
 	prev := t.lastAt

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -127,5 +128,31 @@ func TestTraceLogOnFullConsoleAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("1000 lines on a full console allocate %.1f times, want 0", n)
+	}
+}
+
+func TestTraceLogfMatchesSprintf(t *testing.T) {
+	// Logf formats into the trace's scratch buffer instead of a string; the
+	// console must read exactly as if each line went through Sprintf, even
+	// when a short line follows a long one in the reused buffer.
+	clk := NewClock()
+	got, want := NewTrace(clk, 8), NewTrace(clk, 8)
+	lines := []struct {
+		format string
+		args   []any
+	}{
+		{"spawn %s ep=%v acid=%d uid=%d", []any{"tempProc", PID(7), 103, 1000}},
+		{"exit %s", []any{"x"}},
+		{"CRASH %s panic=%v", []any{"webInterface", errors.New("boom")}},
+		{"no verbs", nil},
+		{"%d%%", []any{42}},
+	}
+	for i, l := range lines {
+		clk.advance(clk.Now() + Time(i))
+		got.Logf("minix", l.format, l.args...)
+		want.Log("minix", fmt.Sprintf(l.format, l.args...))
+	}
+	if got.String() != want.String() {
+		t.Fatalf("Logf console:\n%s\nSprintf console:\n%s", got.String(), want.String())
 	}
 }

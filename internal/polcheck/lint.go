@@ -10,8 +10,9 @@ import (
 // prove an attack — but each one is a place where the policy grants more (or
 // less) than the architecture needs.
 //
-//   - isolated subject: a subject with no flow edges in or out cannot
-//     participate in the system; the grant set and the process set disagree;
+//   - isolated subject: a subject with no flow edges in or out and no kill
+//     authority cannot participate in the system; the grant set and the
+//     process set disagree;
 //   - wildcard grant: an "mt*" edge authorises all 64 message types where
 //     the scenario needs a handful — the over-broad-ACL smell the paper's
 //     matrix avoids by enumerating types per pair;
@@ -44,7 +45,7 @@ func StructuralFindings(g *Graph) []Finding {
 	for _, name := range subjects {
 		n := Subject(name)
 		flows := g.FlowsFrom(n)
-		if len(flows) == 0 && !incoming[n] {
+		if len(flows) == 0 && !incoming[n] && len(g.kills[name]) == 0 {
 			out = append(out, Finding{
 				Property: "isolated_subject",
 				Check:    fmt.Sprintf("isolated_subject(%s)", name),

@@ -46,7 +46,7 @@ func testOrigins() map[string]Origin {
 
 func TestObserveInGraphIsClean(t *testing.T) {
 	events := obs.NewEventLog(nil, 0)
-	m := New(testGraph(), Options{Events: events, Origins: testOrigins()})
+	m := New(NewIndex(testGraph(), IndexOptions{Origins: testOrigins()}), Options{Events: events})
 	log := attach(m)
 	for _, d := range [][3]string{
 		{"ctrl", "heater", "mt1"},
@@ -72,7 +72,7 @@ func TestObserveInGraphAllocatesNothing(t *testing.T) {
 	// (exact edges and wildcard pairs alike), with a live event log
 	// attached — both called alone and through the log's Record, which is
 	// how every kernel reaches it.
-	m := New(testGraph(), Options{Events: obs.NewEventLog(nil, 0), Origins: testOrigins()})
+	m := New(NewIndex(testGraph(), IndexOptions{Origins: testOrigins()}), Options{Events: obs.NewEventLog(nil, 0)})
 	log := attach(m)
 	for _, d := range [][3]string{
 		{"ctrl", "heater", "mt1"},  // exact subject→subject
@@ -95,7 +95,7 @@ func TestObserveInGraphAllocatesNothing(t *testing.T) {
 
 func TestObservePolicyDrift(t *testing.T) {
 	events := obs.NewEventLog(nil, 0)
-	m := New(testGraph(), Options{Events: events, Origins: testOrigins()})
+	m := New(NewIndex(testGraph(), IndexOptions{Origins: testOrigins()}), Options{Events: events})
 	log := attach(m)
 	deliver(log, "web", "heater", "mt2")  // never certified
 	deliver(log, "ctrl", "heater", "mt3") // certified pair, uncertified type
@@ -124,11 +124,11 @@ func TestObserveNameNormalisation(t *testing.T) {
 	// seL4 kernels record thread names ("ctrl.t0") and kernel endpoint names
 	// ("cmd.iface"); the graph speaks components and spec objects. Both maps
 	// must apply before lookup or every delivery would read as drift.
-	m := New(testGraph(), Options{
+	m := New(NewIndex(testGraph(), IndexOptions{
 		SubjectOf:    func(s string) string { base, _, _ := strings.Cut(s, "."); return base },
 		ChannelNames: map[string]string{"cmd.iface": "ep_cmd"},
 		Origins:      testOrigins(),
-	})
+	}), Options{})
 	log := attach(m)
 	deliver(log, "web.t0", "cmd.iface", "send")
 	deliver(log, "cmd.iface", "ctrl.t1", "recv")
@@ -144,7 +144,7 @@ func TestObserveNameNormalisation(t *testing.T) {
 
 func TestDemoteTurnsCertifiedEdgesIntoOriginDrift(t *testing.T) {
 	events := obs.NewEventLog(nil, 0)
-	m := New(testGraph(), Options{Events: events, Origins: testOrigins()})
+	m := New(NewIndex(testGraph(), IndexOptions{Origins: testOrigins()}), Options{Events: events})
 	log := attach(m)
 
 	deliver(log, "web", "ep_cmd", "send")
@@ -192,7 +192,7 @@ func TestDemoteTurnsCertifiedEdgesIntoOriginDrift(t *testing.T) {
 }
 
 func TestDemoteIsMonotone(t *testing.T) {
-	m := New(testGraph(), Options{Origins: testOrigins()})
+	m := New(NewIndex(testGraph(), IndexOptions{Origins: testOrigins()}), Options{})
 	if m.Demote("ctrl", OriginBoot) {
 		t.Fatal("raising operator -> boot must be refused")
 	}
@@ -217,7 +217,7 @@ func TestDemoteIsMonotone(t *testing.T) {
 }
 
 func TestEdgeLive(t *testing.T) {
-	m := New(testGraph(), Options{Origins: testOrigins()})
+	m := New(NewIndex(testGraph(), IndexOptions{Origins: testOrigins()}), Options{})
 	if !m.Edge("ctrl", "heater", "mt1").Live() || !m.Edge("ctrl", "sensor", "mt42").Live() {
 		t.Fatal("certified deliveries are not live")
 	}
@@ -247,7 +247,7 @@ func TestEdgeLive(t *testing.T) {
 }
 
 func TestUnlabelledSubjectsDefaultToBoot(t *testing.T) {
-	m := New(testGraph(), Options{}) // no origin map at all
+	m := New(NewIndex(testGraph(), IndexOptions{}), Options{}) // no origin map at all
 	for _, s := range []string{"ctrl", "heater", "sensor", "web"} {
 		if o, ok := m.CurrentOrigin(s); !ok || o != OriginBoot {
 			t.Fatalf("CurrentOrigin(%s) = %v, %v, want boot", s, o, ok)
@@ -256,7 +256,7 @@ func TestUnlabelledSubjectsDefaultToBoot(t *testing.T) {
 }
 
 func TestNilEventLogStillCounts(t *testing.T) {
-	m := New(testGraph(), Options{Origins: testOrigins()})
+	m := New(NewIndex(testGraph(), IndexOptions{Origins: testOrigins()}), Options{})
 	log := attach(m)
 	deliver(log, "web", "heater", "mt1")
 	m.Demote("web", OriginUntrusted)
@@ -293,12 +293,11 @@ func TestCachedPolicyDriftKeepsNormalisedAttribution(t *testing.T) {
 	// produced, on the first delivery and on every cached one after it:
 	// graph-namespace Src/Dst, the kernel's label in Detail.
 	events := obs.NewEventLog(nil, 0)
-	m := New(testGraph(), Options{
-		Events:       events,
+	m := New(NewIndex(testGraph(), IndexOptions{
 		SubjectOf:    func(s string) string { base, _, _ := strings.Cut(s, "."); return base },
 		ChannelNames: map[string]string{"cmd.iface": "ep_cmd"},
 		Origins:      testOrigins(),
-	})
+	}), Options{Events: events})
 	log := attach(m)
 	deliver(log, "web.t0", "heater.t0", "mt2")
 	deliver(log, "web.t0", "heater.t0", "mt2")
@@ -317,7 +316,7 @@ func TestDemoteAfterEdgeCachedStillDrifts(t *testing.T) {
 	// The cache holds names and the certified edge, never a verdict: an
 	// edge observed clean many times must drift once its governing subject
 	// is demoted.
-	m := New(testGraph(), Options{Origins: testOrigins()})
+	m := New(NewIndex(testGraph(), IndexOptions{Origins: testOrigins()}), Options{})
 	log := attach(m)
 	for i := 0; i < 3; i++ {
 		deliver(log, "ep_cmd", "ctrl", "recv") // governed by ctrl
@@ -337,10 +336,41 @@ func TestDemoteAfterEdgeCachedStillDrifts(t *testing.T) {
 func TestAttachResolvesAgainstTheNewTable(t *testing.T) {
 	// Ids are per table: after Attach to another board's log, id 0 names a
 	// different triple and must not hit the first board's cache.
-	m := New(testGraph(), Options{Origins: testOrigins()})
+	m := New(NewIndex(testGraph(), IndexOptions{Origins: testOrigins()}), Options{})
 	deliver(attach(m), "ctrl", "heater", "mt1") // id 0: certified
 	deliver(attach(m), "web", "heater", "mt1")  // id 0 again: not certified
 	if st := m.Stats(); st.PolicyDrifts != 1 || st.Observed != 2 {
 		t.Fatalf("stats = %+v, want the second board's id 0 to drift", st)
+	}
+}
+
+func TestBoardsShareIndexReadOnly(t *testing.T) {
+	// Two boards booted from one index: a demotion on one is that board's
+	// state alone. The other keeps its labels, its clean Observe verdicts
+	// and its live EdgeRefs.
+	idx := NewIndex(testGraph(), IndexOptions{Origins: testOrigins()})
+	a, b := New(idx, Options{}), New(idx, Options{})
+	logA, logB := attach(a), attach(b)
+	refA, refB := a.Edge("web", "ep_cmd", "send"), b.Edge("web", "ep_cmd", "send")
+	deliver(logA, "web", "ep_cmd", "send")
+	deliver(logB, "web", "ep_cmd", "send")
+
+	if !a.Demote("web", OriginUntrusted) {
+		t.Fatal("Demote(web) refused")
+	}
+	deliver(logA, "web", "ep_cmd", "send")
+	deliver(logB, "web", "ep_cmd", "send")
+
+	if o, _ := b.CurrentOrigin("web"); o != OriginWeb {
+		t.Fatalf("board b's web origin = %v after board a's demotion, want web", o)
+	}
+	if refA.Live() || !refB.Live() || !b.Edge("web", "ep_cmd", "send").Live() {
+		t.Fatalf("Live: a=%v b=%v, want only a's edge dead", refA.Live(), refB.Live())
+	}
+	if st := a.Stats(); st.OriginDrifts != 1 || st.Demotions != 1 {
+		t.Fatalf("board a stats = %+v, want one drift, one demotion", st)
+	}
+	if st := b.Stats(); st != (Stats{Observed: 2}) {
+		t.Fatalf("board b stats = %+v, want two clean observations", st)
 	}
 }

@@ -326,4 +326,14 @@ func TestStructuralFindings(t *testing.T) {
 	if !haveWildcard || !haveIsolated {
 		t.Fatalf("findings = %+v", findings)
 	}
+
+	// Kill authority is participation: a subject whose only grant is a
+	// kill (a loader's PM grants) is not isolated.
+	g := FromMatrix(m)
+	g.AddKill("ghost", "a", "test")
+	for _, f := range StructuralFindings(g) {
+		if f.Property == "isolated_subject" {
+			t.Fatalf("a subject holding kill authority was called isolated: %s", f.Check)
+		}
+	}
 }

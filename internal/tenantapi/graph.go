@@ -1,6 +1,8 @@
 package tenantapi
 
 import (
+	"sync"
+
 	"mkbas/internal/obs"
 	"mkbas/internal/polcheck"
 	"mkbas/internal/polcheck/monitor"
@@ -48,10 +50,18 @@ func Origins() map[string]monitor.Origin {
 	}
 }
 
-// NewMonitor builds the online monitor over the certified tenant graph,
-// emitting drift/demotion events into events (nil discards them).
+// accessIndex is the tier's static edge index, built once per process and
+// shared read-only by every gateway's monitor.
+var accessIndex = sync.OnceValue(func() *monitor.Index {
+	return monitor.NewIndex(AccessGraph(), monitor.IndexOptions{Origins: Origins()})
+})
+
+// NewMonitor builds one gateway's online monitor over the certified tenant
+// graph, emitting drift/demotion events into events (nil discards them).
+// Its origin labels are its own: demoting a role on one gateway leaves
+// every other gateway's view unchanged.
 func NewMonitor(events *obs.EventLog) *monitor.Monitor {
-	return monitor.New(AccessGraph(), monitor.Options{Events: events, Origins: Origins()})
+	return monitor.New(accessIndex(), monitor.Options{Events: events})
 }
 
 // pSubject is a terse subject-node constructor for graph queries.

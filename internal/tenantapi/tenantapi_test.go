@@ -197,6 +197,30 @@ func TestBackpressureShedsBeforeAuth(t *testing.T) {
 	}
 }
 
+// TestDemotionStaysOnItsGateway: every gateway's monitor shares one static
+// index of the tenant graph, but a demotion on one gateway must not reach
+// another: the second keeps the role's origin label, its resolved edge
+// handles stay live, and it serves the role.
+func TestDemotionStaysOnItsGateway(t *testing.T) {
+	clk := &testClock{ns: int64(time.Hour)}
+	a, _, _ := newTestGateway(t, clk)
+	b, dir, _ := newTestGateway(t, clk)
+	occ := dir.Find("occupant-0004")
+	if !a.Monitor().Demote(SubjectOccupant, monitor.OriginUntrusted) {
+		t.Fatal("Demote reported no-op")
+	}
+	if o, _ := b.Monitor().CurrentOrigin(SubjectOccupant); o != monitor.OriginWeb {
+		t.Fatalf("second gateway's occupant origin = %v, want web", o)
+	}
+	if a.edges[RoleOccupant][RouteStatus].Live() || !b.edges[RoleOccupant][RouteStatus].Live() {
+		t.Fatal("demotion on one gateway changed the other's resolved edge")
+	}
+	clk.step(time.Second)
+	if out, _ := handle(b, Request{Token: occ.Token, Route: RouteStatus, Room: occ.Room}); out != OutcomeOK {
+		t.Fatalf("second gateway refused the occupant: %v", out)
+	}
+}
+
 // TestDemotionShrinksReachableSet pins the origin-demotion contract:
 // demoting a compromised tenant origin turns its certified edges off, so
 // the role's reachable set (the routes the monitor admits) shrinks to

@@ -83,7 +83,11 @@ func bootCAmkES(t *testing.T, stack *vnet.Stack, bodies ...func(process)) *machi
 			Run:      func(rt *camkes.Runtime) { body(rt) },
 		})
 	}
-	if _, err := camkes.Build(m, asm, camkes.BuildConfig{Net: stack}); err != nil {
+	img, err := camkes.Compile(asm)
+	if err != nil {
+		t.Fatalf("camkes.Compile: %v", err)
+	}
+	if _, err := camkes.Build(m, img, asm, camkes.BuildConfig{Net: stack}); err != nil {
 		t.Fatalf("camkes.Build: %v", err)
 	}
 	return m

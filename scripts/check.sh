@@ -18,10 +18,13 @@ go test -race ./...
 # The vnet free lists and the bacnet buffers a poll reuses pass between room
 # workers and the coordinator across the bus flush barrier, so their
 # packages join the explicit pass. Concurrent deploys share the bas
-# certification table, and MINIX boards grow their process tables while
-# other boards boot, so those two packages race in the pass too.
-go vet ./internal/machine ./internal/lab ./internal/building ./internal/vnet ./internal/bacnet
-go test -race -count=2 ./internal/machine ./internal/lab ./internal/building ./internal/vnet ./internal/bacnet ./internal/bas ./internal/minix
+# image table, and MINIX boards grow their process tables while other
+# boards boot, so those two packages race in the pass too. Board workers
+# share their images: every seL4 board builds from one camkes.Image and
+# every monitored board reads one monitor.Index while it demotes its own
+# subjects, so camkes and the monitor join the pass as well.
+go vet ./internal/machine ./internal/lab ./internal/building ./internal/vnet ./internal/bacnet ./internal/polcheck/monitor ./internal/camkes
+go test -race -count=2 ./internal/machine ./internal/lab ./internal/building ./internal/vnet ./internal/bacnet ./internal/bas ./internal/minix ./internal/polcheck/monitor ./internal/camkes
 # Fuzz smoke: the BACnet secure-frame opener is the first code a forged bus
 # frame reaches, and the PDU decoder parses every frame a legacy room takes
 # off the bus. Short runs from the checked-in seeds must find nothing.
