@@ -14,6 +14,9 @@
 //  4. Compile the same model to a CAmkES topology, and verify the booted
 //     seL4 system's capability distribution against its CapDL description.
 //
+//  5. Compile it once more to the hardened Linux DAC policy: the owner and
+//     modes of the queue pair behind each connected in-port.
+//
 //     go run ./examples/aadl-workflow [model.aadl]
 package main
 
@@ -112,5 +115,16 @@ func run() error {
 
 	fmt.Printf("\ngenerated topology: %d components, %d connections; the seL4 board above boots the embedded model's, without its optional BACnet gateway\n",
 		len(topo.Components), len(topo.Connections))
+
+	// Step 5: model -> Linux DAC.
+	dac, err := aadl.GenerateDAC(pkg, sysName)
+	if err != nil {
+		return err
+	}
+	fmt.Println("\ngenerated Linux DAC policy (each process under its Linux_Account):")
+	for _, q := range dac.Queues {
+		fmt.Printf("  %-18s owner %d:%d  request %04o  reply %04o  peers %v\n",
+			q.Port, q.Owner.UID, q.Owner.GID, uint16(q.Mode), uint16(q.ReplyMode), q.Peers)
+	}
 	return nil
 }

@@ -2,11 +2,13 @@ package aadl
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
 	"mkbas/internal/core"
+	"mkbas/internal/linuxsim"
 )
 
 func loadScenario(t *testing.T) *Package {
@@ -81,6 +83,66 @@ func TestGenerateSyscalls(t *testing.T) {
 // TestLintScenarioHasNoIsolatedSubject: the loader's whole authority is
 // its PM grants (fork, exec, kill, set_acid), so a lint that reads the
 // model's grants with its matrix must not call it isolated.
+// TestGenerateDAC: the scenario's queue owners and modes follow from the
+// accounts by one rule, under unique accounts and under one shared
+// account, and an omitted gateway leaves its subject and peer slot.
+func TestGenerateDAC(t *testing.T) {
+	pkg := loadScenario(t)
+	d, err := GenerateDAC(pkg, TempControlSystem, "scenario", "bacnetGateway", "tenantApiGw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range d.Subjects {
+		names = append(names, s.Name)
+	}
+	if want := []string{"tempProc", "heaterActProc", "alarmProc", "tempSensProc", "webInterface"}; !slices.Equal(names, want) {
+		t.Fatalf("subjects = %q, want %q", names, want)
+	}
+	if got := d.Subject("webInterface"); got.UID != 105 || got.GID != 60 {
+		t.Fatalf("web account = %+v", got)
+	}
+	type queue struct {
+		port, owner, peers string
+		mode, reply        linuxsim.Mode
+	}
+	render := func(d *DAC) []queue {
+		var qs []queue
+		for _, q := range d.Queues {
+			owner := fmt.Sprintf("%s %d:%d", q.Owner.Name, q.Owner.UID, q.Owner.GID)
+			qs = append(qs, queue{q.Port.String(), owner, strings.Join(q.Peers, ","), q.Mode, q.ReplyMode})
+		}
+		return qs
+	}
+	want := []queue{
+		{"tempProc.sensor", "tempProc 102:50", "tempSensProc", 0o620, 0o640},
+		{"heaterActProc.cmd", "heaterActProc 103:50", "tempProc", 0o620, 0o640},
+		{"alarmProc.cmd", "alarmProc 104:50", "tempProc", 0o620, 0o640},
+		{"tempProc.mgmt", "tempProc 102:50", "webInterface", 0o602, 0o604},
+	}
+	if got := render(d); !slices.Equal(got, want) {
+		t.Fatalf("queues = %+v\nwant %+v", got, want)
+	}
+	same := d.Under(1000, 1000)
+	for i := range want {
+		name, _, _ := strings.Cut(want[i].owner, " ")
+		want[i].owner, want[i].mode, want[i].reply = name+" 1000:1000", 0o600, 0o600
+	}
+	if got := render(same); !slices.Equal(got, want) {
+		t.Fatalf("same-account queues = %+v\nwant %+v", got, want)
+	}
+	if d.Subject("tempProc").UID != 102 {
+		t.Fatal("Under wrote through to the policy it was called on")
+	}
+	all, err := GenerateDAC(pkg, TempControlSystem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mgmt := all.Queues[3]; !slices.Equal(mgmt.Peers, []string{"webInterface", "bacnetGateway", "tenantApiGw"}) || mgmt.Mode != 0o602 {
+		t.Fatalf("mgmt queue with both gateways = %+v", mgmt)
+	}
+}
+
 func TestLintScenarioHasNoIsolatedSubject(t *testing.T) {
 	findings, err := Lint(loadScenario(t), TempControlSystem)
 	if err != nil {
@@ -195,12 +257,14 @@ FEATURES
   o: OUT EVENT DATA PORT; -- trailing comment
 PROPERTIES
   ac_id => 1;
+  LINUX_ACCOUNT => (1, 1);
 END a;
 process b
 features
   i: in event data port;
 properties
   AC_ID => 2;
+  Linux_Account => (2, 1);
 end b;
 system implementation s.impl
 subcomponents
@@ -231,6 +295,7 @@ public
 process a
 properties
   BAS_Properties::AC_ID => 9;
+  BAS_Properties::Linux_Account => (9, 9);
 end a;
 end P;
 `
@@ -279,39 +344,64 @@ features
   i: in event data port;
 properties
   AC_ID => 1;
+  Linux_Account => (1, 1);
 end a;
 process b
 features
   i: in event data port;
 properties
   AC_ID => 2;
+  Linux_Account => (2, 1);
 end b;
 `
+	// x builds a one-process model from its property lines.
+	x := func(props string) string {
+		return header + "process x\nproperties\n" + props + "end x;\nend P;"
+	}
 	cases := []struct {
-		name string
-		src  string
+		name, src, want string
 	}{
-		{"missing acid", header + "process x\nend x;\nend P;"},
-		{"duplicate acid", header + "process x\nproperties\n AC_ID => 5;\nend x;\nprocess y\nproperties\n AC_ID => 5;\nend y;\nend P;"},
-		{"unknown subcomponent type", header + procs + "system implementation s.impl\nsubcomponents\n z: process zz;\nend s.impl;\nend P;"},
-		{"unknown port", header + procs + "system implementation s.impl\nsubcomponents\n a: process a;\n b: process b;\nconnections\n c: port a.ghost -> b.i;\nend s.impl;\nend P;"},
-		{"direction mismatch", header + procs + "system implementation s.impl\nsubcomponents\n a: process a;\n b: process b;\nconnections\n c: port a.i -> b.i;\nend s.impl;\nend P;"},
-		{"type out of range", header + procs + "system implementation s.impl\nsubcomponents\n a: process a;\n b: process b;\nconnections\n c: port a.o -> b.i { Message_Type => 64; };\nend s.impl;\nend P;"},
-		{"unknown syscall", header + "process x\nproperties\n AC_ID => 5;\n Syscalls => (fork, reboot);\nend x;\nend P;"},
-		{"numeric syscalls", header + "process x\nproperties\n AC_ID => 5;\n Syscalls => (1, 2);\nend x;\nend P;"},
-		{"unknown kernel", header + "process x\nproperties\n AC_ID => 5;\n Kernels => (minix, windows);\nend x;\nend P;"},
+		{"missing acid", x(" Linux_Account => (5, 5);\n"), "no AC_ID"},
+		{"duplicate acid", header + "process x\nproperties\n AC_ID => 5;\n Kernels => (minix);\nend x;\nprocess y\nproperties\n AC_ID => 5;\n Kernels => (minix);\nend y;\nend P;", "assigned to both"},
+		{"unknown subcomponent type", header + procs + "system implementation s.impl\nsubcomponents\n z: process zz;\nend s.impl;\nend P;", "unknown process"},
+		{"unknown port", header + procs + "system implementation s.impl\nsubcomponents\n a: process a;\n b: process b;\nconnections\n c: port a.ghost -> b.i;\nend s.impl;\nend P;", "no port"},
+		{"direction mismatch", header + procs + "system implementation s.impl\nsubcomponents\n a: process a;\n b: process b;\nconnections\n c: port a.i -> b.i;\nend s.impl;\nend P;", "not an out port"},
+		{"type out of range", header + procs + "system implementation s.impl\nsubcomponents\n a: process a;\n b: process b;\nconnections\n c: port a.o -> b.i { Message_Type => 64; };\nend s.impl;\nend P;", "outside 0..63"},
+		{"unknown syscall", x(" AC_ID => 5;\n Kernels => (minix);\n Syscalls => (fork, reboot);\n"), "unknown name"},
+		{"numeric syscalls", x(" AC_ID => 5;\n Kernels => (minix);\n Syscalls => (1, 2);\n"), "must list names"},
+		{"unknown kernel", x(" AC_ID => 5;\n Kernels => (minix, windows);\n"), "unknown name"},
+		{"missing linux account", x(" AC_ID => 5;\n Kernels => (minix, linux);\n"), "no Linux_Account"},
+		{"missing account, every kernel", x(" AC_ID => 5;\n"), "no Linux_Account"},
+		{"account not a list", x(" AC_ID => 5;\n Linux_Account => 100;\n"), "(uid, gid) pair"},
+		{"account of one id", x(" AC_ID => 5;\n Linux_Account => (100);\n"), "(uid, gid) pair"},
+		{"account of three ids", x(" AC_ID => 5;\n Linux_Account => (100, 50, 7);\n"), "(uid, gid) pair"},
+		{"account of names", x(" AC_ID => 5;\n Linux_Account => (root, wheel);\n"), "(uid, gid) pair"},
+		{"uid out of range", x(" AC_ID => 5;\n Linux_Account => (2147483648, 50);\n"), "out of range"},
+		{"gid out of range", x(" AC_ID => 5;\n Linux_Account => (100, 9223372036854775807);\n"), "out of range"},
+		{"account off linux checked too", x(" AC_ID => 5;\n Kernels => (sel4);\n Linux_Account => (1);\n"), "(uid, gid) pair"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Parse(tc.src); err == nil {
-				t.Fatal("model accepted")
-			} else {
-				var sem *SemanticError
-				if !errors.As(err, &sem) {
-					t.Fatalf("err = %T %v, want SemanticError", err, err)
-				}
+			_, err := Parse(tc.src)
+			var sem *SemanticError
+			if !errors.As(err, &sem) {
+				t.Fatalf("err = %T %v, want SemanticError", err, err)
+			}
+			if !strings.Contains(sem.Msg, tc.want) {
+				t.Fatalf("err = %v, want it to say %q", err, tc.want)
 			}
 		})
+	}
+
+	// The lexer has no minus sign, so a negative id reaches analyze only in
+	// a package built by hand.
+	pkg, err := Parse(x(" AC_ID => 5;\n Linux_Account => (100, 50);\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg.Processes[0].Properties["linux_account"] = PropValue{IsList: true, List: []int64{-1, 50}}
+	if err := analyze(pkg); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("negative uid: err = %v, want out of range", err)
 	}
 }
 
@@ -324,12 +414,14 @@ features
   o: out event data port;
 properties
   AC_ID => 1;
+  Linux_Account => (1, 1);
 end a;
 process b
 features
   i: in event data port;
 properties
   AC_ID => 2;
+  Linux_Account => (2, 1);
 end b;
 system implementation s.impl
 subcomponents

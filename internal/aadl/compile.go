@@ -7,6 +7,8 @@ import (
 	"strings"
 
 	"mkbas/internal/core"
+	"mkbas/internal/linuxsim"
+	"mkbas/internal/polcheck"
 )
 
 // kernelView returns the part of system sysName that kernel's policy
@@ -94,6 +96,91 @@ func GeneratePolicy(pkg *Package, sysName string, omit ...string) (*core.Policy,
 		return nil, err
 	}
 	return (&core.Policy{IPC: m, Syscalls: grants}).Seal(), nil
+}
+
+// DAC is the Linux DAC policy a system implementation compiles to.
+type DAC struct {
+	// Subjects are the processes on Linux under their accounts, in
+	// subcomponent order.
+	Subjects []polcheck.DACSubject
+	// Queues are the connected in-ports, in connection order.
+	Queues []DACQueue
+}
+
+// DACQueue is the queue pair behind one in-port, both owned by the port's
+// process: Mode is the request queue's, which the port's peers write, and
+// ReplyMode the reply queue's, on which a server answers them.
+type DACQueue struct {
+	Port            PortRef
+	Owner           polcheck.DACSubject
+	Peers           []string // in connection order
+	Mode, ReplyMode linuxsim.Mode
+}
+
+// GenerateDAC compiles a system implementation into the Linux DAC policy:
+// every subcomponent on Linux runs under its Linux_Account, and each
+// connected in-port gets a queue pair. omit names optional subcomponents to
+// leave out.
+func GenerateDAC(pkg *Package, sysName string, omit ...string) (*DAC, error) {
+	sys, procs, err := kernelView(pkg, sysName, "linux", omit)
+	if err != nil {
+		return nil, err
+	}
+	d := &DAC{}
+	for _, sub := range sys.Subcomponents {
+		acct := procs[sub.Name].Properties["linux_account"].List // analyze checked the pair
+		d.Subjects = append(d.Subjects, polcheck.DACSubject{Name: sub.Name, UID: int(acct[0]), GID: int(acct[1])})
+	}
+	for _, conn := range sys.Connections {
+		i := slices.IndexFunc(d.Queues, func(q DACQueue) bool { return q.Port == conn.Dst })
+		if i < 0 {
+			i, d.Queues = len(d.Queues), append(d.Queues, DACQueue{Port: conn.Dst})
+		}
+		d.Queues[i].Peers = append(d.Queues[i].Peers, conn.Src.Component)
+	}
+	d.setModes()
+	return d, nil
+}
+
+// Under returns the policy with every process under the one account
+// uid:gid and the modes derived again: a deployment that runs everything
+// as one user.
+func (d *DAC) Under(uid, gid int) *DAC {
+	u := &DAC{Subjects: slices.Clone(d.Subjects), Queues: slices.Clone(d.Queues)}
+	for i := range u.Subjects {
+		u.Subjects[i].UID, u.Subjects[i].GID = uid, gid
+	}
+	u.setModes()
+	return u
+}
+
+// Subject returns the named process under its account.
+func (d *DAC) Subject(name string) polcheck.DACSubject {
+	i := slices.IndexFunc(d.Subjects, func(s polcheck.DACSubject) bool { return s.Name == name })
+	if i < 0 {
+		return polcheck.DACSubject{}
+	}
+	return d.Subjects[i]
+}
+
+// setModes derives each queue's owner and modes from the accounts by one
+// rule: the owner gets rw, and each peer outside the owner's uid adds one
+// bit, group write (request) or read (reply) for a peer in the owner's
+// group, other write or read for one outside it.
+func (d *DAC) setModes() {
+	for i := range d.Queues {
+		q := &d.Queues[i]
+		q.Owner, q.Mode, q.ReplyMode = d.Subject(q.Port.Component), 0o600, 0o600
+		for _, name := range q.Peers {
+			switch peer := d.Subject(name); {
+			case peer.UID == q.Owner.UID:
+			case peer.GID == q.Owner.GID:
+				q.Mode, q.ReplyMode = q.Mode|linuxsim.ModeGroupWrite, q.ReplyMode|linuxsim.ModeGroupRead
+			default:
+				q.Mode, q.ReplyMode = q.Mode|linuxsim.ModeOtherWrite, q.ReplyMode|linuxsim.ModeOtherRead
+			}
+		}
+	}
 }
 
 // GenerateC renders the matrix as the C source the authors' AADL→C compiler

@@ -8,11 +8,12 @@ import (
 // FuzzParse drives the AADL front end. Whatever the text, Parse must not
 // panic and must allocate in proportion to the text; every system
 // implementation of an accepted package must go through the ACM, syscall,
-// C and CAmkES generators and the linter without panicking (they may refuse
-// it).
+// C, CAmkES and DAC generators and the linter without panicking (they may
+// refuse it).
 //
 // The seeds live in testdata/fuzz/FuzzParse: the scenario model, fragments
-// of it, and the name-valued Syscalls and Kernels property forms.
+// of it, and the name-valued Syscalls and Kernels and the pair-valued
+// Linux_Account property forms.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
 		var before, after runtime.MemStats
@@ -31,6 +32,9 @@ func FuzzParse(f *testing.F) {
 			GenerateC(pkg, sys.Name)
 			if topo, err := GenerateCAmkES(pkg, sys.Name); err == nil {
 				topo.RenderCAmkES(sys.Name)
+			}
+			if d, err := GenerateDAC(pkg, sys.Name); err == nil {
+				d.Under(1000, 1000)
 			}
 			Lint(pkg, sys.Name)
 		}

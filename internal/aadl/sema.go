@@ -2,6 +2,7 @@ package aadl
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"mkbas/internal/core"
@@ -13,8 +14,9 @@ var kernels = []string{"minix", "sel4", "linux"}
 // analyze performs the semantic checks the AADL workbench would: every
 // subcomponent's process type exists, connections reference real ports with
 // compatible directions, every process carries a unique AC_ID, message
-// types fit the ACM's 0..63 space, and the Syscalls and Kernels properties
-// name known services and kernels.
+// types fit the ACM's 0..63 space, the Syscalls and Kernels properties
+// name known services and kernels, and every process on Linux carries a
+// Linux_Account.
 func analyze(pkg *Package) error {
 	seenProc := make(map[string]bool, len(pkg.Processes))
 	for _, proc := range pkg.Processes {
@@ -33,6 +35,9 @@ func analyze(pkg *Package) error {
 			return err
 		}
 		if err := checkNames(&proc, "kernels", func(name string) bool { return slices.Contains(kernels, name) }); err != nil {
+			return err
+		}
+		if err := checkAccount(&proc); err != nil {
 			return err
 		}
 	}
@@ -105,6 +110,24 @@ func checkNames(proc *Process, key string, known func(string) bool) error {
 		}
 	}
 	return nil
+}
+
+// checkAccount rejects a process on Linux without a Linux_Account, and a
+// Linux_Account that is not a (uid, gid) pair of ids in 0..MaxInt32.
+func checkAccount(proc *Process) error {
+	v, ok := proc.Properties["linux_account"]
+	msg := ""
+	switch {
+	case !ok && proc.OnKernel("linux"):
+		msg = "is on linux but has no Linux_Account property"
+	case ok && len(v.List) != 2:
+		msg = "property linux_account must be a (uid, gid) pair"
+	case ok && (min(v.List[0], v.List[1]) < 0 || max(v.List[0], v.List[1]) > math.MaxInt32):
+		msg = fmt.Sprintf("Linux_Account %v out of range", v.List)
+	default:
+		return nil
+	}
+	return &SemanticError{Line: proc.Line, Msg: fmt.Sprintf("process %q %s", proc.Name, msg)}
 }
 
 // syscallKind maps a Syscalls name to the PM server's audited service.

@@ -14,7 +14,7 @@ import (
 // The image table. A deploy splits into two parts. The image is what the
 // declarative phase compiles from a few deploy inputs, the deploy's shape:
 // the policy artifact (the MINIX ACM policy, the seL4 CAmkES image with its
-// CapDL spec, the hardened Linux DAC model), that artifact normalised into a
+// CapDL spec, the Linux DAC policy), that artifact normalised into a
 // polcheck.Graph and proven against ScenarioProperties, and the online
 // monitor's static edge index over the graph. It is built once per process
 // per shape and never written again. The board is everything the execution
@@ -24,11 +24,12 @@ import (
 // gate reads its verdict, the builder installs from its artifact and the
 // monitor reads its index.
 //
-// The microkernel artifacts are compiled from one source, the embedded
-// AADL model (aadl.TempControl), as the paper compiles each platform's
-// policy from its model: aadl.GenerateACM and aadl.GenerateSyscalls make
-// every MINIX policy, and aadl.GenerateCAmkES the components, interfaces
-// and connections of every seL4 assembly.
+// Every artifact is compiled from one source, the embedded AADL model
+// (aadl.TempControl), as the paper compiles each platform's policy from
+// its model: aadl.GenerateACM and aadl.GenerateSyscalls make every MINIX
+// policy, aadl.GenerateCAmkES the components, interfaces and connections
+// of every seL4 assembly, and aadl.GenerateDAC the accounts, queue owners
+// and queue modes of every Linux board.
 //
 // A caller-supplied DeployOptions.Policy never enters the table; it is
 // certified on the spot by every deploy that boots it.
@@ -154,23 +155,50 @@ func MinixPolicy(bacnet, tenant bool, forkQuota int) *core.Policy {
 	return &p
 }
 
-// linuxKey is every input that shapes the hardened unique-account DAC model
-// (linuxContractGraph): which optional gateway subjects join it.
-type linuxKey struct{ gateway, tenant bool }
+// linuxKey is every input that shapes a Linux board's DAC policy: which
+// optional gateways join the model.
+type linuxKey struct{ bacnet, tenant bool }
 
-var linuxTable memo[linuxKey, *image]
-
-// linuxContract returns the image of the hardened DAC contract with the
-// given gateway subjects. The hardened gate certifies the base contract,
-// linuxContract(false, false); the monitor on either Linux configuration
-// verifies against the contract matching the deployed gateways.
-func linuxContract(gateway, tenant bool) *image {
-	return linuxTable.get(linuxKey{gateway, tenant}, buildLinuxImage)
+// linuxImage is the DAC policy the model compiles to for a Linux board in
+// both account layouts, and the image of the hardened one, the contract.
+// The hardened gate certifies that contract, and the monitor on either
+// Linux configuration verifies against it: the same-account default
+// enforces no per-process policy to mirror, so the monitor checks the
+// intended least-privilege shape instead, which is how it flags a
+// compromised web process doing what same-account DAC cannot forbid
+// (writing /heater-cmd directly).
+type linuxImage struct {
+	dac map[bool]*linuxDAC // keyed by hardened
+	image
 }
 
-func buildLinuxImage(k linuxKey) *image {
-	img := newImage(linuxContractGraph(k.gateway, k.tenant), monitor.IndexOptions{})
-	return &img
+var linuxTable memo[linuxKey, *linuxImage]
+
+// linuxDefault returns the image of a Linux board with or without the
+// optional gateways.
+func linuxDefault(bacnet, tenant bool) *linuxImage {
+	return linuxTable.get(linuxKey{bacnet, tenant}, buildLinuxImage)
+}
+
+func buildLinuxImage(k linuxKey) *linuxImage {
+	pkg, omit := scenarioModel(), gatewaysOff(k.bacnet, k.tenant)
+	same := must(aadl.GenerateDAC(pkg, aadl.TempControlSystem, omit...)).Under(baseUID, baseGID)
+	// Unique accounts cannot be reached through fork, so the hardened
+	// deployment spawns each process itself and boots no loader.
+	hardened := bindLinuxDAC(must(aadl.GenerateDAC(pkg, aadl.TempControlSystem, append(omit, NameScenario)...)))
+	return &linuxImage{
+		dac:   map[bool]*linuxDAC{true: hardened, false: bindLinuxDAC(same)},
+		image: newImage(polcheck.FromDAC(&hardened.model), monitor.IndexOptions{}),
+	}
+}
+
+// modelACID is the named process's AC_ID in the embedded model: MINIX
+// boots each process under the ac_id its ACM row is compiled for.
+func modelACID(name string) core.ACID {
+	sys, _ := scenarioModel().System(aadl.TempControlSystem)
+	sub, _ := sys.Sub(name)
+	proc, _ := scenarioModel().Process(sub.ProcessType)
+	return core.ACID(proc.ACID())
 }
 
 // sel4Key is every input that shapes a scenario assembly's structure: the

@@ -121,8 +121,8 @@ func TestDefaultDeploysShareCertification(t *testing.T) {
 		PlatformMinix:         func() *image { return &minixDefault(false, false, core.QuotaUnlimited).image },
 		PlatformMinixVanilla:  func() *image { return &minixDefault(false, false, core.QuotaUnlimited).image },
 		PlatformSel4:          func() *image { return &sel4Default(sel4Key{watchdog: true}).image },
-		PlatformLinux:         func() *image { return linuxContract(false, false) },
-		PlatformLinuxHardened: func() *image { return linuxContract(false, false) },
+		PlatformLinux:         func() *image { return &linuxDefault(false, false).image },
+		PlatformLinuxHardened: func() *image { return &linuxDefault(false, false).image },
 	}
 	for _, p := range KnownPlatforms() {
 		first := monitoredGraph(t, deployOrFatal(t, p, cfg, DeployOptions{Monitor: true}))
@@ -139,6 +139,21 @@ func TestDefaultDeploysShareCertification(t *testing.T) {
 		}
 		if again := table[p](); again.graph != entry.graph {
 			t.Fatalf("%s: the table built its entry twice", p)
+		}
+	}
+	// The hardened gate certifies the shape it deploys: a board with
+	// gateways passes the gate on, and is monitored against, its own
+	// shape's entry.
+	for _, bacnet := range []bool{false, true} {
+		for _, tenant := range []bool{false, true} {
+			dep := deployOrFatal(t, PlatformLinuxHardened, cfg, DeployOptions{Monitor: true, TenantAPI: tenant, BACnet: BACnetOptions{Enabled: bacnet}})
+			entry := linuxDefault(bacnet, tenant)
+			if monitoredGraph(t, dep) != entry.graph {
+				t.Fatalf("linux-hardened bacnet=%v tenant=%v: the board does not verify against its shape's entry", bacnet, tenant)
+			}
+			if entry.verdict != nil {
+				t.Fatalf("linux-hardened bacnet=%v tenant=%v: the shape fails the gate: %v", bacnet, tenant, entry.verdict)
+			}
 		}
 	}
 }
@@ -166,13 +181,15 @@ func TestTableMatchesFreshArtifacts(t *testing.T) {
 			if renderGraph(polcheck.FromPolicy(a.policy)) != renderGraph(a.graph) {
 				t.Fatalf("%s: the shared policy is not the certified one", what)
 			}
-			same(fmt.Sprintf("linux gateway=%v tenant=%v", bacnet, tenant),
-				linuxContract(bacnet, tenant), linuxContractGraph(bacnet, tenant))
+			linux := linuxDefault(bacnet, tenant)
+			what = fmt.Sprintf("linux bacnet=%v tenant=%v", bacnet, tenant)
+			same(what, &linux.image, buildLinuxImage(linuxKey{bacnet, tenant}).graph)
+			// The hardened gate certifies the deployed shape: the DAC
+			// model a hardened board of that shape boots.
+			same(what+" hardened gate", &linux.image, polcheck.FromDAC(&linux.dac[true].model))
 		}
 	}
-	// The hardened gate certifies the base contract: the DAC model of the
-	// hardened deployment as it boots.
-	same("linux-hardened gate", linuxContract(false, false), polcheck.FromDAC(LinuxScenarioDAC(true, false)))
+	same("linux-hardened base gate", &linuxDefault(false, false).image, polcheck.FromDAC(LinuxScenarioDAC(true, false)))
 
 	// Every seL4 key: the shared spec a board installed renders as a fresh
 	// GenerateSpec of that board's own assembly, so no structural input is

@@ -162,3 +162,30 @@ func TestCrashSensorRecoveryContrast(t *testing.T) {
 		})
 	}
 }
+
+// TestLinuxFaultsAddressQueueConsumers pins the Linux fault adapter's
+// queue-to-process translation on both account layouts and every gateway
+// shape: a request queue is addressed as its reader's, the reply queue as
+// its first client's, the web interface's, and the audit log as itself.
+func TestLinuxFaultsAddressQueueConsumers(t *testing.T) {
+	want := map[string]string{
+		QSensorData: NameTempControl,
+		QHeaterCmd:  NameHeaterAct,
+		QAlarmCmd:   NameAlarmAct,
+		QWebReq:     NameTempControl,
+		QWebResp:    NameWebInterface,
+		QAuditLog:   QAuditLog,
+	}
+	for _, hardened := range []bool{false, true} {
+		for _, bacnet := range []bool{false, true} {
+			for _, tenant := range []bool{false, true} {
+				dac := linuxDefault(bacnet, tenant).dac[hardened]
+				for queue, consumer := range want {
+					if got := dac.consumerOf(queue); got != consumer {
+						t.Errorf("hardened=%v bacnet=%v tenant=%v: a fault on %s addresses %q, want %q", hardened, bacnet, tenant, queue, got, consumer)
+					}
+				}
+			}
+		}
+	}
+}

@@ -163,9 +163,9 @@ type DeployOptions struct {
 	// TenantAPI provisions the board-side identity of the occupant-scale
 	// tenant API tier: MINIX platforms select the tenant-gateway-extended
 	// default policy (the certified ACM row the gateway's setpoint writes
-	// and status polls are mediated under), and the Linux monitor graphs
-	// gain the gateway's hardened account so tenant traffic is verified
-	// against the certified shape. The tier itself (sessions, RBAC, rate
+	// and status polls are mediated under), and the Linux DAC policy gains
+	// the gateway's account so tenant traffic is verified against the
+	// certified shape. The tier itself (sessions, RBAC, rate
 	// limits) runs host-side in internal/tenantapi and fronts the board
 	// through the web interface — this option certifies the board half.
 	TenantAPI bool

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mkbas/internal/bacnet"
+	"mkbas/internal/core"
 )
 
 // deployment abstracts the platforms for the shared closed-loop tests
@@ -291,5 +292,35 @@ func TestDeterministicClosedLoop(t *testing.T) {
 	t2, h2 := run()
 	if t1 != t2 || h1 != h2 {
 		t.Fatalf("runs diverged: temp %.9f vs %.9f, events %d vs %d", t1, t2, h1, h2)
+	}
+}
+
+// TestMinixBootsModelACIDs: every process a MINIX board boots, the loader
+// and the BACnet gateway included, runs under the ac_id its ACM row was
+// compiled for.
+func TestMinixBootsModelACIDs(t *testing.T) {
+	dep := deployOrFatal(t, PlatformMinix, DefaultScenario(), DeployOptions{BACnet: BACnetOptions{Enabled: true}})
+	k := dep.(*MinixDeployment).Kernel
+	m := MinixPolicy(true, false, core.QuotaUnlimited).IPC
+	loader, err := k.EndpointOf(NameScenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acid, _ := k.ACIDOf(loader); m.NameOf(acid) != NameScenario {
+		t.Fatalf("the loader runs as ac_id %d, the matrix's row of %q", acid, m.NameOf(acid))
+	}
+	dep.Run(time.Second)
+	for _, id := range m.Subjects() {
+		name := m.NameOf(id)
+		if name == NameScenario {
+			continue // the loader exits once it has forked the rest
+		}
+		ep, err := k.EndpointOf(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if acid, err := k.ACIDOf(ep); err != nil || acid != id {
+			t.Errorf("%s runs as ac_id %d (%v), want %d, its row in the matrix", name, acid, err, id)
+		}
 	}
 }

@@ -123,7 +123,8 @@ func (d *Sel4Deployment) ControllerRecovered() bool {
 // translates each queue to its consuming process.
 type linuxBoard struct {
 	boardCommon
-	k *linuxsim.Kernel
+	k   *linuxsim.Kernel
+	dac *linuxDAC
 }
 
 func (b linuxBoard) CrashProcess(name string) error { return b.k.CrashProcess(name) }
@@ -133,25 +134,24 @@ func (b linuxBoard) SetIPCFault(fn func(src, dst string) (bool, time.Duration)) 
 		return
 	}
 	b.k.SetIPCFault(func(src, queue string) (bool, time.Duration) {
-		return fn(src, linuxQueueConsumer(queue))
+		return fn(src, b.dac.consumerOf(queue))
 	})
 }
 
-// linuxQueueConsumer maps a queue to the process that reads it, the
-// process-level "destination" of a message on that queue. A queue without a
-// consumer (the audit log) maps to its own name, which no plan targets.
-func linuxQueueConsumer(queue string) string {
-	for _, q := range linuxQueues {
-		if q.name == queue && q.consumer != "" {
-			return q.consumer
-		}
+// consumerOf maps a queue to the process that reads it, the process-level
+// destination of a message on it, as the board's DAC policy names it. A
+// queue without a consumer (the audit log) maps to its own name, which no
+// plan targets.
+func (b *linuxDAC) consumerOf(queue string) string {
+	if consumer := b.consumer[queue]; consumer != "" {
+		return consumer
 	}
 	return queue
 }
 
 // ArmFaults schedules a fault plan against this board.
 func (d *LinuxDeployment) ArmFaults(plan *faultinject.Plan) (*faultinject.Injector, error) {
-	return faultinject.Arm(linuxBoard{boardCommon{d.tb}, d.Kernel}, plan)
+	return faultinject.Arm(linuxBoard{boardCommon{d.tb}, d.Kernel, d.dac}, plan)
 }
 
 // ControllerRestarts reports respawns (spawns beyond the first) across the

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mkbas/internal/core"
+	"mkbas/internal/polcheck"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/certified.golden from the current code")
@@ -35,7 +36,8 @@ func renderCertification(b *strings.Builder, c *image) {
 // TestCertifiedGraphsGolden pins every artifact the image table hands a
 // deploy: the MINIX policy of each gateway combination and of the
 // E8 fork quota, the seL4 CapDL spec with and without the BACnet gateway,
-// and each hardened Linux DAC contract. What boots must stay byte-identical
+// each hardened Linux DAC contract, and the DAC models of the other
+// Linux account layouts. What boots must stay byte-identical
 // to testdata/certified.golden; run with -update to rewrite it after a
 // deliberate policy change.
 func TestCertifiedGraphsGolden(t *testing.T) {
@@ -58,8 +60,16 @@ func TestCertifiedGraphsGolden(t *testing.T) {
 	for _, gateway := range []bool{false, true} {
 		for _, tenant := range []bool{false, true} {
 			fmt.Fprintf(&b, "== linux gateway=%v tenant=%v\n", gateway, tenant)
-			renderCertification(&b, linuxContract(gateway, tenant))
+			renderCertification(&b, &linuxDefault(gateway, tenant).image)
 		}
+	}
+	// The DAC models bas policy analyzes beside the contracts: the
+	// same-account default, and both account layouts with the web
+	// interface escalated to root.
+	for _, v := range []struct{ hardened, webRoot bool }{{false, false}, {false, true}, {true, true}} {
+		g := polcheck.FromDAC(LinuxScenarioDAC(v.hardened, v.webRoot))
+		fmt.Fprintf(&b, "== linux-dac hardened=%v web-root=%v\n", v.hardened, v.webRoot)
+		renderCertification(&b, &image{graph: g, verdict: checkDeployPolicy(g)})
 	}
 
 	path := filepath.Join("testdata", "certified.golden")

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 	"unicode"
 
+	"mkbas/internal/aadl"
 	"mkbas/internal/bacnet"
 	"mkbas/internal/decfmt"
 	"mkbas/internal/linuxsim"
@@ -31,71 +34,70 @@ const (
 // Wire format on Linux: newline-less text commands, e.g. "temp 21.50",
 // "heater on", "setpoint 23", "status".
 
-// linuxQueues is the deployment's queue table, shared with the static DAC
-// model and the fault adapter. A queue's creator is its DAC owner:
-// actuators create their command queues, the controller everything else.
-// Its consumer is the process-level destination of a message on it; the
-// audit log has none. hardenedMode is its mode under the unique accounts;
-// the same-account default makes every queue 0o600.
-var linuxQueues = [...]struct {
-	name, creator, consumer string
-	hardenedMode            linuxsim.Mode
-}{
-	{QSensorData, NameTempControl, NameTempControl, 0o620}, // control group may write (sensor)
-	{QHeaterCmd, NameHeaterAct, NameHeaterAct, 0o620},      // control group may write (controller)
-	{QAlarmCmd, NameAlarmAct, NameAlarmAct, 0o620},
-	{QWebReq, NameTempControl, NameTempControl, 0o602},   // web (other) may submit requests
-	{QWebResp, NameTempControl, NameWebInterface, 0o604}, // web (other) may read responses
-	{QAuditLog, NameTempControl, "", 0o600},
+// linuxPortQueues binds the model's in-ports to the kernel's queue names:
+// each port's request queue and, for the controller's management port, the
+// reply queue its clients read. This is wire detail, as the seL4 interface
+// names are; each queue's owner and mode are compiled from the model.
+var linuxPortQueues = map[aadl.PortRef][2]string{
+	{Component: NameTempControl, Port: IfaceSensorIn}: {QSensorData},
+	{Component: NameHeaterAct, Port: IfaceCmd}:        {QHeaterCmd},
+	{Component: NameAlarmAct, Port: IfaceCmd}:         {QAlarmCmd},
+	{Component: NameTempControl, Port: IfaceMgmt}:     {QWebReq, QWebResp},
 }
 
-// linuxQueueMode is the named queue's mode.
-func linuxQueueMode(name string, hardened bool) linuxsim.Mode {
-	if hardened {
-		for _, q := range linuxQueues {
-			if q.name == name {
-				return q.hardenedMode
-			}
-		}
-	}
-	return 0o600
-}
-
-// Unix accounts. The paper's default deployment runs every process under
-// one account, baseUID:baseGID; the hardened variant gives each process its
-// own, which the paper notes as the (insufficient) DAC mitigation.
+// The paper's default deployment runs every process under one account,
+// baseUID:baseGID; the hardened variant runs each under the model's
+// Linux_Account, which the paper notes as the (insufficient) DAC
+// mitigation.
 const (
 	baseUID = 1000
 	baseGID = 1000
 )
 
-// account pairs a uid and gid.
-type account struct{ uid, gid int }
-
-// linuxHardenedAccounts is the hardened deployment's account table, shared
-// with the static DAC model (LinuxScenarioDAC) and the monitor graph so the
-// analyzer sees exactly what boots. The loader, sensor, controller and
-// drivers share the control-plane group 50. The web interface and both
-// gateways sit outside it in group 60: the 0o602/0o604 web-queue modes
-// already admit them as "other" writers and readers, so hosting a gateway
-// needs no queue table change.
-var linuxHardenedAccounts = map[string]account{
-	NameScenario:      {100, 50},
-	NameTempSensor:    {101, 50},
-	NameTempControl:   {102, 50},
-	NameHeaterAct:     {103, 50},
-	NameAlarmAct:      {104, 50},
-	NameWebInterface:  {105, 60},
-	NameBACnetGateway: {106, 60},
-	NameTenantGateway: {107, 60},
+// linuxDAC is a Linux board's DAC policy compiled from the model and bound
+// to the kernel's names: the model the analyzer reads, each queue's mode,
+// and the process that reads each queue, the destination fault plans
+// address.
+type linuxDAC struct {
+	*aadl.DAC
+	model    polcheck.DACModel
+	mode     map[string]linuxsim.Mode
+	consumer map[string]string
 }
 
-// linuxAccount is the account the named process runs under.
-func linuxAccount(name string, hardened bool) account {
-	if !hardened {
-		return account{baseUID, baseGID}
+// bindLinuxDAC binds a compiled DAC policy to the kernel's queue names and
+// device files.
+func bindLinuxDAC(d *aadl.DAC) *linuxDAC {
+	b := &linuxDAC{DAC: d, model: polcheck.DACModel{Subjects: slices.Clone(d.Subjects)},
+		mode: make(map[string]linuxsim.Mode), consumer: make(map[string]string)}
+	queue := func(name, consumer string, owner polcheck.DACSubject, mode linuxsim.Mode) {
+		b.model.Queues = append(b.model.Queues, polcheck.DACObject{Name: name, OwnerUID: owner.UID, OwnerGID: owner.GID, Mode: mode})
+		b.mode[name], b.consumer[name] = mode, consumer
 	}
-	return linuxHardenedAccounts[name]
+	for _, q := range d.Queues {
+		names, ok := linuxPortQueues[q.Port]
+		if !ok {
+			panic("bas: no Linux queue for in-port " + q.Port.String())
+		}
+		queue(names[0], q.Port.Component, q.Owner, q.Mode)
+		if names[1] != "" {
+			// Every client reads the reply queue; fault plans address it
+			// as its first client's.
+			queue(names[1], q.Peers[0], q.Owner, q.ReplyMode)
+		}
+	}
+	// The controller's private environment log: no peer, so owner only.
+	queue(QAuditLog, "", d.Subject(NameTempControl), 0o600)
+	for _, r := range scenarioRoles {
+		if r.device != "" {
+			// Each driver's account owns its device file.
+			a := d.Subject(r.name)
+			b.model.Devices = append(b.model.Devices, polcheck.DACObject{
+				Name: "/dev/" + string(r.device), OwnerUID: a.UID, OwnerGID: a.GID, Mode: 0o600,
+			})
+		}
+	}
+	return b
 }
 
 // LinuxDeployment is the booted Linux platform.
@@ -103,6 +105,7 @@ type LinuxDeployment struct {
 	deploymentBase
 	Kernel  *linuxsim.Kernel
 	Testbed *Testbed
+	dac     *linuxDAC
 }
 
 var _ Deployment = (*LinuxDeployment)(nil)
@@ -125,14 +128,15 @@ func (d *LinuxDeployment) ControllerAlive() bool {
 // configuration (PlatformLinuxHardened).
 func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
 	hardened := platform == PlatformLinuxHardened
+	a := linuxDefault(opts.BACnet.Enabled, opts.TenantAPI)
+	dac := a.dac[hardened]
 	// Pre-deploy gate: the hardened configuration claims the scenario's
-	// security contract, so prove its DAC model satisfies it before boot.
-	// The same-account default deploys no per-process policy and skips the
-	// gate (see DeployOptions.SkipPolicyCheck).
-	if hardened && !opts.SkipPolicyCheck {
-		if err := linuxContract(false, false).verdict; err != nil {
-			return nil, err
-		}
+	// security contract, so prove the DAC model of the deployed shape
+	// satisfies it before boot. The same-account default deploys no
+	// per-process policy and skips the gate (see
+	// DeployOptions.SkipPolicyCheck).
+	if hardened && !opts.SkipPolicyCheck && a.verdict != nil {
+		return nil, a.verdict
 	}
 	k := linuxsim.Boot(tb.Machine, linuxsim.Config{Net: tb.Net})
 	sup := newDeploySupervision(tb, &cfg, opts)
@@ -144,23 +148,22 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 		webBody = func(api *linuxsim.API) { webInterfaceBody(api, linuxDial(api, "web"), metrics) }
 	}
 	for _, r := range scenarioRoles {
-		acct := linuxAccount(r.name, hardened)
-		img := linuxsim.Image{Name: r.name, Priority: r.priority, UID: acct.uid, GID: acct.gid, Body: webBody}
+		acct := dac.Subject(r.name)
+		img := linuxsim.Image{Name: r.name, Priority: r.priority, UID: acct.UID, GID: acct.GID, Body: webBody}
 		switch r.name {
 		case NameHeaterAct:
-			img.Body = linuxActuatorBody(actHeater, r.device, hardened)
+			img.Body = linuxActuatorBody(actHeater, r.device, dac)
 		case NameAlarmAct:
-			img.Body = linuxActuatorBody(actAlarm, r.device, hardened)
+			img.Body = linuxActuatorBody(actAlarm, r.device, dac)
 		case NameTempControl:
-			img.Body = linuxControllerBody(cfg.Controller, hardened)
+			img.Body = linuxControllerBody(cfg.Controller, dac)
 		case NameTempSensor:
 			img.Body = linuxSensorBody(cfg.SamplePeriod)
 		}
 		k.RegisterImage(img)
-		if r.device != "" {
-			// Each driver's account owns its device file.
-			k.RegisterDeviceFile(r.device, acct.uid, acct.gid, 0o600)
-		}
+	}
+	for _, dev := range dac.model.Devices {
+		k.RegisterDeviceFile(machine.DeviceID(strings.TrimPrefix(dev.Name, "/dev/")), dev.OwnerUID, dev.OwnerGID, dev.Mode)
 	}
 
 	if hardened {
@@ -186,8 +189,9 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 			}
 		}
 	} else {
+		loader := dac.Subject(NameScenario)
 		k.RegisterImage(linuxsim.Image{
-			Name: NameScenario, Priority: 3, UID: baseUID, GID: baseGID,
+			Name: NameScenario, Priority: 3, UID: loader.UID, GID: loader.GID,
 			Body: func(api *linuxsim.API) {
 				for _, r := range scenarioRoles {
 					if _, err := api.Fork(r.name); err != nil {
@@ -206,10 +210,10 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 		// gateway resumes its nonce floor. Spawned directly (not through the
 		// loader) on both DAC configurations: unique accounts cannot be
 		// reached through fork anyway.
-		acct := linuxAccount(NameBACnetGateway, hardened)
+		acct := dac.Subject(NameBACnetGateway)
 		state, board := bacnet.NewProxyState(), tb.Machine.Obs()
 		k.RegisterImage(linuxsim.Image{
-			Name: NameBACnetGateway, Priority: gatewayPriority, UID: acct.uid, GID: acct.gid,
+			Name: NameBACnetGateway, Priority: gatewayPriority, UID: acct.UID, GID: acct.GID,
 			Body: func(api *linuxsim.API) {
 				bacnetGatewayBody(api, linuxDial(api, "gateway"), opts.BACnet, state, board, sup)
 			},
@@ -222,34 +226,12 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 		deploymentBase: deploymentBase{platform: platform, tb: tb},
 		Kernel:         k,
 		Testbed:        tb,
+		dac:            dac,
 	}
 	if opts.Monitor {
-		dep.attachMonitor(linuxContract(opts.BACnet.Enabled, opts.TenantAPI), opts.Profiler)
+		dep.attachMonitor(&a.image, opts.Profiler)
 	}
 	return dep, nil
-}
-
-// linuxContractGraph builds the hardened unique-account contract, the
-// deployment's intended least-privilege shape. Without gateways it is the
-// graph the hardened gate certifies, and it is the certified graph the
-// online monitor verifies against on BOTH Linux configurations. The
-// same-account default deploys no per-process DAC policy, so there is no
-// enforced policy to mirror — the monitor checks the contract instead,
-// which is exactly how it flags a compromised web process doing what
-// same-account DAC cannot forbid (writing /heater-cmd directly). When the
-// BACnet gateway is deployed it joins the model with its hardened account;
-// like the web interface it sits outside the control group, so the
-// 0o602/0o604 web-queue modes already derive its legitimate edges. The
-// tenant API gateway subject joins the same way, under its own account.
-func linuxContractGraph(withGateway, withTenant bool) *polcheck.Graph {
-	model := LinuxScenarioDAC(true, false)
-	if withGateway {
-		model.Subjects = append(model.Subjects, linuxSubject(NameBACnetGateway, true))
-	}
-	if withTenant {
-		model.Subjects = append(model.Subjects, linuxSubject(NameTenantGateway, true))
-	}
-	return polcheck.FromDAC(model)
 }
 
 // linuxOpenRetry opens a queue, retrying while it does not exist yet
@@ -270,10 +252,10 @@ func linuxOpenRetry(api *linuxsim.API, name string, flags linuxsim.MQOpenFlags) 
 
 // linuxActuatorBody creates its command queue and passively applies
 // commands ("<verb> on|off").
-func linuxActuatorBody(a actuator, dev machine.DeviceID, hardened bool) func(api *linuxsim.API) {
+func linuxActuatorBody(a actuator, dev machine.DeviceID, dac *linuxDAC) func(api *linuxsim.API) {
 	queue, verb := actuators[a].queue, actuators[a].verb
 	return func(api *linuxsim.API) {
-		fd, err := api.MQOpen(queue, linuxsim.MQOpenFlags{Create: true, Read: true, Mode: linuxQueueMode(queue, hardened)})
+		fd, err := api.MQOpen(queue, linuxsim.MQOpenFlags{Create: true, Read: true, Mode: dac.mode[queue]})
 		if err != nil {
 			api.Trace("bas", fmt.Sprintf("%s driver: open: %v", verb, err))
 			return
@@ -322,11 +304,11 @@ func linuxSensorBody(period time.Duration) func(api *linuxsim.API) {
 // process will check if there are pending messages from web interface
 // process for updating new setpoint. At the end of the while loop,
 // environment information will be written in a log").
-func linuxControllerBody(cfg ControllerConfig, hardened bool) func(api *linuxsim.API) {
+func linuxControllerBody(cfg ControllerConfig, dac *linuxDAC) func(api *linuxsim.API) {
 	return func(api *linuxsim.API) {
 		ctrl := NewController(cfg)
 		open := func(queue string, flags linuxsim.MQOpenFlags) (int32, error) {
-			flags.Create, flags.Mode = true, linuxQueueMode(queue, hardened)
+			flags.Create, flags.Mode = true, dac.mode[queue]
 			return api.MQOpen(queue, flags)
 		}
 		sensorFD, err := open(QSensorData, linuxsim.MQOpenFlags{Read: true})

@@ -115,7 +115,7 @@ func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 		k.RegisterImage(img)
 	}
 	k.RegisterImage(minix.Image{Name: NameScenario, Priority: 3, Body: minixLoaderBody})
-	if _, err := k.SpawnImage(NameScenario, core.ACIDScenario); err != nil {
+	if _, err := k.SpawnImage(NameScenario, modelACID(NameScenario)); err != nil {
 		return nil, fmt.Errorf("bas: spawning loader: %w", err)
 	}
 	if opts.BACnet.Enabled {
@@ -130,7 +130,7 @@ func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 				bacnetGatewayBody(api, minixDial(api), opts.BACnet, state, board, sup)
 			},
 		})
-		if _, err := k.SpawnImage(NameBACnetGateway, core.ACIDBACnetGateway); err != nil {
+		if _, err := k.SpawnImage(NameBACnetGateway, modelACID(NameBACnetGateway)); err != nil {
 			return nil, fmt.Errorf("bas: spawning bacnet gateway: %w", err)
 		}
 	}
@@ -154,7 +154,7 @@ func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 // correct binaries for each of them".
 func minixLoaderBody(api *minix.API) {
 	for _, r := range scenarioRoles {
-		if _, err := api.Fork2(r.name, uint32(r.acid)); err != nil {
+		if _, err := api.Fork2(r.name, uint32(modelACID(r.name))); err != nil {
 			api.Trace("bas", fmt.Sprintf("loader: fork2 %s failed: %v", r.name, err))
 		}
 	}

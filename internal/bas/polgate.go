@@ -3,7 +3,6 @@ package bas
 import (
 	"fmt"
 
-	"mkbas/internal/linuxsim"
 	"mkbas/internal/polcheck"
 )
 
@@ -37,48 +36,19 @@ func ScenarioProperties() []polcheck.Property {
 	}
 }
 
-// LinuxScenarioDAC builds the static DAC model of the PlatformLinux
-// deployment — same account, mode, and ownership tables the boot path uses,
-// so the analysis cannot drift from the running system. hardened selects the
+// LinuxScenarioDAC returns the static DAC model a PlatformLinux deployment
+// without gateways boots, compiled from the embedded model, so the analysis
+// cannot drift from the running system. hardened selects the
 // unique-accounts variant; webRoot models the paper's privilege-escalation
 // assumption by running the web interface as uid 0.
 func LinuxScenarioDAC(hardened, webRoot bool) *polcheck.DACModel {
-	model := &polcheck.DACModel{}
-	if !hardened {
-		// The loader only exists in the same-account deployment (unique
-		// accounts cannot be reached through fork).
-		model.Subjects = append(model.Subjects, linuxSubject(NameScenario, false))
-	}
-	for _, r := range scenarioRoles {
-		s := linuxSubject(r.name, hardened)
-		if webRoot && r.name == NameWebInterface {
-			s.UID, s.GID = 0, 0
+	model := &bindLinuxDAC(linuxDefault(false, false).dac[hardened].DAC).model
+	for i, s := range model.Subjects {
+		if webRoot && s.Name == NameWebInterface {
+			model.Subjects[i].UID, model.Subjects[i].GID = 0, 0
 		}
-		model.Subjects = append(model.Subjects, s)
-	}
-	for _, q := range linuxQueues {
-		owner := linuxAccount(q.creator, hardened)
-		model.Queues = append(model.Queues, polcheck.DACObject{
-			Name: q.name, OwnerUID: owner.uid, OwnerGID: owner.gid, Mode: linuxQueueMode(q.name, hardened),
-		})
-	}
-	for _, r := range scenarioRoles {
-		if r.device == "" {
-			continue
-		}
-		owner := linuxAccount(r.name, hardened)
-		model.Devices = append(model.Devices, polcheck.DACObject{
-			Name: "/dev/" + string(r.device), OwnerUID: owner.uid, OwnerGID: owner.gid,
-			Mode: linuxsim.Mode(0o600),
-		})
 	}
 	return model
-}
-
-// linuxSubject is the named process as a DAC subject.
-func linuxSubject(name string, hardened bool) polcheck.DACSubject {
-	a := linuxAccount(name, hardened)
-	return polcheck.DACSubject{Name: name, UID: a.uid, GID: a.gid}
 }
 
 // checkDeployPolicy is the pre-deploy gate: the platform's policy graph must

@@ -22,7 +22,6 @@ import (
 type scenarioRole struct {
 	name     string
 	priority int
-	acid     core.ACID
 	// device is the room device the process drives; empty for the
 	// controller and the web interface.
 	device machine.DeviceID
@@ -32,11 +31,11 @@ type scenarioRole struct {
 // and Linux register and start their images from it, and seL4 takes its
 // component priorities from it.
 var scenarioRoles = [...]scenarioRole{
-	{NameHeaterAct, 4, core.ACIDHeaterAct, plant.DevHeater},
-	{NameAlarmAct, 4, core.ACIDAlarmAct, plant.DevAlarm},
-	{NameTempControl, 5, core.ACIDTempControl, ""},
-	{NameTempSensor, 6, core.ACIDTempSensor, plant.DevTempSensor},
-	{NameWebInterface, 7, core.ACIDWebInterface, ""},
+	{NameHeaterAct, 4, plant.DevHeater},
+	{NameAlarmAct, 4, plant.DevAlarm},
+	{NameTempControl, 5, ""},
+	{NameTempSensor, 6, plant.DevTempSensor},
+	{NameWebInterface, 7, ""},
 }
 
 // roleOf returns the named role's table entry.

@@ -50,7 +50,8 @@ func Fig3Matrix() *Matrix {
 
 // Temperature-control scenario subjects (Section IV: "TempSensorProcess.imp
 // is 100, and TempControlProcess.imp is 101 etc."): the AC_ID properties of
-// the scenario model, named here for the MINIX loader that assigns them.
+// the scenario model, named here for the code and tests that address them.
+// The MINIX loader reads each process's ac_id from the model itself.
 const (
 	ACIDTempSensor   ACID = 100
 	ACIDTempControl  ACID = 101

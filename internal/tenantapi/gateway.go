@@ -167,22 +167,11 @@ func NewGateway(dir *Directory, backend Backend, cfg GatewayConfig) *Gateway {
 	if g.mon == nil {
 		g.mon = NewMonitor(cfg.Events)
 	}
-	// Derive the role matrix from the certified graph: an edge label grants
-	// the route.
-	graph := AccessGraph()
+	g.allowed = access().allowed
 	for r := Role(0); r < numRoles; r++ {
-		subj := r.Subject()
-		for _, e := range graph.FlowsFrom(pSubject(subj)) {
-			if e.To.Name != SubjectGateway {
-				continue
-			}
-			for _, label := range e.Labels {
-				for rt := Route(0); rt < NumRoutes; rt++ {
-					if routeLabels[rt] == label {
-						g.allowed[r][rt] = true
-						g.edges[r][rt] = g.mon.Edge(subj, SubjectGateway, label)
-					}
-				}
+		for rt := Route(0); rt < NumRoutes; rt++ {
+			if g.allowed[r][rt] {
+				g.edges[r][rt] = g.mon.Edge(r.Subject(), SubjectGateway, routeLabels[rt])
 			}
 		}
 	}

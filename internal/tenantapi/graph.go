@@ -1,6 +1,7 @@
 package tenantapi
 
 import (
+	"slices"
 	"sync"
 
 	"mkbas/internal/obs"
@@ -50,10 +51,26 @@ func Origins() map[string]monitor.Origin {
 	}
 }
 
-// accessIndex is the tier's static edge index, built once per process and
-// shared read-only by every gateway's monitor.
-var accessIndex = sync.OnceValue(func() *monitor.Index {
-	return monitor.NewIndex(AccessGraph(), monitor.IndexOptions{Origins: Origins()})
+// access is the tier's certified graph, read once per process into what
+// every gateway shares read-only: the monitor's static edge index, and the
+// role matrix, in which an edge label from a role to the gateway grants
+// the route.
+var access = sync.OnceValue(func() (a struct {
+	index   *monitor.Index
+	allowed [numRoles][NumRoutes]bool
+}) {
+	graph := AccessGraph()
+	a.index = monitor.NewIndex(graph, monitor.IndexOptions{Origins: Origins()})
+	for r := Role(0); r < numRoles; r++ {
+		for _, e := range graph.FlowsFrom(pSubject(r.Subject())) {
+			for _, label := range e.Labels {
+				if rt := slices.Index(routeLabels[:], label); rt >= 0 && e.To.Name == SubjectGateway {
+					a.allowed[r][rt] = true
+				}
+			}
+		}
+	}
+	return a
 })
 
 // NewMonitor builds one gateway's online monitor over the certified tenant
@@ -61,7 +78,7 @@ var accessIndex = sync.OnceValue(func() *monitor.Index {
 // Its origin labels are its own: demoting a role on one gateway leaves
 // every other gateway's view unchanged.
 func NewMonitor(events *obs.EventLog) *monitor.Monitor {
-	return monitor.New(accessIndex(), monitor.Options{Events: events})
+	return monitor.New(access().index, monitor.Options{Events: events})
 }
 
 // pSubject is a terse subject-node constructor for graph queries.

@@ -58,6 +58,12 @@ go test -run '^$' -fuzz '^FuzzParseSweep$' -fuzztime 10s ./internal/lab
 # 64-bit pattern at either precision it handles.
 go test -run '^$' -fuzz '^FuzzAppendFixed$' -fuzztime 10s ./internal/decfmt
 go run ./cmd/bas policy -scenario tempcontrol
+# The model linter must report exactly one finding, broad_sender(tempProc):
+# the controller commands both actuators and answers every management
+# client. A second finding is a model edit that widened a grant.
+lint="$(go run ./cmd/bas aadl -lint internal/aadl/tempcontrol.aadl)"
+printf '%s\n' "$lint" | grep -qx -- '-- lint: 1 finding(s)'
+printf '%s\n' "$lint" | grep -q '^\[info\] broad_sender(tempProc):'
 # Least-privilege lint: every static grant the scenario never exercises must
 # be covered by the checked-in allowlist; unknown or stale entries fail. The
 # audit runs under the tenant-gateway-extended matrix (-tenant), which is a
