@@ -127,7 +127,8 @@ type mqEdges struct {
 
 // proc is the kernel's process record.
 type proc struct {
-	pid     machine.PID
+	// Wait is the process's wait record, with its engine PID.
+	machine.Wait
 	unixPID int
 	name    string
 	uid     int
@@ -135,9 +136,6 @@ type proc struct {
 
 	fds    map[int32]*fd
 	nextFD int32
-
-	phase     procPhase
-	waitToken uint64
 
 	// span is the open mq_send/mq_receive span while blocked on a queue;
 	// recvEdge is the blocked reader's usage edge out of that queue.
@@ -152,15 +150,8 @@ type proc struct {
 	// into it before the process is woken.
 	frame *machine.Frame
 
-	// onSleep and onRecvTimeout are the process's timer callbacks, built
-	// once at spawn and re-armed for every sleep and mq_timedreceive with
-	// the wait's token (machine.Clock.AfterToken). A firing whose token is
-	// no longer the process's waitToken belongs to a finished wait, or to a
-	// dead process, and does nothing. waitQ is the queue a timed receive is
-	// blocked on.
-	onSleep       func(token uint64)
-	onRecvTimeout func(token uint64)
-	waitQ         *mqueue
+	// waitQ is the queue a timed receive is blocked on.
+	waitQ *mqueue
 
 	// lastMQBuf is the payload buffer of the most recent message delivered
 	// to this process; it is recycled into the kernel's pool on the next
@@ -168,14 +159,10 @@ type proc struct {
 	lastMQBuf []byte
 }
 
-type procPhase int
-
+// The kernel's queue wait phases, beside the shared sleep and network ones.
 const (
-	phaseIdle procPhase = iota
-	phaseMQRecv
+	phaseMQRecv = machine.WaitKernel + iota
 	phaseMQSend
-	phaseSleeping
-	phaseNet
 )
 
 // Image is a loadable binary: body plus credentials.
@@ -227,6 +214,9 @@ type Kernel struct {
 	// spawnCounts tallies spawns per image name, so supervision layers can
 	// report restarts (spawns beyond the first).
 	spawnCounts map[string]int
+
+	// waits is the wait layer every blocking trap parks its caller in.
+	waits *machine.Waits
 
 	// ipcFault, when set, is consulted on every mq_send with the sender's
 	// process name and the queue name; it may drop the message or delay its
@@ -287,6 +277,12 @@ func Boot(m *machine.Machine, cfg Config) *Kernel {
 		limitDetail: fmt.Sprintf("process limit %d reached", cfg.MaxProcs),
 		limitErr:    fmt.Errorf("%w: process limit %d reached", ErrAgain, cfg.MaxProcs),
 	}
+	k.waits = machine.NewWaits(m.Engine(), func(pid machine.PID) *machine.Wait {
+		if p := k.procs[pid]; p != nil {
+			return &p.Wait
+		}
+		return nil
+	}, phaseMQRecv, k.expireReceive, ErrTimeout)
 	board := m.Obs()
 	board.Events().SetPlatform("linux")
 	k.reg = board.Metrics()
@@ -408,7 +404,6 @@ func (k *Kernel) spawn(img Image) (int, error) {
 		unixPID: k.nextPID,
 		fds:     make(map[int32]*fd),
 	}
-	k.buildWakers(p)
 	k.nextPID++
 	body := img.Body
 	mp, err := k.m.Engine().Spawn(img.Name, img.Priority, func(ctx *machine.Context) {
@@ -417,9 +412,9 @@ func (k *Kernel) spawn(img Image) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("linuxsim: spawning %q: %w", img.Name, err)
 	}
-	p.pid = mp.PID()
+	p.PID = mp.PID()
 	p.frame = mp.Frame()
-	k.procs[p.pid] = p
+	k.procs[p.PID] = p
 	k.byUnix[p.unixPID] = p
 	k.spawnCounts[img.Name]++
 	k.stats.Forks++
@@ -460,7 +455,7 @@ func (k *Kernel) CrashProcess(name string) error {
 	}
 	p := k.byUnix[victim]
 	k.m.Trace().Logf("linux", "FAULT-INJECT kill %s pid=%d", p.name, p.unixPID)
-	return k.m.Engine().Kill(p.pid)
+	return k.m.Engine().Kill(p.PID)
 }
 
 // GrantRoot elevates a process to uid 0, modelling the paper's assumed

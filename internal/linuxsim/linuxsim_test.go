@@ -439,6 +439,57 @@ func TestNonTerminatingSignalAbsorbed(t *testing.T) {
 	}
 }
 
+// TestUnlinkEndsTimedReceive unlinks the queue a timed receive waits on,
+// then receives on another queue with no timeout: the ended receive's
+// timer, due at 1s, must not time out the plain receive, which gets the
+// message sent at 2.1s.
+func TestUnlinkEndsTimedReceive(t *testing.T) {
+	m, k := newBoard(t)
+	var timedErr, plainErr error
+	var got MQMsg
+	k.RegisterImage(Image{Name: "waiter", UID: 1, Priority: 8, Body: func(api *API) {
+		a, err := api.MQOpen("/a", MQOpenFlags{Create: true, Read: true, Mode: 0o600})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		b, err := api.MQOpen("/b", MQOpenFlags{Create: true, Read: true, Mode: 0o600})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_, timedErr = api.MQReceiveTimeout(a, time.Second)
+		got, plainErr = api.MQReceive(b)
+	}})
+	k.RegisterImage(Image{Name: "unlinker", UID: 1, Priority: 8, Body: func(api *API) {
+		api.Sleep(100 * time.Millisecond)
+		if err := api.MQUnlink("/a"); err != nil {
+			t.Error(err)
+		}
+		api.Sleep(2 * time.Second)
+		fd, err := api.MQOpen("/b", MQOpenFlags{Write: true})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := api.MQSend(fd, []byte("late"), 0); err != nil {
+			t.Error(err)
+		}
+	}})
+	for _, name := range []string{"waiter", "unlinker"} {
+		if _, err := k.SpawnImage(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Run(5 * time.Second)
+	if !errors.Is(timedErr, ErrNoEnt) {
+		t.Fatalf("timed receive on the unlinked queue = %v, want %v", timedErr, ErrNoEnt)
+	}
+	if plainErr != nil || string(got.Data) != "late" {
+		t.Fatalf("plain receive = (%q, %v), want the message sent at 2.1s", got.Data, plainErr)
+	}
+}
+
 // TestStaleTimersNeverWake pins the token check behind the reused sleep and
 // mq_timedreceive callbacks. A killed sleeper's pending timer must not wake
 // the process spawned after it, and a timed receive answered early must not

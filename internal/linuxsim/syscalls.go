@@ -57,9 +57,7 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 		}
 		// Blocked: doMQReceive queued the reader; arm the expiry alongside.
 		self.waitQ = self.fds[fd].q
-		self.waitToken++
-		k.m.Clock().AfterToken(d, self.onRecvTimeout, self.waitToken)
-		return machine.DispositionBlock
+		return k.waits.Timeout(&self.Wait, d)
 	case trapMQUnlink:
 		f.Err = k.doMQUnlink(self, f.S0)
 	case trapMQClose:
@@ -90,10 +88,7 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 	case trapGetUID:
 		f.R[0] = uint64(self.uid)
 	case trapSleep:
-		self.phase = phaseSleeping
-		self.waitToken++
-		k.m.Clock().AfterToken(time.Duration(f.R[0]), self.onSleep, self.waitToken)
-		return machine.DispositionBlock
+		return k.waits.Sleep(&self.Wait, time.Duration(f.R[0]))
 	case trapDevRead:
 		dev, reg := machine.DeviceID(f.S0), uint32(f.R[0])
 		df, ok := k.devs[dev]
@@ -134,17 +129,11 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 			break
 		}
 		if self.socks == nil {
-			self.socks = vnet.NewSockets(k.cfg.Net, &self.nextFD, k.netWaker(self))
+			self.socks = vnet.NewSockets(k.cfg.Net, &self.nextFD, k.waits, &self.Wait)
 		}
 		self.socks.Listen(f, vnet.Port(f.R[0]))
 	case trapNetAccept, trapNetRead, trapNetWrite, trapNetClose:
-		d := self.socks.Trap(f, trapNetListen, ErrBadFD)
-		if d == machine.DispositionBlock {
-			self.phase = phaseNet
-			self.waitToken++
-			self.socks.Wait(self.waitToken)
-		}
-		return d
+		return self.socks.Trap(f, trapNetListen, ErrBadFD)
 	default:
 		f.Err = fmt.Errorf("linuxsim: unknown trap %d", f.Nr)
 	}
@@ -270,10 +259,8 @@ func (k *Kernel) doMQSend(self *proc, f *machine.Frame) machine.Disposition {
 		k.m.IPC().Record(reader.recvEdge)
 		k.tracer.Emit(e.mqSend, obs.OutcomeDelivered)
 		k.endSpan(reader, obs.OutcomeDelivered)
-		reader.phase = phaseIdle
-		reader.waitToken++
 		k.deliverMsg(reader, msg)
-		k.wake(reader, nil)
+		k.waits.Wake(&reader.Wait, nil)
 		return machine.DispositionContinue
 	}
 	if len(q.msgs) >= q.maxMsgs {
@@ -282,9 +269,9 @@ func (k *Kernel) doMQSend(self *proc, f *machine.Frame) machine.Disposition {
 			f.Err = ErrAgain
 			return machine.DispositionContinue
 		}
-		self.phase = phaseMQSend
+		self.Phase = phaseMQSend
 		self.span = k.tracer.Begin(e.mqSend)
-		q.writers = append(q.writers, blockedWriter{pid: self.pid, msg: msg, send: e.send})
+		q.writers = append(q.writers, blockedWriter{pid: self.PID, msg: msg, send: e.send})
 		return machine.DispositionBlock
 	}
 	k.stats.MQSends++
@@ -322,9 +309,7 @@ func (k *Kernel) doMQReceive(self *proc, rfd int32) machine.Disposition {
 			wp := k.procs[w.pid]
 			k.m.IPC().Record(w.send)
 			k.endSpan(wp, obs.OutcomeDelivered)
-			wp.phase = phaseIdle
-			wp.waitToken++
-			k.wake(wp, nil)
+			k.waits.Wake(&wp.Wait, nil)
 		}
 		q.depth.Set(int64(len(q.msgs)))
 		k.deliverMsg(self, msg)
@@ -334,10 +319,10 @@ func (k *Kernel) doMQReceive(self *proc, rfd int32) machine.Disposition {
 		self.frame.Err = ErrAgain
 		return machine.DispositionContinue
 	}
-	self.phase = phaseMQRecv
+	self.Phase = phaseMQRecv
 	self.span = k.tracer.Begin(f.edges.mqReceive)
 	self.recvEdge = f.edges.recv
-	q.readers = append(q.readers, self.pid)
+	q.readers = append(q.readers, self.PID)
 	return machine.DispositionBlock
 }
 
@@ -351,10 +336,8 @@ func (k *Kernel) deliverToQueue(send obs.EdgeID, q *mqueue, msg MQMsg) {
 		k.m.IPC().Record(send)
 		k.m.IPC().Record(reader.recvEdge)
 		k.endSpan(reader, obs.OutcomeDelivered)
-		reader.phase = phaseIdle
-		reader.waitToken++
 		k.deliverMsg(reader, msg)
-		k.wake(reader, nil)
+		k.waits.Wake(&reader.Wait, nil)
 		return
 	}
 	if len(q.msgs) >= q.maxMsgs {
@@ -414,17 +397,15 @@ func (k *Kernel) doMQUnlink(self *proc, name string) error {
 	q.depth.Set(0)
 	// Blocked parties get ENOENT, like a destroyed queue.
 	for _, pid := range q.readers {
-		if p := k.procs[pid]; p != nil && p.phase == phaseMQRecv {
-			p.phase = phaseIdle
+		if p := k.procs[pid]; p != nil && p.Phase == phaseMQRecv {
 			k.endSpan(p, obs.OutcomeAborted)
-			k.wake(p, fmt.Errorf("%w: queue %q unlinked", ErrNoEnt, name))
+			k.waits.Wake(&p.Wait, fmt.Errorf("%w: queue %q unlinked", ErrNoEnt, name))
 		}
 	}
 	for _, w := range q.writers {
-		if p := k.procs[w.pid]; p != nil && p.phase == phaseMQSend {
-			p.phase = phaseIdle
+		if p := k.procs[w.pid]; p != nil && p.Phase == phaseMQSend {
 			k.endSpan(p, obs.OutcomeAborted)
-			k.wake(p, fmt.Errorf("%w: queue %q unlinked", ErrNoEnt, name))
+			k.waits.Wake(&p.Wait, fmt.Errorf("%w: queue %q unlinked", ErrNoEnt, name))
 		}
 	}
 	q.readers, q.writers = nil, nil
@@ -463,51 +444,21 @@ func (k *Kernel) doKill(self *proc, unixPID, sig int) error {
 		Detail:    fmt.Sprintf("uid-authorized kill sig=%d", sig),
 	})
 	k.m.Trace().Logf("linux", "kill %s (pid %d) by %s sig=%d", victim.name, victim.unixPID, self.name, sig)
-	return k.m.Engine().Kill(victim.pid)
+	return k.m.Engine().Kill(victim.PID)
 }
 
-// buildWakers builds p's reusable sleep and mq_timedreceive timer
-// callbacks. Each firing carries the token of the wait that armed it; a
-// token that is no longer p's waitToken, or a p no longer in the process
-// table (it died, and OnProcExit bumped the token too), makes the firing a
-// no-op, so a pending timer of a dead process never wakes another.
-func (k *Kernel) buildWakers(p *proc) {
-	p.onSleep = func(token uint64) {
-		if k.procs[p.pid] != p || p.waitToken != token || p.phase != phaseSleeping {
-			return
+// expireReceive undoes the reader side of a timed mq_receive whose timer
+// fired first: the process leaves its queue's readers and its span ends.
+func (k *Kernel) expireReceive(pid machine.PID) {
+	p := k.procs[pid]
+	q := p.waitQ
+	for i, rp := range q.readers {
+		if rp == pid {
+			q.readers = append(q.readers[:i], q.readers[i+1:]...)
+			break
 		}
-		p.phase = phaseIdle
-		k.wake(p, nil)
 	}
-	p.onRecvTimeout = func(token uint64) {
-		if k.procs[p.pid] != p || p.waitToken != token || p.phase != phaseMQRecv {
-			return
-		}
-		p.phase = phaseIdle
-		p.waitToken++
-		q := p.waitQ
-		for i, rp := range q.readers {
-			if rp == p.pid {
-				q.readers = append(q.readers[:i], q.readers[i+1:]...)
-				break
-			}
-		}
-		k.endSpan(p, obs.OutcomeAborted)
-		k.wake(p, ErrTimeout)
-	}
-}
-
-// netWaker builds p's network waker, which its socket table registers for
-// every blocking accept or read. Like the timer callbacks, a firing whose
-// token is stale, or whose p is dead, does nothing.
-func (k *Kernel) netWaker(p *proc) func(token uint64) {
-	return func(token uint64) {
-		if k.procs[p.pid] != p || p.waitToken != token || p.phase != phaseNet {
-			return
-		}
-		p.phase = phaseIdle
-		k.wake(p, p.socks.Complete(p.frame))
-	}
+	k.endSpan(p, obs.OutcomeAborted)
 }
 
 // popReader dequeues the next still-blocked reader.
@@ -516,7 +467,7 @@ func (k *Kernel) popReader(q *mqueue) *proc {
 		pid := q.readers[0]
 		copy(q.readers, q.readers[1:])
 		q.readers = q.readers[:len(q.readers)-1]
-		if p := k.procs[pid]; p != nil && p.phase == phaseMQRecv {
+		if p := k.procs[pid]; p != nil && p.Phase == phaseMQRecv {
 			return p
 		}
 	}
@@ -530,7 +481,7 @@ func (k *Kernel) popWriter(q *mqueue) (blockedWriter, bool) {
 		copy(q.writers, q.writers[1:])
 		q.writers[len(q.writers)-1] = blockedWriter{}
 		q.writers = q.writers[:len(q.writers)-1]
-		if p := k.procs[w.pid]; p != nil && p.phase == phaseMQSend {
+		if p := k.procs[w.pid]; p != nil && p.Phase == phaseMQSend {
 			return w, true
 		}
 	}
@@ -561,7 +512,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 	k.endSpan(p, obs.OutcomeAborted)
 	delete(k.procs, pid)
 	delete(k.byUnix, p.unixPID)
-	p.waitToken++
+	k.waits.End(&p.Wait)
 	// Drop the dead process from queue wait lists.
 	for _, q := range k.mqs {
 		for i, rp := range q.readers {
@@ -578,13 +529,4 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 		}
 	}
 	p.socks.Release()
-}
-
-// wake writes err into the error slot of p, a process blocked in a trap
-// whose reply the caller has written into its frame, and readies it.
-func (k *Kernel) wake(p *proc, err error) {
-	p.frame.Err = err
-	if err := k.m.Engine().Ready(p.pid); err != nil {
-		panic(fmt.Sprintf("linuxsim: Ready(%d): %v", p.pid, err))
-	}
 }

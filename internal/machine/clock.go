@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -11,6 +12,9 @@ import (
 // when the Engine charges cycle costs or fast-forwards an idle board to the
 // next timer. This makes every simulation deterministic.
 type Time int64
+
+// maxTime is the latest instant: a deadline past it saturates here.
+const maxTime = Time(math.MaxInt64)
 
 // Add returns the instant d after t.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
@@ -34,10 +38,12 @@ type timer struct {
 	fn  func()
 	gen uint64
 
-	// tfn, when fn is nil, is a token callback: it fires with tok (see
-	// AfterToken).
-	tfn func(uint64)
+	// tfn, when fn is nil, is a token callback: it fires with pid and tok
+	// (see AfterToken). pid sits beside canceled in what would otherwise be
+	// padding, so the timer stays in the 64-byte size class.
+	tfn func(PID, uint64)
 	tok uint64
+	pid PID
 
 	canceled bool
 }
@@ -85,22 +91,33 @@ func (c *Clock) At(at Time, fn func()) TimerID {
 
 // After schedules fn to run d after the current instant.
 func (c *Clock) After(d time.Duration, fn func()) TimerID {
-	return c.At(c.now.Add(d), fn)
+	return c.At(c.deadline(d), fn)
 }
 
-// AfterToken schedules fn(token) to run d after the current instant. The
-// token travels with the timer rather than in a closure, so a kernel can
-// build one wake-up callback per process and re-arm it for every wait
-// without allocating: each firing carries the token of the wait that armed
-// it, and the callback ignores tokens that no longer match the process's
-// current wait.
-func (c *Clock) AfterToken(d time.Duration, fn func(token uint64), token uint64) TimerID {
+// AfterToken schedules fn(pid, token) to run d after the current instant.
+// The process and token travel with the timer rather than in a closure, so
+// one callback serves every process of a board and every wait re-arms it
+// without allocating: each firing names the process and the wait that
+// armed it, and the callback ignores a process that has died or a token
+// that no longer names its current wait (see Waits).
+func (c *Clock) AfterToken(d time.Duration, fn func(pid PID, token uint64), pid PID, token uint64) TimerID {
 	if fn == nil {
 		panic("machine: Clock.AfterToken with nil callback")
 	}
-	t := c.schedule(c.now.Add(d))
-	t.tfn, t.tok = fn, token
+	t := c.schedule(c.deadline(d))
+	t.tfn, t.pid, t.tok = fn, pid, token
 	return TimerID{t: t, gen: t.gen}
+}
+
+// deadline returns the instant d after now. A deadline past the latest
+// instant saturates there rather than wrapping into the past, where it
+// would fire at once; a negative d still means a deadline already due.
+func (c *Clock) deadline(d time.Duration) Time {
+	at := c.now.Add(d)
+	if d > 0 && at < c.now {
+		return maxTime
+	}
+	return at
 }
 
 // schedule queues a callback-less timer for instant at, reusing a recycled
@@ -123,13 +140,13 @@ func (c *Clock) schedule(at Time) *timer {
 // fire runs a popped timer's callback after recycling the timer, so the
 // callback can re-arm without allocating.
 func (c *Clock) fire(t *timer) {
-	fn, tfn, tok := t.fn, t.tfn, t.tok
+	fn, tfn, pid, tok := t.fn, t.tfn, t.pid, t.tok
 	c.recycle(t)
 	if fn != nil {
 		fn()
 		return
 	}
-	tfn(tok)
+	tfn(pid, tok)
 }
 
 // Cancel prevents a scheduled callback from firing. Canceling an already

@@ -20,7 +20,9 @@
 // TrapHandler: the Engine delivers each process trap to the kernel as the
 // process's Frame, a trap number with fixed argument registers, and the
 // kernel writes its reply into that frame and decides whether the process
-// continues, blocks, or dies. Because the
+// continues, blocks, or dies. A process that blocks waits in its kernel's
+// Waits layer, which sleeps, times out and wakes processes the same way
+// under every kernel. Because the
 // Engine is single-threaded and scheduling is FIFO within priority, attack
 // experiments built on top of it are fully deterministic.
 package machine

@@ -72,22 +72,18 @@ type Stats struct {
 	Crashes      int64
 }
 
-// ipcPhase records why a process is blocked, if it is.
-type ipcPhase uint8
-
+// The kernel's IPC wait phases, beside the shared sleep and network ones.
 const (
-	phaseIdle ipcPhase = iota
-	phaseSendBlocked
+	phaseSendBlocked = machine.WaitKernel + iota
 	phaseRecvBlocked
-	phaseSleeping
-	phaseNetBlocked
 )
 
 // procEntry is the kernel-side process control block. The paper's ac_id
 // addition is the acID field. Small fields sit together so the entry fills
 // a 208-byte allocation: a fork bomb keeps thousands of them live.
 type procEntry struct {
-	pid  machine.PID
+	// Wait is the process's wait record, with its engine PID.
+	machine.Wait
 	ep   Endpoint
 	acID core.ACID
 	// who is the process's (name, acID) identity as a small integer, the
@@ -108,7 +104,6 @@ type procEntry struct {
 	frame *machine.Frame
 
 	// IPC state.
-	phase       ipcPhase
 	wantSendRec bool
 	// exiting marks a voluntary exit() so OnProcExit does not count it as a
 	// crash.
@@ -118,10 +113,6 @@ type procEntry struct {
 	notifies []Endpoint
 	mailbox  []Message
 
-	// waitToken invalidates stale timer/network callbacks after the process
-	// unblocks or dies.
-	waitToken uint64
-
 	// span is the open sendrec round-trip span, zero outside a sendrec.
 	span obs.SpanID
 
@@ -129,15 +120,6 @@ type procEntry struct {
 	nextGrant GrantID
 	grants    map[GrantID]*grant
 	socks     *vnet.Sockets
-
-	// onSleep and onRecvTimeout are the process's timer callbacks, built on
-	// its first Sleep or ReceiveTimeout (most processes, every fork-bomb
-	// child among them, never arm one) and re-armed for every later wait
-	// with the wait's token (machine.Clock.AfterToken). A firing whose token
-	// is no longer the process's waitToken belongs to a finished wait, or to
-	// a dead process, and does nothing.
-	onSleep       func(token uint64)
-	onRecvTimeout func(token uint64)
 }
 
 // Kernel is the simulated security-enhanced MINIX 3 kernel: the board's
@@ -167,6 +149,9 @@ type Kernel struct {
 
 	pm *pmServer
 	rs *rsServer
+
+	// waits is the wait layer every blocking trap parks its caller in.
+	waits *machine.Waits
 
 	stats Stats
 
@@ -277,6 +262,12 @@ func Boot(m *machine.Machine, policy *core.Policy, cfg Config) (*Kernel, error) 
 	k.mSendRecNs = reg.Histogram("minix_sendrec_roundtrip_ns", nil)
 	k.mMailbox = reg.Gauge("minix_mailbox_depth")
 	m.Engine().SetHandler(k)
+	k.waits = machine.NewWaits(m.Engine(), func(pid machine.PID) *machine.Wait {
+		if e := k.live(pid); e != nil {
+			return &e.Wait
+		}
+		return nil
+	}, phaseRecvBlocked, nil, ErrTimeout)
 
 	k.pm = newPMServer(k, policy.Syscalls)
 	k.rs = newRSServer(k)
@@ -321,7 +312,7 @@ func (k *Kernel) CrashProcess(name string) error {
 		return fmt.Errorf("%w: %v", ErrDeadSrcDst, ep)
 	}
 	k.stats.Crashes++
-	return k.m.Engine().Kill(e.pid)
+	return k.m.Engine().Kill(e.PID)
 }
 
 // startServer registers and spawns a system-server image.
@@ -432,7 +423,7 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 	if err != nil {
 		return EndpointNone, fmt.Errorf("minix: spawning %q: %w", img.Name, err)
 	}
-	entry.pid = proc.PID()
+	entry.PID = proc.PID()
 	entry.frame = proc.Frame()
 	k.slots[slot] = entry
 	k.used++
@@ -614,30 +605,18 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 	case trapReceive:
 		return k.doReceive(self, Endpoint(f.R[0]))
 	case trapReceiveTimeout:
-		d := time.Duration(f.R[1])
 		if k.doReceive(self, Endpoint(f.R[0])) == machine.DispositionContinue {
 			return machine.DispositionContinue
 		}
-		// Blocked: arm the timeout. Delivery bumps waitToken, so a reply
-		// racing the timer wins and the timer callback becomes a no-op.
-		if self.onRecvTimeout == nil {
-			k.buildWakers(self)
-		}
-		self.waitToken++
-		k.m.Clock().AfterToken(d, self.onRecvTimeout, self.waitToken)
-		return machine.DispositionBlock
+		// Blocked: arm the timeout. A delivery wakes the receiver and ends
+		// the wait, so a reply racing the timer wins.
+		return k.waits.Timeout(&self.Wait, time.Duration(f.R[1]))
 	case trapNotify:
 		f.Err = k.doNotify(self, Endpoint(f.R[0]))
 	case trapSendNB:
 		f.Err = k.doSendNB(self, Endpoint(f.R[0]), frameMsg(f))
 	case trapSleep:
-		if self.onSleep == nil {
-			k.buildWakers(self)
-		}
-		self.phase = phaseSleeping
-		self.waitToken++
-		k.m.Clock().AfterToken(time.Duration(f.R[0]), self.onSleep, self.waitToken)
-		return machine.DispositionBlock
+		return k.waits.Sleep(&self.Wait, time.Duration(f.R[0]))
 	case trapDevRead:
 		dev := machine.DeviceID(f.S0)
 		if !self.devs[dev] {
@@ -714,7 +693,7 @@ func (k *Kernel) doKKill(self *procEntry, target Endpoint) error {
 		Detail:    "pm-authorized kill",
 	})
 	victim.exiting = true // killed by policy decision, not a fault
-	return k.m.Engine().Kill(victim.pid)
+	return k.m.Engine().Kill(victim.PID)
 }
 
 // doSend implements synchronous send and the send half of sendrec. A sender
@@ -761,19 +740,19 @@ func (k *Kernel) doSend(self *procEntry, dst Endpoint, msg Message, sendRec bool
 		return k.delaySend(self, dst, msg, sendRec, delay)
 	}
 
-	if target.phase == phaseRecvBlocked && matches(target.recvFrom, self.ep) {
+	if target.Phase == phaseRecvBlocked && matches(target.recvFrom, self.ep) {
 		// Rendezvous: receiver is waiting, deliver immediately.
 		k.completeReceive(target, msg)
 		if sendRec {
-			self.phase = phaseRecvBlocked
+			self.Phase = phaseRecvBlocked
 			self.recvFrom = dst
 			return machine.DispositionBlock
 		}
 		return machine.DispositionContinue
 	}
 	// Receiver not ready: queue and block (rendezvous semantics).
-	target.senders = append(target.senders, self.pid)
-	self.phase = phaseSendBlocked
+	target.senders = append(target.senders, self.PID)
+	self.Phase = phaseSendBlocked
 	return machine.DispositionBlock
 }
 
@@ -782,47 +761,39 @@ func (k *Kernel) doSend(self *procEntry, dst Endpoint, msg Message, sendRec bool
 // receiver's sender queue only when the delay elapses, so the message is
 // invisible in transit.
 func (k *Kernel) delaySend(self *procEntry, dst Endpoint, msg Message, sendRec bool, delay time.Duration) machine.Disposition {
-	self.phase = phaseSendBlocked
-	self.waitToken++
-	token := self.waitToken
-	pid := self.pid
+	token := k.waits.Block(&self.Wait, phaseSendBlocked)
 	k.m.Clock().After(delay, func() {
-		e := k.live(pid)
-		if e != self || e.waitToken != token || e.phase != phaseSendBlocked {
+		if k.waits.Current(self.PID, token, phaseSendBlocked) == nil {
 			return
 		}
 		target := k.resolve(dst)
 		if target == nil {
-			e.phase = phaseIdle
-			k.endSpan(e, obs.OutcomeAborted)
-			k.wake(e, fmt.Errorf("%w: %v", ErrDeadSrcDst, dst))
+			k.endSpan(self, obs.OutcomeAborted)
+			k.waits.Wake(&self.Wait, fmt.Errorf("%w: %v", ErrDeadSrcDst, dst))
 			return
 		}
-		if target.phase == phaseRecvBlocked && matches(target.recvFrom, e.ep) {
+		if target.Phase == phaseRecvBlocked && matches(target.recvFrom, self.ep) {
 			k.completeReceive(target, msg)
 			if sendRec {
-				e.phase = phaseRecvBlocked
-				e.recvFrom = dst
+				self.Phase = phaseRecvBlocked
+				self.recvFrom = dst
 				return
 			}
-			e.phase = phaseIdle
-			k.wake(e, nil)
+			k.waits.Wake(&self.Wait, nil)
 			return
 		}
-		target.senders = append(target.senders, pid)
+		target.senders = append(target.senders, self.PID)
 	})
 	return machine.DispositionBlock
 }
 
 // completeReceive hands msg to a receiver blocked in Receive and wakes it.
 func (k *Kernel) completeReceive(receiver *procEntry, msg Message) {
-	receiver.phase = phaseIdle
-	receiver.waitToken++
 	k.stats.IPCDelivered++
 	k.mDelivered.Inc()
 	k.endSpan(receiver, obs.OutcomeDelivered)
 	putMsg(receiver.frame, &msg)
-	k.wake(receiver, nil)
+	k.waits.Wake(&receiver.Wait, nil)
 }
 
 // doReceive implements Receive(from).
@@ -857,7 +828,7 @@ func (k *Kernel) doReceive(self *procEntry, from Endpoint) machine.Disposition {
 	}
 	for i, senderPID := range self.senders {
 		sender := k.live(senderPID)
-		if sender == nil || sender.phase != phaseSendBlocked {
+		if sender == nil || sender.Phase != phaseSendBlocked {
 			continue
 		}
 		if !matches(from, sender.ep) {
@@ -872,16 +843,15 @@ func (k *Kernel) doReceive(self *procEntry, from Endpoint) machine.Disposition {
 		k.mDelivered.Inc()
 		// Complete the sender's operation.
 		if sender.wantSendRec {
-			sender.phase = phaseRecvBlocked
+			sender.Phase = phaseRecvBlocked
 			sender.recvFrom = self.ep
 		} else {
-			sender.phase = phaseIdle
-			k.wake(sender, nil)
+			k.waits.Wake(&sender.Wait, nil)
 		}
 		return machine.DispositionContinue
 	}
 	// Nothing pending: block.
-	self.phase = phaseRecvBlocked
+	self.Phase = phaseRecvBlocked
 	self.recvFrom = from
 	return machine.DispositionBlock
 }
@@ -919,7 +889,7 @@ func (k *Kernel) doNotify(self *procEntry, dst Endpoint) error {
 
 // queueNotify delivers or pends a notification from src.
 func (k *Kernel) queueNotify(target *procEntry, src Endpoint) {
-	if target.phase == phaseRecvBlocked && matches(target.recvFrom, src) {
+	if target.Phase == phaseRecvBlocked && matches(target.recvFrom, src) {
 		k.completeReceive(target, Message{Source: src, Type: int32(core.MsgAck)})
 		return
 	}
@@ -958,7 +928,7 @@ func (k *Kernel) doSendNB(self *procEntry, dst Endpoint, msg Message) error {
 			if tgt == nil {
 				return
 			}
-			if tgt.phase == phaseRecvBlocked && matches(tgt.recvFrom, msg.Source) {
+			if tgt.Phase == phaseRecvBlocked && matches(tgt.recvFrom, msg.Source) {
 				k.completeReceive(tgt, msg)
 				return
 			}
@@ -971,7 +941,7 @@ func (k *Kernel) doSendNB(self *procEntry, dst Endpoint, msg Message) error {
 		})
 		return nil
 	}
-	if target.phase == phaseRecvBlocked && matches(target.recvFrom, self.ep) {
+	if target.Phase == phaseRecvBlocked && matches(target.recvFrom, self.ep) {
 		k.completeReceive(target, msg)
 		return nil
 	}
@@ -988,36 +958,12 @@ func (k *Kernel) doSendNB(self *procEntry, dst Endpoint, msg Message) error {
 // delivering immediately when it is blocked in a matching receive.
 func (k *Kernel) deliverSystem(target *procEntry, msg Message) {
 	msg.Source = EndpointSystem
-	if target.phase == phaseRecvBlocked && matches(target.recvFrom, EndpointSystem) {
+	if target.Phase == phaseRecvBlocked && matches(target.recvFrom, EndpointSystem) {
 		k.completeReceive(target, msg)
 		return
 	}
 	target.mailbox = append(target.mailbox, msg) // system messages bypass the cap
 	k.mMailbox.Add(1)
-}
-
-// buildWakers builds e's reusable Sleep and ReceiveTimeout timer callbacks,
-// on its first wait.
-// Each firing carries the token of the wait that armed it; a token that is
-// no longer e's waitToken, or an e no longer in the process table (it died,
-// and OnProcExit bumped the token too), makes the firing a no-op, so a
-// pending timer of a dead process never wakes whatever reuses its slot.
-func (k *Kernel) buildWakers(e *procEntry) {
-	e.onSleep = func(token uint64) {
-		if k.live(e.pid) != e || e.waitToken != token || e.phase != phaseSleeping {
-			return
-		}
-		e.phase = phaseIdle
-		k.wake(e, nil)
-	}
-	e.onRecvTimeout = func(token uint64) {
-		if k.live(e.pid) != e || e.waitToken != token || e.phase != phaseRecvBlocked {
-			return
-		}
-		e.phase = phaseIdle
-		e.waitToken++
-		k.wake(e, ErrTimeout)
-	}
 }
 
 // doNet runs a network trap. This is the kernel's network mediation. In the
@@ -1033,42 +979,13 @@ func (k *Kernel) doNet(self *procEntry, f *machine.Frame) machine.Disposition {
 		f.Err = fmt.Errorf("%w: network access", ErrNoPrivilege)
 	case f.Nr == trapNetListen:
 		if self.socks == nil {
-			self.socks = vnet.NewSockets(k.cfg.Net, nil, k.netWaker(self))
+			self.socks = vnet.NewSockets(k.cfg.Net, nil, k.waits, &self.Wait)
 		}
 		self.socks.Listen(f, vnet.Port(f.R[0]))
 	default:
-		d := self.socks.Trap(f, trapNetListen, ErrBadHandle)
-		if d == machine.DispositionBlock {
-			self.phase = phaseNetBlocked
-			self.waitToken++
-			self.socks.Wait(self.waitToken)
-		}
-		return d
+		return self.socks.Trap(f, trapNetListen, ErrBadHandle)
 	}
 	return machine.DispositionContinue
-}
-
-// netWaker builds e's network waker, which its socket table registers for
-// every blocking accept or read. Like the timer callbacks, a firing whose
-// token is stale, or whose e is dead, does nothing.
-func (k *Kernel) netWaker(e *procEntry) func(token uint64) {
-	return func(token uint64) {
-		if k.live(e.pid) != e || e.waitToken != token || e.phase != phaseNetBlocked {
-			return
-		}
-		e.phase = phaseIdle
-		k.wake(e, e.socks.Complete(e.frame))
-	}
-}
-
-// wake writes err into the error slot of e, a process blocked in a trap
-// whose reply the caller has written into its frame, and readies it.
-// Failure is a kernel invariant violation.
-func (k *Kernel) wake(e *procEntry, err error) {
-	e.frame.Err = err
-	if err := k.m.Engine().Ready(e.pid); err != nil {
-		panic(fmt.Sprintf("minix: Ready(%d): %v", e.pid, err))
-	}
 }
 
 // matches implements the Receive source filter.
@@ -1104,19 +1021,18 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 	if k.names[e.name] == e.ep {
 		delete(k.names, e.name)
 	}
-	e.waitToken++ // invalidate timers and net callbacks
+	k.waits.End(&e.Wait)
 	k.endSpan(e, obs.OutcomeAborted)
 	k.mMailbox.Add(int64(-len(e.mailbox)))
 
 	// Wake senders queued on the victim.
 	for _, senderPID := range e.senders {
 		sender := k.live(senderPID)
-		if sender == nil || sender.phase != phaseSendBlocked {
+		if sender == nil || sender.Phase != phaseSendBlocked {
 			continue
 		}
-		sender.phase = phaseIdle
 		k.endSpan(sender, obs.OutcomeAborted)
-		k.wake(sender, fmt.Errorf("%w: %v", ErrDeadSrcDst, e.ep))
+		k.waits.Wake(&sender.Wait, fmt.Errorf("%w: %v", ErrDeadSrcDst, e.ep))
 	}
 	// Wake receivers waiting specifically on the victim, and drop the victim
 	// from other processes' sender queues.
@@ -1124,11 +1040,9 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 		if other == nil {
 			continue
 		}
-		if other.phase == phaseRecvBlocked && other.recvFrom == e.ep {
-			other.phase = phaseIdle
-			other.waitToken++
+		if other.Phase == phaseRecvBlocked && other.recvFrom == e.ep {
 			k.endSpan(other, obs.OutcomeAborted)
-			k.wake(other, fmt.Errorf("%w: %v", ErrDeadSrcDst, e.ep))
+			k.waits.Wake(&other.Wait, fmt.Errorf("%w: %v", ErrDeadSrcDst, e.ep))
 		}
 		for i, senderPID := range other.senders {
 			if senderPID == pid {

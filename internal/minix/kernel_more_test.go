@@ -271,7 +271,7 @@ func TestProcessTableReusesLowestFreeSlot(t *testing.T) {
 
 	free := func(slot int) {
 		t.Helper()
-		if err := m.Engine().Kill(k.slots[slot].pid); err != nil {
+		if err := m.Engine().Kill(k.slots[slot].PID); err != nil {
 			t.Fatalf("freeing slot %d: %v", slot, err)
 		}
 	}
@@ -357,8 +357,10 @@ func TestStaleTimersNeverWake(t *testing.T) {
 
 // TestForkChildByteBudget gates the live heap one parked process costs: the
 // MINIX fork-bomb cases keep 4,097 of them live at once. A child that never
-// sleeps, opens a device or a socket carries its process entry, the
-// engine's process record with its trap frame, and its coroutine.
+// opens a device or a socket carries its process entry, the engine's
+// process record with its trap frame, and its coroutine; a sleeping child
+// also keeps its pending timer. The fork bomb's children sleep between
+// refused forks, so the sleeping row is the shape the campaign parks.
 //
 // The Go runtime never returns a goroutine descriptor (about 440 B) to the
 // heap; it keeps it for the next goroutine. The probe first runs and ends
@@ -366,6 +368,18 @@ func TestStaleTimersNeverWake(t *testing.T) {
 // descriptors, as a campaign's later cases do, and the reading does not
 // depend on which tests ran before it.
 func TestForkChildByteBudget(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		park func(api *API)
+	}{
+		{"receiving", func(api *API) { api.Receive(EndpointAny) }},
+		{"sleeping", func(api *API) { api.Sleep(time.Hour) }},
+	} {
+		t.Run(row.name, func(t *testing.T) { testForkChildBytes(t, row.park) })
+	}
+}
+
+func testForkChildBytes(t *testing.T, park func(api *API)) {
 	const children, budget = 2000, 1100
 	var wg sync.WaitGroup
 	release := make(chan struct{})
@@ -379,9 +393,7 @@ func TestForkChildByteBudget(t *testing.T) {
 	close(release)
 	wg.Wait()
 	m, k := testBoard(t, testPolicy(), Config{})
-	k.RegisterImage(Image{Name: "child", Priority: 7, Body: func(api *API) {
-		api.Receive(EndpointAny)
-	}})
+	k.RegisterImage(Image{Name: "child", Priority: 7, Body: park})
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()

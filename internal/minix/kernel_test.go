@@ -353,7 +353,7 @@ func TestStaleEndpointAfterRestartIsDead(t *testing.T) {
 		t.Fatal("b not live")
 	}
 	entry.exiting = true
-	if err := m.Engine().Kill(entry.pid); err != nil {
+	if err := m.Engine().Kill(entry.PID); err != nil {
 		t.Fatalf("Kill: %v", err)
 	}
 	epNew := spawnOrFatal(t, k, "b", acidB)

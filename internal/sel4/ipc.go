@@ -85,22 +85,13 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 		}
 		f.Err = k.m.Bus().Write(k.devs[c.Object].dev, uint32(f.R[1]), uint32(f.R[2]))
 	case trapSleep:
-		t.state = stateSleeping
-		t.waitToken++
-		k.m.Clock().AfterToken(time.Duration(f.R[0]), t.onSleep, t.waitToken)
-		return machine.DispositionBlock
+		return k.waits.Sleep(&t.Wait, time.Duration(f.R[0]))
 	case trapTrace:
 		k.m.Trace().Log(f.S0, f.S1)
 	case trapNetListen:
 		k.doNetListen(t, f)
 	case trapNetAccept, trapNetRead, trapNetWrite, trapNetClose:
-		d := t.socks.Trap(f, trapNetListen, ErrBadHandle)
-		if d == machine.DispositionBlock {
-			t.state = stateNetBlocked
-			t.waitToken++
-			t.socks.Wait(t.waitToken)
-		}
-		return d
+		return t.socks.Trap(f, trapNetListen, ErrBadHandle)
 	default:
 		f.Err = fmt.Errorf("sel4: unknown trap %d", f.Nr)
 	}
@@ -151,7 +142,7 @@ func (k *Kernel) doSend(t *tcb, nb bool) machine.Disposition {
 		// seL4_NBSend silently drops when no receiver is waiting.
 		return machine.DispositionContinue
 	}
-	t.state = stateBlockedSend
+	t.Phase = stateBlockedSend
 	ep.sendQ = append(ep.sendQ, t)
 	k.mEPQ.Add(1)
 	return machine.DispositionBlock
@@ -162,23 +153,18 @@ func (k *Kernel) doSend(t *tcb, nb bool) machine.Disposition {
 // queue only when the delay elapses, so receivers cannot see the message
 // early.
 func (k *Kernel) delaySend(t *tcb, c Capability, ep *endpointObj, isCall bool, delay time.Duration) machine.Disposition {
-	t.state = stateBlockedSend
-	t.waitToken++
-	token := t.waitToken
-	pid := t.pid
+	token := k.waits.Block(&t.Wait, stateBlockedSend)
 	k.m.Clock().After(delay, func() {
-		cur := k.byPID[pid]
-		if cur != t || cur.waitToken != token || cur.state != stateBlockedSend {
+		if k.waits.Current(t.PID, token, stateBlockedSend) == nil {
 			return
 		}
 		if receiver := k.popReceiver(ep); receiver != nil {
 			k.deliver(t, c, receiver, isCall)
 			if isCall {
-				t.state = stateBlockedCall
+				t.Phase = stateBlockedCall
 				return
 			}
-			t.state = stateReady
-			k.wake(t, nil)
+			k.waits.Wake(&t.Wait, nil)
 			return
 		}
 		ep.sendQ = append(ep.sendQ, t)
@@ -221,10 +207,10 @@ func (k *Kernel) doCall(t *tcb) machine.Disposition {
 	}
 	if receiver := k.popReceiver(ep); receiver != nil {
 		k.deliver(t, c, receiver, true)
-		t.state = stateBlockedCall
+		t.Phase = stateBlockedCall
 		return machine.DispositionBlock
 	}
-	t.state = stateBlockedSend
+	t.Phase = stateBlockedSend
 	ep.sendQ = append(ep.sendQ, t)
 	k.mEPQ.Add(1)
 	return machine.DispositionBlock
@@ -243,10 +229,9 @@ func (k *Kernel) doRecv(t *tcb, nb bool) machine.Disposition {
 	if sender := k.popSender(ep); sender != nil {
 		k.buildDelivery(sender, sender.sendCap, t, sender.wantsCall)
 		if sender.wantsCall {
-			sender.state = stateBlockedCall
+			sender.Phase = stateBlockedCall
 		} else {
-			sender.state = stateReady
-			k.wake(sender, nil)
+			k.waits.Wake(&sender.Wait, nil)
 		}
 		return machine.DispositionContinue
 	}
@@ -254,7 +239,7 @@ func (k *Kernel) doRecv(t *tcb, nb bool) machine.Disposition {
 		f.Err = ErrWouldBlock
 		return machine.DispositionContinue
 	}
-	t.state = stateBlockedRecv
+	t.Phase = stateBlockedRecv
 	ep.recvQ = append(ep.recvQ, t)
 	k.mEPQ.Add(1)
 	return machine.DispositionBlock
@@ -271,7 +256,7 @@ func (k *Kernel) doReply(t *tcb) error {
 	rc.used = true
 	t.replyCap = nil
 	caller := rc.caller
-	if caller == nil || caller.state != stateBlockedCall {
+	if caller == nil || caller.Phase != stateBlockedCall {
 		// Caller died or was aborted; the reply evaporates.
 		return nil
 	}
@@ -279,19 +264,16 @@ func (k *Kernel) doReply(t *tcb) error {
 	k.stats.IPCDelivered++
 	k.mReplies.Inc()
 	k.mDelivered.Inc()
-	caller.state = stateReady
 	k.endSpan(caller, obs.OutcomeDelivered)
 	copy(caller.frame.R[1:2+MsgWords], t.frame.R[1:2+MsgWords])
-	k.wake(caller, nil)
+	k.waits.Wake(&caller.Wait, nil)
 	return nil
 }
 
 // deliver wakes a blocked receiver with the sender's message.
 func (k *Kernel) deliver(sender *tcb, senderCap Capability, receiver *tcb, isCall bool) {
 	k.buildDelivery(sender, senderCap, receiver, isCall)
-	receiver.state = stateReady
-	receiver.waitToken++
-	k.wake(receiver, nil)
+	k.waits.Wake(&receiver.Wait, nil)
 }
 
 // buildDelivery writes the receiver-side result into the receiver's frame:
@@ -361,7 +343,7 @@ func (k *Kernel) doSuspend(t *tcb, cptr CPtr) error {
 	})
 	victim.suspended = true
 	k.m.Trace().Logf("sel4", "suspend %s by %s", victim.name, t.name)
-	return k.m.Engine().Kill(victim.pid)
+	return k.m.Engine().Kill(victim.PID)
 }
 
 // doCapCopy implements CNode copy and, with mint, mint within the caller's
@@ -387,33 +369,6 @@ func (k *Kernel) doCapCopy(t *tcb, src, dst CPtr, mint bool, badge Badge, rights
 	return nil
 }
 
-// buildWaker builds t's reusable sleep timer callback. Each firing carries
-// the token of the sleep that armed it; a token that is no longer t's
-// waitToken, or a t no longer running under its PID, makes the firing a
-// no-op.
-func (k *Kernel) buildWaker(t *tcb) {
-	t.onSleep = func(token uint64) {
-		if k.byPID[t.pid] != t || t.waitToken != token || t.state != stateSleeping {
-			return
-		}
-		t.state = stateReady
-		k.wake(t, nil)
-	}
-}
-
-// netWaker builds t's network waker, which its socket table registers for
-// every blocking accept or read. A firing whose token is stale, or whose t
-// no longer runs under its PID, does nothing.
-func (k *Kernel) netWaker(t *tcb) func(token uint64) {
-	return func(token uint64) {
-		if k.byPID[t.pid] != t || t.waitToken != token || t.state != stateNetBlocked {
-			return
-		}
-		t.state = stateReady
-		k.wake(t, t.socks.Complete(t.frame))
-	}
-}
-
 // popReceiver dequeues the next live receiver from an endpoint. Every
 // dequeued entry — live or stale — left the wait queues, so the depth
 // gauge drops per removal, mirroring the increment at append time.
@@ -425,7 +380,7 @@ func (k *Kernel) popReceiver(ep *endpointObj) *tcb {
 		copy(ep.recvQ, ep.recvQ[1:])
 		ep.recvQ = ep.recvQ[:len(ep.recvQ)-1]
 		k.mEPQ.Add(-1)
-		if r.state == stateBlockedRecv {
+		if r.Phase == stateBlockedRecv {
 			return r
 		}
 	}
@@ -439,7 +394,7 @@ func (k *Kernel) popSender(ep *endpointObj) *tcb {
 		copy(ep.sendQ, ep.sendQ[1:])
 		ep.sendQ = ep.sendQ[:len(ep.sendQ)-1]
 		k.mEPQ.Add(-1)
-		if s.state == stateBlockedSend {
+		if s.Phase == stateBlockedSend {
 			return s
 		}
 	}
@@ -454,8 +409,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 		return
 	}
 	delete(k.byPID, pid)
-	t.waitToken++
-	t.state = stateSuspendedDead
+	k.waits.End(&t.Wait)
 	if info.Crashed {
 		k.m.Trace().Logf("sel4", "FAULT %s: %v", t.name, info.PanicValue)
 	}
@@ -475,10 +429,9 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 	if t.replyCap != nil && !t.replyCap.used {
 		t.replyCap.used = true
 		caller := t.replyCap.caller
-		if caller != nil && caller.state == stateBlockedCall {
-			caller.state = stateReady
+		if caller != nil && caller.Phase == stateBlockedCall {
 			k.endSpan(caller, obs.OutcomeAborted)
-			k.wake(caller, ErrCallAborted)
+			k.waits.Wake(&caller.Wait, ErrCallAborted)
 		}
 		t.replyCap = nil
 	}
@@ -494,15 +447,6 @@ func removeTCB(q []*tcb, t *tcb) []*tcb {
 	return q
 }
 
-// wake writes err into the error slot of t, a thread blocked in a trap
-// whose reply the caller has written into its frame, and readies it.
-func (k *Kernel) wake(t *tcb, err error) {
-	t.frame.Err = err
-	if err := k.m.Engine().Ready(t.pid); err != nil {
-		panic(fmt.Sprintf("sel4: Ready(%d): %v", t.pid, err))
-	}
-}
-
 // doNetListen is the kernel's network mediation: binding a port takes a
 // capability to it, with the read right, and every later socket trap works
 // only on the handles that bind gave out.
@@ -515,7 +459,7 @@ func (k *Kernel) doNetListen(t *tcb, f *machine.Frame) {
 		f.Err = fmt.Errorf("%w: board has no network", ErrInvalidCap)
 	default:
 		if t.socks == nil {
-			t.socks = vnet.NewSockets(k.cfg.Net, nil, k.netWaker(t))
+			t.socks = vnet.NewSockets(k.cfg.Net, nil, k.waits, &t.Wait)
 		}
 		t.socks.Listen(f, k.ports[c.Object].port)
 	}

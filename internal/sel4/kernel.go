@@ -51,30 +51,24 @@ type Stats struct {
 	Signals         int64
 }
 
-// tcbState tracks why a thread is not running.
-type tcbState int
-
+// The kernel's IPC wait phases, beside the shared sleep and network ones.
 const (
-	stateReady tcbState = iota
-	stateBlockedSend
+	stateBlockedSend = machine.WaitKernel + iota
 	stateBlockedRecv
 	stateBlockedCall // awaiting reply
-	stateSleeping
-	stateNetBlocked
 	stateBlockedNotif
-	stateSuspendedDead
 )
 
 // tcb is the kernel-side thread control block.
 type tcb struct {
+	// Wait is the thread's wait record, with its engine PID once started.
+	machine.Wait
 	id     ObjID
 	name   string
 	prio   int
-	pid    machine.PID
 	body   func(api *API)
 	cspace [CSpaceSize]Capability
 
-	state     tcbState
 	started   bool
 	suspended bool
 
@@ -91,8 +85,6 @@ type tcb struct {
 	// Call.
 	replyCap *replyObj
 
-	waitToken uint64
-
 	// span is the open Call round-trip span, zero outside a Call.
 	span obs.SpanID
 
@@ -103,11 +95,6 @@ type tcb struct {
 
 	// socks is the thread's socket table, made on its first listen.
 	socks *vnet.Sockets
-
-	// onSleep is the thread's sleep timer callback, built once at Start and
-	// re-armed for every Sleep with the sleep's token
-	// (machine.Clock.AfterToken).
-	onSleep func(token uint64)
 
 	// replyObject backs replyCap: at most one reply capability is live per
 	// receiver (a newer Call delivery replaces the pointer), so the object
@@ -169,6 +156,9 @@ type Kernel struct {
 	ports   map[ObjID]*netPortObj
 	notifs  map[ObjID]*notificationObj
 	byPID   map[machine.PID]*tcb
+
+	// waits is the wait layer every blocking trap parks its caller in.
+	waits *machine.Waits
 
 	stats Stats
 
@@ -236,6 +226,12 @@ func NewKernel(m *machine.Machine, cfg Config) *Kernel {
 		notifs:  make(map[ObjID]*notificationObj),
 		byPID:   make(map[machine.PID]*tcb),
 	}
+	k.waits = machine.NewWaits(m.Engine(), func(pid machine.PID) *machine.Wait {
+		if t := k.byPID[pid]; t != nil {
+			return &t.Wait
+		}
+		return nil
+	}, machine.WaitNone, nil, nil)
 	board := m.Obs()
 	board.Events().SetPlatform("sel4")
 	k.tracer = board.Tracer()
@@ -359,10 +355,9 @@ func (k *Kernel) Start(tcbID ObjID) error {
 	if err != nil {
 		return fmt.Errorf("sel4: starting %q: %w", t.name, err)
 	}
-	t.pid = proc.PID()
+	t.PID = proc.PID()
 	t.frame = proc.Frame()
 	t.started = true
-	k.buildWaker(t)
 	k.byPID[proc.PID()] = t
 	k.m.Trace().Logf("sel4", "start %s tcb=%d", t.name, t.id)
 	return nil
@@ -442,12 +437,12 @@ func (k *Kernel) KillThread(tcbID ObjID) error {
 	if !ok || !t.started {
 		return ErrNotStarted
 	}
-	p := k.m.Engine().Proc(t.pid)
+	p := k.m.Engine().Proc(t.PID)
 	if p == nil || p.State() == machine.StateDead {
 		return ErrSuspended
 	}
 	k.m.Trace().Logf("sel4", "FAULT-INJECT kill %s tcb=%d", t.name, t.id)
-	return k.m.Engine().Kill(t.pid)
+	return k.m.Engine().Kill(t.PID)
 }
 
 // ThreadAlive reports whether a thread is started and not suspended/dead.
@@ -456,7 +451,7 @@ func (k *Kernel) ThreadAlive(tcbID ObjID) bool {
 	if !ok || !t.started || t.suspended {
 		return false
 	}
-	p := k.m.Engine().Proc(t.pid)
+	p := k.m.Engine().Proc(t.PID)
 	return p != nil && p.State() != machine.StateDead
 }
 

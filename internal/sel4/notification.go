@@ -45,10 +45,8 @@ func (k *Kernel) doSignal(t *tcb, cptr CPtr) error {
 		// already-accumulated bits.
 		waiter.frame.R[0] = uint64(n.word | c.Badge)
 		n.word = 0
-		waiter.state = stateReady
-		waiter.waitToken++
 		k.m.IPC().Record(k.edgesOf(waiter, n.id).in)
-		k.wake(waiter, nil)
+		k.waits.Wake(&waiter.Wait, nil)
 		return nil
 	}
 	n.word |= c.Badge
@@ -74,7 +72,7 @@ func (k *Kernel) doWait(t *tcb, poll bool) machine.Disposition {
 		f.Err = ErrWouldBlock
 		return machine.DispositionContinue
 	}
-	t.state = stateBlockedNotif
+	t.Phase = stateBlockedNotif
 	n.waitQ = append(n.waitQ, t)
 	return machine.DispositionBlock
 }
@@ -85,7 +83,7 @@ func popWaiter(n *notificationObj) *tcb {
 		w := n.waitQ[0]
 		copy(n.waitQ, n.waitQ[1:])
 		n.waitQ = n.waitQ[:len(n.waitQ)-1]
-		if w.state == stateBlockedNotif {
+		if w.Phase == stateBlockedNotif {
 			return w
 		}
 	}

@@ -19,8 +19,8 @@ import (
 // part of network I/O the paper does not vary: they differ in who may bind a
 // port, not in what the socket traps do once bound.
 
-// process is the socket surface a process sees on every kernel (with Sleep
-// to order processes in virtual time).
+// process is the socket surface a process sees on every kernel, with Sleep
+// and Now to order processes in virtual time.
 type process interface {
 	NetListen(port vnet.Port) (int32, error)
 	NetAccept(listener int32) (int32, error)
@@ -28,6 +28,7 @@ type process interface {
 	NetWrite(conn int32, data []byte) error
 	NetClose(conn int32) error
 	Sleep(d time.Duration)
+	Now() machine.Time
 }
 
 // webPort is the port every process may bind.
@@ -40,13 +41,24 @@ const webPort vnet.Port = 8080
 type netKernel struct {
 	name string
 	bad  error // the kernel's unknown-handle error
-	boot func(t *testing.T, stack *vnet.Stack, bodies ...func(process)) *machine.Machine
+	boot func(t *testing.T, stack *vnet.Stack, bodies ...func(process)) *board
+	// timeout is the kernel's timed-receive error, and timed its timed
+	// receive; both are nil on seL4, which has none.
+	timeout error
+	timed   *timedReceive
 }
 
 var netKernels = []netKernel{
-	{"minix", minix.ErrBadHandle, bootMinix},
-	{"sel4", sel4.ErrBadHandle, bootCAmkES},
-	{"linux", linuxsim.ErrBadFD, bootLinux},
+	{"minix", minix.ErrBadHandle, bootMinix, minix.ErrTimeout, minixTimed},
+	{"sel4", sel4.ErrBadHandle, bootCAmkES, nil, nil},
+	{"linux", linuxsim.ErrBadFD, bootLinux, linuxsim.ErrTimeout, linuxTimed},
+}
+
+// board is a booted kernel's machine. respawn starts a dead process again
+// under its name, as a fresh process running the same body.
+type board struct {
+	*machine.Machine
+	respawn func(name string) error
 }
 
 func newBoard(t *testing.T) *machine.Machine {
@@ -57,22 +69,28 @@ func newBoard(t *testing.T) *machine.Machine {
 
 func procName(i int) string { return fmt.Sprintf("p%d", i) }
 
-func bootMinix(t *testing.T, stack *vnet.Stack, bodies ...func(process)) *machine.Machine {
+// bootMinix boots MINIX with the ACM off: the processes carry no ac_id, and
+// these tests exercise the traps behind the access checks.
+func bootMinix(t *testing.T, stack *vnet.Stack, bodies ...func(process)) *board {
 	m := newBoard(t)
-	k, err := minix.Boot(m, core.NewPolicy().Seal(), minix.Config{Net: stack})
+	k, err := minix.Boot(m, core.NewPolicy().Seal(), minix.Config{Net: stack, DisableACM: true})
 	if err != nil {
 		t.Fatalf("minix.Boot: %v", err)
 	}
+	spawn := func(name string) error {
+		_, err := k.SpawnImage(name, core.NoACID)
+		return err
+	}
 	for i, body := range bodies {
 		k.RegisterImage(minix.Image{Name: procName(i), Priority: 7, Net: true, Body: func(api *minix.API) { body(api) }})
-		if _, err := k.SpawnImage(procName(i), core.NoACID); err != nil {
+		if err := spawn(procName(i)); err != nil {
 			t.Fatalf("minix spawn: %v", err)
 		}
 	}
-	return m
+	return &board{m, spawn}
 }
 
-func bootCAmkES(t *testing.T, stack *vnet.Stack, bodies ...func(process)) *machine.Machine {
+func bootCAmkES(t *testing.T, stack *vnet.Stack, bodies ...func(process)) *board {
 	m := newBoard(t)
 	asm := &camkes.Assembly{}
 	for i, body := range bodies {
@@ -87,27 +105,32 @@ func bootCAmkES(t *testing.T, stack *vnet.Stack, bodies ...func(process)) *machi
 	if err != nil {
 		t.Fatalf("camkes.Compile: %v", err)
 	}
-	if _, err := camkes.Build(m, img, asm, camkes.BuildConfig{Net: stack}); err != nil {
+	sys, err := camkes.Build(m, img, asm, camkes.BuildConfig{Net: stack})
+	if err != nil {
 		t.Fatalf("camkes.Build: %v", err)
 	}
-	return m
+	return &board{m, sys.Respawn}
 }
 
-func bootLinux(t *testing.T, stack *vnet.Stack, bodies ...func(process)) *machine.Machine {
+func bootLinux(t *testing.T, stack *vnet.Stack, bodies ...func(process)) *board {
 	m := newBoard(t)
 	k := linuxsim.Boot(m, linuxsim.Config{Net: stack})
+	spawn := func(name string) error {
+		_, err := k.SpawnImage(name)
+		return err
+	}
 	for i, body := range bodies {
 		k.RegisterImage(linuxsim.Image{Name: procName(i), Priority: 7, UID: 1000, GID: 1000, Body: func(api *linuxsim.API) { body(api) }})
-		if _, err := k.SpawnImage(procName(i)); err != nil {
+		if err := spawn(procName(i)); err != nil {
 			t.Fatalf("linux spawn: %v", err)
 		}
 	}
-	return m
+	return &board{m, spawn}
 }
 
 // kill kills the live process named name from outside, as a crash or an
 // operator would.
-func kill(t *testing.T, m *machine.Machine, name string) {
+func kill(t *testing.T, m *board, name string) {
 	t.Helper()
 	for _, p := range m.Engine().Procs() {
 		if p.Name() == name && p.State() != machine.StateDead {

@@ -27,9 +27,14 @@ type Sockets struct {
 	// open holds the open sockets in handle order. A process holds a few at
 	// a time, so a scan beats a map, and the order is the release order.
 	open []socket
-	// wake is the owner's network waker, registered with the stack under
-	// the token of each blocking accept or read.
-	wake func(token uint64)
+	// waits is the owner's kernel's wait layer and owner its wait record:
+	// a blocking accept or read parks the owner there. ready is the
+	// table's network waker (wake), bound once so that registering it with
+	// the stack under each blocking accept's or read's token allocates
+	// nothing.
+	waits *machine.Waits
+	owner *machine.Wait
+	ready func(token uint64)
 	// The blocked operation: an accept on lis or, with lis nil, a read of
 	// up to max bytes from conn.
 	lis  *Listener
@@ -53,13 +58,12 @@ const (
 	opClose             // R0 connection
 )
 
-// NewSockets returns an empty table over stack. Handles are drawn from
-// *next, or from the table's own counter when next is nil. wake is the
-// owner's network waker, built once per process by its kernel: a firing
-// whose wait is still current marks the process runnable, finishes the
-// wait with Complete, and readies it.
-func NewSockets(stack *Stack, next *int32, wake func(token uint64)) *Sockets {
-	s := &Sockets{stack: stack, next: next, wake: wake}
+// NewSockets returns an empty table over stack for the process whose wait
+// record is owner, in its kernel's wait layer waits. Handles are drawn from
+// *next, or from the table's own counter when next is nil.
+func NewSockets(stack *Stack, next *int32, waits *machine.Waits, owner *machine.Wait) *Sockets {
+	s := &Sockets{stack: stack, next: next, waits: waits, owner: owner}
+	s.ready = s.wake
 	if next == nil {
 		s.next = &s.own
 	}
@@ -112,9 +116,9 @@ func (s *Sockets) Listen(f *machine.Frame, port Port) {
 
 // Trap runs the accept, read, write or close trap in f, whose number counts
 // from base, the kernel's listen trap. An unknown handle fails with bad, the
-// kernel's own error. A Block return means the accept or read found nothing
-// pending: the kernel marks its process blocked and calls Wait with the
-// token of the new wait.
+// kernel's own error. An accept or read that finds nothing pending parks
+// the owner in machine.WaitNet until the network wakes it, and Trap
+// returns Block.
 func (s *Sockets) Trap(f *machine.Frame, base uint32, bad error) machine.Disposition {
 	h := int32(f.R[0])
 	switch f.Nr - base {
@@ -129,6 +133,7 @@ func (s *Sockets) Trap(f *machine.Frame, base uint32, bad error) machine.Disposi
 			break
 		}
 		s.lis = l
+		s.stack.WaitConn(l, s.ready, s.waits.Block(s.owner, machine.WaitNet))
 		return machine.DispositionBlock
 	case opRead:
 		i := s.connAt(h)
@@ -142,6 +147,7 @@ func (s *Sockets) Trap(f *machine.Frame, base uint32, bad error) machine.Disposi
 			break
 		}
 		s.lis, s.conn, s.max = nil, c, max
+		s.stack.WaitReadable(c, s.ready, s.waits.Block(s.owner, machine.WaitNet))
 		return machine.DispositionBlock
 	case opWrite:
 		i := s.connAt(h)
@@ -181,30 +187,28 @@ func (s *Sockets) read(f *machine.Frame, c *Conn, max int) error {
 	return err
 }
 
-// Wait registers the owner's waker, under token, for the accept or read
-// Trap just blocked.
-func (s *Sockets) Wait(token uint64) {
-	if s.lis != nil {
-		s.stack.WaitConn(s.lis, s.wake, token)
+// wake is the table's network waker. If the owner still lives and token
+// names its wait, it finishes the blocked accept or read into the owner's
+// frame and wakes the owner with its error.
+func (s *Sockets) wake(token uint64) {
+	r := s.waits.Current(s.owner.PID, token, machine.WaitNet)
+	if r == nil {
 		return
 	}
-	s.stack.WaitReadable(s.conn, s.wake, token)
-}
-
-// Complete finishes the blocked accept or read into f, the owner's frame,
-// and returns its error for the owner's wake.
-func (s *Sockets) Complete(f *machine.Frame) error {
-	l, c := s.lis, s.conn
+	f, l, c := s.waits.Frame(r), s.lis, s.conn
 	s.lis, s.conn = nil, nil
+	var err error
 	if l != nil {
-		return s.accept(f, l)
+		err = s.accept(f, l)
+	} else {
+		err = s.read(f, c, s.max)
 	}
-	return s.read(f, c, s.max)
+	s.waits.Wake(r, err)
 }
 
 // Release closes every socket in handle order, unbinding the owner's ports
 // and ending its connections. The kernel calls it when the owner dies, after
-// invalidating the owner's wait so that a waker the closes fire does
+// dropping the owner from its lookup, so that a waker the closes fire does
 // nothing.
 func (s *Sockets) Release() {
 	if s == nil {
