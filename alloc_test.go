@@ -64,8 +64,9 @@ func TestE4RoundTripZeroAlloc(t *testing.T) {
 
 // TestSlowPathZeroAlloc gates the attacker-reachable refusal paths the way
 // TestE4RoundTripZeroAlloc gates the certified fast path: once warm, a
-// process looping on a lookup, a refused fork, a denied send, a sleep or a
-// faulting capability invocation allocates nothing per call. Warm-up runs
+// process looping on a lookup, a refused fork, a denied send, a sleep, a
+// refused device access or a faulting capability invocation allocates
+// nothing per call. Warm-up runs
 // past the capacity of the board's bounded trace and event rings, which
 // grow by append until full.
 func TestSlowPathZeroAlloc(t *testing.T) {
@@ -77,10 +78,13 @@ func TestSlowPathZeroAlloc(t *testing.T) {
 		{"minix-fork2-table-full", minixRefusedForks},
 		{"minix-acm-denied-sendnb", minixDeniedSends},
 		{"minix-sleep", minixSleeps},
+		{"minix-device-denied", minixDeniedDevices},
 		{"linux-fork-at-limit", linuxRefusedForks},
 		{"linux-mq-open-denied", linuxDeniedOpens},
 		{"linux-sleep", linuxSleeps},
+		{"linux-device-denied", linuxDeniedDevices},
 		{"sel4-suspend-empty-slot", sel4EmptySuspends},
+		{"sel4-device-denied", sel4DeniedDevices},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { runZeroAlloc(t, tc.build, 20000) })
@@ -229,6 +233,20 @@ func minixSleeps(tb testing.TB) (*machine.Machine, *int64) {
 	return m, rounds
 }
 
+// minixDeniedDevices reads and writes a device its image does not list,
+// over and over.
+func minixDeniedDevices(tb testing.TB) (*machine.Machine, *int64) {
+	m, _, rounds := minixBoard(tb, core.NewPolicy(), func(api *minix.API, rounds *int64) {
+		_, rerr := api.DevRead("heater", 0)
+		werr := api.DevWrite("heater", 0, 1)
+		if !errors.Is(rerr, minix.ErrNoPrivilege) || !errors.Is(werr, minix.ErrNoPrivilege) {
+			panic(fmt.Sprintf("device access without the privilege = %v, %v", rerr, werr))
+		}
+		*rounds++
+	})
+	return m, rounds
+}
+
 // linuxBoard boots Linux with the given process limit and registers one
 // image whose body loops on op, counting each completed call.
 func linuxBoard(tb testing.TB, maxProcs int, op func(api *linuxsim.API, rounds *int64)) (*machine.Machine, *linuxsim.Kernel, *int64) {
@@ -290,6 +308,21 @@ func linuxSleeps(tb testing.TB) (*machine.Machine, *int64) {
 	return m, rounds
 }
 
+// linuxDeniedDevices reads and writes a device whose /dev node only root
+// may open, over and over.
+func linuxDeniedDevices(tb testing.TB) (*machine.Machine, *int64) {
+	m, k, rounds := linuxBoard(tb, 0, func(api *linuxsim.API, rounds *int64) {
+		_, rerr := api.DevRead("heater", 0)
+		werr := api.DevWrite("heater", 0, 1)
+		if !errors.Is(rerr, linuxsim.ErrPerm) || !errors.Is(werr, linuxsim.ErrPerm) {
+			panic(fmt.Sprintf("device access against the /dev mode = %v, %v", rerr, werr))
+		}
+		*rounds++
+	})
+	k.RegisterDeviceFile("heater", 0, 0, linuxsim.ModeUserRead|linuxsim.ModeUserWrite)
+	return m, rounds
+}
+
 // sel4EmptySuspends invokes TCB_Suspend on an empty CSpace slot over and
 // over — one slot of the kill-controller brute force.
 func sel4EmptySuspends(tb testing.TB) (*machine.Machine, *int64) {
@@ -304,6 +337,32 @@ func sel4EmptySuspends(tb testing.TB) (*machine.Machine, *int64) {
 			*rounds++
 		}
 	})
+	if err := k.Start(th); err != nil {
+		tb.Fatal(err)
+	}
+	return m, rounds
+}
+
+// sel4DeniedDevices reads through an empty slot and writes through a
+// read-only device capability, over and over.
+func sel4DeniedDevices(tb testing.TB) (*machine.Machine, *int64) {
+	m := machine.New(machine.Config{})
+	k := sel4.NewKernel(m, sel4.Config{})
+	rounds := new(int64)
+	th := k.CreateThread("looper", 7, func(api *sel4.API) {
+		for {
+			_, rerr := api.DevRead(5, 0)
+			werr := api.DevWrite(1, 0, 1)
+			if !errors.Is(rerr, sel4.ErrInvalidCap) || !errors.Is(werr, sel4.ErrNoRights) {
+				panic(fmt.Sprintf("device access without the capability or right = %v, %v", rerr, werr))
+			}
+			*rounds++
+		}
+	})
+	dev := k.CreateDevice("heater")
+	if err := k.InstallCap(th, 1, sel4.Capability{Kind: sel4.KindDevice, Object: dev, Rights: sel4.CapRead}); err != nil {
+		tb.Fatal(err)
+	}
 	if err := k.Start(th); err != nil {
 		tb.Fatal(err)
 	}

@@ -151,6 +151,7 @@ func sortedIfaces(comp *Component) []string {
 func newRuntime(api *sel4.API, comp *Component) *Runtime {
 	rt := &Runtime{
 		SocketAPI: api.SocketAPI,
+		ProcAPI:   api.ProcAPI,
 		api:       api,
 		comp:      comp,
 		uses:      make(map[string]sel4.CPtr, len(comp.Uses)),

@@ -22,7 +22,6 @@ package camkes
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"mkbas/internal/capdl"
 	"mkbas/internal/machine"
@@ -107,10 +106,12 @@ var (
 
 // Runtime is the per-thread view a component's code receives: RPC client
 // stubs for its uses-interfaces plus device and network access through the
-// thread's capabilities. Past NetListen, the socket calls are the thread's
-// own (the embedded SocketAPI).
+// thread's capabilities. The clock and console calls (the embedded
+// ProcAPI) and, past NetListen, the socket calls (the embedded SocketAPI)
+// are the thread's own.
 type Runtime struct {
 	vnet.SocketAPI
+	machine.ProcAPI
 	api  *sel4.API
 	comp *Component
 
@@ -182,15 +183,6 @@ func (rt *Runtime) NetListen(port vnet.Port) (int32, error) {
 	}
 	return rt.api.NetListen(slot)
 }
-
-// Sleep parks the thread for a virtual duration.
-func (rt *Runtime) Sleep(d time.Duration) { rt.api.Sleep(d) }
-
-// Now returns the current virtual time.
-func (rt *Runtime) Now() machine.Time { return rt.api.Now() }
-
-// Trace writes to the board trace console.
-func (rt *Runtime) Trace(tag, text string) { rt.api.Trace(tag, text) }
 
 // API exposes the raw seL4 API, used by attack bodies that deliberately step
 // outside the glue (brute-forcing slots, attempting suspends).

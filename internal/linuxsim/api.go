@@ -10,15 +10,14 @@ import (
 // API is the POSIX-ish system-call surface a simulated Linux process
 // programs against. Each wrapper writes its arguments into the process's
 // trap frame, traps with its number (see the table in syscalls.go), and
-// reads the reply back from the frame.
+// reads the reply back from the frame. The clock, console, device (through
+// the /dev node, DAC applies) and exit calls are the embedded DeviceAPI's.
 type API struct {
 	vnet.SocketAPI
+	machine.DeviceAPI
 	ctx *machine.Context
 	f   *machine.Frame
 }
-
-// Now returns the current virtual time (free, no trap).
-func (a *API) Now() machine.Time { return a.ctx.Now() }
 
 // MQOpenFlags configures MQOpen.
 type MQOpenFlags struct {
@@ -147,39 +146,6 @@ func (a *API) GetPID() int {
 func (a *API) GetUID() int {
 	a.ctx.Trap(trapGetUID)
 	return int(a.f.R[0])
-}
-
-// Sleep blocks for a virtual duration.
-func (a *API) Sleep(d time.Duration) {
-	a.f.R[0] = uint64(d)
-	a.ctx.Trap(trapSleep)
-}
-
-// DevRead reads a device register through its /dev node (DAC applies).
-func (a *API) DevRead(dev machine.DeviceID, reg uint32) (uint32, error) {
-	a.f.S0, a.f.R[0] = string(dev), uint64(reg)
-	if err := a.ctx.Trap(trapDevRead); err != nil {
-		return 0, err
-	}
-	return uint32(a.f.R[0]), nil
-}
-
-// DevWrite writes a device register through its /dev node (DAC applies).
-func (a *API) DevWrite(dev machine.DeviceID, reg uint32, value uint32) error {
-	a.f.S0, a.f.R[0], a.f.R[1] = string(dev), uint64(reg), uint64(value)
-	return a.ctx.Trap(trapDevWrite)
-}
-
-// Trace writes to the board trace console.
-func (a *API) Trace(tag, text string) {
-	a.f.S0, a.f.S1 = tag, text
-	a.ctx.Trap(trapTrace)
-}
-
-// Exit terminates the caller. It does not return.
-func (a *API) Exit() {
-	a.ctx.Trap(trapExit)
-	panic("linuxsim: Exit returned")
 }
 
 // NetListen binds a port and returns a listener handle. The other socket

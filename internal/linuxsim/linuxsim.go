@@ -25,7 +25,6 @@ package linuxsim
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"mkbas/internal/machine"
 	"mkbas/internal/obs"
@@ -201,6 +200,7 @@ type Stats struct {
 
 // Kernel is the monolithic kernel simulator.
 type Kernel struct {
+	machine.IPCFaults
 	m   *machine.Machine
 	cfg Config
 
@@ -215,13 +215,10 @@ type Kernel struct {
 	// report restarts (spawns beyond the first).
 	spawnCounts map[string]int
 
-	// waits is the wait layer every blocking trap parks its caller in.
+	// waits is the wait layer every blocking trap parks its caller in,
+	// and traps the process traps, whose device check is devAccess.
 	waits *machine.Waits
-
-	// ipcFault, when set, is consulted on every mq_send with the sender's
-	// process name and the queue name; it may drop the message or delay its
-	// delivery (fault injection).
-	ipcFault func(src, queue string) (drop bool, delay time.Duration)
+	traps machine.ProcTraps
 
 	stats Stats
 
@@ -237,8 +234,8 @@ type Kernel struct {
 	limitErr    error
 
 	// denials memoises the event detail, trace line and error of each
-	// distinct mq_open and kill denial, the two an attacker loops on: the
-	// text depends only on the key.
+	// distinct mq_open, kill and device denial, the ones an attacker loops
+	// on: the text depends only on the key.
 	denials map[denialKey]*denial
 
 	// Observability hooks, resolved once at boot.
@@ -283,6 +280,7 @@ func Boot(m *machine.Machine, cfg Config) *Kernel {
 		}
 		return nil
 	}, phaseMQRecv, k.expireReceive, ErrTimeout)
+	k.traps = machine.NewProcTraps(m, k.waits, trapProc, k.devAccess)
 	board := m.Obs()
 	board.Events().SetPlatform("linux")
 	k.reg = board.Metrics()
@@ -299,13 +297,14 @@ func Boot(m *machine.Machine, cfg Config) *Kernel {
 	return k
 }
 
-// denialKey identifies one distinct mq_open or kill denial by everything
-// its text mentions.
+// denialKey identifies one distinct mq_open, kill or device denial by
+// everything its text mentions; name is the queue or the device.
 type denialKey struct {
-	op, src, queue string
-	uid            int
-	mode           Mode
-	pid, sig       int
+	op, src, name string
+	uid           int
+	mode          Mode
+	pid, sig      int
+	reg           uint32
 }
 
 // denial is the memoised text of one distinct denial.
@@ -341,18 +340,6 @@ func (k *Kernel) dacDeny(kind obs.EventKind, src, dst, detail string) {
 		Dst:       dst,
 		Detail:    detail,
 	})
-}
-
-// endSpan closes p's open queue span, observing the wait on delivery.
-func (k *Kernel) endSpan(p *proc, outcome obs.Outcome) {
-	if p.span == 0 {
-		return
-	}
-	d, ok := k.tracer.End(p.span, outcome)
-	p.span = 0
-	if ok && outcome == obs.OutcomeDelivered {
-		k.mMQWaitNs.Observe(time.Duration(d))
-	}
 }
 
 // Stats returns a snapshot of kernel counters.
@@ -407,7 +394,7 @@ func (k *Kernel) spawn(img Image) (int, error) {
 	k.nextPID++
 	body := img.Body
 	mp, err := k.m.Engine().Spawn(img.Name, img.Priority, func(ctx *machine.Context) {
-		body(&API{SocketAPI: vnet.NewSocketAPI(ctx, trapNetListen), ctx: ctx, f: ctx.Frame()})
+		body(&API{SocketAPI: vnet.NewSocketAPI(ctx, trapNetListen), DeviceAPI: machine.NewDeviceAPI(ctx, trapProc), ctx: ctx, f: ctx.Frame()})
 	})
 	if err != nil {
 		return 0, fmt.Errorf("linuxsim: spawning %q: %w", img.Name, err)
@@ -426,19 +413,6 @@ func (k *Kernel) spawn(img Image) (int, error) {
 // SpawnCount reports how many times an image has been spawned on this boot;
 // restarts are spawns beyond the first.
 func (k *Kernel) SpawnCount(image string) int { return k.spawnCounts[image] }
-
-// SetIPCFault installs (or, with nil, removes) the mq_send fault filter.
-func (k *Kernel) SetIPCFault(fn func(src, queue string) (drop bool, delay time.Duration)) {
-	k.ipcFault = fn
-}
-
-// faultFor consults the fault filter.
-func (k *Kernel) faultFor(src, queue string) (bool, time.Duration) {
-	if k.ipcFault == nil {
-		return false, 0
-	}
-	return k.ipcFault(src, queue)
-}
 
 // CrashProcess kills a live process by image name (fault injection). On
 // vanilla Linux nothing watches for the exit — that absence is the point of

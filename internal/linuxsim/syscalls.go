@@ -24,24 +24,25 @@ const (
 	trapRespawn                            // S0 image → R0 unix pid
 	trapGetPID                             // → R0 unix pid
 	trapGetUID                             // → R0 uid
-	trapSleep                              // R0 duration
-	trapDevRead                            // S0 device, R0 register → R0 value
-	trapDevWrite                           // S0 device, R0 register, R1 value
-	trapTrace                              // S0 tag, S1 text
-	trapExit                               // does not return
 	trapNetListen                          // R0 port → R0 listener
 	trapNetAccept                          // R0 listener → R0 connection
 	trapNetRead                            // R0 connection, R1 max → Buf data
 	trapNetWrite                           // R0 connection, Buf data
 	trapNetClose                           // R0 connection
 
-	trapLimit // one past the highest trap number
+	// trapProc is the first of the process traps (sleep, trace, device
+	// read and write, exit), laid out and run by machine.ProcTraps.
+	trapProc
+	trapLimit = trapProc + machine.ProcTrapCount // one past the highest trap number
 )
 
 // HandleTrap implements machine.TrapHandler: it dispatches on the trap
 // number, reading the arguments from and writing the reply into f, the
 // caller's frame.
 func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Disposition {
+	if k.traps.Handles(f.Nr) {
+		return k.traps.Trap(pid, f)
+	}
 	self := k.procOf(pid)
 	switch f.Nr {
 	case trapMQOpen:
@@ -87,40 +88,6 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 		f.R[0] = uint64(self.unixPID)
 	case trapGetUID:
 		f.R[0] = uint64(self.uid)
-	case trapSleep:
-		return k.waits.Sleep(&self.Wait, time.Duration(f.R[0]))
-	case trapDevRead:
-		dev, reg := machine.DeviceID(f.S0), uint32(f.R[0])
-		df, ok := k.devs[dev]
-		if !ok {
-			f.Err = fmt.Errorf("%w: device %q", ErrNoEnt, dev)
-			break
-		}
-		if !allowed(self.uid, self.gid, df.ownerUID, df.ownerGID, df.mode, true, false) {
-			k.dacDeny(obs.EventSyscallDenied, self.name, string(dev), fmt.Sprintf("read /dev/%s reg %d", dev, reg))
-			f.Err = fmt.Errorf("%w: read %q", ErrPerm, dev)
-			break
-		}
-		v, err := k.m.Bus().Read(dev, reg)
-		f.R[0], f.Err = uint64(v), err
-	case trapDevWrite:
-		dev, reg := machine.DeviceID(f.S0), uint32(f.R[0])
-		df, ok := k.devs[dev]
-		if !ok {
-			f.Err = fmt.Errorf("%w: device %q", ErrNoEnt, dev)
-			break
-		}
-		if !allowed(self.uid, self.gid, df.ownerUID, df.ownerGID, df.mode, false, true) {
-			k.dacDeny(obs.EventSyscallDenied, self.name, string(dev), fmt.Sprintf("write /dev/%s reg %d", dev, reg))
-			f.Err = fmt.Errorf("%w: write %q", ErrPerm, dev)
-			break
-		}
-		f.Err = k.m.Bus().Write(dev, reg, uint32(f.R[1]))
-	case trapTrace:
-		k.m.Trace().Log(f.S0, f.S1)
-	case trapExit:
-		// Kill unwinds the caller: the error slot is read only if it fails.
-		f.Err = k.m.Engine().Kill(pid)
 	case trapNetListen:
 		// Linux does not mediate the network: any process may bind an
 		// unprivileged port.
@@ -138,6 +105,32 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 		f.Err = fmt.Errorf("linuxsim: unknown trap %d", f.Nr)
 	}
 	return machine.DispositionContinue
+}
+
+// devAccess is the kernel's device access check: the caller's credentials
+// against the device's /dev node, its owner and mode. A refusal is a DAC
+// denial, booked once per distinct (operation, device, register).
+func (k *Kernel) devAccess(pid machine.PID, f *machine.Frame, write bool) (machine.DeviceID, error) {
+	self, dev := k.procOf(pid), machine.DeviceID(f.S0)
+	df, ok := k.devs[dev]
+	if !ok {
+		return "", fmt.Errorf("%w: device %q", ErrNoEnt, dev)
+	}
+	if !allowed(self.uid, self.gid, df.ownerUID, df.ownerGID, df.mode, !write, write) {
+		op, reg := "read", uint32(f.R[1])
+		if write {
+			op = "write"
+		}
+		d := k.denialFor(denialKey{op: op, name: string(dev), reg: reg}, func() denial {
+			return denial{
+				detail: fmt.Sprintf("%s /dev/%s reg %d", op, dev, reg),
+				err:    fmt.Errorf("%w: %s %q", ErrPerm, op, dev),
+			}
+		})
+		k.dacDeny(obs.EventSyscallDenied, self.name, string(dev), d.detail)
+		return "", d.err
+	}
+	return dev, nil
 }
 
 // doMQOpen implements mq_open with O_CREAT/O_EXCL and access-mode flags.
@@ -166,7 +159,7 @@ func (k *Kernel) doMQOpen(self *proc, f *machine.Frame) error {
 		k.mqs[name] = q
 	}
 	if !allowed(self.uid, self.gid, q.ownerUID, q.ownerGID, q.mode, read, write) {
-		d := k.denialFor(denialKey{op: "mq_open", src: self.name, queue: name, uid: self.uid, mode: q.mode}, func() denial {
+		d := k.denialFor(denialKey{op: "mq_open", src: self.name, name: name, uid: self.uid, mode: q.mode}, func() denial {
 			return denial{
 				detail: fmt.Sprintf("mq_open uid=%d mode=%04o", self.uid, q.mode),
 				trace:  fmt.Sprintf("DENY mq_open %s by %s (uid %d)", name, self.name, self.uid),
@@ -232,7 +225,7 @@ func (k *Kernel) doMQSend(self *proc, f *machine.Frame) machine.Disposition {
 	}
 	msg := MQMsg{Data: append(k.getBuf(), f.Buf...), Prio: uint32(f.R[1])}
 	q, e := fdesc.q, fdesc.edges
-	drop, delay := k.faultFor(self.name, q.name)
+	drop, delay := k.FaultFor(self.name, q.name)
 	if drop {
 		// mq_send reports only queue-level failures; a message lost in
 		// transit looks like success to the sender.
@@ -258,7 +251,7 @@ func (k *Kernel) doMQSend(self *proc, f *machine.Frame) machine.Disposition {
 		k.m.IPC().Record(e.send)
 		k.m.IPC().Record(reader.recvEdge)
 		k.tracer.Emit(e.mqSend, obs.OutcomeDelivered)
-		k.endSpan(reader, obs.OutcomeDelivered)
+		k.tracer.Finish(&reader.span, obs.OutcomeDelivered, k.mMQWaitNs)
 		k.deliverMsg(reader, msg)
 		k.waits.Wake(&reader.Wait, nil)
 		return machine.DispositionContinue
@@ -308,7 +301,7 @@ func (k *Kernel) doMQReceive(self *proc, rfd int32) machine.Disposition {
 			k.stats.MQSends++
 			wp := k.procs[w.pid]
 			k.m.IPC().Record(w.send)
-			k.endSpan(wp, obs.OutcomeDelivered)
+			k.tracer.Finish(&wp.span, obs.OutcomeDelivered, k.mMQWaitNs)
 			k.waits.Wake(&wp.Wait, nil)
 		}
 		q.depth.Set(int64(len(q.msgs)))
@@ -335,7 +328,7 @@ func (k *Kernel) deliverToQueue(send obs.EdgeID, q *mqueue, msg MQMsg) {
 		k.stats.MQReceives++
 		k.m.IPC().Record(send)
 		k.m.IPC().Record(reader.recvEdge)
-		k.endSpan(reader, obs.OutcomeDelivered)
+		k.tracer.Finish(&reader.span, obs.OutcomeDelivered, k.mMQWaitNs)
 		k.deliverMsg(reader, msg)
 		k.waits.Wake(&reader.Wait, nil)
 		return
@@ -398,13 +391,13 @@ func (k *Kernel) doMQUnlink(self *proc, name string) error {
 	// Blocked parties get ENOENT, like a destroyed queue.
 	for _, pid := range q.readers {
 		if p := k.procs[pid]; p != nil && p.Phase == phaseMQRecv {
-			k.endSpan(p, obs.OutcomeAborted)
+			k.tracer.Finish(&p.span, obs.OutcomeAborted, k.mMQWaitNs)
 			k.waits.Wake(&p.Wait, fmt.Errorf("%w: queue %q unlinked", ErrNoEnt, name))
 		}
 	}
 	for _, w := range q.writers {
 		if p := k.procs[w.pid]; p != nil && p.Phase == phaseMQSend {
-			k.endSpan(p, obs.OutcomeAborted)
+			k.tracer.Finish(&p.span, obs.OutcomeAborted, k.mMQWaitNs)
 			k.waits.Wake(&p.Wait, fmt.Errorf("%w: queue %q unlinked", ErrNoEnt, name))
 		}
 	}
@@ -458,7 +451,7 @@ func (k *Kernel) expireReceive(pid machine.PID) {
 			break
 		}
 	}
-	k.endSpan(p, obs.OutcomeAborted)
+	k.tracer.Finish(&p.span, obs.OutcomeAborted, k.mMQWaitNs)
 }
 
 // popReader dequeues the next still-blocked reader.
@@ -509,7 +502,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 	if info.Crashed {
 		k.m.Trace().Logf("linux", "SEGFAULT %s: %v", p.name, info.PanicValue)
 	}
-	k.endSpan(p, obs.OutcomeAborted)
+	k.tracer.Finish(&p.span, obs.OutcomeAborted, k.mMQWaitNs)
 	delete(k.procs, pid)
 	delete(k.byUnix, p.unixPID)
 	k.waits.End(&p.Wait)

@@ -22,7 +22,9 @@
 // kernel writes its reply into that frame and decides whether the process
 // continues, blocks, or dies. A process that blocks waits in its kernel's
 // Waits layer, which sleeps, times out and wakes processes the same way
-// under every kernel. Because the
-// Engine is single-threaded and scheduling is FIFO within priority, attack
-// experiments built on top of it are fully deterministic.
+// under every kernel. The sleep, console, device and exit traps are one
+// ProcTraps layer too (process side: ProcAPI, DeviceAPI): a kernel gives
+// it only its device access check. Because the Engine is single-threaded
+// and scheduling is FIFO within priority, attack experiments built on top
+// of it are fully deterministic.
 package machine

@@ -417,7 +417,16 @@ func (e *Engine) Ready(pid PID) error {
 // the exit is booked immediately and the unwind happens when control returns
 // to Context.Trap. In both cases the kernel's OnProcExit hook fires with
 // Killed set before the next dispatch.
-func (e *Engine) Kill(pid PID) error {
+func (e *Engine) Kill(pid PID) error { return e.end(pid, ExitInfo{Killed: true}) }
+
+// Exit ends a process the way Kill does, but books the death as the
+// process's own, like a body that returns: the kernel's OnProcExit hook
+// sees neither Killed nor Crashed. A kernel's exit trap calls it on the
+// trapping process.
+func (e *Engine) Exit(pid PID) error { return e.end(pid, ExitInfo{}) }
+
+// end destroys a live process and reports info to the kernel.
+func (e *Engine) end(pid PID, info ExitInfo) error {
 	p := e.lookup(pid)
 	if p == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchProc, pid)
@@ -434,7 +443,7 @@ func (e *Engine) Kill(pid PID) error {
 	e.stats.Exits++
 	e.mExits.Inc()
 	e.mLive.Set(int64(e.live))
-	e.handler.OnProcExit(pid, ExitInfo{Killed: true})
+	e.handler.OnProcExit(pid, info)
 	return nil
 }
 

@@ -358,6 +358,25 @@ func TestKillSelfDuringTrap(t *testing.T) {
 	}
 }
 
+// TestExitBooksOwnDeath ends a blocked process with Exit: it dies like a
+// killed one, but the kernel hears of a death that is neither a kill nor a
+// crash.
+func TestExitBooksOwnDeath(t *testing.T) {
+	m, k := newTestBoard(t)
+	e := m.Engine()
+	p := mustSpawn(t, e, "waiter", 7, func(ctx *Context) { recv(ctx) })
+	m.Run(time.Second)
+	if err := e.Exit(p.PID()); err != nil {
+		t.Fatalf("Exit: %v", err)
+	}
+	if p.State() != StateDead || len(k.exits) != 1 || k.exits[0].info != (ExitInfo{}) {
+		t.Fatalf("state %v, exits %+v; want dead with one plain exit", p.State(), k.exits)
+	}
+	if err := e.Exit(p.PID()); !errors.Is(err, ErrProcDead) {
+		t.Fatalf("second Exit = %v, want %v", err, ErrProcDead)
+	}
+}
+
 func TestKillDeadProcessFails(t *testing.T) {
 	m, _ := newTestBoard(t)
 	e := m.Engine()

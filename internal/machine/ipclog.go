@@ -2,6 +2,7 @@ package machine
 
 import (
 	"sort"
+	"time"
 
 	"mkbas/internal/obs"
 )
@@ -161,4 +162,28 @@ func (l *IPCLog) Usages() []IPCUsageCount {
 		return a.Label < b.Label
 	})
 	return out
+}
+
+// IPCFaults is a kernel's fault-injection IPC filter, embedded in every
+// kernel. The kernel consults it after its policy allows a delivery, with
+// the sender's name and the name of what it sends to (a process, an
+// endpoint or a queue): drop loses the message in transit, delay postpones
+// its delivery. Transport faults model flaky drivers, not policy: denials
+// still come only from the kernel's access checks.
+type IPCFaults struct {
+	filter func(src, dst string) (drop bool, delay time.Duration)
+}
+
+// SetIPCFault installs fn as the filter; nil clears it, the common case.
+func (f *IPCFaults) SetIPCFault(fn func(src, dst string) (drop bool, delay time.Duration)) {
+	f.filter = fn
+}
+
+// FaultFor consults the installed filter; with none, nothing is dropped or
+// delayed.
+func (f *IPCFaults) FaultFor(src, dst string) (bool, time.Duration) {
+	if f.filter == nil {
+		return false, 0
+	}
+	return f.filter(src, dst)
 }

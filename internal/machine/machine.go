@@ -97,9 +97,10 @@ func (m *Machine) Rand() *rand.Rand {
 	return m.rng
 }
 
-// Run drives the engine for a virtual duration from the current instant.
+// Run drives the engine for a virtual duration from the current instant. A
+// horizon past the latest instant saturates there, as a timer's does.
 func (m *Machine) Run(d time.Duration) RunResult {
-	return m.engine.Run(m.clock.Now().Add(d))
+	return m.engine.Run(m.clock.deadline(d))
 }
 
 // RunUntil drives the engine to an absolute virtual instant. Lockstep

@@ -66,6 +66,22 @@ func TestDeadlineSaturates(t *testing.T) {
 	}
 }
 
+// TestRunHorizonSaturates runs a board for the longest duration there is
+// from past its start: the horizon saturates instead of wrapping into the
+// past, so the run goes on until the sleeper has woken and exited.
+func TestRunHorizonSaturates(t *testing.T) {
+	m, _ := newTestBoard(t)
+	mustSpawn(t, m.Engine(), "sleeper", 7, func(ctx *Context) {
+		sleep(ctx, time.Second)
+		sleep(ctx, time.Second)
+	})
+	m.Run(1500 * time.Millisecond)
+	res := m.Run(time.Duration(math.MaxInt64))
+	if res.Reason != StopAllExited || res.Now < Time(2*time.Second) {
+		t.Fatalf("Run(max) = %v at %v, want %v after the second sleep", res.Reason, res.Now, StopAllExited)
+	}
+}
+
 // TestTimerSizeClass keeps a timer, with the process it wakes, in the
 // 64-byte allocation class: a fork bomb's children keep one each pending.
 func TestTimerSizeClass(t *testing.T) {

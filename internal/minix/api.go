@@ -11,9 +11,11 @@ import (
 // against. One API value is handed to each Image body; all methods trap into
 // the kernel and may yield the virtual CPU. Each wrapper writes its
 // arguments into the process's trap frame, traps with its number (see the
-// table in syscalls.go), and reads the reply back from the frame.
+// table in syscalls.go), and reads the reply back from the frame. The
+// clock, console, device and exit calls are the embedded DeviceAPI's.
 type API struct {
 	vnet.SocketAPI
+	machine.DeviceAPI
 	ctx  *machine.Context
 	f    *machine.Frame
 	self Endpoint
@@ -21,9 +23,6 @@ type API struct {
 
 // Self returns the calling process's endpoint.
 func (a *API) Self() Endpoint { return a.self }
-
-// Now returns the current virtual time (free, no trap).
-func (a *API) Now() machine.Time { return a.ctx.Now() }
 
 // Send delivers msg to dst synchronously, blocking until the receiver picks
 // it up (rendezvous). The kernel stamps the source and consults the ACM.
@@ -81,27 +80,6 @@ func (a *API) SendNB(dst Endpoint, msg Message) error {
 	return a.ctx.Trap(trapSendNB)
 }
 
-// Sleep blocks the process for a virtual duration.
-func (a *API) Sleep(d time.Duration) {
-	a.f.R[0] = uint64(d)
-	a.ctx.Trap(trapSleep)
-}
-
-// DevRead reads a device register; the process must hold the device grant.
-func (a *API) DevRead(dev machine.DeviceID, reg uint32) (uint32, error) {
-	a.f.S0, a.f.R[0] = string(dev), uint64(reg)
-	if err := a.ctx.Trap(trapDevRead); err != nil {
-		return 0, err
-	}
-	return uint32(a.f.R[0]), nil
-}
-
-// DevWrite writes a device register; the process must hold the device grant.
-func (a *API) DevWrite(dev machine.DeviceID, reg uint32, value uint32) error {
-	a.f.S0, a.f.R[0], a.f.R[1] = string(dev), uint64(reg), uint64(value)
-	return a.ctx.Trap(trapDevWrite)
-}
-
 // Lookup resolves a published process name to its current endpoint (the
 // kernel directory service; processes are auto-published at spawn).
 func (a *API) Lookup(name string) (Endpoint, error) {
@@ -116,18 +94,6 @@ func (a *API) epReply(err error) (Endpoint, error) {
 		return EndpointNone, err
 	}
 	return Endpoint(a.f.R[0]), nil
-}
-
-// Trace writes a line to the board trace console.
-func (a *API) Trace(tag, text string) {
-	a.f.S0, a.f.S1 = tag, text
-	a.ctx.Trap(trapTrace)
-}
-
-// Exit terminates the calling process voluntarily. It does not return.
-func (a *API) Exit() {
-	a.ctx.Trap(trapExit)
-	panic("minix: Exit returned")
 }
 
 // NetListen binds a port (network privilege required) and returns a

@@ -105,8 +105,8 @@ type procEntry struct {
 
 	// IPC state.
 	wantSendRec bool
-	// exiting marks a voluntary exit() so OnProcExit does not count it as a
-	// crash.
+	// exiting marks a process killed by a PM-authorized kill, so
+	// OnProcExit does not count the kill as a crash.
 	exiting  bool
 	recvFrom Endpoint
 	senders  []machine.PID
@@ -126,6 +126,7 @@ type procEntry struct {
 // machine.TrapHandler plus the process table, directory service, ACM
 // enforcement, and device/network mediation.
 type Kernel struct {
+	machine.IPCFaults
 	m      *machine.Machine
 	policy *core.Policy
 	cfg    Config
@@ -150,8 +151,10 @@ type Kernel struct {
 	pm *pmServer
 	rs *rsServer
 
-	// waits is the wait layer every blocking trap parks its caller in.
+	// waits is the wait layer every blocking trap parks its caller in,
+	// and traps the process traps, whose device check is devAccess.
 	waits *machine.Waits
+	traps machine.ProcTraps
 
 	stats Stats
 
@@ -178,14 +181,12 @@ type Kernel struct {
 	whos  map[procIdent]uint32
 	cells map[cellKey]cellEdges
 
-	// ipcFault is the fault-injection filter, consulted after ACM checks on
-	// every send path. nil when no campaign is armed (the common case).
-	ipcFault func(src, dst string) (drop bool, delay time.Duration)
-
 	// denials memoises each distinct ACM denial's error, event detail and
 	// trace line, so an attacker repeating a denied send costs no
-	// formatting: the text depends only on the key.
-	denials map[denialKey]*denial
+	// formatting: the text depends only on the key. devDenials does the
+	// same for a refused device trap, whose text names only the device.
+	denials    map[denialKey]*denial
+	devDenials map[machine.DeviceID]error
 }
 
 // procIdent is what names a process in its IPC edges: the span names it
@@ -244,6 +245,8 @@ func Boot(m *machine.Machine, policy *core.Policy, cfg Config) (*Kernel, error) 
 		names:  make(map[string]Endpoint),
 		whos:   make(map[procIdent]uint32),
 		cells:  make(map[cellKey]cellEdges),
+
+		devDenials: make(map[machine.DeviceID]error),
 	}
 	board := m.Obs()
 	board.Events().SetPlatform("minix")
@@ -268,6 +271,7 @@ func Boot(m *machine.Machine, policy *core.Policy, cfg Config) (*Kernel, error) 
 		}
 		return nil
 	}, phaseRecvBlocked, nil, ErrTimeout)
+	k.traps = machine.NewProcTraps(m, k.waits, trapProc, k.devAccess)
 
 	k.pm = newPMServer(k, policy.Syscalls)
 	k.rs = newRSServer(k)
@@ -280,23 +284,6 @@ func Boot(m *machine.Machine, policy *core.Policy, cfg Config) (*Kernel, error) 
 	}
 	k.rs.ep = rsEP
 	return k, nil
-}
-
-// SetIPCFault installs fn as the fault-injection IPC filter. It runs after
-// the ACM allows a delivery, with the sender's and receiver's process names;
-// drop loses the message in transit, delay postpones delivery. nil clears
-// the filter. Transport faults model flaky drivers, not policy: denials
-// still come only from the ACM.
-func (k *Kernel) SetIPCFault(fn func(src, dst string) (drop bool, delay time.Duration)) {
-	k.ipcFault = fn
-}
-
-// faultFor consults the installed IPC fault filter.
-func (k *Kernel) faultFor(src, dst string) (bool, time.Duration) {
-	if k.ipcFault == nil {
-		return false, 0
-	}
-	return k.ipcFault(src, dst)
 }
 
 // CrashProcess kills the named process as if it had faulted: unlike the
@@ -418,7 +405,7 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 	}
 	body := img.Body
 	proc, err := k.m.Engine().Spawn(img.Name, img.Priority, func(ctx *machine.Context) {
-		body(&API{SocketAPI: vnet.NewSocketAPI(ctx, trapNetListen), ctx: ctx, f: ctx.Frame(), self: ep})
+		body(&API{SocketAPI: vnet.NewSocketAPI(ctx, trapNetListen), DeviceAPI: machine.NewDeviceAPI(ctx, trapProc), ctx: ctx, f: ctx.Frame(), self: ep})
 	})
 	if err != nil {
 		return EndpointNone, fmt.Errorf("minix: spawning %q: %w", img.Name, err)
@@ -581,23 +568,13 @@ func (k *Kernel) denialFor(src, dst *procEntry, msgType int32) *denial {
 	return d
 }
 
-// endSpan closes e's open sendrec span, if any, observing the round-trip
-// latency on delivery.
-func (k *Kernel) endSpan(e *procEntry, outcome obs.Outcome) {
-	if e.span == 0 {
-		return
-	}
-	d, ok := k.tracer.End(e.span, outcome)
-	e.span = 0
-	if ok && outcome == obs.OutcomeDelivered {
-		k.mSendRecNs.Observe(time.Duration(d))
-	}
-}
-
 // HandleTrap implements machine.TrapHandler: it dispatches on the trap
 // number, reading the arguments from and writing the reply into f, the
 // caller's frame (the layouts are in syscalls.go).
 func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Disposition {
+	if k.traps.Handles(f.Nr) {
+		return k.traps.Trap(pid, f)
+	}
 	self := k.entryOf(pid)
 	switch f.Nr {
 	case trapSend, trapSendRec:
@@ -615,30 +592,9 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 		f.Err = k.doNotify(self, Endpoint(f.R[0]))
 	case trapSendNB:
 		f.Err = k.doSendNB(self, Endpoint(f.R[0]), frameMsg(f))
-	case trapSleep:
-		return k.waits.Sleep(&self.Wait, time.Duration(f.R[0]))
-	case trapDevRead:
-		dev := machine.DeviceID(f.S0)
-		if !self.devs[dev] {
-			f.Err = fmt.Errorf("%w: device %q", ErrNoPrivilege, dev)
-			break
-		}
-		k.stats.DevReads++
-		v, err := k.m.Bus().Read(dev, uint32(f.R[0]))
-		f.R[0], f.Err = uint64(v), err
-	case trapDevWrite:
-		dev := machine.DeviceID(f.S0)
-		if !self.devs[dev] {
-			f.Err = fmt.Errorf("%w: device %q", ErrNoPrivilege, dev)
-			break
-		}
-		k.stats.DevWrites++
-		f.Err = k.m.Bus().Write(dev, uint32(f.R[0]), uint32(f.R[1]))
 	case trapLookup:
 		ep, err := k.EndpointOf(f.S0)
 		f.R[0], f.Err = uint64(ep), err
-	case trapTrace:
-		k.m.Trace().Log(f.S0, f.S1)
 	case trapNetListen, trapNetAccept, trapNetRead, trapNetWrite, trapNetClose:
 		return k.doNet(self, f)
 	case trapGrantCreate:
@@ -647,10 +603,6 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 		f.Err = k.doGrantRevoke(self, GrantID(f.R[0]))
 	case trapSafeCopy:
 		f.Err = k.doSafeCopy(self, f)
-	case trapExit:
-		self.exiting = true
-		// Kill unwinds the caller: the error slot is read only if it fails.
-		f.Err = k.m.Engine().Kill(pid)
 	case trapKSpawn:
 		if !self.isServer {
 			f.Err = ErrNoPrivilege
@@ -664,6 +616,24 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 		f.Err = fmt.Errorf("minix: unknown trap %d", f.Nr)
 	}
 	return machine.DispositionContinue
+}
+
+// devAccess is the kernel's device access check: a process reaches only
+// the devices its image lists (the per-process device privilege).
+func (k *Kernel) devAccess(pid machine.PID, f *machine.Frame, write bool) (machine.DeviceID, error) {
+	dev := machine.DeviceID(f.S0)
+	if !k.entryOf(pid).devs[dev] {
+		if k.devDenials[dev] == nil {
+			k.devDenials[dev] = fmt.Errorf("%w: device %q", ErrNoPrivilege, dev)
+		}
+		return "", k.devDenials[dev]
+	}
+	if write {
+		k.stats.DevWrites++
+	} else {
+		k.stats.DevReads++
+	}
+	return dev, nil
 }
 
 // doKKill is the privileged kernel kill PM issues once it has audited a
@@ -722,7 +692,7 @@ func (k *Kernel) doSend(self *procEntry, dst Endpoint, msg Message, sendRec bool
 		f.Err = err
 		return machine.DispositionContinue
 	}
-	drop, delay := k.faultFor(self.name, target.name)
+	drop, delay := k.FaultFor(self.name, target.name)
 	if drop {
 		if sendRec {
 			k.tracer.Emit(cell.span, obs.OutcomeAborted)
@@ -768,7 +738,7 @@ func (k *Kernel) delaySend(self *procEntry, dst Endpoint, msg Message, sendRec b
 		}
 		target := k.resolve(dst)
 		if target == nil {
-			k.endSpan(self, obs.OutcomeAborted)
+			k.tracer.Finish(&self.span, obs.OutcomeAborted, k.mSendRecNs)
 			k.waits.Wake(&self.Wait, fmt.Errorf("%w: %v", ErrDeadSrcDst, dst))
 			return
 		}
@@ -791,7 +761,7 @@ func (k *Kernel) delaySend(self *procEntry, dst Endpoint, msg Message, sendRec b
 func (k *Kernel) completeReceive(receiver *procEntry, msg Message) {
 	k.stats.IPCDelivered++
 	k.mDelivered.Inc()
-	k.endSpan(receiver, obs.OutcomeDelivered)
+	k.tracer.Finish(&receiver.span, obs.OutcomeDelivered, k.mSendRecNs)
 	putMsg(receiver.frame, &msg)
 	k.waits.Wake(&receiver.Wait, nil)
 }
@@ -868,7 +838,7 @@ func (k *Kernel) doNotify(self *procEntry, dst Endpoint) error {
 	if _, err := k.checkIPC(self, target, int32(core.MsgAck)); err != nil {
 		return err
 	}
-	drop, delay := k.faultFor(self.name, target.name)
+	drop, delay := k.FaultFor(self.name, target.name)
 	if drop {
 		// Notifications are fire-and-forget: a lost one is a silent success.
 		return nil
@@ -916,7 +886,7 @@ func (k *Kernel) doSendNB(self *procEntry, dst Endpoint, msg Message) error {
 	if _, err := k.checkIPC(self, target, msg.Type); err != nil {
 		return err
 	}
-	drop, delay := k.faultFor(self.name, target.name)
+	drop, delay := k.FaultFor(self.name, target.name)
 	if drop {
 		// Async sends report success; the message is lost in transit.
 		return nil
@@ -1022,7 +992,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 		delete(k.names, e.name)
 	}
 	k.waits.End(&e.Wait)
-	k.endSpan(e, obs.OutcomeAborted)
+	k.tracer.Finish(&e.span, obs.OutcomeAborted, k.mSendRecNs)
 	k.mMailbox.Add(int64(-len(e.mailbox)))
 
 	// Wake senders queued on the victim.
@@ -1031,7 +1001,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 		if sender == nil || sender.Phase != phaseSendBlocked {
 			continue
 		}
-		k.endSpan(sender, obs.OutcomeAborted)
+		k.tracer.Finish(&sender.span, obs.OutcomeAborted, k.mSendRecNs)
 		k.waits.Wake(&sender.Wait, fmt.Errorf("%w: %v", ErrDeadSrcDst, e.ep))
 	}
 	// Wake receivers waiting specifically on the victim, and drop the victim
@@ -1041,7 +1011,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 			continue
 		}
 		if other.Phase == phaseRecvBlocked && other.recvFrom == e.ep {
-			k.endSpan(other, obs.OutcomeAborted)
+			k.tracer.Finish(&other.span, obs.OutcomeAborted, k.mSendRecNs)
 			k.waits.Wake(&other.Wait, fmt.Errorf("%w: %v", ErrDeadSrcDst, e.ep))
 		}
 		for i, senderPID := range other.senders {

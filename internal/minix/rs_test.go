@@ -134,3 +134,24 @@ func TestRSBudgetDecaysAfterStablePeriod(t *testing.T) {
 		t.Errorf("crashy not respawned after decayed budget: %v", err)
 	}
 }
+
+// TestRSIgnoresVoluntaryExit checks that a Restart-flagged driver that
+// calls Exit is not reincarnated: only a crash or a kill outside PM's
+// audited kill counts as a fault.
+func TestRSIgnoresVoluntaryExit(t *testing.T) {
+	m, k := testBoard(t, testPolicy(), Config{})
+	img := crashyImage()
+	img.Body = func(api *API) {
+		api.Sleep(time.Second)
+		api.Exit()
+	}
+	k.RegisterImage(img)
+	spawnOrFatal(t, k, "crashy", acidA)
+	m.Run(time.Minute)
+	if _, err := k.EndpointOf("crashy"); err == nil {
+		t.Fatal("a driver that exited was respawned")
+	}
+	if got := k.RS().Restarts("crashy"); got != 0 {
+		t.Fatalf("Restarts = %d, want 0", got)
+	}
+}

@@ -1,6 +1,10 @@
 package minix
 
-import "errors"
+import (
+	"errors"
+
+	"mkbas/internal/machine"
+)
 
 // IPC and kernel-call errors.
 var (
@@ -40,12 +44,7 @@ const (
 	trapReceiveTimeout                   // R0 from, R1 timeout → R1..R8 msg
 	trapNotify                           // R0 dst
 	trapSendNB                           // R0 dst, R1..R8 msg
-	trapSleep                            // R0 duration
-	trapDevRead                          // S0 device, R0 register → R0 value
-	trapDevWrite                         // S0 device, R0 register, R1 value
 	trapLookup                           // S0 name → R0 endpoint
-	trapTrace                            // S0 tag, S1 text
-	trapExit                             // does not return
 	trapNetListen                        // R0 port → R0 listener
 	trapNetAccept                        // R0 listener → R0 connection
 	trapNetRead                          // R0 connection, R1 max → Buf data
@@ -59,7 +58,10 @@ const (
 	trapKSpawn // S0 image, R0 ac_id (0 inherits) → R0 endpoint
 	trapKKill  // R0 target
 
-	trapLimit // one past the highest trap number
+	// trapProc is the first of the process traps (sleep, trace, device
+	// read and write, exit), laid out and run by machine.ProcTraps.
+	trapProc
+	trapLimit = trapProc + machine.ProcTrapCount // one past the highest trap number
 )
 
 // Wire error codes used inside PM protocol payloads.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"time"
 )
 
 // Outcome classifies how a mediated IPC round trip ended.
@@ -153,6 +154,20 @@ func (t *Tracer) End(id SpanID, outcome Outcome) (Time, bool) {
 	s.Outcome = outcome
 	t.push(s)
 	return s.End - s.Start, true
+}
+
+// Finish ends the open span *id, if any, and clears *id; a delivered
+// span's duration is observed on h. It is how a kernel closes a process's
+// round-trip or wait span.
+func (t *Tracer) Finish(id *SpanID, outcome Outcome, h *Histogram) {
+	if *id == 0 {
+		return
+	}
+	d, ok := t.End(*id, outcome)
+	*id = 0
+	if ok && outcome == OutcomeDelivered {
+		h.Observe(time.Duration(d))
+	}
 }
 
 // Emit records a complete zero-length span on edge at the current instant

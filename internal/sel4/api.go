@@ -1,8 +1,6 @@
 package sel4
 
 import (
-	"time"
-
 	"mkbas/internal/machine"
 	"mkbas/internal/vnet"
 )
@@ -12,14 +10,13 @@ import (
 // thread's own CSpace; the kernel validates possession and rights. Each
 // wrapper writes its arguments into the thread's trap frame, traps with its
 // number (see the table in ipc.go), and reads the reply back from the frame.
+// The clock and console calls are the embedded ProcAPI's.
 type API struct {
 	vnet.SocketAPI
+	machine.ProcAPI
 	ctx *machine.Context
 	f   *machine.Frame
 }
-
-// Now returns the current virtual time (free, no trap).
-func (a *API) Now() machine.Time { return a.ctx.Now() }
 
 // A message travels in a trap frame's registers R1..R11, as seL4's message
 // registers: R1 the label, R2..R9 the words, and R10 and R11 a transferred
@@ -132,7 +129,7 @@ func (a *API) CapDelete(slot CPtr) error {
 // DevRead reads a device register through a device capability (read right).
 func (a *API) DevRead(cptr CPtr, reg uint32) (uint32, error) {
 	a.f.R[0], a.f.R[1] = uint64(cptr), uint64(reg)
-	if err := a.ctx.Trap(trapDevRead); err != nil {
+	if err := a.ctx.Trap(trapProc + machine.ProcDevRead); err != nil {
 		return 0, err
 	}
 	return uint32(a.f.R[0]), nil
@@ -142,19 +139,7 @@ func (a *API) DevRead(cptr CPtr, reg uint32) (uint32, error) {
 // right).
 func (a *API) DevWrite(cptr CPtr, reg uint32, value uint32) error {
 	a.f.R[0], a.f.R[1], a.f.R[2] = uint64(cptr), uint64(reg), uint64(value)
-	return a.ctx.Trap(trapDevWrite)
-}
-
-// Sleep parks the thread on the timer service for a virtual duration.
-func (a *API) Sleep(d time.Duration) {
-	a.f.R[0] = uint64(d)
-	a.ctx.Trap(trapSleep)
-}
-
-// Trace writes a line to the board trace console.
-func (a *API) Trace(tag, text string) {
-	a.f.S0, a.f.S1 = tag, text
-	a.ctx.Trap(trapTrace)
+	return a.ctx.Trap(trapProc + machine.ProcDevWrite)
 }
 
 // NetListen binds the port referenced by a net-port capability (read right)

@@ -27,23 +27,26 @@ const (
 	trapCapCopy                      // R0 source slot, R1 destination slot
 	trapCapMint                      // R0 source slot, R1 destination slot, R2 badge, R3 rights
 	trapCapDelete                    // R0 slot
-	trapDevRead                      // R0 device cap, R1 register → R0 value
-	trapDevWrite                     // R0 device cap, R1 register, R2 value
-	trapSleep                        // R0 duration
-	trapTrace                        // S0 tag, S1 text
 	trapNetListen                    // R0 net-port cap → R0 listener
 	trapNetAccept                    // R0 listener → R0 connection
 	trapNetRead                      // R0 connection, R1 max → Buf data
 	trapNetWrite                     // R0 connection, Buf data
 	trapNetClose                     // R0 connection
 
-	trapLimit // one past the highest trap number
+	// trapProc is the first of the process traps (sleep, trace, device
+	// read and write, exit), laid out and run by machine.ProcTraps; a
+	// device trap names the device by a capability in R0.
+	trapProc
+	trapLimit = trapProc + machine.ProcTrapCount // one past the highest trap number
 )
 
 // HandleTrap implements machine.TrapHandler: it dispatches on the trap
 // number, reading the arguments from and writing the reply into f, the
 // caller's frame.
 func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Disposition {
+	if k.traps.Handles(f.Nr) {
+		return k.traps.Trap(pid, f)
+	}
 	t := k.tcbOf(pid)
 	switch f.Nr {
 	case trapSend, trapNBSend:
@@ -69,25 +72,6 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 			break
 		}
 		t.cspace[slot] = Capability{}
-	case trapDevRead:
-		c, err := k.lookupCap(t, CPtr(f.R[0]), KindDevice, CapRead)
-		if err != nil {
-			f.Err = err
-			break
-		}
-		v, err := k.m.Bus().Read(k.devs[c.Object].dev, uint32(f.R[1]))
-		f.R[0], f.Err = uint64(v), err
-	case trapDevWrite:
-		c, err := k.lookupCap(t, CPtr(f.R[0]), KindDevice, CapWrite)
-		if err != nil {
-			f.Err = err
-			break
-		}
-		f.Err = k.m.Bus().Write(k.devs[c.Object].dev, uint32(f.R[1]), uint32(f.R[2]))
-	case trapSleep:
-		return k.waits.Sleep(&t.Wait, time.Duration(f.R[0]))
-	case trapTrace:
-		k.m.Trace().Log(f.S0, f.S1)
 	case trapNetListen:
 		k.doNetListen(t, f)
 	case trapNetAccept, trapNetRead, trapNetWrite, trapNetClose:
@@ -96,6 +80,20 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 		f.Err = fmt.Errorf("sel4: unknown trap %d", f.Nr)
 	}
 	return machine.DispositionContinue
+}
+
+// devAccess is the kernel's device access check: the capability in R0 must
+// be a device capability with the read or write right.
+func (k *Kernel) devAccess(pid machine.PID, f *machine.Frame, write bool) (machine.DeviceID, error) {
+	rights := CapRead
+	if write {
+		rights = CapWrite
+	}
+	c, err := k.lookupCap(k.tcbOf(pid), CPtr(f.R[0]), KindDevice, rights)
+	if err != nil {
+		return "", err
+	}
+	return k.devs[c.Object].dev, nil
 }
 
 // doSend implements seL4_Send / seL4_NBSend. A sender that blocks leaves
@@ -123,7 +121,7 @@ func (k *Kernel) doSend(t *tcb, nb bool) machine.Disposition {
 		return machine.DispositionContinue
 	}
 	ep := k.eps[c.Object]
-	drop, delay := k.faultFor(t.name, ep.name)
+	drop, delay := k.FaultFor(t.name, ep.name)
 	if drop {
 		// Send has no delivery acknowledgment: a lost message is
 		// indistinguishable from a successful one on the sender side.
@@ -193,11 +191,11 @@ func (k *Kernel) doCall(t *tcb) machine.Disposition {
 	t.span = k.tracer.Begin(k.edgesOf(t, c.Object).call)
 	t.sendCap = c
 	t.wantsCall = true
-	drop, delay := k.faultFor(t.name, ep.name)
+	drop, delay := k.FaultFor(t.name, ep.name)
 	if drop {
 		// A lost Call is observable: the caller expected a reply that will
 		// never come, so it gets an error instead of blocking forever.
-		k.endSpan(t, obs.OutcomeAborted)
+		k.tracer.Finish(&t.span, obs.OutcomeAborted, k.mCallNs)
 		t.wantsCall = false
 		f.Err = ErrMsgLost
 		return machine.DispositionContinue
@@ -264,7 +262,7 @@ func (k *Kernel) doReply(t *tcb) error {
 	k.stats.IPCDelivered++
 	k.mReplies.Inc()
 	k.mDelivered.Inc()
-	k.endSpan(caller, obs.OutcomeDelivered)
+	k.tracer.Finish(&caller.span, obs.OutcomeDelivered, k.mCallNs)
 	copy(caller.frame.R[1:2+MsgWords], t.frame.R[1:2+MsgWords])
 	k.waits.Wake(&caller.Wait, nil)
 	return nil
@@ -413,7 +411,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 	if info.Crashed {
 		k.m.Trace().Logf("sel4", "FAULT %s: %v", t.name, info.PanicValue)
 	}
-	k.endSpan(t, obs.OutcomeAborted)
+	k.tracer.Finish(&t.span, obs.OutcomeAborted, k.mCallNs)
 
 	// Remove from endpoint and notification queues.
 	for _, ep := range k.eps {
@@ -430,7 +428,7 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 		t.replyCap.used = true
 		caller := t.replyCap.caller
 		if caller != nil && caller.Phase == stateBlockedCall {
-			k.endSpan(caller, obs.OutcomeAborted)
+			k.tracer.Finish(&caller.span, obs.OutcomeAborted, k.mCallNs)
 			k.waits.Wake(&caller.Wait, ErrCallAborted)
 		}
 		t.replyCap = nil

@@ -3,7 +3,6 @@ package sel4
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"mkbas/internal/machine"
 	"mkbas/internal/obs"
@@ -146,6 +145,7 @@ type Config struct {
 // Kernel is the simulated seL4 kernel: the board's trap handler plus the
 // object and capability tables.
 type Kernel struct {
+	machine.IPCFaults
 	m   *machine.Machine
 	cfg Config
 
@@ -157,8 +157,10 @@ type Kernel struct {
 	notifs  map[ObjID]*notificationObj
 	byPID   map[machine.PID]*tcb
 
-	// waits is the wait layer every blocking trap parks its caller in.
+	// waits is the wait layer every blocking trap parks its caller in,
+	// and traps the process traps, whose device check is devAccess.
 	waits *machine.Waits
+	traps machine.ProcTraps
 
 	stats Stats
 
@@ -176,11 +178,6 @@ type Kernel struct {
 	mSuspends     *obs.Counter
 	mCallNs       *obs.Histogram
 	mEPQ          *obs.Gauge
-
-	// ipcFault is the fault-injection filter, consulted after capability
-	// checks on Send and Call with (thread name, endpoint name). nil when
-	// no campaign is armed.
-	ipcFault func(src, dst string) (drop bool, delay time.Duration)
 
 	// faults memoises each distinct capability fault's error and event
 	// text, so a thread brute-forcing its CSpace costs no formatting: the
@@ -232,6 +229,7 @@ func NewKernel(m *machine.Machine, cfg Config) *Kernel {
 		}
 		return nil
 	}, machine.WaitNone, nil, nil)
+	k.traps = machine.NewProcTraps(m, k.waits, trapProc, k.devAccess)
 	board := m.Obs()
 	board.Events().SetPlatform("sel4")
 	k.tracer = board.Tracer()
@@ -350,7 +348,7 @@ func (k *Kernel) Start(tcbID ObjID) error {
 	}
 	body := t.body
 	proc, err := k.m.Engine().Spawn(t.name, t.prio, func(ctx *machine.Context) {
-		body(&API{SocketAPI: vnet.NewSocketAPI(ctx, trapNetListen), ctx: ctx, f: ctx.Frame()})
+		body(&API{SocketAPI: vnet.NewSocketAPI(ctx, trapNetListen), ProcAPI: machine.NewProcAPI(ctx, trapProc), ctx: ctx, f: ctx.Frame()})
 	})
 	if err != nil {
 		return fmt.Errorf("sel4: starting %q: %w", t.name, err)
@@ -408,23 +406,6 @@ func (k *Kernel) CapCount(tcbID ObjID) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// SetIPCFault installs fn as the fault-injection IPC filter, consulted
-// after capability checks pass with the sending thread's name and the
-// endpoint's name. drop loses the message, delay postpones its delivery.
-// nil clears the filter. Transport faults are not capability faults: denial
-// events still come only from real rights failures.
-func (k *Kernel) SetIPCFault(fn func(src, dst string) (drop bool, delay time.Duration)) {
-	k.ipcFault = fn
-}
-
-// faultFor consults the installed IPC fault filter.
-func (k *Kernel) faultFor(src, dst string) (bool, time.Duration) {
-	if k.ipcFault == nil {
-		return false, 0
-	}
-	return k.ipcFault(src, dst)
 }
 
 // KillThread kills the named thread as if it had faulted, without marking
@@ -545,19 +526,6 @@ func (k *Kernel) objName(id ObjID) string {
 		return t.name
 	}
 	return fmt.Sprintf("obj-%d", id)
-}
-
-// endSpan closes t's open Call span, if any, observing round-trip latency
-// on delivery.
-func (k *Kernel) endSpan(t *tcb, outcome obs.Outcome) {
-	if t.span == 0 {
-		return
-	}
-	d, ok := k.tracer.End(t.span, outcome)
-	t.span = 0
-	if ok && outcome == obs.OutcomeDelivered {
-		k.mCallNs.Observe(time.Duration(d))
-	}
 }
 
 // freeSlot finds the lowest empty CSpace slot.

@@ -24,8 +24,9 @@ go test -race ./...
 # every monitored board reads one monitor.Index while it demotes its own
 # subjects, so camkes and the monitor join the pass as well. Every kernel
 # parks and wakes its processes through the one machine wait layer, so the
-# seL4 and Linux kernels race in the pass beside MINIX.
-go vet ./internal/machine ./internal/lab ./internal/building ./internal/vnet ./internal/bacnet ./internal/polcheck/monitor ./internal/camkes
+# seL4 and Linux kernels race in the pass beside MINIX. The vet list is the
+# race list.
+go vet ./internal/machine ./internal/lab ./internal/building ./internal/vnet ./internal/bacnet ./internal/bas ./internal/minix ./internal/sel4 ./internal/linuxsim ./internal/polcheck/monitor ./internal/camkes
 go test -race -count=2 ./internal/machine ./internal/lab ./internal/building ./internal/vnet ./internal/bacnet ./internal/bas ./internal/minix ./internal/sel4 ./internal/linuxsim ./internal/polcheck/monitor ./internal/camkes
 # Fuzz smoke: the BACnet secure-frame opener is the first code a forged bus
 # frame reaches, and the PDU decoder parses every frame a legacy room takes
