@@ -18,7 +18,7 @@ import (
 // deployBoard boots the default temperature-control scenario on the named
 // platform: the one deploy path of control and mon. The caller shuts the
 // testbed's machine down.
-func deployBoard(platform string, opts bas.DeployOptions) (*bas.Testbed, bas.Deployment, error) {
+func deployBoard(platform string, opts bas.DeployOptions) (*bas.Testbed, *bas.Deployment, error) {
 	p, err := bas.ParsePlatform(platform)
 	if err != nil {
 		return nil, nil, err
@@ -55,8 +55,8 @@ func controlCmd(fs *flag.FlagSet) func([]string) error {
 			return err
 		}
 		defer tb.Machine.Shutdown()
-		if sel4, ok := dep.(*bas.Sel4Deployment); ok {
-			if err := sel4.System.Verify(); err != nil {
+		if dep.Sel4 != nil {
+			if err := dep.Sel4.Verify(); err != nil {
 				return fmt.Errorf("CapDL verification: %w", err)
 			}
 			fmt.Println("CapDL capability distribution verified against the kernel")

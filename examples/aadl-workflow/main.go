@@ -81,15 +81,14 @@ func run() error {
 	cfg := bas.DefaultScenario()
 	tb := bas.NewTestbed(cfg)
 	defer tb.Machine.Shutdown()
-	mdep, err := bas.Deploy(bas.PlatformMinix, tb, cfg, bas.DeployOptions{Policy: policy})
+	dep, err := bas.Deploy(bas.PlatformMinix, tb, cfg, bas.DeployOptions{Policy: policy})
 	if err != nil {
 		return err
 	}
-	dep := mdep.(*bas.MinixDeployment)
 	tb.Machine.Run(30 * time.Minute)
 	fmt.Printf("\nMINIX under the generated policy: room at %.2f°C after 30m (setpoint %.1f)\n",
 		tb.Room.Temperature(), cfg.Controller.Setpoint)
-	fmt.Printf("ACM denials during healthy operation: %d (want 0)\n", dep.Kernel.Stats().IPCDenied)
+	fmt.Printf("ACM denials during healthy operation: %d (want 0)\n", dep.Minix.Stats().IPCDenied)
 
 	// Step 4: model -> CAmkES, and CapDL verification of the seL4 build.
 	topo, err := aadl.GenerateCAmkES(pkg, sysName)
@@ -105,10 +104,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sel4dep := sdep.(*bas.Sel4Deployment)
+	// The deployment's Sel4 field is the booted CAmkES system.
 	fmt.Println("\nCapDL description of the booted seL4 system:")
-	fmt.Print(sel4dep.System.Spec().Render())
-	if err := sel4dep.System.Verify(); err != nil {
+	fmt.Print(sdep.Sel4.Spec().Render())
+	if err := sdep.Sel4.Verify(); err != nil {
 		return fmt.Errorf("CapDL verification: %w", err)
 	}
 	fmt.Println("capability distribution verified against the live kernel")

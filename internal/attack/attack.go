@@ -300,7 +300,7 @@ func filterFailsafeAlarms(start machine.Time, rep *faultinject.Report, vs []safe
 // deployForSpec boots the platform under attack through the bas.Deploy
 // registry, arming the malicious web interface body for every platform (the
 // backend consults only its own) and the spec's attacker model.
-func deployForSpec(tb *bas.Testbed, cfg bas.ScenarioConfig, spec Spec, prog *progress) (bas.Deployment, error) {
+func deployForSpec(tb *bas.Testbed, cfg bas.ScenarioConfig, spec Spec, prog *progress) (*bas.Deployment, error) {
 	opts := bas.DeployOptions{
 		WebRoot:  spec.Root,
 		Recovery: spec.Recovery,
@@ -332,33 +332,33 @@ func deployForSpec(tb *bas.Testbed, cfg bas.ScenarioConfig, spec Spec, prog *pro
 		})
 	}
 
-	switch d := dep.(type) {
-	case *bas.MinixDeployment:
+	switch {
+	case dep.Minix != nil:
 		if spec.Root {
 			prog.note("web interface running with root uid (no effect expected: IPC authority is the ACM, not uid)")
 		}
-	case *bas.Sel4Deployment:
+	case dep.Sel4 != nil:
 		// There is no root to escalate to: "the seL4 kernel and CAmkES
 		// generated code have no concept of user or root".
 		if spec.Root {
 			prog.note("root requested: seL4/CAmkES has no user/root concept; attack surface unchanged")
 		}
 		// The generated CapDL spec documents the attacker's whole authority.
-		if verr := d.System.Verify(); verr != nil {
+		if verr := dep.Sel4.Verify(); verr != nil {
 			prog.note("CapDL verification failed before attack: %v", verr)
 		}
-	case *bas.LinuxDeployment:
+	case dep.Linux != nil:
 		// Root escalation is injected five minutes before the attack window
 		// opens ("root privilege gained through a privilege escalation
 		// exploit").
 		if spec.Root {
 			tb.Machine.Clock().After(settleTime-5*time.Minute, func() {
-				webPID, pidErr := d.WebPID()
+				webPID, pidErr := dep.Linux.PIDOf(bas.NameWebInterface)
 				if pidErr != nil {
 					prog.note("escalation failed: web process gone: %v", pidErr)
 					return
 				}
-				if rootErr := d.Kernel.GrantRoot(webPID); rootErr != nil {
+				if rootErr := dep.Linux.GrantRoot(webPID); rootErr != nil {
 					prog.note("escalation failed: %v", rootErr)
 				} else {
 					prog.note("privilege escalation: web interface now uid 0")

@@ -8,7 +8,7 @@ import (
 	"mkbas/internal/bacnet"
 )
 
-func deployGateway(t *testing.T, key []byte) (*Testbed, *MinixDeployment) {
+func deployGateway(t *testing.T, key []byte) (*Testbed, *Deployment) {
 	t.Helper()
 	cfg := DefaultScenario()
 	tb := NewTestbed(cfg)
@@ -20,7 +20,7 @@ func deployGateway(t *testing.T, key []byte) (*Testbed, *MinixDeployment) {
 		t.Fatalf("deploy: %v", err)
 	}
 	tb.Machine.Run(10 * time.Second)
-	return tb, dep.(*MinixDeployment)
+	return tb, dep
 }
 
 func TestBACnetLegacyReadAndWrite(t *testing.T) {
@@ -64,10 +64,10 @@ func TestBACnetLegacyIsSpoofableButActuatorsUnreachable(t *testing.T) {
 	if err != nil || resp.Type != bacnet.ErrorPDU || resp.Code != bacnet.CodeWriteDenied {
 		t.Fatalf("heater write resp = %+v, %v (want write-denied)", resp, err)
 	}
-	if dep.Kernel.Stats().IPCDenied != 0 {
+	if dep.Minix.Stats().IPCDenied != 0 {
 		// The gateway should not even attempt a denied IPC: the denial is
 		// structural (no RPC exists), not a runtime ACM rejection.
-		t.Logf("note: %d ACM denials recorded", dep.Kernel.Stats().IPCDenied)
+		t.Logf("note: %d ACM denials recorded", dep.Minix.Stats().IPCDenied)
 	}
 
 	// Replay on the legacy gateway works — the protocol-level weakness the
@@ -184,11 +184,11 @@ func TestBACnetGatewayRestartKeepsNonceFloor(t *testing.T) {
 		t.Fatal("original secure write dropped")
 	}
 
-	if err := dep.Kernel.CrashProcess(NameBACnetGateway); err != nil {
+	if err := dep.Minix.CrashProcess(NameBACnetGateway); err != nil {
 		t.Fatalf("crash: %v", err)
 	}
 	tb.Machine.Run(5 * time.Second) // RS backoff + respawn
-	if _, err := dep.Kernel.EndpointOf(NameBACnetGateway); err != nil {
+	if _, err := dep.Minix.EndpointOf(NameBACnetGateway); err != nil {
 		t.Fatalf("gateway not reincarnated: %v", err)
 	}
 

@@ -36,22 +36,6 @@ func renderGraph(g *polcheck.Graph) string {
 	return b.String()
 }
 
-// monitoredGraph is the certified graph a deployment's monitor verifies
-// against.
-func monitoredGraph(t *testing.T, dep Deployment) *polcheck.Graph {
-	t.Helper()
-	switch d := dep.(type) {
-	case *MinixDeployment:
-		return d.graph
-	case *Sel4Deployment:
-		return d.graph
-	case *LinuxDeployment:
-		return d.graph
-	}
-	t.Fatalf("unknown deployment type %T", dep)
-	return nil
-}
-
 // overbroadPolicy is the default MINIX policy plus a grant that breaks the
 // scenario's contract: the web interface may command the heater.
 func overbroadPolicy() *core.Policy {
@@ -62,7 +46,7 @@ func overbroadPolicy() *core.Policy {
 	return bad
 }
 
-func deployOrFatal(t *testing.T, p Platform, cfg ScenarioConfig, opts DeployOptions) Deployment {
+func deployOrFatal(t *testing.T, p Platform, cfg ScenarioConfig, opts DeployOptions) *Deployment {
 	t.Helper()
 	tb := NewTestbed(cfg)
 	t.Cleanup(tb.Machine.Shutdown)
@@ -102,7 +86,7 @@ func TestCustomPolicyGatedAfterTableFilled(t *testing.T) {
 	// against that policy's own graph, not the default's.
 	bad := overbroadPolicy()
 	dep := deployOrFatal(t, PlatformMinix, cfg, DeployOptions{Policy: bad, SkipPolicyCheck: true, Monitor: true})
-	got := monitoredGraph(t, dep)
+	got := dep.graph
 	if got == minixDefault(false, false, core.QuotaUnlimited).graph {
 		t.Fatal("a custom policy's monitor got the default policy's graph")
 	}
@@ -125,8 +109,8 @@ func TestDefaultDeploysShareCertification(t *testing.T) {
 		PlatformLinuxHardened: func() *image { return &linuxDefault(false, false).image },
 	}
 	for _, p := range KnownPlatforms() {
-		first := monitoredGraph(t, deployOrFatal(t, p, cfg, DeployOptions{Monitor: true}))
-		second := monitoredGraph(t, deployOrFatal(t, p, cfg, DeployOptions{Monitor: true}))
+		first := deployOrFatal(t, p, cfg, DeployOptions{Monitor: true}).graph
+		second := deployOrFatal(t, p, cfg, DeployOptions{Monitor: true}).graph
 		if first == nil || first != second {
 			t.Fatalf("%s: two deploys verify against graphs %p and %p, want one shared graph", p, first, second)
 		}
@@ -148,7 +132,7 @@ func TestDefaultDeploysShareCertification(t *testing.T) {
 		for _, tenant := range []bool{false, true} {
 			dep := deployOrFatal(t, PlatformLinuxHardened, cfg, DeployOptions{Monitor: true, TenantAPI: tenant, BACnet: BACnetOptions{Enabled: bacnet}})
 			entry := linuxDefault(bacnet, tenant)
-			if monitoredGraph(t, dep) != entry.graph {
+			if dep.graph != entry.graph {
 				t.Fatalf("linux-hardened bacnet=%v tenant=%v: the board does not verify against its shape's entry", bacnet, tenant)
 			}
 			if entry.verdict != nil {
@@ -213,14 +197,14 @@ func TestTableMatchesFreshArtifacts(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				sys := dep.(*Sel4Deployment).System
+				sys := dep.Sel4
 				if sys.Spec() != sel4Default(sel4Key{bacnet: bacnet, watchdog: window > 0}).camkes.Spec() {
 					t.Fatalf("%s: the board did not install its shape's shared spec", what)
 				}
 				if got, want := sys.Spec().Render(), fresh.Render(); got != want {
 					t.Fatalf("%s: shared spec differs from the board's own assembly:\n%s\nfresh:\n%s", what, got, want)
 				}
-				same(what, &image{graph: monitoredGraph(t, dep)}, polcheck.FromCapDL(fresh))
+				same(what, &image{graph: dep.graph}, polcheck.FromCapDL(fresh))
 			}
 		}
 	}
@@ -239,13 +223,13 @@ func TestCompiledPolicyDeploysFromTable(t *testing.T) {
 		t.Fatal("the fork quota is not part of the table key")
 	}
 	dep := deployOrFatal(t, PlatformMinix, cfg, DeployOptions{Policy: MinixPolicy(false, false, 5), Monitor: true})
-	if monitoredGraph(t, dep) != a.graph {
+	if dep.graph != a.graph {
 		t.Fatal("a compiled policy was certified again on deploy")
 	}
 	copied := MinixPolicy(false, false, 5)
 	copied.IPC = copied.IPC.Clone().Seal()
 	dep = deployOrFatal(t, PlatformMinix, cfg, DeployOptions{Policy: copied, Monitor: true})
-	if monitoredGraph(t, dep) == a.graph {
+	if dep.graph == a.graph {
 		t.Fatal("a policy with a replaced matrix read the table's certification")
 	}
 }
@@ -313,7 +297,7 @@ func TestBoardsShareImageReadOnly(t *testing.T) {
 	for _, p := range KnownPlatforms() {
 		a := deployOrFatal(t, p, cfg, DeployOptions{Monitor: true})
 		b := deployOrFatal(t, p, cfg, DeployOptions{Monitor: true})
-		if monitoredGraph(t, a) != monitoredGraph(t, b) {
+		if a.graph != b.graph {
 			t.Fatalf("%s: the two boards do not share one image", p)
 		}
 		monA, monB := a.PolicyMonitor(), b.PolicyMonitor()

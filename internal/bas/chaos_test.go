@@ -12,7 +12,7 @@ import (
 // differ only by the recovery machinery underneath.
 
 // armOrFatal looks up a builtin plan and arms it on the deployment.
-func armOrFatal(t *testing.T, dep Deployment, plan string) *faultinject.Injector {
+func armOrFatal(t *testing.T, dep *Deployment, plan string) *faultinject.Injector {
 	t.Helper()
 	p, err := faultinject.Lookup(plan)
 	if err != nil {

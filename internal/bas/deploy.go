@@ -6,9 +6,9 @@ import (
 	"strings"
 	"time"
 
+	"mkbas/internal/bacnet"
 	"mkbas/internal/camkes"
 	"mkbas/internal/core"
-	"mkbas/internal/faultinject"
 	"mkbas/internal/linuxsim"
 	"mkbas/internal/machine"
 	"mkbas/internal/minix"
@@ -74,43 +74,47 @@ func ParsePlatform(name string) (Platform, error) {
 
 // Deployment is the platform-neutral handle on a booted board. Every
 // backend returns one, so orchestration layers (the attack harness, the
-// fleet runner) drive heterogeneous deployments through one shape.
+// lab, the fleet runner, bas mon) drive every platform through one type.
+// Exactly one of Minix, Sel4 and Linux is set: the kernel the board
+// booted. What the handle cannot do alike on every kernel, its binding
+// does.
 //
 // A Deployment is bound to the single board it booted on: like everything
 // else in the simulation, its methods follow the engine-serialised
 // discipline of one board and must not be called from another board's
 // goroutines.
-type Deployment interface {
-	// Platform reports which registered backend produced this deployment.
-	Platform() Platform
-	// Machine returns the underlying virtual board.
-	Machine() *machine.Machine
-	// Run drives the board for a virtual duration.
-	Run(d time.Duration) machine.RunResult
-	// Shutdown tears the board down; the deployment is unusable afterwards.
-	Shutdown()
-	// Report snapshots the board's observability state under this
-	// deployment's platform name.
-	Report(includeEvents bool) *obs.Report
-	// ControllerAlive reports whether the temperature control process (the
-	// attack experiments' kill target) is still running.
-	ControllerAlive() bool
-	// ControllerRestarts reports how many times the platform's recovery
-	// machinery reincarnated scenario processes on this boot. Zero on
-	// platforms without recovery (vanilla Linux has no supervisor).
-	ControllerRestarts() int
-	// ControllerRecovered distinguishes "died" from "died and was
-	// reincarnated": the control plane is alive now AND at least one restart
-	// happened. ControllerAlive alone cannot tell the two apart — it reads
-	// true both for a process that never died and for one mid-recovery.
-	ControllerRecovered() bool
-	// ArmFaults schedules a deterministic fault-injection plan against this
-	// board. Call after deploy, before Run; the returned injector reports
-	// outcomes (MTTR, unrecovered faults) once the run completes.
-	ArmFaults(plan *faultinject.Plan) (*faultinject.Injector, error)
-	// PolicyMonitor returns the online policy monitor attached at deploy
-	// time, or nil when DeployOptions.Monitor was off.
-	PolicyMonitor() *monitor.Monitor
+type Deployment struct {
+	// Minix is the booted kernel on the MINIX platforms.
+	Minix *minix.Kernel
+	// Sel4 is the booted CAmkES system on seL4.
+	Sel4 *camkes.System
+	// Linux is the booted kernel on the Linux platforms.
+	Linux *linuxsim.Kernel
+
+	platform Platform
+	tb       *Testbed
+	kernel   binding
+	mon      *monitor.Monitor
+	// graph is the certified graph mon verifies against, shared read-only
+	// with every deployment of the same image.
+	graph *polcheck.Graph
+}
+
+// binding is what a Deployment does differently on each kernel. Its
+// methods reach the booted kernel through the handle's exported field, so
+// a binding holds no board of its own: MINIX's and seL4's are empty, and
+// Linux's is the DAC policy every board of its shape shares.
+type binding interface {
+	// crashProcess kills the named process as if it had crashed.
+	crashProcess(d *Deployment, name string) error
+	// setIPCFault installs fn as the kernel's IPC fault filter over
+	// process names; nil clears it.
+	setIPCFault(d *Deployment, fn func(src, dst string) (bool, time.Duration))
+	// controllerAlive reports whether the temperature control process runs.
+	controllerAlive(d *Deployment) bool
+	// restarts counts the scenario processes the platform's recovery
+	// machinery reincarnated on this boot.
+	restarts(d *Deployment) int
 }
 
 // DeployOptions is the platform-neutral option set for Deploy. Each backend
@@ -187,8 +191,15 @@ type DeployOptions struct {
 	Profiler *perf.Profiler `json:"-"`
 }
 
-// deployer is one registry entry: boot cfg on tb as platform under opts.
-type deployer func(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error)
+// deployer is one registry entry. It gates and boots cfg on d's testbed
+// as d's platform, registers and starts the scenario's processes (the
+// BACnet gateway's over gateway, when it is on), sets d's kernel field and
+// binding, and returns the image d's monitor verifies against.
+type deployer func(d *Deployment, cfg ScenarioConfig, opts DeployOptions, gateway gatewayBody) (*image, error)
+
+// gatewayBody runs the BACnet gateway on a kernel's process port against
+// that kernel's path to the controller.
+type gatewayBody func(p processPort, ctrl ControlClient)
 
 // deployers is the platform registry. Variants share a backend: the
 // platform value tells the backend which configuration to boot.
@@ -202,7 +213,7 @@ var deployers = map[Platform]deployer{
 
 // Deploy boots cfg on tb under the named platform — the single entry point
 // every orchestration layer routes through.
-func Deploy(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
+func Deploy(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (*Deployment, error) {
 	deploy, ok := deployers[platform]
 	if !ok {
 		known := KnownPlatforms()
@@ -218,17 +229,30 @@ func Deploy(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptio
 	sc := opts.Profiler.Phase("bas.deploy").Begin()
 	defer sc.End()
 	tb.Machine.SetProfiler(opts.Profiler)
-	return deploy(platform, tb, cfg, opts)
-}
-
-// deploymentBase carries the platform-independent half of every Deployment.
-type deploymentBase struct {
-	platform Platform
-	tb       *Testbed
-	mon      *monitor.Monitor
-	// graph is the certified graph mon verifies against, shared read-only
-	// with every deployment of the same image.
-	graph *polcheck.Graph
+	sup := newDeploySupervision(tb, &cfg, opts)
+	var gateway gatewayBody
+	if opts.BACnet.Enabled {
+		// The deployment owns the proxy's anti-replay state; the body
+		// rebuilds the proxy from it on every (re)spawn, so a gateway the
+		// platform restarts keeps its nonce floor.
+		bopts, state, board := opts.BACnet, bacnet.NewProxyState(), tb.Machine.Obs()
+		gateway = func(p processPort, ctrl ControlClient) {
+			bacnetGatewayBody(p, ctrl, bopts, state, board, sup)
+		}
+	}
+	d := &Deployment{platform: platform, tb: tb}
+	img, err := deploy(d, cfg, opts, gateway)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Monitor {
+		// The monitor verifies against the image the gate certified. On the
+		// configurations that enforce nothing (vanilla MINIX, same-account
+		// Linux) deliveries are still recorded, and the monitor is then the
+		// only policy check: the runtime-verification configuration.
+		d.attachMonitor(img, opts.Profiler)
+	}
+	return d, nil
 }
 
 // scenarioOrigins is the OAMAC-style provenance assignment shared by every
@@ -253,20 +277,47 @@ func scenarioOrigins() map[string]monitor.Origin {
 // index and subscribes it to the board's IPC record stream. Drift events
 // land in the board's own event log, so they surface through Report like
 // any mediation event.
-func (d *deploymentBase) attachMonitor(img *image, prof *perf.Profiler) {
+func (d *Deployment) attachMonitor(img *image, prof *perf.Profiler) {
 	d.graph = img.graph
 	d.mon = monitor.New(img.index, monitor.Options{Events: d.tb.Machine.Obs().Events(), Profiler: prof})
 	d.mon.Attach(d.tb.Machine.IPC())
 }
 
-func (d *deploymentBase) PolicyMonitor() *monitor.Monitor { return d.mon }
+// Platform reports which registered backend produced this deployment.
+func (d *Deployment) Platform() Platform { return d.platform }
 
-func (d *deploymentBase) Platform() Platform        { return d.platform }
-func (d *deploymentBase) Machine() *machine.Machine { return d.tb.Machine }
-func (d *deploymentBase) Run(dur time.Duration) machine.RunResult {
-	return d.tb.Machine.Run(dur)
-}
-func (d *deploymentBase) Shutdown() { d.tb.Machine.Shutdown() }
-func (d *deploymentBase) Report(includeEvents bool) *obs.Report {
+// Machine returns the underlying virtual board.
+func (d *Deployment) Machine() *machine.Machine { return d.tb.Machine }
+
+// Run drives the board for a virtual duration.
+func (d *Deployment) Run(dur time.Duration) machine.RunResult { return d.tb.Machine.Run(dur) }
+
+// Shutdown tears the board down; the deployment is unusable afterwards.
+func (d *Deployment) Shutdown() { d.tb.Machine.Shutdown() }
+
+// Report snapshots the board's observability state under this
+// deployment's platform name.
+func (d *Deployment) Report(includeEvents bool) *obs.Report {
 	return d.tb.Machine.Obs().Report(string(d.platform), includeEvents)
+}
+
+// PolicyMonitor returns the online policy monitor attached at deploy
+// time, or nil when DeployOptions.Monitor was off.
+func (d *Deployment) PolicyMonitor() *monitor.Monitor { return d.mon }
+
+// ControllerAlive reports whether the temperature control process (the
+// attack experiments' kill target) is still running.
+func (d *Deployment) ControllerAlive() bool { return d.kernel.controllerAlive(d) }
+
+// ControllerRestarts reports how many times the platform's recovery
+// machinery reincarnated scenario processes on this boot. Zero on
+// platforms without recovery (vanilla Linux has no supervisor).
+func (d *Deployment) ControllerRestarts() int { return d.kernel.restarts(d) }
+
+// ControllerRecovered distinguishes "died" from "died and was
+// reincarnated": the control plane is alive now AND at least one restart
+// happened. ControllerAlive alone cannot tell the two apart — it reads
+// true both for a process that never died and for one mid-recovery.
+func (d *Deployment) ControllerRecovered() bool {
+	return d.ControllerAlive() && d.ControllerRestarts() > 0
 }

@@ -206,22 +206,21 @@ func TestMinixDriverCrashIsHealedByRS(t *testing.T) {
 	cfg := DefaultScenario()
 	tb := NewTestbed(cfg)
 	defer tb.Machine.Shutdown()
-	mdep, err := Deploy(PlatformMinix, tb, cfg, DeployOptions{})
+	dep, err := Deploy(PlatformMinix, tb, cfg, DeployOptions{})
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	dep := mdep.(*MinixDeployment)
 	tb.Machine.Run(time.Minute)
 
-	sensorEP, err := dep.Kernel.EndpointOf(NameTempSensor)
+	sensorEP, err := dep.Minix.EndpointOf(NameTempSensor)
 	if err != nil {
 		t.Fatalf("sensor missing: %v", err)
 	}
 	// Simulate a driver fault: kill it as a crash (not a voluntary exit).
-	proc := dep.Kernel.Machine().Engine()
-	entry := dep.Kernel.Machine()
+	proc := dep.Minix.Machine().Engine()
+	entry := dep.Minix.Machine()
 	_ = entry
-	acid, _ := dep.Kernel.ACIDOf(sensorEP)
+	acid, _ := dep.Minix.ACIDOf(sensorEP)
 	_ = acid
 	// Crash via the engine directly (models a hardware fault / driver bug).
 	for _, p := range proc.Procs() {
@@ -233,7 +232,7 @@ func TestMinixDriverCrashIsHealedByRS(t *testing.T) {
 		}
 	}
 	tb.Machine.Run(40 * time.Minute)
-	if dep.Kernel.RS().Restarts(NameTempSensor) == 0 {
+	if dep.Minix.RS().Restarts(NameTempSensor) == 0 {
 		t.Fatal("RS did not restart the sensor driver")
 	}
 	temp := tb.Room.Temperature()
@@ -249,25 +248,24 @@ func TestSel4CapDLVerifiesForScenario(t *testing.T) {
 	cfg := DefaultScenario()
 	tb := NewTestbed(cfg)
 	defer tb.Machine.Shutdown()
-	sdep, err := Deploy(PlatformSel4, tb, cfg, DeployOptions{})
+	dep, err := Deploy(PlatformSel4, tb, cfg, DeployOptions{})
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	dep := sdep.(*Sel4Deployment)
-	if err := dep.System.Verify(); err != nil {
+	if err := dep.Sel4.Verify(); err != nil {
 		t.Fatalf("CapDL verify at boot: %v", err)
 	}
 	tb.Machine.Run(10 * time.Minute)
-	if err := dep.System.Verify(); err != nil {
+	if err := dep.Sel4.Verify(); err != nil {
 		t.Fatalf("CapDL verify after run: %v", err)
 	}
 	// The web interface thread must hold exactly two capabilities: its mgmt
 	// client endpoint and its network port.
-	webTCB, ok := dep.System.TCB(NameWebInterface)
+	webTCB, ok := dep.Sel4.TCB(NameWebInterface)
 	if !ok {
 		t.Fatal("web tcb missing")
 	}
-	n, err := dep.System.Kernel().CapCount(webTCB)
+	n, err := dep.Sel4.Kernel().CapCount(webTCB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +298,7 @@ func TestDeterministicClosedLoop(t *testing.T) {
 // compiled for.
 func TestMinixBootsModelACIDs(t *testing.T) {
 	dep := deployOrFatal(t, PlatformMinix, DefaultScenario(), DeployOptions{BACnet: BACnetOptions{Enabled: true}})
-	k := dep.(*MinixDeployment).Kernel
+	k := dep.Minix
 	m := MinixPolicy(true, false, core.QuotaUnlimited).IPC
 	loader, err := k.EndpointOf(NameScenario)
 	if err != nil {

@@ -53,8 +53,8 @@ func TestCertifiedGraphsGolden(t *testing.T) {
 
 	for _, bacnet := range []bool{false, true} {
 		dep := deployOrFatal(t, PlatformSel4, DefaultScenario(), DeployOptions{Monitor: true, BACnet: BACnetOptions{Enabled: bacnet}})
-		fmt.Fprintf(&b, "== sel4 bacnet=%v\n-- capdl\n%s", bacnet, dep.(*Sel4Deployment).System.Spec().Render())
-		renderCertification(&b, &image{graph: monitoredGraph(t, dep)})
+		fmt.Fprintf(&b, "== sel4 bacnet=%v\n-- capdl\n%s", bacnet, dep.Sel4.Spec().Render())
+		renderCertification(&b, &image{graph: dep.graph})
 	}
 
 	for _, gateway := range []bool{false, true} {

@@ -11,7 +11,6 @@ import (
 	"unicode"
 
 	"mkbas/internal/aadl"
-	"mkbas/internal/bacnet"
 	"mkbas/internal/decfmt"
 	"mkbas/internal/linuxsim"
 	"mkbas/internal/machine"
@@ -100,34 +99,61 @@ func bindLinuxDAC(d *aadl.DAC) *linuxDAC {
 	return b
 }
 
-// LinuxDeployment is the booted Linux platform.
-type LinuxDeployment struct {
-	deploymentBase
-	Kernel  *linuxsim.Kernel
-	Testbed *Testbed
-	dac     *linuxDAC
+// linuxBinding is the Linux binding of a deployment. The kernel's fault
+// filter is keyed by queue name, while fault plans target process names, so
+// the binding holds the board's DAC policy to translate each queue to its
+// consuming process. Restarts are spawns beyond the first.
+type linuxBinding struct{ dac *linuxDAC }
+
+func (linuxBinding) crashProcess(d *Deployment, name string) error {
+	return d.Linux.CrashProcess(name)
 }
 
-var _ Deployment = (*LinuxDeployment)(nil)
-
-// WebPID returns the unix pid of the (possibly compromised) web interface,
-// for the GrantRoot escalation step.
-func (d *LinuxDeployment) WebPID() (int, error) {
-	return d.Kernel.PIDOf(NameWebInterface)
+func (b linuxBinding) setIPCFault(d *Deployment, fn func(src, dst string) (bool, time.Duration)) {
+	if fn == nil {
+		d.Linux.SetIPCFault(nil)
+		return
+	}
+	d.Linux.SetIPCFault(func(src, queue string) (bool, time.Duration) {
+		return fn(src, b.dac.consumerOf(queue))
+	})
 }
 
-// ControllerAlive reports whether the temperature control process still has
+// controllerAlive reports whether the temperature control process still has
 // a pid.
-func (d *LinuxDeployment) ControllerAlive() bool {
-	_, err := d.Kernel.PIDOf(NameTempControl)
+func (linuxBinding) controllerAlive(d *Deployment) bool {
+	_, err := d.Linux.PIDOf(NameTempControl)
 	return err == nil
 }
 
-// deployLinux is the Linux backend of the Deploy registry. platform selects
-// the same-account default (PlatformLinux) or the unique-account hardened
-// configuration (PlatformLinuxHardened).
-func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
-	hardened := platform == PlatformLinuxHardened
+// restarts reports respawns (spawns beyond the first) across the scenario
+// processes.
+func (linuxBinding) restarts(d *Deployment) int {
+	n := 0
+	for _, r := range scenarioRoles {
+		if c := d.Linux.SpawnCount(r.name); c > 1 {
+			n += c - 1
+		}
+	}
+	return n
+}
+
+// consumerOf maps a queue to the process that reads it, the process-level
+// destination of a message on it, as the board's DAC policy names it. A
+// queue without a consumer (the audit log) maps to its own name, which no
+// plan targets.
+func (b *linuxDAC) consumerOf(queue string) string {
+	if consumer := b.consumer[queue]; consumer != "" {
+		return consumer
+	}
+	return queue
+}
+
+// deployLinux is the Linux backend of the Deploy registry. The deployment's
+// platform selects the same-account default (PlatformLinux) or the
+// unique-account hardened configuration (PlatformLinuxHardened).
+func deployLinux(d *Deployment, cfg ScenarioConfig, opts DeployOptions, gateway gatewayBody) (*image, error) {
+	tb, hardened := d.tb, d.platform == PlatformLinuxHardened
 	a := linuxDefault(opts.BACnet.Enabled, opts.TenantAPI)
 	dac := a.dac[hardened]
 	// Pre-deploy gate: the hardened configuration claims the scenario's
@@ -139,7 +165,6 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 		return nil, a.verdict
 	}
 	k := linuxsim.Boot(tb.Machine, linuxsim.Config{Net: tb.Net})
-	sup := newDeploySupervision(tb, &cfg, opts)
 	webBody := opts.LinuxWeb
 	if webBody == nil {
 		// The Linux deployment exports board metrics over its own web
@@ -205,33 +230,21 @@ func deployLinux(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 			return nil, fmt.Errorf("bas: spawning loader: %w", err)
 		}
 	}
-	if opts.BACnet.Enabled {
-		// The deployment owns the proxy's anti-replay state so a respawned
-		// gateway resumes its nonce floor. Spawned directly (not through the
-		// loader) on both DAC configurations: unique accounts cannot be
-		// reached through fork anyway.
+	if gateway != nil {
+		// Spawned directly (not through the loader) on both DAC
+		// configurations: unique accounts cannot be reached through fork
+		// anyway.
 		acct := dac.Subject(NameBACnetGateway)
-		state, board := bacnet.NewProxyState(), tb.Machine.Obs()
 		k.RegisterImage(linuxsim.Image{
 			Name: NameBACnetGateway, Priority: gatewayPriority, UID: acct.UID, GID: acct.GID,
-			Body: func(api *linuxsim.API) {
-				bacnetGatewayBody(api, linuxDial(api, "gateway"), opts.BACnet, state, board, sup)
-			},
+			Body: func(api *linuxsim.API) { gateway(api, linuxDial(api, "gateway")) },
 		})
 		if _, err := k.SpawnImage(NameBACnetGateway); err != nil {
 			return nil, fmt.Errorf("bas: spawning bacnet gateway: %w", err)
 		}
 	}
-	dep := &LinuxDeployment{
-		deploymentBase: deploymentBase{platform: platform, tb: tb},
-		Kernel:         k,
-		Testbed:        tb,
-		dac:            dac,
-	}
-	if opts.Monitor {
-		dep.attachMonitor(&a.image, opts.Profiler)
-	}
-	return dep, nil
+	d.Linux, d.kernel = k, linuxBinding{dac}
+	return &a.image, nil
 }
 
 // linuxOpenRetry opens a queue, retrying while it does not exist yet

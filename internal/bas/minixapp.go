@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"mkbas/internal/bacnet"
 	"mkbas/internal/core"
 	"mkbas/internal/machine"
 	"mkbas/internal/minix"
@@ -28,28 +27,36 @@ import (
 // The status ack is Status.words at offsets 0/8/16/24; the flags word's
 // upper half, bytes 20–23, is always zero.
 
-// MinixDeployment is the booted MINIX platform.
-type MinixDeployment struct {
-	deploymentBase
-	Kernel  *minix.Kernel
-	Testbed *Testbed
+// minixBinding is the MINIX binding of a deployment: the kernel crashes
+// processes and filters IPC itself, and its reincarnation server counts
+// the restarts.
+type minixBinding struct{}
+
+func (minixBinding) crashProcess(d *Deployment, name string) error {
+	return d.Minix.CrashProcess(name)
 }
 
-var _ Deployment = (*MinixDeployment)(nil)
+func (minixBinding) setIPCFault(d *Deployment, fn func(src, dst string) (bool, time.Duration)) {
+	d.Minix.SetIPCFault(fn)
+}
 
-// ControllerAlive reports whether the temperature control process still has
-// a live endpoint.
-func (d *MinixDeployment) ControllerAlive() bool {
-	_, err := d.Kernel.EndpointOf(NameTempControl)
+// controllerAlive reports whether the temperature control process still
+// has a live endpoint.
+func (minixBinding) controllerAlive(d *Deployment) bool {
+	_, err := d.Minix.EndpointOf(NameTempControl)
 	return err == nil
 }
 
+// restarts reports the reincarnation server's total restarts.
+func (minixBinding) restarts(d *Deployment) int { return int(d.Minix.RS().TotalRestarts()) }
+
 // deployMinix is the MINIX backend of the Deploy registry: it boots the
 // kernel and starts the scenario loader, which forks the five application
-// processes with their ac_ids (Section IV-A). platform selects whether the
-// ACM is enforced (PlatformMinix) or ablated (PlatformMinixVanilla).
-func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
-	disableACM := platform == PlatformMinixVanilla
+// processes with their ac_ids (Section IV-A). The deployment's platform
+// selects whether the ACM is enforced (PlatformMinix) or ablated
+// (PlatformMinixVanilla).
+func deployMinix(d *Deployment, cfg ScenarioConfig, opts DeployOptions, gateway gatewayBody) (*image, error) {
+	tb, disableACM := d.tb, d.platform == PlatformMinixVanilla
 	// Pre-deploy gate: prove the matrix satisfies the scenario's security
 	// contract before any process runs. The vanilla ablation skips it —
 	// vanilla MINIX enforces nothing, so there is no policy to certify.
@@ -84,7 +91,6 @@ func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 	if err != nil {
 		return nil, fmt.Errorf("bas: booting minix: %w", err)
 	}
-	sup := newDeploySupervision(tb, &cfg, opts)
 
 	webBody := opts.MinixWeb
 	if webBody == nil {
@@ -118,35 +124,17 @@ func deployMinix(platform Platform, tb *Testbed, cfg ScenarioConfig, opts Deploy
 	if _, err := k.SpawnImage(NameScenario, modelACID(NameScenario)); err != nil {
 		return nil, fmt.Errorf("bas: spawning loader: %w", err)
 	}
-	if opts.BACnet.Enabled {
-		// The deployment owns the proxy's anti-replay state; the body closure
-		// rebuilds the proxy from it on every (re)spawn, so a gateway
-		// reincarnated by RS keeps its nonce floor.
-		state := bacnet.NewProxyState()
-		board := tb.Machine.Obs()
+	if gateway != nil {
 		k.RegisterImage(minix.Image{
 			Name: NameBACnetGateway, Priority: gatewayPriority, Net: true, Restart: true,
-			Body: func(api *minix.API) {
-				bacnetGatewayBody(api, minixDial(api), opts.BACnet, state, board, sup)
-			},
+			Body: func(api *minix.API) { gateway(api, minixDial(api)) },
 		})
 		if _, err := k.SpawnImage(NameBACnetGateway, modelACID(NameBACnetGateway)); err != nil {
 			return nil, fmt.Errorf("bas: spawning bacnet gateway: %w", err)
 		}
 	}
-	dep := &MinixDeployment{
-		deploymentBase: deploymentBase{platform: platform, tb: tb},
-		Kernel:         k,
-		Testbed:        tb,
-	}
-	if opts.Monitor {
-		// The monitor verifies against the same matrix the gate certified.
-		// On the vanilla ablation the kernel enforces nothing, but deliveries
-		// are still recorded — the monitor is then the only policy check, the
-		// runtime-verification configuration.
-		dep.attachMonitor(img, opts.Profiler)
-	}
-	return dep, nil
+	d.Minix, d.kernel = k, minixBinding{}
+	return img, nil
 }
 
 // minixLoaderBody is the scenario process: "a process loader that forks the

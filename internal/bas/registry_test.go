@@ -7,8 +7,8 @@ import (
 )
 
 // TestDeployRegistryBootsEveryPlatform drives every registered platform
-// through the platform-neutral Deployment interface alone: boot, run,
-// report, liveness — no concrete types.
+// through the platform-neutral Deployment methods alone: boot, run,
+// report, liveness — no kernel fields.
 func TestDeployRegistryBootsEveryPlatform(t *testing.T) {
 	for _, p := range KnownPlatforms() {
 		p := p
@@ -58,9 +58,9 @@ func TestDeployUnknownPlatform(t *testing.T) {
 	}
 }
 
-// TestRegistryDeploymentTypes: the registry hands back each backend's
-// concrete deployment type, and the vanilla ablation reports its own
-// platform.
+// TestRegistryDeploymentTypes: the registry hands back a deployment whose
+// one kernel field is its backend's, and the vanilla ablation reports its
+// own platform.
 func TestRegistryDeploymentTypes(t *testing.T) {
 	cfg := DefaultScenario()
 
@@ -70,8 +70,8 @@ func TestRegistryDeploymentTypes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
-	if _, ok := dep.(*MinixDeployment); !ok {
-		t.Errorf("registry returned %T, want *MinixDeployment", dep)
+	if dep.Minix == nil || dep.Sel4 != nil || dep.Linux != nil {
+		t.Errorf("registry returned kernels minix=%v sel4=%v linux=%v, want MINIX's alone", dep.Minix != nil, dep.Sel4 != nil, dep.Linux != nil)
 	}
 
 	tbV := NewTestbed(cfg)

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
-	"mkbas/internal/bacnet"
 	"mkbas/internal/camkes"
 	"mkbas/internal/capdl"
 	"mkbas/internal/machine"
@@ -33,24 +33,48 @@ const (
 	rpcCodeRange uint64 = 2
 )
 
-// Sel4Deployment is the booted seL4/CAmkES platform.
-type Sel4Deployment struct {
-	deploymentBase
-	System  *camkes.System
-	Testbed *Testbed
+// sel4Binding is the seL4 binding of a deployment: a crash takes down a
+// whole component, and the monitor component counts the restarts.
+type sel4Binding struct{}
+
+// crashProcess kills every live thread of the named component: a process
+// crash on the component platform takes down the control thread and all
+// interface threads together.
+func (sel4Binding) crashProcess(d *Deployment, name string) error {
+	found := false
+	for _, th := range d.Sel4.ThreadNames() {
+		if th != name && !strings.HasPrefix(th, name+".") {
+			continue
+		}
+		if !d.Sel4.ThreadAlive(th) {
+			continue
+		}
+		if err := d.Sel4.CrashThread(th); err != nil {
+			return err
+		}
+		found = true
+	}
+	if !found {
+		return fmt.Errorf("bas: no live threads for component %q", name)
+	}
+	return nil
 }
 
-var _ Deployment = (*Sel4Deployment)(nil)
+func (sel4Binding) setIPCFault(d *Deployment, fn func(src, dst string) (bool, time.Duration)) {
+	d.Sel4.Kernel().SetIPCFault(fn)
+}
 
-// ControllerAlive reports whether both controller interface threads (sensor
+// controllerAlive reports whether both controller interface threads (sensor
 // intake and management) are still running.
-func (d *Sel4Deployment) ControllerAlive() bool {
-	sensorTCB, okS := d.System.TCB(NameTempControl + "." + IfaceSensorIn)
-	mgmtTCB, okM := d.System.TCB(NameTempControl + "." + IfaceMgmt)
-	return okS && okM &&
-		d.System.Kernel().ThreadAlive(sensorTCB) &&
-		d.System.Kernel().ThreadAlive(mgmtTCB)
+func (sel4Binding) controllerAlive(d *Deployment) bool {
+	sys := d.Sel4
+	sensorTCB, okS := sys.TCB(NameTempControl + "." + IfaceSensorIn)
+	mgmtTCB, okM := sys.TCB(NameTempControl + "." + IfaceMgmt)
+	return okS && okM && sys.Kernel().ThreadAlive(sensorTCB) && sys.Kernel().ThreadAlive(mgmtTCB)
 }
+
+// restarts reports monitor respawns across all threads.
+func (sel4Binding) restarts(d *Deployment) int { return d.Sel4.TotalRestarts() }
 
 // scenarioAssembly is the Fig. 2 scenario's CAmkES assembly. Its
 // components, their interfaces and the connections between them are the
@@ -186,18 +210,12 @@ func Sel4Spec() (*capdl.Spec, error) {
 }
 
 // deploySel4 is the seL4 backend of the Deploy registry.
-func deploySel4(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptions) (Deployment, error) {
-	sup := newDeploySupervision(tb, &cfg, opts)
-	var gateway func(rt *camkes.Runtime)
-	if opts.BACnet.Enabled {
-		// The deployment owns the proxy's anti-replay state; a
-		// monitor-respawned gateway resumes from it.
-		state, board := bacnet.NewProxyState(), tb.Machine.Obs()
-		gateway = func(rt *camkes.Runtime) {
-			bacnetGatewayBody(rt, &sel4ControlClient{rt: rt}, opts.BACnet, state, board, sup)
-		}
+func deploySel4(d *Deployment, cfg ScenarioConfig, opts DeployOptions, gateway gatewayBody) (*image, error) {
+	var gatewayRun func(rt *camkes.Runtime)
+	if gateway != nil {
+		gatewayRun = func(rt *camkes.Runtime) { gateway(rt, &sel4ControlClient{rt: rt}) }
 	}
-	assembly := scenarioAssembly(cfg, opts.Sel4Web, gateway)
+	assembly := scenarioAssembly(cfg, opts.Sel4Web, gatewayRun)
 	img := sel4Default(sel4Key{bacnet: gateway != nil, watchdog: cfg.Controller.StalenessWindow > 0})
 	// Pre-deploy gate: analyze the capability distribution the builder is
 	// about to install. Attacker Sel4Web bodies run with the same caps — the
@@ -205,22 +223,15 @@ func deploySel4(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployO
 	if !opts.SkipPolicyCheck && img.verdict != nil {
 		return nil, img.verdict
 	}
-	sys, err := camkes.Build(tb.Machine, img.camkes, assembly, camkes.BuildConfig{Net: tb.Net})
+	sys, err := camkes.Build(d.tb.Machine, img.camkes, assembly, camkes.BuildConfig{Net: d.tb.Net})
 	if err != nil {
 		return nil, fmt.Errorf("bas: building camkes assembly: %w", err)
 	}
 	if opts.Recovery {
-		startSel4Monitor(tb, sys)
+		startSel4Monitor(d.tb, sys)
 	}
-	dep := &Sel4Deployment{
-		deploymentBase: deploymentBase{platform: platform, tb: tb},
-		System:         sys,
-		Testbed:        tb,
-	}
-	if opts.Monitor {
-		dep.attachMonitor(&img.image, opts.Profiler)
-	}
-	return dep, nil
+	d.Sel4, d.kernel = sys, sel4Binding{}
+	return &img.image, nil
 }
 
 // sel4MonitorPeriod paces the monitor's liveness sweep.

@@ -58,8 +58,8 @@ func NewSupervision(now func() machine.Time, board *obs.Board, window time.Durat
 
 // newDeploySupervision builds the room's supervisory watchdog when the
 // deployment options ask for one, binding it into cfg.Controller so the
-// platform's controller body picks it up. Called by every deploy backend
-// before it constructs the controller; nil (and zero cost) unless the
+// platform's controller body picks it up. Deploy calls it before the
+// backend constructs the controller; nil (and zero cost) unless the
 // gateway is enabled with a positive SupervisionWindow.
 func newDeploySupervision(tb *Testbed, cfg *ScenarioConfig, opts DeployOptions) *Supervision {
 	if !opts.BACnet.Enabled || opts.BACnet.SupervisionWindow <= 0 {

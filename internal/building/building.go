@@ -107,7 +107,7 @@ type Room struct {
 	Node     vnet.NodeID
 
 	Testbed  *bas.Testbed
-	Dep      bas.Deployment
+	Dep      *bas.Deployment
 	Injector *faultinject.Injector
 	Plan     string
 

@@ -15,6 +15,7 @@ package faultinject
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -287,5 +288,18 @@ func Names() []string {
 		out = append(out, n)
 	}
 	sort.Strings(out)
+	return out
+}
+
+// BoardNames lists the builtin plans a board can arm, sorted: every plan
+// that holds no bus-level fault, which Arm refuses.
+func BoardNames() []string {
+	names := Names()
+	out := names[:0]
+	for _, n := range names {
+		if !slices.ContainsFunc(builtins[n].Faults, func(f Fault) bool { return BusKind(f.Kind) }) {
+			out = append(out, n)
+		}
+	}
 	return out
 }

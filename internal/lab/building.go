@@ -169,7 +169,11 @@ func (s BuildingSweep) Validate() error {
 		if plan == "" {
 			continue
 		}
-		if _, err := faultinject.Lookup(plan); err != nil {
+		p, err := faultinject.Lookup(plan)
+		if err != nil {
+			return err
+		}
+		if err := planSide(p, true); err != nil {
 			return err
 		}
 	}
@@ -290,31 +294,13 @@ func ParseBuildingSweep(spec string) (BuildingSweep, error) {
 	if strings.TrimSpace(spec) == "" {
 		return s, nil
 	}
-	for _, clause := range strings.Split(spec, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		axis, values, ok := strings.Cut(clause, "=")
-		if !ok {
-			return BuildingSweep{}, fmt.Errorf("lab: building sweep clause %q is not axis=values", clause)
-		}
-		axis = strings.TrimSpace(axis)
-		var vals []string
-		for _, v := range strings.Split(values, ",") {
-			if v = strings.TrimSpace(v); v != "" {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return BuildingSweep{}, fmt.Errorf("lab: building sweep axis %q has no values", axis)
-		}
+	err := parseClauses(spec, "building sweep", func(axis string, vals []string) (err error) {
 		switch axis {
 		case "rooms":
 			for _, v := range vals {
 				n, err := strconv.Atoi(v)
 				if err != nil {
-					return BuildingSweep{}, fmt.Errorf("lab: rooms %q is not an integer", v)
+					return fmt.Errorf("lab: rooms %q is not an integer", v)
 				}
 				s.Rooms = append(s.Rooms, n)
 			}
@@ -327,18 +313,7 @@ func ParseBuildingSweep(spec string) (BuildingSweep, error) {
 				s.Secures = append(s.Secures, SecurePattern(v))
 			}
 		case "attack":
-			for _, v := range vals {
-				switch v {
-				case "on":
-					s.Attacks = append(s.Attacks, true)
-				case "off":
-					s.Attacks = append(s.Attacks, false)
-				case "both":
-					s.Attacks = append(s.Attacks, false, true)
-				default:
-					return BuildingSweep{}, fmt.Errorf("lab: attack value %q (want on, off, or both)", v)
-				}
-			}
+			s.Attacks, err = appendSwitch(s.Attacks, axis, vals)
 		case "monitor", "monitors":
 			for _, v := range vals {
 				if v == "all" {
@@ -355,38 +330,16 @@ func ParseBuildingSweep(spec string) (BuildingSweep, error) {
 				s.BusFaults = append(s.BusFaults, v)
 			}
 		case "standby":
-			for _, v := range vals {
-				switch v {
-				case "on":
-					s.Standbys = append(s.Standbys, true)
-				case "off":
-					s.Standbys = append(s.Standbys, false)
-				case "both":
-					s.Standbys = append(s.Standbys, false, true)
-				default:
-					return BuildingSweep{}, fmt.Errorf("lab: standby value %q (want on, off, or both)", v)
-				}
-			}
+			s.Standbys, err = appendSwitch(s.Standbys, axis, vals)
 		case "api":
-			for _, v := range vals {
-				switch v {
-				case "on":
-					s.APIs = append(s.APIs, true)
-				case "off":
-					s.APIs = append(s.APIs, false)
-				case "both":
-					s.APIs = append(s.APIs, false, true)
-				default:
-					return BuildingSweep{}, fmt.Errorf("lab: api value %q (want on, off, or both)", v)
-				}
-			}
+			s.APIs, err = appendSwitch(s.APIs, axis, vals)
 		case "settle", "window":
 			if len(vals) != 1 {
-				return BuildingSweep{}, fmt.Errorf("lab: %s takes one duration", axis)
+				return fmt.Errorf("lab: %s takes one duration", axis)
 			}
 			d, err := time.ParseDuration(vals[0])
 			if err != nil {
-				return BuildingSweep{}, fmt.Errorf("lab: %s %q: %w", axis, vals[0], err)
+				return fmt.Errorf("lab: %s %q: %w", axis, vals[0], err)
 			}
 			if axis == "settle" {
 				s.Settle = d
@@ -394,8 +347,12 @@ func ParseBuildingSweep(spec string) (BuildingSweep, error) {
 				s.Window = d
 			}
 		default:
-			return BuildingSweep{}, fmt.Errorf("lab: unknown building sweep axis %q (known: api, attack, busfaults, mix, monitor, rooms, secure, settle, standby, window)", axis)
+			return fmt.Errorf("lab: unknown building sweep axis %q (known: api, attack, busfaults, mix, monitor, rooms, secure, settle, standby, window)", axis)
 		}
+		return err
+	})
+	if err != nil {
+		return BuildingSweep{}, err
 	}
 	s.Rooms = dedupInts(s.Rooms)
 	s.Mixes = dedup(s.Mixes)
@@ -409,6 +366,24 @@ func ParseBuildingSweep(spec string) (BuildingSweep, error) {
 		return BuildingSweep{}, err
 	}
 	return s, nil
+}
+
+// appendSwitch appends the settings an on/off/both axis names: on, off, or
+// both (off, then on).
+func appendSwitch(dst []bool, axis string, vals []string) ([]bool, error) {
+	for _, v := range vals {
+		switch v {
+		case "on":
+			dst = append(dst, true)
+		case "off":
+			dst = append(dst, false)
+		case "both":
+			dst = append(dst, false, true)
+		default:
+			return nil, fmt.Errorf("lab: %s value %q (want on, off, or both)", axis, v)
+		}
+	}
+	return dst, nil
 }
 
 // BuildingShard is one building case's outcome, in shard position.

@@ -9,6 +9,7 @@ import (
 
 	"mkbas/internal/attack"
 	"mkbas/internal/bas"
+	"mkbas/internal/faultinject"
 )
 
 // TestExpandOrder pins the expansion order: platform outermost, then model,
@@ -97,6 +98,44 @@ func TestParseSweep(t *testing.T) {
 	}
 	if len(s.Expand()) != len(bas.AllPlatforms())*len(attack.AllActions()) {
 		t.Errorf("empty sweep expanded to %d cases", len(s.Expand()))
+	}
+}
+
+// TestFaultAxisPlansArm: faults=all names only the plans a board can arm,
+// and each of them arms on a deployed board. A bus-level plan on the board
+// sweep's faults axis, and a board-level plan on the building sweep's
+// busfaults axis, fail validation before anything boots.
+func TestFaultAxisPlansArm(t *testing.T) {
+	s, err := ParseSweep("platforms=minix;actions=none;faults=all")
+	if err != nil {
+		t.Fatalf("ParseSweep(faults=all): %v", err)
+	}
+	if len(s.Faults) < 2 {
+		t.Fatalf("faults=all expanded to %v", s.Faults)
+	}
+	cfg := bas.DefaultScenario()
+	for _, name := range s.Faults {
+		plan, err := faultinject.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep, err := bas.Deploy(bas.PlatformMinix, bas.NewTestbed(cfg), cfg, bas.DeployOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dep.ArmFaults(plan); err != nil {
+			t.Errorf("faults=all names %s, which a board cannot arm: %v", name, err)
+		}
+		dep.Shutdown()
+	}
+	if _, err := ParseSweep("faults=bus-drop"); err == nil {
+		t.Error("faults=bus-drop validated; a board cannot arm a bus-level fault")
+	}
+	if _, err := ParseBuildingSweep("busfaults=crash-sensor"); err == nil {
+		t.Error("busfaults=crash-sensor validated; the bus injector cannot arm a board-level fault")
+	}
+	if _, err := ParseBuildingSweep("busfaults=bus-drop"); err != nil {
+		t.Errorf("busfaults=bus-drop: %v", err)
 	}
 }
 

@@ -257,8 +257,12 @@ func (s Sweep) Validate() error {
 		}
 	}
 	for _, f := range s.Faults {
-		if _, err := faultinject.Lookup(f); err != nil {
+		p, err := faultinject.Lookup(f)
+		if err != nil {
 			return fmt.Errorf("lab: %w", err)
+		}
+		if err := planSide(p, false); err != nil {
+			return err
 		}
 	}
 	for _, m := range s.Monitors {
@@ -329,31 +333,15 @@ func (s Sweep) Expand() []Case {
 // "all" (every registered platform), and resolves other names with
 // bas.ParsePlatform; actions accepts "all" (the board
 // attacks) and "api" (the tenant-tier attack family); plants accepts "all";
-// models accepts "both". Unknown axes and values are rejected.
+// models accepts "both"; faults accepts "all" (every builtin plan a board
+// can arm, the bus-level plans left out). Unknown axes and values are
+// rejected.
 func ParseSweep(spec string) (Sweep, error) {
 	var s Sweep
 	if strings.TrimSpace(spec) == "" {
 		return s, nil
 	}
-	for _, clause := range strings.Split(spec, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		axis, values, ok := strings.Cut(clause, "=")
-		if !ok {
-			return Sweep{}, fmt.Errorf("lab: sweep clause %q is not axis=values", clause)
-		}
-		axis = strings.TrimSpace(axis)
-		var vals []string
-		for _, v := range strings.Split(values, ",") {
-			if v = strings.TrimSpace(v); v != "" {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return Sweep{}, fmt.Errorf("lab: sweep axis %q has no values", axis)
-		}
+	err := parseClauses(spec, "sweep", func(axis string, vals []string) error {
 		switch axis {
 		case "platforms":
 			for _, v := range vals {
@@ -365,7 +353,7 @@ func ParseSweep(spec string) (Sweep, error) {
 				default:
 					p, err := bas.ParsePlatform(v)
 					if err != nil {
-						return Sweep{}, fmt.Errorf("lab: %w", err)
+						return fmt.Errorf("lab: %w", err)
 					}
 					s.Platforms = append(s.Platforms, p)
 				}
@@ -401,14 +389,14 @@ func ParseSweep(spec string) (Sweep, error) {
 			for _, v := range vals {
 				q, err := strconv.Atoi(v)
 				if err != nil {
-					return Sweep{}, fmt.Errorf("lab: quota %q is not an integer", v)
+					return fmt.Errorf("lab: quota %q is not an integer", v)
 				}
 				s.Quotas = append(s.Quotas, q)
 			}
 		case "faults":
 			for _, v := range vals {
 				if v == "all" {
-					s.Faults = append(s.Faults, faultinject.Names()...)
+					s.Faults = append(s.Faults, faultinject.BoardNames()...)
 				} else {
 					s.Faults = append(s.Faults, v)
 				}
@@ -422,8 +410,12 @@ func ParseSweep(spec string) (Sweep, error) {
 				}
 			}
 		default:
-			return Sweep{}, fmt.Errorf("lab: unknown sweep axis %q (known: actions, faults, models, monitor, plants, platforms, quotas)", axis)
+			return fmt.Errorf("lab: unknown sweep axis %q (known: actions, faults, models, monitor, plants, platforms, quotas)", axis)
 		}
+		return nil
+	})
+	if err != nil {
+		return Sweep{}, err
 	}
 	s.Platforms = dedup(s.Platforms)
 	s.Actions = dedup(s.Actions)
@@ -436,6 +428,52 @@ func ParseSweep(spec string) (Sweep, error) {
 		return Sweep{}, err
 	}
 	return s, nil
+}
+
+// parseClauses splits a spec of the sweep grammars into its
+// `axis=value[,value...]` clauses and hands each axis and its values to
+// clause, stopping at the first error. what names the grammar in errors.
+func parseClauses(spec, what string, clause func(axis string, vals []string) error) error {
+	for _, c := range strings.Split(spec, ";") {
+		c = strings.TrimSpace(c)
+		if c == "" {
+			continue
+		}
+		axis, values, ok := strings.Cut(c, "=")
+		if !ok {
+			return fmt.Errorf("lab: %s clause %q is not axis=values", what, c)
+		}
+		axis = strings.TrimSpace(axis)
+		var vals []string
+		for _, v := range strings.Split(values, ",") {
+			if v = strings.TrimSpace(v); v != "" {
+				vals = append(vals, v)
+			}
+		}
+		if len(vals) == 0 {
+			return fmt.Errorf("lab: %s axis %q has no values", what, axis)
+		}
+		if err := clause(axis, vals); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// planSide rejects a fault plan holding a fault the other arming path
+// takes: a board arms no bus-level fault (faultinject.Arm), and the bus
+// injector nothing else (faultinject.NewBusInjector).
+func planSide(p *faultinject.Plan, bus bool) error {
+	for _, f := range p.Faults {
+		switch {
+		case faultinject.BusKind(f.Kind) == bus:
+		case bus:
+			return fmt.Errorf("lab: bus fault plan %q: %s is a board-level fault; sweep it with faults on a board", p.Name, f.Kind)
+		default:
+			return fmt.Errorf("lab: fault plan %q: %s is a bus-level fault; sweep it with busfaults on a building", p.Name, f.Kind)
+		}
+	}
+	return nil
 }
 
 // dedup removes repeated values, keeping first-occurrence order — "paper"

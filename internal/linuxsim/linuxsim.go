@@ -418,14 +418,9 @@ func (k *Kernel) SpawnCount(image string) int { return k.spawnCounts[image] }
 // vanilla Linux nothing watches for the exit — that absence is the point of
 // the chaos comparison.
 func (k *Kernel) CrashProcess(name string) error {
-	victim := -1
-	for unixPID, p := range k.byUnix {
-		if p.name == name && (victim == -1 || unixPID < victim) {
-			victim = unixPID
-		}
-	}
-	if victim == -1 {
-		return fmt.Errorf("%w: process %q", ErrNoEnt, name)
+	victim, err := k.PIDOf(name)
+	if err != nil {
+		return err
 	}
 	p := k.byUnix[victim]
 	k.m.Trace().Logf("linux", "FAULT-INJECT kill %s pid=%d", p.name, p.unixPID)
@@ -453,14 +448,20 @@ func (k *Kernel) Alive(unixPID int) bool {
 	return ok
 }
 
-// PIDOf finds a live process's unix pid by image name.
+// PIDOf finds a live process's unix pid by image name. When several live
+// processes run the image (a forked web interface), it is the lowest pid,
+// the oldest of them, whatever the map order.
 func (k *Kernel) PIDOf(name string) (int, error) {
-	for _, p := range k.procs {
-		if p.name == name {
-			return p.unixPID, nil
+	found := -1
+	for unixPID, p := range k.byUnix {
+		if p.name == name && (found == -1 || unixPID < found) {
+			found = unixPID
 		}
 	}
-	return 0, fmt.Errorf("%w: process %q", ErrNoEnt, name)
+	if found == -1 {
+		return 0, fmt.Errorf("%w: process %q", ErrNoEnt, name)
+	}
+	return found, nil
 }
 
 // Allowed exposes the kernel's DAC predicate so the static policy analyzer

@@ -362,6 +362,40 @@ func TestForkInheritsCredentials(t *testing.T) {
 	}
 }
 
+// TestPIDOfIsTheLowestLivePID: with several live processes of one image,
+// PIDOf answers the lowest pid on every call, whatever the map order, and
+// CrashProcess kills that one.
+func TestPIDOfIsTheLowestLivePID(t *testing.T) {
+	m, k := newBoard(t)
+	k.RegisterImage(Image{Name: "web", UID: 1000, Priority: 7, Body: func(api *API) {
+		api.Sleep(time.Hour)
+	}})
+	var pids []int
+	for i := 0; i < 4; i++ {
+		pid, err := k.SpawnImage("web")
+		if err != nil {
+			t.Fatalf("spawn %d: %v", i, err)
+		}
+		pids = append(pids, pid)
+	}
+	m.Run(time.Second)
+	for i := 0; i < 200; i++ {
+		if got, err := k.PIDOf("web"); err != nil || got != pids[0] {
+			t.Fatalf("call %d: PIDOf = %d, %v; want %d, the lowest of %v", i, got, err, pids[0], pids)
+		}
+	}
+	if err := k.CrashProcess("web"); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(time.Second)
+	if k.Alive(pids[0]) {
+		t.Fatalf("CrashProcess left pid %d, the lowest, alive", pids[0])
+	}
+	if got, err := k.PIDOf("web"); err != nil || got != pids[1] {
+		t.Fatalf("after the crash PIDOf = %d, %v; want %d", got, err, pids[1])
+	}
+}
+
 func TestForkBombIsUnbounded(t *testing.T) {
 	// Linux has no fork quota surface: 100 forks all succeed. (Contrast
 	// with TestPMForkQuotaStopsForkBomb in internal/minix.)

@@ -184,9 +184,10 @@ type Kernel struct {
 	// denials memoises each distinct ACM denial's error, event detail and
 	// trace line, so an attacker repeating a denied send costs no
 	// formatting: the text depends only on the key. devDenials does the
-	// same for a refused device trap, whose text names only the device.
+	// same for a refused device trap's error and event detail, whose text
+	// names only the device.
 	denials    map[denialKey]*denial
-	devDenials map[machine.DeviceID]error
+	devDenials map[machine.DeviceID]*denial
 }
 
 // procIdent is what names a process in its IPC edges: the span names it
@@ -246,7 +247,7 @@ func Boot(m *machine.Machine, policy *core.Policy, cfg Config) (*Kernel, error) 
 		whos:   make(map[procIdent]uint32),
 		cells:  make(map[cellKey]cellEdges),
 
-		devDenials: make(map[machine.DeviceID]error),
+		devDenials: make(map[machine.DeviceID]*denial),
 	}
 	board := m.Obs()
 	board.Events().SetPlatform("minix")
@@ -619,14 +620,28 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 }
 
 // devAccess is the kernel's device access check: a process reaches only
-// the devices its image lists (the per-process device privilege).
+// the devices its image lists (the per-process device privilege). Each
+// refusal books one syscall denial, as the other kernels book theirs.
 func (k *Kernel) devAccess(pid machine.PID, f *machine.Frame, write bool) (machine.DeviceID, error) {
-	dev := machine.DeviceID(f.S0)
-	if !k.entryOf(pid).devs[dev] {
-		if k.devDenials[dev] == nil {
-			k.devDenials[dev] = fmt.Errorf("%w: device %q", ErrNoPrivilege, dev)
+	self, dev := k.entryOf(pid), machine.DeviceID(f.S0)
+	if !self.devs[dev] {
+		d := k.devDenials[dev]
+		if d == nil {
+			d = &denial{
+				err:    fmt.Errorf("%w: device %q", ErrNoPrivilege, dev),
+				detail: fmt.Sprintf("device %s not in the image's privileges", dev),
+			}
+			k.devDenials[dev] = d
 		}
-		return "", k.devDenials[dev]
+		k.events.Emit(obs.SecurityEvent{
+			Kind:      obs.EventSyscallDenied,
+			Mechanism: obs.MechKernel,
+			Denied:    true,
+			Src:       self.name,
+			Dst:       string(dev),
+			Detail:    d.detail,
+		})
+		return "", d.err
 	}
 	if write {
 		k.stats.DevWrites++

@@ -19,8 +19,10 @@ const (
 	MechCapability Mechanism = "capability"
 	// MechDAC is Linux discretionary access control (uid/gid/mode).
 	MechDAC Mechanism = "dac"
-	// MechKernel marks events enforced by generic kernel limits (process
-	// table exhaustion, rlimits) rather than a security policy.
+	// MechKernel marks events enforced by the kernel itself rather than a
+	// security policy: generic limits (process table exhaustion, rlimits)
+	// and per-process kernel privileges (MINIX's kernel-call and device
+	// privileges).
 	MechKernel Mechanism = "kernel"
 	// MechRecovery marks events produced by a recovery service (MINIX RS,
 	// the seL4 monitor component, the Linux supervisor) rather than a

@@ -52,9 +52,9 @@ var devKernels = []devKernel{
 	{
 		name: "minix", boot: bootMinixDevices, refuse: refuseByID,
 		readErr: minix.ErrNoPrivilege, writeErr: minix.ErrNoPrivilege,
-		// MINIX refuses a device trap without a security event, where
-		// seL4 books a capability fault and Linux a DAC denial.
-		events: 0,
+		// MINIX books a kernel-privilege denial, where seL4 books a
+		// capability fault and Linux a DAC denial.
+		events: 2,
 	},
 	{
 		name: "sel4", boot: bootCAmkESDevices, refuse: refuseByCap,
@@ -197,7 +197,7 @@ func testRefusedDevice(t *testing.T, k devKernel) {
 }
 
 // testRefusalEvents counts the security events the two refusals book: one
-// each on seL4 and Linux, none on MINIX.
+// each, on every kernel.
 func testRefusalEvents(t *testing.T, k devKernel) {
 	var booked int64
 	var m *machine.Machine

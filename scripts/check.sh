@@ -123,9 +123,11 @@ go run ./cmd/bas mon -platform sel4 -recovery -faults crash-sensor -duration 1h 
 go run ./cmd/bas mon -platform linux-hardened -recovery -faults crash-sensor -duration 1h >/dev/null
 # Fault-sweep determinism golden: injection, recovery, and MTTR accounting
 # must be byte-identical between serial and 8-worker runs (DESIGN.md §10).
-chaos='platforms=paper;actions=none'
-go run ./cmd/bas lab -sweep "$chaos" -faults crash-sensor,hang-sensor -workers 1 -json -q >"$out1"
-go run ./cmd/bas lab -sweep "$chaos" -faults crash-sensor,hang-sensor -workers 8 -json -q >"$out2"
+# Every platform under every plan a board can arm, so each kernel binding's
+# crash, IPC-fault and restart path runs at both widths.
+chaos='platforms=all;actions=none;faults=all'
+go run ./cmd/bas lab -sweep "$chaos" -workers 1 -json -q >"$out1"
+go run ./cmd/bas lab -sweep "$chaos" -workers 8 -json -q >"$out2"
 cmp "$out1" "$out2"
 # Building determinism golden (DESIGN.md §11): a 16-room mixed building under
 # the lateral-movement attack, with one room's sensor crashed, must produce
