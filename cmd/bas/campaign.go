@@ -192,9 +192,9 @@ func labCmd(fs *flag.FlagSet) func([]string) error {
 	}
 }
 
-// resolveFaults turns each -faults item into a registered plan name. An item
+// resolveFaults turns each -faults item into registered plan names. An item
 // that names a readable file is parsed as a plan JSON and registered; anything
-// else must be a builtin plan name.
+// else resolves as a sweep's faults value does: "all" or a builtin plan name.
 func resolveFaults(spec string) ([]string, error) {
 	var names []string
 	for _, item := range strings.Split(spec, ",") {
@@ -204,7 +204,11 @@ func resolveFaults(spec string) ([]string, error) {
 		}
 		data, err := os.ReadFile(item)
 		if err != nil {
-			names = append(names, item)
+			s, err := lab.ParseSweep("faults=" + item)
+			if err != nil {
+				return nil, err
+			}
+			names = append(names, s.Faults...)
 			continue
 		}
 		plan, err := faultinject.ParsePlan(data)

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,6 +70,25 @@ func TestBadFlagExitsNonzero(t *testing.T) {
 	}
 	if code := run([]string{"mon", "-platform", "plan9"}, io.Discard); code != 1 {
 		t.Errorf("unknown platform exited %d, want 1", code)
+	}
+}
+
+// TestFaultsFlagAll: bas lab -faults all resolves as a sweep's faults=all
+// does, to the plans a board can arm, and the sweep it joins validates.
+func TestFaultsFlagAll(t *testing.T) {
+	got, err := resolveFaults("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	axis, err := lab.ParseSweep("faults=all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, axis.Faults) {
+		t.Fatalf("-faults all resolved to %v, faults=all to %v", got, axis.Faults)
+	}
+	if err := (lab.Sweep{Faults: got}).Validate(); err != nil {
+		t.Fatalf("-faults all: %v", err)
 	}
 }
 

@@ -49,6 +49,12 @@ func TestParseScenarioModel(t *testing.T) {
 	if !loader.OnKernel("minix") || loader.OnKernel("sel4") || !ctrl.OnKernel("sel4") {
 		t.Fatal("Kernels property misread")
 	}
+	sensor, _ := pkg.Process("tempSensProc")
+	tenant, _ := pkg.Process("tenantApiGw")
+	if sensor.Priority() != 6 || sensor.Origin() != "boot" || !slices.Equal(sensor.Devices(), []string{"tempsensor"}) ||
+		ctrl.Priority() != 5 || ctrl.Origin() != "operator" || ctrl.Devices() != nil || tenant.Priority() != 0 {
+		t.Fatal("Priority, Origin or Devices property misread")
+	}
 	web := sys.Connections[3]
 	types := web.MessageTypes()
 	if len(types) != 2 || types[0] != 4 || types[1] != 5 {
@@ -379,6 +385,11 @@ end b;
 		{"uid out of range", x(" AC_ID => 5;\n Linux_Account => (2147483648, 50);\n"), "out of range"},
 		{"gid out of range", x(" AC_ID => 5;\n Linux_Account => (100, 9223372036854775807);\n"), "out of range"},
 		{"account off linux checked too", x(" AC_ID => 5;\n Kernels => (sel4);\n Linux_Account => (1);\n"), "(uid, gid) pair"},
+		{"priority out of range", x(" AC_ID => 5;\n Kernels => (sel4);\n Priority => 16;\n"), "priority must be a number in 0..15"},
+		{"priority list", x(" AC_ID => 5;\n Kernels => (sel4);\n Priority => (4);\n"), "priority must be a number in 0..15"},
+		{"unknown origin", x(" AC_ID => 5;\n Kernels => (sel4);\n Origin => (cloud);\n"), "unknown name"},
+		{"two origins", x(" AC_ID => 5;\n Kernels => (sel4);\n Origin => (boot, web);\n"), "must name one label"},
+		{"numeric devices", x(" AC_ID => 5;\n Kernels => (sel4);\n Devices => (1, 2);\n"), "must list names"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

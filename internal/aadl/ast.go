@@ -69,6 +69,23 @@ func (p *Process) ACID() int64 {
 // "set_acid").
 func (p *Process) Syscalls() []string { return p.Properties["syscalls"].Names }
 
+// Priority returns the process's Priority property, its scheduling priority
+// on every kernel (0 if absent).
+func (p *Process) Priority() int { return int(p.Properties["priority"].Number) }
+
+// Origin returns the process's Origin property, the provenance label the
+// online policy monitor certifies it at; empty if absent.
+func (p *Process) Origin() string {
+	if names := p.Properties["origin"].Names; len(names) == 1 {
+		return names[0]
+	}
+	return ""
+}
+
+// Devices returns the process's Devices property: the room devices it may
+// touch.
+func (p *Process) Devices() []string { return p.Properties["devices"].Names }
+
 // OnKernel reports whether kernel's policy artifact includes the process:
 // the Kernels property names the kernels that do ("minix", "sel4",
 // "linux"), and a process without one is on every kernel.

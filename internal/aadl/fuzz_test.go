@@ -12,8 +12,9 @@ import (
 // refuse it).
 //
 // The seeds live in testdata/fuzz/FuzzParse: the scenario model, fragments
-// of it, and the name-valued Syscalls and Kernels and the pair-valued
-// Linux_Account property forms.
+// of it, the name-valued Syscalls and Kernels and the pair-valued
+// Linux_Account property forms, and the Priority, Origin and Devices a
+// booted process carries.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
 		var before, after runtime.MemStats

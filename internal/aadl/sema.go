@@ -8,15 +8,26 @@ import (
 	"mkbas/internal/core"
 )
 
-// kernels is every kernel a Kernels property may name.
-var kernels = []string{"minix", "sel4", "linux"}
+// nameProps is every name-valued process property and the names it may
+// list: the PM's audited services, the kernels, the monitor's origin labels
+// and, for Devices, any name.
+var nameProps = []struct {
+	key   string
+	known func(string) bool
+}{
+	{"syscalls", func(name string) bool { _, ok := syscallKind(name); return ok }},
+	{"kernels", func(name string) bool { return slices.Contains([]string{"minix", "sel4", "linux"}, name) }},
+	{"origin", func(name string) bool { return slices.Contains([]string{"boot", "operator", "web", "untrusted"}, name) }},
+	{"devices", func(string) bool { return true }},
+}
 
 // analyze performs the semantic checks the AADL workbench would: every
 // subcomponent's process type exists, connections reference real ports with
 // compatible directions, every process carries a unique AC_ID, message
 // types fit the ACM's 0..63 space, the Syscalls and Kernels properties
-// name known services and kernels, and every process on Linux carries a
-// Linux_Account.
+// name known services and kernels, every process on Linux carries a
+// Linux_Account, a Priority fits the engine's 0..15 bands, an Origin names
+// one known label and Devices lists names.
 func analyze(pkg *Package) error {
 	seenProc := make(map[string]bool, len(pkg.Processes))
 	for _, proc := range pkg.Processes {
@@ -31,14 +42,20 @@ func analyze(pkg *Package) error {
 			}
 			seenPort[port.Name] = true
 		}
-		if err := checkNames(&proc, "syscalls", func(name string) bool { _, ok := syscallKind(name); return ok }); err != nil {
-			return err
-		}
-		if err := checkNames(&proc, "kernels", func(name string) bool { return slices.Contains(kernels, name) }); err != nil {
-			return err
+		for _, p := range nameProps {
+			if err := checkNames(&proc, p.key, p.known); err != nil {
+				return err
+			}
 		}
 		if err := checkAccount(&proc); err != nil {
 			return err
+		}
+		// The engine's priority bands run from 0, the most urgent, to 15.
+		if v := proc.Properties["priority"]; v.IsList || v.Number < 0 || v.Number > 15 {
+			return &SemanticError{Line: proc.Line, Msg: fmt.Sprintf("process %q property priority must be a number in 0..15", proc.Name)}
+		}
+		if len(proc.Properties["origin"].Names) > 1 {
+			return &SemanticError{Line: proc.Line, Msg: fmt.Sprintf("process %q property origin must name one label", proc.Name)}
 		}
 	}
 

@@ -7,6 +7,8 @@ import (
 	"mkbas/internal/aadl"
 	"mkbas/internal/camkes"
 	"mkbas/internal/core"
+	"mkbas/internal/machine"
+	"mkbas/internal/plant"
 	"mkbas/internal/polcheck"
 	"mkbas/internal/polcheck/monitor"
 )
@@ -29,7 +31,8 @@ import (
 // its model: aadl.GenerateACM and aadl.GenerateSyscalls make every MINIX
 // policy, aadl.GenerateCAmkES the components, interfaces and connections
 // of every seL4 assembly, and aadl.GenerateDAC the accounts, queue owners
-// and queue modes of every Linux board.
+// and queue modes of every Linux board. Each booted process's ac_id,
+// priority, devices and monitor origin come from the same model.
 //
 // A caller-supplied DeployOptions.Policy never enters the table; it is
 // certified on the spot by every deploy that boots it.
@@ -44,9 +47,9 @@ type image struct {
 }
 
 // newImage certifies g against the scenario's contract and indexes it for
-// the monitor, every subject at its scenario origin.
+// the monitor, every subject at its model origin.
 func newImage(g *polcheck.Graph, idx monitor.IndexOptions) image {
-	idx.Origins = scenarioOrigins()
+	idx.Origins = scenarioModel().origins
 	return image{graph: g, verdict: checkDeployPolicy(g), index: monitor.NewIndex(g, idx)}
 }
 
@@ -76,10 +79,51 @@ func (m *memo[K, V]) get(k K, build func(K) V) V {
 	return entry()
 }
 
-// scenarioModel is the embedded model, parsed once per process.
-var scenarioModel = sync.OnceValue(func() *aadl.Package {
-	return must(aadl.Parse(aadl.TempControl))
+// procFacts is what the model fixes about one booted process: the ac_id
+// its ACM row is compiled for, its priority on every kernel, and the room
+// devices it may touch, shared by every board and never written.
+type procFacts struct {
+	acid     core.ACID
+	priority int
+	devices  []machine.DeviceID
+}
+
+// modelDevices binds the model's device names to the room's bus IDs: wire
+// detail, as linuxPortQueues is (alarm-led is not an AADL identifier).
+var modelDevices = map[string]machine.DeviceID{
+	"tempsensor": plant.DevTempSensor,
+	"heater":     plant.DevHeater,
+	"alarm":      plant.DevAlarm,
+}
+
+// scenarioModel is the embedded model, parsed once per process, with each
+// process's boot facts and monitor origin by name.
+var scenarioModel = sync.OnceValue(func() (m struct {
+	pkg     *aadl.Package
+	procs   map[string]procFacts
+	origins map[string]monitor.Origin
+}) {
+	m.pkg = must(aadl.Parse(aadl.TempControl))
+	m.procs, m.origins = make(map[string]procFacts), make(map[string]monitor.Origin)
+	sys, _ := m.pkg.System(aadl.TempControlSystem)
+	for _, sub := range sys.Subcomponents {
+		proc, _ := m.pkg.Process(sub.ProcessType)
+		f := procFacts{acid: core.ACID(proc.ACID()), priority: proc.Priority()}
+		for _, name := range proc.Devices() {
+			f.devices = append(f.devices, modelDevices[name])
+		}
+		m.procs[sub.Name] = f
+		for o := monitor.OriginUntrusted; o <= monitor.OriginBoot; o++ {
+			if o.String() == proc.Origin() {
+				m.origins[sub.Name] = o
+			}
+		}
+	}
+	return m
 })
+
+// procOf returns the named model process's boot facts.
+func procOf(name string) procFacts { return scenarioModel().procs[name] }
 
 // gatewaysOff lists the optional gateways a board leaves out of the model.
 func gatewaysOff(bacnet, tenant bool) (omit []string) {
@@ -130,11 +174,11 @@ func minixDefault(bacnet, tenant bool, forkQuota int) *minixImage {
 }
 
 func buildMinixImage(k minixKey) *minixImage {
-	pkg, omit := scenarioModel(), gatewaysOff(k.bacnet, k.tenant)
+	pkg, omit := scenarioModel().pkg, gatewaysOff(k.bacnet, k.tenant)
 	grants := must(aadl.GenerateSyscalls(pkg, aadl.TempControlSystem, omit...))
 	if k.forkQuota != core.QuotaUnlimited {
 		// E8: the paper's proposed quota, on the web interface's fork.
-		grants.GrantQuota(core.ACIDWebInterface, core.SysFork, k.forkQuota)
+		grants.GrantQuota(procOf(NameWebInterface).acid, core.SysFork, k.forkQuota)
 	}
 	// Every board shares this policy sealed: its matrix and grants panic on
 	// write.
@@ -181,7 +225,7 @@ func linuxDefault(bacnet, tenant bool) *linuxImage {
 }
 
 func buildLinuxImage(k linuxKey) *linuxImage {
-	pkg, omit := scenarioModel(), gatewaysOff(k.bacnet, k.tenant)
+	pkg, omit := scenarioModel().pkg, gatewaysOff(k.bacnet, k.tenant)
 	same := must(aadl.GenerateDAC(pkg, aadl.TempControlSystem, omit...)).Under(baseUID, baseGID)
 	// Unique accounts cannot be reached through fork, so the hardened
 	// deployment spawns each process itself and boots no loader.
@@ -190,15 +234,6 @@ func buildLinuxImage(k linuxKey) *linuxImage {
 		dac:   map[bool]*linuxDAC{true: hardened, false: bindLinuxDAC(same)},
 		image: newImage(polcheck.FromDAC(&hardened.model), monitor.IndexOptions{}),
 	}
-}
-
-// modelACID is the named process's AC_ID in the embedded model: MINIX
-// boots each process under the ac_id its ACM row is compiled for.
-func modelACID(name string) core.ACID {
-	sys, _ := scenarioModel().System(aadl.TempControlSystem)
-	sub, _ := sys.Sub(name)
-	proc, _ := scenarioModel().Process(sub.ProcessType)
-	return core.ACID(proc.ACID())
 }
 
 // sel4Key is every input that shapes a scenario assembly's structure: the
@@ -253,5 +288,5 @@ func sel4Compiled(bacnet bool) *aadl.CamkesTopology {
 }
 
 func buildSel4Topology(bacnet bool) *aadl.CamkesTopology {
-	return must(aadl.GenerateCAmkES(scenarioModel(), aadl.TempControlSystem, gatewaysOff(bacnet, false)...))
+	return must(aadl.GenerateCAmkES(scenarioModel().pkg, aadl.TempControlSystem, gatewaysOff(bacnet, false)...))
 }

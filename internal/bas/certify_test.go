@@ -41,7 +41,7 @@ func renderGraph(g *polcheck.Graph) string {
 func overbroadPolicy() *core.Policy {
 	bad := MinixPolicy(false, false, core.QuotaUnlimited)
 	ipc := bad.IPC.Clone()
-	ipc.Allow(core.ACIDWebInterface, core.ACIDHeaterAct, core.MsgHeaterCmd)
+	ipc.Allow(procOf(NameWebInterface).acid, procOf(NameHeaterAct).acid, core.MsgHeaterCmd)
 	bad.IPC = ipc.Seal()
 	return bad
 }
@@ -216,7 +216,7 @@ func TestTableMatchesFreshArtifacts(t *testing.T) {
 func TestCompiledPolicyDeploysFromTable(t *testing.T) {
 	cfg := DefaultScenario()
 	a := minixDefault(false, false, 5)
-	if r := a.policy.Syscalls.Rule(core.ACIDWebInterface, core.SysFork); !r.Allowed || r.Quota != 5 {
+	if r := a.policy.Syscalls.Rule(procOf(NameWebInterface).acid, core.SysFork); !r.Allowed || r.Quota != 5 {
 		t.Fatalf("web fork rule = %+v, want a quota of 5", r)
 	}
 	if a == minixDefault(false, false, core.QuotaUnlimited) || a != minixDefault(false, false, 5) {

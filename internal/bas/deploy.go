@@ -255,24 +255,6 @@ func Deploy(platform Platform, tb *Testbed, cfg ScenarioConfig, opts DeployOptio
 	return d, nil
 }
 
-// scenarioOrigins is the OAMAC-style provenance assignment shared by every
-// platform's monitor: drivers, actuators, the gateway, and the loader come
-// from the verified boot image; the controller is operator logic; the web
-// interface is the web-facing surface an exploit lands on. Subject names
-// are identical across the three platforms, so one map serves all.
-func scenarioOrigins() map[string]monitor.Origin {
-	return map[string]monitor.Origin{
-		NameTempSensor:    monitor.OriginBoot,
-		NameHeaterAct:     monitor.OriginBoot,
-		NameAlarmAct:      monitor.OriginBoot,
-		NameBACnetGateway: monitor.OriginBoot,
-		NameTenantGateway: monitor.OriginBoot,
-		NameScenario:      monitor.OriginBoot,
-		NameTempControl:   monitor.OriginOperator,
-		NameWebInterface:  monitor.OriginWeb,
-	}
-}
-
 // attachMonitor builds the board's online verifier over img's shared edge
 // index and subscribes it to the board's IPC record stream. Drift events
 // land in the board's own event log, so they surface through Report like

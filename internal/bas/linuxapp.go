@@ -87,12 +87,12 @@ func bindLinuxDAC(d *aadl.DAC) *linuxDAC {
 	}
 	// The controller's private environment log: no peer, so owner only.
 	queue(QAuditLog, "", d.Subject(NameTempControl), 0o600)
-	for _, r := range scenarioRoles {
-		if r.device != "" {
-			// Each driver's account owns its device file.
-			a := d.Subject(r.name)
+	for _, name := range forkOrder {
+		// Each driver's account owns its device files.
+		for _, dev := range procOf(name).devices {
+			a := d.Subject(name)
 			b.model.Devices = append(b.model.Devices, polcheck.DACObject{
-				Name: "/dev/" + string(r.device), OwnerUID: a.UID, OwnerGID: a.GID, Mode: 0o600,
+				Name: "/dev/" + string(dev), OwnerUID: a.UID, OwnerGID: a.GID, Mode: 0o600,
 			})
 		}
 	}
@@ -130,8 +130,8 @@ func (linuxBinding) controllerAlive(d *Deployment) bool {
 // processes.
 func (linuxBinding) restarts(d *Deployment) int {
 	n := 0
-	for _, r := range scenarioRoles {
-		if c := d.Linux.SpawnCount(r.name); c > 1 {
+	for _, name := range forkOrder {
+		if c := d.Linux.SpawnCount(name); c > 1 {
 			n += c - 1
 		}
 	}
@@ -172,14 +172,14 @@ func deployLinux(d *Deployment, cfg ScenarioConfig, opts DeployOptions, gateway 
 		metrics := tb.Machine.Obs().Metrics()
 		webBody = func(api *linuxsim.API) { webInterfaceBody(api, linuxDial(api, "web"), metrics) }
 	}
-	for _, r := range scenarioRoles {
-		acct := dac.Subject(r.name)
-		img := linuxsim.Image{Name: r.name, Priority: r.priority, UID: acct.UID, GID: acct.GID, Body: webBody}
-		switch r.name {
+	for _, name := range forkOrder {
+		f, acct := procOf(name), dac.Subject(name)
+		img := linuxsim.Image{Name: name, Priority: f.priority, UID: acct.UID, GID: acct.GID, Body: webBody}
+		switch name {
 		case NameHeaterAct:
-			img.Body = linuxActuatorBody(actHeater, r.device, dac)
+			img.Body = linuxActuatorBody(actHeater, f.devices[0], dac)
 		case NameAlarmAct:
-			img.Body = linuxActuatorBody(actAlarm, r.device, dac)
+			img.Body = linuxActuatorBody(actAlarm, f.devices[0], dac)
 		case NameTempControl:
 			img.Body = linuxControllerBody(cfg.Controller, dac)
 		case NameTempSensor:
@@ -208,19 +208,19 @@ func deployLinux(d *Deployment, cfg ScenarioConfig, opts DeployOptions, gateway 
 		}
 		// Unique accounts cannot be reached through fork (children inherit
 		// credentials), so the deployment spawns each process directly.
-		for _, r := range scenarioRoles {
-			if _, err := k.SpawnImage(r.name); err != nil {
-				return nil, fmt.Errorf("bas: spawning %s: %w", r.name, err)
+		for _, name := range forkOrder {
+			if _, err := k.SpawnImage(name); err != nil {
+				return nil, fmt.Errorf("bas: spawning %s: %w", name, err)
 			}
 		}
 	} else {
 		loader := dac.Subject(NameScenario)
 		k.RegisterImage(linuxsim.Image{
-			Name: NameScenario, Priority: 3, UID: loader.UID, GID: loader.GID,
+			Name: NameScenario, Priority: procOf(NameScenario).priority, UID: loader.UID, GID: loader.GID,
 			Body: func(api *linuxsim.API) {
-				for _, r := range scenarioRoles {
-					if _, err := api.Fork(r.name); err != nil {
-						api.Trace("bas", fmt.Sprintf("loader: fork %s failed: %v", r.name, err))
+				for _, name := range forkOrder {
+					if _, err := api.Fork(name); err != nil {
+						api.Trace("bas", fmt.Sprintf("loader: fork %s failed: %v", name, err))
 					}
 				}
 				api.Exit()
@@ -236,7 +236,7 @@ func deployLinux(d *Deployment, cfg ScenarioConfig, opts DeployOptions, gateway 
 		// anyway.
 		acct := dac.Subject(NameBACnetGateway)
 		k.RegisterImage(linuxsim.Image{
-			Name: NameBACnetGateway, Priority: gatewayPriority, UID: acct.UID, GID: acct.GID,
+			Name: NameBACnetGateway, Priority: procOf(NameBACnetGateway).priority, UID: acct.UID, GID: acct.GID,
 			Body: func(api *linuxsim.API) { gateway(api, linuxDial(api, "gateway")) },
 		})
 		if _, err := k.SpawnImage(NameBACnetGateway); err != nil {
@@ -423,10 +423,10 @@ const linuxSupervisorPeriod = time.Second
 func linuxSupervisorBody(api *linuxsim.API) {
 	for {
 		api.Sleep(linuxSupervisorPeriod)
-		for _, r := range scenarioRoles {
-			_, err := api.Respawn(r.name)
+		for _, name := range forkOrder {
+			_, err := api.Respawn(name)
 			if err != nil && !errors.Is(err, linuxsim.ErrExist) {
-				api.Trace("supervisord", fmt.Sprintf("respawn %s: %v", r.name, err))
+				api.Trace("supervisord", fmt.Sprintf("respawn %s: %v", name, err))
 			}
 		}
 	}

@@ -78,7 +78,7 @@ func deployMinix(d *Deployment, cfg ScenarioConfig, opts DeployOptions, gateway 
 			img.verdict = checkDeployPolicy(img.graph)
 		}
 		if opts.Monitor {
-			img.index = monitor.NewIndex(img.graph, monitor.IndexOptions{Origins: scenarioOrigins()})
+			img.index = monitor.NewIndex(img.graph, monitor.IndexOptions{Origins: scenarioModel().origins})
 		}
 	}
 	if gate && img.verdict != nil {
@@ -96,18 +96,15 @@ func deployMinix(d *Deployment, cfg ScenarioConfig, opts DeployOptions, gateway 
 	if webBody == nil {
 		webBody = func(api *minix.API) { webInterfaceBody(api, minixDial(api), nil) }
 	}
-	for _, r := range scenarioRoles {
-		img := minix.Image{Name: r.name, Priority: r.priority}
-		if r.device != "" {
-			// Drivers are reincarnated by RS.
-			img.Restart = true
-			img.Devices = []machine.DeviceID{r.device}
-		}
-		switch r.name {
+	for _, name := range forkOrder {
+		f := procOf(name)
+		// Drivers are reincarnated by RS.
+		img := minix.Image{Name: name, Priority: f.priority, Devices: f.devices, Restart: len(f.devices) > 0}
+		switch name {
 		case NameHeaterAct:
-			img.Body = minixActuatorBody(actHeater, r.device)
+			img.Body = minixActuatorBody(actHeater, f.devices[0])
 		case NameAlarmAct:
-			img.Body = minixActuatorBody(actAlarm, r.device)
+			img.Body = minixActuatorBody(actAlarm, f.devices[0])
 		case NameTempControl:
 			img.Body = minixControllerBody(cfg.Controller)
 		case NameTempSensor:
@@ -120,16 +117,18 @@ func deployMinix(d *Deployment, cfg ScenarioConfig, opts DeployOptions, gateway 
 		}
 		k.RegisterImage(img)
 	}
-	k.RegisterImage(minix.Image{Name: NameScenario, Priority: 3, Body: minixLoaderBody})
-	if _, err := k.SpawnImage(NameScenario, modelACID(NameScenario)); err != nil {
+	loader := procOf(NameScenario)
+	k.RegisterImage(minix.Image{Name: NameScenario, Priority: loader.priority, Body: minixLoaderBody})
+	if _, err := k.SpawnImage(NameScenario, loader.acid); err != nil {
 		return nil, fmt.Errorf("bas: spawning loader: %w", err)
 	}
 	if gateway != nil {
+		gw := procOf(NameBACnetGateway)
 		k.RegisterImage(minix.Image{
-			Name: NameBACnetGateway, Priority: gatewayPriority, Net: true, Restart: true,
+			Name: NameBACnetGateway, Priority: gw.priority, Net: true, Restart: true,
 			Body: func(api *minix.API) { gateway(api, minixDial(api)) },
 		})
-		if _, err := k.SpawnImage(NameBACnetGateway, modelACID(NameBACnetGateway)); err != nil {
+		if _, err := k.SpawnImage(NameBACnetGateway, gw.acid); err != nil {
 			return nil, fmt.Errorf("bas: spawning bacnet gateway: %w", err)
 		}
 	}
@@ -141,9 +140,9 @@ func deployMinix(d *Deployment, cfg ScenarioConfig, opts DeployOptions, gateway 
 // other five processes, tells kernel each process's ac_id, and loads the
 // correct binaries for each of them".
 func minixLoaderBody(api *minix.API) {
-	for _, r := range scenarioRoles {
-		if _, err := api.Fork2(r.name, uint32(modelACID(r.name))); err != nil {
-			api.Trace("bas", fmt.Sprintf("loader: fork2 %s failed: %v", r.name, err))
+	for _, name := range forkOrder {
+		if _, err := api.Fork2(name, uint32(procOf(name).acid)); err != nil {
+			api.Trace("bas", fmt.Sprintf("loader: fork2 %s failed: %v", name, err))
 		}
 	}
 	api.Exit()

@@ -13,44 +13,16 @@ import (
 )
 
 // This file holds what the scenario's processes do on every kernel: the
-// role table each binding deploys from, the process port the shared bodies
-// run over, and those bodies. A binding supplies only what is a kernel
+// loader's fork order each binding deploys in, the process port the shared
+// bodies run over, and those bodies. A binding supplies only what is a kernel
 // property: its receive loops, its wire format, and how one process reaches
 // another.
 
-// scenarioRole is one of the scenario's five processes.
-type scenarioRole struct {
-	name     string
-	priority int
-	// device is the room device the process drives; empty for the
-	// controller and the web interface.
-	device machine.DeviceID
-}
-
-// scenarioRoles lists the five processes in the loader's fork order. MINIX
-// and Linux register and start their images from it, and seL4 takes its
-// component priorities from it.
-var scenarioRoles = [...]scenarioRole{
-	{NameHeaterAct, 4, plant.DevHeater},
-	{NameAlarmAct, 4, plant.DevAlarm},
-	{NameTempControl, 5, ""},
-	{NameTempSensor, 6, plant.DevTempSensor},
-	{NameWebInterface, 7, ""},
-}
-
-// roleOf returns the named role's table entry.
-func roleOf(name string) scenarioRole {
-	for _, r := range scenarioRoles {
-		if r.name == name {
-			return r
-		}
-	}
-	panic("bas: no scenario role " + name)
-}
-
-// gatewayPriority is the BACnet gateway's priority on every kernel, the web
-// interface's.
-const gatewayPriority = 7
+// forkOrder is the loader's program: the order the five application
+// processes start in, which fixes every endpoint and pid. MINIX and Linux
+// register and start their images in it; what each process may do comes
+// from the model (procOf).
+var forkOrder = [...]string{NameHeaterAct, NameAlarmAct, NameTempControl, NameTempSensor, NameWebInterface}
 
 // actuator indexes the controller's two command targets.
 type actuator int

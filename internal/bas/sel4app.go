@@ -9,7 +9,6 @@ import (
 
 	"mkbas/internal/camkes"
 	"mkbas/internal/capdl"
-	"mkbas/internal/machine"
 	"mkbas/internal/plant"
 	"mkbas/internal/sel4"
 	"mkbas/internal/vnet"
@@ -78,10 +77,11 @@ func (sel4Binding) restarts(d *Deployment) int { return d.Sel4.TotalRestarts() }
 
 // scenarioAssembly is the Fig. 2 scenario's CAmkES assembly. Its
 // components, their interfaces and the connections between them are the
-// topology the embedded model compiles to; this function attaches each
-// component's priority, devices, net ports, handlers and run body. web, when
-// non-nil, replaces the web interface's body; gateway, when non-nil, is the
-// BACnet gateway's body and adds its component.
+// topology the embedded model compiles to, and each component's priority
+// and devices are the model's; this function attaches each component's net
+// ports, handlers and run body. web, when non-nil, replaces the web
+// interface's body; gateway, when non-nil, is the BACnet gateway's body and
+// adds its component.
 func scenarioAssembly(cfg ScenarioConfig, web, gateway func(rt *camkes.Runtime)) *camkes.Assembly {
 	loop := controlLoop[*camkes.Runtime]{Controller: NewController(cfg.Controller), traceStatus: true,
 		actuate: func(rt *camkes.Runtime, a actuator, on bool) {
@@ -92,7 +92,6 @@ func scenarioAssembly(cfg ScenarioConfig, web, gateway func(rt *camkes.Runtime))
 		}}
 
 	controller := &camkes.Component{
-		Priority: roleOf(NameTempControl).priority,
 		Provides: map[string]camkes.Handler{
 			IfaceSensorIn: func(rt *camkes.Runtime, method uint64, args camkes.Words, badge sel4.Badge) (camkes.Words, error) {
 				if method != methodSample {
@@ -133,16 +132,14 @@ func scenarioAssembly(cfg ScenarioConfig, web, gateway func(rt *camkes.Runtime))
 	}
 
 	driver := func(name string) *camkes.Component {
-		r := roleOf(name)
+		dev := procOf(name).devices[0]
 		return &camkes.Component{
-			Priority: r.priority,
-			Devices:  []machine.DeviceID{r.device},
 			Provides: map[string]camkes.Handler{
 				IfaceCmd: func(rt *camkes.Runtime, method uint64, args camkes.Words, badge sel4.Badge) (camkes.Words, error) {
 					if method != methodActuate {
 						return camkes.Words{}, errors.New("bas: unknown cmd method")
 					}
-					return camkes.Words{}, rt.DevWrite(r.device, plant.RegActuate, uint32(args[0]))
+					return camkes.Words{}, rt.DevWrite(dev, plant.RegActuate, uint32(args[0]))
 				},
 			},
 		}
@@ -166,25 +163,21 @@ func scenarioAssembly(cfg ScenarioConfig, web, gateway func(rt *camkes.Runtime))
 		case NameHeaterAct, NameAlarmAct:
 			comp = driver(spec.Name)
 		case NameTempSensor:
-			comp = &camkes.Component{
-				Priority: roleOf(NameTempSensor).priority,
-				Devices:  []machine.DeviceID{plant.DevTempSensor},
-				Run: func(rt *camkes.Runtime) {
-					runSensor(rt, cfg.SamplePeriod, func(raw uint32) bool {
-						if _, err := rt.Call("ctrl", methodSample, math.Float64bits(plant.DecodeTemp(raw))); err != nil {
-							rt.Trace("bas", fmt.Sprintf("sensor: sample delivery failed: %v", err))
-						}
-						return true
-					})
-				},
-			}
+			comp = &camkes.Component{Run: func(rt *camkes.Runtime) {
+				runSensor(rt, cfg.SamplePeriod, func(raw uint32) bool {
+					if _, err := rt.Call("ctrl", methodSample, math.Float64bits(plant.DecodeTemp(raw))); err != nil {
+						rt.Trace("bas", fmt.Sprintf("sensor: sample delivery failed: %v", err))
+					}
+					return true
+				})
+			}}
 		case NameWebInterface:
-			comp = &camkes.Component{Priority: roleOf(NameWebInterface).priority, NetPorts: []vnet.Port{WebPort}, Run: web}
+			comp = &camkes.Component{NetPorts: []vnet.Port{WebPort}, Run: web}
 		case NameBACnetGateway:
 			// Like the web interface the gateway uses only the controller's
 			// mgmt interface; the controller tells the two clients apart by
 			// badge.
-			comp = &camkes.Component{Priority: gatewayPriority, NetPorts: []vnet.Port{BACnetPort}, Run: gateway}
+			comp = &camkes.Component{NetPorts: []vnet.Port{BACnetPort}, Run: gateway}
 		default:
 			panic("bas: no behaviour for the model's seL4 component " + spec.Name)
 		}
@@ -197,7 +190,9 @@ func scenarioAssembly(cfg ScenarioConfig, web, gateway func(rt *camkes.Runtime))
 		if mismatch {
 			panic("bas: scenario handlers do not match the model's interfaces of " + spec.Name)
 		}
-		comp.Name, comp.Uses = spec.Name, spec.Uses
+		// The model also fixes each component's priority and devices.
+		f := procOf(spec.Name)
+		comp.Name, comp.Uses, comp.Priority, comp.Devices = spec.Name, spec.Uses, f.priority, f.devices
 		assembly.Components = append(assembly.Components, comp)
 	}
 	return assembly

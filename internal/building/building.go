@@ -58,7 +58,7 @@ type Config struct {
 	// Standby attaches a standby head-end on its own bus node
 	// ("bms-standby", added after the primary so room i stays node i). The
 	// standby watches the primary's poll traffic through a bus tap and takes
-	// over after HeadEnd.FailoverRounds rounds of silence.
+	// over after failoverPolls poll periods of silence.
 	Standby bool
 	// TenantAPI attaches the building-scale tenant API tier: a gateway
 	// fronting the whole fleet, driven with a deterministic per-round batch

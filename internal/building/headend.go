@@ -32,13 +32,18 @@ type SetpointEvent struct {
 	Value float64       `json:"value"`
 }
 
+// alarmBand is the tolerated |room temperature − scheduled setpoint|, in °C,
+// before the head-end flags a room out-of-band: the scenario alarm band.
+const alarmBand = 2.0
+
+// failoverPolls is how many poll periods without observed primary traffic
+// make a standby head-end take over.
+const failoverPolls = 3
+
 // HeadEndConfig parameterises the BMS.
 type HeadEndConfig struct {
 	// PollPeriod is the per-room temperature polling interval; default 30s.
 	PollPeriod time.Duration
-	// Band is the tolerated |room temperature − scheduled setpoint| before a
-	// room is flagged out-of-band; default 2 °C (the scenario alarm band).
-	Band float64
 	// StaleLimit is how many consecutive unanswered polls mark a room stale;
 	// default 3. The same limit applied to consecutive refused dials marks a
 	// room unreachable.
@@ -60,10 +65,6 @@ type HeadEndConfig struct {
 	// Default 3. Legacy rooms are never quarantined — there is no
 	// verification to fail.
 	QuarantineLimit int
-	// FailoverRounds is how many consecutive rounds without observed primary
-	// traffic make a standby head-end take over; default 3×(PollPeriod/slice).
-	// Only meaningful on the standby.
-	FailoverRounds int
 	// Schedule is the building-wide demand-response program, in building
 	// time, applied in order.
 	Schedule []SetpointEvent
@@ -72,9 +73,6 @@ type HeadEndConfig struct {
 func (c HeadEndConfig) withDefaults() HeadEndConfig {
 	if c.PollPeriod <= 0 {
 		c.PollPeriod = 30 * time.Second
-	}
-	if c.Band <= 0 {
-		c.Band = 2.0
 	}
 	if c.StaleLimit <= 0 {
 		c.StaleLimit = 3
@@ -174,7 +172,6 @@ type HeadEnd struct {
 	standby          bool
 	active           bool
 	primaryNode      vnet.NodeID
-	failoverRounds   int
 	sawPrimary       bool
 	lastPrimaryRound int
 	takeoverRound    int
@@ -236,16 +233,12 @@ func newHeadEnd(bus *vnet.Bus, node vnet.NodeID, rooms []*Room, initialSetpoint 
 
 // newStandbyHeadEnd attaches a passive standby BMS that watches primaryNode's
 // poll traffic (feed it delivered frames via noteTap) and takes over after
-// FailoverRounds rounds of silence.
+// failoverPolls poll periods of silence.
 func newStandbyHeadEnd(bus *vnet.Bus, node, primaryNode vnet.NodeID, rooms []*Room, initialSetpoint float64, slice time.Duration, cfg HeadEndConfig) *HeadEnd {
 	h := newHeadEnd(bus, node, rooms, initialSetpoint, slice, cfg)
 	h.standby = true
 	h.active = false
 	h.primaryNode = primaryNode
-	h.failoverRounds = h.cfg.FailoverRounds
-	if h.failoverRounds <= 0 {
-		h.failoverRounds = 3 * h.pollRounds
-	}
 	// The standby seals with its own client identity; see standbyClientBase.
 	for i, hr := range h.rooms {
 		if hr.secure != nil {
@@ -325,7 +318,7 @@ func (h *HeadEnd) checkFailover(round int, now time.Duration) bool {
 	if h.active {
 		return true
 	}
-	if round-h.lastPrimaryRound < h.failoverRounds {
+	if round-h.lastPrimaryRound < failoverPolls*h.pollRounds {
 		return false
 	}
 	// Takeover. The standby rebuilds supervisory state from its own config
@@ -561,7 +554,7 @@ func (h *HeadEnd) RoomStates() []RoomState {
 				if dev < 0 {
 					dev = -dev
 				}
-				st.OutOfBand = dev > h.cfg.Band
+				st.OutOfBand = dev > alarmBand
 			}
 			st.AlarmOn = r.alarmOn
 		}

@@ -2,10 +2,10 @@ package core
 
 // This file captures the paper's concrete identities: the Fig. 3
 // three-application example matrix (used verbatim by experiment E2), and
-// the subjects and message types of the Fig. 2 / Section IV
-// temperature-control scenario. The scenario's policy itself is compiled
-// from its AADL model (internal/aadl's TempControl, by internal/bas), never
-// written here.
+// the message types of the Fig. 2 / Section IV temperature-control
+// scenario. The scenario's subjects, their ac_ids and its policy are
+// compiled from its AADL model (internal/aadl's TempControl, by
+// internal/bas), never written here.
 
 // Fig. 3 subjects.
 const (
@@ -48,21 +48,6 @@ func Fig3Matrix() *Matrix {
 	return m.Seal()
 }
 
-// Temperature-control scenario subjects (Section IV: "TempSensorProcess.imp
-// is 100, and TempControlProcess.imp is 101 etc."): the AC_ID properties of
-// the scenario model, named here for the code and tests that address them.
-// The MINIX loader reads each process's ac_id from the model itself.
-const (
-	ACIDTempSensor   ACID = 100
-	ACIDTempControl  ACID = 101
-	ACIDHeaterAct    ACID = 102
-	ACIDAlarmAct     ACID = 103
-	ACIDWebInterface ACID = 104
-	// ACIDScenario is the loader process that forks the five application
-	// processes and assigns their ac_ids.
-	ACIDScenario ACID = 105
-)
-
 // Message types used by the scenario processes. These are the "RPC
 // selectors" the paper describes: each process publishes which types it
 // accepts, and the ACM restricts who may send them.
@@ -80,15 +65,3 @@ const (
 	// (web → controller).
 	MsgStatusQuery MsgType = 5
 )
-
-// ACIDBACnetGateway identifies the optional BACnet gateway process (the
-// Fig. 1 "secure proxy" extension): a field-bus bridge with exactly the web
-// interface's authority — setpoint updates and status queries, nothing more.
-const ACIDBACnetGateway ACID = 106
-
-// ACIDTenantGateway identifies the tenant API gateway subject: the
-// occupant-scale API tier's board-side identity. Like the BACnet gateway it
-// holds exactly the web interface's authority — setpoint updates and status
-// queries toward the controller — so even a fully compromised tenant tier
-// can never reach the actuator drivers or kill anything.
-const ACIDTenantGateway ACID = 107

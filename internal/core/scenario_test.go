@@ -11,6 +11,18 @@ import (
 	"mkbas/internal/core"
 )
 
+// The scenario's subjects, at the ac_ids its model assigns (Section IV:
+// "TempSensorProcess.imp is 100, and TempControlProcess.imp is 101 etc.").
+const (
+	acidTempSensor core.ACID = 100 + iota
+	acidTempControl
+	acidHeaterAct
+	acidAlarmAct
+	acidWebInterface
+	acidScenario
+	acidBACnetGateway
+)
+
 func TestScenarioPolicyShape(t *testing.T) {
 	p := bas.MinixPolicy(false, false, core.QuotaUnlimited)
 	if !p.Sealed() {
@@ -22,12 +34,12 @@ func TestScenarioPolicyShape(t *testing.T) {
 		src, dst core.ACID
 		mt       core.MsgType
 	}{
-		{core.ACIDTempSensor, core.ACIDTempControl, core.MsgSensorData},
-		{core.ACIDTempControl, core.ACIDHeaterAct, core.MsgHeaterCmd},
-		{core.ACIDTempControl, core.ACIDAlarmAct, core.MsgAlarmCmd},
-		{core.ACIDWebInterface, core.ACIDTempControl, core.MsgSetpointUpdate},
-		{core.ACIDWebInterface, core.ACIDTempControl, core.MsgStatusQuery},
-		{core.ACIDTempControl, core.ACIDWebInterface, core.MsgAck},
+		{acidTempSensor, acidTempControl, core.MsgSensorData},
+		{acidTempControl, acidHeaterAct, core.MsgHeaterCmd},
+		{acidTempControl, acidAlarmAct, core.MsgAlarmCmd},
+		{acidWebInterface, acidTempControl, core.MsgSetpointUpdate},
+		{acidWebInterface, acidTempControl, core.MsgStatusQuery},
+		{acidTempControl, acidWebInterface, core.MsgAck},
 	}
 	for _, c := range allowed {
 		if !m.Allows(c.src, c.dst, c.mt) {
@@ -42,12 +54,12 @@ func TestScenarioPolicyShape(t *testing.T) {
 		src, dst core.ACID
 		mt       core.MsgType
 	}{
-		{core.ACIDWebInterface, core.ACIDTempControl, core.MsgSensorData},
-		{core.ACIDWebInterface, core.ACIDHeaterAct, core.MsgHeaterCmd},
-		{core.ACIDWebInterface, core.ACIDAlarmAct, core.MsgAlarmCmd},
-		{core.ACIDWebInterface, core.ACIDHeaterAct, core.MsgAck},
-		{core.ACIDHeaterAct, core.ACIDTempControl, core.MsgSensorData},
-		{core.ACIDAlarmAct, core.ACIDHeaterAct, core.MsgHeaterCmd},
+		{acidWebInterface, acidTempControl, core.MsgSensorData},
+		{acidWebInterface, acidHeaterAct, core.MsgHeaterCmd},
+		{acidWebInterface, acidAlarmAct, core.MsgAlarmCmd},
+		{acidWebInterface, acidHeaterAct, core.MsgAck},
+		{acidHeaterAct, acidTempControl, core.MsgSensorData},
+		{acidAlarmAct, acidHeaterAct, core.MsgHeaterCmd},
 	}
 	for _, c := range denied {
 		if m.Allows(c.src, c.dst, c.mt) {
@@ -57,23 +69,23 @@ func TestScenarioPolicyShape(t *testing.T) {
 	}
 
 	// Kill is granted only to the loader.
-	if !p.Syscalls.Rule(core.ACIDScenario, core.SysKill).Allowed {
+	if !p.Syscalls.Rule(acidScenario, core.SysKill).Allowed {
 		t.Error("scenario loader should hold kill")
 	}
-	for _, id := range []core.ACID{core.ACIDTempSensor, core.ACIDTempControl, core.ACIDHeaterAct, core.ACIDAlarmAct, core.ACIDWebInterface} {
+	for _, id := range []core.ACID{acidTempSensor, acidTempControl, acidHeaterAct, acidAlarmAct, acidWebInterface} {
 		if p.Syscalls.Rule(id, core.SysKill).Allowed {
 			t.Errorf("acid %d should not hold kill", id)
 		}
 	}
 	// The web interface can fork (residual fork-bomb exposure).
-	if !p.Syscalls.Rule(core.ACIDWebInterface, core.SysFork).Allowed {
+	if !p.Syscalls.Rule(acidWebInterface, core.SysFork).Allowed {
 		t.Error("web interface should hold fork in the baseline policy")
 	}
 }
 
 func TestScenarioPolicyWithForkQuota(t *testing.T) {
 	p := bas.MinixPolicy(false, false, 5)
-	rule := p.Syscalls.Rule(core.ACIDWebInterface, core.SysFork)
+	rule := p.Syscalls.Rule(acidWebInterface, core.SysFork)
 	if !rule.Allowed || rule.Quota != 5 {
 		t.Fatalf("rule = %+v, want allowed with quota 5", rule)
 	}
@@ -94,15 +106,15 @@ func TestScenarioPolicyWithGateway(t *testing.T) {
 		t.Fatal("gateway policy must come sealed")
 	}
 	m := p.IPC
-	if !m.Allows(core.ACIDBACnetGateway, core.ACIDTempControl, core.MsgSetpointUpdate) ||
-		!m.Allows(core.ACIDBACnetGateway, core.ACIDTempControl, core.MsgStatusQuery) {
+	if !m.Allows(acidBACnetGateway, acidTempControl, core.MsgSetpointUpdate) ||
+		!m.Allows(acidBACnetGateway, acidTempControl, core.MsgStatusQuery) {
 		t.Fatal("gateway missing its management types")
 	}
 	// The gateway must have exactly the web interface's reach: nothing
 	// toward the drivers or the sensor.
-	for _, dst := range []core.ACID{core.ACIDHeaterAct, core.ACIDAlarmAct, core.ACIDTempSensor} {
+	for _, dst := range []core.ACID{acidHeaterAct, acidAlarmAct, acidTempSensor} {
 		for mt := core.MsgType(0); mt <= 10; mt++ {
-			if m.Allows(core.ACIDBACnetGateway, dst, mt) {
+			if m.Allows(acidBACnetGateway, dst, mt) {
 				t.Fatalf("gateway may send type %d to acid %d", mt, dst)
 			}
 		}

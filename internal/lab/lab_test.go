@@ -131,6 +131,10 @@ func TestFaultAxisPlansArm(t *testing.T) {
 	if _, err := ParseSweep("faults=bus-drop"); err == nil {
 		t.Error("faults=bus-drop validated; a board cannot arm a bus-level fault")
 	}
+	// An unknown plan's refusal offers only the plans a board can arm.
+	if _, err := ParseSweep("faults=no-such-plan"); err == nil || !strings.Contains(err.Error(), "crash-sensor") || strings.Contains(err.Error(), "bus-drop") {
+		t.Errorf("faults=no-such-plan: err = %v, want the board plans listed and no bus plan", err)
+	}
 	if _, err := ParseBuildingSweep("busfaults=crash-sensor"); err == nil {
 		t.Error("busfaults=crash-sensor validated; the bus injector cannot arm a board-level fault")
 	}

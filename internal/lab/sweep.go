@@ -259,7 +259,7 @@ func (s Sweep) Validate() error {
 	for _, f := range s.Faults {
 		p, err := faultinject.Lookup(f)
 		if err != nil {
-			return fmt.Errorf("lab: %w", err)
+			return fmt.Errorf("lab: unknown fault plan %q (known: %v)", f, faultinject.BoardNames())
 		}
 		if err := planSide(p, false); err != nil {
 			return err

@@ -173,15 +173,16 @@ type Image struct {
 	Priority int
 }
 
+// defaultMaxMsgs bounds a queue's depth when mq_open does not specify one,
+// the Linux default.
+const defaultMaxMsgs = 10
+
 // Config parameterises the kernel.
 type Config struct {
 	// Net is the board network stack; nil boards have no network. Unlike the
 	// microkernels, any process may use it (Linux DAC does not gate socket
 	// creation for unprivileged ports).
 	Net *vnet.Stack
-	// DefaultMaxMsgs bounds queue depth when mq_open does not specify;
-	// zero means 10, the Linux default.
-	DefaultMaxMsgs int
 	// MaxProcs models RLIMIT_NPROC-style process-count pressure: spawns
 	// beyond it fail with ErrAgain. Zero means 1024. Note this is a global
 	// resource limit, not a per-subject quota — a fork bomb still crowds
@@ -255,9 +256,6 @@ var _ machine.TrapHandler = (*Kernel)(nil)
 
 // Boot installs the kernel on a board.
 func Boot(m *machine.Machine, cfg Config) *Kernel {
-	if cfg.DefaultMaxMsgs == 0 {
-		cfg.DefaultMaxMsgs = 10
-	}
 	if cfg.MaxProcs == 0 {
 		cfg.MaxProcs = 1024
 	}

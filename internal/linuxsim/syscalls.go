@@ -146,7 +146,7 @@ func (k *Kernel) doMQOpen(self *proc, f *machine.Frame) error {
 		return fmt.Errorf("%w: queue %q", ErrNoEnt, name)
 	case !exists:
 		if maxMsgs <= 0 {
-			maxMsgs = k.cfg.DefaultMaxMsgs
+			maxMsgs = defaultMaxMsgs
 		}
 		q = &mqueue{
 			name:     name,

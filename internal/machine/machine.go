@@ -20,9 +20,10 @@ type Config struct {
 	// etc.). The zero seed is replaced with 1 so that the zero Config is
 	// usable.
 	Seed int64
-	// TraceCapacity bounds the console ring buffer; zero means 4096 lines.
-	TraceCapacity int
 }
+
+// traceCapacity bounds a board's console ring buffer, in lines.
+const traceCapacity = 4096
 
 // Machine is one virtual controller board: engine + clock + bus + trace
 // console + deterministic randomness.
@@ -53,7 +54,7 @@ func New(cfg Config) *Machine {
 		clock:  clock,
 		engine: NewEngine(clock, costs),
 		bus:    NewBus(),
-		trace:  NewTrace(clock, cfg.TraceCapacity),
+		trace:  NewTrace(clock, traceCapacity),
 		ipc:    newIPCLog(board.Edges()),
 		obs:    board,
 		seed:   seed,
@@ -140,12 +141,9 @@ type Trace struct {
 	scratch []byte // Logf formats into it, then appends it to the ring
 }
 
-// NewTrace creates a trace console; capacity <= 0 means 4096 lines. The
-// ring allocates its first block with the first line.
+// NewTrace creates a trace console of capacity lines. The ring allocates
+// its first block with the first line.
 func NewTrace(clock *Clock, capacity int) *Trace {
-	if capacity <= 0 {
-		capacity = 4096
-	}
 	return &Trace{clock: clock, ring: obs.NewBlockRing(capacity)}
 }
 

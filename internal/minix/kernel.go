@@ -48,13 +48,14 @@ type Image struct {
 	Restart bool
 }
 
+// mailboxCap bounds each process's asynchronous mailbox.
+const mailboxCap = 16
+
 // Config parameterises the kernel.
 type Config struct {
 	// DisableACM turns off the access control matrix, yielding a vanilla
 	// MINIX 3 for ablation experiments. The zero value enforces the ACM.
 	DisableACM bool
-	// MailboxCap bounds each process's asynchronous mailbox; zero means 16.
-	MailboxCap int
 	// Net is the board's network stack; nil boards have no network.
 	Net *vnet.Stack
 }
@@ -234,9 +235,6 @@ var _ machine.TrapHandler = (*Kernel)(nil)
 func Boot(m *machine.Machine, policy *core.Policy, cfg Config) (*Kernel, error) {
 	if !policy.Sealed() {
 		return nil, core.ErrNotSealed
-	}
-	if cfg.MailboxCap == 0 {
-		cfg.MailboxCap = 16
 	}
 	k := &Kernel{
 		m:      m,
@@ -917,7 +915,7 @@ func (k *Kernel) doSendNB(self *procEntry, dst Endpoint, msg Message) error {
 				k.completeReceive(tgt, msg)
 				return
 			}
-			if len(tgt.mailbox) >= k.cfg.MailboxCap {
+			if len(tgt.mailbox) >= mailboxCap {
 				return // lost: no sender left to report to
 			}
 			tgt.mailbox = append(tgt.mailbox, msg)
@@ -930,7 +928,7 @@ func (k *Kernel) doSendNB(self *procEntry, dst Endpoint, msg Message) error {
 		k.completeReceive(target, msg)
 		return nil
 	}
-	if len(target.mailbox) >= k.cfg.MailboxCap {
+	if len(target.mailbox) >= mailboxCap {
 		return ErrMailboxFull
 	}
 	target.mailbox = append(target.mailbox, msg)

@@ -195,12 +195,12 @@ func TestSendRecRPCRoundTrip(t *testing.T) {
 }
 
 func TestSendNBQueuesInMailbox(t *testing.T) {
-	m, k := testBoard(t, testPolicy(), Config{MailboxCap: 2})
+	m, k := testBoard(t, testPolicy(), Config{})
 	var errs []error
 	var received []float64
 	k.RegisterImage(Image{Name: "a", Priority: 7, Body: func(api *API) {
 		dst, _ := api.Lookup("b")
-		for i := 0; i < 3; i++ {
+		for i := 0; i <= mailboxCap; i++ {
 			msg := NewMessage(1)
 			msg.PutF64(0, float64(i))
 			errs = append(errs, api.SendNB(dst, msg))
@@ -208,7 +208,7 @@ func TestSendNBQueuesInMailbox(t *testing.T) {
 	}})
 	k.RegisterImage(Image{Name: "b", Priority: 8, Body: func(api *API) {
 		api.Sleep(10 * time.Millisecond) // let the sender fill the mailbox
-		for i := 0; i < 2; i++ {
+		for i := 0; i < mailboxCap; i++ {
 			msg, err := api.Receive(EndpointAny)
 			if err == nil {
 				received = append(received, msg.F64(0))
@@ -218,14 +218,21 @@ func TestSendNBQueuesInMailbox(t *testing.T) {
 	spawnOrFatal(t, k, "b", acidB)
 	spawnOrFatal(t, k, "a", acidA)
 	m.Run(time.Second)
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("first two sends should queue: %v", errs)
+	for i, err := range errs[:mailboxCap] {
+		if err != nil {
+			t.Fatalf("send %d should queue: %v", i, err)
+		}
 	}
-	if !errors.Is(errs[2], ErrMailboxFull) {
-		t.Fatalf("third send err = %v, want ErrMailboxFull", errs[2])
+	if !errors.Is(errs[mailboxCap], ErrMailboxFull) {
+		t.Fatalf("send %d err = %v, want ErrMailboxFull", mailboxCap, errs[mailboxCap])
 	}
-	if len(received) != 2 || received[0] != 0 || received[1] != 1 {
-		t.Fatalf("received = %v, want FIFO [0 1]", received)
+	if len(received) != mailboxCap {
+		t.Fatalf("received %d messages, want %d", len(received), mailboxCap)
+	}
+	for i, v := range received {
+		if v != float64(i) {
+			t.Fatalf("received = %v, want FIFO 0..%d", received, mailboxCap-1)
+		}
 	}
 }
 

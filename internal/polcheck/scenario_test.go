@@ -98,7 +98,7 @@ func TestMediatedFlowIsNotAViolation(t *testing.T) {
 func TestDeployMinixGateRejectsOverbroadPolicy(t *testing.T) {
 	bad := bas.MinixPolicy(false, false, core.QuotaUnlimited)
 	ipc := bad.IPC.Clone()
-	ipc.Allow(core.ACIDWebInterface, core.ACIDHeaterAct, core.MsgHeaterCmd)
+	ipc.Allow(104, 102, core.MsgHeaterCmd) // webInterface → heaterActProc
 	ipc.Seal()
 	bad.IPC = ipc
 

@@ -351,10 +351,10 @@ func (k *Kernel) doCapCopy(t *tcb, src, dst CPtr, mint bool, badge Badge, rights
 	if int(src) >= CSpaceSize || int(dst) >= CSpaceSize {
 		return fmt.Errorf("%w: %d/%d", ErrBadSlot, src, dst)
 	}
-	c := t.cspace[src]
-	if c.IsNull() {
-		k.stats.InvalidCapErrs++
-		return fmt.Errorf("%w: slot %d", ErrInvalidCap, src)
+	// Any capability will do: an empty slot is a capability fault.
+	c, f := k.lookup(t, src, t.cspace[src].Kind, 0)
+	if f != nil {
+		return f.err
 	}
 	if !t.cspace[dst].IsNull() {
 		return fmt.Errorf("%w: destination %d occupied", ErrBadSlot, dst)

@@ -506,6 +506,9 @@ func (k *Kernel) capFaultFor(key capFaultKey) *capFault {
 	case int(key.cptr) >= CSpaceSize:
 		f.err = fmt.Errorf("%w: slot %d", ErrInvalidCap, key.cptr)
 		f.detail = fmt.Sprintf("slot %d out of range", key.cptr)
+	case key.kind == 0:
+		f.err = fmt.Errorf("%w: slot %d", ErrInvalidCap, key.cptr)
+		f.detail = fmt.Sprintf("slot %d empty", key.cptr)
 	default:
 		f.err = fmt.Errorf("%w: slot %d", ErrInvalidCap, key.cptr)
 		f.detail = fmt.Sprintf("slot %d empty or not %v", key.cptr, key.kind)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mkbas/internal/machine"
+	"mkbas/internal/obs"
 	"mkbas/internal/plant"
 	"mkbas/internal/vnet"
 )
@@ -392,6 +393,17 @@ func TestCapDeleteAndCopy(t *testing.T) {
 	mustInstall(t, k, thread, 1, EndpointCap(ep, RightsRW, 0))
 	mustStart(t, k, thread)
 	m.Run(time.Second)
+	// The failed copy is a capability fault like any failed lookup: one
+	// event and one count.
+	faults := 0
+	for _, e := range m.Obs().Events().Events() {
+		if e.Kind == obs.EventCapFault && e.Src == "worker" {
+			faults++
+		}
+	}
+	if n := m.Obs().Metrics().Counter("sel4_cap_faults_total").Value(); faults != 1 || n != 1 {
+		t.Errorf("copy from deleted booked %d cap-fault events and %d sel4_cap_faults_total, want 1 and 1", faults, n)
+	}
 	caps, _ := k.CapsOf(thread)
 	if caps[1].Kind != 0 || caps[5].Kind != KindEndpoint {
 		t.Fatalf("cspace after ops: slot1=%v slot5=%v", caps[1], caps[5])

@@ -129,6 +129,10 @@ chaos='platforms=all;actions=none;faults=all'
 go run ./cmd/bas lab -sweep "$chaos" -workers 1 -json -q >"$out1"
 go run ./cmd/bas lab -sweep "$chaos" -workers 8 -json -q >"$out2"
 cmp "$out1" "$out2"
+# The -faults flag resolves "all" through the sweep axis's resolver, so the
+# flag and the axis name the same plans and merge to the same bytes.
+go run ./cmd/bas lab -sweep 'platforms=all;actions=none' -faults all -workers 8 -json -q >"$out2"
+cmp "$out1" "$out2"
 # Building determinism golden (DESIGN.md §11): a 16-room mixed building under
 # the lateral-movement attack, with one room's sensor crashed, must produce
 # byte-identical reports whether boards step serially or 8 at a time.
