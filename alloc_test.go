@@ -65,8 +65,8 @@ func TestE4RoundTripZeroAlloc(t *testing.T) {
 // TestSlowPathZeroAlloc gates the attacker-reachable refusal paths the way
 // TestE4RoundTripZeroAlloc gates the certified fast path: once warm, a
 // process looping on a lookup, a refused fork, a denied send, a sleep, a
-// refused device access or a faulting capability invocation allocates
-// nothing per call. Warm-up runs
+// refused device access, a refused queue unlink or respawn, or a faulting
+// capability invocation allocates nothing per call. Warm-up runs
 // past the capacity of the board's bounded trace and event rings, which
 // grow by append until full.
 func TestSlowPathZeroAlloc(t *testing.T) {
@@ -83,8 +83,11 @@ func TestSlowPathZeroAlloc(t *testing.T) {
 		{"linux-mq-open-denied", linuxDeniedOpens},
 		{"linux-sleep", linuxSleeps},
 		{"linux-device-denied", linuxDeniedDevices},
+		{"linux-mq-unlink-denied", linuxDeniedUnlinks},
+		{"linux-respawn-denied", linuxDeniedRespawns},
 		{"sel4-suspend-empty-slot", sel4EmptySuspends},
 		{"sel4-device-denied", sel4DeniedDevices},
+		{"sel4-send-grant-denied", sel4GrantlessSends},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { runZeroAlloc(t, tc.build, 20000) })
@@ -323,6 +326,41 @@ func linuxDeniedDevices(tb testing.TB) (*machine.Machine, *int64) {
 	return m, rounds
 }
 
+// linuxDeniedUnlinks unlinks a queue another account owns, over and over.
+func linuxDeniedUnlinks(tb testing.TB) (*machine.Machine, *int64) {
+	m, k, rounds := linuxBoard(tb, 0, func(api *linuxsim.API, rounds *int64) {
+		if err := api.MQUnlink("/theirs"); !errors.Is(err, linuxsim.ErrPerm) {
+			panic(fmt.Sprintf("unlink of another account's queue = %v", err))
+		}
+		*rounds++
+	})
+	// The owner runs first, at a more urgent priority than the looper.
+	k.RegisterImage(linuxsim.Image{Name: "owner", UID: 2, Priority: 1, Body: func(api *linuxsim.API) {
+		if _, err := api.MQOpen("/theirs", linuxsim.MQOpenFlags{Create: true, Read: true, Mode: linuxsim.ModeUserRead}); err != nil {
+			panic(err)
+		}
+		for {
+			api.Sleep(time.Hour)
+		}
+	}})
+	if _, err := k.SpawnImage("owner"); err != nil {
+		tb.Fatal(err)
+	}
+	return m, rounds
+}
+
+// linuxDeniedRespawns asks, as an unprivileged account, for a supervisor
+// respawn over and over.
+func linuxDeniedRespawns(tb testing.TB) (*machine.Machine, *int64) {
+	m, _, rounds := linuxBoard(tb, 0, func(api *linuxsim.API, rounds *int64) {
+		if _, err := api.Respawn("idle"); !errors.Is(err, linuxsim.ErrPerm) {
+			panic(fmt.Sprintf("respawn without root = %v", err))
+		}
+		*rounds++
+	})
+	return m, rounds
+}
+
 // sel4EmptySuspends invokes TCB_Suspend on an empty CSpace slot over and
 // over — one slot of the kill-controller brute force.
 func sel4EmptySuspends(tb testing.TB) (*machine.Machine, *int64) {
@@ -361,6 +399,32 @@ func sel4DeniedDevices(tb testing.TB) (*machine.Machine, *int64) {
 	})
 	dev := k.CreateDevice("heater")
 	if err := k.InstallCap(th, 1, sel4.Capability{Kind: sel4.KindDevice, Object: dev, Rights: sel4.CapRead}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := k.Start(th); err != nil {
+		tb.Fatal(err)
+	}
+	return m, rounds
+}
+
+// sel4GrantlessSends sends a capability through an endpoint capability
+// without the grant right, over and over.
+func sel4GrantlessSends(tb testing.TB) (*machine.Machine, *int64) {
+	m := machine.New(machine.Config{})
+	k := sel4.NewKernel(m, sel4.Config{})
+	rounds := new(int64)
+	slot := sel4.CPtr(1)
+	th := k.CreateThread("looper", 7, func(api *sel4.API) {
+		msg := sel4.Msg{TransferCap: &slot}
+		for {
+			if err := api.NBSend(1, msg); !errors.Is(err, sel4.ErrNoRights) {
+				panic(fmt.Sprintf("capability transfer without the grant right = %v", err))
+			}
+			*rounds++
+		}
+	})
+	ep := k.CreateEndpoint("chan")
+	if err := k.InstallCap(th, 1, sel4.EndpointCap(ep, sel4.CapWrite, 0)); err != nil {
 		tb.Fatal(err)
 	}
 	if err := k.Start(th); err != nil {

@@ -62,11 +62,12 @@ func run() error {
 
 	// Peek at the kernel's audit state: in a healthy run the ACM denied
 	// nothing, and the process manager granted exactly the loader's forks.
-	// A deployment is one handle on every platform; its Minix field is the
-	// booted MINIX kernel (Sel4 and Linux stay nil).
-	stats := dep.Minix.Stats()
-	fmt.Printf("kernel: %d IPC delivered, %d denied by the ACM, %d device writes\n",
-		stats.IPCDelivered, stats.IPCDenied, stats.DevWrites)
+	// The kernel counts on the board's metrics registry. A deployment is
+	// one handle on every platform; its Minix field is the booted MINIX
+	// kernel (Sel4 and Linux stay nil).
+	reg := tb.Machine.Obs().Metrics()
+	fmt.Printf("kernel: %d IPC delivered, %d denied by the ACM\n",
+		reg.Counter("minix_ipc_delivered_total").Value(), reg.Counter("minix_ipc_denied_total").Value())
 	fmt.Printf("PM: %d forks granted, %d denied\n",
 		dep.Minix.PM().ForksGranted(), dep.Minix.PM().ForksDenied())
 	return nil

@@ -55,7 +55,7 @@ func TestBACnetLegacyIsSpoofableButActuatorsUnreachable(t *testing.T) {
 	// unauthenticated field protocol facing the network, the gateway's IPC
 	// authority bounds the damage — actuator points are structurally
 	// read-only because the ACM gives the gateway no path to the drivers.
-	tb, dep := deployGateway(t, nil)
+	tb, _ := deployGateway(t, nil)
 
 	raw := tb.BACnetExchange(bacnet.PDU{
 		Type: bacnet.WriteProperty, Device: 7, Object: bacnet.ObjHeater, Value: 0,
@@ -64,10 +64,10 @@ func TestBACnetLegacyIsSpoofableButActuatorsUnreachable(t *testing.T) {
 	if err != nil || resp.Type != bacnet.ErrorPDU || resp.Code != bacnet.CodeWriteDenied {
 		t.Fatalf("heater write resp = %+v, %v (want write-denied)", resp, err)
 	}
-	if dep.Minix.Stats().IPCDenied != 0 {
+	if n := tb.Machine.Obs().Metrics().Counter("minix_ipc_denied_total").Value(); n != 0 {
 		// The gateway should not even attempt a denied IPC: the denial is
 		// structural (no RPC exists), not a runtime ACM rejection.
-		t.Logf("note: %d ACM denials recorded", dep.Minix.Stats().IPCDenied)
+		t.Logf("note: %d ACM denials recorded", n)
 	}
 
 	// Replay on the legacy gateway works — the protocol-level weakness the

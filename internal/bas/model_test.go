@@ -20,8 +20,9 @@ import (
 // model: its engine priority is its Priority; each driver reaches the
 // devices its Devices names, and no process is refused a device, while the
 // web interface, which names none, reaches no device on every kernel that
-// enforces device grants; and the monitor certifies each subject at the
-// origin the scenario has always given it.
+// enforces device grants, and each refused probe books exactly one denied
+// security event; and the monitor certifies each subject at the origin the
+// scenario has always given it.
 func TestBootedProcessesFollowModel(t *testing.T) {
 	pkg, err := aadl.Parse(aadl.TempControl)
 	if err != nil {
@@ -64,10 +65,16 @@ func TestBootedProcessesFollowModel(t *testing.T) {
 			tb := NewTestbed(cfg)
 			defer tb.Machine.Shutdown()
 			var reached []machine.DeviceID
+			// booked is the denied events each refused probe booked.
+			var booked []int64
+			events := tb.Machine.Obs().Events()
 			probe := func(web processPort) {
 				for _, dev := range devices {
+					before := events.DeniedTotal()
 					if _, err := web.DevRead(dev, plant.RegTempMilliC); err == nil {
 						reached = append(reached, dev)
+					} else {
+						booked = append(booked, events.DeniedTotal()-before)
 					}
 				}
 			}
@@ -119,6 +126,14 @@ func TestBootedProcessesFollowModel(t *testing.T) {
 			}
 			if !slices.Equal(reached, want) {
 				t.Errorf("the web interface reached devices %v, want %v", reached, want)
+			}
+			if len(booked) != len(devices)-len(want) {
+				t.Errorf("the web interface was refused %d probes, want %d", len(booked), len(devices)-len(want))
+			}
+			for i, n := range booked {
+				if n != 1 {
+					t.Errorf("refused probe %d booked %d denied events, want 1", i+1, n)
+				}
 			}
 
 			mon := d.PolicyMonitor()

@@ -158,21 +158,23 @@ func (rt *Runtime) Call(iface string, method uint64, args ...uint64) (Words, err
 
 // DevRead reads a device register through the component's device capability.
 func (rt *Runtime) DevRead(dev machine.DeviceID, reg uint32) (uint32, error) {
-	slot, ok := rt.devs[dev]
-	if !ok {
-		return 0, fmt.Errorf("%w: component %q has no device %q", ErrBadAssembly, rt.comp.Name, dev)
-	}
-	return rt.api.DevRead(slot, reg)
+	return rt.api.DevRead(rt.devCap(dev), reg)
 }
 
 // DevWrite writes a device register through the component's device
 // capability.
 func (rt *Runtime) DevWrite(dev machine.DeviceID, reg uint32, value uint32) error {
-	slot, ok := rt.devs[dev]
-	if !ok {
-		return fmt.Errorf("%w: component %q has no device %q", ErrBadAssembly, rt.comp.Name, dev)
+	return rt.api.DevWrite(rt.devCap(dev), reg, value)
+}
+
+// devCap returns the component's capability to dev. A component without
+// one traps with a slot no thread can hold, so the kernel books the probe
+// as a capability fault and it fails with sel4.ErrInvalidCap.
+func (rt *Runtime) devCap(dev machine.DeviceID) sel4.CPtr {
+	if slot, ok := rt.devs[dev]; ok {
+		return slot
 	}
-	return rt.api.DevWrite(slot, reg, value)
+	return sel4.CSpaceSize
 }
 
 // NetListen binds one of the component's network-port capabilities.

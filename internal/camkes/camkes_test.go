@@ -82,8 +82,8 @@ func TestRPCCallThroughGlue(t *testing.T) {
 	if !errors.As(errs[2], &rpcErr) {
 		t.Fatalf("bad method err = %v, want RPCError", errs[2])
 	}
-	if sys.Kernel().Stats().Calls != 3 {
-		t.Fatalf("kernel calls = %d, want 3", sys.Kernel().Stats().Calls)
+	if n := sys.Kernel().Machine().Obs().Metrics().Counter("sel4_ipc_call_total").Value(); n != 3 {
+		t.Fatalf("kernel calls = %d, want 3", n)
 	}
 }
 

@@ -190,15 +190,6 @@ type Config struct {
 	MaxProcs int
 }
 
-// Stats counts kernel events.
-type Stats struct {
-	MQSends    int64
-	MQReceives int64
-	DACDenied  int64
-	Kills      int64
-	Forks      int64
-}
-
 // Kernel is the monolithic kernel simulator.
 type Kernel struct {
 	machine.IPCFaults
@@ -221,23 +212,13 @@ type Kernel struct {
 	waits *machine.Waits
 	traps machine.ProcTraps
 
-	stats Stats
-
 	// bufPool recycles message payload buffers: mq_send copies the payload
 	// into a pooled buffer, and the copy is returned to the pool when the
 	// receiving process performs its next mq_receive (see deliverMsg).
 	bufPool [][]byte
 
-	// limitDetail and limitErr are the process-limit denial's event detail
-	// and error, built once at boot: a fork bomb hits the limit on every
-	// attempt, and the text depends only on MaxProcs.
-	limitDetail string
-	limitErr    error
-
-	// denials memoises the event detail, trace line and error of each
-	// distinct mq_open, kill and device denial, the ones an attacker loops
-	// on: the text depends only on the key.
-	denials map[denialKey]*denial
+	// refusals books every refusal: the process limit's and DAC's.
+	refusals machine.Refusals[refusal]
 
 	// Observability hooks, resolved once at boot.
 	reg        *obs.Registry
@@ -269,8 +250,6 @@ func Boot(m *machine.Machine, cfg Config) *Kernel {
 		devs:        make(map[machine.DeviceID]*devFile),
 		spawnCounts: make(map[string]int),
 		nextPID:     100,
-		limitDetail: fmt.Sprintf("process limit %d reached", cfg.MaxProcs),
-		limitErr:    fmt.Errorf("%w: process limit %d reached", ErrAgain, cfg.MaxProcs),
 	}
 	k.waits = machine.NewWaits(m.Engine(), func(pid machine.PID) *machine.Wait {
 		if p := k.procs[pid]; p != nil {
@@ -279,6 +258,7 @@ func Boot(m *machine.Machine, cfg Config) *Kernel {
 		return nil
 	}, phaseMQRecv, k.expireReceive, ErrTimeout)
 	k.traps = machine.NewProcTraps(m, k.waits, trapProc, k.devAccess)
+	k.refusals = machine.NewRefusals(m, k.refusal)
 	board := m.Obs()
 	board.Events().SetPlatform("linux")
 	k.reg = board.Metrics()
@@ -295,53 +275,55 @@ func Boot(m *machine.Machine, cfg Config) *Kernel {
 	return k
 }
 
-// denialKey identifies one distinct mq_open, kill or device denial by
-// everything its text mentions; name is the queue or the device.
-type denialKey struct {
+// refusal names one distinct refusal by everything its text mentions: op
+// is the refused call, src the caller and uid its user, and name the
+// device, queue, process or image the call named.
+type refusal struct {
 	op, src, name string
 	uid           int
-	mode          Mode
-	pid, sig      int
-	reg           uint32
+	// mode and owner are the queue's mode and owner's uid.
+	mode  Mode
+	owner int
+	// pid and sig are a kill's target and signal, reg a device's register.
+	pid, sig int
+	reg      uint32
 }
 
-// denial is the memoised text of one distinct denial.
-type denial struct {
-	detail, trace string
-	err           error
-}
-
-// denialFor returns the memoised text of one denial, building it with build
-// on the first occurrence.
-func (k *Kernel) denialFor(key denialKey, build func() denial) *denial {
-	if d, ok := k.denials[key]; ok {
-		return d
+// refusal builds the Refusal of r, once per distinct refusal: every
+// refusal but the process limit's is a DAC denial.
+func (k *Kernel) refusal(r refusal) machine.Refusal {
+	if r.op == "fork" {
+		return machine.Refusal{
+			Err: fmt.Errorf("%w: process limit %d reached", ErrAgain, k.cfg.MaxProcs),
+			Event: obs.SecurityEvent{Kind: obs.EventForkDenied, Mechanism: obs.MechKernel, Src: r.src,
+				Detail: fmt.Sprintf("process limit %d reached", k.cfg.MaxProcs)},
+		}
 	}
-	d := build()
-	if k.denials == nil {
-		k.denials = make(map[denialKey]*denial)
+	d := machine.Refusal{Counter: k.mDACDenied,
+		Event: obs.SecurityEvent{Kind: obs.EventSyscallDenied, Mechanism: obs.MechDAC, Src: r.src, Dst: r.name}}
+	switch r.op {
+	case "read", "write":
+		d.Err = fmt.Errorf("%w: %s %q", ErrPerm, r.op, r.name)
+		d.Event.Detail = fmt.Sprintf("%s /dev/%s reg %d", r.op, r.name, r.reg)
+	case "mq_open":
+		d.Err = fmt.Errorf("%w: queue %q", ErrPerm, r.name)
+		d.Event.Kind = obs.EventIPCDenied
+		d.Event.Detail = fmt.Sprintf("mq_open uid=%d mode=%04o", r.uid, r.mode)
+		d.Tag, d.Line = "linux-dac", fmt.Sprintf("DENY mq_open %s by %s (uid %d)", r.name, r.src, r.uid)
+	case "mq_unlink":
+		d.Err = fmt.Errorf("%w: unlink %q", ErrPerm, r.name)
+		d.Event.Detail = fmt.Sprintf("mq_unlink uid=%d owner=%d", r.uid, r.owner)
+	case "kill":
+		d.Err = fmt.Errorf("%w: kill %d", ErrPerm, r.pid)
+		d.Event.Kind = obs.EventKillDenied
+		d.Event.Detail = fmt.Sprintf("kill pid %d sig %d uid=%d", r.pid, r.sig, r.uid)
+		d.Tag, d.Line = "linux-dac", fmt.Sprintf("DENY kill %d by %s (uid %d)", r.pid, r.src, r.uid)
+	case "respawn":
+		d.Err = fmt.Errorf("%w: respawn %q", ErrPerm, r.name)
+		d.Event.Detail = fmt.Sprintf("respawn uid=%d", r.uid)
 	}
-	k.denials[key] = &d
-	return &d
+	return d
 }
-
-// dacDeny books one DAC denial on the counters and the security-event
-// stream.
-func (k *Kernel) dacDeny(kind obs.EventKind, src, dst, detail string) {
-	k.stats.DACDenied++
-	k.mDACDenied.Inc()
-	k.events.Emit(obs.SecurityEvent{
-		Kind:      kind,
-		Mechanism: obs.MechDAC,
-		Denied:    true,
-		Src:       src,
-		Dst:       dst,
-		Detail:    detail,
-	})
-}
-
-// Stats returns a snapshot of kernel counters.
-func (k *Kernel) Stats() Stats { return k.stats }
 
 // Machine returns the underlying board.
 func (k *Kernel) Machine() *machine.Machine { return k.m }
@@ -373,14 +355,7 @@ func (k *Kernel) SpawnImage(image string) (int, error) {
 
 func (k *Kernel) spawn(img Image) (int, error) {
 	if len(k.procs) >= k.cfg.MaxProcs {
-		k.events.Emit(obs.SecurityEvent{
-			Kind:      obs.EventForkDenied,
-			Mechanism: obs.MechKernel,
-			Denied:    true,
-			Src:       img.Name,
-			Detail:    k.limitDetail,
-		})
-		return 0, k.limitErr
+		return 0, k.refusals.Book(refusal{op: "fork", src: img.Name}).Err
 	}
 	p := &proc{
 		name:    img.Name,
@@ -402,7 +377,6 @@ func (k *Kernel) spawn(img Image) (int, error) {
 	k.procs[p.PID] = p
 	k.byUnix[p.unixPID] = p
 	k.spawnCounts[img.Name]++
-	k.stats.Forks++
 	k.mForks.Inc()
 	k.m.Trace().Logf("linux", "spawn %s pid=%d uid=%d", img.Name, p.unixPID, p.uid)
 	return p.unixPID, nil

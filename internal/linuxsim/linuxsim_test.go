@@ -98,7 +98,7 @@ func TestDACDeniesOtherUser(t *testing.T) {
 	if !errors.Is(openErr, ErrPerm) {
 		t.Fatalf("outsider err = %v, want ErrPerm", openErr)
 	}
-	if k.Stats().DACDenied == 0 {
+	if m.Obs().Metrics().Counter("linux_dac_denied_total").Value() == 0 {
 		t.Fatal("DAC denial not counted")
 	}
 }

@@ -109,7 +109,7 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 
 // devAccess is the kernel's device access check: the caller's credentials
 // against the device's /dev node, its owner and mode. A refusal is a DAC
-// denial, booked once per distinct (operation, device, register).
+// denial.
 func (k *Kernel) devAccess(pid machine.PID, f *machine.Frame, write bool) (machine.DeviceID, error) {
 	self, dev := k.procOf(pid), machine.DeviceID(f.S0)
 	df, ok := k.devs[dev]
@@ -121,14 +121,7 @@ func (k *Kernel) devAccess(pid machine.PID, f *machine.Frame, write bool) (machi
 		if write {
 			op = "write"
 		}
-		d := k.denialFor(denialKey{op: op, name: string(dev), reg: reg}, func() denial {
-			return denial{
-				detail: fmt.Sprintf("%s /dev/%s reg %d", op, dev, reg),
-				err:    fmt.Errorf("%w: %s %q", ErrPerm, op, dev),
-			}
-		})
-		k.dacDeny(obs.EventSyscallDenied, self.name, string(dev), d.detail)
-		return "", d.err
+		return "", k.refusals.Book(refusal{op: op, src: self.name, name: string(dev), reg: reg}).Err
 	}
 	return dev, nil
 }
@@ -159,17 +152,9 @@ func (k *Kernel) doMQOpen(self *proc, f *machine.Frame) error {
 		k.mqs[name] = q
 	}
 	if !allowed(self.uid, self.gid, q.ownerUID, q.ownerGID, q.mode, read, write) {
-		d := k.denialFor(denialKey{op: "mq_open", src: self.name, name: name, uid: self.uid, mode: q.mode}, func() denial {
-			return denial{
-				detail: fmt.Sprintf("mq_open uid=%d mode=%04o", self.uid, q.mode),
-				trace:  fmt.Sprintf("DENY mq_open %s by %s (uid %d)", name, self.name, self.uid),
-				err:    fmt.Errorf("%w: queue %q", ErrPerm, name),
-			}
-		})
-		k.dacDeny(obs.EventIPCDenied, self.name, name, d.detail)
+		err := k.refusals.Book(refusal{op: "mq_open", src: self.name, name: name, uid: self.uid, mode: q.mode}).Err
 		k.tracer.Emit(k.edges.Intern(self.name, name, "mq_open"), obs.OutcomeDACDenied)
-		k.m.Trace().Log("linux-dac", d.trace)
-		return d.err
+		return err
 	}
 	self.nextFD++
 	handle := self.nextFD
@@ -246,8 +231,6 @@ func (k *Kernel) doMQSend(self *proc, f *machine.Frame) machine.Disposition {
 	}
 	// A blocked reader consumes the message directly.
 	if reader := k.popReader(q); reader != nil {
-		k.stats.MQSends++
-		k.stats.MQReceives++
 		k.m.IPC().Record(e.send)
 		k.m.IPC().Record(reader.recvEdge)
 		k.tracer.Emit(e.mqSend, obs.OutcomeDelivered)
@@ -267,7 +250,6 @@ func (k *Kernel) doMQSend(self *proc, f *machine.Frame) machine.Disposition {
 		q.writers = append(q.writers, blockedWriter{pid: self.PID, msg: msg, send: e.send})
 		return machine.DispositionBlock
 	}
-	k.stats.MQSends++
 	k.m.IPC().Record(e.send)
 	k.tracer.Emit(e.mqSend, obs.OutcomeDelivered)
 	insertByPrio(q, msg)
@@ -292,13 +274,11 @@ func (k *Kernel) doMQReceive(self *proc, rfd int32) machine.Disposition {
 		copy(q.msgs, q.msgs[1:])
 		q.msgs[len(q.msgs)-1] = MQMsg{}
 		q.msgs = q.msgs[:len(q.msgs)-1]
-		k.stats.MQReceives++
 		k.m.IPC().Record(f.edges.recv)
 		k.tracer.Emit(f.edges.mqReceive, obs.OutcomeDelivered)
 		// Unblock one writer into the freed slot.
 		if w, ok := k.popWriter(q); ok {
 			insertByPrio(q, w.msg)
-			k.stats.MQSends++
 			wp := k.procs[w.pid]
 			k.m.IPC().Record(w.send)
 			k.tracer.Finish(&wp.span, obs.OutcomeDelivered, k.mMQWaitNs)
@@ -324,8 +304,6 @@ func (k *Kernel) doMQReceive(self *proc, rfd int32) machine.Disposition {
 // a full queue loses it.
 func (k *Kernel) deliverToQueue(send obs.EdgeID, q *mqueue, msg MQMsg) {
 	if reader := k.popReader(q); reader != nil {
-		k.stats.MQSends++
-		k.stats.MQReceives++
 		k.m.IPC().Record(send)
 		k.m.IPC().Record(reader.recvEdge)
 		k.tracer.Finish(&reader.span, obs.OutcomeDelivered, k.mMQWaitNs)
@@ -336,7 +314,6 @@ func (k *Kernel) deliverToQueue(send obs.EdgeID, q *mqueue, msg MQMsg) {
 	if len(q.msgs) >= q.maxMsgs {
 		return
 	}
-	k.stats.MQSends++
 	k.m.IPC().Record(send)
 	insertByPrio(q, msg)
 	q.depth.Set(int64(len(q.msgs)))
@@ -349,8 +326,7 @@ func (k *Kernel) deliverToQueue(send obs.EdgeID, q *mqueue, msg MQMsg) {
 func (k *Kernel) doRespawn(self *proc, f *machine.Frame) error {
 	image := f.S0
 	if self.uid != 0 {
-		k.dacDeny(obs.EventSyscallDenied, self.name, image, fmt.Sprintf("respawn uid=%d", self.uid))
-		return fmt.Errorf("%w: respawn %q", ErrPerm, image)
+		return k.refusals.Book(refusal{op: "respawn", src: self.name, name: image, uid: self.uid}).Err
 	}
 	img, ok := k.images[image]
 	if !ok {
@@ -383,8 +359,7 @@ func (k *Kernel) doMQUnlink(self *proc, name string) error {
 		return fmt.Errorf("%w: queue %q", ErrNoEnt, name)
 	}
 	if self.uid != 0 && self.uid != q.ownerUID {
-		k.dacDeny(obs.EventSyscallDenied, self.name, name, fmt.Sprintf("mq_unlink uid=%d owner=%d", self.uid, q.ownerUID))
-		return fmt.Errorf("%w: unlink %q", ErrPerm, name)
+		return k.refusals.Book(refusal{op: "mq_unlink", src: self.name, name: name, uid: self.uid, owner: q.ownerUID}).Err
 	}
 	delete(k.mqs, name)
 	q.depth.Set(0)
@@ -412,22 +387,12 @@ func (k *Kernel) doKill(self *proc, unixPID, sig int) error {
 		return fmt.Errorf("%w: pid %d", ErrNoEnt, unixPID)
 	}
 	if self.uid != 0 && self.uid != victim.uid {
-		d := k.denialFor(denialKey{op: "kill", src: self.name, uid: self.uid, pid: unixPID, sig: sig}, func() denial {
-			return denial{
-				detail: fmt.Sprintf("kill pid %d sig %d uid=%d", unixPID, sig, self.uid),
-				trace:  fmt.Sprintf("DENY kill %d by %s (uid %d)", unixPID, self.name, self.uid),
-				err:    fmt.Errorf("%w: kill %d", ErrPerm, unixPID),
-			}
-		})
-		k.dacDeny(obs.EventKillDenied, self.name, victim.name, d.detail)
-		k.m.Trace().Log("linux-dac", d.trace)
-		return d.err
+		return k.refusals.Book(refusal{op: "kill", src: self.name, name: victim.name, uid: self.uid, pid: unixPID, sig: sig}).Err
 	}
 	if sig != SIGKILL && sig != SIGTERM {
 		// Non-terminating signals are absorbed.
 		return nil
 	}
-	k.stats.Kills++
 	k.mKills.Inc()
 	k.events.Emit(obs.SecurityEvent{
 		Kind:      obs.EventKill,

@@ -24,7 +24,8 @@
 // Waits layer, which sleeps, times out and wakes processes the same way
 // under every kernel. The sleep, console, device and exit traps are one
 // ProcTraps layer too (process side: ProcAPI, DeviceAPI): a kernel gives
-// it only its device access check. Because the Engine is single-threaded
-// and scheduling is FIFO within priority, attack experiments built on top
-// of it are fully deterministic.
+// it only its device access check, and every refusal a kernel makes is
+// booked through its one Refusals record. Because the Engine is
+// single-threaded and scheduling is FIFO within priority, attack
+// experiments built on top of it are fully deterministic.
 package machine

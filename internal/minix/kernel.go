@@ -60,19 +60,6 @@ type Config struct {
 	Net *vnet.Stack
 }
 
-// Stats counts kernel-level events for the experiments.
-type Stats struct {
-	IPCDelivered int64
-	IPCDenied    int64
-	Notifies     int64
-	AsyncQueued  int64
-	DevReads     int64
-	DevWrites    int64
-	Spawns       int64
-	Kills        int64
-	Crashes      int64
-}
-
 // The kernel's IPC wait phases, beside the shared sleep and network ones.
 const (
 	phaseSendBlocked = machine.WaitKernel + iota
@@ -157,8 +144,6 @@ type Kernel struct {
 	waits *machine.Waits
 	traps machine.ProcTraps
 
-	stats Stats
-
 	// Observability hooks, resolved once at boot.
 	tracer     *obs.Tracer
 	events     *obs.EventLog
@@ -182,13 +167,9 @@ type Kernel struct {
 	whos  map[procIdent]uint32
 	cells map[cellKey]cellEdges
 
-	// denials memoises each distinct ACM denial's error, event detail and
-	// trace line, so an attacker repeating a denied send costs no
-	// formatting: the text depends only on the key. devDenials does the
-	// same for a refused device trap's error and event detail, whose text
-	// names only the device.
-	denials    map[denialKey]*denial
-	devDenials map[machine.DeviceID]*denial
+	// refusals books every refusal: the ACM's, the device privilege's,
+	// the kernel kill's and PM's.
+	refusals machine.Refusals[refusal]
 }
 
 // procIdent is what names a process in its IPC edges: the span names it
@@ -212,20 +193,31 @@ type cellEdges struct {
 	use, span obs.EdgeID
 }
 
-// denialKey identifies one distinct ACM denial.
-type denialKey struct {
+// refusal names one distinct refusal by everything its text mentions.
+type refusal struct {
+	why refusalKind
+	// src is the refused process, empty for a PM caller no longer live,
+	// and dst the receiver or the device.
 	src, dst string
-	srcACID  core.ACID
-	dstACID  core.ACID
-	msgType  int32
+	// srcACID is the sender's or PM caller's identity, dstACID the
+	// receiver's.
+	srcACID, dstACID core.ACID
+	msgType          int32
+	// op is the PM call, and err the ledger's refusal: one error value per
+	// (subject, call, exhausted), so it compares by identity.
+	op  string
+	err error
 }
 
-// denial is the memoised output of one distinct ACM denial.
-type denial struct {
-	err    error
-	detail string
-	trace  string
-}
+// refusalKind says which check refused.
+type refusalKind uint8
+
+const (
+	refuseACM    refusalKind = iota // the ACM refused src sending msgType to dst
+	refuseDevice                    // dst is not among src's image's devices
+	refuseKKill                     // src, not a server, asked for a kernel kill
+	refusePM                        // PM's syscall policy refused op
+)
 
 var _ machine.TrapHandler = (*Kernel)(nil)
 
@@ -244,8 +236,6 @@ func Boot(m *machine.Machine, policy *core.Policy, cfg Config) (*Kernel, error) 
 		names:  make(map[string]Endpoint),
 		whos:   make(map[procIdent]uint32),
 		cells:  make(map[cellKey]cellEdges),
-
-		devDenials: make(map[machine.DeviceID]*denial),
 	}
 	board := m.Obs()
 	board.Events().SetPlatform("minix")
@@ -271,6 +261,7 @@ func Boot(m *machine.Machine, policy *core.Policy, cfg Config) (*Kernel, error) 
 		return nil
 	}, phaseRecvBlocked, nil, ErrTimeout)
 	k.traps = machine.NewProcTraps(m, k.waits, trapProc, k.devAccess)
+	k.refusals = machine.NewRefusals(m, k.refusal)
 
 	k.pm = newPMServer(k, policy.Syscalls)
 	k.rs = newRSServer(k)
@@ -297,7 +288,6 @@ func (k *Kernel) CrashProcess(name string) error {
 	if e == nil {
 		return fmt.Errorf("%w: %v", ErrDeadSrcDst, ep)
 	}
-	k.stats.Crashes++
 	return k.m.Engine().Kill(e.PID)
 }
 
@@ -318,9 +308,6 @@ func (k *Kernel) RegisterImage(img Image) {
 	}
 	k.images[img.Name] = img
 }
-
-// Stats returns a snapshot of kernel counters.
-func (k *Kernel) Stats() Stats { return k.stats }
 
 // Machine returns the underlying board.
 func (k *Kernel) Machine() *machine.Machine { return k.m }
@@ -419,7 +406,6 @@ func (k *Kernel) spawn(img Image, acid core.ACID) (Endpoint, error) {
 	}
 	k.byPID[proc.PID()] = entry
 	k.names[img.Name] = ep
-	k.stats.Spawns++
 	k.m.Trace().Logf("minix", "spawn %s ep=%v acid=%d uid=%d", img.Name, ep, acid, img.UID)
 	return ep, nil
 }
@@ -511,7 +497,8 @@ func (k *Kernel) checkIPC(src, dst *procEntry, msgType int32) (cellEdges, error)
 	if user && !k.cfg.DisableACM {
 		inRange := msgType >= 0 && int64(msgType) <= int64(core.MaxMsgType)
 		if !inRange || !k.policy.IPC.Allows(src.acID, dst.acID, core.MsgType(msgType)) {
-			return cellEdges{}, k.auditDeny(src, dst, msgType)
+			return cellEdges{}, k.refusals.Book(refusal{why: refuseACM, src: src.name, dst: dst.name,
+				srcACID: src.acID, dstACID: dst.acID, msgType: msgType}).Err
 		}
 	}
 	c := k.cell(src, dst, msgType)
@@ -524,47 +511,39 @@ func (k *Kernel) checkIPC(src, dst *procEntry, msgType int32) (cellEdges, error)
 	return c, nil
 }
 
-// auditDeny records one ACM denial in the board trace, counters, and the
-// unified security-event stream, and returns the denial error.
-func (k *Kernel) auditDeny(src, dst *procEntry, msgType int32) error {
-	d := k.denialFor(src, dst, msgType)
-	k.stats.IPCDenied++
-	k.mDenied.Inc()
-	k.events.Emit(obs.SecurityEvent{
-		Kind:      obs.EventIPCDenied,
-		Mechanism: obs.MechACM,
-		Denied:    true,
-		Src:       src.name,
-		Dst:       dst.name,
-		Detail:    d.detail,
-	})
-	k.m.Trace().Log("minix-acm", d.trace)
-	return d.err
-}
-
-// denialFor returns the memoised error and text of one ACM denial, building
-// them on the first occurrence. An out-of-range type is reported as
-// MaxMsgType, the largest type the matrix can express.
-func (k *Kernel) denialFor(src, dst *procEntry, msgType int32) *denial {
-	key := denialKey{src: src.name, dst: dst.name, srcACID: src.acID, dstACID: dst.acID, msgType: msgType}
-	if d, ok := k.denials[key]; ok {
-		return d
+// refusal builds the Refusal of r, once per distinct refusal. An ACM
+// denial of an out-of-range type is reported as MaxMsgType, the largest
+// type the matrix can express.
+func (k *Kernel) refusal(r refusal) machine.Refusal {
+	switch r.why {
+	case refuseACM:
+		t := core.MaxMsgType
+		if r.msgType >= 0 && int64(r.msgType) <= int64(core.MaxMsgType) {
+			t = core.MsgType(r.msgType)
+		}
+		return machine.Refusal{
+			Err:     &core.DeniedError{Src: r.srcACID, Dst: r.dstACID, Type: t},
+			Counter: k.mDenied,
+			Event: obs.SecurityEvent{Kind: obs.EventIPCDenied, Mechanism: obs.MechACM, Src: r.src, Dst: r.dst,
+				Detail: fmt.Sprintf("m_type=%d acid=%d->%d", r.msgType, r.srcACID, r.dstACID)},
+			Tag: "minix-acm",
+			Line: fmt.Sprintf("DENY %s(acid=%d) -> %s(acid=%d) m_type=%d",
+				r.src, r.srcACID, r.dst, r.dstACID, r.msgType),
+		}
+	case refuseDevice:
+		return machine.Refusal{
+			Err: fmt.Errorf("%w: device %q", ErrNoPrivilege, r.dst),
+			Event: obs.SecurityEvent{Kind: obs.EventSyscallDenied, Mechanism: obs.MechKernel, Src: r.src, Dst: r.dst,
+				Detail: fmt.Sprintf("device %s not in the image's privileges", r.dst)},
+		}
+	case refuseKKill:
+		return machine.Refusal{
+			Err: ErrNoPrivilege,
+			Event: obs.SecurityEvent{Kind: obs.EventKillDenied, Mechanism: obs.MechKernel, Src: r.src,
+				Detail: "kernel kill requires server privilege"},
+		}
 	}
-	t := core.MaxMsgType
-	if msgType >= 0 && int64(msgType) <= int64(core.MaxMsgType) {
-		t = core.MsgType(msgType)
-	}
-	d := &denial{
-		err:    &core.DeniedError{Src: src.acID, Dst: dst.acID, Type: t},
-		detail: fmt.Sprintf("m_type=%d acid=%d->%d", msgType, src.acID, dst.acID),
-		trace: fmt.Sprintf("DENY %s(acid=%d) -> %s(acid=%d) m_type=%d",
-			src.name, src.acID, dst.name, dst.acID, msgType),
-	}
-	if k.denials == nil {
-		k.denials = make(map[denialKey]*denial)
-	}
-	k.denials[key] = d
-	return d
+	return pmRefusal(r)
 }
 
 // HandleTrap implements machine.TrapHandler: it dispatches on the trap
@@ -623,28 +602,7 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 func (k *Kernel) devAccess(pid machine.PID, f *machine.Frame, write bool) (machine.DeviceID, error) {
 	self, dev := k.entryOf(pid), machine.DeviceID(f.S0)
 	if !self.devs[dev] {
-		d := k.devDenials[dev]
-		if d == nil {
-			d = &denial{
-				err:    fmt.Errorf("%w: device %q", ErrNoPrivilege, dev),
-				detail: fmt.Sprintf("device %s not in the image's privileges", dev),
-			}
-			k.devDenials[dev] = d
-		}
-		k.events.Emit(obs.SecurityEvent{
-			Kind:      obs.EventSyscallDenied,
-			Mechanism: obs.MechKernel,
-			Denied:    true,
-			Src:       self.name,
-			Dst:       string(dev),
-			Detail:    d.detail,
-		})
-		return "", d.err
-	}
-	if write {
-		k.stats.DevWrites++
-	} else {
-		k.stats.DevReads++
+		return "", k.refusals.Book(refusal{why: refuseDevice, src: self.name, dst: string(dev)}).Err
 	}
 	return dev, nil
 }
@@ -653,20 +611,12 @@ func (k *Kernel) devAccess(pid machine.PID, f *machine.Frame, write bool) (machi
 // kill request.
 func (k *Kernel) doKKill(self *procEntry, target Endpoint) error {
 	if !self.isServer {
-		k.events.Emit(obs.SecurityEvent{
-			Kind:      obs.EventKillDenied,
-			Mechanism: obs.MechKernel,
-			Denied:    true,
-			Src:       self.name,
-			Detail:    "kernel kill requires server privilege",
-		})
-		return ErrNoPrivilege
+		return k.refusals.Book(refusal{why: refuseKKill, src: self.name}).Err
 	}
 	victim := k.resolve(target)
 	if victim == nil {
 		return fmt.Errorf("%w: %v", ErrDeadSrcDst, target)
 	}
-	k.stats.Kills++
 	k.mKills.Inc()
 	k.events.Emit(obs.SecurityEvent{
 		Kind:      obs.EventKill,
@@ -772,7 +722,6 @@ func (k *Kernel) delaySend(self *procEntry, dst Endpoint, msg Message, sendRec b
 
 // completeReceive hands msg to a receiver blocked in Receive and wakes it.
 func (k *Kernel) completeReceive(receiver *procEntry, msg Message) {
-	k.stats.IPCDelivered++
 	k.mDelivered.Inc()
 	k.tracer.Finish(&receiver.span, obs.OutcomeDelivered, k.mSendRecNs)
 	putMsg(receiver.frame, &msg)
@@ -793,7 +742,6 @@ func (k *Kernel) doReceive(self *procEntry, from Endpoint) machine.Disposition {
 	for i, src := range self.notifies {
 		if matches(from, src) {
 			self.notifies = append(self.notifies[:i], self.notifies[i+1:]...)
-			k.stats.IPCDelivered++
 			k.mDelivered.Inc()
 			putMsg(f, &Message{Source: src, Type: int32(core.MsgAck)})
 			return machine.DispositionContinue
@@ -804,7 +752,6 @@ func (k *Kernel) doReceive(self *procEntry, from Endpoint) machine.Disposition {
 			putMsg(f, msg)
 			self.mailbox = append(self.mailbox[:i], self.mailbox[i+1:]...)
 			k.mMailbox.Add(-1)
-			k.stats.IPCDelivered++
 			k.mDelivered.Inc()
 			return machine.DispositionContinue
 		}
@@ -822,7 +769,6 @@ func (k *Kernel) doReceive(self *procEntry, from Endpoint) machine.Disposition {
 		msg := frameMsg(sender.frame)
 		msg.Source = sender.ep
 		putMsg(f, &msg)
-		k.stats.IPCDelivered++
 		k.mDelivered.Inc()
 		// Complete the sender's operation.
 		if sender.wantSendRec {
@@ -856,7 +802,6 @@ func (k *Kernel) doNotify(self *procEntry, dst Endpoint) error {
 		// Notifications are fire-and-forget: a lost one is a silent success.
 		return nil
 	}
-	k.stats.Notifies++
 	if delay > 0 {
 		src := self.ep
 		k.m.Clock().After(delay, func() {
@@ -920,7 +865,6 @@ func (k *Kernel) doSendNB(self *procEntry, dst Endpoint, msg Message) error {
 			}
 			tgt.mailbox = append(tgt.mailbox, msg)
 			k.mMailbox.Add(1)
-			k.stats.AsyncQueued++
 		})
 		return nil
 	}
@@ -933,7 +877,6 @@ func (k *Kernel) doSendNB(self *procEntry, dst Endpoint, msg Message) error {
 	}
 	target.mailbox = append(target.mailbox, msg)
 	k.mMailbox.Add(1)
-	k.stats.AsyncQueued++
 	return nil
 }
 
@@ -986,7 +929,6 @@ func (k *Kernel) OnProcExit(pid machine.PID, info machine.ExitInfo) {
 	}
 	crashed := info.Crashed || (info.Killed && !e.exiting)
 	if info.Crashed {
-		k.stats.Crashes++
 		k.m.Trace().Logf("minix", "CRASH %s ep=%v panic=%v", e.name, e.ep, info.PanicValue)
 	} else {
 		k.m.Trace().Logf("minix", "exit %s ep=%v", e.name, e.ep)

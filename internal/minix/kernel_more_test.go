@@ -241,9 +241,12 @@ func TestStatsCounters(t *testing.T) {
 	spawnOrFatal(t, k, "b", acidB)
 	spawnOrFatal(t, k, "a", acidA)
 	m.Run(time.Second)
-	stats := k.Stats()
-	if stats.IPCDelivered == 0 || stats.IPCDenied != 1 || stats.Spawns < 4 {
-		t.Fatalf("stats = %+v", stats)
+	reg := m.Obs().Metrics()
+	delivered := reg.Counter("minix_ipc_delivered_total").Value()
+	denied := reg.Counter("minix_ipc_denied_total").Value()
+	spawns := reg.Counter("machine_spawns_total").Value()
+	if delivered == 0 || denied != 1 || spawns < 4 {
+		t.Fatalf("delivered %d, denied %d, spawns %d", delivered, denied, spawns)
 	}
 }
 

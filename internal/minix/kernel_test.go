@@ -98,8 +98,8 @@ func TestACMDeniesUnauthorizedType(t *testing.T) {
 	if !errors.Is(sendErr, core.ErrDenied) {
 		t.Fatalf("send err = %v, want ACM denial", sendErr)
 	}
-	if k.Stats().IPCDenied != 1 {
-		t.Fatalf("IPCDenied = %d, want 1", k.Stats().IPCDenied)
+	if n := m.Obs().Metrics().Counter("minix_ipc_denied_total").Value(); n != 1 {
+		t.Fatalf("minix_ipc_denied_total = %d, want 1", n)
 	}
 	if len(m.Trace().Grep("DENY")) == 0 {
 		t.Fatal("no audit line for the denial")
@@ -635,8 +635,8 @@ func TestExitFreesSlotAndName(t *testing.T) {
 	if _, err := k.EndpointOf("brief"); !errors.Is(err, ErrNameNotFound) {
 		t.Fatalf("name lookup after exit = %v, want not-found", err)
 	}
-	if k.Stats().Crashes != 0 {
-		t.Fatal("voluntary exit counted as crash")
+	if crashes := m.Trace().Grep("CRASH"); len(crashes) != 0 {
+		t.Fatalf("voluntary exit logged as a crash: %v", crashes)
 	}
 }
 

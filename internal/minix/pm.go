@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mkbas/internal/core"
+	"mkbas/internal/machine"
 	"mkbas/internal/obs"
 )
 
@@ -18,10 +19,6 @@ const PMName = "pm"
 type pmServer struct {
 	k      *Kernel
 	ledger *core.QuotaLedger
-
-	// audits memoises the event detail and trace line of each distinct
-	// denial, so a caller retrying a denied call costs no formatting.
-	audits map[pmAuditKey]pmAudit
 
 	// Audit counters for the experiments.
 	forksGranted int64
@@ -78,7 +75,7 @@ func (pm *pmServer) handleFork2(api *API, msg Message) Message {
 
 	if err := pm.ledger.Charge(caller, core.SysFork); err != nil {
 		pm.forksDenied++
-		pm.audit(api, "fork2", msg.Source, caller, obs.EventForkDenied, err)
+		pm.audit(api, "fork2", msg.Source, caller, err)
 		return pmReply(pmDenyCode(err), EndpointNone)
 	}
 	acid := requested
@@ -88,7 +85,7 @@ func (pm *pmServer) handleFork2(api *API, msg Message) Message {
 		// Assigning a different identity is a loader privilege (srv_fork2).
 		if err := pm.ledger.Charge(caller, core.SysSetACID); err != nil {
 			pm.forksDenied++
-			pm.audit(api, "fork2/set_acid", msg.Source, caller, obs.EventForkDenied, err)
+			pm.audit(api, "fork2/set_acid", msg.Source, caller, err)
 			return pmReply(pmDenyCode(err), EndpointNone)
 		}
 	}
@@ -108,7 +105,7 @@ func (pm *pmServer) handleKill(api *API, msg Message) Message {
 
 	if err := pm.ledger.Charge(caller, core.SysKill); err != nil {
 		pm.killsDenied++
-		pm.audit(api, "kill", msg.Source, caller, obs.EventKillDenied, err)
+		pm.audit(api, "kill", msg.Source, caller, err)
 		return pmReply(pmDenyCode(err), EndpointNone)
 	}
 	if err := api.kKill(target); err != nil {
@@ -127,53 +124,35 @@ func (pm *pmServer) callerACID(src Endpoint) core.ACID {
 	return core.NoACID
 }
 
-// pmAuditKey identifies one distinct PM denial. The ledger hands out one
-// error value per (subject, call, exhausted), so err compares by identity.
-type pmAuditKey struct {
-	op     string
-	src    string // the caller's name, empty when it is no longer live
-	caller core.ACID
-	err    error
-}
-
-// pmAudit is the memoised text of one distinct PM denial.
-type pmAudit struct {
-	name, detail, trace string
-}
-
-// audit logs one PM denial on the board trace and the security-event
-// stream. PM runs as a simulated process, so the engine is parked while
-// this executes — touching the event log here is race-free by the same
-// argument that lets PM read kernel tables.
-func (pm *pmServer) audit(api *API, op string, src Endpoint, caller core.ACID, kind obs.EventKind, err error) {
-	key := pmAuditKey{op: op, caller: caller, err: err}
+// audit books one PM denial on the kernel's refusal record and writes its
+// line to the board trace through PM's own trace trap. PM runs as a
+// simulated process, so the engine is parked while this executes —
+// booking on the kernel here is race-free by the same argument that lets
+// PM read kernel tables.
+func (pm *pmServer) audit(api *API, op string, src Endpoint, caller core.ACID, err error) {
+	key := refusal{why: refusePM, op: op, srcACID: caller, err: err}
 	if e := pm.k.resolve(src); e != nil {
 		key.src = e.name
 	}
-	a, ok := pm.audits[key]
-	if !ok {
-		a = pmAudit{
-			name:   key.src,
-			detail: fmt.Sprintf("%s: %v", op, err),
-			trace:  fmt.Sprintf("DENY %s by acid=%d: %v", op, caller, err),
-		}
-		if a.name == "" {
-			a.name = fmt.Sprintf("acid=%d", caller)
-		}
-		if pm.audits == nil {
-			pm.audits = make(map[pmAuditKey]pmAudit)
-		}
-		pm.audits[key] = a
+	api.Trace("minix-pm", pm.k.refusals.Book(key).Line)
+}
+
+// pmRefusal builds the Refusal of one PM denial: its line has no tag, for
+// audit writes it.
+func pmRefusal(r refusal) machine.Refusal {
+	src, kind := r.src, obs.EventForkDenied
+	if src == "" {
+		src = fmt.Sprintf("acid=%d", r.srcACID)
 	}
-	pm.k.events.Emit(obs.SecurityEvent{
-		Kind:      kind,
-		Mechanism: obs.MechSyscallMask,
-		Denied:    true,
-		Src:       a.name,
-		Dst:       PMName,
-		Detail:    a.detail,
-	})
-	api.Trace("minix-pm", a.trace)
+	if r.op == "kill" {
+		kind = obs.EventKillDenied
+	}
+	return machine.Refusal{
+		Err: r.err,
+		Event: obs.SecurityEvent{Kind: kind, Mechanism: obs.MechSyscallMask, Src: src, Dst: PMName,
+			Detail: fmt.Sprintf("%s: %v", r.op, r.err)},
+		Line: fmt.Sprintf("DENY %s by acid=%d: %v", r.op, r.srcACID, r.err),
+	}
 }
 
 // pmDenyCode distinguishes quota exhaustion from plain policy denial on the

@@ -33,7 +33,7 @@ func boardState(m *machine.Machine) string {
 func TestUnknownTrapsAnswered(t *testing.T) {
 	m, k := testBoard(t, testPolicy(), Config{})
 	state := func() string {
-		s := fmt.Sprintf("%+v\n", k.Stats())
+		var s string
 		for _, e := range k.slots {
 			if e != nil {
 				s += fmt.Sprintf("%+v\n", *e)

@@ -107,17 +107,7 @@ func (k *Kernel) doSend(t *tcb, nb bool) machine.Disposition {
 		return machine.DispositionContinue
 	}
 	if f.R[10] != 0 && !c.Rights.Has(CapGrant) {
-		k.stats.RightsDenied++
-		k.mRightsDenied.Inc()
-		k.events.Emit(obs.SecurityEvent{
-			Kind:      obs.EventCapFault,
-			Mechanism: obs.MechCapability,
-			Denied:    true,
-			Src:       t.name,
-			Dst:       k.objName(c.Object),
-			Detail:    "cap transfer needs grant",
-		})
-		f.Err = fmt.Errorf("%w: cap transfer needs grant", ErrNoRights)
+		f.Err = k.refusals.Book(capFault{why: faultGrant, src: t.name, obj: c.Object}).Err
 		return machine.DispositionContinue
 	}
 	ep := k.eps[c.Object]
@@ -184,7 +174,6 @@ func (k *Kernel) doCall(t *tcb) machine.Disposition {
 		f.Err = err
 		return machine.DispositionContinue
 	}
-	k.stats.Calls++
 	ep := k.eps[c.Object]
 	// The round-trip span stays open until Reply (or abort) wakes the
 	// caller.
@@ -258,8 +247,6 @@ func (k *Kernel) doReply(t *tcb) error {
 		// Caller died or was aborted; the reply evaporates.
 		return nil
 	}
-	k.stats.Replies++
-	k.stats.IPCDelivered++
 	k.mReplies.Inc()
 	k.mDelivered.Inc()
 	k.tracer.Finish(&caller.span, obs.OutcomeDelivered, k.mCallNs)
@@ -278,7 +265,6 @@ func (k *Kernel) deliver(sender *tcb, senderCap Capability, receiver *tcb, isCal
 // the badge, the message from the sender's frame, a transferred capability,
 // and (for calls) the reply capability installed on the receiver.
 func (k *Kernel) buildDelivery(sender *tcb, senderCap Capability, receiver *tcb, isCall bool) {
-	k.stats.IPCDelivered++
 	k.mDelivered.Inc()
 	// Record the delivery through its endpoint for the least-privilege
 	// audit: the sender exercised its send cap, the receiver its recv cap.
@@ -294,7 +280,6 @@ func (k *Kernel) buildDelivery(sender *tcb, senderCap Capability, receiver *tcb,
 			if slot, ok := freeSlot(receiver); ok {
 				receiver.cspace[slot] = moved
 				out.R[10], out.R[11] = 1, uint64(slot)
-				k.stats.CapsTransferred++
 				k.m.Trace().Logf("sel4", "cap transfer %v from %s to %s slot %d",
 					moved, sender.name, receiver.name, slot)
 			}
@@ -310,27 +295,19 @@ func (k *Kernel) buildDelivery(sender *tcb, senderCap Capability, receiver *tcb,
 // world. It requires a TCB capability with write rights — which the CAmkES
 // scenario never distributes to the web interface.
 func (k *Kernel) doSuspend(t *tcb, cptr CPtr) error {
-	c, f := k.lookup(t, cptr, KindTCB, CapWrite)
-	if f != nil {
-		// lookup emitted the cap-fault; this event classifies the attempt
-		// as a blocked kill for the attack reports.
-		if f.kill == "" {
-			f.kill = fmt.Sprintf("TCB_Suspend: %v", f.err)
-		}
-		k.events.Emit(obs.SecurityEvent{
-			Kind:      obs.EventKillDenied,
-			Mechanism: obs.MechCapability,
-			Denied:    true,
-			Src:       t.name,
-			Detail:    f.kill,
-		})
-		return f.err
+	c, fault := capAt(t, cptr, KindTCB, CapWrite)
+	if fault.why != faultNone {
+		err := k.refusals.Book(fault).Err
+		// A second event classifies the attempt as a blocked kill for the
+		// attack reports.
+		fault.kill = true
+		k.refusals.Book(fault)
+		return err
 	}
 	victim, ok := k.tcbs[c.Object]
 	if !ok || !victim.started || victim.suspended {
 		return ErrSuspended
 	}
-	k.stats.Suspends++
 	k.mSuspends.Inc()
 	k.events.Emit(obs.SecurityEvent{
 		Kind:      obs.EventKill,
@@ -352,9 +329,9 @@ func (k *Kernel) doCapCopy(t *tcb, src, dst CPtr, mint bool, badge Badge, rights
 		return fmt.Errorf("%w: %d/%d", ErrBadSlot, src, dst)
 	}
 	// Any capability will do: an empty slot is a capability fault.
-	c, f := k.lookup(t, src, t.cspace[src].Kind, 0)
-	if f != nil {
-		return f.err
+	c, err := k.lookupCap(t, src, t.cspace[src].Kind, 0)
+	if err != nil {
+		return err
 	}
 	if !t.cspace[dst].IsNull() {
 		return fmt.Errorf("%w: destination %d occupied", ErrBadSlot, dst)

@@ -38,18 +38,6 @@ var (
 	ErrMsgLost = errors.New("sel4: message lost in transit")
 )
 
-// Stats counts kernel events for the experiments.
-type Stats struct {
-	IPCDelivered    int64
-	InvalidCapErrs  int64
-	RightsDenied    int64
-	CapsTransferred int64
-	Suspends        int64
-	Calls           int64
-	Replies         int64
-	Signals         int64
-}
-
 // The kernel's IPC wait phases, beside the shared sleep and network ones.
 const (
 	stateBlockedSend = machine.WaitKernel + iota
@@ -162,8 +150,6 @@ type Kernel struct {
 	waits *machine.Waits
 	traps machine.ProcTraps
 
-	stats Stats
-
 	// Observability hooks, resolved once at construction.
 	tracer        *obs.Tracer
 	edges         *obs.Edges
@@ -179,32 +165,35 @@ type Kernel struct {
 	mCallNs       *obs.Histogram
 	mEPQ          *obs.Gauge
 
-	// faults memoises each distinct capability fault's error and event
-	// text, so a thread brute-forcing its CSpace costs no formatting: the
-	// text depends only on the key.
-	faults map[capFaultKey]*capFault
+	// refusals books every capability fault.
+	refusals machine.Refusals[capFault]
 }
 
-// capFaultKey identifies one distinct capability-lookup failure: an
-// invalid slot (out of range, empty, or of the wrong kind) or a slot whose
-// rights fall short.
-type capFaultKey struct {
-	cptr       CPtr
-	kind       ObjKind
-	rights     bool
+// capFault names one distinct capability fault by everything its text
+// mentions: the faulting thread src, and what it presented.
+type capFault struct {
+	why  faultKind
+	src  string
+	cptr CPtr
+	// kind is the object kind an invalid slot was asked for.
+	kind ObjKind
+	// have and need are a rights fault's rights, and obj the object it or
+	// a grant fault names.
 	have, need Rights
 	obj        ObjID
+	// kill books the fault's TCB_Suspend as a blocked kill.
+	kill bool
 }
 
-// capFault is the memoised output of one distinct capability fault.
-type capFault struct {
-	err    error
-	detail string
-	dst    string // the object a rights fault names, empty otherwise
-	// kill is the blocked-kill event detail, built when a TCB_Suspend
-	// first hits this fault.
-	kill string
-}
+// faultKind says why a capability invocation faulted.
+type faultKind uint8
+
+const (
+	faultNone    faultKind = iota
+	faultInvalid           // the slot is out of range, empty, or of another kind
+	faultRights            // the capability lacks the rights the invocation needs
+	faultGrant             // a send carries a capability without the grant right
+)
 
 var _ machine.TrapHandler = (*Kernel)(nil)
 
@@ -230,6 +219,7 @@ func NewKernel(m *machine.Machine, cfg Config) *Kernel {
 		return nil
 	}, machine.WaitNone, nil, nil)
 	k.traps = machine.NewProcTraps(m, k.waits, trapProc, k.devAccess)
+	k.refusals = machine.NewRefusals(m, k.capFaultOf)
 	board := m.Obs()
 	board.Events().SetPlatform("sel4")
 	k.tracer = board.Tracer()
@@ -249,9 +239,6 @@ func NewKernel(m *machine.Machine, cfg Config) *Kernel {
 	m.Engine().SetHandler(k)
 	return k
 }
-
-// Stats returns a snapshot of kernel counters.
-func (k *Kernel) Stats() Stats { return k.stats }
 
 // Machine returns the underlying board.
 func (k *Kernel) Machine() *machine.Machine { return k.m }
@@ -443,81 +430,62 @@ func (k *Kernel) allocID() ObjID {
 }
 
 // lookupCap resolves a thread's slot with a required kind and rights.
-// Every failure is a capability fault: counted, and emitted on the
-// security-event stream (this is what an attacker brute-forcing CPtrs
-// looks like in the unified view).
+// Every failure is a capability fault, booked on the refusal record (this
+// is what an attacker brute-forcing CPtrs looks like in the unified view).
 func (k *Kernel) lookupCap(t *tcb, cptr CPtr, kind ObjKind, rights Rights) (Capability, error) {
-	c, f := k.lookup(t, cptr, kind, rights)
-	if f != nil {
-		return Capability{}, f.err
+	c, fault := capAt(t, cptr, kind, rights)
+	if fault.why != faultNone {
+		return Capability{}, k.refusals.Book(fault).Err
 	}
 	return c, nil
 }
 
-// lookup is lookupCap returning the memoised fault itself, for callers that
-// describe the failure further.
-func (k *Kernel) lookup(t *tcb, cptr CPtr, kind ObjKind, rights Rights) (Capability, *capFault) {
+// capAt resolves a thread's slot with a required kind and rights, or
+// names the capability fault it is, unbooked.
+func capAt(t *tcb, cptr CPtr, kind ObjKind, rights Rights) (Capability, capFault) {
 	var c Capability
 	if int(cptr) < CSpaceSize {
 		c = t.cspace[cptr]
 	}
-	if c.IsNull() || c.Kind != kind {
-		k.stats.InvalidCapErrs++
-		k.mCapFaults.Inc()
-		f := k.capFaultFor(capFaultKey{cptr: cptr, kind: kind})
-		k.events.Emit(obs.SecurityEvent{
-			Kind:      obs.EventCapFault,
-			Mechanism: obs.MechCapability,
-			Denied:    true,
-			Src:       t.name,
-			Detail:    f.detail,
-		})
-		return Capability{}, f
+	switch {
+	case c.IsNull() || c.Kind != kind:
+		return Capability{}, capFault{why: faultInvalid, src: t.name, cptr: cptr, kind: kind}
+	case !c.Rights.Has(rights):
+		return Capability{}, capFault{why: faultRights, src: t.name, cptr: cptr,
+			have: c.Rights, need: rights, obj: c.Object}
 	}
-	if !c.Rights.Has(rights) {
-		k.stats.RightsDenied++
-		k.mRightsDenied.Inc()
-		f := k.capFaultFor(capFaultKey{cptr: cptr, rights: true, have: c.Rights, need: rights, obj: c.Object})
-		k.events.Emit(obs.SecurityEvent{
-			Kind:      obs.EventCapFault,
-			Mechanism: obs.MechCapability,
-			Denied:    true,
-			Src:       t.name,
-			Dst:       f.dst,
-			Detail:    f.detail,
-		})
-		return Capability{}, f
-	}
-	return c, nil
+	return c, capFault{}
 }
 
-// capFaultFor returns the memoised error and text of one capability fault,
-// building them on the first occurrence.
-func (k *Kernel) capFaultFor(key capFaultKey) *capFault {
-	if f, ok := k.faults[key]; ok {
-		return f
+// capFaultOf builds the Refusal of f, once per distinct fault.
+func (k *Kernel) capFaultOf(f capFault) machine.Refusal {
+	if f.kill {
+		f.kill = false
+		err := k.capFaultOf(f).Err
+		return machine.Refusal{Err: err, Event: obs.SecurityEvent{Kind: obs.EventKillDenied,
+			Mechanism: obs.MechCapability, Src: f.src, Detail: "TCB_Suspend: " + err.Error()}}
 	}
-	f := &capFault{}
+	r := machine.Refusal{Counter: k.mCapFaults,
+		Event: obs.SecurityEvent{Kind: obs.EventCapFault, Mechanism: obs.MechCapability, Src: f.src}}
 	switch {
-	case key.rights:
-		f.err = fmt.Errorf("%w: slot %d has %v, needs %v", ErrNoRights, key.cptr, key.have, key.need)
-		f.detail = fmt.Sprintf("slot %d has %v, needs %v", key.cptr, key.have, key.need)
-		f.dst = k.objName(key.obj)
-	case int(key.cptr) >= CSpaceSize:
-		f.err = fmt.Errorf("%w: slot %d", ErrInvalidCap, key.cptr)
-		f.detail = fmt.Sprintf("slot %d out of range", key.cptr)
-	case key.kind == 0:
-		f.err = fmt.Errorf("%w: slot %d", ErrInvalidCap, key.cptr)
-		f.detail = fmt.Sprintf("slot %d empty", key.cptr)
+	case f.why == faultGrant:
+		r.Err = fmt.Errorf("%w: cap transfer needs grant", ErrNoRights)
+		r.Counter, r.Event.Dst, r.Event.Detail = k.mRightsDenied, k.objName(f.obj), "cap transfer needs grant"
+	case f.why == faultRights:
+		r.Err = fmt.Errorf("%w: slot %d has %v, needs %v", ErrNoRights, f.cptr, f.have, f.need)
+		r.Counter, r.Event.Dst = k.mRightsDenied, k.objName(f.obj)
+		r.Event.Detail = fmt.Sprintf("slot %d has %v, needs %v", f.cptr, f.have, f.need)
+	case int(f.cptr) >= CSpaceSize:
+		r.Err = fmt.Errorf("%w: slot %d", ErrInvalidCap, f.cptr)
+		r.Event.Detail = fmt.Sprintf("slot %d out of range", f.cptr)
+	case f.kind == 0:
+		r.Err = fmt.Errorf("%w: slot %d", ErrInvalidCap, f.cptr)
+		r.Event.Detail = fmt.Sprintf("slot %d empty", f.cptr)
 	default:
-		f.err = fmt.Errorf("%w: slot %d", ErrInvalidCap, key.cptr)
-		f.detail = fmt.Sprintf("slot %d empty or not %v", key.cptr, key.kind)
+		r.Err = fmt.Errorf("%w: slot %d", ErrInvalidCap, f.cptr)
+		r.Event.Detail = fmt.Sprintf("slot %d empty or not %v", f.cptr, f.kind)
 	}
-	if k.faults == nil {
-		k.faults = make(map[capFaultKey]*capFault)
-	}
-	k.faults[key] = f
-	return f
+	return r
 }
 
 // objName best-effort resolves an object ID to a human name for events.

@@ -77,7 +77,7 @@ func TestSendWithoutCapabilityFails(t *testing.T) {
 	if !errors.Is(sendErr, ErrInvalidCap) {
 		t.Fatalf("err = %v, want ErrInvalidCap", sendErr)
 	}
-	if k.Stats().InvalidCapErrs == 0 {
+	if m.Obs().Metrics().Counter("sel4_cap_faults_total").Value() == 0 {
 		t.Fatal("invalid-cap counter not incremented")
 	}
 }
@@ -138,8 +138,9 @@ func TestCallReplyRPC(t *testing.T) {
 	if reply.Label != 11 || reply.Words[0] != 42 {
 		t.Fatalf("reply = %+v", reply)
 	}
-	if k.Stats().Calls != 1 || k.Stats().Replies != 1 {
-		t.Fatalf("stats = %+v", k.Stats())
+	reg := m.Obs().Metrics()
+	if calls, replies := reg.Counter("sel4_ipc_call_total").Value(), reg.Counter("sel4_ipc_reply_total").Value(); calls != 1 || replies != 1 {
+		t.Fatalf("calls %d, replies %d", calls, replies)
 	}
 }
 
@@ -322,10 +323,11 @@ func TestBruteForceEnumerationFindsOnlyGrantedCaps(t *testing.T) {
 	if usable != 1 {
 		t.Fatalf("attacker found %d usable slots, want exactly its 1 endpoint", usable)
 	}
-	if k.Stats().InvalidCapErrs < 2*CSpaceSize-3 {
-		t.Fatalf("InvalidCapErrs = %d, want near %d", k.Stats().InvalidCapErrs, 2*CSpaceSize)
+	reg := m.Obs().Metrics()
+	if n := reg.Counter("sel4_cap_faults_total").Value(); n < 2*CSpaceSize-3 {
+		t.Fatalf("sel4_cap_faults_total = %d, want near %d", n, 2*CSpaceSize)
 	}
-	if k.Stats().Suspends != 0 {
+	if reg.Counter("sel4_suspends_total").Value() != 0 {
 		t.Fatal("brute force managed a suspend")
 	}
 }

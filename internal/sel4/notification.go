@@ -38,7 +38,6 @@ func (k *Kernel) doSignal(t *tcb, cptr CPtr) error {
 		return err
 	}
 	n := k.notifs[c.Object]
-	k.stats.Signals++
 	k.m.IPC().Record(k.edgesOf(t, c.Object).out)
 	if waiter := popWaiter(n); waiter != nil {
 		// Deliver directly: the waiter gets this signal's badge plus any

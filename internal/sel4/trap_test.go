@@ -34,7 +34,7 @@ func boardState(m *machine.Machine) string {
 func TestUnknownTrapsAnswered(t *testing.T) {
 	m, k := newBoard(t)
 	state := func() string {
-		s := fmt.Sprintf("%+v\n", k.Stats())
+		var s string
 		ids := make([]ObjID, 0, len(k.tcbs))
 		for id := range k.tcbs {
 			ids = append(ids, id)

@@ -60,6 +60,11 @@ go test -run '^$' -fuzz '^FuzzParseSweep$' -fuzztime 10s ./internal/lab
 # numbers with decfmt.AppendFixed, which must write strconv's bytes for any
 # 64-bit pattern at either precision it handles.
 go test -run '^$' -fuzz '^FuzzAppendFixed$' -fuzztime 10s ./internal/decfmt
+# The four examples are the documented entry points to the packages: each
+# must run to completion and exit 0.
+for ex in quickstart aadl-workflow attack-demo multizone; do
+	go run "./examples/$ex" >/dev/null
+done
 go run ./cmd/bas policy -scenario tempcontrol
 # The model linter must report exactly one finding, broad_sender(tempProc):
 # the controller commands both actuators and answers every management
