@@ -34,6 +34,7 @@ func Build(m *machine.Machine, img *Image, assembly *Assembly, cfg BuildConfig) 
 	if err := img.check(assembly); err != nil {
 		return nil, err
 	}
+	m.Obs().Edges().SetBase(img.edges)
 	k := sel4.NewKernel(m, sel4.Config{Net: cfg.Net})
 	sys := &System{
 		kernel:   k,
@@ -104,8 +105,10 @@ func threadBody(comp *Component, iface string) func(api *sel4.API) {
 	}
 }
 
-// installSpecCaps installs spec TCB ti's capability rows into a live TCB.
+// installSpecCaps installs spec TCB ti's capability rows into a live TCB in
+// one call, so its CSpace is sized once to the image's highest slot.
 func (s *System) installSpecCaps(tcbID sel4.ObjID, ti int) {
+	s.caps = s.caps[:0]
 	for i, c := range s.img.spec.TCBs[ti].Caps {
 		obj := s.img.capObjects[ti][i]
 		objID := s.objs[obj]
@@ -120,7 +123,10 @@ func (s *System) installSpecCaps(tcbID sel4.ObjID, ti int) {
 		case sel4.KindNetPort:
 			cap = sel4.NetPortCap(objID, c.Rights)
 		}
-		mustInstall(s.kernel, tcbID, c.Slot, cap)
+		s.caps = append(s.caps, sel4.SlotCap{Slot: c.Slot, Cap: cap})
+	}
+	if err := s.kernel.InstallCaps(tcbID, s.caps); err != nil {
+		panic(fmt.Sprintf("camkes: installing caps: %v", err))
 	}
 }
 
@@ -326,12 +332,4 @@ func contains(list []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// mustInstall wraps InstallCap for builder-internal slots that are always
-// valid.
-func mustInstall(k *sel4.Kernel, tcbID sel4.ObjID, slot sel4.CPtr, cap sel4.Capability) {
-	if err := k.InstallCap(tcbID, slot, cap); err != nil {
-		panic(fmt.Sprintf("camkes: installing cap: %v", err))
-	}
 }

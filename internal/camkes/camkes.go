@@ -209,6 +209,9 @@ type System struct {
 	objs     []sel4.ObjID
 	tcbs     []sel4.ObjID
 	restarts []int
+
+	// caps is the scratch row list installSpecCaps hands the kernel.
+	caps []sel4.SlotCap
 }
 
 // Kernel returns the underlying seL4 kernel.

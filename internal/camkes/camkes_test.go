@@ -2,7 +2,9 @@ package camkes
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -339,4 +341,67 @@ func build(m *machine.Machine, assembly *Assembly, cfg BuildConfig) (*System, er
 		return nil, err
 	}
 	return Build(m, img, assembly, cfg)
+}
+
+// TestBoardsShareImageEdges boots four boards from one image at once. Each
+// board's boot interns nothing beyond the image's edges, each board books
+// its own run-time edge (a Call through an empty slot) in its own table,
+// and the image's table is never written. Run under -race.
+func TestBoardsShareImageEdges(t *testing.T) {
+	var calls []uint64
+	var results []Words
+	var errs []error
+	img, err := Compile(calcAssembly(&calls, &results, &errs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := img.edges.Len()
+	if base == 0 {
+		t.Fatal("the image interned no edges")
+	}
+	var wg sync.WaitGroup
+	fail := make(chan string, 4)
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var calls []uint64
+			var results []Words
+			var errs []error
+			assembly := calcAssembly(&calls, &results, &errs)
+			run := assembly.Components[1].Run
+			assembly.Components[1].Run = func(rt *Runtime) {
+				rt.API().Call(200, sel4.Msg{})
+				run(rt)
+			}
+			m := machine.New(machine.Config{})
+			defer m.Shutdown()
+			if _, err := Build(m, img, assembly, BuildConfig{}); err != nil {
+				fail <- err.Error()
+				return
+			}
+			edges := m.Obs().Edges()
+			if n := edges.Len(); n != base {
+				fail <- fmt.Sprintf("boot left %d edges, want the image's %d", n, base)
+			}
+			m.Run(time.Second)
+			if n := edges.Len(); n != base+1 {
+				fail <- fmt.Sprintf("run left %d edges, want the image's %d and the faulted call's", n, base)
+			}
+			if _, ok := edges.Lookup("user", "", "call"); !ok {
+				fail <- "the faulted call's edge is not in the board's table"
+			}
+			if !m.IPC().Used("user", "adder.math", "send") {
+				fail <- fmt.Sprintf("no send on the image's edge: %v", m.IPC().Usages())
+			}
+		}()
+	}
+	wg.Wait()
+	close(fail)
+	for msg := range fail {
+		t.Error(msg)
+	}
+	if n := img.edges.Len(); n != base {
+		t.Fatalf("the image's table grew from %d to %d edges", base, n)
+	}
 }

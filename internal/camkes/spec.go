@@ -7,6 +7,7 @@ import (
 
 	"mkbas/internal/capdl"
 	"mkbas/internal/machine"
+	"mkbas/internal/obs"
 	"mkbas/internal/sel4"
 	"mkbas/internal/vnet"
 )
@@ -51,6 +52,9 @@ type Image struct {
 	threadTCB  []int
 	capObjects [][]int
 	channels   map[string]string
+	// edges are the IPC edges the threads' capabilities fix, interned
+	// once: every board's edge table starts from them.
+	edges *obs.Edges
 }
 
 // object is one spec object and the kernel call that creates it: its kind,
@@ -90,6 +94,7 @@ func Compile(assembly *Assembly) (*Image, error) {
 		spec:        &capdl.Spec{},
 		threadIndex: make(map[string]int),
 		channels:    make(map[string]string),
+		edges:       obs.NewEdges(),
 	}
 	img.shape.Connections = slices.Clone(assembly.Connections)
 	img.shape.EventConnections = slices.Clone(assembly.EventConnections)
@@ -212,6 +217,8 @@ func Compile(assembly *Assembly) (*Image, error) {
 		objs := make([]int, len(t.Caps))
 		for i, c := range t.Caps {
 			objs[i] = objIndex[c.Object]
+			o := img.objects[objs[i]]
+			sel4.InternCapEdges(img.edges, t.Name, o.label, o.kind)
 		}
 		img.capObjects = append(img.capObjects, objs)
 	}

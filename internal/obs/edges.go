@@ -22,14 +22,28 @@ type Edge struct {
 // order, so nothing that is reported may depend on an id's value; every
 // report sorts by the strings. Like the rest of a Board, the table is
 // unsynchronised.
+//
+// A table may start from a base: a table of the edges a boot image fixes,
+// interned once per image and shared read-only by every board booted from
+// it. The base's ids come first; the table itself holds only the edges
+// made at run time.
 type Edges struct {
+	base  *Edges
 	ids   map[Edge]EdgeID
 	edges []Edge
 }
 
 // NewEdges returns an empty table.
-func NewEdges() *Edges {
-	return &Edges{ids: make(map[Edge]EdgeID)}
+func NewEdges() *Edges { return &Edges{} }
+
+// SetBase makes base the table's first ids. The table must not have issued
+// an id yet, and nothing may intern into base once it is shared: boards
+// on several goroutines read it at once.
+func (e *Edges) SetBase(base *Edges) {
+	if e.Len() != 0 {
+		panic("obs: SetBase on a table that has issued ids")
+	}
+	e.base = base
 }
 
 // Intern returns the id of (src, dst, label), issuing the next one the
@@ -37,10 +51,13 @@ func NewEdges() *Edges {
 // a channel is made or on a slow path, never on a delivery.
 func (e *Edges) Intern(src, dst, label string) EdgeID {
 	k := Edge{Src: src, Dst: dst, Label: label}
-	if id, ok := e.ids[k]; ok {
+	if id, ok := e.lookup(k); ok {
 		return id
 	}
-	id := EdgeID(len(e.edges))
+	if e.ids == nil {
+		e.ids = make(map[Edge]EdgeID)
+	}
+	id := EdgeID(e.Len())
 	e.edges = append(e.edges, k)
 	e.ids[k] = id
 	return id
@@ -49,12 +66,36 @@ func (e *Edges) Intern(src, dst, label string) EdgeID {
 // Lookup returns the id of (src, dst, label) without issuing one; ok is
 // false for a triple never interned.
 func (e *Edges) Lookup(src, dst, label string) (EdgeID, bool) {
-	id, ok := e.ids[Edge{Src: src, Dst: dst, Label: label}]
+	return e.lookup(Edge{Src: src, Dst: dst, Label: label})
+}
+
+func (e *Edges) lookup(k Edge) (EdgeID, bool) {
+	if e.base != nil {
+		if id, ok := e.base.lookup(k); ok {
+			return id, true
+		}
+	}
+	id, ok := e.ids[k]
 	return id, ok
 }
 
 // Edge returns the triple id names. id must have been issued by e.
-func (e *Edges) Edge(id EdgeID) Edge { return e.edges[id] }
+func (e *Edges) Edge(id EdgeID) Edge {
+	if e.base != nil {
+		n := EdgeID(e.base.Len())
+		if id < n {
+			return e.base.Edge(id)
+		}
+		id -= n
+	}
+	return e.edges[id]
+}
 
-// Len reports how many ids the table has issued.
-func (e *Edges) Len() int { return len(e.edges) }
+// Len reports how many ids the table has issued, its base's included.
+func (e *Edges) Len() int {
+	n := len(e.edges)
+	if e.base != nil {
+		n += e.base.Len()
+	}
+	return n
+}

@@ -7,6 +7,11 @@ import "iter"
 // of eviction, so it bounds how far a full ring overshoots its capacity.
 const RingBlockSize = 4 << 10
 
+// ringFirstBlock is the size of a ring's first block. Most rings hold only
+// a board's few boot lines, so a ring starts small and doubles each new
+// block until it reaches RingBlockSize.
+const ringFirstBlock = 512
+
 // BlockRing retains the newest cap variable-length records, appended to
 // fixed-size pointer-free byte blocks. The ring does not know the record
 // format: its owner encodes each record into the block Grow returns and
@@ -18,10 +23,11 @@ const RingBlockSize = 4 << 10
 // The oldest block is evicted whole once the newer blocks alone hold cap
 // records; until then its leading records are surplus, which Blocks tells
 // readers to skip, so readers always see exactly the newest cap records.
-// An evicted standard-size block is recycled for the next one opened, so a
-// full ring allocates nothing, and no block is allocated before the first
-// record arrives. A record longer than RingBlockSize gets a block of its
-// own size, which is not recycled.
+// The first block is small, and each new block doubles the last up to
+// RingBlockSize. An evicted standard-size block is recycled for the next
+// one opened, so a full ring allocates nothing, and no block is allocated
+// before the first record arrives. A record longer than RingBlockSize gets
+// a block of its own size; neither it nor a small block is recycled.
 //
 // Like the rest of a Board, a ring is unsynchronised.
 type BlockRing struct {
@@ -30,6 +36,7 @@ type BlockRing struct {
 	held    int         // records across blocks, surplus included
 	dropped int64
 	spare   []byte
+	next    int // the size of the next block opened, 0 before the first
 }
 
 // ringBlock is one block's encoded bytes and how many records they hold.
@@ -63,7 +70,12 @@ func (r *BlockRing) Grow(n int) (b []byte, first bool) {
 	case r.spare != nil:
 		buf, r.spare = r.spare[:0], nil
 	default:
-		buf = make([]byte, 0, RingBlockSize)
+		size := max(r.next, ringFirstBlock)
+		for size < n {
+			size *= 2
+		}
+		buf = make([]byte, 0, size)
+		r.next = min(2*size, RingBlockSize)
 	}
 	r.blocks = append(r.blocks, ringBlock{buf: buf})
 	return buf, true

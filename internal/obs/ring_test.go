@@ -232,3 +232,43 @@ func TestBlockRingEvictsWholeBlocks(t *testing.T) {
 		t.Fatalf("64 records into a full ring allocate %.1f times, want 0", n)
 	}
 }
+
+func TestBlockRingStartsSmall(t *testing.T) {
+	// A ring's first block is small and each new block doubles the last up
+	// to RingBlockSize; only standard-size blocks are recycled, so a full
+	// ring still allocates nothing. A record too long for the next size
+	// opens a block large enough to hold it.
+	r := NewBlockRing(1 << 20)
+	rec := make([]byte, 100)
+	var sizes []int
+	for range 200 {
+		b, first := r.Grow(len(rec))
+		if first {
+			sizes = append(sizes, cap(b))
+		}
+		r.Commit(append(b, rec...))
+	}
+	if want := []int{512, 1024, 2048, 4096}; !reflect.DeepEqual(sizes[:4], want) || sizes[len(sizes)-1] != RingBlockSize {
+		t.Fatalf("block sizes %v, want %v then %d", sizes, want, RingBlockSize)
+	}
+	r = NewBlockRing(4)
+	if b, _ := r.Grow(700); cap(b) != 1024 {
+		t.Fatalf("a 700-byte first record opens a %d-byte block, want 1024", cap(b))
+	}
+	r = NewBlockRing(2)
+	big := make([]byte, 300)
+	recycled := false
+	for range 40 {
+		b, _ := r.Grow(len(big))
+		r.Commit(append(b, big...))
+		if r.spare != nil {
+			recycled = true
+			if cap(r.spare) != RingBlockSize {
+				t.Fatalf("a %d-byte block was kept for reuse", cap(r.spare))
+			}
+		}
+	}
+	if !recycled {
+		t.Fatal("no standard-size block was recycled")
+	}
+}

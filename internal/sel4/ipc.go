@@ -71,7 +71,7 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 			f.Err = fmt.Errorf("%w: %d", ErrBadSlot, slot)
 			break
 		}
-		t.cspace[slot] = Capability{}
+		t.setSlot(slot, Capability{})
 	case trapNetListen:
 		k.doNetListen(t, f)
 	case trapNetAccept, trapNetRead, trapNetWrite, trapNetClose:
@@ -275,10 +275,12 @@ func (k *Kernel) buildDelivery(sender *tcb, senderCap Capability, receiver *tcb,
 	copy(out.R[1:2+MsgWords], in.R[1:2+MsgWords])
 	out.R[10], out.R[11] = 0, 0
 	if in.R[10] != 0 {
-		moved := sender.cspace[CPtr(in.R[11])]
+		// A slot past the sender's CSpace is empty, like any other: the
+		// message is delivered and no capability moves.
+		moved := sender.slot(CPtr(in.R[11]))
 		if !moved.IsNull() {
 			if slot, ok := freeSlot(receiver); ok {
-				receiver.cspace[slot] = moved
+				receiver.setSlot(slot, moved)
 				out.R[10], out.R[11] = 1, uint64(slot)
 				k.m.Trace().Logf("sel4", "cap transfer %v from %s to %s slot %d",
 					moved, sender.name, receiver.name, slot)
@@ -329,18 +331,18 @@ func (k *Kernel) doCapCopy(t *tcb, src, dst CPtr, mint bool, badge Badge, rights
 		return fmt.Errorf("%w: %d/%d", ErrBadSlot, src, dst)
 	}
 	// Any capability will do: an empty slot is a capability fault.
-	c, err := k.lookupCap(t, src, t.cspace[src].Kind, 0)
+	c, err := k.lookupCap(t, src, t.slot(src).Kind, 0)
 	if err != nil {
 		return err
 	}
-	if !t.cspace[dst].IsNull() {
+	if !t.slot(dst).IsNull() {
 		return fmt.Errorf("%w: destination %d occupied", ErrBadSlot, dst)
 	}
 	if mint {
 		c.Rights &= rights // narrow only
 		c.Badge = badge
 	}
-	t.cspace[dst] = c
+	t.setSlot(dst, c)
 	return nil
 }
 

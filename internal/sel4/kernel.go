@@ -50,11 +50,15 @@ const (
 type tcb struct {
 	// Wait is the thread's wait record, with its engine PID once started.
 	machine.Wait
-	id     ObjID
-	name   string
-	prio   int
-	body   func(api *API)
-	cspace [CSpaceSize]Capability
+	id   ObjID
+	name string
+	prio int
+	body func(api *API)
+	// cspace is the thread's CNode. The image sizes it to its highest
+	// slot; it grows only when a runtime copy, mint or capability
+	// transfer writes past its end, up to CSpaceSize. A slot past its end
+	// is empty.
+	cspace []Capability
 
 	started   bool
 	suspended bool
@@ -282,19 +286,66 @@ func (k *Kernel) CreateThread(name string, prio int, body func(api *API)) ObjID 
 	return id
 }
 
+// SlotCap is one boot capability and the CSpace slot it is installed in.
+type SlotCap struct {
+	Slot CPtr
+	Cap  Capability
+}
+
 // InstallCap writes a capability into a thread's CSpace slot (root-task
 // privilege; at runtime capabilities move only via IPC grant).
 func (k *Kernel) InstallCap(tcbID ObjID, slot CPtr, cap Capability) error {
+	return k.InstallCaps(tcbID, []SlotCap{{Slot: slot, Cap: cap}})
+}
+
+// InstallCaps writes a thread's boot capabilities into its CSpace
+// (root-task privilege), growing the CSpace once to the highest slot they
+// name: a thread's CNode is as large as its image makes it.
+func (k *Kernel) InstallCaps(tcbID ObjID, caps []SlotCap) error {
 	t, ok := k.tcbs[tcbID]
 	if !ok {
 		return fmt.Errorf("%w: tcb %d", ErrInvalidCap, tcbID)
 	}
-	if int(slot) >= CSpaceSize {
-		return fmt.Errorf("%w: %d", ErrBadSlot, slot)
+	n := 0
+	for _, c := range caps {
+		if int(c.Slot) >= CSpaceSize {
+			return fmt.Errorf("%w: %d", ErrBadSlot, c.Slot)
+		}
+		n = max(n, int(c.Slot)+1)
 	}
-	t.cspace[slot] = cap
-	k.edgesOf(t, cap.Object)
+	t.reach(n)
+	for _, c := range caps {
+		t.cspace[c.Slot] = c.Cap
+		k.edgesOf(t, c.Cap.Object)
+	}
 	return nil
+}
+
+// reach grows t's CSpace to at least n slots.
+func (t *tcb) reach(n int) {
+	if n > len(t.cspace) {
+		t.cspace = append(t.cspace, make([]Capability, n-len(t.cspace))...)
+	}
+}
+
+// slot returns the capability in s, empty past the CSpace's end.
+func (t *tcb) slot(s CPtr) Capability {
+	if int(s) < len(t.cspace) {
+		return t.cspace[s]
+	}
+	return Capability{}
+}
+
+// setSlot writes c into s, which must be below CSpaceSize, growing the
+// CSpace to hold it; emptying a slot past the end leaves the CSpace as it is.
+func (t *tcb) setSlot(s CPtr, c Capability) {
+	if int(s) >= len(t.cspace) {
+		if c.IsNull() {
+			return
+		}
+		t.reach(int(s) + 1)
+	}
+	t.cspace[s] = c
 }
 
 // edgesOf returns t's interned edges through object obj, binding them on
@@ -306,25 +357,47 @@ func (k *Kernel) edgesOf(t *tcb, obj ObjID) capEdges {
 	}
 	var e capEdges
 	if ep, ok := k.eps[obj]; ok {
-		e = capEdges{
-			out:  k.edges.Intern(t.name, ep.name, "send"),
-			in:   k.edges.Intern(ep.name, t.name, "recv"),
-			call: k.edges.Intern(t.name, ep.name, "call"),
-		}
+		e = internCapEdges(k.edges, t.name, ep.name, KindEndpoint)
 	} else if n, ok := k.notifs[obj]; ok {
-		e = capEdges{
-			out: k.edges.Intern(t.name, n.name, "signal"),
-			in:  k.edges.Intern(n.name, t.name, "wait"),
-		}
+		e = internCapEdges(k.edges, t.name, n.name, KindNotification)
 	} else {
 		return e
 	}
-	e.bound = true
 	if n := int(obj) + 1 - len(t.edges); n > 0 {
 		t.edges = append(t.edges, make([]capEdges, n)...)
 	}
 	t.edges[obj] = e
 	return e
+}
+
+// InternCapEdges interns into edges every IPC edge the thread named thread
+// books through a capability to the endpoint or notification named object,
+// as the kernel names them when it installs one. A boot image interns its
+// threads' edges once with it, into the base every board's table starts
+// from (obs.Edges.SetBase), so a board's boot interns nothing new.
+func InternCapEdges(edges *obs.Edges, thread, object string, kind ObjKind) {
+	internCapEdges(edges, thread, object, kind)
+}
+
+// internCapEdges interns a thread's edges through one endpoint or
+// notification; any other kind has none.
+func internCapEdges(edges *obs.Edges, thread, object string, kind ObjKind) capEdges {
+	switch kind {
+	case KindEndpoint:
+		return capEdges{
+			out:   edges.Intern(thread, object, "send"),
+			in:    edges.Intern(object, thread, "recv"),
+			call:  edges.Intern(thread, object, "call"),
+			bound: true,
+		}
+	case KindNotification:
+		return capEdges{
+			out:   edges.Intern(thread, object, "signal"),
+			in:    edges.Intern(object, thread, "wait"),
+			bound: true,
+		}
+	}
+	return capEdges{}
 }
 
 // Start launches a created thread.
@@ -376,18 +449,18 @@ func (k *Kernel) CapsOf(tcbID ObjID) ([]Capability, error) {
 		return nil, fmt.Errorf("%w: tcb %d", ErrInvalidCap, tcbID)
 	}
 	out := make([]Capability, CSpaceSize)
-	copy(out, t.cspace[:])
+	copy(out, t.cspace)
 	return out, nil
 }
 
 // CapCount reports the number of non-null slots in a thread's CSpace.
 func (k *Kernel) CapCount(tcbID ObjID) (int, error) {
-	caps, err := k.CapsOf(tcbID)
-	if err != nil {
-		return 0, err
+	t, ok := k.tcbs[tcbID]
+	if !ok {
+		return 0, fmt.Errorf("%w: tcb %d", ErrInvalidCap, tcbID)
 	}
 	n := 0
-	for _, c := range caps {
+	for _, c := range t.cspace {
 		if !c.IsNull() {
 			n++
 		}
@@ -443,10 +516,7 @@ func (k *Kernel) lookupCap(t *tcb, cptr CPtr, kind ObjKind, rights Rights) (Capa
 // capAt resolves a thread's slot with a required kind and rights, or
 // names the capability fault it is, unbooked.
 func capAt(t *tcb, cptr CPtr, kind ObjKind, rights Rights) (Capability, capFault) {
-	var c Capability
-	if int(cptr) < CSpaceSize {
-		c = t.cspace[cptr]
-	}
+	c := t.slot(cptr)
 	switch {
 	case c.IsNull() || c.Kind != kind:
 		return Capability{}, capFault{why: faultInvalid, src: t.name, cptr: cptr, kind: kind}
@@ -488,23 +558,38 @@ func (k *Kernel) capFaultOf(f capFault) machine.Refusal {
 	return r
 }
 
-// objName best-effort resolves an object ID to a human name for events.
+// objName resolves an object ID to the name events give it: an endpoint,
+// notification or thread by its name, a device by its bus name (as MINIX
+// and Linux name it), and a network port by its number.
 func (k *Kernel) objName(id ObjID) string {
 	if ep, ok := k.eps[id]; ok {
 		return ep.name
 	}
+	if n, ok := k.notifs[id]; ok {
+		return n.name
+	}
 	if t, ok := k.tcbs[id]; ok {
 		return t.name
+	}
+	if d, ok := k.devs[id]; ok {
+		return string(d.dev)
+	}
+	if p, ok := k.ports[id]; ok {
+		return fmt.Sprintf("port-%d", p.port)
 	}
 	return fmt.Sprintf("obj-%d", id)
 }
 
-// freeSlot finds the lowest empty CSpace slot.
+// freeSlot finds the lowest empty CSpace slot, past the CSpace's end when
+// every slot it holds is taken.
 func freeSlot(t *tcb) (CPtr, bool) {
-	for i := range t.cspace {
-		if t.cspace[i].IsNull() {
+	for i, c := range t.cspace {
+		if c.IsNull() {
 			return CPtr(i), true
 		}
+	}
+	if n := len(t.cspace); n < CSpaceSize {
+		return CPtr(n), true
 	}
 	return 0, false
 }

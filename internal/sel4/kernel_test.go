@@ -2,6 +2,7 @@ package sel4
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -474,5 +475,119 @@ func TestCapabilityString(t *testing.T) {
 	}
 	if (Capability{}).String() != "null" {
 		t.Fatal("null cap string")
+	}
+}
+
+// TestTransferPastCSpaceMovesNothing: a granted send whose transfer slot
+// lies past the architectural CSpace is treated like one naming an empty
+// slot. The message is delivered, no capability moves, and neither thread
+// faults.
+func TestTransferPastCSpaceMovesNothing(t *testing.T) {
+	m, k := newBoard(t)
+	ep := k.CreateEndpoint("chan")
+	var res RecvResult
+	var recvErr, sendErr error
+	receiver := k.CreateThread("receiver", 7, func(api *API) {
+		res, recvErr = api.Recv(1)
+	})
+	sender := k.CreateThread("sender", 7, func(api *API) {
+		slot := CPtr(1000)
+		sendErr = api.Send(1, Msg{Label: 4, TransferCap: &slot})
+	})
+	mustInstall(t, k, receiver, 1, EndpointCap(ep, CapRead, 0))
+	mustInstall(t, k, sender, 1, EndpointCap(ep, CapWrite|CapGrant, 0))
+	mustStart(t, k, receiver)
+	mustStart(t, k, sender)
+	if r := m.Run(time.Second); r.Reason != machine.StopAllExited {
+		t.Fatalf("run = %v, want all-exited", r.Reason)
+	}
+	if sendErr != nil || recvErr != nil {
+		t.Fatalf("send %v, recv %v", sendErr, recvErr)
+	}
+	if res.Msg.Label != 4 || res.CapSlot != nil {
+		t.Fatalf("received label %d cap slot %v, want label 4 and no capability", res.Msg.Label, res.CapSlot)
+	}
+	if faults := m.Trace().Grep("FAULT"); len(faults) != 0 {
+		t.Fatalf("a thread faulted: %v", faults)
+	}
+	if n, _ := k.CapCount(receiver); n != 1 {
+		t.Fatalf("receiver holds %d capabilities, want its 1", n)
+	}
+}
+
+// TestCSpaceSizedByImage: a thread's CSpace is as long as its highest
+// installed slot, and grows only when a copy, mint or transfer writes past
+// its end; CapsOf still answers every architectural slot.
+func TestCSpaceSizedByImage(t *testing.T) {
+	m, k := newBoard(t)
+	ep := k.CreateEndpoint("chan")
+	receiver := k.CreateThread("receiver", 7, func(api *API) {
+		if _, err := api.Recv(1); err != nil {
+			t.Errorf("recv: %v", err)
+		}
+	})
+	sender := k.CreateThread("sender", 7, func(api *API) {
+		if err := api.CapCopy(1, 200); err != nil {
+			t.Errorf("copy: %v", err)
+		}
+		slot := CPtr(200)
+		if err := api.Send(1, Msg{TransferCap: &slot}); err != nil {
+			t.Errorf("send: %v", err)
+		}
+	})
+	if err := k.InstallCaps(receiver, []SlotCap{{0, EndpointCap(ep, CapRead, 0)}, {1, EndpointCap(ep, CapRead, 0)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.InstallCaps(sender, []SlotCap{{1, EndpointCap(ep, CapWrite|CapGrant, 0)}, {40, DeviceCap(ep, CapRead)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.InstallCaps(sender, []SlotCap{{CSpaceSize, EndpointCap(ep, CapWrite, 0)}}); !errors.Is(err, ErrBadSlot) {
+		t.Fatalf("install past the CSpace = %v, want ErrBadSlot", err)
+	}
+	if n, s := len(k.tcbs[receiver].cspace), len(k.tcbs[sender].cspace); n != 2 || s != 41 {
+		t.Fatalf("booted CSpaces hold %d and %d slots, want 2 and 41", n, s)
+	}
+	mustStart(t, k, receiver)
+	mustStart(t, k, sender)
+	m.Run(time.Second)
+	if n, s := len(k.tcbs[receiver].cspace), len(k.tcbs[sender].cspace); n != 3 || s != 201 {
+		t.Fatalf("CSpaces after a transfer and a copy hold %d and %d slots, want 3 and 201", n, s)
+	}
+	caps, err := k.CapsOf(receiver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(caps) != CSpaceSize || caps[2].Object != ep || !caps[CSpaceSize-1].IsNull() {
+		t.Fatalf("CapsOf = %d slots, slot 2 %v", len(caps), caps[2])
+	}
+}
+
+// TestRightsFaultNamesObject: a rights fault names the object it was
+// refused, whatever its kind: a device by its bus name, as MINIX and Linux
+// name it, a notification by its name and a network port by its number.
+func TestRightsFaultNamesObject(t *testing.T) {
+	m := machine.New(machine.Config{})
+	plant.Attach(m.Bus(), plant.NewRoom(m.Clock(), plant.DefaultConfig()))
+	k := NewKernel(m, Config{Net: vnet.NewStack()})
+	t.Cleanup(m.Shutdown)
+	heater := k.CreateDevice(plant.DevHeater)
+	bell := k.CreateNotification("bell")
+	port := k.CreateNetPort(8080)
+	looper := k.CreateThread("looper", 7, func(api *API) {
+		api.DevWrite(1, plant.RegActuate, 1)
+		api.Signal(2)
+		api.NetListen(3)
+	})
+	mustInstall(t, k, looper, 1, DeviceCap(heater, CapRead))
+	mustInstall(t, k, looper, 2, NotificationCap(bell, CapRead, 0))
+	mustInstall(t, k, looper, 3, NetPortCap(port, CapWrite))
+	mustStart(t, k, looper)
+	m.Run(time.Second)
+	var got []string
+	for _, e := range m.Obs().Events().Events() {
+		got = append(got, e.Dst)
+	}
+	if want := []string{"heater", "bell", "port-8080"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("rights faults name %q, want %q", got, want)
 	}
 }

@@ -75,8 +75,9 @@ func (r Rights) String() string {
 	return string(out)
 }
 
-// ObjKind enumerates kernel object types.
-type ObjKind int
+// ObjKind enumerates kernel object types. It is one byte, so a Capability
+// packs into 16.
+type ObjKind uint8
 
 // Kernel object kinds.
 const (

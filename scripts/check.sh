@@ -48,6 +48,10 @@ go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 10s ./internal/faultinject
 # CapDL text: the parser must not panic, and an accepted spec must
 # round-trip through Render.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/capdl
+# Every seL4 trap that reads a slot register, with arbitrary slot, rights
+# and transfer registers, must be answered in the frame: no slot value may
+# fault a thread, whatever the size of its CSpace.
+go test -run '^$' -fuzz '^FuzzCapSlots$' -fuzztime 10s ./internal/sel4
 # The last three text parsers: AADL models feed the policy compiler,
 # property files feed bas policy -props, and sweep specs feed bas lab -sweep.
 # Whatever the bytes, none may panic or allocate out of proportion to its
