@@ -23,8 +23,9 @@ const slotTop CPtr = 60
 
 // probeSlots are the slot registers every trap is driven at: the lowest
 // slot, the image's highest and the one past it, the last slot of the
-// architectural CSpace and the first past it, and the largest CPtr.
-var probeSlots = []CPtr{0, slotTop, slotTop + 1, CSpaceSize - 1, CSpaceSize, math.MaxUint32}
+// architectural CSpace and the first past it, the largest 32-bit value,
+// and the first two register values past it.
+var probeSlots = []uint64{0, uint64(slotTop), uint64(slotTop) + 1, CSpaceSize - 1, CSpaceSize, math.MaxUint32, 1 << 32, 1<<32 + 1}
 
 // slotBoard is one fresh board for a slot probe. The endpoint "chan" is
 // served by "server", which receives, replies and notes what arrived; the
@@ -87,61 +88,60 @@ func newSlotBoard(t testing.TB) *slotBoard {
 }
 
 // slotTrap is one trap that takes a slot register: the capability the
-// prober's image holds at slot 0 and at slotTop, and the probe itself.
+// prober's image holds at slot 0 and at slotTop, the trap number, and the
+// registers the trap is driven with, the probed slot value among them, as
+// the API wrapper of the trap lays them out.
 type slotTrap struct {
-	name  string
-	cap   func(b *slotBoard) Capability
-	probe func(api *API, slot CPtr) error
+	name string
+	cap  func(b *slotBoard) Capability
+	nr   uint32
+	regs func(s uint64) []uint64
 }
 
+// msgTo lays out a one-word message with label 1 to the endpoint in slot s.
+func msgTo(s uint64) []uint64 { return []uint64{s, 1} }
+
+// only puts the slot value in R0.
+func only(s uint64) []uint64 { return []uint64{s} }
+
 var slotTraps = []slotTrap{
-	{"send", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, CapWrite, 7) },
-		func(api *API, s CPtr) error { return api.Send(s, Msg{Label: 1}) }},
-	{"nbsend", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, CapWrite, 7) },
-		func(api *API, s CPtr) error { return api.NBSend(s, Msg{Label: 1}) }},
-	{"recv", func(b *slotBoard) Capability { return EndpointCap(b.inbox, CapRead, 0) },
-		func(api *API, s CPtr) error { _, err := api.Recv(s); return err }},
-	{"nbrecv", func(b *slotBoard) Capability { return EndpointCap(b.inbox, CapRead, 0) },
-		func(api *API, s CPtr) error { _, err := api.NBRecv(s); return err }},
-	{"call", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, CapWrite|CapGrant, 7) },
-		func(api *API, s CPtr) error { _, err := api.Call(s, Msg{Label: 1}); return err }},
-	{"signal", func(b *slotBoard) Capability { return NotificationCap(b.bell, CapWrite, 2) },
-		func(api *API, s CPtr) error { return api.Signal(s) }},
-	{"wait", func(b *slotBoard) Capability { return NotificationCap(b.bell, CapRead, 0) },
-		func(api *API, s CPtr) error { _, err := api.Wait(s); return err }},
-	{"poll", func(b *slotBoard) Capability { return NotificationCap(b.bell, CapRead, 0) },
-		func(api *API, s CPtr) error { _, err := api.Poll(s); return err }},
-	{"suspend", func(b *slotBoard) Capability { return TCBCap(b.victim, CapWrite) },
-		func(api *API, s CPtr) error { return api.TCBSuspend(s) }},
-	{"copy-src", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, RightsRW, 0) },
-		func(api *API, s CPtr) error { return api.CapCopy(s, 5) }},
-	{"copy-dst", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, RightsRW, 0) },
-		func(api *API, s CPtr) error { return api.CapCopy(0, s) }},
-	{"mint-src", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, RightsRW, 0) },
-		func(api *API, s CPtr) error { return api.CapMint(s, 5, 9, CapRead) }},
-	{"mint-dst", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, RightsRW, 0) },
-		func(api *API, s CPtr) error { return api.CapMint(0, s, 9, CapRead) }},
-	{"delete", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, RightsRW, 0) },
-		func(api *API, s CPtr) error { return api.CapDelete(s) }},
-	{"dev-read", func(b *slotBoard) Capability { return DeviceCap(b.heater, RightsRW) },
-		func(api *API, s CPtr) error { _, err := api.DevRead(s, plant.RegActuate); return err }},
-	{"dev-write", func(b *slotBoard) Capability { return DeviceCap(b.heater, RightsRW) },
-		func(api *API, s CPtr) error { return api.DevWrite(s, plant.RegActuate, 1) }},
-	{"listen", func(b *slotBoard) Capability { return NetPortCap(b.port, CapRead) },
-		func(api *API, s CPtr) error { _, err := api.NetListen(s); return err }},
-	{"transfer", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, CapWrite|CapGrant, 7) },
-		func(api *API, s CPtr) error { return api.Send(0, Msg{Label: 1, TransferCap: &s}) }},
+	{"send", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, CapWrite, 7) }, trapSend, msgTo},
+	{"nbsend", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, CapWrite, 7) }, trapNBSend, msgTo},
+	{"recv", func(b *slotBoard) Capability { return EndpointCap(b.inbox, CapRead, 0) }, trapRecv, only},
+	{"nbrecv", func(b *slotBoard) Capability { return EndpointCap(b.inbox, CapRead, 0) }, trapNBRecv, only},
+	{"call", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, CapWrite|CapGrant, 7) }, trapCall, msgTo},
+	{"signal", func(b *slotBoard) Capability { return NotificationCap(b.bell, CapWrite, 2) }, trapSignal, only},
+	{"wait", func(b *slotBoard) Capability { return NotificationCap(b.bell, CapRead, 0) }, trapWait, only},
+	{"poll", func(b *slotBoard) Capability { return NotificationCap(b.bell, CapRead, 0) }, trapPoll, only},
+	{"suspend", func(b *slotBoard) Capability { return TCBCap(b.victim, CapWrite) }, trapTCBSuspend, only},
+	{"copy-src", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, RightsRW, 0) }, trapCapCopy,
+		func(s uint64) []uint64 { return []uint64{s, 5} }},
+	{"copy-dst", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, RightsRW, 0) }, trapCapCopy,
+		func(s uint64) []uint64 { return []uint64{0, s} }},
+	{"mint-src", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, RightsRW, 0) }, trapCapMint,
+		func(s uint64) []uint64 { return []uint64{s, 5, 9, uint64(CapRead)} }},
+	{"mint-dst", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, RightsRW, 0) }, trapCapMint,
+		func(s uint64) []uint64 { return []uint64{0, s, 9, uint64(CapRead)} }},
+	{"delete", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, RightsRW, 0) }, trapCapDelete, only},
+	{"dev-read", func(b *slotBoard) Capability { return DeviceCap(b.heater, RightsRW) }, trapProc + machine.ProcDevRead,
+		func(s uint64) []uint64 { return []uint64{s, uint64(plant.RegActuate)} }},
+	{"dev-write", func(b *slotBoard) Capability { return DeviceCap(b.heater, RightsRW) }, trapProc + machine.ProcDevWrite,
+		func(s uint64) []uint64 { return []uint64{s, uint64(plant.RegActuate), 1} }},
+	{"listen", func(b *slotBoard) Capability { return NetPortCap(b.port, CapRead) }, trapNetListen, only},
+	{"transfer", func(b *slotBoard) Capability { return EndpointCap(b.chanEP, CapWrite|CapGrant, 7) }, trapSend,
+		func(s uint64) []uint64 { return []uint64{0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, s} }},
 }
 
 // probeSlot runs one trap at one slot register on a fresh board and
 // renders everything it answered and left behind: the error, how the board
 // stopped, what the server received, the prober's non-empty slots, the
 // security events, the crash lines and the non-zero kernel counters.
-func probeSlot(t testing.TB, trap slotTrap, slot CPtr) string {
+func probeSlot(t testing.TB, trap slotTrap, slot uint64) string {
 	b := newSlotBoard(t)
 	errText := "none (the prober did not return)"
 	prober := b.k.CreateThread("prober", 7, func(api *API) {
-		errText = fmt.Sprint(trap.probe(api, slot))
+		copy(api.f.R[:], trap.regs(slot))
+		errText = fmt.Sprint(api.ctx.Trap(trap.nr))
 	})
 	for _, s := range []CPtr{0, slotTop} {
 		if err := b.k.InstallCap(prober, s, trap.cap(b)); err != nil {
@@ -238,6 +238,7 @@ func FuzzCapSlots(f *testing.F) {
 	f.Add(uint8(9), uint64(60), uint64(255), uint64(CSpaceSize))
 	f.Add(uint8(10), uint64(40), uint64(math.MaxUint32), uint64(math.MaxUint64))
 	f.Add(uint8(11), uint64(1<<32), uint64(0), uint64(1<<32+60))
+	f.Add(uint8(0), uint64(1<<32), uint64(0), uint64(1<<32))
 	f.Fuzz(func(t *testing.T, which uint8, r0, r1, xfer uint64) {
 		b := newSlotBoard(t)
 		nr := fuzzTraps[int(which)%len(fuzzTraps)]
