@@ -20,6 +20,7 @@ import (
 	"mkbas/internal/machine"
 	"mkbas/internal/minix"
 	"mkbas/internal/sel4"
+	"mkbas/internal/vnet"
 )
 
 // runZeroAlloc drives a board to steady state — warm completed operations
@@ -65,7 +66,7 @@ func TestE4RoundTripZeroAlloc(t *testing.T) {
 // TestSlowPathZeroAlloc gates the attacker-reachable refusal paths the way
 // TestE4RoundTripZeroAlloc gates the certified fast path: once warm, a
 // process looping on a lookup, a refused fork, a denied send, a sleep, a
-// refused device access, a refused queue unlink or respawn, or a faulting
+// refused device access or bind, a refused queue unlink or respawn, or a faulting
 // capability invocation allocates nothing per call. Warm-up runs
 // past the capacity of the board's bounded trace and event rings, which
 // grow by append until full.
@@ -79,6 +80,7 @@ func TestSlowPathZeroAlloc(t *testing.T) {
 		{"minix-acm-denied-sendnb", minixDeniedSends},
 		{"minix-sleep", minixSleeps},
 		{"minix-device-denied", minixDeniedDevices},
+		{"minix-listen-denied", minixDeniedListens},
 		{"linux-fork-at-limit", linuxRefusedForks},
 		{"linux-mq-open-denied", linuxDeniedOpens},
 		{"linux-sleep", linuxSleeps},
@@ -158,7 +160,7 @@ func TestBuildingStepZeroAlloc(t *testing.T) {
 func minixBoard(tb testing.TB, policy *core.Policy, op func(api *minix.API, rounds *int64)) (*machine.Machine, *minix.Kernel, *int64) {
 	tb.Helper()
 	m := machine.New(machine.Config{})
-	k, err := minix.Boot(m, policy.Seal(), minix.Config{})
+	k, err := minix.Boot(m, policy.Seal(), minix.Config{Net: vnet.NewStack()})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -244,6 +246,18 @@ func minixDeniedDevices(tb testing.TB) (*machine.Machine, *int64) {
 		werr := api.DevWrite("heater", 0, 1)
 		if !errors.Is(rerr, minix.ErrNoPrivilege) || !errors.Is(werr, minix.ErrNoPrivilege) {
 			panic(fmt.Sprintf("device access without the privilege = %v, %v", rerr, werr))
+		}
+		*rounds++
+	})
+	return m, rounds
+}
+
+// minixDeniedListens binds a port from an image without the network
+// privilege, over and over.
+func minixDeniedListens(tb testing.TB) (*machine.Machine, *int64) {
+	m, _, rounds := minixBoard(tb, core.NewPolicy(), func(api *minix.API, rounds *int64) {
+		if _, err := api.NetListen(8080); !errors.Is(err, minix.ErrNoPrivilege) {
+			panic(fmt.Sprintf("listen without the privilege = %v", err))
 		}
 		*rounds++
 	})

@@ -234,10 +234,8 @@ func monCmd(fs *flag.FlagSet) func([]string) error {
 		}
 		var tier *bas.TenantTier
 		if *apiN > 0 {
-			// The temperature-control testbed is one room; size the directory
-			// to match so own-room reads resolve.
-			tier = bas.AttachTenantAPI(tb,
-				tenantapi.DirectoryConfig{Rooms: 1, Occupants: 8, Managers: 2, Vendors: 2},
+			tier = bas.AttachTenantAPI([]*bas.Testbed{tb},
+				tenantapi.DirectoryConfig{Occupants: 8, Managers: 2, Vendors: 2},
 				tenantapi.GatewayConfig{})
 			driveAPI(tb, tier, *apiN, *duration)
 		} else {
@@ -344,35 +342,13 @@ func printAttack(report *attack.Report, jsonOut bool) error {
 func driveAPI(tb *bas.Testbed, tier *bas.TenantTier, n int, duration time.Duration) {
 	const slices = 16
 	rng := tenantapi.SplitMix64{State: 0xE9}
-	var req tenantapi.Request
 	var resp tenantapi.Response
-	done := 0
 	for s := 0; s < slices; s++ {
 		tb.Machine.Run(duration / slices)
 		batch := n / slices
 		if s == slices-1 {
-			batch = n - done
+			batch = n - (slices-1)*batch
 		}
-		for k := 0; k < batch; k++ {
-			p := tier.Directory.At(int(rng.Next() % uint64(tier.Directory.Len())))
-			room := p.Room
-			if room < 0 { // managers and vendors are building-scoped
-				room = 0
-			}
-			req = tenantapi.Request{Token: p.Token, Route: tenantapi.RouteStatus, Room: room}
-			switch rng.Next() % 10 {
-			case 0:
-				req.Route = tenantapi.RouteSetpoint
-				req.Value = 20 + float64(rng.Next()%60)/10
-			case 1:
-				req.Route = tenantapi.RouteDiagnostics
-			case 2:
-				req.Route = tenantapi.RouteWhoAmI
-			case 3:
-				req.Token = "tok-ffffffffffffffff"
-			}
-			tier.Serve(&req, &resp)
-		}
-		done += batch
+		tier.Gateway.Drive(&rng, batch, &resp)
 	}
 }

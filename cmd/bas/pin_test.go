@@ -13,6 +13,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/reports.sha256 from the current code")
 
+// raceEnabled is set in a -race build (race_test.go).
+var raceEnabled bool
+
 // pinnedReports are the reports whose bytes are pinned across commits: the
 // determinism goldens of scripts/check.sh (which compare two runs of one
 // commit) plus the static reports. Each name is one line of
@@ -67,7 +70,14 @@ func runCaptured(t *testing.T, args []string) []byte {
 // bytes with testdata/reports.sha256. A report that changes on purpose is
 // re-pinned with -update, and the changed lines are a report change to
 // explain.
+//
+// The pins check bytes, not synchronisation, and the race detector slows
+// the 17 reports about 25-fold, so a -race build skips them; the packages
+// that run them concurrently race in their own tests.
 func TestReportPins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("report pins check bytes; run them without -race")
+	}
 	var b strings.Builder
 	for _, r := range pinnedReports {
 		fmt.Fprintf(&b, "%s %x\n", r.name, sha256.Sum256(runCaptured(t, r.args)))

@@ -93,81 +93,52 @@ func executeAPIScenario(spec Spec, cfg bas.ScenarioConfig) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("attack: %w", err)
 	}
-	tier := bas.AttachTenantAPI(tb,
-		tenantapi.DirectoryConfig{Seed: apiSeed, Rooms: 1, Occupants: 8, Managers: 2, Vendors: 2},
+	gw := bas.AttachTenantAPI([]*bas.Testbed{tb},
+		tenantapi.DirectoryConfig{Seed: apiSeed, Occupants: 8, Managers: 2, Vendors: 2},
 		tenantapi.GatewayConfig{Seed: apiSeed},
-	)
+	).Gateway
 
-	monCfg := safety.DefaultConfig()
-	monCfg.Setpoint = cfg.Controller.Setpoint
-	monCfg.Tolerance = cfg.Controller.AlarmTolerance
-	monCfg.AlarmDelay = cfg.Controller.AlarmDelay
-	monCfg.SettleTime = settleTime / 2
-	mon := safety.Attach(tb.Machine.Clock(), tb.Room, monCfg)
+	mon := safety.Attach(tb.Machine.Clock(), tb.Room, safetyConfig(cfg, settleTime))
 
 	dep.Run(settleTime)
 
-	stolen := stolenPrincipal(tier, spec)
+	stolen := stolenPrincipal(gw, spec)
 	prog.note("stolen credential: %s (%s)", stolen.Name, stolen.Role)
 	if spec.Demote {
 		// Incident response at the attack window's open: the credential is
 		// revoked and its role's origin demoted below the certified tenant
 		// graph, so even the role's certified edges stop verifying.
-		if tier.Directory.Revoke(stolen.Name) {
+		if gw.Directory().Revoke(stolen.Name) {
 			prog.note("incident response: credential %s revoked", stolen.Name)
 		}
-		if tier.Gateway.Monitor().Demote(stolen.Role.Subject(), monitor.OriginUntrusted) {
+		if gw.Monitor().Demote(stolen.Role.Subject(), monitor.OriginUntrusted) {
 			prog.note("incident response: origin demotion %s -> untrusted", stolen.Role.Subject())
 		}
 	}
 
-	script := apiScript(spec, tier, stolen, prog)
+	script := apiScript(spec, gw, stolen, prog)
 	for round := 0; round < apiRounds; round++ {
 		script(round)
 		dep.Run(attackTime / apiRounds)
 	}
-	tierStats := tier.Gateway.Monitor().Stats()
+	tierStats := gw.Monitor().Stats()
 	prog.note("tier: %d served, %d unauthorized, %d forbidden, %d rate-limited, %d overload; monitor: %d origin drift",
-		tier.Gateway.Served(), tier.Gateway.Denied(tenantapi.OutcomeUnauthorized),
-		tier.Gateway.Denied(tenantapi.OutcomeForbidden), tier.Gateway.Denied(tenantapi.OutcomeRateLimited),
-		tier.Gateway.Denied(tenantapi.OutcomeOverload), tierStats.OriginDrifts)
+		gw.Served(), gw.Denied(tenantapi.OutcomeUnauthorized),
+		gw.Denied(tenantapi.OutcomeForbidden), gw.Denied(tenantapi.OutcomeRateLimited),
+		gw.Denied(tenantapi.OutcomeOverload), tierStats.OriginDrifts)
 
-	eventLog := tb.Machine.Obs().Events()
-	violations := mon.Violations()
-	alive := dep.ControllerAlive()
-	report := &Report{
-		Spec:               spec,
-		OperationSucceeded: prog.successes > 0,
-		Attempts:           prog.attempts,
-		Successes:          prog.successes,
-		Denials:            prog.denials,
-		ControllerAlive:    alive,
-		Violations:         violations,
-		PhysicalCompromise: len(violations) > 0 || !alive,
-		Notes:              prog.notes,
-		SecurityEvents:     eventLog.Denied(),
-		Mechanisms:         eventLog.Mechanisms(),
-		Obs:                dep.Report(false),
-		IPCUsages:          tb.Machine.IPC().Usages(),
-		Restarts:           dep.ControllerRestarts(),
-		Recovered:          dep.ControllerRecovered(),
-	}
-	if pm := dep.PolicyMonitor(); pm != nil {
-		stats := pm.Stats()
-		report.MonitorStats = &stats
-	}
-	return report, nil
+	return boardReport(spec, prog, mon.Violations(), tb, dep), nil
 }
 
 // stolenPrincipal picks the credential the attacker holds.
-func stolenPrincipal(tier *bas.TenantTier, spec Spec) *tenantapi.Principal {
+func stolenPrincipal(gw *tenantapi.Gateway, spec Spec) *tenantapi.Principal {
 	switch {
 	case spec.Action == ActionAPIVendorPivot:
-		return tier.Directory.Find("vendor-0000")
+		return gw.Directory().Find("vendor-0000")
 	case spec.Root && spec.Action == ActionAPITokenReplay:
-		return tier.Directory.Find("manager-0000")
+		return gw.Directory().Find("manager-0000")
 	default:
-		return tier.Directory.Find("occupant-0000")
+		return gw.Directory().Find("occupant-0000")
 	}
 }
 
@@ -175,13 +146,13 @@ func stolenPrincipal(tier *bas.TenantTier, spec Spec) *tenantapi.Principal {
 // request is counted: served ones as attacker successes only when the
 // operation itself is the attack's objective (recon reads, harmful writes,
 // diagnostics exfil), denied ones as denials.
-func apiScript(spec Spec, tier *bas.TenantTier, stolen *tenantapi.Principal, prog *progress) func(round int) {
+func apiScript(spec Spec, gw *tenantapi.Gateway, stolen *tenantapi.Principal, prog *progress) func(round int) {
 	var resp tenantapi.Response
 	// attempt drives one stolen-credential request and books the tally: a
 	// served request is an attacker success, a refused one a denial.
 	attempt := func(req tenantapi.Request) tenantapi.Outcome {
 		prog.attempts++
-		out := tier.Serve(&req, &resp)
+		out := gw.Handle(&req, &resp)
 		if out == tenantapi.OutcomeOK {
 			prog.successes++
 		} else {
@@ -226,7 +197,7 @@ func apiScript(spec Spec, tier *bas.TenantTier, stolen *tenantapi.Principal, pro
 			attempt(tenantapi.Request{Token: token, Route: tenantapi.RouteSetpoint, Room: 0, Value: tenantapi.MinSetpoint})
 		}
 	case ActionAPIFlood:
-		legit := tier.Directory.Find("manager-0001")
+		legit := gw.Directory().Find("manager-0001")
 		var legitShed bool
 		return func(round int) {
 			// Legitimate steady traffic first (it was in flight before the
@@ -234,7 +205,7 @@ func apiScript(spec Spec, tier *bas.TenantTier, stolen *tenantapi.Principal, pro
 			// service, which is the flood's objective.
 			for i := 0; i < 2; i++ {
 				prog.attempts++
-				out := tier.Serve(&tenantapi.Request{Token: legit.Token, Route: tenantapi.RouteStatus, Room: 0}, &resp)
+				out := gw.Handle(&tenantapi.Request{Token: legit.Token, Route: tenantapi.RouteStatus, Room: 0}, &resp)
 				if out != tenantapi.OutcomeOK {
 					prog.successes++
 					if !legitShed {

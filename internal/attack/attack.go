@@ -191,6 +191,50 @@ const (
 	attackTime = 3 * time.Hour
 )
 
+// safetyConfig is the safety monitor's configuration for a run of cfg's
+// controller whose settle phase lasts settle: the monitor holds the
+// controller's own setpoint, alarm tolerance and alarm delay, and waits
+// out half the settle phase.
+func safetyConfig(cfg bas.ScenarioConfig, settle time.Duration) safety.Config {
+	c := safety.DefaultConfig()
+	c.Setpoint = cfg.Controller.Setpoint
+	c.Tolerance = cfg.Controller.AlarmTolerance
+	c.AlarmDelay = cfg.Controller.AlarmDelay
+	c.SettleTime = settle / 2
+	return c
+}
+
+// boardReport builds the report of one attack run on the board tb, deployed
+// as dep: the attack's progress, the safety violations that count, the
+// board's denied events and observability report, its recovery state and,
+// with the policy monitor on, the monitor's tally.
+func boardReport(spec Spec, prog *progress, violations []safety.Violation, tb *bas.Testbed, dep *bas.Deployment) *Report {
+	eventLog := tb.Machine.Obs().Events()
+	alive := dep.ControllerAlive()
+	report := &Report{
+		Spec:               spec,
+		OperationSucceeded: prog.successes > 0,
+		Attempts:           prog.attempts,
+		Successes:          prog.successes,
+		Denials:            prog.denials,
+		ControllerAlive:    alive,
+		Violations:         violations,
+		PhysicalCompromise: len(violations) > 0 || !alive,
+		Notes:              prog.notes,
+		SecurityEvents:     eventLog.Denied(),
+		Mechanisms:         eventLog.Mechanisms(),
+		Obs:                dep.Report(false),
+		IPCUsages:          tb.Machine.IPC().Usages(),
+		Restarts:           dep.ControllerRestarts(),
+		Recovered:          dep.ControllerRecovered(),
+	}
+	if pm := dep.PolicyMonitor(); pm != nil {
+		stats := pm.Stats()
+		report.MonitorStats = &stats
+	}
+	return report
+}
+
 // Execute runs one attack end to end on a fresh testbed with the default
 // scenario.
 func Execute(spec Spec) (*Report, error) {
@@ -229,16 +273,9 @@ func ExecuteScenario(spec Spec, cfg bas.ScenarioConfig) (*Report, error) {
 		}
 	}
 
-	monCfg := safety.DefaultConfig()
-	monCfg.Setpoint = cfg.Controller.Setpoint
-	monCfg.Tolerance = cfg.Controller.AlarmTolerance
-	monCfg.AlarmDelay = cfg.Controller.AlarmDelay
-	monCfg.SettleTime = settleTime / 2
-	mon := safety.Attach(tb.Machine.Clock(), tb.Room, monCfg)
+	mon := safety.Attach(tb.Machine.Clock(), tb.Room, safetyConfig(cfg, settleTime))
 
 	dep.Run(settleTime + attackTime)
-
-	eventLog := tb.Machine.Obs().Events()
 
 	violations := mon.Violations()
 	var faultRep *faultinject.Report
@@ -247,28 +284,7 @@ func ExecuteScenario(spec Spec, cfg bas.ScenarioConfig) (*Report, error) {
 		violations = filterFailsafeAlarms(armStart, faultRep, violations)
 	}
 
-	alive := dep.ControllerAlive()
-	report := &Report{
-		Spec:               spec,
-		OperationSucceeded: prog.successes > 0,
-		Attempts:           prog.attempts,
-		Successes:          prog.successes,
-		Denials:            prog.denials,
-		ControllerAlive:    alive,
-		Violations:         violations,
-		PhysicalCompromise: len(violations) > 0 || !alive,
-		Notes:              prog.notes,
-		SecurityEvents:     eventLog.Denied(),
-		Mechanisms:         eventLog.Mechanisms(),
-		Obs:                dep.Report(false),
-		IPCUsages:          tb.Machine.IPC().Usages(),
-		Restarts:           dep.ControllerRestarts(),
-		Recovered:          dep.ControllerRecovered(),
-	}
-	if pm := dep.PolicyMonitor(); pm != nil {
-		stats := pm.Stats()
-		report.MonitorStats = &stats
-	}
+	report := boardReport(spec, prog, violations, tb, dep)
 	if faultRep != nil {
 		report.FaultReport = faultRep
 		times := make([]machine.Time, len(violations))

@@ -380,11 +380,7 @@ func ExecuteBuilding(spec BuildingSpec) (*BuildingReport, error) {
 	}
 	defer b.Close()
 
-	monCfg := safety.DefaultConfig()
-	monCfg.Setpoint = base.Controller.Setpoint
-	monCfg.Tolerance = base.Controller.AlarmTolerance
-	monCfg.AlarmDelay = base.Controller.AlarmDelay
-	monCfg.SettleTime = spec.Settle / 2
+	monCfg := safetyConfig(base, spec.Settle)
 	monitors := make([]*safety.Monitor, len(b.Rooms))
 	for i, room := range b.Rooms {
 		monitors[i] = safety.Attach(room.Testbed.Machine.Clock(), room.Testbed.Room, monCfg)

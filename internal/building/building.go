@@ -727,10 +727,10 @@ func (b *Building) Step() {
 	}
 	hsc.End()
 	b.Bus.Flush()
-	if b.tenant != nil {
+	if t := b.tenant; t != nil {
 		// Boards are parked between rounds, so the tier's batch (including
 		// setpoint writes stepping a room's machine) is coordinator-only work.
-		b.driveTenant()
+		t.Gateway.Drive(&t.rng, tenantPerRound, &t.resp)
 	}
 	rsc.End()
 }

@@ -210,34 +210,11 @@ func (bi *BusInjector) NoteFailover(now machine.Time) {
 // Report summarises the bus campaign with the same shape board campaigns
 // use, so lab aggregation and CLI tables need no new schema.
 func (bi *BusInjector) Report() *Report {
-	r := &Report{Plan: bi.plan.Name}
+	var faults []FaultOutcome
 	for _, bf := range bi.faults {
-		o := FaultOutcome{
-			Kind: bf.fault.Kind, Target: bf.fault.Target,
-			AtNs: int64(bf.fault.At), Injected: bf.injected,
-			RecoveredAtNs: -1, MTTRNs: -1,
-		}
-		if bf.recovered {
-			o.RecoveredAtNs = int64(bf.recoveredAt.Sub(machine.Time(0)))
-			o.MTTRNs = o.RecoveredAtNs - o.AtNs
-		}
-		r.Faults = append(r.Faults, o)
-		if !bf.injected {
-			continue
-		}
-		r.Injected++
-		if bf.recovered {
-			r.Recovered++
-			r.MTTRCount++
-			r.MTTRSumNs += o.MTTRNs
-			if o.MTTRNs > r.MTTRMaxNs {
-				r.MTTRMaxNs = o.MTTRNs
-			}
-		} else {
-			r.Unrecovered++
-		}
+		faults = append(faults, bf.outcome(bf.recoveredAt, bf.recovered))
 	}
-	return r
+	return newReport(bi.plan.Name, faults)
 }
 
 // RoomReport renders the campaign as seen by one room: only the faults
@@ -246,39 +223,31 @@ func (bi *BusInjector) Report() *Report {
 // violations that fall inside the room's own outage. nil when no armed
 // fault touches the room.
 func (bi *BusInjector) RoomReport(room int) *Report {
-	r := &Report{Plan: bi.plan.Name}
+	var faults []FaultOutcome
 	for _, bf := range bi.faults {
-		if _, wasPending := bf.roomRecovered[room]; !wasPending && !bf.pending[room] {
-			continue
-		}
-		o := FaultOutcome{
-			Kind: bf.fault.Kind, Target: bf.fault.Target,
-			AtNs: int64(bf.fault.At), Injected: bf.injected,
-			RecoveredAtNs: -1, MTTRNs: -1,
-		}
-		if at, ok := bf.roomRecovered[room]; ok {
-			o.RecoveredAtNs = int64(at.Sub(machine.Time(0)))
-			o.MTTRNs = o.RecoveredAtNs - o.AtNs
-		}
-		r.Faults = append(r.Faults, o)
-		if o.Injected {
-			r.Injected++
-			if o.RecoveredAtNs >= 0 {
-				r.Recovered++
-				r.MTTRCount++
-				r.MTTRSumNs += o.MTTRNs
-				if o.MTTRNs > r.MTTRMaxNs {
-					r.MTTRMaxNs = o.MTTRNs
-				}
-			} else {
-				r.Unrecovered++
-			}
+		at, recovered := bf.roomRecovered[room]
+		if recovered || bf.pending[room] {
+			faults = append(faults, bf.outcome(at, recovered))
 		}
 	}
-	if len(r.Faults) == 0 {
+	if len(faults) == 0 {
 		return nil
 	}
-	return r
+	return newReport(bi.plan.Name, faults)
+}
+
+// outcome renders bf's outcome, recovered at at when recovered is true.
+func (bf *busFault) outcome(at machine.Time, recovered bool) FaultOutcome {
+	o := FaultOutcome{
+		Kind: bf.fault.Kind, Target: bf.fault.Target,
+		AtNs: int64(bf.fault.At), Injected: bf.injected,
+		RecoveredAtNs: -1, MTTRNs: -1,
+	}
+	if recovered {
+		o.RecoveredAtNs = int64(at.Sub(machine.Time(0)))
+		o.MTTRNs = o.RecoveredAtNs - o.AtNs
+	}
+	return o
 }
 
 // FailoverAt reports when the standby took over (zero Time and false when

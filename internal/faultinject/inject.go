@@ -253,22 +253,26 @@ func (inj *Injector) onSensorRead(at machine.Time, _ float64, faulted bool) {
 
 // Report snapshots the campaign outcome. Call after the board run.
 func (inj *Injector) Report() *Report {
-	r := &Report{Plan: inj.plan.Name, Faults: append([]FaultOutcome(nil), inj.outcomes...)}
-	for _, o := range r.Faults {
+	return newReport(inj.plan.Name, append([]FaultOutcome(nil), inj.outcomes...))
+}
+
+// newReport folds a campaign's per-fault outcomes into its report: every
+// injected fault is recovered or not, and each recovery adds its MTTR.
+func newReport(plan string, faults []FaultOutcome) *Report {
+	r := &Report{Plan: plan, Faults: faults}
+	for _, o := range faults {
 		if !o.Injected {
 			continue
 		}
 		r.Injected++
-		if o.RecoveredAtNs >= 0 {
-			r.Recovered++
-			r.MTTRCount++
-			r.MTTRSumNs += o.MTTRNs
-			if o.MTTRNs > r.MTTRMaxNs {
-				r.MTTRMaxNs = o.MTTRNs
-			}
-		} else {
+		if o.RecoveredAtNs < 0 {
 			r.Unrecovered++
+			continue
 		}
+		r.Recovered++
+		r.MTTRCount++
+		r.MTTRSumNs += o.MTTRNs
+		r.MTTRMaxNs = max(r.MTTRMaxNs, o.MTTRNs)
 	}
 	return r
 }

@@ -216,6 +216,7 @@ const (
 	refuseACM    refusalKind = iota // the ACM refused src sending msgType to dst
 	refuseDevice                    // dst is not among src's image's devices
 	refuseKKill                     // src, not a server, asked for a kernel kill
+	refuseNet                       // src's image holds no network privilege
 	refusePM                        // PM's syscall policy refused op
 )
 
@@ -541,6 +542,12 @@ func (k *Kernel) refusal(r refusal) machine.Refusal {
 			Err: ErrNoPrivilege,
 			Event: obs.SecurityEvent{Kind: obs.EventKillDenied, Mechanism: obs.MechKernel, Src: r.src,
 				Detail: "kernel kill requires server privilege"},
+		}
+	case refuseNet:
+		return machine.Refusal{
+			Err: fmt.Errorf("%w: network access", ErrNoPrivilege),
+			Event: obs.SecurityEvent{Kind: obs.EventSyscallDenied, Mechanism: obs.MechKernel, Src: r.src,
+				Detail: "network access not in the image's privileges"},
 		}
 	}
 	return pmRefusal(r)
@@ -902,7 +909,7 @@ func (k *Kernel) doNet(self *procEntry, f *machine.Frame) machine.Disposition {
 	case k.cfg.Net == nil:
 		f.Err = fmt.Errorf("%w: board has no network", ErrNoPrivilege)
 	case !self.netAccess:
-		f.Err = fmt.Errorf("%w: network access", ErrNoPrivilege)
+		f.Err = k.refusals.Book(refusal{why: refuseNet, src: self.name}).Err
 	case f.Nr == trapNetListen:
 		if self.socks == nil {
 			self.socks = vnet.NewSockets(k.cfg.Net, nil, k.waits, &self.Wait)

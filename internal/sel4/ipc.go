@@ -67,7 +67,7 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 		f.Err = k.doCapCopy(t, CPtr(f.R[0]), CPtr(f.R[1]), f.Nr == trapCapMint, Badge(f.R[2]), Rights(f.R[3]))
 	case trapCapDelete:
 		slot := CPtr(f.R[0])
-		if int(slot) >= CSpaceSize {
+		if slot >= CSpaceSize {
 			f.Err = fmt.Errorf("%w: %d", ErrBadSlot, slot)
 			break
 		}
@@ -327,7 +327,7 @@ func (k *Kernel) doSuspend(t *tcb, cptr CPtr) error {
 // own CSpace. Minting may narrow rights and set a badge; it can never widen
 // rights.
 func (k *Kernel) doCapCopy(t *tcb, src, dst CPtr, mint bool, badge Badge, rights Rights) error {
-	if int(src) >= CSpaceSize || int(dst) >= CSpaceSize {
+	if src >= CSpaceSize || dst >= CSpaceSize {
 		return fmt.Errorf("%w: %d/%d", ErrBadSlot, src, dst)
 	}
 	// Any capability will do: an empty slot is a capability fault.

@@ -308,7 +308,7 @@ func (k *Kernel) InstallCaps(tcbID ObjID, caps []SlotCap) error {
 	}
 	n := 0
 	for _, c := range caps {
-		if int(c.Slot) >= CSpaceSize {
+		if c.Slot >= CSpaceSize {
 			return fmt.Errorf("%w: %d", ErrBadSlot, c.Slot)
 		}
 		n = max(n, int(c.Slot)+1)
@@ -330,7 +330,7 @@ func (t *tcb) reach(n int) {
 
 // slot returns the capability in s, empty past the CSpace's end.
 func (t *tcb) slot(s CPtr) Capability {
-	if int(s) < len(t.cspace) {
+	if s < CPtr(len(t.cspace)) {
 		return t.cspace[s]
 	}
 	return Capability{}
@@ -339,7 +339,7 @@ func (t *tcb) slot(s CPtr) Capability {
 // setSlot writes c into s, which must be below CSpaceSize, growing the
 // CSpace to hold it; emptying a slot past the end leaves the CSpace as it is.
 func (t *tcb) setSlot(s CPtr, c Capability) {
-	if int(s) >= len(t.cspace) {
+	if s >= CPtr(len(t.cspace)) {
 		if c.IsNull() {
 			return
 		}
@@ -545,7 +545,7 @@ func (k *Kernel) capFaultOf(f capFault) machine.Refusal {
 		r.Err = fmt.Errorf("%w: slot %d has %v, needs %v", ErrNoRights, f.cptr, f.have, f.need)
 		r.Counter, r.Event.Dst = k.mRightsDenied, k.objName(f.obj)
 		r.Event.Detail = fmt.Sprintf("slot %d has %v, needs %v", f.cptr, f.have, f.need)
-	case int(f.cptr) >= CSpaceSize:
+	case f.cptr >= CSpaceSize:
 		r.Err = fmt.Errorf("%w: slot %d", ErrInvalidCap, f.cptr)
 		r.Event.Detail = fmt.Sprintf("slot %d out of range", f.cptr)
 	case f.kind == 0:

@@ -136,8 +136,11 @@ func (c Capability) String() string {
 	return fmt.Sprintf("%v#%d(%v,badge=%d)", c.Kind, c.Object, c.Rights, c.Badge)
 }
 
-// CPtr addresses a slot in a thread's capability space.
-type CPtr uint32
+// CPtr addresses a slot in a thread's capability space. It is as wide as
+// the register that carries it, so every register value names one slot
+// register as given: a value past the CSpace is an empty slot, never an
+// alias of a low one.
+type CPtr uint64
 
 // CSpaceSize is the fixed one-level CNode size, plenty for the scenario and
 // small enough that a brute-force enumeration test covers every slot.

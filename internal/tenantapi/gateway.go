@@ -200,6 +200,60 @@ func (g *Gateway) Served() int64 { return g.served }
 // Denied reports the lifetime denial count for one outcome.
 func (g *Gateway) Denied(o Outcome) int64 { return g.denied[o] }
 
+// Outcomes reports the lifetime request count of every outcome the
+// gateway has booked, by outcome name: "ok" is Served, every other name
+// its Denied count. Outcomes never booked are absent.
+func (g *Gateway) Outcomes() map[string]int64 {
+	m := make(map[string]int64)
+	for o := Outcome(0); o < NumOutcomes; o++ {
+		n := g.denied[o]
+		if o == OutcomeOK {
+			n = g.served
+		}
+		if n != 0 {
+			m[o.String()] = n
+		}
+	}
+	return m
+}
+
+// Drive sends n requests of the standard occupant/manager/vendor mix
+// through the gateway: a principal drawn from the directory reads a room
+// (its own, or a drawn one for a building-scoped principal), and one
+// request in ten each is a manager-style setpoint write, a diagnostics
+// read, a whoami or a stale-token probe. A room is drawn only when the
+// backend has more than one, so a one-room board spends no draws on it.
+// Every choice comes from rng; resp is the caller's reused response.
+func (g *Gateway) Drive(rng *SplitMix64, n int, resp *Response) {
+	rooms := uint64(g.backend.Rooms())
+	room := func() int {
+		if rooms > 1 {
+			return int(rng.Next() % rooms)
+		}
+		return 0
+	}
+	for k := 0; k < n; k++ {
+		p := g.dir.At(int(rng.Next() % uint64(g.dir.Len())))
+		req := Request{Token: p.Token, Route: RouteStatus, Room: p.Room}
+		if req.Room < 0 { // building-scoped managers and vendors
+			req.Room = room()
+		}
+		switch rng.Next() % 10 {
+		case 0:
+			req.Route = RouteSetpoint
+			req.Room = room()
+			req.Value = 20 + float64(rng.Next()%60)/10
+		case 1:
+			req.Route = RouteDiagnostics
+		case 2:
+			req.Route = RouteWhoAmI
+		case 3:
+			req.Token = "tok-ffffffffffffffff" // stale credential noise
+		}
+		g.Handle(&req, resp)
+	}
+}
+
 // Handle processes one request into resp, returning the typed outcome. The
 // mediation order is the tier's defence-in-depth story: admission control
 // (503) before session auth (401) before rate limiting (429) before

@@ -36,23 +36,22 @@ type Plan struct {
 	// Directory sizes each shard's principal set (defaults: 16 rooms, 64
 	// occupants, 2 managers, 2 vendors).
 	Directory tenantapi.DirectoryConfig `json:"directory"`
-	// RatePerSec, Burst, AdmitPerTick, TickNs configure each shard's gateway
-	// (zero uses the gateway defaults).
-	RatePerSec   int64 `json:"rate_per_sec,omitempty"`
-	Burst        int64 `json:"burst,omitempty"`
-	AdmitPerTick int   `json:"admit_per_tick,omitempty"`
-	TickNs       int64 `json:"tick_ns,omitempty"`
-	// StepNs is the virtual time between requests within a shard (default
-	// 2ms — 500 requests/s of offered load per shard). Burst windows
-	// (burstEvery/burstLen) suppress the step so admission control is
-	// exercised too.
-	StepNs int64 `json:"step_ns,omitempty"`
 	// Workers bounds wall-clock parallelism; zero means GOMAXPROCS. Never
 	// marshalled: it must not be able to change the report.
 	Workers int `json:"-"`
 	// Profiler attaches the host-side profiler ("loadgen.shard" phase, pool
 	// gauges). nil profiles nothing.
 	Profiler *perf.Profiler `json:"-"`
+}
+
+// MarshalJSON writes the plan with the fixed request pacing, step_ns, that
+// every campaign runs at.
+func (p Plan) MarshalJSON() ([]byte, error) {
+	type plan Plan
+	return json.Marshal(struct {
+		plan
+		StepNs int64 `json:"step_ns"`
+	}{plan(p), stepNs})
 }
 
 func (p Plan) withDefaults() Plan {
@@ -65,11 +64,13 @@ func (p Plan) withDefaults() Plan {
 	if p.Shards > p.Requests {
 		p.Shards = p.Requests
 	}
-	if p.StepNs <= 0 {
-		p.StepNs = 2 * int64(time.Millisecond)
-	}
 	return p
 }
+
+// stepNs is the virtual time between requests within a shard: 500
+// requests/s of offered load per shard. Burst windows (burstEvery/burstLen)
+// suppress the step so admission control is exercised too.
+const stepNs = 2 * int64(time.Millisecond)
 
 // Burst windows: every burstEvery requests, the last burstLen arrive at the
 // same virtual instant, driving the admission budget past its per-tick
@@ -197,26 +198,21 @@ func runShard(plan Plan, shard, n int) *shardOut {
 	}
 	backend := tenantapi.NewSimBackend(rooms, now)
 	gw := tenantapi.NewGateway(dir, backend, tenantapi.GatewayConfig{
-		Now:          now,
-		RatePerSec:   plan.RatePerSec,
-		Burst:        plan.Burst,
-		AdmitPerTick: plan.AdmitPerTick,
-		TickNs:       plan.TickNs,
-		Registry:     reg,
-		Events:       events,
-		Seed:         plan.Seed ^ (0x51ab << 32) ^ uint64(shard),
+		Now:      now,
+		Registry: reg,
+		Events:   events,
+		Seed:     plan.Seed ^ (0x51ab << 32) ^ uint64(shard),
 	})
 	r := &tenantapi.SplitMix64{State: plan.Seed ^ 0xc0ffee ^ (uint64(shard) << 20)}
 	dirLen := dir.Len()
 
-	var tally [tenantapi.NumOutcomes]int64
 	var req tenantapi.Request
 	var resp tenantapi.Response
 	for k := 0; k < n; k++ {
 		// Burst windows arrive at one virtual instant; everything else is
 		// evenly paced.
 		if k%burstEvery < burstEvery-burstLen {
-			nowNs += plan.StepNs
+			nowNs += stepNs
 		}
 		p := dir.At(int(r.Next() % uint64(dirLen)))
 		if r.Next()%hotShare == 0 {
@@ -253,18 +249,16 @@ func runShard(plan Plan, shard, n int) *shardOut {
 			req.Route = tenantapi.RouteStatus
 			req.Room = rooms + int(r.Next()%4)
 		}
-		tally[gw.Handle(&req, &resp)]++
+		gw.Handle(&req, &resp)
 	}
-	out := &shardOut{stats: ShardStats{Shard: shard, Requests: int64(n), Outcomes: make(map[string]int64)}}
-	for o, c := range tally {
-		if c != 0 {
-			out.stats.Outcomes[tenantapi.Outcome(o).String()] = c
-		}
+	return &shardOut{
+		stats: ShardStats{
+			Shard: shard, Requests: int64(n),
+			Outcomes: gw.Outcomes(), BackendWrites: backend.Writes(),
+		},
+		counters: reg.Counters(),
+		hists:    reg.Histograms(),
+		totals:   events.Totals(),
+		mechs:    events.Mechanisms(),
 	}
-	out.stats.BackendWrites = backend.Writes()
-	out.counters = reg.Counters()
-	out.hists = reg.Histograms()
-	out.totals = events.Totals()
-	out.mechs = events.Mechanisms()
-	return out
 }

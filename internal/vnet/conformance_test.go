@@ -172,6 +172,68 @@ func TestSocketConformance(t *testing.T) {
 	}
 }
 
+// TestListenWithoutNetworkAuthority binds a port from a process whose image
+// grants no network authority: a MINIX image without the network privilege,
+// and a CAmkES component with no port, which traps its listen through the
+// empty slot a port's capability would take. Each kernel refuses with its
+// own error and books exactly one denied event. Linux has no per-process
+// network gate, so its bind succeeds and books nothing.
+func TestListenWithoutNetworkAuthority(t *testing.T) {
+	cases := []struct {
+		name string
+		boot func(t *testing.T, stack *vnet.Stack, listen *error) *machine.Machine
+		want error
+	}{
+		{"minix", func(t *testing.T, stack *vnet.Stack, listen *error) *machine.Machine {
+			m := newBoard(t)
+			k, err := minix.Boot(m, core.NewPolicy().Seal(), minix.Config{Net: stack, DisableACM: true})
+			if err != nil {
+				t.Fatalf("minix.Boot: %v", err)
+			}
+			k.RegisterImage(minix.Image{Name: procName(0), Priority: 7, Body: func(api *minix.API) {
+				_, *listen = api.NetListen(webPort)
+			}})
+			if _, err := k.SpawnImage(procName(0), core.NoACID); err != nil {
+				t.Fatalf("minix spawn: %v", err)
+			}
+			return m
+		}, minix.ErrNoPrivilege},
+		{"sel4", func(t *testing.T, stack *vnet.Stack, listen *error) *machine.Machine {
+			m := newBoard(t)
+			asm := &camkes.Assembly{Components: []*camkes.Component{{Name: procName(0), Priority: 7,
+				Run: func(rt *camkes.Runtime) { _, *listen = rt.API().NetListen(camkes.SlotNetBase) }}}}
+			img, err := camkes.Compile(asm)
+			if err != nil {
+				t.Fatalf("camkes.Compile: %v", err)
+			}
+			if _, err := camkes.Build(m, img, asm, camkes.BuildConfig{Net: stack}); err != nil {
+				t.Fatalf("camkes.Build: %v", err)
+			}
+			return m
+		}, sel4.ErrInvalidCap},
+		{"linux", func(t *testing.T, stack *vnet.Stack, listen *error) *machine.Machine {
+			return bootLinux(t, stack, func(p process) { _, *listen = p.NetListen(webPort) }).Machine
+		}, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			listen := errors.New("listen never ran")
+			m := c.boot(t, vnet.NewStack(), &listen)
+			m.Run(time.Second)
+			if c.want == nil && listen != nil || !errors.Is(listen, c.want) {
+				t.Fatalf("listen without network authority = %v, want %v", listen, c.want)
+			}
+			want := 1
+			if c.want == nil {
+				want = 0
+			}
+			if n := m.Obs().Events().Denied().Len(); n != want {
+				t.Fatalf("listen booked %d denied events, want %d", n, want)
+			}
+		})
+	}
+}
+
 // testEcho runs one request/response exchange: the server reads the host's
 // bytes, writes them back prefixed, and closes.
 func testEcho(t *testing.T, k netKernel) {
