@@ -20,6 +20,7 @@ import (
 	"mkbas/internal/machine"
 	"mkbas/internal/minix"
 	"mkbas/internal/sel4"
+	"mkbas/internal/tenantapi"
 	"mkbas/internal/vnet"
 )
 
@@ -66,10 +67,10 @@ func TestE4RoundTripZeroAlloc(t *testing.T) {
 // TestSlowPathZeroAlloc gates the attacker-reachable refusal paths the way
 // TestE4RoundTripZeroAlloc gates the certified fast path: once warm, a
 // process looping on a lookup, a refused fork, a denied send, a sleep, a
-// refused device access or bind, a refused queue unlink or respawn, or a faulting
-// capability invocation allocates nothing per call. Warm-up runs
-// past the capacity of the board's bounded trace and event rings, which
-// grow by append until full.
+// refused device access or bind, a refused queue unlink or respawn, a
+// faulting capability invocation, or a CNode copy past the CSpace allocates
+// nothing per call. Warm-up runs past the capacity of the board's bounded
+// trace and event rings, which grow by append until full.
 func TestSlowPathZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -90,6 +91,7 @@ func TestSlowPathZeroAlloc(t *testing.T) {
 		{"sel4-suspend-empty-slot", sel4EmptySuspends},
 		{"sel4-device-denied", sel4DeniedDevices},
 		{"sel4-send-grant-denied", sel4GrantlessSends},
+		{"sel4-copy-past-cspace", sel4CopiesPastCSpace},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { runZeroAlloc(t, tc.build, 20000) })
@@ -98,14 +100,14 @@ func TestSlowPathZeroAlloc(t *testing.T) {
 
 // TestBuildingStepZeroAlloc gates a whole building round the way
 // TestE4RoundTripZeroAlloc gates one IPC pair: once warm, Step allocates
-// nothing — every board's control cycle on all five platforms, and every
+// nothing — every board's control cycle on all five platforms, every
 // head-end poll from HeadEnd.send through the bus, the room's gateway and
-// controller and back to harvest. The building has five rooms, one per
-// platform, with the even rooms behind the secure proxy. Two shapes: every
-// room polled every round with the policy monitor on, and the bench's
-// control shape with 30 s polls. The tenant tier stays off: its setpoint
-// writes go through a room's HTTP web interface, which still allocates
-// about 37 objects per request, 2–3 per round at this size.
+// controller and back to harvest, and every tenant request, whose setpoint
+// writes cross a room's HTTP web interface. The building has five rooms,
+// one per platform, with the even rooms behind the secure proxy. Three
+// shapes: every room polled every round with the policy monitor on, the
+// same with the tenant tier on, and the bench's control shape with 30 s
+// polls.
 //
 // AllocsPerRun reports whole allocations per Step, so 0 means fewer than
 // one per round. What is left is rare: the status line a microkernel
@@ -121,6 +123,11 @@ func TestBuildingStepZeroAlloc(t *testing.T) {
 		{"polled-every-round-monitor", func(cfg *building.Config) {
 			cfg.HeadEnd.PollPeriod = time.Second
 			cfg.Monitor = true
+		}},
+		{"polled-every-round-monitor-tenant", func(cfg *building.Config) {
+			cfg.HeadEnd.PollPeriod = time.Second
+			cfg.Monitor = true
+			cfg.TenantAPI = true
 		}},
 		{"control-30s-polls", func(*building.Config) {}},
 	}
@@ -150,6 +157,44 @@ func TestBuildingStepZeroAlloc(t *testing.T) {
 			}
 			if rep := b.Report(); rep.PollsSent == 0 || rep.PollsMissed != 0 {
 				t.Fatalf("head-end sent %d polls, missed %d; the gate needs a polling, healthy building", rep.PollsSent, rep.PollsMissed)
+			}
+		})
+	}
+}
+
+// TestTenantSetpointWriteAllocs gates the tenant tier's one write path on
+// every platform: TestbedBackend.WriteSetpoint posts the setpoint through
+// the harness client to the board's web interface, whose parser, router
+// and controller RPC run on the board. Once warm, a write allocates only
+// the form value the web interface decodes. The warm-up writes span more
+// virtual time than the controller's receive timeout: until then,
+// back-to-back writes still grow the clock's timer free list and, on
+// Linux, the message-queue buffer pool.
+func TestTenantSetpointWriteAllocs(t *testing.T) {
+	for _, platform := range bas.KnownPlatforms() {
+		t.Run(string(platform), func(t *testing.T) {
+			cfg := bas.DefaultScenario()
+			tb := bas.NewTestbed(cfg)
+			defer tb.Machine.Shutdown()
+			if _, err := bas.Deploy(platform, tb, cfg, bas.DeployOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			tb.Machine.Run(5 * time.Second)
+			tier := bas.AttachTenantAPI([]*bas.Testbed{tb}, tenantapi.DirectoryConfig{}, tenantapi.GatewayConfig{})
+			values := [...]float64{21.5, 23.25}
+			n := 0
+			write := func() {
+				tier.Backend.WriteSetpoint(0, values[n%len(values)])
+				n++
+			}
+			for range 200 {
+				write()
+			}
+			if allocs := testing.AllocsPerRun(50, write); allocs > 1 {
+				t.Errorf("a tenant setpoint write allocated %.0f times, want at most 1", allocs)
+			}
+			if got := tier.Backend.Writes(); got != int64(n) {
+				t.Fatalf("board accepted %d of %d writes", got, n)
 			}
 		})
 	}
@@ -433,6 +478,30 @@ func sel4GrantlessSends(tb testing.TB) (*machine.Machine, *int64) {
 		for {
 			if err := api.NBSend(1, msg); !errors.Is(err, sel4.ErrNoRights) {
 				panic(fmt.Sprintf("capability transfer without the grant right = %v", err))
+			}
+			*rounds++
+		}
+	})
+	ep := k.CreateEndpoint("chan")
+	if err := k.InstallCap(th, 1, sel4.EndpointCap(ep, sel4.CapWrite, 0)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := k.Start(th); err != nil {
+		tb.Fatal(err)
+	}
+	return m, rounds
+}
+
+// sel4CopiesPastCSpace copies a capability into a slot past the CSpace,
+// over and over.
+func sel4CopiesPastCSpace(tb testing.TB) (*machine.Machine, *int64) {
+	m := machine.New(machine.Config{})
+	k := sel4.NewKernel(m, sel4.Config{})
+	rounds := new(int64)
+	th := k.CreateThread("looper", 7, func(api *sel4.API) {
+		for {
+			if err := api.CapCopy(1, sel4.CSpaceSize); !errors.Is(err, sel4.ErrBadSlot) {
+				panic(fmt.Sprintf("copy past the CSpace = %v", err))
 			}
 			*rounds++
 		}

@@ -85,7 +85,7 @@ func run() error {
 		for _, z := range zones {
 			_, body, err := z.tb.HTTPGet("/status")
 			if err != nil {
-				body = "unreachable: " + err.Error()
+				body = []byte("unreachable: " + err.Error())
 			}
 			fmt.Printf("%-12s room=%.2f°C  %s", z.name, z.tb.Room.Temperature(), body)
 			if n := len(z.mon.Violations()); n > 0 {

@@ -121,7 +121,7 @@ func TestBACnetSecureProxyEndToEnd(t *testing.T) {
 	if err != nil || status != 200 {
 		t.Fatalf("status: %d %v", status, err)
 	}
-	if want := "setpoint=24.00"; !strings.Contains(body, want) {
+	if want := "setpoint=24.00"; !strings.Contains(string(body), want) {
 		t.Fatalf("status %q missing %q (write applied once)", body, want)
 	}
 }

@@ -211,7 +211,8 @@ func TestStatusCodecMatchesWireLayouts(t *testing.T) {
 }
 
 func TestCutFieldMatchesStringsFields(t *testing.T) {
-	// cutField must split exactly as strings.Fields does, on any input: the
+	// httpmini.CutField, which the Linux status and command lines are split
+	// with, must split exactly as strings.Fields does, on any input: the
 	// ASCII spaces, the Latin-1 and wider Unicode spaces, invalid UTF-8 and
 	// empty or space-only lines.
 	alphabet := []string{" ", "\t", "\n", "\v", "\f", "\r", "\u0085", "\u00a0", "\u2003", "\u3000",
@@ -224,11 +225,11 @@ func TestCutFieldMatchesStringsFields(t *testing.T) {
 		}
 		line := b.String()
 		var got []string
-		for f, rest := cutField([]byte(line)); len(f) > 0; f, rest = cutField(rest) {
+		for f, rest := httpmini.CutField([]byte(line)); len(f) > 0; f, rest = httpmini.CutField(rest) {
 			got = append(got, string(f))
 		}
 		if want := strings.Fields(line); !slices.Equal(got, want) {
-			t.Fatalf("cutField(%q) fields = %q, strings.Fields = %q", line, got, want)
+			t.Fatalf("CutField(%q) fields = %q, strings.Fields = %q", line, got, want)
 		}
 	}
 }
@@ -258,7 +259,14 @@ func (f *fakeClient) SetSetpoint(v float64) error {
 	return f.setErr
 }
 
-func parseReq(t *testing.T, raw string) *httpmini.Request {
+// webResp is one response HandleRequest rendered, parsed back.
+type webResp struct {
+	Status int
+	Body   []byte
+}
+
+// handle routes one raw request and parses the response it renders.
+func handle(t *testing.T, raw string, ctrl ControlClient, metrics MetricsSource) webResp {
 	t.Helper()
 	var p httpmini.Parser
 	p.Feed([]byte(raw))
@@ -266,7 +274,11 @@ func parseReq(t *testing.T, raw string) *httpmini.Request {
 	if err != nil || req == nil {
 		t.Fatalf("bad test request %q: %v", raw, err)
 	}
-	return req
+	status, body, err := httpmini.ParseResponse(HandleRequest(nil, req, ctrl, metrics))
+	if err != nil {
+		t.Fatalf("response to %q: %v", raw, err)
+	}
+	return webResp{status, body}
 }
 
 func TestHandleRequestMetricsRoute(t *testing.T) {
@@ -274,12 +286,12 @@ func TestHandleRequestMetricsRoute(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("demo_total").Add(9)
 
-	resp := HandleRequest(parseReq(t, "GET /metrics HTTP/1.0\r\n\r\n"), client, reg)
+	resp := handle(t, "GET /metrics HTTP/1.0\r\n\r\n", client, reg)
 	if resp.Status != 200 || !strings.Contains(string(resp.Body), "demo_total 9") {
 		t.Fatalf("metrics route = %d %q", resp.Status, resp.Body)
 	}
 	// Without a wired source (the microkernel deployments), the route 404s.
-	resp = HandleRequest(parseReq(t, "GET /metrics HTTP/1.0\r\n\r\n"), client, nil)
+	resp = handle(t, "GET /metrics HTTP/1.0\r\n\r\n", client, nil)
 	if resp.Status != 404 {
 		t.Fatalf("metrics without source = %d, want 404", resp.Status)
 	}
@@ -288,38 +300,38 @@ func TestHandleRequestMetricsRoute(t *testing.T) {
 func TestHandleRequestRouting(t *testing.T) {
 	client := &fakeClient{st: Status{Temp: 20, Setpoint: 22}}
 
-	resp := HandleRequest(parseReq(t, "GET /status HTTP/1.0\r\n\r\n"), client, nil)
+	resp := handle(t, "GET /status HTTP/1.0\r\n\r\n", client, nil)
 	if resp.Status != 200 || !strings.Contains(string(resp.Body), "setpoint=22.00") {
 		t.Fatalf("status resp = %d %q", resp.Status, resp.Body)
 	}
 
-	resp = HandleRequest(parseReq(t, "POST /setpoint HTTP/1.0\r\nContent-Type: application/x-www-form-urlencoded\r\nContent-Length: 10\r\n\r\nvalue=23.5"), client, nil)
+	resp = handle(t, "POST /setpoint HTTP/1.0\r\nContent-Type: application/x-www-form-urlencoded\r\nContent-Length: 10\r\n\r\nvalue=23.5", client, nil)
 	if resp.Status != 200 || len(client.setCalled) != 1 || client.setCalled[0] != 23.5 {
 		t.Fatalf("setpoint resp = %d, calls %v", resp.Status, client.setCalled)
 	}
 
-	resp = HandleRequest(parseReq(t, "POST /setpoint HTTP/1.0\r\nContent-Length: 9\r\n\r\nvalue=bad"), client, nil)
+	resp = handle(t, "POST /setpoint HTTP/1.0\r\nContent-Length: 9\r\n\r\nvalue=bad", client, nil)
 	if resp.Status != 400 {
 		t.Fatalf("bad value status = %d, want 400", resp.Status)
 	}
 
 	client.setErr = ErrSetpointRange
-	resp = HandleRequest(parseReq(t, "GET /setpoint?value=99 HTTP/1.0\r\n\r\n"), client, nil)
+	resp = handle(t, "GET /setpoint?value=99 HTTP/1.0\r\n\r\n", client, nil)
 	if resp.Status != 404 {
 		t.Fatalf("GET on setpoint = %d, want 404", resp.Status)
 	}
-	resp = HandleRequest(parseReq(t, "POST /setpoint HTTP/1.0\r\nContent-Type: application/x-www-form-urlencoded\r\nContent-Length: 8\r\n\r\nvalue=99"), client, nil)
+	resp = handle(t, "POST /setpoint HTTP/1.0\r\nContent-Type: application/x-www-form-urlencoded\r\nContent-Length: 8\r\n\r\nvalue=99", client, nil)
 	if resp.Status != 400 || !strings.Contains(string(resp.Body), "rejected") {
 		t.Fatalf("rejected resp = %d %q", resp.Status, resp.Body)
 	}
 
 	client.stErr = errors.New("controller dead")
-	resp = HandleRequest(parseReq(t, "GET /status HTTP/1.0\r\n\r\n"), client, nil)
+	resp = handle(t, "GET /status HTTP/1.0\r\n\r\n", client, nil)
 	if resp.Status != 500 {
 		t.Fatalf("dead controller status = %d, want 500", resp.Status)
 	}
 
-	resp = HandleRequest(parseReq(t, "GET / HTTP/1.0\r\n\r\n"), client, nil)
+	resp = handle(t, "GET / HTTP/1.0\r\n\r\n", client, nil)
 	if resp.Status != 200 || !strings.Contains(string(resp.Body), "GET /status") {
 		t.Fatalf("usage resp = %d %q", resp.Status, resp.Body)
 	}

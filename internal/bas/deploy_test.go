@@ -80,7 +80,7 @@ func TestWebStatusAndSetpointOnAllPlatforms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("GET /status: %v (body %q)", err, body)
 			}
-			if status != 200 || !strings.Contains(body, "setpoint=22.00") {
+			if status != 200 || !strings.Contains(string(body), "setpoint=22.00") {
 				t.Fatalf("status = %d %q", status, body)
 			}
 
@@ -91,7 +91,7 @@ func TestWebStatusAndSetpointOnAllPlatforms(t *testing.T) {
 
 			// The new setpoint must be visible and eventually governed to.
 			status, body, err = tb.HTTPGet("/status")
-			if err != nil || status != 200 || !strings.Contains(body, "setpoint=25.00") {
+			if err != nil || status != 200 || !strings.Contains(string(body), "setpoint=25.00") {
 				t.Fatalf("status after set = %d %q %v", status, body, err)
 			}
 			tb.Machine.Run(60 * time.Minute)
@@ -120,12 +120,12 @@ func TestOutOfRangeSetpointRejectedOnAllPlatforms(t *testing.T) {
 				if err != nil {
 					t.Fatalf("POST %s: %v", bad, err)
 				}
-				if status != 400 || !strings.Contains(body, "rejected") {
+				if status != 400 || !strings.Contains(string(body), "rejected") {
 					t.Fatalf("POST %s: resp = %d %q, want 400 rejected", bad, status, body)
 				}
 			}
 			status, body, err := tb.HTTPGet("/status")
-			if err != nil || status != 200 || !strings.Contains(body, "setpoint=22.00") {
+			if err != nil || status != 200 || !strings.Contains(string(body), "setpoint=22.00") {
 				t.Fatalf("status after rejected posts = %d %q %v, want setpoint=22.00", status, body, err)
 			}
 		})
@@ -163,7 +163,7 @@ func TestSetpointEdgesAgreeOnAllPlatforms(t *testing.T) {
 				t.Errorf("BACnet write 30.00004: %+v %v, want write-denied", resp, err)
 			}
 			status, body, err := tb.HTTPGet("/status")
-			if err != nil || status != 200 || !strings.Contains(body, "setpoint=22.12") {
+			if err != nil || status != 200 || !strings.Contains(string(body), "setpoint=22.12") {
 				t.Errorf("status = %d %q %v, want setpoint=22.12", status, body, err)
 			}
 		})

@@ -3,10 +3,12 @@ package bas
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
 	"mkbas/internal/bacnet"
+	"mkbas/internal/httpmini"
 )
 
 // fuzzDevice is the BACnet device id of every gateway FuzzGatewayExchange
@@ -101,6 +103,69 @@ func FuzzGatewayExchange(f *testing.F) {
 			if back.Value != held[0] {
 				t.Fatalf("%s holds setpoint %v, %s holds %v", name, back.Value, KnownPlatforms()[0], held[0])
 			}
+		}
+	})
+}
+
+// FuzzWebSetpoint is FuzzGatewayExchange's counterpart on the web
+// interface: it posts the fuzzed bytes, still encoded, as the value field
+// of a setpoint form to all five platforms. Every platform must answer
+// with the same status and body bytes; a 200 means the value the form
+// carried is finite and inside the controller's band; and the BACnet
+// read-back must then return exactly that value, or else the one held
+// before, on every platform.
+func FuzzWebSetpoint(f *testing.F) {
+	for _, v := range []string{"NaN", "Inf", "1e309", "30.00004", "14.99996", "22.345", "%32%32", "+22", "0x16", ""} {
+		f.Add(v)
+	}
+	fleet := gatewayFleet(f)
+	band := DefaultScenario().Controller
+	held := band.Setpoint
+	readBack := bacnet.PDU{Type: bacnet.ReadProperty, InvokeID: 9, Device: fuzzDevice, Object: bacnet.ObjSetpoint}.AppendEncode(nil)
+	f.Fuzz(func(t *testing.T, value string) {
+		if len(value) > 64 {
+			value = value[:64]
+		}
+		// The value the web interface decodes: the form's last value field.
+		var p httpmini.Parser
+		body := "value=" + value
+		p.Feed([]byte("POST /setpoint HTTP/1.0\r\nContent-Type: application/x-www-form-urlencoded\r\nContent-Length: " +
+			strconv.Itoa(len(body)) + "\r\n\r\n" + body))
+		req, err := p.Next()
+		if err != nil || req == nil {
+			t.Fatalf("the posted form does not parse: %v", err)
+		}
+		sent, parseErr := strconv.ParseFloat(req.FormValue("value"), 64)
+		var first string
+		firstStatus := 0
+		for i, bed := range fleet {
+			name := KnownPlatforms()[i]
+			status, got, err := bed.HTTPPostSetpoint(value)
+			if err != nil {
+				t.Fatalf("%s: POST value=%q: %v", name, value, err)
+			}
+			if i == 0 {
+				first, firstStatus = string(got), status
+			} else if status != firstStatus || string(got) != first {
+				t.Fatalf("%s answered value=%q with %d %q, %s with %d %q", name, value, status, got, KnownPlatforms()[0], firstStatus, first)
+			}
+			want := held
+			if status == 200 {
+				if parseErr != nil || math.IsNaN(sent) || math.IsInf(sent, 0) || sent < band.MinSetpoint || sent > band.MaxSetpoint {
+					t.Fatalf("%s accepted value=%q (%v, %v) outside [%v, %v]", name, value, sent, parseErr, band.MinSetpoint, band.MaxSetpoint)
+				}
+				want = sent
+			}
+			back, err := bacnet.DecodePDU(bed.BACnetExchange(readBack))
+			if err != nil || back.Type != bacnet.Ack {
+				t.Fatalf("%s: setpoint read-back = %+v, %v", name, back, err)
+			}
+			if math.Float64bits(back.Value) != math.Float64bits(want) {
+				t.Fatalf("%s: after value=%q (%d) the setpoint reads back %v, want %v", name, value, status, back.Value, want)
+			}
+		}
+		if firstStatus == 200 {
+			held = sent
 		}
 	})
 }

@@ -8,10 +8,10 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unicode"
 
 	"mkbas/internal/aadl"
 	"mkbas/internal/decfmt"
+	"mkbas/internal/httpmini"
 	"mkbas/internal/linuxsim"
 	"mkbas/internal/machine"
 	"mkbas/internal/plant"
@@ -541,7 +541,7 @@ func (c *linuxControlClient) SetSetpoint(v float64) error {
 // status decode allocates nothing.
 func parseStatusLine(line []byte) (Status, error) {
 	var st Status
-	for field, rest := cutField(line); len(field) > 0; field, rest = cutField(rest) {
+	for field, rest := httpmini.CutField(line); len(field) > 0; field, rest = httpmini.CutField(rest) {
 		eq := bytes.IndexByte(field, '=')
 		if eq < 0 {
 			continue
@@ -566,23 +566,12 @@ func parseStatusLine(line []byte) (Status, error) {
 	return st, nil
 }
 
-// cutField cuts the first field off s and returns it with the rest of s. A
-// field is what strings.Fields yields: a maximal run of runes that are not
-// unicode.IsSpace. The field is empty only when s holds no more fields.
-func cutField(s []byte) (field, rest []byte) {
-	s = bytes.TrimLeftFunc(s, unicode.IsSpace)
-	if i := bytes.IndexFunc(s, unicode.IsSpace); i >= 0 {
-		return s[:i], s[i:]
-	}
-	return s, nil
-}
-
 // twoFields splits s into its two fields, reporting false when s does not
 // hold exactly two — the "<verb> <argument>" shape of every Linux command
 // and sample line.
 func twoFields(s []byte) (first, second []byte, ok bool) {
-	first, rest := cutField(s)
-	second, rest = cutField(rest)
-	extra, _ := cutField(rest)
+	first, rest := httpmini.CutField(s)
+	second, rest = httpmini.CutField(rest)
+	extra, _ := httpmini.CutField(rest)
 	return first, second, len(second) > 0 && len(extra) == 0
 }

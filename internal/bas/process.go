@@ -192,7 +192,8 @@ func serveOn(p processPort, port vnet.Port, who string, serve func(conn netConn)
 // ctrl, the kernel's path to the controller (nil if it was never reached).
 func webInterfaceBody(p processPort, ctrl ControlClient, metrics MetricsSource) {
 	if ctrl != nil {
-		serveOn(p, WebPort, "web", func(conn netConn) { serveConn(conn, ctrl, metrics) })
+		w := &webServer{ctrl: ctrl, metrics: metrics}
+		serveOn(p, WebPort, "web", w.serveConn)
 	}
 }
 

@@ -59,6 +59,9 @@ type Testbed struct {
 	Machine *machine.Machine
 	Room    *plant.Room
 	Net     *vnet.Stack
+	// http is the harness client's buffer: each request is built in it and
+	// its response read into it.
+	http []byte
 }
 
 // NewTestbed assembles a board with the room devices attached and a network
@@ -80,49 +83,47 @@ func NewTestbed(cfg ScenarioConfig) *Testbed {
 // HTTPGet issues one HTTP request from the host side against the deployed
 // web interface and runs the board until the response arrives (or timeout of
 // virtual time elapses). It is the experiment harness's "administrator's
-// browser".
-func (tb *Testbed) HTTPGet(path string) (int, string, error) {
-	return tb.httpRoundTrip("GET " + path + " HTTP/1.0\r\n\r\n")
+// browser". The body is valid until the testbed's next HTTP request.
+func (tb *Testbed) HTTPGet(path string) (int, []byte, error) {
+	req := append(tb.http[:0], "GET "...)
+	req = append(req, path...)
+	return tb.httpRoundTrip(append(req, " HTTP/1.0\r\n\r\n"...))
 }
 
-// HTTPPostSetpoint posts a new setpoint value.
-func (tb *Testbed) HTTPPostSetpoint(value string) (int, string, error) {
-	body := "value=" + value
-	req := "POST /setpoint HTTP/1.0\r\n" +
-		"Content-Type: application/x-www-form-urlencoded\r\n" +
-		"Content-Length: " + itoa(len(body)) + "\r\n\r\n" + body
-	return tb.httpRoundTrip(req)
+// HTTPPostSetpoint posts a new setpoint value, as it would appear in the
+// form (still encoded). The body is valid until the testbed's next HTTP
+// request.
+func (tb *Testbed) HTTPPostSetpoint(value string) (int, []byte, error) {
+	req := append(tb.http[:0], "POST /setpoint HTTP/1.0\r\n"+
+		"Content-Type: application/x-www-form-urlencoded\r\n"+
+		"Content-Length: "...)
+	req = strconv.AppendInt(req, int64(len("value=")+len(value)), 10)
+	req = append(req, "\r\n\r\nvalue="...)
+	return tb.httpRoundTrip(append(req, value...))
 }
 
-func (tb *Testbed) httpRoundTrip(raw string) (int, string, error) {
+// httpRoundTrip sends req, built in tb.http, and reads the response into
+// the same buffer.
+func (tb *Testbed) httpRoundTrip(req []byte) (int, []byte, error) {
 	conn, err := tb.Net.Dial(WebPort)
 	if err != nil {
-		return 0, "", err
+		return 0, nil, err
 	}
-	if err := conn.Write([]byte(raw)); err != nil {
-		return 0, "", err
+	defer conn.Close()
+	if err := conn.Write(req); err != nil {
+		return 0, nil, err
 	}
+	tb.http = req[:0] // the stream copied the request
 	// Drive the board until the web process answers. On Linux the
 	// controller only polls its web-request queue after each sensor sample,
 	// so a reply can lag by a full sample period; allow several seconds of
 	// virtual time.
-	var buf []byte
 	for i := 0; i < 80; i++ {
 		tb.Machine.Run(50 * time.Millisecond)
-		buf = append(buf, conn.ReadAll()...)
-		if status, body, err := parseResponse(buf); err == nil {
-			conn.Close()
+		tb.http = append(tb.http, conn.ReadAll()...)
+		if status, body, err := httpmini.ParseResponse(tb.http); err == nil {
 			return status, body, nil
 		}
 	}
-	conn.Close()
-	return 0, string(buf), errNoResponse
-}
-
-func itoa(n int) string { return strconv.Itoa(n) }
-
-// parseResponse wraps httpmini.ParseResponse with a string body.
-func parseResponse(buf []byte) (int, string, error) {
-	status, body, err := httpmini.ParseResponse(buf)
-	return status, string(body), err
+	return 0, tb.http, errNoResponse
 }

@@ -282,6 +282,9 @@ func (c *sel4ControlClient) Status() (Status, error) {
 
 func (c *sel4ControlClient) SetSetpoint(v float64) error {
 	_, err := c.rt.Call(IfaceMgmt, methodSetSetpoint, math.Float64bits(v))
+	if err == nil {
+		return nil
+	}
 	var rpcErr *camkes.RPCError
 	if errors.As(err, &rpcErr) && rpcErr.Code == rpcCodeRange {
 		return ErrSetpointRange

@@ -26,46 +26,49 @@ type MetricsSource interface {
 }
 
 // HandleRequest implements the web interface's HTTP routing, shared by all
-// three platforms:
+// three platforms, appending the response to dst:
 //
 //	GET  /           — usage text
 //	GET  /status     — controller status line
 //	GET  /metrics    — Prometheus text exposition (if a source is wired)
 //	POST /setpoint   — value=<float> form field sets a new setpoint
-func HandleRequest(req *httpmini.Request, ctrl ControlClient, metrics MetricsSource) *httpmini.Response {
-	switch {
-	case req.Method == "GET" && req.Path == "/":
-		return httpmini.Text(200,
+func HandleRequest(dst []byte, req *httpmini.Request, ctrl ControlClient, metrics MetricsSource) []byte {
+	get := req.Method == "GET"
+	switch path := string(req.Path); {
+	case get && path == "/":
+		return httpmini.AppendText(dst, 200,
 			"BAS temperature controller\n"+
 				"GET /status — current state\n"+
 				"GET /metrics — Prometheus metrics\n"+
 				"POST /setpoint value=<°C> — change setpoint\n")
-	case req.Method == "GET" && req.Path == "/metrics":
+	case get && path == "/metrics":
 		if metrics == nil {
-			return httpmini.Text(404, "not found\n")
+			return httpmini.AppendText(dst, 404, "not found\n")
 		}
-		return httpmini.Text(200, metrics.PromText())
-	case req.Method == "GET" && req.Path == "/status":
+		return httpmini.AppendText(dst, 200, metrics.PromText())
+	case get && path == "/status":
 		st, err := ctrl.Status()
 		if err != nil {
-			return httpmini.Text(500, fmt.Sprintf("controller unavailable: %v\n", err))
+			return httpmini.AppendText(dst, 500, fmt.Sprintf("controller unavailable: %v\n", err))
 		}
-		return httpmini.Text(200, st.String()+"\n")
-	case req.Method == "POST" && req.Path == "/setpoint":
+		var line [64]byte
+		return httpmini.AppendText(dst, 200, string(append(st.AppendText(line[:0]), '\n')))
+	case req.Method == "POST" && path == "/setpoint":
 		raw := req.FormValue("value")
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
-			return httpmini.Text(400, fmt.Sprintf("bad setpoint %q\n", raw))
+			return httpmini.AppendText(dst, 400, fmt.Sprintf("bad setpoint %q\n", raw))
 		}
 		if err := ctrl.SetSetpoint(v); err != nil {
-			return httpmini.Text(400, fmt.Sprintf("rejected: %v\n", err))
+			return httpmini.AppendText(dst, 400, fmt.Sprintf("rejected: %v\n", err))
 		}
-		echo := decfmt.AppendFixed([]byte("setpoint="), v, 2)
-		return httpmini.Text(200, string(append(echo, '\n')))
-	case req.Method == "GET":
-		return httpmini.Text(404, "not found\n")
+		var buf [32]byte
+		echo := append(decfmt.AppendFixed(append(buf[:0], "setpoint="...), v, 2), '\n')
+		return httpmini.AppendText(dst, 200, string(echo))
+	case get:
+		return httpmini.AppendText(dst, 404, "not found\n")
 	default:
-		return httpmini.Text(405, "method not allowed\n")
+		return httpmini.AppendText(dst, 405, "method not allowed\n")
 	}
 }
 
@@ -79,20 +82,30 @@ func (nc netConn) Read(max int) ([]byte, error) { return nc.net.NetRead(nc.fd, m
 func (nc netConn) Write(data []byte) error      { return nc.net.NetWrite(nc.fd, data) }
 func (nc netConn) Close() error                 { return nc.net.NetClose(nc.fd) }
 
+// webServer is the web interface process. It serves one connection at a
+// time, so one parser and one reply buffer serve them all.
+type webServer struct {
+	ctrl    ControlClient
+	metrics MetricsSource
+	parser  httpmini.Parser
+	reply   []byte
+}
+
 // serveConn is the web interface's handling of one connection: parse one or
 // more HTTP requests off it and answer each, until EOF or a protocol error.
-func serveConn(conn netConn, ctrl ControlClient, metrics MetricsSource) {
+func (w *webServer) serveConn(conn netConn) {
 	defer conn.Close()
-	var parser httpmini.Parser
+	w.parser.Reset()
 	for {
-		req, err := parser.Next()
+		req, err := w.parser.Next()
 		if err != nil {
-			conn.Write(httpmini.Text(400, "malformed request\n").Render())
+			w.reply = httpmini.AppendText(w.reply[:0], 400, "malformed request\n")
+			conn.Write(w.reply)
 			return
 		}
 		if req != nil {
-			resp := HandleRequest(req, ctrl, metrics)
-			if err := conn.Write(resp.Render()); err != nil {
+			w.reply = HandleRequest(w.reply[:0], req, w.ctrl, w.metrics)
+			if err := conn.Write(w.reply); err != nil {
 				return
 			}
 			continue
@@ -101,6 +114,6 @@ func serveConn(conn netConn, ctrl ControlClient, metrics MetricsSource) {
 		if err != nil {
 			return // EOF or reset
 		}
-		parser.Feed(data)
+		w.parser.Feed(data)
 	}
 }

@@ -16,9 +16,9 @@ func BenchmarkParseRequest(b *testing.B) {
 }
 
 func BenchmarkRenderResponse(b *testing.B) {
-	resp := Text(200, "temp=21.50 setpoint=22.00 heater=on alarm=off")
+	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		resp.Render()
+		buf = AppendText(buf[:0], 200, "temp=21.50 setpoint=22.00 heater=on alarm=off")
 	}
 }

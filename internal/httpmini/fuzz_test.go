@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// parsed is what a parser made of a whole stream: the requests it yielded,
-// the error that stopped it (if any) and, when none did, the bytes it still
-// held. After an error the feeder stops, so what is left depends on where
+// parsed is what a parser made of a whole stream: copies of the requests
+// it yielded (each lives only until the parser's next call), the error
+// that stopped it (if any) and, when none did, the bytes it still held. After an error the feeder stops, so what is left depends on where
 // the last chunk ended and is not compared.
 type parsed struct {
 	reqs     []*Request
@@ -36,7 +36,8 @@ func drain(t *testing.T, p *Parser, out *parsed) bool {
 			}
 			return true
 		}
-		out.reqs = append(out.reqs, req)
+		out.reqs = append(out.reqs, &Request{Method: req.Method, Path: bytes.Clone(req.Path),
+			RawQuery: bytes.Clone(req.RawQuery), Body: bytes.Clone(req.Body), form: req.form})
 	}
 }
 
@@ -83,8 +84,7 @@ func FuzzParser(f *testing.F) {
 			t.Fatalf("chunking changed the parse:\nwhole   %+v\nchunked %+v", whole, chunked)
 		}
 		for _, req := range whole.reqs {
-			resp := &Response{Status: status, Headers: req.Headers, Body: req.Body}
-			gotStatus, gotBody, err := ParseResponse(resp.Render())
+			gotStatus, gotBody, err := ParseResponse(AppendText(nil, status, string(req.Body)))
 			if err != nil || gotStatus != status || !bytes.Equal(gotBody, req.Body) {
 				t.Fatalf("round trip of %d %q: %d %q %v", status, req.Body, gotStatus, gotBody, err)
 			}

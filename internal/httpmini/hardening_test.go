@@ -84,12 +84,12 @@ func TestIncrementalFeedAndPipelining(t *testing.T) {
 			t.Fatalf("byte %d: %v", i, err)
 		}
 		if req != nil {
-			got = append(got, req.Path)
+			got = append(got, string(req.Path))
 		}
 	}
 	// The second pipelined request is still buffered.
 	if req, err := p.Next(); err == nil && req != nil {
-		got = append(got, req.Path)
+		got = append(got, string(req.Path))
 	}
 	if strings.Join(got, ",") != "/a,/b" {
 		t.Fatalf("pipelined paths = %v", got)

@@ -2,28 +2,36 @@
 // web interface process ("a static HTTP web server ... maintains TCP socket
 // on port 8080 and supports HTTP GET and HTTP POST").
 //
-// It parses requests incrementally from a byte stream, so a simulated server
-// can feed it whatever a non-blocking socket read returned and ask whether a
-// full request has arrived yet. Responses are rendered to bytes for the
-// symmetric path. net/http is deliberately not used: the simulated web server
-// must run over vnet streams inside a virtual kernel, not over real sockets.
+// It speaks only the exchange that server serves: a GET or POST whose
+// request line, Content-Length, Content-Type, query and form body it reads,
+// answered by a text/plain response. Requests are parsed incrementally from
+// a byte stream, so a simulated server can feed it whatever a non-blocking
+// socket read returned and ask whether a full request has arrived yet, and
+// responses are appended to a caller's buffer. Nothing on either path
+// allocates once its buffers are warm. net/http is deliberately not used:
+// the simulated web server must run over vnet streams inside a virtual
+// kernel, not over real sockets.
 package httpmini
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
+	"unicode"
 )
 
 // Parse errors.
 var (
-	ErrMalformed    = errors.New("httpmini: malformed request")
-	ErrTooLarge     = errors.New("httpmini: request too large")
-	ErrBadMethod    = errors.New("httpmini: unsupported method")
-	errNeedMoreData = errors.New("httpmini: incomplete")
+	ErrMalformed = errors.New("httpmini: malformed request")
+	ErrTooLarge  = errors.New("httpmini: request too large")
+	ErrBadMethod = errors.New("httpmini: unsupported method")
+)
+
+var (
+	headerTerminator = []byte("\r\n\r\n")
+	crlf             = []byte("\r\n")
+	httpVersion      = []byte("HTTP/1.")
 )
 
 // Limits mirror a small embedded web server.
@@ -32,41 +40,55 @@ const (
 	maxBodyBytes   = 64 << 10
 )
 
-// Request is one parsed HTTP request.
+// Request is one parsed HTTP request. Its slices point into the parser's
+// buffer and are valid until the parser's next Next or Feed.
 type Request struct {
-	Method  string
-	Path    string
-	Query   map[string]string
-	Proto   string
-	Headers map[string]string // keys lower-cased
-	Body    []byte
+	// Method is "GET" or "POST".
+	Method   string
+	Path     []byte
+	RawQuery []byte // the target after its first '?', still encoded
+	Body     []byte
+	// form reports a Content-Type naming a form-encoded body.
+	form bool
 }
 
 // FormValue returns a decoded query or form value (query first, then
-// x-www-form-urlencoded body), or "" when absent.
+// x-www-form-urlencoded body), or "" when absent. Where a key repeats, its
+// last value counts.
 func (r *Request) FormValue(key string) string {
-	if v, ok := r.Query[key]; ok {
-		return v
+	v, ok := lookup(r.RawQuery, key)
+	if !ok && r.form {
+		v, _ = lookup(r.Body, key)
 	}
-	if strings.Contains(r.Headers["content-type"], "application/x-www-form-urlencoded") {
-		form := parseURLEncoded(string(r.Body))
-		return form[key]
-	}
-	return ""
+	return unescape(v)
 }
 
-// Parser accumulates stream bytes and yields complete requests.
+// Parser accumulates stream bytes and yields complete requests. It owns one
+// buffer and one Request, both reused for every request it parses.
 type Parser struct {
 	buf []byte
+	off int // buf[off:] is not yet consumed
+	req Request
 }
 
-// Feed appends stream bytes to the parser.
+// Feed appends stream bytes to the parser. It may move the bytes a request
+// returned by Next points into.
 func (p *Parser) Feed(data []byte) {
+	// Drop the consumed prefix once it outweighs what is left, so the copy
+	// costs no more than the bytes already parsed.
+	if p.off > 0 && p.off >= len(p.buf)-p.off {
+		p.buf = p.buf[:copy(p.buf, p.buf[p.off:])]
+		p.off = 0
+	}
 	p.buf = append(p.buf, data...)
 }
 
+// Reset discards every buffered byte, keeping the buffer for the next
+// stream.
+func (p *Parser) Reset() { p.buf, p.off = p.buf[:0], 0 }
+
 // Buffered reports how many unconsumed bytes the parser holds.
-func (p *Parser) Buffered() int { return len(p.buf) }
+func (p *Parser) Buffered() int { return len(p.buf) - p.off }
 
 // Next attempts to parse one complete request from the buffered bytes.
 // It returns (nil, nil) when more data is needed, and a non-nil error when
@@ -75,142 +97,135 @@ func (p *Parser) Buffered() int { return len(p.buf) }
 // depend on how the stream was chunked; while Next waits for more data the
 // parser holds less than one maximal request.
 func (p *Parser) Next() (*Request, error) {
-	req, rest, err := parseOne(p.buf)
-	switch {
-	case errors.Is(err, errNeedMoreData):
-		return nil, nil
-	case err != nil:
-		return nil, err
-	default:
-		p.buf = rest
-		return req, nil
-	}
-}
-
-// parseOne parses a single request from data, returning the unconsumed
-// bytes as a subslice of data. It copies out only what the request keeps,
-// so a long pipelined stream costs linear time however it is fed.
-func parseOne(data []byte) (*Request, []byte, error) {
+	data := p.buf[p.off:]
 	headerEnd := bytes.Index(data, headerTerminator)
 	if headerEnd < 0 {
 		// The terminator may still arrive straddling the bytes held: refuse
 		// only once it could no longer start within the cap.
 		if len(data)-3 > maxHeaderBytes {
-			return nil, nil, ErrTooLarge
+			return nil, ErrTooLarge
 		}
-		return nil, nil, errNeedMoreData
+		return nil, nil
 	}
 	// The cap applies to complete header blocks too, not just ones still
 	// waiting for their terminator — otherwise a single large read smuggles
 	// an arbitrarily big block past the limit.
 	if headerEnd > maxHeaderBytes {
-		return nil, nil, ErrTooLarge
+		return nil, ErrTooLarge
 	}
-	head := string(data[:headerEnd])
-	lines := strings.Split(head, "\r\n")
-	if len(lines) == 0 {
-		return nil, nil, ErrMalformed
+	line, head, more := bytes.Cut(data[:headerEnd], crlf)
+	method, rest := CutField(line)
+	target, rest := CutField(rest)
+	proto, rest := CutField(rest)
+	if extra, _ := CutField(rest); len(proto) == 0 || len(extra) > 0 {
+		return nil, fmt.Errorf("%w: request line %q", ErrMalformed, line)
 	}
-	reqLine := strings.Fields(lines[0])
-	if len(reqLine) != 3 {
-		return nil, nil, fmt.Errorf("%w: request line %q", ErrMalformed, lines[0])
+	switch string(method) {
+	case "GET":
+		p.req.Method = "GET"
+	case "POST":
+		p.req.Method = "POST"
+	default:
+		return nil, fmt.Errorf("%w: %s", ErrBadMethod, method)
 	}
-	method, target, proto := reqLine[0], reqLine[1], reqLine[2]
-	if method != "GET" && method != "POST" {
-		return nil, nil, fmt.Errorf("%w: %s", ErrBadMethod, method)
-	}
-	if !strings.HasPrefix(proto, "HTTP/1.") {
-		return nil, nil, fmt.Errorf("%w: protocol %q", ErrMalformed, proto)
+	if !bytes.HasPrefix(proto, httpVersion) {
+		return nil, fmt.Errorf("%w: protocol %q", ErrMalformed, proto)
 	}
 
-	headers := make(map[string]string, len(lines)-1)
-	for _, line := range lines[1:] {
-		colon := strings.IndexByte(line, ':')
-		if colon < 0 {
-			return nil, nil, fmt.Errorf("%w: header %q", ErrMalformed, line)
+	// Only Content-Length and Content-Type are read; where one repeats,
+	// its last line counts. Every line must still be a header. No rune
+	// outside ASCII folds onto a letter of either name, so EqualFold reads
+	// them as a lower-cased comparison would.
+	var length, ctype []byte
+	hasLength := false
+	for more {
+		line, head, more = bytes.Cut(head, crlf)
+		key, val, ok := bytes.Cut(line, []byte(":"))
+		if !ok {
+			return nil, fmt.Errorf("%w: header %q", ErrMalformed, line)
 		}
-		key := strings.ToLower(strings.TrimSpace(line[:colon]))
-		headers[key] = strings.TrimSpace(line[colon+1:])
+		switch key = bytes.TrimSpace(key); {
+		case bytes.EqualFold(key, []byte("content-length")):
+			length, hasLength = bytes.TrimSpace(val), true
+		case bytes.EqualFold(key, []byte("content-type")):
+			ctype = bytes.TrimSpace(val)
+		}
 	}
 
 	bodyLen := 0
-	if cl, ok := headers["content-length"]; ok {
-		n, err := strconv.Atoi(cl)
+	if hasLength {
+		n, err := strconv.Atoi(string(length))
 		if err != nil || n < 0 {
-			return nil, nil, fmt.Errorf("%w: content-length %q", ErrMalformed, cl)
+			return nil, fmt.Errorf("%w: content-length %q", ErrMalformed, length)
 		}
 		if n > maxBodyBytes {
-			return nil, nil, ErrTooLarge
+			return nil, ErrTooLarge
 		}
 		bodyLen = n
 	}
-	bodyStart := headerEnd + 4
-	if len(data) < bodyStart+bodyLen {
-		return nil, nil, errNeedMoreData
+	bodyEnd := headerEnd + len(headerTerminator) + bodyLen
+	if len(data) < bodyEnd {
+		return nil, nil
 	}
-	body := make([]byte, bodyLen)
-	copy(body, data[bodyStart:bodyStart+bodyLen])
-
-	path, query := target, ""
-	if q := strings.IndexByte(target, '?'); q >= 0 {
-		path, query = target[:q], target[q+1:]
-	}
-
-	req := &Request{
-		Method:  method,
-		Path:    path,
-		Query:   parseURLEncoded(query),
-		Proto:   proto,
-		Headers: headers,
-		Body:    body,
-	}
-	return req, data[bodyStart+bodyLen:], nil
+	p.req.Path, p.req.RawQuery, _ = bytes.Cut(target, []byte("?"))
+	p.req.Body = data[bodyEnd-bodyLen : bodyEnd : bodyEnd]
+	p.req.form = bytes.Contains(ctype, []byte("application/x-www-form-urlencoded"))
+	p.off += bodyEnd
+	return &p.req, nil
 }
 
-// headerTerminator ends a request's header block.
-var headerTerminator = []byte("\r\n\r\n")
-
-// parseURLEncoded decodes k=v&k2=v2 pairs with %XX and '+' decoding.
-func parseURLEncoded(s string) map[string]string {
-	out := make(map[string]string)
-	if s == "" {
-		return out
+// CutField cuts the first field off s and returns it with the rest of s. A
+// field is what strings.Fields yields: a maximal run of runes that are not
+// unicode.IsSpace. The field is empty only when s holds no more fields.
+func CutField(s []byte) (field, rest []byte) {
+	s = bytes.TrimLeftFunc(s, unicode.IsSpace)
+	if i := bytes.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
 	}
-	for _, pair := range strings.Split(s, "&") {
-		if pair == "" {
-			continue
-		}
-		key, val := pair, ""
-		if eq := strings.IndexByte(pair, '='); eq >= 0 {
-			key, val = pair[:eq], pair[eq+1:]
-		}
-		out[unescape(key)] = unescape(val)
-	}
-	return out
+	return s, nil
 }
 
-// unescape decodes %XX sequences and '+' as space; invalid escapes pass
-// through literally, like a forgiving embedded parser.
-func unescape(s string) string {
-	var b strings.Builder
+// lookup returns the still-encoded value of key's last pair in the
+// k=v&k2=v2 form, comparing decoded keys.
+func lookup(form []byte, key string) (val []byte, ok bool) {
+	var buf [64]byte
+	for len(form) > 0 {
+		var pair []byte
+		pair, form, _ = bytes.Cut(form, []byte("&"))
+		k, v, _ := bytes.Cut(pair, []byte("="))
+		if len(pair) > 0 && string(appendUnescaped(buf[:0], k)) == key {
+			val, ok = v, true
+		}
+	}
+	return val, ok
+}
+
+// unescape decodes s.
+func unescape(s []byte) string {
+	var buf [32]byte
+	return string(appendUnescaped(buf[:0], s))
+}
+
+// appendUnescaped appends s to dst with %XX sequences and '+' as space
+// decoded; invalid escapes pass through literally, like a forgiving
+// embedded parser.
+func appendUnescaped(dst, s []byte) []byte {
 	for i := 0; i < len(s); i++ {
+		c := s[i]
 		switch {
-		case s[i] == '+':
-			b.WriteByte(' ')
-		case s[i] == '%' && i+2 < len(s):
+		case c == '+':
+			c = ' '
+		case c == '%' && i+2 < len(s):
 			hi, okHi := fromHex(s[i+1])
 			lo, okLo := fromHex(s[i+2])
 			if okHi && okLo {
-				b.WriteByte(hi<<4 | lo)
+				c = hi<<4 | lo
 				i += 2
-			} else {
-				b.WriteByte(s[i])
 			}
-		default:
-			b.WriteByte(s[i])
 		}
+		dst = append(dst, c)
 	}
-	return b.String()
+	return dst
 }
 
 func fromHex(c byte) (byte, bool) {
@@ -226,84 +241,41 @@ func fromHex(c byte) (byte, bool) {
 	}
 }
 
-// Response is one HTTP response to render.
-type Response struct {
-	Status  int
-	Headers map[string]string
-	Body    []byte
+// statusText names the codes the web interface answers with.
+var statusText = map[int]string{200: "OK", 400: "Bad Request", 404: "Not Found",
+	405: "Method Not Allowed", 500: "Internal Server Error"}
+
+// AppendText appends a text/plain HTTP/1.0 response carrying body to dst.
+func AppendText(dst []byte, status int, body string) []byte {
+	dst = append(dst, "HTTP/1.0 "...)
+	dst = strconv.AppendInt(dst, int64(status), 10)
+	text, ok := statusText[status]
+	if !ok {
+		text = "Status"
+	}
+	dst = append(append(dst, ' '), text...)
+	dst = append(dst, "\r\nContent-Type: text/plain\r\nContent-Length: "...)
+	dst = strconv.AppendInt(dst, int64(len(body)), 10)
+	dst = append(dst, headerTerminator...)
+	return append(dst, body...)
 }
 
-// statusText covers the codes the scenario server emits.
-func statusText(code int) string {
-	switch code {
-	case 200:
-		return "OK"
-	case 400:
-		return "Bad Request"
-	case 401:
-		return "Unauthorized"
-	case 403:
-		return "Forbidden"
-	case 404:
-		return "Not Found"
-	case 405:
-		return "Method Not Allowed"
-	case 429:
-		return "Too Many Requests"
-	case 500:
-		return "Internal Server Error"
-	case 503:
-		return "Service Unavailable"
-	default:
-		return "Status"
-	}
-}
-
-// Render serialises the response as HTTP/1.0 bytes. Content-Length is always
-// emitted; header order is deterministic.
-func (r *Response) Render() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "HTTP/1.0 %d %s\r\n", r.Status, statusText(r.Status))
-	keys := make([]string, 0, len(r.Headers))
-	for k := range r.Headers {
-		if strings.EqualFold(k, "content-length") {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s: %s\r\n", k, r.Headers[k])
-	}
-	fmt.Fprintf(&b, "Content-Length: %d\r\n\r\n", len(r.Body))
-	out := append([]byte(b.String()), r.Body...)
-	return out
-}
-
-// Text builds a text/plain response.
-func Text(status int, body string) *Response {
-	return &Response{
-		Status:  status,
-		Headers: map[string]string{"Content-Type": "text/plain"},
-		Body:    []byte(body),
-	}
-}
-
-// ParseResponse parses a rendered response (for the harness/client side).
+// ParseResponse parses a response (for the harness/client side). The body
+// is everything after the header block, a subslice of data.
 func ParseResponse(data []byte) (status int, body []byte, err error) {
-	s := string(data)
-	headerEnd := strings.Index(s, "\r\n\r\n")
+	headerEnd := bytes.Index(data, headerTerminator)
 	if headerEnd < 0 {
 		return 0, nil, ErrMalformed
 	}
-	lines := strings.Split(s[:headerEnd], "\r\n")
-	fields := strings.Fields(lines[0])
-	if len(fields) < 2 || !strings.HasPrefix(fields[0], "HTTP/1.") {
-		return 0, nil, fmt.Errorf("%w: status line %q", ErrMalformed, lines[0])
+	line, _, _ := bytes.Cut(data[:headerEnd], crlf)
+	proto, rest := CutField(line)
+	code, _ := CutField(rest)
+	if len(code) == 0 || !bytes.HasPrefix(proto, httpVersion) {
+		return 0, nil, fmt.Errorf("%w: status line %q", ErrMalformed, line)
 	}
-	status, err = strconv.Atoi(fields[1])
+	status, err = strconv.Atoi(string(code))
 	if err != nil {
-		return 0, nil, fmt.Errorf("%w: status %q", ErrMalformed, fields[1])
+		return 0, nil, fmt.Errorf("%w: status %q", ErrMalformed, code)
 	}
-	return status, data[headerEnd+4:], nil
+	return status, data[headerEnd+len(headerTerminator):], nil
 }

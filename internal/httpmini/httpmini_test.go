@@ -19,11 +19,8 @@ func TestParseSimpleGet(t *testing.T) {
 	if req == nil {
 		t.Fatal("request incomplete")
 	}
-	if req.Method != "GET" || req.Path != "/status" || req.Proto != "HTTP/1.0" {
+	if req.Method != "GET" || string(req.Path) != "/status" || req.RawQuery != nil || len(req.Body) != 0 {
 		t.Fatalf("parsed %+v", req)
-	}
-	if req.Headers["host"] != "controller" {
-		t.Fatalf("headers = %v", req.Headers)
 	}
 }
 
@@ -53,11 +50,11 @@ func TestParsePipelined(t *testing.T) {
 	var p Parser
 	p.Feed([]byte("GET /a HTTP/1.0\r\n\r\nGET /b HTTP/1.0\r\n\r\n"))
 	r1, err := p.Next()
-	if err != nil || r1 == nil || r1.Path != "/a" {
+	if err != nil || r1 == nil || string(r1.Path) != "/a" {
 		t.Fatalf("first = %+v, %v", r1, err)
 	}
 	r2, err := p.Next()
-	if err != nil || r2 == nil || r2.Path != "/b" {
+	if err != nil || r2 == nil || string(r2.Path) != "/b" {
 		t.Fatalf("second = %+v, %v", r2, err)
 	}
 	r3, err := p.Next()
@@ -73,11 +70,11 @@ func TestQueryDecoding(t *testing.T) {
 	if err != nil || req == nil {
 		t.Fatalf("Next: %v", err)
 	}
-	if req.Query["temp"] != "21.5" {
-		t.Fatalf("temp = %q", req.Query["temp"])
+	if got := req.FormValue("temp"); got != "21.5" {
+		t.Fatalf("temp = %q", got)
 	}
-	if req.Query["note"] != "hi there!" {
-		t.Fatalf("note = %q", req.Query["note"])
+	if got := req.FormValue("note"); got != "hi there!" {
+		t.Fatalf("note = %q", got)
 	}
 }
 
@@ -122,8 +119,7 @@ func TestOversizeHeaderRejected(t *testing.T) {
 }
 
 func TestResponseRenderAndParse(t *testing.T) {
-	resp := Text(200, "temp=21.0 setpoint=21.0 heater=on alarm=off")
-	raw := resp.Render()
+	raw := AppendText(nil, 200, "temp=21.0 setpoint=21.0 heater=on alarm=off")
 	if !bytes.HasPrefix(raw, []byte("HTTP/1.0 200 OK\r\n")) {
 		t.Fatalf("render = %q", raw)
 	}
@@ -136,19 +132,6 @@ func TestResponseRenderAndParse(t *testing.T) {
 	}
 }
 
-func TestResponseDeterministicHeaderOrder(t *testing.T) {
-	r := &Response{Status: 200, Headers: map[string]string{"B": "2", "A": "1", "C": "3"}}
-	first := string(r.Render())
-	for i := 0; i < 10; i++ {
-		if got := string(r.Render()); got != first {
-			t.Fatal("header order not deterministic")
-		}
-	}
-	if !strings.Contains(first, "A: 1\r\nB: 2\r\nC: 3\r\n") {
-		t.Fatalf("headers not sorted: %q", first)
-	}
-}
-
 func TestUnescapeProperty(t *testing.T) {
 	// Escaping then unescaping simple ASCII strings is the identity.
 	f := func(s string) bool {
@@ -156,7 +139,7 @@ func TestUnescapeProperty(t *testing.T) {
 		for i := 0; i < len(s); i++ {
 			fmt.Fprintf(&esc, "%%%02X", s[i])
 		}
-		return unescape(esc.String()) == s
+		return unescape([]byte(esc.String())) == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -171,7 +154,7 @@ func TestUnescapeInvalidPassthrough(t *testing.T) {
 		{"a%2", "a%2"},
 		{"100%", "100%"},
 	} {
-		if got := unescape(tc.in); got != tc.want {
+		if got := unescape([]byte(tc.in)); got != tc.want {
 			t.Errorf("unescape(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}

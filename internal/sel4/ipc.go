@@ -68,7 +68,7 @@ func (k *Kernel) HandleTrap(pid machine.PID, f *machine.Frame) machine.Dispositi
 	case trapCapDelete:
 		slot := CPtr(f.R[0])
 		if slot >= CSpaceSize {
-			f.Err = fmt.Errorf("%w: %d", ErrBadSlot, slot)
+			f.Err = k.refusals.Book(capFault{why: faultDelete, src: t.name, cptr: slot}).Err
 			break
 		}
 		t.setSlot(slot, Capability{})
@@ -328,7 +328,7 @@ func (k *Kernel) doSuspend(t *tcb, cptr CPtr) error {
 // rights.
 func (k *Kernel) doCapCopy(t *tcb, src, dst CPtr, mint bool, badge Badge, rights Rights) error {
 	if src >= CSpaceSize || dst >= CSpaceSize {
-		return fmt.Errorf("%w: %d/%d", ErrBadSlot, src, dst)
+		return k.refusals.Book(capFault{why: faultCopy, src: t.name, cptr: src, dst: dst}).Err
 	}
 	// Any capability will do: an empty slot is a capability fault.
 	c, err := k.lookupCap(t, src, t.slot(src).Kind, 0)

@@ -181,6 +181,8 @@ type capFault struct {
 	cptr CPtr
 	// kind is the object kind an invalid slot was asked for.
 	kind ObjKind
+	// dst is a CNode copy's destination slot.
+	dst CPtr
 	// have and need are a rights fault's rights, and obj the object it or
 	// a grant fault names.
 	have, need Rights
@@ -197,6 +199,8 @@ const (
 	faultInvalid           // the slot is out of range, empty, or of another kind
 	faultRights            // the capability lacks the rights the invocation needs
 	faultGrant             // a send carries a capability without the grant right
+	faultCopy              // a CNode copy or mint names a slot past the CSpace
+	faultDelete            // a CNode delete names a slot past the CSpace
 )
 
 var _ machine.TrapHandler = (*Kernel)(nil)
@@ -541,6 +545,12 @@ func (k *Kernel) capFaultOf(f capFault) machine.Refusal {
 	case f.why == faultGrant:
 		r.Err = fmt.Errorf("%w: cap transfer needs grant", ErrNoRights)
 		r.Counter, r.Event.Dst, r.Event.Detail = k.mRightsDenied, k.objName(f.obj), "cap transfer needs grant"
+	case f.why == faultDelete:
+		r.Err = fmt.Errorf("%w: %d", ErrBadSlot, f.cptr)
+		r.Event.Detail = fmt.Sprintf("CNode delete: slot %d out of range", f.cptr)
+	case f.why == faultCopy:
+		r.Err = fmt.Errorf("%w: %d/%d", ErrBadSlot, f.cptr, f.dst)
+		r.Event.Detail = fmt.Sprintf("CNode copy: slot %d/%d out of range", f.cptr, f.dst)
 	case f.why == faultRights:
 		r.Err = fmt.Errorf("%w: slot %d has %v, needs %v", ErrNoRights, f.cptr, f.have, f.need)
 		r.Counter, r.Event.Dst = k.mRightsDenied, k.objName(f.obj)

@@ -38,6 +38,10 @@ go test -run '^$' -fuzz '^FuzzDecodePDU$' -fuzztime 10s ./internal/bacnet
 # must read back the setpoint its controller holds, the Linux text path
 # included.
 go test -run '^$' -fuzz '^FuzzGatewayExchange$' -fuzztime 10s ./internal/bas
+# The same on the web interface: an arbitrary form value posted to all five
+# platforms must get the same answer everywhere, and a 200 must mean an
+# in-band value that the BACnet read-back then returns exactly.
+go test -run '^$' -fuzz '^FuzzWebSetpoint$' -fuzztime 10s ./internal/bas
 # The web UI's request parser is what every board exposes to the network:
 # whatever the bytes and however they are chunked, it must parse alike.
 go test -run '^$' -fuzz '^FuzzParser$' -fuzztime 10s ./internal/httpmini
