@@ -104,10 +104,10 @@ func TestSlowPathZeroAlloc(t *testing.T) {
 // head-end poll from HeadEnd.send through the bus, the room's gateway and
 // controller and back to harvest, and every tenant request, whose setpoint
 // writes cross a room's HTTP web interface. The building has five rooms,
-// one per platform, with the even rooms behind the secure proxy. Three
+// one per platform, with the even rooms behind the secure proxy. Four
 // shapes: every room polled every round with the policy monitor on, the
-// same with the tenant tier on, and the bench's control shape with 30 s
-// polls.
+// same with the tenant tier on, the bench's control shape with 30 s polls,
+// and every room polled every round with a bus fault plan's hook armed.
 //
 // AllocsPerRun reports whole allocations per Step, so 0 means fewer than
 // one per round. What is left is rare: the status line a microkernel
@@ -130,6 +130,12 @@ func TestBuildingStepZeroAlloc(t *testing.T) {
 			cfg.TenantAPI = true
 		}},
 		{"control-30s-polls", func(*building.Config) {}},
+		// The plan's fault fires at 40 minutes, after the measured rounds,
+		// so every flush asks the hook and every verdict delivers.
+		{"polled-every-round-bus-hook", func(cfg *building.Config) {
+			cfg.HeadEnd.PollPeriod = time.Second
+			cfg.BusFaults = "bus-dup"
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -34,6 +34,7 @@ var pinnedReports = []struct {
 	{"building-e12", []string{"building", "-rooms", "6", "-mix", "paper", "-secure", "even", "-settle", "10m", "-window", "15m", "-demote", "-workers", "2", "-json"}},
 	{"building-e15", []string{"building", "-rooms", "16", "-attack=false", "-busfaults", "partition-failover", "-standby", "-window", "90m", "-workers", "2", "-json"}},
 	{"building-e16", []string{"building", "-rooms", "4", "-settle", "5m", "-window", "10m", "-api", "-workers", "2", "-json"}},
+	{"building-busfaults", []string{"building", "-sweep", "rooms=4;attack=off;busfaults=bus-partition,bus-drop,bus-delay,bus-dup,headend-kill,partition-failover;standby=on;window=60m", "-workers", "2", "-json", "-q"}},
 	{"load", []string{"load", "-requests", "200000", "-workers", "1", "-json"}},
 	{"attack-token-replay", []string{"attack", "-actions", "api-token-replay", "-platforms", "minix3-acm", "-model", "root"}},
 	{"attack-token-replay-demote", []string{"attack", "-actions", "api-token-replay", "-platforms", "minix3-acm", "-model", "root", "-demote"}},
@@ -72,7 +73,7 @@ func runCaptured(t *testing.T, args []string) []byte {
 // explain.
 //
 // The pins check bytes, not synchronisation, and the race detector slows
-// the 17 reports about 25-fold, so a -race build skips them; the packages
+// the 18 reports about 25-fold, so a -race build skips them; the packages
 // that run them concurrently race in their own tests.
 func TestReportPins(t *testing.T) {
 	if raceEnabled {

@@ -227,7 +227,7 @@ func newLateralAttacker(b *building.Building) *lateralAttacker {
 // the settle phase's head-end traffic) and schedules the first volley on
 // room 0's clock.
 func (a *lateralAttacker) arm(settle time.Duration) {
-	a.b.Bus.SetTap(a.tap)
+	a.b.Bus.AddTap(a.tap)
 	a.after(settle, a.volley)
 	a.note("foothold: room 0 web interface (%s), pivoting onto the BAS bus", a.b.Rooms[0].Platform)
 }

@@ -348,10 +348,7 @@ func New(cfg Config) (*Building, error) {
 			return nil, fmt.Errorf("building: arming bus faults: %w", err)
 		}
 		b.BusInj = inj
-		b.Bus.SetFaultHook(func(from, to vnet.NodeID, port vnet.Port, age int) vnet.BusFault {
-			v := inj.Verdict(int(from), int(to), age)
-			return vnet.BusFault{Drop: v.Drop, Hold: v.Hold, Dup: v.Dup}
-		})
+		b.Bus.SetFaultHook(inj.Verdict)
 	}
 	if cfg.TenantAPI {
 		b.attachTenant()

@@ -117,7 +117,8 @@ type headRoom struct {
 	seq       uint8
 	sentRound int
 
-	wantSetpoint  *float64
+	wantSetpoint  float64 // the setpoint to write, while wantWrite is set
+	wantWrite     bool
 	lastPollRound int
 	pollAlarm     bool // alternate temperature / alarm-point reads
 
@@ -282,8 +283,7 @@ func (h *HeadEnd) OnRound(round int, now time.Duration) {
 		v := h.cfg.Schedule[h.schedIdx].Value
 		h.setpoint = v
 		for _, r := range h.rooms {
-			val := v
-			r.wantSetpoint = &val
+			r.wantSetpoint, r.wantWrite = v, true
 		}
 		h.schedIdx++
 	}
@@ -333,8 +333,7 @@ func (h *HeadEnd) checkFailover(round int, now time.Duration) bool {
 		h.schedIdx++
 	}
 	for _, r := range h.rooms {
-		val := h.setpoint
-		r.wantSetpoint = &val
+		r.wantSetpoint, r.wantWrite = h.setpoint, true
 		// Restart polling staggered from the takeover round, exactly like a
 		// primary's boot stagger.
 		r.lastPollRound = round - h.pollRounds + r.index%h.pollRounds
@@ -419,9 +418,8 @@ func (h *HeadEnd) harvest(r *headRoom, round int) {
 		r.backoffRounds = h.pollRounds
 		if wasOut {
 			r.reconverge = false
-			if r.wantSetpoint == nil {
-				val := h.setpoint
-				r.wantSetpoint = &val
+			if !r.wantWrite {
+				r.wantSetpoint, r.wantWrite = h.setpoint, true
 			}
 		}
 		if h.onRoomOK != nil {
@@ -467,12 +465,12 @@ func (h *HeadEnd) issue(r *headRoom, round int) {
 		return
 	}
 	switch {
-	case r.wantSetpoint != nil:
+	case r.wantWrite:
 		h.send(r, round, bacnet.PDU{
 			Type: bacnet.WriteProperty, Device: r.deviceID,
-			Object: bacnet.ObjSetpoint, Value: *r.wantSetpoint,
+			Object: bacnet.ObjSetpoint, Value: r.wantSetpoint,
 		})
-		r.wantSetpoint = nil
+		r.wantWrite = false
 		h.writesSent++
 	case round-r.lastPollRound >= r.backoffRounds:
 		// Alternate between the temperature and alarm points: a room whose

@@ -249,3 +249,55 @@ func TestHeadEndQuarantinesRoomOnUnverifiableResponses(t *testing.T) {
 		t.Fatal("building alarm not raised for a quarantined room")
 	}
 }
+
+// A warm OnRound that carries a demand-response event allocates nothing:
+// each room's pending write holds the setpoint as a value.
+func TestHeadEndScheduleEventZeroAlloc(t *testing.T) {
+	const rooms = 4
+	cfg := HeadEndConfig{PollPeriod: time.Second, Warmup: time.Hour}
+	for i := 0; i < 200; i++ {
+		cfg.Schedule = append(cfg.Schedule, SetpointEvent{At: time.Duration(i) * time.Second, Value: 20 + float64(i%3)})
+	}
+	bus := vnet.NewBus()
+	var rs []*Room
+	var stacks []*vnet.Stack
+	var ls []*vnet.Listener
+	for i := 0; i < rooms; i++ {
+		s := vnet.NewStack()
+		l, err := s.Listen(bas.BACnetPort)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stacks, ls = append(stacks, s), append(ls, l)
+		rs = append(rs, &Room{Index: i, Node: bus.AddNode("room", s), DeviceID: uint32(i + 1)})
+	}
+	h := newHeadEnd(bus, bus.AddNode("bms", nil), rs, 20, time.Second, cfg)
+	round := 0
+	step := func() {
+		// Each room takes the request and hangs up without answering.
+		for i, s := range stacks {
+			for {
+				c, err := s.Accept(ls[i])
+				if err != nil {
+					break
+				}
+				_, _ = s.BoardRead(c, 0)
+				s.BoardClose(c)
+			}
+		}
+		bus.Flush()
+		round++
+		h.OnRound(round, time.Duration(round)*time.Second)
+		bus.Flush()
+	}
+	for i := 0; i < 10; i++ {
+		step()
+	}
+	sched, sent := h.schedIdx, h.writesSent
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("OnRound with a schedule event allocated %.1f per round, want 0", allocs)
+	}
+	if h.schedIdx-sched != 101 || h.writesSent == sent {
+		t.Fatalf("%d events applied and %d writes sent over 101 rounds, want 101 and some", h.schedIdx-sched, h.writesSent-sent)
+	}
+}

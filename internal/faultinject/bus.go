@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mkbas/internal/machine"
+	"mkbas/internal/vnet"
 )
 
 // The building-scale half of the campaign layer: bus faults (partition,
@@ -13,15 +14,6 @@ import (
 // coordinator and consulted at every bus flush barrier, which is what keeps
 // a faulted 64-room run byte-identical at any worker count — the verdicts
 // depend only on virtual time and frame age, never on goroutine scheduling.
-
-// BusVerdict is the injector's decision on one queued frame or deferred
-// dial. It mirrors vnet.BusFault without importing vnet, keeping faultinject
-// below the network layer in the import graph.
-type BusVerdict struct {
-	Drop bool
-	Hold bool
-	Dup  bool
-}
 
 // busFault is one armed bus-level fault.
 type busFault struct {
@@ -137,12 +129,12 @@ func (bi *BusInjector) BeginRound(now machine.Time) []Fault {
 }
 
 // Verdict adjudicates one queued frame or deferred dial at the flush
-// barrier (vnet.Bus.SetFaultHook shape, minus the port). Hold wins over
-// Drop, Drop over Dup — matching vnet's precedence.
-func (bi *BusInjector) Verdict(from, to int, age int) BusVerdict {
-	var v BusVerdict
+// barrier; it is the bus's fault hook (vnet.Bus.SetFaultHook), whatever the
+// port. The bus applies Hold over Drop, Drop over Dup.
+func (bi *BusInjector) Verdict(from, to vnet.NodeID, _ vnet.Port, age int) vnet.BusFault {
+	var v vnet.BusFault
 	for _, bf := range bi.faults {
-		if !bf.injected || bi.now >= bf.to || !bf.affects(from, to) {
+		if !bf.injected || bi.now >= bf.to || !bf.affects(int(from), int(to)) {
 			continue
 		}
 		switch bf.fault.Kind {

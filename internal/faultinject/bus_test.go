@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mkbas/internal/machine"
+	"mkbas/internal/vnet"
 )
 
 // busNodes resolves the node names a 4-room building would expose: rooms
@@ -59,7 +60,7 @@ func TestBusInjectorPartitionWindowAndTargeting(t *testing.T) {
 	if fired := bi.BeginRound(at(9 * time.Minute)); len(fired) != 0 {
 		t.Fatalf("fired before At: %v", fired)
 	}
-	if v := bi.Verdict(4, 1, 0); v != (BusVerdict{}) {
+	if v := bi.Verdict(4, 1, 0, 0); v != (vnet.BusFault{}) {
 		t.Fatalf("verdict before injection = %+v, want zero", v)
 	}
 	fired := bi.BeginRound(at(10 * time.Minute))
@@ -72,19 +73,19 @@ func TestBusInjectorPartitionWindowAndTargeting(t *testing.T) {
 
 	// Inside the window: both directions touching room 1 hold; other links
 	// are untouched.
-	if v := bi.Verdict(4, 1, 0); !v.Hold || v.Drop || v.Dup {
+	if v := bi.Verdict(4, 1, 0, 0); !v.Hold || v.Drop || v.Dup {
 		t.Fatalf("head→room1 verdict = %+v, want Hold", v)
 	}
-	if v := bi.Verdict(1, 4, 3); !v.Hold {
+	if v := bi.Verdict(1, 4, 0, 3); !v.Hold {
 		t.Fatalf("room1→head verdict = %+v, want Hold", v)
 	}
-	if v := bi.Verdict(4, 2, 0); v != (BusVerdict{}) {
+	if v := bi.Verdict(4, 2, 0, 0); v != (vnet.BusFault{}) {
 		t.Fatalf("head→room2 verdict = %+v, want zero", v)
 	}
 
 	// The window closes at At+Duration exactly.
 	bi.BeginRound(at(15 * time.Minute))
-	if v := bi.Verdict(4, 1, 0); v != (BusVerdict{}) {
+	if v := bi.Verdict(4, 1, 0, 0); v != (vnet.BusFault{}) {
 		t.Fatalf("verdict at window end = %+v, want zero", v)
 	}
 }
@@ -100,11 +101,11 @@ func TestBusInjectorDelayHoldsByAge(t *testing.T) {
 	bi.BeginRound(at(time.Minute))
 	// Delay 3s on a 1s slice: ceil(2*3s / 1s) = 6 barriers of hold.
 	for age := 0; age < 6; age++ {
-		if v := bi.Verdict(4, 1, age); !v.Hold {
+		if v := bi.Verdict(4, 1, 0, age); !v.Hold {
 			t.Fatalf("age %d verdict = %+v, want Hold", age, v)
 		}
 	}
-	if v := bi.Verdict(4, 1, 6); v.Hold {
+	if v := bi.Verdict(4, 1, 0, 6); v.Hold {
 		t.Fatal("frame still held after aging past the delay")
 	}
 }
@@ -119,10 +120,10 @@ func TestBusInjectorDropAndDupVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	bi.BeginRound(at(time.Minute))
-	if v := bi.Verdict(4, 1, 0); !v.Drop || v.Hold {
+	if v := bi.Verdict(4, 1, 0, 0); !v.Drop || v.Hold {
 		t.Fatalf("drop verdict = %+v", v)
 	}
-	if v := bi.Verdict(4, 2, 0); !v.Dup || v.Hold || v.Drop {
+	if v := bi.Verdict(4, 2, 0, 0); !v.Dup || v.Hold || v.Drop {
 		t.Fatalf("dup verdict = %+v", v)
 	}
 }

@@ -28,31 +28,21 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // String formats the instant as a duration since boot, e.g. "2m30s".
 func (t Time) String() string { return time.Duration(t).String() }
 
-// timer is a pending callback on the virtual clock. Fired and canceled
-// timers return to the clock's free list, so steady-state scheduling (a
-// sensor sleeping every tick) allocates nothing; gen guards a recycled
-// timer against stale TimerIDs.
+// timer is a pending callback on the virtual clock. Fired timers return to
+// the clock's free list, so steady-state scheduling (a sensor sleeping every
+// tick) allocates nothing. A timer cannot be canceled: a wait that ends
+// before its timeout leaves the timer to fire as a stale-token no-op (see
+// Waits).
 type timer struct {
 	at  Time
 	seq uint64 // tie-breaker so equal deadlines fire in scheduling order
 	fn  func()
-	gen uint64
 
 	// tfn, when fn is nil, is a token callback: it fires with pid and tok
-	// (see AfterToken). pid sits beside canceled in what would otherwise be
-	// padding, so the timer stays in the 64-byte size class.
+	// (see AfterToken).
 	tfn func(PID, uint64)
 	tok uint64
 	pid PID
-
-	canceled bool
-}
-
-// TimerID identifies a scheduled callback so it can be canceled. The zero
-// TimerID is inert.
-type TimerID struct {
-	t   *timer
-	gen uint64
 }
 
 // Clock is the virtual time source for one board.
@@ -80,18 +70,16 @@ func (c *Clock) Now() Time { return c.now }
 
 // At schedules fn to run at instant at. Deadlines in the past fire at the
 // next opportunity. Timers with equal deadlines fire in scheduling order.
-func (c *Clock) At(at Time, fn func()) TimerID {
+func (c *Clock) At(at Time, fn func()) {
 	if fn == nil {
 		panic("machine: Clock.At with nil callback")
 	}
-	t := c.schedule(at)
-	t.fn = fn
-	return TimerID{t: t, gen: t.gen}
+	c.schedule(at).fn = fn
 }
 
 // After schedules fn to run d after the current instant.
-func (c *Clock) After(d time.Duration, fn func()) TimerID {
-	return c.At(c.deadline(d), fn)
+func (c *Clock) After(d time.Duration, fn func()) {
+	c.At(c.deadline(d), fn)
 }
 
 // AfterToken schedules fn(pid, token) to run d after the current instant.
@@ -100,13 +88,12 @@ func (c *Clock) After(d time.Duration, fn func()) TimerID {
 // without allocating: each firing names the process and the wait that
 // armed it, and the callback ignores a process that has died or a token
 // that no longer names its current wait (see Waits).
-func (c *Clock) AfterToken(d time.Duration, fn func(pid PID, token uint64), pid PID, token uint64) TimerID {
+func (c *Clock) AfterToken(d time.Duration, fn func(pid PID, token uint64), pid PID, token uint64) {
 	if fn == nil {
 		panic("machine: Clock.AfterToken with nil callback")
 	}
 	t := c.schedule(c.deadline(d))
 	t.tfn, t.pid, t.tok = fn, pid, token
-	return TimerID{t: t, gen: t.gen}
 }
 
 // deadline returns the instant d after now. A deadline past the latest
@@ -128,7 +115,7 @@ func (c *Clock) schedule(at Time) *timer {
 		t = c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
-		t.at, t.seq, t.canceled = at, c.seq, false
+		t.at, t.seq = at, c.seq
 	} else {
 		t = &timer{at: at, seq: c.seq}
 	}
@@ -149,36 +136,12 @@ func (c *Clock) fire(t *timer) {
 	tfn(pid, tok)
 }
 
-// Cancel prevents a scheduled callback from firing. Canceling an already
-// fired or already canceled timer is a no-op (the generation check makes
-// this safe even after the timer struct has been recycled).
-func (c *Clock) Cancel(id TimerID) {
-	if id.t != nil && id.t.gen == id.gen {
-		id.t.canceled = true
-	}
-}
-
-// PendingTimers reports the number of live (not canceled) timers.
-func (c *Clock) PendingTimers() int {
-	n := 0
-	for _, t := range c.timers {
-		if !t.canceled {
-			n++
-		}
-	}
-	return n
-}
-
-// nextDeadline returns the earliest live timer deadline, or ok=false if none.
+// nextDeadline returns the earliest timer deadline, or ok=false if none.
 func (c *Clock) nextDeadline() (Time, bool) {
-	for len(c.timers) > 0 {
-		if c.timers[0].canceled {
-			c.recycle(c.popTop())
-		} else {
-			return c.timers[0].at, true
-		}
+	if len(c.timers) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return c.timers[0].at, true
 }
 
 // advance moves the clock forward to instant at without firing timers; the
@@ -192,35 +155,14 @@ func (c *Clock) advance(at Time) {
 }
 
 // hasDue reports whether a timer is due at or before the current instant —
-// the allocation-free fast path the engine checks on every trap. A canceled
-// timer at the head counts as due; popDue disposes of it.
+// the allocation-free fast path the engine checks on every trap.
 func (c *Clock) hasDue() bool {
 	return len(c.timers) > 0 && c.timers[0].at <= c.now
 }
 
-// popDue removes and returns the earliest live timer due at or before the
-// current instant, or nil if none are due. The caller runs it with fire,
-// which returns the timer to the free list.
-func (c *Clock) popDue() *timer {
-	for len(c.timers) > 0 {
-		top := c.timers[0]
-		if top.canceled {
-			c.recycle(c.popTop())
-			continue
-		}
-		if top.at > c.now {
-			return nil
-		}
-		return c.popTop()
-	}
-	return nil
-}
-
-// recycle returns a popped timer to the free list for reuse by At. Bumping
-// the generation invalidates any TimerID still pointing at it.
+// recycle returns a popped timer to the free list for reuse by At.
 func (c *Clock) recycle(t *timer) {
 	t.fn, t.tfn = nil, nil
-	t.gen++
 	c.free = append(c.free, t)
 }
 

@@ -498,11 +498,7 @@ func (e *Engine) Shutdown() {
 // callback can re-arm without allocating.
 func (e *Engine) fireDueTimers() {
 	for e.clock.hasDue() {
-		t := e.clock.popDue()
-		if t == nil {
-			return
-		}
-		e.clock.fire(t)
+		e.clock.fire(e.clock.popTop())
 	}
 }
 

@@ -507,21 +507,6 @@ func TestTimerOrderingDeterministic(t *testing.T) {
 	}
 }
 
-func TestTimerCancel(t *testing.T) {
-	m, _ := newTestBoard(t)
-	c := m.Clock()
-	fired := false
-	id := c.After(time.Millisecond, func() { fired = true })
-	c.Cancel(id)
-	m.Run(time.Second)
-	if fired {
-		t.Fatal("canceled timer fired")
-	}
-	if c.PendingTimers() != 0 {
-		t.Fatalf("pending timers = %d, want 0", c.PendingTimers())
-	}
-}
-
 func TestContextSwitchAccounting(t *testing.T) {
 	m, _ := newTestBoard(t)
 	e := m.Engine()

@@ -10,7 +10,7 @@ import (
 // building into one shared field network, the way a BACnet/IP segment joins
 // every controller in a real building: any node can dial any other node's
 // ports, and — deliberately, like the legacy bus the paper criticises — any
-// node can observe every frame in flight (SetTap).
+// node can observe every frame in flight (AddTap).
 //
 // Determinism rule: boards run in parallel between delivery barriers, so the
 // bus splits every exchange into two phases. During a round, each node's own
@@ -70,7 +70,6 @@ func (n *busNode) putChunk(c []byte) {
 // list. Its buffers keep their capacity for the next exchange.
 func (n *busNode) putConn(c *BusConn) {
 	c.recycleOutbox(n)
-	c.recycleHeld(n)
 	c.host = HostConn{}
 	c.inbox, c.inboxRead = c.inbox[:0], false
 	c.refused, c.eof, c.closeReq, c.done = false, false, false, false
@@ -81,7 +80,6 @@ func (n *busNode) putConn(c *BusConn) {
 // Bus is the building's shared field network.
 type Bus struct {
 	nodes []*busNode
-	tap   func(TapFrame)
 	taps  []func(TapFrame)
 	guard func(from, to NodeID, port Port) bool
 	fault func(from, to NodeID, port Port, age int) BusFault
@@ -137,16 +135,12 @@ func (b *Bus) Nodes() int { return len(b.nodes) }
 // cost the two-phase determinism design pays. Nil-safe.
 func (b *Bus) Instrument(p *perf.Profiler) { b.phFlush = p.HotPhase("bus.flush") }
 
-// SetTap installs fn to observe every delivered chunk during Flush — the
-// shared-medium exposure an on-bus attacker exploits to capture frames for
-// replay. Only one tap is supported; nil removes it.
-func (b *Bus) SetTap(fn func(TapFrame)) { b.tap = fn }
-
-// AddTap appends a system tap that observes every delivered chunk alongside
-// the SetTap tap. System taps are how legitimate passive equipment (the
-// standby head-end watching the primary's traffic) listens on the shared
-// medium without displacing an attacker's SetTap. Taps cannot be removed;
-// all taps share one payload copy per delivered chunk.
+// AddTap installs fn to observe every delivered chunk during Flush, after
+// the taps added before it. It is the shared-medium exposure every node on
+// a legacy bus has: an on-bus attacker captures frames for replay through
+// it, and legitimate passive equipment (the standby head-end watching the
+// primary's traffic) listens the same way. Taps cannot be removed; all taps
+// share one payload copy per delivered chunk.
 func (b *Bus) AddTap(fn func(TapFrame)) {
 	if fn != nil {
 		b.taps = append(b.taps, fn)
@@ -163,7 +157,7 @@ func (b *Bus) AddTap(fn func(TapFrame)) {
 // its own verdict. A Hold on the deferred dial postpones the whole
 // connection (nothing sends before the dial); a Drop on the dial refuses the
 // connection exactly like a missing listener. Only one hook is supported;
-// nil removes it and restores the zero-cost delivery path.
+// nil removes it, and every verdict is then the zero BusFault.
 func (b *Bus) SetFaultHook(fn func(from, to NodeID, port Port, age int) BusFault) { b.fault = fn }
 
 // SetDialGuard installs fn as the bus admission policy: each queued dial is
@@ -218,11 +212,7 @@ func (b *Bus) Flush() {
 	for _, node := range b.nodes {
 		live := node.conns[:0]
 		for _, c := range node.conns {
-			if b.fault == nil {
-				b.flushConn(node, c)
-			} else {
-				b.flushConnFaulty(node, c)
-			}
+			b.flushConn(node, c)
 			if c.refused || c.done {
 				if c.closeReq {
 					node.putConn(c)
@@ -238,47 +228,116 @@ func (b *Bus) Flush() {
 	}
 }
 
+// flushConn runs one connection's share of a barrier: the deferred dial,
+// then the queued chunks oldest first, then the far side's answers. Every
+// dial and chunk takes the fault hook's verdict, or the zero verdict (deliver)
+// when no hook is installed. Chunk order is FIFO-pinned: the first held chunk
+// holds every chunk behind it, each one barrier older. A connection torn
+// down by Close while the hook holds its chunks discards them — they were in
+// flight on a faulted link when the endpoint gave up, so they are lost, not
+// delivered late.
 func (b *Bus) flushConn(node *busNode, c *BusConn) {
 	if c.refused || c.done {
 		c.recycleOutbox(node)
 		return
 	}
 	if c.host.c == nil {
-		if b.guard != nil && !b.guard(c.from, c.to, c.port) {
+		v := b.verdict(c, c.dialAge)
+		if v.Hold {
+			c.dialAge++
+			if c.closeReq {
+				// The dialer hung up before the faulted link ever carried the
+				// dial: nothing to tear down on the far side.
+				c.recycleOutbox(node)
+				c.done = true
+			}
+			return
+		}
+		if v.Drop || !b.dial(c) {
 			c.refused = true
 			c.recycleOutbox(node)
 			return
-		}
-		target := b.nodes[c.to]
-		if target.stack == nil {
-			c.refused = true
-			c.recycleOutbox(node)
-			return
-		}
-		host, err := target.stack.Dial(c.port)
-		if err != nil {
-			// ErrNoListener or ErrBacklogFull: the bus reports both as a
-			// refused connection, like a RST.
-			c.refused = true
-			c.recycleOutbox(node)
-			return
-		}
-		c.host = host
-	}
-	for _, chunk := range c.outbox {
-		if err := c.host.Write(chunk); err != nil {
-			c.eof = true
-			break
-		}
-		if b.tap != nil || len(b.taps) > 0 {
-			b.deliverTap(c.from, c.to, c.port, chunk)
 		}
 	}
-	c.recycleOutbox(node)
+	kept := 0
+	for _, q := range c.outbox {
+		if c.eof {
+			node.putChunk(q.chunk)
+			continue
+		}
+		var v BusFault
+		if kept == 0 {
+			v = b.verdict(c, q.age)
+		}
+		if kept > 0 || v.Hold {
+			c.outbox[kept] = queued{chunk: q.chunk, age: q.age + 1}
+			kept++
+			continue
+		}
+		if !v.Drop {
+			b.deliver(c, q.chunk)
+			if v.Dup && !c.eof {
+				b.deliver(c, q.chunk)
+			}
+		}
+		node.putChunk(q.chunk)
+	}
+	clear(c.outbox[kept:])
+	c.outbox = c.outbox[:kept]
 	c.drainHost()
 	if c.closeReq {
+		c.recycleOutbox(node)
 		c.host.Close()
 		c.done = true
+	}
+}
+
+// verdict asks the fault hook about c's dial or one of its chunks; with no
+// hook installed every verdict is the zero BusFault.
+func (b *Bus) verdict(c *BusConn, age int) BusFault {
+	if b.fault == nil {
+		return BusFault{}
+	}
+	return b.fault(c.from, c.to, c.port, age)
+}
+
+// dial performs c's deferred stack dial, once the fault hook has released
+// it. The admission guard runs first; a guard refusal, a stackless target,
+// ErrNoListener and ErrBacklogFull all report false, which the bus surfaces
+// as a refused connection, like a RST.
+func (b *Bus) dial(c *BusConn) bool {
+	if b.guard != nil && !b.guard(c.from, c.to, c.port) {
+		return false
+	}
+	target := b.nodes[c.to].stack
+	if target == nil {
+		return false
+	}
+	host, err := target.Dial(c.port)
+	if err != nil {
+		return false
+	}
+	c.host = host
+	return true
+}
+
+// deliver writes one chunk to the far side and fans it out to every tap,
+// all taps sharing one payload copy they may retain. A write the far side
+// refuses marks the connection at EOF. The stream and the taps keep copies,
+// so the chunk may be recycled at once.
+func (b *Bus) deliver(c *BusConn, chunk []byte) {
+	if err := c.host.Write(chunk); err != nil {
+		c.eof = true
+		return
+	}
+	if len(b.taps) == 0 {
+		return
+	}
+	cp := make([]byte, len(chunk))
+	copy(cp, chunk)
+	f := TapFrame{From: c.from, To: c.to, Port: c.port, Payload: cp}
+	for _, fn := range b.taps {
+		fn(f)
 	}
 }
 
@@ -296,135 +355,6 @@ func (c *BusConn) drainHost() {
 	}
 }
 
-// deliverTap fans one delivered chunk out to every installed tap. All taps
-// share a single payload copy; taps may retain it.
-func (b *Bus) deliverTap(from, to NodeID, port Port, chunk []byte) {
-	cp := make([]byte, len(chunk))
-	copy(cp, chunk)
-	f := TapFrame{From: from, To: to, Port: port, Payload: cp}
-	if b.tap != nil {
-		b.tap(f)
-	}
-	for _, fn := range b.taps {
-		fn(f)
-	}
-}
-
-// flushConnFaulty is flushConn with the fault hook interposed. Frames move
-// from the outbox into a held queue carrying per-frame ages; at each barrier
-// the hook adjudicates them oldest first, FIFO-pinned (the first Hold blocks
-// everything behind it). A connection torn down by Close while the hook
-// holds its frames discards them — the frames were in flight on a faulted
-// link when the endpoint gave up, so they are lost, not delivered late.
-func (b *Bus) flushConnFaulty(node *busNode, c *BusConn) {
-	if c.refused || c.done {
-		c.recycleHeld(node)
-		c.recycleOutbox(node)
-		return
-	}
-	if c.host.c == nil {
-		v := b.fault(c.from, c.to, c.port, c.dialAge)
-		switch {
-		case v.Hold:
-			c.dialAge++
-			if c.closeReq {
-				// The dialer hung up before the faulted link ever carried the
-				// dial: nothing to tear down on the far side.
-				c.recycleHeld(node)
-				c.recycleOutbox(node)
-				c.done = true
-			}
-			return
-		case v.Drop:
-			c.refused = true
-			c.recycleHeld(node)
-			c.recycleOutbox(node)
-			return
-		}
-		// The fault hook released the dial; the admission guard runs now, at
-		// the flush that actually performs it.
-		if b.guard != nil && !b.guard(c.from, c.to, c.port) {
-			c.refused = true
-			c.recycleHeld(node)
-			c.recycleOutbox(node)
-			return
-		}
-		target := b.nodes[c.to]
-		if target.stack == nil {
-			c.refused = true
-			c.recycleHeld(node)
-			c.recycleOutbox(node)
-			return
-		}
-		host, err := target.stack.Dial(c.port)
-		if err != nil {
-			c.refused = true
-			c.recycleHeld(node)
-			c.recycleOutbox(node)
-			return
-		}
-		c.host = host
-	}
-	for _, chunk := range c.outbox {
-		c.held = append(c.held, chunk)
-		c.heldAge = append(c.heldAge, 0)
-	}
-	for i := range c.outbox {
-		c.outbox[i] = nil
-	}
-	c.outbox = c.outbox[:0]
-	kept := 0
-	blocked := false
-	for i, chunk := range c.held {
-		if c.eof {
-			node.putChunk(chunk)
-			continue
-		}
-		if !blocked {
-			v := b.fault(c.from, c.to, c.port, c.heldAge[i])
-			switch {
-			case v.Hold:
-				blocked = true
-			case v.Drop:
-				node.putChunk(chunk)
-				continue
-			default:
-				if err := c.host.Write(chunk); err != nil {
-					c.eof = true
-					node.putChunk(chunk)
-					continue
-				}
-				if b.tap != nil || len(b.taps) > 0 {
-					b.deliverTap(c.from, c.to, c.port, chunk)
-				}
-				if v.Dup {
-					if err := c.host.Write(chunk); err != nil {
-						c.eof = true
-					} else if b.tap != nil || len(b.taps) > 0 {
-						b.deliverTap(c.from, c.to, c.port, chunk)
-					}
-				}
-				node.putChunk(chunk)
-				continue
-			}
-		}
-		c.held[kept] = chunk
-		c.heldAge[kept] = c.heldAge[i] + 1
-		kept++
-	}
-	for i := kept; i < len(c.held); i++ {
-		c.held[i] = nil
-	}
-	c.held = c.held[:kept]
-	c.heldAge = c.heldAge[:kept]
-	c.drainHost()
-	if c.closeReq {
-		c.recycleHeld(node)
-		c.host.Close()
-		c.done = true
-	}
-}
-
 // BusConn is one node's handle on a cross-board connection. All methods
 // must be called from the owning node's goroutine (see Bus.Dial); state
 // transitions driven by the far side land at the next Flush.
@@ -434,20 +364,21 @@ type BusConn struct {
 	port     Port
 
 	host      HostConn // zero until the deferred dial succeeds
-	outbox    [][]byte // chunks queued for the next Flush
+	outbox    []queued // chunks awaiting delivery, oldest first
 	inbox     []byte   // responses copied in by Flush
 	inboxRead bool     // ReadAll handed the inbox out
 	refused   bool
 	eof       bool
 	closeReq  bool
 	done      bool
+	dialAge   int // barriers the fault hook has held the deferred dial
+}
 
-	// Fault-hook state (untouched when no hook is installed): frames held
-	// across barriers with their per-frame ages, and how many barriers the
-	// deferred dial has been held.
-	held    [][]byte
-	heldAge []int
-	dialAge int
+// queued is one chunk in a BusConn's outbox with its age: how many barriers
+// the fault hook has already held it across.
+type queued struct {
+	chunk []byte
+	age   int
 }
 
 // Write queues one chunk for delivery at the next Flush. The bytes are
@@ -461,31 +392,19 @@ func (c *BusConn) Write(p []byte) error {
 		return ErrConnClosed
 	}
 	cp := append(c.bus.nodes[c.from].getChunk(), p...)
-	c.outbox = append(c.outbox, cp)
+	c.outbox = append(c.outbox, queued{chunk: cp})
 	return nil
 }
 
-// recycleOutbox returns delivered (or dropped) chunks to the owning node's
-// free list and resets the outbox for reuse. Called only at the Flush
-// barrier. The target stack copied each chunk on Write, so nothing retains
-// the recycled bytes.
+// recycleOutbox discards every queued chunk, returning it to the owning
+// node's free list, and resets the outbox for reuse. Called only at the
+// Flush barrier, for a connection that will deliver nothing more.
 func (c *BusConn) recycleOutbox(node *busNode) {
-	for i, chunk := range c.outbox {
-		node.putChunk(chunk)
-		c.outbox[i] = nil
+	for _, q := range c.outbox {
+		node.putChunk(q.chunk)
 	}
+	clear(c.outbox)
 	c.outbox = c.outbox[:0]
-}
-
-// recycleHeld returns fault-held chunks to the owning node's free list —
-// frames lost on a faulted link when their connection died.
-func (c *BusConn) recycleHeld(node *busNode) {
-	for i, chunk := range c.held {
-		node.putChunk(chunk)
-		c.held[i] = nil
-	}
-	c.held = c.held[:0]
-	c.heldAge = c.heldAge[:0]
 }
 
 // ReadAll drains everything the far side has sent up to the last Flush.

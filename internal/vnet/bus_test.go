@@ -65,7 +65,7 @@ func TestBusFixedDeliveryOrder(t *testing.T) {
 	tID := bus.AddNode("t", target)
 
 	var order []string
-	bus.SetTap(func(f TapFrame) {
+	bus.AddTap(func(f TapFrame) {
 		order = append(order, bus.NodeName(f.From)+":"+string(f.Payload))
 	})
 
@@ -186,7 +186,7 @@ func TestBusSenderCloseReachesBoard(t *testing.T) {
 func TestBusTapPayloadIsACopy(t *testing.T) {
 	bus, _, _, _ := busPair(t)
 	var captured []byte
-	bus.SetTap(func(f TapFrame) {
+	bus.AddTap(func(f TapFrame) {
 		if f.Port != 47808 {
 			t.Fatalf("tap port = %d", f.Port)
 		}

@@ -20,7 +20,7 @@ func (f *faultSwitch) hook(from, to NodeID, port Port, age int) BusFault {
 func TestBusFaultHoldThenReleaseDeliversInOrder(t *testing.T) {
 	bus, _, b, l := busPair(t)
 	var order []string
-	bus.SetTap(func(f TapFrame) { order = append(order, string(f.Payload)) })
+	bus.AddTap(func(f TapFrame) { order = append(order, string(f.Payload)) })
 	fs := &faultSwitch{}
 	bus.SetFaultHook(fs.hook)
 
@@ -84,7 +84,7 @@ func TestBusFaultHoldAgesIncrement(t *testing.T) {
 func TestBusFaultCloseDuringHoldDiscardsHeldFrames(t *testing.T) {
 	bus, _, b, l := busPair(t)
 	var order []string
-	bus.SetTap(func(f TapFrame) { order = append(order, string(f.Payload)) })
+	bus.AddTap(func(f TapFrame) { order = append(order, string(f.Payload)) })
 	fs := &faultSwitch{}
 	bus.SetFaultHook(fs.hook)
 
@@ -218,7 +218,7 @@ func TestBusFaultDialGuardRefusalAfterRelease(t *testing.T) {
 func TestBusFaultDupDeliversTwiceBackToBack(t *testing.T) {
 	bus, _, b, l := busPair(t)
 	var order []string
-	bus.SetTap(func(f TapFrame) { order = append(order, string(f.Payload)) })
+	bus.AddTap(func(f TapFrame) { order = append(order, string(f.Payload)) })
 	fs := &faultSwitch{}
 	bus.SetFaultHook(fs.hook)
 
@@ -263,7 +263,7 @@ func TestBusFaultFIFOPinsFramesBehindFirstHold(t *testing.T) {
 	// without being adjudicated — a partitioned link cannot reorder frames.
 	bus, _, _, _ := busPair(t)
 	var order []string
-	bus.SetTap(func(f TapFrame) { order = append(order, string(f.Payload)) })
+	bus.AddTap(func(f TapFrame) { order = append(order, string(f.Payload)) })
 
 	frameCalls := 0
 	holdFirst := true

@@ -19,7 +19,7 @@ func TestBusChunkPoolReusesBackingArray(t *testing.T) {
 	if err := c.Write(payload); err != nil {
 		t.Fatal(err)
 	}
-	first := &c.outbox[0][0]
+	first := &c.outbox[0].chunk[0]
 	bus.Flush()
 	if len(c.outbox) != 0 {
 		t.Fatalf("outbox not recycled at the barrier: %d chunks", len(c.outbox))
@@ -31,7 +31,7 @@ func TestBusChunkPoolReusesBackingArray(t *testing.T) {
 	if err := c.Write(payload); err != nil {
 		t.Fatal(err)
 	}
-	if &c.outbox[0][0] != first {
+	if &c.outbox[0].chunk[0] != first {
 		t.Error("second write did not reuse the recycled chunk's backing array")
 	}
 	bus.Flush()

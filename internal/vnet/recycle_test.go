@@ -361,8 +361,9 @@ func (h heldRead) check(t *testing.T, what string) {
 // one: a head-end-like originate-only node dials a board over the bus, and
 // a harness dials the board's stack directly. Every read must return the
 // same bytes, EOF and refusal, every accept the same connection id, and
-// every tap the same frames in the same order. Half the runs put a random
-// fault hook on both buses.
+// every tap the same frames in the same order. A third of the runs put a
+// random fault hook on both buses, and a third put an always-zero hook on
+// the real bus only: the zero verdict must deliver exactly as no hook does.
 func TestRecyclingMatchesNeverRecyclingStack(t *testing.T) {
 	const open, refusedPort Port = 47808, 9
 	for seed := int64(1); seed <= 60; seed++ {
@@ -381,9 +382,12 @@ func TestRecyclingMatchesNeverRecyclingStack(t *testing.T) {
 		rbus := &refBus{stacks: []*refStack{nil, ref}, conns: make([][]*refBusConn, 2)}
 
 		var taps, refTaps []TapFrame
-		bus.SetTap(func(f TapFrame) { taps = append(taps, f) })
+		bus.AddTap(func(f TapFrame) { taps = append(taps, f) })
 		rbus.tap = func(f TapFrame) { refTaps = append(refTaps, f) }
-		if seed%2 == 0 {
+		switch seed % 3 {
+		case 1:
+			bus.SetFaultHook(func(NodeID, NodeID, Port, int) BusFault { return BusFault{} })
+		case 2:
 			// Each bus consults its own copy of one verdict stream, so the
 			// verdicts agree as long as the buses ask in the same order.
 			mk := func() func(NodeID, NodeID, Port, int) BusFault {
@@ -642,7 +646,7 @@ func TestReadBytesValidUntilNextRead(t *testing.T) {
 func TestRecycledBusConnFlushesAtNewPosition(t *testing.T) {
 	bus, _, _, _ := busPair(t)
 	var order []string
-	bus.SetTap(func(f TapFrame) { order = append(order, string(f.Payload)) })
+	bus.AddTap(func(f TapFrame) { order = append(order, string(f.Payload)) })
 	first := bus.Dial(0, 1, 47808)
 	second := bus.Dial(0, 1, 47808)
 	bus.Flush()
